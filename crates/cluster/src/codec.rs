@@ -42,6 +42,10 @@ pub enum DecodeError {
         /// The type being decoded.
         ty: &'static str,
     },
+    /// A query's table count was 0 or exceeded the [`TableSet`] capacity:
+    /// no optimizer accepts it (the DP kernels assert on these sizes), so
+    /// it must not survive decoding on a resident worker.
+    TableCount(usize),
 }
 
 impl fmt::Display for DecodeError {
@@ -58,6 +62,11 @@ impl fmt::Display for DecodeError {
             DecodeError::IndexOutOfRange { index, ty } => write!(
                 f,
                 "table index {index} in {ty} exceeds the {}-table wire limit",
+                TableSet::MAX_TABLES
+            ),
+            DecodeError::TableCount(n) => write!(
+                f,
+                "query table count {n} outside 1..={}",
                 TableSet::MAX_TABLES
             ),
         }
@@ -541,7 +550,10 @@ impl Wire for Query {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let n = dec.get_len()?;
-        let mut stats = Vec::with_capacity(n.min(64));
+        if n == 0 || n > TableSet::MAX_TABLES {
+            return Err(DecodeError::TableCount(n));
+        }
+        let mut stats = Vec::with_capacity(n);
         for _ in 0..n {
             stats.push(TableStats::decode(dec)?);
         }

@@ -27,6 +27,11 @@
 //! replies to the owning session ([`Cluster::recv_for`]), with replies
 //! for other sessions parked rather than dropped.
 //!
+//! On top of the message plane sits the master-side **session
+//! lifecycle** ([`session`]): one handle type, one admission/park/reap
+//! table and one `submit`/`poll`/`wait` loop, generic over the
+//! [`Protocol`] a master speaks — shared by the MPQ and SMA services.
+//!
 //! The runtime can also inject **deterministic faults** — worker crashes
 //! (before or after replying), dropped replies and stragglers — from a
 //! seed-driven [`FaultPlan`] (see [`fault`]). Masters observe faults
@@ -41,6 +46,7 @@ pub mod fault;
 pub mod latency;
 pub mod metrics;
 pub mod runtime;
+pub mod session;
 pub mod transport;
 
 pub use codec::{
@@ -52,6 +58,10 @@ pub use metrics::{NetworkMetrics, NetworkSnapshot, WorkerCounters};
 pub use runtime::{
     mint_service_instance, AbandonedList, BatchError, Cluster, ClusterError, Control, ReplyPark,
     WorkerCtx, WorkerLogic,
+};
+pub use session::{
+    BlockingStep, LifecycleError, Protocol, QueryHandle, SessionService, SessionTable, Settled,
+    Table, MAX_PARKED_RESULTS,
 };
 pub use transport::{
     frame_with_prefix, serve_worker, FrameBuffer, Hello, SocketTransport, Transport, WireListener,

@@ -14,11 +14,11 @@
 // unwrap/expect denies target shipping code (see [workspace.lints]).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mpq_cluster::{frame_with_prefix, FrameBuffer, Hello, QueryId, Wire};
+use mpq_cluster::{frame_with_prefix, DecodeError, FrameBuffer, Hello, QueryId, Wire};
 use mpq_cost::{CostVector, JoinOp, Objective, Order, ScanOp};
 use mpq_dp::WorkerStats;
 use mpq_model::{
-    JoinGraph, Predicate, Query, TableSet, TableStats, WorkloadConfig, WorkloadGenerator,
+    Catalog, JoinGraph, Predicate, Query, TableSet, TableStats, WorkloadConfig, WorkloadGenerator,
 };
 use mpq_partition::PlanSpace;
 use mpq_plan::{Plan, PlanEntry, PlanNode};
@@ -91,6 +91,35 @@ fn valid_encodings(seed: u64, n: usize) -> Vec<Vec<u8>> {
         out.plans[0].to_bytes().to_vec(),
         out.stats.to_bytes().to_vec(),
     ]
+}
+
+/// A query of exactly `n` tables and no predicates.
+fn query_of(n: usize) -> Query {
+    Query {
+        catalog: Catalog::from_stats(vec![TableStats::with_cardinality(10.0); n]),
+        predicates: Vec::new(),
+        graph: JoinGraph::Chain,
+    }
+}
+
+/// Regression (ISSUE 13 satellite): a table count no optimizer accepts —
+/// zero, or more than a `TableSet` holds — is rejected by the decoder, so
+/// a hostile or corrupt frame cannot reach `Grouping::new`'s assert on a
+/// resident worker. The encoder is untouched (it still writes them), and
+/// the boundary sizes 1 and 64 still round-trip.
+#[test]
+fn unoptimizable_table_counts_fail_typed() {
+    for n in [0, TableSet::MAX_TABLES + 1] {
+        assert_eq!(
+            Query::from_bytes(&query_of(n).to_bytes()),
+            Err(DecodeError::TableCount(n)),
+            "{n} tables"
+        );
+    }
+    for n in [1, TableSet::MAX_TABLES] {
+        let q = query_of(n);
+        assert_eq!(Query::from_bytes(&q.to_bytes()), Ok(q), "{n} tables");
+    }
 }
 
 proptest! {

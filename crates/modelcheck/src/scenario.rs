@@ -489,7 +489,7 @@ fn facade_recovery_error(e: &ServiceError) -> bool {
         ServiceError::Mpq(e) => mpq_recovery_error(e),
         ServiceError::Sma(e) => sma_recovery_error(e),
         ServiceError::UnknownHandle
-        | ServiceError::BackendMismatch
+        | ServiceError::BadRequest { .. }
         | ServiceError::Overloaded { .. } => false,
     }
 }

@@ -147,6 +147,48 @@ fn admission_scenario_exhausts_clean() {
     assert!(report.schedules >= 2, "the sweep must actually branch");
 }
 
+/// The explored space's fingerprint at the default bounds (depth 40,
+/// 20k-schedule cap), for every scenario that exhausts under them:
+/// `(schedules, max depth, branch points)`. Every receive the services
+/// issue is a choice point whose kind (blocking / timed / try) selects
+/// the enabled actions, and every send is folded into the state
+/// signature — so a change to a receive kind, to the reap or send order,
+/// or to admission timing moves these numbers. The shared session
+/// lifecycle (`mpq_cluster::session`) was extracted under exactly this
+/// table; a differing count is a finding about the state machine, not a
+/// number to re-baseline.
+#[test]
+fn explored_space_fingerprint_is_pinned() {
+    const FINGERPRINT: [(&str, usize, usize, usize); 12] = [
+        ("mpq-ff-2w1s", 4, 4, 3),
+        ("mpq-ff-2w2s", 38, 8, 37),
+        ("mpq-ff-3w2s", 38, 8, 37),
+        ("mpq-drop-2w2s", 8423, 14, 8422),
+        ("mpq-dup-2w2s", 14098, 14, 14097),
+        ("mpq-crash-2w1s", 1198, 10, 1197),
+        ("mpq-steal-2w1s", 48, 9, 47),
+        ("sma-ff-2w1s", 52, 20, 51),
+        ("sma-ff-2w2s", 9237, 41, 9236),
+        ("facade-coalesce-2w", 10, 8, 9),
+        ("facade-leader-drop-2w", 10, 8, 9),
+        ("facade-admission-2w", 10, 8, 9),
+    ];
+    for (name, schedules, depth, branch_points) in FINGERPRINT {
+        let scenario = find_scenario(name).expect("registered scenario");
+        let report = explore(&scenario, 40, 20_000);
+        assert!(report.violation.is_none(), "{name}: {:?}", report.violation);
+        assert!(
+            !report.truncated,
+            "{name} must exhaust at the default bounds"
+        );
+        assert_eq!(
+            (report.schedules, report.max_depth, report.branch_points),
+            (schedules, depth, branch_points),
+            "{name}: the explored schedule space moved"
+        );
+    }
+}
+
 /// Deterministic reaping: `drain_ordered` is ascending regardless of
 /// push order, and `drain_seeded` is a pure function of the seed with
 /// seed 0 as the identity permutation.

@@ -13,7 +13,9 @@
 //! [`FaultPlan`].
 
 use crate::service::MpqService;
-use mpq_cluster::{ClusterError, DecodeError, FaultPlan, LatencyModel, NetworkSnapshot, QueryId};
+use mpq_cluster::{
+    ClusterError, DecodeError, FaultPlan, LatencyModel, LifecycleError, NetworkSnapshot, QueryId,
+};
 use mpq_cost::Objective;
 use mpq_dp::{ParallelPolicy, WorkerStats};
 use mpq_model::Query;
@@ -252,6 +254,20 @@ impl std::error::Error for MpqError {
 impl From<ClusterError> for MpqError {
     fn from(e: ClusterError) -> Self {
         MpqError::Cluster(e)
+    }
+}
+
+/// The shared session lifecycle's failures, surfaced as this protocol's
+/// own variants.
+impl From<LifecycleError> for MpqError {
+    fn from(e: LifecycleError) -> Self {
+        match e {
+            LifecycleError::UnknownHandle { id } => MpqError::UnknownHandle { id },
+            LifecycleError::Overloaded { in_flight, limit } => {
+                MpqError::Overloaded { in_flight, limit }
+            }
+            LifecycleError::BadRequest { reason } => MpqError::BadRequest { reason },
+        }
     }
 }
 

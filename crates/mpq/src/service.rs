@@ -2,14 +2,16 @@
 //! multiplexing many concurrent optimization sessions.
 //!
 //! Where [`MpqOptimizer`](crate::MpqOptimizer) answers a single query,
-//! [`MpqService`] keeps the simulated shared-nothing cluster standing and
-//! streams queries through it: [`MpqService::submit`] dispatches a
-//! session's partition tasks and returns a [`QueryHandle`] immediately,
-//! [`MpqService::poll`] / [`MpqService::wait`] drive a scheduler that
-//! interleaves reply collection, straggler suspicion and task re-issue
-//! across **all** in-flight sessions. Every wire message carries its
-//! session's [`QueryId`], so replies are routed to the owning session no
-//! matter how submissions and completions interleave.
+//! [`MpqService`] keeps the shared-nothing cluster standing and streams
+//! queries through it. The session lifecycle — handles, admission,
+//! `submit` / `poll` / `wait`, parking, reaping — is
+//! [`mpq_cluster::session`]'s, shared with the SMA master; this module is
+//! the MPQ [`Protocol`]: which task messages a submission sends, how a
+//! reply or progress report advances its session, and the scheduler
+//! passes that interleave straggler suspicion and task re-issue across
+//! **all** in-flight sessions. Every wire message carries its session's
+//! [`QueryId`], so replies are routed to the owning session no matter how
+//! submissions and completions interleave.
 //!
 //! Fault tolerance is per session: each session owns its retry budget and
 //! strike counter under the service-wide [`RetryPolicy`], and because an
@@ -39,63 +41,22 @@
 use crate::message::{MasterMessage, WorkerMsg, WorkerReply};
 use crate::optimizer::{MpqConfig, MpqError, MpqMetrics, MpqOutcome, RetryPolicy, StealPolicy};
 use bytes::Bytes;
+pub use mpq_cluster::QueryHandle;
 use mpq_cluster::{
-    AbandonedList, Cluster, ClusterError, Control, NetworkMetrics, QueryId, Transport, Wire,
-    WireListener, WorkerCtx, WorkerLogic,
+    BlockingStep, Cluster, ClusterError, Control, Protocol, QueryId, SessionService, Table,
+    Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::Objective;
 use mpq_dp::{optimize_partition_id_cached_parallel, ParallelPolicy, PlanCache, WorkerStats};
 use mpq_model::Query;
 use mpq_partition::{effective_workers, PlanSpace};
 use mpq_plan::{CacheWeight, Plan, PruningPolicy};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Most results a service parks for unredeemed handles before evicting
-/// the oldest: a client that drops handles without redeeming them must
-/// not grow resident-service memory without bound over an unbounded
-/// query stream.
-const MAX_PARKED_RESULTS: usize = 4096;
-
-/// How long a no-timer [`MpqService::wait`] parks between clock-free
-/// evidence passes: long enough to cost nothing, short enough that a
-/// worker dying while the master is parked is noticed promptly.
+/// How long a no-timer `wait` parks between clock-free evidence passes:
+/// long enough to cost nothing, short enough that a worker dying while
+/// the master is parked is noticed promptly.
 const EVIDENCE_HEARTBEAT: std::time::Duration = std::time::Duration::from_millis(25);
-
-/// Ticket for one submitted query. Redeem it with [`MpqService::wait`]
-/// (or check it with [`MpqService::poll`]); results are delivered exactly
-/// once per handle. Handles remember which service instance minted them,
-/// so presenting one to a different service yields a typed
-/// [`MpqError::UnknownHandle`] — never another session's result.
-///
-/// Dropping a handle **abandons** its session: the id lands on the
-/// service's abandoned list, and the next scheduler entry (`submit`,
-/// `poll` or `wait` on any handle) frees the session's master-side state
-/// and any parked result, so abandoned queries do not accumulate until
-/// service teardown. Dropping an already-redeemed handle is a no-op.
-#[must_use = "redeem the handle with `wait`/`poll`, or drop it explicitly to abandon the query"]
-#[derive(Debug)]
-pub struct QueryHandle {
-    id: QueryId,
-    service: u64,
-    abandoned: AbandonedList,
-}
-
-impl QueryHandle {
-    /// The session id this handle tracks.
-    pub fn id(&self) -> QueryId {
-        self.id
-    }
-}
-
-impl Drop for QueryHandle {
-    fn drop(&mut self) {
-        // Redeemed sessions are already gone from the service's maps, so
-        // reaping their id is a no-op; only truly abandoned sessions are
-        // affected.
-        self.abandoned.push(self.id.0);
-    }
-}
 
 /// Worker-side logic: decode the task, optimize the assigned partition
 /// range, reply once per task.
@@ -252,7 +213,7 @@ struct SplitRecord {
 }
 
 /// Master-side state of one in-flight optimization session.
-struct Session {
+pub struct Session {
     query: Query,
     space: PlanSpace,
     objective: Objective,
@@ -355,22 +316,36 @@ impl Session {
     }
 }
 
-/// A long-lived MPQ optimizer service over one resident cluster. See the
-/// module docs.
-pub struct MpqService {
-    cluster: Box<dyn Transport>,
+/// A long-lived MPQ optimizer service over one resident cluster: a
+/// [`SessionService`] speaking the [`MpqProtocol`] (`poll`, `wait`,
+/// `in_flight`, `metrics`, … are the shared lifecycle's, reached through
+/// `Deref`). See the module docs.
+pub struct MpqService(SessionService<MpqProtocol>);
+
+impl std::ops::Deref for MpqService {
+    type Target = SessionService<MpqProtocol>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for MpqService {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+/// What an MPQ submission carries besides the query: plan space,
+/// objective, and an explicit `(total partitions, (first, count) per
+/// range)` layout — `None` spreads the partition space evenly over all
+/// workers.
+type MpqRequest = (PlanSpace, Objective, Option<(u64, Vec<(u64, u64)>)>);
+
+/// The MPQ master's [`Protocol`]: the recovery policies plus the
+/// per-worker evidence every session's suspicion pass reads.
+pub struct MpqProtocol {
     retry: RetryPolicy,
     steal: StealPolicy,
-    /// Admission limit (0 = unlimited); see
-    /// [`MpqConfig::max_in_flight`](crate::MpqConfig).
-    max_in_flight: usize,
-    /// This instance's identity, stamped into every handle it mints.
-    service: u64,
-    next_id: u64,
-    /// Ordered maps so scheduler passes visit sessions in submission
-    /// order — deterministic across runs, like the rest of the simulator.
-    sessions: BTreeMap<u64, Session>,
-    done: BTreeMap<u64, Result<MpqOutcome, MpqError>>,
     /// Per-worker loss-detection state: tasks sent to each worker,
     /// replies seen from it (FIFO stream position), replies the recovery
     /// pass proved lost (queue-ledger repair for the steal pass's
@@ -379,9 +354,6 @@ pub struct MpqService {
     replies_seen: Vec<u64>,
     lost_replies: Vec<u64>,
     last_reply_from: Vec<Instant>,
-    /// Session ids whose [`QueryHandle`] was dropped unredeemed; reaped
-    /// (state freed) on the next scheduler entry.
-    abandoned: AbandonedList,
 }
 
 impl MpqService {
@@ -417,56 +389,24 @@ impl MpqService {
         config: MpqConfig,
     ) -> Result<MpqService, MpqError> {
         let workers = transport.num_workers();
-        if workers == 0 {
-            return Err(MpqError::BadRequest {
-                reason: "at least one worker required",
-            });
-        }
-        Ok(MpqService {
-            cluster: transport,
+        let protocol = MpqProtocol {
             retry: config.retry,
             steal: config.steal,
-            max_in_flight: config.max_in_flight,
-            service: mpq_cluster::mint_service_instance(),
-            next_id: 0,
-            sessions: BTreeMap::new(),
-            done: BTreeMap::new(),
             tasks_sent: vec![0; workers],
             replies_seen: vec![0; workers],
             lost_replies: vec![0; workers],
             last_reply_from: vec![Instant::now(); workers],
-            abandoned: AbandonedList::new(),
-        })
-    }
-
-    /// Number of resident worker nodes.
-    pub fn num_workers(&self) -> usize {
-        self.cluster.num_workers()
-    }
-
-    /// Sessions submitted but not yet finished.
-    pub fn in_flight(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Finished results parked for handles that have not redeemed them
-    /// yet (bounded by the eviction cap; shrinks when abandoned handles
-    /// are reaped).
-    pub fn parked_results(&self) -> usize {
-        self.done.len()
-    }
-
-    /// The resident cluster's network counters (cumulative across every
-    /// session the service has served).
-    pub fn metrics(&self) -> &NetworkMetrics {
-        self.cluster.metrics()
+        };
+        let service = SessionService::new(protocol, transport, config.max_in_flight)?;
+        Ok(MpqService(service))
     }
 
     /// Submits `query` for optimization over all resident workers (one
     /// partition per worker, capped by the query's partition limit) and
     /// returns immediately with a handle. Task messages go out before
-    /// this returns; collection happens in [`MpqService::poll`] /
-    /// [`MpqService::wait`].
+    /// this returns; collection happens in `poll` / `wait`. Past
+    /// [`MpqConfig::max_in_flight`] the submission is refused with
+    /// [`MpqError::Overloaded`].
     ///
     /// With stealing enabled, each worker instead receives a contiguous
     /// range of up to [`StealPolicy::oversubscribe`] partitions — a
@@ -479,32 +419,7 @@ impl MpqService {
         space: PlanSpace,
         objective: Objective,
     ) -> Result<QueryHandle, MpqError> {
-        let workers = self.cluster.num_workers() as u64;
-        let oversubscribe = if self.steal.enabled {
-            self.steal.oversubscribe.max(1)
-        } else {
-            1
-        };
-        let partitions = effective_workers(
-            space,
-            query.num_tables(),
-            workers.saturating_mul(oversubscribe),
-        );
-        let ranges = workers.min(partitions);
-        // Contiguous equal split: range i gets `base` partitions plus one
-        // of the `extra` leftovers.
-        let base = partitions / ranges;
-        let extra = partitions % ranges;
-        let mut first = 0u64;
-        let assignment: Vec<(u64, u64)> = (0..ranges)
-            .map(|i| {
-                let count = base + u64::from(i < extra);
-                let range = (first, count);
-                first += count;
-                range
-            })
-            .collect();
-        self.submit_assigned(query, space, objective, partitions, assignment)
+        self.0.submit(query, (space, objective, None), false)
     }
 
     /// Submits `query` with an explicit `(first_partition, count)` range
@@ -518,29 +433,57 @@ impl MpqService {
         partitions: u64,
         assignment: Vec<(u64, u64)>,
     ) -> Result<QueryHandle, MpqError> {
+        let layout = Some((partitions, assignment));
+        self.0.submit(query, (space, objective, layout), false)
+    }
+
+    /// Blocking submit: exactly [`MpqService::submit`], except that at
+    /// the admission limit it parks on the evidence loop — driving the
+    /// in-flight sessions until capacity frees — instead of refusing.
+    pub fn submit_wait(
+        &mut self,
+        query: &Query,
+        space: PlanSpace,
+        objective: Objective,
+    ) -> Result<QueryHandle, MpqError> {
+        self.0.submit(query, (space, objective, None), true)
+    }
+
+    /// Shuts the resident cluster down, joining every worker thread.
+    /// In-flight sessions are abandoned (their handles become useless), so
+    /// drain the service before calling this.
+    pub fn shutdown(self) {
+        self.0.shutdown();
+    }
+}
+
+impl Protocol for MpqProtocol {
+    type Request = MpqRequest;
+    type Session = Session;
+    type Outcome = MpqOutcome;
+    type Error = MpqError;
+
+    fn open(
+        &mut self,
+        net: &dyn Transport,
+        id: QueryId,
+        query: &Query,
+        (space, objective, layout): MpqRequest,
+    ) -> Result<Session, MpqError> {
+        let (partitions, assignment) = match layout {
+            Some(layout) => layout,
+            None => self.even_layout(net.num_workers() as u64, query, space),
+        };
         if assignment.is_empty() {
             return Err(MpqError::BadRequest {
                 reason: "a session needs at least one partition range",
             });
         }
-        if assignment.len() > self.cluster.num_workers() {
+        if assignment.len() > net.num_workers() {
             return Err(MpqError::BadRequest {
                 reason: "more partition ranges than resident workers",
             });
         }
-        self.reap_abandoned();
-        // Admission: refuse past the in-flight budget *before* any task
-        // message goes out, so a refused submission leaves zero state
-        // behind. Reaping first means dropped-but-unreaped handles never
-        // count against the caller.
-        if self.max_in_flight > 0 && self.sessions.len() >= self.max_in_flight {
-            return Err(MpqError::Overloaded {
-                in_flight: self.sessions.len(),
-                limit: self.max_in_flight,
-            });
-        }
-        let id = QueryId(self.next_id);
-        self.next_id += 1;
         let ranges = assignment.len();
         let mut session = Session {
             query: query.clone(),
@@ -554,7 +497,7 @@ impl MpqService {
             range_mark: vec![0; ranges],
             range_progress: vec![0; ranges],
             splits: Vec::new(),
-            worker_stats: vec![WorkerStats::default(); self.cluster.num_workers()],
+            worker_stats: vec![WorkerStats::default(); net.num_workers()],
             plans: Vec::new(),
             completed: 0,
             retries_left: self.retry.max_retries,
@@ -578,25 +521,21 @@ impl MpqService {
         // earlier session's faults; with recovery enabled such ranges are
         // routed to a live worker at once (not a retry — the range was
         // never issued, so the budget is untouched).
-        self.cluster.metrics().record_round();
+        net.metrics().record_round();
         for range in 0..ranges {
             let preferred = session.range_worker[range];
-            match self
-                .cluster
-                .send(preferred, id, session.task(range).to_bytes(), true)
-            {
+            match net.send(preferred, id, session.task(range).to_bytes(), true) {
                 Ok(()) => {
                     self.tasks_sent[preferred] += 1;
                     session.range_mark[range] = self.tasks_sent[preferred];
                 }
                 Err(err @ ClusterError::WorkerLost { .. }) if self.retry.max_retries > 0 => {
                     let mut routed = false;
-                    for target in live_workers(self.cluster.as_ref()) {
+                    for target in live_workers(net) {
                         if target == preferred {
                             continue;
                         }
-                        if self
-                            .cluster
+                        if net
                             .send(target, id, session.task(range).to_bytes(), true)
                             .is_ok()
                         {
@@ -614,163 +553,19 @@ impl MpqService {
                 Err(err) => return Err(MpqError::Cluster(err)),
             }
         }
-        self.sessions.insert(id.0, session);
-        Ok(QueryHandle {
-            id,
-            service: self.service,
-            abandoned: self.abandoned.clone(),
-        })
-    }
-
-    /// Non-blocking check: drains replies that have already arrived,
-    /// applies per-session straggler suspicion, and returns the result
-    /// once the handle's session has finished. A result is delivered
-    /// exactly once; after `Some`, the handle is spent.
-    pub fn poll(&mut self, handle: &QueryHandle) -> Option<Result<MpqOutcome, MpqError>> {
-        if handle.service != self.service {
-            // A handle from another service instance: its raw session id
-            // may collide with one of ours, so reject before any lookup.
-            return Some(Err(MpqError::UnknownHandle { id: handle.id }));
-        }
-        self.reap_abandoned();
-        loop {
-            if self.done.contains_key(&handle.id.0) {
-                break;
-            }
-            match self.cluster.try_recv() {
-                Ok((worker, qid, payload)) => self.route(worker, qid, payload),
-                Err(ClusterError::Timeout { .. }) => {
-                    // Nothing waiting right now: run the suspicion pass;
-                    // if no session was due, hand control back.
-                    if !self.check_suspicions() {
-                        break;
-                    }
-                }
-                Err(err) => {
-                    self.fail_all(err);
-                    break;
-                }
-            }
-        }
-        self.done.remove(&handle.id.0)
-    }
-
-    /// Blocks until the handle's session finishes, driving every
-    /// in-flight session's collection and recovery in the meantime.
-    ///
-    /// A handle whose result was already taken via [`MpqService::poll`]
-    /// (or that belongs to a different service) yields a typed
-    /// [`MpqError::UnknownHandle`], never a panic.
-    pub fn wait(&mut self, handle: QueryHandle) -> Result<MpqOutcome, MpqError> {
-        if handle.service != self.service {
-            // See poll: foreign handles are rejected before any lookup.
-            return Err(MpqError::UnknownHandle { id: handle.id });
-        }
-        self.reap_abandoned();
-        loop {
-            if let Some(result) = self.done.remove(&handle.id.0) {
-                return result;
-            }
-            if !self.sessions.contains_key(&handle.id.0) {
-                return Err(MpqError::UnknownHandle { id: handle.id });
-            }
-            self.drive_scheduler_once();
-        }
-    }
-
-    /// Blocking submit: parks via the clock-free evidence loop whenever
-    /// the admission limit refuses the query, driving the in-flight
-    /// sessions until capacity frees, then submits. Every non-`Overloaded`
-    /// outcome (success or typed failure) is returned as-is, so this is
-    /// exactly [`MpqService::submit`] plus backpressure parking.
-    pub fn submit_wait(
-        &mut self,
-        query: &Query,
-        space: PlanSpace,
-        objective: Objective,
-    ) -> Result<QueryHandle, MpqError> {
-        loop {
-            match self.submit(query, space, objective) {
-                Err(MpqError::Overloaded { .. }) => {
-                    // Overloaded implies at least one session in flight
-                    // (the limit is >= 1), and every in-flight session
-                    // finishes or fails under the same evidence passes
-                    // that drive `wait` — so capacity frees eventually.
-                    self.drive_scheduler_once();
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// One pass of the blocking scheduler: receive/route with the
-    /// configured timeout, or — with no timer — drain the queue first and
-    /// fall back to the clock-free evidence pass.
-    fn drive_scheduler_once(&mut self) {
-        match self.retry.timeout {
-            Some(t) => {
-                match self.cluster.recv_timeout(t) {
-                    Ok((worker, qid, payload)) => self.route(worker, qid, payload),
-                    Err(ClusterError::Timeout { .. }) => {}
-                    Err(err) => self.fail_all(err),
-                }
-                self.check_suspicions();
-            }
-            None => {
-                // No timer: drain everything already queued before
-                // consulting evidence — a reply sitting in the
-                // channel beats any suspicion about its sender (a
-                // worker may legitimately crash *after* its
-                // completing reply). Only on an empty queue does the
-                // clock-free evidence pass run; without it, a worker
-                // that crashed before replying would deadlock this
-                // wait even though its death is already provable.
-                // The park itself is a coarse heartbeat, not an
-                // unbounded block: a worker dying *while* the master
-                // is parked is noticed by the next evidence pass
-                // within one heartbeat.
-                match self.cluster.try_recv() {
-                    Ok((worker, qid, payload)) => self.route(worker, qid, payload),
-                    Err(ClusterError::Timeout { .. }) => {
-                        if !self.check_suspicions() {
-                            match self.cluster.recv_timeout(EVIDENCE_HEARTBEAT) {
-                                Ok((worker, qid, payload)) => self.route(worker, qid, payload),
-                                Err(ClusterError::Timeout { .. }) => {}
-                                Err(err) => self.fail_all(err),
-                            }
-                        }
-                    }
-                    Err(err) => self.fail_all(err),
-                }
-            }
-        }
-    }
-
-    /// Shuts the resident cluster down, joining every worker thread.
-    /// In-flight sessions are abandoned (their handles become useless), so
-    /// drain the service before calling this.
-    pub fn shutdown(mut self) {
-        self.cluster.shutdown();
-    }
-
-    /// Frees the state of sessions whose handle was dropped unredeemed:
-    /// in-flight master-side session state and parked results. Late
-    /// replies for a reaped session are discarded as duplicates by the
-    /// reply router's unknown-session path. Called on every scheduler
-    /// entry; public so long-idle callers can reap eagerly.
-    pub fn reap_abandoned(&mut self) {
-        // Canonical (ascending-id) order: push order depends on when each
-        // handle happened to be dropped, and the reaping order must be
-        // replayable under the schedule-space model checker.
-        for id in self.abandoned.drain_ordered() {
-            self.sessions.remove(&id);
-            self.done.remove(&id);
-        }
+        Ok(session)
     }
 
     /// Routes one session-tagged worker message to its owning session and
     /// advances that session's state machine.
-    fn route(&mut self, worker: usize, qid: QueryId, payload: Bytes) {
+    fn route(
+        &mut self,
+        net: &dyn Transport,
+        table: &mut Table<Self>,
+        worker: usize,
+        qid: QueryId,
+        payload: Bytes,
+    ) {
         // The worker is alive and talking, whatever it sent.
         self.last_reply_from[worker] = Instant::now();
         enum Advance {
@@ -791,15 +586,15 @@ impl MpqService {
             self.replies_seen[worker] += 1;
         }
         let advance = {
-            let Some(session) = self.sessions.get_mut(&qid.0) else {
+            let Some(session) = table.live.get_mut(&qid.0) else {
                 // A message for a session that already finished, landing
                 // late. A reply is a speculative duplicate; a progress
                 // report is just a progress report — neither may distort
                 // the other's counter.
                 if is_progress {
-                    self.cluster.metrics().record_progress_report();
+                    net.metrics().record_progress_report();
                 } else {
-                    self.cluster.metrics().record_duplicate();
+                    net.metrics().record_duplicate();
                 }
                 return;
             };
@@ -819,7 +614,7 @@ impl MpqService {
                     // reports prove the worker is alive, so the
                     // reply-silent evidence cannot fire on it).
                     session.progress_reports += 1;
-                    self.cluster.metrics().record_progress_report();
+                    net.metrics().record_progress_report();
                     // Attribute to whichever entry currently starts at the
                     // echoed first partition: a steal shrinks the entry in
                     // place, so the straggler's reports for the original
@@ -872,7 +667,7 @@ impl MpqService {
                                         // the straggler's work was fully
                                         // duplicated by the thieves.
                                         session.duplicate_replies += 1;
-                                        self.cluster.metrics().record_duplicate();
+                                        net.metrics().record_duplicate();
                                         Advance::Pending
                                     }
                                 }
@@ -884,7 +679,7 @@ impl MpqService {
                             // the wasted work, discard the (identical)
                             // plans.
                             session.duplicate_replies += 1;
-                            self.cluster.metrics().record_duplicate();
+                            net.metrics().record_duplicate();
                             Advance::Pending
                         }
                         Some(idx) => {
@@ -900,14 +695,14 @@ impl MpqService {
         };
         match advance {
             Advance::Pending => {}
-            Advance::Finished => self.finish(qid),
-            Advance::Failed(err) => self.fail(qid, err),
+            Advance::Finished => self.finish(net, table, qid),
+            Advance::Failed(err) => self.fail(net, table, qid, err),
         }
         // New progress or a freed worker may unlock a steal; the pass is
         // gated to a cheap no-op when stealing is off. A progress report
         // only changes its own session's picture, so only that session is
         // re-evaluated; a reply may have freed a worker for anyone.
-        self.check_steals(is_progress.then_some(qid));
+        self.check_steals(net, table, is_progress.then_some(qid));
     }
 
     /// Per-session straggler suspicion: run the recovery pass for every
@@ -920,10 +715,10 @@ impl MpqService {
     /// a FIFO overtake proves a range will never complete on its own, no
     /// clock needed — timer-based (reply-silent) suspicion is simply
     /// skipped. Returns whether any session fired.
-    fn check_suspicions(&mut self) -> bool {
+    fn check_suspicions(&mut self, net: &dyn Transport, table: &mut Table<Self>) -> bool {
         let due: Vec<u64> = match self.retry.timeout {
-            Some(t) => self
-                .sessions
+            Some(t) => table
+                .live
                 .iter()
                 .filter(|(_, s)| s.last_progress.elapsed() >= t)
                 .map(|(&id, _)| id)
@@ -931,13 +726,13 @@ impl MpqService {
             // Allocation-free scan: this filter runs on every empty
             // `try_recv` of the default no-timer configuration, so it
             // must not materialize per-session Vecs.
-            None => self
-                .sessions
+            None => table
+                .live
                 .iter()
                 .filter(|(_, s)| {
                     (0..s.assignment.len()).any(|i| {
                         !s.range_done[i]
-                            && (!self.cluster.is_worker_alive(s.range_worker[i])
+                            && (!net.is_worker_alive(s.range_worker[i])
                                 || self.replies_seen[s.range_worker[i]] >= s.range_mark[i])
                     })
                 })
@@ -945,22 +740,72 @@ impl MpqService {
                 .collect(),
         };
         for &raw in &due {
-            if let Some(session) = self.sessions.get_mut(&raw) {
+            if let Some(session) = table.live.get_mut(&raw) {
                 session.last_progress = Instant::now();
             }
             // One suspicion event per session, mirrored in the metrics so
             // the retries <= timeouts ledger stays balanced.
-            self.cluster.metrics().record_timeout();
-            self.session_timeout(QueryId(raw));
+            net.metrics().record_timeout();
+            self.session_timeout(net, table, QueryId(raw));
         }
         !due.is_empty()
     }
 
-    fn session_timeout(&mut self, qid: QueryId) {
-        let Some(session) = self.sessions.get_mut(&qid.0) else {
+    fn blocking_step(&self) -> BlockingStep {
+        match self.retry.timeout {
+            Some(t) => BlockingStep::Receive(Some(t)),
+            // Without a timer, a worker that crashed before replying
+            // would deadlock a blocking receive even though its death is
+            // already provable: consult the clock-free evidence instead.
+            None => BlockingStep::EvidenceFirst(EVIDENCE_HEARTBEAT),
+        }
+    }
+
+    /// An MPQ task is stateless: a session that will never finish holds
+    /// nothing on any worker, and its late replies are discarded as
+    /// duplicates by the router's unknown-session path.
+    fn release(&mut self, _net: &dyn Transport, _id: QueryId) {}
+
+    fn transport_lost(&self, _session: &Session, err: ClusterError) -> MpqError {
+        MpqError::Cluster(err)
+    }
+}
+
+impl MpqProtocol {
+    /// The default layout: the partition space spread evenly over all
+    /// resident workers, one contiguous range each.
+    fn even_layout(&self, workers: u64, query: &Query, space: PlanSpace) -> (u64, Vec<(u64, u64)>) {
+        let oversubscribe = if self.steal.enabled {
+            self.steal.oversubscribe.max(1)
+        } else {
+            1
+        };
+        let partitions = effective_workers(
+            space,
+            query.num_tables(),
+            workers.saturating_mul(oversubscribe),
+        );
+        let ranges = workers.min(partitions);
+        // Contiguous equal split: range i gets `base` partitions plus one
+        // of the `extra` leftovers.
+        let base = partitions / ranges;
+        let extra = partitions % ranges;
+        let mut first = 0u64;
+        let assignment: Vec<(u64, u64)> = (0..ranges)
+            .map(|i| {
+                let count = base + u64::from(i < extra);
+                let range = (first, count);
+                first += count;
+                range
+            })
+            .collect();
+        (partitions, assignment)
+    }
+
+    fn session_timeout(&mut self, net: &dyn Transport, table: &mut Table<Self>, qid: QueryId) {
+        let Some(session) = table.live.get_mut(&qid.0) else {
             return;
         };
-        let cluster = &self.cluster;
         let outstanding = session.outstanding();
         debug_assert!(!outstanding.is_empty(), "finished sessions are removed");
         // Evidence that an outstanding range will never complete on its
@@ -979,7 +824,7 @@ impl MpqService {
         let dead = outstanding
             .iter()
             .copied()
-            .find(|&i| !cluster.is_worker_alive(session.range_worker[i]));
+            .find(|&i| !net.is_worker_alive(session.range_worker[i]));
         let overtaken = outstanding
             .iter()
             .copied()
@@ -1000,7 +845,7 @@ impl MpqService {
             if let Some(i) = dead {
                 if !session.range_reissued[i] {
                     let worker = session.range_worker[i];
-                    self.fail(qid, MpqError::WorkerLost { worker });
+                    self.fail(net, table, qid, MpqError::WorkerLost { worker });
                     return;
                 }
             }
@@ -1018,7 +863,7 @@ impl MpqService {
                         outstanding: outstanding.len(),
                     },
                 };
-                self.fail(qid, err);
+                self.fail(net, table, qid, err);
             }
             return;
         }
@@ -1034,14 +879,14 @@ impl MpqService {
             .iter()
             .map(|&i| session.range_worker[i])
             .collect();
-        let mut candidates = live_workers(cluster.as_ref());
+        let mut candidates = live_workers(net);
         candidates.sort_by_key(|&w| (busy.contains(&w), w));
         let mut reissued = false;
         for target in candidates {
             let bytes = session.task(victim).to_bytes();
             let len = bytes.len() as u64;
-            if cluster.send(target, qid, bytes, true).is_ok() {
-                cluster.metrics().record_retry(target);
+            if net.send(target, qid, bytes, true).is_ok() {
+                net.metrics().record_retry(target);
                 self.tasks_sent[target] += 1;
                 session.range_mark[victim] = self.tasks_sent[target];
                 session.retry_task_bytes += len;
@@ -1054,10 +899,15 @@ impl MpqService {
             }
         }
         if !reissued {
-            self.fail(qid, MpqError::Cluster(ClusterError::AllWorkersLost));
+            self.fail(
+                net,
+                table,
+                qid,
+                MpqError::Cluster(ClusterError::AllWorkersLost),
+            );
             return;
         }
-        if self.cluster.is_worker_alive(old_assignee) {
+        if net.is_worker_alive(old_assignee) {
             // The evidence says the old assignee's reply for this range
             // was lost (or is hopelessly late): repair its queue ledger,
             // or one dropped reply would under-count the worker as busy
@@ -1083,24 +933,29 @@ impl MpqService {
     /// session's [`SplitRecord`]s.
     /// `only` restricts the pass to one session (used for progress
     /// reports, which cannot change any other session's steal picture).
-    fn check_steals(&mut self, only: Option<QueryId>) {
+    fn check_steals(
+        &mut self,
+        net: &dyn Transport,
+        table: &mut Table<Self>,
+        only: Option<QueryId>,
+    ) {
         if !self.steal.enabled {
             return;
         }
         let ids: Vec<u64> = match only {
             Some(qid) => vec![qid.0],
-            None => self.sessions.keys().copied().collect(),
+            None => table.live.keys().copied().collect(),
         };
         // Computed once per pass and refreshed only when a steal actually
         // dispatched tasks — the only thing that changes the answer
         // mid-pass.
-        let mut idle = self.idle_workers();
+        let mut idle = self.idle_workers(net);
         for raw in ids {
             if idle.is_empty() {
                 return;
             }
-            if self.steal_for_session(QueryId(raw), &idle) {
-                idle = self.idle_workers();
+            if self.steal_for_session(net, table, QueryId(raw), &idle) {
+                idle = self.idle_workers(net);
             }
         }
     }
@@ -1112,8 +967,8 @@ impl MpqService {
     /// list across all sessions. `lost_replies` credits replies the
     /// recovery pass proved lost, so one dropped reply cannot poison a
     /// worker's ledger for the service's lifetime.
-    fn idle_workers(&self) -> Vec<usize> {
-        live_workers(self.cluster.as_ref())
+    fn idle_workers(&self, net: &dyn Transport) -> Vec<usize> {
+        live_workers(net)
             .into_iter()
             .filter(|&w| self.replies_seen[w] + self.lost_replies[w] >= self.tasks_sent[w])
             .collect()
@@ -1121,9 +976,15 @@ impl MpqService {
 
     /// One session's steal decision; returns whether a steal dispatched
     /// tasks. See [`MpqService::check_steals`].
-    fn steal_for_session(&mut self, qid: QueryId, idle: &[usize]) -> bool {
+    fn steal_for_session(
+        &mut self,
+        net: &dyn Transport,
+        table: &mut Table<Self>,
+        qid: QueryId,
+        idle: &[usize],
+    ) -> bool {
         let policy = self.steal;
-        let Some(session) = self.sessions.get_mut(&qid.0) else {
+        let Some(session) = table.live.get_mut(&qid.0) else {
             return false;
         };
         if session.steals_left == 0 {
@@ -1191,7 +1052,7 @@ impl MpqService {
             let msg = session.task_for(chunk_first, chunk);
             let mut sent_to = None;
             for target in targets.by_ref() {
-                if self.cluster.send(target, qid, msg.to_bytes(), true).is_ok() {
+                if net.send(target, qid, msg.to_bytes(), true).is_ok() {
                     sent_to = Some(target);
                     break;
                 }
@@ -1225,7 +1086,7 @@ impl MpqService {
         session.steals_left -= 1;
         session.steals += 1;
         session.stolen_partitions += count - keep;
-        self.cluster.metrics().record_steal();
+        net.metrics().record_steal();
         // The straggler cannot be preempted mid-task, so its kept head
         // would otherwise be delivered only by its eventual full-range
         // reply — leaving the session gated on the slow node after all.
@@ -1241,11 +1102,9 @@ impl MpqService {
             .iter()
             .map(|&m| session.range_worker[m])
             .collect();
-        let backup = targets.chain(thieves).find(|&target| {
-            self.cluster
-                .send(target, qid, head.to_bytes(), true)
-                .is_ok()
-        });
+        let backup = targets
+            .chain(thieves)
+            .find(|&target| net.send(target, qid, head.to_bytes(), true).is_ok());
         if let Some(target) = backup {
             self.tasks_sent[target] += 1;
             session.range_worker[victim] = target;
@@ -1259,8 +1118,8 @@ impl MpqService {
 
     /// Completes a session: FinalPrune over the O(m) collected plans,
     /// metrics assembly, result parked for the handle.
-    fn finish(&mut self, qid: QueryId) {
-        let Some(session) = self.sessions.remove(&qid.0) else {
+    fn finish(&mut self, net: &dyn Transport, table: &mut Table<Self>, qid: QueryId) {
+        let Some(session) = table.live.remove(&qid.0) else {
             // Internal invariant (route only finishes live sessions), but
             // a resident master must not abort if it is ever violated.
             return;
@@ -1268,7 +1127,7 @@ impl MpqService {
         let mut plans = session.plans;
         let policy = PruningPolicy::new(session.objective, session.query.num_tables());
         policy.final_prune(&mut plans);
-        let network = self.cluster.metrics().snapshot();
+        let network = net.metrics().snapshot();
         let metrics = MpqMetrics {
             total_micros: session.start.elapsed().as_micros() as u64,
             max_worker_micros: session
@@ -1297,30 +1156,7 @@ impl MpqService {
             stolen_partitions: session.stolen_partitions,
             progress_reports: session.progress_reports,
         };
-        self.park_result(qid, Ok(MpqOutcome { plans, metrics }));
-    }
-
-    fn fail(&mut self, qid: QueryId, err: MpqError) {
-        self.sessions.remove(&qid.0);
-        self.park_result(qid, Err(err));
-    }
-
-    /// Parks a finished session's result for its handle, evicting the
-    /// oldest unredeemed result beyond [`MAX_PARKED_RESULTS`] (abandoned
-    /// handles must not leak memory on a long-lived service).
-    fn park_result(&mut self, qid: QueryId, result: Result<MpqOutcome, MpqError>) {
-        self.done.insert(qid.0, result);
-        while self.done.len() > MAX_PARKED_RESULTS {
-            self.done.pop_first();
-        }
-    }
-
-    /// The substrate itself is gone: every in-flight session fails.
-    fn fail_all(&mut self, err: ClusterError) {
-        let ids: Vec<u64> = self.sessions.keys().copied().collect();
-        for raw in ids {
-            self.fail(QueryId(raw), MpqError::Cluster(err.clone()));
-        }
+        table.park(qid, Ok(MpqOutcome { plans, metrics }));
     }
 }
 
@@ -1819,12 +1655,15 @@ mod tests {
         // Let worker 1 reply and die before the master looks at anything,
         // so its completing reply is queued behind a provably dead sender.
         for _ in 0..500 {
-            if !svc.cluster.is_worker_alive(1) {
+            if !svc.transport().is_worker_alive(1) {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert!(!svc.cluster.is_worker_alive(1), "the crash must have fired");
+        assert!(
+            !svc.transport().is_worker_alive(1),
+            "the crash must have fired"
+        );
         let out = svc
             .wait(handle)
             .expect("the queued reply completes the session despite the dead sender");
@@ -2005,6 +1844,46 @@ mod tests {
         );
         off.shutdown();
         svc.shutdown();
+    }
+
+    /// Regression (ISSUE 13 satellite): a task whose query has no tables
+    /// (a hostile or corrupt frame — the service's own admission refuses
+    /// such a query before encoding it) fails to decode, so the worker
+    /// answers through the malformed-task path instead of reaching the
+    /// DP kernel's size assert, and stays up for the next task.
+    #[test]
+    fn worker_survives_a_zero_table_task() {
+        use mpq_cluster::LatencyModel;
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| {
+            MpqWorker::new(0, 1, ParallelPolicy::serial())
+        })
+        .unwrap();
+        let task = |query: Query| MasterMessage {
+            query,
+            space: PlanSpace::Linear,
+            objective: Objective::Single,
+            first_partition: 0,
+            partition_count: 1,
+            total_partitions: 1,
+            progress_every: 0,
+        };
+        let mut empty = query(3, 50);
+        empty.catalog = Default::default();
+        empty.predicates.clear();
+        for (id, q) in [(0, empty), (1, query(3, 50))] {
+            cluster
+                .send(0, QueryId(id), task(q).to_bytes(), true)
+                .expect("the worker is still up");
+            let (_, qid, payload) = cluster.recv().expect("the worker answers");
+            assert_eq!(qid, QueryId(id));
+            let WorkerMsg::Reply(reply) = WorkerMsg::from_bytes(&payload).unwrap() else {
+                panic!("expected a reply");
+            };
+            // The impossible range echo marks a malformed task.
+            assert_eq!(reply.first_partition == u64::MAX, id == 0);
+            assert_eq!(reply.plans.is_empty(), id == 0);
+        }
+        cluster.shutdown();
     }
 
     /// Steal-off sessions put no progress traffic on the wire and never

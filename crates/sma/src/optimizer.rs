@@ -13,7 +13,9 @@
 //! `memo_rebroadcast_bytes` a recovery would have cost.
 
 use crate::service::SmaService;
-use mpq_cluster::{ClusterError, DecodeError, FaultPlan, LatencyModel, NetworkSnapshot};
+use mpq_cluster::{
+    ClusterError, DecodeError, FaultPlan, LatencyModel, LifecycleError, NetworkSnapshot,
+};
 use mpq_cost::Objective;
 use mpq_dp::WorkerStats;
 use mpq_model::Query;
@@ -192,6 +194,20 @@ impl std::error::Error for SmaError {
             SmaError::Decode { source, .. } => Some(source),
             SmaError::Cluster(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+/// The shared session lifecycle's failures, surfaced as this protocol's
+/// own variants.
+impl From<LifecycleError> for SmaError {
+    fn from(e: LifecycleError) -> Self {
+        match e {
+            LifecycleError::UnknownHandle { id } => SmaError::UnknownHandle { id },
+            LifecycleError::Overloaded { in_flight, limit } => {
+                SmaError::Overloaded { in_flight, limit }
+            }
+            LifecycleError::BadRequest { reason } => SmaError::BadRequest { reason },
         }
     }
 }

@@ -7,10 +7,15 @@
 //! node), built up over `n - 1` broadcast rounds — where a resident MPQ
 //! worker holds no session state at all. The worker therefore keys its
 //! replicas by [`QueryId`] and frees them on `Finish` (or on the
-//! master's `Abort` when a session fails, so a resident worker's memory
-//! tracks the in-flight set, not the history); the master drives
-//! each session's level-synchronized state machine independently, so the
-//! rounds of concurrent sessions interleave freely on the wire.
+//! master's `Abort` when a session fails or its handle is dropped, so a
+//! resident worker's memory tracks the in-flight set, not the history);
+//! the master drives each session's level-synchronized state machine
+//! independently, so the rounds of concurrent sessions interleave freely
+//! on the wire.
+//!
+//! The session lifecycle — handles, admission, `submit` / `poll` /
+//! `wait`, parking, reaping — is [`mpq_cluster::session`]'s, shared with
+//! the MPQ master; this module is the SMA [`Protocol`].
 //!
 //! Fault handling keeps the fail-fast doctrine per session: the protocol
 //! never recovers a lost replica, it reports the measured
@@ -23,9 +28,10 @@
 use crate::message::{SlotUpdate, SmaMasterMsg, SmaReply};
 use crate::optimizer::{SmaConfig, SmaError, SmaMetrics, SmaOutcome};
 use bytes::Bytes;
+pub use mpq_cluster::QueryHandle;
 use mpq_cluster::{
-    AbandonedList, Cluster, ClusterError, Control, NetworkMetrics, QueryId, Transport, Wire,
-    WireListener, WorkerCtx, WorkerLogic,
+    BlockingStep, Cluster, ClusterError, Control, Protocol, QueryId, SessionService, Table,
+    Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::{CardinalityEstimator, Objective, ScanOp};
 use mpq_dp::{
@@ -35,49 +41,12 @@ use mpq_model::{Query, TableSet};
 use mpq_partition::PlanSpace;
 use mpq_plan::cache::{query_signature, CacheKey, MemoCache};
 use mpq_plan::{CacheWeight, Plan, PlanEntry, PruningPolicy};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Consecutive fruitless receive timeouts tolerated (with every worker
 /// still alive) before a session is declared stalled.
 const MAX_STRIKES: u32 = 64;
-
-/// Most results a service parks for unredeemed handles before evicting
-/// the oldest (abandoned handles must not leak memory on a long-lived
-/// service).
-const MAX_PARKED_RESULTS: usize = 4096;
-
-/// Ticket for one submitted query; redeem with [`SmaService::wait`] or
-/// check with [`SmaService::poll`]. Handles remember which service
-/// instance minted them, so presenting one to a different service yields
-/// a typed [`SmaError::UnknownHandle`] — never another session's result.
-///
-/// Dropping a handle **abandons** its session: on the next scheduler
-/// entry the service frees its master-side state and sends the workers
-/// `Abort` so their `O(2^n)` memo replicas for the session are freed —
-/// abandoned handles must not pin replica memory until service teardown.
-/// Dropping an already-redeemed handle is a no-op.
-#[must_use = "redeem the handle with `wait`/`poll`, or drop it explicitly to abandon the query"]
-#[derive(Debug)]
-pub struct QueryHandle {
-    id: QueryId,
-    service: u64,
-    abandoned: AbandonedList,
-}
-
-impl QueryHandle {
-    /// The session id this handle tracks.
-    pub fn id(&self) -> QueryId {
-        self.id
-    }
-}
-
-impl Drop for QueryHandle {
-    fn drop(&mut self) {
-        // Redeemed ids are no-ops at reap time.
-        self.abandoned.push(self.id.0);
-    }
-}
 
 /// One session's replica on one worker.
 struct ReplicaState {
@@ -289,7 +258,7 @@ enum Phase {
 }
 
 /// Master-side state of one in-flight SMA session.
-struct Session {
+pub struct Session {
     n: usize,
     phase: Phase,
     round: u64,
@@ -325,24 +294,29 @@ impl Session {
     }
 }
 
-/// A long-lived SMA baseline service over one resident cluster. See the
-/// module docs.
-pub struct SmaService {
-    cluster: Box<dyn Transport>,
+/// A long-lived SMA baseline service over one resident cluster: a
+/// [`SessionService`] speaking the [`SmaProtocol`] (`poll`, `wait`,
+/// `in_flight`, `metrics`, … are the shared lifecycle's, reached through
+/// `Deref`). See the module docs.
+pub struct SmaService(SessionService<SmaProtocol>);
+
+impl std::ops::Deref for SmaService {
+    type Target = SessionService<SmaProtocol>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for SmaService {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+/// The SMA master's [`Protocol`]; its only service-wide state is the
+/// stall-detection timeout.
+pub struct SmaProtocol {
     recv_timeout: Option<Duration>,
-    /// Admission limit (0 = unlimited); see
-    /// [`SmaConfig::max_in_flight`](crate::SmaConfig).
-    max_in_flight: usize,
-    /// This instance's identity, stamped into every handle it mints.
-    service: u64,
-    next_id: u64,
-    /// Ordered maps so scheduler passes visit sessions in submission
-    /// order — deterministic across runs, like the rest of the simulator.
-    sessions: BTreeMap<u64, Session>,
-    done: BTreeMap<u64, Result<SmaOutcome, SmaError>>,
-    /// Session ids whose [`QueryHandle`] was dropped unredeemed; reaped
-    /// (state freed, workers told to `Abort`) on the next scheduler entry.
-    abandoned: AbandonedList,
 }
 
 impl SmaService {
@@ -373,75 +347,73 @@ impl SmaService {
         transport: Box<dyn Transport>,
         config: SmaConfig,
     ) -> Result<SmaService, SmaError> {
-        if transport.num_workers() == 0 {
-            return Err(SmaError::BadRequest {
-                reason: "at least one worker required",
-            });
-        }
-        Ok(SmaService {
-            cluster: transport,
+        let protocol = SmaProtocol {
             recv_timeout: config.recv_timeout,
-            max_in_flight: config.max_in_flight,
-            service: mpq_cluster::mint_service_instance(),
-            next_id: 0,
-            sessions: BTreeMap::new(),
-            done: BTreeMap::new(),
-            abandoned: AbandonedList::new(),
-        })
-    }
-
-    /// Number of resident worker nodes.
-    pub fn num_workers(&self) -> usize {
-        self.cluster.num_workers()
-    }
-
-    /// Sessions submitted but not yet finished.
-    pub fn in_flight(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// The resident cluster's network counters (cumulative across every
-    /// session the service has served).
-    pub fn metrics(&self) -> &NetworkMetrics {
-        self.cluster.metrics()
+        };
+        let service = SessionService::new(protocol, transport, config.max_in_flight)?;
+        Ok(SmaService(service))
     }
 
     /// Submits `query`: ships `Init` to every replica and dispatches the
     /// first level, then returns with a handle. Subsequent levels are
-    /// driven by [`SmaService::poll`] / [`SmaService::wait`].
+    /// driven by `poll` / `wait`. Past [`SmaConfig::max_in_flight`] the
+    /// submission is refused with [`SmaError::Overloaded`] before the
+    /// `Init` broadcast, so it pins no replicas anywhere.
     pub fn submit(
         &mut self,
         query: &Query,
         space: PlanSpace,
         objective: Objective,
     ) -> Result<QueryHandle, SmaError> {
-        self.reap_abandoned();
-        // Admission: refuse past the in-flight budget *before* the `Init`
-        // broadcast, so a refused submission pins no replicas anywhere.
-        // Reaping first means dropped-but-unreaped handles never count
-        // against the caller.
-        if self.max_in_flight > 0 && self.sessions.len() >= self.max_in_flight {
-            return Err(SmaError::Overloaded {
-                in_flight: self.sessions.len(),
-                limit: self.max_in_flight,
-            });
-        }
-        let id = QueryId(self.next_id);
-        self.next_id += 1;
+        self.0.submit(query, (space, objective), false)
+    }
+
+    /// Blocking submit: exactly [`SmaService::submit`], except that at
+    /// the admission limit it parks on the blocking receive loop —
+    /// driving the in-flight sessions' rounds until capacity frees —
+    /// instead of refusing.
+    pub fn submit_wait(
+        &mut self,
+        query: &Query,
+        space: PlanSpace,
+        objective: Objective,
+    ) -> Result<QueryHandle, SmaError> {
+        self.0.submit(query, (space, objective), true)
+    }
+
+    /// Shuts the resident cluster down, joining every worker thread.
+    pub fn shutdown(self) {
+        self.0.shutdown();
+    }
+}
+
+impl Protocol for SmaProtocol {
+    type Request = (PlanSpace, Objective);
+    type Session = Session;
+    type Outcome = SmaOutcome;
+    type Error = SmaError;
+
+    fn open(
+        &mut self,
+        net: &dyn Transport,
+        id: QueryId,
+        query: &Query,
+        (space, objective): (PlanSpace, Objective),
+    ) -> Result<Session, SmaError> {
         let n = query.num_tables();
         let mut session = Session {
             n,
             phase: Phase::Finishing, // placeholder; set below
             round: 0,
             recovery_bytes: 0,
-            compute: vec![0; self.cluster.num_workers()],
+            compute: vec![0; net.num_workers()],
             strikes: 0,
             start: Instant::now(),
             last_progress: Instant::now(),
         };
         // Initialization round: ship the query and statistics everywhere.
         session.round += 1;
-        self.cluster.metrics().record_round();
+        net.metrics().record_round();
         let init = SmaMasterMsg::Init {
             query: query.clone(),
             space,
@@ -449,153 +421,36 @@ impl SmaService {
         }
         .to_bytes();
         session.recovery_bytes += init.len() as u64;
-        let dispatched = self
-            .cluster
+        let dispatched = net
             .broadcast(id, &init, true)
             .map_err(|e| session.lost(e))
-            .and_then(|()| start_round(self.cluster.as_ref(), &mut session, id, 2));
+            .and_then(|()| start_round(net, &mut session, id, 2));
         if let Err(e) = dispatched {
             // Workers reached before the failure already hold a replica
             // for a session that will never run; free them.
-            abort_session(self.cluster.as_ref(), id);
+            abort_session(net, id);
             return Err(e);
         }
-        self.sessions.insert(id.0, session);
-        Ok(QueryHandle {
-            id,
-            service: self.service,
-            abandoned: self.abandoned.clone(),
-        })
-    }
-
-    /// Non-blocking check: drains replies that have already arrived and
-    /// returns the result once the handle's session has finished. A
-    /// result is delivered exactly once; after `Some`, the handle is
-    /// spent.
-    pub fn poll(&mut self, handle: &QueryHandle) -> Option<Result<SmaOutcome, SmaError>> {
-        if handle.service != self.service {
-            // A handle from another service instance: its raw session id
-            // may collide with one of ours, so reject before any lookup.
-            return Some(Err(SmaError::UnknownHandle { id: handle.id }));
-        }
-        self.reap_abandoned();
-        loop {
-            if self.done.contains_key(&handle.id.0) {
-                break;
-            }
-            match self.cluster.try_recv() {
-                Ok((worker, qid, payload)) => self.route(worker, qid, payload),
-                Err(ClusterError::Timeout { .. }) => {
-                    // Nothing waiting right now: run the suspicion pass;
-                    // if no session was due, hand control back.
-                    if !self.check_suspicions() {
-                        break;
-                    }
-                }
-                Err(err) => {
-                    self.fail_all(err);
-                    break;
-                }
-            }
-        }
-        self.done.remove(&handle.id.0)
-    }
-
-    /// Blocks until the handle's session finishes, driving every
-    /// in-flight session's rounds in the meantime.
-    ///
-    /// A handle whose result was already taken via [`SmaService::poll`]
-    /// (or that belongs to a different service) yields a typed
-    /// [`SmaError::UnknownHandle`], never a panic.
-    pub fn wait(&mut self, handle: QueryHandle) -> Result<SmaOutcome, SmaError> {
-        if handle.service != self.service {
-            // See poll: foreign handles are rejected before any lookup.
-            return Err(SmaError::UnknownHandle { id: handle.id });
-        }
-        self.reap_abandoned();
-        loop {
-            if let Some(result) = self.done.remove(&handle.id.0) {
-                return result;
-            }
-            if !self.sessions.contains_key(&handle.id.0) {
-                return Err(SmaError::UnknownHandle { id: handle.id });
-            }
-            self.drive_scheduler_once();
-        }
-    }
-
-    /// Blocking submit: parks on the blocking receive loop whenever the
-    /// admission limit refuses the query, driving the in-flight sessions'
-    /// rounds until capacity frees, then submits. Every non-`Overloaded`
-    /// outcome (success or typed failure) is returned as-is, so this is
-    /// exactly [`SmaService::submit`] plus backpressure parking.
-    pub fn submit_wait(
-        &mut self,
-        query: &Query,
-        space: PlanSpace,
-        objective: Objective,
-    ) -> Result<QueryHandle, SmaError> {
-        loop {
-            match self.submit(query, space, objective) {
-                Err(SmaError::Overloaded { .. }) => {
-                    // Overloaded implies at least one session in flight
-                    // (the limit is >= 1); its level-synchronized rounds
-                    // finish or fail under the same receive passes that
-                    // drive `wait`, so capacity frees eventually.
-                    self.drive_scheduler_once();
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// One pass of the blocking scheduler: receive/route one reply (with
-    /// the configured stall timeout, if any), then run the suspicion pass.
-    fn drive_scheduler_once(&mut self) {
-        let received = match self.recv_timeout {
-            Some(t) => self.cluster.recv_timeout(t),
-            None => self.cluster.recv(),
-        };
-        match received {
-            Ok((worker, qid, payload)) => self.route(worker, qid, payload),
-            Err(ClusterError::Timeout { .. }) => {}
-            Err(err) => self.fail_all(err),
-        }
-        self.check_suspicions();
-    }
-
-    /// Shuts the resident cluster down, joining every worker thread.
-    pub fn shutdown(mut self) {
-        self.cluster.shutdown();
-    }
-
-    /// Frees the state of sessions whose handle was dropped unredeemed:
-    /// master-side session state, parked results, and — crucially for SMA
-    /// — the `O(2^n)` memo replicas the session pinned on every worker
-    /// (via `Abort`). Called on every scheduler entry; public so
-    /// long-idle callers can reap eagerly.
-    pub fn reap_abandoned(&mut self) {
-        // Canonical (ascending-id) order: push order depends on when each
-        // handle happened to be dropped, and the reaping order must be
-        // replayable under the schedule-space model checker.
-        for id in self.abandoned.drain_ordered() {
-            if self.sessions.remove(&id).is_some() {
-                abort_session(self.cluster.as_ref(), QueryId(id));
-            }
-            self.done.remove(&id);
-        }
+        Ok(session)
     }
 
     /// Routes one session-tagged reply and advances that session's
     /// level-synchronized state machine.
-    fn route(&mut self, worker: usize, qid: QueryId, payload: Bytes) {
+    fn route(
+        &mut self,
+        net: &dyn Transport,
+        table: &mut Table<Self>,
+        worker: usize,
+        qid: QueryId,
+        payload: Bytes,
+    ) {
         enum Advance {
             Pending,
             Finished(Vec<Plan>, WorkerStats),
             Failed(SmaError),
         }
         let advance = {
-            let Some(session) = self.sessions.get_mut(&qid.0) else {
+            let Some(session) = table.live.get_mut(&qid.0) else {
                 // A reply for a session that already failed; SMA issues no
                 // speculative work, so there is nothing to account.
                 return;
@@ -629,13 +484,11 @@ impl SmaService {
                             let slots = std::mem::take(level_slots);
                             let delta = SmaMasterMsg::Delta { slots }.to_bytes();
                             session.recovery_bytes += delta.len() as u64;
-                            match self
-                                .cluster
+                            match net
                                 .broadcast(qid, &delta, false)
                                 .map_err(|e| session.lost(e))
-                                .and_then(|()| {
-                                    start_round(self.cluster.as_ref(), session, qid, k + 1)
-                                }) {
+                                .and_then(|()| start_round(net, session, qid, k + 1))
+                            {
                                 Ok(()) => Advance::Pending,
                                 Err(e) => Advance::Failed(e),
                             }
@@ -653,8 +506,8 @@ impl SmaService {
         };
         match advance {
             Advance::Pending => {}
-            Advance::Finished(plans, stats) => self.finish(qid, plans, stats),
-            Advance::Failed(err) => self.fail(qid, err),
+            Advance::Finished(plans, stats) => self.finish(net, table, qid, plans, stats),
+            Advance::Failed(err) => self.fail(net, table, qid, err),
         }
     }
 
@@ -665,31 +518,31 @@ impl SmaService {
     /// toward a stall. The clock is per session, so a busy reply stream
     /// from other sessions cannot mask a stuck one. Returns whether any
     /// session fired.
-    fn check_suspicions(&mut self) -> bool {
+    fn check_suspicions(&mut self, net: &dyn Transport, table: &mut Table<Self>) -> bool {
         let Some(t) = self.recv_timeout else {
             return false;
         };
-        let dead = self.cluster.dead_workers().first().copied();
-        let due: Vec<u64> = self
-            .sessions
+        let dead = net.dead_workers().first().copied();
+        let due: Vec<u64> = table
+            .live
             .iter()
             .filter(|(_, s)| s.last_progress.elapsed() >= t)
             .map(|(&id, _)| id)
             .collect();
         for &raw in &due {
-            let Some(session) = self.sessions.get_mut(&raw) else {
+            let Some(session) = table.live.get_mut(&raw) else {
                 continue;
             };
             session.last_progress = Instant::now();
             // One suspicion event per session, mirrored in the metrics.
-            self.cluster.metrics().record_timeout();
+            net.metrics().record_timeout();
             if let Some(worker) = dead {
                 let err = SmaError::WorkerLost {
                     worker,
                     round: session.round,
                     memo_rebroadcast_bytes: session.recovery_bytes,
                 };
-                self.fail(QueryId(raw), err);
+                self.fail(net, table, QueryId(raw), err);
                 continue;
             }
             session.strikes += 1;
@@ -698,25 +551,51 @@ impl SmaService {
                     round: session.round,
                     memo_rebroadcast_bytes: session.recovery_bytes,
                 };
-                self.fail(QueryId(raw), err);
+                self.fail(net, table, QueryId(raw), err);
             }
         }
         !due.is_empty()
     }
 
-    fn finish(&mut self, qid: QueryId, plans: Vec<Plan>, replica_stats: WorkerStats) {
-        let Some(session) = self.sessions.remove(&qid.0) else {
+    /// One receive (with the configured stall timeout, if any), then the
+    /// suspicion pass.
+    fn blocking_step(&self) -> BlockingStep {
+        BlockingStep::Receive(self.recv_timeout)
+    }
+
+    /// Frees the `O(2^n)` memo replicas the session pinned on every
+    /// worker: a failed or abandoned session must not leak them on a
+    /// resident cluster.
+    fn release(&mut self, net: &dyn Transport, id: QueryId) {
+        abort_session(net, id);
+    }
+
+    fn transport_lost(&self, session: &Session, err: ClusterError) -> SmaError {
+        session.lost(err)
+    }
+}
+
+impl SmaProtocol {
+    fn finish(
+        &mut self,
+        net: &dyn Transport,
+        table: &mut Table<Self>,
+        qid: QueryId,
+        plans: Vec<Plan>,
+        replica_stats: WorkerStats,
+    ) {
+        let Some(session) = table.live.remove(&qid.0) else {
             // Internal invariant (route only finishes live sessions), but
             // a resident master must not abort if it is ever violated.
             return;
         };
-        let network = self.cluster.metrics().snapshot();
+        let network = net.metrics().snapshot();
         // Worker 0 freed its replica when it handled `Finish`; tell the
         // *other* workers to free theirs too — a resident worker's memory
         // must track the in-flight set, not the history of sessions.
         let abort = SmaMasterMsg::Abort.to_bytes();
-        for w in 1..self.cluster.num_workers() {
-            let _ = self.cluster.send(w, qid, abort.clone(), false);
+        for w in 1..net.num_workers() {
+            let _ = net.send(w, qid, abort.clone(), false);
         }
         let metrics = SmaMetrics {
             total_micros: session.start.elapsed().as_micros() as u64,
@@ -727,35 +606,7 @@ impl SmaService {
             rounds: session.round,
             replica_recovery_bytes: session.recovery_bytes,
         };
-        self.park_result(qid, Ok(SmaOutcome { plans, metrics }));
-    }
-
-    fn fail(&mut self, qid: QueryId, err: SmaError) {
-        self.sessions.remove(&qid.0);
-        // Free the session's replicas on the surviving workers: a failed
-        // session must not leak O(2^n) memo state on a resident cluster.
-        abort_session(self.cluster.as_ref(), qid);
-        self.park_result(qid, Err(err));
-    }
-
-    /// Parks a finished session's result for its handle, evicting the
-    /// oldest unredeemed result beyond [`MAX_PARKED_RESULTS`].
-    fn park_result(&mut self, qid: QueryId, result: Result<SmaOutcome, SmaError>) {
-        self.done.insert(qid.0, result);
-        while self.done.len() > MAX_PARKED_RESULTS {
-            self.done.pop_first();
-        }
-    }
-
-    fn fail_all(&mut self, err: ClusterError) {
-        let ids: Vec<u64> = self.sessions.keys().copied().collect();
-        for raw in ids {
-            let Some(session) = self.sessions.get(&raw) else {
-                continue;
-            };
-            let e = session.lost(err.clone());
-            self.fail(QueryId(raw), e);
-        }
+        table.park(qid, Ok(SmaOutcome { plans, metrics }));
     }
 }
 
@@ -930,6 +781,44 @@ mod tests {
         let bill_b = svc.wait(b).unwrap().metrics.replica_recovery_bytes;
         assert_eq!(bill_a, bill_b, "per-session bills are independent");
         svc.shutdown();
+    }
+
+    /// Regression (ISSUE 13 satellite): an `Init` whose query has no
+    /// tables (a hostile or corrupt frame — the service's own admission
+    /// refuses such a query before encoding it) fails to decode, so the
+    /// worker reports `Malformed` instead of building a zero-table memo,
+    /// and stays up for the next session.
+    #[test]
+    fn worker_survives_a_zero_table_init() {
+        use mpq_cluster::LatencyModel;
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
+        let init = |query: Query| SmaMasterMsg::Init {
+            query,
+            space: PlanSpace::Linear,
+            objective: Objective::Single,
+        };
+        let mut empty = query(3, 60);
+        empty.catalog = Default::default();
+        empty.predicates.clear();
+        cluster
+            .send(0, QueryId(0), init(empty).to_bytes(), true)
+            .unwrap();
+        let (_, _, payload) = cluster.recv().expect("the worker answers");
+        assert_eq!(SmaReply::from_bytes(&payload), Ok(SmaReply::Malformed));
+        // Still serving: a well-formed session runs to its final plan.
+        let q = query(3, 60);
+        let id = QueryId(1);
+        cluster.send(0, id, init(q).to_bytes(), true).unwrap();
+        cluster
+            .send(0, id, SmaMasterMsg::Finish.to_bytes(), false)
+            .unwrap();
+        let (_, qid, payload) = cluster.recv().expect("the worker answers");
+        assert_eq!(qid, id);
+        assert!(matches!(
+            SmaReply::from_bytes(&payload),
+            Ok(SmaReply::Final { .. })
+        ));
+        cluster.shutdown();
     }
 
     /// Regression (ISSUE 5 satellite): redeeming a handle twice —

@@ -3,34 +3,34 @@
 //!
 //! [`OptimizerService`] is the facade the rest of the system talks to: it
 //! is spawned once, holds its backend resident (for MPQ and SMA that
-//! means a standing simulated shared-nothing cluster), and streams
-//! queries through `submit` → [`ServiceHandle`] → `poll`/`wait`. The
-//! [`Optimizer`] trait is the unified blocking view of the same service —
-//! "submit one query, wait" — implemented uniformly for every backend:
-//! the serial bottom-up DP, the memoized top-down enumerator, parallel
-//! MPQ and the SMA baseline. There is exactly one code path per backend;
-//! single-query and streaming callers differ only in when they wait.
+//! means a standing shared-nothing cluster), and streams queries through
+//! `submit` → [`ServiceHandle`] → `poll`/`wait`. The [`Optimizer`] trait
+//! is the unified blocking view of the same service — "submit one query,
+//! wait" — implemented uniformly for every backend: the serial bottom-up
+//! DP, the memoized top-down enumerator, parallel MPQ and the SMA
+//! baseline. There is exactly one code path per backend; single-query
+//! and streaming callers differ only in when they wait.
 //!
-//! Two service-scale disciplines sit on top of the multiplexer:
+//! The handle lifecycle itself — one handle type, admission, parking,
+//! reaping, exactly-once redemption — is [`mpq_cluster::session`]'s for
+//! every backend: the cluster backends are a
+//! [`SessionService`](mpq_cluster::SessionService) each, and the
+//! single-node backends, which complete every query at submission and
+//! have no transport, park their results in a bare
+//! [`SessionTable`]. Their in-flight count never exceeds zero, so
+//! admission ([`ServiceConfig::max_in_flight`]) never refuses them.
 //!
-//! * **Admission control** ([`ServiceConfig::max_in_flight`]): a bounded
-//!   in-flight budget. Submissions beyond it return a typed
-//!   [`ServiceError::Overloaded`] — backpressure the caller can see —
-//!   while [`OptimizerService::submit_wait`] parks on the backends'
-//!   clock-free evidence loop until capacity frees. The single-node
-//!   backends complete every query at submission, so their in-flight
-//!   count never exceeds zero and admission never refuses them.
-//! * **In-flight coalescing** ([`ServiceConfig::coalesce`]): concurrent
-//!   submissions whose canonical [`CacheKey`] identity matches — cost
-//!   model version, statistics epoch and bits, predicate signature, plan
-//!   space and objective, exactly as the cross-query memo cache defines
-//!   "identical" — share one *leader* optimization. Followers get their
-//!   own [`ServiceHandle`] redeeming the leader's result bit-identically
-//!   (clones of the same plan list). The flight owns the single backend
-//!   ticket, so dropping any member — leader included — merely detaches
-//!   it; the oldest surviving member is implicitly the new leader, and
-//!   only when the whole coalition is dropped is the flight reaped
-//!   through the regular abandoned-handle machinery.
+//! **In-flight coalescing** ([`ServiceConfig::coalesce`]) sits on top:
+//! concurrent submissions whose canonical [`CacheKey`] identity matches —
+//! cost model version, statistics epoch and bits, predicate signature,
+//! plan space and objective, exactly as the cross-query memo cache
+//! defines "identical" — share one *leader* optimization. Followers get
+//! their own [`ServiceHandle`] redeeming the leader's result
+//! bit-identically (clones of the same plan list). The flight owns the
+//! single backend ticket, so dropping any member — leader included —
+//! merely detaches it; the oldest surviving member is implicitly the new
+//! leader, and only when the whole coalition is dropped is the flight
+//! reaped through the regular abandoned-handle machinery.
 
 // A server facade must never abort on caller error: every unwrap/expect
 // on this path is either removed or individually justified.
@@ -39,17 +39,14 @@ use crate::dp::{optimize_partition_topdown_cached, optimize_serial_cached, push_
 use crate::mpq::{MpqConfig, MpqError, MpqService, StealPolicy};
 use crate::plan::Plan;
 use crate::sma::{SmaConfig, SmaError, SmaService};
-use mpq_cluster::AbandonedList;
+use mpq_cluster::{LifecycleError, QueryHandle, SessionTable, SocketTransport, Transport};
 use mpq_cost::Objective;
 use mpq_model::Query;
 use mpq_partition::PlanSpace;
 use mpq_plan::{query_signature, CacheKey, CacheStats};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
-
-/// Most results the single-node backends park for unredeemed handles
-/// before evicting the oldest (mirrors the cluster services' bound).
-const MAX_PARKED_RESULTS: usize = 4096;
 
 /// Which optimizer engine a service runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -168,13 +165,32 @@ impl ServiceConfig {
             ..ServiceConfig::new(backend, workers)
         }
     }
+
+    /// The engine configs with the service-level knobs applied: one
+    /// `cache_bytes` / `steal` / `max_in_flight` setting governs every
+    /// backend uniformly, each winning over the engine config's own
+    /// value whenever it is set.
+    fn engine_configs(&self) -> (MpqConfig, SmaConfig) {
+        let (mut mpq, mut sma) = (self.mpq, self.sma);
+        if self.cache_bytes > 0 {
+            mpq.cache_bytes = self.cache_bytes;
+            sma.cache_bytes = self.cache_bytes;
+        }
+        if self.steal.enabled {
+            mpq.steal = self.steal;
+        }
+        if self.max_in_flight > 0 {
+            mpq.max_in_flight = self.max_in_flight;
+            sma.max_in_flight = self.max_in_flight;
+        }
+        (mpq, sma)
+    }
 }
 
 /// Typed failure of one service request. Handle-lifecycle misuse —
-/// redeeming a handle twice, or presenting a handle to a service of a
-/// different backend — is part of the contract: it maps to
-/// [`ServiceError::UnknownHandle`] / [`ServiceError::BackendMismatch`],
-/// never to a panic.
+/// redeeming a handle twice, or presenting a handle some other service
+/// minted — is part of the contract: it maps to
+/// [`ServiceError::UnknownHandle`], never to a panic.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServiceError {
     /// The MPQ backend failed.
@@ -183,10 +199,16 @@ pub enum ServiceError {
     Sma(SmaError),
     /// The handle does not name a live or parked request of this service:
     /// its result was already taken (poll-then-wait, double-wait), or it
-    /// came from another service instance.
+    /// came from another service instance — whichever backend that one
+    /// runs.
     UnknownHandle,
-    /// The handle was minted by a service running a different backend.
-    BackendMismatch,
+    /// The request can never be served: a query with no tables or more
+    /// than a table set holds, or a transport offered to a single-node
+    /// backend.
+    BadRequest {
+        /// What was wrong with the request.
+        reason: &'static str,
+    },
     /// The service's in-flight budget ([`ServiceConfig::max_in_flight`])
     /// is spent: `in_flight` sessions are live at the admission `limit`.
     /// Retry after redeeming or dropping a handle, or park on
@@ -209,9 +231,7 @@ impl fmt::Display for ServiceError {
                 "handle does not name a live or parked request of this service \
                  (already redeemed, or from a different service)"
             ),
-            ServiceError::BackendMismatch => {
-                write!(f, "handle was minted by a service of a different backend")
-            }
+            ServiceError::BadRequest { reason } => write!(f, "malformed request: {reason}"),
             ServiceError::Overloaded { in_flight, limit } => write!(
                 f,
                 "service overloaded: {in_flight} session(s) in flight at the \
@@ -227,8 +247,20 @@ impl std::error::Error for ServiceError {
             ServiceError::Mpq(e) => Some(e),
             ServiceError::Sma(e) => Some(e),
             ServiceError::UnknownHandle
-            | ServiceError::BackendMismatch
+            | ServiceError::BadRequest { .. }
             | ServiceError::Overloaded { .. } => None,
+        }
+    }
+}
+
+impl From<LifecycleError> for ServiceError {
+    fn from(e: LifecycleError) -> Self {
+        match e {
+            LifecycleError::UnknownHandle { .. } => ServiceError::UnknownHandle,
+            LifecycleError::Overloaded { in_flight, limit } => {
+                ServiceError::Overloaded { in_flight, limit }
+            }
+            LifecycleError::BadRequest { reason } => ServiceError::BadRequest { reason },
         }
     }
 }
@@ -236,10 +268,11 @@ impl std::error::Error for ServiceError {
 impl From<MpqError> for ServiceError {
     fn from(e: MpqError) -> Self {
         match e {
-            // Handle misuse and admission refusals are service-level
-            // contracts, not backend failures: surface them uniformly
-            // across backends.
+            // Handle misuse, malformed requests and admission refusals are
+            // service-level contracts, not backend failures: surface them
+            // uniformly across backends.
             MpqError::UnknownHandle { .. } => ServiceError::UnknownHandle,
+            MpqError::BadRequest { reason } => ServiceError::BadRequest { reason },
             MpqError::Overloaded { in_flight, limit } => {
                 ServiceError::Overloaded { in_flight, limit }
             }
@@ -252,6 +285,7 @@ impl From<SmaError> for ServiceError {
     fn from(e: SmaError) -> Self {
         match e {
             SmaError::UnknownHandle { .. } => ServiceError::UnknownHandle,
+            SmaError::BadRequest { reason } => ServiceError::BadRequest { reason },
             SmaError::Overloaded { in_flight, limit } => {
                 ServiceError::Overloaded { in_flight, limit }
             }
@@ -262,67 +296,17 @@ impl From<SmaError> for ServiceError {
 
 /// Ticket for one submitted request; redeem with
 /// [`OptimizerService::wait`] or check with [`OptimizerService::poll`].
+/// Whatever the backend, and coalesced or not, it is the one
+/// [`QueryHandle`]: dropping it unredeemed abandons the request.
 #[must_use = "redeem the handle with `wait`/`poll`, or drop it explicitly to abandon the query"]
 #[derive(Debug)]
-pub struct ServiceHandle {
-    ticket: Ticket,
-}
-
-#[derive(Debug)]
-enum Ticket {
-    /// Single-node backends complete at submission; the result is parked
-    /// under this key.
-    Immediate(ImmediateHandle),
-    Mpq(crate::mpq::QueryHandle),
-    Sma(crate::sma::QueryHandle),
-    /// Membership in a coalesced flight; the flight — not the member —
-    /// owns the backend ticket the coalition shares.
-    Coalesced(CoalescedHandle),
-}
-
-/// Membership ticket of one coalesced submission. Dropping it unredeemed
-/// detaches this member only: the flight keeps running for the rest of
-/// the coalition, and the oldest survivor is implicitly the leader. Only
-/// when the last member detaches is the backend ticket itself dropped,
-/// which reaps the flight through the regular abandoned-handle machinery
-/// (for SMA that aborts the session and frees its replicas).
-#[derive(Debug)]
-struct CoalescedHandle {
-    member: u64,
-    service: u64,
-    abandoned: AbandonedList,
-}
-
-impl Drop for CoalescedHandle {
-    fn drop(&mut self) {
-        self.abandoned.push(self.member);
-    }
-}
-
-/// Parked-result ticket of the single-node engines. Dropping it
-/// unredeemed queues the id for reaping, so abandoned results are freed
-/// on the next service call instead of lingering until eviction —
-/// mirroring the cluster handles' behavior.
-#[derive(Debug)]
-struct ImmediateHandle {
-    id: u64,
-    service: u64,
-    abandoned: AbandonedList,
-}
-
-impl Drop for ImmediateHandle {
-    fn drop(&mut self) {
-        self.abandoned.push(self.id);
-    }
-}
+pub struct ServiceHandle(QueryHandle);
 
 /// A long-lived optimizer service; see the module docs.
 pub struct OptimizerService {
     backend: Backend,
     engine: Engine,
-    /// In-flight coalescing state; `None` when disabled. Kept beside
-    /// `engine` (not inside it) so flight bookkeeping and backend calls
-    /// can borrow independently.
+    /// In-flight coalescing state; `None` when disabled.
     coalescer: Option<Coalescer>,
 }
 
@@ -347,7 +331,7 @@ struct Flight {
     key: CacheKey,
     /// The one backend ticket the coalition shares; taken (and dropped)
     /// at resolution or when the whole coalition detaches.
-    ticket: Option<Ticket>,
+    ticket: Option<QueryHandle>,
     /// The leader's outcome once resolved, cloned to each member.
     result: Option<Result<Vec<Plan>, ServiceError>>,
     /// Undelivered members, oldest first — `members[0]` is the leader.
@@ -359,68 +343,174 @@ struct Flight {
 
 /// Flight table of a coalescing service; see the module docs.
 struct Coalescer {
-    /// This instance's identity, stamped into every membership ticket.
-    service: u64,
-    next_member: u64,
+    /// Member → flight, removed at delivery or detach. Members are this
+    /// table's live sessions, so a membership ticket is the one
+    /// [`QueryHandle`] type under the coalescer's own instance tag, and
+    /// members whose handle was dropped unredeemed surface through the
+    /// table's ordered reaping. Dropping a member detaches it only: the
+    /// flight keeps running for the rest of the coalition.
+    members: SessionTable<u64, Infallible>,
     next_flight: u64,
     /// Unresolved (= joinable) flights by canonical identity.
     open: BTreeMap<CacheKey, u64>,
-    /// Member → flight, removed at delivery or detach.
-    flight_of: BTreeMap<u64, u64>,
     flights: BTreeMap<u64, Flight>,
-    /// Members whose handle was dropped unredeemed, detached on the next
-    /// service call.
-    abandoned: AbandonedList,
     stats: CoalesceStats,
 }
 
 impl Coalescer {
     fn new() -> Coalescer {
         Coalescer {
-            service: mpq_cluster::mint_service_instance(),
-            next_member: 0,
+            members: SessionTable::new(0),
             next_flight: 0,
             open: BTreeMap::new(),
-            flight_of: BTreeMap::new(),
             flights: BTreeMap::new(),
-            abandoned: AbandonedList::new(),
             stats: CoalesceStats::default(),
         }
     }
 
-    /// Mints a membership ticket bound to flight `fid`.
-    fn mint_member(&mut self, fid: u64) -> CoalescedHandle {
-        let member = self.next_member;
-        self.next_member += 1;
-        self.flight_of.insert(member, fid);
-        CoalescedHandle {
-            member,
-            service: self.service,
-            abandoned: self.abandoned.clone(),
+    /// Coalescing submit: join an unresolved identical flight, or lead a
+    /// new one through the backend (honoring admission; `park` selects
+    /// `submit_wait` semantics for the leader).
+    fn submit(
+        &mut self,
+        engine: &mut Engine,
+        query: &Query,
+        space: PlanSpace,
+        objective: Objective,
+        park: bool,
+    ) -> Result<QueryHandle, ServiceError> {
+        self.detach_abandoned(engine);
+        // The canonical identity submissions coalesce on: the cross-query
+        // memo cache's query signature scoped by plan space and objective.
+        let mut key = query_signature(query);
+        push_scope(&mut key, space, objective);
+        let key = key.finish();
+        let open = self.open.get(&key).copied();
+        let fid = match open.and_then(|fid| Some((fid, self.flights.get_mut(&fid)?))) {
+            // Join: no backend submission, so no admission budget is
+            // consumed and the follower can never be refused.
+            Some((fid, flight)) => {
+                if !flight.counted {
+                    flight.counted = true;
+                    // The leader is counted retroactively: it only became
+                    // part of a coalition now.
+                    self.stats.coalesced_sessions += 1;
+                }
+                self.stats.coalesced_sessions += 1;
+                self.stats.saved_optimizations += 1;
+                fid
+            }
+            // Lead a new flight. A refusal (admission, bad request)
+            // propagates typed and leaves no flight state behind.
+            None => {
+                let ticket = engine.submit(query, space, objective, park)?;
+                let fid = self.next_flight;
+                self.next_flight += 1;
+                self.open.insert(key.clone(), fid);
+                let flight = Flight {
+                    key,
+                    ticket: Some(ticket),
+                    result: None,
+                    members: Vec::new(),
+                    counted: false,
+                };
+                self.flights.insert(fid, flight);
+                fid
+            }
+        };
+        let member = self.members.mint();
+        self.members.live.insert(member.0, fid);
+        if let Some(flight) = self.flights.get_mut(&fid) {
+            flight.members.push(member.0);
+        }
+        Ok(self.members.handle(member))
+    }
+
+    /// Detaches members whose handles were dropped unredeemed. A flight
+    /// whose whole coalition detached is reaped: its backend ticket is
+    /// dropped (queueing the session for the backend's own reaping, which
+    /// frees parked results — and, for SMA, aborts the session so its
+    /// replicas are freed) and the backend is poked to reap immediately.
+    fn detach_abandoned(&mut self, engine: &mut Engine) {
+        let Coalescer {
+            members,
+            open,
+            flights,
+            ..
+        } = self;
+        let mut reaped = false;
+        // Ascending-member order (the table's): leader-promotion under
+        // multi-member detach must replay identically under the
+        // schedule-space model checker.
+        members.reap(|member, fid| {
+            let Some(flight) = flights.get_mut(&fid) else {
+                return;
+            };
+            flight.members.retain(|&m| m != member.0);
+            if flight.members.is_empty() {
+                if let Some(flight) = flights.remove(&fid) {
+                    open.remove(&flight.key);
+                    // Dropping the backend ticket (if the flight was still
+                    // unresolved) pushes it onto the backend's abandoned
+                    // list.
+                    drop(flight.ticket);
+                    reaped = true;
+                }
+            }
+        });
+        if reaped {
+            engine.reap();
         }
     }
 
-    /// Stores a flight's result and closes it to new joiners.
-    fn resolve(&mut self, fid: u64, result: Result<Vec<Plan>, ServiceError>) {
-        if let Some(flight) = self.flights.get_mut(&fid) {
+    /// Hands the member behind `handle` its clone of the flight's result
+    /// — exactly once — first resolving the flight through the shared
+    /// backend ticket: blocking on it (`block`), or only if it already
+    /// finished. `None`: still in progress, or — as on every other
+    /// handle — the member was already delivered.
+    fn redeem(
+        &mut self,
+        engine: &mut Engine,
+        handle: &QueryHandle,
+        block: bool,
+    ) -> Option<Result<Vec<Plan>, ServiceError>> {
+        // A membership ticket from another service instance: reject before
+        // any lookup (raw member ids may collide).
+        if let Err(foreign) = self.members.owns(handle) {
+            return Some(Err(foreign.into()));
+        }
+        self.detach_abandoned(engine);
+        let member = handle.id().0;
+        let fid = *self.members.live.get(&member)?;
+        let Some(flight) = self.flights.get_mut(&fid) else {
+            return Some(Err(ServiceError::UnknownHandle));
+        };
+        if flight.result.is_none() {
+            // Any member's poll or wait drives the shared ticket.
+            let ticket = flight.ticket.take()?;
+            let result = if block {
+                engine.wait(ticket)
+            } else {
+                match engine.poll(&ticket) {
+                    // The spent ticket drops here, queueing a no-op reap
+                    // entry on the backend.
+                    Some(result) => result,
+                    // Still in progress: the ticket goes back unspent.
+                    None => {
+                        flight.ticket = Some(ticket);
+                        return None;
+                    }
+                }
+            };
+            // Resolved flights close to new joiners: the cache takes over.
             flight.result = Some(result);
             self.open.remove(&flight.key);
         }
-    }
-
-    /// Hands `member` its clone of the flight's result — exactly once —
-    /// and drops the flight state once every member has been served.
-    fn deliver(&mut self, fid: u64, member: u64) -> Result<Vec<Plan>, ServiceError> {
-        let Some(flight) = self.flights.get_mut(&fid) else {
-            return Err(ServiceError::UnknownHandle);
-        };
-        let result = match &flight.result {
-            Some(result) => result.clone(),
-            None => return Err(ServiceError::UnknownHandle),
-        };
+        let result = flight.result.clone();
         flight.members.retain(|&m| m != member);
-        self.flight_of.remove(&member);
+        self.members.live.remove(&member);
         if flight.members.is_empty() {
+            // Every member has been served.
             self.flights.remove(&fid);
         }
         result
@@ -442,14 +532,11 @@ enum Engine {
     /// protocol is uniform across backends.
     Immediate {
         backend: ImmediateBackend,
-        /// This instance's identity, stamped into every handle it mints.
-        service: u64,
-        next_id: u64,
-        done: BTreeMap<u64, Vec<Plan>>,
+        /// No session is ever live here (hence `Infallible`): the table
+        /// is the handle discipline and the result park.
+        results: SessionTable<Infallible, Vec<Plan>>,
         /// The master-side cross-query memo cache (disabled at budget 0).
         cache: PlanCache,
-        /// Ids of handles dropped unredeemed, reaped on the next call.
-        abandoned: AbandonedList,
     },
     Mpq(MpqService),
     Sma(SmaService),
@@ -460,14 +547,105 @@ impl Engine {
     fn immediate(backend: ImmediateBackend, cache_bytes: usize) -> Engine {
         Engine::Immediate {
             backend,
-            service: mpq_cluster::mint_service_instance(),
-            next_id: 0,
-            done: BTreeMap::new(),
+            results: SessionTable::new(0),
             cache: PlanCache::new(cache_bytes),
-            abandoned: AbandonedList::new(),
+        }
+    }
+
+    /// One backend submission. `park` selects the cluster backends'
+    /// `submit_wait` (block at the admission limit instead of refusing);
+    /// the single-node backends solve the query on the spot either way
+    /// and never refuse a well-formed one.
+    fn submit(
+        &mut self,
+        query: &Query,
+        space: PlanSpace,
+        objective: Objective,
+        park: bool,
+    ) -> Result<QueryHandle, ServiceError> {
+        Ok(match self {
+            Engine::Immediate {
+                backend,
+                results,
+                cache,
+            } => {
+                results.reap(|_, never| match never {});
+                results.admit(query)?;
+                let plans = match backend {
+                    ImmediateBackend::SerialDp => {
+                        optimize_serial_cached(query, space, objective, cache)
+                            .0
+                            .plans
+                    }
+                    ImmediateBackend::TopDown => {
+                        optimize_partition_topdown_cached(query, space, objective, 0, 1, cache)
+                            .0
+                            .plans
+                    }
+                };
+                let id = results.mint();
+                results.park(id, plans);
+                results.handle(id)
+            }
+            Engine::Mpq(svc) if park => svc.submit_wait(query, space, objective)?,
+            Engine::Mpq(svc) => svc.submit(query, space, objective)?,
+            Engine::Sma(svc) if park => svc.submit_wait(query, space, objective)?,
+            Engine::Sma(svc) => svc.submit(query, space, objective)?,
+        })
+    }
+
+    /// Non-blocking redemption of one backend handle (a plain request's,
+    /// or a coalesced flight's shared ticket).
+    fn poll(&mut self, handle: &QueryHandle) -> Option<Result<Vec<Plan>, ServiceError>> {
+        match self {
+            Engine::Immediate { results, .. } => {
+                if let Err(foreign) = results.owns(handle) {
+                    return Some(Err(foreign.into()));
+                }
+                results.reap(|_, never| match never {});
+                results.redeem(handle.id()).map(Ok)
+            }
+            Engine::Mpq(svc) => svc
+                .poll(handle)
+                .map(|r| r.map(|o| o.plans).map_err(Into::into)),
+            Engine::Sma(svc) => svc
+                .poll(handle)
+                .map(|r| r.map(|o| o.plans).map_err(Into::into)),
+        }
+    }
+
+    /// Blocking redemption of one backend handle.
+    fn wait(&mut self, handle: QueryHandle) -> Result<Vec<Plan>, ServiceError> {
+        match self {
+            Engine::Immediate { results, .. } => {
+                results.owns(&handle)?;
+                results.reap(|_, never| match never {});
+                // A missing id means the result was already delivered
+                // through `poll`: typed, not a panic.
+                results
+                    .redeem(handle.id())
+                    .ok_or(ServiceError::UnknownHandle)
+            }
+            Engine::Mpq(svc) => svc.wait(handle).map(|o| o.plans).map_err(Into::into),
+            Engine::Sma(svc) => svc.wait(handle).map(|o| o.plans).map_err(Into::into),
+        }
+    }
+
+    /// Frees what dropped handles left behind (session state and parked
+    /// results; for SMA it also aborts sessions to free replicas).
+    fn reap(&mut self) {
+        match self {
+            Engine::Immediate { results, .. } => results.reap(|_, never| match never {}),
+            Engine::Mpq(svc) => svc.reap_abandoned(),
+            Engine::Sma(svc) => svc.reap_abandoned(),
         }
     }
 }
+
+/// The single-node backends never leave the master process.
+const NO_TRANSPORT: ServiceError = ServiceError::BadRequest {
+    reason: "a transport requires a cluster backend (mpq or sma)",
+};
 
 impl OptimizerService {
     /// Brings the service up: for the cluster backends this spawns the
@@ -478,125 +656,60 @@ impl OptimizerService {
         } else {
             config.workers
         };
-        // A service-level budget overrides the engine configs, so one
-        // `--cache-bytes` knob governs every backend uniformly.
-        let mut mpq = config.mpq;
-        let mut sma = config.sma;
-        if config.cache_bytes > 0 {
-            mpq.cache_bytes = config.cache_bytes;
-            sma.cache_bytes = config.cache_bytes;
-        }
-        // Same override pattern for the steal policy: the service-level
-        // knob wins when it is enabled.
-        if config.steal.enabled {
-            mpq.steal = config.steal;
-        }
-        // And for the admission limit.
-        if config.max_in_flight > 0 {
-            mpq.max_in_flight = config.max_in_flight;
-            sma.max_in_flight = config.max_in_flight;
-        }
+        let (mpq, sma) = config.engine_configs();
         let engine = match config.backend {
             Backend::SerialDp => Engine::immediate(ImmediateBackend::SerialDp, config.cache_bytes),
             Backend::TopDown => Engine::immediate(ImmediateBackend::TopDown, config.cache_bytes),
             Backend::Mpq => Engine::Mpq(MpqService::spawn(workers, mpq)?),
             Backend::Sma => Engine::Sma(SmaService::spawn(workers, sma)?),
         };
-        Ok(OptimizerService {
-            backend: config.backend,
-            engine,
-            coalescer: config.coalesce.then(Coalescer::new),
-        })
+        Ok(OptimizerService::over(config, engine))
     }
 
     /// Builds the service over already-running worker **processes**
-    /// reached at `addrs` (see
-    /// [`SocketTransport`](mpq_cluster::SocketTransport)): the real-wire
-    /// counterpart of [`OptimizerService::spawn`]. Only the cluster
-    /// backends make sense here — `serial-dp` and `top-down` never leave
-    /// the master process, so asking for them over sockets is a typed
-    /// error, not a silent fallback.
+    /// reached at `addrs`: [`SocketTransport::connect`] followed by
+    /// [`OptimizerService::with_transport`].
     pub fn connect(
         config: ServiceConfig,
         addrs: &[mpq_cluster::WorkerAddr],
     ) -> Result<OptimizerService, ServiceError> {
-        let mut mpq = config.mpq;
-        let mut sma = config.sma;
-        if config.cache_bytes > 0 {
-            mpq.cache_bytes = config.cache_bytes;
-            sma.cache_bytes = config.cache_bytes;
-        }
-        if config.steal.enabled {
-            mpq.steal = config.steal;
-        }
-        if config.max_in_flight > 0 {
-            mpq.max_in_flight = config.max_in_flight;
-            sma.max_in_flight = config.max_in_flight;
-        }
-        let engine = match config.backend {
-            Backend::SerialDp | Backend::TopDown => {
-                return Err(ServiceError::Mpq(MpqError::BadRequest {
-                    reason: "socket transport requires a cluster backend (mpq or sma)",
-                }))
-            }
-            Backend::Mpq => {
-                let transport =
-                    mpq_cluster::SocketTransport::connect(addrs).map_err(MpqError::Cluster)?;
-                Engine::Mpq(MpqService::with_transport(Box::new(transport), mpq)?)
-            }
-            Backend::Sma => {
-                let transport =
-                    mpq_cluster::SocketTransport::connect(addrs).map_err(SmaError::Cluster)?;
-                Engine::Sma(SmaService::with_transport(Box::new(transport), sma)?)
-            }
+        let wrap: fn(mpq_cluster::ClusterError) -> ServiceError = match config.backend {
+            // Refused before dialing anyone.
+            Backend::SerialDp | Backend::TopDown => return Err(NO_TRANSPORT),
+            Backend::Mpq => |e| ServiceError::Mpq(MpqError::Cluster(e)),
+            Backend::Sma => |e| ServiceError::Sma(SmaError::Cluster(e)),
         };
-        Ok(OptimizerService {
-            backend: config.backend,
-            engine,
-            coalescer: config.coalesce.then(Coalescer::new),
-        })
+        let transport = SocketTransport::connect(addrs).map_err(wrap)?;
+        OptimizerService::with_transport(config, Box::new(transport))
     }
 
     /// Builds the service over an already-connected message plane — any
-    /// [`Transport`](mpq_cluster::Transport) implementation, with worker
-    /// nodes hosted behind it. This is how the schedule-space model
-    /// checker places the whole facade (admission, coalescing, the MPQ or
-    /// SMA scheduler) under a controllable transport whose delivery order
-    /// it enumerates; [`OptimizerService::connect`] is the socket-backed
-    /// special case. Only the cluster backends make sense here — the
-    /// single-node backends never use a transport, so asking for them is
-    /// a typed error, not a silent fallback.
+    /// [`Transport`] implementation, with worker nodes hosted behind it.
+    /// This is how the schedule-space model checker places the whole
+    /// facade (admission, coalescing, the MPQ or SMA scheduler) under a
+    /// controllable transport whose delivery order it enumerates. Only
+    /// the cluster backends make sense here — `serial-dp` and `top-down`
+    /// never leave the master process, so asking for them is a typed
+    /// [`ServiceError::BadRequest`], not a silent fallback.
     pub fn with_transport(
         config: ServiceConfig,
-        transport: Box<dyn mpq_cluster::Transport>,
+        transport: Box<dyn Transport>,
     ) -> Result<OptimizerService, ServiceError> {
-        let mut mpq = config.mpq;
-        let mut sma = config.sma;
-        if config.cache_bytes > 0 {
-            mpq.cache_bytes = config.cache_bytes;
-            sma.cache_bytes = config.cache_bytes;
-        }
-        if config.steal.enabled {
-            mpq.steal = config.steal;
-        }
-        if config.max_in_flight > 0 {
-            mpq.max_in_flight = config.max_in_flight;
-            sma.max_in_flight = config.max_in_flight;
-        }
+        let (mpq, sma) = config.engine_configs();
         let engine = match config.backend {
-            Backend::SerialDp | Backend::TopDown => {
-                return Err(ServiceError::Mpq(MpqError::BadRequest {
-                    reason: "an external transport requires a cluster backend (mpq or sma)",
-                }))
-            }
+            Backend::SerialDp | Backend::TopDown => return Err(NO_TRANSPORT),
             Backend::Mpq => Engine::Mpq(MpqService::with_transport(transport, mpq)?),
             Backend::Sma => Engine::Sma(SmaService::with_transport(transport, sma)?),
         };
-        Ok(OptimizerService {
+        Ok(OptimizerService::over(config, engine))
+    }
+
+    fn over(config: ServiceConfig, engine: Engine) -> OptimizerService {
+        OptimizerService {
             backend: config.backend,
             engine,
             coalescer: config.coalesce.then(Coalescer::new),
-        })
+        }
     }
 
     /// The engine this service keeps resident.
@@ -608,29 +721,21 @@ impl OptimizerService {
     /// handle; cluster backends dispatch their task messages before
     /// returning, single-node backends solve the query on the spot. With
     /// coalescing enabled, a submission identical to an unresolved flight
-    /// joins it instead of reaching the backend.
+    /// joins it instead of reaching the backend. A query no backend can
+    /// optimize (no tables, or more than 64) is a typed
+    /// [`ServiceError::BadRequest`] before anything is sent or computed.
     pub fn submit(
         &mut self,
         query: &Query,
         space: PlanSpace,
         objective: Objective,
     ) -> Result<ServiceHandle, ServiceError> {
-        match self.coalescer.take() {
-            Some(mut c) => {
-                let out = self.submit_coalesced(&mut c, query, space, objective, false);
-                self.coalescer = Some(c);
-                out
-            }
-            None => {
-                let ticket = submit_backend(&mut self.engine, query, space, objective, false)?;
-                Ok(ServiceHandle { ticket })
-            }
-        }
+        self.submit_with(query, space, objective, false)
     }
 
     /// Like [`submit`](OptimizerService::submit), but instead of failing
     /// with [`ServiceError::Overloaded`] at the admission limit it parks
-    /// on the backend's clock-free evidence loop — draining completions
+    /// on the backend's blocking scheduler step — draining completions
     /// and suspicion checks — until capacity frees, then submits. On the
     /// single-node backends (which never refuse) this is plain `submit`.
     pub fn submit_wait(
@@ -639,35 +744,37 @@ impl OptimizerService {
         space: PlanSpace,
         objective: Objective,
     ) -> Result<ServiceHandle, ServiceError> {
-        match self.coalescer.take() {
-            Some(mut c) => {
-                let out = self.submit_coalesced(&mut c, query, space, objective, true);
-                self.coalescer = Some(c);
-                out
-            }
-            None => {
-                let ticket = submit_backend(&mut self.engine, query, space, objective, true)?;
-                Ok(ServiceHandle { ticket })
-            }
-        }
+        self.submit_with(query, space, objective, true)
+    }
+
+    fn submit_with(
+        &mut self,
+        query: &Query,
+        space: PlanSpace,
+        objective: Objective,
+        park: bool,
+    ) -> Result<ServiceHandle, ServiceError> {
+        let engine = &mut self.engine;
+        let handle = match &mut self.coalescer {
+            Some(c) => c.submit(engine, query, space, objective, park)?,
+            None => engine.submit(query, space, objective, park)?,
+        };
+        Ok(ServiceHandle(handle))
     }
 
     /// Non-blocking check; returns the plans once the request has
-    /// finished. A result is delivered exactly once per handle. Polling
-    /// any member of a coalesced flight drives the shared backend ticket;
+    /// finished. A result is delivered exactly once per handle; after
+    /// `Some`, the handle is spent and polls as `None`. Polling any
+    /// member of a coalesced flight drives the shared backend ticket;
     /// once resolved, every member redeems a clone of the same result.
     pub fn poll(&mut self, handle: &ServiceHandle) -> Option<Result<Vec<Plan>, ServiceError>> {
-        if let Ticket::Coalesced(h) = &handle.ticket {
-            let Some(mut c) = self.coalescer.take() else {
-                // A coalesced handle presented to a service that never
-                // coalesces: necessarily foreign.
-                return Some(Err(ServiceError::UnknownHandle));
-            };
-            let out = self.poll_member(&mut c, h.member, h.service);
-            self.coalescer = Some(c);
-            return out;
+        // On a coalescing service every handle is a membership ticket; a
+        // handle minted anywhere else fails the owner's instance-tag
+        // check either way.
+        match &mut self.coalescer {
+            Some(c) => c.redeem(&mut self.engine, &handle.0, false),
+            None => self.engine.poll(&handle.0),
         }
-        engine_poll(&mut self.engine, &handle.ticket)
     }
 
     /// Blocks until the request finishes (driving every other in-flight
@@ -675,18 +782,15 @@ impl OptimizerService {
     /// plan(s): one plan for single-objective runs, the Pareto frontier
     /// otherwise.
     pub fn wait(&mut self, handle: ServiceHandle) -> Result<Vec<Plan>, ServiceError> {
-        if let Ticket::Coalesced(h) = &handle.ticket {
-            let (member, service) = (h.member, h.service);
-            let Some(mut c) = self.coalescer.take() else {
-                return Err(ServiceError::UnknownHandle);
-            };
-            let out = self.wait_member(&mut c, member, service);
-            self.coalescer = Some(c);
-            // `handle` drops here; its abandoned-list entry is a no-op
-            // because the member was already delivered or rejected.
-            return out;
+        match &mut self.coalescer {
+            // `None`: the member was already delivered (poll-then-wait,
+            // double-wait). `handle` drops on return; its abandoned-list
+            // entry is a no-op because the member is gone by then.
+            Some(c) => c
+                .redeem(&mut self.engine, &handle.0, true)
+                .unwrap_or(Err(ServiceError::UnknownHandle)),
+            None => self.engine.wait(handle.0),
         }
-        engine_wait(&mut self.engine, handle.ticket)
     }
 
     /// Sessions the backend currently has in flight (submitted but not
@@ -694,7 +798,7 @@ impl OptimizerService {
     /// they always report zero; parked-but-unredeemed results never count.
     pub fn in_flight(&self) -> usize {
         match &self.engine {
-            Engine::Immediate { .. } => 0,
+            Engine::Immediate { results, .. } => results.live.len(),
             Engine::Mpq(svc) => svc.in_flight(),
             Engine::Sma(svc) => svc.in_flight(),
         }
@@ -724,184 +828,6 @@ impl OptimizerService {
             Engine::Mpq(svc) => Some(svc.metrics().snapshot()),
             Engine::Sma(svc) => Some(svc.metrics().snapshot()),
         }
-    }
-
-    /// The canonical identity submissions coalesce on: the cross-query
-    /// memo cache's query signature (cost model version, statistics epoch
-    /// and bits, predicate signature) scoped by plan space and objective.
-    fn flight_key(query: &Query, space: PlanSpace, objective: Objective) -> CacheKey {
-        let mut builder = query_signature(query);
-        push_scope(&mut builder, space, objective);
-        builder.finish()
-    }
-
-    /// Coalescing submit: join an unresolved identical flight, or lead a
-    /// new one through the backend (honoring admission; `park` selects
-    /// `submit_wait` semantics for the leader).
-    fn submit_coalesced(
-        &mut self,
-        c: &mut Coalescer,
-        query: &Query,
-        space: PlanSpace,
-        objective: Objective,
-        park: bool,
-    ) -> Result<ServiceHandle, ServiceError> {
-        self.detach_abandoned(c);
-        let key = Self::flight_key(query, space, objective);
-        if let Some(&fid) = c.open.get(&key) {
-            if let Some(flight) = c.flights.get_mut(&fid) {
-                // Join: no backend submission, so no admission budget is
-                // consumed and the follower can never be refused.
-                if !flight.counted {
-                    flight.counted = true;
-                    // The leader is counted retroactively: it only became
-                    // part of a coalition now.
-                    c.stats.coalesced_sessions += 1;
-                }
-                c.stats.coalesced_sessions += 1;
-                c.stats.saved_optimizations += 1;
-                let handle = c.mint_member(fid);
-                if let Some(flight) = c.flights.get_mut(&fid) {
-                    flight.members.push(handle.member);
-                }
-                return Ok(ServiceHandle {
-                    ticket: Ticket::Coalesced(handle),
-                });
-            }
-        }
-        // Lead a new flight. An admission refusal propagates typed and
-        // leaves no flight state behind.
-        let ticket = submit_backend(&mut self.engine, query, space, objective, park)?;
-        let fid = c.next_flight;
-        c.next_flight += 1;
-        let handle = c.mint_member(fid);
-        c.open.insert(key.clone(), fid);
-        c.flights.insert(
-            fid,
-            Flight {
-                key,
-                ticket: Some(ticket),
-                result: None,
-                members: vec![handle.member],
-                counted: false,
-            },
-        );
-        Ok(ServiceHandle {
-            ticket: Ticket::Coalesced(handle),
-        })
-    }
-
-    /// Detaches members whose handles were dropped unredeemed. A flight
-    /// whose whole coalition detached is reaped: its backend ticket is
-    /// dropped (queueing the session for the backend's own reaping, which
-    /// frees parked results — and, for SMA, aborts the session so its
-    /// replicas are freed) and the backend is poked to reap immediately.
-    fn detach_abandoned(&mut self, c: &mut Coalescer) {
-        let mut reaped = false;
-        // Canonical (ascending-member) order: push order depends on when
-        // each handle happened to be dropped, and leader-promotion under
-        // multi-member detach must replay identically under the
-        // schedule-space model checker.
-        for member in c.abandoned.drain_ordered() {
-            let Some(fid) = c.flight_of.remove(&member) else {
-                // Already delivered; the drop of a redeemed handle is a
-                // no-op.
-                continue;
-            };
-            let Some(flight) = c.flights.get_mut(&fid) else {
-                continue;
-            };
-            flight.members.retain(|&m| m != member);
-            if flight.members.is_empty() {
-                if let Some(flight) = c.flights.remove(&fid) {
-                    c.open.remove(&flight.key);
-                    // Dropping the backend ticket (if the flight was still
-                    // unresolved) pushes it onto the backend's abandoned
-                    // list.
-                    drop(flight.ticket);
-                    reaped = true;
-                }
-            }
-        }
-        if reaped {
-            reap_engine(&mut self.engine);
-        }
-    }
-
-    /// Resolves the member's flight if its result arrived, delivering one
-    /// clone; `None` while the flight is still in progress.
-    fn poll_member(
-        &mut self,
-        c: &mut Coalescer,
-        member: u64,
-        service: u64,
-    ) -> Option<Result<Vec<Plan>, ServiceError>> {
-        if service != c.service {
-            // A membership ticket from another service instance: reject
-            // before any lookup (raw member ids may collide).
-            return Some(Err(ServiceError::UnknownHandle));
-        }
-        self.detach_abandoned(c);
-        let fid = match c.flight_of.get(&member) {
-            Some(&fid) => fid,
-            // Already delivered (poll-then-wait, double-poll): typed.
-            None => return Some(Err(ServiceError::UnknownHandle)),
-        };
-        let resolved = match c.flights.get(&fid) {
-            Some(flight) => flight.result.is_some(),
-            None => return Some(Err(ServiceError::UnknownHandle)),
-        };
-        if !resolved {
-            // Take the shared ticket out to drive the backend without
-            // holding a borrow on the flight table.
-            let ticket = c.flights.get_mut(&fid).and_then(|f| f.ticket.take())?;
-            match engine_poll(&mut self.engine, &ticket) {
-                None => {
-                    // Still in progress: the ticket goes back unspent.
-                    if let Some(flight) = c.flights.get_mut(&fid) {
-                        flight.ticket = Some(ticket);
-                    }
-                    return None;
-                }
-                Some(result) => {
-                    // The ticket is spent; dropping it queues a no-op reap
-                    // entry on the backend.
-                    drop(ticket);
-                    c.resolve(fid, result);
-                }
-            }
-        }
-        Some(c.deliver(fid, member))
-    }
-
-    /// Blocks on the member's flight, delivering one clone of its result.
-    fn wait_member(
-        &mut self,
-        c: &mut Coalescer,
-        member: u64,
-        service: u64,
-    ) -> Result<Vec<Plan>, ServiceError> {
-        if service != c.service {
-            return Err(ServiceError::UnknownHandle);
-        }
-        self.detach_abandoned(c);
-        let fid = match c.flight_of.get(&member) {
-            Some(&fid) => fid,
-            None => return Err(ServiceError::UnknownHandle),
-        };
-        let resolved = match c.flights.get(&fid) {
-            Some(flight) => flight.result.is_some(),
-            None => return Err(ServiceError::UnknownHandle),
-        };
-        if !resolved {
-            let ticket = match c.flights.get_mut(&fid).and_then(|f| f.ticket.take()) {
-                Some(ticket) => ticket,
-                None => return Err(ServiceError::UnknownHandle),
-            };
-            let result = engine_wait(&mut self.engine, ticket);
-            c.resolve(fid, result);
-        }
-        c.deliver(fid, member)
     }
 
     /// Shuts the service down, joining any resident worker threads.
@@ -934,153 +860,6 @@ fn cluster_cache_stats(s: mpq_cluster::NetworkSnapshot) -> CacheStats {
         misses: s.cache_misses,
         bytes_saved: s.cache_bytes_saved,
         ..CacheStats::default()
-    }
-}
-
-/// Drops parked results whose [`ImmediateHandle`] was dropped unredeemed.
-fn reap_immediate(done: &mut BTreeMap<u64, Vec<Plan>>, abandoned: &AbandonedList) {
-    for id in abandoned.drain_ordered() {
-        done.remove(&id);
-    }
-}
-
-/// Pokes the engine's own abandoned-handle reaping (frees session state
-/// and parked results; for SMA it also aborts sessions to free replicas).
-fn reap_engine(engine: &mut Engine) {
-    match engine {
-        Engine::Immediate {
-            done, abandoned, ..
-        } => reap_immediate(done, abandoned),
-        Engine::Mpq(svc) => svc.reap_abandoned(),
-        Engine::Sma(svc) => svc.reap_abandoned(),
-    }
-}
-
-/// One backend submission, returning the engine-level ticket. `park`
-/// selects the cluster backends' `submit_wait` (block at the admission
-/// limit instead of refusing); the single-node backends solve the query
-/// on the spot either way and never refuse.
-fn submit_backend(
-    engine: &mut Engine,
-    query: &Query,
-    space: PlanSpace,
-    objective: Objective,
-    park: bool,
-) -> Result<Ticket, ServiceError> {
-    Ok(match engine {
-        Engine::Immediate {
-            backend,
-            service,
-            next_id,
-            done,
-            cache,
-            abandoned,
-        } => {
-            reap_immediate(done, abandoned);
-            let plans = match backend {
-                ImmediateBackend::SerialDp => {
-                    optimize_serial_cached(query, space, objective, cache)
-                        .0
-                        .plans
-                }
-                ImmediateBackend::TopDown => {
-                    optimize_partition_topdown_cached(query, space, objective, 0, 1, cache)
-                        .0
-                        .plans
-                }
-            };
-            let id = *next_id;
-            *next_id += 1;
-            done.insert(id, plans);
-            while done.len() > MAX_PARKED_RESULTS {
-                done.pop_first();
-            }
-            Ticket::Immediate(ImmediateHandle {
-                id,
-                service: *service,
-                abandoned: abandoned.clone(),
-            })
-        }
-        Engine::Mpq(svc) => Ticket::Mpq(if park {
-            svc.submit_wait(query, space, objective)?
-        } else {
-            svc.submit(query, space, objective)?
-        }),
-        Engine::Sma(svc) => Ticket::Sma(if park {
-            svc.submit_wait(query, space, objective)?
-        } else {
-            svc.submit(query, space, objective)?
-        }),
-    })
-}
-
-/// Non-blocking engine-level poll of one ticket (shared by plain handles
-/// and coalesced flights' inner tickets).
-fn engine_poll(engine: &mut Engine, ticket: &Ticket) -> Option<Result<Vec<Plan>, ServiceError>> {
-    match (engine, ticket) {
-        (
-            Engine::Immediate {
-                service,
-                done,
-                abandoned,
-                ..
-            },
-            Ticket::Immediate(h),
-        ) => {
-            if h.service != *service {
-                // A handle from another service instance: its raw id
-                // may collide with one of ours, so reject it before
-                // any lookup.
-                return Some(Err(ServiceError::UnknownHandle));
-            }
-            reap_immediate(done, abandoned);
-            done.remove(&h.id).map(Ok)
-        }
-        (Engine::Mpq(svc), Ticket::Mpq(h)) => {
-            svc.poll(h).map(|r| r.map(|o| o.plans).map_err(Into::into))
-        }
-        (Engine::Sma(svc), Ticket::Sma(h)) => {
-            svc.poll(h).map(|r| r.map(|o| o.plans).map_err(Into::into))
-        }
-        // A coalesced membership ticket reaching the engine directly means
-        // it was minted by some other (coalescing) service: foreign.
-        (_, Ticket::Coalesced(_)) => Some(Err(ServiceError::UnknownHandle)),
-        // A handle minted by a service of another backend: caller
-        // misuse, answered typed — a server facade never aborts on it.
-        _ => Some(Err(ServiceError::BackendMismatch)),
-    }
-}
-
-/// Blocking engine-level redemption of one ticket (shared by plain
-/// handles and coalesced flights' inner tickets).
-fn engine_wait(engine: &mut Engine, ticket: Ticket) -> Result<Vec<Plan>, ServiceError> {
-    match (engine, ticket) {
-        (
-            Engine::Immediate {
-                service,
-                done,
-                abandoned,
-                ..
-            },
-            Ticket::Immediate(h),
-        ) => {
-            if h.service != *service {
-                // See poll: foreign handles are rejected before any
-                // lookup — a colliding raw id must not redeem another
-                // service's result.
-                return Err(ServiceError::UnknownHandle);
-            }
-            reap_immediate(done, abandoned);
-            // A missing id means the result was already delivered
-            // through `poll`: typed, not a panic.
-            done.remove(&h.id).ok_or(ServiceError::UnknownHandle)
-        }
-        (Engine::Mpq(svc), Ticket::Mpq(h)) => svc.wait(h).map(|o| o.plans).map_err(Into::into),
-        (Engine::Sma(svc), Ticket::Sma(h)) => svc.wait(h).map(|o| o.plans).map_err(Into::into),
-        (_, Ticket::Coalesced(_)) => Err(ServiceError::UnknownHandle),
-        // A handle minted by a service of another backend: caller
-        // misuse, answered typed — a server facade never aborts on it.
-        _ => Err(ServiceError::BackendMismatch),
     }
 }
 
@@ -1234,9 +1013,11 @@ mod tests {
         let plans = svc.wait(live).expect("live handle resolves");
         assert_eq!(plans.len(), 1);
         match &svc.engine {
-            Engine::Immediate { done, .. } => {
-                assert!(done.is_empty(), "abandoned and redeemed results are gone")
-            }
+            Engine::Immediate { results, .. } => assert_eq!(
+                results.parked_results(),
+                0,
+                "abandoned and redeemed results are gone"
+            ),
             _ => unreachable!(),
         }
         svc.shutdown();
@@ -1244,7 +1025,8 @@ mod tests {
 
     /// Regression (ISSUE 5 satellite): handle-lifecycle misuse on the
     /// facade is a typed error on every backend — poll-then-wait yields
-    /// `UnknownHandle`, a foreign-backend handle yields `BackendMismatch`.
+    /// `UnknownHandle`, and so does a handle another service minted,
+    /// whichever backend that one runs.
     #[test]
     fn handle_misuse_is_typed_on_every_backend() {
         let q = query(5, 11);
@@ -1293,17 +1075,70 @@ mod tests {
         assert!(b.wait(from_b).is_ok(), "b's own handle still redeems");
         a.shutdown();
         b.shutdown();
-        // A handle minted by one backend presented to another.
+        // A handle minted by one backend presented to another: with one
+        // handle type it is simply foreign, rejected by the instance tag
+        // before any lookup.
         let mut mpq = OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, 2)).expect("spawn");
         let mut serial =
             OptimizerService::spawn(ServiceConfig::new(Backend::SerialDp, 1)).expect("spawn");
         let foreign = serial
             .submit(&q, PlanSpace::Linear, Objective::Single)
             .expect("submit");
-        assert_eq!(mpq.poll(&foreign), Some(Err(ServiceError::BackendMismatch)));
-        assert_eq!(mpq.wait(foreign), Err(ServiceError::BackendMismatch));
+        assert_eq!(mpq.poll(&foreign), Some(Err(ServiceError::UnknownHandle)));
+        assert_eq!(mpq.wait(foreign), Err(ServiceError::UnknownHandle));
         mpq.shutdown();
         serial.shutdown();
+    }
+
+    /// Regression (ISSUE 13 satellite): a query no engine can optimize is
+    /// a typed `BadRequest` at the one admission point of every backend,
+    /// coalesced or not — before this, `SerialDp` panicked the caller and
+    /// `Mpq` panicked (and permanently lost) resident worker 0. Nothing
+    /// stays in flight, and the cluster backends keep all their workers:
+    /// with retries disabled, a follow-up query completes only if every
+    /// worker still answers.
+    #[test]
+    fn unoptimizable_queries_are_typed_errors_on_every_backend() {
+        use mpq_model::{TableSet, TableStats};
+        let mut empty = query(3, 13);
+        empty.catalog = Default::default();
+        empty.predicates.clear();
+        let mut huge = query(3, 13);
+        while huge.num_tables() <= TableSet::MAX_TABLES {
+            huge.catalog.add_table(TableStats::with_cardinality(10.0));
+        }
+        let good = query(5, 13);
+        for backend in Backend::ALL {
+            for coalesce in [false, true] {
+                let mut config = ServiceConfig::new(backend, 3);
+                config.coalesce = coalesce;
+                let mut svc = OptimizerService::spawn(config).expect("spawn");
+                for (bad, tables) in [(&empty, 0), (&huge, 65)] {
+                    assert_eq!(bad.num_tables(), tables);
+                    for submitted in [
+                        svc.submit(bad, PlanSpace::Linear, Objective::Single),
+                        svc.submit_wait(bad, PlanSpace::Linear, Objective::Single),
+                    ] {
+                        assert!(
+                            matches!(submitted, Err(ServiceError::BadRequest { .. })),
+                            "backend {} ({tables} tables): {submitted:?}",
+                            backend.name()
+                        );
+                    }
+                }
+                assert_eq!(svc.in_flight(), 0, "backend {}", backend.name());
+                assert_eq!(svc.open_flights(), 0, "backend {}", backend.name());
+                if let Some(net) = svc.network_snapshot() {
+                    assert_eq!(net.messages, 0, "refused before any message");
+                }
+                svc.optimize(&good, PlanSpace::Linear, Objective::Single)
+                    .expect("no worker was lost to the bad queries");
+                if let Some(net) = svc.network_snapshot() {
+                    assert_eq!(net.crashes, 0, "backend {}", backend.name());
+                }
+                svc.shutdown();
+            }
+        }
     }
 
     /// The service-level steal override reaches the MPQ backend — with
@@ -1574,6 +1409,10 @@ mod tests {
             }
         }
         assert!(polled);
+        // A spent handle polls as `None` whether or not it was coalesced
+        // (`immediate_backends_honor_the_handle_protocol` pins the plain
+        // case): one handle type, one spent-handle answer.
+        assert!(svc.poll(&handle).is_none());
         assert_eq!(svc.wait(handle), Err(ServiceError::UnknownHandle));
         // A coalesced handle presented to a non-coalescing service, and to
         // a different coalescing instance.

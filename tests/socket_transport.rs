@@ -224,7 +224,7 @@ fn single_node_backends_refuse_the_socket_plane() {
     for backend in [Backend::SerialDp, Backend::TopDown] {
         match OptimizerService::connect(ServiceConfig::new(backend, 1), &[]) {
             Err(err) => assert!(
-                matches!(err, ServiceError::Mpq(_)),
+                matches!(err, ServiceError::BadRequest { .. }),
                 "expected a typed BadRequest, got {err:?}"
             ),
             Ok(_) => panic!("single-node backends have no socket plane"),
