@@ -3,7 +3,7 @@
 //! The dense layout (flat array addressed by the mixed-radix index over
 //! per-group admissible subsets) was this implementation's original data-
 //! structure choice; the hash memo is the conventional alternative; the
-//! arena layout (one contiguous entry array with per-set spans, batched
+//! arena layout (one contiguous entry array with per-set spans, streaming
 //! pruning) is the current default kernel. All three run the identical
 //! dynamic program — the bench asserts they agree on the optimum — and
 //! this measures the layout's effect on serial and partitioned

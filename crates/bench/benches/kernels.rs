@@ -44,6 +44,13 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
 
         // The variants must agree before their timings mean anything.
         let reference = optimize_partition_dense(&q, space, Objective::Single, &constraints);
+        // The exact work behind the timings below, so ns-per-plan can be
+        // derived from the committed file.
+        report.scalar(
+            &format!("dp_plans_generated_{label}"),
+            "count",
+            reference.stats.plans_generated as f64,
+        );
         for threads in [1usize, 2, 4] {
             let out = optimize_partition_parallel(
                 &q,

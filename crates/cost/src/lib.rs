@@ -12,20 +12,17 @@
 //! * [`operators`] — scan and join operator implementations
 //!   ([`JoinOp::NestedLoop`], [`JoinOp::Hash`], [`JoinOp::SortMerge`])
 //!   with their time and buffer cost formulas, and the sort orders they
-//!   require/produce (interesting orders, Section 5.4).
+//!   require/produce (interesting orders, Section 5.4); [`SplitCosts`]
+//!   evaluates the formulas once per split for the DP's inner loop.
 //! * [`vector`] — fixed-arity cost vectors and (approximate) Pareto
 //!   domination used by single- and multi-objective pruning.
-//! * [`batch`] — struct-of-arrays cost layout so the DP can prune a whole
-//!   burst of candidate plans in one pass over a flat `times` array.
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod cardinality;
 pub mod operators;
 pub mod vector;
 
-pub use batch::CostBatch;
 pub use cardinality::CardinalityEstimator;
-pub use operators::{JoinOp, Order, ScanOp, JOIN_OPS};
+pub use operators::{JoinOp, Order, ScanOp, SplitCosts, JOIN_OPS};
 pub use vector::{CostVector, Objective};

@@ -107,8 +107,8 @@ impl JoinOp {
     /// (inner), given the orders the operand plans deliver. Returns `None`
     /// if the operator is inapplicable (sort-merge join on a cross product).
     ///
-    /// `sel` must be the crossing selectivity `query.join_selectivity(left,
-    /// right)`; it is passed in because callers already computed it.
+    /// One-shot form of [`SplitCosts`]: callers costing many operand plans
+    /// of one split build the `SplitCosts` once instead.
     pub fn apply(
         &self,
         est: &mut CardinalityEstimator<'_>,
@@ -117,52 +117,111 @@ impl JoinOp {
         left_order: Order,
         right_order: Order,
     ) -> Option<JoinApplication> {
+        SplitCosts::new(est, left, right).apply(*self, left_order, right_order)
+    }
+}
+
+/// Everything about costing a join that depends on the split
+/// `(left, right)` alone. The operand *plans* contribute only their output
+/// orders, so the DP builds this once per split and calls
+/// [`SplitCosts::apply`] once per (left plan × right plan × operator).
+///
+/// Precomputing an operand of a sum or `max` does not change a rounding:
+/// `apply` performs the same f64 additions and `max`es, in the same order,
+/// that a from-scratch evaluation would — sort-merge time is
+/// `(lc + rc) [+ sort_left] [+ sort_right]`, its buffer
+/// `0.0.max(lc·bytes_left).max(rc·bytes_right)` — so costs are bit-identical
+/// however the evaluations are batched.
+#[derive(Clone, Copy, Debug)]
+pub struct SplitCosts {
+    nested_loop: CostVector,
+    hash: CostVector,
+    /// `None` for a cross product, where sort-merge is inapplicable.
+    sort_merge: Option<SortMergeCosts>,
+}
+
+/// The split-dependent parts of a sort-merge join's cost.
+#[derive(Clone, Copy, Debug)]
+struct SortMergeCosts {
+    /// Input orders that make the respective sort unnecessary.
+    want_left: Order,
+    want_right: Order,
+    /// Time of the merge itself.
+    merge: f64,
+    /// Time and working memory of sorting each operand, charged only when
+    /// the operand plan does not already deliver the wanted order.
+    sort_left: f64,
+    sort_right: f64,
+    buffer_left: f64,
+    buffer_right: f64,
+}
+
+impl SplitCosts {
+    /// Costs the split joining `left` (outer) with `right` (inner).
+    pub fn new(est: &mut CardinalityEstimator<'_>, left: TableSet, right: TableSet) -> Self {
         let lc = est.cardinality(left);
         let rc = est.cardinality(right);
-        match self {
-            JoinOp::NestedLoop => {
-                // Time: every outer tuple compared with every inner tuple.
-                // Buffer: one block of each operand; approximate with the
-                // inner tuple width (the block that is repeatedly rescanned).
-                let time = lc * rc;
-                let buffer = est.tuple_bytes(right);
-                Some(JoinApplication {
-                    cost: CostVector::new(time, buffer),
-                    output_order: left_order, // preserves outer order
-                })
-            }
-            JoinOp::Hash => {
-                // Time: build inner (2 touches/tuple) + probe outer.
-                // Buffer: the hash table holds the inner operand.
-                let time = 2.0 * rc + lc;
-                let buffer = rc * est.tuple_bytes(right);
-                Some(JoinApplication {
-                    cost: CostVector::new(time, buffer),
-                    // Hash join output follows the probe (outer) order.
-                    output_order: left_order,
-                })
-            }
+        let bytes_right = est.tuple_bytes(right);
+        SplitCosts {
+            // Time: every outer tuple compared with every inner tuple.
+            // Buffer: one block of each operand; approximate with the
+            // inner tuple width (the block that is repeatedly rescanned).
+            nested_loop: CostVector::new(lc * rc, bytes_right),
+            // Time: build inner (2 touches/tuple) + probe outer.
+            // Buffer: the hash table holds the inner operand.
+            hash: CostVector::new(2.0 * rc + lc, rc * bytes_right),
+            sort_merge: sort_merge_attributes(est, left, right).map(|(la, ra)| SortMergeCosts {
+                want_left: Order::OnAttribute(la),
+                want_right: Order::OnAttribute(ra),
+                merge: lc + rc,
+                sort_left: sort_cost(lc),
+                sort_right: sort_cost(rc),
+                buffer_left: lc * est.tuple_bytes(left),
+                buffer_right: rc * bytes_right,
+            }),
+        }
+    }
+
+    /// Incremental cost and output order of `op` on this split, given the
+    /// orders the operand plans deliver. Returns `None` if the operator is
+    /// inapplicable (sort-merge join on a cross product).
+    #[inline]
+    pub fn apply(
+        &self,
+        op: JoinOp,
+        left_order: Order,
+        right_order: Order,
+    ) -> Option<JoinApplication> {
+        Some(match op {
+            // Nested-loop preserves the outer order; hash join output
+            // follows the probe (outer) order.
+            JoinOp::NestedLoop => JoinApplication {
+                cost: self.nested_loop,
+                output_order: left_order,
+            },
+            JoinOp::Hash => JoinApplication {
+                cost: self.hash,
+                output_order: left_order,
+            },
             JoinOp::SortMerge => {
-                let (la, ra) = sort_merge_attributes(est, left, right)?;
-                let want_left = Order::OnAttribute(la);
-                let want_right = Order::OnAttribute(ra);
-                let mut time = lc + rc; // the merge itself
+                let sm = self.sort_merge.as_ref()?;
+                let mut time = sm.merge;
                 let mut buffer: f64 = 0.0;
-                if left_order != want_left {
-                    time += sort_cost(lc);
-                    buffer = buffer.max(lc * est.tuple_bytes(left));
+                if left_order != sm.want_left {
+                    time += sm.sort_left;
+                    buffer = buffer.max(sm.buffer_left);
                 }
-                if right_order != want_right {
-                    time += sort_cost(rc);
-                    buffer = buffer.max(rc * est.tuple_bytes(right));
+                if right_order != sm.want_right {
+                    time += sm.sort_right;
+                    buffer = buffer.max(sm.buffer_right);
                 }
-                Some(JoinApplication {
+                JoinApplication {
                     cost: CostVector::new(time, buffer),
                     // Output is sorted on the outer-side attribute.
-                    output_order: want_left,
-                })
+                    output_order: sm.want_left,
+                }
             }
-        }
+        })
     }
 }
 

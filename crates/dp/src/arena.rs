@@ -1,4 +1,4 @@
-//! Arena-backed memo and the batched, optionally parallel DP kernel.
+//! Arena-backed memo and the streaming, optionally parallel DP kernel.
 //!
 //! [`ArenaMemo`] replaces the per-set `Vec<PlanEntry>` slots of
 //! [`crate::DenseMemo`] with one contiguous entry arena plus per-set
@@ -12,15 +12,16 @@
 //! results **bit-identical** to the slot-based reference kernel
 //! ([`crate::worker::optimize_partition_dense`]) for every thread count:
 //!
-//! * Candidates for a set are generated in exactly the enumeration order
-//!   of the reference kernel (same splits, same operand-pair nesting, same
-//!   operator order).
-//! * For single-objective runs the whole candidate burst is reduced in one
-//!   pass over a struct-of-arrays cost layout ([`CostBatch`]); inserting
-//!   only the per-order-class minima through the scalar pruning function
+//! * Candidates for a set come from the same split enumeration and the
+//!   same candidate loop as the reference kernel's (`for_each_split`,
+//!   `join_candidates` in [`crate::worker`]), so they are generated in
+//!   exactly its order.
+//! * For single-objective runs the candidates are reduced as they stream
+//!   by ([`OrderClassMinima`]): only the cheapest candidate of each
+//!   interesting-order class reaches the scalar pruning function, which
 //!   provably yields the same slot, in the same entry order, as inserting
-//!   every candidate sequentially (see `mpq_cost::batch`). Multi-objective
-//!   runs keep the scalar sequential path.
+//!   every candidate sequentially. Multi-objective runs insert every
+//!   candidate as it is generated.
 //! * Sets are built in ascending-cardinality levels. A set reads only
 //!   strictly smaller sets, so sets of one level are independent: each
 //!   slot's content is the same under any level schedule, and under
@@ -31,8 +32,10 @@
 
 use crate::memo::MemoStore;
 use crate::stats::WorkerStats;
-use crate::worker::{bushy_split_setup, finish, for_each_bushy_left, PartitionOutcome};
-use mpq_cost::{CardinalityEstimator, CostBatch, Objective, ScanOp, JOIN_OPS};
+use crate::worker::{
+    finish, for_each_split, join_candidates, PartitionOutcome, SplitEnv, SplitScratch,
+};
+use mpq_cost::{CardinalityEstimator, Objective, ScanOp};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
 use mpq_plan::{PlanEntry, PruningPolicy};
@@ -159,16 +162,68 @@ struct Ctx<'a> {
     pruning: &'a PruningPolicy,
 }
 
+/// Streaming single-objective reduction of one set's candidates: the
+/// running cheapest candidate per interesting-order class.
+///
+/// Under single-objective pruning the fate of a set's whole candidate
+/// stream is decided by one number per order class — the minimum time.
+/// Inserting exactly the per-class minima (strict minimum: on ties the
+/// earliest candidate wins, matching the pruning function's "an existing
+/// plan at most as expensive rejects the newcomer"), in ascending
+/// generation order, yields a slot **identical** (contents and entry order)
+/// to inserting every candidate sequentially: a skipped candidate `c` has a
+/// same-order winner `w` with `w.time <= c.time`, so everything `c` would
+/// reject or remove, `w` rejects or removes too, and `c` itself never
+/// survives `w`'s insertion. `kernel_differential` checks this equivalence
+/// over randomized candidate streams.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct OrderClassMinima {
+    /// (generation index, candidate) per order class, in first-seen order.
+    /// Classes are few (the distinct output orders of the operator set), so
+    /// a linear probe beats any map.
+    best: Vec<(u64, PlanEntry)>,
+    offered: u64,
+}
+
+impl OrderClassMinima {
+    /// Offers the next candidate of the stream.
+    #[inline]
+    pub fn offer(&mut self, c: PlanEntry) {
+        let idx = self.offered;
+        self.offered += 1;
+        match self.best.iter_mut().find(|(_, b)| b.order == c.order) {
+            Some(slot) => {
+                if c.cost.time < slot.1.cost.time {
+                    *slot = (idx, c);
+                }
+            }
+            None => self.best.push((idx, c)),
+        }
+    }
+
+    /// Inserts the winners into the slot occupying `out[start..]`, in
+    /// generation order, and resets for the next set.
+    pub fn insert_winners(
+        &mut self,
+        pruning: &PruningPolicy,
+        out: &mut Vec<PlanEntry>,
+        start: usize,
+    ) {
+        self.best.sort_unstable_by_key(|&(idx, _)| idx);
+        for (_, w) in self.best.drain(..) {
+            pruning.try_insert_range(out, start, w);
+        }
+    }
+}
+
 /// Per-thread working state: estimator, enumeration scratch, the
-/// struct-of-arrays candidate batch, and the output staging buffer the
-/// thread's slots are built into before the in-order merge.
+/// single-objective reducer, and the output staging buffer the thread's
+/// slots are built into before the in-order merge.
 struct Scratch<'q> {
     est: CardinalityEstimator<'q>,
-    parts: Vec<u64>,
-    group_bounds: Vec<(usize, usize)>,
-    batch: CostBatch,
-    cands: Vec<PlanEntry>,
-    winners: Vec<u32>,
+    split: SplitScratch,
+    minima: OrderClassMinima,
     out: Vec<PlanEntry>,
     /// Finished slots staged in `out`: (dense index, start, len).
     built: Vec<(u32, u32, u32)>,
@@ -180,11 +235,8 @@ impl<'q> Scratch<'q> {
     fn new(query: &'q Query) -> Self {
         Scratch {
             est: CardinalityEstimator::new(query),
-            parts: Vec::new(),
-            group_bounds: Vec::new(),
-            batch: CostBatch::new(),
-            cands: Vec::new(),
-            winners: Vec::new(),
+            split: SplitScratch::default(),
+            minima: OrderClassMinima::default(),
             out: Vec::new(),
             built: Vec::new(),
             splits_tried: 0,
@@ -193,154 +245,41 @@ impl<'q> Scratch<'q> {
     }
 }
 
-/// Generates every candidate joining `left` with `right` into the
-/// struct-of-arrays batch (phase A of the per-set build). Same pair and
-/// operator order as the reference kernel's `combine_operands`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn collect_pair(
-    left: TableSet,
-    right: TableSet,
-    left_entries: &[PlanEntry],
-    right_entries: &[PlanEntry],
-    est: &mut CardinalityEstimator<'_>,
-    batch: &mut CostBatch,
-    cands: &mut Vec<PlanEntry>,
-    plans_generated: &mut u64,
-) {
-    for (li, le) in left_entries.iter().enumerate() {
-        for (ri, re) in right_entries.iter().enumerate() {
-            for op in JOIN_OPS {
-                let Some(app) = op.apply(est, left, right, le.order, re.order) else {
-                    continue;
-                };
-                let cost = le.cost.add(&re.cost).add(&app.cost);
-                *plans_generated += 1;
-                cands.push(PlanEntry::join(
-                    op,
-                    left,
-                    li as u32,
-                    right,
-                    ri as u32,
-                    cost,
-                    app.output_order,
-                ));
-                batch.push(cost, app.output_order);
-            }
-        }
-    }
-}
-
-/// Phase A: collects the full candidate burst for `set` into the scratch
-/// batch, enumerating splits exactly as the reference kernel does
-/// (including its `splits_tried` accounting).
-fn collect_candidates(ctx: &Ctx<'_>, memo: &ArenaMemo, set: TableSet, s: &mut Scratch<'_>) {
-    match ctx.space {
-        PlanSpace::Linear => {
-            for u in set.iter() {
-                if !ctx.constraints.may_join_last(u, set) {
-                    continue;
-                }
-                let rest = set.remove(u);
-                s.splits_tried += 1;
-                collect_pair(
-                    rest,
-                    TableSet::singleton(u),
-                    memo.entries(rest),
-                    memo.single_entries(u),
-                    &mut s.est,
-                    &mut s.batch,
-                    &mut s.cands,
-                    &mut s.plans_generated,
-                );
-            }
-        }
-        PlanSpace::Bushy => {
-            bushy_split_setup(
-                set,
-                ctx.constraints,
-                &memo.adm,
-                &mut s.parts,
-                &mut s.group_bounds,
-            );
-            let Scratch {
-                est,
-                parts,
-                group_bounds,
-                batch,
-                cands,
-                splits_tried,
-                plans_generated,
-                ..
-            } = s;
-            for_each_bushy_left(parts, group_bounds, |lbits| {
-                if lbits == 0 || lbits == set.bits() {
-                    return;
-                }
-                let left = TableSet(lbits);
-                let right = set.difference(left);
-                let left_entries = memo.entries(left);
-                if left_entries.is_empty() {
-                    return;
-                }
-                let right_entries = memo.entries(right);
-                if right_entries.is_empty() {
-                    return;
-                }
-                *splits_tried += 1;
-                collect_pair(
-                    left,
-                    right,
-                    left_entries,
-                    right_entries,
-                    est,
-                    batch,
-                    cands,
-                    plans_generated,
-                );
-            });
-        }
-    }
-}
-
 /// Builds the slots for one contiguous chunk of same-cardinality sets into
 /// the scratch staging buffer. Reads only strictly smaller sets from the
 /// arena, so chunks of one level can run concurrently.
 fn process_chunk(ctx: &Ctx<'_>, memo: &ArenaMemo, chunk: &[u32], s: &mut Scratch<'_>) {
+    let env = SplitEnv {
+        space: ctx.space,
+        constraints: ctx.constraints,
+        adm: &memo.adm,
+    };
+    let Scratch {
+        est,
+        split,
+        minima,
+        out,
+        built,
+        splits_tried,
+        plans_generated,
+    } = s;
     for &idx in chunk {
         let set = memo.adm.set_at(idx as usize);
-        s.batch.clear();
-        s.cands.clear();
-        collect_candidates(ctx, memo, set, s);
-        let slot_start = s.out.len();
-        match ctx.objective {
-            Objective::Single => {
-                // Phase B, batched: one pass over the SoA times decides the
-                // burst; only per-order-class minima hit the scalar insert.
-                s.winners.clear();
-                s.batch.single_objective_winners(&mut s.winners);
-                let Scratch {
-                    winners,
-                    cands,
-                    out,
-                    ..
-                } = s;
-                for &w in winners.iter() {
-                    ctx.pruning
-                        .try_insert_range(out, slot_start, cands[w as usize]);
-                }
-            }
-            Objective::Multi { .. } => {
-                // Pareto pruning has no single-number reduction; keep the
-                // scalar sequential path.
-                let Scratch { cands, out, .. } = s;
-                for c in cands.iter() {
-                    ctx.pruning.try_insert_range(out, slot_start, *c);
-                }
-            }
-        }
-        let len = s.out.len() - slot_start;
-        s.built.push((
+        let slot_start = out.len();
+        for_each_split(&env, set, memo, split, |operands| {
+            *splits_tried += 1;
+            *plans_generated += match ctx.objective {
+                Objective::Single => join_candidates(est, operands, |c| minima.offer(c)),
+                // Pareto pruning has no single-number reduction: every
+                // candidate meets the slot built so far.
+                Objective::Multi { .. } => join_candidates(est, operands, |c| {
+                    ctx.pruning.try_insert_range(out, slot_start, c);
+                }),
+            };
+        });
+        minima.insert_winners(ctx.pruning, out, slot_start);
+        let len = out.len() - slot_start;
+        built.push((
             idx,
             u32::try_from(slot_start).expect("staged entries fit u32"),
             u32::try_from(len).expect("slot length fits u32"),
@@ -369,7 +308,7 @@ fn merge_scratch(memo: &mut ArenaMemo, s: &mut Scratch<'_>, stats: &mut WorkerSt
 /// (thread wake-up costs more than a few tiny slots).
 const MIN_SETS_PER_THREAD: usize = 2;
 
-/// Optimizes one partition with the arena memo, batched pruning, and
+/// Optimizes one partition with the arena memo, streaming pruning, and
 /// optional intra-worker parallelism. Bit-identical to the slot-based
 /// reference kernel for every `policy` (see the module docs for why).
 pub fn optimize_partition_parallel(
@@ -384,12 +323,15 @@ pub fn optimize_partition_parallel(
     assert!(n >= 1, "query must join at least one table");
     let pruning = PruningPolicy::new(objective, n);
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
-    let mut est = CardinalityEstimator::new(query);
     let mut stats = WorkerStats::default();
+    let threads = policy.threads().max(1);
+    // One estimator per thread; seeding and reconstruction borrow the
+    // first, so a serial run allocates exactly one cardinality table.
+    let mut scratches: Vec<Scratch<'_>> = (0..threads).map(|_| Scratch::new(query)).collect();
 
     // Seed scans for single tables (Algorithm 2, lines 9-11).
     for t in 0..n {
-        let cost = ScanOp::Full.cost(&mut est, t);
+        let cost = ScanOp::Full.cost(&mut scratches[0].est, t);
         pruning.try_insert(
             memo.single_slot_mut(t),
             PlanEntry::scan(t as u8, ScanOp::Full, cost),
@@ -408,14 +350,12 @@ pub fn optimize_partition_parallel(
         }
     }
 
-    let threads = policy.threads().max(1);
     let ctx = Ctx {
         space,
         objective,
         constraints,
         pruning: &pruning,
     };
-    let mut scratches: Vec<Scratch<'_>> = (0..threads).map(|_| Scratch::new(query)).collect();
     let mut peak_threads = 1u64;
 
     for level in &levels {
@@ -450,18 +390,88 @@ pub fn optimize_partition_parallel(
     }
 
     stats.threads_used = peak_threads;
-    finish(query, &memo, &mut est, &pruning, stats, start)
+    finish(query, &memo, &mut scratches[0].est, &pruning, stats, start)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::worker::{optimize_partition_dense, optimize_serial};
+    use mpq_cost::{CostVector, Order};
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_partition::{partition_constraints, Grouping};
+    use mpq_plan::PlanNode;
 
     fn query(n: usize, seed: u64) -> Query {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
+    }
+
+    /// Streams `(time, order)` candidates through the reducer and returns
+    /// the resulting slot as `(time, order)` pairs.
+    fn reduce(minima: &mut OrderClassMinima, cands: &[(f64, Order)]) -> Vec<(f64, Order)> {
+        for &(time, order) in cands {
+            minima.offer(PlanEntry {
+                cost: CostVector::new(time, 0.0),
+                order,
+                node: PlanNode::Scan {
+                    table: 0,
+                    op: ScanOp::Full,
+                },
+            });
+        }
+        let mut slot = Vec::new();
+        minima.insert_winners(&PruningPolicy::new(Objective::Single, 4), &mut slot, 0);
+        slot.iter().map(|e| (e.cost.time, e.order)).collect()
+    }
+
+    #[test]
+    fn winners_are_per_order_minima_in_generation_order() {
+        let slot = reduce(
+            &mut OrderClassMinima::default(),
+            &[
+                (5.0, Order::None),
+                (3.0, Order::OnAttribute(1)),
+                (2.0, Order::None),
+                (4.0, Order::OnAttribute(1)),
+                (9.0, Order::OnAttribute(2)),
+            ],
+        );
+        assert_eq!(
+            slot,
+            vec![
+                (3.0, Order::OnAttribute(1)),
+                (2.0, Order::None),
+                (9.0, Order::OnAttribute(2))
+            ]
+        );
+    }
+
+    #[test]
+    fn ties_keep_the_earliest_candidate() {
+        let mut minima = OrderClassMinima::default();
+        for table in [7u8, 9] {
+            minima.offer(PlanEntry::scan(
+                table,
+                ScanOp::Full,
+                CostVector::new(2.0, 0.0),
+            ));
+        }
+        let mut slot = Vec::new();
+        minima.insert_winners(&PruningPolicy::new(Objective::Single, 4), &mut slot, 0);
+        assert_eq!(slot.len(), 1);
+        assert!(matches!(slot[0].node, PlanNode::Scan { table: 7, .. }));
+    }
+
+    #[test]
+    fn inserting_winners_resets_the_reducer() {
+        let mut minima = OrderClassMinima::default();
+        assert_eq!(reduce(&mut minima, &[(1.0, Order::None)]).len(), 1);
+        // A cheaper class minimum of the previous set must not leak.
+        assert_eq!(
+            reduce(&mut minima, &[(9.0, Order::None)]),
+            vec![(9.0, Order::None)]
+        );
+        assert!(reduce(&mut minima, &[]).is_empty());
     }
 
     #[test]

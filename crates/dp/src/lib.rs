@@ -19,7 +19,7 @@
 //! that.
 //!
 //! Three memo layouts are provided: the **arena** layout ([`arena`] — one
-//! contiguous entry array with per-set spans, batched pruning, optional
+//! contiguous entry array with per-set spans, streaming pruning, optional
 //! intra-worker parallelism via [`ParallelPolicy`]; the default), the
 //! **dense** mixed-radix slot layout ([`memo`] — the pre-arena reference
 //! kernel and differential baseline), and a **hash-map** layout kept as an
@@ -42,6 +42,8 @@ pub mod stats;
 pub mod topdown;
 pub mod worker;
 
+#[doc(hidden)]
+pub use arena::OrderClassMinima;
 pub use arena::{optimize_partition_parallel, ArenaMemo, ParallelPolicy};
 pub use cached::{
     optimize_partition_id_cached, optimize_partition_id_cached_parallel,

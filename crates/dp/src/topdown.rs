@@ -17,7 +17,7 @@
 
 use crate::memo::{HashMemo, MemoStore, SlotMemo};
 use crate::stats::WorkerStats;
-use crate::worker::{combine_operands, finish, PartitionOutcome};
+use crate::worker::{combine_operands, finish, PartitionOutcome, Split};
 use mpq_cost::{CardinalityEstimator, Objective, ScanOp};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
@@ -147,16 +147,7 @@ fn expand(
     let mut slot = memo.take_slot(set);
     for_each_split(space, set, constraints, adm, |l, r| {
         stats.splits_tried += 1;
-        combine_operands(
-            l,
-            r,
-            memo.entries(l),
-            memo.entries(r),
-            est,
-            policy,
-            &mut slot,
-            stats,
-        );
+        combine_operands(Split::of(&*memo, l, r), est, policy, &mut slot, stats);
     });
     memo.put_slot(set, slot);
 }

@@ -6,25 +6,29 @@
 //! bottom-up DP over admissible sets → reconstruct the partition-optimal
 //! plan(s).
 //!
-//! Split enumeration differs by plan space, as in the paper:
+//! Split enumeration (`for_each_split`) differs by plan space, as in
+//! the paper:
 //!
-//! * **Linear** (`try_splits_linear`): iterate the candidate inner (last
-//!   joined) table `u` over the members of the set and check the
-//!   precedence index in O(1) — complexity stays linear in the number of
-//!   *possible* splits, which the paper accepts because that number is
-//!   itself only linear in the set size.
-//! * **Bushy** (`try_splits_bushy`): build only the *admissible* operand
-//!   pairs as a Cartesian product of per-group admissible split parts —
-//!   never generating inadmissible splits, which is where the 21/27 time
-//!   factor of Theorem 7 comes from. A filter-after-enumerate variant
+//! * **Linear**: iterate the candidate inner (last joined) table `u` over
+//!   the members of the set and check the precedence index in O(1) —
+//!   complexity stays linear in the number of *possible* splits, which the
+//!   paper accepts because that number is itself only linear in the set
+//!   size.
+//! * **Bushy**: build only the *admissible* operand pairs as a Cartesian
+//!   product of per-group admissible split parts — never generating
+//!   inadmissible splits, which is where the 21/27 time factor of
+//!   Theorem 7 comes from. A filter-after-enumerate variant
 //!   (`try_splits_bushy_filtered`) is kept for the `ablation_splits`
 //!   benchmark.
+//!
+//! Every kernel in the crate turns a split into plans through the one
+//! candidate loop, `join_candidates`.
 
 use crate::arena::{optimize_partition_parallel, ParallelPolicy};
 use crate::memo::{DenseMemo, MemoStore, SlotMemo};
 use crate::reconstruct::reconstruct_plan;
 use crate::stats::WorkerStats;
-use mpq_cost::{CardinalityEstimator, Objective, ScanOp, JOIN_OPS};
+use mpq_cost::{CardinalityEstimator, Objective, ScanOp, SplitCosts, JOIN_OPS};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{partition_constraints, AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::{Plan, PlanEntry, PruningPolicy};
@@ -116,45 +120,25 @@ pub fn optimize_partition_with<M: SlotMemo>(
         policy.try_insert(memo.single_slot_mut(t), entry);
     }
 
-    // Scratch buffers reused across sets (no allocation in the hot loop).
-    let mut parts: Vec<u64> = Vec::new();
-    let mut group_bounds: Vec<(usize, usize)> = Vec::new();
-
     // Ascending dense-index order visits every admissible subset of a set
     // before the set itself, so iterating indices replaces the explicit
     // iteration over result cardinalities of Algorithm 2.
+    let env = SplitEnv {
+        space,
+        constraints,
+        adm,
+    };
+    let mut scratch = SplitScratch::default();
     for idx in 0..adm.len() {
         let set = adm.set_at(idx);
         if set.len() < 2 {
             continue;
         }
         let mut slot = memo.take_slot(set);
-        match space {
-            PlanSpace::Linear => {
-                try_splits_linear(
-                    set,
-                    constraints,
-                    memo,
-                    &mut est,
-                    &policy,
-                    &mut slot,
-                    &mut stats,
-                );
-            }
-            PlanSpace::Bushy => {
-                bushy_split_setup(set, constraints, adm, &mut parts, &mut group_bounds);
-                try_splits_bushy(
-                    set,
-                    &parts,
-                    &group_bounds,
-                    memo,
-                    &mut est,
-                    &policy,
-                    &mut slot,
-                    &mut stats,
-                );
-            }
-        }
+        for_each_split(&env, set, &*memo, &mut scratch, |split| {
+            stats.splits_tried += 1;
+            combine_operands(split, &mut est, &policy, &mut slot, &mut stats);
+        });
         memo.put_slot(set, slot);
     }
 
@@ -194,77 +178,147 @@ pub(crate) fn finish<M: MemoStore>(
     PartitionOutcome { plans, stats }
 }
 
-/// Generates and prunes every plan joining `left` with `right`
-/// (the `Join` + `Prune` core shared by all split enumerations): each
-/// surviving plan pair of the operands is combined with each applicable
-/// join operator.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn combine_operands(
-    left: TableSet,
-    right: TableSet,
-    left_entries: &[PlanEntry],
-    right_entries: &[PlanEntry],
-    est: &mut CardinalityEstimator<'_>,
-    policy: &PruningPolicy,
-    slot: &mut Vec<PlanEntry>,
-    stats: &mut WorkerStats,
-) {
-    for (li, le) in left_entries.iter().enumerate() {
-        for (ri, re) in right_entries.iter().enumerate() {
-            for op in JOIN_OPS {
-                let Some(app) = op.apply(est, left, right, le.order, re.order) else {
-                    continue;
-                };
-                let cost = le.cost.add(&re.cost).add(&app.cost);
-                stats.plans_generated += 1;
-                policy.try_insert(
-                    slot,
-                    PlanEntry::join(
-                        op,
-                        left,
-                        li as u32,
-                        right,
-                        ri as u32,
-                        cost,
-                        app.output_order,
-                    ),
-                );
-            }
+/// The operands of one split: two disjoint table sets and the plans
+/// memoized for them.
+#[derive(Clone, Copy)]
+pub(crate) struct Split<'a> {
+    pub left: TableSet,
+    pub right: TableSet,
+    pub left_entries: &'a [PlanEntry],
+    pub right_entries: &'a [PlanEntry],
+}
+
+impl<'a> Split<'a> {
+    /// The split `(left, right)` with both operands' plans read from `memo`.
+    pub fn of<M: MemoStore>(memo: &'a M, left: TableSet, right: TableSet) -> Self {
+        Split {
+            left,
+            right,
+            left_entries: memo.entries(left),
+            right_entries: memo.entries(right),
         }
     }
 }
 
-/// `TrySplits[Linear]` (Algorithm 5, lines 3-12): try every member of
-/// `set` as the inner (last joined) operand, skipping tables that a
-/// constraint requires to precede another member.
-fn try_splits_linear<M: MemoStore>(
-    set: TableSet,
-    constraints: &ConstraintSet,
-    memo: &M,
+/// The one candidate loop of the crate (the `Join` core shared by all
+/// split enumerations): combines each surviving plan pair of the split's
+/// operands with each applicable join operator and hands the plans to
+/// `sink` in that nesting order. Returns how many it generated.
+///
+/// Everything that depends on the split alone is costed once
+/// ([`SplitCosts`]); a candidate's total is `(le.cost + re.cost) + app.cost`
+/// — the same floating-point operations in the same order however the
+/// caller prunes, which is what keeps all kernels bit-identical.
+#[inline]
+pub(crate) fn join_candidates(
+    est: &mut CardinalityEstimator<'_>,
+    split: Split<'_>,
+    mut sink: impl FnMut(PlanEntry),
+) -> u64 {
+    if split.left_entries.is_empty() || split.right_entries.is_empty() {
+        return 0;
+    }
+    let costs = SplitCosts::new(est, split.left, split.right);
+    let mut generated = 0;
+    for (li, le) in split.left_entries.iter().enumerate() {
+        for (ri, re) in split.right_entries.iter().enumerate() {
+            let children = le.cost.add(&re.cost);
+            for op in JOIN_OPS {
+                let Some(app) = costs.apply(op, le.order, re.order) else {
+                    continue;
+                };
+                generated += 1;
+                sink(PlanEntry::join(
+                    op,
+                    split.left,
+                    li as u32,
+                    split.right,
+                    ri as u32,
+                    children.add(&app.cost),
+                    app.output_order,
+                ));
+            }
+        }
+    }
+    generated
+}
+
+/// `Join` + `Prune` for one split of the slot-based kernels: every
+/// candidate goes through the scalar pruning function, in generation order.
+#[inline]
+pub(crate) fn combine_operands(
+    split: Split<'_>,
     est: &mut CardinalityEstimator<'_>,
     policy: &PruningPolicy,
     slot: &mut Vec<PlanEntry>,
     stats: &mut WorkerStats,
 ) {
-    for u in set.iter() {
-        // Algorithm 5 line 7: ∄ v ∈ U with (u ≺ v) ∈ C — O(1) via index.
-        if !constraints.may_join_last(u, set) {
-            continue;
+    stats.plans_generated += join_candidates(est, split, |c| {
+        policy.try_insert(slot, c);
+    });
+}
+
+/// What the split enumeration needs to know about the partition.
+pub(crate) struct SplitEnv<'a> {
+    pub space: PlanSpace,
+    pub constraints: &'a ConstraintSet,
+    pub adm: &'a AdmissibleSets,
+}
+
+/// Buffers of the bushy split enumeration, reused across sets (no
+/// allocation in the hot loop).
+#[derive(Default)]
+pub(crate) struct SplitScratch {
+    parts: Vec<u64>,
+    group_bounds: Vec<(usize, usize)>,
+}
+
+/// `TrySplits` (Algorithm 5): hands `f` every constraint-respecting split
+/// of `set`, operand plans read from `memo`. One call of `f` is one tried
+/// split.
+///
+/// * Linear (lines 3-12): every member of `set` as the inner (last joined)
+///   operand, skipping tables that a constraint requires to precede
+///   another member.
+/// * Bushy (lines 13-39): every admissible left operand with its
+///   complement, skipping splits an operand of which has no plan.
+pub(crate) fn for_each_split<'m, M: MemoStore>(
+    env: &SplitEnv<'_>,
+    set: TableSet,
+    memo: &'m M,
+    scratch: &mut SplitScratch,
+    mut f: impl FnMut(Split<'m>),
+) {
+    match env.space {
+        PlanSpace::Linear => {
+            for u in set.iter() {
+                // Algorithm 5 line 7: ∄ v ∈ U with (u ≺ v) ∈ C — O(1) via index.
+                if !env.constraints.may_join_last(u, set) {
+                    continue;
+                }
+                let rest = set.remove(u);
+                f(Split {
+                    left: rest,
+                    right: TableSet::singleton(u),
+                    left_entries: memo.entries(rest),
+                    right_entries: memo.single_entries(u),
+                });
+            }
         }
-        let rest = set.remove(u);
-        let inner = TableSet::singleton(u);
-        stats.splits_tried += 1;
-        combine_operands(
-            rest,
-            inner,
-            memo.entries(rest),
-            memo.single_entries(u),
-            est,
-            policy,
-            slot,
-            stats,
-        );
+        PlanSpace::Bushy => {
+            bushy_split_setup(set, env.constraints, env.adm, scratch);
+            for_each_bushy_left(&scratch.parts, &scratch.group_bounds, |lbits| {
+                if lbits == 0 || lbits == set.bits() {
+                    return;
+                }
+                let left = TableSet(lbits);
+                debug_assert!(left.is_subset_of(set));
+                let split = Split::of(memo, left, set.difference(left));
+                if !split.left_entries.is_empty() && !split.right_entries.is_empty() {
+                    f(split);
+                }
+            });
+        }
     }
 }
 
@@ -287,32 +341,16 @@ pub fn compute_entries_for_set<M: MemoStore>(
                 let rest = set.remove(u);
                 let inner = TableSet::singleton(u);
                 stats.splits_tried += 1;
-                combine_operands(
-                    rest,
-                    inner,
-                    memo.entries(rest),
-                    memo.single_entries(u),
-                    est,
-                    policy,
-                    &mut slot,
-                    stats,
-                );
+                let split = Split::of(memo, rest, inner);
+                combine_operands(split, est, policy, &mut slot, stats);
             }
         }
         PlanSpace::Bushy => {
             for left in set.proper_subsets() {
                 let right = set.difference(left);
                 stats.splits_tried += 1;
-                combine_operands(
-                    left,
-                    right,
-                    memo.entries(left),
-                    memo.entries(right),
-                    est,
-                    policy,
-                    &mut slot,
-                    stats,
-                );
+                let split = Split::of(memo, left, right);
+                combine_operands(split, est, policy, &mut slot, stats);
             }
         }
     }
@@ -324,16 +362,19 @@ pub fn compute_entries_for_set<M: MemoStore>(
 pub(crate) const MAX_GROUPS: usize = 32;
 
 /// Gathers the per-group admissible split parts of `set` (Algorithm 5,
-/// lines 15-24) into `parts`, with `group_bounds` delimiting each group's
-/// patterns. Groups disjoint from `set` contribute only the empty pattern
+/// lines 15-24) into `scratch.parts`, with `group_bounds` delimiting each
+/// group's patterns. Groups disjoint from `set` contribute only the empty pattern
 /// and are dropped from the product.
-pub(crate) fn bushy_split_setup(
+fn bushy_split_setup(
     set: TableSet,
     constraints: &ConstraintSet,
     adm: &AdmissibleSets,
-    parts: &mut Vec<u64>,
-    group_bounds: &mut Vec<(usize, usize)>,
+    scratch: &mut SplitScratch,
 ) {
+    let SplitScratch {
+        parts,
+        group_bounds,
+    } = scratch;
     parts.clear();
     group_bounds.clear();
     for g in 0..adm.num_groups() {
@@ -355,11 +396,7 @@ pub(crate) fn bushy_split_setup(
 /// enumeration produced. Prefix-OR accumulators make each step O(changed
 /// digits). The walk includes the empty and full pattern; callers skip
 /// those.
-pub(crate) fn for_each_bushy_left<F: FnMut(u64)>(
-    parts: &[u64],
-    group_bounds: &[(usize, usize)],
-    mut f: F,
-) {
+fn for_each_bushy_left<F: FnMut(u64)>(parts: &[u64], group_bounds: &[(usize, usize)], mut f: F) {
     let k = group_bounds.len();
     if k == 0 {
         f(0);
@@ -391,48 +428,6 @@ pub(crate) fn for_each_bushy_left<F: FnMut(u64)>(
             acc[i + 1] = acc[i] | parts[group_bounds[i].0 + pos[i]];
         }
     }
-}
-
-/// `TrySplits[Bushy]` (Algorithm 5, lines 33-39): join every admissible
-/// left operand with its complement.
-#[allow(clippy::too_many_arguments)]
-fn try_splits_bushy<M: MemoStore>(
-    set: TableSet,
-    parts: &[u64],
-    group_bounds: &[(usize, usize)],
-    memo: &M,
-    est: &mut CardinalityEstimator<'_>,
-    policy: &PruningPolicy,
-    slot: &mut Vec<PlanEntry>,
-    stats: &mut WorkerStats,
-) {
-    for_each_bushy_left(parts, group_bounds, |lbits| {
-        if lbits == 0 || lbits == set.bits() {
-            return;
-        }
-        let left = TableSet(lbits);
-        debug_assert!(left.is_subset_of(set));
-        let right = set.difference(left);
-        let left_entries = memo.entries(left);
-        if left_entries.is_empty() {
-            return;
-        }
-        let right_entries = memo.entries(right);
-        if right_entries.is_empty() {
-            return;
-        }
-        stats.splits_tried += 1;
-        combine_operands(
-            left,
-            right,
-            left_entries,
-            right_entries,
-            est,
-            policy,
-            slot,
-            stats,
-        );
-    });
 }
 
 /// Ablation variant of the bushy split enumeration: enumerate *all*
@@ -490,24 +485,7 @@ fn try_splits_bushy_filtered<M: MemoStore>(
         if !(right.len() == 1 || adm.is_admissible(right)) {
             continue;
         }
-        let left_entries = memo.entries(left);
-        if left_entries.is_empty() {
-            continue;
-        }
-        let right_entries = memo.entries(right);
-        if right_entries.is_empty() {
-            continue;
-        }
-        combine_operands(
-            left,
-            right,
-            left_entries,
-            right_entries,
-            est,
-            policy,
-            slot,
-            stats,
-        );
+        combine_operands(Split::of(memo, left, right), est, policy, slot, stats);
     }
 }
 

@@ -9,11 +9,11 @@
 //! equal work counters. A parallel schedule that changes any bit of any
 //! answer is a wrong schedule, however fast.
 //!
-//! The second half pins the batch-pruning equivalence the arena kernel's
+//! The second half pins the reduction equivalence the arena kernel's
 //! single-objective fast path rests on: inserting only the per-order-class
-//! minima of a candidate burst through the scalar pruning function yields
+//! minima of a candidate stream through the scalar pruning function yields
 //! a memo slot identical (contents *and* entry order) to inserting every
-//! candidate sequentially (see `mpq_cost::batch` module docs).
+//! candidate sequentially (see `OrderClassMinima` in `mpq_dp::arena`).
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
@@ -21,7 +21,8 @@
 
 use mpq_cost::{CostVector, Objective, Order};
 use mpq_dp::{
-    optimize_partition_dense, optimize_partition_parallel, ParallelPolicy, PartitionOutcome,
+    optimize_partition_dense, optimize_partition_parallel, OrderClassMinima, ParallelPolicy,
+    PartitionOutcome,
 };
 use mpq_model::{JoinGraph, Query, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{partition_constraints, ConstraintSet, PlanSpace};
@@ -142,7 +143,7 @@ fn arena_and_parallel_match_dense_on_bushy_partitions() {
     }
 }
 
-/// The multi-objective path bypasses the batch reduction (every candidate
+/// The multi-objective path bypasses the winner reduction (every candidate
 /// goes through the scalar Pareto pruning function), but the level
 /// schedule still reorders work across threads — frontiers must stay
 /// bit-identical anyway.
@@ -194,7 +195,7 @@ fn parallel_policy_reports_peak_threads() {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-pruning equivalence (the claim in `mpq_cost::batch`'s module docs).
+// Reduction equivalence (the claim in `OrderClassMinima`'s docs).
 // ---------------------------------------------------------------------------
 
 /// Deterministic splitmix-style generator; the dp crate deliberately has
@@ -231,16 +232,14 @@ fn random_candidate(rng: &mut Lcg) -> PlanEntry {
     }
 }
 
-/// Inserting only the batch winners through the scalar pruning function
-/// must produce a slot identical — contents and entry order — to
+/// Inserting only the streamed winners through the scalar pruning
+/// function must produce a slot identical — contents and entry order — to
 /// inserting every candidate sequentially. 200 random bursts with heavy
 /// tie pressure.
 #[test]
 fn batch_matches_sequential_insertion() {
-    use mpq_cost::CostBatch;
     let policy = PruningPolicy::new(Objective::Single, 6);
-    let mut batch = CostBatch::new();
-    let mut winners = Vec::new();
+    let mut minima = OrderClassMinima::default();
     for trial in 0..200u64 {
         let mut rng = Lcg(trial * 2654435761 + 99);
         let len = 1 + (rng.next() % 24) as usize;
@@ -252,22 +251,18 @@ fn batch_matches_sequential_insertion() {
             policy.try_insert(&mut sequential, c);
         }
 
-        // Batch path: per-order-class minima only, in ascending index
-        // order, exactly as the arena kernel inserts them.
-        batch.clear();
-        winners.clear();
-        for c in &cands {
-            batch.push(c.cost, c.order);
+        // Streaming path: per-order-class minima only, in ascending
+        // generation order, exactly as the arena kernel inserts them (the
+        // one reducer is reused across trials, as it is across sets).
+        for &c in &cands {
+            minima.offer(c);
         }
-        batch.single_objective_winners(&mut winners);
-        let mut batched = Vec::new();
-        for &w in &winners {
-            policy.try_insert(&mut batched, cands[w as usize]);
-        }
+        let mut streamed = Vec::new();
+        minima.insert_winners(&policy, &mut streamed, 0);
 
         assert_eq!(
-            sequential, batched,
-            "trial {trial}: batch winners diverged from sequential insertion on {cands:?}"
+            sequential, streamed,
+            "trial {trial}: streamed winners diverged from sequential insertion on {cands:?}"
         );
     }
 }
@@ -277,7 +272,6 @@ fn batch_matches_sequential_insertion() {
 /// or touches entries below `start`.
 #[test]
 fn batch_equivalence_holds_behind_a_frozen_prefix() {
-    use mpq_cost::CostBatch;
     let policy = PruningPolicy::new(Objective::Single, 6);
     let mut rng = Lcg(7);
     // A prefix cheaper than every candidate: if range insertion consulted
@@ -299,18 +293,14 @@ fn batch_equivalence_holds_behind_a_frozen_prefix() {
             policy.try_insert_range(&mut sequential, prefix.len(), c);
         }
 
-        let mut batch = CostBatch::new();
-        let mut winners = Vec::new();
-        for c in &cands {
-            batch.push(c.cost, c.order);
+        let mut minima = OrderClassMinima::default();
+        for &c in &cands {
+            minima.offer(c);
         }
-        batch.single_objective_winners(&mut winners);
-        let mut batched = prefix.clone();
-        for &w in &winners {
-            policy.try_insert_range(&mut batched, prefix.len(), cands[w as usize]);
-        }
+        let mut streamed = prefix.clone();
+        minima.insert_winners(&policy, &mut streamed, prefix.len());
 
-        assert_eq!(sequential, batched);
+        assert_eq!(sequential, streamed);
         assert_eq!(&sequential[..prefix.len()], &prefix[..], "prefix untouched");
         assert!(sequential.len() > prefix.len(), "tail actually populated");
     }
