@@ -222,7 +222,7 @@ impl OrderClassMinima {
 /// slots are built into before the in-order merge.
 struct Scratch<'q> {
     est: CardinalityEstimator<'q>,
-    split: SplitScratch,
+    split_scratch: SplitScratch,
     minima: OrderClassMinima,
     out: Vec<PlanEntry>,
     /// Finished slots staged in `out`: (dense index, start, len).
@@ -235,7 +235,7 @@ impl<'q> Scratch<'q> {
     fn new(query: &'q Query) -> Self {
         Scratch {
             est: CardinalityEstimator::new(query),
-            split: SplitScratch::default(),
+            split_scratch: SplitScratch::default(),
             minima: OrderClassMinima::default(),
             out: Vec::new(),
             built: Vec::new(),
@@ -256,7 +256,7 @@ fn process_chunk(ctx: &Ctx<'_>, memo: &ArenaMemo, chunk: &[u32], s: &mut Scratch
     };
     let Scratch {
         est,
-        split,
+        split_scratch,
         minima,
         out,
         built,
@@ -266,13 +266,13 @@ fn process_chunk(ctx: &Ctx<'_>, memo: &ArenaMemo, chunk: &[u32], s: &mut Scratch
     for &idx in chunk {
         let set = memo.adm.set_at(idx as usize);
         let slot_start = out.len();
-        for_each_split(&env, set, memo, split, |operands| {
+        for_each_split(&env, set, memo, split_scratch, |split| {
             *splits_tried += 1;
             *plans_generated += match ctx.objective {
-                Objective::Single => join_candidates(est, operands, |c| minima.offer(c)),
+                Objective::Single => join_candidates(est, split, |c| minima.offer(c)),
                 // Pareto pruning has no single-number reduction: every
                 // candidate meets the slot built so far.
-                Objective::Multi { .. } => join_candidates(est, operands, |c| {
+                Objective::Multi { .. } => join_candidates(est, split, |c| {
                     ctx.pruning.try_insert_range(out, slot_start, c);
                 }),
             };
