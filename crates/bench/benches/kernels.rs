@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the optimizer's hot kernels: the per-partition DP
-//! in its three configurations (dense slot memo, arena memo, arena with
-//! intra-worker parallelism), dense-index lookup, admissible-set
-//! enumeration, and the wire codec. These guard the constant factors
-//! behind the paper-level experiments.
+//! in its three configurations (textbook reference loop, streaming arena
+//! kernel, arena with intra-worker parallelism), dense-index lookup,
+//! admissible-set enumeration, and the wire codec. These guard the
+//! constant factors behind the paper-level experiments.
 //!
 //! Emits `BENCH_kernels.json` (see `mpq_bench::report`); the committed
 //! copy at the repo root is the regression baseline for
@@ -12,7 +12,7 @@ use mpq_bench::{full_scale, median, print_table, BenchReport};
 use mpq_cluster::Wire;
 use mpq_cost::Objective;
 use mpq_dp::{
-    optimize_partition, optimize_partition_dense, optimize_partition_parallel, ParallelPolicy,
+    optimize_partition, optimize_partition_parallel, optimize_partition_reference, ParallelPolicy,
 };
 use mpq_model::{JoinGraph, TableSet, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{partition_constraints, AdmissibleSets, PlanSpace};
@@ -43,7 +43,7 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
         let constraints = partition_constraints(tables, space, partitions / 2, partitions);
 
         // The variants must agree before their timings mean anything.
-        let reference = optimize_partition_dense(&q, space, Objective::Single, &constraints);
+        let reference = optimize_partition_reference(&q, space, Objective::Single, &constraints);
         // The exact work behind the timings below, so ns-per-plan can be
         // derived from the committed file.
         report.scalar(
@@ -70,9 +70,9 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
         type Variant<'a> = (&'a str, Box<dyn FnMut() + 'a>);
         let variants: Vec<Variant> = vec![
             (
-                "dense",
+                "reference",
                 Box::new(|| {
-                    black_box(optimize_partition_dense(
+                    black_box(optimize_partition_reference(
                         black_box(&q),
                         space,
                         Objective::Single,
@@ -124,8 +124,8 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
         rows.push(row);
     }
     print_table(
-        "DP kernel median ms (dense slots vs arena vs arena+threads)",
-        &["partition", "dense", "arena", "arena_t2", "arena_t4"],
+        "DP kernel median ms (reference loop vs arena vs arena+threads)",
+        &["partition", "reference", "arena", "arena_t2", "arena_t4"],
         &rows,
     );
 }

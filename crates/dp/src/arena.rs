@@ -1,16 +1,24 @@
-//! Arena-backed memo and the streaming, optionally parallel DP kernel.
+//! The memo (the `P` array of Algorithm 2) and the streaming, optionally
+//! parallel DP kernel.
 //!
-//! [`ArenaMemo`] replaces the per-set `Vec<PlanEntry>` slots of
-//! [`crate::DenseMemo`] with one contiguous entry arena plus per-set
-//! `(start, len)` spans addressed by the dense mixed-radix index of
-//! [`AdmissibleSets`]. Slots are written exactly once, in bulk, when a
-//! set's candidates have been generated and pruned — so the DP inner loop
-//! performs no per-set allocation and reads operand plans from
-//! cache-line-friendly contiguous memory.
+//! [`ArenaMemo`] is the one memo of the crate: it maps each admissible
+//! table set to its surviving plan entries, stored in one contiguous entry
+//! arena with per-set `(start, len)` spans addressed by the dense
+//! mixed-radix index of [`AdmissibleSets`] — O(1) lookup, no hashing, and
+//! sized to the partition, so memory shrinks with the constraint count
+//! exactly as Theorem 4 predicts. Single tables are stored separately: the
+//! paper notes that singleton sets need not be part of the admissible-set
+//! enumeration because scans are always constructed (Section 4.2). Slots
+//! are written exactly once, when a set's candidates have been generated
+//! and pruned — one at a time by the slot-at-a-time traversals
+//! ([`ArenaMemo::push_slot`]), a whole level chunk at a time by the
+//! streaming kernel — so the DP inner loop performs no per-set allocation
+//! and reads operand plans from cache-line-friendly contiguous memory.
 //!
 //! [`optimize_partition_parallel`] is the kernel built on it. It produces
-//! results **bit-identical** to the slot-based reference kernel
-//! ([`crate::worker::optimize_partition_dense`]) for every thread count:
+//! results **bit-identical** to the textbook reference loop
+//! ([`crate::worker::optimize_partition_reference`]) for every thread
+//! count:
 //!
 //! * Candidates for a set come from the same split enumeration and the
 //!   same candidate loop as the reference kernel's (`for_each_split`,
@@ -30,12 +38,11 @@
 //!   by construction (the serial kernel runs the very same level loop with
 //!   one chunk), and by the `kernel_differential` test suite.
 
-use crate::memo::MemoStore;
 use crate::stats::WorkerStats;
 use crate::worker::{
-    finish, for_each_split, join_candidates, PartitionOutcome, SplitEnv, SplitScratch,
+    finish, for_each_split, join_candidates, seed_scans, PartitionOutcome, SplitEnv, SplitScratch,
 };
-use mpq_cost::{CardinalityEstimator, Objective, ScanOp};
+use mpq_cost::{CardinalityEstimator, Objective};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
 use mpq_plan::{PlanEntry, PruningPolicy};
@@ -80,10 +87,8 @@ impl Default for ParallelPolicy {
     }
 }
 
-/// Arena-backed memo: one contiguous entry array, per-set spans addressed
-/// by the dense admissible-set index. Implements only the read side of the
-/// memo interface ([`MemoStore`]) — slots are write-once spans, not
-/// takeable `Vec`s.
+/// The memo: one contiguous entry array, per-set write-once spans
+/// addressed by the dense admissible-set index, scans kept apart.
 pub struct ArenaMemo {
     adm: AdmissibleSets,
     arena: Vec<PlanEntry>,
@@ -117,11 +122,12 @@ impl ArenaMemo {
         let (s, l) = self.spans[idx];
         &self.arena[s as usize..(s as usize + l as usize)]
     }
-}
 
-impl MemoStore for ArenaMemo {
+    /// Plan entries stored for `set`. Singleton sets resolve to the scan
+    /// entries; inadmissible or not-yet-written sets resolve to an empty
+    /// slice.
     #[inline]
-    fn entries(&self, set: TableSet) -> &[PlanEntry] {
+    pub fn entries(&self, set: TableSet) -> &[PlanEntry] {
         if set.len() == 1 {
             return &self.singles[set.min_table().expect("non-empty")];
         }
@@ -131,22 +137,52 @@ impl MemoStore for ArenaMemo {
         }
     }
 
+    /// Scan entries for single table `t`.
     #[inline]
-    fn single_entries(&self, t: usize) -> &[PlanEntry] {
+    pub fn single_entries(&self, t: usize) -> &[PlanEntry] {
         &self.singles[t]
     }
 
-    fn single_slot_mut(&mut self, t: usize) -> &mut Vec<PlanEntry> {
+    /// Mutable access to the scan entries of table `t` (seeding).
+    pub fn single_slot_mut(&mut self, t: usize) -> &mut Vec<PlanEntry> {
         &mut self.singles[t]
     }
 
-    fn stored_sets(&self) -> u64 {
+    /// Writes the finished slot of the set at dense index `idx` — the
+    /// write side of the slot-at-a-time traversals (the streaming kernel
+    /// merges whole level chunks instead). Slots are write-once, because
+    /// parents refer to entries by position: a second write of a non-empty
+    /// slot is refused (`false`) and changes nothing.
+    pub fn push_slot(&mut self, idx: usize, entries: &[PlanEntry]) -> bool {
+        if self.spans[idx].1 > 0 {
+            return false;
+        }
+        let start = u32::try_from(self.arena.len()).expect("arena entry count fits u32");
+        let len = u32::try_from(entries.len()).expect("slot length fits u32");
+        self.arena.extend_from_slice(entries);
+        self.spans[idx] = (start, len);
+        true
+    }
+
+    /// [`ArenaMemo::push_slot`] addressed by table set; `false` also for a
+    /// set that is inadmissible in this partition (it has no slot).
+    pub fn push_slot_of(&mut self, set: TableSet, entries: &[PlanEntry]) -> bool {
+        match self.adm.index_of(set) {
+            Some(idx) => self.push_slot(idx, entries),
+            None => false,
+        }
+    }
+
+    /// Number of table sets (including single tables) with at least one
+    /// stored entry — the paper's "Memory (relations)" metric.
+    pub fn stored_sets(&self) -> u64 {
         let sets = self.spans.iter().filter(|&&(_, l)| l > 0).count();
         let singles = self.singles.iter().filter(|s| !s.is_empty()).count();
         (sets + singles) as u64
     }
 
-    fn total_entries(&self) -> u64 {
+    /// Total number of stored entries.
+    pub fn total_entries(&self) -> u64 {
         // Every arena entry belongs to exactly one span (slots are written
         // once, already pruned), so the arena length is the entry total.
         let singles: usize = self.singles.iter().map(Vec::len).sum();
@@ -308,9 +344,9 @@ fn merge_scratch(memo: &mut ArenaMemo, s: &mut Scratch<'_>, stats: &mut WorkerSt
 /// (thread wake-up costs more than a few tiny slots).
 const MIN_SETS_PER_THREAD: usize = 2;
 
-/// Optimizes one partition with the arena memo, streaming pruning, and
-/// optional intra-worker parallelism. Bit-identical to the slot-based
-/// reference kernel for every `policy` (see the module docs for why).
+/// Optimizes one partition with streaming pruning and optional
+/// intra-worker parallelism. Bit-identical to the reference loop for every
+/// `policy` (see the module docs for why).
 pub fn optimize_partition_parallel(
     query: &Query,
     space: PlanSpace,
@@ -329,14 +365,7 @@ pub fn optimize_partition_parallel(
     // first, so a serial run allocates exactly one cardinality table.
     let mut scratches: Vec<Scratch<'_>> = (0..threads).map(|_| Scratch::new(query)).collect();
 
-    // Seed scans for single tables (Algorithm 2, lines 9-11).
-    for t in 0..n {
-        let cost = ScanOp::Full.cost(&mut scratches[0].est, t);
-        pruning.try_insert(
-            memo.single_slot_mut(t),
-            PlanEntry::scan(t as u8, ScanOp::Full, cost),
-        );
-    }
+    seed_scans(&mut memo, &mut scratches[0].est, &pruning);
 
     // Group the admissible sets into ascending-cardinality levels. A set
     // reads only strictly smaller sets, so the sets of one level are
@@ -390,14 +419,14 @@ pub fn optimize_partition_parallel(
     }
 
     stats.threads_used = peak_threads;
-    finish(query, &memo, &mut scratches[0].est, &pruning, stats, start)
+    finish(&memo, &mut scratches[0].est, &pruning, stats, start)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{optimize_partition_dense, optimize_serial};
-    use mpq_cost::{CostVector, Order};
+    use crate::worker::{optimize_partition_reference, optimize_serial};
+    use mpq_cost::{CostVector, Order, ScanOp};
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_partition::{partition_constraints, Grouping};
     use mpq_plan::PlanNode;
@@ -474,13 +503,72 @@ mod tests {
         assert!(reduce(&mut minima, &[]).is_empty());
     }
 
+    fn entry(time: f64) -> PlanEntry {
+        PlanEntry::scan(0, ScanOp::Full, CostVector::new(time, 0.0))
+    }
+
+    /// A memo for partition `id` of `m` of a linear `n`-table query.
+    fn memo(n: usize, id: u64, m: u64) -> ArenaMemo {
+        let cs = partition_constraints(n, PlanSpace::Linear, id, m);
+        ArenaMemo::new(AdmissibleSets::new(&cs))
+    }
+
+    #[test]
+    fn push_slot_is_write_once() {
+        let mut memo = memo(6, 1, 4);
+        let set = TableSet::from_tables([0, 1, 4]);
+        let idx = memo.admissible().index_of(set).unwrap();
+        assert!(memo.push_slot(idx, &[entry(5.0), entry(6.0)]));
+        // Written by index, read back by set.
+        assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
+        assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
+        // Parents refer to entries by position: a rewrite is refused, by
+        // index and by set, and changes nothing.
+        assert!(!memo.push_slot(idx, &[entry(1.0)]));
+        assert!(!memo.push_slot_of(set, &[entry(1.0)]));
+        assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
+        assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
+    }
+
+    #[test]
+    fn inadmissible_set_has_no_slot() {
+        let mut memo = memo(4, 0, 2); // Q0 ≺ Q1
+        let set = TableSet::from_tables([1, 2]);
+        assert!(!memo.push_slot_of(set, &[entry(3.0)]));
+        assert!(memo.entries(set).is_empty());
+        assert_eq!((memo.stored_sets(), memo.total_entries()), (0, 0));
+    }
+
+    #[test]
+    fn unwritten_admissible_set_is_empty() {
+        let mut memo = memo(4, 0, 2);
+        let (written, unwritten) = (TableSet::from_tables([0, 1]), TableSet::from_tables([0, 3]));
+        assert!(memo.push_slot_of(written, &[entry(7.0)]));
+        assert!(memo.admissible().is_admissible(unwritten));
+        assert!(memo.entries(unwritten).is_empty());
+    }
+
+    #[test]
+    fn singles_are_separate_from_the_admissible_index() {
+        let mut memo = memo(4, 0, 2);
+        memo.single_slot_mut(2).push(entry(1.0));
+        assert_eq!(memo.single_entries(2).len(), 1);
+        assert_eq!(memo.entries(TableSet::singleton(2)).len(), 1);
+        // Table 1 is inadmissible as a set under Q0 ≺ Q1, but its scan is
+        // still reachable via the singles path.
+        assert!(!memo.admissible().is_admissible(TableSet::singleton(1)));
+        memo.single_slot_mut(1).push(entry(2.0));
+        assert_eq!(memo.entries(TableSet::singleton(1)).len(), 1);
+        assert_eq!((memo.stored_sets(), memo.total_entries()), (2, 2));
+    }
+
     #[test]
     fn arena_matches_dense_reference_serial() {
         for seed in 0..4 {
             let q = query(7, seed);
             for space in [PlanSpace::Linear, PlanSpace::Bushy] {
                 let cs = ConstraintSet::unconstrained(Grouping::new(7, space));
-                let dense = optimize_partition_dense(&q, space, Objective::Single, &cs);
+                let reference = optimize_partition_reference(&q, space, Objective::Single, &cs);
                 let arena = optimize_partition_parallel(
                     &q,
                     space,
@@ -489,14 +577,14 @@ mod tests {
                     ParallelPolicy::serial(),
                 );
                 assert_eq!(
-                    dense.plans[0].cost().time.to_bits(),
+                    reference.plans[0].cost().time.to_bits(),
                     arena.plans[0].cost().time.to_bits(),
                     "seed {seed} {space:?}"
                 );
-                assert_eq!(dense.stats.splits_tried, arena.stats.splits_tried);
-                assert_eq!(dense.stats.plans_generated, arena.stats.plans_generated);
-                assert_eq!(dense.stats.stored_sets, arena.stats.stored_sets);
-                assert_eq!(dense.stats.total_entries, arena.stats.total_entries);
+                assert_eq!(reference.stats.splits_tried, arena.stats.splits_tried);
+                assert_eq!(reference.stats.plans_generated, arena.stats.plans_generated);
+                assert_eq!(reference.stats.stored_sets, arena.stats.stored_sets);
+                assert_eq!(reference.stats.total_entries, arena.stats.total_entries);
             }
         }
     }
@@ -514,7 +602,7 @@ mod tests {
                 };
                 for id in [0u64, 3, m - 1] {
                     let cs = partition_constraints(8, space, id, m);
-                    let dense = optimize_partition_dense(&q, space, Objective::Single, &cs);
+                    let reference = optimize_partition_reference(&q, space, Objective::Single, &cs);
                     let arena = optimize_partition_parallel(
                         &q,
                         space,
@@ -523,7 +611,7 @@ mod tests {
                         ParallelPolicy::serial(),
                     );
                     assert_eq!(
-                        dense.plans[0].cost().time.to_bits(),
+                        reference.plans[0].cost().time.to_bits(),
                         arena.plans[0].cost().time.to_bits(),
                         "seed {seed} {space:?} partition {id}"
                     );
@@ -572,7 +660,7 @@ mod tests {
         let q = query(6, 60);
         let cs = ConstraintSet::unconstrained(Grouping::new(6, PlanSpace::Bushy));
         let obj = Objective::Multi { alpha: 1.0 };
-        let dense = optimize_partition_dense(&q, PlanSpace::Bushy, obj, &cs);
+        let reference = optimize_partition_reference(&q, PlanSpace::Bushy, obj, &cs);
         for t in [1usize, 3] {
             let arena = optimize_partition_parallel(
                 &q,
@@ -581,8 +669,8 @@ mod tests {
                 &cs,
                 ParallelPolicy::with_threads(t),
             );
-            assert_eq!(dense.plans.len(), arena.plans.len(), "threads {t}");
-            for (d, a) in dense.plans.iter().zip(arena.plans.iter()) {
+            assert_eq!(reference.plans.len(), arena.plans.len(), "threads {t}");
+            for (d, a) in reference.plans.iter().zip(arena.plans.iter()) {
                 assert_eq!(d.cost().time.to_bits(), a.cost().time.to_bits());
                 assert_eq!(d.cost().buffer.to_bits(), a.cost().buffer.to_bits());
             }

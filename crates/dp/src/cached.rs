@@ -15,7 +15,7 @@
 
 use crate::arena::{optimize_partition_parallel, ParallelPolicy};
 use crate::topdown::optimize_partition_topdown;
-use crate::worker::{optimize_partition_id, optimize_serial, PartitionOutcome};
+use crate::worker::PartitionOutcome;
 use crate::WorkerStats;
 use mpq_cost::Objective;
 use mpq_model::Query;
@@ -67,15 +67,30 @@ pub fn partition_cache_key(
     b.finish()
 }
 
-fn hit_outcome(plans: Vec<Plan>) -> PartitionOutcome {
-    PartitionOutcome {
-        plans,
-        stats: WorkerStats::default(),
+/// The one probe → run → insert body behind every wrapper. Returns the
+/// outcome and whether it was served from the cache.
+fn through_cache(
+    cache: &mut PlanCache,
+    key: impl FnOnce() -> CacheKey,
+    run: impl FnOnce() -> PartitionOutcome,
+) -> (PartitionOutcome, bool) {
+    if !cache.is_enabled() {
+        // No key construction, no plan clone: the disabled path is the
+        // pre-cache hot path, byte for byte.
+        return (run(), false);
     }
+    let key = key();
+    if let Some(plans) = cache.get(&key) {
+        let stats = WorkerStats::default();
+        return (PartitionOutcome { plans, stats }, true);
+    }
+    let out = run();
+    cache.insert(key, out.plans.clone());
+    (out, false)
 }
 
-/// [`optimize_partition_id`] through the cache. Returns the outcome and
-/// whether it was served from the cache.
+/// [`crate::optimize_partition_id`] through the cache. Returns the outcome
+/// and whether it was served from the cache.
 pub fn optimize_partition_id_cached(
     query: &Query,
     space: PlanSpace,
@@ -84,36 +99,17 @@ pub fn optimize_partition_id_cached(
     partitions: u64,
     cache: &mut PlanCache,
 ) -> (PartitionOutcome, bool) {
-    if !cache.is_enabled() {
-        // No key construction, no plan clone: the disabled path is the
-        // pre-cache hot path, byte for byte.
-        return (
-            optimize_partition_id(query, space, objective, part_id, partitions),
-            false,
-        );
-    }
-    let key = partition_cache_key(
-        query,
-        ENGINE_BOTTOM_UP,
-        space,
-        objective,
-        part_id,
-        partitions,
-    );
-    if let Some(plans) = cache.get(&key) {
-        return (hit_outcome(plans), true);
-    }
-    let out = optimize_partition_id(query, space, objective, part_id, partitions);
-    cache.insert(key, out.plans.clone());
-    (out, false)
+    let policy = ParallelPolicy::serial();
+    optimize_partition_id_cached_parallel(
+        query, space, objective, part_id, partitions, policy, cache,
+    )
 }
 
 /// [`optimize_partition_id_cached`] with an intra-worker
-/// [`ParallelPolicy`]. The cache key is deliberately the same as the
-/// serial bottom-up key: the parallel kernel is bit-identical to the
-/// serial one, so entries may be shared freely across thread counts — a
-/// hit produced at any parallelism is byte-identical to recomputation at
-/// any other.
+/// [`ParallelPolicy`]. The cache key is deliberately the same for every
+/// policy: the parallel kernel is bit-identical to the serial one, so
+/// entries may be shared freely across thread counts — a hit produced at
+/// any parallelism is byte-identical to recomputation at any other.
 pub fn optimize_partition_id_cached_parallel(
     query: &Query,
     space: PlanSpace,
@@ -123,53 +119,36 @@ pub fn optimize_partition_id_cached_parallel(
     policy: ParallelPolicy,
     cache: &mut PlanCache,
 ) -> (PartitionOutcome, bool) {
-    if !policy.is_parallel() {
-        // Serial policy: exactly the existing path (itself routed through
-        // the arena kernel).
-        return optimize_partition_id_cached(query, space, objective, part_id, partitions, cache);
-    }
-    let run = |query: &Query| {
-        let constraints = partition_constraints(query.num_tables(), space, part_id, partitions);
-        optimize_partition_parallel(query, space, objective, &constraints, policy)
-    };
-    if !cache.is_enabled() {
-        return (run(query), false);
-    }
-    let key = partition_cache_key(
-        query,
-        ENGINE_BOTTOM_UP,
-        space,
-        objective,
-        part_id,
-        partitions,
-    );
-    if let Some(plans) = cache.get(&key) {
-        return (hit_outcome(plans), true);
-    }
-    let out = run(query);
-    cache.insert(key, out.plans.clone());
-    (out, false)
+    through_cache(
+        cache,
+        || {
+            partition_cache_key(
+                query,
+                ENGINE_BOTTOM_UP,
+                space,
+                objective,
+                part_id,
+                partitions,
+            )
+        },
+        || {
+            let constraints = partition_constraints(query.num_tables(), space, part_id, partitions);
+            optimize_partition_parallel(query, space, objective, &constraints, policy)
+        },
+    )
 }
 
-/// [`optimize_serial`] through the cache (the unconstrained partition
-/// `0 of 1`). Returns the outcome and whether it was served from the
-/// cache.
+/// [`crate::optimize_serial`] through the cache: the unconstrained
+/// partition `0 of 1`, so serial entries and `(0, 1)` partition entries
+/// are the same entries. Returns the outcome and whether it was served
+/// from the cache.
 pub fn optimize_serial_cached(
     query: &Query,
     space: PlanSpace,
     objective: Objective,
     cache: &mut PlanCache,
 ) -> (PartitionOutcome, bool) {
-    if !cache.is_enabled() {
-        return (optimize_serial(query, space, objective), false);
-    }
-    let key = partition_cache_key(query, ENGINE_BOTTOM_UP, space, objective, 0, 1);
-    if let Some(plans) = cache.get(&key) {
-        return (hit_outcome(plans), true);
-    }
-    let out = optimize_serial(query, space, objective);
-    cache.insert(key, out.plans.clone());
-    (out, false)
+    optimize_partition_id_cached(query, space, objective, 0, 1, cache)
 }
 
 /// [`optimize_partition_topdown`] through the cache, for the partition
@@ -183,32 +162,29 @@ pub fn optimize_partition_topdown_cached(
     partitions: u64,
     cache: &mut PlanCache,
 ) -> (PartitionOutcome, bool) {
-    let constraints = partition_constraints(query.num_tables(), space, part_id, partitions);
-    if !cache.is_enabled() {
-        return (
-            optimize_partition_topdown(query, space, objective, &constraints),
-            false,
-        );
-    }
-    let key = partition_cache_key(
-        query,
-        ENGINE_TOP_DOWN,
-        space,
-        objective,
-        part_id,
-        partitions,
-    );
-    if let Some(plans) = cache.get(&key) {
-        return (hit_outcome(plans), true);
-    }
-    let out = optimize_partition_topdown(query, space, objective, &constraints);
-    cache.insert(key, out.plans.clone());
-    (out, false)
+    through_cache(
+        cache,
+        || {
+            partition_cache_key(
+                query,
+                ENGINE_TOP_DOWN,
+                space,
+                objective,
+                part_id,
+                partitions,
+            )
+        },
+        || {
+            let constraints = partition_constraints(query.num_tables(), space, part_id, partitions);
+            optimize_partition_topdown(query, space, objective, &constraints)
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::{optimize_partition_id, optimize_serial};
     use mpq_model::{TableStats, WorkloadConfig, WorkloadGenerator};
 
     fn query(n: usize, seed: u64) -> Query {
@@ -257,6 +233,24 @@ mod tests {
         assert!(hit);
         let fresh = optimize_partition_id(&q, PlanSpace::Linear, Objective::Single, 2, 4);
         assert_eq!(out.plans, fresh.plans);
+    }
+
+    #[test]
+    fn serial_and_partition_zero_of_one_share_entries() {
+        let mut cache = PlanCache::new(1 << 20);
+        let (a, b) = (query(5, 21), query(5, 22));
+        let (space, obj) = (PlanSpace::Bushy, Objective::Single);
+        let (cold, hit) = optimize_serial_cached(&a, space, obj, &mut cache);
+        assert!(!hit);
+        let (warm, hit) = optimize_partition_id_cached(&a, space, obj, 0, 1, &mut cache);
+        assert!(hit, "partition 0 of 1 is the serial problem");
+        assert_eq!(warm.plans, cold.plans);
+        // And the other way round.
+        let (cold, hit) = optimize_partition_id_cached(&b, space, obj, 0, 1, &mut cache);
+        assert!(!hit);
+        let (warm, hit) = optimize_serial_cached(&b, space, obj, &mut cache);
+        assert!(hit);
+        assert_eq!(warm.plans, cold.plans);
     }
 
     #[test]

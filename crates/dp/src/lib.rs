@@ -18,12 +18,14 @@
 //! in the same order", Section 6.2); [`optimize_serial`] exposes exactly
 //! that.
 //!
-//! Three memo layouts are provided: the **arena** layout ([`arena`] — one
-//! contiguous entry array with per-set spans, streaming pruning, optional
-//! intra-worker parallelism via [`ParallelPolicy`]; the default), the
-//! **dense** mixed-radix slot layout ([`memo`] — the pre-arena reference
-//! kernel and differential baseline), and a **hash-map** layout kept as an
-//! ablation baseline.
+//! There is one memo, [`ArenaMemo`] ([`arena`] — one contiguous entry
+//! array with write-once per-set spans addressed by the dense
+//! admissible-set index), and two ways to fill it bottom-up: the streaming
+//! kernel ([`optimize_partition_parallel`] — per-order-class minima,
+//! optional intra-worker parallelism via [`ParallelPolicy`]; the default)
+//! and the textbook slot-at-a-time loop ([`optimize_partition_reference`])
+//! that the differential suites hold it to, bit for bit. Top-down,
+//! parametric and SMA's per-set enumeration run on the same memo.
 //!
 //! [`cached`] wraps the partition optimizers in the cross-query memo
 //! cache (`mpq_plan::cache`): repeated subproblems — same canonical query
@@ -34,7 +36,6 @@
 
 pub mod arena;
 pub mod cached;
-pub mod memo;
 pub mod naive;
 pub mod parametric;
 pub mod reconstruct;
@@ -49,7 +50,6 @@ pub use cached::{
     optimize_partition_id_cached, optimize_partition_id_cached_parallel,
     optimize_partition_topdown_cached, optimize_serial_cached, push_scope, PlanCache,
 };
-pub use memo::{DenseMemo, HashMemo, MemoStore, SlotMemo};
 pub use naive::{exhaustive_frontier, exhaustive_linear_best_time};
 pub use parametric::{
     interpolate, merge_parametric, optimize_parametric, optimize_parametric_partition, pick_for,
@@ -59,6 +59,6 @@ pub use reconstruct::reconstruct_plan;
 pub use stats::WorkerStats;
 pub use topdown::optimize_partition_topdown;
 pub use worker::{
-    compute_entries_for_set, optimize_partition, optimize_partition_dense, optimize_partition_id,
-    optimize_partition_with, optimize_serial, PartitionOutcome,
+    complete_plans, compute_entries_for_set, optimize_partition, optimize_partition_id,
+    optimize_partition_reference, optimize_serial, seed_scans, PartitionOutcome,
 };

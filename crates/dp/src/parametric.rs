@@ -18,10 +18,11 @@
 //! an optimal plan for every θ endpoint and a near-optimal one across the
 //! range; [`pick_for`] selects from the set at run time once θ is known.
 
-use crate::memo::{DenseMemo, MemoStore, SlotMemo};
+use crate::arena::ArenaMemo;
 use crate::stats::WorkerStats;
+use crate::worker::{complete_plans, for_each_split_filtered, SplitEnv};
 use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, JOIN_OPS};
-use mpq_model::{Query, TableSet};
+use mpq_model::Query;
 use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::{Plan, PlanEntry, PlanNode, PruningPolicy};
 use std::time::Instant;
@@ -100,8 +101,7 @@ pub fn optimize_parametric_partition(
 ) -> ParametricOutcome {
     let start = Instant::now();
     let n = pq.num_tables();
-    let adm = AdmissibleSets::new(constraints);
-    let mut memo = DenseMemo::new(adm.clone());
+    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
     // Exact bi-scenario Pareto pruning: reuse the multi-objective policy
     // with α = 1 over the (low, high) cost pair stored in a CostVector.
     let policy = PruningPolicy::new(Objective::Multi { alpha: 1.0 }, n);
@@ -123,36 +123,24 @@ pub fn optimize_parametric_partition(
         policy.try_insert(memo.single_slot_mut(t), entry);
     }
 
-    for idx in 0..adm.len() {
-        let set = adm.set_at(idx);
+    let mut slot = Vec::new();
+    for idx in 0..memo.admissible().len() {
+        let set = memo.admissible().set_at(idx);
         if set.len() < 2 {
             continue;
         }
-        let mut slot = memo.take_slot(set);
         // Left-deep splits with the constraint check; bushy splits via
         // filtered enumeration (simplicity over the product construction
         // here — correctness is identical).
-        let splits: Vec<(TableSet, TableSet)> = match space {
-            PlanSpace::Linear => set
-                .iter()
-                .filter(|&u| constraints.may_join_last(u, set))
-                .map(|u| (set.remove(u), TableSet::singleton(u)))
-                .collect(),
-            PlanSpace::Bushy => set
-                .proper_subsets()
-                .filter(|&l| {
-                    let r = set.difference(l);
-                    (l.len() == 1 || adm.is_admissible(l)) && (r.len() == 1 || adm.is_admissible(r))
-                })
-                .map(|l| (l, set.difference(l)))
-                .collect(),
+        let env = SplitEnv {
+            space,
+            constraints,
+            adm: memo.admissible(),
         };
-        for (l, r) in splits {
+        for_each_split_filtered(&env, set, |l, r| {
             stats.splits_tried += 1;
-            let left_entries = memo.entries(l).to_vec();
-            let right_entries = memo.entries(r).to_vec();
-            for (li, le) in left_entries.iter().enumerate() {
-                for (ri, re) in right_entries.iter().enumerate() {
+            for (li, le) in memo.entries(l).iter().enumerate() {
+                for (ri, re) in memo.entries(r).iter().enumerate() {
                     for op in JOIN_OPS {
                         let Some(al) = op.apply(&mut lo, l, r, le.order, re.order) else {
                             continue;
@@ -174,33 +162,19 @@ pub fn optimize_parametric_partition(
                     }
                 }
             }
-        }
-        memo.put_slot(set, slot);
+        });
+        memo.push_slot(idx, &slot);
+        slot.clear();
     }
 
-    let full = TableSet::full(n);
-    let entries: Vec<PlanEntry> = memo.entries(full).to_vec();
-    let mut plans: Vec<(Plan, CostVector)> = entries
-        .iter()
-        .map(|e| {
-            (
-                crate::reconstruct::reconstruct_plan(&memo, &mut lo, full, e),
-                e.cost,
-            )
+    // Each complete plan carries its (low, high) cost pair at the root.
+    let mut plans: Vec<(Plan, CostVector)> = complete_plans(&memo, &mut lo)
+        .into_iter()
+        .map(|p| {
+            let cost = p.cost();
+            (p, cost)
         })
         .collect();
-    if n == 1 {
-        plans = memo
-            .single_entries(0)
-            .iter()
-            .map(|e| {
-                (
-                    crate::reconstruct::reconstruct_plan(&memo, &mut lo, TableSet::singleton(0), e),
-                    e.cost,
-                )
-            })
-            .collect();
-    }
     // Final prune on completed plans: exact bi-scenario frontier.
     prune_frontier(&mut plans);
     stats.stored_sets = memo.stored_sets();

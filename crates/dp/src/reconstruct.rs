@@ -5,7 +5,7 @@
 //! returns its partition-optimal plan to the master is the full O(n) tree
 //! materialized and serialized (`b_p` bytes, Theorem 1).
 
-use crate::memo::MemoStore;
+use crate::arena::ArenaMemo;
 use mpq_cost::CardinalityEstimator;
 use mpq_model::TableSet;
 use mpq_plan::{Plan, PlanEntry, PlanNode};
@@ -17,8 +17,8 @@ use mpq_plan::{Plan, PlanEntry, PlanNode};
 /// Panics if a child reference points at a missing memo entry — that would
 /// mean the memo was mutated after the entry was created, which the DP's
 /// finalize-before-reference order rules out.
-pub fn reconstruct_plan<M: MemoStore>(
-    memo: &M,
+pub fn reconstruct_plan(
+    memo: &ArenaMemo,
     est: &mut CardinalityEstimator<'_>,
     set: TableSet,
     entry: &PlanEntry,

@@ -12,17 +12,19 @@
 //!
 //! Unlike the bottom-up DP, sets unreachable from the root are never
 //! expanded; on constrained partitions this can visit fewer sets than the
-//! admissible-set count (which the `partition_work_not_above_bottom_up`
-//! test demonstrates).
+//! admissible-set count (`topdown_stores_no_more_sets_than_admissible`
+//! checks the bound).
 
-use crate::memo::{HashMemo, MemoStore, SlotMemo};
+use crate::arena::ArenaMemo;
 use crate::stats::WorkerStats;
-use crate::worker::{combine_operands, finish, PartitionOutcome, Split};
-use mpq_cost::{CardinalityEstimator, Objective, ScanOp};
+use crate::worker::{
+    combine_operands, finish, for_each_split_filtered, seed_scans, PartitionOutcome, Split,
+    SplitEnv,
+};
+use mpq_cost::{CardinalityEstimator, Objective};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
-use mpq_plan::{PlanEntry, PruningPolicy};
-use std::collections::HashSet;
+use mpq_plan::PruningPolicy;
 use std::time::Instant;
 
 /// Optimizes one partition by memoized top-down enumeration. Produces the
@@ -36,120 +38,72 @@ pub fn optimize_partition_topdown(
     let start = Instant::now();
     let n = query.num_tables();
     let adm = AdmissibleSets::new(constraints);
-    let mut est = CardinalityEstimator::new(query);
-    let policy = PruningPolicy::new(objective, n);
-    let mut memo = HashMemo::new(n);
-    let mut stats = WorkerStats::default();
-    for t in 0..n {
-        let cost = ScanOp::Full.cost(&mut est, t);
-        policy.try_insert(
-            memo.single_slot_mut(t),
-            PlanEntry::scan(t as u8, ScanOp::Full, cost),
-        );
-    }
-    let mut expanded: HashSet<u64> = HashSet::new();
-    let full = TableSet::full(n);
-    expand(
-        query,
-        space,
-        &policy,
-        constraints,
-        &adm,
-        full,
-        &mut memo,
-        &mut est,
-        &mut expanded,
-        &mut stats,
-    );
-    finish(query, &memo, &mut est, &policy, stats, start)
+    let mut run = TopDown {
+        env: SplitEnv {
+            space,
+            constraints,
+            adm: &adm,
+        },
+        policy: PruningPolicy::new(objective, n),
+        memo: ArenaMemo::new(adm.clone()),
+        est: CardinalityEstimator::new(query),
+        expanded: vec![false; adm.len()],
+        stats: WorkerStats::default(),
+    };
+    seed_scans(&mut run.memo, &mut run.est, &run.policy);
+    run.expand(TableSet::full(n));
+    finish(&run.memo, &mut run.est, &run.policy, run.stats, start)
 }
 
-/// Invokes `f` for every admissible split of `set`, in the enumeration
-/// order of the bottom-up worker. Iterator-style so callers can walk the
-/// splits twice (recursion pass, combine pass) without materializing them.
-fn for_each_split<F: FnMut(TableSet, TableSet)>(
-    space: PlanSpace,
-    set: TableSet,
-    constraints: &ConstraintSet,
-    adm: &AdmissibleSets,
-    mut f: F,
-) {
-    match space {
-        PlanSpace::Linear => {
-            for u in set.iter() {
-                if constraints.may_join_last(u, set) {
-                    f(set.remove(u), TableSet::singleton(u));
-                }
-            }
-        }
-        PlanSpace::Bushy => {
-            for l in set.proper_subsets() {
-                let r = set.difference(l);
-                if (l.len() == 1 || adm.is_admissible(l)) && (r.len() == 1 || adm.is_admissible(r))
-                {
-                    f(l, r);
-                }
-            }
-        }
-    }
+/// State of one top-down run.
+struct TopDown<'a, 'q> {
+    env: SplitEnv<'a>,
+    policy: PruningPolicy,
+    memo: ArenaMemo,
+    est: CardinalityEstimator<'q>,
+    /// Which admissible sets have been expanded, by dense index.
+    expanded: Vec<bool>,
+    stats: WorkerStats,
 }
 
-/// Recursively materializes the optimal entries for `set`, expanding each
-/// admissible set at most once.
-#[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
-fn expand(
-    query: &Query,
-    space: PlanSpace,
-    policy: &PruningPolicy,
-    constraints: &ConstraintSet,
-    adm: &AdmissibleSets,
-    set: TableSet,
-    memo: &mut HashMemo,
-    est: &mut CardinalityEstimator<'_>,
-    expanded: &mut HashSet<u64>,
-    stats: &mut WorkerStats,
-) {
-    if set.len() < 2 || !expanded.insert(set.bits()) {
-        return;
+impl TopDown<'_, '_> {
+    /// Recursively materializes the optimal entries for `set`, expanding
+    /// each admissible set at most once.
+    fn expand(&mut self, set: TableSet) {
+        if set.len() < 2 {
+            return;
+        }
+        let Some(idx) = self.env.adm.index_of(set) else {
+            return;
+        };
+        if std::mem::replace(&mut self.expanded[idx], true) {
+            return;
+        }
+        let env = self.env;
+        // Recursion pass: children must be final before we combine. The
+        // split walk is repeated below instead of materialized — split
+        // enumeration is cheap next to plan generation, and this keeps the
+        // expansion allocation-free.
+        for_each_split_filtered(&env, set, |l, r| {
+            self.expand(l);
+            self.expand(r);
+        });
+        // Combine pass: the slot is built outside the memo, so the child
+        // entry slices can be read straight from the memo without cloning.
+        let mut slot = Vec::new();
+        for_each_split_filtered(&env, set, |l, r| {
+            self.stats.splits_tried += 1;
+            let split = Split::of(&self.memo, l, r);
+            combine_operands(
+                split,
+                &mut self.est,
+                &self.policy,
+                &mut slot,
+                &mut self.stats,
+            );
+        });
+        self.memo.push_slot(idx, &slot);
     }
-    // Recursion pass: children must be final before we combine. The split
-    // walk is repeated below instead of materialized — split enumeration
-    // is cheap next to plan generation, and this keeps the expansion
-    // allocation-free.
-    for_each_split(space, set, constraints, adm, |l, r| {
-        expand(
-            query,
-            space,
-            policy,
-            constraints,
-            adm,
-            l,
-            memo,
-            est,
-            expanded,
-            stats,
-        );
-        expand(
-            query,
-            space,
-            policy,
-            constraints,
-            adm,
-            r,
-            memo,
-            est,
-            expanded,
-            stats,
-        );
-    });
-    // Combine pass: the slot is taken out of the memo, so the child entry
-    // slices can be read straight from the memo without cloning.
-    let mut slot = memo.take_slot(set);
-    for_each_split(space, set, constraints, adm, |l, r| {
-        stats.splits_tried += 1;
-        combine_operands(Split::of(&*memo, l, r), est, policy, &mut slot, stats);
-    });
-    memo.put_slot(set, slot);
 }
 
 #[cfg(test)]

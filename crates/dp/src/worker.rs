@@ -4,7 +4,10 @@
 //! `optimize_partition*` run the complete per-partition dynamic program:
 //! decode constraints → enumerate admissible join results → seed scans →
 //! bottom-up DP over admissible sets → reconstruct the partition-optimal
-//! plan(s).
+//! plan(s). Two kernels fill the one memo ([`ArenaMemo`]): the streaming
+//! kernel of [`crate::arena`] (the default, behind [`optimize_partition`])
+//! and the textbook slot-at-a-time loop ([`optimize_partition_reference`])
+//! that the differential suites hold it to, bit for bit.
 //!
 //! Split enumeration (`for_each_split`) differs by plan space, as in
 //! the paper:
@@ -17,15 +20,18 @@
 //! * **Bushy**: build only the *admissible* operand pairs as a Cartesian
 //!   product of per-group admissible split parts — never generating
 //!   inadmissible splits, which is where the 21/27 time factor of
-//!   Theorem 7 comes from. A filter-after-enumerate variant
-//!   (`try_splits_bushy_filtered`) is kept for the `ablation_splits`
-//!   benchmark.
+//!   Theorem 7 comes from.
 //!
-//! Every kernel in the crate turns a split into plans through the one
+//! `for_each_split_filtered` is the other walk: every *possible* split,
+//! checked for admissibility afterwards. It serves the traversals that
+//! stay clear of the product construction — top-down and parametric
+//! enumeration, SMA's per-set work unit — and the `ablation_splits`
+//! benchmark that measures what the product saves.
+//!
+//! Every traversal in the crate turns a split into plans through the one
 //! candidate loop, `join_candidates`.
 
-use crate::arena::{optimize_partition_parallel, ParallelPolicy};
-use crate::memo::{DenseMemo, MemoStore, SlotMemo};
+use crate::arena::{optimize_partition_parallel, ArenaMemo, ParallelPolicy};
 use crate::reconstruct::reconstruct_plan;
 use crate::stats::WorkerStats;
 use mpq_cost::{CardinalityEstimator, Objective, ScanOp, SplitCosts, JOIN_OPS};
@@ -45,8 +51,8 @@ pub struct PartitionOutcome {
     pub stats: WorkerStats,
 }
 
-/// Optimizes the partition described by `constraints` using the default
-/// arena memo (serial; see [`crate::arena`] for the parallel entry point).
+/// Optimizes the partition described by `constraints` with the streaming
+/// kernel (serial; see [`crate::arena`] for the parallel entry point).
 pub fn optimize_partition(
     query: &Query,
     space: PlanSpace,
@@ -60,19 +66,6 @@ pub fn optimize_partition(
         constraints,
         ParallelPolicy::serial(),
     )
-}
-
-/// The pre-arena reference kernel: dense slot memo, scalar pruning. Kept
-/// as the differential-testing baseline and the `ablation_memo` contender.
-pub fn optimize_partition_dense(
-    query: &Query,
-    space: PlanSpace,
-    objective: Objective,
-    constraints: &ConstraintSet,
-) -> PartitionOutcome {
-    let adm = AdmissibleSets::new(constraints);
-    let mut memo = DenseMemo::new(adm.clone());
-    optimize_partition_with(query, space, objective, constraints, &adm, &mut memo)
 }
 
 /// Convenience wrapper: decodes `part_id` of `partitions` (Algorithm 3)
@@ -96,80 +89,119 @@ pub fn optimize_serial(query: &Query, space: PlanSpace, objective: Objective) ->
     optimize_partition(query, space, objective, &constraints)
 }
 
-/// Runs the dynamic program against a caller-provided slot memo (used by
-/// the memo-layout ablation and by tests).
-pub fn optimize_partition_with<M: SlotMemo>(
+/// Algorithm 2 as written — the textbook kernel the differential suites
+/// hold the streaming one to, bit for bit: one set at a time in ascending
+/// dense index, every candidate of every split through the scalar pruning
+/// function in generation order, then the finished slot into the memo.
+pub fn optimize_partition_reference(
     query: &Query,
     space: PlanSpace,
     objective: Objective,
     constraints: &ConstraintSet,
-    adm: &AdmissibleSets,
-    memo: &mut M,
+) -> PartitionOutcome {
+    reference_loop(query, space, objective, constraints, false)
+}
+
+/// Ablation variant of the bushy split enumeration: the reference loop
+/// examining *all* `2^|set| - 2` splits of a set and filtering the
+/// inadmissible ones afterwards. Complexity is linear in the number of
+/// possible rather than admissible splits — the approach the paper
+/// deliberately avoids for bushy spaces (Section 4.2) — and
+/// `splits_tried` counts every examined split.
+pub fn optimize_partition_bushy_filtered(
+    query: &Query,
+    objective: Objective,
+    constraints: &ConstraintSet,
+) -> PartitionOutcome {
+    reference_loop(query, PlanSpace::Bushy, objective, constraints, true)
+}
+
+/// The slot-at-a-time loop behind both entry points above; `filtered`
+/// selects the filter-after-enumerate split walk over the product walk.
+fn reference_loop(
+    query: &Query,
+    space: PlanSpace,
+    objective: Objective,
+    constraints: &ConstraintSet,
+    filtered: bool,
 ) -> PartitionOutcome {
     let start = Instant::now();
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
     let mut est = CardinalityEstimator::new(query);
     let policy = PruningPolicy::new(objective, n);
+    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
     let mut stats = WorkerStats::default();
-
-    // Initialize best plans for single tables (Algorithm 2, lines 9-11).
-    for t in 0..n {
-        let cost = ScanOp::Full.cost(&mut est, t);
-        let entry = PlanEntry::scan(t as u8, ScanOp::Full, cost);
-        policy.try_insert(memo.single_slot_mut(t), entry);
-    }
+    seed_scans(&mut memo, &mut est, &policy);
 
     // Ascending dense-index order visits every admissible subset of a set
     // before the set itself, so iterating indices replaces the explicit
     // iteration over result cardinalities of Algorithm 2.
-    let env = SplitEnv {
-        space,
-        constraints,
-        adm,
-    };
     let mut scratch = SplitScratch::default();
-    for idx in 0..adm.len() {
-        let set = adm.set_at(idx);
+    let mut slot = Vec::new();
+    for idx in 0..memo.admissible().len() {
+        let set = memo.admissible().set_at(idx);
         if set.len() < 2 {
             continue;
         }
-        let mut slot = memo.take_slot(set);
-        for_each_split(&env, set, &*memo, &mut scratch, |split| {
-            stats.splits_tried += 1;
-            combine_operands(split, &mut est, &policy, &mut slot, &mut stats);
-        });
-        memo.put_slot(set, slot);
+        let env = SplitEnv {
+            space,
+            constraints,
+            adm: memo.admissible(),
+        };
+        if filtered {
+            let examined = for_each_split_filtered(&env, set, |left, right| {
+                let split = Split::of(&memo, left, right);
+                combine_operands(split, &mut est, &policy, &mut slot, &mut stats);
+            });
+            stats.splits_tried += examined;
+        } else {
+            for_each_split(&env, set, &memo, &mut scratch, |split| {
+                stats.splits_tried += 1;
+                combine_operands(split, &mut est, &policy, &mut slot, &mut stats);
+            });
+        }
+        memo.push_slot(idx, &slot);
+        slot.clear();
     }
 
-    finish(query, memo, &mut est, &policy, stats, start)
+    finish(&memo, &mut est, &policy, stats, start)
+}
+
+/// Seeds the best plans for single tables (Algorithm 2, lines 9-11).
+pub fn seed_scans(
+    memo: &mut ArenaMemo,
+    est: &mut CardinalityEstimator<'_>,
+    policy: &PruningPolicy,
+) {
+    for t in 0..memo.admissible().num_tables() {
+        let cost = ScanOp::Full.cost(est, t);
+        let entry = PlanEntry::scan(t as u8, ScanOp::Full, cost);
+        policy.try_insert(memo.single_slot_mut(t), entry);
+    }
+}
+
+/// Reconstructs the complete plan of every entry memoized for the full
+/// table set, unpruned. (For a single-table query the full set *is* the
+/// singleton, so the "plans" are the scans themselves.)
+pub fn complete_plans(memo: &ArenaMemo, est: &mut CardinalityEstimator<'_>) -> Vec<Plan> {
+    let full = TableSet::full(memo.admissible().num_tables());
+    memo.entries(full)
+        .iter()
+        .map(|e| reconstruct_plan(memo, est, full, e))
+        .collect()
 }
 
 /// Reconstructs the complete plans, applies the worker-side final prune
 /// and fills in the memory counters.
-pub(crate) fn finish<M: MemoStore>(
-    query: &Query,
-    memo: &M,
+pub(crate) fn finish(
+    memo: &ArenaMemo,
     est: &mut CardinalityEstimator<'_>,
     policy: &PruningPolicy,
     mut stats: WorkerStats,
     start: Instant,
 ) -> PartitionOutcome {
-    let n = query.num_tables();
-    let full = TableSet::full(n);
-    let entries: Vec<PlanEntry> = memo.entries(full).to_vec();
-    let mut plans: Vec<Plan> = entries
-        .iter()
-        .map(|e| reconstruct_plan(memo, est, full, e))
-        .collect();
-    // Single-table queries: the "plan" is the scan itself.
-    if n == 1 {
-        plans = memo
-            .single_entries(0)
-            .iter()
-            .map(|e| reconstruct_plan(memo, est, TableSet::singleton(0), e))
-            .collect();
-    }
+    let mut plans = complete_plans(memo, est);
     policy.final_prune(&mut plans);
     stats.stored_sets = memo.stored_sets();
     stats.total_entries = memo.total_entries();
@@ -190,7 +222,7 @@ pub(crate) struct Split<'a> {
 
 impl<'a> Split<'a> {
     /// The split `(left, right)` with both operands' plans read from `memo`.
-    pub fn of<M: MemoStore>(memo: &'a M, left: TableSet, right: TableSet) -> Self {
+    pub fn of(memo: &'a ArenaMemo, left: TableSet, right: TableSet) -> Self {
         Split {
             left,
             right,
@@ -243,7 +275,7 @@ pub(crate) fn join_candidates(
     generated
 }
 
-/// `Join` + `Prune` for one split of the slot-based kernels: every
+/// `Join` + `Prune` for one split of the slot-at-a-time traversals: every
 /// candidate goes through the scalar pruning function, in generation order.
 #[inline]
 pub(crate) fn combine_operands(
@@ -259,6 +291,7 @@ pub(crate) fn combine_operands(
 }
 
 /// What the split enumeration needs to know about the partition.
+#[derive(Clone, Copy)]
 pub(crate) struct SplitEnv<'a> {
     pub space: PlanSpace,
     pub constraints: &'a ConstraintSet,
@@ -282,10 +315,10 @@ pub(crate) struct SplitScratch {
 ///   another member.
 /// * Bushy (lines 13-39): every admissible left operand with its
 ///   complement, skipping splits an operand of which has no plan.
-pub(crate) fn for_each_split<'m, M: MemoStore>(
+pub(crate) fn for_each_split<'m>(
     env: &SplitEnv<'_>,
     set: TableSet,
-    memo: &'m M,
+    memo: &'m ArenaMemo,
     scratch: &mut SplitScratch,
     mut f: impl FnMut(Split<'m>),
 ) {
@@ -322,38 +355,66 @@ pub(crate) fn for_each_split<'m, M: MemoStore>(
     }
 }
 
-/// Computes the memo slot for one table set with *unconstrained* split
-/// enumeration, reading operand plans from an existing memo. This is the
-/// work unit of the fine-grained SMA baseline, whose master assigns
-/// individual join results to workers (Section 6.1).
-pub fn compute_entries_for_set<M: MemoStore>(
-    space: PlanSpace,
+/// The filter-after-enumerate split walk: examines every *possible* split
+/// of `set` — each member as the inner table (linear), each proper subset
+/// with its complement (bushy) — and hands `f` the constraint-respecting
+/// ones. Returns the number of splits examined, admissible or not.
+///
+/// The order differs from [`for_each_split`]'s bushy product order, and
+/// α-approximate pruning depends on insertion order: a traversal stays
+/// with one walk.
+pub(crate) fn for_each_split_filtered(
+    env: &SplitEnv<'_>,
     set: TableSet,
-    memo: &M,
+    mut f: impl FnMut(TableSet, TableSet),
+) -> u64 {
+    let mut examined = 0;
+    match env.space {
+        PlanSpace::Linear => {
+            for u in set.iter() {
+                examined += 1;
+                if env.constraints.may_join_last(u, set) {
+                    f(set.remove(u), TableSet::singleton(u));
+                }
+            }
+        }
+        PlanSpace::Bushy => {
+            let has_slot = |s: TableSet| s.len() == 1 || env.adm.is_admissible(s);
+            for left in set.proper_subsets() {
+                examined += 1;
+                let right = set.difference(left);
+                if has_slot(left) && has_slot(right) {
+                    f(left, right);
+                }
+            }
+        }
+    }
+    examined
+}
+
+/// Computes the memo slot for one table set, reading operand plans from an
+/// existing memo. This is the work unit of the fine-grained SMA baseline,
+/// whose master assigns individual join results to workers (Section 6.1).
+/// SMA has no constraint structure, so it passes the unconstrained set and
+/// every examined split counts as tried.
+pub fn compute_entries_for_set(
+    space: PlanSpace,
+    constraints: &ConstraintSet,
+    set: TableSet,
+    memo: &ArenaMemo,
     est: &mut CardinalityEstimator<'_>,
     policy: &PruningPolicy,
     stats: &mut WorkerStats,
 ) -> Vec<PlanEntry> {
+    let env = SplitEnv {
+        space,
+        constraints,
+        adm: memo.admissible(),
+    };
     let mut slot = Vec::new();
-    match space {
-        PlanSpace::Linear => {
-            for u in set.iter() {
-                let rest = set.remove(u);
-                let inner = TableSet::singleton(u);
-                stats.splits_tried += 1;
-                let split = Split::of(memo, rest, inner);
-                combine_operands(split, est, policy, &mut slot, stats);
-            }
-        }
-        PlanSpace::Bushy => {
-            for left in set.proper_subsets() {
-                let right = set.difference(left);
-                stats.splits_tried += 1;
-                let split = Split::of(memo, left, right);
-                combine_operands(split, est, policy, &mut slot, stats);
-            }
-        }
-    }
+    stats.splits_tried += for_each_split_filtered(&env, set, |left, right| {
+        combine_operands(Split::of(memo, left, right), est, policy, &mut slot, stats);
+    });
     slot
 }
 
@@ -427,65 +488,6 @@ fn for_each_bushy_left<F: FnMut(u64)>(parts: &[u64], group_bounds: &[(usize, usi
         for i in d..k {
             acc[i + 1] = acc[i] | parts[group_bounds[i].0 + pos[i]];
         }
-    }
-}
-
-/// Ablation variant of the bushy split enumeration: enumerate *all*
-/// `2^|set|` splits and filter inadmissible ones afterwards. Complexity is
-/// linear in the number of possible rather than admissible splits — the
-/// approach the paper deliberately avoids for bushy spaces (Section 4.2).
-pub fn optimize_partition_bushy_filtered(
-    query: &Query,
-    objective: Objective,
-    constraints: &ConstraintSet,
-) -> PartitionOutcome {
-    let adm = AdmissibleSets::new(constraints);
-    let mut memo = DenseMemo::new(adm.clone());
-    let start = Instant::now();
-    let n = query.num_tables();
-    let mut est = CardinalityEstimator::new(query);
-    let policy = PruningPolicy::new(objective, n);
-    let mut stats = WorkerStats::default();
-    for t in 0..n {
-        let cost = ScanOp::Full.cost(&mut est, t);
-        policy.try_insert(
-            memo.single_slot_mut(t),
-            PlanEntry::scan(t as u8, ScanOp::Full, cost),
-        );
-    }
-    for idx in 0..adm.len() {
-        let set = adm.set_at(idx);
-        if set.len() < 2 {
-            continue;
-        }
-        let mut slot = memo.take_slot(set);
-        try_splits_bushy_filtered(set, &adm, &memo, &mut est, &policy, &mut slot, &mut stats);
-        memo.put_slot(set, slot);
-    }
-    finish(query, &memo, &mut est, &policy, stats, start)
-}
-
-/// Filter-after-enumerate bushy splits: every proper subset is generated
-/// and checked for admissibility.
-fn try_splits_bushy_filtered<M: MemoStore>(
-    set: TableSet,
-    adm: &AdmissibleSets,
-    memo: &M,
-    est: &mut CardinalityEstimator<'_>,
-    policy: &PruningPolicy,
-    slot: &mut Vec<PlanEntry>,
-    stats: &mut WorkerStats,
-) {
-    for left in set.proper_subsets() {
-        stats.splits_tried += 1;
-        let right = set.difference(left);
-        if !(left.len() == 1 || adm.is_admissible(left)) {
-            continue;
-        }
-        if !(right.len() == 1 || adm.is_admissible(right)) {
-            continue;
-        }
-        combine_operands(Split::of(memo, left, right), est, policy, slot, stats);
     }
 }
 
@@ -638,28 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_memo_matches_dense_memo() {
-        use crate::memo::HashMemo;
-        for seed in 0..3 {
-            let q = query(6, seed + 50);
-            let grouping = Grouping::new(q.num_tables(), PlanSpace::Bushy);
-            let constraints = ConstraintSet::unconstrained(grouping);
-            let adm = AdmissibleSets::new(&constraints);
-            let dense = optimize_partition(&q, PlanSpace::Bushy, Objective::Single, &constraints);
-            let mut hash = HashMemo::new(q.num_tables());
-            let hashed = optimize_partition_with(
-                &q,
-                PlanSpace::Bushy,
-                Objective::Single,
-                &constraints,
-                &adm,
-                &mut hash,
-            );
-            assert_eq!(dense.plans[0].cost().time, hashed.plans[0].cost().time);
-        }
-    }
-
-    #[test]
     fn filtered_bushy_matches_product_bushy() {
         for seed in 0..3 {
             let q = query(6, seed + 70);
@@ -667,13 +647,34 @@ mod tests {
             let product = optimize_partition(&q, PlanSpace::Bushy, Objective::Single, &constraints);
             let filtered = optimize_partition_bushy_filtered(&q, Objective::Single, &constraints);
             assert_eq!(
-                product.plans[0].cost().time,
-                filtered.plans[0].cost().time,
+                product.plans[0].cost().time.to_bits(),
+                filtered.plans[0].cost().time.to_bits(),
                 "seed {seed}"
             );
             // The product enumeration tries at most as many splits.
             assert!(product.stats.splits_tried <= filtered.stats.splits_tried);
         }
+    }
+
+    #[test]
+    fn filtered_bushy_counts_every_possible_split() {
+        // The cost Section 4.2 avoids: each admissible set U pays for all
+        // 2^|U| - 2 ordered splits, admissible or not.
+        let q = query(7, 73);
+        let constraints = partition_constraints(7, PlanSpace::Bushy, 2, 4);
+        let possible: u64 = AdmissibleSets::new(&constraints)
+            .iter()
+            .filter(|u| u.len() >= 2)
+            .map(|u| (1u64 << u.len()) - 2)
+            .sum();
+        let filtered = optimize_partition_bushy_filtered(&q, Objective::Single, &constraints);
+        assert_eq!(filtered.stats.splits_tried, possible);
+        let product = optimize_partition(&q, PlanSpace::Bushy, Objective::Single, &constraints);
+        assert!(product.stats.splits_tried < possible);
+        assert_eq!(
+            product.plans[0].cost().time.to_bits(),
+            filtered.plans[0].cost().time.to_bits()
+        );
     }
 
     #[test]

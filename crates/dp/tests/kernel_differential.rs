@@ -1,11 +1,11 @@
-//! Differential suite for the DP kernel variants: the arena memo and the
-//! level-parallel scheduler must be **bit-identical** to the dense
-//! reference kernel — not approximately equal, identical.
+//! Differential suite for the DP kernel variants: the streaming kernel and
+//! its level-parallel scheduler must be **bit-identical** to the textbook
+//! reference loop — not approximately equal, identical.
 //!
 //! For 50 seeded random queries (5–8 tables, all four join-graph shapes),
-//! both plan spaces, and several partition IDs, the suite runs the dense
-//! slot-based kernel and the arena kernel at 1, 2 and 4 threads and
-//! asserts equal cost bit patterns, equal reconstructed plan trees, and
+//! both plan spaces, and several partition IDs, the suite runs the
+//! slot-at-a-time reference loop and the arena kernel at 1, 2 and 4 threads
+//! and asserts equal cost bit patterns, equal reconstructed plan trees, and
 //! equal work counters. A parallel schedule that changes any bit of any
 //! answer is a wrong schedule, however fast.
 //!
@@ -21,7 +21,7 @@
 
 use mpq_cost::{CostVector, Objective, Order};
 use mpq_dp::{
-    optimize_partition_dense, optimize_partition_parallel, OrderClassMinima, ParallelPolicy,
+    optimize_partition_parallel, optimize_partition_reference, OrderClassMinima, ParallelPolicy,
     PartitionOutcome,
 };
 use mpq_model::{JoinGraph, Query, WorkloadConfig, WorkloadGenerator};
@@ -93,7 +93,7 @@ fn assert_bit_identical(a: &PartitionOutcome, b: &PartitionOutcome, ctx: &str) {
 /// Runs all four kernel configurations on one (query, partition) point and
 /// checks them against each other.
 fn check_point(q: &Query, space: PlanSpace, objective: Objective, c: &ConstraintSet, ctx: &str) {
-    let dense = optimize_partition_dense(q, space, objective, c);
+    let reference = optimize_partition_reference(q, space, objective, c);
     for threads in [1usize, 2, 4] {
         let policy = if threads == 1 {
             ParallelPolicy::serial()
@@ -101,7 +101,7 @@ fn check_point(q: &Query, space: PlanSpace, objective: Objective, c: &Constraint
             ParallelPolicy::with_threads(threads)
         };
         let arena = optimize_partition_parallel(q, space, objective, c, policy);
-        assert_bit_identical(&dense, &arena, &format!("{ctx} threads={threads}"));
+        assert_bit_identical(&reference, &arena, &format!("{ctx} threads={threads}"));
     }
 }
 

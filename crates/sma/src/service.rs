@@ -33,12 +33,12 @@ use mpq_cluster::{
     BlockingStep, Cluster, ClusterError, Control, Protocol, QueryId, SessionService, Table,
     Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
-use mpq_cost::{CardinalityEstimator, Objective, ScanOp};
+use mpq_cost::{CardinalityEstimator, Objective};
 use mpq_dp::{
-    compute_entries_for_set, push_scope, reconstruct_plan, HashMemo, MemoStore, WorkerStats,
+    complete_plans, compute_entries_for_set, push_scope, seed_scans, ArenaMemo, WorkerStats,
 };
 use mpq_model::{Query, TableSet};
-use mpq_partition::PlanSpace;
+use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::cache::{query_signature, CacheKey, MemoCache};
 use mpq_plan::{CacheWeight, Plan, PlanEntry, PruningPolicy};
 use std::collections::HashMap;
@@ -53,7 +53,10 @@ struct ReplicaState {
     query: Query,
     space: PlanSpace,
     objective: Objective,
-    memo: HashMemo,
+    /// SMA has no constraint structure: the replica is laid out over, and
+    /// its splits are enumerated under, the unconstrained set.
+    constraints: ConstraintSet,
+    memo: ArenaMemo,
     /// Canonical cache-key prefix for this session's subproblems
     /// (signature + engine/space/objective tags), computed once at `Init`.
     slot_key_prefix: mpq_plan::cache::CacheKeyBuilder,
@@ -116,17 +119,16 @@ impl WorkerLogic for SmaWorker {
                 objective,
             } => {
                 let n = q.num_tables();
-                let mut memo = HashMemo::new(n);
-                let policy = PruningPolicy::new(objective, n);
-                let mut est = CardinalityEstimator::new(&q);
-                for t in 0..n {
-                    let cost = ScanOp::Full.cost(&mut est, t);
-                    policy.try_insert(
-                        memo.single_slot_mut(t),
-                        PlanEntry::scan(t as u8, ScanOp::Full, cost),
-                    );
+                // The replica has a span for each of the 2^n table sets,
+                // addressed by a dense u32 index.
+                if n >= u32::BITS as usize {
+                    ctx.send_to_master(SmaReply::Malformed.to_bytes());
+                    return Control::Continue;
                 }
-                drop(est);
+                let constraints = ConstraintSet::unconstrained(Grouping::new(n, space));
+                let mut memo = ArenaMemo::new(AdmissibleSets::new(&constraints));
+                let policy = PruningPolicy::new(objective, n);
+                seed_scans(&mut memo, &mut CardinalityEstimator::new(&q), &policy);
                 let mut slot_key_prefix = query_signature(&q);
                 slot_key_prefix.push_u8(ENGINE_SMA_SLOT);
                 push_scope(&mut slot_key_prefix, space, objective);
@@ -136,6 +138,7 @@ impl WorkerLogic for SmaWorker {
                         query: q,
                         space,
                         objective,
+                        constraints,
                         memo,
                         slot_key_prefix,
                     },
@@ -154,6 +157,10 @@ impl WorkerLogic for SmaWorker {
                     ctx.send_to_master(SmaReply::Malformed.to_bytes());
                     return Control::Continue;
                 };
+                if !sets.iter().all(|&set| is_join_result(set, &state.query)) {
+                    ctx.send_to_master(SmaReply::Malformed.to_bytes());
+                    return Control::Continue;
+                }
                 let t0 = Instant::now();
                 let policy = PruningPolicy::new(state.objective, state.query.num_tables());
                 let mut est = CardinalityEstimator::new(&state.query);
@@ -173,6 +180,7 @@ impl WorkerLogic for SmaWorker {
                         }
                         let entries = compute_entries_for_set(
                             state.space,
+                            &state.constraints,
                             set,
                             &state.memo,
                             &mut est,
@@ -195,8 +203,15 @@ impl WorkerLogic for SmaWorker {
                     ctx.send_to_master(SmaReply::Malformed.to_bytes());
                     return Control::Continue;
                 };
-                for s in slots {
-                    state.memo.replace_slot(s.set, s.entries);
+                // Every replica must hold every slot exactly once (parents
+                // refer to entries by position): a set outside the query or
+                // a rewrite of a filled slot is a protocol bug.
+                let merged = slots.iter().all(|s| {
+                    is_join_result(s.set, &state.query)
+                        && state.memo.push_slot_of(s.set, &s.entries)
+                });
+                if !merged {
+                    ctx.send_to_master(SmaReply::Malformed.to_bytes());
                 }
                 Control::Continue
             }
@@ -215,23 +230,9 @@ impl WorkerLogic for SmaWorker {
                     ctx.send_to_master(SmaReply::Malformed.to_bytes());
                     return Control::Continue;
                 };
-                let n = state.query.num_tables();
-                let policy = PruningPolicy::new(state.objective, n);
+                let policy = PruningPolicy::new(state.objective, state.query.num_tables());
                 let mut est = CardinalityEstimator::new(&state.query);
-                let full = TableSet::full(n);
-                let entries: Vec<PlanEntry> = state.memo.entries(full).to_vec();
-                let mut plans: Vec<Plan> = entries
-                    .iter()
-                    .map(|e| reconstruct_plan(&state.memo, &mut est, full, e))
-                    .collect();
-                if n == 1 {
-                    plans = state
-                        .memo
-                        .single_entries(0)
-                        .iter()
-                        .map(|e| reconstruct_plan(&state.memo, &mut est, TableSet::singleton(0), e))
-                        .collect();
-                }
+                let mut plans = complete_plans(&state.memo, &mut est);
                 policy.final_prune(&mut plans);
                 let stats = WorkerStats {
                     stored_sets: state.memo.stored_sets(),
@@ -243,6 +244,15 @@ impl WorkerLogic for SmaWorker {
             }
         }
     }
+}
+
+/// Whether a wire-decoded `set` names a join result of `query` — at least
+/// two tables, all of them the query's. `TableSet::decode` accepts any
+/// `u64`, and the replica's dense index would alias a stray high bit onto
+/// a real slot (or run off the scan table), so this is checked before a
+/// decoded set touches the memo.
+fn is_join_result(set: TableSet, query: &Query) -> bool {
+    set.len() >= 2 && set.is_subset_of(TableSet::full(query.num_tables()))
 }
 
 /// Where one session stands in the level-synchronized protocol.
@@ -818,6 +828,81 @@ mod tests {
             SmaReply::from_bytes(&payload),
             Ok(SmaReply::Final { .. })
         ));
+        cluster.shutdown();
+    }
+
+    /// Regression (ISSUE 17 satellite): `TableSet::decode` accepts any
+    /// `u64`, so a hostile or corrupt `Assign`/`Delta` can name a table the
+    /// session's query does not have (this used to index past the scan
+    /// table and kill the worker thread), a singleton, or a slot the
+    /// replica already holds. Each is answered `Malformed`, and the worker
+    /// stays up for the next session.
+    #[test]
+    fn worker_survives_sets_outside_the_query() {
+        use mpq_cluster::LatencyModel;
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
+        let send = |id: u64, msg: SmaMasterMsg| {
+            cluster.send(0, QueryId(id), msg.to_bytes(), true).unwrap();
+        };
+        let reply = |id: u64| {
+            let (_, qid, payload) = cluster.recv().expect("the worker answers");
+            assert_eq!(qid, QueryId(id));
+            SmaReply::from_bytes(&payload).unwrap()
+        };
+        let init = || SmaMasterMsg::Init {
+            query: query(3, 61),
+            space: PlanSpace::Bushy,
+            objective: Objective::Single,
+        };
+        let stray = TableSet::from_tables([0, 10]);
+        let pair = TableSet::from_tables([0, 1]);
+        let update = |set| SlotUpdate {
+            set,
+            entries: vec![PlanEntry::scan(
+                0,
+                mpq_cost::ScanOp::Full,
+                mpq_cost::CostVector::new(1.0, 0.0),
+            )],
+        };
+        let hostile = [
+            SmaMasterMsg::Assign { sets: vec![stray] },
+            SmaMasterMsg::Assign {
+                sets: vec![pair, TableSet::singleton(1)],
+            },
+            SmaMasterMsg::Delta {
+                slots: vec![update(stray)],
+            },
+            SmaMasterMsg::Delta {
+                slots: vec![update(pair), update(pair)],
+            },
+        ];
+        for (id, frame) in hostile.into_iter().enumerate() {
+            send(id as u64, init());
+            send(id as u64, frame);
+            assert_eq!(reply(id as u64), SmaReply::Malformed, "frame {id}");
+        }
+        // Still serving: a well-formed session runs level by level to its
+        // final plan.
+        let id = 9;
+        send(id, init());
+        for k in 2..=3 {
+            send(
+                id,
+                SmaMasterMsg::Assign {
+                    sets: TableSet::subsets_of_size(3, k).collect(),
+                },
+            );
+            let SmaReply::LevelDone { slots, .. } = reply(id) else {
+                panic!("level {k} completes");
+            };
+            send(id, SmaMasterMsg::Delta { slots });
+        }
+        send(id, SmaMasterMsg::Finish);
+        let SmaReply::Final { plans, .. } = reply(id) else {
+            panic!("the session finishes");
+        };
+        assert_eq!(plans.len(), 1);
+        assert_eq!(plans[0].tables(), TableSet::full(3));
         cluster.shutdown();
     }
 
