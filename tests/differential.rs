@@ -11,7 +11,8 @@
 //! * the SMA replicated-memo baseline,
 //!
 //! on optimal cost for single-objective runs and on the full Pareto
-//! frontier for multi-objective runs. Differential agreement across five
+//! frontier for multi-objective runs — `f64::to_bits` equal, not merely
+//! close. Differential agreement across five
 //! independently-written engines is the correctness bedrock the chaos
 //! suite (`tests/chaos.rs`) builds on: it pins the fault-free answer that
 //! fault-tolerant runs must reproduce.
@@ -52,8 +53,11 @@ fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-fn rel_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+/// Every engine sums the same operator costs in the same order, so they
+/// agree to the bit — a tolerance here would hide a kernel that prunes
+/// differently.
+fn bit_eq(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
 }
 
 /// Seed → (query, n): 2–8 tables, cycling through the four graph shapes.
@@ -90,7 +94,7 @@ fn all_engines_agree_on_linear_optimal_cost() {
             &partition_constraints(n, space, 0, 1),
         );
         assert!(
-            rel_eq(topdown.plans[0].cost().time, reference),
+            bit_eq(topdown.plans[0].cost().time, reference),
             "seed {seed} (n={n}): topdown {} vs serial {reference}",
             topdown.plans[0].cost().time
         );
@@ -101,7 +105,7 @@ fn all_engines_agree_on_linear_optimal_cost() {
             let out = mpq.optimize(&q, space, Objective::Single, workers);
             assert_eq!(out.plans.len(), 1, "seed {seed} workers {workers}");
             assert!(
-                rel_eq(out.plans[0].cost().time, reference),
+                bit_eq(out.plans[0].cost().time, reference),
                 "seed {seed} (n={n}) workers {workers}: MPQ {} vs serial {reference}",
                 out.plans[0].cost().time
             );
@@ -110,7 +114,7 @@ fn all_engines_agree_on_linear_optimal_cost() {
         // SMA agrees with the reference (and hence with MPQ).
         let out = sma.optimize(&q, space, Objective::Single, 1 + (seed as usize % 4));
         assert!(
-            rel_eq(out.plans[0].cost().time, reference),
+            bit_eq(out.plans[0].cost().time, reference),
             "seed {seed} (n={n}): SMA {} vs serial {reference}",
             out.plans[0].cost().time
         );
@@ -119,7 +123,7 @@ fn all_engines_agree_on_linear_optimal_cost() {
         if n <= 6 {
             let brute = exhaustive_linear_best_time(&q);
             assert!(
-                rel_eq(brute, reference),
+                bit_eq(brute, reference),
                 "seed {seed} (n={n}): exhaustive {brute} vs serial {reference}"
             );
         }
@@ -145,21 +149,21 @@ fn all_engines_agree_on_bushy_optimal_cost() {
             &partition_constraints(n, space, 0, 1),
         );
         assert!(
-            rel_eq(topdown.plans[0].cost().time, reference),
+            bit_eq(topdown.plans[0].cost().time, reference),
             "seed {seed} (n={n}): bushy topdown"
         );
 
         for workers in [1u64, 2, 4] {
             let out = mpq.optimize(&q, space, Objective::Single, workers);
             assert!(
-                rel_eq(out.plans[0].cost().time, reference),
+                bit_eq(out.plans[0].cost().time, reference),
                 "seed {seed} (n={n}) workers {workers}: bushy MPQ"
             );
         }
 
         let out = sma.optimize(&q, space, Objective::Single, 2);
         assert!(
-            rel_eq(out.plans[0].cost().time, reference),
+            bit_eq(out.plans[0].cost().time, reference),
             "seed {seed} (n={n}): bushy SMA"
         );
 
@@ -170,19 +174,19 @@ fn all_engines_agree_on_bushy_optimal_cost() {
                 .map(|c| c.time)
                 .fold(f64::INFINITY, f64::min);
             assert!(
-                rel_eq(brute, reference),
+                bit_eq(brute, reference),
                 "seed {seed} (n={n}): bushy exhaustive {brute} vs {reference}"
             );
         }
     }
 }
 
-/// Set-wise frontier equality under relative tolerance.
+/// Set-wise frontier equality, bit for bit.
 fn same_frontier(a: &[CostVector], b: &[CostVector]) -> bool {
     let covered = |xs: &[CostVector], ys: &[CostVector]| {
         xs.iter().all(|x| {
             ys.iter()
-                .any(|y| rel_eq(x.time, y.time) && rel_eq(x.buffer, y.buffer))
+                .any(|y| bit_eq(x.time, y.time) && bit_eq(x.buffer, y.buffer))
         })
     };
     covered(a, b) && covered(b, a)
@@ -257,7 +261,7 @@ fn resident_service_matches_serial_under_concurrency() {
         let reference = reference_time(&q, space);
         assert_eq!(plans.len(), 1, "seed {seed}");
         assert!(
-            rel_eq(plans[0].cost().time, reference),
+            bit_eq(plans[0].cost().time, reference),
             "seed {seed}: resident service {} vs serial {reference}",
             plans[0].cost().time
         );
@@ -318,7 +322,7 @@ fn all_backends_agree_through_the_unified_service_trait() {
                 .optimize(&q, space, Objective::Single)
                 .expect("optimize");
             assert!(
-                rel_eq(plans[0].cost().time, reference),
+                bit_eq(plans[0].cost().time, reference),
                 "seed {seed} (n={n}) backend {}: {} vs {reference}",
                 service.name(),
                 plans[0].cost().time
