@@ -51,6 +51,12 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
             "count",
             reference.stats.plans_generated as f64,
         );
+        // The memo the partition ends with: Theorem 4's space, in entries.
+        report.scalar(
+            &format!("dp_entries_{label}"),
+            "count",
+            reference.stats.total_entries as f64,
+        );
         for threads in [1usize, 2, 4] {
             let out = optimize_partition_parallel(
                 &q,

@@ -35,7 +35,8 @@ pub enum DecodeError {
     /// A length prefix exceeded the sanity limit.
     LengthOverflow(u64),
     /// A table-index byte exceeded the [`TableSet`] capacity (64 tables),
-    /// so it cannot name a real table of any decodable query.
+    /// so it cannot name a real table of any decodable query — or, for a
+    /// predicate endpoint inside a `Query`, that query's own table count.
     IndexOutOfRange {
         /// The offending index byte.
         index: u8,
@@ -61,7 +62,8 @@ impl fmt::Display for DecodeError {
             DecodeError::LengthOverflow(n) => write!(f, "length prefix {n} exceeds limit"),
             DecodeError::IndexOutOfRange { index, ty } => write!(
                 f,
-                "table index {index} in {ty} exceeds the {}-table wire limit",
+                "table index {index} in {ty} names no table: past the query's tables \
+                 or the {}-table wire limit",
                 TableSet::MAX_TABLES
             ),
             DecodeError::TableCount(n) => write!(
@@ -557,9 +559,24 @@ impl Wire for Query {
         for _ in 0..n {
             stats.push(TableStats::decode(dec)?);
         }
+        let predicates = Vec::<Predicate>::decode(dec)?;
+        // `Predicate::decode` bounds an endpoint by the `TableSet` capacity;
+        // only here is the query's own table count known. A predicate on a
+        // table the query does not have would index past every per-table
+        // structure built from it on a resident worker.
+        if let Some(index) = predicates
+            .iter()
+            .flat_map(|p| [p.left, p.right])
+            .find(|&t| t >= n)
+        {
+            return Err(DecodeError::IndexOutOfRange {
+                index: index as u8,
+                ty: "Query",
+            });
+        }
         Ok(Query {
             catalog: Catalog::from_stats(stats),
-            predicates: Vec::<Predicate>::decode(dec)?,
+            predicates,
             graph: JoinGraph::decode(dec)?,
         })
     }

@@ -122,6 +122,34 @@ fn unoptimizable_table_counts_fail_typed() {
     }
 }
 
+/// Regression (ISSUE 18 satellite): `Predicate::decode` can only bound an
+/// endpoint by the `TableSet` capacity, so a decoded 6-table query could
+/// carry a predicate on table 40 — inert while predicates were only ever
+/// scanned, an out-of-bounds index once anything is indexed per table.
+/// `Query::decode` knows the table count and rejects it; the encoder is
+/// untouched, and the last real table still round-trips.
+#[test]
+fn predicate_outside_the_query_fails_typed() {
+    let with_predicate = |left, right| {
+        let mut q = query_of(6);
+        q.predicates.push(Predicate {
+            left,
+            right,
+            selectivity: 0.5,
+        });
+        q
+    };
+    for (left, right, index) in [(40, 1, 40), (2, 6, 6), (63, 63, 63)] {
+        assert_eq!(
+            Query::from_bytes(&with_predicate(left, right).to_bytes()),
+            Err(DecodeError::IndexOutOfRange { index, ty: "Query" }),
+            "predicate ({left}, {right})"
+        );
+    }
+    let q = with_predicate(5, 0);
+    assert_eq!(Query::from_bytes(&q.to_bytes()), Ok(q));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(128)))]
 

@@ -9,15 +9,19 @@
 //! split-enumeration loops of the optimizer ask for the same sets many
 //! times.
 
+use crate::predicates::PredicateIndex;
 use mpq_model::{Query, TableSet};
 
 /// Cardinality and width estimator for one query.
 ///
 /// Construct one per query; estimates are cached in a dense table indexed by
-/// the set bit-pattern when the query is small enough, otherwise computed on
-/// demand (the optimizer's own memo makes repeated asks cheap there anyway).
+/// the set bit-pattern when the query is small enough. Above `DENSE_LIMIT`
+/// tables nothing is cached: every ask walks the set's tables and all the
+/// predicates again, and the DP asks for both operands of every split it
+/// tries — its memo holds plans, not cardinalities.
 pub struct CardinalityEstimator<'q> {
     query: &'q Query,
+    predicates: PredicateIndex,
     /// Dense cache for queries of at most `DENSE_LIMIT` tables; `NaN` marks
     /// an unfilled slot. Kept in a `Box<[f64]>` (2^n entries).
     dense: Option<Box<[f64]>>,
@@ -36,12 +40,22 @@ impl<'q> CardinalityEstimator<'q> {
         } else {
             None
         };
-        CardinalityEstimator { query, dense }
+        CardinalityEstimator {
+            query,
+            predicates: PredicateIndex::new(query),
+            dense,
+        }
     }
 
     /// The query this estimator was built for.
     pub fn query(&self) -> &'q Query {
         self.query
+    }
+
+    /// The query's predicate index: sort-merge attributes and interesting
+    /// orders.
+    pub fn predicates(&self) -> &PredicateIndex {
+        &self.predicates
     }
 
     /// Estimated cardinality of the join of `tables`.

@@ -14,6 +14,8 @@
 //!   with their time and buffer cost formulas, and the sort orders they
 //!   require/produce (interesting orders, Section 5.4); [`SplitCosts`]
 //!   evaluates the formulas once per split for the DP's inner loop.
+//! * [`predicates`] — the per-query predicate index behind the sort-merge
+//!   rule and the interesting-order liveness rule derived from it.
 //! * [`vector`] — fixed-arity cost vectors and (approximate) Pareto
 //!   domination used by single- and multi-objective pruning.
 
@@ -21,8 +23,10 @@
 
 pub mod cardinality;
 pub mod operators;
+pub mod predicates;
 pub mod vector;
 
 pub use cardinality::CardinalityEstimator;
 pub use operators::{JoinOp, Order, ScanOp, SplitCosts, JOIN_OPS};
+pub use predicates::PredicateIndex;
 pub use vector::{CostVector, Objective};

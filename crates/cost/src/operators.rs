@@ -16,6 +16,23 @@
 //! (no equivalence-class propagation); this keeps the memo mechanics the
 //! paper describes (one optimal plan per set *and interesting order*,
 //! Section 5.4) while staying compact.
+//!
+//! An order is *interesting* only while a later operator can use it
+//! (Selinger et al. 1979). Here that is decidable per join result: a
+//! sort-merge join sorts on the lowest-numbered predicate crossing its
+//! split, so an order on table `t` can spare a sort above a result `S` only
+//! if for some `u ∉ S` the lowest-numbered predicate between `S` and `u`
+//! ends at `t`. Proof sketch: the sort-merge that would use the order joins
+//! some `S' ⊇ S` with an operand containing such a `u`, and its chosen
+//! predicate, lowest across that split, is a fortiori lowest between `S`
+//! and `u`; so an order that fails the test for `S` fails it for every
+//! superset and may be labelled [`Order::None`] without changing the cost
+//! of any plan tree. The operators below always report the *physical*
+//! order; the DP applies [`Order::if_live`] to it, with the live set from
+//! [`crate::PredicateIndex::interesting_orders`] — where the rule, the
+//! full proof, and the sort-merge rule it depends on live side by side.
+//! **The rule is valid only for the lowest-numbered-predicate sort-merge
+//! rule**: change one and the other must change with it.
 
 use crate::cardinality::CardinalityEstimator;
 use crate::vector::CostVector;
@@ -48,6 +65,24 @@ impl Order {
             Order::None
         } else {
             Order::OnAttribute(code - 1)
+        }
+    }
+
+    /// The order as the memo labels it for a join result whose interesting
+    /// orders are `live`
+    /// ([`PredicateIndex::interesting_orders`](crate::PredicateIndex::interesting_orders)):
+    /// itself while some later sort-merge join can still ask for it,
+    /// [`Order::None`] once none can. Total: an order decoded off the wire
+    /// may name a table no set can hold, and is never live.
+    #[inline]
+    pub fn if_live(self, live: TableSet) -> Self {
+        match self {
+            Order::OnAttribute(t)
+                if t as usize >= TableSet::MAX_TABLES || !live.contains(t as usize) =>
+            {
+                Order::None
+            }
+            order => order,
         }
     }
 }
@@ -170,15 +205,18 @@ impl SplitCosts {
             // Time: build inner (2 touches/tuple) + probe outer.
             // Buffer: the hash table holds the inner operand.
             hash: CostVector::new(2.0 * rc + lc, rc * bytes_right),
-            sort_merge: sort_merge_attributes(est, left, right).map(|(la, ra)| SortMergeCosts {
-                want_left: Order::OnAttribute(la),
-                want_right: Order::OnAttribute(ra),
-                merge: lc + rc,
-                sort_left: sort_cost(lc),
-                sort_right: sort_cost(rc),
-                buffer_left: lc * est.tuple_bytes(left),
-                buffer_right: rc * bytes_right,
-            }),
+            sort_merge: est
+                .predicates()
+                .sort_merge_attributes(left, right)
+                .map(|(la, ra)| SortMergeCosts {
+                    want_left: Order::OnAttribute(la),
+                    want_right: Order::OnAttribute(ra),
+                    merge: lc + rc,
+                    sort_left: sort_cost(lc),
+                    sort_right: sort_cost(rc),
+                    buffer_left: lc * est.tuple_bytes(left),
+                    buffer_right: rc * bytes_right,
+                }),
         }
     }
 
@@ -225,25 +263,6 @@ impl SplitCosts {
     }
 }
 
-/// The join attributes a sort-merge join between `left` and `right` would
-/// sort on: the endpoints of the lowest-numbered predicate crossing the two
-/// sets, or `None` for a cross product.
-fn sort_merge_attributes(
-    est: &CardinalityEstimator<'_>,
-    left: TableSet,
-    right: TableSet,
-) -> Option<(u8, u8)> {
-    for p in &est.query().predicates {
-        if left.contains(p.left) && right.contains(p.right) {
-            return Some((p.left as u8, p.right as u8));
-        }
-        if left.contains(p.right) && right.contains(p.left) {
-            return Some((p.right as u8, p.left as u8));
-        }
-    }
-    None
-}
-
 /// `n log2 n` sort cost, safe for tiny inputs.
 fn sort_cost(card: f64) -> f64 {
     card * card.max(2.0).log2()
@@ -283,6 +302,19 @@ mod tests {
         for o in [Order::None, Order::OnAttribute(0), Order::OnAttribute(13)] {
             assert_eq!(Order::from_code(o.to_code()), o);
         }
+    }
+
+    #[test]
+    fn only_a_live_order_keeps_its_label() {
+        let live = TableSet::from_tables([2, 5]);
+        assert_eq!(Order::OnAttribute(5).if_live(live), Order::OnAttribute(5));
+        assert_eq!(Order::OnAttribute(3).if_live(live), Order::None);
+        assert_eq!(Order::None.if_live(live), Order::None);
+        // No set holds table 200: never live, and no shift overflow.
+        assert_eq!(
+            Order::OnAttribute(200).if_live(TableSet::full(64)),
+            Order::None
+        );
     }
 
     #[test]

@@ -26,10 +26,11 @@
 //!   exactly its order.
 //! * For single-objective runs the candidates are reduced as they stream
 //!   by ([`OrderClassMinima`]): only the cheapest candidate of each
-//!   interesting-order class reaches the scalar pruning function, which
-//!   provably yields the same slot, in the same entry order, as inserting
-//!   every candidate sequentially. Multi-objective runs insert every
-//!   candidate as it is generated.
+//!   interesting-order class (an order is relabelled `None` once no later
+//!   join can use it, so a set has few) reaches the scalar pruning
+//!   function, which provably yields the same slot, in the same entry
+//!   order, as inserting every candidate sequentially. Multi-objective
+//!   runs insert every candidate as it is generated.
 //! * Sets are built in ascending-cardinality levels. A set reads only
 //!   strictly smaller sets, so sets of one level are independent: each
 //!   slot's content is the same under any level schedule, and under
@@ -216,8 +217,8 @@ struct Ctx<'a> {
 #[derive(Debug, Default)]
 pub struct OrderClassMinima {
     /// (generation index, candidate) per order class, in first-seen order.
-    /// Classes are few (the distinct output orders of the operator set), so
-    /// a linear probe beats any map.
+    /// Classes are few (the set's interesting orders, plus unordered), so a
+    /// linear probe beats any map.
     best: Vec<(u64, PlanEntry)>,
     offered: u64,
 }
@@ -302,13 +303,14 @@ fn process_chunk(ctx: &Ctx<'_>, memo: &ArenaMemo, chunk: &[u32], s: &mut Scratch
     for &idx in chunk {
         let set = memo.adm.set_at(idx as usize);
         let slot_start = out.len();
+        let live = est.predicates().interesting_orders(set);
         for_each_split(&env, set, memo, split_scratch, |split| {
             *splits_tried += 1;
             *plans_generated += match ctx.objective {
-                Objective::Single => join_candidates(est, split, |c| minima.offer(c)),
+                Objective::Single => join_candidates(est, split, live, |c| minima.offer(c)),
                 // Pareto pruning has no single-number reduction: every
                 // candidate meets the slot built so far.
-                Objective::Multi { .. } => join_candidates(est, split, |c| {
+                Objective::Multi { .. } => join_candidates(est, split, live, |c| {
                     ctx.pruning.try_insert_range(out, slot_start, c);
                 }),
             };

@@ -137,6 +137,9 @@ pub fn optimize_parametric_partition(
             constraints,
             adm: memo.admissible(),
         };
+        // Orders agree across scenarios (same predicates), so one live
+        // set serves both.
+        let live = lo.predicates().interesting_orders(set);
         for_each_split_filtered(&env, set, |l, r| {
             stats.splits_tried += 1;
             for (li, le) in memo.entries(l).iter().enumerate() {
@@ -148,16 +151,16 @@ pub fn optimize_parametric_partition(
                         let Some(ah) = op.apply(&mut hi, l, r, le.order, re.order) else {
                             continue;
                         };
-                        // Orders agree across scenarios (same predicates).
                         debug_assert_eq!(al.output_order, ah.output_order);
                         let cost = CostVector::new(
                             le.cost.time + re.cost.time + al.cost.time,
                             le.cost.buffer + re.cost.buffer + ah.cost.time,
                         );
                         stats.plans_generated += 1;
+                        let order = al.output_order.if_live(live);
                         policy.try_insert(
                             &mut slot,
-                            PlanEntry::join(op, l, li as u32, r, ri as u32, cost, al.output_order),
+                            PlanEntry::join(op, l, li as u32, r, ri as u32, cost, order),
                         );
                     }
                 }

@@ -90,12 +90,14 @@ impl TopDown<'_, '_> {
         });
         // Combine pass: the slot is built outside the memo, so the child
         // entry slices can be read straight from the memo without cloning.
+        let live = self.est.predicates().interesting_orders(set);
         let mut slot = Vec::new();
         for_each_split_filtered(&env, set, |l, r| {
             self.stats.splits_tried += 1;
             let split = Split::of(&self.memo, l, r);
             combine_operands(
                 split,
+                live,
                 &mut self.est,
                 &self.policy,
                 &mut slot,

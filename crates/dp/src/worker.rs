@@ -149,16 +149,17 @@ fn reference_loop(
             constraints,
             adm: memo.admissible(),
         };
+        let live = est.predicates().interesting_orders(set);
         if filtered {
             let examined = for_each_split_filtered(&env, set, |left, right| {
                 let split = Split::of(&memo, left, right);
-                combine_operands(split, &mut est, &policy, &mut slot, &mut stats);
+                combine_operands(split, live, &mut est, &policy, &mut slot, &mut stats);
             });
             stats.splits_tried += examined;
         } else {
             for_each_split(&env, set, &memo, &mut scratch, |split| {
                 stats.splits_tried += 1;
-                combine_operands(split, &mut est, &policy, &mut slot, &mut stats);
+                combine_operands(split, live, &mut est, &policy, &mut slot, &mut stats);
             });
         }
         memo.push_slot(idx, &slot);
@@ -241,10 +242,18 @@ impl<'a> Split<'a> {
 /// ([`SplitCosts`]); a candidate's total is `(le.cost + re.cost) + app.cost`
 /// — the same floating-point operations in the same order however the
 /// caller prunes, which is what keeps all kernels bit-identical.
+///
+/// `live` is the result set's interesting orders
+/// ([`mpq_cost::PredicateIndex::interesting_orders`]), computed by the
+/// caller once per result set: a candidate whose physical output order no
+/// later join can use is labelled [`mpq_cost::Order::None`] here, before
+/// any pruning sees it, so it competes with the unordered plans instead of
+/// holding a memo class of its own.
 #[inline]
 pub(crate) fn join_candidates(
     est: &mut CardinalityEstimator<'_>,
     split: Split<'_>,
+    live: TableSet,
     mut sink: impl FnMut(PlanEntry),
 ) -> u64 {
     if split.left_entries.is_empty() || split.right_entries.is_empty() {
@@ -267,7 +276,7 @@ pub(crate) fn join_candidates(
                     split.right,
                     ri as u32,
                     children.add(&app.cost),
-                    app.output_order,
+                    app.output_order.if_live(live),
                 ));
             }
         }
@@ -280,12 +289,13 @@ pub(crate) fn join_candidates(
 #[inline]
 pub(crate) fn combine_operands(
     split: Split<'_>,
+    live: TableSet,
     est: &mut CardinalityEstimator<'_>,
     policy: &PruningPolicy,
     slot: &mut Vec<PlanEntry>,
     stats: &mut WorkerStats,
 ) {
-    stats.plans_generated += join_candidates(est, split, |c| {
+    stats.plans_generated += join_candidates(est, split, live, |c| {
         policy.try_insert(slot, c);
     });
 }
@@ -411,9 +421,11 @@ pub fn compute_entries_for_set(
         constraints,
         adm: memo.admissible(),
     };
+    let live = est.predicates().interesting_orders(set);
     let mut slot = Vec::new();
     stats.splits_tried += for_each_split_filtered(&env, set, |left, right| {
-        combine_operands(Split::of(memo, left, right), est, policy, &mut slot, stats);
+        let split = Split::of(memo, left, right);
+        combine_operands(split, live, est, policy, &mut slot, stats);
     });
     slot
 }

@@ -1870,7 +1870,12 @@ mod tests {
         let mut empty = query(3, 50);
         empty.catalog = Default::default();
         empty.predicates.clear();
-        for (id, q) in [(0, empty), (1, query(3, 50))] {
+        // Regression (ISSUE 18 satellite): so does a task whose query
+        // carries a predicate on a table it does not have — it must not
+        // reach the per-table predicate index.
+        let mut stray = query(3, 50);
+        stray.predicates[0].right = 40;
+        for (id, q, malformed) in [(0, empty, true), (1, stray, true), (2, query(3, 50), false)] {
             cluster
                 .send(0, QueryId(id), task(q).to_bytes(), true)
                 .expect("the worker is still up");
@@ -1880,8 +1885,8 @@ mod tests {
                 panic!("expected a reply");
             };
             // The impossible range echo marks a malformed task.
-            assert_eq!(reply.first_partition == u64::MAX, id == 0);
-            assert_eq!(reply.plans.is_empty(), id == 0);
+            assert_eq!(reply.first_partition == u64::MAX, malformed);
+            assert_eq!(reply.plans.is_empty(), malformed);
         }
         cluster.shutdown();
     }

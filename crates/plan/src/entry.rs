@@ -41,12 +41,16 @@ pub enum PlanNode {
 ///
 /// A slot keeps several entries when they are incomparable: distinct
 /// interesting orders under single-objective pruning, or Pareto-incomparable
-/// cost vectors under multi-objective pruning.
+/// cost vectors under multi-objective pruning. An order counts as
+/// interesting only while a later join can use it; the DP relabels it
+/// `None` before the entry gets here, so a slot holds no class that cannot
+/// pay off.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanEntry {
     /// Total cost of the memoized subtree.
     pub cost: CostVector,
-    /// Sort order of the subtree's output.
+    /// Interesting order of the subtree's output (relabelled `None` once
+    /// no later join can use it).
     pub order: Order,
     /// Root operator and child references.
     pub node: PlanNode,

@@ -8,7 +8,11 @@
 //! * **Single-objective** — keep the cheapest plan per table set *and
 //!   interesting order* (Selinger). An entry with an order is only pruned
 //!   by an entry delivering the same order; an unordered entry is pruned by
-//!   any entry that is at most as expensive.
+//!   any entry that is at most as expensive. The policy takes the order
+//!   labels as given: deciding that an order has stopped being interesting
+//!   (relabelled `None` once no later join can use it) is the caller's
+//!   job — the DP's candidate loop does it, from
+//!   `mpq_cost::PredicateIndex::interesting_orders`.
 //! * **Multi-objective α-approximate Pareto** (Trummer & Koch, SIGMOD 2014)
 //!   — a new plan is *rejected* if an existing plan α-dominates it, and
 //!   existing plans are *removed* only when exactly dominated. Rejecting

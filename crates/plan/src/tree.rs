@@ -37,7 +37,11 @@ pub enum Plan {
         cost: CostVector,
         /// Output cardinality.
         cardinality: f64,
-        /// Sort order of the output stream.
+        /// Interesting order of the output stream: the order a later join
+        /// can still use, `Order::None` once none can. Plans built by the
+        /// DP carry this label, not the physical order (the root of a
+        /// complete plan is always `None`); see
+        /// `mpq_cost::PredicateIndex::interesting_orders`.
         order: Order,
     },
 }
@@ -57,7 +61,8 @@ impl Plan {
         }
     }
 
-    /// Sort order of the plan's output.
+    /// Interesting order of the plan's output (relabelled `None` once no
+    /// later join can use it).
     pub fn order(&self) -> Order {
         match self {
             Plan::Scan { .. } => Order::None,

@@ -810,11 +810,18 @@ mod tests {
         let mut empty = query(3, 60);
         empty.catalog = Default::default();
         empty.predicates.clear();
-        cluster
-            .send(0, QueryId(0), init(empty).to_bytes(), true)
-            .unwrap();
-        let (_, _, payload) = cluster.recv().expect("the worker answers");
-        assert_eq!(SmaReply::from_bytes(&payload), Ok(SmaReply::Malformed));
+        // Regression (ISSUE 18 satellite): so does an `Init` whose query
+        // carries a predicate on a table it does not have — it must not
+        // reach the per-table predicate index.
+        let mut stray = query(3, 60);
+        stray.predicates[0].right = 40;
+        for hostile in [empty, stray] {
+            cluster
+                .send(0, QueryId(0), init(hostile).to_bytes(), true)
+                .unwrap();
+            let (_, _, payload) = cluster.recv().expect("the worker answers");
+            assert_eq!(SmaReply::from_bytes(&payload), Ok(SmaReply::Malformed));
+        }
         // Still serving: a well-formed session runs to its final plan.
         let q = query(3, 60);
         let id = QueryId(1);

@@ -165,6 +165,42 @@ proptest! {
         }
     }
 
+    /// The lemma the interesting-order pruning rests on, over arbitrary
+    /// predicate lists (duplicates, self-loops, any numbering): an order
+    /// that is not live for `S` is not live for any superset, and only a
+    /// table of `S` with a neighbour outside `S` is ever live.
+    #[test]
+    fn dead_orders_stay_dead_in_supersets(
+        n in 2usize..=12,
+        edges in prop::collection::vec((0usize..12, 0usize..12), 0..30),
+        small in any::<u64>(),
+        extra in any::<u64>(),
+    ) {
+        let predicates: Vec<Predicate> = edges
+            .iter()
+            .map(|&(a, b)| Predicate { left: a % n, right: b % n, selectivity: 0.5 })
+            .collect();
+        let catalog = Catalog::from_stats(vec![TableStats::with_cardinality(10.0); n]);
+        let q = Query { catalog, predicates, graph: JoinGraph::Chain };
+        let index = pqopt::cost::PredicateIndex::new(&q);
+        let all = TableSet::full(n);
+        let s = TableSet(small).intersect(all);
+        let superset = s.union(TableSet(extra).intersect(all));
+        let live = index.interesting_orders(s);
+        prop_assert!(
+            index.interesting_orders(superset).intersect(s).is_subset_of(live),
+            "an order dead for {s} is live for {superset}"
+        );
+        let outside = all.difference(s);
+        let has_outside_neighbour = TableSet::from_tables(s.iter().filter(|&t| {
+            q.predicates.iter().any(|p| {
+                (p.left == t && outside.contains(p.right))
+                    || (p.right == t && outside.contains(p.left))
+            })
+        }));
+        prop_assert!(live.is_subset_of(has_outside_neighbour), "live {live} for {s}");
+    }
+
     /// Workload generation is a pure function of (config, seed).
     #[test]
     fn workload_deterministic(n in 1usize..=20, seed in any::<u64>()) {
