@@ -1,13 +1,15 @@
 //! Ablation: constraint-aware bushy split enumeration (Cartesian product
 //! of admissible per-group parts, Algorithm 5) vs filter-after-enumerate.
 //!
-//! The paper invests "more effort in case of bushy plans" to generate only
-//! admissible splits, making per-set work linear in the number of
-//! *admissible* rather than *possible* splits (Section 4.2). This bench
-//! quantifies that choice: with `l` constraints, the filtered variant
-//! still touches all `2^|U|` splits per set while the product variant
-//! touches `~(6/8)^l` of them. Both columns run the same slot-at-a-time
-//! reference loop, so they differ only in the enumeration.
+//! Question: what does Algorithm 5 buy? The paper invests "more effort in
+//! case of bushy plans" to generate only admissible splits, making
+//! per-set work linear in the number of *admissible* rather than
+//! *possible* splits (Section 4.2). With `l` constraints the filtered
+//! variant still touches all `2^|U|` splits per set while the product
+//! variant touches `~(6/8)^l` of them: `splits_{product,filtered}_*` are
+//! the exact counts, `dp_{product,filtered}_*` the one-thread time. Both
+//! columns run the same slot-at-a-time reference loop, so they differ
+//! only in the enumeration. `benchmark/` never runs the filtered walk.
 
 use mpq_bench::*;
 use mpq_cost::Objective;
@@ -22,6 +24,8 @@ fn main() {
     let max_l = PlanSpace::Bushy.max_constraints(tables) as u32;
     println!("Ablation: bushy split enumeration (product vs filtered), {tables} tables");
     let batch = query_batch(tables, JoinGraph::Star, 0xAB15, queries_per_point());
+    let mut report = BenchReport::new("ablation_splits");
+    report.config("queries_per_point", queries_per_point());
     let mut rows = Vec::new();
     for l in 0..=max_l {
         let partitions = 1u64 << l;
@@ -48,6 +52,16 @@ fn main() {
                 "both enumerations must find the same optimum"
             );
         }
+        assert!(
+            product_splits <= filtered_splits,
+            "the product walk visits a subset of the filtered walk's splits"
+        );
+        let id = |what: &str| format!("{what}_bushy{tables}_l{l}");
+        report
+            .exact(&id("splits_product"), "count", product_splits as f64)
+            .exact(&id("splits_filtered"), "count", filtered_splits as f64)
+            .timing(&id("dp_product"), "ms", &product_ms)
+            .timing(&id("dp_filtered"), "ms", &filtered_ms);
         rows.push(vec![
             l.to_string(),
             fmt_num(median(&mut product_ms)),
@@ -67,4 +81,5 @@ fn main() {
         ],
         &rows,
     );
+    report.write();
 }

@@ -1,25 +1,24 @@
-//! Fault-recovery overhead benchmark: what does surviving a worker loss
-//! cost MPQ, and what *would* it cost SMA?
+//! Fault-recovery bill: what does surviving a worker loss cost MPQ, and
+//! what *would* it cost SMA?
 //!
-//! The paper argues that MPQ suits shared-nothing frameworks because a
-//! lost worker costs one re-issued `O(b_q)` task, while SMA would have to
-//! re-broadcast the replicated memo. This bench measures both sides:
-//!
-//! * `mpq_fault_free` vs `mpq_one_crash`: wall-clock overhead of
-//!   detecting one crashed worker (suspicion timeout) and re-executing
-//!   its partition range;
-//! * `recovery_bytes`: prints MPQ's measured `retry_task_bytes` next to
-//!   SMA's measured `replica_recovery_bytes` for the same query — the
-//!   byte-level asymmetry behind the argument.
+//! Question: the byte-level asymmetry behind the paper's deployment
+//! argument — MPQ suits shared-nothing frameworks because a lost worker
+//! costs one re-issued `O(b_q)` task, while SMA would have to re-broadcast
+//! the replicated memo. `benchmark/` injects no faults. One worker of four
+//! crashes on its first task; `recovery_bytes_mpq_*` is the measured
+//! `retry_task_bytes`, `recovery_bytes_sma_*` the measured
+//! `replica_recovery_bytes` for the same query. Every id is exact: the
+//! suspicion timeout is long enough that only the dead worker's range is
+//! ever re-issued. (How long detection takes is that timeout, a setting,
+//! not a measurement.)
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mpq_algo::{MpqConfig, MpqOptimizer, RetryPolicy};
+use mpq_bench::{print_table, BenchReport};
 use mpq_cluster::{FaultAction, FaultPlan};
 use mpq_cost::Objective;
 use mpq_model::{WorkloadConfig, WorkloadGenerator};
 use mpq_partition::PlanSpace;
-use mpq_sma::{SmaConfig, SmaOptimizer};
-use std::hint::black_box;
+use mpq_sma::SmaOptimizer;
 use std::time::Duration;
 
 const WORKERS: usize = 4;
@@ -39,62 +38,60 @@ fn one_crash_plan() -> FaultPlan {
     .expect("some seed crashes exactly one worker at message 0")
 }
 
-fn bench_fault_recovery(c: &mut Criterion) {
+fn main() {
     let q = WorkloadGenerator::new(WorkloadConfig::paper_default(10), 5).next_query();
-    let fault_free = MpqOptimizer::new(MpqConfig::default());
-    c.bench_function("mpq_fault_free_linear10_w4", |b| {
-        b.iter(|| {
-            fault_free.optimize(
-                black_box(&q),
-                PlanSpace::Linear,
-                Objective::Single,
-                WORKERS as u64,
-            )
-        })
-    });
-
-    let faulty = MpqOptimizer::new(MpqConfig {
+    let (space, objective) = (PlanSpace::Linear, Objective::Single);
+    let healthy = MpqOptimizer::default().optimize(&q, space, objective, WORKERS as u64);
+    let recovered = MpqOptimizer::new(MpqConfig {
         faults: one_crash_plan(),
-        retry: RetryPolicy::with_timeout(16, Duration::from_millis(5)),
+        retry: RetryPolicy::with_timeout(16, Duration::from_millis(100)),
         ..MpqConfig::default()
-    });
-    c.bench_function("mpq_one_crash_linear10_w4", |b| {
-        b.iter(|| {
-            faulty
-                .try_optimize(
-                    black_box(&q),
-                    PlanSpace::Linear,
-                    Objective::Single,
-                    WORKERS as u64,
-                )
-                .expect("recovery succeeds")
-        })
-    });
-}
-
-/// Not a timing benchmark: prints the byte-level recovery asymmetry the
-/// timing numbers rest on.
-fn report_recovery_bytes(c: &mut Criterion) {
-    let q = WorkloadGenerator::new(WorkloadConfig::paper_default(10), 5).next_query();
-    let faulty = MpqOptimizer::new(MpqConfig {
-        faults: one_crash_plan(),
-        retry: RetryPolicy::with_timeout(16, Duration::from_millis(5)),
-        ..MpqConfig::default()
-    });
-    let out = faulty
-        .try_optimize(&q, PlanSpace::Linear, Objective::Single, WORKERS as u64)
-        .expect("recovery succeeds");
-    let sma = SmaOptimizer::new(SmaConfig::default())
-        .try_optimize(&q, PlanSpace::Linear, Objective::Single, WORKERS)
-        .expect("fault-free SMA run");
-    println!(
-        "recovery bytes after one worker loss: MPQ re-issued {} task bytes ({} retries); \
-         an SMA replica rebuild would re-broadcast {} bytes",
-        out.metrics.retry_task_bytes, out.metrics.retries, sma.metrics.replica_recovery_bytes
+    })
+    .try_optimize(&q, space, objective, WORKERS as u64)
+    .expect("recovery succeeds");
+    assert_eq!(
+        recovered.plans[0].cost().time.to_bits(),
+        healthy.plans[0].cost().time.to_bits(),
+        "recovery must return the fault-free optimum"
     );
-    // Keep criterion's harness shape: a trivial measured closure.
-    c.bench_function("recovery_bytes_report", |b| b.iter(|| 0u64));
-}
+    let sma = SmaOptimizer::default()
+        .try_optimize(&q, space, objective, WORKERS)
+        .expect("fault-free SMA run");
+    let (mpq, sma) = (recovered.metrics, sma.metrics);
+    assert!(
+        mpq.retries == 1 && mpq.retry_task_bytes < sma.replica_recovery_bytes,
+        "one lost worker is one re-issued task, cheaper than a replica ({mpq:?})"
+    );
 
-criterion_group!(benches, bench_fault_recovery, report_recovery_bytes);
-criterion_main!(benches);
+    let mut report = BenchReport::new("fault_recovery");
+    report
+        .exact(
+            "recovery_retries_mpq_linear10_w4",
+            "count",
+            mpq.retries as f64,
+        )
+        .exact(
+            "recovery_bytes_mpq_linear10_w4",
+            "bytes",
+            mpq.retry_task_bytes as f64,
+        )
+        .exact(
+            "recovery_bytes_sma_linear10_w4",
+            "bytes",
+            sma.replica_recovery_bytes as f64,
+        );
+    print_table(
+        "bytes to recover one lost worker of 4 (Linear 10)",
+        &[
+            "MPQ retries",
+            "MPQ re-issued task(B)",
+            "SMA replica rebuild(B)",
+        ],
+        &[vec![
+            mpq.retries.to_string(),
+            mpq.retry_task_bytes.to_string(),
+            sma.replica_recovery_bytes.to_string(),
+        ]],
+    );
+    report.write();
+}

@@ -1,15 +1,20 @@
-//! Figure 1: MPQ vs SMA — optimization time and network traffic for
-//! single-objective optimization over linear and bushy plan spaces.
+//! Figure 1: MPQ vs SMA — network traffic for single-objective
+//! optimization over linear and bushy plan spaces.
+//!
+//! Question: what does each algorithm ship as workers double?
+//! `benchmark/` runs no SMA at all. Every id is exact, so this target is
+//! one of those CI runs twice. (The figure's time axis is `fig2`'s
+//! uncontended W-time for MPQ; SMA's wall clock on one box is `pqopt
+//! compare`.)
 //!
 //! Paper configuration: Linear 8 & 16 tables, Bushy 9 & 15 tables, star
 //! join graphs, workers 1..128, median of 20 queries. Scaled default:
 //! Linear 8 & 12, Bushy 9 & 12, workers 1..32, median of 3 queries
 //! (`MPQ_FULL=1` restores paper sizes).
 //!
-//! Expected shape (paper): MPQ beats SMA by up to four orders of magnitude
-//! in time; SMA ships megabytes (intermediate-result sharing) while MPQ
-//! ships kilobytes; SMA stops benefiting from parallelism beyond ~4-8
-//! workers.
+//! Expected shape (paper): SMA ships megabytes (intermediate-result
+//! sharing, growing with the memo) while MPQ ships kilobytes (one task
+//! out, one plan back per worker).
 
 use mpq_bench::*;
 use mpq_cost::Objective;
@@ -35,30 +40,18 @@ fn main() {
     };
     println!("Figure 1 reproduction: MPQ vs SMA, one cost metric (star queries)");
     println!("(scaled run: {}; set MPQ_FULL=1 for paper sizes)", !full);
+    let mut report = BenchReport::new("fig1");
+    report.config("queries_per_point", queries_per_point());
     for (label, space, tables, max_workers) in configs {
         let batch = query_batch(tables, JoinGraph::Star, 0xF161, queries_per_point());
-        let mut rows = Vec::new();
-        for w in worker_counts(1, max_workers) {
-            let mpq = run_mpq_point(&batch, space, Objective::Single, w);
-            let sma = run_sma_point(&batch, space, Objective::Single, w as usize);
-            rows.push(vec![
-                w.to_string(),
-                fmt_num(mpq.time_ms),
-                fmt_num(sma.time_ms),
-                fmt_num(mpq.net_bytes),
-                fmt_num(sma.net_bytes),
-            ]);
-        }
-        print_table(
-            &format!("{label} ({} queries/point)", queries_per_point()),
-            &[
-                "workers",
-                "MPQ time(ms)",
-                "SMA time(ms)",
-                "MPQ net(B)",
-                "SMA net(B)",
-            ],
-            &rows,
+        versus_table(
+            &mut report,
+            label,
+            &batch,
+            space,
+            Objective::Single,
+            max_workers,
         );
     }
+    report.write();
 }

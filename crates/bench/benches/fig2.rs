@@ -1,6 +1,11 @@
 //! Figure 2: MPQ scaling for sufficiently large search spaces, one cost
-//! metric — total time, max worker time (W-Time), per-worker memory in
-//! relations, and network bytes, as the worker count doubles.
+//! metric — max worker time (W-Time), per-worker memory in relations, and
+//! network bytes, as the worker count doubles.
+//!
+//! Question: do a worker's time and memory fall by the paper's factor per
+//! doubling while network bytes grow linearly? `benchmark/` answers it for
+//! one 15-table query per run; this target sweeps the figure's sizes and
+//! **asserts** the exact series against the theorems.
 //!
 //! Paper configuration: Linear 20 & 24, Bushy 15 & 18, workers 1..128.
 //! Scaled default: Linear 16 & 18, Bushy 12 & 14, workers 1..64.
@@ -8,18 +13,12 @@
 //! Expected shape (paper): steady scaling at the theoretical factors —
 //! time and memory shrink by ~3/4 per doubling for linear spaces and by
 //! ~21/27 (time) / ~7/8 (memory) for bushy spaces; network bytes grow
-//! linearly in the worker count and depend only marginally on query size;
-//! W-Time stays close to total time (negligible master overhead).
+//! linearly in the worker count and depend only marginally on query size.
 
 use mpq_bench::*;
 use mpq_cost::Objective;
 use mpq_model::JoinGraph;
 use mpq_partition::PlanSpace;
-
-/// `"Linear 16"` → `"linear16"`: stable metric-id fragment.
-fn slug(label: &str) -> String {
-    label.to_lowercase().replace(' ', "")
-}
 
 fn main() {
     let full = full_scale();
@@ -44,43 +43,24 @@ fn main() {
     report.config("queries_per_point", queries_per_point());
     for (label, space, tables, max_workers) in configs {
         let batch = query_batch(tables, JoinGraph::Star, 0xF162, queries_per_point());
-        let mut rows = Vec::new();
-        let mut prev_time = f64::NAN;
-        for w in worker_counts(1, max_workers) {
-            let p = run_mpq_point(&batch, space, Objective::Single, w);
-            report.scalar(&format!("wtime_{}_w{w}", slug(label)), "ms", p.w_time_ms);
-            let factor = if prev_time.is_nan() {
-                f64::NAN
-            } else {
-                p.w_time_ms / prev_time
-            };
-            prev_time = p.w_time_ms;
-            rows.push(vec![
-                w.to_string(),
-                fmt_num(p.time_ms),
-                fmt_num(p.w_time_ms),
-                if factor.is_nan() {
-                    "-".into()
-                } else {
-                    format!("{factor:.3}")
-                },
-                fmt_num(p.memory_relations),
-                fmt_num(p.net_bytes),
-            ]);
-        }
-        let predicted = space.time_reduction_factor();
-        print_table(
-            &format!("{label} (predicted W-time factor per doubling: {predicted:.3})"),
-            &[
-                "workers",
-                "time(ms)",
-                "W-time(ms)",
-                "factor",
-                "mem(rel)",
-                "net(B)",
-            ],
-            &rows,
+        let workers = worker_counts(1, max_workers);
+        let points = scaling_series(
+            &mut report,
+            label,
+            &batch,
+            space,
+            Objective::Single,
+            &workers,
         );
+        assert_paper_factors(label, space, &points);
+        // One task out, one plan back per worker: exactly linear.
+        for (&w, p) in workers.iter().zip(&points) {
+            assert_eq!(
+                p.net_bytes,
+                w as f64 * points[0].net_bytes,
+                "{label}: bytes at {w} workers"
+            );
+        }
     }
     report.write();
 }

@@ -1,14 +1,16 @@
 //! Figure 4: MPQ vs SMA for multi-objective query optimization (two cost
 //! metrics: execution time and buffer space, α = 10).
 //!
+//! Question: Figure 1's, with Pareto frontiers in every memo slot and in
+//! every reply. Every id is exact.
+//!
 //! Paper configuration: Linear 10 and Bushy 9, workers 1..128. These sizes
 //! are small enough to run unscaled; the scaled default only reduces the
 //! worker range and query count.
 //!
 //! Expected shape (paper): same tendencies as single-objective — MPQ far
-//! cheaper in time and bytes; MPQ's network traffic is higher than in the
-//! single-objective case because each worker returns a Pareto *set*; SMA
-//! degrades once workers exceed ~8.
+//! cheaper in bytes; MPQ's network traffic is higher than in the
+//! single-objective case because each worker returns a Pareto *set*.
 
 use mpq_bench::*;
 use mpq_cost::Objective;
@@ -28,31 +30,11 @@ fn main() {
         ("Bushy 9", PlanSpace::Bushy, 9, 8),
     ];
     println!("Figure 4 reproduction: MPQ vs SMA, two cost metrics (α = 10)");
+    let mut report = BenchReport::new("fig4");
+    report.config("queries_per_point", queries_per_point());
     for (label, space, tables, max_workers) in configs {
         let batch = query_batch(tables, JoinGraph::Star, 0xF164, queries_per_point());
-        let mut rows = Vec::new();
-        for w in worker_counts(1, max_workers) {
-            let mpq = run_mpq_point(&batch, space, objective, w);
-            let sma = run_sma_point(&batch, space, objective, w as usize);
-            rows.push(vec![
-                w.to_string(),
-                fmt_num(mpq.time_ms),
-                fmt_num(sma.time_ms),
-                fmt_num(mpq.net_bytes),
-                fmt_num(sma.net_bytes),
-            ]);
-        }
-        print_table(
-            &format!("{label} ({} queries/point)", queries_per_point()),
-            &[
-                "workers",
-                "MPQ time(ms)",
-                "SMA time(ms)",
-                "MPQ net(B)",
-                "SMA net(B)",
-            ],
-            &rows,
-        );
+        versus_table(&mut report, label, &batch, space, objective, max_workers);
     }
 
     // The paper also reports the median number of complete Pareto-optimal
@@ -63,16 +45,23 @@ fn main() {
         ("Bushy 9", PlanSpace::Bushy, 9),
     ] {
         let batch = query_batch(tables, JoinGraph::Star, 0xF164, queries_per_point());
-        let opt = MpqOptimizer::new(MpqConfig::default());
         let mut sizes: Vec<f64> = batch
             .iter()
-            .map(|q| opt.optimize(q, space, objective, 1).plans.len() as f64)
+            .map(|q| {
+                MpqOptimizer::default()
+                    .optimize(q, space, objective, 1)
+                    .plans
+                    .len() as f64
+            })
             .collect();
-        rows.push(vec![label.to_string(), fmt_num(median(&mut sizes))]);
+        let plans = median(&mut sizes);
+        report.exact(&format!("pareto_plans_{}", slug(label)), "count", plans);
+        rows.push(vec![label.to_string(), fmt_num(plans)]);
     }
     print_table(
         "Median Pareto-set size (paper: 21 for Linear 12, 16 for Bushy 9)",
         &["space", "median plans"],
         &rows,
     );
+    report.write();
 }

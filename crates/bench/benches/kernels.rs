@@ -4,16 +4,15 @@
 //! admissible-set enumeration, and the wire codec. These guard the
 //! constant factors behind the paper-level experiments.
 //!
-//! Emits `BENCH_kernels.json` (see `mpq_bench::report`); the committed
-//! copy at the repo root is the regression baseline for
-//! `cargo run -p xtask -- bench-check`.
+//! Question: what does one kernel call cost on one thread, variant beside
+//! variant on the same partition? `benchmark/` times the kernel only
+//! through a whole query (`dp.partition_ms_best.*`) and never the
+//! reference loop or `ParallelPolicy`.
 
 use mpq_bench::{full_scale, median, print_table, BenchReport};
 use mpq_cluster::Wire;
 use mpq_cost::Objective;
-use mpq_dp::{
-    optimize_partition, optimize_partition_parallel, optimize_partition_reference, ParallelPolicy,
-};
+use mpq_dp::{optimize_partition_parallel, optimize_partition_reference, ParallelPolicy};
 use mpq_model::{JoinGraph, TableSet, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{partition_constraints, AdmissibleSets, PlanSpace};
 use std::hint::black_box;
@@ -46,13 +45,13 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
         let reference = optimize_partition_reference(&q, space, Objective::Single, &constraints);
         // The exact work behind the timings below, so ns-per-plan can be
         // derived from the committed file.
-        report.scalar(
+        report.exact(
             &format!("dp_plans_generated_{label}"),
             "count",
             reference.stats.plans_generated as f64,
         );
         // The memo the partition ends with: Theorem 4's space, in entries.
-        report.scalar(
+        report.exact(
             &format!("dp_entries_{label}"),
             "count",
             reference.stats.total_entries as f64,
@@ -72,60 +71,34 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
             );
         }
 
+        // `None` is the reference loop; `Some(t)` the arena kernel on `t`
+        // threads (`optimize_partition` is the one-thread case).
         let mut row = vec![label.to_string()];
-        type Variant<'a> = (&'a str, Box<dyn FnMut() + 'a>);
-        let variants: Vec<Variant> = vec![
-            (
-                "reference",
-                Box::new(|| {
-                    black_box(optimize_partition_reference(
+        for (variant, threads) in [
+            ("reference", None),
+            ("arena", Some(1)),
+            ("arena_t2", Some(2)),
+            ("arena_t4", Some(4)),
+        ] {
+            let ms = sample_ms(samples, || {
+                black_box(match threads {
+                    None => optimize_partition_reference(
                         black_box(&q),
                         space,
                         Objective::Single,
                         &constraints,
-                    ));
-                }),
-            ),
-            (
-                "arena",
-                Box::new(|| {
-                    black_box(optimize_partition(
+                    ),
+                    Some(threads) => optimize_partition_parallel(
                         black_box(&q),
                         space,
                         Objective::Single,
                         &constraints,
-                    ));
-                }),
-            ),
-            (
-                "arena_t2",
-                Box::new(|| {
-                    black_box(optimize_partition_parallel(
-                        black_box(&q),
-                        space,
-                        Objective::Single,
-                        &constraints,
-                        ParallelPolicy::with_threads(2),
-                    ));
-                }),
-            ),
-            (
-                "arena_t4",
-                Box::new(|| {
-                    black_box(optimize_partition_parallel(
-                        black_box(&q),
-                        space,
-                        Objective::Single,
-                        &constraints,
-                        ParallelPolicy::with_threads(4),
-                    ));
-                }),
-            ),
-        ];
-        for (variant, mut f) in variants {
-            let ms = sample_ms(samples, &mut f);
+                        ParallelPolicy::with_threads(threads),
+                    ),
+                });
+            });
             row.push(format!("{:.2}", median(&mut ms.clone())));
-            report.metric(&format!("dp_{variant}_{label}"), "ms", &ms);
+            report.timing(&format!("dp_{variant}_{label}"), "ms", &ms);
         }
         rows.push(row);
     }
@@ -137,25 +110,21 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
 }
 
 fn bench_serial(report: &mut BenchReport, samples: usize) {
-    let q = WorkloadGenerator::new(WorkloadConfig::with_graph(12, JoinGraph::Star), 7).next_query();
-    let ms = sample_ms(samples, || {
-        black_box(mpq_dp::optimize_serial(
-            black_box(&q),
-            PlanSpace::Linear,
-            Objective::Single,
-        ));
-    });
-    report.metric("dp_serial_linear12", "ms", &ms);
-    let qb =
-        WorkloadGenerator::new(WorkloadConfig::with_graph(10, JoinGraph::Star), 8).next_query();
-    let ms = sample_ms(samples, || {
-        black_box(mpq_dp::optimize_serial(
-            black_box(&qb),
-            PlanSpace::Bushy,
-            Objective::Single,
-        ));
-    });
-    report.metric("dp_serial_bushy10", "ms", &ms);
+    for (id, space, tables, seed) in [
+        ("dp_serial_linear12", PlanSpace::Linear, 12, 7),
+        ("dp_serial_bushy10", PlanSpace::Bushy, 10, 8),
+    ] {
+        let q = WorkloadGenerator::new(WorkloadConfig::with_graph(tables, JoinGraph::Star), seed)
+            .next_query();
+        let ms = sample_ms(samples, || {
+            black_box(mpq_dp::optimize_serial(
+                black_box(&q),
+                space,
+                Objective::Single,
+            ));
+        });
+        report.timing(id, "ms", &ms);
+    }
 }
 
 fn bench_index_and_enumeration(report: &mut BenchReport, samples: usize) {
@@ -169,13 +138,13 @@ fn bench_index_and_enumeration(report: &mut BenchReport, samples: usize) {
         }
         black_box(acc);
     });
-    report.metric("dense_index_of", "ms", &ms);
+    report.timing("dense_index_of", "ms", &ms);
 
     let enum_constraints = partition_constraints(18, PlanSpace::Linear, 21, 64);
     let ms = sample_ms(samples, || {
         black_box(AdmissibleSets::new(black_box(&enum_constraints)).len());
     });
-    report.metric("admissible_build_linear18_l6", "ms", &ms);
+    report.timing("admissible_build_linear18_l6", "ms", &ms);
 }
 
 fn bench_codec(report: &mut BenchReport, samples: usize) {
@@ -187,14 +156,14 @@ fn bench_codec(report: &mut BenchReport, samples: usize) {
             black_box(black_box(&q).to_bytes());
         }
     });
-    report.metric("codec_query_encode_x256", "ms", &ms);
+    report.timing("codec_query_encode_x256", "ms", &ms);
     let bytes = q.to_bytes();
     let ms = sample_ms(samples, || {
         for _ in 0..256 {
             black_box(mpq_model::Query::from_bytes(black_box(&bytes)).expect("valid bytes"));
         }
     });
-    report.metric("codec_query_decode_x256", "ms", &ms);
+    report.timing("codec_query_decode_x256", "ms", &ms);
 }
 
 fn main() {

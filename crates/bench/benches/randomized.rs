@@ -1,9 +1,14 @@
 //! Supplementary study (Section 1 of the paper): randomized join-ordering
 //! algorithms — iterated improvement and simulated annealing — are easier
 //! to parallelize than the dynamic program, but carry no optimality
-//! guarantee. This bench quantifies the quality gap that motivates the
-//! paper's choice to parallelize the DP instead: median cost ratio vs the
-//! DP optimum, and optimization time, on star queries.
+//! guarantee.
+//!
+//! Question: how far from the optimum do they land, and what do they cost
+//! on one thread? `benchmark/` runs only the exact optimizer. The quality
+//! gap that motivates parallelizing the DP instead is exact (seeded
+//! heuristics, one cost model): `quality_{ii,sa,greedy}_linear{n}`, the
+//! median cost ratio to the DP optimum on star queries; `time_*` are the
+//! one-thread clock readings beside it.
 
 use mpq_bench::*;
 use mpq_cost::Objective;
@@ -24,6 +29,8 @@ fn main() {
     };
     println!("Randomized baselines vs the dynamic program (left-deep, star queries)");
     println!("cells: median cost ratio to the DP optimum (1.0 = optimal) | median ms");
+    let mut report = BenchReport::new("randomized");
+    report.config("queries_per_point", queries_per_point());
     let mut rows = Vec::new();
     for tables in sizes {
         let batch = query_batch(tables, JoinGraph::Star, 0x9A4D, queries_per_point());
@@ -61,12 +68,30 @@ fn main() {
             let greedy = order_cost(q, &greedy_min_result(q));
             greedy_ratio.push(greedy / opt);
         }
+        let id = |what: &str| format!("{what}_linear{tables}");
+        report
+            .timing(&id("time_dp"), "ms", &dp_ms)
+            .timing(&id("time_ii"), "ms", &ii_ms)
+            .timing(&id("time_sa"), "ms", &sa_ms);
+        let (ii, sa, greedy) = (
+            median(&mut ii_ratio),
+            median(&mut sa_ratio),
+            median(&mut greedy_ratio),
+        );
+        assert!(
+            ii.min(sa).min(greedy) >= 1.0,
+            "{tables} tables: no heuristic may beat the DP optimum"
+        );
+        report
+            .exact(&id("quality_ii"), "ratio", ii)
+            .exact(&id("quality_sa"), "ratio", sa)
+            .exact(&id("quality_greedy"), "ratio", greedy);
         rows.push(vec![
             tables.to_string(),
             format!("{:.1}", median(&mut dp_ms)),
-            format!("{:.3} | {:.1}", median(&mut ii_ratio), median(&mut ii_ms)),
-            format!("{:.3} | {:.1}", median(&mut sa_ratio), median(&mut sa_ms)),
-            format!("{:.3}", median(&mut greedy_ratio)),
+            format!("{ii:.3} | {:.1}", median(&mut ii_ms)),
+            format!("{sa:.3} | {:.1}", median(&mut sa_ms)),
+            format!("{greedy:.3}"),
         ]);
     }
     print_table(
@@ -80,4 +105,5 @@ fn main() {
         ],
         &rows,
     );
+    report.write();
 }

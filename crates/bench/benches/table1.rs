@@ -2,11 +2,23 @@
 //! precision α within a fixed optimization-time budget (two cost metrics,
 //! linear plan space).
 //!
+//! Question: how many workers does a precision cost? No `benchmark/`
+//! workload varies α. A cell is the smallest worker count whose
+//! *uncontended* W-time (`mpq_bench::uncontended_wtime_ms`: what each of
+//! that many nodes would need on its own cores) meets the budget for a
+//! majority of the test cases — timing threads that share this host's
+//! cores instead made every cell read `1` or `inf`. Cells are clock
+//! readings (`min_workers_*`, unit `workers`, never gated; `inf` is
+//! recorded as twice the maximum); the exact side is
+//! `work_plans_linear{n}_a{α}_w1`, the candidate plans precision α costs
+//! one worker.
+//!
 //! Paper configuration: budgets 10/30/60 s, 14-20 tables,
 //! α ∈ {1.01, 1.05, 1.25, 1.5, 2, 5, 10}, workers up to 128, a cell is
 //! the minimal parallelism solving ≥ 8 of 15 test cases in budget (∞ if
-//! even the maximum failed). Scaled default: budgets 100/300/600 ms,
-//! 10-14 tables, workers up to 32 (`MPQ_FULL=1` restores paper scale).
+//! even the maximum failed). Scaled default: budgets 5/15/30 ms,
+//! 9-13 tables, workers up to 32, 2 of 3 cases (`MPQ_FULL=1` restores
+//! paper scale).
 //!
 //! Expected shape (paper): smaller α (higher precision) and larger queries
 //! need more workers; some cells stay ∞; for a fixed budget the required
@@ -14,6 +26,7 @@
 
 use mpq_bench::*;
 use mpq_cost::Objective;
+use mpq_dp::optimize_serial;
 use mpq_model::JoinGraph;
 use mpq_partition::PlanSpace;
 
@@ -27,60 +40,76 @@ fn main() {
             128,
         )
     } else {
-        (vec![100.0, 300.0, 600.0], vec![10, 12, 14], 32)
+        (vec![5.0, 15.0, 30.0], vec![9, 11, 13], 32)
     };
-    let cases = if full { 15 } else { 5 };
+    let cases = if full { 15 } else { 3 };
     let needed = cases / 2 + 1; // majority, like the paper's 8 of 15
+    let workers = worker_counts(1, max_workers);
 
     println!("Table 1 reproduction: minimal parallelism for precision α in budget");
     println!("(scaled run: {}; set MPQ_FULL=1 for paper scale)", !full);
-    let opt = MpqOptimizer::new(MpqConfig {
-        latency: experiment_latency(),
-        ..MpqConfig::default()
-    });
+    let mut report = BenchReport::new("table1");
+    report.config("cases", cases).config("needed", needed);
 
-    for &budget in &budgets_ms {
-        let mut rows = Vec::new();
-        for &tables in &sizes {
-            let batch = query_batch(tables, JoinGraph::Star, 0x7AB1, cases);
-            let mut cells = vec![tables.to_string()];
-            for &alpha in &alphas {
-                let objective = Objective::Multi { alpha };
-                // Probe worker counts in descending order: if even the
-                // maximum misses the budget the cell is ∞ and no cheaper
-                // probe is needed; otherwise descend until the budget is
-                // first missed.
-                let mut minimal: Option<u64> = None;
-                let mut w = max_workers;
-                loop {
-                    let solved = batch
+    // cells[budget][size] = one cell per α.
+    let mut cells = vec![vec![Vec::new(); sizes.len()]; budgets_ms.len()];
+    for (s, &tables) in sizes.iter().enumerate() {
+        let batch = query_batch(tables, JoinGraph::Star, 0x7AB1, cases);
+        for &alpha in &alphas {
+            let objective = Objective::Multi { alpha };
+            let mut plans: Vec<f64> = batch
+                .iter()
+                .map(|q| {
+                    optimize_serial(q, PlanSpace::Linear, objective)
+                        .stats
+                        .plans_generated as f64
+                })
+                .collect();
+            report.exact(
+                &format!("work_plans_linear{tables}_a{alpha}_w1"),
+                "count",
+                median(&mut plans),
+            );
+            // wtime[case][i] at workers[i].
+            let wtime: Vec<Vec<f64>> = batch
+                .iter()
+                .map(|q| {
+                    workers
                         .iter()
-                        .filter(|q| {
-                            let out = opt.optimize(q, PlanSpace::Linear, objective, w);
-                            out.metrics.total_micros as f64 / 1e3 <= budget
-                        })
-                        .count();
-                    if solved >= needed {
-                        minimal = Some(w);
-                        if w == 1 {
-                            break;
-                        }
-                        w /= 2;
-                    } else {
-                        break;
-                    }
-                }
-                cells.push(match minimal {
-                    Some(w) => w.to_string(),
-                    None => "inf".to_string(),
+                        .map(|&w| uncontended_wtime_ms(q, PlanSpace::Linear, objective, w))
+                        .collect()
+                })
+                .collect();
+            for (b, &budget) in budgets_ms.iter().enumerate() {
+                let minimal = (0..workers.len()).find(|&i| {
+                    let solved = wtime.iter().filter(|series| series[i] <= budget).count();
+                    solved >= needed
                 });
+                report.timing(
+                    &format!("min_workers_b{budget}ms_linear{tables}_a{alpha}"),
+                    "workers",
+                    &[minimal.map_or(2 * max_workers, |i| workers[i]) as f64],
+                );
+                cells[b][s].push(minimal.map_or("inf".to_string(), |i| workers[i].to_string()));
             }
-            rows.push(cells);
         }
-        let header: Vec<String> = std::iter::once("tables".to_string())
-            .chain(alphas.iter().map(|a| format!("α={a}")))
-            .collect();
-        let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        print_table(&format!("budget {budget} ms"), &header_refs, &rows);
     }
+
+    let header: Vec<String> = std::iter::once("tables".to_string())
+        .chain(alphas.iter().map(|a| format!("α={a}")))
+        .collect();
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    for (b, budget) in budgets_ms.iter().enumerate() {
+        let rows: Vec<Vec<String>> = sizes
+            .iter()
+            .zip(&cells[b])
+            .map(|(tables, row)| {
+                std::iter::once(tables.to_string())
+                    .chain(row.clone())
+                    .collect()
+            })
+            .collect();
+        print_table(&format!("budget {budget} ms"), &header, &rows);
+    }
+    report.write();
 }

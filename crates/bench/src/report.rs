@@ -1,41 +1,52 @@
 //! Machine-readable benchmark reports: `BENCH_<name>.json`.
 //!
-//! Every perf-tracked bench target emits one JSON file next to its
-//! human-readable table so the measured trajectory can be committed and
-//! regression-gated (`cargo run -p xtask -- bench-check`). The schema is
-//! deliberately tiny and hand-rolled — no JSON dependency on either end:
+//! Every bench target emits one JSON file next to its human-readable
+//! table so the measured trajectory can be committed and gated
+//! (`cargo run -p xtask -- bench-check`). The schema is deliberately tiny
+//! and hand-rolled — no JSON dependency on either end:
 //!
 //! ```json
 //! {
-//!   "bench": "kernels",
+//!   "bench": "fig2",
 //!   "git_rev": "1ed79a8",
 //!   "full_scale": false,
-//!   "config": { "samples": "11" },
+//!   "config": { "queries_per_point": "3" },
 //!   "metrics": [
-//!     { "id": "dp_arena_linear16_l4", "unit": "ms", "better": "lower",
-//!       "median": 12.5, "p95": 13.1, "samples": 11 }
+//!     { "id": "work_plans_max_linear16_w2", "unit": "count",
+//!       "median": 1638258.0, "q1": 1638258.0, "q3": 1638258.0,
+//!       "p95": 1638258.0, "samples": 1 },
+//!     { "id": "wtime_linear16_w2", "unit": "ms",
+//!       "median": 41.2, "q1": 40.8, "q3": 41.9, "p95": 42.0, "samples": 3 }
 //!   ]
 //! }
 //! ```
 //!
-//! `better` records the regression direction (`"lower"` for latencies,
-//! `"higher"` for throughputs) so the checker compares the right tail.
+//! The unit decides how the checker treats an id. [`EXACT_UNITS`] are
+//! counters, byte totals and quotients of counters: the same on any host
+//! and under any load, so any difference from the baseline fails. Every
+//! other unit is a clock reading, compared only against the spread
+//! (`q3 − q1` over `median`) the two runs themselves recorded, and only
+//! ever warned about. Lower is better for every id.
 //! Files land in `$MPQ_BENCH_OUT` when set, else the current directory.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+/// Units of ids that are exact: work counters, network bytes, and ratios
+/// of two such counts.
+pub const EXACT_UNITS: [&str; 3] = ["count", "bytes", "ratio"];
 
 /// One summarized metric of a bench run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// Stable identifier compared across revisions.
     pub id: String,
-    /// Unit label ("ms", "qps", ...). Informational.
+    /// Unit label; membership in [`EXACT_UNITS`] picks the checker's rule.
     pub unit: String,
-    /// Regression direction: `true` when smaller values are better.
-    pub lower_is_better: bool,
     /// Median of the samples.
     pub median: f64,
+    /// First and third quartile of the samples (linear interpolation).
+    pub quartiles: (f64, f64),
     /// 95th percentile of the samples (nearest-rank).
     pub p95: f64,
     /// Sample count behind the summary.
@@ -68,49 +79,38 @@ impl BenchReport {
         self
     }
 
-    /// Summarizes a latency sample (`lower is better`) into a metric.
-    pub fn metric(&mut self, id: &str, unit: &str, samples: &[f64]) -> &mut Self {
-        self.push_summary(id, unit, true, samples);
-        self
+    /// Records one exact value: a counter, a byte total, or a ratio of
+    /// counters (`unit` must be one of [`EXACT_UNITS`]).
+    pub fn exact(&mut self, id: &str, unit: &str, value: f64) -> &mut Self {
+        assert!(EXACT_UNITS.contains(&unit), "{id}: {unit} is not exact");
+        self.summarize(id, unit, &[value])
     }
 
-    /// Summarizes a throughput sample (`higher is better`) into a metric.
-    pub fn metric_higher(&mut self, id: &str, unit: &str, samples: &[f64]) -> &mut Self {
-        self.push_summary(id, unit, false, samples);
-        self
+    /// Summarizes clock readings (anything that depends on the host).
+    pub fn timing(&mut self, id: &str, unit: &str, samples: &[f64]) -> &mut Self {
+        assert!(!EXACT_UNITS.contains(&unit), "{id}: {unit} is exact");
+        self.summarize(id, unit, samples)
     }
 
-    /// Records an already-aggregated single value (e.g. a median over a
-    /// query batch computed by the bench itself).
-    pub fn scalar(&mut self, id: &str, unit: &str, value: f64) -> &mut Self {
-        self.metrics.push(Metric {
-            id: id.to_string(),
-            unit: unit.to_string(),
-            lower_is_better: true,
-            median: value,
-            p95: value,
-            samples: 1,
-        });
-        self
-    }
-
-    fn push_summary(&mut self, id: &str, unit: &str, lower_is_better: bool, samples: &[f64]) {
+    fn summarize(&mut self, id: &str, unit: &str, samples: &[f64]) -> &mut Self {
         assert!(!samples.is_empty(), "metric {id} has no samples");
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let median = crate::median(&mut sorted.clone());
-        let p95 = sorted[((sorted.len() * 95).div_ceil(100)).clamp(1, sorted.len()) - 1];
         self.metrics.push(Metric {
             id: id.to_string(),
             unit: unit.to_string(),
-            lower_is_better,
-            median,
-            p95,
+            median: crate::quantile(&sorted, 0.5),
+            quartiles: (
+                crate::quantile(&sorted, 0.25),
+                crate::quantile(&sorted, 0.75),
+            ),
+            p95: sorted[((sorted.len() * 95).div_ceil(100)).clamp(1, sorted.len()) - 1],
             samples: samples.len(),
         });
+        self
     }
 
-    /// The metrics recorded so far (exposed for tests).
+    /// The metrics recorded so far.
     pub fn metrics(&self) -> &[Metric] {
         &self.metrics
     }
@@ -139,11 +139,12 @@ impl BenchReport {
             }
             let _ = write!(
                 s,
-                "\n    {{ \"id\": {}, \"unit\": {}, \"better\": {}, \"median\": {}, \"p95\": {}, \"samples\": {} }}",
+                "\n    {{ \"id\": {}, \"unit\": {}, \"median\": {}, \"q1\": {}, \"q3\": {}, \"p95\": {}, \"samples\": {} }}",
                 json_str(&m.id),
                 json_str(&m.unit),
-                json_str(if m.lower_is_better { "lower" } else { "higher" }),
                 json_num(m.median),
+                json_num(m.quartiles.0),
+                json_num(m.quartiles.1),
                 json_num(m.p95),
                 m.samples,
             );
@@ -156,22 +157,14 @@ impl BenchReport {
     }
 
     /// Writes `BENCH_<name>.json` into `$MPQ_BENCH_OUT` (or the current
-    /// directory) and returns the path. Errors are printed, not fatal — a
-    /// bench run on a read-only checkout still shows its tables.
-    pub fn write(&self) -> Option<PathBuf> {
-        let dir = std::env::var("MPQ_BENCH_OUT")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("."));
-        let path = dir.join(format!("BENCH_{}.json", self.name));
+    /// directory). Errors are printed, not fatal — a bench run on a
+    /// read-only checkout still shows its tables.
+    pub fn write(&self) {
+        let dir = std::env::var("MPQ_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
+        let path = PathBuf::from(dir).join(format!("BENCH_{}.json", self.name));
         match std::fs::write(&path, self.to_json()) {
-            Ok(()) => {
-                println!("\nwrote {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("\ncould not write {}: {e}", path.display());
-                None
-            }
+            Ok(()) => println!("\nwrote {}", path.display()),
+            Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
         }
     }
 }
@@ -229,35 +222,43 @@ mod tests {
     fn summaries_are_median_and_p95() {
         let mut r = BenchReport::new("t");
         let samples: Vec<f64> = (1..=20).map(|i| i as f64).collect();
-        r.metric("m", "ms", &samples);
+        r.timing("m", "ms", &samples);
         let m = &r.metrics()[0];
         assert_eq!(m.median, 10.5);
+        assert_eq!(m.quartiles, (5.75, 15.25));
         assert_eq!(m.p95, 19.0);
         assert_eq!(m.samples, 20);
-        assert!(m.lower_is_better);
     }
 
     #[test]
     fn single_sample_summaries_degenerate_cleanly() {
         let mut r = BenchReport::new("t");
-        r.metric("m", "ms", &[4.0]);
+        r.timing("m", "ms", &[4.0]);
         let m = &r.metrics()[0];
         assert_eq!((m.median, m.p95, m.samples), (4.0, 4.0, 1));
+        assert_eq!(m.quartiles, (4.0, 4.0));
     }
 
     #[test]
     fn json_shape_is_stable() {
         let mut r = BenchReport::new("demo");
         r.config("tables", 16);
-        r.metric("a", "ms", &[2.0, 1.0, 3.0]);
-        r.metric_higher("b", "qps", &[100.0]);
+        r.timing("a", "ms", &[2.0, 1.0, 3.0]);
+        r.exact("b", "count", 100.0);
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"demo\""));
         assert!(json.contains("\"tables\": \"16\""));
-        assert!(json
-            .contains("\"id\": \"a\", \"unit\": \"ms\", \"better\": \"lower\", \"median\": 2.0"));
-        assert!(json.contains("\"id\": \"b\", \"unit\": \"qps\", \"better\": \"higher\""));
+        assert!(json.contains(
+            "\"id\": \"a\", \"unit\": \"ms\", \"median\": 2.0, \"q1\": 1.5, \"q3\": 2.5, \"p95\": 3.0"
+        ));
+        assert!(json.contains("\"id\": \"b\", \"unit\": \"count\", \"median\": 100.0"));
         assert!(json.contains("\"git_rev\": \""));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not exact")]
+    fn a_clock_reading_cannot_be_recorded_as_exact() {
+        BenchReport::new("t").exact("m", "ms", 4.0);
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub use fault::{FaultAction, FaultPlan, FaultSchedule, WorkerFaults};
 pub use latency::LatencyModel;
 pub use metrics::{NetworkMetrics, NetworkSnapshot, WorkerCounters};
 pub use runtime::{
-    mint_service_instance, AbandonedList, BatchError, Cluster, ClusterError, Control, ReplyPark,
-    WorkerCtx, WorkerLogic,
+    mint_service_instance, AbandonedList, Cluster, ClusterError, Control, ReplyPark, WorkerCtx,
+    WorkerLogic,
 };
 pub use session::{
     BlockingStep, LifecycleError, Protocol, QueryHandle, SessionService, SessionTable, Settled,

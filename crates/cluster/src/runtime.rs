@@ -27,6 +27,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::mpsc::TryRecvError;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -162,33 +163,6 @@ impl fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
-
-/// Failure of a batched receive, carrying the replies that had already
-/// arrived so the caller can still use (or account for) the partial batch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BatchError {
-    /// Replies received before the failure, in arrival order.
-    pub received: Vec<(usize, QueryId, Bytes)>,
-    /// The failure that interrupted the batch.
-    pub error: ClusterError,
-}
-
-impl fmt::Display for BatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} after {} of the batch's replies arrived",
-            self.error,
-            self.received.len()
-        )
-    }
-}
-
-impl std::error::Error for BatchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
 
 /// The fault applied to replies of the message currently being handled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -444,6 +418,104 @@ pub(crate) struct Envelope {
     delay: Duration,
 }
 
+impl Envelope {
+    /// A frame that already crossed a real wire: nothing left to charge.
+    pub(crate) fn undelayed(query: QueryId, payload: Bytes) -> Envelope {
+        Envelope {
+            query,
+            payload,
+            delay: Duration::ZERO,
+        }
+    }
+}
+
+/// How long a receive may wait for the channel.
+#[derive(Clone, Copy)]
+pub(crate) enum Wait {
+    /// Until a reply arrives or every sender is gone.
+    Forever,
+    /// At most this long in total (zero still polls the channel once).
+    AtMost(Duration),
+    /// Not at all: only what is already queued.
+    Poll,
+}
+
+/// The master side of a message plane's reply path, held by both
+/// [`Cluster`] and the socket transport: the channel the workers (or the
+/// socket reader threads) feed, plus the [`ReplyPark`] that demultiplexes
+/// it by session. Every `recv*` method of either plane is one
+/// [`Inbox::pump`] call.
+pub(crate) struct Inbox {
+    rx: Receiver<(usize, Envelope)>,
+    parked: ReplyPark,
+}
+
+impl Inbox {
+    pub(crate) fn new(rx: Receiver<(usize, Envelope)>) -> Inbox {
+        Inbox {
+            rx,
+            parked: ReplyPark::new(),
+        }
+    }
+
+    /// The one receive loop. Parked replies are served first (the oldest
+    /// owned by `want`, or with no `want` the oldest of the lowest
+    /// session). Otherwise replies are taken off the channel, each
+    /// charged its transfer delay, until one is owned by `want` — any
+    /// reply is, when `want` is `None` — and the others are parked for
+    /// their owners. The channel closing is
+    /// [`ClusterError::AllWorkersLost`]; an empty poll or a spent
+    /// [`Wait::AtMost`] is [`ClusterError::Timeout`].
+    pub(crate) fn pump(
+        &self,
+        wait: Wait,
+        want: Option<QueryId>,
+    ) -> Result<(usize, QueryId, Bytes), ClusterError> {
+        let parked = match want {
+            Some(query) => self.parked.take(query).map(|(w, p)| (w, query, p)),
+            None => self.parked.take_any(),
+        };
+        if let Some(reply) = parked {
+            return Ok(reply);
+        }
+        let (timeout, deadline) = match wait {
+            Wait::AtMost(timeout) => (timeout, Some(Instant::now() + timeout)),
+            Wait::Forever | Wait::Poll => (Duration::ZERO, None),
+        };
+        let mut remaining = timeout;
+        loop {
+            let received = match wait {
+                Wait::Forever => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Wait::AtMost(_) => self.rx.recv_timeout(remaining),
+                Wait::Poll => self.rx.try_recv().map_err(|e| match e {
+                    TryRecvError::Empty => RecvTimeoutError::Timeout,
+                    TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+                }),
+            };
+            let (worker, env) = match received {
+                Ok(delivery) => delivery,
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(ClusterError::Timeout { waited: timeout })
+                }
+                Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::AllWorkersLost),
+            };
+            if !env.delay.is_zero() {
+                std::thread::sleep(env.delay);
+            }
+            if want.is_none_or(|query| query == env.query) {
+                return Ok((worker, env.query, env.payload));
+            }
+            self.parked.park(env.query, worker, env.payload);
+            if let Some(deadline) = deadline {
+                remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    return Err(ClusterError::Timeout { waited: timeout });
+                }
+            }
+        }
+    }
+}
+
 enum ToWorker {
     Message(Envelope),
     Shutdown,
@@ -454,15 +526,10 @@ enum ToWorker {
 /// serves many concurrent sessions; see the module docs.
 pub struct Cluster {
     to_workers: Vec<Sender<ToWorker>>,
-    from_workers: Receiver<(usize, Envelope)>,
+    inbox: Inbox,
     handles: Vec<JoinHandle<()>>,
     metrics: Arc<NetworkMetrics>,
     latency: LatencyModel,
-    /// Replies received on behalf of sessions other than the one a
-    /// [`Cluster::recv_for`] caller asked for, parked until their owner
-    /// asks — the demultiplexer that lets independent session drivers
-    /// share one resident cluster.
-    parked: ReplyPark,
 }
 
 impl Cluster {
@@ -541,11 +608,10 @@ impl Cluster {
         }
         Ok(Cluster {
             to_workers,
-            from_workers,
+            inbox: Inbox::new(from_workers),
             handles,
             metrics,
             latency,
-            parked: ReplyPark::new(),
         })
     }
 
@@ -625,44 +691,20 @@ impl Cluster {
     /// Returns [`ClusterError::AllWorkersLost`] if every worker has
     /// terminated and no replies remain.
     pub fn recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take_any() {
-            return Ok(reply);
-        }
-        let (id, env) = self
-            .from_workers
-            .recv()
-            .map_err(|_| ClusterError::AllWorkersLost)?;
-        Ok(self.open(id, env))
+        self.inbox.pump(Wait::Forever, None)
     }
 
     /// Receives the next worker reply for any session, waiting at most
     /// `timeout`. The reply's transfer delay is charged here (master
     /// side).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take_any() {
-            return Ok(reply);
-        }
-        match self.from_workers.recv_timeout(timeout) {
-            Ok((id, env)) => Ok(self.open(id, env)),
-            Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout { waited: timeout }),
-            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::AllWorkersLost),
-        }
+        self.inbox.pump(Wait::AtMost(timeout), None)
     }
 
     /// Non-blocking receive: the next reply for any session if one is
     /// already waiting, else [`ClusterError::Timeout`] with a zero wait.
     pub fn try_recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take_any() {
-            return Ok(reply);
-        }
-        use std::sync::mpsc::TryRecvError;
-        match self.from_workers.try_recv() {
-            Ok((id, env)) => Ok(self.open(id, env)),
-            Err(TryRecvError::Empty) => Err(ClusterError::Timeout {
-                waited: Duration::ZERO,
-            }),
-            Err(TryRecvError::Disconnected) => Err(ClusterError::AllWorkersLost),
-        }
+        self.inbox.pump(Wait::Poll, None)
     }
 
     /// Session-routed receive: blocks until the next reply **owned by
@@ -677,22 +719,8 @@ impl Cluster {
     /// use [`Cluster::recv_for_timeout`] plus [`Cluster::dead_workers`]
     /// whenever faults are possible (as the session schedulers do).
     pub fn recv_for(&self, query: QueryId) -> Result<(usize, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take(query) {
-            return Ok(reply);
-        }
-        loop {
-            let (worker, qid, payload) = {
-                let (id, env) = self
-                    .from_workers
-                    .recv()
-                    .map_err(|_| ClusterError::AllWorkersLost)?;
-                self.open(id, env)
-            };
-            if qid == query {
-                return Ok((worker, payload));
-            }
-            self.parked.park(qid, worker, payload);
-        }
+        let (worker, _, payload) = self.inbox.pump(Wait::Forever, Some(query))?;
+        Ok((worker, payload))
     }
 
     /// Session-routed receive with a deadline: like [`Cluster::recv_for`],
@@ -704,69 +732,8 @@ impl Cluster {
         query: QueryId,
         timeout: Duration,
     ) -> Result<(usize, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take(query) {
-            return Ok(reply);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClusterError::Timeout { waited: timeout });
-            }
-            match self.from_workers.recv_timeout(remaining) {
-                Ok((id, env)) => {
-                    let (worker, qid, payload) = self.open(id, env);
-                    if qid == query {
-                        return Ok((worker, payload));
-                    }
-                    self.parked.park(qid, worker, payload);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(ClusterError::Timeout { waited: timeout })
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::AllWorkersLost),
-            }
-        }
-    }
-
-    /// Receives exactly `n` replies (any session), blocking. On failure
-    /// the error carries the replies that had already arrived, so a
-    /// partial batch is never silently discarded.
-    pub fn recv_n(&self, n: usize) -> Result<Vec<(usize, QueryId, Bytes)>, BatchError> {
-        let mut received = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.recv() {
-                Ok(reply) => received.push(reply),
-                Err(error) => return Err(BatchError { received, error }),
-            }
-        }
-        Ok(received)
-    }
-
-    /// Receives exactly `n` replies (any session), waiting at most
-    /// `timeout` for each. On failure — including a mid-batch timeout —
-    /// the error carries the replies that had already arrived.
-    pub fn recv_n_timeout(
-        &self,
-        n: usize,
-        timeout: Duration,
-    ) -> Result<Vec<(usize, QueryId, Bytes)>, BatchError> {
-        let mut received = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.recv_timeout(timeout) {
-                Ok(reply) => received.push(reply),
-                Err(error) => return Err(BatchError { received, error }),
-            }
-        }
-        Ok(received)
-    }
-
-    /// Charges the transfer delay and opens a received envelope.
-    fn open(&self, id: usize, env: Envelope) -> (usize, QueryId, Bytes) {
-        if !env.delay.is_zero() {
-            std::thread::sleep(env.delay);
-        }
-        (id, env.query, env.payload)
+        let (worker, _, payload) = self.inbox.pump(Wait::AtMost(timeout), Some(query))?;
+        Ok((worker, payload))
     }
 
     /// Sends every worker a shutdown order and joins the threads.
@@ -872,6 +839,10 @@ mod tests {
         }
     }
 
+    fn recv_all(cluster: &Cluster, n: usize) -> Vec<(usize, QueryId, Bytes)> {
+        (0..n).map(|_| cluster.recv().unwrap()).collect()
+    }
+
     #[test]
     fn roundtrip_through_one_worker() {
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| echo()).unwrap();
@@ -894,7 +865,7 @@ mod tests {
         cluster
             .send(1, Q0, Bytes::from_static(b"xy"), false)
             .unwrap();
-        let _ = cluster.recv_n(2).unwrap();
+        let _ = recv_all(&cluster, 2);
         let s = cluster.metrics().snapshot();
         // Payload bytes plus the 8-byte session envelope per message.
         assert_eq!(s.master_to_worker_bytes, 6 + 16);
@@ -909,7 +880,7 @@ mod tests {
         cluster
             .broadcast(Q0, &Bytes::from_static(b"123"), false)
             .unwrap();
-        let _ = cluster.recv_n(4).unwrap();
+        let _ = recv_all(&cluster, 4);
         // (3 payload + 8 envelope) bytes x 4 workers.
         assert_eq!(cluster.metrics().snapshot().master_to_worker_bytes, 44);
         cluster.shutdown();
@@ -930,7 +901,7 @@ mod tests {
         cluster.send(0, Q0, Bytes::from_static(b""), false).unwrap();
         cluster.send(0, Q0, Bytes::from_static(b""), false).unwrap();
         cluster.send(1, Q0, Bytes::from_static(b""), false).unwrap();
-        let replies = cluster.recv_n(3).unwrap();
+        let replies = recv_all(&cluster, 3);
         let count_of = |id: usize| {
             replies
                 .iter()
@@ -963,7 +934,7 @@ mod tests {
                 .send(0, QueryId(q), Bytes::from_static(b""), false)
                 .unwrap();
         }
-        let replies = cluster.recv_n(5).unwrap();
+        let replies = recv_all(&cluster, 5);
         let counts: Vec<(u64, u64)> = replies
             .iter()
             .map(|(_, q, b)| (q.0, u64::from_le_bytes(b[..8].try_into().unwrap())))
@@ -1110,58 +1081,6 @@ mod tests {
         while cluster.recv().is_ok() {}
         assert_eq!(cluster.recv(), Err(ClusterError::AllWorkersLost));
         assert!(cluster.metrics().snapshot().crashes >= 1);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn recv_n_failure_carries_partial_results() {
-        // Worker 0 echoes; worker 1 crashes on its first message. A batch
-        // of 3 can therefore never complete — but the error must hand
-        // back the replies that did arrive instead of discarding them.
-        let faults = FaultPlan {
-            crash_prob: 1.0,
-            min_survivors: 1,
-            ..FaultPlan::NONE
-        }
-        .with_seed_where(2, 512, |s| {
-            s.action(1, 0) == FaultAction::CrashBeforeReply
-                && s.action(0, 0) == FaultAction::Deliver
-        })
-        .expect("some seed crashes worker 1 immediately");
-        let cluster =
-            Cluster::spawn_with_faults(2, LatencyModel::ZERO, &faults, |_| echo()).unwrap();
-        cluster
-            .send(0, Q0, Bytes::from_static(b"ok"), false)
-            .unwrap();
-        cluster
-            .send(1, Q0, Bytes::from_static(b"doomed"), false)
-            .unwrap();
-        let err = cluster
-            .recv_n_timeout(2, Duration::from_millis(50))
-            .expect_err("the crashed worker's reply never comes");
-        assert_eq!(err.received.len(), 1, "the delivered reply is kept");
-        assert_eq!(&err.received[0].2[..], b"ok");
-        assert!(matches!(err.error, ClusterError::Timeout { .. }));
-        assert!(err.to_string().contains("1 of the batch"));
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn recv_n_disconnect_carries_partial_results() {
-        // A single worker that replies once and then shuts itself down:
-        // recv_n(2) fails with AllWorkersLost but keeps the first reply.
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| {
-            |_query: QueryId, _payload: Bytes, ctx: &mut WorkerCtx| {
-                ctx.send_to_master(Bytes::from_static(b"only"));
-                Control::Shutdown
-            }
-        })
-        .unwrap();
-        cluster.send(0, Q0, Bytes::from_static(b""), false).unwrap();
-        let err = cluster.recv_n(2).expect_err("second reply never comes");
-        assert_eq!(err.received.len(), 1);
-        assert_eq!(&err.received[0].2[..], b"only");
-        assert_eq!(err.error, ClusterError::AllWorkersLost);
         cluster.shutdown();
     }
 

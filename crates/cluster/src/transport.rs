@@ -36,9 +36,11 @@
 
 use crate::codec::{DecodeError, Decoder, Encoder, QueryId, SessionEnvelope, Wire};
 use crate::metrics::NetworkMetrics;
-use crate::runtime::{Cluster, ClusterError, Control, ReplyPark, WorkerCtx, WorkerLogic};
+use crate::runtime::{
+    Cluster, ClusterError, Control, Envelope, Inbox, Wait, WorkerCtx, WorkerLogic,
+};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -47,7 +49,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Size of the `u32` little-endian frame-length prefix. Socket byte
 /// counters charge `payload + SessionEnvelope::HEADER_BYTES +
@@ -502,10 +504,9 @@ const MAX_HANDSHAKE_WORKER_ID: u64 = 4096;
 pub struct SocketTransport {
     writers: Vec<Mutex<WireStream>>,
     alive: Vec<Arc<AtomicBool>>,
-    inbox: Receiver<(usize, SessionEnvelope)>,
+    inbox: Inbox,
     readers: Vec<JoinHandle<()>>,
     metrics: Arc<NetworkMetrics>,
-    parked: ReplyPark,
 }
 
 impl SocketTransport {
@@ -516,55 +517,50 @@ impl SocketTransport {
     /// Any refused connection or failed handshake aborts construction
     /// with [`ClusterError::SpawnFailed`] for that worker — a cluster
     /// that never fully forms is an error, matching thread-spawn
-    /// semantics. An empty address list is `SpawnFailed { worker: 0 }`.
+    /// semantics — after the connections made so far are severed and
+    /// their reader threads joined, so no worker is left serving a master
+    /// that gave up. An empty address list is `SpawnFailed { worker: 0 }`.
     pub fn connect(addrs: &[WorkerAddr]) -> Result<SocketTransport, ClusterError> {
         if addrs.is_empty() {
             return Err(ClusterError::SpawnFailed { worker: 0 });
         }
-        let metrics = Arc::new(NetworkMetrics::with_workers(addrs.len()));
-        let (tx, inbox) = unbounded::<(usize, SessionEnvelope)>();
-        let mut writers = Vec::with_capacity(addrs.len());
-        let mut alive = Vec::with_capacity(addrs.len());
-        let mut readers = Vec::with_capacity(addrs.len());
+        // The master keeps no sender of its own (`tx` dies with this
+        // call), so the inbox disconnects exactly when every reader
+        // thread has exited — the socket analogue of "all worker threads
+        // terminated".
+        let (tx, inbox) = unbounded::<(usize, Envelope)>();
+        // Built up in place: an early return drops the partial plane, and
+        // `Drop` is the teardown.
+        let mut plane = SocketTransport {
+            writers: Vec::with_capacity(addrs.len()),
+            alive: Vec::with_capacity(addrs.len()),
+            inbox: Inbox::new(inbox),
+            readers: Vec::with_capacity(addrs.len()),
+            metrics: Arc::new(NetworkMetrics::with_workers(addrs.len())),
+        };
         for (id, addr) in addrs.iter().enumerate() {
             let spawn_failed = |_| ClusterError::SpawnFailed { worker: id };
             let mut stream = WireStream::connect(addr).map_err(spawn_failed)?;
             handshake_as_master(&mut stream, id as u64).map_err(spawn_failed)?;
             let reader = stream.try_clone().map_err(spawn_failed)?;
             let flag = Arc::new(AtomicBool::new(true));
-            let thread = {
-                let tx = tx.clone();
-                let flag = Arc::clone(&flag);
-                let metrics = Arc::clone(&metrics);
-                std::thread::Builder::new()
-                    .name(format!("mpq-socket-reader-{id}"))
-                    .spawn(move || reader_loop(id, reader, &tx, &flag, &metrics))
-                    .map_err(spawn_failed)?
-            };
-            writers.push(Mutex::new(stream));
-            alive.push(flag);
-            readers.push(thread);
+            // Registered before its reader is spawned: if the spawn fails
+            // this connection is severed with the others.
+            plane.writers.push(Mutex::new(stream));
+            plane.alive.push(Arc::clone(&flag));
+            let tx = tx.clone();
+            let metrics = Arc::clone(&plane.metrics);
+            let thread = std::thread::Builder::new()
+                .name(format!("mpq-socket-reader-{id}"))
+                .spawn(move || reader_loop(id, reader, &tx, &flag, &metrics))
+                .map_err(spawn_failed)?;
+            plane.readers.push(thread);
         }
-        // The masters' own sender clone is dropped here, so the inbox
-        // disconnects exactly when every reader thread has exited —
-        // the socket analogue of "all worker threads terminated".
-        drop(tx);
-        Ok(SocketTransport {
-            writers,
-            alive,
-            inbox,
-            readers,
-            metrics,
-            parked: ReplyPark::new(),
-        })
+        Ok(plane)
     }
 
     fn mark_dead(&self, id: usize) {
         self.alive[id].store(false, Ordering::Release);
-    }
-
-    fn open(&self, worker: usize, env: SessionEnvelope) -> (usize, QueryId, Bytes) {
-        (worker, env.query, env.payload)
     }
 }
 
@@ -612,56 +608,20 @@ impl Transport for SocketTransport {
     }
 
     fn recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take_any() {
-            return Ok(reply);
-        }
-        let (id, env) = self
-            .inbox
-            .recv()
-            .map_err(|_| ClusterError::AllWorkersLost)?;
-        Ok(self.open(id, env))
+        self.inbox.pump(Wait::Forever, None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take_any() {
-            return Ok(reply);
-        }
-        match self.inbox.recv_timeout(timeout) {
-            Ok((id, env)) => Ok(self.open(id, env)),
-            Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout { waited: timeout }),
-            Err(RecvTimeoutError::Disconnected) => Err(ClusterError::AllWorkersLost),
-        }
+        self.inbox.pump(Wait::AtMost(timeout), None)
     }
 
     fn try_recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take_any() {
-            return Ok(reply);
-        }
-        use std::sync::mpsc::TryRecvError;
-        match self.inbox.try_recv() {
-            Ok((id, env)) => Ok(self.open(id, env)),
-            Err(TryRecvError::Empty) => Err(ClusterError::Timeout {
-                waited: Duration::ZERO,
-            }),
-            Err(TryRecvError::Disconnected) => Err(ClusterError::AllWorkersLost),
-        }
+        self.inbox.pump(Wait::Poll, None)
     }
 
     fn recv_for(&self, query: QueryId) -> Result<(usize, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take(query) {
-            return Ok(reply);
-        }
-        loop {
-            let (id, env) = self
-                .inbox
-                .recv()
-                .map_err(|_| ClusterError::AllWorkersLost)?;
-            let (worker, qid, payload) = self.open(id, env);
-            if qid == query {
-                return Ok((worker, payload));
-            }
-            self.parked.park(qid, worker, payload);
-        }
+        let (worker, _, payload) = self.inbox.pump(Wait::Forever, Some(query))?;
+        Ok((worker, payload))
     }
 
     fn recv_for_timeout(
@@ -669,29 +629,8 @@ impl Transport for SocketTransport {
         query: QueryId,
         timeout: Duration,
     ) -> Result<(usize, Bytes), ClusterError> {
-        if let Some(reply) = self.parked.take(query) {
-            return Ok(reply);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClusterError::Timeout { waited: timeout });
-            }
-            match self.inbox.recv_timeout(remaining) {
-                Ok((id, env)) => {
-                    let (worker, qid, payload) = self.open(id, env);
-                    if qid == query {
-                        return Ok((worker, payload));
-                    }
-                    self.parked.park(qid, worker, payload);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(ClusterError::Timeout { waited: timeout })
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::AllWorkersLost),
-            }
-        }
+        let (worker, _, payload) = self.inbox.pump(Wait::AtMost(timeout), Some(query))?;
+        Ok((worker, payload))
     }
 
     fn shutdown(&mut self) {
@@ -738,7 +677,7 @@ fn handshake_as_master(stream: &mut WireStream, worker_id: u64) -> std::io::Resu
 fn reader_loop(
     worker: usize,
     mut stream: WireStream,
-    tx: &Sender<(usize, SessionEnvelope)>,
+    tx: &Sender<(usize, Envelope)>,
     alive: &AtomicBool,
     metrics: &NetworkMetrics,
 ) {
@@ -756,6 +695,7 @@ fn reader_loop(
                     let wire_bytes =
                         env.payload.len() + SessionEnvelope::HEADER_BYTES + LENGTH_PREFIX_BYTES;
                     metrics.record_reply(worker, wire_bytes as u64);
+                    let env = Envelope::undelayed(env.query, env.payload);
                     if tx.send((worker, env)).is_err() {
                         // The master dropped its inbox: shutdown path.
                         break 'stream;

@@ -347,6 +347,33 @@ fn refused_connection_is_spawn_failed() {
     ));
 }
 
+/// A cluster that never fully forms must not leave its first workers
+/// serving a master that gave up: the connections made before the
+/// refusal are severed (and their reader threads joined) before the typed
+/// error surfaces, so the connected worker sees a clean EOF and returns.
+#[test]
+fn failed_connect_releases_the_workers_already_connected() {
+    let listener = WireListener::bind(&tcp_any()).expect("bind loopback listener");
+    let good = listener.local_addr().expect("bound listener has an addr");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let _ = done_tx.send(serve_worker(&listener, echo_logic));
+    });
+    let dead = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe bind");
+        WorkerAddr::Tcp(probe.local_addr().expect("probe addr").to_string())
+    };
+    assert!(matches!(
+        SocketTransport::connect(&[good, dead]),
+        Err(ClusterError::SpawnFailed { worker: 1 })
+    ));
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the connected worker is released, not left blocked in read")
+        .expect("and sees a clean end of stream");
+    server.join().expect("worker thread");
+}
+
 /// A peer that mangles the handshake echo is rejected at construction —
 /// the master never mistakes an arbitrary service for a worker.
 #[test]

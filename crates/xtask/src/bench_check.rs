@@ -1,41 +1,43 @@
-//! `bench-check` — regression gate over the committed `BENCH_*.json`
-//! baselines.
+//! `bench-check` — gate over the committed `BENCH_*.json` baselines.
 //!
-//! The perf-tracked bench targets (`kernels`, `fig2`, `throughput`) emit
-//! machine-readable reports; the copies committed at the repo root are
-//! the **recorded perf trajectory**. This subcommand compares a fresh run
-//! against those baselines:
+//! Every bench target of `crates/bench` emits a machine-readable report;
+//! the copies committed at the repo root are the **recorded trajectory**.
+//! This subcommand compares a fresh run against those baselines. How an
+//! id is compared follows from the unit its report records:
 //!
+//! * **exact** ids ([`EXACT_UNITS`]: work counters, network bytes, ratios
+//!   of counters) are the same on any host and under any load, so **any**
+//!   difference **fails**, and so does an exact id missing from the
+//!   current run;
+//! * every other id is a **clock reading**. A CI runner and the recording
+//!   host do not share a clock, so these never fail: an id **warns** when
+//!   its median moved by more than the spread the two runs recorded
+//!   themselves — `(q3 − q1) / median` of the baseline plus that of the
+//!   current run, the quantity `benchmark/spread.py` reports — and a
+//!   missing one warns;
 //! * a baseline file with no current counterpart **fails** (the bench was
-//!   dropped or renamed without updating the trajectory);
-//! * a metric whose median regressed by more than [`FAIL_RATIO`] (2×)
-//!   **fails** — such a cliff is never noise on these workloads;
-//! * a regression beyond [`WARN_RATIO`] only **warns**: shared CI runners
-//!   jitter, and a hard gate tighter than 2× would page on weather;
-//! * a baseline metric missing from the current report warns; brand-new
-//!   current metrics are listed informationally (commit a new baseline).
+//!   dropped or renamed without updating the trajectory); brand-new
+//!   current ids are listed informationally (commit a new baseline).
 //!
-//! "Regressed" respects each metric's recorded direction: latencies
-//! (`"better": "lower"`) fail upward, throughputs (`"better": "higher"`)
-//! fail downward. The JSON parser below is hand-rolled for exactly the
-//! schema `mpq_bench::report` writes — this crate stays dependency-free.
+//! Lower is better for every id the benches emit, so a clock reading that
+//! moved down is reported as an improvement to re-record, not a warning.
+//! The JSON parser below is hand-rolled for exactly the schema
+//! `mpq_bench::report` writes — this crate stays dependency-free.
 
 use std::path::Path;
 
-/// Median ratio (worse/better direction-adjusted) above which a metric
-/// hard-fails the check.
-pub const FAIL_RATIO: f64 = 2.0;
-/// Ratio above which a metric is reported as a warning.
-pub const WARN_RATIO: f64 = 1.35;
+/// Units whose ids are exact; mirrors `mpq_bench::report::EXACT_UNITS`
+/// (the reporter refuses to record a clock reading under one of them).
+pub const EXACT_UNITS: [&str; 3] = ["count", "bytes", "ratio"];
 
 /// One finding of the comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Finding {
-    /// Regression beyond [`FAIL_RATIO`]; fails the run.
+    /// An exact id differs or is missing, or a report is; fails the run.
     Fail(String),
-    /// Regression beyond [`WARN_RATIO`], or bookkeeping drift.
+    /// A clock reading outside its band, or one that is missing.
     Warn(String),
-    /// Informational (new metrics, per-metric ratios).
+    /// Informational (new metrics, per-metric verdicts).
     Note(String),
 }
 
@@ -59,8 +61,21 @@ impl std::fmt::Display for Finding {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     pub id: String,
-    pub lower_is_better: bool,
+    pub unit: String,
     pub median: f64,
+    /// First and third quartile of the samples behind `median`.
+    pub quartiles: (f64, f64),
+}
+
+impl Metric {
+    fn is_exact(&self) -> bool {
+        EXACT_UNITS.contains(&self.unit.as_str())
+    }
+
+    /// Interquartile range over median: the run's own relative spread.
+    fn spread(&self) -> f64 {
+        (self.quartiles.1 - self.quartiles.0) / self.median
+    }
 }
 
 /// One parsed `BENCH_<name>.json`.
@@ -72,48 +87,55 @@ pub struct Report {
 
 /// Compares one current report against its baseline.
 pub fn compare_reports(baseline: &Report, current: &Report) -> Vec<Finding> {
+    let bench = &baseline.bench;
     let mut findings = Vec::new();
     for base in &baseline.metrics {
-        let Some(cur) = current.metrics.iter().find(|m| m.id == base.id) else {
-            findings.push(Finding::Warn(format!(
-                "{}: metric `{}` missing from the current run",
-                baseline.bench, base.id
-            )));
-            continue;
-        };
-        // Direction-adjusted: >1 always means "worse than baseline".
-        let ratio = if base.lower_is_better {
-            cur.median / base.median
-        } else {
-            base.median / cur.median
-        };
-        if !ratio.is_finite() || ratio <= 0.0 {
-            findings.push(Finding::Warn(format!(
-                "{}: metric `{}` has a degenerate ratio ({} vs {})",
-                baseline.bench, base.id, cur.median, base.median
-            )));
-        } else if ratio > FAIL_RATIO {
-            findings.push(Finding::Fail(format!(
-                "{}: `{}` regressed {ratio:.2}x (baseline median {}, current {})",
-                baseline.bench, base.id, base.median, cur.median
-            )));
-        } else if ratio > WARN_RATIO {
-            findings.push(Finding::Warn(format!(
-                "{}: `{}` slower by {ratio:.2}x (baseline median {}, current {})",
-                baseline.bench, base.id, base.median, cur.median
-            )));
-        } else {
-            findings.push(Finding::Note(format!(
-                "{}: `{}` ok ({ratio:.2}x of baseline)",
-                baseline.bench, base.id
-            )));
-        }
+        let id = &base.id;
+        let cur = current.metrics.iter().find(|m| m.id == base.id);
+        findings.push(match cur {
+            None if base.is_exact() => Finding::Fail(format!(
+                "{bench}: exact metric `{id}` missing from the current run"
+            )),
+            None => Finding::Warn(format!(
+                "{bench}: metric `{id}` missing from the current run"
+            )),
+            Some(cur) if base.is_exact() => {
+                if cur.median == base.median && cur.unit == base.unit {
+                    Finding::Note(format!("{bench}: `{id}` exact ({})", base.median))
+                } else {
+                    Finding::Fail(format!(
+                        "{bench}: `{id}` is exact and moved: baseline {} {}, current {} {}",
+                        base.median, base.unit, cur.median, cur.unit
+                    ))
+                }
+            }
+            Some(cur) => {
+                let drift = cur.median / base.median - 1.0;
+                let band = base.spread() + cur.spread();
+                let verdict = format!(
+                    "{bench}: `{id}` {:+.1}% of baseline {:.4} {} (band ±{:.1}% from both runs' quartiles)",
+                    100.0 * drift,
+                    base.median,
+                    base.unit,
+                    100.0 * band
+                );
+                // A zero median makes both NaN, which compares false twice
+                // and lands on the warning.
+                if drift.abs() <= band {
+                    Finding::Note(verdict)
+                } else if drift < 0.0 {
+                    Finding::Note(format!("{verdict}: faster, re-record the baseline"))
+                } else {
+                    Finding::Warn(verdict)
+                }
+            }
+        });
     }
     for cur in &current.metrics {
         if !baseline.metrics.iter().any(|m| m.id == cur.id) {
             findings.push(Finding::Note(format!(
-                "{}: new metric `{}` (no baseline; commit an updated BENCH file to track it)",
-                baseline.bench, cur.id
+                "{bench}: new metric `{}` (no baseline; commit an updated BENCH file to track it)",
+                cur.id
             )));
         }
     }
@@ -121,7 +143,7 @@ pub fn compare_reports(baseline: &Report, current: &Report) -> Vec<Finding> {
 }
 
 /// Runs the whole check: every `BENCH_*.json` under `baseline_dir` must
-/// have a current counterpart, and no metric may hard-regress. Returns
+/// have a current counterpart, and no exact metric may differ. Returns
 /// the findings and whether the check passed.
 pub fn run(baseline_dir: &Path, current_dir: &Path) -> (Vec<Finding>, bool) {
     let mut findings = Vec::new();
@@ -198,17 +220,20 @@ pub fn parse_report(text: &str) -> Result<Report, String> {
             .and_then(Json::as_str)
             .ok_or("metric without string `id`")?
             .to_string();
-        let median = row
-            .get("median")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("metric `{id}` without numeric `median`"))?;
-        // Older reports may omit `better`; latency semantics are the
-        // safe default.
-        let lower_is_better = row.get("better").and_then(Json::as_str) != Some("higher");
+        let num = |key: &str| row.get(key).and_then(Json::as_num);
+        let median =
+            num("median").ok_or_else(|| format!("metric `{id}` without numeric `median`"))?;
+        let unit = row
+            .get("unit")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("metric `{id}` without string `unit`"))?
+            .to_string();
         metrics.push(Metric {
             id,
-            lower_is_better,
+            unit,
             median,
+            // A report without quartiles claims no spread of its own.
+            quartiles: (num("q1").unwrap_or(median), num("q3").unwrap_or(median)),
         });
     }
     Ok(Report { bench, metrics })
@@ -422,15 +447,17 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
 
-    fn report(bench: &str, rows: &[(&str, bool, f64)]) -> Report {
+    /// `(id, unit, median, q1, q3)` rows.
+    fn report(bench: &str, rows: &[(&str, &str, f64, f64, f64)]) -> Report {
         Report {
             bench: bench.to_string(),
             metrics: rows
                 .iter()
-                .map(|&(id, lower, median)| Metric {
+                .map(|&(id, unit, median, q1, q3)| Metric {
                     id: id.to_string(),
-                    lower_is_better: lower,
+                    unit: unit.to_string(),
                     median,
+                    quartiles: (q1, q3),
                 })
                 .collect(),
         }
@@ -439,21 +466,36 @@ mod tests {
     #[test]
     fn parses_the_reporter_schema() {
         let text = r#"{
-  "bench": "kernels",
+  "bench": "fig2",
   "git_rev": "abc1234",
   "full_scale": false,
-  "config": { "samples": "11" },
+  "config": { "queries_per_point": "3" },
   "metrics": [
-    { "id": "dp_arena_linear16_l4", "unit": "ms", "better": "lower", "median": 12.5, "p95": 13.1, "samples": 11 },
-    { "id": "resident_qps_w4", "unit": "qps", "better": "higher", "median": 800.0, "p95": 750.0, "samples": 20 }
+    { "id": "wtime_linear16_w2", "unit": "ms", "median": 12.5, "q1": 12.25, "q3": 13.0, "p95": 13.1, "samples": 11 },
+    { "id": "work_plans_max_linear16_w2", "unit": "count", "median": 1753089.0, "q1": 1753089.0, "q3": 1753089.0, "p95": 1753089.0, "samples": 1 }
   ]
 }"#;
         let r = parse_report(text).unwrap();
-        assert_eq!(r.bench, "kernels");
-        assert_eq!(r.metrics.len(), 2);
-        assert!(r.metrics[0].lower_is_better);
-        assert_eq!(r.metrics[0].median, 12.5);
-        assert!(!r.metrics[1].lower_is_better);
+        assert_eq!(
+            r,
+            report(
+                "fig2",
+                &[
+                    ("wtime_linear16_w2", "ms", 12.5, 12.25, 13.0),
+                    (
+                        "work_plans_max_linear16_w2",
+                        "count",
+                        1753089.0,
+                        1753089.0,
+                        1753089.0
+                    ),
+                ]
+            ),
+            "quartiles survive the hand-rolled parser"
+        );
+        assert!(!r.metrics[0].is_exact());
+        assert_eq!(r.metrics[0].spread(), 0.06);
+        assert!(r.metrics[1].is_exact());
     }
 
     #[test]
@@ -466,52 +508,76 @@ mod tests {
             parse_report(r#"{"bench": "x"}"#).is_err(),
             "no metrics array"
         );
+        assert!(
+            parse_report(r#"{"bench": "x", "metrics": [{"id": "a", "median": 1}]}"#).is_err(),
+            "no unit: the id's class would be a guess"
+        );
     }
 
     #[test]
     fn within_noise_is_clean() {
-        let base = report("kernels", &[("a", true, 10.0)]);
-        let cur = report("kernels", &[("a", true, 12.0)]);
+        // 4% up, inside the 3% + 2% the two runs spread themselves.
+        let base = report("kernels", &[("a", "ms", 10.0, 9.9, 10.2)]);
+        let cur = report("kernels", &[("a", "ms", 10.4, 10.3, 10.508)]);
         let findings = compare_reports(&base, &cur);
         assert!(findings.iter().all(|f| matches!(f, Finding::Note(_))));
     }
 
     #[test]
-    fn slowdown_beyond_warn_ratio_warns() {
-        let base = report("kernels", &[("a", true, 10.0)]);
-        let cur = report("kernels", &[("a", true, 15.0)]);
-        let findings = compare_reports(&base, &cur);
-        assert!(matches!(findings[0], Finding::Warn(_)), "{findings:?}");
+    fn timing_outside_its_band_warns_and_never_fails() {
+        let base = report("kernels", &[("a", "ms", 10.0, 9.9, 10.2)]);
+        for slower in [10.6, 21.0, 1000.0] {
+            let cur = report("kernels", &[("a", "ms", slower, slower, slower)]);
+            let findings = compare_reports(&base, &cur);
+            assert!(matches!(findings[0], Finding::Warn(_)), "{findings:?}");
+        }
+        // Faster beyond the band is news, not a warning.
+        let cur = report("kernels", &[("a", "ms", 5.0, 5.0, 5.0)]);
+        assert!(matches!(compare_reports(&base, &cur)[0], Finding::Note(_)));
+        // A degenerate baseline cannot vouch for anything.
+        let zero = report("kernels", &[("a", "ms", 0.0, 0.0, 0.0)]);
+        assert!(matches!(compare_reports(&zero, &cur)[0], Finding::Warn(_)));
     }
 
     #[test]
-    fn regression_beyond_fail_ratio_fails() {
-        let base = report("kernels", &[("a", true, 10.0)]);
-        let cur = report("kernels", &[("a", true, 21.0)]);
-        let findings = compare_reports(&base, &cur);
-        assert!(findings[0].is_fail(), "{findings:?}");
-    }
-
-    #[test]
-    fn throughput_direction_is_inverted() {
-        let base = report("throughput", &[("qps", false, 1000.0)]);
-        // Throughput up 3x: an improvement, not a failure.
-        let up = report("throughput", &[("qps", false, 3000.0)]);
-        assert!(compare_reports(&base, &up)
-            .iter()
-            .all(|f| matches!(f, Finding::Note(_))));
-        // Throughput down 3x: a hard failure.
-        let down = report("throughput", &[("qps", false, 300.0)]);
-        assert!(compare_reports(&base, &down)[0].is_fail());
+    fn exact_drift_of_one_count_fails() {
+        let base = report(
+            "fig2",
+            &[("plans", "count", 1753089.0, 1753089.0, 1753089.0)],
+        );
+        for (moved, unit) in [
+            (1753090.0, "count"),
+            (1753088.0, "count"),
+            (1753089.0, "ms"),
+        ] {
+            let cur = report("fig2", &[("plans", unit, moved, moved, moved)]);
+            assert!(compare_reports(&base, &cur)[0].is_fail(), "{moved} {unit}");
+        }
+        assert!(matches!(compare_reports(&base, &base)[0], Finding::Note(_)));
+        for unit in EXACT_UNITS {
+            let base = report("fig3", &[("x", unit, 1.5, 1.5, 1.5)]);
+            let cur = report("fig3", &[("x", unit, 1.5000000000000002, 1.5, 1.5)]);
+            assert!(compare_reports(&base, &cur)[0].is_fail(), "{unit} is exact");
+        }
     }
 
     #[test]
     fn missing_and_new_metrics_are_soft() {
-        let base = report("kernels", &[("gone", true, 10.0)]);
-        let cur = report("kernels", &[("fresh", true, 10.0)]);
+        let base = report("kernels", &[("gone", "ms", 10.0, 10.0, 10.0)]);
+        let cur = report("kernels", &[("fresh", "count", 10.0, 10.0, 10.0)]);
         let findings = compare_reports(&base, &cur);
         assert!(matches!(findings[0], Finding::Warn(_)), "missing → warn");
         assert!(matches!(findings[1], Finding::Note(_)), "new → note");
+    }
+
+    #[test]
+    fn missing_exact_metric_fails() {
+        let base = report(
+            "fig2",
+            &[("net_bytes_linear16_w1", "bytes", 1515.0, 1515.0, 1515.0)],
+        );
+        let cur = report("fig2", &[]);
+        assert!(compare_reports(&base, &cur)[0].is_fail());
     }
 
     #[test]
@@ -521,15 +587,24 @@ mod tests {
         let current = dir.join("current");
         std::fs::create_dir_all(&baseline).unwrap();
         std::fs::create_dir_all(&current).unwrap();
-        let doc = |median: f64| {
+        let doc = |ms: f64, count: u64| {
             format!(
-                r#"{{"bench":"kernels","metrics":[{{"id":"a","unit":"ms","better":"lower","median":{median},"p95":{median},"samples":3}}]}}"#
+                r#"{{"bench":"kernels","metrics":[
+                {{"id":"a","unit":"ms","median":{ms},"q1":{ms},"q3":{ms},"p95":{ms},"samples":3}},
+                {{"id":"n","unit":"count","median":{count}.0,"q1":{count}.0,"q3":{count}.0,"p95":{count}.0,"samples":1}}]}}"#
             )
         };
-        std::fs::write(baseline.join("BENCH_kernels.json"), doc(10.0)).unwrap();
-        std::fs::write(current.join("BENCH_kernels.json"), doc(11.0)).unwrap();
+        std::fs::write(baseline.join("BENCH_kernels.json"), doc(10.0, 642755)).unwrap();
+        // A clock that reads three times slower passes (with a warning).
+        std::fs::write(current.join("BENCH_kernels.json"), doc(30.0, 642755)).unwrap();
         let (findings, ok) = run(&baseline, &current);
         assert!(ok, "{findings:?}");
+        assert!(findings.iter().any(|f| matches!(f, Finding::Warn(_))));
+
+        // One count off by one does not.
+        std::fs::write(current.join("BENCH_kernels.json"), doc(10.0, 642756)).unwrap();
+        let (findings, ok) = run(&baseline, &current);
+        assert!(!ok, "{findings:?}");
 
         // Dropping the current report is a hard failure.
         std::fs::remove_file(current.join("BENCH_kernels.json")).unwrap();
