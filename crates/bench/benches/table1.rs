@@ -8,8 +8,10 @@
 //! that many nodes would need on its own cores) meets the budget for a
 //! majority of the test cases — timing threads that share this host's
 //! cores instead made every cell read `1` or `inf`. Cells are clock
-//! readings (`min_workers_*`, unit `workers`, never gated; `inf` is
-//! recorded as twice the maximum); the exact side is
+//! readings (`min_workers_*`, unit `workers`, never gated: one sample per
+//! test case, `inf` recorded as twice the maximum, so the id's median is
+//! the cell and its quartiles say how close the cases were to the next
+//! doubling); the exact side is
 //! `work_plans_linear{n}_a{α}_w1`, the candidate plans precision α costs
 //! one worker.
 //!
@@ -81,16 +83,29 @@ fn main() {
                 })
                 .collect();
             for (b, &budget) in budgets_ms.iter().enumerate() {
-                let minimal = (0..workers.len()).find(|&i| {
-                    let solved = wtime.iter().filter(|series| series[i] <= budget).count();
-                    solved >= needed
-                });
+                // Per case, the first worker count that meets the budget
+                // (`inf` as twice the maximum). The majority cell is the
+                // `needed`-th smallest — the median, for an odd number of
+                // cases — so the recorded quartiles are the cell's band.
+                let mut minimal: Vec<f64> = wtime
+                    .iter()
+                    .map(|series| {
+                        let met = workers.iter().zip(series).find(|(_, &ms)| ms <= budget);
+                        met.map_or(2 * max_workers, |(&w, _)| w) as f64
+                    })
+                    .collect();
                 report.timing(
                     &format!("min_workers_b{budget}ms_linear{tables}_a{alpha}"),
                     "workers",
-                    &[minimal.map_or(2 * max_workers, |i| workers[i]) as f64],
+                    &minimal,
                 );
-                cells[b][s].push(minimal.map_or("inf".to_string(), |i| workers[i].to_string()));
+                minimal.sort_by(f64::total_cmp);
+                let cell = minimal[needed - 1];
+                cells[b][s].push(if cell > max_workers as f64 {
+                    "inf".to_string()
+                } else {
+                    cell.to_string()
+                });
             }
         }
     }
