@@ -372,31 +372,19 @@ pub fn versus_table(
 /// Pretty-prints a table: a header row and aligned numeric rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
-    let widths: Vec<usize> = header
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|r| r.get(i).map(String::len).unwrap_or(0))
-                .chain(std::iter::once(h.len()))
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>width$}", width = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
     let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&head));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-    );
+    // The header is one more row as far as column widths go.
+    let width = |i: usize| {
+        let column = rows.iter().chain([&head]).filter_map(|r| r.get(i));
+        column.map(String::len).max().unwrap_or(0)
+    };
+    let fmt_row = |cells: &[String]| {
+        let padded = cells.iter().enumerate();
+        let padded = padded.map(|(i, c)| format!("{c:>w$}", w = width(i)));
+        padded.collect::<Vec<_>>().join("  ")
+    };
+    let head_line = fmt_row(&head);
+    println!("{head_line}\n{}", "-".repeat(head_line.chars().count()));
     for r in rows {
         println!("{}", fmt_row(r));
     }
