@@ -1,18 +1,20 @@
 //! Micro-benchmarks of the optimizer's hot kernels: the per-partition DP
-//! in its three configurations (textbook reference loop, streaming arena
-//! kernel, arena with intra-worker parallelism), dense-index lookup,
+//! in its two configurations (textbook reference loop, streaming arena
+//! kernel) with the memo's bytes per stored set, a one-thread pair of
+//! partitions straddling the size where the estimator's table used to
+//! stop, dense-index lookup beside the carried-index step,
 //! admissible-set enumeration, and the wire codec. These guard the
 //! constant factors behind the paper-level experiments.
 //!
 //! Question: what does one kernel call cost on one thread, variant beside
 //! variant on the same partition? `benchmark/` times the kernel only
 //! through a whole query (`dp.partition_ms_best.*`) and never the
-//! reference loop or `ParallelPolicy`.
+//! reference loop.
 
 use mpq_bench::{full_scale, median, print_table, BenchReport};
 use mpq_cluster::Wire;
 use mpq_cost::Objective;
-use mpq_dp::{optimize_partition_parallel, optimize_partition_reference, ParallelPolicy};
+use mpq_dp::{optimize_partition, optimize_partition_reference, ArenaMemo};
 use mpq_model::{JoinGraph, TableSet, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{partition_constraints, AdmissibleSets, PlanSpace};
 use std::hint::black_box;
@@ -50,52 +52,47 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
             "count",
             reference.stats.plans_generated as f64,
         );
-        // The memo the partition ends with: Theorem 4's space, in entries.
+        // The memo the partition ends with: Theorem 4's space, in entries
+        // and in bytes per stored set — one record per admissible set and
+        // per table, plus the entries.
         report.exact(
             &format!("dp_entries_{label}"),
             "count",
             reference.stats.total_entries as f64,
         );
-        for threads in [1usize, 2, 4] {
-            let out = optimize_partition_parallel(
-                &q,
-                space,
-                Objective::Single,
-                &constraints,
-                ParallelPolicy::with_threads(threads),
-            );
-            assert_eq!(
-                out.plans[0].cost().time.to_bits(),
-                reference.plans[0].cost().time.to_bits(),
-                "{label}: kernel variants disagree"
-            );
-        }
+        let memo_bytes = ArenaMemo::footprint_bytes(
+            AdmissibleSets::new(&constraints).len(),
+            tables,
+            reference.stats.total_entries,
+        );
+        report.exact(
+            &format!("dp_bytes_per_set_{label}"),
+            "bytes",
+            memo_bytes as f64 / reference.stats.stored_sets as f64,
+        );
+        let out = optimize_partition(&q, space, Objective::Single, &constraints);
+        assert_eq!(
+            out.plans[0].cost().time.to_bits(),
+            reference.plans[0].cost().time.to_bits(),
+            "{label}: kernel variants disagree"
+        );
+        assert_eq!(out.stats.stored_sets, reference.stats.stored_sets);
+        assert_eq!(out.stats.total_entries, reference.stats.total_entries);
 
-        // `None` is the reference loop; `Some(t)` the arena kernel on `t`
-        // threads (`optimize_partition` is the one-thread case).
         let mut row = vec![label.to_string()];
-        for (variant, threads) in [
-            ("reference", None),
-            ("arena", Some(1)),
-            ("arena_t2", Some(2)),
-            ("arena_t4", Some(4)),
-        ] {
+        for (variant, arena) in [("reference", false), ("arena", true)] {
+            let kernel = if arena {
+                optimize_partition
+            } else {
+                optimize_partition_reference
+            };
             let ms = sample_ms(samples, || {
-                black_box(match threads {
-                    None => optimize_partition_reference(
-                        black_box(&q),
-                        space,
-                        Objective::Single,
-                        &constraints,
-                    ),
-                    Some(threads) => optimize_partition_parallel(
-                        black_box(&q),
-                        space,
-                        Objective::Single,
-                        &constraints,
-                        ParallelPolicy::with_threads(threads),
-                    ),
-                });
+                black_box(kernel(
+                    black_box(&q),
+                    space,
+                    Objective::Single,
+                    &constraints,
+                ));
             });
             row.push(format!("{:.2}", median(&mut ms.clone())));
             report.timing(&format!("dp_{variant}_{label}"), "ms", &ms);
@@ -103,9 +100,38 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
         rows.push(row);
     }
     print_table(
-        "DP kernel median ms (reference loop vs arena vs arena+threads)",
-        &["partition", "reference", "arena", "arena_t2", "arena_t4"],
+        "DP kernel median ms (reference loop vs arena)",
+        &["partition", "reference", "arena"],
         &rows,
+    );
+}
+
+/// One quarter of Linear 20 and of Linear 21, on one thread: the pair
+/// straddles the size above which the estimator used to keep no table at
+/// all (Linear 21 cost 4.0x Linear 20 for 2.1x the splits). ROADMAP item 9
+/// asks for at most 2.3x.
+fn bench_size_step(report: &mut BenchReport) {
+    let mut medians = Vec::new();
+    for tables in [20usize, 21] {
+        let q = WorkloadGenerator::new(WorkloadConfig::with_graph(tables, JoinGraph::Star), 7)
+            .next_query();
+        let constraints = partition_constraints(tables, PlanSpace::Linear, 2, 4);
+        let ms = sample_ms(3, || {
+            black_box(optimize_partition(
+                black_box(&q),
+                PlanSpace::Linear,
+                Objective::Single,
+                &constraints,
+            ));
+        });
+        medians.push(median(&mut ms.clone()));
+        report.timing(&format!("dp_arena_linear{tables}_l2"), "ms", &ms);
+    }
+    println!(
+        "\nLinear 21 / Linear 20 (l = 2, one thread): {:.1} ms / {:.1} ms = x{:.2} (target <= 2.3)",
+        medians[1],
+        medians[0],
+        medians[1] / medians[0]
     );
 }
 
@@ -140,6 +166,24 @@ fn bench_index_and_enumeration(report: &mut BenchReport, samples: usize) {
     });
     report.timing("dense_index_of", "ms", &ms);
 
+    // The same number of lookups as one step from a set's own index: what
+    // the linear split loop pays per split.
+    let steps: Vec<(TableSet, usize, usize)> = sets
+        .iter()
+        .filter_map(|&s| {
+            let u = s.iter().find(|&u| constraints.may_join_last(u, s))?;
+            Some((s, adm.index_of(s)?, u))
+        })
+        .collect();
+    let ms = sample_ms(samples, || {
+        let mut acc = 0usize;
+        for &(s, idx, u) in &steps {
+            acc ^= adm.index_without(black_box(s), idx, u);
+        }
+        black_box(acc);
+    });
+    report.timing("dense_index_without", "ms", &ms);
+
     let enum_constraints = partition_constraints(18, PlanSpace::Linear, 21, 64);
     let ms = sample_ms(samples, || {
         black_box(AdmissibleSets::new(black_box(&enum_constraints)).len());
@@ -172,6 +216,7 @@ fn main() {
     let mut report = BenchReport::new("kernels");
     report.config("samples", samples);
     bench_dp_kernels(&mut report, samples);
+    bench_size_step(&mut report);
     bench_serial(&mut report, samples);
     bench_index_and_enumeration(&mut report, samples);
     bench_codec(&mut report, samples);

@@ -47,6 +47,10 @@ pub enum DecodeError {
     /// no optimizer accepts it (the DP kernels assert on these sizes), so
     /// it must not survive decoding on a resident worker.
     TableCount(usize),
+    /// A multi-objective approximation factor (given by its bits) was not
+    /// a finite number ≥ 1: the pruning policy asserts on it, so it must
+    /// not survive decoding on a resident worker either.
+    ApproximationFactor(u64),
 }
 
 impl fmt::Display for DecodeError {
@@ -70,6 +74,11 @@ impl fmt::Display for DecodeError {
                 f,
                 "query table count {n} outside 1..={}",
                 TableSet::MAX_TABLES
+            ),
+            DecodeError::ApproximationFactor(bits) => write!(
+                f,
+                "approximation factor {} is not a finite number >= 1",
+                f64::from_bits(*bits)
             ),
         }
     }
@@ -668,9 +677,15 @@ impl Wire for Objective {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         match dec.get_u8()? {
             0 => Ok(Objective::Single),
-            1 => Ok(Objective::Multi {
-                alpha: dec.get_f64()?,
-            }),
+            1 => {
+                let alpha = dec.get_f64()?;
+                let objective = Objective::Multi { alpha };
+                if objective.is_valid() {
+                    Ok(objective)
+                } else {
+                    Err(DecodeError::ApproximationFactor(alpha.to_bits()))
+                }
+            }
             tag => Err(DecodeError::BadTag {
                 tag,
                 ty: "Objective",

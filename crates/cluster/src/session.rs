@@ -23,6 +23,7 @@ use crate::metrics::NetworkMetrics;
 use crate::runtime::{mint_service_instance, AbandonedList, ClusterError};
 use crate::transport::Transport;
 use bytes::Bytes;
+use mpq_cost::Objective;
 use mpq_model::{Query, TableSet};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -113,15 +114,21 @@ impl<S, R> SessionTable<S, R> {
         self.parked.len()
     }
 
-    /// The one admission point. A query no engine can optimize is refused
-    /// before any message is sent or any DP runs — the DP kernels assert
-    /// on these sizes, and a panicking resident worker is lost to every
-    /// other session. Call after [`SessionTable::reap`], so
+    /// The one admission point. A request no engine can optimize is
+    /// refused before any message is sent or any DP runs — the DP kernels
+    /// assert on these sizes and the pruning policy on the approximation
+    /// factor, and a panicking resident worker is lost to every other
+    /// session. Call after [`SessionTable::reap`], so
     /// dropped-but-unreaped handles never count against the caller.
-    pub fn admit(&self, query: &Query) -> Result<(), LifecycleError> {
+    pub fn admit(&self, query: &Query, objective: Objective) -> Result<(), LifecycleError> {
         if query.num_tables() == 0 || query.num_tables() > TableSet::MAX_TABLES {
             return Err(LifecycleError::BadRequest {
                 reason: "a query needs between 1 and 64 tables",
+            });
+        }
+        if !objective.is_valid() {
+            return Err(LifecycleError::BadRequest {
+                reason: "the approximation factor must be a finite number >= 1",
             });
         }
         if self.max_in_flight > 0 && self.live.len() >= self.max_in_flight {
@@ -224,6 +231,9 @@ pub trait Protocol: Sized {
     type Outcome;
     /// The protocol's public failure type.
     type Error: From<LifecycleError>;
+
+    /// The objective a submission asks for (admission checks it).
+    fn objective(request: &Self::Request) -> Objective;
 
     /// Dispatches a freshly admitted session's first messages and returns
     /// its state. On `Err` nothing stays behind (the protocol frees
@@ -348,7 +358,7 @@ impl<P: Protocol> SessionService<P> {
     ) -> Result<QueryHandle, P::Error> {
         loop {
             self.reap_abandoned();
-            match self.table.admit(query) {
+            match self.table.admit(query, P::objective(&request)) {
                 Ok(()) => break,
                 // Overloaded implies at least one session in flight (the
                 // limit is >= 1), and every in-flight session finishes or
@@ -514,6 +524,10 @@ mod tests {
         type Session = ();
         type Outcome = u8;
         type Error = EchoError;
+
+        fn objective(_: &(usize, u8)) -> Objective {
+            Objective::Single
+        }
 
         fn open(
             &mut self,

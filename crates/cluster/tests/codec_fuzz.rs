@@ -150,6 +150,29 @@ fn predicate_outside_the_query_fails_typed() {
     assert_eq!(Query::from_bytes(&q.to_bytes()), Ok(q));
 }
 
+/// Regression (ISSUE 22 satellite): `Objective::decode` accepted any
+/// `f64` as the approximation factor, and `PruningPolicy::new` asserts it
+/// is at least 1 — so a task carrying α = 0.5 or NaN killed the resident
+/// worker that decoded it. The decoder rejects what no optimizer accepts;
+/// the encoder is untouched, and valid factors (1 included) round-trip.
+#[test]
+fn hostile_approximation_factors_fail_typed() {
+    for alpha in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(
+            Objective::from_bytes(&Objective::Multi { alpha }.to_bytes()),
+            Err(DecodeError::ApproximationFactor(alpha.to_bits())),
+            "alpha {alpha}"
+        );
+    }
+    for objective in [
+        Objective::Single,
+        Objective::Multi { alpha: 1.0 },
+        Objective::PAPER_MULTI,
+    ] {
+        assert_eq!(Objective::from_bytes(&objective.to_bytes()), Ok(objective));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(128)))]
 

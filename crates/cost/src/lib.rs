@@ -8,14 +8,16 @@
 //!
 //! * [`cardinality`] — System-R style estimates under the independence
 //!   assumption; the estimate for a table set depends only on the set, never
-//!   on the plan producing it, which the dynamic program relies on.
+//!   on the plan producing it, which the dynamic program relies on — and
+//!   why it can keep one [`SetStats`] per table set in its memo.
 //! * [`operators`] — scan and join operator implementations
 //!   ([`JoinOp::NestedLoop`], [`JoinOp::Hash`], [`JoinOp::SortMerge`])
 //!   with their time and buffer cost formulas, and the sort orders they
 //!   require/produce (interesting orders, Section 5.4); [`SplitCosts`]
 //!   evaluates the formulas once per split for the DP's inner loop.
-//! * [`predicates`] — the per-query predicate index behind the sort-merge
-//!   rule and the interesting-order liveness rule derived from it.
+//! * [`predicates`] — the per-query predicate index behind the selectivity
+//!   product, the sort-merge rule and the interesting-order liveness rule
+//!   derived from it.
 //! * [`vector`] — fixed-arity cost vectors and (approximate) Pareto
 //!   domination used by single- and multi-objective pruning.
 
@@ -26,7 +28,7 @@ pub mod operators;
 pub mod predicates;
 pub mod vector;
 
-pub use cardinality::CardinalityEstimator;
+pub use cardinality::{CardinalityEstimator, SetStats};
 pub use operators::{JoinOp, Order, ScanOp, SplitCosts, JOIN_OPS};
 pub use predicates::PredicateIndex;
 pub use vector::{CostVector, Objective};

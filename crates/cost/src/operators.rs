@@ -34,7 +34,8 @@
 //! **The rule is valid only for the lowest-numbered-predicate sort-merge
 //! rule**: change one and the other must change with it.
 
-use crate::cardinality::CardinalityEstimator;
+use crate::cardinality::{CardinalityEstimator, SetStats};
+use crate::predicates::PredicateIndex;
 use crate::vector::CostVector;
 use mpq_model::TableSet;
 use serde::{Deserialize, Serialize};
@@ -96,7 +97,7 @@ pub enum ScanOp {
 
 impl ScanOp {
     /// Cost of scanning table `t`.
-    pub fn cost(&self, est: &mut CardinalityEstimator<'_>, t: usize) -> CostVector {
+    pub fn cost(&self, est: &CardinalityEstimator<'_>, t: usize) -> CostVector {
         let card = est.cardinality(TableSet::singleton(t));
         let bytes = est.tuple_bytes(TableSet::singleton(t));
         match self {
@@ -142,8 +143,10 @@ impl JoinOp {
     /// (inner), given the orders the operand plans deliver. Returns `None`
     /// if the operator is inapplicable (sort-merge join on a cross product).
     ///
-    /// One-shot form of [`SplitCosts`]: callers costing many operand plans
-    /// of one split build the `SplitCosts` once instead.
+    /// One-shot form of [`SplitCosts`], estimating both operands on the
+    /// spot: callers costing many operand plans of one split build the
+    /// `SplitCosts` once instead, and the DP builds it from the operand
+    /// statistics in its memo ([`SplitCosts::from_stats`]).
     pub fn apply(
         &self,
         est: &mut CardinalityEstimator<'_>,
@@ -192,11 +195,26 @@ struct SortMergeCosts {
 }
 
 impl SplitCosts {
-    /// Costs the split joining `left` (outer) with `right` (inner).
+    /// Costs the split joining `left` (outer) with `right` (inner),
+    /// estimating both operands on the spot.
     pub fn new(est: &mut CardinalityEstimator<'_>, left: TableSet, right: TableSet) -> Self {
-        let lc = est.cardinality(left);
-        let rc = est.cardinality(right);
-        let bytes_right = est.tuple_bytes(right);
+        let (left_stats, right_stats) = (est.set_stats(left), est.set_stats(right));
+        SplitCosts::from_stats(est.predicates(), left, &left_stats, right, &right_stats)
+    }
+
+    /// Costs the split joining `left` (outer) with `right` (inner) from
+    /// the operands' statistics.
+    #[inline]
+    pub fn from_stats(
+        predicates: &PredicateIndex,
+        left: TableSet,
+        left_stats: &SetStats,
+        right: TableSet,
+        right_stats: &SetStats,
+    ) -> Self {
+        let lc = left_stats.cardinality;
+        let rc = right_stats.cardinality;
+        let bytes_right = right_stats.tuple_bytes;
         SplitCosts {
             // Time: every outer tuple compared with every inner tuple.
             // Buffer: one block of each operand; approximate with the
@@ -205,16 +223,15 @@ impl SplitCosts {
             // Time: build inner (2 touches/tuple) + probe outer.
             // Buffer: the hash table holds the inner operand.
             hash: CostVector::new(2.0 * rc + lc, rc * bytes_right),
-            sort_merge: est
-                .predicates()
+            sort_merge: predicates
                 .sort_merge_attributes(left, right)
                 .map(|(la, ra)| SortMergeCosts {
                     want_left: Order::OnAttribute(la),
                     want_right: Order::OnAttribute(ra),
                     merge: lc + rc,
-                    sort_left: sort_cost(lc),
-                    sort_right: sort_cost(rc),
-                    buffer_left: lc * est.tuple_bytes(left),
+                    sort_left: left_stats.sort_cost,
+                    sort_right: right_stats.sort_cost,
+                    buffer_left: lc * left_stats.tuple_bytes,
                     buffer_right: rc * bytes_right,
                 }),
         }
@@ -261,11 +278,6 @@ impl SplitCosts {
             }
         })
     }
-}
-
-/// `n log2 n` sort cost, safe for tiny inputs.
-fn sort_cost(card: f64) -> f64 {
-    card * card.max(2.0).log2()
 }
 
 #[cfg(test)]
@@ -320,8 +332,8 @@ mod tests {
     #[test]
     fn scan_cost_is_cardinality() {
         let q = two_table_query(500.0, 100.0, 0.01);
-        let mut est = CardinalityEstimator::new(&q);
-        let c = ScanOp::Full.cost(&mut est, 0);
+        let est = CardinalityEstimator::new(&q);
+        let c = ScanOp::Full.cost(&est, 0);
         assert_eq!(c.time, 500.0);
         assert_eq!(ScanOp::Full.output_order(), Order::None);
     }

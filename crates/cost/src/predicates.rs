@@ -1,8 +1,9 @@
-//! The per-query predicate index: which predicate a sort-merge join sorts
-//! on, and — derived from the same lookup — which sort orders a join result
-//! can still put to use.
+//! The per-query predicate index: which predicates lie inside a table set
+//! (the selectivity product of its cardinality estimate), which predicate a
+//! sort-merge join sorts on, and — derived from the same lookup — which
+//! sort orders a join result can still put to use.
 //!
-//! Both rules are defined here, through one private lookup
+//! The two order rules are defined here, through one private lookup
 //! (`lowest_between`: the lowest-numbered predicate between a table set and
 //! an outside table), so the pruning rule cannot drift from the sort-merge
 //! rule it depends on:
@@ -34,10 +35,13 @@
 use mpq_model::{Query, TableSet};
 
 /// Per table, its predicates' other endpoints in predicate-number order,
-/// plus the set of those endpoints. Built once per query.
+/// plus the set of those endpoints; and per table the predicates that touch
+/// it, as a bitset over predicate numbers. Built once per query.
 ///
 /// A predicate with an endpoint outside the query's tables or with both
-/// endpoints on one table never crosses a split and is left out.
+/// endpoints on one table never crosses a split and is left out of the
+/// partner lists; one with an endpoint outside the query's tables lies
+/// inside no table set and is left out of the bitsets as well.
 #[derive(Clone, Debug)]
 pub struct PredicateIndex {
     /// Table `t`'s predicates are `partners[starts[t]..starts[t + 1]]`.
@@ -46,6 +50,16 @@ pub struct PredicateIndex {
     partners: Vec<(u32, u8)>,
     /// Per table, the tables it shares a predicate with.
     neighbours: Vec<TableSet>,
+    /// Every predicate's selectivity, by predicate number.
+    selectivity: Vec<f64>,
+    /// Words per predicate bitset: a 17-table clique already has 136
+    /// predicates.
+    words: usize,
+    /// The predicates with both endpoints among the query's tables.
+    within_query: Vec<u64>,
+    /// `incident[u * words..][..words]`: the predicates with an endpoint at
+    /// table `u`.
+    incident: Vec<u64>,
 }
 
 impl PredicateIndex {
@@ -77,11 +91,49 @@ impl PredicateIndex {
                 neighbours[t] = neighbours[t].insert(other);
             }
         }
+        let words = query.predicates.len().div_ceil(64);
+        let mut within_query = vec![0u64; words];
+        let mut incident = vec![0u64; n * words];
+        for (number, p) in query.predicates.iter().enumerate() {
+            if p.left < n && p.right < n {
+                let (word, bit) = (number / 64, 1u64 << (number % 64));
+                within_query[word] |= bit;
+                incident[p.left * words + word] |= bit;
+                incident[p.right * words + word] |= bit;
+            }
+        }
         PredicateIndex {
             starts,
             partners,
             neighbours,
+            selectivity: query.predicates.iter().map(|p| p.selectivity).collect(),
+            words,
+            within_query,
+            incident,
         }
+    }
+
+    /// Combined selectivity of the predicates with both endpoints inside
+    /// `set` (a subset of the query's tables): bit for bit what
+    /// [`Query::internal_selectivity`] returns, found without walking the
+    /// predicates that are not inside. Those inside are what is left of all
+    /// predicates once every outside table's are struck, and they are
+    /// multiplied up in predicate-number order, as the full walk does — the
+    /// order is part of the result bits.
+    pub fn internal_selectivity(&self, set: TableSet) -> f64 {
+        let outside = TableSet::full(self.neighbours.len()).difference(set);
+        let mut sel = 1.0;
+        for (word, &within_query) in self.within_query.iter().enumerate() {
+            let mut inside = within_query;
+            for u in outside.iter() {
+                inside &= !self.incident[u * self.words + word];
+            }
+            while inside != 0 {
+                sel *= self.selectivity[word * 64 + inside.trailing_zeros() as usize];
+                inside &= inside - 1;
+            }
+        }
+        sel
     }
 
     /// The lowest-numbered predicate between the table set `s` and the
@@ -261,6 +313,83 @@ mod tests {
             Some((0, 3))
         );
         assert_eq!(index.sort_merge_attributes(set(&[0]), set(&[1])), None);
+    }
+
+    /// The bitset product against the full walk it replaced, bit for bit,
+    /// on every table set of `query` (or a seeded sample of them).
+    fn assert_selectivity_matches_the_full_walk(query: &Query) {
+        let index = PredicateIndex::new(query);
+        let n = query.num_tables();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..(1u64 << n.min(11)) {
+            let bits = if n <= 11 {
+                i
+            } else {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 20) & TableSet::full(n).bits()
+            };
+            let set = TableSet(bits);
+            assert_eq!(
+                index.internal_selectivity(set).to_bits(),
+                query.internal_selectivity(set).to_bits(),
+                "{set} of {n} tables"
+            );
+        }
+    }
+
+    /// Distinct selectivities, so a product taken in another order (or
+    /// over other predicates) rounds differently.
+    fn with_distinct_selectivities(mut query: Query) -> Query {
+        for (number, p) in query.predicates.iter_mut().enumerate() {
+            p.selectivity = 1.0 / (3.0 + number as f64 * 1.7);
+        }
+        query
+    }
+
+    #[test]
+    fn bitset_selectivity_equals_the_full_walk_on_every_shape() {
+        for graph in JoinGraph::ALL {
+            for n in [1, 2, 5, 9] {
+                assert_selectivity_matches_the_full_walk(&with_distinct_selectivities(
+                    graph_query(n, graph),
+                ));
+            }
+        }
+        // 136 predicates: three words.
+        let clique = with_distinct_selectivities(graph_query(17, JoinGraph::Clique));
+        assert_eq!(clique.predicates.len(), 136);
+        assert_selectivity_matches_the_full_walk(&clique);
+    }
+
+    #[test]
+    fn bitset_selectivity_equals_the_full_walk_on_a_hand_built_query() {
+        // Through the public fields: a duplicate predicate (both count), a
+        // self-loop (inside any set holding its table), an endpoint beyond
+        // the tables (inside no set), and more than 128 predicates.
+        let mut edges = vec![(0, 1), (1, 0), (0, 1), (2, 2), (3, 40), (40, 41), (4, 3)];
+        while edges.len() <= 130 {
+            let k = edges.len();
+            edges.push((k % 6, (k * 5 + 1) % 6));
+        }
+        let query = with_distinct_selectivities(edge_query(6, &edges));
+        assert_selectivity_matches_the_full_walk(&query);
+        let index = PredicateIndex::new(&query);
+        let sel = |number: usize| query.predicates[number].selectivity;
+        assert_eq!(
+            index.internal_selectivity(TableSet::singleton(2)),
+            edges
+                .iter()
+                .enumerate()
+                .filter(|(_, &e)| e == (2, 2))
+                .fold(1.0, |product, (number, _)| product * sel(number))
+        );
+        assert_eq!(index.internal_selectivity(TableSet::empty()), 1.0);
+        assert_eq!(index.internal_selectivity(TableSet::singleton(3)), 1.0);
+        assert!(PredicateIndex::new(&edge_query(4, &[]))
+            .internal_selectivity(TableSet::full(4))
+            .eq(&1.0));
     }
 
     #[test]

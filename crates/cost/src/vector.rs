@@ -27,6 +27,19 @@ impl Objective {
     /// Section 6.1).
     pub const PAPER_MULTI: Objective = Objective::Multi { alpha: 10.0 };
 
+    /// Whether this objective is one an optimizer can run: the
+    /// approximation factor of [`Objective::Multi`] must be a finite
+    /// number ≥ 1. Anything that takes an objective from outside the
+    /// program — the wire decoder, the services' admission point — checks
+    /// this first, so the pruning policy's own assertion never sees the
+    /// rest.
+    pub fn is_valid(&self) -> bool {
+        match *self {
+            Objective::Single => true,
+            Objective::Multi { alpha } => alpha.is_finite() && alpha >= 1.0,
+        }
+    }
+
     /// Number of active metrics.
     pub fn metrics(&self) -> usize {
         match self {
@@ -160,6 +173,17 @@ mod tests {
         assert!(obj.dominates(&fast_fat, &slow_thin));
         assert!(!obj.dominates(&slow_thin, &fast_fat));
         assert_eq!(obj.metrics(), 1);
+    }
+
+    #[test]
+    fn only_a_finite_alpha_of_at_least_one_is_valid() {
+        assert!(Objective::Single.is_valid());
+        for alpha in [1.0, 2.0, 1e300] {
+            assert!(Objective::Multi { alpha }.is_valid(), "{alpha}");
+        }
+        for alpha in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!Objective::Multi { alpha }.is_valid(), "{alpha}");
+        }
     }
 
     #[test]

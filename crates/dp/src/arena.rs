@@ -1,103 +1,111 @@
-//! The memo (the `P` array of Algorithm 2) and the streaming, optionally
-//! parallel DP kernel.
+//! The memo (the `P` array of Algorithm 2) and the streaming DP kernel.
 //!
-//! [`ArenaMemo`] is the one memo of the crate: it maps each admissible
-//! table set to its surviving plan entries, stored in one contiguous entry
-//! arena with per-set `(start, len)` spans addressed by the dense
-//! mixed-radix index of [`AdmissibleSets`] — O(1) lookup, no hashing, and
-//! sized to the partition, so memory shrinks with the constraint count
-//! exactly as Theorem 4 predicts. Single tables are stored separately: the
-//! paper notes that singleton sets need not be part of the admissible-set
-//! enumeration because scans are always constructed (Section 4.2). Slots
-//! are written exactly once, when a set's candidates have been generated
-//! and pruned — one at a time by the slot-at-a-time traversals
-//! ([`ArenaMemo::push_slot`]), a whole level chunk at a time by the
-//! streaming kernel — so the DP inner loop performs no per-set allocation
-//! and reads operand plans from cache-line-friendly contiguous memory.
+//! [`ArenaMemo`] is the one memo of the crate, and the one place that
+//! knows a table set: for each admissible set it holds **one record** —
+//! the set's operand statistics ([`SetStats`]: cardinality, tuple width,
+//! sort cost) and the span of its surviving plan entries in one contiguous
+//! entry arena — addressed by the dense mixed-radix index of
+//! [`AdmissibleSets`]. O(1) lookup, no hashing, and sized to the
+//! partition, so memory shrinks with the constraint count exactly as
+//! Theorem 4 predicts, statistics included. A record is written exactly
+//! once, together with the set's entries, when the set's candidates have
+//! been generated and pruned ([`ArenaMemo::push_slot`]); the enumeration
+//! reaches an operand's record by one index step from the parent's
+//! ([`AdmissibleSets::index_without`], [`mpq_partition::SplitPart`]) and
+//! reads statistics and plans from cache-line-friendly contiguous memory.
+//! Scans live in the same arena, found by table
+//! ([`ArenaMemo::push_single`]): the paper notes that singleton sets need
+//! not be part of the admissible-set enumeration because scans are always
+//! constructed (Section 4.2), and a table a constraint bars as a set has
+//! no dense index.
 //!
-//! [`optimize_partition_parallel`] is the kernel built on it. It produces
-//! results **bit-identical** to the textbook reference loop
-//! ([`crate::worker::optimize_partition_reference`]) for every thread
-//! count:
+//! [`optimize_partition`] is the kernel built on it. It produces results
+//! **bit-identical** to the textbook reference loop
+//! ([`crate::worker::optimize_partition_reference`]):
 //!
 //! * Candidates for a set come from the same split enumeration and the
 //!   same candidate loop as the reference kernel's (`for_each_split`,
 //!   `join_candidates` in [`crate::worker`]), so they are generated in
 //!   exactly its order.
-//! * For single-objective runs the candidates are reduced as they stream
-//!   by ([`OrderClassMinima`]): only the cheapest candidate of each
-//!   interesting-order class (an order is relabelled `None` once no later
-//!   join can use it, so a set has few) reaches the scalar pruning
-//!   function, which provably yields the same slot, in the same entry
-//!   order, as inserting every candidate sequentially. Multi-objective
-//!   runs insert every candidate as it is generated.
-//! * Sets are built in ascending-cardinality levels. A set reads only
-//!   strictly smaller sets, so sets of one level are independent: each
-//!   slot's content is the same under any level schedule, and under
-//!   [`ParallelPolicy`] a level is split into contiguous chunks whose
-//!   results are merged back in chunk order — parallel-on ≡ parallel-off
-//!   by construction (the serial kernel runs the very same level loop with
-//!   one chunk), and by the `kernel_differential` test suite.
+//! * A candidate is a cost, an order and two entry indices; a
+//!   [`PlanEntry`] is built only for one that is kept. Single-objective
+//!   runs reduce the candidates as they stream by ([`ClassMinima`]): only
+//!   the cheapest candidate of each interesting-order class (an order is
+//!   relabelled `None` once no later join can use it, so a set has few)
+//!   reaches the scalar pruning function, which provably yields the same
+//!   slot, in the same entry order, as inserting every candidate
+//!   sequentially. Multi-objective runs test every candidate against the
+//!   slot built so far, on its cost and order alone.
+//! * Sets are visited in ascending dense index, which puts every
+//!   admissible subset of a set before the set.
 
 use crate::stats::WorkerStats;
 use crate::worker::{
-    finish, for_each_split, join_candidates, seed_scans, PartitionOutcome, SplitEnv, SplitScratch,
+    finish, for_each_split, join_candidates, seed_scans, Candidate, Operand, PartitionOutcome,
+    SplitEnv, SplitScratch,
 };
-use mpq_cost::{CardinalityEstimator, Objective};
+use mpq_cost::{CardinalityEstimator, Objective, SetStats};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
 use mpq_plan::{PlanEntry, PruningPolicy};
 use std::time::Instant;
 
-/// Opt-in intra-worker parallelism for the arena kernel: how many threads
-/// one worker may spread its partition's independent admissible sets
-/// across. The default is serial; any thread count produces bit-identical
-/// results.
+/// What is left of the intra-worker thread knob: the paper's model is one
+/// sequential dynamic program per node, no recorded run showed threads
+/// inside a worker winning, and the arm is gone. The type and its one
+/// value stay because `serve_socket_worker`'s callers name them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelPolicy {
-    threads: usize,
-}
+pub struct ParallelPolicy;
 
 impl ParallelPolicy {
-    /// Single-threaded (the default).
+    /// Single-threaded: the only policy.
     pub fn serial() -> Self {
-        ParallelPolicy { threads: 1 }
-    }
-
-    /// Use up to `threads` threads per partition (0 is treated as 1).
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelPolicy {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Maximum threads this policy allows.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Whether more than one thread may be used.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
+        ParallelPolicy
     }
 }
 
-impl Default for ParallelPolicy {
-    fn default() -> Self {
-        ParallelPolicy::serial()
-    }
+/// What the memo holds for one table set.
+#[derive(Clone, Copy, Debug)]
+struct SetRecord {
+    stats: SetStats,
+    /// The set's entries are `arena[start..start + len]`.
+    start: u32,
+    len: u32,
 }
 
-/// The memo: one contiguous entry array, per-set write-once spans
-/// addressed by the dense admissible-set index, scans kept apart.
+/// The record of a set nothing has been written for.
+const UNWRITTEN: SetRecord = SetRecord {
+    stats: SetStats {
+        cardinality: 0.0,
+        tuple_bytes: 0.0,
+        sort_cost: 0.0,
+    },
+    start: 0,
+    len: 0,
+};
+
+/// The memo: one record per admissible set, addressed by the dense
+/// admissible-set index, over one contiguous entry array; scans found by
+/// table.
 pub struct ArenaMemo {
     adm: AdmissibleSets,
     arena: Vec<PlanEntry>,
-    spans: Vec<(u32, u32)>,
-    singles: Vec<Vec<PlanEntry>>,
+    records: Vec<SetRecord>,
+    /// Per table, the record of its scans. An admissible singleton's
+    /// record is also at its dense index, so an operand that happens to be
+    /// one table is reached like any other.
+    singles: Vec<SetRecord>,
+    stored_sets: u64,
 }
 
 impl ArenaMemo {
+    /// Bytes of a filled memo: one record per admissible set and per
+    /// table, plus the entries.
+    pub fn footprint_bytes(admissible_sets: usize, tables: usize, entries: u64) -> u64 {
+        (admissible_sets + tables) as u64 * std::mem::size_of::<SetRecord>() as u64
+            + entries * std::mem::size_of::<PlanEntry>() as u64
+    }
+
     /// Creates an empty arena memo laid out for the partition's admissible
     /// sets.
     pub fn new(adm: AdmissibleSets) -> Self {
@@ -106,8 +114,9 @@ impl ArenaMemo {
         ArenaMemo {
             adm,
             arena: Vec::new(),
-            spans: vec![(0, 0); total],
-            singles: vec![Vec::new(); n],
+            records: vec![UNWRITTEN; total],
+            singles: vec![UNWRITTEN; n],
+            stored_sets: 0,
         }
     }
 
@@ -116,60 +125,99 @@ impl ArenaMemo {
         &self.adm
     }
 
-    /// Entries of the set at dense index `idx` (hot-path lookup without a
-    /// second `index_of`).
+    fn operand<'a>(&'a self, set: TableSet, record: &'a SetRecord) -> Operand<'a> {
+        Operand {
+            set,
+            stats: &record.stats,
+            entries: &self.arena[record.start as usize..(record.start + record.len) as usize],
+        }
+    }
+
+    /// The operand `set`, whose dense index the caller carried along.
     #[inline]
-    pub fn entries_at(&self, idx: usize) -> &[PlanEntry] {
-        let (s, l) = self.spans[idx];
-        &self.arena[s as usize..(s as usize + l as usize)]
+    pub(crate) fn operand_at(&self, set: TableSet, idx: usize) -> Operand<'_> {
+        self.operand(set, &self.records[idx])
+    }
+
+    /// The operand made of single table `t`.
+    #[inline]
+    pub(crate) fn single_operand(&self, t: usize) -> Operand<'_> {
+        self.operand(TableSet::singleton(t), &self.singles[t])
+    }
+
+    /// The operand `set`, looked up from its bits. Singleton sets resolve
+    /// to the scans; inadmissible or not-yet-written sets have no entries.
+    #[inline]
+    pub(crate) fn operand_of(&self, set: TableSet) -> Operand<'_> {
+        let record = if set.len() == 1 {
+            &self.singles[set.min_table().expect("non-empty")]
+        } else {
+            self.adm
+                .index_of(set)
+                .map_or(&UNWRITTEN, |idx| &self.records[idx])
+        };
+        self.operand(set, record)
     }
 
     /// Plan entries stored for `set`. Singleton sets resolve to the scan
     /// entries; inadmissible or not-yet-written sets resolve to an empty
     /// slice.
-    #[inline]
     pub fn entries(&self, set: TableSet) -> &[PlanEntry] {
-        if set.len() == 1 {
-            return &self.singles[set.min_table().expect("non-empty")];
-        }
-        match self.adm.index_of(set) {
-            Some(i) => self.entries_at(i),
-            None => &[],
-        }
+        self.operand_of(set).entries
+    }
+
+    /// The operand statistics recorded with `set`'s entries, or `None`
+    /// while nothing is stored for it.
+    pub fn stats(&self, set: TableSet) -> Option<SetStats> {
+        let operand = self.operand_of(set);
+        (!operand.entries.is_empty()).then_some(*operand.stats)
     }
 
     /// Scan entries for single table `t`.
-    #[inline]
     pub fn single_entries(&self, t: usize) -> &[PlanEntry] {
-        &self.singles[t]
+        self.single_operand(t).entries
     }
 
-    /// Mutable access to the scan entries of table `t` (seeding).
-    pub fn single_slot_mut(&mut self, t: usize) -> &mut Vec<PlanEntry> {
-        &mut self.singles[t]
-    }
-
-    /// Writes the finished slot of the set at dense index `idx` — the
-    /// write side of the slot-at-a-time traversals (the streaming kernel
-    /// merges whole level chunks instead). Slots are write-once, because
-    /// parents refer to entries by position: a second write of a non-empty
-    /// slot is refused (`false`) and changes nothing.
-    pub fn push_slot(&mut self, idx: usize, entries: &[PlanEntry]) -> bool {
-        if self.spans[idx].1 > 0 {
-            return false;
-        }
+    fn append(&mut self, stats: SetStats, entries: &[PlanEntry]) -> SetRecord {
         let start = u32::try_from(self.arena.len()).expect("arena entry count fits u32");
         let len = u32::try_from(entries.len()).expect("slot length fits u32");
         self.arena.extend_from_slice(entries);
-        self.spans[idx] = (start, len);
+        self.stored_sets += u64::from(len > 0);
+        SetRecord { stats, start, len }
+    }
+
+    /// Writes the scans of table `t` with the table's statistics
+    /// (seeding). Like every slot, written once: a second write of a
+    /// seeded table is refused (`false`) and changes nothing.
+    pub fn push_single(&mut self, t: usize, stats: SetStats, entries: &[PlanEntry]) -> bool {
+        if self.singles[t].len > 0 {
+            return false;
+        }
+        let record = self.append(stats, entries);
+        self.singles[t] = record;
+        if let Some(idx) = self.adm.index_of(TableSet::singleton(t)) {
+            self.records[idx] = record;
+        }
+        true
+    }
+
+    /// Writes the finished slot of the set at dense index `idx`, with the
+    /// set's statistics. Slots are write-once, because parents refer to
+    /// entries by position: a second write of a non-empty slot is refused
+    /// (`false`) and changes nothing.
+    pub fn push_slot(&mut self, idx: usize, stats: SetStats, entries: &[PlanEntry]) -> bool {
+        if self.records[idx].len > 0 {
+            return false;
+        }
+        self.records[idx] = self.append(stats, entries);
         true
     }
 
     /// [`ArenaMemo::push_slot`] addressed by table set; `false` also for a
     /// set that is inadmissible in this partition (it has no slot).
-    pub fn push_slot_of(&mut self, set: TableSet, entries: &[PlanEntry]) -> bool {
+    pub fn push_slot_of(&mut self, set: TableSet, stats: SetStats, entries: &[PlanEntry]) -> bool {
         match self.adm.index_of(set) {
-            Some(idx) => self.push_slot(idx, entries),
+            Some(idx) => self.push_slot(idx, stats, entries),
             None => false,
         }
     }
@@ -177,30 +225,20 @@ impl ArenaMemo {
     /// Number of table sets (including single tables) with at least one
     /// stored entry — the paper's "Memory (relations)" metric.
     pub fn stored_sets(&self) -> u64 {
-        let sets = self.spans.iter().filter(|&&(_, l)| l > 0).count();
-        let singles = self.singles.iter().filter(|s| !s.is_empty()).count();
-        (sets + singles) as u64
+        self.stored_sets
     }
 
     /// Total number of stored entries.
     pub fn total_entries(&self) -> u64 {
-        // Every arena entry belongs to exactly one span (slots are written
+        // Every arena entry belongs to exactly one slot (slots are written
         // once, already pruned), so the arena length is the entry total.
-        let singles: usize = self.singles.iter().map(Vec::len).sum();
-        (self.arena.len() + singles) as u64
+        self.arena.len() as u64
     }
 }
 
-/// Shared read-only context of one kernel run.
-struct Ctx<'a> {
-    space: PlanSpace,
-    objective: Objective,
-    constraints: &'a ConstraintSet,
-    pruning: &'a PruningPolicy,
-}
-
 /// Streaming single-objective reduction of one set's candidates: the
-/// running cheapest candidate per interesting-order class.
+/// running cheapest candidate per interesting-order class, direct-mapped
+/// by the order's code — one comparison per candidate.
 ///
 /// Under single-objective pruning the fate of a set's whole candidate
 /// stream is decided by one number per order class — the minimum time.
@@ -214,221 +252,132 @@ struct Ctx<'a> {
 /// survives `w`'s insertion. `kernel_differential` checks this equivalence
 /// over randomized candidate streams.
 #[doc(hidden)]
-#[derive(Debug, Default)]
-pub struct OrderClassMinima {
-    /// (generation index, candidate) per order class, in first-seen order.
-    /// Classes are few (the set's interesting orders, plus unordered), so a
-    /// linear probe beats any map.
-    best: Vec<(u64, PlanEntry)>,
+#[derive(Debug)]
+pub struct ClassMinima {
+    /// By order code: the class's cheapest candidate so far, the left
+    /// operand of its split and its generation index (`VACANT` = none yet).
+    best: [(u64, TableSet, Candidate); ORDER_CODES],
+    /// Codes of the occupied classes. Classes are few (the set's
+    /// interesting orders, plus unordered).
+    occupied: Vec<u8>,
     offered: u64,
 }
 
-impl OrderClassMinima {
-    /// Offers the next candidate of the stream.
+/// One class per table, plus unordered.
+const ORDER_CODES: usize = TableSet::MAX_TABLES + 1;
+const VACANT: u64 = u64::MAX;
+
+impl Default for ClassMinima {
+    fn default() -> Self {
+        ClassMinima {
+            best: [(VACANT, TableSet::EMPTY, Candidate::default()); ORDER_CODES],
+            occupied: Vec::new(),
+            offered: 0,
+        }
+    }
+}
+
+impl ClassMinima {
+    /// Offers the next candidate of the stream, generated for the split
+    /// whose left operand is `left`. Its order must be one the memo can
+    /// label an entry with ([`mpq_cost::Order::if_live`]'s output).
     #[inline]
-    pub fn offer(&mut self, c: PlanEntry) {
-        let idx = self.offered;
+    pub fn offer(&mut self, left: TableSet, c: Candidate) {
+        let generation = self.offered;
         self.offered += 1;
-        match self.best.iter_mut().find(|(_, b)| b.order == c.order) {
-            Some(slot) => {
-                if c.cost.time < slot.1.cost.time {
-                    *slot = (idx, c);
-                }
-            }
-            None => self.best.push((idx, c)),
+        let code = c.order.to_code();
+        let class = &mut self.best[code as usize];
+        let vacant = class.0 == VACANT;
+        if vacant {
+            self.occupied.push(code);
+        }
+        if vacant || c.cost.time < class.2.cost.time {
+            *class = (generation, left, c);
         }
     }
 
-    /// Inserts the winners into the slot occupying `out[start..]`, in
-    /// generation order, and resets for the next set.
+    /// Builds the winners' entries for result set `set` and inserts them
+    /// into `slot`, in generation order; resets for the next set.
     pub fn insert_winners(
         &mut self,
+        set: TableSet,
         pruning: &PruningPolicy,
-        out: &mut Vec<PlanEntry>,
-        start: usize,
+        slot: &mut Vec<PlanEntry>,
     ) {
-        self.best.sort_unstable_by_key(|&(idx, _)| idx);
-        for (_, w) in self.best.drain(..) {
-            pruning.try_insert_range(out, start, w);
+        let best = &mut self.best;
+        self.occupied
+            .sort_unstable_by_key(|&code| best[code as usize].0);
+        for code in self.occupied.drain(..) {
+            let (_, left, winner) = best[code as usize];
+            best[code as usize].0 = VACANT;
+            pruning.try_insert(slot, winner.entry(left, set.difference(left)));
         }
+        self.offered = 0;
     }
 }
 
-/// Per-thread working state: estimator, enumeration scratch, the
-/// single-objective reducer, and the output staging buffer the thread's
-/// slots are built into before the in-order merge.
-struct Scratch<'q> {
-    est: CardinalityEstimator<'q>,
-    split_scratch: SplitScratch,
-    minima: OrderClassMinima,
-    out: Vec<PlanEntry>,
-    /// Finished slots staged in `out`: (dense index, start, len).
-    built: Vec<(u32, u32, u32)>,
-    splits_tried: u64,
-    plans_generated: u64,
-}
-
-impl<'q> Scratch<'q> {
-    fn new(query: &'q Query) -> Self {
-        Scratch {
-            est: CardinalityEstimator::new(query),
-            split_scratch: SplitScratch::default(),
-            minima: OrderClassMinima::default(),
-            out: Vec::new(),
-            built: Vec::new(),
-            splits_tried: 0,
-            plans_generated: 0,
-        }
-    }
-}
-
-/// Builds the slots for one contiguous chunk of same-cardinality sets into
-/// the scratch staging buffer. Reads only strictly smaller sets from the
-/// arena, so chunks of one level can run concurrently.
-fn process_chunk(ctx: &Ctx<'_>, memo: &ArenaMemo, chunk: &[u32], s: &mut Scratch<'_>) {
-    let env = SplitEnv {
-        space: ctx.space,
-        constraints: ctx.constraints,
-        adm: &memo.adm,
-    };
-    let Scratch {
-        est,
-        split_scratch,
-        minima,
-        out,
-        built,
-        splits_tried,
-        plans_generated,
-    } = s;
-    for &idx in chunk {
-        let set = memo.adm.set_at(idx as usize);
-        let slot_start = out.len();
-        let live = est.predicates().interesting_orders(set);
-        for_each_split(&env, set, memo, split_scratch, |split| {
-            *splits_tried += 1;
-            *plans_generated += match ctx.objective {
-                Objective::Single => join_candidates(est, split, live, |c| minima.offer(c)),
-                // Pareto pruning has no single-number reduction: every
-                // candidate meets the slot built so far.
-                Objective::Multi { .. } => join_candidates(est, split, live, |c| {
-                    ctx.pruning.try_insert_range(out, slot_start, c);
-                }),
-            };
-        });
-        minima.insert_winners(ctx.pruning, out, slot_start);
-        let len = out.len() - slot_start;
-        built.push((
-            idx,
-            u32::try_from(slot_start).expect("staged entries fit u32"),
-            u32::try_from(len).expect("slot length fits u32"),
-        ));
-    }
-}
-
-/// Appends one scratch's staged slots to the arena and records their
-/// spans. Called in chunk order, which fixes the arena layout
-/// deterministically regardless of thread timing.
-fn merge_scratch(memo: &mut ArenaMemo, s: &mut Scratch<'_>, stats: &mut WorkerStats) {
-    let base = u32::try_from(memo.arena.len()).expect("arena entry count fits u32");
-    memo.arena.extend_from_slice(&s.out);
-    for &(idx, start, len) in &s.built {
-        memo.spans[idx as usize] = (base + start, len);
-    }
-    s.out.clear();
-    s.built.clear();
-    stats.splits_tried += s.splits_tried;
-    stats.plans_generated += s.plans_generated;
-    s.splits_tried = 0;
-    s.plans_generated = 0;
-}
-
-/// Don't fan a level out unless every thread gets at least this many sets
-/// (thread wake-up costs more than a few tiny slots).
-const MIN_SETS_PER_THREAD: usize = 2;
-
-/// Optimizes one partition with streaming pruning and optional
-/// intra-worker parallelism. Bit-identical to the reference loop for every
-/// `policy` (see the module docs for why).
-pub fn optimize_partition_parallel(
+/// Optimizes the partition described by `constraints` with the streaming
+/// kernel. Bit-identical to the reference loop (see the module docs for
+/// why).
+pub fn optimize_partition(
     query: &Query,
     space: PlanSpace,
     objective: Objective,
     constraints: &ConstraintSet,
-    policy: ParallelPolicy,
 ) -> PartitionOutcome {
     let start = Instant::now();
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
     let pruning = PruningPolicy::new(objective, n);
-    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
+    let est = CardinalityEstimator::new(query);
+    let adm = AdmissibleSets::new(constraints);
+    let mut memo = ArenaMemo::new(adm.clone());
     let mut stats = WorkerStats::default();
-    let threads = policy.threads().max(1);
-    // One estimator per thread; seeding and reconstruction borrow the
-    // first, so a serial run allocates exactly one cardinality table.
-    let mut scratches: Vec<Scratch<'_>> = (0..threads).map(|_| Scratch::new(query)).collect();
+    seed_scans(&mut memo, &est, &pruning);
 
-    seed_scans(&mut memo, &mut scratches[0].est, &pruning);
-
-    // Group the admissible sets into ascending-cardinality levels. A set
-    // reads only strictly smaller sets, so the sets of one level are
-    // independent of each other; within a level, dense-index order is kept
-    // so the arena layout (and the candidate enumeration) is fixed.
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
-    for idx in 0..memo.adm.len() {
-        let c = memo.adm.set_at(idx).len();
-        if c >= 2 {
-            levels[c].push(u32::try_from(idx).expect("dense index fits u32"));
-        }
-    }
-
-    let ctx = Ctx {
+    let env = SplitEnv {
         space,
-        objective,
         constraints,
-        pruning: &pruning,
+        adm: &adm,
     };
-    let mut peak_threads = 1u64;
-
-    for level in &levels {
-        if level.is_empty() {
+    let predicates = est.predicates();
+    let mut scratch = SplitScratch::default();
+    let mut minima = ClassMinima::default();
+    let mut slot = Vec::new();
+    for (idx, set) in adm.iter().enumerate() {
+        if set.len() < 2 {
             continue;
         }
-        // The fan-out decision depends only on deterministic counts.
-        let t_eff = if level.len() >= threads * MIN_SETS_PER_THREAD {
-            threads
-        } else {
-            1
-        };
-        if t_eff <= 1 {
-            process_chunk(&ctx, &memo, level, &mut scratches[0]);
-            merge_scratch(&mut memo, &mut scratches[0], &mut stats);
-        } else {
-            let chunk_size = level.len().div_ceil(t_eff);
-            let memo_ref = &memo;
-            let ctx_ref = &ctx;
-            std::thread::scope(|scope| {
-                for (chunk, s) in level.chunks(chunk_size).zip(scratches.iter_mut()) {
-                    scope.spawn(move || process_chunk(ctx_ref, memo_ref, chunk, s));
+        let live = predicates.interesting_orders(set);
+        for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
+            stats.splits_tried += 1;
+            let left = split.left.set;
+            stats.plans_generated += match objective {
+                Objective::Single => {
+                    join_candidates(predicates, &split, live, |c| minima.offer(left, c))
                 }
-            });
-            peak_threads = peak_threads.max(level.chunks(chunk_size).count() as u64);
-            // Merge in chunk order: the arena layout never depends on
-            // which thread finished first.
-            for s in scratches.iter_mut() {
-                merge_scratch(&mut memo, s, &mut stats);
-            }
-        }
+                // Pareto pruning has no single-number reduction: every
+                // candidate meets the slot built so far.
+                Objective::Multi { .. } => join_candidates(predicates, &split, live, |c| {
+                    pruning.try_insert_with(&mut slot, 0, c.cost, c.order, || {
+                        c.entry(left, split.right.set)
+                    });
+                }),
+            };
+        });
+        minima.insert_winners(set, &pruning, &mut slot);
+        memo.push_slot(idx, est.set_stats(set), &slot);
+        slot.clear();
     }
 
-    stats.threads_used = peak_threads;
-    finish(&memo, &mut scratches[0].est, &pruning, stats, start)
+    finish(&memo, &pruning, stats, start)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::worker::{optimize_partition_reference, optimize_serial};
-    use mpq_cost::{CostVector, Order, ScanOp};
+    use mpq_cost::{CostVector, JoinOp, Order, ScanOp};
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_partition::{partition_constraints, Grouping};
     use mpq_plan::PlanNode;
@@ -437,28 +386,35 @@ mod tests {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
     }
 
+    fn candidate(time: f64, order: Order, left_idx: u32) -> Candidate {
+        Candidate {
+            cost: CostVector::new(time, 0.0),
+            order,
+            op: JoinOp::Hash,
+            left_idx,
+            right_idx: 0,
+        }
+    }
+
     /// Streams `(time, order)` candidates through the reducer and returns
     /// the resulting slot as `(time, order)` pairs.
-    fn reduce(minima: &mut OrderClassMinima, cands: &[(f64, Order)]) -> Vec<(f64, Order)> {
+    fn reduce(minima: &mut ClassMinima, cands: &[(f64, Order)]) -> Vec<(f64, Order)> {
         for &(time, order) in cands {
-            minima.offer(PlanEntry {
-                cost: CostVector::new(time, 0.0),
-                order,
-                node: PlanNode::Scan {
-                    table: 0,
-                    op: ScanOp::Full,
-                },
-            });
+            minima.offer(TableSet::singleton(0), candidate(time, order, 0));
         }
         let mut slot = Vec::new();
-        minima.insert_winners(&PruningPolicy::new(Objective::Single, 4), &mut slot, 0);
+        minima.insert_winners(
+            TableSet::full(2),
+            &PruningPolicy::new(Objective::Single, 4),
+            &mut slot,
+        );
         slot.iter().map(|e| (e.cost.time, e.order)).collect()
     }
 
     #[test]
     fn winners_are_per_order_minima_in_generation_order() {
         let slot = reduce(
-            &mut OrderClassMinima::default(),
+            &mut ClassMinima::default(),
             &[
                 (5.0, Order::None),
                 (3.0, Order::OnAttribute(1)),
@@ -479,23 +435,33 @@ mod tests {
 
     #[test]
     fn ties_keep_the_earliest_candidate() {
-        let mut minima = OrderClassMinima::default();
-        for table in [7u8, 9] {
-            minima.offer(PlanEntry::scan(
-                table,
-                ScanOp::Full,
-                CostVector::new(2.0, 0.0),
-            ));
+        let mut minima = ClassMinima::default();
+        for (left, left_idx) in [(1, 7), (0, 9)] {
+            minima.offer(
+                TableSet::singleton(left),
+                candidate(2.0, Order::None, left_idx),
+            );
         }
         let mut slot = Vec::new();
-        minima.insert_winners(&PruningPolicy::new(Objective::Single, 4), &mut slot, 0);
-        assert_eq!(slot.len(), 1);
-        assert!(matches!(slot[0].node, PlanNode::Scan { table: 7, .. }));
+        minima.insert_winners(
+            TableSet::full(2),
+            &PruningPolicy::new(Objective::Single, 4),
+            &mut slot,
+        );
+        // The survivor is the first candidate, built for its own split.
+        assert_eq!(
+            slot,
+            [
+                candidate(2.0, Order::None, 7)
+                    .entry(TableSet::singleton(1), TableSet::singleton(0))
+            ]
+        );
+        assert!(matches!(slot[0].node, PlanNode::Join { left_idx: 7, .. }));
     }
 
     #[test]
     fn inserting_winners_resets_the_reducer() {
-        let mut minima = OrderClassMinima::default();
+        let mut minima = ClassMinima::default();
         assert_eq!(reduce(&mut minima, &[(1.0, Order::None)]).len(), 1);
         // A cheaper class minimum of the previous set must not leak.
         assert_eq!(
@@ -505,8 +471,40 @@ mod tests {
         assert!(reduce(&mut minima, &[]).is_empty());
     }
 
+    #[test]
+    fn a_class_opens_with_its_first_candidate_whatever_it_costs() {
+        // Nothing is cheaper than the first candidate of a class, even an
+        // infinitely expensive one: it must reach the pruning function.
+        let inf = f64::INFINITY;
+        assert_eq!(
+            reduce(
+                &mut ClassMinima::default(),
+                &[(inf, Order::None), (inf, Order::None)]
+            ),
+            vec![(inf, Order::None)]
+        );
+        assert_eq!(
+            reduce(
+                &mut ClassMinima::default(),
+                &[
+                    (inf, Order::OnAttribute(63)),
+                    (-inf, Order::OnAttribute(63))
+                ]
+            ),
+            vec![(-inf, Order::OnAttribute(63))]
+        );
+    }
+
     fn entry(time: f64) -> PlanEntry {
         PlanEntry::scan(0, ScanOp::Full, CostVector::new(time, 0.0))
+    }
+
+    fn stats(cardinality: f64) -> SetStats {
+        SetStats {
+            cardinality,
+            tuple_bytes: 8.0,
+            sort_cost: 0.0,
+        }
     }
 
     /// A memo for partition `id` of `m` of a linear `n`-table query.
@@ -520,15 +518,17 @@ mod tests {
         let mut memo = memo(6, 1, 4);
         let set = TableSet::from_tables([0, 1, 4]);
         let idx = memo.admissible().index_of(set).unwrap();
-        assert!(memo.push_slot(idx, &[entry(5.0), entry(6.0)]));
+        assert!(memo.push_slot(idx, stats(7.0), &[entry(5.0), entry(6.0)]));
         // Written by index, read back by set.
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
+        assert_eq!(memo.stats(set), Some(stats(7.0)));
         assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
         // Parents refer to entries by position: a rewrite is refused, by
         // index and by set, and changes nothing.
-        assert!(!memo.push_slot(idx, &[entry(1.0)]));
-        assert!(!memo.push_slot_of(set, &[entry(1.0)]));
+        assert!(!memo.push_slot(idx, stats(1.0), &[entry(1.0)]));
+        assert!(!memo.push_slot_of(set, stats(1.0), &[entry(1.0)]));
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
+        assert_eq!(memo.stats(set), Some(stats(7.0)));
         assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
     }
 
@@ -536,8 +536,9 @@ mod tests {
     fn inadmissible_set_has_no_slot() {
         let mut memo = memo(4, 0, 2); // Q0 ≺ Q1
         let set = TableSet::from_tables([1, 2]);
-        assert!(!memo.push_slot_of(set, &[entry(3.0)]));
+        assert!(!memo.push_slot_of(set, stats(1.0), &[entry(3.0)]));
         assert!(memo.entries(set).is_empty());
+        assert_eq!(memo.stats(set), None);
         assert_eq!((memo.stored_sets(), memo.total_entries()), (0, 0));
     }
 
@@ -545,23 +546,91 @@ mod tests {
     fn unwritten_admissible_set_is_empty() {
         let mut memo = memo(4, 0, 2);
         let (written, unwritten) = (TableSet::from_tables([0, 1]), TableSet::from_tables([0, 3]));
-        assert!(memo.push_slot_of(written, &[entry(7.0)]));
+        assert!(memo.push_slot_of(written, stats(1.0), &[entry(7.0)]));
         assert!(memo.admissible().is_admissible(unwritten));
         assert!(memo.entries(unwritten).is_empty());
+        assert_eq!(memo.stats(unwritten), None);
     }
 
     #[test]
     fn singles_are_separate_from_the_admissible_index() {
         let mut memo = memo(4, 0, 2);
-        memo.single_slot_mut(2).push(entry(1.0));
+        assert!(memo.push_single(2, stats(20.0), &[entry(1.0)]));
         assert_eq!(memo.single_entries(2).len(), 1);
         assert_eq!(memo.entries(TableSet::singleton(2)).len(), 1);
+        // An admissible singleton is also an operand like any other set:
+        // the same record sits at its dense index.
+        let idx = memo.admissible().index_of(TableSet::singleton(2)).unwrap();
+        let operand = memo.operand_at(TableSet::singleton(2), idx);
+        assert_eq!(
+            (*operand.stats, operand.entries),
+            (stats(20.0), &[entry(1.0)][..])
+        );
         // Table 1 is inadmissible as a set under Q0 ≺ Q1, but its scan is
         // still reachable via the singles path.
         assert!(!memo.admissible().is_admissible(TableSet::singleton(1)));
-        memo.single_slot_mut(1).push(entry(2.0));
+        assert!(memo.push_single(1, stats(10.0), &[entry(2.0)]));
         assert_eq!(memo.entries(TableSet::singleton(1)).len(), 1);
+        assert_eq!(memo.stats(TableSet::singleton(1)), Some(stats(10.0)));
+        // Scans are written once too, and counted once.
+        assert!(!memo.push_single(1, stats(11.0), &[entry(3.0)]));
+        assert_eq!(memo.single_entries(1), [entry(2.0)]);
         assert_eq!((memo.stored_sets(), memo.total_entries()), (2, 2));
+    }
+
+    /// The record written with every stored set is the estimator's own
+    /// one-shot answer for that set, bit for bit — whichever traversal
+    /// filled the memo.
+    #[test]
+    fn memo_records_equal_the_estimators_one_shot_answers() {
+        for (n, space, id, m) in [
+            (7, PlanSpace::Linear, 5, 8),
+            (8, PlanSpace::Linear, 0, 1),
+            (7, PlanSpace::Bushy, 1, 4),
+        ] {
+            let q = query(n, 90 + n as u64);
+            let est = CardinalityEstimator::new(&q);
+            let cs = partition_constraints(n, space, id, m);
+            let adm = AdmissibleSets::new(&cs);
+            let mut memo = ArenaMemo::new(adm.clone());
+            let policy = PruningPolicy::new(Objective::Single, n);
+            seed_scans(&mut memo, &est, &policy);
+            let mut stats = WorkerStats::default();
+            for (idx, set) in adm.iter().enumerate().filter(|(_, set)| set.len() >= 2) {
+                let slot = crate::worker::compute_entries_for_set(
+                    space,
+                    &cs,
+                    set,
+                    &memo,
+                    est.predicates(),
+                    &policy,
+                    &mut stats,
+                );
+                memo.push_slot(idx, est.set_stats(set), &slot);
+            }
+            let singles = (0..n).map(TableSet::singleton);
+            let mut stored = 0;
+            for set in adm.iter().filter(|set| set.len() >= 2).chain(singles) {
+                let Some(record) = memo.stats(set) else {
+                    continue;
+                };
+                stored += 1;
+                let card = est.cardinality(set);
+                assert_eq!(record.cardinality.to_bits(), card.to_bits(), "{set}");
+                assert_eq!(
+                    record.tuple_bytes.to_bits(),
+                    est.tuple_bytes(set).to_bits(),
+                    "{set}"
+                );
+                assert_eq!(
+                    record.sort_cost.to_bits(),
+                    (card * card.max(2.0).log2()).to_bits(),
+                    "{set}"
+                );
+            }
+            assert_eq!(stored, memo.stored_sets());
+            assert!(memo.stats(TableSet::full(n)).is_some());
+        }
     }
 
     #[test]
@@ -571,13 +640,7 @@ mod tests {
             for space in [PlanSpace::Linear, PlanSpace::Bushy] {
                 let cs = ConstraintSet::unconstrained(Grouping::new(7, space));
                 let reference = optimize_partition_reference(&q, space, Objective::Single, &cs);
-                let arena = optimize_partition_parallel(
-                    &q,
-                    space,
-                    Objective::Single,
-                    &cs,
-                    ParallelPolicy::serial(),
-                );
+                let arena = optimize_partition(&q, space, Objective::Single, &cs);
                 assert_eq!(
                     reference.plans[0].cost().time.to_bits(),
                     arena.plans[0].cost().time.to_bits(),
@@ -605,13 +668,7 @@ mod tests {
                 for id in [0u64, 3, m - 1] {
                     let cs = partition_constraints(8, space, id, m);
                     let reference = optimize_partition_reference(&q, space, Objective::Single, &cs);
-                    let arena = optimize_partition_parallel(
-                        &q,
-                        space,
-                        Objective::Single,
-                        &cs,
-                        ParallelPolicy::serial(),
-                    );
+                    let arena = optimize_partition(&q, space, Objective::Single, &cs);
                     assert_eq!(
                         reference.plans[0].cost().time.to_bits(),
                         arena.plans[0].cost().time.to_bits(),
@@ -623,59 +680,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        for seed in 0..3 {
-            let q = query(8, seed + 40);
-            for space in [PlanSpace::Linear, PlanSpace::Bushy] {
-                let cs = ConstraintSet::unconstrained(Grouping::new(8, space));
-                let serial = optimize_partition_parallel(
-                    &q,
-                    space,
-                    Objective::Single,
-                    &cs,
-                    ParallelPolicy::serial(),
-                );
-                for t in [2usize, 4] {
-                    let par = optimize_partition_parallel(
-                        &q,
-                        space,
-                        Objective::Single,
-                        &cs,
-                        ParallelPolicy::with_threads(t),
-                    );
-                    assert_eq!(
-                        serial.plans[0].cost().time.to_bits(),
-                        par.plans[0].cost().time.to_bits(),
-                        "seed {seed} {space:?} threads {t}"
-                    );
-                    assert_eq!(serial.plans[0], par.plans[0], "tree must match");
-                    assert_eq!(serial.stats.splits_tried, par.stats.splits_tried);
-                    assert_eq!(serial.stats.total_entries, par.stats.total_entries);
-                    assert!(par.stats.threads_used >= 2, "fan-out should engage");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn multi_objective_frontier_matches_dense() {
         let q = query(6, 60);
         let cs = ConstraintSet::unconstrained(Grouping::new(6, PlanSpace::Bushy));
         let obj = Objective::Multi { alpha: 1.0 };
         let reference = optimize_partition_reference(&q, PlanSpace::Bushy, obj, &cs);
-        for t in [1usize, 3] {
-            let arena = optimize_partition_parallel(
-                &q,
-                PlanSpace::Bushy,
-                obj,
-                &cs,
-                ParallelPolicy::with_threads(t),
-            );
-            assert_eq!(reference.plans.len(), arena.plans.len(), "threads {t}");
-            for (d, a) in reference.plans.iter().zip(arena.plans.iter()) {
-                assert_eq!(d.cost().time.to_bits(), a.cost().time.to_bits());
-                assert_eq!(d.cost().buffer.to_bits(), a.cost().buffer.to_bits());
-            }
+        let arena = optimize_partition(&q, PlanSpace::Bushy, obj, &cs);
+        assert_eq!(reference.plans.len(), arena.plans.len());
+        for (d, a) in reference.plans.iter().zip(arena.plans.iter()) {
+            assert_eq!(d.cost().time.to_bits(), a.cost().time.to_bits());
+            assert_eq!(d.cost().buffer.to_bits(), a.cost().buffer.to_bits());
         }
     }
 
@@ -684,35 +698,18 @@ mod tests {
         for n in [1usize, 2] {
             let q = query(n, 70 + n as u64);
             let cs = ConstraintSet::unconstrained(Grouping::new(n, PlanSpace::Linear));
-            let out = optimize_partition_parallel(
-                &q,
-                PlanSpace::Linear,
-                Objective::Single,
-                &cs,
-                ParallelPolicy::with_threads(4),
-            );
+            let out = optimize_partition(&q, PlanSpace::Linear, Objective::Single, &cs);
             assert_eq!(out.plans.len(), 1);
             assert_eq!(out.plans[0].num_joins(), n - 1);
-            assert_eq!(out.stats.threads_used.max(1), out.stats.threads_used);
         }
     }
 
     #[test]
     fn serial_default_kernel_is_the_arena_kernel() {
-        // `optimize_serial` routes through the arena kernel; its stats must
-        // report the serial thread count.
+        // `optimize_serial` routes through the arena kernel, which is one
+        // sequential dynamic program: the wire-carried thread count says so.
         let q = query(5, 80);
         let out = optimize_serial(&q, PlanSpace::Linear, Objective::Single);
         assert_eq!(out.stats.threads_used, 1);
-    }
-
-    #[test]
-    fn parallel_policy_accessors() {
-        assert_eq!(ParallelPolicy::default(), ParallelPolicy::serial());
-        assert!(!ParallelPolicy::serial().is_parallel());
-        assert_eq!(ParallelPolicy::with_threads(0).threads(), 1);
-        let p = ParallelPolicy::with_threads(4);
-        assert!(p.is_parallel());
-        assert_eq!(p.threads(), 4);
     }
 }

@@ -13,7 +13,7 @@
 //! boolean in the return value tells the caller which path was taken so
 //! shard-local hit/miss accounting stays exact.
 
-use crate::arena::{optimize_partition_parallel, ParallelPolicy};
+use crate::arena::optimize_partition;
 use crate::topdown::optimize_partition_topdown;
 use crate::worker::PartitionOutcome;
 use crate::WorkerStats;
@@ -99,26 +99,6 @@ pub fn optimize_partition_id_cached(
     partitions: u64,
     cache: &mut PlanCache,
 ) -> (PartitionOutcome, bool) {
-    let policy = ParallelPolicy::serial();
-    optimize_partition_id_cached_parallel(
-        query, space, objective, part_id, partitions, policy, cache,
-    )
-}
-
-/// [`optimize_partition_id_cached`] with an intra-worker
-/// [`ParallelPolicy`]. The cache key is deliberately the same for every
-/// policy: the parallel kernel is bit-identical to the serial one, so
-/// entries may be shared freely across thread counts — a hit produced at
-/// any parallelism is byte-identical to recomputation at any other.
-pub fn optimize_partition_id_cached_parallel(
-    query: &Query,
-    space: PlanSpace,
-    objective: Objective,
-    part_id: u64,
-    partitions: u64,
-    policy: ParallelPolicy,
-    cache: &mut PlanCache,
-) -> (PartitionOutcome, bool) {
     through_cache(
         cache,
         || {
@@ -133,7 +113,7 @@ pub fn optimize_partition_id_cached_parallel(
         },
         || {
             let constraints = partition_constraints(query.num_tables(), space, part_id, partitions);
-            optimize_partition_parallel(query, space, objective, &constraints, policy)
+            optimize_partition(query, space, objective, &constraints)
         },
     )
 }

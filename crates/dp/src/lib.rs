@@ -18,14 +18,15 @@
 //! in the same order", Section 6.2); [`optimize_serial`] exposes exactly
 //! that.
 //!
-//! There is one memo, [`ArenaMemo`] ([`arena`] — one contiguous entry
-//! array with write-once per-set spans addressed by the dense
-//! admissible-set index), and two ways to fill it bottom-up: the streaming
-//! kernel ([`optimize_partition_parallel`] — per-order-class minima,
-//! optional intra-worker parallelism via [`ParallelPolicy`]; the default)
-//! and the textbook slot-at-a-time loop ([`optimize_partition_reference`])
-//! that the differential suites hold it to, bit for bit. Top-down,
-//! parametric and SMA's per-set enumeration run on the same memo.
+//! There is one memo, [`ArenaMemo`] ([`arena`] — one write-once record per
+//! admissible set, statistics and entry span, addressed by the dense
+//! admissible-set index over one contiguous entry array), and two ways to
+//! fill it bottom-up: the streaming kernel ([`optimize_partition`] —
+//! per-order-class minima, entries built only for the candidates that are
+//! kept; the default) and the textbook slot-at-a-time loop
+//! ([`optimize_partition_reference`]) that the differential suites hold it
+//! to, bit for bit. Top-down, parametric and SMA's per-set enumeration run
+//! on the same memo.
 //!
 //! [`cached`] wraps the partition optimizers in the cross-query memo
 //! cache (`mpq_plan::cache`): repeated subproblems — same canonical query
@@ -44,11 +45,11 @@ pub mod topdown;
 pub mod worker;
 
 #[doc(hidden)]
-pub use arena::OrderClassMinima;
-pub use arena::{optimize_partition_parallel, ArenaMemo, ParallelPolicy};
+pub use arena::ClassMinima;
+pub use arena::{optimize_partition, ArenaMemo, ParallelPolicy};
 pub use cached::{
-    optimize_partition_id_cached, optimize_partition_id_cached_parallel,
-    optimize_partition_topdown_cached, optimize_serial_cached, push_scope, PlanCache,
+    optimize_partition_id_cached, optimize_partition_topdown_cached, optimize_serial_cached,
+    push_scope, PlanCache,
 };
 pub use naive::{exhaustive_frontier, exhaustive_linear_best_time};
 pub use parametric::{
@@ -58,7 +59,9 @@ pub use parametric::{
 pub use reconstruct::reconstruct_plan;
 pub use stats::WorkerStats;
 pub use topdown::optimize_partition_topdown;
+#[doc(hidden)]
+pub use worker::Candidate;
 pub use worker::{
-    complete_plans, compute_entries_for_set, optimize_partition, optimize_partition_id,
-    optimize_partition_reference, optimize_serial, seed_scans, PartitionOutcome,
+    complete_plans, compute_entries_for_set, optimize_partition_id, optimize_partition_reference,
+    optimize_serial, seed_scans, PartitionOutcome,
 };

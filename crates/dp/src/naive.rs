@@ -22,12 +22,12 @@ pub fn exhaustive_linear_best_time(query: &Query) -> f64 {
     assert!(n <= 8, "exhaustive search is factorial; use small queries");
     let mut est = CardinalityEstimator::new(query);
     if n == 1 {
-        return ScanOp::Full.cost(&mut est, 0).time;
+        return ScanOp::Full.cost(&est, 0).time;
     }
     let mut best = f64::INFINITY;
     // Start from each table's scan.
     for first in 0..n {
-        let scan = ScanOp::Full.cost(&mut est, first);
+        let scan = ScanOp::Full.cost(&est, first);
         dfs_linear(
             &mut est,
             TableSet::singleton(first),

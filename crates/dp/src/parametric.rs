@@ -20,9 +20,9 @@
 
 use crate::arena::ArenaMemo;
 use crate::stats::WorkerStats;
-use crate::worker::{complete_plans, for_each_split_filtered, SplitEnv};
-use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, JOIN_OPS};
-use mpq_model::Query;
+use crate::worker::{complete_plans, for_each_split_filtered, Split, SplitEnv};
+use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, SplitCosts, JOIN_OPS};
+use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::{Plan, PlanEntry, PlanNode, PruningPolicy};
 use std::time::Instant;
@@ -105,13 +105,15 @@ pub fn optimize_parametric_partition(
     // Exact bi-scenario Pareto pruning: reuse the multi-objective policy
     // with α = 1 over the (low, high) cost pair stored in a CostVector.
     let policy = PruningPolicy::new(Objective::Multi { alpha: 1.0 }, n);
-    let mut lo = CardinalityEstimator::new(&pq.low);
+    // The memo records the `low` scenario's statistics (the one plans are
+    // reconstructed against); the `high` scenario's are estimated per split.
+    let lo = CardinalityEstimator::new(&pq.low);
     let mut hi = CardinalityEstimator::new(&pq.high);
     let mut stats = WorkerStats::default();
 
     for t in 0..n {
-        let cl = ScanOp::Full.cost(&mut lo, t);
-        let ch = ScanOp::Full.cost(&mut hi, t);
+        let cl = ScanOp::Full.cost(&lo, t);
+        let ch = ScanOp::Full.cost(&hi, t);
         let entry = PlanEntry {
             cost: CostVector::new(cl.time, ch.time),
             order: ScanOp::Full.output_order(),
@@ -120,7 +122,7 @@ pub fn optimize_parametric_partition(
                 op: ScanOp::Full,
             },
         };
-        policy.try_insert(memo.single_slot_mut(t), entry);
+        memo.push_single(t, lo.set_stats(TableSet::singleton(t)), &[entry]);
     }
 
     let mut slot = Vec::new();
@@ -142,13 +144,16 @@ pub fn optimize_parametric_partition(
         let live = lo.predicates().interesting_orders(set);
         for_each_split_filtered(&env, set, |l, r| {
             stats.splits_tried += 1;
-            for (li, le) in memo.entries(l).iter().enumerate() {
-                for (ri, re) in memo.entries(r).iter().enumerate() {
+            let Split { left, right } = Split::of(&memo, l, r);
+            let costs_lo = SplitCosts::from_stats(lo.predicates(), l, left.stats, r, right.stats);
+            let costs_hi = SplitCosts::new(&mut hi, l, r);
+            for (li, le) in left.entries.iter().enumerate() {
+                for (ri, re) in right.entries.iter().enumerate() {
                     for op in JOIN_OPS {
-                        let Some(al) = op.apply(&mut lo, l, r, le.order, re.order) else {
+                        let Some(al) = costs_lo.apply(op, le.order, re.order) else {
                             continue;
                         };
-                        let Some(ah) = op.apply(&mut hi, l, r, le.order, re.order) else {
+                        let Some(ah) = costs_hi.apply(op, le.order, re.order) else {
                             continue;
                         };
                         debug_assert_eq!(al.output_order, ah.output_order);
@@ -166,12 +171,12 @@ pub fn optimize_parametric_partition(
                 }
             }
         });
-        memo.push_slot(idx, &slot);
+        memo.push_slot(idx, lo.set_stats(set), &slot);
         slot.clear();
     }
 
     // Each complete plan carries its (low, high) cost pair at the root.
-    let mut plans: Vec<(Plan, CostVector)> = complete_plans(&memo, &mut lo)
+    let mut plans: Vec<(Plan, CostVector)> = complete_plans(&memo)
         .into_iter()
         .map(|p| {
             let cost = p.cost();

@@ -6,29 +6,29 @@
 //! materialized and serialized (`b_p` bytes, Theorem 1).
 
 use crate::arena::ArenaMemo;
-use mpq_cost::CardinalityEstimator;
 use mpq_model::TableSet;
 use mpq_plan::{Plan, PlanEntry, PlanNode};
 
 /// Expands `entry` (stored for `set`) into a full plan tree by following
-/// child references through the memo.
+/// child references through the memo; every node's cardinality is the one
+/// recorded with its set.
 ///
 /// # Panics
-/// Panics if a child reference points at a missing memo entry — that would
-/// mean the memo was mutated after the entry was created, which the DP's
-/// finalize-before-reference order rules out.
-pub fn reconstruct_plan(
-    memo: &ArenaMemo,
-    est: &mut CardinalityEstimator<'_>,
-    set: TableSet,
-    entry: &PlanEntry,
-) -> Plan {
+/// Panics if `entry` or a child reference points at a set or entry the
+/// memo does not hold — that would mean the memo was mutated after the
+/// entry was created, which the DP's finalize-before-reference order rules
+/// out.
+pub fn reconstruct_plan(memo: &ArenaMemo, set: TableSet, entry: &PlanEntry) -> Plan {
+    let cardinality = memo
+        .stats(set)
+        .expect("an entry's set is stored")
+        .cardinality;
     match entry.node {
         PlanNode::Scan { table, op } => Plan::Scan {
             table,
             op,
             cost: entry.cost,
-            cardinality: est.cardinality(TableSet::singleton(table as usize)),
+            cardinality,
         },
         PlanNode::Join {
             op,
@@ -44,12 +44,12 @@ pub fn reconstruct_plan(
             );
             let le = memo.entries(left)[left_idx as usize];
             let re = memo.entries(right)[right_idx as usize];
-            let left_plan = reconstruct_plan(memo, est, left, &le);
-            let right_plan = reconstruct_plan(memo, est, right, &re);
+            let left_plan = reconstruct_plan(memo, left, &le);
+            let right_plan = reconstruct_plan(memo, right, &re);
             Plan::Join {
                 op,
                 cost: entry.cost,
-                cardinality: est.cardinality(set),
+                cardinality,
                 order: entry.order,
                 left: Box::new(left_plan),
                 right: Box::new(right_plan),
@@ -85,7 +85,7 @@ mod tests {
         let p = &out.plans[0];
         // The root's cardinality must match the estimator's value for the
         // full set, regardless of the join order chosen.
-        let mut est = mpq_cost::CardinalityEstimator::new(&q);
+        let est = mpq_cost::CardinalityEstimator::new(&q);
         let expected = est.cardinality(q.all_tables());
         assert!((p.cardinality() - expected).abs() <= 1e-9 * expected.max(1.0));
     }

@@ -50,9 +50,9 @@ pub fn optimize_partition_topdown(
         expanded: vec![false; adm.len()],
         stats: WorkerStats::default(),
     };
-    seed_scans(&mut run.memo, &mut run.est, &run.policy);
+    seed_scans(&mut run.memo, &run.est, &run.policy);
     run.expand(TableSet::full(n));
-    finish(&run.memo, &mut run.est, &run.policy, run.stats, start)
+    finish(&run.memo, &run.policy, run.stats, start)
 }
 
 /// State of one top-down run.
@@ -90,28 +90,29 @@ impl TopDown<'_, '_> {
         });
         // Combine pass: the slot is built outside the memo, so the child
         // entry slices can be read straight from the memo without cloning.
-        let live = self.est.predicates().interesting_orders(set);
+        let predicates = self.est.predicates();
+        let live = predicates.interesting_orders(set);
         let mut slot = Vec::new();
         for_each_split_filtered(&env, set, |l, r| {
             self.stats.splits_tried += 1;
             let split = Split::of(&self.memo, l, r);
             combine_operands(
-                split,
+                &split,
                 live,
-                &mut self.est,
+                predicates,
                 &self.policy,
                 &mut slot,
                 &mut self.stats,
             );
         });
-        self.memo.push_slot(idx, &slot);
+        self.memo.push_slot(idx, self.est.set_stats(set), &slot);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::optimize_partition;
+    use crate::arena::optimize_partition;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_partition::{partition_constraints, Grouping};
 

@@ -5,8 +5,8 @@
 //! decode constraints → enumerate admissible join results → seed scans →
 //! bottom-up DP over admissible sets → reconstruct the partition-optimal
 //! plan(s). Two kernels fill the one memo ([`ArenaMemo`]): the streaming
-//! kernel of [`crate::arena`] (the default, behind [`optimize_partition`])
-//! and the textbook slot-at-a-time loop ([`optimize_partition_reference`])
+//! kernel of [`crate::arena`] (the default, [`optimize_partition`]) and
+//! the textbook slot-at-a-time loop ([`optimize_partition_reference`])
 //! that the differential suites hold it to, bit for bit.
 //!
 //! Split enumeration (`for_each_split`) differs by plan space, as in
@@ -28,15 +28,26 @@
 //! enumeration, SMA's per-set work unit — and the `ablation_splits`
 //! benchmark that measures what the product saves.
 //!
+//! Both walks hand over a split's operands as the memo holds them —
+//! statistics and plans (`Operand`) — and `for_each_split` reaches them
+//! by carrying dense indices along with the enumeration, not by looking
+//! table sets up.
+//!
 //! Every traversal in the crate turns a split into plans through the one
 //! candidate loop, `join_candidates`.
 
-use crate::arena::{optimize_partition_parallel, ArenaMemo, ParallelPolicy};
+use crate::arena::{optimize_partition, ArenaMemo};
 use crate::reconstruct::reconstruct_plan;
 use crate::stats::WorkerStats;
-use mpq_cost::{CardinalityEstimator, Objective, ScanOp, SplitCosts, JOIN_OPS};
+use mpq_cost::{
+    CardinalityEstimator, CostVector, JoinOp, Objective, Order, PredicateIndex, ScanOp, SetStats,
+    SplitCosts, JOIN_OPS,
+};
 use mpq_model::{Query, TableSet};
-use mpq_partition::{partition_constraints, AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
+use mpq_partition::{
+    partition_constraints, AdmissibleSets, ConstraintSet, Grouping, PlanSpace, SplitPart,
+    MAX_GROUPS,
+};
 use mpq_plan::{Plan, PlanEntry, PruningPolicy};
 use std::time::Instant;
 
@@ -49,23 +60,6 @@ pub struct PartitionOutcome {
     pub plans: Vec<Plan>,
     /// Counters describing the work performed.
     pub stats: WorkerStats,
-}
-
-/// Optimizes the partition described by `constraints` with the streaming
-/// kernel (serial; see [`crate::arena`] for the parallel entry point).
-pub fn optimize_partition(
-    query: &Query,
-    space: PlanSpace,
-    objective: Objective,
-    constraints: &ConstraintSet,
-) -> PartitionOutcome {
-    optimize_partition_parallel(
-        query,
-        space,
-        objective,
-        constraints,
-        ParallelPolicy::serial(),
-    )
 }
 
 /// Convenience wrapper: decodes `part_id` of `partitions` (Algorithm 3)
@@ -128,11 +122,12 @@ fn reference_loop(
     let start = Instant::now();
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
-    let mut est = CardinalityEstimator::new(query);
+    let est = CardinalityEstimator::new(query);
+    let predicates = est.predicates();
     let policy = PruningPolicy::new(objective, n);
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
     let mut stats = WorkerStats::default();
-    seed_scans(&mut memo, &mut est, &policy);
+    seed_scans(&mut memo, &est, &policy);
 
     // Ascending dense-index order visits every admissible subset of a set
     // before the set itself, so iterating indices replaces the explicit
@@ -149,47 +144,46 @@ fn reference_loop(
             constraints,
             adm: memo.admissible(),
         };
-        let live = est.predicates().interesting_orders(set);
+        let live = predicates.interesting_orders(set);
         if filtered {
             let examined = for_each_split_filtered(&env, set, |left, right| {
                 let split = Split::of(&memo, left, right);
-                combine_operands(split, live, &mut est, &policy, &mut slot, &mut stats);
+                combine_operands(&split, live, predicates, &policy, &mut slot, &mut stats);
             });
             stats.splits_tried += examined;
         } else {
-            for_each_split(&env, set, &memo, &mut scratch, |split| {
+            for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
                 stats.splits_tried += 1;
-                combine_operands(split, live, &mut est, &policy, &mut slot, &mut stats);
+                combine_operands(&split, live, predicates, &policy, &mut slot, &mut stats);
             });
         }
-        memo.push_slot(idx, &slot);
+        memo.push_slot(idx, est.set_stats(set), &slot);
         slot.clear();
     }
 
-    finish(&memo, &mut est, &policy, stats, start)
+    finish(&memo, &policy, stats, start)
 }
 
-/// Seeds the best plans for single tables (Algorithm 2, lines 9-11).
-pub fn seed_scans(
-    memo: &mut ArenaMemo,
-    est: &mut CardinalityEstimator<'_>,
-    policy: &PruningPolicy,
-) {
+/// Seeds the best plans for single tables (Algorithm 2, lines 9-11), each
+/// with its table's statistics.
+pub fn seed_scans(memo: &mut ArenaMemo, est: &CardinalityEstimator<'_>, policy: &PruningPolicy) {
+    let mut slot = Vec::with_capacity(1);
     for t in 0..memo.admissible().num_tables() {
         let cost = ScanOp::Full.cost(est, t);
-        let entry = PlanEntry::scan(t as u8, ScanOp::Full, cost);
-        policy.try_insert(memo.single_slot_mut(t), entry);
+        policy.try_insert(&mut slot, PlanEntry::scan(t as u8, ScanOp::Full, cost));
+        memo.push_single(t, est.set_stats(TableSet::singleton(t)), &slot);
+        slot.clear();
     }
 }
 
 /// Reconstructs the complete plan of every entry memoized for the full
 /// table set, unpruned. (For a single-table query the full set *is* the
 /// singleton, so the "plans" are the scans themselves.)
-pub fn complete_plans(memo: &ArenaMemo, est: &mut CardinalityEstimator<'_>) -> Vec<Plan> {
+pub fn complete_plans(memo: &ArenaMemo) -> Vec<Plan> {
     let full = TableSet::full(memo.admissible().num_tables());
     memo.entries(full)
         .iter()
-        .map(|e| reconstruct_plan(memo, est, full, e))
+        .map(|e| reconstruct_plan(memo, full, e))
         .collect()
 }
 
@@ -197,51 +191,99 @@ pub fn complete_plans(memo: &ArenaMemo, est: &mut CardinalityEstimator<'_>) -> V
 /// and fills in the memory counters.
 pub(crate) fn finish(
     memo: &ArenaMemo,
-    est: &mut CardinalityEstimator<'_>,
     policy: &PruningPolicy,
     mut stats: WorkerStats,
     start: Instant,
 ) -> PartitionOutcome {
-    let mut plans = complete_plans(memo, est);
+    let mut plans = complete_plans(memo);
     policy.final_prune(&mut plans);
     stats.stored_sets = memo.stored_sets();
     stats.total_entries = memo.total_entries();
     stats.optimize_micros = start.elapsed().as_micros() as u64;
-    stats.threads_used = stats.threads_used.max(1);
+    // One sequential dynamic program per partition; the field stays on the
+    // wire.
+    stats.threads_used = 1;
     PartitionOutcome { plans, stats }
 }
 
-/// The operands of one split: two disjoint table sets and the plans
-/// memoized for them.
+/// One operand of a split as the memo holds it: the table set, its
+/// statistics and the plans memoized for it.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    pub set: TableSet,
+    pub stats: &'a SetStats,
+    pub entries: &'a [PlanEntry],
+}
+
+/// The operands of one split: two disjoint table sets.
 #[derive(Clone, Copy)]
 pub(crate) struct Split<'a> {
-    pub left: TableSet,
-    pub right: TableSet,
-    pub left_entries: &'a [PlanEntry],
-    pub right_entries: &'a [PlanEntry],
+    pub left: Operand<'a>,
+    pub right: Operand<'a>,
 }
 
 impl<'a> Split<'a> {
-    /// The split `(left, right)` with both operands' plans read from `memo`.
+    /// The split `(left, right)`, both operands looked up in `memo` by
+    /// their bits.
     pub fn of(memo: &'a ArenaMemo, left: TableSet, right: TableSet) -> Self {
         Split {
-            left,
-            right,
-            left_entries: memo.entries(left),
-            right_entries: memo.entries(right),
+            left: memo.operand_of(left),
+            right: memo.operand_of(right),
         }
+    }
+}
+
+/// One plan the candidate loop generated for a split, as much of it as
+/// deciding its fate needs: what it costs, the order class it competes in,
+/// and — should it be kept — the operator and the operand entries it joins.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Candidate {
+    pub cost: CostVector,
+    pub order: Order,
+    pub op: JoinOp,
+    pub left_idx: u32,
+    pub right_idx: u32,
+}
+
+impl Default for Candidate {
+    fn default() -> Self {
+        Candidate {
+            cost: CostVector::ZERO,
+            order: Order::None,
+            op: JoinOp::NestedLoop,
+            left_idx: 0,
+            right_idx: 0,
+        }
+    }
+}
+
+impl Candidate {
+    /// The memo entry of this candidate of the split `(left, right)`.
+    #[inline]
+    pub fn entry(&self, left: TableSet, right: TableSet) -> PlanEntry {
+        PlanEntry::join(
+            self.op,
+            left,
+            self.left_idx,
+            right,
+            self.right_idx,
+            self.cost,
+            self.order,
+        )
     }
 }
 
 /// The one candidate loop of the crate (the `Join` core shared by all
 /// split enumerations): combines each surviving plan pair of the split's
-/// operands with each applicable join operator and hands the plans to
+/// operands with each applicable join operator and hands the candidates to
 /// `sink` in that nesting order. Returns how many it generated.
 ///
-/// Everything that depends on the split alone is costed once
-/// ([`SplitCosts`]); a candidate's total is `(le.cost + re.cost) + app.cost`
-/// — the same floating-point operations in the same order however the
-/// caller prunes, which is what keeps all kernels bit-identical.
+/// Everything that depends on the split alone is costed once, from the
+/// operands' memoized statistics ([`SplitCosts::from_stats`]); a
+/// candidate's total is `(le.cost + re.cost) + app.cost` — the same
+/// floating-point operations in the same order however the caller prunes,
+/// which is what keeps all kernels bit-identical.
 ///
 /// `live` is the result set's interesting orders
 /// ([`mpq_cost::PredicateIndex::interesting_orders`]), computed by the
@@ -251,33 +293,32 @@ impl<'a> Split<'a> {
 /// holding a memo class of its own.
 #[inline]
 pub(crate) fn join_candidates(
-    est: &mut CardinalityEstimator<'_>,
-    split: Split<'_>,
+    predicates: &PredicateIndex,
+    split: &Split<'_>,
     live: TableSet,
-    mut sink: impl FnMut(PlanEntry),
+    mut sink: impl FnMut(Candidate),
 ) -> u64 {
-    if split.left_entries.is_empty() || split.right_entries.is_empty() {
+    let Split { left, right } = split;
+    if left.entries.is_empty() || right.entries.is_empty() {
         return 0;
     }
-    let costs = SplitCosts::new(est, split.left, split.right);
+    let costs = SplitCosts::from_stats(predicates, left.set, left.stats, right.set, right.stats);
     let mut generated = 0;
-    for (li, le) in split.left_entries.iter().enumerate() {
-        for (ri, re) in split.right_entries.iter().enumerate() {
+    for (li, le) in left.entries.iter().enumerate() {
+        for (ri, re) in right.entries.iter().enumerate() {
             let children = le.cost.add(&re.cost);
             for op in JOIN_OPS {
                 let Some(app) = costs.apply(op, le.order, re.order) else {
                     continue;
                 };
                 generated += 1;
-                sink(PlanEntry::join(
+                sink(Candidate {
+                    cost: children.add(&app.cost),
+                    order: app.output_order.if_live(live),
                     op,
-                    split.left,
-                    li as u32,
-                    split.right,
-                    ri as u32,
-                    children.add(&app.cost),
-                    app.output_order.if_live(live),
-                ));
+                    left_idx: li as u32,
+                    right_idx: ri as u32,
+                });
             }
         }
     }
@@ -285,18 +326,19 @@ pub(crate) fn join_candidates(
 }
 
 /// `Join` + `Prune` for one split of the slot-at-a-time traversals: every
-/// candidate goes through the scalar pruning function, in generation order.
+/// candidate becomes an entry and goes through the scalar pruning
+/// function, in generation order.
 #[inline]
 pub(crate) fn combine_operands(
-    split: Split<'_>,
+    split: &Split<'_>,
     live: TableSet,
-    est: &mut CardinalityEstimator<'_>,
+    predicates: &PredicateIndex,
     policy: &PruningPolicy,
     slot: &mut Vec<PlanEntry>,
     stats: &mut WorkerStats,
 ) {
-    stats.plans_generated += join_candidates(est, split, live, |c| {
-        policy.try_insert(slot, c);
+    stats.plans_generated += join_candidates(predicates, split, live, |c| {
+        policy.try_insert(slot, c.entry(split.left.set, split.right.set));
     });
 }
 
@@ -312,22 +354,24 @@ pub(crate) struct SplitEnv<'a> {
 /// allocation in the hot loop).
 #[derive(Default)]
 pub(crate) struct SplitScratch {
-    parts: Vec<u64>,
+    parts: Vec<SplitPart>,
     group_bounds: Vec<(usize, usize)>,
 }
 
 /// `TrySplits` (Algorithm 5): hands `f` every constraint-respecting split
-/// of `set`, operand plans read from `memo`. One call of `f` is one tried
-/// split.
+/// of `set`, whose dense index is `idx`, operands read from `memo`. One
+/// call of `f` is one tried split.
 ///
 /// * Linear (lines 3-12): every member of `set` as the inner (last joined)
 ///   operand, skipping tables that a constraint requires to precede
-///   another member.
+///   another member. The outer operand's index is one step from `idx`.
 /// * Bushy (lines 13-39): every admissible left operand with its
-///   complement, skipping splits an operand of which has no plan.
+///   complement, skipping splits an operand of which has no plan. Both
+///   operands' indices are summed up beside the left operand's bits.
 pub(crate) fn for_each_split<'m>(
     env: &SplitEnv<'_>,
     set: TableSet,
+    idx: usize,
     memo: &'m ArenaMemo,
     scratch: &mut SplitScratch,
     mut f: impl FnMut(Split<'m>),
@@ -339,25 +383,26 @@ pub(crate) fn for_each_split<'m>(
                 if !env.constraints.may_join_last(u, set) {
                     continue;
                 }
-                let rest = set.remove(u);
+                let rest_idx = env.adm.index_without(set, idx, u);
                 f(Split {
-                    left: rest,
-                    right: TableSet::singleton(u),
-                    left_entries: memo.entries(rest),
-                    right_entries: memo.single_entries(u),
+                    left: memo.operand_at(set.remove(u), rest_idx),
+                    right: memo.single_operand(u),
                 });
             }
         }
         PlanSpace::Bushy => {
             bushy_split_setup(set, env.constraints, env.adm, scratch);
-            for_each_bushy_left(&scratch.parts, &scratch.group_bounds, |lbits| {
-                if lbits == 0 || lbits == set.bits() {
+            for_each_bushy_left(&scratch.parts, &scratch.group_bounds, |part| {
+                if part.left == 0 || part.left == set.bits() {
                     return;
                 }
-                let left = TableSet(lbits);
+                let left = TableSet(part.left);
                 debug_assert!(left.is_subset_of(set));
-                let split = Split::of(memo, left, set.difference(left));
-                if !split.left_entries.is_empty() && !split.right_entries.is_empty() {
+                let split = Split {
+                    left: memo.operand_at(left, part.left_index),
+                    right: memo.operand_at(set.difference(left), part.right_index),
+                };
+                if !split.left.entries.is_empty() && !split.right.entries.is_empty() {
                     f(split);
                 }
             });
@@ -412,7 +457,7 @@ pub fn compute_entries_for_set(
     constraints: &ConstraintSet,
     set: TableSet,
     memo: &ArenaMemo,
-    est: &mut CardinalityEstimator<'_>,
+    predicates: &PredicateIndex,
     policy: &PruningPolicy,
     stats: &mut WorkerStats,
 ) -> Vec<PlanEntry> {
@@ -421,18 +466,14 @@ pub fn compute_entries_for_set(
         constraints,
         adm: memo.admissible(),
     };
-    let live = est.predicates().interesting_orders(set);
+    let live = predicates.interesting_orders(set);
     let mut slot = Vec::new();
     stats.splits_tried += for_each_split_filtered(&env, set, |left, right| {
         let split = Split::of(memo, left, right);
-        combine_operands(split, live, est, policy, &mut slot, stats);
+        combine_operands(&split, live, predicates, policy, &mut slot, stats);
     });
     slot
 }
-
-/// Upper bound on per-group factors of the bushy split product: groups
-/// hold at least two tables, so an n ≤ 64 query has at most 32 groups.
-pub(crate) const MAX_GROUPS: usize = 32;
 
 /// Gathers the per-group admissible split parts of `set` (Algorithm 5,
 /// lines 15-24) into `scratch.parts`, with `group_bounds` delimiting each
@@ -454,7 +495,7 @@ fn bushy_split_setup(
         let start = parts.len();
         adm.admissible_split_parts(constraints, g, set, parts);
         let end = parts.len();
-        if end - start > 1 || (end - start == 1 && parts[start] != 0) {
+        if end - start > 1 || (end - start == 1 && parts[start].left != 0) {
             group_bounds.push((start, end));
         } else {
             parts.truncate(start);
@@ -466,20 +507,36 @@ fn bushy_split_setup(
 /// by `parts`/`group_bounds` (Algorithm 5, lines 25-32) without
 /// materializing the product: a fixed-size odometer over the group digits,
 /// last group varying fastest — the exact order the old materialized
-/// enumeration produced. Prefix-OR accumulators make each step O(changed
+/// enumeration produced. `f` receives the product as one [`SplitPart`]:
+/// the left operand's bits and both operands' dense indices, each
+/// accumulated over a prefix of the groups so a step costs O(changed
 /// digits). The walk includes the empty and full pattern; callers skip
 /// those.
-fn for_each_bushy_left<F: FnMut(u64)>(parts: &[u64], group_bounds: &[(usize, usize)], mut f: F) {
+fn for_each_bushy_left<F: FnMut(SplitPart)>(
+    parts: &[SplitPart],
+    group_bounds: &[(usize, usize)],
+    mut f: F,
+) {
+    const NOTHING: SplitPart = SplitPart {
+        left: 0,
+        left_index: 0,
+        right_index: 0,
+    };
     let k = group_bounds.len();
     if k == 0 {
-        f(0);
+        f(NOTHING);
         return;
     }
     assert!(k <= MAX_GROUPS, "more than {MAX_GROUPS} split groups");
     let mut pos = [0usize; MAX_GROUPS];
-    let mut acc = [0u64; MAX_GROUPS + 1];
+    let mut acc = [NOTHING; MAX_GROUPS + 1];
+    let extend = |acc: SplitPart, part: SplitPart| SplitPart {
+        left: acc.left | part.left,
+        left_index: acc.left_index + part.left_index,
+        right_index: acc.right_index + part.right_index,
+    };
     for d in 0..k {
-        acc[d + 1] = acc[d] | parts[group_bounds[d].0];
+        acc[d + 1] = extend(acc[d], parts[group_bounds[d].0]);
     }
     loop {
         f(acc[k]);
@@ -498,7 +555,7 @@ fn for_each_bushy_left<F: FnMut(u64)>(parts: &[u64], group_bounds: &[(usize, usi
             pos[d] = 0;
         }
         for i in d..k {
-            acc[i + 1] = acc[i] | parts[group_bounds[i].0 + pos[i]];
+            acc[i + 1] = extend(acc[i], parts[group_bounds[i].0 + pos[i]]);
         }
     }
 }
@@ -687,6 +744,60 @@ mod tests {
             product.plans[0].cost().time.to_bits(),
             filtered.plans[0].cost().time.to_bits()
         );
+    }
+
+    /// The operand indices the split enumeration carries are the operands'
+    /// `index_of`, on every split it yields: every set, partitioning and
+    /// partition of Linear 7-8 and Bushy 6-9.
+    #[test]
+    fn carried_operand_indices_equal_index_of() {
+        let mut scratch = SplitScratch::default();
+        let (mut linear, mut bushy) = (0u32, 0u32);
+        for (space, sizes) in [(PlanSpace::Linear, 7..=8), (PlanSpace::Bushy, 6..=9)] {
+            for n in sizes {
+                for l in 0..=space.max_constraints(n) {
+                    let m = 1u64 << l;
+                    for id in 0..m {
+                        let constraints = partition_constraints(n, space, id, m);
+                        let adm = AdmissibleSets::new(&constraints);
+                        for (idx, set) in adm.iter().enumerate() {
+                            match space {
+                                PlanSpace::Linear => {
+                                    for u in
+                                        set.iter().filter(|&u| constraints.may_join_last(u, set))
+                                    {
+                                        assert_eq!(
+                                            Some(adm.index_without(set, idx, u)),
+                                            adm.index_of(set.remove(u)),
+                                            "{set} without {u}, partition {id}/{m}"
+                                        );
+                                        linear += 1;
+                                    }
+                                }
+                                PlanSpace::Bushy => {
+                                    bushy_split_setup(set, &constraints, &adm, &mut scratch);
+                                    for_each_bushy_left(
+                                        &scratch.parts,
+                                        &scratch.group_bounds,
+                                        |part| {
+                                            let left = TableSet(part.left);
+                                            assert_eq!(adm.index_of(left), Some(part.left_index));
+                                            assert_eq!(
+                                                adm.index_of(set.difference(left)),
+                                                Some(part.right_index),
+                                                "{set} left {left}, partition {id}/{m}"
+                                            );
+                                            bushy += 1;
+                                        },
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(linear > 10_000 && bushy > 100_000, "{linear} / {bushy}");
     }
 
     #[test]

@@ -1,30 +1,30 @@
-//! Differential suite for the DP kernel variants: the streaming kernel and
-//! its level-parallel scheduler must be **bit-identical** to the textbook
-//! reference loop — not approximately equal, identical.
+//! Differential suite for the DP kernels: the streaming kernel must be
+//! **bit-identical** to the textbook reference loop — not approximately
+//! equal, identical.
 //!
 //! For 50 seeded random queries (5–8 tables, all four join-graph shapes),
 //! both plan spaces, and several partition IDs, the suite runs the
-//! slot-at-a-time reference loop and the arena kernel at 1, 2 and 4 threads
-//! and asserts equal cost bit patterns, equal reconstructed plan trees, and
-//! equal work counters. A parallel schedule that changes any bit of any
-//! answer is a wrong schedule, however fast.
+//! slot-at-a-time reference loop and the arena kernel and asserts equal
+//! cost bit patterns, equal reconstructed plan trees, and equal work
+//! counters. A shortcut that changes any bit of any answer is a wrong
+//! shortcut, however fast.
 //!
 //! The second half pins the reduction equivalence the arena kernel's
-//! single-objective fast path rests on: inserting only the per-order-class
-//! minima of a candidate stream through the scalar pruning function yields
-//! a memo slot identical (contents *and* entry order) to inserting every
-//! candidate sequentially (see `OrderClassMinima` in `mpq_dp::arena`).
+//! single-objective fast path rests on: offering a candidate stream to the
+//! lazy reducer, which builds and inserts only the per-order-class minima,
+//! yields a memo slot identical (contents *and* entry order) to building
+//! every candidate and inserting it through the scalar pruning function
+//! (see `ClassMinima` in `mpq_dp::arena`).
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mpq_cost::{CostVector, Objective, Order};
+use mpq_cost::{CostVector, Objective, Order, JOIN_OPS};
 use mpq_dp::{
-    optimize_partition_parallel, optimize_partition_reference, OrderClassMinima, ParallelPolicy,
-    PartitionOutcome,
+    optimize_partition, optimize_partition_reference, Candidate, ClassMinima, PartitionOutcome,
 };
-use mpq_model::{JoinGraph, Query, WorkloadConfig, WorkloadGenerator};
+use mpq_model::{JoinGraph, Query, TableSet, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{partition_constraints, ConstraintSet, PlanSpace};
 use mpq_plan::{PlanEntry, PlanNode, PruningPolicy};
 
@@ -55,8 +55,7 @@ fn sample_ids(m: u64) -> Vec<u64> {
 
 /// Strict bitwise equality of two kernel outcomes: plan trees (`Plan`
 /// carries its costs and cardinalities, so `PartialEq` is tree identity),
-/// cost bit patterns, and every work counter except `threads_used` (the
-/// one field that legitimately differs across thread counts).
+/// cost bit patterns, and every work counter.
 fn assert_bit_identical(a: &PartitionOutcome, b: &PartitionOutcome, ctx: &str) {
     assert_eq!(a.plans.len(), b.plans.len(), "{ctx}: plan counts differ");
     for (i, (pa, pb)) in a.plans.iter().zip(b.plans.iter()).enumerate() {
@@ -90,19 +89,13 @@ fn assert_bit_identical(a: &PartitionOutcome, b: &PartitionOutcome, ctx: &str) {
     );
 }
 
-/// Runs all four kernel configurations on one (query, partition) point and
-/// checks them against each other.
+/// Runs both kernels on one (query, partition) point and checks them
+/// against each other.
 fn check_point(q: &Query, space: PlanSpace, objective: Objective, c: &ConstraintSet, ctx: &str) {
     let reference = optimize_partition_reference(q, space, objective, c);
-    for threads in [1usize, 2, 4] {
-        let policy = if threads == 1 {
-            ParallelPolicy::serial()
-        } else {
-            ParallelPolicy::with_threads(threads)
-        };
-        let arena = optimize_partition_parallel(q, space, objective, c, policy);
-        assert_bit_identical(&reference, &arena, &format!("{ctx} threads={threads}"));
-    }
+    let arena = optimize_partition(q, space, objective, c);
+    assert_bit_identical(&reference, &arena, ctx);
+    assert_eq!(arena.stats.threads_used, 1, "{ctx}");
 }
 
 #[test]
@@ -143,10 +136,10 @@ fn arena_and_parallel_match_dense_on_bushy_partitions() {
     }
 }
 
-/// The multi-objective path bypasses the winner reduction (every candidate
-/// goes through the scalar Pareto pruning function), but the level
-/// schedule still reorders work across threads — frontiers must stay
-/// bit-identical anyway.
+/// The multi-objective path bypasses the winner reduction, but it too
+/// builds an entry only for a candidate the Pareto pruning function keeps,
+/// deciding on cost and order alone — frontiers must stay bit-identical
+/// anyway.
 #[test]
 fn arena_and_parallel_match_dense_on_pareto_frontiers() {
     for seed in 0..SEEDS {
@@ -167,35 +160,8 @@ fn arena_and_parallel_match_dense_on_pareto_frontiers() {
     }
 }
 
-/// Parallel runs actually fan out: on a query with enough sets per level,
-/// the reported peak thread count reflects the policy.
-#[test]
-fn parallel_policy_reports_peak_threads() {
-    let (q, n) = seeded_query(3); // n = 8
-    let c = partition_constraints(n, PlanSpace::Linear, 0, 1);
-    let serial = optimize_partition_parallel(
-        &q,
-        PlanSpace::Linear,
-        Objective::Single,
-        &c,
-        ParallelPolicy::serial(),
-    );
-    assert_eq!(serial.stats.threads_used, 1);
-    let parallel = optimize_partition_parallel(
-        &q,
-        PlanSpace::Linear,
-        Objective::Single,
-        &c,
-        ParallelPolicy::with_threads(4),
-    );
-    assert!(
-        parallel.stats.threads_used >= 2,
-        "an 8-table query has levels wide enough to split"
-    );
-}
-
 // ---------------------------------------------------------------------------
-// Reduction equivalence (the claim in `OrderClassMinima`'s docs).
+// Reduction equivalence (the claim in `ClassMinima`'s docs).
 // ---------------------------------------------------------------------------
 
 /// Deterministic splitmix-style generator; the dp crate deliberately has
@@ -212,58 +178,101 @@ impl Lcg {
     }
 }
 
-/// A random candidate whose time is drawn from a small grid (forcing
-/// frequent exact ties) and whose order cycles through unordered plus
-/// three attribute classes.
-fn random_candidate(rng: &mut Lcg) -> PlanEntry {
-    let time = (1 + rng.next() % 8) as f64;
+/// The result set of the randomized streams, and its splits' left operands.
+const SET: TableSet = TableSet(0b1111);
+
+/// A random candidate of a random split of [`SET`], whose time is drawn
+/// from a small grid (forcing frequent exact ties, infinities at both ends
+/// included) and whose order cycles through unordered plus three attribute
+/// classes.
+fn random_candidate(rng: &mut Lcg) -> (TableSet, Candidate) {
+    let time = match rng.next() % 10 {
+        0 => f64::NEG_INFINITY,
+        9 => f64::INFINITY,
+        k => k as f64,
+    };
     let buffer = (rng.next() % 4) as f64;
     let order = match rng.next() % 4 {
         0 => Order::None,
         k => Order::OnAttribute(k as u8),
     };
-    PlanEntry {
+    let left = TableSet(1 + rng.next() % (SET.bits() - 1));
+    let candidate = Candidate {
         cost: CostVector::new(time, buffer),
         order,
-        node: PlanNode::Scan {
-            table: (rng.next() % 4) as u8,
-            op: mpq_cost::ScanOp::Full,
-        },
-    }
+        op: JOIN_OPS[(rng.next() % 3) as usize],
+        left_idx: (rng.next() % 4) as u32,
+        right_idx: (rng.next() % 4) as u32,
+    };
+    (left, candidate)
 }
 
-/// Inserting only the streamed winners through the scalar pruning
-/// function must produce a slot identical — contents and entry order — to
-/// inserting every candidate sequentially. 200 random bursts with heavy
-/// tie pressure.
+fn materialise((left, candidate): (TableSet, Candidate)) -> PlanEntry {
+    candidate.entry(left, SET.difference(left))
+}
+
+/// Offering every candidate to the lazy reducer must produce a slot
+/// identical — contents and entry order — to building every candidate's
+/// entry and inserting it sequentially. 200 random bursts with heavy tie
+/// pressure.
 #[test]
 fn batch_matches_sequential_insertion() {
     let policy = PruningPolicy::new(Objective::Single, 6);
-    let mut minima = OrderClassMinima::default();
+    let mut minima = ClassMinima::default();
     for trial in 0..200u64 {
         let mut rng = Lcg(trial * 2654435761 + 99);
         let len = 1 + (rng.next() % 24) as usize;
-        let cands: Vec<PlanEntry> = (0..len).map(|_| random_candidate(&mut rng)).collect();
+        let cands: Vec<(TableSet, Candidate)> =
+            (0..len).map(|_| random_candidate(&mut rng)).collect();
 
-        // Reference: every candidate through the scalar pruning function.
+        // Reference: every candidate, built, through the scalar pruning
+        // function.
         let mut sequential = Vec::new();
         for &c in &cands {
-            policy.try_insert(&mut sequential, c);
+            policy.try_insert(&mut sequential, materialise(c));
         }
 
-        // Streaming path: per-order-class minima only, in ascending
-        // generation order, exactly as the arena kernel inserts them (the
-        // one reducer is reused across trials, as it is across sets).
-        for &c in &cands {
-            minima.offer(c);
+        // Streaming path: per-order-class minima only, built and inserted
+        // in ascending generation order, exactly as the arena kernel does
+        // (the one reducer is reused across trials, as it is across sets).
+        for &(left, c) in &cands {
+            minima.offer(left, c);
         }
         let mut streamed = Vec::new();
-        minima.insert_winners(&policy, &mut streamed, 0);
+        minima.insert_winners(SET, &policy, &mut streamed);
 
         assert_eq!(
             sequential, streamed,
             "trial {trial}: streamed winners diverged from sequential insertion on {cands:?}"
         );
+    }
+}
+
+/// The Pareto path's lazy insertion — rejection decided on cost and order,
+/// the entry built only when kept — equals inserting the built entry, on
+/// the same streams, α-approximate pruning included.
+#[test]
+fn lazy_pareto_insertion_matches_eager_insertion() {
+    for alpha in [1.0, 2.0] {
+        let policy = PruningPolicy::new(Objective::Multi { alpha }, 3);
+        for trial in 0..200u64 {
+            let mut rng = Lcg(trial * 40503 + 7);
+            let len = 1 + (rng.next() % 24) as usize;
+            let (mut eager, mut lazy) = (Vec::new(), Vec::new());
+            let mut built = 0;
+            for _ in 0..len {
+                let c = random_candidate(&mut rng);
+                let kept = policy.try_insert(&mut eager, materialise(c));
+                let (cost, order) = (c.1.cost, c.1.order);
+                let kept_lazily = policy.try_insert_with(&mut lazy, 0, cost, order, || {
+                    built += 1;
+                    materialise(c)
+                });
+                assert_eq!(kept, kept_lazily, "trial {trial}");
+                assert_eq!(eager, lazy, "trial {trial}");
+            }
+            assert!(built >= lazy.len() && built <= len);
+        }
     }
 }
 
@@ -277,7 +286,7 @@ fn batch_equivalence_holds_behind_a_frozen_prefix() {
     // A prefix cheaper than every candidate: if range insertion consulted
     // it, it would reject everything and the tails would stay empty.
     let prefix = vec![PlanEntry {
-        cost: CostVector::new(0.25, 0.0),
+        cost: CostVector::new(f64::NEG_INFINITY, 0.0),
         order: Order::None,
         node: PlanNode::Scan {
             table: 0,
@@ -286,19 +295,21 @@ fn batch_equivalence_holds_behind_a_frozen_prefix() {
     }];
     for _ in 0..50 {
         let len = 1 + (rng.next() % 16) as usize;
-        let cands: Vec<PlanEntry> = (0..len).map(|_| random_candidate(&mut rng)).collect();
+        let cands: Vec<(TableSet, Candidate)> =
+            (0..len).map(|_| random_candidate(&mut rng)).collect();
 
         let mut sequential = prefix.clone();
         for &c in &cands {
-            policy.try_insert_range(&mut sequential, prefix.len(), c);
+            policy.try_insert_range(&mut sequential, prefix.len(), materialise(c));
         }
 
-        let mut minima = OrderClassMinima::default();
-        for &c in &cands {
-            minima.offer(c);
+        let mut minima = ClassMinima::default();
+        for &(left, c) in &cands {
+            minima.offer(left, c);
         }
-        let mut streamed = prefix.clone();
-        minima.insert_winners(&policy, &mut streamed, prefix.len());
+        let mut tail = Vec::new();
+        minima.insert_winners(SET, &policy, &mut tail);
+        let streamed = [prefix.clone(), tail].concat();
 
         assert_eq!(sequential, streamed);
         assert_eq!(&sequential[..prefix.len()], &prefix[..], "prefix untouched");

@@ -9,7 +9,7 @@ use mpq_model::{Query, TableSet};
 /// Returns the greedy join order for `query`.
 pub fn greedy_min_result(query: &Query) -> Vec<usize> {
     let n = query.num_tables();
-    let mut est = CardinalityEstimator::new(query);
+    let est = CardinalityEstimator::new(query);
     assert!(n >= 1, "query must join at least one table");
     // Start from the smallest base table.
     let first = (0..n)

@@ -100,7 +100,7 @@ fn cost_states(query: &Query, permutation: &[usize]) -> Vec<Vec<State>> {
     let mut layers: Vec<Vec<State>> = Vec::with_capacity(permutation.len());
     let first = permutation[0];
     layers.push(vec![State {
-        cost: ScanOp::Full.cost(&mut est, first),
+        cost: ScanOp::Full.cost(&est, first),
         order: Order::None,
         op: None,
         prev: 0,
@@ -108,7 +108,7 @@ fn cost_states(query: &Query, permutation: &[usize]) -> Vec<Vec<State>> {
     let mut used = TableSet::singleton(first);
     for &t in &permutation[1..] {
         let right = TableSet::singleton(t);
-        let rcost = ScanOp::Full.cost(&mut est, t);
+        let rcost = ScanOp::Full.cost(&est, t);
         let mut next: Vec<State> = Vec::new();
         let prev_layer = layers.last().expect("non-empty").clone();
         for (pi, p) in prev_layer.iter().enumerate() {

@@ -17,7 +17,7 @@ use mpq_cluster::{
     ClusterError, DecodeError, FaultPlan, LatencyModel, LifecycleError, NetworkSnapshot, QueryId,
 };
 use mpq_cost::Objective;
-use mpq_dp::{ParallelPolicy, WorkerStats};
+use mpq_dp::WorkerStats;
 use mpq_model::Query;
 use mpq_partition::{effective_workers, PlanSpace};
 use mpq_plan::Plan;
@@ -297,12 +297,6 @@ pub struct MpqConfig {
     /// what it computed itself. `0` (the default) disables caching, which
     /// is bit-for-bit the pre-cache behavior.
     pub cache_bytes: usize,
-    /// Intra-worker parallelism: how many threads each worker may spread
-    /// its partition's independent admissible sets across (see
-    /// `mpq_dp::ParallelPolicy`). The default is serial; any setting
-    /// produces bit-identical plans and counters (wall-clock aside), so
-    /// this is purely a per-node speed knob.
-    pub parallel: ParallelPolicy,
     /// Admission limit: how many sessions may be in flight (submitted but
     /// not yet finished) at once. Submissions beyond the limit are
     /// refused with a typed [`MpqError::Overloaded`] instead of being

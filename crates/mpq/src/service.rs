@@ -47,7 +47,7 @@ use mpq_cluster::{
     Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::Objective;
-use mpq_dp::{optimize_partition_id_cached_parallel, ParallelPolicy, PlanCache, WorkerStats};
+use mpq_dp::{optimize_partition_id_cached, ParallelPolicy, PlanCache, WorkerStats};
 use mpq_model::Query;
 use mpq_partition::{effective_workers, PlanSpace};
 use mpq_plan::{CacheWeight, Plan, PruningPolicy};
@@ -74,17 +74,13 @@ pub(crate) struct MpqWorker {
     /// Compute slowdown factor (1 = full speed); see
     /// [`MpqConfig::slow_worker`](crate::MpqConfig).
     slow_factor: u32,
-    /// Intra-worker thread budget for the DP kernel; see
-    /// [`MpqConfig::parallel`](crate::MpqConfig).
-    parallel: ParallelPolicy,
 }
 
 impl MpqWorker {
-    pub(crate) fn new(cache_bytes: usize, slow_factor: u32, parallel: ParallelPolicy) -> MpqWorker {
+    pub(crate) fn new(cache_bytes: usize, slow_factor: u32) -> MpqWorker {
         MpqWorker {
             cache: PlanCache::new(cache_bytes),
             slow_factor: slow_factor.max(1),
-            parallel,
         }
     }
 }
@@ -93,9 +89,9 @@ impl MpqWorker {
 /// behind their own [`Transport`] rather than a [`Cluster`] or socket —
 /// the schedule-space model checker dispatches messages to these inline.
 /// Equivalent to what [`MpqService::spawn`] installs on each thread, with
-/// full compute speed and a single-threaded DP kernel.
+/// full compute speed.
 pub fn worker_logic(cache_bytes: usize) -> Box<dyn WorkerLogic> {
-    Box::new(MpqWorker::new(cache_bytes, 1, ParallelPolicy::serial()))
+    Box::new(MpqWorker::new(cache_bytes, 1))
 }
 
 impl WorkerLogic for MpqWorker {
@@ -132,13 +128,12 @@ impl WorkerLogic for MpqWorker {
             .map(|(i, p)| (i as u64, p))
         {
             let t0 = Instant::now();
-            let (out, hit) = optimize_partition_id_cached_parallel(
+            let (out, hit) = optimize_partition_id_cached(
                 &msg.query,
                 msg.space,
                 msg.objective,
                 part_id,
                 msg.total_partitions,
-                self.parallel,
                 &mut self.cache,
             );
             if self.slow_factor > 1 {
@@ -371,7 +366,7 @@ impl MpqService {
                 Some((slow, factor)) if slow == w => factor,
                 _ => 1,
             };
-            MpqWorker::new(config.cache_bytes, slow_factor, config.parallel)
+            MpqWorker::new(config.cache_bytes, slow_factor)
         })
         .map_err(MpqError::Cluster)?;
         MpqService::with_transport(Box::new(cluster), config)
@@ -462,6 +457,10 @@ impl Protocol for MpqProtocol {
     type Session = Session;
     type Outcome = MpqOutcome;
     type Error = MpqError;
+
+    fn objective(&(_, objective, _): &MpqRequest) -> Objective {
+        objective
+    }
 
     fn open(
         &mut self,
@@ -1171,13 +1170,15 @@ fn live_workers(cluster: &dyn Transport) -> Vec<usize> {
 /// disconnects or orders shutdown. The logic is the same `MpqWorker`
 /// the in-process cluster drives (with an own-rate clock, i.e. no
 /// slow-worker injection — real deployments get real stragglers), so a
-/// socket master observes byte-identical protocol behavior.
+/// socket master observes byte-identical protocol behavior. The policy
+/// argument has one value ([`ParallelPolicy::serial`]): a worker runs one
+/// sequential dynamic program.
 pub fn serve_socket_worker(
     listener: &WireListener,
     cache_bytes: usize,
-    parallel: ParallelPolicy,
+    _policy: ParallelPolicy,
 ) -> std::io::Result<()> {
-    mpq_cluster::serve_worker(listener, MpqWorker::new(cache_bytes, 1, parallel))
+    mpq_cluster::serve_worker(listener, MpqWorker::new(cache_bytes, 1))
 }
 
 /// Accumulates a reply's counters into a worker's running stats (a worker
@@ -1854,10 +1855,7 @@ mod tests {
     #[test]
     fn worker_survives_a_zero_table_task() {
         use mpq_cluster::LatencyModel;
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| {
-            MpqWorker::new(0, 1, ParallelPolicy::serial())
-        })
-        .unwrap();
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
         let task = |query: Query| MasterMessage {
             query,
             space: PlanSpace::Linear,
@@ -1887,6 +1885,47 @@ mod tests {
             // The impossible range echo marks a malformed task.
             assert_eq!(reply.first_partition == u64::MAX, malformed);
             assert_eq!(reply.plans.is_empty(), malformed);
+        }
+        cluster.shutdown();
+    }
+
+    /// Regression (ISSUE 22 satellite): a task asking for an approximation
+    /// factor that is not a finite number ≥ 1 (the service's own admission
+    /// refuses it before encoding) fails to decode, so the worker answers
+    /// through the malformed-task path instead of reaching the pruning
+    /// policy's assertion — which used to kill the worker thread, and with
+    /// it every later task sent there. A valid α on the same worker still
+    /// gets its frontier.
+    #[test]
+    fn worker_survives_a_hostile_alpha() {
+        use mpq_cluster::LatencyModel;
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
+        let alphas = [0.5, f64::NAN, -1.0, f64::INFINITY, 2.0];
+        for (id, alpha) in alphas.into_iter().enumerate() {
+            let task = MasterMessage {
+                query: query(4, 51),
+                space: PlanSpace::Linear,
+                objective: Objective::Multi { alpha },
+                first_partition: 0,
+                partition_count: 1,
+                total_partitions: 1,
+                progress_every: 0,
+            };
+            cluster
+                .send(0, QueryId(id as u64), task.to_bytes(), true)
+                .expect("the worker is still up");
+            let (_, qid, payload) = cluster.recv().expect("the worker answers");
+            assert_eq!(qid, QueryId(id as u64));
+            let WorkerMsg::Reply(reply) = WorkerMsg::from_bytes(&payload).unwrap() else {
+                panic!("expected a reply");
+            };
+            let malformed = alpha != 2.0;
+            assert_eq!(
+                reply.first_partition == u64::MAX,
+                malformed,
+                "alpha {alpha}"
+            );
+            assert_eq!(reply.plans.is_empty(), malformed, "alpha {alpha}");
         }
         cluster.shutdown();
     }

@@ -18,6 +18,14 @@
 //! the per-group numbering is inclusion-compatible, ascending index order
 //! enumerates every admissible subset of a set before the set itself, which
 //! is exactly the order the dynamic program needs.
+//!
+//! The index is also cheap to *carry*. Counting in the mixed radix yields
+//! the sets in index order without a division ([`AdmissibleSets::iter`]);
+//! taking one table out of a set changes the digit of that table's group
+//! alone ([`AdmissibleSets::index_without`]); and an operand assembled from
+//! per-group split parts has the sum of the parts' terms as its index
+//! ([`SplitPart`]). The dynamic program's loops reach an operand's memo
+//! record that way, never by recomputing an index from the set's bits.
 
 use crate::constraints::{Constraint, ConstraintSet};
 use mpq_model::TableSet;
@@ -29,9 +37,11 @@ struct GroupIndex {
     base: u8,
     /// Number of tables in the group.
     size: u8,
+    /// Number of admissible local subsets (`r_g`, the group's radix).
+    radix: u8,
     /// Admissible local subsets as absolute bitmasks, ordered by
-    /// cardinality (inclusion-compatible).
-    locals: Vec<u64>,
+    /// cardinality (inclusion-compatible); the first `radix` are used.
+    locals: [u64; 8],
     /// `pos[p]` = position of the local pattern `p` (relative to `base`) in
     /// `locals`, or `INVALID` if inadmissible. Indexed by the up-to-3-bit
     /// local pattern.
@@ -40,15 +50,54 @@ struct GroupIndex {
     stride: usize,
 }
 
+impl GroupIndex {
+    /// The local pattern of `bits` in this group, relative to `base`.
+    #[inline]
+    fn pattern(&self, bits: u64) -> usize {
+        ((bits >> self.base) & ((1u64 << self.size) - 1)) as usize
+    }
+}
+
 const INVALID: u8 = 0xFF;
+
+/// How removing one table moves a set's dense index: the table's group
+/// changes digit, every other group keeps its own.
+#[derive(Clone, Debug)]
+struct TableStep {
+    /// First table and pattern mask of the table's group.
+    base: u8,
+    mask: u8,
+    /// By the group's local pattern `p` (which holds the table):
+    /// `(pos[p] − pos[p ∖ table]) · stride`, or `NO_STEP` when `p` lacks
+    /// the table or either pattern is inadmissible.
+    delta: [usize; 8],
+}
+
+const NO_STEP: usize = usize::MAX;
+
+/// One admissible way of dividing `set ∩ group` between the operands of a
+/// bushy split, with what each side adds to its operand's dense index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SplitPart {
+    /// The left operand's share, as an absolute bitmask.
+    pub left: u64,
+    /// The group's term of the left operand's dense index.
+    pub left_index: usize,
+    /// The group's term of the right operand's dense index.
+    pub right_index: usize,
+}
+
+/// Upper bound on the number of groups: all but a leftover group hold at
+/// least two tables, so an n ≤ 64 query has at most 32.
+pub const MAX_GROUPS: usize = 32;
 
 /// The admissible join results of one plan-space partition, with the dense
 /// mixed-radix index described in the module docs.
 #[derive(Clone, Debug)]
 pub struct AdmissibleSets {
     groups: Vec<GroupIndex>,
+    steps: Vec<TableStep>,
     total: usize,
-    num_tables: usize,
 }
 
 impl AdmissibleSets {
@@ -56,46 +105,65 @@ impl AdmissibleSets {
     /// (function `AdmJoinResults` of Algorithm 4, in indexed form).
     pub fn new(constraints: &ConstraintSet) -> Self {
         let grouping = constraints.grouping();
+        assert!(
+            grouping.num_groups() <= MAX_GROUPS,
+            "more than {MAX_GROUPS} table groups"
+        );
         let mut groups = Vec::with_capacity(grouping.num_groups());
+        let mut steps = Vec::with_capacity(grouping.num_tables());
         let mut stride = 1usize;
         for (i, g) in grouping.iter().enumerate() {
             let size = g.len() as u8;
             let base = g.base;
             let full: u8 = (1u8 << size) - 1;
-            // Collect admissible local patterns, ordered by cardinality so
-            // the mixed-radix order is inclusion-compatible.
-            let mut patterns: Vec<u8> = (0..=full).collect();
-            patterns.sort_by_key(|p| (p.count_ones(), *p));
             let excluded: Option<u8> = constraints.group_constraint(i).map(|c| match c {
                 Constraint::Precedence { after, .. } => 1u8 << (after - base),
                 Constraint::BushyPrecedence { y, z, .. } => {
                     (1u8 << (y - base)) | (1u8 << (z - base))
                 }
             });
-            let mut locals = Vec::with_capacity(patterns.len());
+            // Admissible local patterns, ordered by cardinality so the
+            // mixed-radix order is inclusion-compatible.
+            let mut locals = [0u64; 8];
             let mut pos = [INVALID; 8];
-            for p in patterns {
-                if Some(p) == excluded {
-                    continue;
+            let mut radix = 0u8;
+            for cardinality in 0..=size as u32 {
+                for p in (0..=full).filter(|p| p.count_ones() == cardinality) {
+                    if Some(p) != excluded {
+                        pos[p as usize] = radix;
+                        locals[radix as usize] = (p as u64) << base;
+                        radix += 1;
+                    }
                 }
-                pos[p as usize] = locals.len() as u8;
-                locals.push((p as u64) << base);
+            }
+            for t in 0..size {
+                let mut delta = [NO_STEP; 8];
+                for p in (0..=full).filter(|p| p >> t & 1 == 1) {
+                    let (with, without) = (pos[p as usize], pos[(p & !(1 << t)) as usize]);
+                    if with != INVALID && without != INVALID {
+                        delta[p as usize] = (with - without) as usize * stride;
+                    }
+                }
+                steps.push(TableStep {
+                    base,
+                    mask: full,
+                    delta,
+                });
             }
             groups.push(GroupIndex {
                 base,
                 size,
+                radix,
                 locals,
                 pos,
                 stride,
             });
-            stride = stride
-                .checked_mul(groups.last().unwrap().locals.len())
-                .expect("index overflow");
+            stride = stride.checked_mul(radix as usize).expect("index overflow");
         }
         AdmissibleSets {
             groups,
+            steps,
             total: stride,
-            num_tables: grouping.num_tables(),
         }
     }
 
@@ -112,7 +180,7 @@ impl AdmissibleSets {
 
     /// Number of query tables.
     pub fn num_tables(&self) -> usize {
-        self.num_tables
+        self.steps.len()
     }
 
     /// Dense index of `set`, or `None` if the set is inadmissible.
@@ -121,14 +189,26 @@ impl AdmissibleSets {
         let bits = set.bits();
         let mut idx = 0usize;
         for g in &self.groups {
-            let pattern = ((bits >> g.base) & ((1u64 << g.size) - 1)) as usize;
-            let p = g.pos[pattern];
+            let p = g.pos[g.pattern(bits)];
             if p == INVALID {
                 return None;
             }
             idx += (p as usize) * g.stride;
         }
         Some(idx)
+    }
+
+    /// Dense index of `set ∖ {table}`, carried over from `set`'s own index
+    /// `idx` in one step: only `table`'s group changes digit. `set` must
+    /// hold `table`, and both `set` and `set ∖ {table}` must be admissible
+    /// — what [`ConstraintSet::may_join_last`] guarantees of an admissible
+    /// set in the linear split loop.
+    #[inline]
+    pub fn index_without(&self, set: TableSet, idx: usize, table: usize) -> usize {
+        let step = &self.steps[table];
+        let delta = step.delta[((set.bits() >> step.base) as u8 & step.mask) as usize];
+        debug_assert_ne!(delta, NO_STEP, "{set} without table {table} has no index");
+        idx - delta
     }
 
     /// The admissible set with dense index `idx` (inverse of
@@ -156,26 +236,36 @@ impl AdmissibleSets {
     }
 
     /// Iterates over all admissible sets in ascending dense-index order
-    /// (every admissible subset of a set appears before the set).
-    pub fn iter(&self) -> impl Iterator<Item = TableSet> + '_ {
-        (0..self.total).map(|i| self.set_at(i))
+    /// (every admissible subset of a set appears before the set): the
+    /// `i`-th item is `set_at(i)`, produced by counting in the mixed radix
+    /// — an odometer over the group digits, first group fastest — instead
+    /// of dividing `i` down.
+    pub fn iter(&self) -> Sets<'_> {
+        Sets {
+            groups: &self.groups,
+            digits: [0; MAX_GROUPS],
+            above: [0; MAX_GROUPS + 1],
+            remaining: self.total,
+        }
     }
 
     /// Admissible local "left operand" patterns of `set` restricted to
     /// group `grp`, for the bushy split enumeration (Algorithm 5,
     /// `TrySplits[Bushy]`): all subsets `s` of `set ∩ group` such that both
     /// `s` and its complement within `set ∩ group` avoid the excluded
-    /// pattern of the group's constraint. Results are absolute bitmasks
-    /// appended to `out`.
+    /// pattern of the group's constraint, appended to `out`. Both sides
+    /// being admissible local patterns, each comes with its term of its
+    /// operand's dense index: summed over the groups they are the
+    /// operands' [`AdmissibleSets::index_of`].
     pub fn admissible_split_parts(
         &self,
         constraints: &ConstraintSet,
         grp: usize,
         set: TableSet,
-        out: &mut Vec<u64>,
+        out: &mut Vec<SplitPart>,
     ) {
         let g = &self.groups[grp];
-        let local = ((set.bits() >> g.base) & ((1u64 << g.size) - 1)) as u8;
+        let local = g.pattern(set.bits()) as u8;
         // Enumerate subsets s of `local` (including empty and full).
         let mut s = local;
         loop {
@@ -183,7 +273,11 @@ impl AdmissibleSets {
             if local_part_ok(constraints, grp, g.base, s)
                 && local_part_ok(constraints, grp, g.base, comp)
             {
-                out.push((s as u64) << g.base);
+                out.push(SplitPart {
+                    left: (s as u64) << g.base,
+                    left_index: g.pos[s as usize] as usize * g.stride,
+                    right_index: g.pos[comp as usize] as usize * g.stride,
+                });
             }
             if s == 0 {
                 break;
@@ -197,6 +291,51 @@ impl AdmissibleSets {
         self.groups.len()
     }
 }
+
+/// Iterator over the admissible sets in ascending dense-index order
+/// ([`AdmissibleSets::iter`]).
+#[derive(Clone, Debug)]
+pub struct Sets<'a> {
+    groups: &'a [GroupIndex],
+    /// The current set's digit per group.
+    digits: [u8; MAX_GROUPS],
+    /// `above[g]` = union of the current local subsets of groups `g..`; a
+    /// step that stops at digit `d` leaves the groups above `d` alone and
+    /// returns those below to the empty subset.
+    above: [u64; MAX_GROUPS + 1],
+    remaining: usize,
+}
+
+impl Iterator for Sets<'_> {
+    type Item = TableSet;
+
+    #[inline]
+    fn next(&mut self) -> Option<TableSet> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let set = TableSet(self.above[0]);
+        // Step to the successor: the lowest digit with room moves up, the
+        // digits below it wrap to zero (the empty local subset).
+        for (d, g) in self.groups.iter().enumerate() {
+            self.digits[d] += 1;
+            if self.digits[d] < g.radix {
+                let bits = self.above[d + 1] | g.locals[self.digits[d] as usize];
+                self.above[..=d].fill(bits);
+                break;
+            }
+            self.digits[d] = 0;
+        }
+        Some(set)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Sets<'_> {}
 
 /// Whether a local pattern is allowed as one side of a split: it must not
 /// contain the constraint's excluded combination (`y` without `x` for
@@ -373,8 +512,8 @@ mod tests {
         let mut out = Vec::new();
         a.admissible_split_parts(&cs, 0, TableSet::full(3), &mut out);
         assert_eq!(out.len(), 6);
-        assert!(!out.contains(&0b110)); // {1,2}
-        assert!(!out.contains(&0b001)); // {0}
+        assert!(out.iter().all(|part| part.left != 0b110)); // {1,2}
+        assert!(out.iter().all(|part| part.left != 0b001)); // {0}
     }
 
     #[test]
@@ -387,6 +526,90 @@ mod tests {
         let mut out = Vec::new();
         a.admissible_split_parts(&cs, 0, TableSet::from_tables([0, 2]), &mut out);
         assert_eq!(out.len(), 4);
+    }
+
+    /// Every (space, tables, partitioning, partition) of the toy sizes the
+    /// carried-index equalities are checked on.
+    fn toy_partitions() -> Vec<(ConstraintSet, AdmissibleSets)> {
+        let mut all = Vec::new();
+        for (space, sizes) in [(PlanSpace::Linear, 7..=8), (PlanSpace::Bushy, 6..=9)] {
+            for n in sizes {
+                for l in 0..=space.max_constraints(n) {
+                    let m = 1u64 << l;
+                    for id in 0..m {
+                        let cs = partition_constraints(n, space, id, m);
+                        let adm = AdmissibleSets::new(&cs);
+                        all.push((cs, adm));
+                    }
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn counting_in_the_mixed_radix_equals_dividing_the_index_down() {
+        for (cs, a) in toy_partitions() {
+            assert_eq!(a.iter().len(), a.len());
+            let mut count = 0;
+            for (i, set) in a.iter().enumerate() {
+                assert_eq!(set, a.set_at(i), "{cs:?} index {i}");
+                count += 1;
+            }
+            assert_eq!(count, a.len());
+        }
+    }
+
+    #[test]
+    fn index_without_a_table_equals_the_index_of_the_smaller_set() {
+        let mut steps = 0;
+        for (cs, a) in toy_partitions() {
+            for (idx, set) in a.iter().enumerate() {
+                for u in set.iter() {
+                    let rest = set.remove(u);
+                    if let Some(want) = a.index_of(rest) {
+                        assert_eq!(a.index_without(set, idx, u), want, "{cs:?} {set} - {u}");
+                        steps += 1;
+                    }
+                }
+            }
+        }
+        assert!(steps > 10_000, "{steps} steps checked");
+    }
+
+    #[test]
+    fn split_part_terms_sum_to_the_operands_indices() {
+        // Every combination of one part per group is a split the bushy
+        // odometer can yield.
+        for (cs, a) in toy_partitions() {
+            if cs.grouping().space() != PlanSpace::Bushy {
+                continue;
+            }
+            for set in a.iter() {
+                let mut splits = vec![(0u64, 0usize, 0usize)];
+                for g in 0..a.num_groups() {
+                    let mut parts = Vec::new();
+                    a.admissible_split_parts(&cs, g, set, &mut parts);
+                    splits = splits
+                        .iter()
+                        .flat_map(|&(bits, li, ri)| {
+                            parts.iter().map(move |p| {
+                                (bits | p.left, li + p.left_index, ri + p.right_index)
+                            })
+                        })
+                        .collect();
+                }
+                for (bits, left_index, right_index) in splits {
+                    let left = TableSet(bits);
+                    assert_eq!(a.index_of(left), Some(left_index), "{set} left {left}");
+                    assert_eq!(
+                        a.index_of(set.difference(left)),
+                        Some(right_index),
+                        "{set} left {left}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod constraints;
 pub mod grouping;
 pub mod space;
 
-pub use admissible::AdmissibleSets;
+pub use admissible::{AdmissibleSets, SplitPart, MAX_GROUPS};
 pub use constraints::{Constraint, ConstraintSet};
 pub use grouping::Grouping;
 pub use space::{effective_workers, partition_constraints, PlanSpace};

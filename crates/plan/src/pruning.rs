@@ -44,7 +44,10 @@ impl PruningPolicy {
         let insert_alpha = match objective {
             Objective::Single => 1.0,
             Objective::Multi { alpha } => {
-                assert!(alpha >= 1.0, "approximation factor must be >= 1");
+                assert!(
+                    objective.is_valid(),
+                    "approximation factor must be a finite number >= 1"
+                );
                 let levels = num_tables.saturating_sub(1).max(1) as f64;
                 alpha.powf(1.0 / levels)
             }
@@ -65,16 +68,17 @@ impl PruningPolicy {
         self.insert_alpha
     }
 
-    /// Whether `a` provides every benefit `b` could provide: at least as
-    /// good cost (under the objective's comparison) and an output order
-    /// that satisfies whatever `b`'s order could satisfy.
-    fn rejects(&self, a: &PlanEntry, b: &PlanEntry) -> bool {
-        if !order_covers(a.order, b.order) {
+    /// Whether `a` provides every benefit a plan of `cost` and `order`
+    /// could provide: at least as good cost (under the objective's
+    /// comparison) and an output order that satisfies whatever `order`
+    /// could satisfy.
+    fn rejects(&self, a: &PlanEntry, cost: &CostVector, order: Order) -> bool {
+        if !order_covers(a.order, order) {
             return false;
         }
         match self.objective {
-            Objective::Single => a.cost.time <= b.cost.time,
-            Objective::Multi { .. } => a.cost.alpha_dominates(&b.cost, self.insert_alpha),
+            Objective::Single => a.cost.time <= cost.time,
+            Objective::Multi { .. } => a.cost.alpha_dominates(cost, self.insert_alpha),
         }
     }
 
@@ -109,9 +113,30 @@ impl PruningPolicy {
         start: usize,
         new: PlanEntry,
     ) -> bool {
-        if entries[start..].iter().any(|e| self.rejects(e, &new)) {
+        self.try_insert_with(entries, start, new.cost, new.order, || new)
+    }
+
+    /// [`PruningPolicy::try_insert_range`] of an entry that does not exist
+    /// yet: rejection is decided on `cost` and `order` alone, and `build`
+    /// (which must return an entry of that cost and order) runs only for
+    /// an entry that is kept. The DP's Pareto path offers every candidate
+    /// of a set this way and builds the few that survive.
+    #[inline]
+    pub fn try_insert_with(
+        &self,
+        entries: &mut Vec<PlanEntry>,
+        start: usize,
+        cost: CostVector,
+        order: Order,
+        build: impl FnOnce() -> PlanEntry,
+    ) -> bool {
+        if entries[start..]
+            .iter()
+            .any(|e| self.rejects(e, &cost, order))
+        {
             return false;
         }
+        let new = build();
         // In-place compaction of the tail (order-preserving), i.e.
         // `retain` scoped to `entries[start..]`.
         let mut keep = start;

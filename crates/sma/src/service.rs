@@ -128,7 +128,7 @@ impl WorkerLogic for SmaWorker {
                 let constraints = ConstraintSet::unconstrained(Grouping::new(n, space));
                 let mut memo = ArenaMemo::new(AdmissibleSets::new(&constraints));
                 let policy = PruningPolicy::new(objective, n);
-                seed_scans(&mut memo, &mut CardinalityEstimator::new(&q), &policy);
+                seed_scans(&mut memo, &CardinalityEstimator::new(&q), &policy);
                 let mut slot_key_prefix = query_signature(&q);
                 slot_key_prefix.push_u8(ENGINE_SMA_SLOT);
                 push_scope(&mut slot_key_prefix, space, objective);
@@ -163,7 +163,7 @@ impl WorkerLogic for SmaWorker {
                 }
                 let t0 = Instant::now();
                 let policy = PruningPolicy::new(state.objective, state.query.num_tables());
-                let mut est = CardinalityEstimator::new(&state.query);
+                let est = CardinalityEstimator::new(&state.query);
                 let mut stats = WorkerStats::default();
                 let slots: Vec<SlotUpdate> = sets
                     .iter()
@@ -183,7 +183,7 @@ impl WorkerLogic for SmaWorker {
                             &state.constraints,
                             set,
                             &state.memo,
-                            &mut est,
+                            est.predicates(),
                             &policy,
                             &mut stats,
                         );
@@ -205,10 +205,15 @@ impl WorkerLogic for SmaWorker {
                 };
                 // Every replica must hold every slot exactly once (parents
                 // refer to entries by position): a set outside the query or
-                // a rewrite of a filled slot is a protocol bug.
+                // a rewrite of a filled slot is a protocol bug. The set's
+                // statistics are not on the wire; each replica records its
+                // own estimate with the slot.
+                let est = CardinalityEstimator::new(&state.query);
                 let merged = slots.iter().all(|s| {
                     is_join_result(s.set, &state.query)
-                        && state.memo.push_slot_of(s.set, &s.entries)
+                        && state
+                            .memo
+                            .push_slot_of(s.set, est.set_stats(s.set), &s.entries)
                 });
                 if !merged {
                     ctx.send_to_master(SmaReply::Malformed.to_bytes());
@@ -231,8 +236,7 @@ impl WorkerLogic for SmaWorker {
                     return Control::Continue;
                 };
                 let policy = PruningPolicy::new(state.objective, state.query.num_tables());
-                let mut est = CardinalityEstimator::new(&state.query);
-                let mut plans = complete_plans(&state.memo, &mut est);
+                let mut plans = complete_plans(&state.memo);
                 policy.final_prune(&mut plans);
                 let stats = WorkerStats {
                     stored_sets: state.memo.stored_sets(),
@@ -402,6 +406,10 @@ impl Protocol for SmaProtocol {
     type Session = Session;
     type Outcome = SmaOutcome;
     type Error = SmaError;
+
+    fn objective(&(_, objective): &(PlanSpace, Objective)) -> Objective {
+        objective
+    }
 
     fn open(
         &mut self,
@@ -802,11 +810,12 @@ mod tests {
     fn worker_survives_a_zero_table_init() {
         use mpq_cluster::LatencyModel;
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
-        let init = |query: Query| SmaMasterMsg::Init {
+        let init_for = |query: Query, objective: Objective| SmaMasterMsg::Init {
             query,
             space: PlanSpace::Linear,
-            objective: Objective::Single,
+            objective,
         };
+        let init = |query: Query| init_for(query, Objective::Single);
         let mut empty = query(3, 60);
         empty.catalog = Default::default();
         empty.predicates.clear();
@@ -815,9 +824,13 @@ mod tests {
         // reach the per-table predicate index.
         let mut stray = query(3, 60);
         stray.predicates[0].right = 40;
-        for hostile in [empty, stray] {
+        // Regression (ISSUE 22 satellite): and an `Init` asking for an
+        // approximation factor below 1 — it must not reach the pruning
+        // policy's assertion.
+        let greedy = init_for(query(3, 60), Objective::Multi { alpha: 0.5 });
+        for hostile in [init(empty), init(stray), greedy] {
             cluster
-                .send(0, QueryId(0), init(hostile).to_bytes(), true)
+                .send(0, QueryId(0), hostile.to_bytes(), true)
                 .unwrap();
             let (_, _, payload) = cluster.recv().expect("the worker answers");
             assert_eq!(SmaReply::from_bytes(&payload), Ok(SmaReply::Malformed));

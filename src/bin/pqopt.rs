@@ -88,8 +88,6 @@ serve options:
                     repeated queries (0-100, default 0)
   --coalesce        coalesce identical in-flight submissions onto one backend
                     optimization (needs --clients >= 2 and --repeat >= 1)
-  --parallel N      intra-worker DP threads on the MPQ backend (default 1;
-                    results are bit-identical for every N)
   --steal           straggler-adaptive work redistribution on the MPQ backend
   --steal-lag R     lag ratio triggering a steal (default 2, > 1; implies --steal)
   --steal-min N     unstarted partitions to split a range (default 2, > 0; implies --steal)
@@ -100,8 +98,7 @@ worker options:
   --listen ADDR     address to serve one master on (host:port or unix:/path;
                     TCP port 0 picks a free port, printed on stdout)
   --backend B       mpq|sma                                 (default mpq)
-  --cache-bytes N   cross-query memo-cache budget in bytes  (default 0 = disabled)
-  --parallel N      intra-worker DP threads (mpq backend)   (default 1)";
+  --cache-bytes N   cross-query memo-cache budget in bytes  (default 0 = disabled)";
 
 #[derive(Debug)]
 struct Options {
@@ -118,7 +115,6 @@ struct Options {
     backend: Backend,
     cache_bytes: usize,
     steal: StealPolicy,
-    parallel: ParallelPolicy,
     max_in_flight: usize,
     coalesce: bool,
     repeat: usize,
@@ -142,7 +138,6 @@ impl Options {
             backend: Backend::Mpq,
             cache_bytes: 0,
             steal: StealPolicy::DISABLED,
-            parallel: ParallelPolicy::serial(),
             max_in_flight: 0,
             coalesce: false,
             repeat: 0,
@@ -165,10 +160,10 @@ impl Options {
                     let alpha: f64 = value("--multi")?
                         .parse()
                         .map_err(|_| "ALPHA must be a number".to_string())?;
-                    if alpha < 1.0 {
-                        return Err("ALPHA must be >= 1".into());
-                    }
                     o.objective = Objective::Multi { alpha };
+                    if !o.objective.is_valid() {
+                        return Err("ALPHA must be a finite number >= 1".into());
+                    }
                 }
                 "--graph" => {
                     o.graph = match value("--graph")?.as_str() {
@@ -190,13 +185,6 @@ impl Options {
                 "--queries" => o.queries = parse_num(&value("--queries")?)?,
                 "--clients" => o.clients = parse_num(&value("--clients")?)?,
                 "--cache-bytes" => o.cache_bytes = parse_num(&value("--cache-bytes")?)?,
-                "--parallel" => {
-                    let threads: usize = parse_num(&value("--parallel")?)?;
-                    if threads == 0 {
-                        return Err("--parallel must be at least 1".into());
-                    }
-                    o.parallel = ParallelPolicy::with_threads(threads);
-                }
                 "--max-in-flight" => {
                     let limit: usize = parse_num(&value("--max-in-flight")?)?;
                     if limit == 0 {
@@ -371,7 +359,6 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         workers: o.workers as usize,
         mpq: MpqConfig {
             latency: LatencyModel::cluster_like(),
-            parallel: o.parallel,
             ..MpqConfig::default()
         },
         sma: SmaConfig {
@@ -675,7 +662,9 @@ fn cmd_worker(o: &Options) -> Result<(), String> {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     let served = match o.backend {
-        Backend::Mpq => pqopt::mpq::serve_socket_worker(&listener, o.cache_bytes, o.parallel),
+        Backend::Mpq => {
+            pqopt::mpq::serve_socket_worker(&listener, o.cache_bytes, ParallelPolicy::serial())
+        }
         Backend::Sma => pqopt::sma::serve_socket_worker(&listener, o.cache_bytes),
         Backend::SerialDp | Backend::TopDown => {
             return Err("worker requires a cluster backend (--backend mpq|sma)".into())

@@ -570,7 +570,7 @@ impl Engine {
                 cache,
             } => {
                 results.reap(|_, never| match never {});
-                results.admit(query)?;
+                results.admit(query, objective)?;
                 let plans = match backend {
                     ImmediateBackend::SerialDp => {
                         optimize_serial_cached(query, space, objective, cache)
@@ -1126,13 +1126,28 @@ mod tests {
                         );
                     }
                 }
+                // ISSUE 22 satellite: so is an approximation factor the
+                // pruning policy would assert on.
+                for alpha in [0.5, f64::NAN, f64::INFINITY] {
+                    let objective = Objective::Multi { alpha };
+                    for submitted in [
+                        svc.submit(&good, PlanSpace::Linear, objective),
+                        svc.submit_wait(&good, PlanSpace::Linear, objective),
+                    ] {
+                        assert!(
+                            matches!(submitted, Err(ServiceError::BadRequest { .. })),
+                            "backend {} (alpha {alpha}): {submitted:?}",
+                            backend.name()
+                        );
+                    }
+                }
                 assert_eq!(svc.in_flight(), 0, "backend {}", backend.name());
                 assert_eq!(svc.open_flights(), 0, "backend {}", backend.name());
                 if let Some(net) = svc.network_snapshot() {
                     assert_eq!(net.messages, 0, "refused before any message");
                 }
                 svc.optimize(&good, PlanSpace::Linear, Objective::Single)
-                    .expect("no worker was lost to the bad queries");
+                    .expect("no worker was lost to the bad requests");
                 if let Some(net) = svc.network_snapshot() {
                     assert_eq!(net.crashes, 0, "backend {}", backend.name());
                 }

@@ -274,127 +274,6 @@ proptest! {
     }
 }
 
-/// The arena kernel's parallel policy shares cache entries with the
-/// serial path (one key per subproblem, not one per thread count): an
-/// entry produced at any parallelism is served back at any other, and a
-/// hit is byte-identical to recomputation either way.
-#[test]
-fn parallel_policy_shares_cache_entries_transparently() {
-    use pqopt::dp::{
-        optimize_partition_id_cached, optimize_partition_id_cached_parallel, ParallelPolicy,
-        PlanCache,
-    };
-    let space = PlanSpace::Linear;
-    let objective = Objective::Single;
-    for seed in 0..10u64 {
-        let q =
-            WorkloadGenerator::new(WorkloadConfig::paper_default(7), seed * 31 + 1).next_query();
-        let reference = optimize_serial(&q, space, objective).plans;
-
-        // Serial warms, parallel must hit — and vice versa.
-        let mut cache = PlanCache::new(CACHE_BUDGET);
-        let (serial_cold, hit) =
-            optimize_partition_id_cached(&q, space, objective, 0, 1, &mut cache);
-        assert!(!hit, "seed {seed}: first run cannot hit");
-        let (parallel_warm, hit) = optimize_partition_id_cached_parallel(
-            &q,
-            space,
-            objective,
-            0,
-            1,
-            ParallelPolicy::with_threads(4),
-            &mut cache,
-        );
-        assert!(
-            hit,
-            "seed {seed}: the parallel run must reuse the serial entry"
-        );
-        assert_identical(
-            &parallel_warm.plans,
-            &serial_cold.plans,
-            true,
-            "serial→parallel",
-        );
-
-        let mut cache = PlanCache::new(CACHE_BUDGET);
-        let (parallel_cold, hit) = optimize_partition_id_cached_parallel(
-            &q,
-            space,
-            objective,
-            0,
-            1,
-            ParallelPolicy::with_threads(4),
-            &mut cache,
-        );
-        assert!(!hit, "seed {seed}: first parallel run cannot hit");
-        let (serial_warm, hit) =
-            optimize_partition_id_cached(&q, space, objective, 0, 1, &mut cache);
-        assert!(
-            hit,
-            "seed {seed}: the serial run must reuse the parallel entry"
-        );
-        assert_identical(
-            &serial_warm.plans,
-            &parallel_cold.plans,
-            true,
-            "parallel→serial",
-        );
-
-        // Both directions equal the uncached serial reference, bit for bit.
-        assert_identical(&serial_cold.plans, &reference, true, "cached vs uncached");
-        assert_identical(
-            &parallel_cold.plans,
-            &reference,
-            true,
-            "parallel vs uncached",
-        );
-    }
-}
-
-/// The full cache oracle holds with intra-worker parallelism switched on:
-/// a cached MPQ service running 4 threads per worker answers every stream
-/// with the same bits as a cache-disabled serial-policy service, cold and
-/// warm.
-#[test]
-fn cold_warm_disabled_agree_with_parallel_workers() {
-    use pqopt::mpq::ParallelPolicy;
-    let space = PlanSpace::Linear;
-    let objective = Objective::Single;
-    let mut disabled =
-        OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, 3)).expect("disabled spawns");
-    let mut config = ServiceConfig::with_cache(Backend::Mpq, 3, CACHE_BUDGET);
-    config.mpq.parallel = ParallelPolicy::with_threads(4);
-    let mut cached = OptimizerService::spawn(config).expect("cached spawns");
-    for stream in (0..STREAMS).step_by(3) {
-        let queries = stream_queries(stream);
-        let reference: Vec<Vec<Plan>> = queries
-            .iter()
-            .map(|q| {
-                disabled
-                    .optimize(q, space, objective)
-                    .expect("disabled run")
-            })
-            .collect();
-        for label in ["cold", "warm"] {
-            for (i, q) in queries.iter().enumerate() {
-                let got = cached.optimize(q, space, objective).expect("cached run");
-                assert_identical(
-                    &got,
-                    &reference[i],
-                    false,
-                    &format!("parallel workers, stream {stream} query {i} ({label} pass)"),
-                );
-            }
-        }
-    }
-    assert!(
-        cached.cache_stats().hits > 0,
-        "the warm passes must actually hit the cache"
-    );
-    disabled.shutdown();
-    cached.shutdown();
-}
-
 /// A pure epoch bump — statistics bits unchanged — still invalidates
 /// master-side entries: the bumped query must miss, not hit, where the
 /// epoch is visible.

@@ -225,7 +225,7 @@ proptest! {
             .map(|i| Predicate { left: i - 1, right: i, selectivity: sel })
             .collect();
         let q = Query { catalog, predicates, graph: JoinGraph::Chain };
-        let mut est = pqopt::cost::CardinalityEstimator::new(&q);
+        let est = pqopt::cost::CardinalityEstimator::new(&q);
         let full = TableSet::full(n);
         let direct = est.cardinality(full);
         // Product formula computed independently.
