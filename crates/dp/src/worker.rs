@@ -246,18 +246,6 @@ pub struct Candidate {
     pub right_idx: u32,
 }
 
-impl Default for Candidate {
-    fn default() -> Self {
-        Candidate {
-            cost: CostVector::ZERO,
-            order: Order::None,
-            op: JoinOp::NestedLoop,
-            left_idx: 0,
-            right_idx: 0,
-        }
-    }
-}
-
 impl Candidate {
     /// The memo entry of this candidate of the split `(left, right)`.
     #[inline]
