@@ -7,6 +7,7 @@
 //! paper's figures, so the format is deliberately compact (a query costs
 //! `O(b_q)`, a plan `O(b_p)` — both linear in the query size).
 
+use crate::transport::Hello;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mpq_cost::{CostVector, JoinOp, Objective, Order, ScanOp};
 use mpq_dp::WorkerStats;
@@ -51,6 +52,9 @@ pub enum DecodeError {
     /// a finite number ≥ 1: the pruning policy asserts on it, so it must
     /// not survive decoding on a resident worker either.
     ApproximationFactor(u64),
+    /// [`Wire::from_bytes`] decoded a whole value and this many bytes were
+    /// left over: the buffer is not one message.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for DecodeError {
@@ -80,6 +84,9 @@ impl fmt::Display for DecodeError {
                 "approximation factor {} is not a finite number >= 1",
                 f64::from_bits(*bits)
             ),
+            DecodeError::TrailingBytes(n) => {
+                write!(f, "{n} trailing bytes after a complete message")
+            }
         }
     }
 }
@@ -330,8 +337,196 @@ pub trait Wire: Sized {
     fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut dec = Decoder::new(buf);
         let v = Self::decode(&mut dec)?;
-        Ok(v)
+        match dec.remaining() {
+            0 => Ok(v),
+            n => Err(DecodeError::TrailingBytes(n)),
+        }
     }
+}
+
+/// Wire types whose encoding has one length, known at compile time: the
+/// compiler sums it from the field widths of the declaration.
+pub trait FixedSize: Wire {
+    /// Encoded length in bytes.
+    const SIZE: usize;
+}
+
+/// One entry of a crate's `WIRE_TYPES` list, as [`wire!`](crate::wire) emits it.
+pub struct WireType {
+    /// The type's name.
+    pub name: &'static str,
+    /// Its declaration, `stringify!`ed: the fields in wire order. For a
+    /// hand-written `extern` impl, the layout in prose.
+    pub decl: &'static str,
+    /// [`recode`] at this type: how a test reaches the codec of every
+    /// listed type without naming it.
+    pub recode: fn(&[u8]) -> Result<Bytes, DecodeError>,
+}
+
+/// Decodes `bytes` as one `T` and encodes it again.
+pub fn recode<T: Wire>(bytes: &[u8]) -> Result<Bytes, DecodeError> {
+    T::from_bytes(bytes).map(|v| v.to_bytes())
+}
+
+/// Renders a wire-type list one declaration per line (the compiler's
+/// printer wraps long ones). The README's "Wire-format stability" section
+/// quotes this text.
+pub fn describe(types: &[WireType]) -> String {
+    let line = |ty: &WireType| ty.decl.split_whitespace().collect::<Vec<_>>().join(" ") + "\n";
+    types.iter().map(line).collect()
+}
+
+/// Whether no two of `tags` are equal: what [`wire!`](crate::wire) asserts, at
+/// compile time, of every enum's declared tags.
+pub const fn tags_unique(tags: &[u8]) -> bool {
+    let mut seen = [false; 256];
+    let mut i = 0;
+    while i < tags.len() {
+        if seen[tags[i] as usize] {
+            return false;
+        }
+        seen[tags[i] as usize] = true;
+        i += 1;
+    }
+    true
+}
+
+/// Declares wire layouts: each declaration is the one statement of its
+/// type's layout and expands to the type's [`Wire`] impl.
+///
+/// * `struct T { field: Ty, … }` — the fields in wire order, each through
+///   its own `Wire` impl (`0: Ty` names a tuple field). `struct T fixed`
+///   also implements [`FixedSize`], every field's type having a size.
+/// * `enum T { tag => Variant { field: Ty, … }, tag => Variant(x: Ty),
+///   tag => Variant, … }` — one tag byte, then the variant's fields. An
+///   undeclared tag decodes to [`DecodeError::BadTag`] naming `T`; the
+///   encoder matches on every variant with no catch-all, and the tags are
+///   asserted distinct at compile time. `enum T check guard` runs
+///   `guard(&T) -> Result<(), DecodeError>` on each decoded value.
+/// * `extern T { "layout in prose" }` — `T`'s impl is written by hand
+///   elsewhere; the entry only puts it on the list.
+///
+/// Led by `pub const NAME;` the declarations are also listed, in order, as
+/// `NAME: &[WireType]`.
+///
+/// ```
+/// use mpq_cluster::{wire, FixedSize, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span { first: u64, count: u32 }
+/// #[derive(Debug, PartialEq)]
+/// enum Ctrl { Ping, Work(Span), Halt { code: u8 } }
+/// wire! {
+///     pub const WIRE_TYPES;
+///     struct Span fixed { first: u64, count: u32 }
+///     enum Ctrl { 0 => Ping, 1 => Work(span: Span), 7 => Halt { code: u8 } }
+/// }
+/// assert_eq!(Span::SIZE, 12);
+/// assert_eq!(&Ctrl::Halt { code: 9 }.to_bytes()[..], [7, 9]);
+/// assert_eq!(Ctrl::from_bytes(&[0]), Ok(Ctrl::Ping));
+/// assert_eq!(WIRE_TYPES[1].name, "Ctrl");
+/// ```
+///
+/// Two variants cannot share a tag:
+///
+/// ```compile_fail,E0080
+/// use mpq_cluster::wire;
+/// enum Ctrl { Ping, Halt }
+/// wire!(enum Ctrl { 0 => Ping, 0 => Halt });
+/// ```
+///
+/// A variant cannot be left out of the declaration:
+///
+/// ```compile_fail,E0004
+/// use mpq_cluster::wire;
+/// enum Ctrl { Ping, Halt }
+/// wire!(enum Ctrl { 0 => Ping });
+/// ```
+///
+/// `fixed` needs every field's type to be [`FixedSize`]:
+///
+/// ```compile_fail,E0277
+/// use mpq_cluster::wire;
+/// struct Batch { ids: Vec<u64> }
+/// wire!(struct Batch fixed { ids: Vec<u64> });
+/// ```
+#[macro_export]
+macro_rules! wire {
+    (@impl extern $T:ident [] { $layout:literal }) => {};
+    (@impl struct $T:ident [fixed] { $($f:tt : $ty:ty),* $(,)? }) => {
+        $crate::wire!(@impl struct $T [] { $($f: $ty),* });
+        impl $crate::codec::FixedSize for $T {
+            const SIZE: usize = 0 $(+ <$ty as $crate::codec::FixedSize>::SIZE)*;
+        }
+    };
+    (@impl struct $T:ident [] { $($f:tt : $ty:ty),* $(,)? }) => {
+        const _: () = {
+            use $crate::codec::{DecodeError, Decoder, Encoder, Wire};
+            impl Wire for $T {
+                fn encode(&self, enc: &mut Encoder) {
+                    $(<$ty as Wire>::encode(&self.$f, enc);)*
+                }
+                fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                    Ok($T { $($f: <$ty as Wire>::decode(dec)?),* })
+                }
+            }
+        };
+    };
+    (@impl enum $T:ident [$(check $guard:path)?] { $(
+        $tag:expr => $V:ident
+            $({ $($f:ident : $ty:ty),* $(,)? })?
+            $(( $($b:ident : $bty:ty),* $(,)? ))?
+    ),* $(,)? }) => {
+        const _: () = assert!(
+            $crate::codec::tags_unique(&[$($tag),*]),
+            concat!("two variants of ", stringify!($T), " share a wire tag")
+        );
+        const _: () = {
+            use $crate::codec::{DecodeError, Decoder, Encoder, Wire};
+            impl Wire for $T {
+                fn encode(&self, enc: &mut Encoder) {
+                    match self {$(
+                        $T::$V $({ $($f),* })? $(( $($b),* ))? => {
+                            enc.put_u8($tag);
+                            $($(<$ty as Wire>::encode($f, enc);)*)?
+                            $($(<$bty as Wire>::encode($b, enc);)*)?
+                        }
+                    )*}
+                }
+                fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                    let tag = dec.get_u8()?;
+                    $crate::wire!(@checked [$($guard)?] match tag {
+                        // A guard, for a tag may be a named constant, and an
+                        // expression fragment is no pattern.
+                        $(t if t == $tag => Ok($T::$V
+                            $({ $($f: <$ty as Wire>::decode(dec)?),* })?
+                            $(( $(<$bty as Wire>::decode(dec)?),* ))?
+                        ),)*
+                        tag => Err(DecodeError::BadTag { tag, ty: stringify!($T) }),
+                    })
+                }
+            }
+        };
+    };
+    (@checked [] $decoded:expr) => { $decoded };
+    (@checked [$guard:path] $decoded:expr) => {{
+        let value = $decoded?;
+        $guard(&value)?;
+        Ok(value)
+    }};
+    ($(#[$meta:meta])* $vis:vis const $LIST:ident;
+     $($kw:ident $T:ident $($mod:ident $($arg:path)?)? { $($body:tt)* })*) => {
+        $crate::wire!($($kw $T $($mod $($arg)?)? { $($body)* })*);
+        $(#[$meta])*
+        $vis const $LIST: &[$crate::codec::WireType] = &[$($crate::codec::WireType {
+            name: stringify!($T),
+            decl: stringify!($kw $T $($mod $($arg)?)? { $($body)* }),
+            recode: $crate::codec::recode::<$T>,
+        }),*];
+    };
+    ($($kw:ident $T:ident $($mod:ident $($arg:path)?)? { $($body:tt)* })*) => {
+        $($crate::wire!(@impl $kw $T [$($mod $($arg)?)?] { $($body)* });)*
+    };
 }
 
 /// Identifier of one optimization session (one query) multiplexed over a
@@ -346,23 +541,13 @@ pub trait Wire: Sized {
 pub struct QueryId(pub u64);
 
 impl QueryId {
-    /// Encoded size: one little-endian `u64`. `xtask lint` checks this
-    /// against the field widths [`Wire::encode`] actually writes.
-    pub const WIRE_SIZE: usize = 8;
+    /// Encoded size: one little-endian `u64`.
+    pub const WIRE_SIZE: usize = <Self as FixedSize>::SIZE;
 }
 
 impl fmt::Display for QueryId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "q{}", self.0)
-    }
-}
-
-impl Wire for QueryId {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.0);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(QueryId(dec.get_u64()?))
     }
 }
 
@@ -429,43 +614,34 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// Encoded size: three little-endian `u64`s. `xtask lint` checks this
-    /// against the field widths [`Wire::encode`] actually writes, so the
-    /// "O(1) bytes per report" claim cannot silently rot.
-    pub const WIRE_SIZE: usize = 24;
+    /// Encoded size: three little-endian `u64`s, summed by the compiler
+    /// from the declaration, so the "O(1) bytes per report" claim cannot
+    /// silently rot.
+    pub const WIRE_SIZE: usize = <Self as FixedSize>::SIZE;
 }
 
-impl Wire for Progress {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.first_partition);
-        enc.put_u64(self.completed);
-        enc.put_u64(self.partition_count);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Progress {
-            first_partition: dec.get_u64()?,
-            completed: dec.get_u64()?,
-            partition_count: dec.get_u64()?,
-        })
-    }
+/// The fixed-width little-endian primitives.
+macro_rules! primitive {
+    ($($ty:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $ty {
+            fn encode(&self, enc: &mut Encoder) {
+                enc.$put(*self);
+            }
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                dec.$get()
+            }
+        }
+        impl FixedSize for $ty {
+            const SIZE: usize = std::mem::size_of::<$ty>();
+        }
+    )*};
 }
 
-impl Wire for u64 {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(*self);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        dec.get_u64()
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_f64(*self);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        dec.get_f64()
-    }
+primitive! {
+    u8: put_u8, get_u8;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    f64: put_f64, get_f64;
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -485,27 +661,12 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl Wire for TableSet {
+impl<T: Wire> Wire for Box<T> {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.bits());
+        T::encode(self, enc);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(TableSet(dec.get_u64()?))
-    }
-}
-
-impl Wire for TableStats {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_f64(self.cardinality);
-        enc.put_f64(self.tuple_bytes);
-        enc.put_f64(self.join_domain);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(TableStats {
-            cardinality: dec.get_f64()?,
-            tuple_bytes: dec.get_f64()?,
-            join_domain: dec.get_f64()?,
-        })
+        T::decode(dec).map(Box::new)
     }
 }
 
@@ -524,29 +685,6 @@ impl Wire for Predicate {
             right: dec.get_table_index("Predicate")?,
             selectivity: dec.get_f64()?,
         })
-    }
-}
-
-impl Wire for JoinGraph {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            JoinGraph::Chain => 0,
-            JoinGraph::Star => 1,
-            JoinGraph::Cycle => 2,
-            JoinGraph::Clique => 3,
-        });
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(JoinGraph::Chain),
-            1 => Ok(JoinGraph::Star),
-            2 => Ok(JoinGraph::Cycle),
-            3 => Ok(JoinGraph::Clique),
-            tag => Err(DecodeError::BadTag {
-                tag,
-                ty: "JoinGraph",
-            }),
-        }
     }
 }
 
@@ -591,19 +729,6 @@ impl Wire for Query {
     }
 }
 
-impl Wire for CostVector {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_f64(self.time);
-        enc.put_f64(self.buffer);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(CostVector {
-            time: dec.get_f64()?,
-            buffer: dec.get_f64()?,
-        })
-    }
-}
-
 impl Wire for Order {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u8(self.to_code());
@@ -613,219 +738,68 @@ impl Wire for Order {
     }
 }
 
-impl Wire for ScanOp {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            ScanOp::Full => 0,
-        });
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(ScanOp::Full),
-            tag => Err(DecodeError::BadTag { tag, ty: "ScanOp" }),
+/// The pruning policy asserts on an approximation factor that is not a
+/// finite number ≥ 1, so such a factor must not survive decoding on a
+/// resident worker.
+fn valid_alpha(objective: &Objective) -> Result<(), DecodeError> {
+    match *objective {
+        Objective::Multi { alpha } if !objective.is_valid() => {
+            Err(DecodeError::ApproximationFactor(alpha.to_bits()))
         }
+        _ => Ok(()),
     }
 }
 
-impl Wire for JoinOp {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            JoinOp::NestedLoop => 0,
-            JoinOp::Hash => 1,
-            JoinOp::SortMerge => 2,
-        });
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(JoinOp::NestedLoop),
-            1 => Ok(JoinOp::Hash),
-            2 => Ok(JoinOp::SortMerge),
-            tag => Err(DecodeError::BadTag { tag, ty: "JoinOp" }),
-        }
-    }
-}
+wire! {
+    /// Every non-generic wire type of this crate, as declared here:
+    /// `mpq_algo` and `mpq_sma` list their messages the same way.
+    /// (`Vec<T>` is a `u32` count then the elements; `Box<T>` is `T`.)
+    pub const WIRE_TYPES;
 
-impl Wire for PlanSpace {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            PlanSpace::Linear => 0,
-            PlanSpace::Bushy => 1,
-        });
+    extern u8 { "one byte" }
+    extern u32 { "four bytes, little-endian" }
+    extern u64 { "eight bytes, little-endian" }
+    extern f64 { "the IEEE-754 bits as a u64" }
+    extern Predicate { "left: u8, right: u8 (table indices, each below 64), selectivity: f64" }
+    extern Query {
+        "u32 table count (1..=64), a TableStats each, Vec<Predicate> (indices below the count), JoinGraph"
     }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(PlanSpace::Linear),
-            1 => Ok(PlanSpace::Bushy),
-            tag => Err(DecodeError::BadTag {
-                tag,
-                ty: "PlanSpace",
-            }),
-        }
-    }
-}
+    extern Order { "one byte: 0 is no order, k + 1 is on attribute k" }
+    extern Hello { "magic: u32 (the bytes MPQ1), worker_id: u64" }
 
-impl Wire for Objective {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Objective::Single => enc.put_u8(0),
-            Objective::Multi { alpha } => {
-                enc.put_u8(1);
-                enc.put_f64(*alpha);
-            }
+    struct QueryId fixed { 0: u64 }
+    struct Progress fixed { first_partition: u64, completed: u64, partition_count: u64 }
+    struct TableSet { 0: u64 }
+    struct TableStats { cardinality: f64, tuple_bytes: f64, join_domain: f64 }
+    struct CostVector { time: f64, buffer: f64 }
+    struct PlanEntry { cost: CostVector, order: Order, node: PlanNode }
+    struct WorkerStats {
+        stored_sets: u64,
+        total_entries: u64,
+        splits_tried: u64,
+        plans_generated: u64,
+        optimize_micros: u64,
+        threads_used: u64
+    }
+    enum JoinGraph { 0 => Chain, 1 => Star, 2 => Cycle, 3 => Clique }
+    enum ScanOp { 0 => Full }
+    enum JoinOp { 0 => NestedLoop, 1 => Hash, 2 => SortMerge }
+    enum PlanSpace { 0 => Linear, 1 => Bushy }
+    enum Objective check valid_alpha { 0 => Single, 1 => Multi { alpha: f64 } }
+    enum Plan {
+        0 => Scan { table: u8, op: ScanOp, cost: CostVector, cardinality: f64 },
+        1 => Join {
+            op: JoinOp,
+            cost: CostVector,
+            cardinality: f64,
+            order: Order,
+            left: Box<Plan>,
+            right: Box<Plan>
         }
     }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(Objective::Single),
-            1 => {
-                let alpha = dec.get_f64()?;
-                let objective = Objective::Multi { alpha };
-                if objective.is_valid() {
-                    Ok(objective)
-                } else {
-                    Err(DecodeError::ApproximationFactor(alpha.to_bits()))
-                }
-            }
-            tag => Err(DecodeError::BadTag {
-                tag,
-                ty: "Objective",
-            }),
-        }
-    }
-}
-
-impl Wire for Plan {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Plan::Scan {
-                table,
-                op,
-                cost,
-                cardinality,
-            } => {
-                enc.put_u8(0);
-                enc.put_u8(*table);
-                op.encode(enc);
-                cost.encode(enc);
-                enc.put_f64(*cardinality);
-            }
-            Plan::Join {
-                op,
-                left,
-                right,
-                cost,
-                cardinality,
-                order,
-            } => {
-                enc.put_u8(1);
-                op.encode(enc);
-                cost.encode(enc);
-                enc.put_f64(*cardinality);
-                order.encode(enc);
-                left.encode(enc);
-                right.encode(enc);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(Plan::Scan {
-                table: dec.get_u8()?,
-                op: ScanOp::decode(dec)?,
-                cost: CostVector::decode(dec)?,
-                cardinality: dec.get_f64()?,
-            }),
-            1 => Ok(Plan::Join {
-                op: JoinOp::decode(dec)?,
-                cost: CostVector::decode(dec)?,
-                cardinality: dec.get_f64()?,
-                order: Order::decode(dec)?,
-                left: Box::new(Plan::decode(dec)?),
-                right: Box::new(Plan::decode(dec)?),
-            }),
-            tag => Err(DecodeError::BadTag { tag, ty: "Plan" }),
-        }
-    }
-}
-
-impl Wire for PlanNode {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            PlanNode::Scan { table, op } => {
-                enc.put_u8(0);
-                enc.put_u8(*table);
-                op.encode(enc);
-            }
-            PlanNode::Join {
-                op,
-                left,
-                left_idx,
-                right,
-                right_idx,
-            } => {
-                enc.put_u8(1);
-                op.encode(enc);
-                left.encode(enc);
-                enc.put_u32(*left_idx);
-                right.encode(enc);
-                enc.put_u32(*right_idx);
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(PlanNode::Scan {
-                table: dec.get_u8()?,
-                op: ScanOp::decode(dec)?,
-            }),
-            1 => Ok(PlanNode::Join {
-                op: JoinOp::decode(dec)?,
-                left: TableSet::decode(dec)?,
-                left_idx: dec.get_u32()?,
-                right: TableSet::decode(dec)?,
-                right_idx: dec.get_u32()?,
-            }),
-            tag => Err(DecodeError::BadTag {
-                tag,
-                ty: "PlanNode",
-            }),
-        }
-    }
-}
-
-impl Wire for PlanEntry {
-    fn encode(&self, enc: &mut Encoder) {
-        self.cost.encode(enc);
-        self.order.encode(enc);
-        self.node.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(PlanEntry {
-            cost: CostVector::decode(dec)?,
-            order: Order::decode(dec)?,
-            node: PlanNode::decode(dec)?,
-        })
-    }
-}
-
-impl Wire for WorkerStats {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.stored_sets);
-        enc.put_u64(self.total_entries);
-        enc.put_u64(self.splits_tried);
-        enc.put_u64(self.plans_generated);
-        enc.put_u64(self.optimize_micros);
-        enc.put_u64(self.threads_used);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(WorkerStats {
-            stored_sets: dec.get_u64()?,
-            total_entries: dec.get_u64()?,
-            splits_tried: dec.get_u64()?,
-            plans_generated: dec.get_u64()?,
-            optimize_micros: dec.get_u64()?,
-            threads_used: dec.get_u64()?,
-        })
+    enum PlanNode {
+        0 => Scan { table: u8, op: ScanOp },
+        1 => Join { op: JoinOp, left: TableSet, left_idx: u32, right: TableSet, right_idx: u32 }
     }
 }
 
@@ -976,6 +950,14 @@ mod tests {
         assert!(Plan::from_bytes(&[2]).is_err());
     }
 
+    #[test]
+    fn tags_unique_finds_a_repeat_anywhere() {
+        assert!(tags_unique(&[]));
+        assert!(tags_unique(&[0, 1, 7]));
+        assert!(!tags_unique(&[0, 1, 0]));
+        assert!(!tags_unique(&[3, 4, 4]));
+    }
+
     /// Regression (ISSUE 7 satellite): `Predicate` table indices used to
     /// be truncated with `as u8`, so index 256 round-tripped as 0. Now an
     /// out-of-range index is a typed error on both sides of the wire.
@@ -1092,6 +1074,8 @@ mod tests {
             ty: "Predicate",
         };
         assert!(e.to_string().contains("index 200"));
+        let e = DecodeError::TrailingBytes(3);
+        assert!(e.to_string().contains("3 trailing bytes"));
         let e = EncodeError::TableIndexOutOfRange { index: 300 };
         assert!(e.to_string().contains("index 300"));
     }

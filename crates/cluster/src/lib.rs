@@ -50,7 +50,8 @@ pub mod session;
 pub mod transport;
 
 pub use codec::{
-    DecodeError, Decoder, EncodeError, Encoder, Progress, QueryId, SessionEnvelope, Wire,
+    DecodeError, Decoder, EncodeError, Encoder, FixedSize, Progress, QueryId, SessionEnvelope,
+    Wire, WireType,
 };
 pub use fault::{FaultAction, FaultPlan, FaultSchedule, WorkerFaults};
 pub use latency::LatencyModel;

@@ -125,9 +125,11 @@ pub enum Control {
 /// Typed master-side cluster failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClusterError {
-    /// The OS refused to spawn a worker thread; the cluster never came up.
+    /// The OS refused to spawn a worker thread, or no worker was asked
+    /// for; the cluster never came up.
     SpawnFailed {
-        /// The worker whose thread could not be created.
+        /// The worker whose thread could not be created (0 for a cluster
+        /// of no workers: its first worker is the one that is missing).
         worker: usize,
     },
     /// A message could not be delivered because the worker's thread has
@@ -567,7 +569,9 @@ impl Cluster {
         L: WorkerLogic,
         F: FnMut(usize) -> L,
     {
-        assert!(num_workers >= 1, "a cluster needs at least one worker");
+        if num_workers == 0 {
+            return Err(ClusterError::SpawnFailed { worker: 0 });
+        }
         let schedule = faults.schedule(num_workers);
         let metrics = Arc::new(NetworkMetrics::with_workers(num_workers));
         let (master_tx, from_workers) = unbounded::<(usize, Envelope)>();
@@ -841,6 +845,15 @@ mod tests {
 
     fn recv_all(cluster: &Cluster, n: usize) -> Vec<(usize, QueryId, Bytes)> {
         (0..n).map(|_| cluster.recv().unwrap()).collect()
+    }
+
+    /// As an empty `SocketTransport::connect` list: typed, not an assert.
+    #[test]
+    fn a_cluster_of_no_workers_is_a_typed_spawn_failure() {
+        assert!(matches!(
+            Cluster::spawn(0, LatencyModel::ZERO, |_| echo()),
+            Err(ClusterError::SpawnFailed { worker: 0 })
+        ));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! never a panic (see the reassembly tests and the framed-stream fuzz
 //! suite).
 
-use crate::codec::{DecodeError, Decoder, Encoder, QueryId, SessionEnvelope, Wire};
+use crate::codec::{DecodeError, Decoder, Encoder, FixedSize, QueryId, SessionEnvelope, Wire};
 use crate::metrics::NetworkMetrics;
 use crate::runtime::{
     Cluster, ClusterError, Control, Envelope, Inbox, Wait, WorkerCtx, WorkerLogic,
@@ -464,9 +464,12 @@ pub struct Hello {
 impl Hello {
     /// `b"MPQ1"` read as a little-endian `u32`.
     pub const MAGIC: u32 = u32::from_le_bytes(*b"MPQ1");
-    /// Encoded size: the magic plus the worker id. `xtask lint` checks
-    /// this against the field widths [`Wire::encode`] actually writes.
-    pub const WIRE_SIZE: usize = 12;
+    /// Encoded size: the magic plus the worker id.
+    pub const WIRE_SIZE: usize = <Self as FixedSize>::SIZE;
+}
+
+impl FixedSize for Hello {
+    const SIZE: usize = u32::SIZE + u64::SIZE;
 }
 
 impl Wire for Hello {

@@ -575,3 +575,169 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Coverage: every type on the crate's declared list has a frozen vector,
+// and no vector decodes with bytes left over.
+// ---------------------------------------------------------------------------
+
+use mpq_cluster::codec::{WireType, WIRE_TYPES};
+use mpq_cluster::FixedSize;
+
+// The listed types the vectors above do not reach: the two remaining
+// primitives and the one-byte selectors.
+const GOLDEN_U8: &str = "2a";
+const GOLDEN_U32: &str = "efbeadde";
+const GOLDEN_ORDER_NONE: &str = "00";
+const GOLDEN_ORDER_ON_ATTRIBUTE_1: &str = "02";
+const GOLDEN_JOIN_GRAPHS: [&str; 4] = ["00", "01", "02", "03"];
+const GOLDEN_SCAN_OP_FULL: &str = "00";
+const GOLDEN_JOIN_OPS: [&str; 3] = ["00", "01", "02"];
+const GOLDEN_OBJECTIVE_SINGLE: &str = "00";
+
+#[test]
+fn golden_small_primitives_and_selectors() {
+    assert_golden(&0x2Au8, GOLDEN_U8, "u8");
+    assert_golden(&0xDEAD_BEEFu32, GOLDEN_U32, "u32");
+    assert_golden(&Order::None, GOLDEN_ORDER_NONE, "Order::None");
+    assert_golden(
+        &Order::OnAttribute(1),
+        GOLDEN_ORDER_ON_ATTRIBUTE_1,
+        "Order::OnAttribute",
+    );
+    for (graph, golden) in JoinGraph::ALL.iter().zip(GOLDEN_JOIN_GRAPHS) {
+        assert_golden(graph, golden, "JoinGraph");
+    }
+    assert_golden(&ScanOp::Full, GOLDEN_SCAN_OP_FULL, "ScanOp");
+    for (op, golden) in mpq_cost::JOIN_OPS.iter().zip(GOLDEN_JOIN_OPS) {
+        assert_golden(op, golden, "JoinOp");
+    }
+    assert_golden(
+        &Objective::Single,
+        GOLDEN_OBJECTIVE_SINGLE,
+        "Objective::Single",
+    );
+}
+
+/// Every frozen vector of this file, by the listed wire type it encodes.
+fn vectors() -> Vec<(&'static str, &'static str)> {
+    let mut all = vec![
+        ("u8", GOLDEN_U8),
+        ("u32", GOLDEN_U32),
+        ("u64", GOLDEN_U64),
+        ("f64", GOLDEN_F64),
+        ("Predicate", GOLDEN_PREDICATE),
+        ("Query", GOLDEN_QUERY),
+        ("Order", GOLDEN_ORDER_NONE),
+        ("Order", GOLDEN_ORDER_ON_ATTRIBUTE_1),
+        ("Hello", GOLDEN_HELLO),
+        ("QueryId", GOLDEN_QUERY_ID),
+        ("Progress", GOLDEN_PROGRESS),
+        ("TableSet", GOLDEN_TABLESET),
+        ("TableStats", GOLDEN_TABLESTATS),
+        ("CostVector", GOLDEN_COST_VECTOR),
+        ("PlanEntry", GOLDEN_PLAN_ENTRY),
+        ("WorkerStats", GOLDEN_WORKER_STATS),
+        ("ScanOp", GOLDEN_SCAN_OP_FULL),
+        ("PlanSpace", GOLDEN_PLAN_SPACE_LINEAR),
+        ("PlanSpace", GOLDEN_PLAN_SPACE_BUSHY),
+        ("Objective", GOLDEN_OBJECTIVE_SINGLE),
+        ("Objective", GOLDEN_OBJECTIVE_MULTI),
+        ("Plan", GOLDEN_PLAN),
+        ("PlanNode", GOLDEN_PLAN_NODE_SCAN),
+        ("PlanNode", GOLDEN_PLAN_NODE_JOIN),
+    ];
+    all.extend(GOLDEN_JOIN_GRAPHS.map(|golden| ("JoinGraph", golden)));
+    all.extend(GOLDEN_JOIN_OPS.map(|golden| ("JoinOp", golden)));
+    all
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+fn vectors_of(ty: &WireType) -> Vec<&'static str> {
+    vectors()
+        .into_iter()
+        .filter(|(name, _)| *name == ty.name)
+        .map(|(_, golden)| golden)
+        .collect()
+}
+
+/// What `xtask lint`'s wire rule checked from the text until ISSUE 23: a
+/// wire type added to the schema without a frozen vector fails here.
+#[test]
+fn every_listed_wire_type_has_a_golden_vector() {
+    for ty in WIRE_TYPES {
+        let goldens = vectors_of(ty);
+        assert!(
+            !goldens.is_empty(),
+            "wire type `{}` has no golden vector: freeze one and enter it in `vectors()`",
+            ty.name
+        );
+        for golden in goldens {
+            let again = (ty.recode)(&unhex(golden)).expect("golden bytes decode");
+            assert_eq!(hex(&again), golden, "golden {} did not re-encode", ty.name);
+        }
+    }
+    for (name, _) in vectors() {
+        assert!(
+            WIRE_TYPES.iter().any(|ty| ty.name == name),
+            "vector for `{name}`, which is not on the list"
+        );
+    }
+}
+
+/// `from_bytes` takes one whole message: a golden vector with 1..=8 bytes
+/// appended fails typed, for every listed type.
+#[test]
+fn golden_vectors_with_trailing_bytes_fail_typed() {
+    for ty in WIRE_TYPES {
+        for golden in vectors_of(ty) {
+            for extra in 1..=8 {
+                let mut bytes = unhex(golden);
+                bytes.resize(bytes.len() + extra, 0xA5);
+                assert_eq!(
+                    (ty.recode)(&bytes).err(),
+                    Some(DecodeError::TrailingBytes(extra)),
+                    "{} + {extra} bytes",
+                    ty.name
+                );
+            }
+        }
+    }
+}
+
+/// The sizes the compiler sums from the declarations are the lengths of
+/// the frozen vectors.
+#[test]
+fn fixed_sizes_equal_the_golden_lengths() {
+    assert_eq!(QueryId::SIZE, GOLDEN_QUERY_ID.len() / 2);
+    assert_eq!(Progress::SIZE, GOLDEN_PROGRESS.len() / 2);
+    assert_eq!(Hello::SIZE, GOLDEN_HELLO.len() / 2);
+    assert_eq!(QueryId::WIRE_SIZE, QueryId::SIZE);
+    assert_eq!(Progress::WIRE_SIZE, Progress::SIZE);
+    assert_eq!(Hello::WIRE_SIZE, Hello::SIZE);
+}
+
+/// The `BadTag` arm comes with the declaration: every declared enum answers
+/// an undeclared tag with it, naming itself.
+#[test]
+fn every_declared_enum_rejects_an_undeclared_tag() {
+    let enums = WIRE_TYPES.iter().filter(|ty| ty.decl.starts_with("enum "));
+    let mut seen = 0;
+    for ty in enums {
+        seen += 1;
+        assert_eq!(
+            (ty.recode)(&[0xEE]).err(),
+            Some(DecodeError::BadTag {
+                tag: 0xEE,
+                ty: ty.name
+            })
+        );
+    }
+    assert_eq!(seen, 7, "the seven tagged types of this crate");
+}

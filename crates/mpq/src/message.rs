@@ -10,7 +10,7 @@
 //! the reply carries the partition-optimal plan(s) and the worker's
 //! counters.
 
-use mpq_cluster::{DecodeError, Decoder, Encoder, Progress, Wire};
+use mpq_cluster::{wire, Progress};
 use mpq_cost::Objective;
 use mpq_dp::WorkerStats;
 use mpq_model::Query;
@@ -40,30 +40,6 @@ pub struct MasterMessage {
     pub progress_every: u64,
 }
 
-impl Wire for MasterMessage {
-    fn encode(&self, enc: &mut Encoder) {
-        self.query.encode(enc);
-        self.space.encode(enc);
-        self.objective.encode(enc);
-        enc.put_u64(self.first_partition);
-        enc.put_u64(self.partition_count);
-        enc.put_u64(self.total_partitions);
-        enc.put_u64(self.progress_every);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(MasterMessage {
-            query: Query::decode(dec)?,
-            space: PlanSpace::decode(dec)?,
-            objective: Objective::decode(dec)?,
-            first_partition: dec.get_u64()?,
-            partition_count: dec.get_u64()?,
-            total_partitions: dec.get_u64()?,
-            progress_every: dec.get_u64()?,
-        })
-    }
-}
-
 /// Reply sent from a worker back to the master.
 ///
 /// The reply echoes the task's partition range so the master can match
@@ -88,28 +64,6 @@ pub struct WorkerReply {
     pub cache_misses: u64,
 }
 
-impl Wire for WorkerReply {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.first_partition);
-        enc.put_u64(self.partition_count);
-        self.plans.encode(enc);
-        self.stats.encode(enc);
-        enc.put_u64(self.cache_hits);
-        enc.put_u64(self.cache_misses);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(WorkerReply {
-            first_partition: dec.get_u64()?,
-            partition_count: dec.get_u64()?,
-            plans: Vec::<Plan>::decode(dec)?,
-            stats: WorkerStats::decode(dec)?,
-            cache_hits: dec.get_u64()?,
-            cache_misses: dec.get_u64()?,
-        })
-    }
-}
-
 /// Every worker → master message, tagged: the final range reply, or a
 /// mid-range [`Progress`] report (sent only when the task's
 /// `progress_every` is non-zero). The one-byte tag keeps the steal-off
@@ -132,29 +86,31 @@ impl WorkerMsg {
     pub const TAG_PROGRESS: u8 = 1;
 }
 
-impl Wire for WorkerMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            WorkerMsg::Reply(r) => {
-                enc.put_u8(WorkerMsg::TAG_REPLY);
-                r.encode(enc);
-            }
-            WorkerMsg::Progress(p) => {
-                enc.put_u8(WorkerMsg::TAG_PROGRESS);
-                p.encode(enc);
-            }
-        }
-    }
+wire! {
+    /// This crate's wire types, as declared here (see
+    /// [`mpq_cluster::codec::WIRE_TYPES`]).
+    pub const WIRE_TYPES;
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            WorkerMsg::TAG_REPLY => Ok(WorkerMsg::Reply(WorkerReply::decode(dec)?)),
-            WorkerMsg::TAG_PROGRESS => Ok(WorkerMsg::Progress(Progress::decode(dec)?)),
-            tag => Err(DecodeError::BadTag {
-                tag,
-                ty: "WorkerMsg",
-            }),
-        }
+    struct MasterMessage {
+        query: Query,
+        space: PlanSpace,
+        objective: Objective,
+        first_partition: u64,
+        partition_count: u64,
+        total_partitions: u64,
+        progress_every: u64
+    }
+    struct WorkerReply {
+        first_partition: u64,
+        partition_count: u64,
+        plans: Vec<Plan>,
+        stats: WorkerStats,
+        cache_hits: u64,
+        cache_misses: u64
+    }
+    enum WorkerMsg {
+        WorkerMsg::TAG_REPLY => Reply(reply: WorkerReply),
+        WorkerMsg::TAG_PROGRESS => Progress(progress: Progress)
     }
 }
 
@@ -162,6 +118,7 @@ impl Wire for WorkerMsg {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use mpq_cluster::Wire;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
 
     #[test]

@@ -1930,6 +1930,41 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// Regression (ISSUE 23 satellite): `from_bytes` never checked that a
+    /// frame was consumed, so a task with garbage appended ran as if it
+    /// were valid. It now fails to decode: the worker answers through the
+    /// malformed-task path and serves the next, clean task.
+    #[test]
+    fn worker_survives_a_task_with_trailing_bytes() {
+        use mpq_cluster::LatencyModel;
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
+        let task = MasterMessage {
+            query: query(3, 52),
+            space: PlanSpace::Linear,
+            objective: Objective::Single,
+            first_partition: 0,
+            partition_count: 1,
+            total_partitions: 1,
+            progress_every: 0,
+        }
+        .to_bytes();
+        let mut padded = task.to_vec();
+        padded.extend_from_slice(&[0xA5; 3]);
+        for (id, bytes, malformed) in [(0, Bytes::from(padded), true), (1, task, false)] {
+            cluster
+                .send(0, QueryId(id), bytes, true)
+                .expect("the worker is still up");
+            let (_, qid, payload) = cluster.recv().expect("the worker answers");
+            assert_eq!(qid, QueryId(id));
+            let WorkerMsg::Reply(reply) = WorkerMsg::from_bytes(&payload).unwrap() else {
+                panic!("expected a reply");
+            };
+            assert_eq!(reply.first_partition == u64::MAX, malformed);
+            assert_eq!(reply.plans.is_empty(), malformed);
+        }
+        cluster.shutdown();
+    }
+
     /// Steal-off sessions put no progress traffic on the wire and never
     /// steal, even with a slowed worker.
     #[test]

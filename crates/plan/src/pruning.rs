@@ -44,10 +44,7 @@ impl PruningPolicy {
         let insert_alpha = match objective {
             Objective::Single => 1.0,
             Objective::Multi { alpha } => {
-                assert!(
-                    objective.is_valid(),
-                    "approximation factor must be a finite number >= 1"
-                );
+                assert!(objective.is_valid(), "alpha must be a finite number >= 1");
                 let levels = num_tables.saturating_sub(1).max(1) as f64;
                 alpha.powf(1.0 / levels)
             }

@@ -5,7 +5,7 @@
 //! request) and two worker-side kinds (level results, final plans). The
 //! memo-delta messages are the exponential-traffic culprit.
 
-use mpq_cluster::{DecodeError, Decoder, Encoder, Wire};
+use mpq_cluster::wire;
 use mpq_cost::Objective;
 use mpq_dp::WorkerStats;
 use mpq_model::{Query, TableSet};
@@ -20,19 +20,6 @@ pub struct SlotUpdate {
     pub set: TableSet,
     /// Surviving entries for the set.
     pub entries: Vec<PlanEntry>,
-}
-
-impl Wire for SlotUpdate {
-    fn encode(&self, enc: &mut Encoder) {
-        self.set.encode(enc);
-        self.entries.encode(enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(SlotUpdate {
-            set: TableSet::decode(dec)?,
-            entries: Vec::<PlanEntry>::decode(dec)?,
-        })
-    }
 }
 
 /// Master → worker messages.
@@ -64,55 +51,6 @@ pub enum SmaMasterMsg {
     Abort,
 }
 
-impl Wire for SmaMasterMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            SmaMasterMsg::Init {
-                query,
-                space,
-                objective,
-            } => {
-                enc.put_u8(0);
-                query.encode(enc);
-                space.encode(enc);
-                objective.encode(enc);
-            }
-            SmaMasterMsg::Assign { sets } => {
-                enc.put_u8(1);
-                sets.encode(enc);
-            }
-            SmaMasterMsg::Delta { slots } => {
-                enc.put_u8(2);
-                slots.encode(enc);
-            }
-            SmaMasterMsg::Finish => enc.put_u8(3),
-            SmaMasterMsg::Abort => enc.put_u8(4),
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(SmaMasterMsg::Init {
-                query: Query::decode(dec)?,
-                space: PlanSpace::decode(dec)?,
-                objective: Objective::decode(dec)?,
-            }),
-            1 => Ok(SmaMasterMsg::Assign {
-                sets: Vec::<TableSet>::decode(dec)?,
-            }),
-            2 => Ok(SmaMasterMsg::Delta {
-                slots: Vec::<SlotUpdate>::decode(dec)?,
-            }),
-            3 => Ok(SmaMasterMsg::Finish),
-            4 => Ok(SmaMasterMsg::Abort),
-            tag => Err(DecodeError::BadTag {
-                tag,
-                ty: "SmaMasterMsg",
-            }),
-        }
-    }
-}
-
 /// Worker → master messages.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SmaReply {
@@ -136,39 +74,23 @@ pub enum SmaReply {
     Malformed,
 }
 
-impl Wire for SmaReply {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            SmaReply::LevelDone { slots, micros } => {
-                enc.put_u8(0);
-                slots.encode(enc);
-                enc.put_u64(*micros);
-            }
-            SmaReply::Final { plans, stats } => {
-                enc.put_u8(1);
-                plans.encode(enc);
-                stats.encode(enc);
-            }
-            SmaReply::Malformed => enc.put_u8(2),
-        }
-    }
+wire! {
+    /// This crate's wire types, as declared here (see
+    /// [`mpq_cluster::codec::WIRE_TYPES`]).
+    pub const WIRE_TYPES;
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(SmaReply::LevelDone {
-                slots: Vec::<SlotUpdate>::decode(dec)?,
-                micros: dec.get_u64()?,
-            }),
-            1 => Ok(SmaReply::Final {
-                plans: Vec::<Plan>::decode(dec)?,
-                stats: WorkerStats::decode(dec)?,
-            }),
-            2 => Ok(SmaReply::Malformed),
-            tag => Err(DecodeError::BadTag {
-                tag,
-                ty: "SmaReply",
-            }),
-        }
+    struct SlotUpdate { set: TableSet, entries: Vec<PlanEntry> }
+    enum SmaMasterMsg {
+        0 => Init { query: Query, space: PlanSpace, objective: Objective },
+        1 => Assign { sets: Vec<TableSet> },
+        2 => Delta { slots: Vec<SlotUpdate> },
+        3 => Finish,
+        4 => Abort
+    }
+    enum SmaReply {
+        0 => LevelDone { slots: Vec<SlotUpdate>, micros: u64 },
+        1 => Final { plans: Vec<Plan>, stats: WorkerStats },
+        2 => Malformed
     }
 }
 
@@ -176,6 +98,7 @@ impl Wire for SmaReply {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use mpq_cluster::Wire;
     use mpq_cost::{CostVector, ScanOp};
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
 

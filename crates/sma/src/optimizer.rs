@@ -283,7 +283,8 @@ impl SmaOptimizer {
     /// Fallible form of [`SmaOptimizer::optimize`]. SMA deliberately does
     /// **not** recover from worker loss: a lost replica would require
     /// re-broadcasting `Init` plus every `Delta` so far (the memo), so the
-    /// protocol fails fast with that measured cost in the error.
+    /// protocol fails fast with that measured cost in the error. Zero
+    /// workers is a typed [`SmaError::BadRequest`], not a panic.
     pub fn try_optimize(
         &self,
         query: &Query,
@@ -291,7 +292,6 @@ impl SmaOptimizer {
         objective: Objective,
         workers: usize,
     ) -> Result<SmaOutcome, SmaError> {
-        assert!(workers >= 1, "at least one worker required");
         let mut service = SmaService::spawn(workers, self.config)?;
         let result = service
             .submit(query, space, objective)
@@ -311,6 +311,16 @@ mod tests {
 
     fn query(n: usize, seed: u64) -> Query {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
+    }
+
+    /// Regression (ISSUE 23 satellite): an `assert!` one line above the
+    /// typed refusal `SmaService::spawn` already gives made `pqopt compare
+    /// --workers 0` panic.
+    #[test]
+    fn zero_workers_is_a_bad_request() {
+        let opt = SmaOptimizer::new(SmaConfig::default());
+        let refused = opt.try_optimize(&query(4, 0), PlanSpace::Linear, Objective::Single, 0);
+        assert!(matches!(refused, Err(SmaError::BadRequest { .. })));
     }
 
     #[test]

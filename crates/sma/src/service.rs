@@ -851,6 +851,41 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// Regression (ISSUE 23 satellite): `from_bytes` never checked that a
+    /// frame was consumed, so an `Init` with garbage appended started a
+    /// session. It now fails to decode: the worker reports `Malformed`
+    /// and serves the next, clean session.
+    #[test]
+    fn worker_survives_a_frame_with_trailing_bytes() {
+        use mpq_cluster::LatencyModel;
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
+        let init = SmaMasterMsg::Init {
+            query: query(3, 62),
+            space: PlanSpace::Linear,
+            objective: Objective::Single,
+        }
+        .to_bytes();
+        let mut padded = init.to_vec();
+        padded.push(0);
+        cluster
+            .send(0, QueryId(0), padded.into(), true)
+            .expect("the worker is up");
+        let (_, _, payload) = cluster.recv().expect("the worker answers");
+        assert_eq!(SmaReply::from_bytes(&payload), Ok(SmaReply::Malformed));
+        let id = QueryId(1);
+        cluster.send(0, id, init, true).unwrap();
+        cluster
+            .send(0, id, SmaMasterMsg::Finish.to_bytes(), false)
+            .unwrap();
+        let (_, qid, payload) = cluster.recv().expect("the worker answers");
+        assert_eq!(qid, id);
+        assert!(matches!(
+            SmaReply::from_bytes(&payload),
+            Ok(SmaReply::Final { .. })
+        ));
+        cluster.shutdown();
+    }
+
     /// Regression (ISSUE 17 satellite): `TableSet::decode` accepts any
     /// `u64`, so a hostile or corrupt `Assign`/`Delta` can name a table the
     /// session's query does not have (this used to index past the scan

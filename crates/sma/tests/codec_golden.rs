@@ -279,3 +279,102 @@ fn regenerate_golden_constants() {
         println!("const {name}: &str = \"{value}\";");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Coverage: every type on the crate's declared list has a frozen vector,
+// and no vector decodes with bytes left over.
+// ---------------------------------------------------------------------------
+
+use mpq_cluster::{DecodeError, WireType};
+use mpq_sma::message::WIRE_TYPES;
+
+/// Every frozen vector of this file, by the listed wire type it encodes.
+const VECTORS: [(&str, &str); 9] = [
+    ("SlotUpdate", GOLDEN_SLOT_UPDATE),
+    ("SmaMasterMsg", GOLDEN_MASTER_INIT),
+    ("SmaMasterMsg", GOLDEN_MASTER_ASSIGN),
+    ("SmaMasterMsg", GOLDEN_MASTER_DELTA),
+    ("SmaMasterMsg", GOLDEN_MASTER_FINISH),
+    ("SmaMasterMsg", GOLDEN_MASTER_ABORT),
+    ("SmaReply", GOLDEN_REPLY_LEVEL_DONE),
+    ("SmaReply", GOLDEN_REPLY_FINAL),
+    ("SmaReply", GOLDEN_REPLY_MALFORMED),
+];
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+fn vectors_of(ty: &WireType) -> Vec<&'static str> {
+    VECTORS
+        .into_iter()
+        .filter(|(name, _)| *name == ty.name)
+        .map(|(_, golden)| golden)
+        .collect()
+}
+
+/// What `xtask lint`'s wire rule checked from the text until ISSUE 23: a
+/// message added to the schema without a frozen vector fails here.
+#[test]
+fn every_listed_wire_type_has_a_golden_vector() {
+    for ty in WIRE_TYPES {
+        let goldens = vectors_of(ty);
+        assert!(
+            !goldens.is_empty(),
+            "wire type `{}` has no golden vector: freeze one and enter it in `VECTORS`",
+            ty.name
+        );
+        for golden in goldens {
+            let again = (ty.recode)(&unhex(golden)).expect("golden bytes decode");
+            assert_eq!(hex(&again), golden, "golden {} did not re-encode", ty.name);
+        }
+    }
+    for (name, _) in VECTORS {
+        assert!(
+            WIRE_TYPES.iter().any(|ty| ty.name == name),
+            "vector for `{name}`, which is not on the list"
+        );
+    }
+}
+
+/// `from_bytes` takes one whole message: a frame with 1..=8 bytes appended
+/// fails typed.
+#[test]
+fn golden_vectors_with_trailing_bytes_fail_typed() {
+    for ty in WIRE_TYPES {
+        for golden in vectors_of(ty) {
+            for extra in 1..=8 {
+                let mut bytes = unhex(golden);
+                bytes.resize(bytes.len() + extra, 0xA5);
+                assert_eq!(
+                    (ty.recode)(&bytes).err(),
+                    Some(DecodeError::TrailingBytes(extra)),
+                    "{} + {extra} bytes",
+                    ty.name
+                );
+            }
+        }
+    }
+}
+
+/// The `BadTag` arm comes with the declaration: every declared enum answers
+/// an undeclared tag with it, naming itself.
+#[test]
+fn every_declared_enum_rejects_an_undeclared_tag() {
+    let enums = WIRE_TYPES.iter().filter(|ty| ty.decl.starts_with("enum "));
+    let mut seen = 0;
+    for ty in enums {
+        seen += 1;
+        assert_eq!(
+            (ty.recode)(&[0xEE]).err(),
+            Some(DecodeError::BadTag {
+                tag: 0xEE,
+                ty: ty.name
+            })
+        );
+    }
+    assert_eq!(seen, 2, "SmaMasterMsg and SmaReply");
+}

@@ -6,7 +6,11 @@
 
 /* Block comment: x.expect("nested /* unreachable!() */ still comment") */
 
+// Evaluated by the compiler: a failure is a build error, not a panic.
+const _: () = assert!(u8::MAX as u32 == 255, "compile-time");
+
 pub fn decoys() -> &'static str {
+    const { assert!(usize::BITS >= 32) };
     let msg = "strings may say .unwrap() or panic! freely";
     let raw = r#"raw string: x.expect("quoted") and todo!()"#;
     let bytes = b".unwrap() in bytes";
@@ -14,6 +18,7 @@ pub fn decoys() -> &'static str {
     // `unwrap_or` and friends are fine; so is defining an fn named expect.
     let n: u32 = Some(1).unwrap_or(2);
     let _ = n;
+    debug_assert!(n > 0, "compiled out of release builds, so not a panic path there");
     msg
 }
 

@@ -1,7 +1,6 @@
-//! Fixture: a tagged wire enum in its codec module. The encode match
-//! and the decode constructors must satisfy neither the handler nor the
-//! send-site side of the dispatch graph — they are the codec, not the
-//! protocol logic.
+//! Fixture: a tagged wire enum and its declaration in its codec module.
+//! The declaration must satisfy neither the handler nor the send-site
+//! side of the dispatch graph — it is the codec, not the protocol logic.
 
 pub enum CtrlMsg {
     Ping,
@@ -9,34 +8,22 @@ pub enum CtrlMsg {
     Status(u64),
 }
 
-/// Not a wire enum (no `impl Wire`): the rule must ignore it entirely.
+/// Not a wire enum (no declaration): the rule must ignore it entirely.
 pub enum Internal {
     Tick,
 }
 
-impl Wire for CtrlMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            CtrlMsg::Ping => enc.put_u8(0),
-            CtrlMsg::Halt { reason } => {
-                enc.put_u8(1);
-                enc.put_u8(*reason);
-            }
-            CtrlMsg::Status(seq) => {
-                enc.put_u8(2);
-                enc.put_u64(*seq);
-            }
-        }
-    }
+pub struct Seq {
+    pub n: u64,
+}
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.get_u8()? {
-            0 => Ok(CtrlMsg::Ping),
-            1 => Ok(CtrlMsg::Halt {
-                reason: dec.get_u8()?,
-            }),
-            2 => Ok(CtrlMsg::Status(dec.get_u64()?)),
-            tag => Err(DecodeError::BadTag { tag, ty: "CtrlMsg" }),
-        }
+wire! {
+    pub const WIRE_TYPES;
+
+    struct Seq { n: u64 }
+    enum CtrlMsg {
+        0 => Ping,
+        CtrlMsg::TAG_HALT => Halt { reason: u8 },
+        2 => Status(seq: u64),
     }
 }

@@ -13,35 +13,35 @@
 //!                                       # (delegates to the pqopt_model binary)
 //! ```
 //!
-//! Four rules, each guarding an invariant the test suites *prove* but
+//! Three rules, each guarding an invariant the test suites *prove* but
 //! nothing previously *gated*:
 //!
 //! 1. **panic-freedom** (`rules::panics`) — no `unwrap`/`expect`/
-//!    `panic!`/`unreachable!`/`todo!` in non-test code of the protocol
-//!    and service layers (`crates/{mpq,sma,cluster,plan}`, `src/`).
-//!    Escape hatch: `crates/xtask/allow/panics.allow`.
-//! 2. **wire-protocol conformance** (`rules::wire`) — message tags are
-//!    unique per channel and agree between encode and decode, every
-//!    decode tag-match rejects unknown tags, declared wire-size
-//!    constants equal the summed field widths, and every `Wire` type has
-//!    a golden byte-vector test.
-//! 3. **clock-freedom** (`rules::clocks`) — no `Instant::now`/
+//!    `panic!`/`unreachable!`/`todo!`/`assert!` in non-test code of the
+//!    protocol and service layers (`crates/{mpq,sma,cluster,plan}`,
+//!    `src/`). Escape hatch: `crates/xtask/allow/panics.allow`.
+//! 2. **clock-freedom** (`rules::clocks`) — no `Instant::now`/
 //!    `SystemTime`/`sleep` in the scheduler/evidence paths outside the
 //!    audited timer allowlist (`crates/xtask/allow/clocks.allow`), so
 //!    the "recovery decisions are evidence-based, never wall-clock"
 //!    discipline cannot silently regress.
-//! 4. **protocol-dispatch** (`rules::protocol`) — the semantic
+//! 3. **protocol-dispatch** (`rules::protocol`) — the semantic
 //!    send-site/handler graph: every variant of the tagged session
 //!    enums (`WorkerMsg`, `SmaMasterMsg`, `SmaReply`) has an explicit
 //!    non-catch-all handler arm in the master/worker dispatch *and* a
 //!    send site that constructs it — decodable-but-ignored and
 //!    dead-surface variants both fail.
 //!
+//! Wire-protocol conformance was a fourth, until each layout became one
+//! `mpq_cluster::wire!` declaration: what the rule re-derived from the text
+//! is now what the macro expands to, a compile error, or (golden coverage)
+//! a tier-1 test over each crate's `WIRE_TYPES`.
+//!
 //! The analyzer is token-level (see [`lexer`]) — it understands strings,
 //! comments, and `#[cfg(test)]`/`mod tests` scoping, which is exactly
 //! enough to make these rules precise without a full parser.
 //!
-//! A fourth gate, **bench-check** ([`bench_check`]), is dynamic rather
+//! A further gate, **bench-check** ([`bench_check`]), is dynamic rather
 //! than static: it compares freshly-emitted `BENCH_*.json` reports
 //! against the committed baselines and fails when an exact id (a work
 //! counter, a byte total) differs at all; clock readings only warn.
@@ -152,7 +152,6 @@ pub fn rs_files_under(root: &Path, rel: &str) -> Vec<String> {
 pub fn run_lint(root: &Path) -> Vec<Violation> {
     let mut violations = Vec::new();
     violations.extend(rules::panics::check(root));
-    violations.extend(rules::wire::check(root));
     violations.extend(rules::clocks::check(root));
     violations.extend(rules::protocol::check(root));
     violations
@@ -279,8 +278,7 @@ fn main() -> ExitCode {
             }
             if violations.is_empty() {
                 println!(
-                    "xtask lint: clean (panic-freedom, wire conformance, clock-freedom, \
-                     protocol dispatch{})",
+                    "xtask lint: clean (panic-freedom, clock-freedom, protocol dispatch{})",
                     if check_stale {
                         ", allowlist staleness"
                     } else {

@@ -5,4 +5,3 @@
 pub mod clocks;
 pub mod panics;
 pub mod protocol;
-pub mod wire;

@@ -10,10 +10,14 @@
 //! (documented panicking convenience wrappers, encoder capacity caps).
 //!
 //! Flagged patterns: `.unwrap(`, `.expect(`, `panic!`, `unreachable!`,
-//! `todo!`, `unimplemented!` — token-level, so strings, comments and
-//! `#[cfg(test)]`/`mod tests` code never false-positive.
+//! `todo!`, `unimplemented!`, `assert!`, `assert_eq!`, `assert_ne!` (not
+//! the `debug_assert*` forms, which release builds compile out) —
+//! token-level, so strings, comments and `#[cfg(test)]`/`mod tests` code
+//! never false-positive, and neither does the initialiser of a `const`,
+//! which the compiler evaluates.
 
 use crate::allowlist::Allowlist;
+use crate::lexer::Token;
 use crate::{rs_files_under, SourceFile, Violation};
 use std::path::Path;
 
@@ -30,6 +34,8 @@ pub const SCOPE: [&str; 5] = [
 pub const ALLOWLIST: &str = "crates/xtask/allow/panics.allow";
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+/// Not their `debug_` forms, which release builds compile out.
+const ASSERT_MACROS: [&str; 3] = ["assert", "assert_eq", "assert_ne"];
 
 /// Runs the rule over the real tree.
 pub fn check(root: &Path) -> Vec<Violation> {
@@ -77,13 +83,33 @@ pub fn check_file(file: &SourceFile, allow: &Allowlist) -> Vec<Violation> {
             {
                 flag(t.line, &format!(".{name}()"));
             }
-            // `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
-            if PANIC_MACROS.contains(&name) && toks.get(i + 1).is_some_and(|n| n.is_punct('!')) {
+            if (PANIC_MACROS.contains(&name) || ASSERT_MACROS.contains(&name))
+                && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
+                && !const_evaluated(toks, i)
+            {
                 flag(t.line, &format!("{name}!"));
             }
         }
     }
     out
+}
+
+/// Whether the macro at `i` initialises a `const` item or opens a
+/// `const { }` block: the compiler evaluates it, so it fails the build and
+/// never a running service.
+fn const_evaluated(toks: &[Token], i: usize) -> bool {
+    for j in (0..i).rev() {
+        if toks[j].is_punct(';') || toks[j].is_punct('}') {
+            return false;
+        }
+        if toks[j].is_punct('{') {
+            return j > 0 && toks[j - 1].is_ident("const");
+        }
+        if toks[j].is_ident("const") {
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -121,7 +147,14 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            vec![".unwrap()", ".expect()", "panic!", "unreachable!", "todo!"],
+            vec![
+                ".unwrap()",
+                ".expect()",
+                "assert!",
+                "panic!",
+                "unreachable!",
+                "todo!"
+            ],
             "one finding per seeded site, in order: {found:?}"
         );
     }
@@ -159,7 +192,7 @@ mod tests {
             ],
         };
         let found = check_file(&file, &allow);
-        assert_eq!(found.len(), 4, "the unwrap is suppressed: {found:?}");
+        assert_eq!(found.len(), 5, "the unwrap is suppressed: {found:?}");
         assert_eq!(allow.entries[0].used.get(), 1);
         let stale = allow.stale_entries();
         assert_eq!(stale.len(), 1, "the unused entry is stale");

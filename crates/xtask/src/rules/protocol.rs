@@ -1,7 +1,7 @@
 //! Rule: **protocol-dispatch** — the semantic send-site/handler graph.
 //!
-//! The wire-conformance rule ([`super::wire`]) proves each message type
-//! is *codable*: encode and decode tag sets agree, unknown tags are
+//! A `wire!` declaration makes each message type *codable* by
+//! construction: one tag list drives encode and decode, unknown tags are
 //! rejected. It says nothing about whether a decodable message is ever
 //! **dispatched** — a variant whose only consumer is a `_` catch-all is
 //! a message the protocol can carry but the services silently ignore,
@@ -16,7 +16,7 @@
 //! * **handlers** — `Enum::Variant` appearing in *pattern position*
 //!   (a `match` arm or a `let`/`if let`/`while let` destructure) in
 //!   non-test dispatch code **outside the enum's own codec module**
-//!   (the `impl Wire` encode match does not count, and neither does a
+//!   (the `wire!` declaration does not count, and neither does a
 //!   catch-all `_`/binding arm);
 //! * **send sites** — `Enum::Variant` in *expression position* in the
 //!   same scope: somewhere a master or worker actually constructs the
@@ -84,8 +84,8 @@ pub fn check(root: &Path) -> Vec<Violation> {
 
 /// Checks loaded message modules against loaded dispatch files (the
 /// fixture-testable core). The defining module itself must not be in
-/// `dispatch_files`: its encode match and decode constructors would
-/// vacuously satisfy both sides of the graph.
+/// `dispatch_files`: its own tests and helpers would vacuously satisfy
+/// both sides of the graph.
 pub fn check_files(message_files: &[SourceFile], dispatch_files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     let enums: Vec<WireEnum> = message_files.iter().flat_map(collect_wire_enums).collect();
@@ -140,96 +140,55 @@ pub fn check_files(message_files: &[SourceFile], dispatch_files: &[SourceFile]) 
     out
 }
 
-/// Extracts every enum in `file` that also has an `impl Wire for <it>`
-/// in the same file — the definition of a wire enum.
+/// Extracts every enum declared in a `wire! { .. }` schema in `file` — the
+/// definition of a wire enum — with the variants the declaration lists
+/// (`tag => Variant`). The macro's encoder matches every variant of the
+/// Rust enum with no catch-all, so the declaration cannot list fewer.
 pub fn collect_wire_enums(file: &SourceFile) -> Vec<WireEnum> {
     let tokens = &file.tokens;
-    let wire_types = wire_impl_types(tokens);
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if !t.is_ident("enum") || t.in_test {
-            i += 1;
+    // Tokens before this index sit inside a schema.
+    let mut schema_end = 0;
+    for i in 0..tokens.len().saturating_sub(2) {
+        if tokens[i].in_test {
             continue;
         }
-        let Some(name) = tokens.get(i + 1).and_then(|t| t.ident()) else {
-            i += 1;
+        if tokens[i].is_ident("wire") && tokens[i + 1].is_punct('!') && tokens[i + 2].is_punct('{')
+        {
+            schema_end = matching_brace(tokens, i + 2);
+        }
+        if i >= schema_end || !tokens[i].is_ident("enum") {
             continue;
-        };
-        let mut open = i + 2;
-        while open < tokens.len() && !tokens[open].is_punct('{') {
-            open += 1;
         }
-        if open >= tokens.len() {
-            break;
-        }
-        let end = matching_brace(tokens, open);
-        if wire_types.contains(name) {
+        // The body opens after the name and an optional `check guard`.
+        let open = (i + 2..schema_end).find(|&j| tokens[j].is_punct('{'));
+        if let (Some(name), Some(open)) = (tokens[i + 1].ident(), open) {
             out.push(WireEnum {
                 name: name.to_string(),
                 file: file.rel.clone(),
-                variants: enum_variants(&tokens[open + 1..end - 1]),
+                variants: declared_variants(&tokens[open + 1..matching_brace(tokens, open) - 1]),
             });
         }
-        i = end;
     }
     out
 }
 
-/// Names with an `impl Wire for <name>` in the token stream.
-fn wire_impl_types(tokens: &[Token]) -> HashSet<String> {
-    let mut out = HashSet::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_ident("impl") && !tokens[i].in_test {
-            let mut j = i + 1;
-            let mut saw_wire = false;
-            let mut after_for: Option<String> = None;
-            let mut saw_for = false;
-            while j < tokens.len() && !tokens[j].is_punct('{') && !tokens[j].is_punct(';') {
-                if tokens[j].is_ident("Wire") && !saw_for {
-                    saw_wire = true;
-                } else if tokens[j].is_ident("for") {
-                    saw_for = true;
-                } else if saw_for && after_for.is_none() {
-                    after_for = tokens[j].ident().map(String::from);
-                }
-                j += 1;
-            }
-            if saw_wire {
-                if let Some(name) = after_for {
-                    out.insert(name);
-                }
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Variant names of an enum body: depth-0 identifiers that start a
-/// variant (first token, or right after a depth-0 `,`). Payloads,
-/// attributes and discriminants all sit behind brackets or `=`, so
-/// depth tracking skips them.
-fn enum_variants(body: &[Token]) -> Vec<(String, usize)> {
+/// Variant names of a declared enum body: the identifier after each
+/// depth-0 `=>`. Field lists sit behind brackets, so depth tracking skips
+/// them.
+fn declared_variants(body: &[Token]) -> Vec<(String, usize)> {
     let mut out = Vec::new();
     let mut depth = 0i32;
-    let mut at_start = true;
-    let mut in_discriminant = false;
-    for t in body {
+    for (i, t) in body.iter().enumerate() {
         match t.kind {
             TokenKind::Punct('(') | TokenKind::Punct('[') | TokenKind::Punct('{') => depth += 1,
             TokenKind::Punct(')') | TokenKind::Punct(']') | TokenKind::Punct('}') => depth -= 1,
-            TokenKind::Punct(',') if depth == 0 => {
-                at_start = true;
-                in_discriminant = false;
-            }
-            TokenKind::Punct('=') if depth == 0 => in_discriminant = true,
-            TokenKind::Ident(ref s) if depth == 0 && at_start && !in_discriminant => {
-                out.push((s.clone(), t.line));
-                at_start = false;
+            TokenKind::Punct('=')
+                if depth == 0 && body.get(i + 1).is_some_and(|n| n.is_punct('>')) =>
+            {
+                if let Some(variant) = body.get(i + 2).and_then(|v| v.ident()) {
+                    out.push((variant.to_string(), body[i + 2].line));
+                }
             }
             _ => {}
         }
@@ -440,9 +399,29 @@ mod tests {
         );
     }
 
-    /// The defining module's own encode match and decode constructors
-    /// satisfy neither side of the graph: with no dispatch files at all,
-    /// every variant fires both ways.
+    /// The rule reads declarations, so it must find the real ones: when
+    /// the `impl Wire for` text it used to key on went, it found nothing
+    /// and still reported clean. Exactly the three session enums, with
+    /// every variant.
+    #[test]
+    fn real_tree_declares_the_three_session_enums() {
+        let root = crate::workspace_root();
+        let found: Vec<(String, usize)> = MESSAGE_SCOPE
+            .iter()
+            .map(|rel| SourceFile::load(&root, rel).expect("message module exists"))
+            .flat_map(|file| collect_wire_enums(&file))
+            .map(|e| (e.name, e.variants.len()))
+            .collect();
+        let expected = [("WorkerMsg", 2), ("SmaMasterMsg", 5), ("SmaReply", 3)];
+        assert_eq!(
+            found,
+            expected.map(|(name, variants)| (name.to_string(), variants))
+        );
+    }
+
+    /// The defining module's own declaration satisfies neither side of
+    /// the graph: with no dispatch files at all, every variant fires both
+    /// ways.
     #[test]
     fn codec_module_does_not_count() {
         let found = check_files(&[fixture("protocol_msg.rs")], &[]);

@@ -447,10 +447,9 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
                 ("resident", resident_cost),
                 ("spawn-per-query", per_query_results[i][0].cost().time),
             ] {
-                assert!(
-                    (cost - reference).abs() <= 1e-9 * reference.max(1.0),
-                    "query {i} ({mode}): {cost} vs serial {reference}"
-                );
+                if (cost - reference).abs() > 1e-9 * reference.max(1.0) {
+                    return Err(format!("query {i} ({mode}): {cost} vs serial {reference}"));
+                }
             }
         }
         println!(
@@ -623,10 +622,9 @@ fn cmd_serve_sockets(o: &Options) -> Result<(), String> {
                 .cost()
                 .time;
             let cost = results[i][0].cost().time;
-            assert!(
-                (cost - reference).abs() <= 1e-9 * reference.max(1.0),
-                "query {i} (sockets): {cost} vs serial {reference}"
-            );
+            if (cost - reference).abs() > 1e-9 * reference.max(1.0) {
+                return Err(format!("query {i} (sockets): {cost} vs serial {reference}"));
+            }
         }
         println!(
             "all {} results match the serial DP reference",
@@ -680,12 +678,14 @@ fn cmd_compare(o: &Options) -> Result<(), String> {
         latency,
         ..MpqConfig::default()
     })
-    .optimize(&query, o.space, o.objective, o.workers);
+    .try_optimize(&query, o.space, o.objective, o.workers)
+    .map_err(|e| e.to_string())?;
     let sma = SmaOptimizer::new(SmaConfig {
         latency,
         ..SmaConfig::default()
     })
-    .optimize(&query, o.space, o.objective, o.workers as usize);
+    .try_optimize(&query, o.space, o.objective, o.workers as usize)
+    .map_err(|e| e.to_string())?;
     println!(
         "{:<6} {:>12} {:>14} {:>8}",
         "", "time (ms)", "network (B)", "rounds"
@@ -706,10 +706,9 @@ fn cmd_compare(o: &Options) -> Result<(), String> {
     );
     let a = mpq.plans[0].cost().time;
     let b = sma.plans[0].cost().time;
-    assert!(
-        (a - b).abs() <= 1e-6 * b.max(1.0),
-        "optimizers disagree: {a} vs {b}"
-    );
+    if (a - b).abs() > 1e-6 * b.max(1.0) {
+        return Err(format!("optimizers disagree: {a} vs {b}"));
+    }
     println!("both found the same optimal plan cost: {a:.4e}");
     Ok(())
 }
