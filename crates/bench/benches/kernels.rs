@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the optimizer's hot kernels: the per-partition DP
 //! in its two configurations (textbook reference loop, streaming arena
-//! kernel) with the memo's bytes per stored set, a one-thread pair of
-//! partitions straddling the size where the estimator's table used to
-//! stop, dense-index lookup beside the carried-index step,
+//! kernel) with the memo's bytes per stored set, the partition
+//! `benchmark/`'s `large_linear` runs, a one-thread pair of partitions
+//! straddling the size where the estimator's table used to stop,
+//! dense-index lookup beside the carried-index step,
 //! admissible-set enumeration, and the wire codec. These guard the
 //! constant factors behind the paper-level experiments.
 //!
@@ -106,27 +107,45 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
     );
 }
 
+/// Times the arena kernel on partition `id` of `partitions` of a
+/// `tables`-table left-deep star query, one thread; records the samples
+/// as `dp_arena_linear{tables}_l{log2 partitions}` and returns the median.
+fn time_linear_partition(
+    report: &mut BenchReport,
+    tables: usize,
+    id: u64,
+    partitions: u64,
+    samples: usize,
+) -> f64 {
+    let q =
+        WorkloadGenerator::new(WorkloadConfig::with_graph(tables, JoinGraph::Star), 7).next_query();
+    let constraints = partition_constraints(tables, PlanSpace::Linear, id, partitions);
+    let ms = sample_ms(samples, || {
+        black_box(optimize_partition(
+            black_box(&q),
+            PlanSpace::Linear,
+            Objective::Single,
+            &constraints,
+        ));
+    });
+    let l = partitions.trailing_zeros();
+    report.timing(&format!("dp_arena_linear{tables}_l{l}"), "ms", &ms);
+    median(&mut ms.clone())
+}
+
+/// `benchmark/`'s `large_linear` partition — 15 tables, left-deep, one of
+/// two partitions — on one thread: the shape a claim on that workload's
+/// `opt_ms_best` is sized on, without the service around it.
+fn bench_claimed_shape(report: &mut BenchReport, samples: usize) {
+    time_linear_partition(report, 15, 1, 2, samples);
+}
+
 /// One quarter of Linear 20 and of Linear 21, on one thread: the pair
 /// straddles the size above which the estimator used to keep no table at
 /// all (Linear 21 cost 4.0x Linear 20 for 2.1x the splits). ROADMAP item 9
 /// asks for at most 2.3x.
 fn bench_size_step(report: &mut BenchReport) {
-    let mut medians = Vec::new();
-    for tables in [20usize, 21] {
-        let q = WorkloadGenerator::new(WorkloadConfig::with_graph(tables, JoinGraph::Star), 7)
-            .next_query();
-        let constraints = partition_constraints(tables, PlanSpace::Linear, 2, 4);
-        let ms = sample_ms(3, || {
-            black_box(optimize_partition(
-                black_box(&q),
-                PlanSpace::Linear,
-                Objective::Single,
-                &constraints,
-            ));
-        });
-        medians.push(median(&mut ms.clone()));
-        report.timing(&format!("dp_arena_linear{tables}_l2"), "ms", &ms);
-    }
+    let medians = [20usize, 21].map(|tables| time_linear_partition(report, tables, 2, 4, 3));
     println!(
         "\nLinear 21 / Linear 20 (l = 2, one thread): {:.1} ms / {:.1} ms = x{:.2} (target <= 2.3)",
         medians[1],
@@ -216,6 +235,7 @@ fn main() {
     let mut report = BenchReport::new("kernels");
     report.config("samples", samples);
     bench_dp_kernels(&mut report, samples);
+    bench_claimed_shape(&mut report, samples);
     bench_size_step(&mut report);
     bench_serial(&mut report, samples);
     bench_index_and_enumeration(&mut report, samples);

@@ -662,7 +662,9 @@ mod tests {
         let q = query(3);
         let a = svc.submit(&q, (0, 1), false).unwrap();
         let b = svc.submit(&q, (0, 2), false).unwrap();
-        let sent = svc.metrics().snapshot().messages;
+        // (Bytes towards the workers, not the message count: the echoes of
+        // `a` and `b` may still be on their way back.)
+        let sent = svc.metrics().snapshot().master_to_worker_bytes;
         let refusal = LifecycleError::Overloaded {
             in_flight: 2,
             limit: 2,
@@ -672,7 +674,7 @@ mod tests {
             Some(EchoError::Lifecycle(refusal))
         );
         // The refusal left zero state: nothing sent, nothing live.
-        assert_eq!(svc.metrics().snapshot().messages, sent);
+        assert_eq!(svc.metrics().snapshot().master_to_worker_bytes, sent);
         assert_eq!(svc.in_flight(), 2);
         // Parking drives the in-flight sessions until one finishes.
         let c = svc.submit(&q, (0, 3), true).unwrap();

@@ -20,7 +20,7 @@ use mpq_dp::WorkerStats;
 use mpq_model::{
     Catalog, JoinGraph, Predicate, Query, TableSet, TableStats, WorkloadConfig, WorkloadGenerator,
 };
-use mpq_partition::PlanSpace;
+use mpq_partition::{is_partition_range, partition_constraints, PlanSpace};
 use mpq_plan::{Plan, PlanEntry, PlanNode};
 use proptest::prelude::*;
 
@@ -173,8 +173,64 @@ fn hostile_approximation_factors_fail_typed() {
     }
 }
 
+/// Regression (ISSUE 24 satellite): a task's partition range is three
+/// integers decoded as they come, and `partition_constraints` asserts on a
+/// total that is no power of two, an ID past it, or more constraints than
+/// the query has groups — so a task carrying one killed the resident
+/// worker that decoded it, and a count of `u64::MAX` would have run for
+/// good. `is_partition_range` is what worker and master ask first; valid
+/// ranges, the whole space included, pass.
+#[test]
+fn hostile_partition_ranges_are_refused() {
+    let linear3 =
+        |first, count, total| is_partition_range(3, PlanSpace::Linear, first, count, total);
+    for (first, count, total) in [
+        (0, 1, 3),
+        (7, 1, 4),
+        (0, 1, 1 << 40),
+        (0, u64::MAX, 1),
+        (1, u64::MAX, 2),
+        (0, 0, 1),
+        (0, 1, 0),
+    ] {
+        assert!(!linear3(first, count, total), "{first}+{count} of {total}");
+    }
+    assert!(linear3(0, 1, 1) && linear3(1, 1, 2) && linear3(0, 2, 2));
+    assert!(is_partition_range(
+        24,
+        PlanSpace::Linear,
+        0,
+        1 << 12,
+        1 << 12
+    ));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(128)))]
+
+    /// Arbitrary partition ranges: one the guard accepts decodes to
+    /// constraints at both its ends; the rest never reach the decoder.
+    #[test]
+    fn accepted_partition_ranges_decode(
+        n in 1usize..=24,
+        bushy in any::<bool>(),
+        first in any::<u64>(),
+        count in any::<u64>(),
+        log in 0u32..64,
+        junk in any::<u64>(),
+        small in any::<bool>(),
+    ) {
+        let space = if bushy { PlanSpace::Bushy } else { PlanSpace::Linear };
+        // Half the totals are powers of two, half the ranges lie near them.
+        let total = if junk % 2 == 0 { 1u64 << (log % 14) } else { junk };
+        let (first, count) = if small { (first % (total | 1), 1 + count % 4) } else { (first, count) };
+        if is_partition_range(n, space, first, count, total) {
+            for id in [first, first + (count - 1)] {
+                let constraints = partition_constraints(n, space, id, total);
+                prop_assert_eq!(constraints.len() as u32, total.trailing_zeros());
+            }
+        }
+    }
 
     /// Arbitrary byte soup: every decoder returns instead of panicking.
     #[test]

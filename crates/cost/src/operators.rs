@@ -162,7 +162,8 @@ impl JoinOp {
 /// Everything about costing a join that depends on the split
 /// `(left, right)` alone. The operand *plans* contribute only their output
 /// orders, so the DP builds this once per split and calls
-/// [`SplitCosts::apply`] once per (left plan × right plan × operator).
+/// [`SplitCosts::time`] once per (left plan × right plan × operator), and
+/// [`SplitCosts::apply`] for the plans whose buffer it needs too.
 ///
 /// Precomputing an operand of a sum or `max` does not change a rounding:
 /// `apply` performs the same f64 additions and `max`es, in the same order,
@@ -237,6 +238,32 @@ impl SplitCosts {
         }
     }
 
+    /// Time of `op` on this split and the operator's physical output order,
+    /// given the orders the operand plans deliver: the half of
+    /// [`SplitCosts::apply`] that single-objective pruning decides on, by
+    /// the same additions in the same order. `None` where `apply` is.
+    #[inline]
+    pub fn time(&self, op: JoinOp, left_order: Order, right_order: Order) -> Option<(f64, Order)> {
+        Some(match op {
+            // Nested-loop preserves the outer order; hash join output
+            // follows the probe (outer) order.
+            JoinOp::NestedLoop => (self.nested_loop.time, left_order),
+            JoinOp::Hash => (self.hash.time, left_order),
+            JoinOp::SortMerge => {
+                let sm = self.sort_merge.as_ref()?;
+                let mut time = sm.merge;
+                if left_order != sm.want_left {
+                    time += sm.sort_left;
+                }
+                if right_order != sm.want_right {
+                    time += sm.sort_right;
+                }
+                // Output is sorted on the outer-side attribute.
+                (time, sm.want_left)
+            }
+        })
+    }
+
     /// Incremental cost and output order of `op` on this split, given the
     /// orders the operand plans deliver. Returns `None` if the operator is
     /// inapplicable (sort-merge join on a cross product).
@@ -247,35 +274,25 @@ impl SplitCosts {
         left_order: Order,
         right_order: Order,
     ) -> Option<JoinApplication> {
-        Some(match op {
-            // Nested-loop preserves the outer order; hash join output
-            // follows the probe (outer) order.
-            JoinOp::NestedLoop => JoinApplication {
-                cost: self.nested_loop,
-                output_order: left_order,
-            },
-            JoinOp::Hash => JoinApplication {
-                cost: self.hash,
-                output_order: left_order,
-            },
+        let (time, output_order) = self.time(op, left_order, right_order)?;
+        let buffer = match op {
+            JoinOp::NestedLoop => self.nested_loop.buffer,
+            JoinOp::Hash => self.hash.buffer,
             JoinOp::SortMerge => {
                 let sm = self.sort_merge.as_ref()?;
-                let mut time = sm.merge;
                 let mut buffer: f64 = 0.0;
                 if left_order != sm.want_left {
-                    time += sm.sort_left;
                     buffer = buffer.max(sm.buffer_left);
                 }
                 if right_order != sm.want_right {
-                    time += sm.sort_right;
                     buffer = buffer.max(sm.buffer_right);
                 }
-                JoinApplication {
-                    cost: CostVector::new(time, buffer),
-                    // Output is sorted on the outer-side attribute.
-                    output_order: sm.want_left,
-                }
+                buffer
             }
+        };
+        Some(JoinApplication {
+            cost: CostVector::new(time, buffer),
+            output_order,
         })
     }
 }

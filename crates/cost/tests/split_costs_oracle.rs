@@ -143,6 +143,12 @@ fn split_costs_match_the_per_candidate_formula_bitwise() {
                             let got = split.apply(op, lo, ro);
                             let one_shot = op.apply(&mut est, left, right, lo, ro);
                             let ctx = format!("{graph:?} seed {seed} {left:?}|{right:?} {op:?}");
+                            // The time-only accessor is the same half of it.
+                            assert_eq!(
+                                split.time(op, lo, ro).map(|(t, o)| (t.to_bits(), o)),
+                                want.map(|w| (w.cost.time.to_bits(), w.output_order)),
+                                "{ctx}"
+                            );
                             for got in [got, one_shot] {
                                 match (want, got) {
                                     (None, None) => cross_products += 1,

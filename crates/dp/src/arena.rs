@@ -27,15 +27,19 @@
 //!   same candidate loop as the reference kernel's (`for_each_split`,
 //!   `join_candidates` in [`crate::worker`]), so they are generated in
 //!   exactly its order.
-//! * A candidate is a cost, an order and two entry indices; a
-//!   [`PlanEntry`] is built only for one that is kept. Single-objective
-//!   runs reduce the candidates as they stream by ([`ClassMinima`]): only
-//!   the cheapest candidate of each interesting-order class (an order is
-//!   relabelled `None` once no later join can use it, so a set has few)
-//!   reaches the scalar pruning function, which provably yields the same
-//!   slot, in the same entry order, as inserting every candidate
-//!   sequentially. Multi-objective runs test every candidate against the
-//!   slot built so far, on its cost and order alone.
+//! * Under single-objective pruning a candidate's fate is decided by its
+//!   time and its order class, and its cost vector is the same f64
+//!   operations in the same order whenever it is evaluated. So the
+//!   candidate loop evaluates the time only, single-objective runs reduce
+//!   the candidates as they stream by on that one number
+//!   ([`ClassMinima`]), and only the cheapest candidate of each
+//!   interesting-order class (an order is relabelled `None` once no later
+//!   join can use it, so a set has few) is costed in full, built into a
+//!   [`PlanEntry`] and handed to the scalar pruning function — which
+//!   provably yields the same slot, in the same entry order, as costing
+//!   and inserting every candidate sequentially. Multi-objective runs ask
+//!   every candidate for its vector and test it against the slot built so
+//!   far, on cost and order alone; an entry is built for one that is kept.
 //! * Sets are visited in ascending dense index, which puts every
 //!   admissible subset of a set before the set.
 
@@ -233,7 +237,8 @@ impl ArenaMemo {
 
 /// Streaming single-objective reduction of one set's candidates: the
 /// running cheapest candidate per interesting-order class, direct-mapped
-/// by the order's code — one comparison per candidate.
+/// by the order's code — one comparison per candidate, on its time; the
+/// rest of a cost vector is evaluated for the winners only.
 ///
 /// Under single-objective pruning the fate of a set's whole candidate
 /// stream is decided by one number per order class — the minimum time.
@@ -245,7 +250,11 @@ impl ArenaMemo {
 /// same-order winner `w` with `w.time <= c.time`, so everything `c` would
 /// reject or remove, `w` rejects or removes too, and `c` itself never
 /// survives `w`'s insertion. `kernel_differential` checks this equivalence
-/// over randomized candidate streams.
+/// over randomized candidate streams. (A NaN time — statistics off the
+/// wire can produce `0 · ∞` — is outside the argument: `<` never lets one
+/// displace a minimum, and none displaces it, so a class keeps at most the
+/// NaN that opened it, where sequential insertion keeps them all. The
+/// suite pins that behaviour too, against an eager form of this reducer.)
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct ClassMinima {
@@ -257,7 +266,8 @@ pub struct ClassMinima {
     offered: u64,
 }
 
-/// The cheapest candidate of one order class so far.
+/// The cheapest candidate of one order class so far: the time it won on
+/// and what its entry is built from.
 #[derive(Clone, Copy, Debug)]
 struct ClassBest {
     /// Its position in the set's candidate stream; `VACANT` while the
@@ -267,7 +277,15 @@ struct ClassBest {
     generation: u64,
     /// The left operand of the split it was generated for.
     left: TableSet,
-    candidate: Candidate,
+    time: f64,
+    /// [`Candidate::buffer_operands`], reduced only if it is still the
+    /// cheapest when the stream ends: a class's running minimum changes
+    /// hands about four times per winner (Linear 15), and copying three
+    /// numbers is cheaper than two `max`es.
+    buffers: [f64; 3],
+    op: JoinOp,
+    left_idx: u32,
+    right_idx: u32,
 }
 
 /// One class per table, plus unordered.
@@ -279,13 +297,11 @@ impl Default for ClassMinima {
         let vacant = ClassBest {
             generation: VACANT,
             left: TableSet::EMPTY,
-            candidate: Candidate {
-                cost: CostVector::ZERO,
-                order: Order::None,
-                op: JoinOp::NestedLoop,
-                left_idx: 0,
-                right_idx: 0,
-            },
+            time: 0.0,
+            buffers: [0.0; 3],
+            op: JoinOp::NestedLoop,
+            left_idx: 0,
+            right_idx: 0,
         };
         ClassMinima {
             best: [vacant; ORDER_CODES],
@@ -300,7 +316,7 @@ impl ClassMinima {
     /// whose left operand is `left`. Its order must be one the memo can
     /// label an entry with ([`mpq_cost::Order::if_live`]'s output).
     #[inline]
-    pub fn offer(&mut self, left: TableSet, candidate: Candidate) {
+    pub fn offer(&mut self, left: TableSet, candidate: Candidate<'_>) {
         let generation = self.offered;
         self.offered += 1;
         let code = candidate.order.to_code();
@@ -309,17 +325,22 @@ impl ClassMinima {
         if vacant {
             self.occupied.push(code);
         }
-        if vacant || candidate.cost.time < class.candidate.cost.time {
+        if vacant || candidate.time < class.time {
             *class = ClassBest {
                 generation,
                 left,
-                candidate,
+                time: candidate.time,
+                buffers: candidate.buffer_operands(),
+                op: candidate.op,
+                left_idx: candidate.left_idx,
+                right_idx: candidate.right_idx,
             };
         }
     }
 
-    /// Builds the winners' entries for result set `set` and inserts them
-    /// into `slot`, in generation order; resets for the next set.
+    /// Costs the winners in full, builds their entries for result set
+    /// `set` and inserts them into `slot`, in generation order; resets for
+    /// the next set.
     pub fn insert_winners(
         &mut self,
         set: TableSet,
@@ -330,11 +351,21 @@ impl ClassMinima {
         self.occupied
             .sort_unstable_by_key(|&code| best[code as usize].generation);
         for code in self.occupied.drain(..) {
-            let ClassBest {
-                left, candidate, ..
-            } = best[code as usize];
+            let winner = best[code as usize];
             best[code as usize].generation = VACANT;
-            pruning.try_insert(slot, candidate.entry(left, set.difference(left)));
+            let [l, r, app] = winner.buffers;
+            pruning.try_insert(
+                slot,
+                PlanEntry::join(
+                    winner.op,
+                    winner.left,
+                    winner.left_idx,
+                    set.difference(winner.left),
+                    winner.right_idx,
+                    CostVector::new(winner.time, l.max(r).max(app)),
+                    Order::from_code(code),
+                ),
+            );
         }
         self.offered = 0;
     }
@@ -353,11 +384,23 @@ pub fn optimize_partition(
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
     let pruning = PruningPolicy::new(objective, n);
+    let (memo, stats) = fill(query, space, &pruning, constraints);
+    finish(&memo, &pruning, stats, start)
+}
+
+/// The kernel proper: the memo of the partition, filled, and the work it
+/// took.
+fn fill(
+    query: &Query,
+    space: PlanSpace,
+    pruning: &PruningPolicy,
+    constraints: &ConstraintSet,
+) -> (ArenaMemo, WorkerStats) {
     let est = CardinalityEstimator::new(query);
     let adm = AdmissibleSets::new(constraints);
     let mut memo = ArenaMemo::new(adm.clone());
     let mut stats = WorkerStats::default();
-    seed_scans(&mut memo, &est, &pruning);
+    seed_scans(&mut memo, &est, pruning);
 
     let env = SplitEnv {
         space,
@@ -376,32 +419,32 @@ pub fn optimize_partition(
         for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
             stats.splits_tried += 1;
             let left = split.left.set;
-            stats.plans_generated += match objective {
+            stats.plans_generated += match pruning.objective() {
                 Objective::Single => {
                     join_candidates(predicates, &split, live, |c| minima.offer(left, c))
                 }
                 // Pareto pruning has no single-number reduction: every
                 // candidate meets the slot built so far.
                 Objective::Multi { .. } => join_candidates(predicates, &split, live, |c| {
-                    pruning.try_insert_with(&mut slot, 0, c.cost, c.order, || {
-                        c.entry(left, split.right.set)
+                    let cost = c.cost();
+                    pruning.try_insert_with(&mut slot, 0, cost, c.order, || {
+                        c.entry_costing(cost, left, split.right.set)
                     });
                 }),
             };
         });
-        minima.insert_winners(set, &pruning, &mut slot);
+        minima.insert_winners(set, pruning, &mut slot);
         memo.push_slot(idx, est.set_stats(set), &slot);
         slot.clear();
     }
-
-    finish(&memo, &pruning, stats, start)
+    (memo, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::worker::{optimize_partition_reference, optimize_serial};
-    use mpq_cost::ScanOp;
+    use mpq_cost::{ScanOp, SplitCosts};
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_partition::{partition_constraints, Grouping};
     use mpq_plan::PlanNode;
@@ -410,21 +453,53 @@ mod tests {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
     }
 
-    fn candidate(time: f64, order: Order, left_idx: u32) -> Candidate {
-        Candidate {
-            cost: CostVector::new(time, 0.0),
+    /// The costs of a split of two empty operands: every operator is free,
+    /// so a candidate costs what its operand plans do.
+    fn free_split() -> SplitCosts {
+        let q = query(2, 1);
+        let empty = UNWRITTEN.stats;
+        let (left, right) = (TableSet::singleton(0), TableSet::singleton(1));
+        let est = CardinalityEstimator::new(&q);
+        SplitCosts::from_stats(est.predicates(), left, &empty, right, &empty)
+    }
+
+    /// An operand plan of the given time and order.
+    fn plan(time: f64, order: Order) -> PlanEntry {
+        PlanEntry {
             order,
-            op: JoinOp::Hash,
-            left_idx,
-            right_idx: 0,
+            ..entry(time)
         }
+    }
+
+    /// The hash join of `left` (entry `left_idx` of its slot) with a free
+    /// inner plan: a candidate of `left`'s time and order.
+    fn candidate<'a>(costs: &'a SplitCosts, left: &'a PlanEntry, left_idx: u32) -> Candidate<'a> {
+        const FREE: PlanEntry = PlanEntry {
+            cost: CostVector::ZERO,
+            order: Order::None,
+            node: PlanNode::Scan {
+                table: 1,
+                op: ScanOp::Full,
+            },
+        };
+        let every_order = TableSet::full(TableSet::MAX_TABLES);
+        Candidate::new(
+            costs,
+            JoinOp::Hash,
+            (left_idx, left),
+            (0, &FREE),
+            every_order,
+        )
+        .expect("a hash join always applies")
     }
 
     /// Streams `(time, order)` candidates through the reducer and returns
     /// the resulting slot as `(time, order)` pairs.
     fn reduce(minima: &mut ClassMinima, cands: &[(f64, Order)]) -> Vec<(f64, Order)> {
+        let costs = free_split();
         for &(time, order) in cands {
-            minima.offer(TableSet::singleton(0), candidate(time, order, 0));
+            let left = plan(time, order);
+            minima.offer(TableSet::singleton(0), candidate(&costs, &left, 0));
         }
         let mut slot = Vec::new();
         minima.insert_winners(
@@ -460,10 +535,11 @@ mod tests {
     #[test]
     fn ties_keep_the_earliest_candidate() {
         let mut minima = ClassMinima::default();
+        let (costs, tied) = (free_split(), plan(2.0, Order::None));
         for (left, left_idx) in [(1, 7), (0, 9)] {
             minima.offer(
                 TableSet::singleton(left),
-                candidate(2.0, Order::None, left_idx),
+                candidate(&costs, &tied, left_idx),
             );
         }
         let mut slot = Vec::new();
@@ -475,12 +551,38 @@ mod tests {
         // The survivor is the first candidate, built for its own split.
         assert_eq!(
             slot,
-            [
-                candidate(2.0, Order::None, 7)
-                    .entry(TableSet::singleton(1), TableSet::singleton(0))
-            ]
+            [candidate(&costs, &tied, 7).entry(TableSet::singleton(1), TableSet::singleton(0))]
         );
         assert!(matches!(slot[0].node, PlanNode::Join { left_idx: 7, .. }));
+    }
+
+    /// The winner's buffer is `(left ∨ right) ∨ app` of the candidate that
+    /// won on time, not of a later loser of its class.
+    #[test]
+    fn a_winner_keeps_its_own_buffer() {
+        let mut minima = ClassMinima::default();
+        let costs = free_split();
+        let plans = [(1.0, 8.0), (3.0, 64.0), (1.0, 2.0)].map(|(time, buffer)| PlanEntry {
+            cost: CostVector::new(time, buffer),
+            ..plan(time, Order::None)
+        });
+        for (idx, left) in plans.iter().enumerate() {
+            minima.offer(TableSet::singleton(0), candidate(&costs, left, idx as u32));
+        }
+        let mut slot = Vec::new();
+        minima.insert_winners(
+            TableSet::full(2),
+            &PruningPolicy::new(Objective::Single, 4),
+            &mut slot,
+        );
+        assert_eq!(
+            slot,
+            [
+                candidate(&costs, &plans[0], 0)
+                    .entry(TableSet::singleton(0), TableSet::singleton(1))
+            ]
+        );
+        assert_eq!(slot[0].cost, CostVector::new(1.0, 8.0));
     }
 
     #[test]
@@ -700,6 +802,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Both kernels' whole memos, slot by slot and bit by bit — statistics,
+    /// entry order, both costs, child references — and their counters:
+    /// Linear 11–12 at every partition of m ∈ {1, 2, 4, 8, 16} and Bushy 9
+    /// at m ∈ {1, 2, 4}, all four graph shapes, both objectives. Minutes in
+    /// a debug build, seconds in release, where CI runs it.
+    #[test]
+    #[ignore = "deep grid: run with --release -- --include-ignored"]
+    fn arena_equals_reference_deep() {
+        let grid = [
+            (PlanSpace::Linear, 11..=12, 4),
+            (PlanSpace::Bushy, 9..=9, 2),
+        ];
+        let mut slots = 0u64;
+        for (space, sizes, max_l) in grid {
+            for n in sizes {
+                for (g, graph) in mpq_model::JoinGraph::ALL.into_iter().enumerate() {
+                    let q = WorkloadGenerator::new(
+                        WorkloadConfig::with_graph(n, graph),
+                        0xDEE9 + 31 * n as u64 + g as u64,
+                    )
+                    .next_query();
+                    for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
+                        let pruning = PruningPolicy::new(objective, n);
+                        for m in (0..=max_l).map(|l| 1u64 << l) {
+                            for id in 0..m {
+                                let ctx = format!("{space:?} {n} {graph:?} {objective:?} {id}/{m}");
+                                let cs = partition_constraints(n, space, id, m);
+                                let (memo, stats) = fill(&q, space, &pruning, &cs);
+                                let (reference, reference_stats) =
+                                    crate::worker::reference_fill(&q, space, &pruning, &cs, false);
+                                assert_eq!(stats, reference_stats, "{ctx}");
+                                let singles = (0..n).map(TableSet::singleton);
+                                for set in memo.admissible().iter().chain(singles) {
+                                    let bits = |memo: &ArenaMemo| {
+                                        let stats = memo.stats(set).map(|s| {
+                                            [s.cardinality, s.tuple_bytes, s.sort_cost]
+                                                .map(f64::to_bits)
+                                        });
+                                        let entries: Vec<_> = memo
+                                            .entries(set)
+                                            .iter()
+                                            .map(|e| {
+                                                let cost = [e.cost.time, e.cost.buffer];
+                                                (cost.map(f64::to_bits), e.order, e.node)
+                                            })
+                                            .collect();
+                                        (stats, entries)
+                                    };
+                                    assert_eq!(bits(&memo), bits(&reference), "{ctx}: {set}");
+                                    slots += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(slots > 500_000, "{slots} slots compared");
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //! admissible set, statistics and entry span, addressed by the dense
 //! admissible-set index over one contiguous entry array), and two ways to
 //! fill it bottom-up: the streaming kernel ([`optimize_partition`] —
-//! per-order-class minima, entries built only for the candidates that are
-//! kept; the default) and the textbook slot-at-a-time loop
-//! ([`optimize_partition_reference`]) that the differential suites hold it
-//! to, bit for bit. Top-down, parametric and SMA's per-set enumeration run
-//! on the same memo.
+//! per-order-class minima compared on time, cost vectors and entries built
+//! only for the candidates that are kept; the default) and the textbook
+//! slot-at-a-time loop ([`optimize_partition_reference`]) that the
+//! differential suites hold it to, bit for bit. Top-down, parametric and
+//! SMA's per-set enumeration run on the same memo.
 //!
 //! [`cached`] wraps the partition optimizers in the cross-query memo
 //! cache (`mpq_plan::cache`): repeated subproblems — same canonical query

@@ -20,8 +20,8 @@
 
 use crate::arena::ArenaMemo;
 use crate::stats::WorkerStats;
-use crate::worker::{complete_plans, for_each_split_filtered, Split, SplitEnv};
-use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, SplitCosts, JOIN_OPS};
+use crate::worker::{complete_plans, for_each_split_filtered, join_candidates, Split, SplitEnv};
+use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, SplitCosts};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::{Plan, PlanEntry, PlanNode, PruningPolicy};
@@ -144,32 +144,21 @@ pub fn optimize_parametric_partition(
         let live = lo.predicates().interesting_orders(set);
         for_each_split_filtered(&env, set, |l, r| {
             stats.splits_tried += 1;
-            let Split { left, right } = Split::of(&memo, l, r);
-            let costs_lo = SplitCosts::from_stats(lo.predicates(), l, left.stats, r, right.stats);
+            let split = Split::of(&memo, l, r);
             let costs_hi = SplitCosts::new(&mut hi, l, r);
-            for (li, le) in left.entries.iter().enumerate() {
-                for (ri, re) in right.entries.iter().enumerate() {
-                    for op in JOIN_OPS {
-                        let Some(al) = costs_lo.apply(op, le.order, re.order) else {
-                            continue;
-                        };
-                        let Some(ah) = costs_hi.apply(op, le.order, re.order) else {
-                            continue;
-                        };
-                        debug_assert_eq!(al.output_order, ah.output_order);
-                        let cost = CostVector::new(
-                            le.cost.time + re.cost.time + al.cost.time,
-                            le.cost.buffer + re.cost.buffer + ah.cost.time,
-                        );
-                        stats.plans_generated += 1;
-                        let order = al.output_order.if_live(live);
-                        policy.try_insert(
-                            &mut slot,
-                            PlanEntry::join(op, l, li as u32, r, ri as u32, cost, order),
-                        );
-                    }
-                }
-            }
+            // The one candidate loop costs the `low` scenario; the `high`
+            // time of the same operator on the same operand plans rides in
+            // the buffer component.
+            let mut inapplicable = 0;
+            let generated = join_candidates(lo.predicates(), &split, live, |c| {
+                let Some((high, _)) = costs_hi.time(c.op, c.left.order, c.right.order) else {
+                    inapplicable += 1;
+                    return;
+                };
+                let cost = CostVector::new(c.time, c.left.cost.buffer + c.right.cost.buffer + high);
+                policy.try_insert(&mut slot, c.entry_costing(cost, l, r));
+            });
+            stats.plans_generated += generated - inapplicable;
         });
         memo.push_slot(idx, lo.set_stats(set), &slot);
         slot.clear();

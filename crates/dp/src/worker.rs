@@ -34,7 +34,13 @@
 //! table sets up.
 //!
 //! Every traversal in the crate turns a split into plans through the one
-//! candidate loop, `join_candidates`.
+//! candidate loop, `join_candidates`. Single-objective pruning decides a
+//! candidate's fate on its time and its order class, and a candidate's
+//! cost vector is the same f64 operations in the same order whenever it is
+//! evaluated: the loop hands its sink a [`Candidate`] with the time
+//! evaluated and the rest of the vector on request — the streaming kernel
+//! asks for the winners', every other traversal (reference loop, Pareto
+//! path, top-down, parametric, SMA) for each one's.
 
 use crate::arena::{optimize_partition, ArenaMemo};
 use crate::reconstruct::reconstruct_plan;
@@ -122,12 +128,25 @@ fn reference_loop(
     let start = Instant::now();
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
+    let policy = PruningPolicy::new(objective, n);
+    let (memo, stats) = reference_fill(query, space, &policy, constraints, filtered);
+    finish(&memo, &policy, stats, start)
+}
+
+/// The loop proper: the memo of the partition, filled, and the work it
+/// took.
+pub(crate) fn reference_fill(
+    query: &Query,
+    space: PlanSpace,
+    policy: &PruningPolicy,
+    constraints: &ConstraintSet,
+    filtered: bool,
+) -> (ArenaMemo, WorkerStats) {
     let est = CardinalityEstimator::new(query);
     let predicates = est.predicates();
-    let policy = PruningPolicy::new(objective, n);
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
     let mut stats = WorkerStats::default();
-    seed_scans(&mut memo, &est, &policy);
+    seed_scans(&mut memo, &est, policy);
 
     // Ascending dense-index order visits every admissible subset of a set
     // before the set itself, so iterating indices replaces the explicit
@@ -148,20 +167,19 @@ fn reference_loop(
         if filtered {
             let examined = for_each_split_filtered(&env, set, |left, right| {
                 let split = Split::of(&memo, left, right);
-                combine_operands(&split, live, predicates, &policy, &mut slot, &mut stats);
+                combine_operands(&split, live, predicates, policy, &mut slot, &mut stats);
             });
             stats.splits_tried += examined;
         } else {
             for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
                 stats.splits_tried += 1;
-                combine_operands(&split, live, predicates, &policy, &mut slot, &mut stats);
+                combine_operands(&split, live, predicates, policy, &mut slot, &mut stats);
             });
         }
         memo.push_slot(idx, est.set_stats(set), &slot);
         slot.clear();
     }
-
-    finish(&memo, &policy, stats, start)
+    (memo, stats)
 }
 
 /// Seeds the best plans for single tables (Algorithm 2, lines 9-11), each
@@ -233,30 +251,102 @@ impl<'a> Split<'a> {
     }
 }
 
-/// One plan the candidate loop generated for a split, as much of it as
-/// deciding its fate needs: what it costs, the order class it competes in,
-/// and — should it be kept — the operator and the operand entries it joins.
+/// One plan the candidate loop generated for a split. What every pruning
+/// function reads first is evaluated when it is generated — the plan's
+/// `time`, the order class it competes in, the operator and the operand
+/// entries it joins; the rest of its cost is evaluated from the borrowed
+/// operand plans and split costs, should a sink ask ([`Candidate::cost`]).
 #[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Candidate {
-    pub cost: CostVector,
+#[derive(Clone, Copy, Debug)]
+pub struct Candidate<'a> {
+    pub time: f64,
     pub order: Order,
-    pub op: JoinOp,
+    pub(crate) op: JoinOp,
     pub left_idx: u32,
     pub right_idx: u32,
+    pub(crate) left: &'a PlanEntry,
+    pub(crate) right: &'a PlanEntry,
+    costs: &'a SplitCosts,
 }
 
-impl Candidate {
-    /// The memo entry of this candidate of the split `(left, right)`.
+impl<'a> Candidate<'a> {
+    /// The plan joining `left` (entry `left_idx` of its operand's slot) and
+    /// `right` with `op` on the split costed by `costs`, for a result whose
+    /// interesting orders are `live`; `None` where the operator does not
+    /// apply. Its time is that of `(left.cost + right.cost) + app.cost`.
+    #[inline]
+    pub fn new(
+        costs: &'a SplitCosts,
+        op: JoinOp,
+        (left_idx, left): (u32, &'a PlanEntry),
+        (right_idx, right): (u32, &'a PlanEntry),
+        live: TableSet,
+    ) -> Option<Self> {
+        let (time, output_order) = costs.time(op, left.order, right.order)?;
+        Some(Candidate {
+            time: (left.cost.time + right.cost.time) + time,
+            order: output_order.if_live(live),
+            op,
+            left_idx,
+            right_idx,
+            left,
+            right,
+            costs,
+        })
+    }
+}
+
+impl Candidate<'_> {
+    #[inline]
+    fn app(&self) -> CostVector {
+        self.costs
+            .apply(self.op, self.left.order, self.right.order)
+            .expect("a candidate exists only where its operator applies")
+            .cost
+    }
+
+    /// Its cost vector, `(left.cost + right.cost) + app.cost`: the same
+    /// f64 operations in the same order whenever it is called, so its time
+    /// has the bits of `time`.
+    #[inline]
+    pub fn cost(&self) -> CostVector {
+        self.left.cost.add(&self.right.cost).add(&self.app())
+    }
+
+    /// The operands of that sum's two buffer `max`es — `cost().buffer` is
+    /// `l.max(r).max(app)` — for a sink that reduces them later
+    /// ([`crate::arena::ClassMinima`]).
+    #[inline]
+    pub(crate) fn buffer_operands(&self) -> [f64; 3] {
+        [
+            self.left.cost.buffer,
+            self.right.cost.buffer,
+            self.app().buffer,
+        ]
+    }
+
+    /// The memo entry of this candidate of the split `(left, right)`,
+    /// costed now.
     #[inline]
     pub fn entry(&self, left: TableSet, right: TableSet) -> PlanEntry {
+        self.entry_costing(self.cost(), left, right)
+    }
+
+    /// [`Candidate::entry`] with the cost the caller already asked for.
+    #[inline]
+    pub(crate) fn entry_costing(
+        &self,
+        cost: CostVector,
+        left: TableSet,
+        right: TableSet,
+    ) -> PlanEntry {
         PlanEntry::join(
             self.op,
             left,
             self.left_idx,
             right,
             self.right_idx,
-            self.cost,
+            cost,
             self.order,
         )
     }
@@ -271,7 +361,8 @@ impl Candidate {
 /// operands' memoized statistics ([`SplitCosts::from_stats`]); a
 /// candidate's total is `(le.cost + re.cost) + app.cost` — the same
 /// floating-point operations in the same order however the caller prunes,
-/// which is what keeps all kernels bit-identical.
+/// which is what keeps all kernels bit-identical. The loop evaluates the
+/// time of that sum; the buffer waits for a sink that reads it.
 ///
 /// `live` is the result set's interesting orders
 /// ([`mpq_cost::PredicateIndex::interesting_orders`]), computed by the
@@ -284,7 +375,7 @@ pub(crate) fn join_candidates(
     predicates: &PredicateIndex,
     split: &Split<'_>,
     live: TableSet,
-    mut sink: impl FnMut(Candidate),
+    mut sink: impl FnMut(Candidate<'_>),
 ) -> u64 {
     let Split { left, right } = split;
     if left.entries.is_empty() || right.entries.is_empty() {
@@ -294,20 +385,21 @@ pub(crate) fn join_candidates(
     let mut generated = 0;
     for (li, le) in left.entries.iter().enumerate() {
         for (ri, re) in right.entries.iter().enumerate() {
-            let children = le.cost.add(&re.cost);
-            for op in JOIN_OPS {
-                let Some(app) = costs.apply(op, le.order, re.order) else {
-                    continue;
-                };
-                generated += 1;
-                sink(Candidate {
-                    cost: children.add(&app.cost),
-                    order: app.output_order.if_live(live),
-                    op,
-                    left_idx: li as u32,
-                    right_idx: ri as u32,
-                });
-            }
+            let (outer, inner) = ((li as u32, le), (ri as u32, re));
+            let mut emit = |op| {
+                if let Some(candidate) = Candidate::new(&costs, op, outer, inner, live) {
+                    generated += 1;
+                    sink(candidate);
+                }
+            };
+            // The operators in `JOIN_OPS` order, one call site each: with
+            // the operator a constant the costing is straight-line code,
+            // which a time-only sink makes worth having (Linear 15: 13.2
+            // → 10.5 ms; as `for op in JOIN_OPS`, 13.7).
+            let [first, second, third] = JOIN_OPS;
+            emit(first);
+            emit(second);
+            emit(third);
         }
     }
     generated

@@ -11,16 +11,22 @@
 //!
 //! The second half pins the reduction equivalence the arena kernel's
 //! single-objective fast path rests on: offering a candidate stream to the
-//! lazy reducer, which builds and inserts only the per-order-class minima,
-//! yields a memo slot identical (contents *and* entry order) to building
+//! lazy reducer, which compares candidates on time and costs, builds and
+//! inserts only the per-order-class minima, yields a memo slot identical
+//! (contents *and* entry order, every cost bit) to costing and building
 //! every candidate and inserting it through the scalar pruning function
-//! (see `ClassMinima` in `mpq_dp::arena`).
+//! (see `ClassMinima` in `mpq_dp::arena`). The streams are made of real
+//! candidates (`Candidate::new`, as the candidate loop makes them) over
+//! made-up operands.
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mpq_cost::{CostVector, Objective, Order, JOIN_OPS};
+use mpq_cost::{
+    CardinalityEstimator, CostVector, Objective, Order, PredicateIndex, SetStats, SplitCosts,
+    JOIN_OPS,
+};
 use mpq_dp::{
     optimize_partition, optimize_partition_reference, Candidate, ClassMinima, PartitionOutcome,
 };
@@ -176,104 +182,292 @@ impl Lcg {
             .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
+
+    fn pick<T: Copy>(&mut self, grid: &[T]) -> T {
+        grid[(self.next() % grid.len() as u64) as usize]
+    }
 }
 
-/// The result set of the randomized streams, and its splits' left operands.
+/// The result set of the randomized streams: four tables of a six-table
+/// clique, so every split has a sort-merge predicate and the set has
+/// orders a later join can ask for.
 const SET: TableSet = TableSet(0b1111);
 
-/// A random candidate of a random split of [`SET`], whose time is drawn
-/// from a small grid (forcing frequent exact ties, infinities at both ends
-/// included) and whose order cycles through unordered plus three attribute
-/// classes.
-fn random_candidate(rng: &mut Lcg) -> (TableSet, Candidate) {
-    let time = match rng.next() % 10 {
-        0 => f64::NEG_INFINITY,
-        9 => f64::INFINITY,
-        k => k as f64,
-    };
-    let buffer = (rng.next() % 4) as f64;
-    let order = match rng.next() % 4 {
-        0 => Order::None,
-        k => Order::OnAttribute(k as u8),
-    };
-    let left = TableSet(1 + rng.next() % (SET.bits() - 1));
-    let candidate = Candidate {
-        cost: CostVector::new(time, buffer),
-        order,
-        op: JOIN_OPS[(rng.next() % 3) as usize],
-        left_idx: (rng.next() % 4) as u32,
-        right_idx: (rng.next() % 4) as u32,
-    };
-    (left, candidate)
+/// One split of [`SET`] with made-up operands: plans and statistics drawn
+/// from small grids, so that times tie exactly — between the operators of
+/// one plan pair (nested loop and hash cost the same at cardinalities 3 × 3,
+/// 4 × 2, 0 × 0), between plans of one operand, between splits — and
+/// buffers tie, differ only in the sign of zero, or are NaN: a `max` taken
+/// of the wrong plan's operands, or in another order, shows in the bits.
+struct MadeUpSplit {
+    left: TableSet,
+    lefts: Vec<PlanEntry>,
+    rights: Vec<PlanEntry>,
+    costs: SplitCosts,
 }
 
-fn materialise((left, candidate): (TableSet, Candidate)) -> PlanEntry {
-    candidate.entry(left, SET.difference(left))
+impl MadeUpSplit {
+    /// Plans' times are drawn from `times`, operand cardinalities from
+    /// `cardinalities`.
+    fn random(
+        rng: &mut Lcg,
+        predicates: &PredicateIndex,
+        times: &[f64],
+        cardinalities: &[f64],
+    ) -> Self {
+        let plans = |rng: &mut Lcg| -> Vec<PlanEntry> {
+            (0..1 + rng.next() % 3)
+                .map(|_| PlanEntry {
+                    cost: CostVector::new(
+                        rng.pick(times),
+                        rng.pick(&[-0.0, 0.0, 1.0, 2.0, f64::NAN]),
+                    ),
+                    order: match rng.next() % 5 {
+                        4 => Order::None,
+                        t => Order::OnAttribute(t as u8),
+                    },
+                    node: PlanNode::Scan {
+                        table: 0,
+                        op: mpq_cost::ScanOp::Full,
+                    },
+                })
+                .collect()
+        };
+        let stats = |rng: &mut Lcg| SetStats {
+            cardinality: rng.pick(cardinalities),
+            tuple_bytes: rng.pick(&[-0.0, 0.0, 1.0, 2.0]),
+            sort_cost: rng.pick(&[0.0, 1.0, 2.0]),
+        };
+        let left = TableSet(1 + rng.next() % (SET.bits() - 1));
+        let right = SET.difference(left);
+        MadeUpSplit {
+            left,
+            lefts: plans(rng),
+            rights: plans(rng),
+            costs: SplitCosts::from_stats(predicates, left, &stats(rng), right, &stats(rng)),
+        }
+    }
+
+    /// The split's candidates, in the candidate loop's order.
+    fn candidates(&self, live: TableSet) -> impl Iterator<Item = Candidate<'_>> {
+        fn plans(side: &[PlanEntry]) -> impl Iterator<Item = (u32, &PlanEntry)> {
+            (0..).zip(side)
+        }
+        plans(&self.lefts).flat_map(move |l| {
+            plans(&self.rights).flat_map(move |r| {
+                JOIN_OPS
+                    .into_iter()
+                    .filter_map(move |op| Candidate::new(&self.costs, op, l, r, live))
+            })
+        })
+    }
+}
+
+/// A made-up candidate stream of [`SET`]: a few splits and the orders that
+/// are live above the set.
+struct MadeUpStream {
+    splits: Vec<MadeUpSplit>,
+    live: TableSet,
+}
+
+impl MadeUpStream {
+    /// With `nan`, times may be NaN: a plan's own, the sum of opposite
+    /// infinities, or a nested loop's over cardinalities `0 · ∞`. Without,
+    /// a stream has infinite times of one sign only.
+    fn random(rng: &mut Lcg, predicates: &PredicateIndex, nan: bool) -> Self {
+        let inf = f64::INFINITY;
+        let (low, odd, high) = if nan {
+            (-inf, f64::NAN, inf)
+        } else {
+            let one_sign = if rng.next() % 2 == 0 { inf } else { -inf };
+            (one_sign, 2.0, one_sign)
+        };
+        let times = [low, 0.0, 1.0, 2.0, odd, high];
+        let cardinalities: &[f64] = if nan {
+            &[0.0, 2.0, 3.0, 4.0, inf]
+        } else {
+            &[0.0, 2.0, 3.0, 4.0]
+        };
+        MadeUpStream {
+            live: TableSet(rng.next() & SET.bits()),
+            splits: (0..1 + rng.next() % 4)
+                .map(|_| MadeUpSplit::random(rng, predicates, &times, cardinalities))
+                .collect(),
+        }
+    }
+
+    /// Every candidate with the operands of its split, in stream order.
+    fn candidates(&self) -> impl Iterator<Item = (TableSet, TableSet, Candidate<'_>)> {
+        self.splits.iter().flat_map(|split| {
+            let right = SET.difference(split.left);
+            split
+                .candidates(self.live)
+                .map(move |c| (split.left, right, c))
+        })
+    }
+
+    /// The slot the streaming reducer leaves.
+    fn streamed(&self, minima: &mut ClassMinima, policy: &PruningPolicy) -> Vec<PlanEntry> {
+        for (left, _, c) in self.candidates() {
+            minima.offer(left, c);
+        }
+        let mut slot = Vec::new();
+        minima.insert_winners(SET, policy, &mut slot);
+        slot
+    }
+}
+
+/// Entries as bit patterns: NaN costs must compare equal to themselves,
+/// and the zeros of either sign must not.
+fn bits(slot: &[PlanEntry]) -> Vec<(u64, u64, Order, PlanNode)> {
+    slot.iter()
+        .map(|e| {
+            (
+                e.cost.time.to_bits(),
+                e.cost.buffer.to_bits(),
+                e.order,
+                e.node,
+            )
+        })
+        .collect()
+}
+
+/// The predicates of a six-table clique: the made-up splits take their
+/// sort-merge attributes from a real index.
+fn with_clique_predicates(f: impl FnOnce(&PredicateIndex)) {
+    let q =
+        WorkloadGenerator::new(WorkloadConfig::with_graph(6, JoinGraph::Clique), 3).next_query();
+    f(CardinalityEstimator::new(&q).predicates());
+}
+
+/// What the reducer computes, done eagerly: every candidate costed in full
+/// and built the moment it is generated, the running strict minimum of
+/// each order class kept (a class opens with its first candidate whatever
+/// it costs, NaN included; `<` never lets a NaN in later), the survivors
+/// inserted in generation order. The streaming reducer compares on time
+/// and costs a winner once, at the end — the slot must not tell.
+fn eager_class_minima(stream: &MadeUpStream, policy: &PruningPolicy) -> Vec<PlanEntry> {
+    let mut best: Vec<(Order, usize, PlanEntry)> = Vec::new();
+    for (generation, (left, right, c)) in stream.candidates().enumerate() {
+        let entry = c.entry(left, right);
+        match best.iter_mut().find(|(order, ..)| *order == c.order) {
+            None => best.push((c.order, generation, entry)),
+            Some(class) if entry.cost.time < class.2.cost.time => {
+                *class = (c.order, generation, entry)
+            }
+            Some(_) => {}
+        }
+    }
+    best.sort_by_key(|&(_, generation, _)| generation);
+    let mut slot = Vec::new();
+    for (.., entry) in best {
+        policy.try_insert(&mut slot, entry);
+    }
+    slot
 }
 
 /// Offering every candidate to the lazy reducer must produce a slot
-/// identical — contents and entry order — to building every candidate's
-/// entry and inserting it sequentially. 200 random bursts with heavy tie
-/// pressure.
+/// identical — contents, entry order, every cost bit — to costing and
+/// building every candidate: 400 random bursts with heavy tie pressure,
+/// half of them with NaN times. On a NaN-free stream that is the slot of
+/// inserting every candidate through the scalar pruning function (a NaN
+/// time is beyond that claim: sequential insertion never rejects or
+/// removes one, the reducer keeps at most the one that opened its class).
 #[test]
 fn batch_matches_sequential_insertion() {
     let policy = PruningPolicy::new(Objective::Single, 6);
-    let mut minima = ClassMinima::default();
-    for trial in 0..200u64 {
-        let mut rng = Lcg(trial * 2654435761 + 99);
-        let len = 1 + (rng.next() % 24) as usize;
-        let cands: Vec<(TableSet, Candidate)> =
-            (0..len).map(|_| random_candidate(&mut rng)).collect();
+    // Coverage the streams must reach: NaN and ±∞ as a class's first and as
+    // a later candidate, exact ties between the operators of one plan pair
+    // and between plans of one operand.
+    let (mut nan_first, mut nan_later, mut inf_first, mut inf_later) = (0, 0, 0, 0);
+    let (mut operator_ties, mut plan_ties) = (0, 0);
+    with_clique_predicates(|predicates| {
+        // One reducer reused across trials, as it is across sets.
+        let mut minima = ClassMinima::default();
+        for trial in 0..400u64 {
+            let nan = trial % 2 == 1;
+            let mut rng = Lcg(trial * 2654435761 + 99);
+            let stream = MadeUpStream::random(&mut rng, predicates, nan);
+            let streamed = stream.streamed(&mut minima, &policy);
+            assert_eq!(
+                bits(&eager_class_minima(&stream, &policy)),
+                bits(&streamed),
+                "trial {trial}: a deferred cost diverged from the eager one"
+            );
 
-        // Reference: every candidate, built, through the scalar pruning
-        // function.
-        let mut sequential = Vec::new();
-        for &c in &cands {
-            policy.try_insert(&mut sequential, materialise(c));
+            let mut seen: Vec<Order> = Vec::new();
+            let mut previous: Option<Candidate<'_>> = None;
+            let mut sequential = Vec::new();
+            for (left, right, c) in stream.candidates() {
+                let first = !seen.contains(&c.order);
+                if first {
+                    seen.push(c.order);
+                }
+                match (c.time.is_nan(), c.time.is_infinite(), first) {
+                    (true, _, true) => nan_first += 1,
+                    (true, _, false) => nan_later += 1,
+                    (_, true, true) => inf_first += 1,
+                    (_, true, false) => inf_later += 1,
+                    _ => {}
+                }
+                if let Some(p) = previous.filter(|p| p.time == c.time && p.order == c.order) {
+                    let same_pair = (p.left_idx, p.right_idx) == (c.left_idx, c.right_idx);
+                    operator_ties += usize::from(same_pair);
+                    plan_ties += usize::from(p.left_idx != c.left_idx);
+                }
+                previous = Some(c);
+                policy.try_insert(&mut sequential, c.entry(left, right));
+            }
+            if !nan {
+                assert_eq!(
+                    bits(&sequential),
+                    bits(&streamed),
+                    "trial {trial}: streamed winners diverged from sequential insertion"
+                );
+            }
         }
-
-        // Streaming path: per-order-class minima only, built and inserted
-        // in ascending generation order, exactly as the arena kernel does
-        // (the one reducer is reused across trials, as it is across sets).
-        for &(left, c) in &cands {
-            minima.offer(left, c);
-        }
-        let mut streamed = Vec::new();
-        minima.insert_winners(SET, &policy, &mut streamed);
-
-        assert_eq!(
-            sequential, streamed,
-            "trial {trial}: streamed winners diverged from sequential insertion on {cands:?}"
-        );
+    });
+    for (what, count) in [
+        ("NaN opens a class", nan_first),
+        ("NaN after a class opened", nan_later),
+        ("±∞ opens a class", inf_first),
+        ("±∞ after a class opened", inf_later),
+        ("operators of one pair tie", operator_ties),
+        ("plans of one operand tie", plan_ties),
+    ] {
+        assert!(count >= 20, "{what}: only {count} times in 400 streams");
     }
 }
 
-/// The Pareto path's lazy insertion — rejection decided on cost and order,
-/// the entry built only when kept — equals inserting the built entry, on
-/// the same streams, α-approximate pruning included.
+/// The Pareto path's lazy insertion — every candidate costed in full,
+/// rejection decided on cost and order, the entry built only when kept —
+/// equals inserting the built entry, on the same streams, α-approximate
+/// pruning included.
 #[test]
 fn lazy_pareto_insertion_matches_eager_insertion() {
-    for alpha in [1.0, 2.0] {
-        let policy = PruningPolicy::new(Objective::Multi { alpha }, 3);
-        for trial in 0..200u64 {
-            let mut rng = Lcg(trial * 40503 + 7);
-            let len = 1 + (rng.next() % 24) as usize;
-            let (mut eager, mut lazy) = (Vec::new(), Vec::new());
-            let mut built = 0;
-            for _ in 0..len {
-                let c = random_candidate(&mut rng);
-                let kept = policy.try_insert(&mut eager, materialise(c));
-                let (cost, order) = (c.1.cost, c.1.order);
-                let kept_lazily = policy.try_insert_with(&mut lazy, 0, cost, order, || {
-                    built += 1;
-                    materialise(c)
-                });
-                assert_eq!(kept, kept_lazily, "trial {trial}");
-                assert_eq!(eager, lazy, "trial {trial}");
+    with_clique_predicates(|predicates| {
+        for alpha in [1.0, 2.0] {
+            let policy = PruningPolicy::new(Objective::Multi { alpha }, 3);
+            for trial in 0..200u64 {
+                let mut rng = Lcg(trial * 40503 + 7);
+                let stream = MadeUpStream::random(&mut rng, predicates, trial % 2 == 1);
+                let (mut eager, mut lazy) = (Vec::new(), Vec::new());
+                let (mut built, mut offered) = (0, 0);
+                for (left, right, c) in stream.candidates() {
+                    offered += 1;
+                    let kept = policy.try_insert(&mut eager, c.entry(left, right));
+                    let kept_lazily =
+                        policy.try_insert_with(&mut lazy, 0, c.cost(), c.order, || {
+                            built += 1;
+                            c.entry(left, right)
+                        });
+                    assert_eq!(kept, kept_lazily, "trial {trial}");
+                    assert_eq!(bits(&eager), bits(&lazy), "trial {trial}");
+                }
+                assert!(built >= lazy.len() && built <= offered);
             }
-            assert!(built >= lazy.len() && built <= len);
         }
-    }
+    });
 }
 
 /// The same equivalence holds when the slot under construction is the tail
@@ -293,26 +487,21 @@ fn batch_equivalence_holds_behind_a_frozen_prefix() {
             op: mpq_cost::ScanOp::Full,
         },
     }];
-    for _ in 0..50 {
-        let len = 1 + (rng.next() % 16) as usize;
-        let cands: Vec<(TableSet, Candidate)> =
-            (0..len).map(|_| random_candidate(&mut rng)).collect();
+    with_clique_predicates(|predicates| {
+        for _ in 0..50 {
+            let stream = MadeUpStream::random(&mut rng, predicates, false);
 
-        let mut sequential = prefix.clone();
-        for &c in &cands {
-            policy.try_insert_range(&mut sequential, prefix.len(), materialise(c));
+            let mut sequential = prefix.clone();
+            for (left, right, c) in stream.candidates() {
+                policy.try_insert_range(&mut sequential, prefix.len(), c.entry(left, right));
+            }
+
+            let tail = stream.streamed(&mut ClassMinima::default(), &policy);
+            let streamed = [prefix.clone(), tail].concat();
+
+            assert_eq!(bits(&sequential), bits(&streamed));
+            assert_eq!(&sequential[..prefix.len()], &prefix[..], "prefix untouched");
+            assert!(sequential.len() > prefix.len(), "tail actually populated");
         }
-
-        let mut minima = ClassMinima::default();
-        for &(left, c) in &cands {
-            minima.offer(left, c);
-        }
-        let mut tail = Vec::new();
-        minima.insert_winners(SET, &policy, &mut tail);
-        let streamed = [prefix.clone(), tail].concat();
-
-        assert_eq!(sequential, streamed);
-        assert_eq!(&sequential[..prefix.len()], &prefix[..], "prefix untouched");
-        assert!(sequential.len() > prefix.len(), "tail actually populated");
-    }
+    });
 }

@@ -49,7 +49,7 @@ use mpq_cluster::{
 use mpq_cost::Objective;
 use mpq_dp::{optimize_partition_id_cached, ParallelPolicy, PlanCache, WorkerStats};
 use mpq_model::Query;
-use mpq_partition::{effective_workers, PlanSpace};
+use mpq_partition::{effective_workers, is_partition_range, PlanSpace};
 use mpq_plan::{CacheWeight, Plan, PruningPolicy};
 use std::time::Instant;
 
@@ -97,13 +97,26 @@ pub fn worker_logic(cache_bytes: usize) -> Box<dyn WorkerLogic> {
 impl WorkerLogic for MpqWorker {
     fn on_message(&mut self, _query: QueryId, payload: Bytes, ctx: &mut WorkerCtx) -> Control {
         let msg = match MasterMessage::from_bytes(&payload) {
-            Ok(m) => m,
+            // A range the partition decoder would assert on — or a count
+            // that would never end — must not reach it: the panic takes the
+            // worker thread, and every later task sent there, with it.
+            Ok(m)
+                if is_partition_range(
+                    m.query.num_tables(),
+                    m.space,
+                    m.first_partition,
+                    m.partition_count,
+                    m.total_partitions,
+                ) =>
+            {
+                m
+            }
             // A malformed task means a protocol bug; reply with an
             // impossible range echo so the master fails that session with
             // a typed error instead of hanging. The worker itself stays
             // up — on a resident cluster it is still serving every other
             // session.
-            Err(_) => {
+            _ => {
                 ctx.send_to_master(
                     WorkerMsg::Reply(WorkerReply {
                         first_partition: u64::MAX,
@@ -481,6 +494,17 @@ impl Protocol for MpqProtocol {
         if assignment.len() > net.num_workers() {
             return Err(MpqError::BadRequest {
                 reason: "more partition ranges than resident workers",
+            });
+        }
+        // What a worker would refuse (`MpqWorker::on_message`), the master
+        // does not send.
+        let n = query.num_tables();
+        if !assignment
+            .iter()
+            .all(|&(first, count)| is_partition_range(n, space, first, count, partitions))
+        {
+            return Err(MpqError::BadRequest {
+                reason: "a partition range outside the query's partition space",
             });
         }
         let ranges = assignment.len();
@@ -1516,6 +1540,33 @@ mod tests {
             MpqService::spawn(0, MpqConfig::default()),
             Err(MpqError::BadRequest { .. })
         ));
+        // ISSUE 24 satellite: so is a layout no worker would accept — a
+        // partition count that is no power of two or beyond the query's
+        // pairs, a range past the end, an empty or a wrapping one.
+        for (partitions, range) in [
+            (3, (0, 1)),
+            (8, (0, 1)),
+            (4, (7, 1)),
+            (4, (3, 2)),
+            (2, (0, 0)),
+            (2, (1, u64::MAX)),
+        ] {
+            let err = svc
+                .submit_assigned(
+                    &q,
+                    PlanSpace::Linear,
+                    Objective::Single,
+                    partitions,
+                    vec![range],
+                )
+                .expect_err("a range outside the partition space");
+            assert!(matches!(err, MpqError::BadRequest { .. }), "{range:?}");
+        }
+        // The service is none the worse for it.
+        let handle = svc
+            .submit_assigned(&q, PlanSpace::Linear, Objective::Single, 4, vec![(0, 4)])
+            .unwrap();
+        assert_eq!(svc.wait(handle).unwrap().plans.len(), 1);
         svc.shutdown();
     }
 
@@ -1926,6 +1977,54 @@ mod tests {
                 "alpha {alpha}"
             );
             assert_eq!(reply.plans.is_empty(), malformed, "alpha {alpha}");
+        }
+        cluster.shutdown();
+    }
+
+    /// Regression (ISSUE 24 satellite): a decoded task whose partition
+    /// range the partition decoder asserts on — a total that is no power
+    /// of two, an ID past the total, more constraints than the query has
+    /// pairs — used to kill the worker thread, and with it every later
+    /// task sent there; a count of `u64::MAX` would have kept it busy for
+    /// good. Each is answered through the malformed-task path (the
+    /// service's own admission refuses such a layout before encoding it),
+    /// and a valid task on the same worker still gets its plan.
+    #[test]
+    fn worker_survives_a_hostile_partition_range() {
+        use mpq_cluster::LatencyModel;
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
+        let ranges = [
+            (0, 1, 3),
+            (7, 1, 4),
+            (0, 1, 1 << 40),
+            (0, u64::MAX, 1),
+            (1, u64::MAX, 2),
+            (0, 0, 1),
+            (0, 1, 1),
+        ];
+        for (id, (first_partition, partition_count, total_partitions)) in
+            ranges.into_iter().enumerate()
+        {
+            let task = MasterMessage {
+                query: query(3, 53),
+                space: PlanSpace::Linear,
+                objective: Objective::Single,
+                first_partition,
+                partition_count,
+                total_partitions,
+                progress_every: 0,
+            };
+            cluster
+                .send(0, QueryId(id as u64), task.to_bytes(), true)
+                .expect("the worker is still up");
+            let (_, qid, payload) = cluster.recv().expect("the worker answers");
+            assert_eq!(qid, QueryId(id as u64));
+            let WorkerMsg::Reply(reply) = WorkerMsg::from_bytes(&payload).unwrap() else {
+                panic!("expected a reply");
+            };
+            let malformed = id + 1 < ranges.len();
+            assert_eq!(reply.first_partition == u64::MAX, malformed, "task {id}");
+            assert_eq!(reply.plans.is_empty(), malformed, "task {id}");
         }
         cluster.shutdown();
     }

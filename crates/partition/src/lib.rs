@@ -33,4 +33,4 @@ pub mod space;
 pub use admissible::{AdmissibleSets, SplitPart, MAX_GROUPS};
 pub use constraints::{Constraint, ConstraintSet};
 pub use grouping::Grouping;
-pub use space::{effective_workers, partition_constraints, PlanSpace};
+pub use space::{effective_workers, is_partition_range, partition_constraints, PlanSpace};

@@ -67,6 +67,27 @@ pub fn effective_workers(space: PlanSpace, num_tables: usize, requested: u64) ->
     1u64 << (63 - cap.leading_zeros() as u64)
 }
 
+/// Whether `[first, first + count)` is a non-empty range of partition IDs
+/// of a `partitions`-way partitioning an `num_tables`-table query
+/// supports: exactly the ranges every ID of which
+/// [`partition_constraints`] decodes. Whoever takes a range from outside
+/// the program — a worker decoding a task, the master handed a layout —
+/// asks this first, because `partition_constraints` panics on the rest.
+pub fn is_partition_range(
+    num_tables: usize,
+    space: PlanSpace,
+    first: u64,
+    count: u64,
+    partitions: u64,
+) -> bool {
+    partitions.is_power_of_two()
+        && partitions.trailing_zeros() as usize <= space.max_constraints(num_tables)
+        && count >= 1
+        && first
+            .checked_add(count)
+            .is_some_and(|end| end <= partitions)
+}
+
 /// Decodes a partition ID into the constraint set defining that plan-space
 /// partition (Algorithm 3 / function `PartConstraints`).
 ///
@@ -157,6 +178,24 @@ mod tests {
         assert_eq!(PlanSpace::Bushy.max_partitions(9), 8);
         assert_eq!(PlanSpace::Bushy.max_partitions(15), 32);
         assert_eq!(PlanSpace::Bushy.max_partitions(18), 64);
+    }
+
+    #[test]
+    fn a_partition_range_is_what_the_decoder_accepts() {
+        let ok = |first, count, m| is_partition_range(3, PlanSpace::Linear, first, count, m);
+        assert!(ok(0, 1, 1) && ok(0, 2, 2) && ok(1, 1, 2));
+        // Not a power of two (zero included); more constraints than the
+        // query has pairs; an ID past the end; nothing to do; a sum that
+        // wraps.
+        assert!(!ok(0, 1, 3) && !ok(0, 1, 0));
+        assert!(!ok(0, 1, 4) && !ok(7, 1, 4) && !ok(0, 1, 1 << 40));
+        assert!(!ok(2, 1, 2) && !ok(1, 2, 2));
+        assert!(!ok(0, 0, 2));
+        assert!(!ok(1, u64::MAX, 2) && !ok(0, u64::MAX, 2));
+        // A query too small for any constraint still has its one partition.
+        assert!(is_partition_range(1, PlanSpace::Bushy, 0, 1, 1));
+        assert!(!is_partition_range(2, PlanSpace::Bushy, 0, 1, 2));
+        assert!(is_partition_range(6, PlanSpace::Bushy, 1, 3, 4));
     }
 
     #[test]

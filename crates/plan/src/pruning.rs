@@ -133,7 +133,17 @@ impl PruningPolicy {
         {
             return false;
         }
-        let new = build();
+        self.insert_kept(entries, start, build());
+        true
+    }
+
+    /// The second half of [`PruningPolicy::try_insert_with`]: `new` is
+    /// kept; drops the entries of the slot it supersedes and appends it.
+    /// Out of line, so that the DP's candidate loop, which has one call
+    /// site per join operator, carries three rejection scans and not three
+    /// compactions.
+    #[inline(never)]
+    fn insert_kept(&self, entries: &mut Vec<PlanEntry>, start: usize, new: PlanEntry) {
         // In-place compaction of the tail (order-preserving), i.e.
         // `retain` scoped to `entries[start..]`.
         let mut keep = start;
@@ -145,7 +155,6 @@ impl PruningPolicy {
         }
         entries.truncate(keep);
         entries.push(new);
-        true
     }
 
     /// Implements the paper's `FinalPrune`: merges completed plans at the
