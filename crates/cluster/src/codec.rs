@@ -52,6 +52,16 @@ pub enum DecodeError {
     /// a finite number ≥ 1: the pruning policy asserts on it, so it must
     /// not survive decoding on a resident worker either.
     ApproximationFactor(u64),
+    /// A query carried a statistic no catalog can have
+    /// ([`Query::invalid_statistic`]): a cardinality, tuple width or
+    /// join-domain size that is NaN, infinite or negative, or a
+    /// selectivity outside `0 < s <= 1`.
+    Statistic {
+        /// The offending field.
+        field: &'static str,
+        /// Its value, as bits.
+        bits: u64,
+    },
     /// [`Wire::from_bytes`] decoded a whole value and this many bytes were
     /// left over: the buffer is not one message.
     TrailingBytes(usize),
@@ -82,6 +92,11 @@ impl fmt::Display for DecodeError {
             DecodeError::ApproximationFactor(bits) => write!(
                 f,
                 "approximation factor {} is not a finite number >= 1",
+                f64::from_bits(*bits)
+            ),
+            DecodeError::Statistic { field, bits } => write!(
+                f,
+                "query statistic {field} = {} is not one a catalog can have",
                 f64::from_bits(*bits)
             ),
             DecodeError::TrailingBytes(n) => {
@@ -721,11 +736,20 @@ impl Wire for Query {
                 ty: "Query",
             });
         }
-        Ok(Query {
+        let query = Query {
             catalog: Catalog::from_stats(stats),
             predicates,
             graph: JoinGraph::decode(dec)?,
-        })
+        };
+        // Statistics no catalog can have make NaN plan times, and among
+        // those the optimum depends on the partition cut.
+        if let Some((field, value)) = query.invalid_statistic() {
+            return Err(DecodeError::Statistic {
+                field,
+                bits: value.to_bits(),
+            });
+        }
+        Ok(query)
     }
 }
 
@@ -762,7 +786,7 @@ wire! {
     extern f64 { "the IEEE-754 bits as a u64" }
     extern Predicate { "left: u8, right: u8 (table indices, each below 64), selectivity: f64" }
     extern Query {
-        "u32 table count (1..=64), a TableStats each, Vec<Predicate> (indices below the count), JoinGraph"
+        "u32 table count (1..=64), a TableStats each (finite, >= 0), Vec<Predicate> (indices below the count, selectivity in (0, 1]), JoinGraph"
     }
     extern Order { "one byte: 0 is no order, k + 1 is on attribute k" }
     extern Hello { "magic: u32 (the bytes MPQ1), worker_id: u64" }

@@ -118,7 +118,10 @@ impl<S, R> SessionTable<S, R> {
     /// refused before any message is sent or any DP runs — the DP kernels
     /// assert on these sizes and the pruning policy on the approximation
     /// factor, and a panicking resident worker is lost to every other
-    /// session. Call after [`SessionTable::reap`], so
+    /// session. So are statistics no catalog can have
+    /// ([`Query::invalid_statistic`]): their NaN plan times would make the
+    /// answer depend on the partition cut, which varies with load. Call
+    /// after [`SessionTable::reap`], so
     /// dropped-but-unreaped handles never count against the caller.
     pub fn admit(&self, query: &Query, objective: Objective) -> Result<(), LifecycleError> {
         if query.num_tables() == 0 || query.num_tables() > TableSet::MAX_TABLES {
@@ -129,6 +132,11 @@ impl<S, R> SessionTable<S, R> {
         if !objective.is_valid() {
             return Err(LifecycleError::BadRequest {
                 reason: "the approximation factor must be a finite number >= 1",
+            });
+        }
+        if query.invalid_statistic().is_some() {
+            return Err(LifecycleError::BadRequest {
+                reason: "table statistics must be finite and non-negative, selectivities in (0, 1]",
             });
         }
         if self.max_in_flight > 0 && self.live.len() >= self.max_in_flight {

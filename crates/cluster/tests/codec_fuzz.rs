@@ -173,6 +173,104 @@ fn hostile_approximation_factors_fail_typed() {
     }
 }
 
+/// Regression (ROADMAP 5b): `Query::decode` took any `f64` as a
+/// statistic, so `0 · ∞` cardinalities reached the DP as NaN plan times —
+/// where the optimum can depend on the partition cut, which the service
+/// now varies with load. The decoder refuses what no catalog can have
+/// (NaN, ±∞ or negative cardinality, tuple width or join domain; a
+/// selectivity that is NaN, ≤ 0 or > 1); the encoder is untouched, and
+/// the boundary values round-trip.
+#[test]
+fn impossible_statistics_fail_typed() {
+    let bad = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.0,
+        -f64::MIN_POSITIVE,
+    ];
+    let sound = TableStats::with_cardinality(10.0);
+    // Built whole: a mutated catalog bumps its epoch, which the wire
+    // does not carry.
+    let with_stats = |last: TableStats| {
+        let mut stats = vec![sound.clone(); 2];
+        stats.push(last);
+        Query {
+            catalog: Catalog::from_stats(stats),
+            predicates: Vec::new(),
+            graph: JoinGraph::Chain,
+        }
+    };
+    for value in bad {
+        for (field, stats) in [
+            (
+                "cardinality",
+                TableStats {
+                    cardinality: value,
+                    ..sound.clone()
+                },
+            ),
+            (
+                "tuple_bytes",
+                TableStats {
+                    tuple_bytes: value,
+                    ..sound.clone()
+                },
+            ),
+            (
+                "join_domain",
+                TableStats {
+                    join_domain: value,
+                    ..sound.clone()
+                },
+            ),
+        ] {
+            let q = with_stats(stats);
+            assert_eq!(
+                Query::from_bytes(&q.to_bytes()),
+                Err(DecodeError::Statistic {
+                    field,
+                    bits: value.to_bits()
+                }),
+                "{field} = {value}"
+            );
+        }
+    }
+    let with_selectivity = |selectivity| {
+        let mut q = with_stats(sound.clone());
+        q.predicates.push(Predicate {
+            left: 0,
+            right: 2,
+            selectivity,
+        });
+        q
+    };
+    for value in [f64::NAN, 0.0, -0.0, -0.5, 1.0 + f64::EPSILON, f64::INFINITY] {
+        assert_eq!(
+            Query::from_bytes(&with_selectivity(value).to_bytes()),
+            Err(DecodeError::Statistic {
+                field: "selectivity",
+                bits: value.to_bits()
+            }),
+            "selectivity {value}"
+        );
+    }
+    // The edges of what a catalog can have still decode.
+    let mut q = with_stats(TableStats {
+        cardinality: 0.0,
+        tuple_bytes: 0.0,
+        join_domain: f64::MAX,
+    });
+    for selectivity in [1.0, f64::MIN_POSITIVE] {
+        q.predicates.push(Predicate {
+            left: 1,
+            right: 2,
+            selectivity,
+        });
+    }
+    assert_eq!(Query::from_bytes(&q.to_bytes()), Ok(q));
+}
+
 /// Regression (ISSUE 24 satellite): a task's partition range is three
 /// integers decoded as they come, and `partition_constraints` asserts on a
 /// total that is no power of two, an ID past it, or more constraints than

@@ -250,8 +250,9 @@ impl ArenaMemo {
 /// same-order winner `w` with `w.time <= c.time`, so everything `c` would
 /// reject or remove, `w` rejects or removes too, and `c` itself never
 /// survives `w`'s insertion. `kernel_differential` checks this equivalence
-/// over randomized candidate streams. (A NaN time — statistics off the
-/// wire can produce `0 · ∞` — is outside the argument: `<` never lets one
+/// over randomized candidate streams. (A NaN time — `0 · ∞` statistics,
+/// which the wire decoder and service admission refuse but a direct
+/// caller can still pass — is outside the argument: `<` never lets one
 /// displace a minimum, and none displaces it, so a class keeps at most the
 /// NaN that opened it, where sequential insertion keeps them all. The
 /// suite pins that behaviour too, against an eager form of this reducer.)

@@ -133,6 +133,32 @@ impl Query {
         sel
     }
 
+    /// The first statistic no catalog can have, as `(field, value)`: a
+    /// cardinality, tuple width or join-domain size that is NaN, infinite
+    /// or negative, or a selectivity outside `0 < selectivity <= 1` (NaN
+    /// included). `None` when every statistic is admissible.
+    ///
+    /// The optimizers stay deterministic on such input, but `0 · ∞`
+    /// cardinalities cost plans at NaN, and among NaN times the winner can
+    /// depend on how the plan space is partitioned — so the boundaries
+    /// (the wire decoder, service admission) refuse them.
+    pub fn invalid_statistic(&self) -> Option<(&'static str, f64)> {
+        let table = self.catalog.iter().flat_map(|(_, s)| {
+            [
+                ("cardinality", s.cardinality),
+                ("tuple_bytes", s.tuple_bytes),
+                ("join_domain", s.join_domain),
+            ]
+        });
+        let bad_table = table.filter(|&(_, v)| !(v.is_finite() && v >= 0.0));
+        let bad_predicate = self
+            .predicates
+            .iter()
+            .map(|p| ("selectivity", p.selectivity))
+            .filter(|&(_, s)| !(s > 0.0 && s <= 1.0));
+        bad_table.chain(bad_predicate).next()
+    }
+
     /// A rough upper bound on the serialized byte size of the query
     /// (`b_q` in the paper's complexity analysis), used by tests asserting
     /// the `O(m * (b_q + b_p))` network bound.

@@ -32,7 +32,7 @@ use mpq_cluster::{Transport, WorkerLogic};
 use mpq_cost::Objective;
 use mpq_dp::optimize_serial;
 use mpq_model::{Query, WorkloadConfig, WorkloadGenerator};
-use mpq_partition::PlanSpace;
+use mpq_partition::{effective_workers, PlanSpace};
 use mpq_plan::Plan;
 use mpq_sma::{SmaConfig, SmaError, SmaService};
 use pqopt::service::{Backend, OptimizerService, ServiceConfig, ServiceError};
@@ -49,6 +49,11 @@ pub enum Kind {
         retry: RetryPolicy,
         /// Straggler-adaptive redistribution.
         steal: StealPolicy,
+        /// Submit through `submit_assigned` with the even all-worker
+        /// layout (one partition per worker, range *i* on worker *i*)
+        /// instead of letting `submit` place each session by load — so
+        /// every session fans out, whatever the others hold.
+        assigned: bool,
     },
     /// [`SmaService`]: submit all sessions, wait in submission order.
     Sma {
@@ -137,6 +142,7 @@ pub fn default_suite() -> Vec<Scenario> {
     let mpq_ff = Kind::Mpq {
         retry: RetryPolicy::DISABLED,
         steal: StealPolicy::DISABLED,
+        assigned: false,
     };
     vec![
         Scenario {
@@ -158,6 +164,20 @@ pub fn default_suite() -> Vec<Scenario> {
             seed: 12,
             budget: NO_FAULTS,
             kind: mpq_ff,
+        },
+        Scenario {
+            name: "mpq-even-2w2s",
+            about: "MPQ fault-free: 2 workers, 2 sessions both fanned out by an explicit layout",
+            workers: 2,
+            sessions: 2,
+            tables: 4,
+            seed: 12,
+            budget: NO_FAULTS,
+            kind: Kind::Mpq {
+                retry: RetryPolicy::DISABLED,
+                steal: StealPolicy::DISABLED,
+                assigned: true,
+            },
         },
         Scenario {
             name: "mpq-ff-3w2s",
@@ -184,6 +204,7 @@ pub fn default_suite() -> Vec<Scenario> {
             kind: Kind::Mpq {
                 retry: MODEL_RETRY,
                 steal: StealPolicy::DISABLED,
+                assigned: false,
             },
         },
         Scenario {
@@ -201,6 +222,7 @@ pub fn default_suite() -> Vec<Scenario> {
             kind: Kind::Mpq {
                 retry: MODEL_RETRY,
                 steal: StealPolicy::DISABLED,
+                assigned: false,
             },
         },
         Scenario {
@@ -218,6 +240,7 @@ pub fn default_suite() -> Vec<Scenario> {
             kind: Kind::Mpq {
                 retry: MODEL_RETRY,
                 steal: StealPolicy::DISABLED,
+                assigned: false,
             },
         },
         Scenario {
@@ -238,6 +261,7 @@ pub fn default_suite() -> Vec<Scenario> {
                     max_steals: 2,
                     oversubscribe: 2,
                 },
+                assigned: false,
             },
         },
         Scenario {
@@ -358,6 +382,7 @@ pub fn fixture_scenario() -> Scenario {
                 max_strikes: 2,
             },
             steal: StealPolicy::DISABLED,
+            assigned: false,
         },
     }
 }
@@ -496,7 +521,11 @@ fn facade_recovery_error(e: &ServiceError) -> bool {
 
 fn drive(scenario: &Scenario, transport: Box<dyn Transport>) -> Result<(), String> {
     match scenario.kind {
-        Kind::Mpq { retry, steal } => drive_mpq(scenario, transport, retry, steal),
+        Kind::Mpq {
+            retry,
+            steal,
+            assigned,
+        } => drive_mpq(scenario, transport, retry, steal, assigned),
         Kind::Sma { recv_timeout } => drive_sma(scenario, transport, recv_timeout),
         Kind::Coalesce { drop_leader, retry } => {
             drive_coalesce(scenario, transport, drop_leader, retry)
@@ -510,6 +539,7 @@ fn drive_mpq(
     transport: Box<dyn Transport>,
     retry: RetryPolicy,
     steal: StealPolicy,
+    assigned: bool,
 ) -> Result<(), String> {
     let config = MpqConfig {
         retry,
@@ -522,11 +552,15 @@ fn drive_mpq(
     let fault_free = scenario.fault_free();
     let mut handles = Vec::new();
     for query in &queries {
-        handles.push(
-            service
-                .submit(query, PlanSpace::Linear, Objective::Single)
-                .map_err(|e| format!("submit refused: {e}"))?,
-        );
+        let (space, objective) = (PlanSpace::Linear, Objective::Single);
+        let submitted = if assigned {
+            let m = effective_workers(space, query.num_tables(), scenario.workers as u64);
+            let even = (0..m).map(|p| (p, 1)).collect();
+            service.submit_assigned(query, space, objective, m, even)
+        } else {
+            service.submit(query, space, objective)
+        };
+        handles.push(submitted.map_err(|e| format!("submit refused: {e}"))?);
     }
     let mut session_retries = 0u64;
     for (handle, query) in handles.into_iter().zip(&queries) {

@@ -403,6 +403,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let resident = t0.elapsed();
     let cache = service.cache_stats();
     let coalesce = service.coalesce_stats();
+    print_network(&service, queries.len());
     service.shutdown();
     if o.cache_bytes > 0 {
         println!(
@@ -447,7 +448,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
                 ("resident", resident_cost),
                 ("spawn-per-query", per_query_results[i][0].cost().time),
             ] {
-                if (cost - reference).abs() > 1e-9 * reference.max(1.0) {
+                if cost.to_bits() != reference.to_bits() {
                     return Err(format!("query {i} ({mode}): {cost} vs serial {reference}"));
                 }
             }
@@ -568,6 +569,21 @@ fn run_resident(
         .collect()
 }
 
+/// What the resident run put on the wire per query: the numbers the
+/// benchmark reports as `mpq.msgs_per_query` and `net_bytes_per_query`,
+/// which show how the master placed the stream. The single-node backends
+/// have no network and print nothing.
+fn print_network(service: &OptimizerService, queries: usize) {
+    if let Some(net) = service.network_snapshot() {
+        let per_query = |v: u64| v as f64 / queries.max(1) as f64;
+        println!(
+            "network: {:.2} messages and {:.1} bytes per query",
+            per_query(net.messages),
+            per_query(net.total_bytes())
+        );
+    }
+}
+
 fn parse_addrs(specs: &[String]) -> Result<Vec<pqopt::cluster::WorkerAddr>, String> {
     specs
         .iter()
@@ -609,6 +625,7 @@ fn cmd_serve_sockets(o: &Options) -> Result<(), String> {
     let results = run_resident(&mut service, &queries, o.clients, o)?;
     let elapsed = t0.elapsed();
     let coalesce = service.coalesce_stats();
+    print_network(&service, queries.len());
     service.shutdown();
     if o.coalesce {
         println!(
@@ -622,7 +639,7 @@ fn cmd_serve_sockets(o: &Options) -> Result<(), String> {
                 .cost()
                 .time;
             let cost = results[i][0].cost().time;
-            if (cost - reference).abs() > 1e-9 * reference.max(1.0) {
+            if cost.to_bits() != reference.to_bits() {
                 return Err(format!("query {i} (sockets): {cost} vs serial {reference}"));
             }
         }

@@ -916,8 +916,10 @@ mod tests {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
     }
 
-    fn rel_eq(a: f64, b: f64) -> bool {
-        (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+    /// Exactness is bit equality: the cut varies with load, and a
+    /// tolerance would let a cut-dependent rounding difference through.
+    fn bit_eq(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits()
     }
 
     #[test]
@@ -933,7 +935,7 @@ mod tests {
                 .optimize(&q, PlanSpace::Linear, Objective::Single)
                 .expect("optimize");
             assert!(
-                rel_eq(plans[0].cost().time, reference),
+                bit_eq(plans[0].cost().time, reference),
                 "backend {} disagrees with the serial reference",
                 backend.name()
             );
@@ -1156,6 +1158,63 @@ mod tests {
         }
     }
 
+    /// Regression (ROADMAP 5b): statistics no catalog can have — NaN, ±∞
+    /// or negative cardinality, tuple width or join domain; a selectivity
+    /// that is NaN, ≤ 0 or > 1 — are a typed `BadRequest` at admission on
+    /// every backend, coalesced or not, before any message is sent: their
+    /// NaN plan times would let the answer depend on a load-chosen cut.
+    #[test]
+    fn impossible_statistics_are_refused_on_every_backend() {
+        let good = query(5, 14);
+        let mut bad = Vec::new();
+        for value in [f64::NAN, f64::INFINITY, -1.0] {
+            for field in 0..3 {
+                let mut q = good.clone();
+                let stats = q.catalog.stats_mut(field + 1);
+                match field {
+                    0 => stats.cardinality = value,
+                    1 => stats.tuple_bytes = value,
+                    _ => stats.join_domain = value,
+                }
+                bad.push(q);
+            }
+        }
+        for selectivity in [f64::NAN, 0.0, -0.5, 1.5] {
+            let mut q = good.clone();
+            q.predicates[0].selectivity = selectivity;
+            bad.push(q);
+        }
+        for backend in Backend::ALL {
+            for coalesce in [false, true] {
+                let mut config = ServiceConfig::new(backend, 2);
+                config.coalesce = coalesce;
+                let mut svc = OptimizerService::spawn(config).expect("spawn");
+                for q in &bad {
+                    for submitted in [
+                        svc.submit(q, PlanSpace::Linear, Objective::Single),
+                        svc.submit_wait(q, PlanSpace::Linear, Objective::Single),
+                    ] {
+                        assert!(
+                            matches!(submitted, Err(ServiceError::BadRequest { .. })),
+                            "backend {}: {submitted:?}",
+                            backend.name()
+                        );
+                    }
+                }
+                assert_eq!(svc.in_flight(), 0, "backend {}", backend.name());
+                if let Some(net) = svc.network_snapshot() {
+                    assert_eq!(net.messages, 0, "refused before any message");
+                }
+                let plans = svc
+                    .optimize(&good, PlanSpace::Linear, Objective::Single)
+                    .expect("a sound query is still served");
+                let reference = optimize_serial(&good, PlanSpace::Linear, Objective::Single);
+                assert!(bit_eq(plans[0].cost().time, reference.plans[0].cost().time));
+                svc.shutdown();
+            }
+        }
+    }
+
     /// The service-level steal override reaches the MPQ backend — with
     /// stealing enabled, `submit` oversubscribes the partition space so
     /// ranges have splittable tails — and results stay exact.
@@ -1174,7 +1233,7 @@ mod tests {
         let plans = svc
             .optimize(&q, PlanSpace::Linear, Objective::Single)
             .expect("optimize");
-        assert!(rel_eq(plans[0].cost().time, reference));
+        assert!(bit_eq(plans[0].cost().time, reference));
         svc.shutdown();
     }
 
@@ -1214,7 +1273,7 @@ mod tests {
                 .cost()
                 .time;
             let plans = svc.wait(c).expect("retried session completes");
-            assert!(rel_eq(plans[0].cost().time, reference));
+            assert!(bit_eq(plans[0].cost().time, reference));
             svc.wait(b).expect("second completes");
             svc.shutdown();
         }
@@ -1357,7 +1416,7 @@ mod tests {
             .cost()
             .time;
         let plans = svc.wait(follower).expect("promoted follower redeems");
-        assert!(rel_eq(plans[0].cost().time, reference));
+        assert!(bit_eq(plans[0].cost().time, reference));
         assert_eq!(svc.open_flights(), 0);
         svc.shutdown();
     }
@@ -1464,7 +1523,7 @@ mod tests {
             let reference = optimize_serial(q, PlanSpace::Linear, Objective::Single).plans[0]
                 .cost()
                 .time;
-            assert!(rel_eq(plans[0].cost().time, reference));
+            assert!(bit_eq(plans[0].cost().time, reference));
         }
         svc.shutdown();
     }

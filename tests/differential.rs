@@ -12,7 +12,9 @@
 //!
 //! on optimal cost for single-objective runs and on the full Pareto
 //! frontier for multi-objective runs — `f64::to_bits` equal, not merely
-//! close. Differential agreement across five
+//! close — and holds the resident service to the same standard under a
+//! closed-loop window, where load-aware placement varies the cut.
+//! Differential agreement across five
 //! independently-written engines is the correctness bedrock the chaos
 //! suite (`tests/chaos.rs`) builds on: it pins the fault-free answer that
 //! fault-tolerant runs must reproduce.
@@ -23,10 +25,12 @@
 
 use pqopt::cost::{CostVector, Objective};
 use pqopt::dp::{
-    exhaustive_frontier, exhaustive_linear_best_time, optimize_partition_topdown, optimize_serial,
+    exhaustive_frontier, exhaustive_linear_best_time, optimize_partition_id,
+    optimize_partition_topdown, optimize_serial,
 };
 use pqopt::model::{JoinGraph, Query, WorkloadConfig, WorkloadGenerator};
-use pqopt::partition::{partition_constraints, PlanSpace};
+use pqopt::partition::{effective_workers, partition_constraints, PlanSpace};
+use pqopt::plan::{Plan, PruningPolicy};
 use pqopt::prelude::{
     Backend, MpqConfig, MpqOptimizer, Optimizer, OptimizerService, ServiceConfig, ServiceHandle,
 };
@@ -303,6 +307,85 @@ fn resident_service_preserves_pareto_frontiers_under_concurrency() {
             same_frontier(&frontier, &serial),
             "seed {seed}: resident frontier {frontier:?} vs serial {serial:?}"
         );
+    }
+    service.shutdown();
+}
+
+/// A set of plans as its sorted cost bits: replies merge in arrival
+/// order, so only the set is the answer. Single-objective answers are
+/// compared on time alone — a tie on time may pick another buffer.
+fn answer_bits(objective: Objective, plans: &[Plan]) -> Vec<(u64, u64)> {
+    let mut bits: Vec<(u64, u64)> = plans
+        .iter()
+        .map(|p| match objective {
+            Objective::Single => (p.cost().time.to_bits(), 0),
+            Objective::Multi { .. } => (p.cost().time.to_bits(), p.cost().buffer.to_bits()),
+        })
+        .collect();
+    bits.sort_unstable();
+    bits
+}
+
+/// A closed-loop stream, eight submissions in flight on three workers, so
+/// load-aware placement cuts single-objective queries every way it can:
+/// over the idle workers, or whole on the least-loaded one. Whatever the
+/// cut, a single-objective answer is the serial optimum to the bit, and a
+/// multi-objective (α = 2) frontier is that of the all-worker
+/// `effective_workers` cut, computed by direct calls.
+#[test]
+fn windowed_stream_is_exact_under_load_aware_placement() {
+    const WORKERS: usize = 3;
+    const WINDOW: usize = 8;
+    let space = PlanSpace::Linear;
+    let reference = |q: &Query, objective: Objective| {
+        let plans = match objective {
+            Objective::Single => optimize_serial(q, space, objective).plans,
+            Objective::Multi { .. } => {
+                let m = effective_workers(space, q.num_tables(), WORKERS as u64);
+                let mut plans: Vec<Plan> = (0..m)
+                    .flat_map(|p| optimize_partition_id(q, space, objective, p, m).plans)
+                    .collect();
+                PruningPolicy::new(objective, q.num_tables()).final_prune(&mut plans);
+                plans
+            }
+        };
+        answer_bits(objective, &plans)
+    };
+    let mut service =
+        OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, WORKERS)).expect("service spawns");
+    let mut in_flight = std::collections::VecDeque::new();
+    let redeem =
+        |service: &mut OptimizerService,
+         (seed, objective, want, handle): (u64, Objective, _, ServiceHandle)| {
+            let plans = service.wait(handle).expect("session completes");
+            assert_eq!(
+                answer_bits(objective, &plans),
+                want,
+                "seed {seed} {objective:?}"
+            );
+        };
+    for seed in 0..2 * SEEDS {
+        let n = 4 + (seed % 6) as usize;
+        let graph = JoinGraph::ALL[(seed % 4) as usize];
+        let q = WorkloadGenerator::new(WorkloadConfig::with_graph(n, graph), seed * 7919 + 29)
+            .next_query();
+        // Every third query asks for an α = 2 frontier.
+        let objective = if seed % 3 == 2 {
+            Objective::Multi { alpha: 2.0 }
+        } else {
+            Objective::Single
+        };
+        if in_flight.len() == WINDOW {
+            if let Some(oldest) = in_flight.pop_front() {
+                redeem(&mut service, oldest);
+            }
+        }
+        let want = reference(&q, objective);
+        let handle = service.submit(&q, space, objective).expect("submit");
+        in_flight.push_back((seed, objective, want, handle));
+    }
+    while let Some(oldest) = in_flight.pop_front() {
+        redeem(&mut service, oldest);
     }
     service.shutdown();
 }

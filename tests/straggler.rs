@@ -36,8 +36,10 @@ fn query(n: usize, seed: u64) -> Query {
     WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
 }
 
-fn rel_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+/// Exactness is bit equality: steals and load re-cut the ranges, and a
+/// tolerance would let a cut-dependent rounding difference through.
+fn bit_eq(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
 }
 
 /// The frontier as a sorted, deduplicated set of exact cost bit patterns:
@@ -175,7 +177,7 @@ fn steal_composes_with_dropped_replies() {
         };
         let out = run(&q, Objective::Single, StealPolicy::balanced(), faults);
         assert!(
-            rel_eq(out.plans[0].cost().time, reference),
+            bit_eq(out.plans[0].cost().time, reference),
             "seed {seed}: {} vs serial {reference}",
             out.plans[0].cost().time
         );
@@ -204,7 +206,7 @@ fn steal_survives_a_crashing_straggler() {
         .time;
     let out = run(&q, Objective::Single, StealPolicy::balanced(), faults);
     assert!(
-        rel_eq(out.plans[0].cost().time, reference),
+        bit_eq(out.plans[0].cost().time, reference),
         "{} vs serial {reference}",
         out.plans[0].cost().time
     );
@@ -284,7 +286,7 @@ fn no_timeout_retry_config_never_panics() {
         std::thread::sleep(Duration::from_micros(100));
     }
     let out = out.expect("the session completes without a timer");
-    assert!(rel_eq(out.plans[0].cost().time, reference));
+    assert!(bit_eq(out.plans[0].cost().time, reference));
     // The handle is spent: a second redemption is a typed error.
     assert_eq!(
         svc.wait(handle).expect_err("double redemption"),
