@@ -568,8 +568,7 @@ impl fmt::Display for QueryId {
 
 /// The wire frame around every message: an 8-byte little-endian
 /// [`QueryId`] followed by the payload bytes. The id crosses the network,
-/// so framed lengths — payload plus 8 — are what the byte counters and
-/// the latency model see.
+/// so framed lengths — payload plus 8 — are what the byte counters see.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionEnvelope {
     /// The session the payload belongs to.
@@ -580,8 +579,7 @@ pub struct SessionEnvelope {
 
 impl SessionEnvelope {
     /// Size of the frame header (the little-endian [`QueryId`]), in bytes.
-    /// Byte counters and the latency model charge `payload + HEADER_BYTES`
-    /// per message.
+    /// Byte counters charge `payload + HEADER_BYTES` per message.
     pub const HEADER_BYTES: usize = QueryId::WIRE_SIZE;
 
     /// Frames `payload` for `query`: the bytes that actually cross the

@@ -5,14 +5,17 @@
 //! costs one re-executed partition range, while SMA's replicated-memo
 //! rounds make recovery as expensive as re-broadcasting the whole memo.
 //! This module provides the fault model that lets tests and benchmarks
-//! exercise that argument on the simulated cluster:
+//! exercise that argument on either message plane:
 //!
 //! * a [`FaultPlan`] describes *probabilities* of faults (worker crash
 //!   before or after replying, reply dropped by the network, reply delayed
 //!   by a straggler) plus a seed;
-//! * at cluster spawn time the plan is resolved into a [`FaultSchedule`],
-//!   which maps every `(worker, message index)` pair to one concrete
-//!   [`FaultAction`].
+//! * the plan resolves into a [`FaultSchedule`], which maps every
+//!   `(worker, message index)` pair to one concrete [`FaultAction`];
+//! * a [`Faulty`] wrapper applies one worker's slice of the schedule to
+//!   the [`WorkerLogic`] it decorates. It needs nothing from the plane, so
+//!   the same seeded plan runs in an in-process [`Cluster`](crate::Cluster)
+//!   and behind [`serve_worker`](crate::serve_worker) on a socket.
 //!
 //! **Determinism.** The schedule is a pure function of `(plan, seed,
 //! num_workers)`: the same seed always produces the same crash points,
@@ -23,6 +26,9 @@
 //! for which message) is fixed per seed, and the optimal plan cost under
 //! any schedule equals the fault-free cost as long as one worker survives.
 
+use crate::codec::QueryId;
+use crate::runtime::{Control, WorkerCtx, WorkerLogic};
+use bytes::Bytes;
 use std::time::Duration;
 
 /// The concrete fault applied to one delivered message.
@@ -46,7 +52,7 @@ pub enum FaultAction {
 }
 
 /// Seed-driven fault configuration. `FaultPlan::default()` injects
-/// nothing; [`Cluster::spawn`](crate::Cluster::spawn) uses that.
+/// nothing.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for all fault decisions (same seed → same schedule).
@@ -219,7 +225,7 @@ impl FaultSchedule {
     }
 }
 
-/// One worker's resolved fault behaviour (moved into the worker thread).
+/// One worker's resolved fault behaviour (moved into its [`Faulty`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkerFaults {
     seed: u64,
@@ -268,6 +274,55 @@ impl WorkerFaults {
     }
 }
 
+/// A [`WorkerLogic`] decorator that applies one worker's slice of a
+/// [`FaultSchedule`] to the messages delivered to the logic it wraps.
+///
+/// It counts delivered messages, and the `k`-th (0-based, in delivery
+/// order) gets [`WorkerFaults::action`]`(k)`. A crash returns
+/// [`Control::Shutdown`] before or after the inner logic runs; that ends
+/// a [`Cluster`](crate::Cluster) worker thread, or makes
+/// [`serve_worker`](crate::serve_worker) return and close its connection.
+/// A drop or a straggle arms the context, so every reply the inner logic
+/// sends for that message is lost or delayed. Each injected fault is
+/// tallied in the context's [`NetworkMetrics`](crate::NetworkMetrics).
+pub struct Faulty<L> {
+    inner: L,
+    faults: WorkerFaults,
+    delivered: u64,
+}
+
+impl<L> Faulty<L> {
+    /// Wraps `inner` with the fault slice of the worker it will run as.
+    pub fn new(inner: L, faults: WorkerFaults) -> Faulty<L> {
+        Faulty {
+            inner,
+            faults,
+            delivered: 0,
+        }
+    }
+}
+
+impl<L: WorkerLogic> WorkerLogic for Faulty<L> {
+    fn on_message(&mut self, query: QueryId, payload: Bytes, ctx: &mut WorkerCtx) -> Control {
+        let action = self.faults.action(self.delivered);
+        self.delivered += 1;
+        // Armed for this message's replies only: the next delivery re-arms.
+        ctx.reply_fault = action;
+        match action {
+            FaultAction::CrashBeforeReply => {
+                ctx.metrics().record_crash(ctx.worker_id());
+                Control::Shutdown
+            }
+            FaultAction::CrashAfterReply => {
+                let _ = self.inner.on_message(query, payload, ctx);
+                ctx.metrics().record_crash(ctx.worker_id());
+                Control::Shutdown
+            }
+            _ => self.inner.on_message(query, payload, ctx),
+        }
+    }
+}
+
 const SALT_CRASH: u64 = 0x6372_6173_6821_0001; // "crash!"
 const SALT_CRASH_AT: u64 = 0x6372_6173_6821_0002;
 const SALT_CRASH_KIND: u64 = 0x6372_6173_6821_0003;
@@ -295,6 +350,23 @@ fn unit(h: u64) -> f64 {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::{Cluster, ClusterError, LatencyModel, Transport};
+
+    const Q0: QueryId = QueryId(0);
+
+    /// An in-process cluster of echo workers, each behind its `Faulty`
+    /// slice of `plan`.
+    fn faulty_echoes(workers: usize, plan: &FaultPlan) -> Cluster {
+        let schedule = plan.schedule(workers);
+        Cluster::spawn(workers, LatencyModel::ZERO, |w| {
+            let echo = |_query: QueryId, payload: Bytes, ctx: &mut WorkerCtx| {
+                ctx.send_to_master(payload);
+                Control::Continue
+            };
+            Faulty::new(echo, schedule.worker(w))
+        })
+        .unwrap()
+    }
 
     #[test]
     fn default_plan_is_none_and_delivers() {
@@ -409,5 +481,165 @@ mod tests {
             let u = unit(mix(x));
             assert!((0.0..1.0).contains(&u));
         }
+    }
+
+    /// The k-th delivered message gets action k whatever session it
+    /// belongs to, and a drop applies to its own message's reply only.
+    #[test]
+    fn faults_follow_delivery_order_one_message_at_a_time() {
+        let plan = FaultPlan {
+            drop_prob: 0.5,
+            ..FaultPlan::NONE
+        }
+        .with_seed_where(1, 4096, |s| {
+            (0..3).map(|m| s.action(0, m)).eq([
+                FaultAction::Deliver,
+                FaultAction::DropReply,
+                FaultAction::Deliver,
+            ])
+        })
+        .expect("some seed drops only the second message");
+        let cluster = faulty_echoes(1, &plan);
+        for q in [7u64, 8, 9] {
+            cluster
+                .send(0, QueryId(q), Bytes::from_static(b"x"), false)
+                .unwrap();
+        }
+        let answered: Vec<QueryId> = std::iter::from_fn(|| {
+            cluster
+                .recv_timeout(Duration::from_millis(100))
+                .ok()
+                .map(|(_, query, _)| query)
+        })
+        .collect();
+        assert_eq!(answered, [QueryId(7), QueryId(9)]);
+        assert_eq!(cluster.metrics().snapshot().drops, 1);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn crashed_worker_yields_typed_errors_not_panics() {
+        // Worker 0 crashes before its first reply (min_survivors: 0 lets
+        // the only worker crash).
+        let faults = FaultPlan {
+            crash_prob: 1.0,
+            min_survivors: 0,
+            ..FaultPlan::NONE
+        };
+        // crash_at may be 1 or 2; send enough messages to trigger it.
+        let cluster = faulty_echoes(1, &faults);
+        for _ in 0..3 {
+            if cluster
+                .send(0, Q0, Bytes::from_static(b"x"), false)
+                .is_err()
+            {
+                break;
+            }
+            // Give the worker a moment to process (and possibly die).
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // Eventually the worker is dead: sends fail with a typed error.
+        let mut lost = false;
+        for _ in 0..100 {
+            match cluster.send(0, Q0, Bytes::from_static(b"x"), false) {
+                Err(ClusterError::WorkerLost { worker: 0 }) => {
+                    lost = true;
+                    break;
+                }
+                Err(e) => panic!("unexpected error {e}"),
+                Ok(()) => std::thread::sleep(Duration::from_millis(2)),
+            }
+        }
+        assert!(lost, "send to a crashed worker must fail");
+        assert!(!cluster.is_worker_alive(0));
+        assert_eq!(cluster.dead_workers(), vec![0]);
+        // The worker may have echoed messages delivered before its crash
+        // point (crash_at need not be 0); drain those, then recv on the
+        // fully-dead, fully-drained cluster errors instead of hanging.
+        while cluster.recv().is_ok() {}
+        assert_eq!(cluster.recv(), Err(ClusterError::AllWorkersLost));
+        assert!(cluster.metrics().snapshot().crashes >= 1);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn dropped_replies_are_counted_not_delivered() {
+        let faults = FaultPlan {
+            drop_prob: 1.0,
+            ..FaultPlan::NONE
+        };
+        let cluster = faulty_echoes(2, &faults);
+        cluster
+            .send(0, Q0, Bytes::from_static(b"x"), false)
+            .unwrap();
+        cluster
+            .send(1, Q0, Bytes::from_static(b"y"), false)
+            .unwrap();
+        assert!(cluster.recv_timeout(Duration::from_millis(50)).is_err());
+        let s = cluster.metrics().snapshot();
+        assert_eq!(s.drops, 2);
+        assert_eq!(
+            s.worker_to_master_bytes, 0,
+            "dropped replies never hit the wire counters"
+        );
+        let w = cluster.metrics().worker_counters();
+        assert_eq!(w[0].failures, 1);
+        assert_eq!(w[1].failures, 1);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn straggler_delays_but_delivers() {
+        let faults = FaultPlan {
+            straggle_prob: 1.0,
+            straggle_us: 30_000,
+            ..FaultPlan::NONE
+        };
+        let cluster = faulty_echoes(1, &faults);
+        cluster
+            .send(0, Q0, Bytes::from_static(b"slow"), false)
+            .unwrap();
+        // Short timeout: the straggler has not replied yet.
+        assert!(cluster.recv_timeout(Duration::from_millis(5)).is_err());
+        // Patient wait: the reply eventually arrives intact.
+        let (_, _, reply) = cluster.recv_timeout(Duration::from_millis(500)).unwrap();
+        assert_eq!(&reply[..], b"slow");
+        assert_eq!(cluster.metrics().snapshot().straggles, 1);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn crash_after_reply_delivers_then_dies() {
+        let faults = FaultPlan {
+            crash_prob: 1.0,
+            crash_after_reply_prob: 1.0,
+            min_survivors: 0,
+            ..FaultPlan::NONE
+        };
+        // Find a seed whose single worker crashes on message 0 so the
+        // reply-then-die order is observable in one exchange.
+        let seed = (0..64)
+            .find(|&seed| {
+                let plan = FaultPlan { seed, ..faults };
+                plan.schedule(1).action(0, 0) == FaultAction::CrashAfterReply
+            })
+            .expect("some seed crashes at message 0");
+        let plan = FaultPlan { seed, ..faults };
+        let cluster = faulty_echoes(1, &plan);
+        cluster
+            .send(0, Q0, Bytes::from_static(b"last words"), false)
+            .unwrap();
+        let (_, _, reply) = cluster.recv().unwrap();
+        assert_eq!(&reply[..], b"last words");
+        // The worker died after replying.
+        for _ in 0..200 {
+            if !cluster.is_worker_alive(0) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!cluster.is_worker_alive(0));
+        assert_eq!(cluster.metrics().snapshot().crashes, 1);
+        cluster.shutdown();
     }
 }

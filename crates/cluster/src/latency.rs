@@ -1,131 +1,14 @@
-//! Latency and overhead model.
+//! The latency model, reduced to its name.
 //!
-//! The paper stresses that its cluster is "a very challenging scenario for
-//! parallelization due to high communication cost and setup overhead".
-//! This model charges each simulated message a delay composed of a
-//! per-message latency (network round trip), a per-KiB transfer time, and
-//! an additional task-launch overhead for task-assignment messages (Spark
-//! executor task setup). The receiving node sleeps for the computed delay
-//! before processing, so delays overlap across workers exactly as real
-//! network transfers would.
+//! No message plane simulates latency: a real socket supplies its own, and
+//! the in-process [`Cluster`](crate::Cluster) charges none. The type stays
+//! only because [`Cluster::spawn`](crate::Cluster::spawn) still takes one.
 
-use serde::{Deserialize, Serialize};
-use std::time::Duration;
-
-/// Configurable message-delay model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LatencyModel {
-    /// Flat latency per message, in microseconds.
-    pub per_message_us: u64,
-    /// Transfer time per KiB of payload, in microseconds.
-    pub per_kib_us: u64,
-    /// Extra overhead charged on task-assignment messages (scheduler /
-    /// executor launch), in microseconds.
-    pub task_launch_us: u64,
-}
+/// The zero-delay latency model, the only one there is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LatencyModel;
 
 impl LatencyModel {
-    /// No simulated delays (unit tests, pure algorithmic measurements).
-    pub const ZERO: LatencyModel = LatencyModel {
-        per_message_us: 0,
-        per_kib_us: 0,
-        task_launch_us: 0,
-    };
-
-    /// Delays in the spirit of the paper's Spark-on-Yarn cluster, scaled
-    /// down ~100× so that scaled-down experiments keep the same *relative*
-    /// overhead structure: 200 µs per message, 10 µs per KiB, 2 ms task
-    /// launch.
-    pub fn cluster_like() -> Self {
-        LatencyModel {
-            per_message_us: 200,
-            per_kib_us: 10,
-            task_launch_us: 2000,
-        }
-    }
-
-    /// Whether the model introduces any delay at all.
-    pub fn is_zero(&self) -> bool {
-        self.per_message_us == 0 && self.per_kib_us == 0 && self.task_launch_us == 0
-    }
-
-    /// The delay charged to a message of `bytes` bytes.
-    ///
-    /// Transfer time rounds *up* to the next microsecond: any nonzero
-    /// payload occupies the wire for a nonzero time. (Floor division here
-    /// used to charge every sub-KiB message — which is most protocol
-    /// messages — zero transfer time, flattening the byte-cost curves of
-    /// the experiments.)
-    pub fn delay(&self, bytes: usize, is_assignment: bool) -> Duration {
-        let mut us = self.per_message_us + (bytes as u64 * self.per_kib_us).div_ceil(1024);
-        if is_assignment {
-            us += self.task_launch_us;
-        }
-        Duration::from_micros(us)
-    }
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel::ZERO
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-    use super::*;
-
-    #[test]
-    fn zero_model_has_no_delay() {
-        assert!(LatencyModel::ZERO.is_zero());
-        assert_eq!(LatencyModel::ZERO.delay(1 << 20, true), Duration::ZERO);
-    }
-
-    #[test]
-    fn delay_scales_with_bytes() {
-        let m = LatencyModel {
-            per_message_us: 100,
-            per_kib_us: 10,
-            task_launch_us: 0,
-        };
-        assert_eq!(m.delay(0, false), Duration::from_micros(100));
-        assert_eq!(m.delay(1024, false), Duration::from_micros(110));
-        assert_eq!(m.delay(10 * 1024, false), Duration::from_micros(200));
-    }
-
-    /// Regression (ISSUE 7 satellite): sub-KiB payloads used to floor to
-    /// zero transfer time. Ceiling division pins every boundary case.
-    #[test]
-    fn sub_kib_payloads_are_charged_transfer_time() {
-        let m = LatencyModel {
-            per_message_us: 0,
-            per_kib_us: 10,
-            task_launch_us: 0,
-        };
-        // (bytes, expected transfer µs = ceil(bytes·10 / 1024))
-        for (bytes, us) in [(0usize, 0u64), (1, 1), (1023, 10), (1024, 10), (1025, 11)] {
-            assert_eq!(
-                m.delay(bytes, false),
-                Duration::from_micros(us),
-                "{bytes} bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn assignment_adds_launch_overhead() {
-        let m = LatencyModel {
-            per_message_us: 10,
-            per_kib_us: 0,
-            task_launch_us: 990,
-        };
-        assert_eq!(m.delay(0, true), Duration::from_micros(1000));
-        assert_eq!(m.delay(0, false), Duration::from_micros(10));
-    }
-
-    #[test]
-    fn cluster_like_is_nonzero() {
-        assert!(!LatencyModel::cluster_like().is_zero());
-    }
+    /// No simulated delays.
+    pub const ZERO: LatencyModel = LatencyModel;
 }

@@ -1,19 +1,19 @@
-//! Simulated shared-nothing cluster substrate.
+//! Shared-nothing cluster substrate.
 //!
 //! The paper evaluates on a 100-node Spark/Yarn cluster; this crate
-//! reproduces the *shared-nothing discipline* of that environment on one
-//! machine so that the algorithmic properties under test — communication
-//! rounds, bytes on the wire, per-worker state — are exercised by real code
-//! paths:
+//! reproduces the *shared-nothing discipline* of that environment so that
+//! the algorithmic properties under test — communication rounds, bytes on
+//! the wire, per-worker state — are exercised by real code paths:
 //!
-//! * Worker nodes are OS threads with **fully private state**: the only way
-//!   data moves between the master and a worker is a serialized message.
+//! * Worker nodes have **fully private state**: the only way data moves
+//!   between the master and a worker is a serialized message.
 //! * Every message is encoded through the binary [`codec`], its size is
 //!   added to the [`NetworkMetrics`] byte counters, and it is decoded on
 //!   the receiving side — nothing crosses by reference.
-//! * A configurable [`LatencyModel`] charges task-assignment overhead and
-//!   transfer latency per message, mimicking the "high network latency and
-//!   task assignment overheads" of the paper's Spark setup.
+//! * Two message planes carry the messages: the in-process [`Cluster`]
+//!   (worker threads and channels, no simulated latency) and the
+//!   [`SocketTransport`] to worker processes, where the network supplies
+//!   the latency the paper's Spark setup pays.
 //!
 //! The [`runtime::Cluster`] is protocol-agnostic: the MPQ algorithm
 //! (`mpq-algo`) and the SMA baseline (`mpq-sma`) implement their own
@@ -23,8 +23,8 @@
 //! framed in a [`codec::SessionEnvelope`] tagging the owning
 //! [`codec::QueryId`], worker logic receives that id with each message
 //! (so one worker can hold state for many in-flight queries), and the
-//! master can either receive untargeted ([`Cluster::recv`]) or route
-//! replies to the owning session ([`Cluster::recv_for`]), with replies
+//! master can either receive untargeted ([`Transport::recv`]) or route
+//! replies to the owning session ([`Transport::recv_for`]), with replies
 //! for other sessions parked rather than dropped.
 //!
 //! On top of the message plane sits the master-side **session
@@ -32,12 +32,12 @@
 //! table and one `submit`/`poll`/`wait` loop, generic over the
 //! [`Protocol`] a master speaks — shared by the MPQ and SMA services.
 //!
-//! The runtime can also inject **deterministic faults** — worker crashes
-//! (before or after replying), dropped replies and stragglers — from a
-//! seed-driven [`FaultPlan`] (see [`fault`]). Masters observe faults
-//! through typed [`ClusterError`]s, [`Cluster::recv_timeout`] and
-//! liveness probes rather than panics, mirroring how a Spark-style
-//! master observes executor loss.
+//! **Deterministic faults** — worker crashes (before or after replying),
+//! dropped replies and stragglers — come from a seed-driven [`FaultPlan`]
+//! applied by the [`Faulty`] worker decorator (see [`fault`]), on either
+//! plane. Masters observe faults through typed [`ClusterError`]s,
+//! [`Transport::recv_timeout`] and liveness probes rather than panics,
+//! mirroring how a Spark-style master observes executor loss.
 
 #![forbid(unsafe_code)]
 
@@ -53,7 +53,7 @@ pub use codec::{
     DecodeError, Decoder, EncodeError, Encoder, FixedSize, Progress, QueryId, SessionEnvelope,
     Wire, WireType,
 };
-pub use fault::{FaultAction, FaultPlan, FaultSchedule, WorkerFaults};
+pub use fault::{FaultAction, FaultPlan, FaultSchedule, Faulty, WorkerFaults};
 pub use latency::LatencyModel;
 pub use metrics::{NetworkMetrics, NetworkSnapshot, WorkerCounters};
 pub use runtime::{

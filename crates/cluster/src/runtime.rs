@@ -1,28 +1,31 @@
-//! The threaded node runtime.
+//! The threaded node runtime: the in-process message plane.
 //!
-//! A [`Cluster`] owns one OS thread per worker node and is **long-lived**:
-//! it serves an unbounded stream of optimization sessions, each identified
-//! by a [`QueryId`]. Workers hold fully private state (their
-//! [`WorkerLogic`] value moves into the thread) and interact with the
-//! master exclusively through serialized, byte-counted, latency-charged
-//! messages, every one framed in a [`SessionEnvelope`] tagging its owning
-//! session. The master-side protocol runs on the caller's thread via
-//! [`Cluster::send`] / [`Cluster::recv`] / [`Cluster::recv_for`]: `recv`
-//! surfaces the session tag, and `recv_for` demultiplexes — replies owned
-//! by other sessions are buffered and delivered when their owner asks.
+//! A [`Cluster`] is threads, channels and `Inbox::pump` (the receive loop
+//! it shares with the socket transport), and nothing else: one OS thread
+//! per worker node, one channel into each worker, one channel back to the
+//! master. It is **long-lived**: it serves an unbounded stream of
+//! optimization sessions, each identified by a [`QueryId`]. Workers hold
+//! fully private state (their [`WorkerLogic`] value moves into the thread)
+//! and interact with the master exclusively through serialized,
+//! byte-counted messages, every one framed in a [`SessionEnvelope`]
+//! tagging its owning session. The master-side protocol runs on the
+//! caller's thread through the [`Transport`] methods `send` / `recv` /
+//! `recv_for`: `recv` surfaces the session tag, and `recv_for`
+//! demultiplexes — replies owned by other sessions are buffered and
+//! delivered when their owner asks.
 //!
-//! Faults can be injected deterministically via a
-//! [`FaultPlan`] passed to
-//! [`Cluster::spawn_with_faults`]: workers then crash, drop replies or
-//! straggle exactly as the resolved [`FaultSchedule`](crate::FaultSchedule)
-//! dictates. The master observes faults only the way a real master would —
-//! through send failures, receive timeouts and [`Cluster::is_worker_alive`]
-//! — and every injected fault is tallied in the [`NetworkMetrics`].
+//! The plane simulates no latency and injects no faults. A seeded
+//! [`FaultPlan`](crate::FaultPlan) is applied by wrapping each worker's
+//! logic in a [`Faulty`](crate::Faulty) decorator, which runs unchanged
+//! here and behind [`serve_worker`](crate::serve_worker) on a socket. The
+//! master observes faults only the way a real master would — through send
+//! failures, receive timeouts and [`Transport::is_worker_alive`].
 
 use crate::codec::{QueryId, SessionEnvelope};
-use crate::fault::{FaultAction, FaultPlan, WorkerFaults};
+use crate::fault::FaultAction;
 use crate::latency::LatencyModel;
 use crate::metrics::NetworkMetrics;
+use crate::transport::Transport;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{BTreeMap, VecDeque};
@@ -166,26 +169,13 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// The fault applied to replies of the message currently being handled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReplyFault {
-    None,
-    Drop,
-    Delay(Duration),
-}
-
-/// Where a worker's replies go: the in-process simulated network of a
-/// [`Cluster`], or a real byte stream back to a remote master (see
+/// Where a worker's replies go: the in-process channel of a [`Cluster`],
+/// or a real byte stream back to a remote master (see
 /// [`crate::transport`]).
-pub(crate) enum ReplySink {
-    /// In-process channel of the simulated [`Cluster`]; the transfer
-    /// delay is computed from the latency model and charged master-side.
-    Channel {
-        to_master: Sender<(usize, Envelope)>,
-        latency: LatencyModel,
-    },
-    /// A length-prefixed frame stream over a real socket; the wire itself
-    /// provides the latency, so none is simulated.
+enum ReplySink {
+    /// In-process channel of a [`Cluster`].
+    Channel(Sender<(usize, SessionEnvelope)>),
+    /// A length-prefixed frame stream over a real socket.
     Stream(Box<dyn std::io::Write + Send>),
 }
 
@@ -194,16 +184,20 @@ pub struct WorkerCtx {
     worker_id: usize,
     sink: ReplySink,
     metrics: Arc<NetworkMetrics>,
-    reply_fault: ReplyFault,
+    /// The fault a [`Faulty`](crate::Faulty) wrapper armed for the message
+    /// being handled; only [`FaultAction::DropReply`] and
+    /// [`FaultAction::Straggle`] act on its replies.
+    pub(crate) reply_fault: FaultAction,
     current_query: QueryId,
 }
 
 impl WorkerCtx {
-    /// A context whose replies go down a real byte stream instead of the
-    /// simulated network — the worker side of [`crate::transport`]. The
-    /// stream provides its own latency, so none is simulated, and fault
-    /// injection (a [`FaultPlan`] concern) does not apply: real transports
-    /// get real faults.
+    /// A context whose replies go down a real byte stream instead of an
+    /// in-process channel — the worker side of [`crate::transport`].
+    /// Faults apply here exactly as in a [`Cluster`]: wrap the logic in a
+    /// [`Faulty`](crate::Faulty) and its drops and stragglers act on the
+    /// stream, while a crash ends [`serve_worker`](crate::serve_worker)
+    /// and closes the connection.
     ///
     /// Public so alternative transports outside this crate — notably the
     /// schedule-space model checker, which runs worker logic inline and
@@ -218,7 +212,7 @@ impl WorkerCtx {
             worker_id,
             sink: ReplySink::Stream(writer),
             metrics,
-            reply_fault: ReplyFault::None,
+            reply_fault: FaultAction::Deliver,
             current_query: QueryId(0),
         }
     }
@@ -252,46 +246,42 @@ impl WorkerCtx {
     }
 
     /// Sends a serialized reply to the master, framed with the current
-    /// message's [`QueryId`]. The framed size is counted and the transfer
-    /// delay is charged on the master side.
+    /// message's [`QueryId`]. The framed size is counted.
     ///
     /// Under fault injection the reply may be silently dropped (the
-    /// simulated network ate it) or delayed worker-side (straggler); both
-    /// are tallied here, where a reply actually exists — a drop/straggle
-    /// fault armed on a message that produces no reply is a no-op and is
+    /// network ate it) or delayed worker-side (straggler); both are
+    /// tallied here, where a reply actually exists — a drop/straggle fault
+    /// armed on a message that produces no reply is a no-op and is
     /// deliberately not counted.
     pub fn send_to_master(&mut self, payload: Bytes) {
         match self.reply_fault {
-            ReplyFault::Drop => {
+            FaultAction::DropReply => {
                 self.metrics.record_drop(self.worker_id);
                 return; // lost in the network
             }
-            ReplyFault::Delay(d) => {
+            FaultAction::Straggle(d) => {
                 self.metrics.record_straggle(self.worker_id);
                 std::thread::sleep(d);
             }
-            ReplyFault::None => {}
+            _ => {}
         }
         match &mut self.sink {
-            ReplySink::Channel { to_master, latency } => {
+            ReplySink::Channel(to_master) => {
                 // Framed length: payload plus the 8-byte session-id header
                 // (see [`SessionEnvelope`] for the canonical layout). The
                 // header is carried pre-parsed through the in-process
                 // channel — the way a real transport parses it once at the
                 // socket — so the hot path pays no serialization copy,
-                // while the byte counters and the latency model see the
-                // full on-the-wire size.
+                // while the byte counters see the full on-the-wire size.
                 let framed_len = payload.len() + SessionEnvelope::HEADER_BYTES;
                 self.metrics.record_reply(self.worker_id, framed_len as u64);
-                let delay = latency.delay(framed_len, false);
                 // The channel being closed means the master is gone
                 // (cluster drop mid-protocol); the reply is moot then.
                 let _ = to_master.send((
                     self.worker_id,
-                    Envelope {
+                    SessionEnvelope {
                         query: self.current_query,
                         payload,
-                        delay,
                     },
                 ));
             }
@@ -410,27 +400,6 @@ impl ReplyPark {
     }
 }
 
-/// One message in flight on the simulated network: the session-id header
-/// pre-parsed (see [`SessionEnvelope`] for the canonical byte layout —
-/// byte counters and latency always charge the framed length, payload
-/// plus header), the payload, and its transfer delay.
-pub(crate) struct Envelope {
-    query: QueryId,
-    payload: Bytes,
-    delay: Duration,
-}
-
-impl Envelope {
-    /// A frame that already crossed a real wire: nothing left to charge.
-    pub(crate) fn undelayed(query: QueryId, payload: Bytes) -> Envelope {
-        Envelope {
-            query,
-            payload,
-            delay: Duration::ZERO,
-        }
-    }
-}
-
 /// How long a receive may wait for the channel.
 #[derive(Clone, Copy)]
 pub(crate) enum Wait {
@@ -448,12 +417,12 @@ pub(crate) enum Wait {
 /// it by session. Every `recv*` method of either plane is one
 /// [`Inbox::pump`] call.
 pub(crate) struct Inbox {
-    rx: Receiver<(usize, Envelope)>,
+    rx: Receiver<(usize, SessionEnvelope)>,
     parked: ReplyPark,
 }
 
 impl Inbox {
-    pub(crate) fn new(rx: Receiver<(usize, Envelope)>) -> Inbox {
+    pub(crate) fn new(rx: Receiver<(usize, SessionEnvelope)>) -> Inbox {
         Inbox {
             rx,
             parked: ReplyPark::new(),
@@ -462,10 +431,9 @@ impl Inbox {
 
     /// The one receive loop. Parked replies are served first (the oldest
     /// owned by `want`, or with no `want` the oldest of the lowest
-    /// session). Otherwise replies are taken off the channel, each
-    /// charged its transfer delay, until one is owned by `want` — any
-    /// reply is, when `want` is `None` — and the others are parked for
-    /// their owners. The channel closing is
+    /// session). Otherwise replies are taken off the channel until one is
+    /// owned by `want` — any reply is, when `want` is `None` — and the
+    /// others are parked for their owners. The channel closing is
     /// [`ClusterError::AllWorkersLost`]; an empty poll or a spent
     /// [`Wait::AtMost`] is [`ClusterError::Timeout`].
     pub(crate) fn pump(
@@ -501,9 +469,6 @@ impl Inbox {
                 }
                 Err(RecvTimeoutError::Disconnected) => return Err(ClusterError::AllWorkersLost),
             };
-            if !env.delay.is_zero() {
-                std::thread::sleep(env.delay);
-            }
             if want.is_none_or(|query| query == env.query) {
                 return Ok((worker, env.query, env.payload));
             }
@@ -519,11 +484,11 @@ impl Inbox {
 }
 
 enum ToWorker {
-    Message(Envelope),
+    Message(SessionEnvelope),
     Shutdown,
 }
 
-/// A simulated shared-nothing cluster: `m` worker threads plus the
+/// An in-process shared-nothing cluster: `m` worker threads plus the
 /// master-side API on the calling thread. One cluster is long-lived and
 /// serves many concurrent sessions; see the module docs.
 pub struct Cluster {
@@ -531,38 +496,21 @@ pub struct Cluster {
     inbox: Inbox,
     handles: Vec<JoinHandle<()>>,
     metrics: Arc<NetworkMetrics>,
-    latency: LatencyModel,
 }
 
 impl Cluster {
-    /// Spawns `num_workers` fault-free worker threads. `factory(i)` builds
-    /// the logic value for worker `i`; it is moved into that worker's
-    /// thread, so workers cannot share state.
+    /// Spawns `num_workers` worker threads. `factory(i)` builds the logic
+    /// value for worker `i`; it is moved into that worker's thread, so
+    /// workers cannot share state. Wrap the logic in a
+    /// [`Faulty`](crate::Faulty) to inject faults. The [`LatencyModel`]
+    /// argument is ignored: this plane simulates no latency. It stays
+    /// until ROADMAP 15(d).
     ///
     /// Fails with [`ClusterError::SpawnFailed`] if the OS refuses a
     /// thread; workers spawned up to that point are shut down and joined.
     pub fn spawn<L, F>(
         num_workers: usize,
-        latency: LatencyModel,
-        factory: F,
-    ) -> Result<Cluster, ClusterError>
-    where
-        L: WorkerLogic,
-        F: FnMut(usize) -> L,
-    {
-        Cluster::spawn_with_faults(num_workers, latency, &FaultPlan::NONE, factory)
-    }
-
-    /// Spawns `num_workers` worker threads with the given fault plan
-    /// resolved into a deterministic schedule (same plan and worker count
-    /// → same injected faults per message).
-    ///
-    /// Fails with [`ClusterError::SpawnFailed`] if the OS refuses a
-    /// thread; workers spawned up to that point are shut down and joined.
-    pub fn spawn_with_faults<L, F>(
-        num_workers: usize,
-        latency: LatencyModel,
-        faults: &FaultPlan,
+        _latency: LatencyModel,
         mut factory: F,
     ) -> Result<Cluster, ClusterError>
     where
@@ -572,166 +520,91 @@ impl Cluster {
         if num_workers == 0 {
             return Err(ClusterError::SpawnFailed { worker: 0 });
         }
-        let schedule = faults.schedule(num_workers);
-        let metrics = Arc::new(NetworkMetrics::with_workers(num_workers));
-        let (master_tx, from_workers) = unbounded::<(usize, Envelope)>();
-        let mut to_workers = Vec::with_capacity(num_workers);
-        let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(num_workers);
+        let (master_tx, from_workers) = unbounded::<(usize, SessionEnvelope)>();
+        // Built up in place: an early return drops the partial cluster, and
+        // `Drop` is the teardown — no orphan threads.
+        let mut cluster = Cluster {
+            to_workers: Vec::with_capacity(num_workers),
+            inbox: Inbox::new(from_workers),
+            handles: Vec::with_capacity(num_workers),
+            metrics: Arc::new(NetworkMetrics::with_workers(num_workers)),
+        };
         for id in 0..num_workers {
             let (tx, rx) = unbounded::<ToWorker>();
-            to_workers.push(tx);
-            let mut logic = factory(id);
-            let wf = schedule.worker(id);
-            let mut ctx = WorkerCtx {
+            cluster.to_workers.push(tx);
+            let logic = factory(id);
+            let ctx = WorkerCtx {
                 worker_id: id,
-                sink: ReplySink::Channel {
-                    to_master: master_tx.clone(),
-                    latency,
-                },
-                metrics: Arc::clone(&metrics),
-                reply_fault: ReplyFault::None,
+                sink: ReplySink::Channel(master_tx.clone()),
+                metrics: Arc::clone(&cluster.metrics),
+                reply_fault: FaultAction::Deliver,
                 current_query: QueryId(0),
             };
-            let spawned = std::thread::Builder::new()
+            let handle = std::thread::Builder::new()
                 .name(format!("mpq-worker-{id}"))
-                .spawn(move || worker_loop(rx, &mut logic, &mut ctx, wf));
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                Err(_) => {
-                    // Tear the partial cluster down before surfacing the
-                    // typed error: no orphan threads.
-                    for tx in &to_workers {
-                        let _ = tx.send(ToWorker::Shutdown);
-                    }
-                    for h in handles.drain(..) {
-                        let _ = h.join();
-                    }
-                    return Err(ClusterError::SpawnFailed { worker: id });
-                }
-            }
+                .spawn(move || worker_loop(rx, logic, ctx))
+                .map_err(|_| ClusterError::SpawnFailed { worker: id })?;
+            cluster.handles.push(handle);
         }
-        Ok(Cluster {
-            to_workers,
-            inbox: Inbox::new(from_workers),
-            handles,
-            metrics,
-            latency,
-        })
+        Ok(cluster)
     }
 
-    /// Number of worker nodes.
-    pub fn num_workers(&self) -> usize {
+    /// Shuts every worker down and joins the threads.
+    pub fn shutdown(mut self) {
+        Transport::shutdown(&mut self);
+    }
+}
+
+/// The in-process plane behind the [`Transport`] every session scheduler
+/// is written against: each method is a channel operation or one
+/// `Inbox::pump` call.
+impl Transport for Cluster {
+    fn num_workers(&self) -> usize {
         self.to_workers.len()
     }
 
-    /// The shared network counters.
-    pub fn metrics(&self) -> &NetworkMetrics {
+    fn metrics(&self) -> &NetworkMetrics {
         &self.metrics
     }
 
-    /// Whether worker `id`'s thread is still running. This is the
-    /// simulated analogue of a cluster manager's liveness probe: the
-    /// master may consult it when deciding whether a missing reply means a
-    /// straggler or a dead node.
-    pub fn is_worker_alive(&self, id: usize) -> bool {
+    /// The thread is still running: the in-process liveness probe.
+    fn is_worker_alive(&self, id: usize) -> bool {
         !self.handles[id].is_finished()
     }
 
-    /// Ids of workers whose threads have terminated.
-    pub fn dead_workers(&self) -> Vec<usize> {
-        (0..self.num_workers())
-            .filter(|&id| !self.is_worker_alive(id))
-            .collect()
-    }
-
-    /// Sends a serialized message to worker `id` on behalf of session
-    /// `query` (the id is framed onto the wire and counted).
-    /// `is_assignment` marks task-assignment messages, which carry extra
-    /// launch overhead in the latency model.
-    ///
-    /// Returns [`ClusterError::WorkerLost`] if the worker has terminated.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range (a protocol bug, not a fault).
-    pub fn send(
+    fn send(
         &self,
         id: usize,
         query: QueryId,
         payload: Bytes,
-        is_assignment: bool,
+        _is_assignment: bool,
     ) -> Result<(), ClusterError> {
         let framed_len = payload.len() + SessionEnvelope::HEADER_BYTES;
-        let delay = self.latency.delay(framed_len, is_assignment);
         self.to_workers[id]
-            .send(ToWorker::Message(Envelope {
-                query,
-                payload,
-                delay,
-            }))
+            .send(ToWorker::Message(SessionEnvelope { query, payload }))
             .map_err(|_| ClusterError::WorkerLost { worker: id })?;
         self.metrics.record_to_worker(framed_len as u64);
         Ok(())
     }
 
-    /// Sends the same payload to every worker on behalf of session
-    /// `query` (counted once per worker — a cluster switch still delivers
-    /// `m` copies). Fails on the first dead worker.
-    pub fn broadcast(
-        &self,
-        query: QueryId,
-        payload: &Bytes,
-        is_assignment: bool,
-    ) -> Result<(), ClusterError> {
-        for id in 0..self.num_workers() {
-            self.send(id, query, payload.clone(), is_assignment)?;
-        }
-        Ok(())
-    }
-
-    /// Receives the next worker reply for **any** session, blocking. The
-    /// reply's transfer delay is charged here (master side). Replies
-    /// parked by [`Cluster::recv_for`] are drained first.
-    ///
-    /// Returns [`ClusterError::AllWorkersLost`] if every worker has
-    /// terminated and no replies remain.
-    pub fn recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
+    fn recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
         self.inbox.pump(Wait::Forever, None)
     }
 
-    /// Receives the next worker reply for any session, waiting at most
-    /// `timeout`. The reply's transfer delay is charged here (master
-    /// side).
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<(usize, QueryId, Bytes), ClusterError> {
+    fn recv_timeout(&self, timeout: Duration) -> Result<(usize, QueryId, Bytes), ClusterError> {
         self.inbox.pump(Wait::AtMost(timeout), None)
     }
 
-    /// Non-blocking receive: the next reply for any session if one is
-    /// already waiting, else [`ClusterError::Timeout`] with a zero wait.
-    pub fn try_recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
+    fn try_recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
         self.inbox.pump(Wait::Poll, None)
     }
 
-    /// Session-routed receive: blocks until the next reply **owned by
-    /// `query`** arrives. Replies belonging to other sessions are parked
-    /// and handed to their owners on their next `recv_for` / [`Cluster::recv`]
-    /// call — the master-side demultiplexer that lets independent session
-    /// drivers share one resident cluster.
-    ///
-    /// Blocks indefinitely — correct for fault-free protocols, but if the
-    /// session's worker can crash while *other* workers stay alive, the
-    /// awaited reply may never come and the channel never disconnects:
-    /// use [`Cluster::recv_for_timeout`] plus [`Cluster::dead_workers`]
-    /// whenever faults are possible (as the session schedulers do).
-    pub fn recv_for(&self, query: QueryId) -> Result<(usize, Bytes), ClusterError> {
+    fn recv_for(&self, query: QueryId) -> Result<(usize, Bytes), ClusterError> {
         let (worker, _, payload) = self.inbox.pump(Wait::Forever, Some(query))?;
         Ok((worker, payload))
     }
 
-    /// Session-routed receive with a deadline: like [`Cluster::recv_for`],
-    /// but gives up with [`ClusterError::Timeout`] once `timeout` has
-    /// elapsed without a reply for `query` (replies for other sessions
-    /// arriving meanwhile are still parked for their owners).
-    pub fn recv_for_timeout(
+    fn recv_for_timeout(
         &self,
         query: QueryId,
         timeout: Duration,
@@ -740,10 +613,10 @@ impl Cluster {
         Ok((worker, payload))
     }
 
-    /// Sends every worker a shutdown order and joins the threads.
-    /// Idempotent — the handle list is drained, so a second call (e.g.
-    /// `shutdown` followed by `Drop`) is a no-op.
-    pub(crate) fn shutdown_in_place(&mut self) {
+    /// Sends every worker a shutdown order and joins the threads. The
+    /// handle list is drained, so a second call (e.g. `shutdown` followed
+    /// by `Drop`) is a no-op.
+    fn shutdown(&mut self) {
         for tx in &self.to_workers {
             let _ = tx.send(ToWorker::Shutdown);
         }
@@ -751,78 +624,24 @@ impl Cluster {
             let _ = h.join();
         }
     }
-
-    /// Shuts every worker down and joins the threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
 }
 
-/// The per-worker thread body: deliver messages to the logic, applying
-/// the worker's fault slice. Crashes terminate the thread (dropping the
-/// inbox receiver, so later master sends fail like sends to a dead node).
-fn worker_loop<L: WorkerLogic>(
-    rx: Receiver<ToWorker>,
-    logic: &mut L,
-    ctx: &mut WorkerCtx,
-    faults: WorkerFaults,
-) {
-    let mut msg_index: u64 = 0;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ToWorker::Message(env) => {
-                if !env.delay.is_zero() {
-                    std::thread::sleep(env.delay);
-                }
-                ctx.current_query = env.query;
-                let action = faults.action(msg_index);
-                msg_index += 1;
-                match action {
-                    FaultAction::Deliver => {
-                        if logic.on_message(env.query, env.payload, ctx) == Control::Shutdown {
-                            break;
-                        }
-                    }
-                    FaultAction::CrashBeforeReply => {
-                        ctx.metrics.record_crash(ctx.worker_id);
-                        break;
-                    }
-                    FaultAction::CrashAfterReply => {
-                        let _ = logic.on_message(env.query, env.payload, ctx);
-                        ctx.metrics.record_crash(ctx.worker_id);
-                        break;
-                    }
-                    FaultAction::DropReply => {
-                        ctx.reply_fault = ReplyFault::Drop;
-                        let control = logic.on_message(env.query, env.payload, ctx);
-                        ctx.reply_fault = ReplyFault::None;
-                        if control == Control::Shutdown {
-                            break;
-                        }
-                    }
-                    FaultAction::Straggle(extra) => {
-                        ctx.reply_fault = ReplyFault::Delay(extra);
-                        let control = logic.on_message(env.query, env.payload, ctx);
-                        ctx.reply_fault = ReplyFault::None;
-                        if control == Control::Shutdown {
-                            break;
-                        }
-                    }
-                }
-            }
-            ToWorker::Shutdown => break,
+/// The per-worker thread body: deliver messages to the logic until it
+/// asks to stop or the master orders a shutdown. Ending the thread drops
+/// the inbox receiver, so later master sends fail like sends to a dead
+/// node.
+fn worker_loop<L: WorkerLogic>(rx: Receiver<ToWorker>, mut logic: L, mut ctx: WorkerCtx) {
+    while let Ok(ToWorker::Message(env)) = rx.recv() {
+        ctx.current_query = env.query;
+        if logic.on_message(env.query, env.payload, &mut ctx) == Control::Shutdown {
+            break;
         }
     }
 }
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        for tx in &self.to_workers {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        Transport::shutdown(self);
     }
 }
 
@@ -1013,24 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_delays_delivery() {
-        let latency = LatencyModel {
-            per_message_us: 20_000,
-            per_kib_us: 0,
-            task_launch_us: 0,
-        };
-        let cluster = Cluster::spawn(1, latency, |_| echo()).unwrap();
-        let t0 = std::time::Instant::now();
-        cluster
-            .send(0, Q0, Bytes::from_static(b"x"), false)
-            .unwrap();
-        let _ = cluster.recv().unwrap();
-        // One delay on delivery to the worker, one on the reply.
-        assert!(t0.elapsed() >= Duration::from_micros(40_000));
-        cluster.shutdown();
-    }
-
-    #[test]
     fn worker_can_request_shutdown() {
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| {
             |_query: QueryId, _payload: Bytes, ctx: &mut WorkerCtx| {
@@ -1049,52 +850,6 @@ mod tests {
     fn drop_joins_threads() {
         let cluster = Cluster::spawn(3, LatencyModel::ZERO, |_| echo()).unwrap();
         drop(cluster); // must not hang or panic
-    }
-
-    #[test]
-    fn crashed_worker_yields_typed_errors_not_panics() {
-        // Worker 0 crashes before its first reply (min_survivors: 0 lets
-        // the only worker crash).
-        let faults = FaultPlan {
-            crash_prob: 1.0,
-            min_survivors: 0,
-            ..FaultPlan::NONE
-        };
-        // crash_at may be 1 or 2; send enough messages to trigger it.
-        let cluster =
-            Cluster::spawn_with_faults(1, LatencyModel::ZERO, &faults, |_| echo()).unwrap();
-        for _ in 0..3 {
-            if cluster
-                .send(0, Q0, Bytes::from_static(b"x"), false)
-                .is_err()
-            {
-                break;
-            }
-            // Give the worker a moment to process (and possibly die).
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // Eventually the worker is dead: sends fail with a typed error.
-        let mut lost = false;
-        for _ in 0..100 {
-            match cluster.send(0, Q0, Bytes::from_static(b"x"), false) {
-                Err(ClusterError::WorkerLost { worker: 0 }) => {
-                    lost = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error {e}"),
-                Ok(()) => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-        assert!(lost, "send to a crashed worker must fail");
-        assert!(!cluster.is_worker_alive(0));
-        assert_eq!(cluster.dead_workers(), vec![0]);
-        // The worker may have echoed messages delivered before its crash
-        // point (crash_at need not be 0); drain those, then recv on the
-        // fully-dead, fully-drained cluster errors instead of hanging.
-        while cluster.recv().is_ok() {}
-        assert_eq!(cluster.recv(), Err(ClusterError::AllWorkersLost));
-        assert!(cluster.metrics().snapshot().crashes >= 1);
-        cluster.shutdown();
     }
 
     #[test]
@@ -1133,89 +888,6 @@ mod tests {
         }
         let (_, _, reply) = got.expect("echo arrives");
         assert_eq!(&reply[..], b"now");
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn dropped_replies_are_counted_not_delivered() {
-        let faults = FaultPlan {
-            drop_prob: 1.0,
-            ..FaultPlan::NONE
-        };
-        let cluster =
-            Cluster::spawn_with_faults(2, LatencyModel::ZERO, &faults, |_| echo()).unwrap();
-        cluster
-            .send(0, Q0, Bytes::from_static(b"x"), false)
-            .unwrap();
-        cluster
-            .send(1, Q0, Bytes::from_static(b"y"), false)
-            .unwrap();
-        assert!(cluster.recv_timeout(Duration::from_millis(50)).is_err());
-        let s = cluster.metrics().snapshot();
-        assert_eq!(s.drops, 2);
-        assert_eq!(
-            s.worker_to_master_bytes, 0,
-            "dropped replies never hit the wire counters"
-        );
-        let w = cluster.metrics().worker_counters();
-        assert_eq!(w[0].failures, 1);
-        assert_eq!(w[1].failures, 1);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn straggler_delays_but_delivers() {
-        let faults = FaultPlan {
-            straggle_prob: 1.0,
-            straggle_us: 30_000,
-            ..FaultPlan::NONE
-        };
-        let cluster =
-            Cluster::spawn_with_faults(1, LatencyModel::ZERO, &faults, |_| echo()).unwrap();
-        cluster
-            .send(0, Q0, Bytes::from_static(b"slow"), false)
-            .unwrap();
-        // Short timeout: the straggler has not replied yet.
-        assert!(cluster.recv_timeout(Duration::from_millis(5)).is_err());
-        // Patient wait: the reply eventually arrives intact.
-        let (_, _, reply) = cluster.recv_timeout(Duration::from_millis(500)).unwrap();
-        assert_eq!(&reply[..], b"slow");
-        assert_eq!(cluster.metrics().snapshot().straggles, 1);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn crash_after_reply_delivers_then_dies() {
-        let faults = FaultPlan {
-            crash_prob: 1.0,
-            crash_after_reply_prob: 1.0,
-            min_survivors: 0,
-            ..FaultPlan::NONE
-        };
-        // Find a seed whose single worker crashes on message 0 so the
-        // reply-then-die order is observable in one exchange.
-        let seed = (0..64)
-            .find(|&seed| {
-                let plan = FaultPlan { seed, ..faults };
-                plan.schedule(1).action(0, 0) == FaultAction::CrashAfterReply
-            })
-            .expect("some seed crashes at message 0");
-        let plan = FaultPlan { seed, ..faults };
-        let cluster = Cluster::spawn_with_faults(1, LatencyModel::ZERO, &plan, |_| echo()).unwrap();
-        cluster
-            .send(0, Q0, Bytes::from_static(b"last words"), false)
-            .unwrap();
-        let (_, _, reply) = cluster.recv().unwrap();
-        assert_eq!(&reply[..], b"last words");
-        // The worker died after replying.
-        for _ in 0..200 {
-            if !cluster.is_worker_alive(0) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(!cluster.is_worker_alive(0));
-        assert_eq!(cluster.metrics().snapshot().crashes, 1);
         cluster.shutdown();
     }
 }

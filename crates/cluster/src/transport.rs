@@ -4,17 +4,20 @@
 //! session scheduler needs from "the cluster" — typed sends, session-routed
 //! receives, liveness probes, byte counters. Two implementations exist:
 //!
-//! * the in-process simulated [`Cluster`] (threads + channels + a
-//!   [`LatencyModel`](crate::LatencyModel)), unchanged — every existing
-//!   test and experiment runs on it; and
+//! * the in-process [`Cluster`](crate::Cluster) (worker threads and
+//!   channels, no simulated latency) — every in-process test and
+//!   experiment runs on it; and
 //! * [`SocketTransport`]: real worker **processes** reached over TCP or
 //!   Unix-domain sockets, speaking length-prefixed [`SessionEnvelope`]
 //!   frames in the same little-endian [`codec`](crate::codec). Latency is
-//!   whatever the wire provides (none is simulated), byte counters are fed
-//!   from actual socket I/O, and connection loss surfaces as the same
-//!   typed [`ClusterError`]s the simulator produces — so the MPQ retry /
-//!   steal machinery is exercised by genuine loss, not only injected
+//!   whatever the wire provides, byte counters are fed from actual socket
+//!   I/O, and connection loss surfaces as the same typed [`ClusterError`]s
+//!   the in-process plane produces — so the MPQ retry / steal machinery is
+//!   exercised by genuine loss as well as by seeded
 //!   [`FaultPlan`](crate::FaultPlan)s.
+//!
+//! Neither plane injects faults itself: a [`Faulty`](crate::Faulty)
+//! worker decorator does, the same way behind a thread or a socket.
 //!
 //! # Wire protocol
 //!
@@ -36,9 +39,7 @@
 
 use crate::codec::{DecodeError, Decoder, Encoder, FixedSize, QueryId, SessionEnvelope, Wire};
 use crate::metrics::NetworkMetrics;
-use crate::runtime::{
-    Cluster, ClusterError, Control, Envelope, Inbox, Wait, WorkerCtx, WorkerLogic,
-};
+use crate::runtime::{ClusterError, Control, Inbox, Wait, WorkerCtx, WorkerLogic};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use std::fmt;
@@ -54,8 +55,8 @@ use std::time::Duration;
 /// Size of the `u32` little-endian frame-length prefix. Socket byte
 /// counters charge `payload + SessionEnvelope::HEADER_BYTES +
 /// LENGTH_PREFIX_BYTES` per message — the bytes that actually cross the
-/// wire (the in-process simulator charges only `payload + header`, since
-/// no length prefix exists there).
+/// wire (the in-process plane charges only `payload + header`, since no
+/// length prefix exists there).
 pub const LENGTH_PREFIX_BYTES: usize = 4;
 
 /// Sanity cap on a frame's length prefix; anything larger is treated as
@@ -64,13 +65,13 @@ pub const LENGTH_PREFIX_BYTES: usize = 4;
 pub const MAX_FRAME_BYTES: usize = 1 << 28;
 
 /// The master-side message plane: what session schedulers require from a
-/// cluster, whether simulated ([`Cluster`]) or real ([`SocketTransport`]).
+/// cluster, whether in-process ([`Cluster`](crate::Cluster)) or over
+/// sockets ([`SocketTransport`]).
 ///
-/// Semantics are those documented on [`Cluster`]'s inherent methods; the
-/// real transport matches them observably — same typed errors, same
-/// session demultiplexing (replies for other sessions are parked, never
-/// dropped) — so schedulers cannot tell the planes apart except by
-/// wall-clock behavior.
+/// Both planes meet the semantics documented here observably — same
+/// typed errors, same session demultiplexing (replies for other sessions
+/// are parked, never dropped) — so schedulers cannot tell the planes
+/// apart except by wall-clock behavior.
 pub trait Transport: Send {
     /// Number of worker nodes.
     fn num_workers(&self) -> usize;
@@ -79,7 +80,9 @@ pub trait Transport: Send {
     fn metrics(&self) -> &NetworkMetrics;
 
     /// Whether worker `id` is still reachable (thread running / socket
-    /// connected).
+    /// connected): the analogue of a cluster manager's liveness probe,
+    /// consulted when deciding whether a missing reply means a straggler
+    /// or a dead node.
     fn is_worker_alive(&self, id: usize) -> bool;
 
     /// Ids of workers that are no longer reachable.
@@ -90,9 +93,15 @@ pub trait Transport: Send {
     }
 
     /// Sends a serialized message to worker `id` on behalf of session
-    /// `query`. `is_assignment` marks task-assignment messages (extra
-    /// launch overhead under the simulated latency model; ignored by real
-    /// transports, where the wire sets the price).
+    /// `query`. `is_assignment` marks task-assignment messages; every
+    /// plane ignores it (none simulates a launch overhead). It stays, with
+    /// [`Cluster::spawn`](crate::Cluster::spawn)'s latency argument, until
+    /// ROADMAP 15(d).
+    ///
+    /// Returns [`ClusterError::WorkerLost`] if the worker is gone.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range (a protocol bug, not a fault).
     fn send(
         &self,
         id: usize,
@@ -116,6 +125,9 @@ pub trait Transport: Send {
     }
 
     /// Receives the next worker reply for **any** session, blocking.
+    /// Parked replies are drained first. Returns
+    /// [`ClusterError::AllWorkersLost`] if every worker is gone and no
+    /// replies remain.
     fn recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError>;
 
     /// Receives the next worker reply for any session, waiting at most
@@ -127,63 +139,28 @@ pub trait Transport: Send {
     fn try_recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError>;
 
     /// Session-routed receive: blocks until the next reply owned by
-    /// `query`; replies for other sessions are parked for their owners.
+    /// `query`; replies for other sessions are parked for their owners —
+    /// the demultiplexer that lets independent sessions share one plane.
+    ///
+    /// Blocks indefinitely: if the session's worker can crash while other
+    /// workers stay alive, the awaited reply may never come. Use
+    /// [`Transport::recv_for_timeout`] plus [`Transport::dead_workers`]
+    /// whenever faults are possible (as the session schedulers do).
     fn recv_for(&self, query: QueryId) -> Result<(usize, Bytes), ClusterError>;
 
-    /// Session-routed receive with a deadline.
+    /// Session-routed receive with a deadline: gives up with
+    /// [`ClusterError::Timeout`] once `timeout` has elapsed without a reply
+    /// for `query`.
     fn recv_for_timeout(
         &self,
         query: QueryId,
         timeout: Duration,
     ) -> Result<(usize, Bytes), ClusterError>;
 
-    /// Shuts the message plane down: workers are told to stop (simulated)
+    /// Shuts the message plane down: workers are told to stop (threads)
     /// or disconnected (sockets), and transport threads are joined.
     /// Idempotent.
     fn shutdown(&mut self);
-}
-
-impl Transport for Cluster {
-    fn num_workers(&self) -> usize {
-        Cluster::num_workers(self)
-    }
-    fn metrics(&self) -> &NetworkMetrics {
-        Cluster::metrics(self)
-    }
-    fn is_worker_alive(&self, id: usize) -> bool {
-        Cluster::is_worker_alive(self, id)
-    }
-    fn send(
-        &self,
-        id: usize,
-        query: QueryId,
-        payload: Bytes,
-        is_assignment: bool,
-    ) -> Result<(), ClusterError> {
-        Cluster::send(self, id, query, payload, is_assignment)
-    }
-    fn recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        Cluster::recv(self)
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        Cluster::recv_timeout(self, timeout)
-    }
-    fn try_recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
-        Cluster::try_recv(self)
-    }
-    fn recv_for(&self, query: QueryId) -> Result<(usize, Bytes), ClusterError> {
-        Cluster::recv_for(self, query)
-    }
-    fn recv_for_timeout(
-        &self,
-        query: QueryId,
-        timeout: Duration,
-    ) -> Result<(usize, Bytes), ClusterError> {
-        Cluster::recv_for_timeout(self, query, timeout)
-    }
-    fn shutdown(&mut self) {
-        self.shutdown_in_place();
-    }
 }
 
 /// Prepends the `u32` little-endian length prefix to a framed
@@ -501,7 +478,7 @@ const MAX_HANDSHAKE_WORKER_ID: u64 = 4096;
 /// Construction connects and handshakes every worker eagerly
 /// ([`SocketTransport::connect`]); a per-connection reader thread then
 /// reassembles reply frames into a shared inbox, so the blocking receive
-/// methods mirror the simulator's channel semantics exactly — including
+/// methods mirror the in-process channel semantics exactly — including
 /// [`ClusterError::AllWorkersLost`] when every reader has exited and the
 /// inbox is drained.
 pub struct SocketTransport {
@@ -531,7 +508,7 @@ impl SocketTransport {
         // call), so the inbox disconnects exactly when every reader
         // thread has exited — the socket analogue of "all worker threads
         // terminated".
-        let (tx, inbox) = unbounded::<(usize, Envelope)>();
+        let (tx, inbox) = unbounded::<(usize, SessionEnvelope)>();
         // Built up in place: an early return drops the partial plane, and
         // `Drop` is the teardown.
         let mut plane = SocketTransport {
@@ -680,7 +657,7 @@ fn handshake_as_master(stream: &mut WireStream, worker_id: u64) -> std::io::Resu
 fn reader_loop(
     worker: usize,
     mut stream: WireStream,
-    tx: &Sender<(usize, Envelope)>,
+    tx: &Sender<(usize, SessionEnvelope)>,
     alive: &AtomicBool,
     metrics: &NetworkMetrics,
 ) {
@@ -698,7 +675,6 @@ fn reader_loop(
                     let wire_bytes =
                         env.payload.len() + SessionEnvelope::HEADER_BYTES + LENGTH_PREFIX_BYTES;
                     metrics.record_reply(worker, wire_bytes as u64);
-                    let env = Envelope::undelayed(env.query, env.payload);
                     if tx.send((worker, env)).is_err() {
                         // The master dropped its inbox: shutdown path.
                         break 'stream;
@@ -714,8 +690,9 @@ fn reader_loop(
 
 /// Runs one worker **process**: accepts a single master connection on
 /// `listener`, handshakes, then delivers every inbound frame to `logic` —
-/// the same [`WorkerLogic`] the in-process [`Cluster`] drives, so the
-/// algorithm crates' worker code runs unmodified over real sockets.
+/// the same [`WorkerLogic`] the in-process [`Cluster`](crate::Cluster)
+/// drives, so the algorithm crates' worker code runs unmodified over real
+/// sockets.
 ///
 /// Returns when the logic requests [`Control::Shutdown`] or the master
 /// disconnects cleanly (EOF on a frame boundary). A truncated final

@@ -13,7 +13,9 @@
 //!    actual wire traffic (length prefix included).
 //! 3. **Connection loss** — a worker that exits mid-conversation, or a
 //!    peer that violates the handshake, surfaces as the same typed
-//!    [`ClusterError`]s the in-process simulator produces.
+//!    [`ClusterError`]s the in-process plane produces; so does a seeded
+//!    [`Faulty`] worker's crash, after its drops and stragglers acted on
+//!    the socket.
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
@@ -22,9 +24,9 @@
 use bytes::Bytes;
 use mpq_cluster::transport::MAX_FRAME_BYTES;
 use mpq_cluster::{
-    frame_with_prefix, serve_worker, ClusterError, Control, DecodeError, FrameBuffer, Hello,
-    QueryId, SessionEnvelope, SocketTransport, Transport, Wire, WireListener, WorkerAddr,
-    WorkerCtx, LENGTH_PREFIX_BYTES,
+    frame_with_prefix, serve_worker, ClusterError, Control, DecodeError, FaultAction, FaultPlan,
+    Faulty, FrameBuffer, Hello, QueryId, SessionEnvelope, SocketTransport, Transport, Wire,
+    WireListener, WorkerAddr, WorkerCtx, LENGTH_PREFIX_BYTES,
 };
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -324,6 +326,67 @@ fn two_workers_survive_one_death() {
         .join()
         .expect("worker 1 thread")
         .expect("clean exit");
+}
+
+/// The fault decorator needs nothing from the plane: behind a socket, a
+/// seeded worker drops its first reply, holds back its second, and dies
+/// after its third — which closes the connection, so the master sees the
+/// same typed loss as a killed process.
+#[test]
+fn faulty_worker_drops_straggles_and_crashes_over_a_socket() {
+    const STRAGGLE: Duration = Duration::from_millis(30);
+    let plan = FaultPlan {
+        crash_prob: 1.0,
+        crash_after_reply_prob: 1.0,
+        min_survivors: 0,
+        drop_prob: 0.5,
+        straggle_prob: 0.5,
+        straggle_us: STRAGGLE.as_micros() as u64,
+        ..FaultPlan::NONE
+    }
+    .with_seed_where(1, 4096, |s| {
+        s.action(0, 0) == FaultAction::DropReply
+            && s.action(0, 1) == FaultAction::Straggle(STRAGGLE)
+            && s.action(0, 2) == FaultAction::CrashAfterReply
+    })
+    .expect("some seed drops, straggles, then crashes");
+    let listener = WireListener::bind(&tcp_any()).expect("bind loopback listener");
+    let addr = listener.local_addr().expect("bound listener has an addr");
+    let faulty = Faulty::new(echo_logic, plan.schedule(1).worker(0));
+    let server = std::thread::spawn(move || serve_worker(&listener, faulty));
+    let mut master = SocketTransport::connect(&[addr]).expect("connect");
+
+    let ask = |payload: &'static [u8], wait: Duration| {
+        master
+            .send(0, QueryId(1), Bytes::from_static(payload), false)
+            .expect("the worker is alive");
+        master.recv_for_timeout(QueryId(1), wait)
+    };
+    assert!(
+        matches!(
+            ask(b"dropped", Duration::from_millis(50)),
+            Err(ClusterError::Timeout { .. })
+        ),
+        "the first reply is lost on the wire"
+    );
+    assert!(master.is_worker_alive(0), "a drop is not a crash");
+    let sent = std::time::Instant::now();
+    let (_, got) = ask(b"late", Duration::from_secs(10)).expect("a straggler still replies");
+    assert_eq!(&got[..], b"late");
+    assert!(sent.elapsed() >= STRAGGLE, "the reply was held back");
+    let (_, got) = ask(b"last words", Duration::from_secs(10)).expect("replies, then dies");
+    assert_eq!(&got[..], b"last words");
+    assert_eq!(
+        master.recv_for_timeout(QueryId(1), Duration::from_secs(10)),
+        Err(ClusterError::AllWorkersLost),
+        "the crash closed the connection"
+    );
+    assert!(!master.is_worker_alive(0));
+    master.shutdown();
+    server
+        .join()
+        .expect("worker thread")
+        .expect("a crash is a clean Control::Shutdown");
 }
 
 #[test]

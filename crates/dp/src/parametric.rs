@@ -260,14 +260,8 @@ mod tests {
             let opt_high = optimize_serial(&pq.high, PlanSpace::Linear, Objective::Single).plans[0]
                 .cost()
                 .time;
-            assert!(
-                (best_low - opt_low).abs() <= 1e-9 * opt_low,
-                "seed {seed} low"
-            );
-            assert!(
-                (best_high - opt_high).abs() <= 1e-9 * opt_high,
-                "seed {seed} high"
-            );
+            assert_eq!(best_low.to_bits(), opt_low.to_bits(), "seed {seed} low");
+            assert_eq!(best_high.to_bits(), opt_high.to_bits(), "seed {seed} high");
         }
     }
 
@@ -300,9 +294,7 @@ mod tests {
         // The merged frontier must cover the serial frontier.
         for (_, sc) in &serial.plans {
             assert!(
-                merged.plans.iter().any(|(_, mc)| mc.dominates(sc)
-                    || ((mc.time - sc.time).abs() <= 1e-9 * sc.time
-                        && (mc.buffer - sc.buffer).abs() <= 1e-9 * sc.buffer)),
+                merged.plans.iter().any(|(_, mc)| mc.dominates(sc)),
                 "serial frontier point ({}, {}) uncovered",
                 sc.time,
                 sc.buffer
@@ -330,8 +322,8 @@ mod tests {
                 .map(|(_, c)| *c)
                 .expect("picked plan is in the set")
         };
-        assert!((cost_of(at0).time - opt_low).abs() <= 1e-9 * opt_low);
-        assert!((cost_of(at1).buffer - opt_high).abs() <= 1e-9 * opt_high);
+        assert_eq!(cost_of(at0).time.to_bits(), opt_low.to_bits());
+        assert_eq!(cost_of(at1).buffer.to_bits(), opt_high.to_bits());
     }
 
     #[test]
@@ -355,7 +347,7 @@ mod tests {
             .iter()
             .map(|(_, c)| c.time)
             .fold(f64::INFINITY, f64::min);
-        assert!((best_low - opt_low).abs() <= 1e-9 * opt_low);
+        assert_eq!(best_low.to_bits(), opt_low.to_bits());
     }
 
     #[test]

@@ -170,7 +170,7 @@ mod tests {
             assert!(td
                 .plans
                 .iter()
-                .any(|t| (t.cost().time - p.cost().time).abs() <= 1e-9 * p.cost().time));
+                .any(|t| t.cost().time.to_bits() == p.cost().time.to_bits()));
         }
     }
 

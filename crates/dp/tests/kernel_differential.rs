@@ -471,7 +471,7 @@ fn lazy_pareto_insertion_matches_eager_insertion() {
 }
 
 /// The same equivalence holds when the slot under construction is the tail
-/// of a shared arena with a frozen prefix: `try_insert_range` never reads
+/// of a shared arena with a frozen prefix: `try_insert_with` never reads
 /// or touches entries below `start`.
 #[test]
 fn batch_equivalence_holds_behind_a_frozen_prefix() {
@@ -493,7 +493,8 @@ fn batch_equivalence_holds_behind_a_frozen_prefix() {
 
             let mut sequential = prefix.clone();
             for (left, right, c) in stream.candidates() {
-                policy.try_insert_range(&mut sequential, prefix.len(), c.entry(left, right));
+                let e = c.entry(left, right);
+                policy.try_insert_with(&mut sequential, prefix.len(), e.cost, e.order, || e);
             }
 
             let tail = stream.streamed(&mut ClassMinima::default(), &policy);

@@ -154,8 +154,9 @@ mod tests {
             let dp = mpq_dp::optimize_serial(&q, PlanSpace::Linear, Objective::Single);
             let (_, cost) = IterativeImprovement::new(IiConfig { restarts: 20, seed }).optimize(&q);
             let opt = dp.plans[0].cost().time;
-            assert!(
-                cost <= opt * (1.0 + 1e-9),
+            assert_eq!(
+                cost.to_bits(),
+                opt.to_bits(),
                 "seed {seed}: II found {cost}, optimum {opt}"
             );
         }
@@ -176,7 +177,7 @@ mod tests {
         })
         .optimize(&q)
         .1;
-        assert!(many <= few * (1.0 + 1e-9));
+        assert!(many <= few);
     }
 
     #[test]

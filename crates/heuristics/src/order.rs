@@ -169,7 +169,7 @@ mod tests {
         let perm = [2usize, 0, 4, 1, 3];
         let plan = order_to_plan(&q, &perm);
         let cost = order_cost(&q, &perm);
-        assert!((plan.cost().time - cost).abs() <= 1e-9 * cost.max(1.0));
+        assert_eq!(plan.cost().time.to_bits(), cost.to_bits());
         assert!(plan.is_left_deep());
         assert_eq!(
             plan.join_order(),
@@ -192,8 +192,9 @@ mod tests {
                 best = best.min(order_cost(&q, p));
             });
             let dp_time = dp.plans[0].cost().time;
-            assert!(
-                (best - dp_time).abs() <= 1e-9 * dp_time.max(1.0),
+            assert_eq!(
+                best.to_bits(),
+                dp_time.to_bits(),
                 "seed {seed}: {best} vs {dp_time}"
             );
         }

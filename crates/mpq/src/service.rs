@@ -43,8 +43,8 @@ use crate::optimizer::{MpqConfig, MpqError, MpqMetrics, MpqOutcome, RetryPolicy,
 use bytes::Bytes;
 pub use mpq_cluster::QueryHandle;
 use mpq_cluster::{
-    BlockingStep, Cluster, ClusterError, Control, Protocol, QueryId, SessionService, Table,
-    Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
+    BlockingStep, Cluster, ClusterError, Control, Faulty, LatencyModel, Protocol, QueryId,
+    SessionService, Table, Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::Objective;
 use mpq_dp::{optimize_partition_id_cached, ParallelPolicy, PlanCache, WorkerStats};
@@ -365,21 +365,25 @@ pub struct MpqProtocol {
 }
 
 impl MpqService {
-    /// Spawns the resident cluster: `workers` worker threads under
-    /// `config`'s latency model, fault plan and retry policy, shared by
-    /// every subsequently submitted query.
+    /// Spawns the resident cluster: `workers` worker threads, each behind
+    /// its [`Faulty`] slice of `config`'s fault plan, under `config`'s
+    /// retry policy, shared by every subsequently submitted query.
     pub fn spawn(workers: usize, config: MpqConfig) -> Result<MpqService, MpqError> {
         if workers == 0 {
             return Err(MpqError::BadRequest {
                 reason: "at least one worker required",
             });
         }
-        let cluster = Cluster::spawn_with_faults(workers, config.latency, &config.faults, |w| {
+        let faults = config.faults.schedule(workers);
+        let cluster = Cluster::spawn(workers, LatencyModel::ZERO, |w| {
             let slow_factor = match config.slow_worker {
                 Some((slow, factor)) if slow == w => factor,
                 _ => 1,
             };
-            MpqWorker::new(config.cache_bytes, slow_factor)
+            Faulty::new(
+                MpqWorker::new(config.cache_bytes, slow_factor),
+                faults.worker(w),
+            )
         })
         .map_err(MpqError::Cluster)?;
         MpqService::with_transport(Box::new(cluster), config)
@@ -388,10 +392,11 @@ impl MpqService {
     /// Builds the service over an already-connected message plane — the
     /// entry point for real socket transports
     /// ([`SocketTransport`](mpq_cluster::SocketTransport)), whose worker
-    /// processes run [`serve_socket_worker`]. `config`'s latency model,
-    /// fault plan and slow-worker injector are ignored (those simulate a
-    /// network; a real transport has one), while its retry and steal
-    /// policies govern recovery exactly as on the simulated plane.
+    /// processes run [`serve_socket_worker`]. `config`'s fault plan and
+    /// slow-worker injector are ignored (they act on workers this side
+    /// does not spawn; wrap a socket worker in [`Faulty`] instead), while
+    /// its retry and steal policies govern recovery exactly as on the
+    /// in-process plane.
     pub fn with_transport(
         transport: Box<dyn Transport>,
         config: MpqConfig,
@@ -2169,7 +2174,6 @@ mod tests {
     /// DP kernel's size assert, and stays up for the next task.
     #[test]
     fn worker_survives_a_zero_table_task() {
-        use mpq_cluster::LatencyModel;
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
         let task = |query: Query| MasterMessage {
             query,
@@ -2213,7 +2217,6 @@ mod tests {
     /// gets its frontier.
     #[test]
     fn worker_survives_a_hostile_alpha() {
-        use mpq_cluster::LatencyModel;
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
         let alphas = [0.5, f64::NAN, -1.0, f64::INFINITY, 2.0];
         for (id, alpha) in alphas.into_iter().enumerate() {
@@ -2255,7 +2258,6 @@ mod tests {
     /// and a valid task on the same worker still gets its plan.
     #[test]
     fn worker_survives_a_hostile_partition_range() {
-        use mpq_cluster::LatencyModel;
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
         let ranges = [
             (0, 1, 3),
@@ -2299,7 +2301,6 @@ mod tests {
     /// malformed-task path and serves the next, clean task.
     #[test]
     fn worker_survives_a_task_with_trailing_bytes() {
-        use mpq_cluster::LatencyModel;
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
         let task = MasterMessage {
             query: query(3, 52),

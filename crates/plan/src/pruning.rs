@@ -96,28 +96,19 @@ impl PruningPolicy {
     /// existing entries the new one supersedes. Returns whether the entry
     /// was kept.
     pub fn try_insert(&self, entries: &mut Vec<PlanEntry>, new: PlanEntry) -> bool {
-        self.try_insert_range(entries, 0, new)
+        self.try_insert_with(entries, 0, new.cost, new.order, || new)
     }
 
     /// [`PruningPolicy::try_insert`] restricted to the slot occupying
-    /// `entries[start..]`: entries below `start` are neither consulted nor
-    /// touched. This is the insertion primitive of the arena memo, where
-    /// the slot under construction is the tail of one shared entry array
-    /// and everything before `start` belongs to already-finalized sets.
-    pub fn try_insert_range(
-        &self,
-        entries: &mut Vec<PlanEntry>,
-        start: usize,
-        new: PlanEntry,
-    ) -> bool {
-        self.try_insert_with(entries, start, new.cost, new.order, || new)
-    }
-
-    /// [`PruningPolicy::try_insert_range`] of an entry that does not exist
-    /// yet: rejection is decided on `cost` and `order` alone, and `build`
-    /// (which must return an entry of that cost and order) runs only for
-    /// an entry that is kept. The DP's Pareto path offers every candidate
-    /// of a set this way and builds the few that survive.
+    /// `entries[start..]`, of an entry that does not exist yet. Entries
+    /// below `start` are neither consulted nor touched: this is the
+    /// insertion primitive of the arena memo, where the slot under
+    /// construction is the tail of one shared entry array and everything
+    /// before `start` belongs to already-finalized sets. Rejection is
+    /// decided on `cost` and `order` alone, and `build` (which must return
+    /// an entry of that cost and order) runs only for an entry that is
+    /// kept. The DP's Pareto path offers every candidate of a set this way
+    /// and builds the few that survive.
     #[inline]
     pub fn try_insert_with(
         &self,
@@ -232,6 +223,11 @@ mod tests {
             table: 0,
             op: ScanOp::Full,
         }
+    }
+
+    /// `try_insert_with` of an entry that already exists.
+    fn insert_at(p: &PruningPolicy, slot: &mut Vec<PlanEntry>, start: usize, e: PlanEntry) -> bool {
+        p.try_insert_with(slot, start, e.cost, e.order, || e)
     }
 
     fn plan(time: f64, buffer: f64) -> Plan {
@@ -363,9 +359,9 @@ mod tests {
         // A frozen prefix entry cheaper than everything: it must neither
         // reject the newcomer nor be removed by it.
         let mut arena = vec![entry(1.0, 0.0, Order::None)];
-        assert!(p.try_insert_range(&mut arena, 1, entry(10.0, 0.0, Order::None)));
-        assert!(p.try_insert_range(&mut arena, 1, entry(5.0, 0.0, Order::None)));
-        assert!(!p.try_insert_range(&mut arena, 1, entry(7.0, 0.0, Order::None)));
+        assert!(insert_at(&p, &mut arena, 1, entry(10.0, 0.0, Order::None)));
+        assert!(insert_at(&p, &mut arena, 1, entry(5.0, 0.0, Order::None)));
+        assert!(!insert_at(&p, &mut arena, 1, entry(7.0, 0.0, Order::None)));
         assert_eq!(arena.len(), 2);
         assert_eq!(arena[0].cost.time, 1.0, "prefix untouched");
         assert_eq!(arena[1].cost.time, 5.0);
@@ -373,7 +369,7 @@ mod tests {
 
     #[test]
     fn range_insert_matches_whole_slot_semantics() {
-        // Against an empty prefix, `try_insert_range(.., 0, ..)` and
+        // Against an empty prefix, `try_insert_with(.., 0, ..)` and
         // `try_insert` are the same function; spot-check order handling.
         let p = PruningPolicy::new(Objective::Single, 4);
         let mut a = Vec::new();
@@ -385,7 +381,7 @@ mod tests {
             entry(9.0, 0.0, Order::None),
         ];
         for e in stream {
-            assert_eq!(p.try_insert(&mut a, e), p.try_insert_range(&mut b, 0, e));
+            assert_eq!(p.try_insert(&mut a, e), insert_at(&p, &mut b, 0, e));
         }
         assert_eq!(a, b);
     }
@@ -394,12 +390,12 @@ mod tests {
     fn range_removal_preserves_survivor_order() {
         let p = PruningPolicy::new(Objective::Multi { alpha: 1.0 }, 2);
         let mut slot = Vec::new();
-        assert!(p.try_insert_range(&mut slot, 0, entry(10.0, 100.0, Order::None)));
-        assert!(p.try_insert_range(&mut slot, 0, entry(100.0, 10.0, Order::None)));
-        assert!(p.try_insert_range(&mut slot, 0, entry(50.0, 50.0, Order::None)));
+        assert!(insert_at(&p, &mut slot, 0, entry(10.0, 100.0, Order::None)));
+        assert!(insert_at(&p, &mut slot, 0, entry(100.0, 10.0, Order::None)));
+        assert!(insert_at(&p, &mut slot, 0, entry(50.0, 50.0, Order::None)));
         // Dominates only the middle entry: the survivors keep their
         // relative order, the newcomer appends.
-        assert!(p.try_insert_range(&mut slot, 0, entry(90.0, 9.0, Order::None)));
+        assert!(insert_at(&p, &mut slot, 0, entry(90.0, 9.0, Order::None)));
         let times: Vec<f64> = slot.iter().map(|e| e.cost.time).collect();
         assert_eq!(times, vec![10.0, 50.0, 90.0]);
     }

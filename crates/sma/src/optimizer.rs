@@ -13,9 +13,7 @@
 //! `memo_rebroadcast_bytes` a recovery would have cost.
 
 use crate::service::SmaService;
-use mpq_cluster::{
-    ClusterError, DecodeError, FaultPlan, LatencyModel, LifecycleError, NetworkSnapshot,
-};
+use mpq_cluster::{ClusterError, DecodeError, FaultPlan, LifecycleError, NetworkSnapshot};
 use mpq_cost::Objective;
 use mpq_dp::WorkerStats;
 use mpq_model::Query;
@@ -27,9 +25,9 @@ use std::time::Duration;
 /// Configuration of the SMA baseline.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SmaConfig {
-    /// Latency/overhead model of the simulated network.
-    pub latency: LatencyModel,
-    /// Deterministic fault injection (default: no faults).
+    /// Deterministic fault injection (default: no faults): each worker of
+    /// [`SmaService::spawn`] runs behind its
+    /// [`Faulty`](mpq_cluster::Faulty) slice of the plan.
     pub faults: FaultPlan,
     /// How long the master waits for a reply before probing for dead
     /// workers. `None` blocks indefinitely — fine fault-free, but set a
@@ -313,6 +311,11 @@ mod tests {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
     }
 
+    /// SMA's answer is the serial DP's optimum, bit for bit.
+    fn assert_bits(a: f64, b: f64, what: &str) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
+    }
+
     /// Regression (ISSUE 23 satellite): an `assert!` one line above the
     /// typed refusal `SmaService::spawn` already gives made `pqopt compare
     /// --workers 0` panic.
@@ -334,10 +337,7 @@ mod tests {
                 assert_eq!(out.plans.len(), 1);
                 let a = out.plans[0].cost().time;
                 let b = serial.plans[0].cost().time;
-                assert!(
-                    (a - b).abs() <= 1e-9 * b.max(1.0),
-                    "seed {seed} workers {workers}: {a} vs {b}"
-                );
+                assert_bits(a, b, &format!("seed {seed} workers {workers}"));
             }
         }
     }
@@ -350,7 +350,7 @@ mod tests {
         let out = opt.optimize(&q, PlanSpace::Bushy, Objective::Single, 3);
         let a = out.plans[0].cost().time;
         let b = serial.plans[0].cost().time;
-        assert!((a - b).abs() <= 1e-9 * b.max(1.0));
+        assert_bits(a, b, "bushy");
     }
 
     #[test]
@@ -359,13 +359,15 @@ mod tests {
         let q = query(6, 12);
         let serial = optimize_serial(&q, PlanSpace::Linear, Objective::Multi { alpha: 1.0 });
         let out = opt.optimize(&q, PlanSpace::Linear, Objective::Multi { alpha: 1.0 }, 4);
-        assert_eq!(out.plans.len(), serial.plans.len());
-        for sp in &serial.plans {
-            assert!(out
-                .plans
+        let bits = |plans: &[Plan]| {
+            let mut bits: Vec<(u64, u64)> = plans
                 .iter()
-                .any(|pp| (pp.cost().time - sp.cost().time).abs() <= 1e-9 * sp.cost().time));
-        }
+                .map(|p| (p.cost().time.to_bits(), p.cost().buffer.to_bits()))
+                .collect();
+            bits.sort_unstable();
+            bits
+        };
+        assert_eq!(bits(&out.plans), bits(&serial.plans));
     }
 
     #[test]

@@ -30,8 +30,8 @@ use crate::optimizer::{SmaConfig, SmaError, SmaMetrics, SmaOutcome};
 use bytes::Bytes;
 pub use mpq_cluster::QueryHandle;
 use mpq_cluster::{
-    BlockingStep, Cluster, ClusterError, Control, Protocol, QueryId, SessionService, Table,
-    Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
+    BlockingStep, Cluster, ClusterError, Control, Faulty, LatencyModel, Protocol, QueryId,
+    SessionService, Table, Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::{CardinalityEstimator, Objective};
 use mpq_dp::{
@@ -334,8 +334,8 @@ pub struct SmaProtocol {
 }
 
 impl SmaService {
-    /// Spawns the resident cluster: `workers` worker threads under
-    /// `config`'s latency model and fault plan, shared by every
+    /// Spawns the resident cluster: `workers` worker threads, each behind
+    /// its [`Faulty`] slice of `config`'s fault plan, shared by every
     /// subsequently submitted query.
     pub fn spawn(workers: usize, config: SmaConfig) -> Result<SmaService, SmaError> {
         if workers == 0 {
@@ -343,8 +343,9 @@ impl SmaService {
                 reason: "at least one worker required",
             });
         }
-        let cluster = Cluster::spawn_with_faults(workers, config.latency, &config.faults, |_| {
-            SmaWorker::new(config.cache_bytes)
+        let faults = config.faults.schedule(workers);
+        let cluster = Cluster::spawn(workers, LatencyModel::ZERO, |w| {
+            Faulty::new(SmaWorker::new(config.cache_bytes), faults.worker(w))
         })
         .map_err(SmaError::Cluster)?;
         SmaService::with_transport(Box::new(cluster), config)
@@ -353,10 +354,10 @@ impl SmaService {
     /// Builds the service over an already-connected message plane — the
     /// entry point for real socket transports
     /// ([`SocketTransport`](mpq_cluster::SocketTransport)), whose worker
-    /// processes run [`serve_socket_worker`]. `config`'s latency model
-    /// and fault plan are ignored (those simulate a network; a real
-    /// transport has one); its receive timeout governs stall detection
-    /// exactly as on the simulated plane.
+    /// processes run [`serve_socket_worker`]. `config`'s fault plan is
+    /// ignored (it acts on workers this side does not spawn; wrap a socket
+    /// worker in [`Faulty`] instead); its receive timeout governs stall
+    /// detection exactly as on the in-process plane.
     pub fn with_transport(
         transport: Box<dyn Transport>,
         config: SmaConfig,
@@ -699,10 +700,6 @@ mod tests {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
     }
 
-    fn rel_eq(a: f64, b: f64) -> bool {
-        (a - b).abs() <= 1e-9 * b.abs().max(1.0)
-    }
-
     #[test]
     fn interleaved_sessions_keep_replicas_apart() {
         // Several queries of different sizes in flight at once: their
@@ -725,7 +722,7 @@ mod tests {
             let reference = optimize_serial(q, PlanSpace::Linear, Objective::Single).plans[0]
                 .cost()
                 .time;
-            assert!(rel_eq(out.plans[0].cost().time, reference));
+            assert_eq!(out.plans[0].cost().time.to_bits(), reference.to_bits());
         }
         svc.shutdown();
     }
@@ -808,7 +805,6 @@ mod tests {
     /// and stays up for the next session.
     #[test]
     fn worker_survives_a_zero_table_init() {
-        use mpq_cluster::LatencyModel;
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
         let init_for = |query: Query, objective: Objective| SmaMasterMsg::Init {
             query,
@@ -857,7 +853,6 @@ mod tests {
     /// and serves the next, clean session.
     #[test]
     fn worker_survives_a_frame_with_trailing_bytes() {
-        use mpq_cluster::LatencyModel;
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
         let init = SmaMasterMsg::Init {
             query: query(3, 62),
@@ -894,7 +889,6 @@ mod tests {
     /// stays up for the next session.
     #[test]
     fn worker_survives_sets_outside_the_query() {
-        use mpq_cluster::LatencyModel;
         let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
         let send = |id: u64, msg: SmaMasterMsg| {
             cluster.send(0, QueryId(id), msg.to_bytes(), true).unwrap();

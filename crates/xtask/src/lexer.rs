@@ -30,10 +30,8 @@ pub struct Token {
 pub enum TokenKind {
     /// Identifier or keyword; the text is preserved.
     Ident(String),
-    /// Integer literal with its parsed value when it fits `u64`
-    /// (underscores and type suffixes are handled; `0x`/`0o`/`0b`
-    /// prefixes are decoded).
-    Int(Option<u64>),
+    /// Integer literal, suffix included (its value is not kept).
+    Int,
     /// A string, byte-string, raw-string or char literal (contents
     /// deliberately discarded).
     Literal,
@@ -58,14 +56,6 @@ impl Token {
     /// True if this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct(c)
-    }
-
-    /// The integer value, if this is an integer literal that fit `u64`.
-    pub fn int(&self) -> Option<u64> {
-        match self.kind {
-            TokenKind::Int(v) => v,
-            _ => None,
-        }
     }
 }
 
@@ -175,13 +165,11 @@ fn raw_lex(src: &str) -> Vec<Token> {
                 });
             }
             c if c.is_ascii_digit() => {
-                let start = i;
                 while i < b.len() && (b[i].is_alphanumeric() || b[i] == '_') {
                     i += 1;
                 }
-                let text: String = b[start..i].iter().collect();
                 out.push(Token {
-                    kind: TokenKind::Int(parse_int(&text)),
+                    kind: TokenKind::Int,
                     line,
                     in_test: false,
                 });
@@ -262,29 +250,6 @@ fn skip_string(b: &[char], mut i: usize, line: &mut usize) -> usize {
         }
     }
     i
-}
-
-fn parse_int(text: &str) -> Option<u64> {
-    let cleaned: String = text.chars().filter(|&c| c != '_').collect();
-    let (digits, radix) = if let Some(rest) = cleaned
-        .strip_prefix("0x")
-        .or_else(|| cleaned.strip_prefix("0X"))
-    {
-        (rest, 16)
-    } else if let Some(rest) = cleaned.strip_prefix("0o") {
-        (rest, 8)
-    } else if let Some(rest) = cleaned.strip_prefix("0b") {
-        (rest, 2)
-    } else {
-        (cleaned.as_str(), 10)
-    };
-    // Strip a type suffix (`u8`, `usize`, `i64`, ...).
-    let end = digits
-        .char_indices()
-        .find(|&(_, c)| !c.is_digit(radix))
-        .map(|(i, _)| i)
-        .unwrap_or(digits.len());
-    u64::from_str_radix(&digits[..end], radix).ok()
 }
 
 /// Marks every token inside test-only code: the item following a
@@ -455,11 +420,23 @@ mod tests {
         assert_eq!(target.line, 3, "continuation newline must be counted");
     }
 
+    /// An integer literal, radix prefix and type suffix included, is one
+    /// token.
     #[test]
     fn int_literals_parse() {
-        let toks = lex("const A: u8 = 0x2A; const B: usize = 1_000usize; const C: u8 = 7;");
-        let vals: Vec<u64> = toks.iter().filter_map(|t| t.int()).collect();
-        assert_eq!(vals, vec![42, 1000, 7]);
+        let toks = lex("x = 0x2A + 1_000usize;");
+        let kinds: Vec<&TokenKind> = toks.iter().map(|t| &t.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                &TokenKind::Ident("x".into()),
+                &TokenKind::Punct('='),
+                &TokenKind::Int,
+                &TokenKind::Punct('+'),
+                &TokenKind::Int,
+                &TokenKind::Punct(';'),
+            ]
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! reliably catch. This rule flags every clock/timer primitive in
 //! non-test code of the cluster and the two cluster services; each
 //! permitted site lives in the audited allowlist
-//! (`allow/clocks.allow`) with a justification — metrics, simulated
-//! latency, or the one wall-clock *receive* timeout whose expiry only
+//! (`allow/clocks.allow`) with a justification — metrics, the injected
+//! straggle fault, or the one wall-clock *receive* timeout whose expiry only
 //! triggers evidence re-examination, never a result change.
 //!
 //! Flagged patterns: `Instant::now`, any `SystemTime` use, and `sleep(`

@@ -8,7 +8,7 @@
 //!                 [--backend serial|topdown|mpq|sma]
 //!                 resident service vs spawn-per-query throughput
 //! pqopt compare   [--tables N] [--workers M] [--seed S]       MPQ vs SMA
-//! pqopt scaling   [--tables N] [--max-workers M] [--seed S]   worker sweep
+//! pqopt scaling   [--tables N] [--max-workers M] [--seed S]   exact work per worker count
 //! pqopt partitions [--tables N] [--space linear|bushy] [--workers M]
 //!                 show the constraint sets of every partition
 //! pqopt worker    --listen ADDR [--backend mpq|sma] [--cache-bytes N]
@@ -17,13 +17,13 @@
 //!
 //! `serve --connect addr1,addr2,...` drives already-running `pqopt
 //! worker` processes over real sockets instead of spawning the in-process
-//! simulated cluster (see the README's "Cluster transports" section).
+//! cluster (see the README's "Cluster transports" section).
 //!
 //! Argument parsing is deliberately dependency-free.
 
 #![forbid(unsafe_code)]
 
-use pqopt::dp::optimize_serial;
+use pqopt::dp::{optimize_serial, WorkerStats};
 use pqopt::exec::{execute, DataConfig, Database};
 use pqopt::model::JoinGraph;
 use pqopt::partition::partition_constraints;
@@ -290,11 +290,7 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 
 fn cmd_optimize(o: &Options) -> Result<(), String> {
     let query = o.query();
-    let optimizer = MpqOptimizer::new(MpqConfig {
-        latency: LatencyModel::cluster_like(),
-        ..MpqConfig::default()
-    });
-    let out = optimizer.optimize(&query, o.space, o.objective, o.workers);
+    let out = MpqOptimizer::default().optimize(&query, o.space, o.objective, o.workers);
     println!(
         "{} tables, {:?} graph, {:?} space, {} partitions over {} workers",
         o.tables, o.graph, o.space, out.metrics.partitions, out.metrics.workers_used
@@ -357,14 +353,8 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let config = ServiceConfig {
         backend: o.backend,
         workers: o.workers as usize,
-        mpq: MpqConfig {
-            latency: LatencyModel::cluster_like(),
-            ..MpqConfig::default()
-        },
-        sma: SmaConfig {
-            latency: LatencyModel::cluster_like(),
-            ..SmaConfig::default()
-        },
+        mpq: MpqConfig::default(),
+        sma: SmaConfig::default(),
         cache_bytes: o.cache_bytes,
         steal: o.steal,
         max_in_flight: o.max_in_flight,
@@ -690,69 +680,70 @@ fn cmd_worker(o: &Options) -> Result<(), String> {
 
 fn cmd_compare(o: &Options) -> Result<(), String> {
     let query = o.query();
-    let latency = LatencyModel::cluster_like();
-    let mpq = MpqOptimizer::new(MpqConfig {
-        latency,
-        ..MpqConfig::default()
-    })
-    .try_optimize(&query, o.space, o.objective, o.workers)
-    .map_err(|e| e.to_string())?;
-    let sma = SmaOptimizer::new(SmaConfig {
-        latency,
-        ..SmaConfig::default()
-    })
-    .try_optimize(&query, o.space, o.objective, o.workers as usize)
-    .map_err(|e| e.to_string())?;
+    let mpq = MpqOptimizer::default()
+        .try_optimize(&query, o.space, o.objective, o.workers)
+        .map_err(|e| e.to_string())?;
+    let sma = SmaOptimizer::default()
+        .try_optimize(&query, o.space, o.objective, o.workers as usize)
+        .map_err(|e| e.to_string())?;
     println!(
-        "{:<6} {:>12} {:>14} {:>8}",
-        "", "time (ms)", "network (B)", "rounds"
+        "{:<6} {:>14} {:>10} {:>8}",
+        "", "network (B)", "messages", "rounds"
     );
-    println!(
-        "{:<6} {:>12.2} {:>14} {:>8}",
-        "MPQ",
-        mpq.metrics.total_micros as f64 / 1e3,
-        mpq.metrics.network.total_bytes(),
-        mpq.metrics.network.rounds
-    );
-    println!(
-        "{:<6} {:>12.2} {:>14} {:>8}",
-        "SMA",
-        sma.metrics.total_micros as f64 / 1e3,
-        sma.metrics.network.total_bytes(),
-        sma.metrics.rounds
-    );
+    for (name, net, rounds) in [
+        ("MPQ", mpq.metrics.network, mpq.metrics.network.rounds),
+        ("SMA", sma.metrics.network, sma.metrics.rounds),
+    ] {
+        println!(
+            "{name:<6} {:>14} {:>10} {rounds:>8}",
+            net.total_bytes(),
+            net.messages
+        );
+    }
     let a = mpq.plans[0].cost().time;
     let b = sma.plans[0].cost().time;
-    if (a - b).abs() > 1e-6 * b.max(1.0) {
+    if a.to_bits() != b.to_bits() {
         return Err(format!("optimizers disagree: {a} vs {b}"));
     }
     println!("both found the same optimal plan cost: {a:.4e}");
     Ok(())
 }
 
+/// The exact work and byte counters of one query per worker count — the
+/// `fig1`/`fig2` bench series for a single query: partitions, the largest
+/// per-worker splits, stored sets and generated plans, and the bytes on
+/// the wire, with the ratio of max splits to the previous row (the paper
+/// predicts a constant factor per doubling).
 fn cmd_scaling(o: &Options) -> Result<(), String> {
     let query = o.query();
-    let optimizer = MpqOptimizer::new(MpqConfig {
-        latency: LatencyModel::cluster_like(),
-        ..MpqConfig::default()
-    });
-    let serial = optimize_serial(&query, o.space, o.objective);
     println!(
-        "{:>8} {:>12} {:>12} {:>14} {:>12} {:>9}",
-        "workers", "time (ms)", "W-time (ms)", "memory (rel)", "net (B)", "speedup"
+        "{:>8} {:>11} {:>12} {:>9} {:>12} {:>12} {:>10}",
+        "workers", "partitions", "max splits", "x splits", "max sets", "max plans", "net (B)"
     );
+    let mut previous_splits = None;
     let mut w = 1u64;
     while w <= o.max_workers {
-        let out = optimizer.optimize(&query, o.space, o.objective, w);
+        let out = MpqOptimizer::default().optimize(&query, o.space, o.objective, w);
+        let max = out
+            .metrics
+            .worker_stats
+            .iter()
+            .fold(WorkerStats::default(), |a, s| a.max(s));
+        let ratio = match previous_splits {
+            Some(prev) => format!("{:.3}", max.splits_tried as f64 / prev as f64),
+            None => "-".to_string(),
+        };
         println!(
-            "{:>8} {:>12.2} {:>12.2} {:>14} {:>12} {:>8.2}x",
+            "{:>8} {:>11} {:>12} {:>9} {:>12} {:>12} {:>10}",
             w,
-            out.metrics.total_micros as f64 / 1e3,
-            out.metrics.max_worker_micros as f64 / 1e3,
-            out.metrics.max_worker_stored_sets,
-            out.metrics.network.total_bytes(),
-            serial.stats.optimize_micros as f64 / out.metrics.total_micros.max(1) as f64
+            out.metrics.partitions,
+            max.splits_tried,
+            ratio,
+            max.stored_sets,
+            max.plans_generated,
+            out.metrics.network.total_bytes()
         );
+        previous_splits = Some(max.splits_tried.max(1));
         w *= 2;
     }
     Ok(())

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use mpq_algo::{
         MpqConfig, MpqError, MpqOptimizer, MpqOutcome, MpqService, RetryPolicy, StealPolicy,
     };
-    pub use mpq_cluster::{ClusterError, FaultPlan, LatencyModel, NetworkMetrics, QueryId};
+    pub use mpq_cluster::{ClusterError, FaultPlan, NetworkMetrics, QueryId};
     pub use mpq_cost::{CostVector, Objective};
     pub use mpq_dp::{optimize_partition, optimize_serial, ParallelPolicy, PartitionOutcome};
     pub use mpq_exec::{execute, DataConfig, Database};

@@ -91,9 +91,9 @@ pub struct ServiceConfig {
     /// Worker nodes of the resident cluster (ignored by the single-node
     /// backends). Zero means "pick a default" (8).
     pub workers: usize,
-    /// MPQ backend configuration (latency, faults, retry policy).
+    /// MPQ backend configuration (faults, retry policy).
     pub mpq: MpqConfig,
-    /// SMA backend configuration (latency, faults, receive timeout).
+    /// SMA backend configuration (faults, receive timeout).
     pub sma: SmaConfig,
     /// Byte budget of the **cross-query memo cache** (LRU). For the
     /// single-node backends this is one master-side cache; for the

@@ -13,11 +13,19 @@ fn queries(n: usize, count: usize, seed: u64) -> Vec<Query> {
     WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).batch(count)
 }
 
-fn assert_close(a: f64, b: f64, what: &str) {
-    assert!(
-        (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-        "{what}: {a} vs {b}"
-    );
+/// Every parallel answer here is the serial DP's optimum, bit for bit.
+fn assert_bits(a: f64, b: f64, what: &str) {
+    assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
+}
+
+/// A frontier's cost vectors as sorted bit pairs.
+fn frontier_bits(plans: &[Plan]) -> Vec<(u64, u64)> {
+    let mut bits: Vec<(u64, u64)> = plans
+        .iter()
+        .map(|p| (p.cost().time.to_bits(), p.cost().buffer.to_bits()))
+        .collect();
+    bits.sort_unstable();
+    bits
 }
 
 #[test]
@@ -27,7 +35,7 @@ fn mpq_equals_serial_across_worker_counts_linear() {
         let serial = optimize_serial(&q, PlanSpace::Linear, Objective::Single);
         for workers in [1u64, 2, 4, 8, 16, 32] {
             let out = opt.optimize(&q, PlanSpace::Linear, Objective::Single, workers);
-            assert_close(
+            assert_bits(
                 out.plans[0].cost().time,
                 serial.plans[0].cost().time,
                 &format!("{workers} workers"),
@@ -45,7 +53,7 @@ fn mpq_equals_serial_across_worker_counts_bushy() {
         let serial = optimize_serial(&q, PlanSpace::Bushy, Objective::Single);
         for workers in [1u64, 2, 4, 8] {
             let out = opt.optimize(&q, PlanSpace::Bushy, Objective::Single, workers);
-            assert_close(
+            assert_bits(
                 out.plans[0].cost().time,
                 serial.plans[0].cost().time,
                 &format!("{workers} workers"),
@@ -62,7 +70,7 @@ fn sma_and_mpq_agree() {
         for space in [PlanSpace::Linear, PlanSpace::Bushy] {
             let a = mpq.optimize(&q, space, Objective::Single, 4);
             let b = sma.optimize(&q, space, Objective::Single, 4);
-            assert_close(
+            assert_bits(
                 a.plans[0].cost().time,
                 b.plans[0].cost().time,
                 &format!("{space:?}"),
@@ -84,17 +92,11 @@ fn multi_objective_parallel_covers_serial_frontier() {
                 workers,
             );
             // Exact mode: frontiers must match point for point.
-            assert_eq!(par.plans.len(), serial.plans.len(), "{workers} workers");
-            for sp in &serial.plans {
-                assert!(
-                    par.plans.iter().any(|p| {
-                        (p.cost().time - sp.cost().time).abs() <= 1e-9 * sp.cost().time
-                            && (p.cost().buffer - sp.cost().buffer).abs()
-                                <= 1e-9 * sp.cost().buffer.max(1.0)
-                    }),
-                    "missing frontier point at {workers} workers"
-                );
-            }
+            assert_eq!(
+                frontier_bits(&par.plans),
+                frontier_bits(&serial.plans),
+                "{workers} workers"
+            );
         }
     }
 }
@@ -179,13 +181,13 @@ fn weighted_and_oversubscribed_match_serial() {
         Objective::Single,
         &[4.0, 2.0, 1.0, 1.0],
     );
-    assert_close(
+    assert_bits(
         weighted.plans[0].cost().time,
         serial.plans[0].cost().time,
         "weighted",
     );
     let over = opt.optimize_oversubscribed(q, PlanSpace::Linear, Objective::Single, 3, 32);
-    assert_close(
+    assert_bits(
         over.plans[0].cost().time,
         serial.plans[0].cost().time,
         "oversubscribed",
@@ -203,34 +205,13 @@ fn odd_table_counts_are_supported() {
             let serial = optimize_serial(q, space, Objective::Single);
             let max_w = pqopt::partition::effective_workers(space, n, 64);
             let out = opt.optimize(q, space, Objective::Single, max_w);
-            assert_close(
+            assert_bits(
                 out.plans[0].cost().time,
                 serial.plans[0].cost().time,
                 &format!("n={n} {space:?} m={max_w}"),
             );
         }
     }
-}
-
-#[test]
-fn latency_does_not_change_results() {
-    let q = &queries(8, 1, 10)[0];
-    let fast = MpqOptimizer::new(MpqConfig::default()).optimize(
-        q,
-        PlanSpace::Linear,
-        Objective::Single,
-        8,
-    );
-    let slow = MpqOptimizer::new(MpqConfig {
-        latency: LatencyModel::cluster_like(),
-        ..MpqConfig::default()
-    })
-    .optimize(q, PlanSpace::Linear, Objective::Single, 8);
-    assert_eq!(fast.plans[0].cost().time, slow.plans[0].cost().time);
-    assert_eq!(
-        fast.metrics.network.total_bytes(),
-        slow.metrics.network.total_bytes()
-    );
 }
 
 #[test]
@@ -243,4 +224,32 @@ fn repeated_runs_are_deterministic_in_result() {
         a.plans[0], b.plans[0],
         "same query + same workers => same plan"
     );
+}
+
+/// Runs the `pqopt` binary and returns its stdout; fails unless it exits 0.
+fn pqopt(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pqopt"))
+        .args(args)
+        .output()
+        .expect("run pqopt");
+    assert!(out.status.success(), "pqopt {args:?} failed");
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// `pqopt scaling` prints exact counters, so two runs agree byte for
+/// byte: a header and one row per worker count, and no wall-clock column.
+#[test]
+fn cli_scaling_prints_only_exact_counters() {
+    let args = ["scaling", "--tables", "8", "--max-workers", "4"];
+    let first = pqopt(&args);
+    assert_eq!(first, pqopt(&args), "a counter moved between runs");
+    assert_eq!(first.lines().count(), 1 + 3, "rows for 1, 2 and 4 workers");
+    assert!(first.contains("max splits") && !first.contains("speedup"));
+}
+
+/// `pqopt compare` exits 0 only when MPQ and SMA agree bit for bit.
+#[test]
+fn cli_compare_agrees_bit_for_bit() {
+    let out = pqopt(&["compare", "--tables", "7", "--workers", "4"]);
+    assert!(out.contains("both found the same optimal plan cost"));
 }

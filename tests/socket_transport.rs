@@ -5,11 +5,11 @@
 //! This is the differential + chaos story of `tests/differential.rs` and
 //! `tests/chaos.rs` replayed over a **real** wire: worker code runs in
 //! separate OS processes, frames cross real sockets, and "worker crash"
-//! means `SIGKILL` to a live process, not an injected fault. The
-//! invariants are unchanged:
+//! means `SIGKILL` to a live process — or a seeded fault plan whose
+//! [`Faulty`] workers end their connection. The invariants are unchanged:
 //!
 //! * fault-free socket runs return plans **bit-identical** to the
-//!   in-process simulator's (same algorithm, same partitioning, same
+//!   in-process plane's (same algorithm, same partitioning, same
 //!   tie-breaks — the transport must be invisible);
 //! * killing a worker process mid-session surfaces as the typed loss the
 //!   retry machinery recovers from: surviving workers complete every
@@ -21,12 +21,17 @@
 // unwrap/expect denies target shipping code (see [workspace.lints]).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pqopt::cluster::WorkerAddr;
+use pqopt::cluster::{
+    serve_worker, FaultAction, Faulty, SocketTransport, Wire, WireListener, WorkerAddr, WorkerCtx,
+    WorkerLogic,
+};
+use pqopt::dp::optimize_serial;
 use pqopt::model::{Query, WorkloadConfig, WorkloadGenerator};
+use pqopt::mpq::MpqService;
 use pqopt::partition::PlanSpace;
 use pqopt::prelude::{
-    Backend, LatencyModel, MpqConfig, Objective, OptimizerService, Plan, RetryPolicy,
-    ServiceConfig, ServiceError, SmaConfig,
+    Backend, FaultPlan, MpqConfig, Objective, OptimizerService, Plan, RetryPolicy, ServiceConfig,
+    ServiceError, SmaConfig, SmaError, SmaService,
 };
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -121,13 +126,7 @@ fn run_batch(service: &mut OptimizerService, queries: &[Query]) -> Vec<Vec<Plan>
 /// The fault-free in-process reference at the same worker count: the
 /// answer the socket runs must reproduce bit-for-bit.
 fn in_process_reference(queries: &[Query], workers: usize) -> Vec<Vec<Plan>> {
-    let config = ServiceConfig {
-        mpq: MpqConfig {
-            latency: LatencyModel::ZERO,
-            ..MpqConfig::default()
-        },
-        ..ServiceConfig::new(Backend::Mpq, workers)
-    };
+    let config = ServiceConfig::new(Backend::Mpq, workers);
     let mut service = OptimizerService::spawn(config).expect("spawn in-process reference");
     let out = run_batch(&mut service, queries);
     service.shutdown();
@@ -205,18 +204,132 @@ fn sma_over_real_sockets_is_bit_identical_to_in_process() {
     let over_wire = run_batch(&mut service, &queries);
     service.shutdown();
 
-    let config = ServiceConfig {
-        sma: SmaConfig {
-            latency: LatencyModel::ZERO,
-            ..SmaConfig::default()
-        },
-        ..ServiceConfig::new(Backend::Sma, 2)
-    };
-    let mut reference = OptimizerService::spawn(config).expect("spawn in-process reference");
+    let mut reference = OptimizerService::spawn(ServiceConfig::new(Backend::Sma, 2))
+        .expect("spawn in-process reference");
     let expected = run_batch(&mut reference, &queries);
     reference.shutdown();
 
     assert_eq!(over_wire, expected, "the transport changed the answer");
+}
+
+/// Socket workers served from threads of this process, each running its
+/// [`Faulty`] slice of `plan` around `logic(0)` (a worker without a
+/// cache): a crash ends `serve_worker` and closes the connection, and a
+/// drop loses the reply on the wire. Returns the addresses and the server
+/// threads.
+#[cfg(unix)]
+fn faulty_socket_workers(
+    tag: &str,
+    plan: &FaultPlan,
+    workers: usize,
+    logic: fn(usize) -> Box<dyn WorkerLogic>,
+) -> (
+    Vec<WorkerAddr>,
+    Vec<std::thread::JoinHandle<std::io::Result<()>>>,
+) {
+    let schedule = plan.schedule(workers);
+    let mut addrs = Vec::new();
+    let mut threads = Vec::new();
+    for w in 0..workers {
+        let addr: WorkerAddr = socket_path(&format!("{tag}-{w}")).parse().unwrap();
+        let listener = WireListener::bind(&addr).expect("bind a worker socket");
+        let mut inner = logic(0);
+        let unboxed = move |q, p, ctx: &mut WorkerCtx| inner.on_message(q, p, ctx);
+        let faulty = Faulty::new(unboxed, schedule.worker(w));
+        threads.push(std::thread::spawn(move || serve_worker(&listener, faulty)));
+        addrs.push(addr);
+    }
+    (addrs, threads)
+}
+
+/// A seeded fault plan over real sockets: a crash-on-first-task plan with
+/// dropped replies. The master sees only sockets; its retries must recover
+/// every query to the serial DP's optimum, bit for bit.
+#[cfg(unix)]
+#[test]
+fn seeded_crash_and_drop_plan_over_real_sockets_is_exact() {
+    const WORKERS: usize = 3;
+    let plan = FaultPlan {
+        drop_prob: 0.2,
+        ..FaultPlan::crash_on_first_task(WORKERS, 1)
+    };
+    let (addrs, threads) =
+        faulty_socket_workers("faulty", &plan, WORKERS, pqopt::mpq::worker_logic);
+    let config = MpqConfig {
+        retry: RetryPolicy::with_timeout(64, Duration::from_millis(100)),
+        ..MpqConfig::default()
+    };
+    let transport = SocketTransport::connect(&addrs).expect("connect");
+    let mut service = MpqService::with_transport(Box::new(transport), config).expect("service");
+    let mut retries = 0;
+    for q in batch(6) {
+        let handle = service
+            .submit(&q, PlanSpace::Linear, Objective::Single)
+            .expect("submit");
+        let out = service.wait(handle).expect("retries recover every query");
+        let serial = optimize_serial(&q, PlanSpace::Linear, Objective::Single);
+        assert_eq!(
+            out.plans[0].cost().time.to_bits(),
+            serial.plans[0].cost().time.to_bits(),
+            "a fault changed the answer"
+        );
+        retries += out.metrics.retries;
+    }
+    service.shutdown();
+    for thread in threads {
+        // A crashed worker returned when it shut down; the survivors return
+        // once the master disconnects.
+        thread
+            .join()
+            .expect("worker thread")
+            .expect("clean worker exit");
+    }
+    assert!(retries >= 1, "the seeded crash must cost a retry");
+}
+
+/// SMA's contrast on the same plane: a replica lost to a seeded crash
+/// behind a socket fails the session fast, typed, with the bill a recovery
+/// would have cost — as on the in-process plane.
+#[cfg(unix)]
+#[test]
+fn sma_fails_fast_on_a_seeded_crash_over_real_sockets() {
+    const WORKERS: usize = 3;
+    let plan = FaultPlan {
+        crash_prob: 1.0,
+        min_survivors: 2,
+        ..FaultPlan::NONE
+    }
+    .with_seed_where(WORKERS, 64, |s| {
+        (0..WORKERS).any(|w| (0..3).any(|m| s.action(w, m) == FaultAction::CrashBeforeReply))
+    })
+    .expect("some seed crashes a worker early");
+    let (addrs, threads) =
+        faulty_socket_workers("sma-faulty", &plan, WORKERS, pqopt::sma::worker_logic);
+    let config = SmaConfig {
+        recv_timeout: Some(Duration::from_millis(100)),
+        ..SmaConfig::default()
+    };
+    let transport = SocketTransport::connect(&addrs).expect("connect");
+    let mut service = SmaService::with_transport(Box::new(transport), config).expect("service");
+    let q = WorkloadGenerator::new(WorkloadConfig::paper_default(7), 18).next_query();
+    let handle = service
+        .submit(&q, PlanSpace::Linear, Objective::Single)
+        .expect("submit");
+    match service.wait(handle) {
+        Err(SmaError::WorkerLost {
+            memo_rebroadcast_bytes,
+            ..
+        }) => assert!(memo_rebroadcast_bytes >= q.to_bytes().len() as u64),
+        Err(other) => panic!("expected WorkerLost, got {other}"),
+        Ok(_) => panic!("a lost replica must fail the session"),
+    }
+    service.shutdown();
+    for thread in threads {
+        thread
+            .join()
+            .expect("worker thread")
+            .expect("clean worker exit");
+    }
 }
 
 #[test]
