@@ -5,12 +5,19 @@
 //! the classic System-R formula. Crucially the estimate is a function of the
 //! *set* alone: every plan producing the same intermediate result has the
 //! same output cardinality, which is what lets the dynamic program compare
-//! plans per table set. The estimator remembers nothing: the dynamic
-//! program asks once per table set ([`CardinalityEstimator::set_stats`]) and
-//! keeps the answer in its memo, beside the set's plans, so estimator
-//! memory does not depend on the query size.
+//! plans per table set. The dynamic program asks once per table set
+//! ([`CardinalityEstimator::set_stats`]) and keeps the answer in its memo,
+//! beside the set's plans. What the estimator keeps is per query: one
+//! prefix table of at most 2^10 entries per statistic over the low table
+//! and predicate bits (the cardinality product, the tuple-width sum, the
+//! selectivity product), each entry the exact left fold of its subset, so
+//! a set's answer is one lookup plus the bits above the cap folded in one
+//! at a time — the same operations in the same order as the fold from
+//! scratch, and so the same bits. Beside them the predicate index keeps
+//! one union table per ten tables (the predicates and the tables a set
+//! touches), which grows with the table and predicate counts.
 
-use crate::predicates::PredicateIndex;
+use crate::predicates::{prefix_fold, PredicateIndex};
 use mpq_model::{Query, TableSet};
 
 /// What costing a join needs to know about one operand — a function of the
@@ -26,31 +33,61 @@ pub struct SetStats {
     pub sort_cost: f64,
 }
 
-/// Cardinality and width estimator for one query. Every answer is computed
-/// from the query on the spot.
-pub struct CardinalityEstimator<'q> {
-    query: &'q Query,
+/// Cardinality and width estimator for one query. It copies what it reads
+/// of the query, so it can be kept beside the query for as long as a copy
+/// of the query lives (an SMA replica builds one per session).
+pub struct CardinalityEstimator {
     predicates: PredicateIndex,
+    /// Per table, its cardinality and tuple width.
+    cardinality: Vec<f64>,
+    tuple_bytes: Vec<f64>,
+    /// The cardinality products and tuple-width sums of the low tables,
+    /// by their bits ([`prefix_fold`]).
+    cardinality_low: Vec<f64>,
+    tuple_bytes_low: Vec<f64>,
 }
 
-impl<'q> CardinalityEstimator<'q> {
+impl CardinalityEstimator {
     /// Creates an estimator for `query`.
-    pub fn new(query: &'q Query) -> Self {
+    pub fn new(query: &Query) -> Self {
+        let stats = || query.catalog.iter().map(|(_, s)| s);
+        let cardinality: Vec<f64> = stats().map(|s| s.cardinality).collect();
+        let tuple_bytes: Vec<f64> = stats().map(|s| s.tuple_bytes).collect();
+        // Whichever zero `Iterator::sum` starts from, so that the empty
+        // set's width, and every sum built on it, has its bits.
+        let no_bytes: f64 = std::iter::empty::<f64>().sum();
         CardinalityEstimator {
-            query,
             predicates: PredicateIndex::new(query),
+            cardinality_low: prefix_fold(1.0, cardinality.iter().copied(), |c, x| c * x),
+            tuple_bytes_low: prefix_fold(no_bytes, tuple_bytes.iter().copied(), |b, x| b + x),
+            cardinality,
+            tuple_bytes,
         }
-    }
-
-    /// The query this estimator was built for.
-    pub fn query(&self) -> &'q Query {
-        self.query
     }
 
     /// The query's predicate index: sort-merge attributes and interesting
     /// orders.
     pub fn predicates(&self) -> &PredicateIndex {
         &self.predicates
+    }
+
+    /// The fold over `tables` of a per-table statistic whose fold over the
+    /// low tables is `low`: that entry, then the tables above the cap one
+    /// at a time, in table order.
+    #[inline]
+    fn fold(
+        &self,
+        low: &[f64],
+        tables: TableSet,
+        stat: impl Fn(usize) -> f64,
+        op: impl Fn(f64, f64) -> f64,
+    ) -> f64 {
+        let low_tables = (low.len() - 1) as u64;
+        TableSet(tables.bits() & !low_tables)
+            .iter()
+            .fold(low[(tables.bits() & low_tables) as usize], |acc, t| {
+                op(acc, stat(t))
+            })
     }
 
     /// Estimated cardinality of the join of `tables`: the table
@@ -60,10 +97,12 @@ impl<'q> CardinalityEstimator<'q> {
     ///
     /// Returns `1.0` for the empty set (neutral element of the product).
     pub fn cardinality(&self, tables: TableSet) -> f64 {
-        let mut card = 1.0;
-        for t in tables.iter() {
-            card *= self.query.catalog.stats(t).cardinality;
-        }
+        let card = self.fold(
+            &self.cardinality_low,
+            tables,
+            |t| self.cardinality[t],
+            |c, x| c * x,
+        );
         card * self.predicates.internal_selectivity(tables)
     }
 
@@ -75,12 +114,15 @@ impl<'q> CardinalityEstimator<'q> {
     }
 
     /// Estimated tuple width in bytes of the join result of `tables`
-    /// (sum of the member tables' tuple widths: a join concatenates tuples).
+    /// (sum of the member tables' tuple widths, in table order: a join
+    /// concatenates tuples).
     pub fn tuple_bytes(&self, tables: TableSet) -> f64 {
-        tables
-            .iter()
-            .map(|t| self.query.catalog.stats(t).tuple_bytes)
-            .sum()
+        self.fold(
+            &self.tuple_bytes_low,
+            tables,
+            |t| self.tuple_bytes[t],
+            |b, x| b + x,
+        )
     }
 
     /// Everything costing needs to know about `tables` as a join operand.

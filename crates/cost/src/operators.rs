@@ -97,7 +97,7 @@ pub enum ScanOp {
 
 impl ScanOp {
     /// Cost of scanning table `t`.
-    pub fn cost(&self, est: &CardinalityEstimator<'_>, t: usize) -> CostVector {
+    pub fn cost(&self, est: &CardinalityEstimator, t: usize) -> CostVector {
         let card = est.cardinality(TableSet::singleton(t));
         let bytes = est.tuple_bytes(TableSet::singleton(t));
         match self {
@@ -149,7 +149,7 @@ impl JoinOp {
     /// statistics in its memo ([`SplitCosts::from_stats`]).
     pub fn apply(
         &self,
-        est: &mut CardinalityEstimator<'_>,
+        est: &mut CardinalityEstimator,
         left: TableSet,
         right: TableSet,
         left_order: Order,
@@ -163,7 +163,7 @@ impl JoinOp {
 /// `(left, right)` alone. The operand *plans* contribute only their output
 /// orders, so the DP builds this once per split and calls
 /// [`SplitCosts::time`] once per (left plan × right plan × operator), and
-/// [`SplitCosts::apply`] for the plans whose buffer it needs too.
+/// [`SplitCosts::buffer`] for the plans whose buffer it needs too.
 ///
 /// Precomputing an operand of a sum or `max` does not change a rounding:
 /// `apply` performs the same f64 additions and `max`es, in the same order,
@@ -198,14 +198,14 @@ struct SortMergeCosts {
 impl SplitCosts {
     /// Costs the split joining `left` (outer) with `right` (inner),
     /// estimating both operands on the spot.
-    pub fn new(est: &mut CardinalityEstimator<'_>, left: TableSet, right: TableSet) -> Self {
+    pub fn new(est: &mut CardinalityEstimator, left: TableSet, right: TableSet) -> Self {
         let (left_stats, right_stats) = (est.set_stats(left), est.set_stats(right));
         SplitCosts::from_stats(est.predicates(), left, &left_stats, right, &right_stats)
     }
 
     /// Costs the split joining `left` (outer) with `right` (inner) from
     /// the operands' statistics.
-    #[inline]
+    #[inline(always)]
     pub fn from_stats(
         predicates: &PredicateIndex,
         left: TableSet,
@@ -264,18 +264,12 @@ impl SplitCosts {
         })
     }
 
-    /// Incremental cost and output order of `op` on this split, given the
-    /// orders the operand plans deliver. Returns `None` if the operator is
-    /// inapplicable (sort-merge join on a cross product).
+    /// Working memory of `op` on this split, given the orders the operand
+    /// plans deliver: the other half of [`SplitCosts::apply`], for a caller
+    /// that already has the time. `None` where `apply` is.
     #[inline]
-    pub fn apply(
-        &self,
-        op: JoinOp,
-        left_order: Order,
-        right_order: Order,
-    ) -> Option<JoinApplication> {
-        let (time, output_order) = self.time(op, left_order, right_order)?;
-        let buffer = match op {
+    pub fn buffer(&self, op: JoinOp, left_order: Order, right_order: Order) -> Option<f64> {
+        Some(match op {
             JoinOp::NestedLoop => self.nested_loop.buffer,
             JoinOp::Hash => self.hash.buffer,
             JoinOp::SortMerge => {
@@ -289,7 +283,21 @@ impl SplitCosts {
                 }
                 buffer
             }
-        };
+        })
+    }
+
+    /// Incremental cost and output order of `op` on this split, given the
+    /// orders the operand plans deliver. Returns `None` if the operator is
+    /// inapplicable (sort-merge join on a cross product).
+    #[inline]
+    pub fn apply(
+        &self,
+        op: JoinOp,
+        left_order: Order,
+        right_order: Order,
+    ) -> Option<JoinApplication> {
+        let (time, output_order) = self.time(op, left_order, right_order)?;
+        let buffer = self.buffer(op, left_order, right_order)?;
         Some(JoinApplication {
             cost: CostVector::new(time, buffer),
             output_order,

@@ -3,10 +3,13 @@
 //! sort-merge join sorts on, and — derived from the same lookup — which
 //! sort orders a join result can still put to use.
 //!
-//! The two order rules are defined here, through one private lookup
-//! (`lowest_between`: the lowest-numbered predicate between a table set and
-//! an outside table), so the pruning rule cannot drift from the sort-merge
-//! rule it depends on:
+//! Everything is read off predicate bitsets: the predicates touching a
+//! table set (`touching`, one prefix-table lookup plus the tables above
+//! it), those incident to a table, and `trailing_zeros` for the
+//! lowest-numbered one. The two order rules are defined here, from the same
+//! lookup — the lowest-numbered predicate in `incident[u] & touching(S)`,
+//! between a table set `S` and a table `u` outside it — so the pruning rule
+//! cannot drift from the sort-merge rule it depends on:
 //!
 //! * **Sort-merge rule.** A sort-merge join of `left` and `right` sorts on
 //!   the endpoints of the *lowest-numbered* predicate crossing the split
@@ -34,99 +37,193 @@
 
 use mpq_model::{Query, TableSet};
 
-/// Per table, its predicates' other endpoints in predicate-number order,
-/// plus the set of those endpoints; and per table the predicates that touch
-/// it, as a bitset over predicate numbers. Built once per query.
+/// Bits of a set that a per-query prefix table covers: the low
+/// `PREFIX_BITS` tables (or predicates) of a query, at most 2^10 entries
+/// per table whatever the query's size. Bits above are folded in one at a
+/// time.
+pub(crate) const PREFIX_BITS: usize = 10;
+
+/// The exact left fold of `op` over every subset of the first
+/// [`PREFIX_BITS`] elements of `xs`, indexed by the subset's bits:
+/// `t[0] = empty` and `t[m] = op(t[m without its highest bit], xs[highest])`.
+/// An entry is the fold in ascending element order, operation for
+/// operation, so it has the bits of folding the subset from scratch.
+pub(crate) fn prefix_fold<T: Copy>(
+    empty: T,
+    xs: impl IntoIterator<Item = T>,
+    op: impl Fn(T, T) -> T,
+) -> Vec<T> {
+    let xs = xs.into_iter().take(PREFIX_BITS);
+    let mut table = Vec::with_capacity(1 << xs.size_hint().0);
+    table.push(empty);
+    for x in xs {
+        let len = table.len();
+        table.extend_from_within(..);
+        for t in &mut table[len..] {
+            *t = op(*t, x);
+        }
+    }
+    table
+}
+
+/// Bitwise unions of per-table rows of `words` words over table sets: one
+/// prefix table per chunk of [`PREFIX_BITS`] tables, built as
+/// [`prefix_fold`] builds one, so that a set's union is one lookup per
+/// chunk it reaches — a union is exact in any grouping, unlike the
+/// estimator's floating-point folds.
+#[derive(Clone, Debug)]
+struct SetUnions {
+    words: usize,
+    /// Word `w` of chunk `c`'s union over its tables `m` is
+    /// `unions[((c << PREFIX_BITS) + m) * words + w]`: every chunk but the
+    /// last is full.
+    unions: Vec<u64>,
+}
+
+impl SetUnions {
+    /// The unions of `rows`, table `t`'s row being
+    /// `rows[t * words..][..words]`.
+    fn new(rows: &[u64], words: usize) -> Self {
+        // No words, no rows: `max` only keeps `chunks` from a zero size.
+        let chunks = || rows.chunks(PREFIX_BITS * words.max(1));
+        let capacity = chunks().map(|c| (1 << (c.len() / words)) * words);
+        let mut unions = Vec::with_capacity(capacity.sum());
+        for chunk in chunks() {
+            let base = unions.len();
+            unions.resize(base + words, 0);
+            for row in chunk.chunks(words) {
+                let len = unions.len();
+                unions.extend_from_within(base..);
+                for (union, word) in unions[len..].iter_mut().zip(row.iter().cycle()) {
+                    *union |= word;
+                }
+            }
+        }
+        SetUnions { words, unions }
+    }
+
+    /// Word `word` of the union over `set`, a subset of the tables.
+    #[inline]
+    fn union(&self, set: u64, word: usize) -> u64 {
+        const CHUNK: u64 = (1 << PREFIX_BITS) - 1;
+        let (mut rest, mut chunk, mut union) = (set, 0, 0);
+        while rest != 0 {
+            union |= self.unions[(chunk + (rest & CHUNK) as usize) * self.words + word];
+            rest >>= PREFIX_BITS;
+            chunk += 1 << PREFIX_BITS;
+        }
+        union
+    }
+}
+
+/// Per table, the predicates that touch it, as a bitset over predicate
+/// numbers, and per predicate its endpoints and selectivity; plus
+/// per-query prefix tables over the low predicate bits and over chunks of
+/// tables (`PREFIX_BITS`). Built once per query: the selectivity table
+/// has at most 2^10 entries, and each union table has 2^10 rows of one
+/// word (neighbours) or one word per 64 predicates (touching) for every
+/// ten tables, so those grow with the table and predicate counts.
 ///
-/// A predicate with an endpoint outside the query's tables or with both
-/// endpoints on one table never crosses a split and is left out of the
-/// partner lists; one with an endpoint outside the query's tables lies
-/// inside no table set and is left out of the bitsets as well.
+/// A predicate with an endpoint outside the query's tables lies inside no
+/// table set and touches none: it is left out of the bitsets. A self-loop
+/// (both endpoints on one table) lies inside every set holding its table
+/// but never crosses a split, since the two operands of a split are
+/// disjoint.
 #[derive(Clone, Debug)]
 pub struct PredicateIndex {
-    /// Table `t`'s predicates are `partners[starts[t]..starts[t + 1]]`.
-    starts: Vec<u32>,
-    /// `(predicate number, other endpoint)`, ascending by number per table.
-    partners: Vec<(u32, u8)>,
-    /// Per table, the tables it shares a predicate with.
-    neighbours: Vec<TableSet>,
-    /// Every predicate's selectivity, by predicate number.
-    selectivity: Vec<f64>,
+    /// The query's tables, as set bits.
+    all: u64,
     /// Words per predicate bitset: a 17-table clique already has 136
     /// predicates.
     words: usize,
+    /// Every predicate's selectivity, by predicate number.
+    selectivity: Vec<f64>,
+    /// The selectivity products over the low predicate numbers, by their
+    /// bits ([`prefix_fold`]).
+    selectivity_low: Vec<f64>,
+    /// Every predicate's endpoints, by predicate number (read only for one
+    /// with both among the query's tables).
+    ends: Vec<[u8; 2]>,
     /// The predicates with both endpoints among the query's tables.
     within_query: Vec<u64>,
     /// `incident[u * words..][..words]`: the predicates with an endpoint at
     /// table `u`.
     incident: Vec<u64>,
+    /// The predicates touching a set: the union of `incident`.
+    touching: SetUnions,
+    /// The tables sharing a predicate with some table of a set: the union
+    /// of each table's neighbours.
+    adjacent: SetUnions,
 }
 
 impl PredicateIndex {
     /// Indexes the predicates of `query`.
     pub fn new(query: &Query) -> Self {
         let n = query.num_tables();
-        let crossing = || {
-            query
-                .predicates
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.left < n && p.right < n && p.left != p.right)
-        };
-        let mut starts = vec![0u32; n + 1];
-        for (_, p) in crossing() {
-            starts[p.left + 1] += 1;
-            starts[p.right + 1] += 1;
-        }
-        for t in 0..n {
-            starts[t + 1] += starts[t];
-        }
-        let mut next = starts.clone();
-        let mut partners = vec![(0u32, 0u8); starts[n] as usize];
-        let mut neighbours = vec![TableSet::empty(); n];
-        for (number, p) in crossing() {
-            for (t, other) in [(p.left, p.right), (p.right, p.left)] {
-                partners[next[t] as usize] = (number as u32, other as u8);
-                next[t] += 1;
-                neighbours[t] = neighbours[t].insert(other);
-            }
-        }
         let words = query.predicates.len().div_ceil(64);
         let mut within_query = vec![0u64; words];
         let mut incident = vec![0u64; n * words];
+        let mut neighbours = vec![0u64; n];
+        let mut ends = vec![[0u8; 2]; query.predicates.len()];
         for (number, p) in query.predicates.iter().enumerate() {
             if p.left < n && p.right < n {
                 let (word, bit) = (number / 64, 1u64 << (number % 64));
                 within_query[word] |= bit;
                 incident[p.left * words + word] |= bit;
                 incident[p.right * words + word] |= bit;
+                neighbours[p.left] |= 1 << p.right;
+                neighbours[p.right] |= 1 << p.left;
+                // A table index below a table count no `TableSet` exceeds.
+                ends[number] = [p.left as u8, p.right as u8];
             }
         }
+        let selectivity: Vec<f64> = query.predicates.iter().map(|p| p.selectivity).collect();
         PredicateIndex {
-            starts,
-            partners,
-            neighbours,
-            selectivity: query.predicates.iter().map(|p| p.selectivity).collect(),
+            all: TableSet::full(n).bits(),
             words,
+            selectivity_low: prefix_fold(1.0, selectivity.iter().copied(), |sel, s| sel * s),
+            selectivity,
+            ends,
             within_query,
+            touching: SetUnions::new(&incident, words),
+            adjacent: SetUnions::new(&neighbours, 1),
             incident,
         }
     }
 
+    /// Word `word` of the predicates touching the tables `set` (a subset
+    /// of the query's tables).
+    #[inline]
+    fn touching(&self, set: u64, word: usize) -> u64 {
+        self.touching.union(set, word)
+    }
+
+    /// The endpoint of predicate `number` that is not table `u`, one of
+    /// its endpoints.
+    #[inline]
+    fn other_end(&self, number: usize, u: usize) -> u8 {
+        match self.ends[number] {
+            [a, b] if a as usize == u => b,
+            [a, _] => a,
+        }
+    }
+
     /// Combined selectivity of the predicates with both endpoints inside
-    /// `set` (a subset of the query's tables): bit for bit what
-    /// [`Query::internal_selectivity`] returns, found without walking the
-    /// predicates that are not inside. Those inside are what is left of all
-    /// predicates once every outside table's are struck, and they are
-    /// multiplied up in predicate-number order, as the full walk does — the
-    /// order is part of the result bits.
+    /// `set`: bit for bit what [`Query::internal_selectivity`] returns.
+    /// Those inside are the query's predicates that no outside table
+    /// touches, and they are multiplied up in predicate-number order, as
+    /// the full walk does — the order is part of the result bits: the low
+    /// predicate numbers' product from the prefix table, then the others
+    /// one at a time.
     pub fn internal_selectivity(&self, set: TableSet) -> f64 {
-        let outside = TableSet::full(self.neighbours.len()).difference(set);
+        let outside = self.all & !set.bits();
+        let low_predicates = (self.selectivity_low.len() - 1) as u64;
         let mut sel = 1.0;
-        for (word, &within_query) in self.within_query.iter().enumerate() {
-            let mut inside = within_query;
-            for u in outside.iter() {
-                inside &= !self.incident[u * self.words + word];
+        for word in 0..self.words {
+            let mut inside = self.within_query[word] & !self.touching(outside, word);
+            if word == 0 {
+                sel = self.selectivity_low[(inside & low_predicates) as usize];
+                inside &= !low_predicates;
             }
             while inside != 0 {
                 sel *= self.selectivity[word * 64 + inside.trailing_zeros() as usize];
@@ -136,45 +233,49 @@ impl PredicateIndex {
         sel
     }
 
-    /// The lowest-numbered predicate between the table set `s` and the
-    /// table `u ∉ s`: its number and its endpoint in `s`.
-    #[inline]
-    fn lowest_between(&self, s: TableSet, u: usize) -> Option<(u32, u8)> {
-        if self.neighbours[u].is_disjoint(s) {
-            return None;
-        }
-        self.partners[self.starts[u] as usize..self.starts[u + 1] as usize]
-            .iter()
-            .copied()
-            .find(|&(_, t)| s.contains(t as usize))
-    }
-
     /// The join attributes a sort-merge join between `left` and `right`
-    /// sorts on: the `left` and `right` endpoints of the lowest-numbered
-    /// predicate crossing the two sets, or `None` for a cross product.
+    /// (disjoint) sorts on: the `left` and `right` endpoints of the
+    /// lowest-numbered predicate crossing the two sets, or `None` for a
+    /// cross product. The crossing predicates are those touching both.
     #[inline]
     pub fn sort_merge_attributes(&self, left: TableSet, right: TableSet) -> Option<(u8, u8)> {
-        let mut best: Option<(u32, u8, u8)> = None;
-        for u in right.iter() {
-            if let Some((number, t)) = self.lowest_between(left, u) {
-                if best.is_none_or(|(b, ..)| number < b) {
-                    best = Some((number, t, u as u8));
-                }
+        let (left, right) = (left.bits() & self.all, right.bits() & self.all);
+        for word in 0..self.words {
+            let crossing = self.touching(left, word) & self.touching(right, word);
+            if crossing != 0 {
+                let [a, b] = self.ends[word * 64 + crossing.trailing_zeros() as usize];
+                return Some(if left >> a & 1 == 1 { (a, b) } else { (b, a) });
             }
         }
-        best.map(|(_, t, u)| (t, u))
+        None
     }
 
     /// The tables of `set` whose sort order a later sort-merge join can
     /// still ask for (the liveness rule of the module docs): the `set`
-    /// endpoints of the lowest-numbered predicate to each outside table.
-    /// Empty for the full table set.
+    /// endpoints of the lowest-numbered predicate to each outside table
+    /// `u`, the lowest of `incident[u] & touching(set)`. Empty for the
+    /// full table set.
     pub fn interesting_orders(&self, set: TableSet) -> TableSet {
-        let outside = TableSet::full(self.neighbours.len()).difference(set);
+        let set = set.bits() & self.all;
+        // Outside tables whose lowest predicate into `set` is still to be
+        // found, in a higher word.
+        let mut pending = self.adjacent.union(set, 0) & !set;
         let mut live = TableSet::empty();
-        for u in outside.iter() {
-            if let Some((_, t)) = self.lowest_between(set, u) {
-                live = live.insert(t as usize);
+        for word in 0..self.words {
+            if pending == 0 {
+                break;
+            }
+            let touching = self.touching(set, word);
+            let mut outside = pending;
+            while outside != 0 {
+                let u = outside.trailing_zeros() as usize;
+                outside &= outside - 1;
+                let between = self.incident[u * self.words + word] & touching;
+                if between != 0 {
+                    let number = word * 64 + between.trailing_zeros() as usize;
+                    live = live.insert(self.other_end(number, u) as usize);
+                    pending &= !(1 << u);
+                }
             }
         }
         live

@@ -13,11 +13,12 @@
 
 use mpq_cost::operators::JoinApplication;
 use mpq_cost::{CardinalityEstimator, CostVector, JoinOp, Order, SplitCosts, JOIN_OPS};
-use mpq_model::{JoinGraph, TableSet, WorkloadConfig, WorkloadGenerator};
+use mpq_model::{JoinGraph, Query, TableSet, WorkloadConfig, WorkloadGenerator};
 
 fn reference_apply(
     op: JoinOp,
-    est: &mut CardinalityEstimator<'_>,
+    query: &Query,
+    est: &mut CardinalityEstimator,
     left: TableSet,
     right: TableSet,
     left_order: Order,
@@ -43,7 +44,7 @@ fn reference_apply(
             })
         }
         JoinOp::SortMerge => {
-            let (la, ra) = reference_sort_merge_attributes(est, left, right)?;
+            let (la, ra) = reference_sort_merge_attributes(query, left, right)?;
             let want_left = Order::OnAttribute(la);
             let want_right = Order::OnAttribute(ra);
             let mut time = lc + rc;
@@ -65,11 +66,11 @@ fn reference_apply(
 }
 
 fn reference_sort_merge_attributes(
-    est: &CardinalityEstimator<'_>,
+    query: &Query,
     left: TableSet,
     right: TableSet,
 ) -> Option<(u8, u8)> {
-    for p in &est.query().predicates {
+    for p in &query.predicates {
         if left.contains(p.left) && right.contains(p.right) {
             return Some((p.left as u8, p.right as u8));
         }
@@ -131,7 +132,7 @@ fn split_costs_match_the_per_candidate_formula_bitwise() {
                 let split = SplitCosts::new(&mut est, left, right);
                 // The orders that matter: unsorted, the wanted attribute
                 // (when the split has one), and some other attribute.
-                let (want_l, want_r) = match reference_sort_merge_attributes(&est, left, right) {
+                let (want_l, want_r) = match reference_sort_merge_attributes(&q, left, right) {
                     Some((la, ra)) => (Order::OnAttribute(la), Order::OnAttribute(ra)),
                     None => (Order::OnAttribute(0), Order::OnAttribute(1)),
                 };
@@ -139,7 +140,7 @@ fn split_costs_match_the_per_candidate_formula_bitwise() {
                 for lo in [Order::None, want_l, other] {
                     for ro in [Order::None, want_r, other] {
                         for op in JOIN_OPS {
-                            let want = reference_apply(op, &mut ref_est, left, right, lo, ro);
+                            let want = reference_apply(op, &q, &mut ref_est, left, right, lo, ro);
                             let got = split.apply(op, lo, ro);
                             let one_shot = op.apply(&mut est, left, right, lo, ro);
                             let ctx = format!("{graph:?} seed {seed} {left:?}|{right:?} {op:?}");

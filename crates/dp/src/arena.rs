@@ -9,7 +9,8 @@
 //! partition, so memory shrinks with the constraint count exactly as
 //! Theorem 4 predicts, statistics included. A record is written exactly
 //! once, together with the set's entries, when the set's candidates have
-//! been generated and pruned ([`ArenaMemo::push_slot`]); the enumeration
+//! been generated and pruned — built in place at the arena's tail by the
+//! kernel, or copied in by [`ArenaMemo::push_slot`]; the enumeration
 //! reaches an operand's record by one index step from the parent's
 //! ([`AdmissibleSets::index_without`], [`mpq_partition::SplitPart`]) and
 //! reads statistics and plans from cache-line-friendly contiguous memory.
@@ -24,31 +25,44 @@
 //! ([`crate::worker::optimize_partition_reference`]):
 //!
 //! * Candidates for a set come from the same split enumeration and the
-//!   same candidate loop as the reference kernel's (`for_each_split`,
-//!   `join_candidates` in [`crate::worker`]), so they are generated in
+//!   same operand-plan pairs as the reference kernel's (`for_each_split`,
+//!   `for_each_pair` in [`crate::worker`]), so they are generated in
 //!   exactly its order.
 //! * Under single-objective pruning a candidate's fate is decided by its
 //!   time and its order class, and its cost vector is the same f64
-//!   operations in the same order whenever it is evaluated. So the
-//!   candidate loop evaluates the time only, single-objective runs reduce
-//!   the candidates as they stream by on that one number
-//!   ([`ClassMinima`]), and only the cheapest candidate of each
-//!   interesting-order class (an order is relabelled `None` once no later
-//!   join can use it, so a set has few) is costed in full, built into a
-//!   [`PlanEntry`] and handed to the scalar pruning function — which
-//!   provably yields the same slot, in the same entry order, as costing
-//!   and inserting every candidate sequentially. Multi-objective runs ask
-//!   every candidate for its vector and test it against the slot built so
-//!   far, on cost and order alone; an entry is built for one that is kept.
+//!   operations in the same order whenever it is evaluated (stored with
+//!   one NaN for every NaN time, as `worker::stored_time` has it). So
+//!   single-objective runs evaluate times only and reduce the candidates
+//!   as they stream by on that one number ([`ClassMinima`]), one
+//!   operand-plan pair at a time: a pair's nested loop and hash join share
+//!   the outer order, and only the cheaper of the two is offered. A
+//!   candidate that takes its class's lead reads its buffer from the
+//!   split's constants ([`mpq_cost::SplitCosts::buffer`]); only the
+//!   cheapest candidate of each interesting-order class (an order is
+//!   relabelled `None` once no later join can use it, so a set has few) is
+//!   built into a [`PlanEntry`] and handed to the scalar pruning function,
+//!   straight into the arena's tail — which provably yields the same slot,
+//!   in the same entry order, as costing and inserting every candidate
+//!   sequentially. Multi-objective runs (`join_candidates`) ask every
+//!   candidate for its vector and test it against a slot of their own,
+//!   since the candidates borrow their operands from the arena; an entry
+//!   is built for one that is kept.
+//! * A set's statistics and live orders come from the estimator's
+//!   per-query prefix tables and predicate bitsets
+//!   ([`CardinalityEstimator::set_stats`],
+//!   [`PredicateIndex::interesting_orders`]).
 //! * Sets are visited in ascending dense index, which puts every
 //!   admissible subset of a set before the set.
 
 use crate::stats::WorkerStats;
 use crate::worker::{
-    finish, for_each_split, join_candidates, seed_scans, Candidate, Operand, PartitionOutcome,
-    SplitEnv, SplitScratch,
+    buffer_operands, finish, for_each_pair, for_each_split, join_candidates, join_time, seed_scans,
+    stored_time, Operand, PartitionOutcome, Split, SplitEnv, SplitScratch,
 };
-use mpq_cost::{CardinalityEstimator, CostVector, JoinOp, Objective, Order, SetStats};
+use mpq_cost::{
+    CardinalityEstimator, CostVector, JoinOp, Objective, Order, PredicateIndex, SetStats,
+    SplitCosts, JOIN_OPS,
+};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
 use mpq_plan::{PlanEntry, PruningPolicy};
@@ -177,12 +191,26 @@ impl ArenaMemo {
         (!operand.entries.is_empty()).then_some(*operand.stats)
     }
 
-    fn append(&mut self, stats: SetStats, entries: &[PlanEntry]) -> SetRecord {
-        let start = u32::try_from(self.arena.len()).expect("arena entry count fits u32");
-        let len = u32::try_from(entries.len()).expect("slot length fits u32");
-        self.arena.extend_from_slice(entries);
+    /// Records the entries `build` appends to the arena (given the arena
+    /// and the index it starts the slot at) as one slot, with `stats`.
+    fn append_with(
+        &mut self,
+        stats: SetStats,
+        build: impl FnOnce(&mut Vec<PlanEntry>, usize),
+    ) -> SetRecord {
+        let start = self.arena.len();
+        build(&mut self.arena, start);
+        let len = self
+            .arena
+            .len()
+            .checked_sub(start)
+            .expect("a slot is built behind the written ones");
         self.stored_sets += u64::from(len > 0);
-        SetRecord { stats, start, len }
+        SetRecord {
+            stats,
+            start: u32::try_from(start).expect("arena entry count fits u32"),
+            len: u32::try_from(len).expect("slot length fits u32"),
+        }
     }
 
     /// Writes the scans of table `t` with the table's statistics
@@ -192,7 +220,7 @@ impl ArenaMemo {
         if self.singles[t].len > 0 {
             return false;
         }
-        let record = self.append(stats, entries);
+        let record = self.append_with(stats, |arena, _| arena.extend_from_slice(entries));
         self.singles[t] = record;
         if let Some(idx) = self.adm.index_of(TableSet::singleton(t)) {
             self.records[idx] = record;
@@ -200,16 +228,32 @@ impl ArenaMemo {
         true
     }
 
-    /// Writes the finished slot of the set at dense index `idx`, with the
-    /// set's statistics. Slots are write-once, because parents refer to
-    /// entries by position: a second write of a non-empty slot is refused
-    /// (`false`) and changes nothing.
-    pub fn push_slot(&mut self, idx: usize, stats: SetStats, entries: &[PlanEntry]) -> bool {
+    /// Builds the slot of the set at dense index `idx` in place, with the
+    /// set's statistics: `build` gets the arena and the index `start` of
+    /// its tail, and the slot is `arena[start..]` once it returns. `build`
+    /// must leave `arena[..start]`, the written slots, alone. Slots are
+    /// write-once, because parents refer to entries by position: the build
+    /// of a non-empty slot is refused (`false`) before `build` runs, and
+    /// changes nothing.
+    pub(crate) fn build_slot(
+        &mut self,
+        idx: usize,
+        stats: SetStats,
+        build: impl FnOnce(&mut Vec<PlanEntry>, usize),
+    ) -> bool {
         if self.records[idx].len > 0 {
             return false;
         }
-        self.records[idx] = self.append(stats, entries);
+        self.records[idx] = self.append_with(stats, build);
         true
+    }
+
+    /// Writes the finished slot of the set at dense index `idx`, with the
+    /// set's statistics (the in-place build of a copy of `entries`):
+    /// a second write of a non-empty slot is refused (`false`) and changes
+    /// nothing.
+    pub fn push_slot(&mut self, idx: usize, stats: SetStats, entries: &[PlanEntry]) -> bool {
+        self.build_slot(idx, stats, |arena, _| arena.extend_from_slice(entries))
     }
 
     /// [`ArenaMemo::push_slot`] addressed by table set; `false` also for a
@@ -237,8 +281,9 @@ impl ArenaMemo {
 
 /// Streaming single-objective reduction of one set's candidates: the
 /// running cheapest candidate per interesting-order class, direct-mapped
-/// by the order's code — one comparison per candidate, on its time; the
-/// rest of a cost vector is evaluated for the winners only.
+/// by the order's code — offered one operand-plan pair at a time
+/// ([`ClassMinima::offer_pair`]), compared on time; the rest of a cost
+/// vector is evaluated for the winners only.
 ///
 /// Under single-objective pruning the fate of a set's whole candidate
 /// stream is decided by one number per order class — the minimum time.
@@ -279,15 +324,25 @@ struct ClassBest {
     /// The left operand of the split it was generated for.
     left: TableSet,
     time: f64,
-    /// [`Candidate::buffer_operands`], reduced only if it is still the
-    /// cheapest when the stream ends: a class's running minimum changes
-    /// hands about four times per winner (Linear 15), and copying three
-    /// numbers is cheaper than two `max`es.
+    /// The operands of its buffer's two `max`es — the operand plans'
+    /// buffers and the operator's ([`SplitCosts::buffer`]) — reduced only
+    /// if it is still the cheapest when the stream ends: a class's running
+    /// minimum changes hands about four times per winner (Linear 15), and
+    /// copying three numbers is cheaper than two `max`es.
     buffers: [f64; 3],
     op: JoinOp,
     left_idx: u32,
     right_idx: u32,
 }
+
+/// The split costs, left operand and operand plans of one operand-plan
+/// pair, as [`ClassMinima::offer_pair`] takes them.
+type Pair<'a> = (
+    &'a SplitCosts,
+    TableSet,
+    (u32, &'a PlanEntry),
+    (u32, &'a PlanEntry),
+);
 
 /// One class per table, plus unordered.
 const ORDER_CODES: usize = TableSet::MAX_TABLES + 1;
@@ -313,40 +368,115 @@ impl Default for ClassMinima {
 }
 
 impl ClassMinima {
-    /// Offers the next candidate of the stream, generated for the split
-    /// whose left operand is `left`. Its order must be one the memo can
-    /// label an entry with ([`mpq_cost::Order::if_live`]'s output).
+    /// Offers the candidates of one operand-plan pair of a split — its
+    /// outer plan `outer` (entry `outer.0` of the left operand `left`'s
+    /// slot) joined with `inner` by each operator in `JOIN_OPS` order, on
+    /// the split costed by `costs`, for a result whose interesting orders
+    /// are `live` — exactly as offering each of them in turn would. Returns
+    /// how many candidates that is (2, or 3 where sort-merge applies).
+    ///
+    /// Nested loop and hash join both output the outer order, so they
+    /// compete in one class and only the cheaper of the two is offered: a
+    /// strictly cheaper hash join with its own generation number, nested
+    /// loop otherwise (the earlier candidate wins a tie). A NaN nested-loop
+    /// time is the exception, and both are offered in turn: the NaN can
+    /// open a class that the hash join then cannot displace.
     #[inline]
-    pub fn offer(&mut self, left: TableSet, candidate: Candidate<'_>) {
-        let generation = self.offered;
-        self.offered += 1;
-        let code = candidate.order.to_code();
+    pub fn offer_pair(
+        &mut self,
+        costs: &SplitCosts,
+        left: TableSet,
+        outer: (u32, &PlanEntry),
+        inner: (u32, &PlanEntry),
+        live: TableSet,
+    ) -> u64 {
+        let g = self.offered;
+        // Each candidate's time and (labelled) order, as `Candidate::new`
+        // has them.
+        let (le, re) = (outer.1, inner.1);
+        let candidate =
+            |op| join_time(costs, op, le, re).map(|(time, order)| (time, order.if_live(live)));
+        let [nested_loop, hash, sort_merge] = JOIN_OPS;
+        let always = "nested-loop and hash joins always apply";
+        let (nested_loop_time, outer_order) = candidate(nested_loop).expect(always);
+        let (hash_time, _) = candidate(hash).expect(always);
+        let pair = (costs, left, outer, inner);
+        if nested_loop_time.is_nan() {
+            self.offer(pair, g, nested_loop, nested_loop_time, outer_order);
+            self.offer(pair, g + 1, hash, hash_time, outer_order);
+        } else if hash_time < nested_loop_time {
+            self.offer(pair, g + 1, hash, hash_time, outer_order);
+        } else {
+            self.offer(pair, g, nested_loop, nested_loop_time, outer_order);
+        }
+        let generated = match candidate(sort_merge) {
+            Some((time, order)) => {
+                self.offer(pair, g + 2, sort_merge, time, order);
+                3
+            }
+            None => 2,
+        };
+        self.offered += generated;
+        generated
+    }
+
+    /// Offers the `op` candidate of `pair` ([`ClassMinima::offer_pair`]'s
+    /// arguments), number `generation` of the stream, of `time` and
+    /// (labelled) `order`: it opens its class, or takes it with a strictly
+    /// lower time.
+    #[inline(always)]
+    fn offer(
+        &mut self,
+        (costs, left, (left_idx, le), (right_idx, re)): Pair<'_>,
+        generation: u64,
+        op: JoinOp,
+        time: f64,
+        order: Order,
+    ) {
+        let code = order.to_code();
         let class = &mut self.best[code as usize];
         let vacant = class.generation == VACANT;
         if vacant {
             self.occupied.push(code);
         }
-        if vacant || candidate.time < class.time {
+        if vacant || time < class.time {
             *class = ClassBest {
                 generation,
                 left,
-                time: candidate.time,
-                buffers: candidate.buffer_operands(),
-                op: candidate.op,
-                left_idx: candidate.left_idx,
-                right_idx: candidate.right_idx,
+                time,
+                buffers: buffer_operands(costs, op, le, re),
+                op,
+                left_idx,
+                right_idx,
             };
         }
     }
 
-    /// Costs the winners in full, builds their entries for result set
-    /// `set` and inserts them into `slot`, in generation order; resets for
-    /// the next set.
+    /// Offers every operand-plan pair of `split` ([`ClassMinima::offer_pair`])
+    /// and returns how many candidates they make.
+    #[inline]
+    pub(crate) fn offer_split(
+        &mut self,
+        predicates: &PredicateIndex,
+        split: &Split<'_>,
+        live: TableSet,
+    ) -> u64 {
+        let mut generated = 0;
+        for_each_pair(predicates, split, |costs, outer, inner| {
+            generated += self.offer_pair(costs, split.left.set, outer, inner, live);
+        });
+        generated
+    }
+
+    /// Costs the winners in full (times as stored), builds their entries
+    /// for result set `set` and inserts them into the slot
+    /// `entries[start..]`, in generation order; resets for the next set.
     pub fn insert_winners(
         &mut self,
         set: TableSet,
         pruning: &PruningPolicy,
-        slot: &mut Vec<PlanEntry>,
+        entries: &mut Vec<PlanEntry>,
+        start: usize,
     ) {
         let best = &mut self.best;
         self.occupied
@@ -355,18 +485,19 @@ impl ClassMinima {
             let winner = best[code as usize];
             best[code as usize].generation = VACANT;
             let [l, r, app] = winner.buffers;
-            pruning.try_insert(
-                slot,
+            let cost = CostVector::new(stored_time(winner.time), l.max(r).max(app));
+            let order = Order::from_code(code);
+            pruning.try_insert_with(entries, start, cost, order, || {
                 PlanEntry::join(
                     winner.op,
                     winner.left,
                     winner.left_idx,
                     set.difference(winner.left),
                     winner.right_idx,
-                    CostVector::new(winner.time, l.max(r).max(app)),
-                    Order::from_code(code),
-                ),
-            );
+                    cost,
+                    order,
+                )
+            });
         }
         self.offered = 0;
     }
@@ -417,26 +548,39 @@ fn fill(
             continue;
         }
         let live = predicates.interesting_orders(set);
-        for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
-            stats.splits_tried += 1;
-            let left = split.left.set;
-            stats.plans_generated += match pruning.objective() {
-                Objective::Single => {
-                    join_candidates(predicates, &split, live, |c| minima.offer(left, c))
-                }
-                // Pareto pruning has no single-number reduction: every
-                // candidate meets the slot built so far.
-                Objective::Multi { .. } => join_candidates(predicates, &split, live, |c| {
-                    let cost = c.cost();
-                    pruning.try_insert_with(&mut slot, 0, cost, c.order, || {
-                        c.entry_costing(cost, left, split.right.set)
+        match pruning.objective() {
+            Objective::Single => {
+                for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
+                    stats.splits_tried += 1;
+                    stats.plans_generated += minima.offer_split(predicates, &split, live);
+                });
+                // The winners go straight into the arena's tail.
+                memo.build_slot(idx, est.set_stats(set), |arena, start| {
+                    minima.insert_winners(set, pruning, arena, start)
+                });
+            }
+            // Pareto pruning has no single-number reduction: every
+            // candidate meets the slot built so far, which is a slot of its
+            // own because the candidates borrow their operands from the
+            // arena.
+            Objective::Multi { .. } => {
+                for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
+                    stats.splits_tried += 1;
+                    let left = split.left.set;
+                    stats.plans_generated += join_candidates(predicates, &split, live, |c| {
+                        let cost = c.cost();
+                        pruning.try_insert_with(&mut slot, 0, cost, c.order, || {
+                            c.entry_costing(cost, left, split.right.set)
+                        });
                     });
-                }),
-            };
-        });
-        minima.insert_winners(set, pruning, &mut slot);
-        memo.push_slot(idx, est.set_stats(set), &slot);
-        slot.clear();
+                });
+                for entry in &mut slot {
+                    entry.cost.time = stored_time(entry.cost.time);
+                }
+                memo.push_slot(idx, est.set_stats(set), &slot);
+                slot.clear();
+            }
+        }
     }
     (memo, stats)
 }
@@ -444,8 +588,8 @@ fn fill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{optimize_partition_reference, optimize_serial};
-    use mpq_cost::{ScanOp, SplitCosts};
+    use crate::worker::{optimize_partition_reference, optimize_serial, Candidate};
+    use mpq_cost::ScanOp;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_partition::{partition_constraints, Grouping};
     use mpq_plan::PlanNode;
@@ -454,10 +598,13 @@ mod tests {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
     }
 
-    /// The costs of a split of two empty operands: every operator is free,
-    /// so a candidate costs what its operand plans do.
+    /// The costs of a split of two empty operands and no predicate between
+    /// them: nested loop and hash join are free (and tie), sort-merge does
+    /// not apply, so an operand-plan pair offers one candidate that costs
+    /// what its operand plans do.
     fn free_split() -> SplitCosts {
-        let q = query(2, 1);
+        let mut q = query(2, 1);
+        q.predicates.clear();
         let empty = UNWRITTEN.stats;
         let (left, right) = (TableSet::singleton(0), TableSet::singleton(1));
         let est = CardinalityEstimator::new(&q);
@@ -472,26 +619,50 @@ mod tests {
         }
     }
 
-    /// The hash join of `left` (entry `left_idx` of its slot) with a free
-    /// inner plan: a candidate of `left`'s time and order.
-    fn candidate<'a>(costs: &'a SplitCosts, left: &'a PlanEntry, left_idx: u32) -> Candidate<'a> {
-        const FREE: PlanEntry = PlanEntry {
-            cost: CostVector::ZERO,
-            order: Order::None,
-            node: PlanNode::Scan {
-                table: 1,
-                op: ScanOp::Full,
-            },
-        };
+    /// A free inner plan.
+    const FREE: PlanEntry = PlanEntry {
+        cost: CostVector::ZERO,
+        order: Order::None,
+        node: PlanNode::Scan {
+            table: 1,
+            op: ScanOp::Full,
+        },
+    };
+
+    /// Offers `left` (entry `left_idx` of the slot of the left operand
+    /// `left_set`) joined with a free inner plan, every order live.
+    fn offer(
+        minima: &mut ClassMinima,
+        costs: &SplitCosts,
+        left_set: TableSet,
+        left: &PlanEntry,
+        left_idx: u32,
+    ) -> u64 {
         let every_order = TableSet::full(TableSet::MAX_TABLES);
-        Candidate::new(
-            costs,
-            JoinOp::Hash,
-            (left_idx, left),
-            (0, &FREE),
-            every_order,
-        )
-        .expect("a hash join always applies")
+        minima.offer_pair(costs, left_set, (left_idx, left), (0, &FREE), every_order)
+    }
+
+    /// The `op` join of `left` (entry `left_idx` of its slot) with the free
+    /// inner plan: on [`free_split`], a candidate of `left`'s time and
+    /// order.
+    fn candidate<'a>(
+        costs: &'a SplitCosts,
+        op: JoinOp,
+        left: &'a PlanEntry,
+        left_idx: u32,
+    ) -> Candidate<'a> {
+        let every_order = TableSet::full(TableSet::MAX_TABLES);
+        Candidate::new(costs, op, (left_idx, left), (0, &FREE), every_order)
+            .expect("nested-loop and hash joins always apply")
+    }
+
+    /// Inserts the reducer's winners for the set of tables 0 and 1 into a
+    /// slot of its own.
+    fn winners(minima: &mut ClassMinima) -> Vec<PlanEntry> {
+        let mut slot = Vec::new();
+        let pruning = PruningPolicy::new(Objective::Single, 4);
+        minima.insert_winners(TableSet::full(2), &pruning, &mut slot, 0);
+        slot
     }
 
     /// Streams `(time, order)` candidates through the reducer and returns
@@ -500,14 +671,9 @@ mod tests {
         let costs = free_split();
         for &(time, order) in cands {
             let left = plan(time, order);
-            minima.offer(TableSet::singleton(0), candidate(&costs, &left, 0));
+            assert_eq!(offer(minima, &costs, TableSet::singleton(0), &left, 0), 2);
         }
-        let mut slot = Vec::new();
-        minima.insert_winners(
-            TableSet::full(2),
-            &PruningPolicy::new(Objective::Single, 4),
-            &mut slot,
-        );
+        let slot = winners(minima);
         slot.iter().map(|e| (e.cost.time, e.order)).collect()
     }
 
@@ -538,23 +704,111 @@ mod tests {
         let mut minima = ClassMinima::default();
         let (costs, tied) = (free_split(), plan(2.0, Order::None));
         for (left, left_idx) in [(1, 7), (0, 9)] {
-            minima.offer(
+            offer(
+                &mut minima,
+                &costs,
                 TableSet::singleton(left),
-                candidate(&costs, &tied, left_idx),
+                &tied,
+                left_idx,
             );
         }
-        let mut slot = Vec::new();
-        minima.insert_winners(
-            TableSet::full(2),
-            &PruningPolicy::new(Objective::Single, 4),
-            &mut slot,
-        );
-        // The survivor is the first candidate, built for its own split.
+        let slot = winners(&mut minima);
+        // The survivor is the first candidate — the nested loop of the
+        // first pair, which ties its hash join — built for its own split.
+        let first = candidate(&costs, JoinOp::NestedLoop, &tied, 7);
         assert_eq!(
             slot,
-            [candidate(&costs, &tied, 7).entry(TableSet::singleton(1), TableSet::singleton(0))]
+            [first.entry(TableSet::singleton(1), TableSet::singleton(0))]
         );
         assert!(matches!(slot[0].node, PlanNode::Join { left_idx: 7, .. }));
+    }
+
+    /// Of one pair's nested loop and hash join, the hash join is offered
+    /// only when strictly cheaper, and then with its own generation: it
+    /// ranks behind a class the pair's nested loop would have opened.
+    #[test]
+    fn a_pair_offers_the_strictly_cheaper_of_nested_loop_and_hash() {
+        let q = query(2, 1);
+        let est = CardinalityEstimator::new(&q);
+        let split = |lc: f64, rc: f64| {
+            // Sorts so dear that sort-merge never prunes the others.
+            let [l, r] = [lc, rc].map(|cardinality| SetStats {
+                cardinality,
+                tuple_bytes: 1.0,
+                sort_cost: 1e9,
+            });
+            let (left, right) = (TableSet::singleton(0), TableSet::singleton(1));
+            SplitCosts::from_stats(est.predicates(), left, &l, right, &r)
+        };
+        let left = plan(0.0, Order::None);
+        // Nested loop lc·rc against hash 2·rc + lc: 100 > 30, 9 = 9, 1 < 3.
+        for (lc, rc, op) in [
+            (10.0, 10.0, JoinOp::Hash),
+            (3.0, 3.0, JoinOp::NestedLoop),
+            (1.0, 1.0, JoinOp::NestedLoop),
+        ] {
+            let mut minima = ClassMinima::default();
+            let costs = split(lc, rc);
+            // Sort-merge applies too: three candidates, two classes.
+            assert_eq!(
+                offer(&mut minima, &costs, TableSet::singleton(0), &left, 0),
+                3
+            );
+            let slot = winners(&mut minima);
+            let unordered = slot.iter().find(|e| e.order == Order::None).unwrap();
+            assert!(
+                matches!(unordered.node, PlanNode::Join { op: o, .. } if o == op),
+                "{lc} × {rc}: {unordered:?}"
+            );
+            let expected = candidate(&costs, op, &left, 0);
+            assert_eq!(unordered.cost, expected.cost(), "{lc} × {rc}");
+        }
+    }
+
+    /// A NaN nested-loop time is offered with its pair's hash join, in
+    /// turn, as in the stream: the NaN opens a vacant class, which the hash
+    /// join then cannot displace; behind an open class it is passed over,
+    /// and the hash join competes. Operand cardinalities −∞ × 0 cost the
+    /// nested loop at NaN and the hash join at −∞.
+    #[test]
+    fn a_nan_nested_loop_is_offered_with_its_hash_join() {
+        let mut q = query(2, 1);
+        q.predicates.clear();
+        let est = CardinalityEstimator::new(&q);
+        let [l, r] = [f64::NEG_INFINITY, 0.0].map(|cardinality| SetStats {
+            cardinality,
+            tuple_bytes: 0.0,
+            sort_cost: 0.0,
+        });
+        let (left, right) = (TableSet::singleton(0), TableSet::singleton(1));
+        let nan_pair = SplitCosts::from_stats(est.predicates(), left, &l, right, &r);
+        let unsorted = plan(1.0, Order::None);
+
+        let mut minima = ClassMinima::default();
+        offer(&mut minima, &nan_pair, left, &unsorted, 0);
+        let slot = winners(&mut minima);
+        assert!(slot.len() == 1 && slot[0].cost.time.is_nan(), "{slot:?}");
+        assert!(matches!(
+            slot[0].node,
+            PlanNode::Join {
+                op: JoinOp::NestedLoop,
+                ..
+            }
+        ));
+
+        offer(&mut minima, &free_split(), left, &plan(5.0, Order::None), 0);
+        offer(&mut minima, &nan_pair, left, &unsorted, 1);
+        let slot = winners(&mut minima);
+        assert_eq!(slot.len(), 1);
+        assert_eq!(slot[0].cost.time, f64::NEG_INFINITY);
+        assert!(matches!(
+            slot[0].node,
+            PlanNode::Join {
+                op: JoinOp::Hash,
+                left_idx: 1,
+                ..
+            }
+        ));
     }
 
     /// The winner's buffer is `(left ∨ right) ∨ app` of the candidate that
@@ -568,20 +822,19 @@ mod tests {
             ..plan(time, Order::None)
         });
         for (idx, left) in plans.iter().enumerate() {
-            minima.offer(TableSet::singleton(0), candidate(&costs, left, idx as u32));
+            offer(
+                &mut minima,
+                &costs,
+                TableSet::singleton(0),
+                left,
+                idx as u32,
+            );
         }
-        let mut slot = Vec::new();
-        minima.insert_winners(
-            TableSet::full(2),
-            &PruningPolicy::new(Objective::Single, 4),
-            &mut slot,
-        );
+        let slot = winners(&mut minima);
+        let first = candidate(&costs, JoinOp::NestedLoop, &plans[0], 0);
         assert_eq!(
             slot,
-            [
-                candidate(&costs, &plans[0], 0)
-                    .entry(TableSet::singleton(0), TableSet::singleton(1))
-            ]
+            [first.entry(TableSet::singleton(0), TableSet::singleton(1))]
         );
         assert_eq!(slot[0].cost, CostVector::new(1.0, 8.0));
     }
@@ -657,6 +910,36 @@ mod tests {
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
         assert_eq!(memo.stats(set), Some(stats(7.0)));
         assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
+    }
+
+    /// The kernel's in-place path holds the same contract: a second build
+    /// of a written slot index is refused before it runs, and leaves the
+    /// arena, the slot and the counters as they were.
+    #[test]
+    fn build_slot_is_write_once() {
+        let mut memo = memo(6, 1, 4);
+        let set = TableSet::from_tables([0, 1, 4]);
+        let idx = memo.admissible().index_of(set).unwrap();
+        assert!(memo.push_single(2, stats(3.0), &[entry(4.0)]));
+        let built = memo.build_slot(idx, stats(7.0), |arena, start| {
+            assert_eq!(start, 1, "the slot starts behind the scans");
+            arena.extend([entry(5.0), entry(6.0)]);
+        });
+        assert!(built);
+        assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
+        assert_eq!(memo.stats(set), Some(stats(7.0)));
+        let counts =
+            |memo: &ArenaMemo| (memo.arena.len(), memo.stored_sets(), memo.total_entries());
+        assert_eq!(counts(&memo), (3, 2, 3));
+        let rebuilt = memo.build_slot(idx, stats(1.0), |arena, _| {
+            arena.push(entry(1.0));
+            panic!("a refused build must not run");
+        });
+        assert!(!rebuilt);
+        assert!(!memo.push_slot(idx, stats(1.0), &[entry(1.0)]));
+        assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
+        assert_eq!(memo.stats(set), Some(stats(7.0)));
+        assert_eq!(counts(&memo), (3, 2, 3));
     }
 
     #[test]
@@ -805,6 +1088,70 @@ mod tests {
         }
     }
 
+    /// A memo slot as bit patterns: its statistics and, per entry, both costs,
+    /// the order and the child references.
+    #[allow(clippy::type_complexity)]
+    fn slot_bits(
+        memo: &ArenaMemo,
+        set: TableSet,
+    ) -> (Option<[u64; 3]>, Vec<([u64; 2], Order, PlanNode)>) {
+        let stats = memo
+            .stats(set)
+            .map(|s| [s.cardinality, s.tuple_bytes, s.sort_cost].map(f64::to_bits));
+        let entries = memo
+            .entries(set)
+            .iter()
+            .map(|e| {
+                (
+                    [e.cost.time, e.cost.buffer].map(f64::to_bits),
+                    e.order,
+                    e.node,
+                )
+            })
+            .collect();
+        (stats, entries)
+    }
+
+    /// A table of no rows beside one of infinitely many makes NaN times
+    /// (`0 · ∞`), whose bits depend on the code that adds them up. Both
+    /// kernels store each as the one NaN of `stored_time`, in both spaces
+    /// and for both objectives; under Pareto pruning, where both insert
+    /// every candidate, their memos agree bit for bit. (Under
+    /// single-objective pruning the reference keeps every NaN and the
+    /// reducer the one that opened its class: see [`ClassMinima`].)
+    #[test]
+    fn nan_times_are_stored_as_one_nan_by_both_kernels() {
+        let n = 4;
+        let mut q = query(n, 90);
+        q.catalog.stats_mut(1).cardinality = 0.0;
+        q.catalog.stats_mut(3).cardinality = f64::INFINITY;
+        let mut nans = [0; 2];
+        for space in [PlanSpace::Linear, PlanSpace::Bushy] {
+            for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
+                let pruning = PruningPolicy::new(objective, n);
+                let cs = ConstraintSet::unconstrained(Grouping::new(n, space));
+                let (memo, _) = fill(&q, space, &pruning, &cs);
+                let (reference, _) = crate::worker::reference_fill(&q, space, &pruning, &cs, false);
+                for set in memo.admissible().iter() {
+                    let ctx = format!("{space:?} {objective:?} {set}");
+                    if objective != Objective::Single {
+                        assert_eq!(slot_bits(&memo, set), slot_bits(&reference, set), "{ctx}");
+                    }
+                    for (count, memo) in nans.iter_mut().zip([&memo, &reference]) {
+                        for e in memo.entries(set).iter().filter(|e| e.cost.time.is_nan()) {
+                            assert_eq!(e.cost.time.to_bits(), f64::NAN.to_bits(), "{ctx}");
+                            *count += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            nans.iter().all(|&count| count >= 20),
+            "NaN times stored: {nans:?}"
+        );
+    }
+
     /// Both kernels' whole memos, slot by slot and bit by bit — statistics,
     /// entry order, both costs, child references — and their counters:
     /// Linear 11–12 at every partition of m ∈ {1, 2, 4, 8, 16} and Bushy 9
@@ -838,22 +1185,11 @@ mod tests {
                                 assert_eq!(stats, reference_stats, "{ctx}");
                                 let singles = (0..n).map(TableSet::singleton);
                                 for set in memo.admissible().iter().chain(singles) {
-                                    let bits = |memo: &ArenaMemo| {
-                                        let stats = memo.stats(set).map(|s| {
-                                            [s.cardinality, s.tuple_bytes, s.sort_cost]
-                                                .map(f64::to_bits)
-                                        });
-                                        let entries: Vec<_> = memo
-                                            .entries(set)
-                                            .iter()
-                                            .map(|e| {
-                                                let cost = [e.cost.time, e.cost.buffer];
-                                                (cost.map(f64::to_bits), e.order, e.node)
-                                            })
-                                            .collect();
-                                        (stats, entries)
-                                    };
-                                    assert_eq!(bits(&memo), bits(&reference), "{ctx}: {set}");
+                                    assert_eq!(
+                                        slot_bits(&memo, set),
+                                        slot_bits(&reference, set),
+                                        "{ctx}: {set}"
+                                    );
                                     slots += 1;
                                 }
                             }

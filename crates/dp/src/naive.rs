@@ -41,7 +41,7 @@ pub fn exhaustive_linear_best_time(query: &Query) -> f64 {
 }
 
 fn dfs_linear(
-    est: &mut CardinalityEstimator<'_>,
+    est: &mut CardinalityEstimator,
     used: TableSet,
     cost: CostVector,
     order: Order,
@@ -105,7 +105,7 @@ pub fn exhaustive_frontier(query: &Query, space: PlanSpace) -> Vec<CostVector> {
 #[allow(clippy::only_used_in_recursion)]
 fn all_plans(
     query: &Query,
-    est: &mut CardinalityEstimator<'_>,
+    est: &mut CardinalityEstimator,
     set: TableSet,
     space: PlanSpace,
     memo: &mut HashMap<u64, Vec<(CostVector, Order)>>,

@@ -56,17 +56,17 @@ pub fn optimize_partition_topdown(
 }
 
 /// State of one top-down run.
-struct TopDown<'a, 'q> {
+struct TopDown<'a> {
     env: SplitEnv<'a>,
     policy: PruningPolicy,
     memo: ArenaMemo,
-    est: CardinalityEstimator<'q>,
+    est: CardinalityEstimator,
     /// Which admissible sets have been expanded, by dense index.
     expanded: Vec<bool>,
     stats: WorkerStats,
 }
 
-impl TopDown<'_, '_> {
+impl TopDown<'_> {
     /// Recursively materializes the optimal entries for `set`, expanding
     /// each admissible set at most once.
     fn expand(&mut self, set: TableSet) {

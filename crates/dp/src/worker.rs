@@ -184,7 +184,7 @@ pub(crate) fn reference_fill(
 
 /// Seeds the best plans for single tables (Algorithm 2, lines 9-11), each
 /// with its table's statistics.
-pub fn seed_scans(memo: &mut ArenaMemo, est: &CardinalityEstimator<'_>, policy: &PruningPolicy) {
+pub fn seed_scans(memo: &mut ArenaMemo, est: &CardinalityEstimator, policy: &PruningPolicy) {
     let mut slot = Vec::with_capacity(1);
     for t in 0..memo.admissible().num_tables() {
         let cost = ScanOp::Full.cost(est, t);
@@ -282,9 +282,9 @@ impl<'a> Candidate<'a> {
         (right_idx, right): (u32, &'a PlanEntry),
         live: TableSet,
     ) -> Option<Self> {
-        let (time, output_order) = costs.time(op, left.order, right.order)?;
+        let (time, output_order) = join_time(costs, op, left, right)?;
         Some(Candidate {
-            time: (left.cost.time + right.cost.time) + time,
+            time,
             order: output_order.if_live(live),
             op,
             left_idx,
@@ -296,6 +296,60 @@ impl<'a> Candidate<'a> {
     }
 }
 
+/// The time `(left.cost.time + right.cost.time) + app.time` of joining
+/// `left` with `right` by `op` on the split costed by `costs`, and the
+/// operator's output order; `None` where `op` does not apply. The one
+/// definition of a candidate's time: [`Candidate::new`] and the kernel's
+/// pair reducer ([`crate::arena::ClassMinima::offer_pair`]) both read it
+/// here.
+#[inline(always)]
+pub(crate) fn join_time(
+    costs: &SplitCosts,
+    op: JoinOp,
+    left: &PlanEntry,
+    right: &PlanEntry,
+) -> Option<(f64, Order)> {
+    let (app, output_order) = costs.time(op, left.order, right.order)?;
+    Some(((left.cost.time + right.cost.time) + app, output_order))
+}
+
+/// A time as the memo stores it: a NaN as [`f64::NAN`]. Rust leaves open
+/// which NaN a sum of two NaNs yields — x86 yields its first operand's —
+/// and each site a sum is inlined into may order its operands its own way,
+/// so the same candidate's time can be NaN of either sign depending on
+/// the code that added it up. The memo stores one NaN, so the kernel, its
+/// Pareto loop and the reference store the same bits; the loops compare
+/// times as they come (a NaN compares false whatever its bits).
+#[inline(always)]
+pub(crate) fn stored_time(time: f64) -> f64 {
+    if time.is_nan() {
+        f64::NAN
+    } else {
+        time
+    }
+}
+
+/// The operands of the two buffer `max`es of joining `left` with `right`
+/// by `op` — the candidate's `cost().buffer` is `l.max(r).max(app)` — for
+/// a sink that reduces them later ([`crate::arena::ClassMinima`]); the
+/// operator's is read from the split's constants
+/// ([`SplitCosts::buffer`]), its time not evaluated again.
+#[inline(always)]
+pub(crate) fn buffer_operands(
+    costs: &SplitCosts,
+    op: JoinOp,
+    left: &PlanEntry,
+    right: &PlanEntry,
+) -> [f64; 3] {
+    [
+        left.cost.buffer,
+        right.cost.buffer,
+        costs
+            .buffer(op, left.order, right.order)
+            .expect("a candidate exists only where its operator applies"),
+    ]
+}
+
 impl Candidate<'_> {
     #[inline]
     fn app(&self) -> CostVector {
@@ -305,34 +359,27 @@ impl Candidate<'_> {
             .cost
     }
 
-    /// Its cost vector, `(left.cost + right.cost) + app.cost`: the same
-    /// f64 operations in the same order whenever it is called, so its time
-    /// has the bits of `time`.
+    /// Its cost vector, `(left.cost + right.cost) + app.cost`: its time
+    /// is `time`, but for the bits of a NaN ([`stored_time`]). Adding the
+    /// time up again here, rather than reading `time`, keeps the Pareto
+    /// loop, which asks every candidate for its vector, a fifth faster
+    /// (Bushy 8).
     #[inline]
     pub fn cost(&self) -> CostVector {
         self.left.cost.add(&self.right.cost).add(&self.app())
     }
 
-    /// The operands of that sum's two buffer `max`es — `cost().buffer` is
-    /// `l.max(r).max(app)` — for a sink that reduces them later
-    /// ([`crate::arena::ClassMinima`]).
-    #[inline]
-    pub(crate) fn buffer_operands(&self) -> [f64; 3] {
-        [
-            self.left.cost.buffer,
-            self.right.cost.buffer,
-            self.app().buffer,
-        ]
-    }
-
     /// The memo entry of this candidate of the split `(left, right)`,
-    /// costed now.
+    /// costed now, its time as stored ([`stored_time`]).
     #[inline]
     pub fn entry(&self, left: TableSet, right: TableSet) -> PlanEntry {
-        self.entry_costing(self.cost(), left, right)
+        let cost = CostVector::new(stored_time(self.time), self.cost().buffer);
+        self.entry_costing(cost, left, right)
     }
 
-    /// [`Candidate::entry`] with the cost the caller already asked for.
+    /// [`Candidate::entry`] with the cost the caller already asked for,
+    /// taken as it is: the Pareto loop stores its slot's times when the set
+    /// is done (a [`stored_time`] here slows it by a fifth).
     #[inline]
     pub(crate) fn entry_costing(
         &self,
@@ -352,14 +399,37 @@ impl Candidate<'_> {
     }
 }
 
-/// The one candidate loop of the crate (the `Join` core shared by all
-/// split enumerations): combines each surviving plan pair of the split's
-/// operands with each applicable join operator and hands the candidates to
-/// `sink` in that nesting order. Returns how many it generated.
+/// The operand-plan pairs of a split, in the candidate loop's nesting
+/// order (left plan outer), each handed to `f` with the split's costs.
 ///
 /// Everything that depends on the split alone is costed once, from the
-/// operands' memoized statistics ([`SplitCosts::from_stats`]); a
-/// candidate's total is `(le.cost + re.cost) + app.cost` — the same
+/// operands' memoized statistics ([`SplitCosts::from_stats`]).
+#[inline]
+pub(crate) fn for_each_pair<'a>(
+    predicates: &PredicateIndex,
+    split: &Split<'a>,
+    mut f: impl FnMut(&SplitCosts, (u32, &'a PlanEntry), (u32, &'a PlanEntry)),
+) {
+    let Split { left, right } = split;
+    if left.entries.is_empty() || right.entries.is_empty() {
+        return;
+    }
+    let costs = SplitCosts::from_stats(predicates, left.set, left.stats, right.set, right.stats);
+    for outer in (0..).zip(left.entries) {
+        for inner in (0..).zip(right.entries) {
+            f(&costs, outer, inner);
+        }
+    }
+}
+
+/// The one candidate loop of the crate (the `Join` core shared by all
+/// split enumerations): combines each surviving plan pair of the split's
+/// operands ([`for_each_pair`]) with each applicable join operator and
+/// hands the candidates to `sink` in that nesting order. Returns how many
+/// it generated. The single-objective streaming kernel offers the same
+/// pairs to its reducer instead ([`crate::arena::ClassMinima::offer_pair`]).
+///
+/// A candidate's total is `(le.cost + re.cost) + app.cost` — the same
 /// floating-point operations in the same order however the caller prunes,
 /// which is what keeps all kernels bit-identical. The loop evaluates the
 /// time of that sum; the buffer waits for a sink that reads it.
@@ -377,31 +447,23 @@ pub(crate) fn join_candidates(
     live: TableSet,
     mut sink: impl FnMut(Candidate<'_>),
 ) -> u64 {
-    let Split { left, right } = split;
-    if left.entries.is_empty() || right.entries.is_empty() {
-        return 0;
-    }
-    let costs = SplitCosts::from_stats(predicates, left.set, left.stats, right.set, right.stats);
     let mut generated = 0;
-    for (li, le) in left.entries.iter().enumerate() {
-        for (ri, re) in right.entries.iter().enumerate() {
-            let (outer, inner) = ((li as u32, le), (ri as u32, re));
-            let mut emit = |op| {
-                if let Some(candidate) = Candidate::new(&costs, op, outer, inner, live) {
-                    generated += 1;
-                    sink(candidate);
-                }
-            };
-            // The operators in `JOIN_OPS` order, one call site each: with
-            // the operator a constant the costing is straight-line code,
-            // which a time-only sink makes worth having (Linear 15: 13.2
-            // → 10.5 ms; as `for op in JOIN_OPS`, 13.7).
-            let [first, second, third] = JOIN_OPS;
-            emit(first);
-            emit(second);
-            emit(third);
-        }
-    }
+    for_each_pair(predicates, split, |costs, outer, inner| {
+        let mut emit = |op| {
+            if let Some(candidate) = Candidate::new(costs, op, outer, inner, live) {
+                generated += 1;
+                sink(candidate);
+            }
+        };
+        // The operators in `JOIN_OPS` order, one call site each: with
+        // the operator a constant the costing is straight-line code,
+        // which a time-only sink makes worth having (as
+        // `for op in JOIN_OPS`, Linear 15 read 30 % slower).
+        let [first, second, third] = JOIN_OPS;
+        emit(first);
+        emit(second);
+        emit(third);
+    });
     generated
 }
 

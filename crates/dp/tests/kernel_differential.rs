@@ -15,9 +15,11 @@
 //! inserts only the per-order-class minima, yields a memo slot identical
 //! (contents *and* entry order, every cost bit) to costing and building
 //! every candidate and inserting it through the scalar pruning function
-//! (see `ClassMinima` in `mpq_dp::arena`). The streams are made of real
-//! candidates (`Candidate::new`, as the candidate loop makes them) over
-//! made-up operands.
+//! (see `ClassMinima` in `mpq_dp::arena`). The streams go through the
+//! kernel's own reducer, one operand-plan pair at a time
+//! (`ClassMinima::offer_pair`, which offers one of a pair's nested loop and
+//! hash join), over made-up operands; the sequential side is made of real
+//! candidates (`Candidate::new`, as the candidate loop makes them).
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
@@ -199,6 +201,8 @@ const SET: TableSet = TableSet(0b1111);
 /// 4 × 2, 0 × 0), between plans of one operand, between splits — and
 /// buffers tie, differ only in the sign of zero, or are NaN: a `max` taken
 /// of the wrong plan's operands, or in another order, shows in the bits.
+/// With NaN, cardinalities ∞ × 0 cost a nested loop at NaN beside a hash
+/// join that is not NaN, which the pair must still offer.
 struct MadeUpSplit {
     left: TableSet,
     lefts: Vec<PlanEntry>,
@@ -248,11 +252,13 @@ impl MadeUpSplit {
         }
     }
 
+    /// The split's operand-plan pairs, in the candidate loop's order.
+    fn pairs(&self) -> impl Iterator<Item = ((u32, &PlanEntry), (u32, &PlanEntry))> {
+        plans(&self.lefts).flat_map(move |l| plans(&self.rights).map(move |r| (l, r)))
+    }
+
     /// The split's candidates, in the candidate loop's order.
     fn candidates(&self, live: TableSet) -> impl Iterator<Item = Candidate<'_>> {
-        fn plans(side: &[PlanEntry]) -> impl Iterator<Item = (u32, &PlanEntry)> {
-            (0..).zip(side)
-        }
         plans(&self.lefts).flat_map(move |l| {
             plans(&self.rights).flat_map(move |r| {
                 JOIN_OPS
@@ -261,6 +267,11 @@ impl MadeUpSplit {
             })
         })
     }
+}
+
+/// The plans of one operand, numbered by their slot position.
+fn plans(side: &[PlanEntry]) -> impl Iterator<Item = (u32, &PlanEntry)> {
+    (0..).zip(side)
 }
 
 /// A made-up candidate stream of [`SET`]: a few splits and the orders that
@@ -306,13 +317,27 @@ impl MadeUpStream {
         })
     }
 
-    /// The slot the streaming reducer leaves.
-    fn streamed(&self, minima: &mut ClassMinima, policy: &PruningPolicy) -> Vec<PlanEntry> {
-        for (left, _, c) in self.candidates() {
-            minima.offer(left, c);
+    /// The slot the streaming reducer leaves behind `prefix`, offered
+    /// every operand-plan pair as the kernel offers them.
+    fn streamed(
+        &self,
+        minima: &mut ClassMinima,
+        policy: &PruningPolicy,
+        prefix: &[PlanEntry],
+    ) -> Vec<PlanEntry> {
+        let mut offered = 0;
+        for split in &self.splits {
+            for (l, r) in split.pairs() {
+                offered += minima.offer_pair(&split.costs, split.left, l, r, self.live);
+            }
         }
-        let mut slot = Vec::new();
-        minima.insert_winners(SET, policy, &mut slot);
+        assert_eq!(
+            offered,
+            self.candidates().count() as u64,
+            "every candidate counted"
+        );
+        let mut slot = prefix.to_vec();
+        minima.insert_winners(SET, policy, &mut slot, prefix.len());
         slot
     }
 }
@@ -366,8 +391,8 @@ fn eager_class_minima(stream: &MadeUpStream, policy: &PruningPolicy) -> Vec<Plan
     slot
 }
 
-/// Offering every candidate to the lazy reducer must produce a slot
-/// identical — contents, entry order, every cost bit — to costing and
+/// Offering every operand-plan pair to the lazy reducer must produce a
+/// slot identical — contents, entry order, every cost bit — to costing and
 /// building every candidate: 400 random bursts with heavy tie pressure,
 /// half of them with NaN times. On a NaN-free stream that is the slot of
 /// inserting every candidate through the scalar pruning function (a NaN
@@ -378,9 +403,12 @@ fn batch_matches_sequential_insertion() {
     let policy = PruningPolicy::new(Objective::Single, 6);
     // Coverage the streams must reach: NaN and ±∞ as a class's first and as
     // a later candidate, exact ties between the operators of one plan pair
-    // and between plans of one operand.
+    // and between plans of one operand; and every branch of the pair rule —
+    // hash join strictly cheaper, tied with or dearer than the nested loop,
+    // and a NaN nested loop beside a hash join that is not NaN.
     let (mut nan_first, mut nan_later, mut inf_first, mut inf_later) = (0, 0, 0, 0);
     let (mut operator_ties, mut plan_ties) = (0, 0);
+    let (mut hash_cheaper, mut hash_tied, mut hash_dearer, mut nan_nested_loop) = (0, 0, 0, 0);
     with_clique_predicates(|predicates| {
         // One reducer reused across trials, as it is across sets.
         let mut minima = ClassMinima::default();
@@ -388,7 +416,7 @@ fn batch_matches_sequential_insertion() {
             let nan = trial % 2 == 1;
             let mut rng = Lcg(trial * 2654435761 + 99);
             let stream = MadeUpStream::random(&mut rng, predicates, nan);
-            let streamed = stream.streamed(&mut minima, &policy);
+            let streamed = stream.streamed(&mut minima, &policy, &[]);
             assert_eq!(
                 bits(&eager_class_minima(&stream, &policy)),
                 bits(&streamed),
@@ -418,6 +446,17 @@ fn batch_matches_sequential_insertion() {
                 previous = Some(c);
                 policy.try_insert(&mut sequential, c.entry(left, right));
             }
+            for split in &stream.splits {
+                for (l, r) in split.pairs() {
+                    let [nested_loop, hash] = [JOIN_OPS[0], JOIN_OPS[1]]
+                        .map(|op| Candidate::new(&split.costs, op, l, r, stream.live).unwrap());
+                    let (nl, h) = (nested_loop.time, hash.time);
+                    hash_cheaper += usize::from(h < nl);
+                    hash_tied += usize::from(h == nl);
+                    hash_dearer += usize::from(h > nl);
+                    nan_nested_loop += usize::from(nl.is_nan() && !h.is_nan());
+                }
+            }
             if !nan {
                 assert_eq!(
                     bits(&sequential),
@@ -434,6 +473,13 @@ fn batch_matches_sequential_insertion() {
         ("±∞ after a class opened", inf_later),
         ("operators of one pair tie", operator_ties),
         ("plans of one operand tie", plan_ties),
+        ("hash join cheaper than its nested loop", hash_cheaper),
+        ("hash join tied with its nested loop", hash_tied),
+        ("hash join dearer than its nested loop", hash_dearer),
+        (
+            "NaN nested loop beside a hash join that is not",
+            nan_nested_loop,
+        ),
     ] {
         assert!(count >= 20, "{what}: only {count} times in 400 streams");
     }
@@ -471,8 +517,8 @@ fn lazy_pareto_insertion_matches_eager_insertion() {
 }
 
 /// The same equivalence holds when the slot under construction is the tail
-/// of a shared arena with a frozen prefix: `try_insert_with` never reads
-/// or touches entries below `start`.
+/// of a shared arena with a frozen prefix, as the kernel builds it:
+/// `try_insert_with` never reads or touches entries below `start`.
 #[test]
 fn batch_equivalence_holds_behind_a_frozen_prefix() {
     let policy = PruningPolicy::new(Objective::Single, 6);
@@ -497,8 +543,7 @@ fn batch_equivalence_holds_behind_a_frozen_prefix() {
                 policy.try_insert_with(&mut sequential, prefix.len(), e.cost, e.order, || e);
             }
 
-            let tail = stream.streamed(&mut ClassMinima::default(), &policy);
-            let streamed = [prefix.clone(), tail].concat();
+            let streamed = stream.streamed(&mut ClassMinima::default(), &policy, &prefix);
 
             assert_eq!(bits(&sequential), bits(&streamed));
             assert_eq!(&sequential[..prefix.len()], &prefix[..], "prefix untouched");

@@ -58,7 +58,7 @@ pub fn order_to_plan(query: &Query, permutation: &[usize]) -> Plan {
     choice.reverse();
 
     // Rebuild the plan bottom-up.
-    let scan = |est: &mut CardinalityEstimator<'_>, t: usize| Plan::Scan {
+    let scan = |est: &mut CardinalityEstimator, t: usize| Plan::Scan {
         table: t as u8,
         op: ScanOp::Full,
         cost: ScanOp::Full.cost(est, t),

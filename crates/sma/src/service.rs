@@ -57,6 +57,8 @@ struct ReplicaState {
     /// its splits are enumerated under, the unconstrained set.
     constraints: ConstraintSet,
     memo: ArenaMemo,
+    /// The query's estimator, built once at `Init` for every level.
+    est: CardinalityEstimator,
     /// Canonical cache-key prefix for this session's subproblems
     /// (signature + engine/space/objective tags), computed once at `Init`.
     slot_key_prefix: mpq_plan::cache::CacheKeyBuilder,
@@ -128,7 +130,8 @@ impl WorkerLogic for SmaWorker {
                 let constraints = ConstraintSet::unconstrained(Grouping::new(n, space));
                 let mut memo = ArenaMemo::new(AdmissibleSets::new(&constraints));
                 let policy = PruningPolicy::new(objective, n);
-                seed_scans(&mut memo, &CardinalityEstimator::new(&q), &policy);
+                let est = CardinalityEstimator::new(&q);
+                seed_scans(&mut memo, &est, &policy);
                 let mut slot_key_prefix = query_signature(&q);
                 slot_key_prefix.push_u8(ENGINE_SMA_SLOT);
                 push_scope(&mut slot_key_prefix, space, objective);
@@ -140,6 +143,7 @@ impl WorkerLogic for SmaWorker {
                         objective,
                         constraints,
                         memo,
+                        est,
                         slot_key_prefix,
                     },
                 );
@@ -163,7 +167,6 @@ impl WorkerLogic for SmaWorker {
                 }
                 let t0 = Instant::now();
                 let policy = PruningPolicy::new(state.objective, state.query.num_tables());
-                let est = CardinalityEstimator::new(&state.query);
                 let mut stats = WorkerStats::default();
                 let slots: Vec<SlotUpdate> = sets
                     .iter()
@@ -183,7 +186,7 @@ impl WorkerLogic for SmaWorker {
                             &state.constraints,
                             set,
                             &state.memo,
-                            est.predicates(),
+                            state.est.predicates(),
                             &policy,
                             &mut stats,
                         );
@@ -208,12 +211,11 @@ impl WorkerLogic for SmaWorker {
                 // a rewrite of a filled slot is a protocol bug. The set's
                 // statistics are not on the wire; each replica records its
                 // own estimate with the slot.
-                let est = CardinalityEstimator::new(&state.query);
                 let merged = slots.iter().all(|s| {
                     is_join_result(s.set, &state.query)
                         && state
                             .memo
-                            .push_slot_of(s.set, est.set_stats(s.set), &s.entries)
+                            .push_slot_of(s.set, state.est.set_stats(s.set), &s.entries)
                 });
                 if !merged {
                     ctx.send_to_master(SmaReply::Malformed.to_bytes());
