@@ -800,8 +800,7 @@ wire! {
         total_entries: u64,
         splits_tried: u64,
         plans_generated: u64,
-        optimize_micros: u64,
-        threads_used: u64
+        optimize_micros: u64
     }
     enum JoinGraph { 0 => Chain, 1 => Star, 2 => Cycle, 3 => Clique }
     enum ScanOp { 0 => Full }
@@ -909,7 +908,6 @@ mod tests {
             splits_tried: 3,
             plans_generated: 4,
             optimize_micros: 5,
-            threads_used: 6,
         });
     }
 

@@ -31,8 +31,8 @@ pub struct NetworkMetrics {
     // re-issued) and worker progress reports received.
     steals: AtomicU64,
     progress_reports: AtomicU64,
-    // Cross-query memo-cache counters (recorded where the cache lives:
-    // worker-side for shard-local caches, master-side for service caches).
+    // Cross-query result-cache counters, recorded by the service facade
+    // that keeps the one cache in front of this plane.
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_bytes_saved: AtomicU64,
@@ -150,14 +150,14 @@ impl NetworkMetrics {
     }
 
     /// Records a cross-query cache hit that served `bytes_saved`
-    /// approximate bytes of finished memo results without recomputation.
+    /// approximate bytes of finished results without sending anything.
     pub fn record_cache_hit(&self, bytes_saved: u64) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.cache_bytes_saved
             .fetch_add(bytes_saved, Ordering::Relaxed);
     }
 
-    /// Records a cross-query cache miss (the subproblem was computed).
+    /// Records a cross-query cache miss (the query went to the backend).
     pub fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -251,12 +251,12 @@ pub struct NetworkSnapshot {
     pub steals: u64,
     /// Worker progress reports received by the master.
     pub progress_reports: u64,
-    /// Cross-query memo-cache hits (shard-local worker caches plus any
-    /// master-side service cache sharing these metrics).
+    /// Cross-query result-cache hits of the service facade in front of
+    /// this plane: queries answered without a message.
     pub cache_hits: u64,
-    /// Cross-query memo-cache misses.
+    /// Cross-query result-cache misses: queries sent to the backend.
     pub cache_misses: u64,
-    /// Approximate bytes of finished memo results served from caches
+    /// Approximate bytes of finished results served from the cache
     /// instead of being recomputed.
     pub cache_bytes_saved: u64,
 }

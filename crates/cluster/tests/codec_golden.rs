@@ -109,7 +109,6 @@ fn golden_stats() -> WorkerStats {
         splits_tried: 33,
         plans_generated: 44,
         optimize_micros: 55,
-        threads_used: 66,
     }
 }
 
@@ -159,8 +158,8 @@ const GOLDEN_PLAN_ENTRY: &str =
     "000000000000144000000000000018400201020300000000000000070000000400000\
     00000000000000000";
 const GOLDEN_WORKER_STATS: &str =
-    "0b00000000000000160000000000000021000000000000002c0000000000000037\
-    000000000000004200000000000000";
+    "0b00000000000000160000000000000021000000000000002c00000000000000\
+    3700000000000000";
 // Session layer (multi-query cluster): the QueryId and the envelope frame
 // that wraps every wire message — 8-byte LE id, then the payload verbatim.
 const GOLDEN_QUERY_ID: &str = "efbeadde00000000";

@@ -1228,10 +1228,15 @@ mod tests {
 
     #[test]
     fn serial_default_kernel_is_the_arena_kernel() {
-        // `optimize_serial` routes through the arena kernel, which is one
-        // sequential dynamic program: the wire-carried thread count says so.
+        // `optimize_serial` is the arena kernel on the unconstrained
+        // partition: same plans, same work counters.
         let q = query(5, 80);
         let out = optimize_serial(&q, PlanSpace::Linear, Objective::Single);
-        assert_eq!(out.stats.threads_used, 1);
+        let cs = ConstraintSet::unconstrained(Grouping::new(5, PlanSpace::Linear));
+        let arena = optimize_partition(&q, PlanSpace::Linear, Objective::Single, &cs);
+        assert_eq!(out.plans, arena.plans);
+        assert_eq!(out.stats.splits_tried, arena.stats.splits_tried);
+        assert_eq!(out.stats.plans_generated, arena.stats.plans_generated);
+        assert_eq!(out.stats.stored_sets, arena.stats.stored_sets);
     }
 }

@@ -28,10 +28,10 @@
 //! differential suites hold it to, bit for bit. Top-down, parametric and
 //! SMA's per-set enumeration run on the same memo.
 //!
-//! [`cached`] wraps the partition optimizers in the cross-query memo
-//! cache (`mpq_plan::cache`): repeated subproblems — same canonical query
-//! signature, statistics epoch, space, objective and partition scope —
-//! are served from finished results instead of re-running the DP.
+//! [`cached`] holds the keys of the cross-query result cache the service
+//! facade keeps (`mpq_plan::cache`): a repeated query — same canonical
+//! signature, statistics epoch, space and objective — is served its
+//! finished result instead of re-running the DP.
 
 #![forbid(unsafe_code)]
 
@@ -47,10 +47,7 @@ pub mod worker;
 #[doc(hidden)]
 pub use arena::ClassMinima;
 pub use arena::{optimize_partition, ArenaMemo, ParallelPolicy};
-pub use cached::{
-    optimize_partition_id_cached, optimize_partition_topdown_cached, optimize_serial_cached,
-    push_scope, PlanCache,
-};
+pub use cached::{push_scope, result_key, PlanCache};
 pub use naive::{exhaustive_frontier, exhaustive_linear_best_time};
 pub use parametric::{
     interpolate, merge_parametric, optimize_parametric, optimize_parametric_partition, pick_for,

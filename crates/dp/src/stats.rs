@@ -23,12 +23,6 @@ pub struct WorkerStats {
     /// Wall-clock optimization time in microseconds (the DP only, without
     /// any communication).
     pub optimize_micros: u64,
-    /// Peak number of intra-worker threads the DP ran on
-    /// (`ParallelPolicy`); 1 for the serial kernels. Keeps speedup math on
-    /// `optimize_micros` honest: wall-clock time divided across
-    /// `threads_used` CPUs is the per-node budget the paper's figures
-    /// assume. Zero only in placeholder stats (e.g. cache hits).
-    pub threads_used: u64,
 }
 
 impl WorkerStats {
@@ -40,12 +34,10 @@ impl WorkerStats {
             splits_tried: self.splits_tried.max(other.splits_tried),
             plans_generated: self.plans_generated.max(other.plans_generated),
             optimize_micros: self.optimize_micros.max(other.optimize_micros),
-            threads_used: self.threads_used.max(other.threads_used),
         }
     }
 
     /// Element-wise sum (used for totals across workers).
-    /// `threads_used` is a peak, not a flow, so it maximizes here too.
     pub fn sum(&self, other: &WorkerStats) -> WorkerStats {
         WorkerStats {
             stored_sets: self.stored_sets + other.stored_sets,
@@ -53,7 +45,6 @@ impl WorkerStats {
             splits_tried: self.splits_tried + other.splits_tried,
             plans_generated: self.plans_generated + other.plans_generated,
             optimize_micros: self.optimize_micros + other.optimize_micros,
-            threads_used: self.threads_used.max(other.threads_used),
         }
     }
 }
@@ -94,19 +85,5 @@ mod tests {
         let s = a.sum(&b);
         assert_eq!(s.splits_tried, 10);
         assert_eq!(s.plans_generated, 10);
-    }
-
-    #[test]
-    fn threads_used_is_a_peak_in_both_aggregates() {
-        let a = WorkerStats {
-            threads_used: 4,
-            ..Default::default()
-        };
-        let b = WorkerStats {
-            threads_used: 2,
-            ..Default::default()
-        };
-        assert_eq!(a.max(&b).threads_used, 4);
-        assert_eq!(a.sum(&b).threads_used, 4);
     }
 }

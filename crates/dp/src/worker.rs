@@ -218,9 +218,6 @@ pub(crate) fn finish(
     stats.stored_sets = memo.stored_sets();
     stats.total_entries = memo.total_entries();
     stats.optimize_micros = start.elapsed().as_micros() as u64;
-    // One sequential dynamic program per partition; the field stays on the
-    // wire.
-    stats.threads_used = 1;
     PartitionOutcome { plans, stats }
 }
 

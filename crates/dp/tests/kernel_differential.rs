@@ -103,7 +103,6 @@ fn check_point(q: &Query, space: PlanSpace, objective: Objective, c: &Constraint
     let reference = optimize_partition_reference(q, space, objective, c);
     let arena = optimize_partition(q, space, objective, c);
     assert_bit_identical(&reference, &arena, ctx);
-    assert_eq!(arena.stats.threads_used, 1, "{ctx}");
 }
 
 #[test]

@@ -15,6 +15,9 @@
 //! * **coalescer counters** — a coalition of `K` identical in-flight
 //!   submissions counts exactly `K` coalesced sessions and `K - 1`
 //!   saved optimizations;
+//! * **result cache** — a finished query submitted again redeems the
+//!   first answer's bits without a single send, and a dropped hit leaves
+//!   no flight;
 //! * **ledgers** — replies balance against completions + duplicates,
 //!   retries never exceed observed timeouts, fault counters sum, and
 //!   the transport's own reply-conservation ledger closes;
@@ -75,6 +78,10 @@ pub enum Kind {
     /// submission must be refused with the typed `Overloaded`, and a
     /// resubmission after capacity frees must be admitted.
     Admission,
+    /// Caching [`OptimizerService`] over the MPQ backend: one query run
+    /// to completion, then submitted twice more — once redeemed, once
+    /// dropped — then a distinct drain query that forces the reap.
+    Cache,
 }
 
 /// One model-checking configuration.
@@ -344,6 +351,16 @@ pub fn default_suite() -> Vec<Scenario> {
             },
         },
         Scenario {
+            name: "facade-cache-2w",
+            about: "caching facade: a finished query's repeat redeems its bits with zero sends",
+            workers: 2,
+            sessions: 2,
+            tables: 4,
+            seed: 35,
+            budget: NO_FAULTS,
+            kind: Kind::Cache,
+        },
+        Scenario {
             name: "facade-admission-2w",
             about: "admission at limit 1: typed refusal, then admitted on retry",
             workers: 2,
@@ -406,7 +423,7 @@ pub fn run_scenario(scenario: &Scenario, script: &[usize]) -> RunOutcome {
 pub fn run_scenario_por(scenario: &Scenario, script: &[usize], por: bool) -> RunOutcome {
     let logics: Vec<Box<dyn WorkerLogic>> = (0..scenario.workers)
         .map(|_| match scenario.kind {
-            Kind::Sma { .. } => mpq_sma::worker_logic(0),
+            Kind::Sma { .. } => mpq_sma::worker_logic(),
             _ => mpq_algo::worker_logic(0),
         })
         .collect();
@@ -531,6 +548,7 @@ fn drive(scenario: &Scenario, transport: Box<dyn Transport>) -> Result<(), Strin
             drive_coalesce(scenario, transport, drop_leader, retry)
         }
         Kind::Admission => drive_admission(scenario, transport),
+        Kind::Cache => drive_cache(scenario, transport),
     }
 }
 
@@ -792,6 +810,54 @@ fn drive_admission(scenario: &Scenario, transport: Box<dyn Transport>) -> Result
     if service.in_flight() != 0 {
         return Err(format!(
             "{} sessions leaked past their wait",
+            service.in_flight()
+        ));
+    }
+    Ok(())
+}
+
+fn drive_cache(scenario: &Scenario, transport: Box<dyn Transport>) -> Result<(), String> {
+    let config = ServiceConfig::with_cache(Backend::Mpq, scenario.workers, 1 << 20);
+    let mut service = OptimizerService::with_transport(config, transport)
+        .map_err(|e| format!("service construction failed: {e}"))?;
+    let qs = queries(scenario, 2);
+    let run = |service: &mut OptimizerService, query: &Query| {
+        service
+            .submit(query, PlanSpace::Linear, Objective::Single)
+            .and_then(|handle| service.wait(handle))
+            .map_err(|e| format!("fault-free schedule failed: {e}"))
+    };
+    let answer = run(&mut service, &qs[0])?;
+    check_exact(&qs[0], &answer)?;
+    let wire = |s: &OptimizerService| s.network_snapshot().map(|n| (n.messages, n.total_bytes()));
+    let sent = wire(&service);
+    // The repeat is a hit: the first answer's bits, and no send at all.
+    let again = run(&mut service, &qs[0])?;
+    let bits =
+        |plans: &[Plan]| -> Vec<u64> { plans.iter().map(|p| p.cost().time.to_bits()).collect() };
+    if bits(&again) != bits(&answer) || wire(&service) != sent {
+        return Err(format!(
+            "a hit redeemed other bits or moved the wire ({sent:?} messages and bytes \
+             before, {:?} after)",
+            wire(&service)
+        ));
+    }
+    // A dropped hit: its flight must go with the reap the drain forces.
+    drop(service.submit(&qs[0], PlanSpace::Linear, Objective::Single));
+    check_exact(&qs[1], &run(&mut service, &qs[1])?)?;
+    let stats = service.cache_stats();
+    if (
+        stats.hits,
+        stats.misses,
+        service.open_flights(),
+        service.in_flight(),
+    ) != (2, 2, 0, 0)
+    {
+        return Err(format!(
+            "{} hits / {} misses (want 2 / 2), {} flights and {} sessions leaked",
+            stats.hits,
+            stats.misses,
+            service.open_flights(),
             service.in_flight()
         ));
     }

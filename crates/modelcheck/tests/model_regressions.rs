@@ -165,9 +165,13 @@ fn admission_scenario_exhausts_clean() {
 /// fanned-out session beside a placed one. `mpq-even-2w2s` submits both
 /// sessions with the explicit even layout and keeps the old
 /// `mpq-ff-2w2s` row, so two fanned-out sessions stay explored.
+///
+/// `facade-cache-2w` runs two backend sessions one after the other; its
+/// repeats are cache hits, which reach no transport and add no choice
+/// point.
 #[test]
 fn explored_space_fingerprint_is_pinned() {
-    const FINGERPRINT: [(&str, usize, usize, usize); 13] = [
+    const FINGERPRINT: [(&str, usize, usize, usize); 14] = [
         ("mpq-ff-2w1s", 4, 4, 3),
         ("mpq-ff-2w2s", 12, 6, 11),
         ("mpq-even-2w2s", 38, 8, 37),
@@ -180,6 +184,7 @@ fn explored_space_fingerprint_is_pinned() {
         ("sma-ff-2w2s", 9237, 41, 9236),
         ("facade-coalesce-2w", 10, 8, 9),
         ("facade-leader-drop-2w", 10, 8, 9),
+        ("facade-cache-2w", 10, 8, 9),
         ("facade-admission-2w", 10, 8, 9),
     ];
     for (name, schedules, depth, branch_points) in FINGERPRINT {

@@ -57,10 +57,11 @@ pub struct WorkerReply {
     pub plans: Vec<Plan>,
     /// Work counters, aggregated over the worker's partitions.
     pub stats: WorkerStats,
-    /// Partitions of this range served from the worker's shard-local
-    /// cross-query cache (always 0 with caching disabled).
+    /// Always 0: workers hold no cache (the service facade keeps the one
+    /// result cache). The field stays on the wire, and in the type, only
+    /// because the frozen `benchmark/` builds replies with it.
     pub cache_hits: u64,
-    /// Partitions of this range computed by the dynamic program.
+    /// Always 0, like [`WorkerReply::cache_hits`].
     pub cache_misses: u64,
 }
 

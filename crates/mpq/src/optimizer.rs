@@ -287,14 +287,6 @@ pub struct MpqConfig {
     /// (thermal throttling, a noisy neighbor). `None` (the default) means
     /// homogeneous workers.
     pub slow_worker: Option<(usize, u32)>,
-    /// Byte budget of each worker's **shard-local cross-query memo
-    /// cache** (see `mpq_plan::cache`). Workers keep finished partition
-    /// results keyed by the canonical query signature and serve them to
-    /// later sessions with identical statistics, predicates and cost
-    /// model — no extra network traffic, since each worker caches only
-    /// what it computed itself. `0` (the default) disables caching, which
-    /// is bit-for-bit the pre-cache behavior.
-    pub cache_bytes: usize,
     /// Admission limit: how many sessions may be in flight (submitted but
     /// not yet finished) at once. Submissions beyond the limit are
     /// refused with a typed [`MpqError::Overloaded`] instead of being
@@ -339,13 +331,6 @@ pub struct MpqMetrics {
     /// Bytes of re-issued task messages: MPQ's entire recovery cost is
     /// `O(retries · b_q)`, versus a full memo re-broadcast for SMA.
     pub retry_task_bytes: u64,
-    /// Partition subproblems this session's workers served from their
-    /// shard-local cross-query caches (0 unless `MpqConfig::cache_bytes`
-    /// is set).
-    pub cache_hits: u64,
-    /// Partition subproblems this session's workers computed (and, with
-    /// caching enabled, inserted for later sessions).
-    pub cache_misses: u64,
     /// Steal events for this session: a straggling range's unstarted
     /// remainder was split and re-issued to idle workers (0 unless
     /// [`MpqConfig::steal`] is enabled).

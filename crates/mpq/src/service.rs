@@ -47,10 +47,10 @@ use mpq_cluster::{
     SessionService, Table, Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::Objective;
-use mpq_dp::{optimize_partition_id_cached, ParallelPolicy, PlanCache, WorkerStats};
+use mpq_dp::{optimize_partition_id, ParallelPolicy, WorkerStats};
 use mpq_model::Query;
 use mpq_partition::{effective_workers, is_partition_range, PlanSpace};
-use mpq_plan::{CacheWeight, Plan, PruningPolicy};
+use mpq_plan::{Plan, PruningPolicy};
 use std::time::Instant;
 
 /// How long a no-timer `wait` parks between clock-free evidence passes:
@@ -62,24 +62,19 @@ const EVIDENCE_HEARTBEAT: std::time::Duration = std::time::Duration::from_millis
 /// range, reply once per task.
 ///
 /// MPQ tasks are stateless by design (the paper's deployment argument),
-/// so the worker holds no per-**session** state: each message is a
+/// so the worker holds no state between messages: each message is a
 /// complete unit of work, and the session-tagged reply is routed by the
-/// runtime. What a worker *may* hold is a **shard-local cross-query
-/// cache** of finished partition results, keyed by the canonical query
-/// signature — pure acceleration state that is never required for
-/// correctness, costs no network traffic, and is simply lost with the
-/// worker on a crash (a replacement starts cold and recomputes).
+/// runtime. Repeated queries are the service facade's business — its
+/// result cache answers them before any task is sent.
 pub(crate) struct MpqWorker {
-    cache: PlanCache,
     /// Compute slowdown factor (1 = full speed); see
     /// [`MpqConfig::slow_worker`](crate::MpqConfig).
     slow_factor: u32,
 }
 
 impl MpqWorker {
-    pub(crate) fn new(cache_bytes: usize, slow_factor: u32) -> MpqWorker {
+    pub(crate) fn new(slow_factor: u32) -> MpqWorker {
         MpqWorker {
-            cache: PlanCache::new(cache_bytes),
             slow_factor: slow_factor.max(1),
         }
     }
@@ -89,9 +84,10 @@ impl MpqWorker {
 /// behind their own [`Transport`] rather than a [`Cluster`] or socket —
 /// the schedule-space model checker dispatches messages to these inline.
 /// Equivalent to what [`MpqService::spawn`] installs on each thread, with
-/// full compute speed.
-pub fn worker_logic(cache_bytes: usize) -> Box<dyn WorkerLogic> {
-    Box::new(MpqWorker::new(cache_bytes, 1))
+/// full compute speed. The argument is ignored: workers hold no cache.
+/// It stays only because the frozen `benchmark/` passes it.
+pub fn worker_logic(_cache_bytes: usize) -> Box<dyn WorkerLogic> {
+    Box::new(MpqWorker::new(1))
 }
 
 impl WorkerLogic for MpqWorker {
@@ -134,35 +130,22 @@ impl WorkerLogic for MpqWorker {
         let policy = PruningPolicy::new(msg.objective, msg.query.num_tables());
         let mut plans: Vec<Plan> = Vec::new();
         let mut stats = WorkerStats::default();
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
         for (done, part_id) in (msg.first_partition..msg.first_partition + msg.partition_count)
             .enumerate()
             .map(|(i, p)| (i as u64, p))
         {
             let t0 = Instant::now();
-            let (out, hit) = optimize_partition_id_cached(
+            let out = optimize_partition_id(
                 &msg.query,
                 msg.space,
                 msg.objective,
                 part_id,
                 msg.total_partitions,
-                &mut self.cache,
             );
             if self.slow_factor > 1 {
                 // Degraded-node model: pay (factor - 1) extra copies of
                 // the measured compute time per partition.
                 std::thread::sleep(t0.elapsed() * (self.slow_factor - 1));
-            }
-            if self.cache.is_enabled() {
-                if hit {
-                    cache_hits += 1;
-                    ctx.metrics()
-                        .record_cache_hit(out.plans.weight_bytes() as u64);
-                } else {
-                    cache_misses += 1;
-                    ctx.metrics().record_cache_miss();
-                }
             }
             plans.extend(out.plans);
             // Times and work add up over sequential partitions; memory is
@@ -172,7 +155,6 @@ impl WorkerLogic for MpqWorker {
             stats.optimize_micros += out.stats.optimize_micros;
             stats.stored_sets = stats.stored_sets.max(out.stats.stored_sets);
             stats.total_entries = stats.total_entries.max(out.stats.total_entries);
-            stats.threads_used = stats.threads_used.max(out.stats.threads_used);
             // Progress piggyback: after every `progress_every` completed
             // partitions, but never for the final one (the reply itself
             // signals completion).
@@ -200,8 +182,8 @@ impl WorkerLogic for MpqWorker {
                 partition_count: msg.partition_count,
                 plans,
                 stats,
-                cache_hits,
-                cache_misses,
+                cache_hits: 0,
+                cache_misses: 0,
             })
             .to_bytes(),
         );
@@ -255,8 +237,6 @@ pub struct Session {
     replies_received: u64,
     duplicate_replies: u64,
     retry_task_bytes: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     /// Progress-report cadence written into this session's task messages.
     progress_every: u64,
     start: Instant,
@@ -305,8 +285,6 @@ impl Session {
         }
         self.strikes = 0;
         accumulate(&mut self.worker_stats[worker], &reply.stats);
-        self.cache_hits += reply.cache_hits;
-        self.cache_misses += reply.cache_misses;
         self.plans.extend(reply.plans);
         self.completed == self.assignment.len()
     }
@@ -380,10 +358,7 @@ impl MpqService {
                 Some((slow, factor)) if slow == w => factor,
                 _ => 1,
             };
-            Faulty::new(
-                MpqWorker::new(config.cache_bytes, slow_factor),
-                faults.worker(w),
-            )
+            Faulty::new(MpqWorker::new(slow_factor), faults.worker(w))
         })
         .map_err(MpqError::Cluster)?;
         MpqService::with_transport(Box::new(cluster), config)
@@ -548,8 +523,6 @@ impl Protocol for MpqProtocol {
             replies_received: 0,
             duplicate_replies: 0,
             retry_task_bytes: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             progress_every: self.steal.wire_cadence(),
             start: Instant::now(),
             last_progress: Instant::now(),
@@ -1240,8 +1213,6 @@ impl MpqProtocol {
             duplicate_replies: session.duplicate_replies,
             replies_received: session.replies_received,
             retry_task_bytes: session.retry_task_bytes,
-            cache_hits: session.cache_hits,
-            cache_misses: session.cache_misses,
             steals: session.steals,
             stolen_partitions: session.stolen_partitions,
             progress_reports: session.progress_reports,
@@ -1261,15 +1232,17 @@ fn live_workers(cluster: &dyn Transport) -> Vec<usize> {
 /// disconnects or orders shutdown. The logic is the same `MpqWorker`
 /// the in-process cluster drives (with an own-rate clock, i.e. no
 /// slow-worker injection — real deployments get real stragglers), so a
-/// socket master observes byte-identical protocol behavior. The policy
-/// argument has one value ([`ParallelPolicy::serial`]): a worker runs one
-/// sequential dynamic program.
+/// socket master observes byte-identical protocol behavior. Both trailing
+/// arguments are ignored and stay only because the frozen `benchmark/`
+/// passes them: workers hold no cache, and the policy has one value
+/// ([`ParallelPolicy::serial`]) — a worker runs one sequential dynamic
+/// program.
 pub fn serve_socket_worker(
     listener: &WireListener,
-    cache_bytes: usize,
+    _cache_bytes: usize,
     _policy: ParallelPolicy,
 ) -> std::io::Result<()> {
-    mpq_cluster::serve_worker(listener, MpqWorker::new(cache_bytes, 1))
+    mpq_cluster::serve_worker(listener, MpqWorker::new(1))
 }
 
 /// Accumulates a reply's counters into a worker's running stats (a worker
@@ -1280,7 +1253,6 @@ fn accumulate(into: &mut WorkerStats, s: &WorkerStats) {
     into.optimize_micros += s.optimize_micros;
     into.stored_sets = into.stored_sets.max(s.stored_sets);
     into.total_entries = into.total_entries.max(s.total_entries);
-    into.threads_used = into.threads_used.max(s.threads_used);
 }
 
 #[cfg(test)]
@@ -1644,51 +1616,6 @@ mod tests {
             let out = svc.wait(handle).expect("fillers complete");
             assert_eq!(out.plans.len(), 1);
         }
-        svc.shutdown();
-    }
-
-    #[test]
-    fn warm_shard_caches_serve_repeated_queries_identically() {
-        let config = MpqConfig {
-            cache_bytes: 1 << 20,
-            ..MpqConfig::default()
-        };
-        let mut svc = MpqService::spawn(4, config).unwrap();
-        let q = query(7, 21);
-        let cold = svc
-            .submit(&q, PlanSpace::Linear, Objective::Single)
-            .and_then(|h| svc.wait(h))
-            .expect("cold run");
-        assert_eq!(cold.metrics.cache_hits, 0);
-        assert_eq!(cold.metrics.cache_misses, cold.metrics.partitions);
-        let warm = svc
-            .submit(&q, PlanSpace::Linear, Objective::Single)
-            .and_then(|h| svc.wait(h))
-            .expect("warm run");
-        assert_eq!(
-            warm.metrics.cache_hits, warm.metrics.partitions,
-            "every partition repeats on the same worker"
-        );
-        assert_eq!(warm.plans, cold.plans, "hits are byte-identical");
-        let s = svc.metrics().snapshot();
-        assert_eq!(s.cache_hits, warm.metrics.cache_hits);
-        assert!(s.cache_bytes_saved > 0);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn caching_disabled_reports_no_cache_traffic() {
-        let mut svc = MpqService::spawn(2, MpqConfig::default()).unwrap();
-        let q = query(6, 22);
-        for _ in 0..2 {
-            let out = svc
-                .submit(&q, PlanSpace::Linear, Objective::Single)
-                .and_then(|h| svc.wait(h))
-                .expect("run");
-            assert_eq!(out.metrics.cache_hits, 0);
-            assert_eq!(out.metrics.cache_misses, 0);
-        }
-        assert_eq!(svc.metrics().snapshot().cache_hits, 0);
         svc.shutdown();
     }
 
@@ -2174,7 +2101,7 @@ mod tests {
     /// DP kernel's size assert, and stays up for the next task.
     #[test]
     fn worker_survives_a_zero_table_task() {
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(1)).unwrap();
         let task = |query: Query| MasterMessage {
             query,
             space: PlanSpace::Linear,
@@ -2217,7 +2144,7 @@ mod tests {
     /// gets its frontier.
     #[test]
     fn worker_survives_a_hostile_alpha() {
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(1)).unwrap();
         let alphas = [0.5, f64::NAN, -1.0, f64::INFINITY, 2.0];
         for (id, alpha) in alphas.into_iter().enumerate() {
             let task = MasterMessage {
@@ -2258,7 +2185,7 @@ mod tests {
     /// and a valid task on the same worker still gets its plan.
     #[test]
     fn worker_survives_a_hostile_partition_range() {
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(1)).unwrap();
         let ranges = [
             (0, 1, 3),
             (7, 1, 4),
@@ -2301,7 +2228,7 @@ mod tests {
     /// malformed-task path and serves the next, clean task.
     #[test]
     fn worker_survives_a_task_with_trailing_bytes() {
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(0, 1)).unwrap();
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| MpqWorker::new(1)).unwrap();
         let task = MasterMessage {
             query: query(3, 52),
             space: PlanSpace::Linear,

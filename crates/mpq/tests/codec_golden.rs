@@ -89,7 +89,6 @@ fn golden_reply() -> WorkerReply {
             splits_tried: 33,
             plans_generated: 44,
             optimize_micros: 55,
-            threads_used: 66,
         },
         cache_hits: 1,
         cache_misses: 1,
@@ -115,13 +114,13 @@ const GOLDEN_MASTER_MESSAGE: &str =
     0008000000000000000100000000000000";
 const GOLDEN_WORKER_REPLY: &str =
     "0300000000000000020000000000000001000000000200000000000000204000\
-    0000000000304000000000000020400b00000000000000160000000000000021000000000000002c000000000000003\
-    700000000000000420000000000000001000000000000000100000000000000";
+    0000000000304000000000000020400b00000000000000160000000000000021\
+    000000000000002c000000000000003700000000000000010000000000000001\
+    00000000000000";
 const GOLDEN_WORKER_MSG_REPLY: &str =
-    "00030000000000000002000000000000000100000000020000000000000020\
-    400000000000003040000000000000204\
-    00b00000000000000160000000000000021000000000000002c0000000000000037000000000000004200000000000\
-    0000100000000000000\
+    "0003000000000000000200000000000000010000000002000000000000002040\
+    000000000000304000000000000020400b000000000000001600000000000000\
+    21000000000000002c0000000000000037000000000000000100000000000000\
     0100000000000000";
 const GOLDEN_WORKER_MSG_PROGRESS: &str = "01050000000000000002000000000000000800000000000000";
 

@@ -12,13 +12,12 @@
 //!   the cost-model version, the catalog **statistics epoch** (see
 //!   `Catalog::epoch` in `mpq_model`), every table's statistics bits, and
 //!   the join-predicate signature (orientation-canonicalized). Callers
-//!   append a scope — engine tag, plan space, objective, partition range
-//!   or table set — so entries are only ever served to byte-identical
-//!   subproblems.
+//!   append a scope — plan space and objective — so entries are only ever
+//!   served to byte-identical requests.
 //! * [`MemoCache`] — a byte-budgeted LRU map from keys to cached values
-//!   (`Vec<Plan>` for partition outcomes, `Vec<PlanEntry>` for SMA memo
-//!   slots). A budget of zero disables the cache entirely, which is the
-//!   default everywhere: caching is opt-in.
+//!   (`Vec<Plan>`: the service facade's finished results). A budget of
+//!   zero disables the cache entirely, which is the default everywhere:
+//!   caching is opt-in.
 //! * [`CacheStats`] — hit/miss/eviction/bytes-saved counters surfaced
 //!   through the service layer.
 //!
@@ -32,7 +31,6 @@
 //! selectivity products are rounding-order sensitive), while predicate
 //! *orientation* — provably symmetric in the estimator — is canonicalized.
 
-use crate::entry::PlanEntry;
 use crate::tree::Plan;
 use mpq_model::Query;
 use std::collections::{BTreeMap, HashMap};
@@ -158,15 +156,7 @@ impl CacheWeight for Vec<Plan> {
     }
 }
 
-impl CacheWeight for Vec<PlanEntry> {
-    fn weight_bytes(&self) -> usize {
-        24 + self.len() * std::mem::size_of::<PlanEntry>()
-    }
-}
-
-/// Point-in-time counters of one [`MemoCache`] (or an aggregate over the
-/// shard-local caches of a cluster backend, in which case only the
-/// hit/miss/bytes-saved counters are populated).
+/// Point-in-time counters of one [`MemoCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -211,8 +201,8 @@ struct Slot<V> {
 }
 
 /// A byte-budgeted LRU cache from canonical [`CacheKey`]s to finished memo
-/// values. Single-owner by design: worker-shard caches live inside one
-/// worker thread, service caches inside one service — no locking.
+/// values. Single-owner by design: the service cache lives inside one
+/// service — no locking.
 pub struct MemoCache<V> {
     budget: usize,
     map: HashMap<u64, Slot<V>>,

@@ -33,15 +33,6 @@ pub struct SmaConfig {
     /// workers. `None` blocks indefinitely — fine fault-free, but set a
     /// timeout whenever faults are possible.
     pub recv_timeout: Option<Duration>,
-    /// Byte budget of each worker's **shard-local cross-query memo
-    /// cache**: finished memo slots (`Vec<PlanEntry>` per table set),
-    /// keyed by the canonical query signature plus the set, are served to
-    /// later sessions with identical statistics and predicates instead of
-    /// being recomputed against the replica. Deterministic replicas make
-    /// this transparent: for a given signature, every replica's memo
-    /// state at each level is identical across sessions. `0` (the
-    /// default) disables caching.
-    pub cache_bytes: usize,
     /// Admission limit: how many sessions may be in flight (submitted but
     /// not yet finished) at once. Submissions beyond the limit are
     /// refused with a typed [`SmaError::Overloaded`] — before any `Init`

@@ -34,13 +34,10 @@ use mpq_cluster::{
     SessionService, Table, Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::{CardinalityEstimator, Objective};
-use mpq_dp::{
-    complete_plans, compute_entries_for_set, push_scope, seed_scans, ArenaMemo, WorkerStats,
-};
+use mpq_dp::{complete_plans, compute_entries_for_set, seed_scans, ArenaMemo, WorkerStats};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
-use mpq_plan::cache::{query_signature, CacheKey, MemoCache};
-use mpq_plan::{CacheWeight, Plan, PlanEntry, PruningPolicy};
+use mpq_plan::{Plan, PruningPolicy};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -59,46 +56,25 @@ struct ReplicaState {
     memo: ArenaMemo,
     /// The query's estimator, built once at `Init` for every level.
     est: CardinalityEstimator,
-    /// Canonical cache-key prefix for this session's subproblems
-    /// (signature + engine/space/objective tags), computed once at `Init`.
-    slot_key_prefix: mpq_plan::cache::CacheKeyBuilder,
 }
-
-/// Engine tag distinguishing SMA memo-slot entries from the dp crate's
-/// partition-plan entries in shared key space.
-const ENGINE_SMA_SLOT: u8 = 2;
 
 /// SMA worker logic: one replicated memo **per in-flight session**, keyed
 /// by the session id; assigned slots are computed against the owning
 /// session's replica, broadcast deltas are merged into it, and `Finish`
-/// (or the master's `Abort`) frees it.
-///
-/// Independent of the per-session replicas, the worker may hold a
-/// **shard-local cross-query cache** of finished memo slots: for a given
-/// canonical query signature the replicated memo's state at every level
-/// is identical across sessions (deltas are deterministic merges), so a
-/// slot computed once can be served to any later session with the same
-/// signature — byte-identical, and with zero extra network traffic.
+/// (or the master's `Abort`) frees it. Nothing outlives a session:
+/// repeated queries are answered by the service facade's result cache
+/// before any message is sent.
+#[derive(Default)]
 pub(crate) struct SmaWorker {
     replicas: HashMap<u64, ReplicaState>,
-    cache: MemoCache<Vec<PlanEntry>>,
-}
-
-impl SmaWorker {
-    pub(crate) fn new(cache_bytes: usize) -> SmaWorker {
-        SmaWorker {
-            replicas: HashMap::new(),
-            cache: MemoCache::new(cache_bytes),
-        }
-    }
 }
 
 /// One boxed SMA worker node's logic, for callers that host worker nodes
 /// behind their own [`Transport`] rather than a [`Cluster`] or socket —
 /// the schedule-space model checker dispatches messages to these inline.
 /// Equivalent to what [`SmaService::spawn`] installs on each thread.
-pub fn worker_logic(cache_bytes: usize) -> Box<dyn WorkerLogic> {
-    Box::new(SmaWorker::new(cache_bytes))
+pub fn worker_logic() -> Box<dyn WorkerLogic> {
+    Box::new(SmaWorker::default())
 }
 
 impl WorkerLogic for SmaWorker {
@@ -132,9 +108,6 @@ impl WorkerLogic for SmaWorker {
                 let policy = PruningPolicy::new(objective, n);
                 let est = CardinalityEstimator::new(&q);
                 seed_scans(&mut memo, &est, &policy);
-                let mut slot_key_prefix = query_signature(&q);
-                slot_key_prefix.push_u8(ENGINE_SMA_SLOT);
-                push_scope(&mut slot_key_prefix, space, objective);
                 self.replicas.insert(
                     query.0,
                     ReplicaState {
@@ -144,20 +117,16 @@ impl WorkerLogic for SmaWorker {
                         constraints,
                         memo,
                         est,
-                        slot_key_prefix,
                     },
                 );
                 Control::Continue
             }
             SmaMasterMsg::Assign { sets } => {
-                // Split the borrows: the cache and the session replica are
-                // disjoint worker state.
-                let SmaWorker { replicas, cache } = self;
                 // The master always sends Init first and per-worker
                 // delivery is FIFO, so a missing replica is a protocol
                 // bug: report it typed instead of killing a resident
                 // worker that still serves every other session.
-                let Some(state) = replicas.get_mut(&query.0) else {
+                let Some(state) = self.replicas.get_mut(&query.0) else {
                     ctx.send_to_master(SmaReply::Malformed.to_bytes());
                     return Control::Continue;
                 };
@@ -170,18 +139,9 @@ impl WorkerLogic for SmaWorker {
                 let mut stats = WorkerStats::default();
                 let slots: Vec<SlotUpdate> = sets
                     .iter()
-                    .map(|&set| {
-                        let key: Option<CacheKey> = cache.is_enabled().then(|| {
-                            let mut kb = state.slot_key_prefix.clone();
-                            kb.push_u64(set.bits());
-                            kb.finish()
-                        });
-                        if let Some(entries) = key.as_ref().and_then(|k| cache.get(k)) {
-                            ctx.metrics()
-                                .record_cache_hit(entries.weight_bytes() as u64);
-                            return SlotUpdate { set, entries };
-                        }
-                        let entries = compute_entries_for_set(
+                    .map(|&set| SlotUpdate {
+                        set,
+                        entries: compute_entries_for_set(
                             state.space,
                             &state.constraints,
                             set,
@@ -189,12 +149,7 @@ impl WorkerLogic for SmaWorker {
                             state.est.predicates(),
                             &policy,
                             &mut stats,
-                        );
-                        if let Some(k) = key {
-                            ctx.metrics().record_cache_miss();
-                            cache.insert(k, entries.clone());
-                        }
-                        SlotUpdate { set, entries }
+                        ),
                     })
                     .collect();
                 let micros = t0.elapsed().as_micros() as u64;
@@ -347,7 +302,7 @@ impl SmaService {
         }
         let faults = config.faults.schedule(workers);
         let cluster = Cluster::spawn(workers, LatencyModel::ZERO, |w| {
-            Faulty::new(SmaWorker::new(config.cache_bytes), faults.worker(w))
+            Faulty::new(SmaWorker::default(), faults.worker(w))
         })
         .map_err(SmaError::Cluster)?;
         SmaService::with_transport(Box::new(cluster), config)
@@ -636,8 +591,8 @@ impl SmaProtocol {
 /// master disconnects or orders shutdown. The logic is the same
 /// `SmaWorker` the in-process cluster drives, so a socket master
 /// observes byte-identical protocol behavior.
-pub fn serve_socket_worker(listener: &WireListener, cache_bytes: usize) -> std::io::Result<()> {
-    mpq_cluster::serve_worker(listener, SmaWorker::new(cache_bytes))
+pub fn serve_socket_worker(listener: &WireListener) -> std::io::Result<()> {
+    mpq_cluster::serve_worker(listener, SmaWorker::default())
 }
 
 /// Best-effort `Abort` to every worker so a finished-by-failure session's
@@ -697,6 +652,7 @@ mod tests {
     use super::*;
     use mpq_dp::optimize_serial;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
+    use mpq_plan::PlanEntry;
 
     fn query(n: usize, seed: u64) -> Query {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
@@ -754,35 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_shard_caches_answer_repeated_queries_identically() {
-        let config = SmaConfig {
-            cache_bytes: 1 << 20,
-            ..SmaConfig::default()
-        };
-        let mut svc = SmaService::spawn(3, config).unwrap();
-        let q = query(6, 41);
-        let cold = svc
-            .submit(&q, PlanSpace::Linear, Objective::Single)
-            .and_then(|h| svc.wait(h))
-            .expect("cold run");
-        let after_cold = svc.metrics().snapshot();
-        assert!(after_cold.cache_misses > 0);
-        assert_eq!(after_cold.cache_hits, 0);
-        let warm = svc
-            .submit(&q, PlanSpace::Linear, Objective::Single)
-            .and_then(|h| svc.wait(h))
-            .expect("warm run");
-        let after_warm = svc.metrics().snapshot();
-        assert_eq!(
-            after_warm.cache_hits, after_cold.cache_misses,
-            "every slot repeats on the same worker shard"
-        );
-        assert_eq!(warm.plans, cold.plans, "hits are byte-identical");
-        assert!(after_warm.cache_bytes_saved > 0);
-        svc.shutdown();
-    }
-
-    #[test]
     fn replicas_are_freed_after_finish() {
         // The recovery bill of a later session must not include an
         // earlier session's memo: sessions are accounted independently.
@@ -807,7 +734,7 @@ mod tests {
     /// and stays up for the next session.
     #[test]
     fn worker_survives_a_zero_table_init() {
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::default()).unwrap();
         let init_for = |query: Query, objective: Objective| SmaMasterMsg::Init {
             query,
             space: PlanSpace::Linear,
@@ -855,7 +782,7 @@ mod tests {
     /// and serves the next, clean session.
     #[test]
     fn worker_survives_a_frame_with_trailing_bytes() {
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::default()).unwrap();
         let init = SmaMasterMsg::Init {
             query: query(3, 62),
             space: PlanSpace::Linear,
@@ -891,7 +818,7 @@ mod tests {
     /// stays up for the next session.
     #[test]
     fn worker_survives_sets_outside_the_query() {
-        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::new(0)).unwrap();
+        let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| SmaWorker::default()).unwrap();
         let send = |id: u64, msg: SmaMasterMsg| {
             cluster.send(0, QueryId(id), msg.to_bytes(), true).unwrap();
         };

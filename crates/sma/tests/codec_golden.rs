@@ -75,7 +75,6 @@ fn golden_stats() -> WorkerStats {
         splits_tried: 33,
         plans_generated: 44,
         optimize_micros: 55,
-        threads_used: 66,
     }
 }
 
@@ -105,8 +104,8 @@ const GOLDEN_MASTER_ABORT: &str = "04";
 const GOLDEN_REPLY_LEVEL_DONE: &str = "000100000003000000000000000100000000000000000\
     0f03f0000000000000040000000002a00000000000000";
 const GOLDEN_REPLY_FINAL: &str = "0101000000000200000000000000204000000000000030400000000000002040\
-    0b00000000000000160000000000000021000000000000002c000000000000003700000000000000420000000000\
-    0000";
+    0b00000000000000160000000000000021000000000000002c00000000000000\
+    3700000000000000";
 const GOLDEN_REPLY_MALFORMED: &str = "02";
 
 fn hex(bytes: &[u8]) -> String {

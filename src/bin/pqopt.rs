@@ -11,7 +11,7 @@
 //! pqopt scaling   [--tables N] [--max-workers M] [--seed S]   exact work per worker count
 //! pqopt partitions [--tables N] [--space linear|bushy] [--workers M]
 //!                 show the constraint sets of every partition
-//! pqopt worker    --listen ADDR [--backend mpq|sma] [--cache-bytes N]
+//! pqopt worker    --listen ADDR [--backend mpq|sma]
 //!                 run one worker process serving a socket master
 //! ```
 //!
@@ -80,7 +80,7 @@ serve options:
   --queries N       queries to stream through the service   (default 64, must be > 0)
   --clients C       concurrent in-flight submissions        (default 8, must be > 0)
   --backend B       serial|topdown|mpq|sma                  (default mpq)
-  --cache-bytes N   cross-query memo-cache budget in bytes  (default 0 = disabled)
+  --cache-bytes N   the service's result-cache budget, bytes (default 0 = disabled)
   --max-in-flight N admission limit: most sessions the backend keeps in flight;
                     further submissions park until capacity frees
                     (must be > 0 when given; default unlimited)
@@ -97,8 +97,7 @@ serve options:
 worker options:
   --listen ADDR     address to serve one master on (host:port or unix:/path;
                     TCP port 0 picks a free port, printed on stdout)
-  --backend B       mpq|sma                                 (default mpq)
-  --cache-bytes N   cross-query memo-cache budget in bytes  (default 0 = disabled)";
+  --backend B       mpq|sma                                 (default mpq)";
 
 #[derive(Debug)]
 struct Options {
@@ -391,26 +390,8 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         OptimizerService::spawn(config).map_err(|e| format!("service spawn failed: {e}"))?;
     let resident_results = run_resident(&mut service, &queries, clients, o)?;
     let resident = t0.elapsed();
-    let cache = service.cache_stats();
-    let coalesce = service.coalesce_stats();
-    print_network(&service, queries.len());
+    print_service(&service, queries.len(), o);
     service.shutdown();
-    if o.cache_bytes > 0 {
-        println!(
-            "cache: {} hits / {} misses ({:.0}% hit rate), ~{} bytes of memo results served \
-             from cache",
-            cache.hits,
-            cache.misses,
-            cache.hit_rate() * 100.0,
-            cache.bytes_saved
-        );
-    }
-    if o.coalesce {
-        println!(
-            "coalescing: {} session(s) shared a flight, {} backend optimization(s) saved",
-            coalesce.coalesced_sessions, coalesce.saved_optimizations
-        );
-    }
 
     // Spawn-per-query mode: identical workload, fresh service per query.
     let t0 = Instant::now();
@@ -559,17 +540,36 @@ fn run_resident(
         .collect()
 }
 
-/// What the resident run put on the wire per query: the numbers the
-/// benchmark reports as `mpq.msgs_per_query` and `net_bytes_per_query`,
-/// which show how the master placed the stream. The single-node backends
-/// have no network and print nothing.
-fn print_network(service: &OptimizerService, queries: usize) {
+/// What the resident run did: what it put on the wire per query — the
+/// numbers the benchmark reports as `mpq.msgs_per_query` and
+/// `net_bytes_per_query`, which show how the master placed the stream
+/// (the single-node backends have no network and print no such line) —
+/// then what the result cache and the coalescer saved, when enabled.
+fn print_service(service: &OptimizerService, queries: usize, o: &Options) {
     if let Some(net) = service.network_snapshot() {
         let per_query = |v: u64| v as f64 / queries.max(1) as f64;
         println!(
             "network: {:.2} messages and {:.1} bytes per query",
             per_query(net.messages),
             per_query(net.total_bytes())
+        );
+    }
+    if o.cache_bytes > 0 {
+        let cache = service.cache_stats();
+        println!(
+            "cache: {} hits / {} misses ({:.0}% hit rate), ~{} bytes of results served \
+             without a message",
+            cache.hits,
+            cache.misses,
+            cache.hit_rate() * 100.0,
+            cache.bytes_saved
+        );
+    }
+    if o.coalesce {
+        let coalesce = service.coalesce_stats();
+        println!(
+            "coalescing: {} session(s) shared a flight, {} backend optimization(s) saved",
+            coalesce.coalesced_sessions, coalesce.saved_optimizations
         );
     }
 }
@@ -614,15 +614,8 @@ fn cmd_serve_sockets(o: &Options) -> Result<(), String> {
         .map_err(|e| format!("service connect failed: {e}"))?;
     let results = run_resident(&mut service, &queries, o.clients, o)?;
     let elapsed = t0.elapsed();
-    let coalesce = service.coalesce_stats();
-    print_network(&service, queries.len());
+    print_service(&service, queries.len(), o);
     service.shutdown();
-    if o.coalesce {
-        println!(
-            "coalescing: {} session(s) shared a flight, {} backend optimization(s) saved",
-            coalesce.coalesced_sessions, coalesce.saved_optimizations
-        );
-    }
     if o.objective == Objective::Single {
         for (i, query) in queries.iter().enumerate() {
             let reference = optimize_serial(query, o.space, o.objective).plans[0]
@@ -655,6 +648,9 @@ fn cmd_worker(o: &Options) -> Result<(), String> {
     let Some(listen) = &o.listen else {
         return Err("worker requires --listen ADDR".into());
     };
+    if o.cache_bytes > 0 {
+        return Err("--cache-bytes is a serve option: workers hold no cache".into());
+    }
     let addr: pqopt::cluster::WorkerAddr = listen.parse().map_err(|e| format!("--listen: {e}"))?;
     let listener = pqopt::cluster::WireListener::bind(&addr)
         .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
@@ -667,10 +663,8 @@ fn cmd_worker(o: &Options) -> Result<(), String> {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     let served = match o.backend {
-        Backend::Mpq => {
-            pqopt::mpq::serve_socket_worker(&listener, o.cache_bytes, ParallelPolicy::serial())
-        }
-        Backend::Sma => pqopt::sma::serve_socket_worker(&listener, o.cache_bytes),
+        Backend::Mpq => pqopt::mpq::serve_socket_worker(&listener, 0, ParallelPolicy::serial()),
+        Backend::Sma => pqopt::sma::serve_socket_worker(&listener),
         Backend::SerialDp | Backend::TopDown => {
             return Err("worker requires a cluster backend (--backend mpq|sma)".into())
         }

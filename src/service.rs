@@ -20,30 +20,46 @@
 //! [`SessionTable`]. Their in-flight count never exceeds zero, so
 //! admission ([`ServiceConfig::max_in_flight`]) never refuses them.
 //!
-//! **In-flight coalescing** ([`ServiceConfig::coalesce`]) sits on top:
-//! concurrent submissions whose canonical [`CacheKey`] identity matches —
-//! cost model version, statistics epoch and bits, predicate signature,
-//! plan space and objective, exactly as the cross-query memo cache
-//! defines "identical" — share one *leader* optimization. Followers get
+//! A **flight table** sits on top whenever in-flight coalescing or the
+//! result cache is on; every handle is then a membership ticket of one
+//! flight. Both key on one canonical identity, [`result_key`]: cost model
+//! version, statistics epoch and bits, predicate signature, plan space
+//! and objective.
+//!
+//! **In-flight coalescing** ([`ServiceConfig::coalesce`]): concurrent
+//! identical submissions share one *leader* optimization. Followers get
 //! their own [`ServiceHandle`] redeeming the leader's result
 //! bit-identically (clones of the same plan list). The flight owns the
 //! single backend ticket, so dropping any member — leader included —
 //! merely detaches it; the oldest surviving member is implicitly the new
 //! leader, and only when the whole coalition is dropped is the flight
 //! reaped through the regular abandoned-handle machinery.
+//!
+//! **The result cache** ([`ServiceConfig::cache_bytes`]) is the one
+//! cross-query cache of every backend: an LRU of finished results under
+//! the same key. `submit` probes it before the engine, and a hit is a
+//! flight resolved at birth with one member — it sends no message, takes
+//! no admission budget, and redeems, polls and drops like any other
+//! handle. A result enters the cache when its flight is first redeemed,
+//! and only if it is `Ok`. A hit is the answer the backend would give
+//! now: a single-objective answer is the serial optimum under any cut,
+//! and a multi-objective frontier's cut is fixed within one service by
+//! the table count, the plan space and the resident worker count.
 
 // A server facade must never abort on caller error: every unwrap/expect
 // on this path is either removed or individually justified.
 
-use crate::dp::{optimize_partition_topdown_cached, optimize_serial_cached, push_scope, PlanCache};
+use crate::dp::{optimize_partition_topdown, optimize_serial, result_key, PlanCache};
 use crate::mpq::{MpqConfig, MpqError, MpqService, StealPolicy};
 use crate::plan::Plan;
 use crate::sma::{SmaConfig, SmaError, SmaService};
-use mpq_cluster::{LifecycleError, QueryHandle, SessionTable, SocketTransport, Transport};
+use mpq_cluster::{
+    LifecycleError, NetworkMetrics, QueryHandle, SessionTable, SocketTransport, Transport,
+};
 use mpq_cost::Objective;
 use mpq_model::Query;
-use mpq_partition::PlanSpace;
-use mpq_plan::{query_signature, CacheKey, CacheStats};
+use mpq_partition::{partition_constraints, PlanSpace};
+use mpq_plan::{CacheKey, CacheStats, CacheWeight};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::fmt;
@@ -95,12 +111,9 @@ pub struct ServiceConfig {
     pub mpq: MpqConfig,
     /// SMA backend configuration (faults, receive timeout).
     pub sma: SmaConfig,
-    /// Byte budget of the **cross-query memo cache** (LRU). For the
-    /// single-node backends this is one master-side cache; for the
-    /// cluster backends it is the per-worker budget of each shard-local
-    /// cache. `0` (the default) disables caching — bit-for-bit the
-    /// pre-cache behavior. When non-zero, this overrides the engine
-    /// configs' own `cache_bytes`.
+    /// Byte budget of the service's **cross-query result cache** (LRU) —
+    /// the one cache, whatever the backend; see the module docs. `0` (the
+    /// default) disables it — bit-for-bit the uncached behavior.
     pub cache_bytes: usize,
     /// **Straggler-adaptive work redistribution** of the MPQ backend
     /// (ignored by the others; disabled by default). When enabled, this
@@ -167,15 +180,10 @@ impl ServiceConfig {
     }
 
     /// The engine configs with the service-level knobs applied: one
-    /// `cache_bytes` / `steal` / `max_in_flight` setting governs every
-    /// backend uniformly, each winning over the engine config's own
-    /// value whenever it is set.
+    /// `steal` / `max_in_flight` setting governs every backend uniformly,
+    /// each winning over the engine config's own value whenever it is set.
     fn engine_configs(&self) -> (MpqConfig, SmaConfig) {
         let (mut mpq, mut sma) = (self.mpq, self.sma);
-        if self.cache_bytes > 0 {
-            mpq.cache_bytes = self.cache_bytes;
-            sma.cache_bytes = self.cache_bytes;
-        }
         if self.steal.enabled {
             mpq.steal = self.steal;
         }
@@ -306,8 +314,8 @@ pub struct ServiceHandle(QueryHandle);
 pub struct OptimizerService {
     backend: Backend,
     engine: Engine,
-    /// In-flight coalescing state; `None` when disabled.
-    coalescer: Option<Coalescer>,
+    /// Coalescing and the result cache; `None` when both are off.
+    flights: Option<Flights>,
 }
 
 /// Counters of the service's in-flight coalescing (all zero while
@@ -323,16 +331,17 @@ pub struct CoalesceStats {
     pub saved_optimizations: u64,
 }
 
-/// One coalesced flight: a coalition of members sharing a single backend
-/// ticket and, once resolved, a single result cloned to each member.
+/// One flight: members sharing a single backend ticket and, once
+/// resolved, a single result handed to each member.
 struct Flight {
-    /// Canonical identity the coalition formed on; removed from the open
-    /// index at resolution, so flights are joinable only while unresolved.
-    key: CacheKey,
-    /// The one backend ticket the coalition shares; taken (and dropped)
-    /// at resolution or when the whole coalition detaches.
+    /// Canonical identity, held until resolution: a coalescing service
+    /// indexes the unresolved flight under it in `open`, and the result
+    /// enters the cache under it. A cache hit is born resolved, keyless.
+    key: Option<CacheKey>,
+    /// The one backend ticket the members share; taken (and dropped) at
+    /// resolution or when every member detaches. A hit never has one.
     ticket: Option<QueryHandle>,
-    /// The leader's outcome once resolved, cloned to each member.
+    /// The outcome once resolved, handed to each member.
     result: Option<Result<Vec<Plan>, ServiceError>>,
     /// Undelivered members, oldest first — `members[0]` is the leader.
     members: Vec<u64>,
@@ -341,36 +350,42 @@ struct Flight {
     counted: bool,
 }
 
-/// Flight table of a coalescing service; see the module docs.
-struct Coalescer {
+/// Flight table of a coalescing or caching service; see the module docs.
+struct Flights {
     /// Member → flight, removed at delivery or detach. Members are this
     /// table's live sessions, so a membership ticket is the one
-    /// [`QueryHandle`] type under the coalescer's own instance tag, and
+    /// [`QueryHandle`] type under the table's own instance tag, and
     /// members whose handle was dropped unredeemed surface through the
     /// table's ordered reaping. Dropping a member detaches it only: the
     /// flight keeps running for the rest of the coalition.
     members: SessionTable<u64, Infallible>,
     next_flight: u64,
-    /// Unresolved (= joinable) flights by canonical identity.
+    /// Whether unresolved identical flights take followers.
+    coalesce: bool,
+    /// Unresolved flights of a coalescing service, by canonical identity.
     open: BTreeMap<CacheKey, u64>,
     flights: BTreeMap<u64, Flight>,
     stats: CoalesceStats,
+    /// Finished `Ok` results by canonical identity (disabled at budget 0).
+    cache: PlanCache,
 }
 
-impl Coalescer {
-    fn new() -> Coalescer {
-        Coalescer {
+impl Flights {
+    fn new(coalesce: bool, cache_bytes: usize) -> Flights {
+        Flights {
             members: SessionTable::new(0),
             next_flight: 0,
+            coalesce,
             open: BTreeMap::new(),
             flights: BTreeMap::new(),
             stats: CoalesceStats::default(),
+            cache: PlanCache::new(cache_bytes),
         }
     }
 
-    /// Coalescing submit: join an unresolved identical flight, or lead a
-    /// new one through the backend (honoring admission; `park` selects
-    /// `submit_wait` semantics for the leader).
+    /// Submit through the table: join an unresolved identical flight,
+    /// take a cached result, or lead a new flight through the backend
+    /// (honoring admission; `park` selects `submit_wait` semantics).
     fn submit(
         &mut self,
         engine: &mut Engine,
@@ -380,11 +395,11 @@ impl Coalescer {
         park: bool,
     ) -> Result<QueryHandle, ServiceError> {
         self.detach_abandoned(engine);
-        // The canonical identity submissions coalesce on: the cross-query
-        // memo cache's query signature scoped by plan space and objective.
-        let mut key = query_signature(query);
-        push_scope(&mut key, space, objective);
-        let key = key.finish();
+        let key = result_key(query, space, objective);
+        // An open flight's key is never cached (a result enters the cache
+        // only when its flight resolves, which closes it), so looking for
+        // a flight to join first is probing the cache first — and a
+        // follower counts as coalesced, not as a miss.
         let open = self.open.get(&key).copied();
         let fid = match open.and_then(|fid| Some((fid, self.flights.get_mut(&fid)?))) {
             // Join: no backend submission, so no admission budget is
@@ -400,23 +415,29 @@ impl Coalescer {
                 self.stats.saved_optimizations += 1;
                 fid
             }
-            // Lead a new flight. A refusal (admission, bad request)
-            // propagates typed and leaves no flight state behind.
-            None => {
-                let ticket = engine.submit(query, space, objective, park)?;
-                let fid = self.next_flight;
-                self.next_flight += 1;
-                self.open.insert(key.clone(), fid);
-                let flight = Flight {
-                    key,
-                    ticket: Some(ticket),
-                    result: None,
-                    members: Vec::new(),
-                    counted: false,
-                };
-                self.flights.insert(fid, flight);
-                fid
-            }
+            None => match self.cache.get(&key) {
+                // A hit is a flight resolved at birth: nothing is sent and
+                // no admission budget is consumed.
+                Some(plans) => {
+                    if let Some(net) = engine.metrics() {
+                        net.record_cache_hit(plans.weight_bytes() as u64);
+                    }
+                    self.push(None, None, Some(Ok(plans)))
+                }
+                // Lead a new flight. A refusal (admission, bad request)
+                // propagates typed and leaves no flight state behind.
+                None => {
+                    if let (true, Some(net)) = (self.cache.is_enabled(), engine.metrics()) {
+                        net.record_cache_miss();
+                    }
+                    let ticket = engine.submit(query, space, objective, park)?;
+                    if self.coalesce {
+                        // Indexed under the id `push` is about to assign.
+                        self.open.insert(key.clone(), self.next_flight);
+                    }
+                    self.push(Some(key), Some(ticket), None)
+                }
+            },
         };
         let member = self.members.mint();
         self.members.live.insert(member.0, fid);
@@ -426,13 +447,34 @@ impl Coalescer {
         Ok(self.members.handle(member))
     }
 
+    /// Files a new flight with no members yet and returns its id.
+    fn push(
+        &mut self,
+        key: Option<CacheKey>,
+        ticket: Option<QueryHandle>,
+        result: Option<Result<Vec<Plan>, ServiceError>>,
+    ) -> u64 {
+        let fid = self.next_flight;
+        self.next_flight += 1;
+        let flight = Flight {
+            key,
+            ticket,
+            result,
+            members: Vec::new(),
+            counted: false,
+        };
+        self.flights.insert(fid, flight);
+        fid
+    }
+
     /// Detaches members whose handles were dropped unredeemed. A flight
-    /// whose whole coalition detached is reaped: its backend ticket is
-    /// dropped (queueing the session for the backend's own reaping, which
-    /// frees parked results — and, for SMA, aborts the session so its
-    /// replicas are freed) and the backend is poked to reap immediately.
+    /// every member left is reaped: its backend ticket, if it still holds
+    /// one, is dropped (queueing the session for the backend's own
+    /// reaping, which frees parked results — and, for SMA, aborts the
+    /// session so its replicas are freed) and the backend is poked to
+    /// reap immediately.
     fn detach_abandoned(&mut self, engine: &mut Engine) {
-        let Coalescer {
+        let Flights {
             members,
             open,
             flights,
@@ -449,12 +491,17 @@ impl Coalescer {
             flight.members.retain(|&m| m != member.0);
             if flight.members.is_empty() {
                 if let Some(flight) = flights.remove(&fid) {
-                    open.remove(&flight.key);
-                    // Dropping the backend ticket (if the flight was still
-                    // unresolved) pushes it onto the backend's abandoned
-                    // list.
-                    drop(flight.ticket);
-                    reaped = true;
+                    // Only an unresolved flight still holds its key (and,
+                    // coalescing, its `open` entry) and its ticket.
+                    if let Some(key) = &flight.key {
+                        open.remove(key);
+                    }
+                    // Dropping the ticket pushes it onto the backend's
+                    // abandoned list.
+                    if let Some(ticket) = flight.ticket {
+                        drop(ticket);
+                        reaped = true;
+                    }
                 }
             }
         });
@@ -463,11 +510,11 @@ impl Coalescer {
         }
     }
 
-    /// Hands the member behind `handle` its clone of the flight's result
-    /// — exactly once — first resolving the flight through the shared
-    /// backend ticket: blocking on it (`block`), or only if it already
-    /// finished. `None`: still in progress, or — as on every other
-    /// handle — the member was already delivered.
+    /// Hands the member behind `handle` the flight's result — exactly
+    /// once — first resolving the flight through the shared backend
+    /// ticket: blocking on it (`block`), or only if it already finished.
+    /// `None`: still in progress, or — as on every other handle — the
+    /// member was already delivered.
     fn redeem(
         &mut self,
         engine: &mut Engine,
@@ -482,7 +529,14 @@ impl Coalescer {
         self.detach_abandoned(engine);
         let member = handle.id().0;
         let fid = *self.members.live.get(&member)?;
-        let Some(flight) = self.flights.get_mut(&fid) else {
+        let Flights {
+            members,
+            open,
+            flights,
+            cache,
+            ..
+        } = self;
+        let Some(flight) = flights.get_mut(&fid) else {
             return Some(Err(ServiceError::UnknownHandle));
         };
         if flight.result.is_none() {
@@ -502,18 +556,24 @@ impl Coalescer {
                     }
                 }
             };
-            // Resolved flights close to new joiners: the cache takes over.
+            // Resolved flights close to new joiners; an `Ok` result
+            // enters the cache, which answers later repeats.
+            if let Some(key) = flight.key.take() {
+                open.remove(&key);
+                if let (true, Ok(plans)) = (cache.is_enabled(), &result) {
+                    cache.insert(key, plans.clone());
+                }
+            }
             flight.result = Some(result);
-            self.open.remove(&flight.key);
         }
-        let result = flight.result.clone();
         flight.members.retain(|&m| m != member);
-        self.members.live.remove(&member);
+        members.live.remove(&member);
         if flight.members.is_empty() {
-            // Every member has been served.
-            self.flights.remove(&fid);
+            // The last member takes the result itself.
+            flights.remove(&fid).and_then(|flight| flight.result)
+        } else {
+            flight.result.clone()
         }
-        result
     }
 }
 
@@ -535,20 +595,26 @@ enum Engine {
         /// No session is ever live here (hence `Infallible`): the table
         /// is the handle discipline and the result park.
         results: SessionTable<Infallible, Vec<Plan>>,
-        /// The master-side cross-query memo cache (disabled at budget 0).
-        cache: PlanCache,
     },
     Mpq(MpqService),
     Sma(SmaService),
 }
 
 impl Engine {
-    /// A fresh single-node engine with an empty result park and cache.
-    fn immediate(backend: ImmediateBackend, cache_bytes: usize) -> Engine {
+    /// A fresh single-node engine with an empty result park.
+    fn immediate(backend: ImmediateBackend) -> Engine {
         Engine::Immediate {
             backend,
             results: SessionTable::new(0),
-            cache: PlanCache::new(cache_bytes),
+        }
+    }
+
+    /// The resident plane's counters; `None` on the single-node backends.
+    fn metrics(&self) -> Option<&NetworkMetrics> {
+        match self {
+            Engine::Immediate { .. } => None,
+            Engine::Mpq(svc) => Some(svc.metrics()),
+            Engine::Sma(svc) => Some(svc.metrics()),
         }
     }
 
@@ -564,23 +630,14 @@ impl Engine {
         park: bool,
     ) -> Result<QueryHandle, ServiceError> {
         Ok(match self {
-            Engine::Immediate {
-                backend,
-                results,
-                cache,
-            } => {
+            Engine::Immediate { backend, results } => {
                 results.reap(|_, never| match never {});
                 results.admit(query, objective)?;
                 let plans = match backend {
-                    ImmediateBackend::SerialDp => {
-                        optimize_serial_cached(query, space, objective, cache)
-                            .0
-                            .plans
-                    }
+                    ImmediateBackend::SerialDp => optimize_serial(query, space, objective).plans,
                     ImmediateBackend::TopDown => {
-                        optimize_partition_topdown_cached(query, space, objective, 0, 1, cache)
-                            .0
-                            .plans
+                        let whole = partition_constraints(query.num_tables(), space, 0, 1);
+                        optimize_partition_topdown(query, space, objective, &whole).plans
                     }
                 };
                 let id = results.mint();
@@ -658,8 +715,8 @@ impl OptimizerService {
         };
         let (mpq, sma) = config.engine_configs();
         let engine = match config.backend {
-            Backend::SerialDp => Engine::immediate(ImmediateBackend::SerialDp, config.cache_bytes),
-            Backend::TopDown => Engine::immediate(ImmediateBackend::TopDown, config.cache_bytes),
+            Backend::SerialDp => Engine::immediate(ImmediateBackend::SerialDp),
+            Backend::TopDown => Engine::immediate(ImmediateBackend::TopDown),
             Backend::Mpq => Engine::Mpq(MpqService::spawn(workers, mpq)?),
             Backend::Sma => Engine::Sma(SmaService::spawn(workers, sma)?),
         };
@@ -705,10 +762,11 @@ impl OptimizerService {
     }
 
     fn over(config: ServiceConfig, engine: Engine) -> OptimizerService {
+        let flights = config.coalesce || config.cache_bytes > 0;
         OptimizerService {
             backend: config.backend,
             engine,
-            coalescer: config.coalesce.then(Coalescer::new),
+            flights: flights.then(|| Flights::new(config.coalesce, config.cache_bytes)),
         }
     }
 
@@ -721,9 +779,11 @@ impl OptimizerService {
     /// handle; cluster backends dispatch their task messages before
     /// returning, single-node backends solve the query on the spot. With
     /// coalescing enabled, a submission identical to an unresolved flight
-    /// joins it instead of reaching the backend. A query no backend can
-    /// optimize (no tables, or more than 64) is a typed
-    /// [`ServiceError::BadRequest`] before anything is sent or computed.
+    /// joins it instead of reaching the backend; with the result cache
+    /// enabled, one identical to a finished query is answered from the
+    /// cache and sends nothing. A query no backend can optimize (no
+    /// tables, or more than 64) is a typed [`ServiceError::BadRequest`]
+    /// before anything is sent or computed.
     pub fn submit(
         &mut self,
         query: &Query,
@@ -755,8 +815,8 @@ impl OptimizerService {
         park: bool,
     ) -> Result<ServiceHandle, ServiceError> {
         let engine = &mut self.engine;
-        let handle = match &mut self.coalescer {
-            Some(c) => c.submit(engine, query, space, objective, park)?,
+        let handle = match &mut self.flights {
+            Some(f) => f.submit(engine, query, space, objective, park)?,
             None => engine.submit(query, space, objective, park)?,
         };
         Ok(ServiceHandle(handle))
@@ -768,11 +828,11 @@ impl OptimizerService {
     /// member of a coalesced flight drives the shared backend ticket;
     /// once resolved, every member redeems a clone of the same result.
     pub fn poll(&mut self, handle: &ServiceHandle) -> Option<Result<Vec<Plan>, ServiceError>> {
-        // On a coalescing service every handle is a membership ticket; a
+        // With a flight table every handle is a membership ticket; a
         // handle minted anywhere else fails the owner's instance-tag
         // check either way.
-        match &mut self.coalescer {
-            Some(c) => c.redeem(&mut self.engine, &handle.0, false),
+        match &mut self.flights {
+            Some(f) => f.redeem(&mut self.engine, &handle.0, false),
             None => self.engine.poll(&handle.0),
         }
     }
@@ -782,11 +842,11 @@ impl OptimizerService {
     /// plan(s): one plan for single-objective runs, the Pareto frontier
     /// otherwise.
     pub fn wait(&mut self, handle: ServiceHandle) -> Result<Vec<Plan>, ServiceError> {
-        match &mut self.coalescer {
+        match &mut self.flights {
             // `None`: the member was already delivered (poll-then-wait,
             // double-wait). `handle` drops on return; its abandoned-list
             // entry is a no-op because the member is gone by then.
-            Some(c) => c
+            Some(f) => f
                 .redeem(&mut self.engine, &handle.0, true)
                 .unwrap_or(Err(ServiceError::UnknownHandle)),
             None => self.engine.wait(handle.0),
@@ -807,27 +867,21 @@ impl OptimizerService {
     /// Counters of the service's in-flight coalescing (all zero while
     /// disabled).
     pub fn coalesce_stats(&self) -> CoalesceStats {
-        self.coalescer.as_ref().map(|c| c.stats).unwrap_or_default()
+        self.flights.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
-    /// Coalesced flights currently tracked (resolved-but-unredeemed ones
-    /// included); zero while coalescing is disabled. Test introspection.
+    /// Flights currently tracked (cache hits and resolved-but-unredeemed
+    /// flights included); zero while coalescing and the cache are both
+    /// off. Test introspection.
     pub fn open_flights(&self) -> usize {
-        self.coalescer
-            .as_ref()
-            .map(|c| c.flights.len())
-            .unwrap_or(0)
+        self.flights.as_ref().map_or(0, |f| f.flights.len())
     }
 
     /// The cluster backends' network metrics snapshot (message/fault/
-    /// steal/cache counters); `None` on the single-node backends, which
-    /// have no network.
+    /// steal counters, and the result cache's hit/miss counters);
+    /// `None` on the single-node backends, which have no network.
     pub fn network_snapshot(&self) -> Option<mpq_cluster::NetworkSnapshot> {
-        match &self.engine {
-            Engine::Immediate { .. } => None,
-            Engine::Mpq(svc) => Some(svc.metrics().snapshot()),
-            Engine::Sma(svc) => Some(svc.metrics().snapshot()),
-        }
+        self.engine.metrics().map(NetworkMetrics::snapshot)
     }
 
     /// Shuts the service down, joining any resident worker threads.
@@ -839,27 +893,13 @@ impl OptimizerService {
         }
     }
 
-    /// Counters of the service's cross-query memo cache. For the
-    /// single-node backends these are the exact LRU counters; for the
-    /// cluster backends they aggregate the shard-local worker caches via
-    /// the cluster metrics (hit/miss/bytes-saved only — entry and byte
-    /// occupancy are worker-private and reported as zero).
+    /// Counters of the service's result cache, exact on every backend
+    /// (entries and bytes included); all zero while it is disabled.
     pub fn cache_stats(&self) -> CacheStats {
-        match &self.engine {
-            Engine::Immediate { cache, .. } => cache.stats(),
-            Engine::Mpq(svc) => cluster_cache_stats(svc.metrics().snapshot()),
-            Engine::Sma(svc) => cluster_cache_stats(svc.metrics().snapshot()),
-        }
-    }
-}
-
-/// Projects a cluster metrics snapshot onto the cache-counter view.
-fn cluster_cache_stats(s: mpq_cluster::NetworkSnapshot) -> CacheStats {
-    CacheStats {
-        hits: s.cache_hits,
-        misses: s.cache_misses,
-        bytes_saved: s.cache_bytes_saved,
-        ..CacheStats::default()
+        self.flights
+            .as_ref()
+            .map(|f| f.cache.stats())
+            .unwrap_or_default()
     }
 }
 
@@ -956,32 +996,49 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A plan list as its cost bits, in answer order.
+    fn cost_bits(plans: &[Plan]) -> Vec<(u64, u64)> {
+        plans
+            .iter()
+            .map(|p| (p.cost().time.to_bits(), p.cost().buffer.to_bits()))
+            .collect()
+    }
+
+    /// The cluster backends' message and byte totals; `None` on the
+    /// single-node backends.
+    fn wire_totals(svc: &OptimizerService) -> Option<(u64, u64)> {
+        svc.network_snapshot()
+            .map(|net| (net.messages, net.total_bytes()))
+    }
+
+    /// On every backend a repeated query redeems the first answer —
+    /// single-objective plans and Pareto frontiers equal by `to_bits` —
+    /// with exact counters, and on the cluster backends the hit moves
+    /// neither the message nor the byte total.
     #[test]
     fn cached_service_reports_hits_and_stays_transparent() {
+        let q = query(6, 8);
         for backend in Backend::ALL {
-            let mut svc = OptimizerService::spawn(ServiceConfig::with_cache(backend, 3, 1 << 20))
-                .expect("spawn");
-            let q = query(6, 8);
-            let cold = svc
-                .optimize(&q, PlanSpace::Linear, Objective::Single)
-                .expect("cold");
-            let warm = svc
-                .optimize(&q, PlanSpace::Linear, Objective::Single)
-                .expect("warm");
-            assert_eq!(
-                warm,
-                cold,
-                "backend {}: hits are byte-identical",
-                backend.name()
-            );
-            let stats = Optimizer::cache_stats(&svc);
-            assert!(
-                stats.hits > 0,
-                "backend {}: repeat run must hit ({stats:?})",
-                backend.name()
-            );
-            assert!(stats.bytes_saved > 0);
-            svc.shutdown();
+            for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
+                let config = ServiceConfig::with_cache(backend, 3, 1 << 20);
+                let mut svc = OptimizerService::spawn(config).expect("spawn");
+                let cold = svc.optimize(&q, PlanSpace::Linear, objective).unwrap();
+                let sent = wire_totals(&svc);
+                let warm = svc.optimize(&q, PlanSpace::Linear, objective).unwrap();
+                let ctx = format!("backend {} {objective:?}", backend.name());
+                assert_eq!(cost_bits(&warm), cost_bits(&cold), "{ctx}");
+                assert_eq!(warm, cold, "{ctx}: the hit is the first answer");
+                assert_eq!(wire_totals(&svc), sent, "{ctx}: a hit sends nothing");
+                let stats = Optimizer::cache_stats(&svc);
+                let counted = (stats.hits, stats.misses, stats.entries);
+                assert_eq!(counted, (1, 1, 1), "{ctx}");
+                assert!(stats.bytes > 0 && stats.bytes_saved == stats.bytes, "{ctx}");
+                if let Some(net) = svc.network_snapshot() {
+                    let counted = (net.cache_hits, net.cache_misses, net.cache_bytes_saved);
+                    assert_eq!(counted, (1, 1, stats.bytes_saved), "{ctx}");
+                }
+                svc.shutdown();
+            }
         }
     }
 
@@ -996,6 +1053,181 @@ mod tests {
         }
         let stats = svc.cache_stats();
         assert_eq!(stats.hits + stats.misses, 0);
+        svc.shutdown();
+    }
+
+    /// Moved onto the facade's result cache: a warm repeat is a flight
+    /// like any other — polling it answers at once with the first answer,
+    /// and dropping its handle unredeemed leaves no flight behind.
+    #[test]
+    fn warm_shard_caches_serve_repeated_queries_identically() {
+        let q = query(6, 26);
+        for backend in Backend::ALL {
+            let config = ServiceConfig::with_cache(backend, 2, 1 << 20);
+            let mut svc = OptimizerService::spawn(config).expect("spawn");
+            let cold = svc.optimize(&q, PlanSpace::Linear, Objective::Single);
+            let hit = svc.submit(&q, PlanSpace::Linear, Objective::Single);
+            let hit = hit.expect("a hit");
+            assert_eq!(svc.poll(&hit), Some(cold), "backend {}", backend.name());
+            drop(svc.submit(&q, PlanSpace::Linear, Objective::Single));
+            assert_eq!(svc.open_flights(), 1, "backend {}", backend.name());
+            // The next call reaps the dropped member, and its flight.
+            svc.optimize(&query(5, 27), PlanSpace::Linear, Objective::Single)
+                .expect("a fresh query");
+            assert_eq!(svc.open_flights(), 0, "backend {}", backend.name());
+            assert_eq!(svc.in_flight(), 0, "backend {}", backend.name());
+            svc.shutdown();
+        }
+    }
+
+    /// Moved onto the facade's result cache, over real sockets: an SMA
+    /// service spanning socket workers answers a repeated query from the
+    /// facade — the same bits, and not one frame on the wire.
+    #[test]
+    fn warm_shard_caches_answer_repeated_queries_identically() {
+        use mpq_cluster::{WireListener, WorkerAddr};
+        let mut addrs = Vec::new();
+        let mut workers = Vec::new();
+        for _ in 0..2 {
+            let listener = WireListener::bind(&WorkerAddr::Tcp("127.0.0.1:0".into())).unwrap();
+            addrs.push(listener.local_addr().unwrap());
+            workers.push(std::thread::spawn(move || {
+                crate::sma::serve_socket_worker(&listener)
+            }));
+        }
+        let config = ServiceConfig::with_cache(Backend::Sma, 2, 1 << 20);
+        let mut svc = OptimizerService::connect(config, &addrs).expect("connect");
+        let q = query(6, 41);
+        let cold = svc
+            .optimize(&q, PlanSpace::Linear, Objective::Single)
+            .expect("cold");
+        let sent = wire_totals(&svc);
+        let warm = svc
+            .optimize(&q, PlanSpace::Linear, Objective::Single)
+            .expect("warm");
+        assert_eq!(warm, cold, "hits are byte-identical");
+        assert_eq!(wire_totals(&svc), sent, "a hit sends no frame");
+        assert_eq!(svc.cache_stats().hits, 1);
+        svc.shutdown();
+        for worker in workers {
+            worker.join().unwrap().expect("the worker ends cleanly");
+        }
+    }
+
+    /// With the cache and coalescing both off there is no flight table,
+    /// no key and no cache traffic on any backend.
+    #[test]
+    fn caching_disabled_reports_no_cache_traffic() {
+        let q = query(6, 22);
+        for backend in Backend::ALL {
+            let mut svc = OptimizerService::spawn(ServiceConfig::new(backend, 2)).expect("spawn");
+            for _ in 0..2 {
+                svc.optimize(&q, PlanSpace::Linear, Objective::Single)
+                    .expect("run");
+            }
+            assert!(svc.flights.is_none(), "backend {}", backend.name());
+            assert_eq!(svc.cache_stats(), CacheStats::default());
+            if let Some(net) = svc.network_snapshot() {
+                assert_eq!((net.cache_hits, net.cache_misses), (0, 0));
+            }
+            svc.shutdown();
+        }
+    }
+
+    /// Cache × coalescing, each on and off: an in-flight duplicate joins
+    /// its flight (coalescing) or goes to the backend (not coalescing);
+    /// a finished duplicate hits (cache) or goes to the backend (no
+    /// cache). Hits plus misses are the submissions that did not join.
+    #[test]
+    fn cache_and_coalescing_compose() {
+        let q = query(6, 23);
+        for backend in [Backend::Mpq, Backend::Sma] {
+            for (cache, coalesce) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut config = ServiceConfig::new(backend, 2);
+                config.cache_bytes = if cache { 1 << 20 } else { 0 };
+                config.coalesce = coalesce;
+                let ctx = format!(
+                    "backend {} cache {cache} coalesce {coalesce}",
+                    backend.name()
+                );
+                let mut svc = OptimizerService::spawn(config).expect("spawn");
+                let first = svc
+                    .submit(&q, PlanSpace::Linear, Objective::Single)
+                    .expect("first");
+                let twin = svc
+                    .submit(&q, PlanSpace::Linear, Objective::Single)
+                    .expect("in-flight twin");
+                let sessions = if coalesce { 1 } else { 2 };
+                assert_eq!(svc.in_flight(), sessions, "{ctx}");
+                let a = svc.wait(first).expect("first redeems");
+                let b = svc.wait(twin).expect("twin redeems");
+                assert_eq!(cost_bits(&a), cost_bits(&b), "{ctx}");
+                let sent = wire_totals(&svc);
+                let again = svc
+                    .submit(&q, PlanSpace::Linear, Objective::Single)
+                    .expect("finished twin");
+                assert_eq!(svc.in_flight(), usize::from(!cache), "{ctx}");
+                assert_eq!(svc.wait(again).expect("redeems"), a, "{ctx}");
+                assert_eq!(
+                    wire_totals(&svc) == sent,
+                    cache,
+                    "{ctx}: only a hit sends nothing"
+                );
+                let stats = svc.cache_stats();
+                let joined = svc.coalesce_stats().saved_optimizations;
+                assert_eq!(joined, u64::from(coalesce), "{ctx}");
+                if cache {
+                    assert_eq!(
+                        (stats.hits, stats.misses + stats.hits + joined),
+                        (1, 3),
+                        "{ctx}"
+                    );
+                } else {
+                    assert_eq!(stats, CacheStats::default(), "{ctx}");
+                }
+                svc.shutdown();
+            }
+        }
+    }
+
+    /// Refusals and failures are never cached: an `Overloaded` or
+    /// `BadRequest` submission leaves no entry, and neither does a
+    /// session that failed — resubmitting it runs it again and is served
+    /// the real answer, which is then cached.
+    #[test]
+    fn refused_and_failed_submissions_are_never_cached() {
+        let q = query(6, 24);
+        let mut config = ServiceConfig::with_cache(Backend::Mpq, 2, 1 << 20);
+        config.max_in_flight = 1;
+        // A worker dies on its first task; with retries off, the session
+        // it held fails typed, and later sessions never go near it.
+        config.mpq.faults = mpq_cluster::FaultPlan::crash_on_first_task(2, 1);
+        let mut svc = OptimizerService::spawn(config).expect("spawn");
+        let failed = svc
+            .submit(&q, PlanSpace::Linear, Objective::Single)
+            .expect("admitted");
+        assert!(matches!(
+            svc.submit(&query(5, 25), PlanSpace::Linear, Objective::Single),
+            Err(ServiceError::Overloaded { .. })
+        ));
+        let mut bad = query(5, 25);
+        bad.predicates[0].selectivity = f64::NAN;
+        assert!(matches!(
+            svc.submit(&bad, PlanSpace::Linear, Objective::Single),
+            Err(ServiceError::BadRequest { .. })
+        ));
+        assert!(matches!(
+            svc.wait(failed),
+            Err(ServiceError::Mpq(MpqError::WorkerLost { .. }))
+        ));
+        assert_eq!(svc.cache_stats().entries, 0, "nothing was cached");
+        let plans = svc
+            .optimize(&q, PlanSpace::Linear, Objective::Single)
+            .expect("the failed query runs again, on the survivor");
+        let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single);
+        assert!(bit_eq(plans[0].cost().time, reference.plans[0].cost().time));
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.entries), (0, 1));
         svc.shutdown();
     }
 

@@ -26,7 +26,9 @@ use pqopt::dp::optimize_serial;
 use pqopt::model::{Query, WorkloadConfig, WorkloadGenerator};
 use pqopt::mpq::{MpqError, MpqService, RetryPolicy};
 use pqopt::partition::PlanSpace;
-use pqopt::prelude::{MpqConfig, MpqOptimizer};
+use pqopt::prelude::{
+    Backend, MpqConfig, MpqOptimizer, Optimizer, OptimizerService, ServiceConfig,
+};
 use pqopt::sma::{SmaConfig, SmaError, SmaOptimizer};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -387,62 +389,59 @@ fn resident_service_under_faults_matches_serial_for_concurrent_sessions() {
     service.shutdown();
 }
 
+/// The service's result cache under faults: one cached service whose
+/// first run rides out a seeded worker crash. With the cache at the
+/// facade, the crash takes no cached state with it; warm repeats are the
+/// cold answer bit for bit and send nothing — no task, no round.
+fn cached_faulty_service(
+    faults: FaultPlan,
+    retry: RetryPolicy,
+    workers: usize,
+) -> OptimizerService {
+    let mut config = ServiceConfig::with_cache(Backend::Mpq, workers, 1 << 20);
+    config.mpq = MpqConfig {
+        faults,
+        retry,
+        ..MpqConfig::default()
+    };
+    OptimizerService::spawn(config).expect("service spawns")
+}
+
 /// Cached sessions under faults (ISSUE 4 satellite): a worker crash on a
-/// resident cluster with warm shard-local caches must still yield exactly
-/// the fault-free cost, with a balanced per-session fault ledger — the
-/// cache is acceleration state, never correctness state, and a crashed
-/// worker simply takes its shard of the cache with it.
+/// resident cluster behind a warm result cache must still yield exactly
+/// the fault-free cost. The cache is the facade's, so the crashed worker
+/// takes nothing with it: every warm repeat is served without a message,
+/// and every submission is one hit or one miss (nothing coalesces here).
 #[test]
 fn worker_crash_with_warm_shard_caches_stays_exact() {
     let faults = FaultPlan::crash_on_first_task(4, 3);
-    let config = MpqConfig {
-        faults,
-        retry: RetryPolicy::with_timeout(64, Duration::from_millis(20)),
-        cache_bytes: 1 << 20,
-        ..MpqConfig::default()
-    };
-    let mut svc = MpqService::spawn(4, config).expect("service spawns");
+    let retry = RetryPolicy::with_timeout(64, Duration::from_millis(20));
+    let mut svc = cached_faulty_service(faults, retry, 4);
     let q = query(7, 321);
     let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans[0]
         .cost()
         .time;
-    // Run 0 warms the survivors' caches *and* rides out the crash. The
-    // degraded cluster then places the query over its three idle
-    // survivors — a dead worker is never placed — which is a two-partition
-    // cut, not run 0's four: run 1 warms that cut, and run 2 streams the
-    // same query through the warm, degraded cluster.
-    let mut warm_hits = 0;
-    for run in 0..3 {
-        let out = svc
-            .submit(&q, PlanSpace::Linear, Objective::Single)
-            .and_then(|h| svc.wait(h))
-            .expect("recovery succeeds");
-        assert!(
-            bit_eq(out.plans[0].cost().time, reference),
-            "run {run}: cached faulty cost {} vs fault-free {}",
-            out.plans[0].cost().time,
-            reference
-        );
-        // Per-session ledger balances with caching on.
+    let cold = svc
+        .optimize(&q, PlanSpace::Linear, Objective::Single)
+        .expect("recovery succeeds");
+    assert!(bit_eq(cold[0].cost().time, reference));
+    let sent = svc.network_snapshot().expect("a cluster backend");
+    assert!(sent.crashes >= 1, "the crash must fire");
+    for run in 1..3 {
+        let warm = svc
+            .optimize(&q, PlanSpace::Linear, Objective::Single)
+            .expect("a hit cannot fail");
+        assert_eq!(warm, cold, "run {run}: the hit is the cold answer");
+        let now = svc.network_snapshot().expect("a cluster backend");
         assert_eq!(
-            out.metrics.replies_received,
-            out.metrics.workers_used as u64 + out.metrics.duplicate_replies,
-            "run {run}: reply ledger must balance"
+            (now.master_to_worker_bytes, now.rounds),
+            (sent.master_to_worker_bytes, sent.rounds),
+            "run {run}: a hit sends nothing"
         );
-        assert_eq!(
-            out.metrics.cache_hits + out.metrics.cache_misses,
-            out.metrics.partitions,
-            "run {run}: every partition is either a hit or a miss"
-        );
-        if run == 2 {
-            warm_hits = out.metrics.cache_hits;
-        }
     }
-    assert!(
-        warm_hits >= 1,
-        "the warm run must serve at least one partition from a survivor's cache"
-    );
-    assert!(svc.metrics().snapshot().crashes >= 1, "the crash must fire");
+    let stats = svc.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (2, 1));
+    assert_eq!(svc.coalesce_stats().saved_optimizations, 0);
     svc.shutdown();
 }
 
@@ -450,9 +449,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(6)))]
 
     /// The chaos invariant with caching on: any fault plan with ≥ 1
-    /// survivor, each query streamed twice through one resident cached
-    /// service (cold then warm), still returns exactly the fault-free
-    /// optimal cost both times with balanced ledgers.
+    /// survivor, each query submitted twice to one resident cached
+    /// service (cold then warm), returns exactly the fault-free optimal
+    /// cost both times; the warm run is a hit that sends nothing.
     #[test]
     fn faulty_cached_service_stays_exact_cold_and_warm(
         plan in arb_fault_plan(),
@@ -464,38 +463,27 @@ proptest! {
         let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans[0]
             .cost()
             .time;
-        let config = MpqConfig {
-            faults: plan,
-            retry: chaos_retry(),
-            cache_bytes: 1 << 20,
-            ..MpqConfig::default()
-        };
-        let mut svc = MpqService::spawn(workers, config)
-            .map_err(|e| TestCaseError::fail(format!("spawn failed under {plan:?}: {e}")))?;
-        for pass in ["cold", "warm"] {
-            let out = svc
-                .submit(&q, PlanSpace::Linear, Objective::Single)
-                .and_then(|h| svc.wait(h))
-                .map_err(|e| {
-                    TestCaseError::fail(format!("{pass} run failed under {plan:?}: {e}"))
-                })?;
-            prop_assert!(
-                bit_eq(out.plans[0].cost().time, reference),
-                "plan {:?} ({} run): cost {} vs fault-free {}",
-                plan, pass, out.plans[0].cost().time, reference
-            );
-            prop_assert_eq!(
-                out.metrics.replies_received,
-                out.metrics.workers_used as u64 + out.metrics.duplicate_replies,
-                "plan {:?} ({} run): ledger must balance", plan, pass
-            );
-            prop_assert_eq!(
-                out.metrics.cache_hits + out.metrics.cache_misses,
-                out.metrics.partitions,
-                "plan {:?} ({} run): hits + misses must cover the partitions",
-                plan, pass
-            );
-        }
+        let mut svc = cached_faulty_service(plan, chaos_retry(), workers);
+        let cold = svc
+            .optimize(&q, PlanSpace::Linear, Objective::Single)
+            .map_err(|e| TestCaseError::fail(format!("cold run failed under {plan:?}: {e}")))?;
+        prop_assert!(
+            bit_eq(cold[0].cost().time, reference),
+            "plan {:?}: cost {} vs fault-free {}", plan, cold[0].cost().time, reference
+        );
+        let sent = svc.network_snapshot().expect("a cluster backend");
+        let warm = svc
+            .optimize(&q, PlanSpace::Linear, Objective::Single)
+            .map_err(|e| TestCaseError::fail(format!("warm run failed under {plan:?}: {e}")))?;
+        prop_assert_eq!(&warm, &cold, "plan {:?}: the hit is the cold answer", plan);
+        let now = svc.network_snapshot().expect("a cluster backend");
+        prop_assert_eq!(
+            (now.master_to_worker_bytes, now.rounds),
+            (sent.master_to_worker_bytes, sent.rounds),
+            "plan {:?}: a hit sends nothing", plan
+        );
+        let stats = svc.cache_stats();
+        prop_assert_eq!((stats.hits, stats.misses), (1, 1), "plan {:?}", plan);
         svc.shutdown();
     }
 }

@@ -213,8 +213,8 @@ fn sma_over_real_sockets_is_bit_identical_to_in_process() {
 }
 
 /// Socket workers served from threads of this process, each running its
-/// [`Faulty`] slice of `plan` around `logic(0)` (a worker without a
-/// cache): a crash ends `serve_worker` and closes the connection, and a
+/// [`Faulty`] slice of `plan` around `logic()`: a crash ends
+/// `serve_worker` and closes the connection, and a
 /// drop loses the reply on the wire. Returns the addresses and the server
 /// threads.
 #[cfg(unix)]
@@ -222,7 +222,7 @@ fn faulty_socket_workers(
     tag: &str,
     plan: &FaultPlan,
     workers: usize,
-    logic: fn(usize) -> Box<dyn WorkerLogic>,
+    logic: fn() -> Box<dyn WorkerLogic>,
 ) -> (
     Vec<WorkerAddr>,
     Vec<std::thread::JoinHandle<std::io::Result<()>>>,
@@ -233,7 +233,7 @@ fn faulty_socket_workers(
     for w in 0..workers {
         let addr: WorkerAddr = socket_path(&format!("{tag}-{w}")).parse().unwrap();
         let listener = WireListener::bind(&addr).expect("bind a worker socket");
-        let mut inner = logic(0);
+        let mut inner = logic();
         let unboxed = move |q, p, ctx: &mut WorkerCtx| inner.on_message(q, p, ctx);
         let faulty = Faulty::new(unboxed, schedule.worker(w));
         threads.push(std::thread::spawn(move || serve_worker(&listener, faulty)));
@@ -254,7 +254,7 @@ fn seeded_crash_and_drop_plan_over_real_sockets_is_exact() {
         ..FaultPlan::crash_on_first_task(WORKERS, 1)
     };
     let (addrs, threads) =
-        faulty_socket_workers("faulty", &plan, WORKERS, pqopt::mpq::worker_logic);
+        faulty_socket_workers("faulty", &plan, WORKERS, || pqopt::mpq::worker_logic(0));
     let config = MpqConfig {
         retry: RetryPolicy::with_timeout(64, Duration::from_millis(100)),
         ..MpqConfig::default()
