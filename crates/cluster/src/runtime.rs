@@ -238,9 +238,8 @@ impl WorkerCtx {
     }
 
     /// The cluster-wide shared counters. Worker logic uses this to record
-    /// events that are worker-side by nature — e.g. shard-local
-    /// cross-query cache hits and misses — into the same ledger the
-    /// master reads.
+    /// events that are worker-side by nature — e.g. injected faults —
+    /// into the same ledger the master reads.
     pub fn metrics(&self) -> &NetworkMetrics {
         &self.metrics
     }

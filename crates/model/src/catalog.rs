@@ -46,12 +46,12 @@ impl TableStats {
 /// The catalog carries a **statistics epoch**: a counter bumped on every
 /// statistics mutation ([`Catalog::set_stats`], [`Catalog::stats_mut`],
 /// [`Catalog::add_table`], or an explicit [`Catalog::bump_epoch`]). The
-/// cross-query memo cache folds the epoch into its keys, so entries
-/// computed against earlier statistics become structurally unreachable
-/// the instant the statistics change — even if a later mutation restores
-/// the exact old values. The epoch is optimizer-local bookkeeping and is
-/// deliberately not part of the wire format (workers key their shard-local
-/// caches by the shipped statistics bits themselves).
+/// service's cross-query result cache folds the epoch into its keys, so
+/// entries computed against earlier statistics become structurally
+/// unreachable the instant the statistics change — even if a later
+/// mutation restores the exact old values. The epoch is optimizer-local
+/// bookkeeping and is deliberately not part of the wire format: the cache
+/// lives where the catalog does, and workers keep nothing between tasks.
 #[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct Catalog {
     tables: Vec<TableStats>,

@@ -1,11 +1,11 @@
-//! The cross-query memo cache.
+//! The cross-query cache.
 //!
 //! The paper's analysis assumes every query pays the full dynamic-
 //! programming bill. Real query streams are heavily repetitive — the same
 //! table sets and predicate shapes recur across sessions — so a resident
-//! optimizer can amortize *optimization itself* by caching finished memo
-//! results (cost vectors, Pareto frontiers, and the reconstruction info
-//! they carry) across queries. This module provides the shared machinery:
+//! optimizer can amortize *optimization itself* by caching finished
+//! results (optimal plans and Pareto frontiers) across queries. This
+//! module provides the machinery:
 //!
 //! * [`CacheKey`] / [`CacheKeyBuilder`] — collision-proof canonical keys.
 //!   [`query_signature`] canonicalizes a query into a key prefix covering

@@ -15,11 +15,11 @@
 //! pruning with interesting orders, and multi-objective α-approximate
 //! Pareto pruning (Trummer & Koch, SIGMOD 2014).
 //!
-//! [`cache`] provides the **cross-query memo cache**: canonical query
-//! signatures and a byte-budgeted LRU ([`MemoCache`]) that lets resident
-//! optimizers serve finished memo results — cost vectors, Pareto
-//! frontiers, reconstruction info — to later queries with identical
-//! statistics, predicates and cost-model parameters.
+//! [`cache`] provides the **cross-query cache**: canonical query
+//! signatures and a byte-budgeted LRU ([`MemoCache`]) that lets the
+//! resident service serve finished results — optimal plans and Pareto
+//! frontiers — to later queries with identical statistics, predicates and
+//! cost-model parameters.
 
 #![forbid(unsafe_code)]
 

@@ -917,8 +917,8 @@ pub trait Optimizer {
         objective: Objective,
     ) -> Result<Vec<Plan>, ServiceError>;
 
-    /// Counters of the engine's cross-query memo cache. Engines without a
-    /// cache report all-zero stats (the default).
+    /// Counters of the engine's cross-query result cache. Engines without
+    /// a cache report all-zero stats (the default).
     fn cache_stats(&self) -> CacheStats {
         CacheStats::default()
     }
@@ -1602,7 +1602,7 @@ mod tests {
 
     /// Distinct queries never coalesce; same query under a different
     /// objective or plan space does not either (the flight key scopes by
-    /// both, exactly like the memo cache).
+    /// both, exactly like the result cache).
     #[test]
     fn coalescing_respects_the_canonical_identity() {
         let mut svc = OptimizerService::spawn(ServiceConfig::with_coalescing(Backend::SerialDp, 1))
