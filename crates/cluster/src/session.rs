@@ -307,13 +307,8 @@ pub struct SessionService<P: Protocol> {
 }
 
 impl<P: Protocol> SessionService<P> {
-    /// A service speaking `protocol` over `net`, admitting at most
-    /// `max_in_flight` concurrent sessions (0 = unlimited).
-    pub fn new(
-        protocol: P,
-        net: Box<dyn Transport>,
-        max_in_flight: usize,
-    ) -> Result<Self, LifecycleError> {
+    /// A service speaking `protocol` over `net`, with no admission limit.
+    pub fn new(protocol: P, net: Box<dyn Transport>) -> Result<Self, LifecycleError> {
         if net.num_workers() == 0 {
             return Err(LifecycleError::BadRequest {
                 reason: "at least one worker required",
@@ -322,8 +317,16 @@ impl<P: Protocol> SessionService<P> {
         Ok(SessionService {
             protocol,
             net,
-            table: SessionTable::new(max_in_flight),
+            table: SessionTable::new(0),
         })
+    }
+
+    /// The admission limit: submissions past `limit` live sessions are
+    /// refused with [`LifecycleError::Overloaded`] (or park, on request),
+    /// instead of being queued silently. `0` means unlimited — the
+    /// default, bit-for-bit the pre-admission behavior.
+    pub fn set_max_in_flight(&mut self, limit: usize) {
+        self.table.max_in_flight = limit;
     }
 
     /// The resident message plane.
@@ -592,7 +595,9 @@ mod tests {
         let protocol = Echo {
             released: Vec::new(),
         };
-        SessionService::new(protocol, Box::new(cluster), max_in_flight).unwrap()
+        let mut svc = SessionService::new(protocol, Box::new(cluster)).unwrap();
+        svc.set_max_in_flight(max_in_flight);
+        svc
     }
 
     fn query(tables: usize) -> Query {

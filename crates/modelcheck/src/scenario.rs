@@ -30,7 +30,7 @@
 //! chaos suites that sample large scopes.
 
 use crate::transport::{Decision, FaultBudget, ModelTransport};
-use mpq_algo::{MpqConfig, MpqError, MpqService, RetryPolicy, StealPolicy};
+use mpq_algo::{MpqConfig, MpqError, MpqService, RetryPolicy};
 use mpq_cluster::{Transport, WorkerLogic};
 use mpq_cost::Objective;
 use mpq_dp::optimize_serial;
@@ -51,7 +51,7 @@ pub enum Kind {
         /// passes clock-free and deterministic).
         retry: RetryPolicy,
         /// Straggler-adaptive redistribution.
-        steal: StealPolicy,
+        steal: bool,
         /// Submit through `submit_assigned` with the even all-worker
         /// layout (one partition per worker, range *i* on worker *i*)
         /// instead of letting `submit` place each session by load — so
@@ -148,7 +148,7 @@ const NO_FAULTS: FaultBudget = FaultBudget {
 pub fn default_suite() -> Vec<Scenario> {
     let mpq_ff = Kind::Mpq {
         retry: RetryPolicy::DISABLED,
-        steal: StealPolicy::DISABLED,
+        steal: false,
         assigned: false,
     };
     vec![
@@ -182,7 +182,7 @@ pub fn default_suite() -> Vec<Scenario> {
             budget: NO_FAULTS,
             kind: Kind::Mpq {
                 retry: RetryPolicy::DISABLED,
-                steal: StealPolicy::DISABLED,
+                steal: false,
                 assigned: true,
             },
         },
@@ -210,7 +210,7 @@ pub fn default_suite() -> Vec<Scenario> {
             },
             kind: Kind::Mpq {
                 retry: MODEL_RETRY,
-                steal: StealPolicy::DISABLED,
+                steal: false,
                 assigned: false,
             },
         },
@@ -228,7 +228,7 @@ pub fn default_suite() -> Vec<Scenario> {
             },
             kind: Kind::Mpq {
                 retry: MODEL_RETRY,
-                steal: StealPolicy::DISABLED,
+                steal: false,
                 assigned: false,
             },
         },
@@ -246,7 +246,7 @@ pub fn default_suite() -> Vec<Scenario> {
             },
             kind: Kind::Mpq {
                 retry: MODEL_RETRY,
-                steal: StealPolicy::DISABLED,
+                steal: false,
                 assigned: false,
             },
         },
@@ -260,14 +260,7 @@ pub fn default_suite() -> Vec<Scenario> {
             budget: NO_FAULTS,
             kind: Kind::Mpq {
                 retry: RetryPolicy::DISABLED,
-                steal: StealPolicy {
-                    enabled: true,
-                    progress_every: 1,
-                    lag_ratio: 1.5,
-                    min_steal: 1,
-                    max_steals: 2,
-                    oversubscribe: 2,
-                },
+                steal: true,
                 assigned: false,
             },
         },
@@ -398,7 +391,7 @@ pub fn fixture_scenario() -> Scenario {
                 timeout: None,
                 max_strikes: 2,
             },
-            steal: StealPolicy::DISABLED,
+            steal: false,
             assigned: false,
         },
     }
@@ -556,7 +549,7 @@ fn drive_mpq(
     scenario: &Scenario,
     transport: Box<dyn Transport>,
     retry: RetryPolicy,
-    steal: StealPolicy,
+    steal: bool,
     assigned: bool,
 ) -> Result<(), String> {
     let config = MpqConfig {

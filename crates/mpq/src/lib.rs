@@ -18,10 +18,11 @@
 //! There is exactly **one communication round** and no worker↔worker
 //! traffic; the master's work is linear in `m` and the query size.
 //!
-//! Beyond the paper's pseudo-code, [`MpqOptimizer::optimize_weighted`]
-//! supports heterogeneous workers (footnote 1 of the paper): partition
-//! counts proportional to per-worker weights, each worker solving a
-//! contiguous range of partitions.
+//! Heterogeneous workers (footnote 1 of the paper) take one of two
+//! routes: an explicit [`MpqService::submit_assigned`] layout whose
+//! contiguous partition ranges are sized to the workers, or stealing
+//! ([`MpqConfig::steal`]), which moves a slow worker's unstarted
+//! partitions to idle ones while the session runs.
 //!
 //! The master is **fault tolerant**: because a task is stateless (query +
 //! partition range) and the protocol has a single round, a crashed,
@@ -45,7 +46,5 @@ pub mod service;
 
 pub use message::{MasterMessage, WorkerMsg, WorkerReply};
 pub use mpq_dp::ParallelPolicy;
-pub use optimizer::{
-    MpqConfig, MpqError, MpqMetrics, MpqOptimizer, MpqOutcome, RetryPolicy, StealPolicy,
-};
+pub use optimizer::{MpqConfig, MpqError, MpqMetrics, MpqOptimizer, MpqOutcome, RetryPolicy};
 pub use service::{serve_socket_worker, worker_logic, MpqService, QueryHandle};

@@ -28,15 +28,17 @@ pub struct MasterMessage {
     pub objective: Objective,
     /// First partition ID assigned to this worker (0-based).
     pub first_partition: u64,
-    /// Number of consecutive partitions assigned to this worker
-    /// (1 for homogeneous workers; more under weighted assignment).
+    /// Number of consecutive partitions assigned to this worker: 1 in the
+    /// paper's layout; more when stealing oversubscribes the space, in a
+    /// stolen sub-range, or in an explicit `submit_assigned` layout.
     pub partition_count: u64,
     /// Total number of plan-space partitions `m`.
     pub total_partitions: u64,
     /// Progress-report cadence: the worker sends a [`Progress`] report
     /// after every this-many completed partitions of the range (never for
-    /// the final partition — the reply itself signals completion). `0`
-    /// disables progress reporting, which is the steal-off wire behavior.
+    /// the final partition — the reply itself signals completion). The
+    /// master sends 1 with stealing on and 0, which disables progress
+    /// reporting, with it off.
     pub progress_every: u64,
 }
 

@@ -66,89 +66,6 @@ impl RetryPolicy {
     }
 }
 
-/// When and how the master **redistributes** a straggler's unstarted work.
-///
-/// Where the [`RetryPolicy`] reacts to *lost* work (dead workers, dropped
-/// replies), the steal policy reacts to *slow* work: workers piggyback
-/// per-range [`Progress`](mpq_cluster::Progress) reports on the reply
-/// stream, the scheduler compares the **relative** progress of a
-/// session's ranges, and when one range provably lags it splits the
-/// range's unstarted remainder into sub-ranges and re-issues them to idle
-/// workers. The range-echo duplicate suppression of the retry machinery
-/// guarantees exactness: the straggler's eventual full-range reply and
-/// the thieves' sub-range replies reconcile to the same cost bits and
-/// Pareto frontier as a steal-free run.
-///
-/// Stealing only ever fires on ranges holding **several** partitions
-/// (oversubscribed or weighted assignments); the default one-partition-
-/// per-worker assignment has no splittable remainder.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StealPolicy {
-    /// Master switch. `false` (the default) also suppresses progress
-    /// reporting, so the wire traffic is bit-for-bit the steal-off
-    /// behavior.
-    pub enabled: bool,
-    /// Progress-report cadence, in completed partitions (only meaningful
-    /// when enabled; clamped to at least 1 on the wire).
-    pub progress_every: u64,
-    /// Relative-lag trigger: a range is a straggler when
-    /// `own_fraction * lag_ratio < best_fraction` over the session's
-    /// ranges (completed ranges count as fraction 1). Must be > 1.
-    pub lag_ratio: f64,
-    /// Minimum unstarted partitions in the straggler's range before a
-    /// split is worthwhile.
-    pub min_steal: u64,
-    /// Maximum steal events per session (a separate budget from
-    /// [`RetryPolicy::max_retries`]).
-    pub max_steals: u32,
-    /// Partition oversubscription applied by
-    /// [`MpqService::submit`](crate::MpqService::submit) when stealing is
-    /// enabled: each worker's
-    /// range holds up to this many partitions (capped by the query's
-    /// partition limit), so there is a splittable tail to steal. `1`
-    /// reproduces the one-partition-per-worker layout, which has nothing
-    /// to redistribute. Explicit `submit_assigned` layouts are never
-    /// altered.
-    pub oversubscribe: u64,
-}
-
-impl Default for StealPolicy {
-    fn default() -> Self {
-        StealPolicy::DISABLED
-    }
-}
-
-impl StealPolicy {
-    /// No redistribution, no progress traffic: the default.
-    pub const DISABLED: StealPolicy = StealPolicy {
-        enabled: false,
-        progress_every: 1,
-        lag_ratio: 2.0,
-        min_steal: 2,
-        max_steals: 16,
-        oversubscribe: 4,
-    };
-
-    /// A balanced enabled policy: report after every partition, steal
-    /// when a range lags the session's best by 2x with at least 2
-    /// unstarted partitions, at most 16 steals per session.
-    pub fn balanced() -> StealPolicy {
-        StealPolicy {
-            enabled: true,
-            ..StealPolicy::DISABLED
-        }
-    }
-
-    /// The report cadence actually put on the wire (0 when disabled).
-    pub(crate) fn wire_cadence(&self) -> u64 {
-        if self.enabled {
-            self.progress_every.max(1)
-        } else {
-            0
-        }
-    }
-}
-
 /// Typed failure of one MPQ optimization run.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MpqError {
@@ -194,9 +111,10 @@ pub enum MpqError {
         /// What was wrong with the request.
         reason: &'static str,
     },
-    /// The service's in-flight budget ([`MpqConfig::max_in_flight`]) is
-    /// spent: `in_flight` sessions are already admitted against a limit
-    /// of `limit`. Backpressure, not failure — retry after redeeming a
+    /// The service's in-flight budget
+    /// ([`SessionService::set_max_in_flight`](mpq_cluster::SessionService::set_max_in_flight))
+    /// is spent: `in_flight` sessions are already admitted against a
+    /// limit of `limit`. Backpressure, not failure — retry after redeeming a
     /// handle, or park with `submit_wait`.
     Overloaded {
         /// Sessions in flight when the submission was refused.
@@ -278,21 +196,18 @@ pub struct MpqConfig {
     pub faults: FaultPlan,
     /// Recovery policy (default: disabled, blocking receives).
     pub retry: RetryPolicy,
-    /// Straggler-adaptive work redistribution (default: disabled — no
-    /// progress traffic, no steals).
-    pub steal: StealPolicy,
+    /// Straggler-adaptive work redistribution (default: off — no progress
+    /// traffic, no steals, no oversubscription). Workers then piggyback
+    /// per-partition [`Progress`](mpq_cluster::Progress) reports on the
+    /// reply stream, and the scheduler splits a lagging range's unstarted
+    /// tail over idle workers; see [`MpqService`] for the fixed rule.
+    pub steal: bool,
     /// Test/bench knob: artificially slow one worker's compute by the
     /// given factor — worker `id` sleeps `(factor - 1)x` its measured
     /// optimization time after every partition, modeling a degraded node
     /// (thermal throttling, a noisy neighbor). `None` (the default) means
     /// homogeneous workers.
     pub slow_worker: Option<(usize, u32)>,
-    /// Admission limit: how many sessions may be in flight (submitted but
-    /// not yet finished) at once. Submissions beyond the limit are
-    /// refused with a typed [`MpqError::Overloaded`] instead of being
-    /// queued silently. `0` (the default) means unlimited — bit-for-bit
-    /// the pre-admission behavior.
-    pub max_in_flight: usize,
 }
 
 /// Measurements of one optimization run, matching the series the paper
@@ -318,7 +233,10 @@ pub struct MpqMetrics {
     /// Number of plan-space partitions actually used (a power of two,
     /// capped by the query size).
     pub partitions: u64,
-    /// Number of worker nodes that received a task.
+    /// Ranges of the session's final assignment: one per range the
+    /// layout placed, plus one per sub-range a steal carved off. A range
+    /// re-issued to another worker still counts once, so every completing
+    /// reply books exactly one of these.
     pub workers_used: usize,
     /// Task re-issues performed by the master (worker loss, drop or
     /// straggler suspicion).
@@ -333,7 +251,7 @@ pub struct MpqMetrics {
     pub retry_task_bytes: u64,
     /// Steal events for this session: a straggling range's unstarted
     /// remainder was split and re-issued to idle workers (0 unless
-    /// [`MpqConfig::steal`] is enabled).
+    /// [`MpqConfig::steal`] is on).
     pub steals: u64,
     /// Partitions re-issued by those steal events.
     pub stolen_partitions: u64,
@@ -407,119 +325,9 @@ impl MpqOptimizer {
     ) -> Result<MpqOutcome, MpqError> {
         let partitions = effective_workers(space, query.num_tables(), workers);
         let assignment: Vec<(u64, u64)> = (0..partitions).map(|p| (p, 1)).collect();
-        self.one_shot(query, space, objective, partitions, assignment)
-    }
-
-    /// Optimizes with heterogeneous workers (footnote 1 of the paper): the
-    /// number of partitions treated by a worker is proportional to its
-    /// weight. `weights.len()` is the number of workers; weights must be
-    /// positive.
-    ///
-    /// # Panics
-    /// Panics if the run fails; use
-    /// [`MpqOptimizer::try_optimize_weighted`] for a typed error.
-    // Audited panic site (crates/xtask/allow/panics.allow): documented
-    // panicking convenience wrapper over the typed-error form.
-    #[allow(clippy::expect_used)]
-    pub fn optimize_weighted(
-        &self,
-        query: &Query,
-        space: PlanSpace,
-        objective: Objective,
-        weights: &[f64],
-    ) -> MpqOutcome {
-        self.try_optimize_weighted(query, space, objective, weights)
-            .expect("MPQ optimization failed")
-    }
-
-    /// Fallible form of [`MpqOptimizer::optimize_weighted`]: caller
-    /// misuse (no workers, non-positive weights) is a typed
-    /// [`MpqError::BadRequest`], not a panic.
-    pub fn try_optimize_weighted(
-        &self,
-        query: &Query,
-        space: PlanSpace,
-        objective: Objective,
-        weights: &[f64],
-    ) -> Result<MpqOutcome, MpqError> {
-        if weights.is_empty() {
-            return Err(MpqError::BadRequest {
-                reason: "at least one worker required",
-            });
-        }
-        if !weights.iter().all(|&w| w > 0.0 && w.is_finite()) {
-            return Err(MpqError::BadRequest {
-                reason: "worker weights must be positive and finite",
-            });
-        }
-        let partitions = effective_workers(space, query.num_tables(), weights.len() as u64);
-        let assignment = proportional_assignment(weights, partitions);
-        self.one_shot(query, space, objective, partitions, assignment)
-    }
-
-    /// Oversubscribed mode: uses `partitions` plan-space partitions
-    /// (a power of two supported by the query) spread over `workers`
-    /// worker nodes, several consecutive partitions per worker. Useful
-    /// when the partition granularity should exceed the node count — and
-    /// under faults, because smaller ranges mean cheaper re-execution.
-    ///
-    /// # Panics
-    /// Panics if the run fails; use
-    /// [`MpqOptimizer::try_optimize_oversubscribed`] for a typed error.
-    // Audited panic site (crates/xtask/allow/panics.allow): documented
-    // panicking convenience wrapper over the typed-error form.
-    #[allow(clippy::expect_used)]
-    pub fn optimize_oversubscribed(
-        &self,
-        query: &Query,
-        space: PlanSpace,
-        objective: Objective,
-        workers: usize,
-        partitions: u64,
-    ) -> MpqOutcome {
-        self.try_optimize_oversubscribed(query, space, objective, workers, partitions)
-            .expect("MPQ optimization failed")
-    }
-
-    /// Fallible form of [`MpqOptimizer::optimize_oversubscribed`]: caller
-    /// misuse (no workers, an unsupported partition count) is a typed
-    /// [`MpqError::BadRequest`], not a panic.
-    pub fn try_optimize_oversubscribed(
-        &self,
-        query: &Query,
-        space: PlanSpace,
-        objective: Objective,
-        workers: usize,
-        partitions: u64,
-    ) -> Result<MpqOutcome, MpqError> {
-        if workers == 0 {
-            return Err(MpqError::BadRequest {
-                reason: "at least one worker required",
-            });
-        }
-        let max = space.max_partitions(query.num_tables());
-        if !partitions.is_power_of_two() || partitions > max {
-            return Err(MpqError::BadRequest {
-                reason: "partitions must be a power of two within the query's partition limit",
-            });
-        }
-        let workers = workers.min(partitions as usize);
-        let weights = vec![1.0; workers];
-        let assignment = proportional_assignment(&weights, partitions);
-        self.one_shot(query, space, objective, partitions, assignment)
-    }
-
-    /// Submit-one-query-and-wait over a fresh resident service: the
-    /// spawn-per-query mode, sharing the session scheduler with
-    /// [`MpqService`].
-    fn one_shot(
-        &self,
-        query: &Query,
-        space: PlanSpace,
-        objective: Objective,
-        partitions: u64,
-        assignment: Vec<(u64, u64)>,
-    ) -> Result<MpqOutcome, MpqError> {
+        // Submit-one-query-and-wait over a fresh resident service: the
+        // spawn-per-query mode, sharing the session scheduler with
+        // `MpqService`.
         let mut service = MpqService::spawn(assignment.len(), self.config)?;
         let result = service
             .submit_assigned(query, space, objective, partitions, assignment)
@@ -527,42 +335,6 @@ impl MpqOptimizer {
         service.shutdown();
         result
     }
-}
-
-/// Splits `partitions` into contiguous per-worker ranges with sizes
-/// proportional to `weights` (largest-remainder rounding; every worker with
-/// positive weight gets at least zero, workers with zero share are
-/// dropped).
-fn proportional_assignment(weights: &[f64], partitions: u64) -> Vec<(u64, u64)> {
-    let total_w: f64 = weights.iter().sum();
-    let mut counts: Vec<u64> = weights
-        .iter()
-        .map(|w| ((w / total_w) * partitions as f64).floor() as u64)
-        .collect();
-    let mut assigned: u64 = counts.iter().sum();
-    // Largest remainders get the leftover partitions.
-    let mut rema: Vec<(usize, f64)> = weights
-        .iter()
-        .enumerate()
-        .map(|(i, w)| (i, (w / total_w) * partitions as f64 - counts[i] as f64))
-        .collect();
-    rema.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let mut k = 0;
-    while assigned < partitions {
-        counts[rema[k % rema.len()].0] += 1;
-        assigned += 1;
-        k += 1;
-    }
-    // Contiguous ranges, dropping zero-count workers.
-    let mut out = Vec::new();
-    let mut first = 0u64;
-    for &c in &counts {
-        if c > 0 {
-            out.push((first, c));
-            first += c;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -701,46 +473,47 @@ mod tests {
         assert_eq!(bits(&out.plans), bits(&serial.plans));
     }
 
+    /// One session over an explicit layout on a fresh three-worker
+    /// service.
+    fn run_assigned(q: &Query, partitions: u64, assignment: Vec<(u64, u64)>) -> MpqOutcome {
+        let mut svc = MpqService::spawn(3, MpqConfig::default()).unwrap();
+        let out = svc
+            .submit_assigned(
+                q,
+                PlanSpace::Linear,
+                Objective::Single,
+                partitions,
+                assignment,
+            )
+            .and_then(|h| svc.wait(h))
+            .unwrap();
+        svc.shutdown();
+        out
+    }
+
+    /// Heterogeneous workers (footnote 1 of the paper) are an uneven
+    /// layout: one worker takes twice the partitions of the others.
     #[test]
     fn weighted_assignment_covers_space() {
-        let opt = MpqOptimizer::new(MpqConfig::default());
         let q = query(8, 6);
         let serial = optimize_serial(&q, PlanSpace::Linear, Objective::Single);
-        // Three workers, one twice as fast: 16 partitions split ~8/4/4.
-        let out = opt.optimize_weighted(&q, PlanSpace::Linear, Objective::Single, &[2.0, 1.0, 1.0]);
+        let out = run_assigned(&q, 16, vec![(0, 8), (8, 4), (12, 4)]);
         let a = out.plans[0].cost().time;
         let b = serial.plans[0].cost().time;
         assert_bits(a, b, "weighted");
-        assert!(out.metrics.workers_used <= 3);
+        assert_eq!(out.metrics.workers_used, 3);
     }
 
     #[test]
     fn oversubscription_covers_space() {
-        let opt = MpqOptimizer::new(MpqConfig::default());
         let q = query(8, 7);
         let serial = optimize_serial(&q, PlanSpace::Linear, Objective::Single);
-        let out = opt.optimize_oversubscribed(&q, PlanSpace::Linear, Objective::Single, 3, 16);
+        let out = run_assigned(&q, 16, vec![(0, 6), (6, 5), (11, 5)]);
         let a = out.plans[0].cost().time;
         let b = serial.plans[0].cost().time;
         assert_bits(a, b, "oversubscribed");
         assert_eq!(out.metrics.partitions, 16);
         assert_eq!(out.metrics.workers_used, 3);
-    }
-
-    #[test]
-    fn proportional_assignment_properties() {
-        let a = proportional_assignment(&[1.0, 1.0, 1.0, 1.0], 8);
-        assert_eq!(a, vec![(0, 2), (2, 2), (4, 2), (6, 2)]);
-        let a = proportional_assignment(&[3.0, 1.0], 8);
-        assert_eq!(a.iter().map(|&(_, c)| c).sum::<u64>(), 8);
-        assert_eq!(a[0].1, 6);
-        // Contiguity and full coverage.
-        let mut next = 0;
-        for &(first, count) in &a {
-            assert_eq!(first, next);
-            next = first + count;
-        }
-        assert_eq!(next, 8);
     }
 
     #[test]

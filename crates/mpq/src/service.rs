@@ -20,11 +20,15 @@
 //! dead at submission time is routed around the same way a lost range is.
 //!
 //! Beyond loss recovery, the scheduler performs **straggler-adaptive work
-//! redistribution** (opt-in via [`StealPolicy`]): workers piggyback
+//! redistribution** (opt-in via [`MpqConfig::steal`]): workers piggyback
 //! fixed-size [`Progress`](mpq_cluster::Progress) reports on the reply
 //! stream, and when one range's relative progress provably lags the rest
 //! of its session, the master splits the range's *unstarted* remainder
-//! into sub-ranges and re-issues them to idle workers. The same
+//! into sub-ranges and re-issues them to idle workers. The rule is fixed:
+//! up to 4 partitions per range at submission, a report after every
+//! partition, a steal when a range lags the session's best by 2× and has
+//! a non-empty unstarted tail, at most 16 steals per session (the
+//! `STEAL_*` and `MAX_STEALS` constants). The same
 //! range-echo duplicate suppression that makes speculative re-execution
 //! exact makes stealing exact: the straggler's eventual full-range reply
 //! reconciles against the split record, and overlapping plan
@@ -39,7 +43,7 @@
 // on this master-side path is either removed or individually justified.
 
 use crate::message::{MasterMessage, WorkerMsg, WorkerReply};
-use crate::optimizer::{MpqConfig, MpqError, MpqMetrics, MpqOutcome, RetryPolicy, StealPolicy};
+use crate::optimizer::{MpqConfig, MpqError, MpqMetrics, MpqOutcome, RetryPolicy};
 use bytes::Bytes;
 pub use mpq_cluster::QueryHandle;
 use mpq_cluster::{
@@ -57,6 +61,25 @@ use std::time::Instant;
 /// long enough to cost nothing, short enough that a worker dying while
 /// the master is parked is noticed promptly.
 const EVIDENCE_HEARTBEAT: std::time::Duration = std::time::Duration::from_millis(25);
+
+/// With stealing on, `submit` gives each range up to this many partitions,
+/// so it has a tail to steal; `submit_oversubscribes_when_stealing` and
+/// the CI `--steal` smoke step's progress line rest on it.
+const STEAL_OVERSUBSCRIBE: u64 = 4;
+
+/// With stealing on, a worker reports after every this-many completed
+/// partitions; `steal_preserves_pareto_frontiers_bitwise` (two partitions
+/// per range) steals only because the first one is reported.
+const STEAL_PROGRESS_EVERY: u64 = 1;
+
+/// A range is a straggler when its completed fraction times this is below
+/// the session's best; `straggler_steal_linear11_w4_p32_slow10x` beats
+/// `straggler_static_linear11_w4_p32_slow10x` with it.
+const STEAL_LAG_RATIO: f64 = 2.0;
+
+/// Steal events per session, a budget apart from the retries; the same
+/// `straggler_*` ids and the `mpq-steal-2w1s` model-check row hold with it.
+const MAX_STEALS: u32 = 16;
 
 /// Worker-side logic: decode the task, optimize the assigned partition
 /// range, reply once per task.
@@ -331,7 +354,7 @@ type MpqRequest = (PlanSpace, Objective, Option<(u64, Vec<(u64, u64)>)>);
 /// per-worker evidence every session's suspicion pass reads.
 pub struct MpqProtocol {
     retry: RetryPolicy,
-    steal: StealPolicy,
+    steal: bool,
     /// Per-worker loss-detection state: tasks sent to each worker,
     /// replies seen from it (FIFO stream position), replies the recovery
     /// pass proved lost (queue-ledger repair for the steal pass's
@@ -370,8 +393,8 @@ impl MpqService {
     /// processes run [`serve_socket_worker`]. `config`'s fault plan and
     /// slow-worker injector are ignored (they act on workers this side
     /// does not spawn; wrap a socket worker in [`Faulty`] instead), while
-    /// its retry and steal policies govern recovery exactly as on the
-    /// in-process plane.
+    /// its retry policy and steal switch govern recovery exactly as on
+    /// the in-process plane.
     pub fn with_transport(
         transport: Box<dyn Transport>,
         config: MpqConfig,
@@ -385,14 +408,15 @@ impl MpqService {
             lost_replies: vec![0; workers],
             last_reply_from: vec![Instant::now(); workers],
         };
-        let service = SessionService::new(protocol, transport, config.max_in_flight)?;
+        let service = SessionService::new(protocol, transport)?;
         Ok(MpqService(service))
     }
 
     /// Submits `query` for optimization and returns immediately with a
     /// handle. Task messages go out before this returns; collection
-    /// happens in `poll` / `wait`. Past [`MpqConfig::max_in_flight`] the
-    /// submission is refused with [`MpqError::Overloaded`].
+    /// happens in `poll` / `wait`. Past the admission limit
+    /// ([`SessionService::set_max_in_flight`]) the submission is refused
+    /// with [`MpqError::Overloaded`].
     ///
     /// The layout follows the load: a single-objective query gets one
     /// partition per worker that is idle at submission (capped by the
@@ -404,10 +428,10 @@ impl MpqService {
     /// frontier depends on the cut. On an idle cluster both are one
     /// partition per worker, range *i* on worker *i*.
     ///
-    /// With stealing enabled, each range instead holds up to
-    /// [`StealPolicy::oversubscribe`] partitions — a one-partition range
-    /// has no splittable tail, so without oversubscription the steal
-    /// scheduler would be a structural no-op on this entry point.
+    /// With stealing on, each range instead holds up to 4 partitions — a
+    /// one-partition range has no splittable tail, so without
+    /// oversubscription the steal scheduler would be a structural no-op
+    /// on this entry point.
     pub fn submit(
         &mut self,
         query: &Query,
@@ -418,8 +442,9 @@ impl MpqService {
     }
 
     /// Submits `query` with an explicit `(first_partition, count)` range
-    /// per worker — the weighted/oversubscribed entry points build their
-    /// assignment and call this.
+    /// per worker, range *i* on worker *i*: any contiguous layout,
+    /// uneven ones included (heterogeneous workers, oversubscription).
+    /// It is used as given, stealing on or off.
     pub fn submit_assigned(
         &mut self,
         query: &Query,
@@ -514,7 +539,7 @@ impl Protocol for MpqProtocol {
             plans: Vec::new(),
             completed: 0,
             retries_left: self.retry.max_retries,
-            steals_left: self.steal.max_steals,
+            steals_left: MAX_STEALS,
             strikes: 0,
             retries: 0,
             steals: 0,
@@ -523,7 +548,8 @@ impl Protocol for MpqProtocol {
             replies_received: 0,
             duplicate_replies: 0,
             retry_task_bytes: 0,
-            progress_every: self.steal.wire_cadence(),
+            // The wire keeps the cadence field; 0 is the steal-off wire.
+            progress_every: if self.steal { STEAL_PROGRESS_EVERY } else { 0 },
             start: Instant::now(),
             last_progress: Instant::now(),
         };
@@ -830,11 +856,7 @@ impl MpqProtocol {
     /// The partition space spread evenly over `workers` ranges (fewer if
     /// the query has fewer partitions), one contiguous range each.
     fn even_layout(&self, workers: u64, query: &Query, space: PlanSpace) -> (u64, Vec<(u64, u64)>) {
-        let oversubscribe = if self.steal.enabled {
-            self.steal.oversubscribe.max(1)
-        } else {
-            1
-        };
+        let oversubscribe = if self.steal { STEAL_OVERSUBSCRIBE } else { 1 };
         let partitions = effective_workers(
             space,
             query.num_tables(),
@@ -975,12 +997,11 @@ impl MpqProtocol {
         }
     }
 
-    /// Straggler-adaptive redistribution pass. For every steal-enabled
-    /// session: compare the **relative** progress of its ranges (complete
-    /// ranges count as fraction 1), and when one range provably lags the
-    /// session's best by [`StealPolicy::lag_ratio`] with at least
-    /// [`StealPolicy::min_steal`] unstarted partitions, split the
-    /// unstarted tail into contiguous sub-ranges and re-issue them to
+    /// Straggler-adaptive redistribution pass. For every session: compare
+    /// the **relative** progress of its ranges (complete ranges count as
+    /// fraction 1), and when one range provably lags the session's best
+    /// by [`STEAL_LAG_RATIO`] with a non-empty unstarted tail, split the
+    /// tail into contiguous sub-ranges and re-issue them to
     /// **idle** live workers — never onto workers holding outstanding
     /// work, so stealing cannot slow productive ranges. Exactness is
     /// inherited from the range-echo duplicate suppression: the
@@ -994,7 +1015,7 @@ impl MpqProtocol {
         table: &mut Table<Self>,
         only: Option<QueryId>,
     ) {
-        if !self.steal.enabled {
+        if !self.steal {
             return;
         }
         let ids: Vec<u64> = match only {
@@ -1046,7 +1067,6 @@ impl MpqProtocol {
         qid: QueryId,
         idle: &[usize],
     ) -> bool {
-        let policy = self.steal;
         let Some(session) = table.live.get_mut(&qid.0) else {
             return false;
         };
@@ -1086,11 +1106,9 @@ impl MpqProtocol {
             .iter()
             .copied()
             .filter(|&i| {
-                // A zero min_steal (possible: the fields are public)
-                // must still never select an empty tail — there would be
-                // nothing to split.
-                unstarted_of(session, i) >= policy.min_steal.max(1)
-                    && fraction(session, i) * policy.lag_ratio < best
+                // An empty tail is never a victim: there would be nothing
+                // to split, and the chunk math below divides by it.
+                unstarted_of(session, i) > 0 && fraction(session, i) * STEAL_LAG_RATIO < best
             })
             .max_by_key(|&i| unstarted_of(session, i));
         let Some(victim) = victim else {
@@ -1260,12 +1278,32 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::optimizer::MpqOptimizer;
     use mpq_dp::{optimize_partition_id, optimize_serial};
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
 
     fn query(n: usize, seed: u64) -> Query {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
+    }
+
+    /// One single-objective session over `partitions` split evenly into
+    /// `workers` contiguous ranges, on a fresh service of that many
+    /// workers.
+    fn run_even(config: MpqConfig, q: &Query, workers: u64, partitions: u64) -> MpqOutcome {
+        let mut svc = MpqService::spawn(workers as usize, config).unwrap();
+        let per = partitions / workers;
+        let assignment = (0..workers).map(|w| (w * per, per)).collect();
+        let out = svc
+            .submit_assigned(
+                q,
+                PlanSpace::Linear,
+                Objective::Single,
+                partitions,
+                assignment,
+            )
+            .and_then(|h| svc.wait(h))
+            .unwrap();
+        svc.shutdown();
+        out
     }
 
     /// Every layout must return the serial optimum to the bit: the cut
@@ -1810,20 +1848,18 @@ mod tests {
     /// the session and cluster ledgers.
     #[test]
     fn straggling_range_is_split_and_stolen() {
-        let opt = MpqOptimizer::new(MpqConfig {
-            steal: StealPolicy::balanced(),
+        let config = MpqConfig {
+            steal: true,
             slow_worker: Some((0, 10)),
             ..MpqConfig::default()
-        });
+        };
         let q = query(9, 33);
         let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans[0]
             .cost()
             .time;
         // Oversubscribed: 4 workers x 4 partitions each — the slow worker
         // holds a splittable 16-partition-space range.
-        let out = opt
-            .try_optimize_oversubscribed(&q, PlanSpace::Linear, Objective::Single, 4, 16)
-            .expect("steal-on run completes");
+        let out = run_even(config, &q, 4, 16);
         assert!(bit_eq(out.plans[0].cost().time, reference));
         assert!(
             out.metrics.steals >= 1,
@@ -1920,16 +1956,13 @@ mod tests {
         svc.shutdown();
     }
 
-    /// Regression (review): a zero `min_steal` (the fields are public)
-    /// must not divide by zero when a candidate range has no unstarted
-    /// tail — it is simply never a victim.
+    /// With stealing on, a one-partition range is never a victim, however
+    /// far it lags: its unstarted tail is empty, and splitting it would
+    /// divide by zero in the chunk math.
     #[test]
-    fn zero_min_steal_never_panics() {
+    fn one_partition_ranges_are_never_stolen_from() {
         let config = MpqConfig {
-            steal: StealPolicy {
-                min_steal: 0,
-                ..StealPolicy::balanced()
-            },
+            steal: true,
             slow_worker: Some((0, 4)),
             ..MpqConfig::default()
         };
@@ -2005,10 +2038,9 @@ mod tests {
         // parallel test load.
         let config = MpqConfig {
             faults,
-            steal: StealPolicy::balanced(),
+            steal: true,
             slow_worker: Some((0, 20)),
             retry: RetryPolicy::with_timeout(64, Duration::from_millis(15)),
-            ..MpqConfig::default()
         };
         let mut svc = MpqService::spawn(2, config).unwrap();
         // Session 1: explicit one-partition ranges, so the steal pass has
@@ -2053,7 +2085,7 @@ mod tests {
     #[test]
     fn submit_oversubscribes_when_stealing() {
         let config = MpqConfig {
-            steal: StealPolicy::balanced(),
+            steal: true,
             slow_worker: Some((0, 6)),
             ..MpqConfig::default()
         };
@@ -2260,14 +2292,11 @@ mod tests {
     /// steal, even with a slowed worker.
     #[test]
     fn steal_disabled_is_quiet() {
-        let opt = MpqOptimizer::new(MpqConfig {
+        let config = MpqConfig {
             slow_worker: Some((0, 4)),
             ..MpqConfig::default()
-        });
-        let q = query(8, 34);
-        let out = opt
-            .try_optimize_oversubscribed(&q, PlanSpace::Linear, Objective::Single, 2, 8)
-            .expect("run completes");
+        };
+        let out = run_even(config, &query(8, 34), 2, 8);
         assert_eq!(out.metrics.steals, 0);
         assert_eq!(out.metrics.progress_reports, 0);
         assert_eq!(out.metrics.network.progress_reports, 0);

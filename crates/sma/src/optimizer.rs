@@ -33,12 +33,6 @@ pub struct SmaConfig {
     /// workers. `None` blocks indefinitely — fine fault-free, but set a
     /// timeout whenever faults are possible.
     pub recv_timeout: Option<Duration>,
-    /// Admission limit: how many sessions may be in flight (submitted but
-    /// not yet finished) at once. Submissions beyond the limit are
-    /// refused with a typed [`SmaError::Overloaded`] — before any `Init`
-    /// broadcast, so a refused query pins no replicas. `0` (the default)
-    /// means unlimited — bit-for-bit the pre-admission behavior.
-    pub max_in_flight: usize,
 }
 
 /// Typed failure of one SMA optimization run.
@@ -100,9 +94,10 @@ pub enum SmaError {
         /// What was wrong with the request.
         reason: &'static str,
     },
-    /// The service's in-flight budget ([`SmaConfig::max_in_flight`]) is
-    /// spent: `in_flight` sessions are already admitted against a limit
-    /// of `limit`. Backpressure, not failure — retry after redeeming a
+    /// The service's in-flight budget
+    /// ([`SessionService::set_max_in_flight`](mpq_cluster::SessionService::set_max_in_flight))
+    /// is spent: `in_flight` sessions are already admitted against a
+    /// limit of `limit`. Backpressure, not failure — retry after redeeming a
     /// handle, or park with `submit_wait`.
     Overloaded {
         /// Sessions in flight when the submission was refused.
@@ -435,7 +430,6 @@ mod tests {
         let opt = SmaOptimizer::new(SmaConfig {
             faults,
             recv_timeout: Some(Duration::from_millis(20)),
-            ..SmaConfig::default()
         });
         let q = query(7, 18);
         let err = opt

@@ -322,15 +322,16 @@ impl SmaService {
         let protocol = SmaProtocol {
             recv_timeout: config.recv_timeout,
         };
-        let service = SessionService::new(protocol, transport, config.max_in_flight)?;
+        let service = SessionService::new(protocol, transport)?;
         Ok(SmaService(service))
     }
 
     /// Submits `query`: ships `Init` to every replica and dispatches the
     /// first level, then returns with a handle. Subsequent levels are
-    /// driven by `poll` / `wait`. Past [`SmaConfig::max_in_flight`] the
-    /// submission is refused with [`SmaError::Overloaded`] before the
-    /// `Init` broadcast, so it pins no replicas anywhere.
+    /// driven by `poll` / `wait`. Past the admission limit
+    /// ([`SessionService::set_max_in_flight`]) the submission is refused
+    /// with [`SmaError::Overloaded`] before the `Init` broadcast, so it
+    /// pins no replicas anywhere.
     pub fn submit(
         &mut self,
         query: &Query,

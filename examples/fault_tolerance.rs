@@ -95,7 +95,6 @@ fn main() {
     let sma = SmaOptimizer::new(SmaConfig {
         faults,
         recv_timeout: Some(Duration::from_millis(15)),
-        ..SmaConfig::default()
     });
     match sma.try_optimize(&query, PlanSpace::Linear, Objective::Single, workers) {
         Ok(out) => println!(

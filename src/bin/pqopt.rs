@@ -89,8 +89,6 @@ serve options:
   --coalesce        coalesce identical in-flight submissions onto one backend
                     optimization (needs --clients >= 2 and --repeat >= 1)
   --steal           straggler-adaptive work redistribution on the MPQ backend
-  --steal-lag R     lag ratio triggering a steal (default 2, > 1; implies --steal)
-  --steal-min N     unstarted partitions to split a range (default 2, > 0; implies --steal)
   --connect A,B,..  drive already-running `pqopt worker` processes at these
                     addresses (host:port or unix:/path) over real sockets;
                     resident mode only, cluster backends (mpq|sma) only
@@ -113,7 +111,7 @@ struct Options {
     clients: usize,
     backend: Backend,
     cache_bytes: usize,
-    steal: StealPolicy,
+    steal: bool,
     max_in_flight: usize,
     coalesce: bool,
     repeat: usize,
@@ -136,7 +134,7 @@ impl Options {
             clients: 8,
             backend: Backend::Mpq,
             cache_bytes: 0,
-            steal: StealPolicy::DISABLED,
+            steal: false,
             max_in_flight: 0,
             coalesce: false,
             repeat: 0,
@@ -202,25 +200,7 @@ impl Options {
                     }
                     o.repeat = percent;
                 }
-                "--steal" => o.steal.enabled = true,
-                "--steal-lag" => {
-                    let ratio: f64 = value("--steal-lag")?
-                        .parse()
-                        .map_err(|_| "R must be a number".to_string())?;
-                    if !ratio.is_finite() || ratio <= 1.0 {
-                        return Err("--steal-lag must be > 1".into());
-                    }
-                    o.steal.enabled = true;
-                    o.steal.lag_ratio = ratio;
-                }
-                "--steal-min" => {
-                    let min: u64 = parse_num(&value("--steal-min")?)?;
-                    if min == 0 {
-                        return Err("--steal-min must be at least 1".into());
-                    }
-                    o.steal.enabled = true;
-                    o.steal.min_steal = min;
-                }
+                "--steal" => o.steal = true,
                 "--listen" => o.listen = Some(value("--listen")?),
                 "--connect" => {
                     o.connect = value("--connect")?
@@ -349,16 +329,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     }
     let clients = o.clients;
     let queries = serve_workload(o);
-    let config = ServiceConfig {
-        backend: o.backend,
-        workers: o.workers as usize,
-        mpq: MpqConfig::default(),
-        sma: SmaConfig::default(),
-        cache_bytes: o.cache_bytes,
-        steal: o.steal,
-        max_in_flight: o.max_in_flight,
-        coalesce: o.coalesce,
-    };
+    let config = service_config(o, o.workers as usize);
     println!(
         "serving {} queries ({} tables, {:?} graph, {}% repeated) on backend `{}`, {} workers, \
          {} clients, cache {} bytes, steal {}, in-flight limit {}, coalescing {}",
@@ -370,11 +341,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         o.workers,
         clients,
         o.cache_bytes,
-        if o.steal.enabled {
-            format!("on (lag {}x, min {})", o.steal.lag_ratio, o.steal.min_steal)
-        } else {
-            "off".to_string()
-        },
+        if o.steal { "on" } else { "off" },
         if o.max_in_flight > 0 {
             o.max_in_flight.to_string()
         } else {
@@ -449,6 +416,23 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         per_query.as_secs_f64() / resident.as_secs_f64().max(1e-9)
     );
     Ok(())
+}
+
+/// The service `serve` runs over `workers` workers: `--steal` is the MPQ
+/// engine's switch, and `--max-in-flight` the facade's one admission limit.
+fn service_config(o: &Options, workers: usize) -> ServiceConfig {
+    ServiceConfig {
+        backend: o.backend,
+        workers,
+        mpq: MpqConfig {
+            steal: o.steal,
+            ..MpqConfig::default()
+        },
+        sma: SmaConfig::default(),
+        cache_bytes: o.cache_bytes,
+        max_in_flight: o.max_in_flight,
+        coalesce: o.coalesce,
+    }
 }
 
 /// Generates the serve workload: `--queries` queries where `--repeat`
@@ -543,7 +527,8 @@ fn run_resident(
 /// What the resident run did: what it put on the wire per query — the
 /// numbers the benchmark reports as `mpq.msgs_per_query` and
 /// `net_bytes_per_query`, which show how the master placed the stream
-/// (the single-node backends have no network and print no such line) —
+/// (the single-node backends have no network and print no such line) and,
+/// with `--steal`, the steals and worker progress reports behind them —
 /// then what the result cache and the coalescer saved, when enabled.
 fn print_service(service: &OptimizerService, queries: usize, o: &Options) {
     if let Some(net) = service.network_snapshot() {
@@ -553,6 +538,13 @@ fn print_service(service: &OptimizerService, queries: usize, o: &Options) {
             per_query(net.messages),
             per_query(net.total_bytes())
         );
+        if o.steal {
+            println!(
+                "steal: {:.2} steals and {:.2} progress reports per query",
+                per_query(net.steals),
+                per_query(net.progress_reports)
+            );
+        }
     }
     if o.cache_bytes > 0 {
         let cache = service.cache_stats();
@@ -589,16 +581,7 @@ fn parse_addrs(specs: &[String]) -> Result<Vec<pqopt::cluster::WorkerAddr>, Stri
 fn cmd_serve_sockets(o: &Options) -> Result<(), String> {
     let addrs = parse_addrs(&o.connect)?;
     let queries = serve_workload(o);
-    let config = ServiceConfig {
-        backend: o.backend,
-        workers: addrs.len(),
-        mpq: MpqConfig::default(),
-        sma: SmaConfig::default(),
-        cache_bytes: o.cache_bytes,
-        steal: o.steal,
-        max_in_flight: o.max_in_flight,
-        coalesce: o.coalesce,
-    };
+    let config = service_config(o, addrs.len());
     println!(
         "serving {} queries ({} tables, {:?} graph) on backend `{}` over {} socket workers, \
          {} clients",
@@ -814,6 +797,16 @@ mod tests {
         assert!(err.contains("--clients"), "{err}");
         let err = parse(&["--coalesce", "--clients", "4"]).unwrap_err();
         assert!(err.contains("--repeat"), "{err}");
+    }
+
+    /// Stealing is one switch: the tuning flags it once had are unknown.
+    #[test]
+    fn steal_tuning_flags_are_unknown() {
+        assert!(parse(&["--steal"]).unwrap().steal);
+        for flag in ["--steal-lag", "--steal-min"] {
+            let err = parse(&[flag, "2"]).unwrap_err();
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]

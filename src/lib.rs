@@ -79,9 +79,7 @@ pub mod prelude {
         Backend, CoalesceStats, Optimizer, OptimizerService, ServiceConfig, ServiceError,
         ServiceHandle,
     };
-    pub use mpq_algo::{
-        MpqConfig, MpqError, MpqOptimizer, MpqOutcome, MpqService, RetryPolicy, StealPolicy,
-    };
+    pub use mpq_algo::{MpqConfig, MpqError, MpqOptimizer, MpqOutcome, MpqService, RetryPolicy};
     pub use mpq_cluster::{ClusterError, FaultPlan, NetworkMetrics, QueryId};
     pub use mpq_cost::{CostVector, Objective};
     pub use mpq_dp::{optimize_partition, optimize_serial, ParallelPolicy, PartitionOutcome};

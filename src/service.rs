@@ -50,7 +50,7 @@
 // on this path is either removed or individually justified.
 
 use crate::dp::{optimize_partition_topdown, optimize_serial, result_key, PlanCache};
-use crate::mpq::{MpqConfig, MpqError, MpqService, StealPolicy};
+use crate::mpq::{MpqConfig, MpqError, MpqService};
 use crate::plan::Plan;
 use crate::sma::{SmaConfig, SmaError, SmaService};
 use mpq_cluster::{
@@ -107,7 +107,7 @@ pub struct ServiceConfig {
     /// Worker nodes of the resident cluster (ignored by the single-node
     /// backends). Zero means "pick a default" (8).
     pub workers: usize,
-    /// MPQ backend configuration (faults, retry policy).
+    /// MPQ backend configuration (faults, retry policy, the steal switch).
     pub mpq: MpqConfig,
     /// SMA backend configuration (faults, receive timeout).
     pub sma: SmaConfig,
@@ -115,18 +115,12 @@ pub struct ServiceConfig {
     /// the one cache, whatever the backend; see the module docs. `0` (the
     /// default) disables it — bit-for-bit the uncached behavior.
     pub cache_bytes: usize,
-    /// **Straggler-adaptive work redistribution** of the MPQ backend
-    /// (ignored by the others; disabled by default). When enabled, this
-    /// overrides the MPQ engine config's own `steal` policy, so one knob
-    /// governs the service uniformly.
-    pub steal: StealPolicy,
     /// **Admission limit**: most sessions the cluster backends keep in
     /// flight at once. Submissions beyond it fail with
     /// [`ServiceError::Overloaded`]. `0` (the default) means unlimited —
-    /// bit-for-bit the pre-admission behavior. When non-zero, this
-    /// overrides the engine configs' own `max_in_flight`. Coalesced
-    /// followers join an already-admitted flight and therefore never
-    /// consume admission budget.
+    /// bit-for-bit the pre-admission behavior. Coalesced followers join
+    /// an already-admitted flight and therefore never consume admission
+    /// budget.
     pub max_in_flight: usize,
     /// **In-flight coalescing**: when enabled, concurrent submissions
     /// with the same canonical identity (see the module docs) share one
@@ -154,15 +148,6 @@ impl ServiceConfig {
         }
     }
 
-    /// Same service with a straggler-adaptive steal policy (effective on
-    /// the MPQ backend).
-    pub fn with_steal(backend: Backend, workers: usize, steal: StealPolicy) -> ServiceConfig {
-        ServiceConfig {
-            steal,
-            ..ServiceConfig::new(backend, workers)
-        }
-    }
-
     /// Same service with a bounded in-flight budget (`0` = unlimited).
     pub fn with_admission(backend: Backend, workers: usize, max_in_flight: usize) -> ServiceConfig {
         ServiceConfig {
@@ -177,21 +162,6 @@ impl ServiceConfig {
             coalesce: true,
             ..ServiceConfig::new(backend, workers)
         }
-    }
-
-    /// The engine configs with the service-level knobs applied: one
-    /// `steal` / `max_in_flight` setting governs every backend uniformly,
-    /// each winning over the engine config's own value whenever it is set.
-    fn engine_configs(&self) -> (MpqConfig, SmaConfig) {
-        let (mut mpq, mut sma) = (self.mpq, self.sma);
-        if self.steal.enabled {
-            mpq.steal = self.steal;
-        }
-        if self.max_in_flight > 0 {
-            mpq.max_in_flight = self.max_in_flight;
-            sma.max_in_flight = self.max_in_flight;
-        }
-        (mpq, sma)
     }
 }
 
@@ -713,12 +683,11 @@ impl OptimizerService {
         } else {
             config.workers
         };
-        let (mpq, sma) = config.engine_configs();
         let engine = match config.backend {
             Backend::SerialDp => Engine::immediate(ImmediateBackend::SerialDp),
             Backend::TopDown => Engine::immediate(ImmediateBackend::TopDown),
-            Backend::Mpq => Engine::Mpq(MpqService::spawn(workers, mpq)?),
-            Backend::Sma => Engine::Sma(SmaService::spawn(workers, sma)?),
+            Backend::Mpq => Engine::Mpq(MpqService::spawn(workers, config.mpq)?),
+            Backend::Sma => Engine::Sma(SmaService::spawn(workers, config.sma)?),
         };
         Ok(OptimizerService::over(config, engine))
     }
@@ -752,16 +721,22 @@ impl OptimizerService {
         config: ServiceConfig,
         transport: Box<dyn Transport>,
     ) -> Result<OptimizerService, ServiceError> {
-        let (mpq, sma) = config.engine_configs();
         let engine = match config.backend {
             Backend::SerialDp | Backend::TopDown => return Err(NO_TRANSPORT),
-            Backend::Mpq => Engine::Mpq(MpqService::with_transport(transport, mpq)?),
-            Backend::Sma => Engine::Sma(SmaService::with_transport(transport, sma)?),
+            Backend::Mpq => Engine::Mpq(MpqService::with_transport(transport, config.mpq)?),
+            Backend::Sma => Engine::Sma(SmaService::with_transport(transport, config.sma)?),
         };
         Ok(OptimizerService::over(config, engine))
     }
 
-    fn over(config: ServiceConfig, engine: Engine) -> OptimizerService {
+    fn over(config: ServiceConfig, mut engine: Engine) -> OptimizerService {
+        // The one admission limit goes to the engine this service built;
+        // the single-node engines never have a session in flight.
+        match &mut engine {
+            Engine::Immediate { .. } => {}
+            Engine::Mpq(svc) => svc.set_max_in_flight(config.max_in_flight),
+            Engine::Sma(svc) => svc.set_max_in_flight(config.max_in_flight),
+        }
         let flights = config.coalesce || config.cache_bytes > 0;
         OptimizerService {
             backend: config.backend,
@@ -1447,25 +1422,25 @@ mod tests {
         }
     }
 
-    /// The service-level steal override reaches the MPQ backend — with
-    /// stealing enabled, `submit` oversubscribes the partition space so
-    /// ranges have splittable tails — and results stay exact.
+    /// The steal switch (`config.mpq.steal`) reaches the MPQ backend —
+    /// `submit` oversubscribes the partition space, so every range of a
+    /// 6-table query over 3 workers holds at least 2 of its 8 partitions
+    /// and reports progress — and results stay exact.
     #[test]
     fn steal_override_keeps_service_exact() {
         let q = query(6, 12);
         let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans[0]
             .cost()
             .time;
-        let mut svc = OptimizerService::spawn(ServiceConfig::with_steal(
-            Backend::Mpq,
-            3,
-            crate::mpq::StealPolicy::balanced(),
-        ))
-        .expect("spawn");
+        let mut config = ServiceConfig::new(Backend::Mpq, 3);
+        config.mpq.steal = true;
+        let mut svc = OptimizerService::spawn(config).expect("spawn");
         let plans = svc
             .optimize(&q, PlanSpace::Linear, Objective::Single)
             .expect("optimize");
         assert!(bit_eq(plans[0].cost().time, reference));
+        let net = svc.network_snapshot().expect("a cluster backend");
+        assert!(net.progress_reports >= 1, "{net:?}");
         svc.shutdown();
     }
 

@@ -303,7 +303,6 @@ fn mpq_survives_where_sma_fails() {
     let sma = SmaOptimizer::new(SmaConfig {
         faults,
         recv_timeout: Some(Duration::from_millis(20)),
-        ..SmaConfig::default()
     });
     let err = sma
         .try_optimize(&q, PlanSpace::Linear, Objective::Single, 4)

@@ -170,28 +170,24 @@ fn assert_no_violating_subtree(plan: &Plan, x: usize, y: usize, z: usize) {
     }
 }
 
+/// Uneven explicit layouts — ranges sized to heterogeneous workers, and
+/// many partitions per worker — still cover the space exactly.
 #[test]
 fn weighted_and_oversubscribed_match_serial() {
-    let opt = MpqOptimizer::new(MpqConfig::default());
     let q = &queries(10, 1, 8)[0];
     let serial = optimize_serial(q, PlanSpace::Linear, Objective::Single);
-    let weighted = opt.optimize_weighted(
-        q,
-        PlanSpace::Linear,
-        Objective::Single,
-        &[4.0, 2.0, 1.0, 1.0],
-    );
-    assert_bits(
-        weighted.plans[0].cost().time,
-        serial.plans[0].cost().time,
-        "weighted",
-    );
-    let over = opt.optimize_oversubscribed(q, PlanSpace::Linear, Objective::Single, 3, 32);
-    assert_bits(
-        over.plans[0].cost().time,
-        serial.plans[0].cost().time,
-        "oversubscribed",
-    );
+    let mut svc = MpqService::spawn(4, MpqConfig::default()).unwrap();
+    for (what, partitions, layout) in [
+        ("weighted", 4, vec![(0, 2), (2, 1), (3, 1)]),
+        ("oversubscribed", 32, vec![(0, 11), (11, 11), (22, 10)]),
+    ] {
+        let out = svc
+            .submit_assigned(q, PlanSpace::Linear, Objective::Single, partitions, layout)
+            .and_then(|h| svc.wait(h))
+            .unwrap();
+        assert_bits(out.plans[0].cost().time, serial.plans[0].cost().time, what);
+    }
+    svc.shutdown();
 }
 
 #[test]
