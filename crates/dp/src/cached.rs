@@ -14,7 +14,9 @@
 use mpq_cost::Objective;
 use mpq_model::Query;
 use mpq_partition::PlanSpace;
-use mpq_plan::cache::{query_signature, CacheKey, CacheKeyBuilder, MemoCache};
+use mpq_plan::cache::{
+    query_signature, query_signature_with_room, CacheKey, CacheKeyBuilder, MemoCache,
+};
 use mpq_plan::Plan;
 
 /// The cross-query cache of finished results: [`result_key`] → the plans
@@ -37,10 +39,19 @@ pub fn push_scope(b: &mut CacheKeyBuilder, space: PlanSpace, objective: Objectiv
     }
 }
 
+/// Bytes [`push_scope`] appends: a space tag and an objective tag, plus
+/// the α bits of a multi-objective scope.
+fn scope_bytes(objective: Objective) -> usize {
+    match objective {
+        Objective::Single => 2,
+        Objective::Multi { .. } => 10,
+    }
+}
+
 /// The key of a finished result: the query's canonical signature scoped
-/// by plan space and objective.
+/// by plan space and objective, built in one allocation.
 pub fn result_key(query: &Query, space: PlanSpace, objective: Objective) -> CacheKey {
-    let mut b = query_signature(query);
+    let mut b = query_signature_with_room(query, scope_bytes(objective));
     push_scope(&mut b, space, objective);
     b.finish()
 }
@@ -162,6 +173,20 @@ mod tests {
         let (warm, hit) = through(&mut cache, &q, PlanSpace::Linear);
         assert!(hit);
         assert_eq!(warm, cold);
+    }
+
+    /// The key of one fixed 8-table query, pinned: flight-table order and
+    /// the model-check fingerprints depend on the key bytes and their
+    /// hash, so any change to either must be deliberate.
+    #[test]
+    fn result_key_is_pinned_for_a_fixed_query() {
+        let q = query(8, 1);
+        let key = result_key(&q, PlanSpace::Linear, Objective::Single);
+        assert_eq!(key.bytes().len(), 296);
+        assert_eq!(key.hash(), 0x8e0b_80f2_1070_121f);
+        let multi = result_key(&q, PlanSpace::Bushy, Objective::Multi { alpha: 2.0 });
+        assert_eq!(multi.bytes().len(), 304);
+        assert_eq!(multi.hash(), 0xfa75_81bb_b5eb_8c89);
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //!   append a scope — plan space and objective — so entries are only ever
 //!   served to byte-identical requests.
 //! * [`MemoCache`] — a byte-budgeted LRU map from keys to cached values
-//!   (`Vec<Plan>`: the service facade's finished results). A budget of
-//!   zero disables the cache entirely, which is the default everywhere:
-//!   caching is opt-in.
-//! * [`CacheStats`] — hit/miss/eviction/bytes-saved counters surfaced
-//!   through the service layer.
+//!   (`Vec<Plan>`: the service facade's finished results) with a
+//!   second-request admission rule once full: a key the cache has not
+//!   refused before is refused once, its hash remembered in a small
+//!   *ghost list*, and admitted — evicting the LRU entry — on its next
+//!   insert. One-time queries then never displace results that repeat. A
+//!   budget of zero disables the cache entirely, which is the default
+//!   everywhere: caching is opt-in.
+//! * [`CacheStats`] — hit/miss/eviction/declined/bytes-saved counters
+//!   surfaced through the service layer.
 //!
 //! **Transparency contract.** A cache hit must be byte-identical to
 //! recomputation. Three design rules enforce this: keys store their full
@@ -33,7 +37,7 @@
 
 use crate::tree::Plan;
 use mpq_model::Query;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Version of the cost-model parameters baked into every cache key. Bump
 /// this whenever a cost formula or operator constant changes, so caches
@@ -80,6 +84,14 @@ impl CacheKeyBuilder {
         CacheKeyBuilder::default()
     }
 
+    /// Starts an empty key with room for `bytes` canonical bytes, so a
+    /// key whose length is known up front is built in one allocation.
+    pub fn with_capacity(bytes: usize) -> CacheKeyBuilder {
+        CacheKeyBuilder {
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends one byte.
     pub fn push_u8(&mut self, v: u8) {
         self.bytes.push(v);
@@ -120,7 +132,16 @@ impl CacheKeyBuilder {
 /// results — but predicate *order* is preserved, because selectivity
 /// products are floating-point and therefore rounding-order sensitive.
 pub fn query_signature(query: &Query) -> CacheKeyBuilder {
-    let mut b = CacheKeyBuilder::new();
+    query_signature_with_room(query, 0)
+}
+
+/// [`query_signature`] with room reserved for `scope_bytes` more bytes:
+/// the whole key, signature and scope, then takes one allocation.
+pub fn query_signature_with_room(query: &Query, scope_bytes: usize) -> CacheKeyBuilder {
+    // Three u64 headers, three f64 statistics per table, the predicate
+    // count, and two endpoint bytes plus an f64 per predicate.
+    let len = 3 * 8 + 24 * query.num_tables() + 8 + 10 * query.predicates.len();
+    let mut b = CacheKeyBuilder::with_capacity(len + scope_bytes);
     b.push_u64(COST_MODEL_VERSION);
     b.push_u64(query.catalog.epoch());
     b.push_u64(query.num_tables() as u64);
@@ -167,6 +188,10 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Values evicted to stay within the byte budget.
     pub evictions: u64,
+    /// Inserts refused by the admission rule: the cache was full and the
+    /// key had not been refused before, so its hash went onto the ghost
+    /// list instead of evicting anything.
+    pub declined: u64,
     /// Inserts skipped because the value alone exceeded the whole byte
     /// budget (distinct from evictions: nothing resident was displaced).
     pub skipped_inserts: u64,
@@ -201,19 +226,39 @@ struct Slot<V> {
 }
 
 /// A byte-budgeted LRU cache from canonical [`CacheKey`]s to finished memo
-/// values. Single-owner by design: the service cache lives inside one
-/// service — no locking.
+/// values, with second-request admission once full. Single-owner by
+/// design: the service cache lives inside one service — no locking.
+///
+/// **Admission.** While the budget has room every insert is admitted.
+/// Once an insert of a key that is not resident would force an eviction,
+/// the key is admitted only if its hash is on the *ghost list* — the
+/// hashes of keys refused before. An admitted hash leaves the list and
+/// LRU eviction makes room as usual; any other key is refused
+/// ([`CacheStats::declined`]), its hash is appended to the list, and
+/// nothing resident moves. A value asked for once while the cache is full
+/// therefore never displaces one that repeats.
+///
+/// The ghost list holds hashes only, first in first out, with exact
+/// membership, and never more of them than there are resident entries.
+/// Like the resident key bytes and the LRU order map, it is not charged
+/// to the byte budget. A hash collision can change an admission decision,
+/// never a served value: lookups compare the full key bytes.
 pub struct MemoCache<V> {
     budget: usize,
     map: HashMap<u64, Slot<V>>,
     /// LRU order: tick → key hash. Ticks are unique (monotone counter).
     order: BTreeMap<u64, u64>,
+    /// Hashes of refused keys, oldest first. A linear scan finds one: the
+    /// list is never longer than the resident entry count, and a scan
+    /// runs only on an insert into a full cache, after a miss.
+    ghost: VecDeque<u64>,
     tick: u64,
     bytes: usize,
     hits: u64,
     misses: u64,
     insertions: u64,
     evictions: u64,
+    declined: u64,
     skipped_inserts: u64,
     bytes_saved: u64,
 }
@@ -227,12 +272,14 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
             budget: budget_bytes,
             map: HashMap::new(),
             order: BTreeMap::new(),
+            ghost: VecDeque::new(),
             tick: 0,
             bytes: 0,
             hits: 0,
             misses: 0,
             insertions: 0,
             evictions: 0,
+            declined: 0,
             skipped_inserts: 0,
             bytes_saved: 0,
         }
@@ -268,10 +315,12 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
     }
 
     /// Inserts `value` under `key`, evicting least-recently-used entries
-    /// until the byte budget holds. Values heavier than the whole budget
-    /// are not stored. A colliding hash with different canonical bytes
-    /// replaces the resident entry (keeps the map one-value-per-hash and
-    /// is vanishingly rare with 64-bit hashes).
+    /// until the byte budget holds — unless the admission rule (see the
+    /// type docs) declines a key that would force an eviction. Values
+    /// heavier than the whole budget are not stored. A resident hash
+    /// bypasses admission: its entry is replaced, even by a colliding
+    /// hash with different canonical bytes (keeps the map
+    /// one-value-per-hash and is vanishingly rare with 64-bit hashes).
     pub fn insert(&mut self, key: CacheKey, value: V) {
         if !self.is_enabled() {
             return;
@@ -281,6 +330,13 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
             // An oversize value is a *skip*, not an eviction: nothing
             // resident is displaced and the byte counter must not move.
             self.skipped_inserts += 1;
+            return;
+        }
+        if !self.map.contains_key(&key.hash)
+            && self.bytes + weight > self.budget
+            && !self.admit_from_ghost(key.hash)
+        {
+            self.declined += 1;
             return;
         }
         if let Some(old) = self.map.remove(&key.hash) {
@@ -315,6 +371,27 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
             self.bytes -= evicted.weight;
             self.evictions += 1;
         }
+        // Evictions may leave fewer residents than remembered hashes.
+        let excess = self.ghost.len().saturating_sub(self.map.len());
+        self.ghost.drain(..excess);
+    }
+
+    /// The admission decision for a key whose insert would force an
+    /// eviction: `true` if its hash was refused before (it leaves the
+    /// ghost list), else `false` with the hash remembered — oldest one
+    /// out first if the list already matches the resident count.
+    fn admit_from_ghost(&mut self, hash: u64) -> bool {
+        if let Some(at) = self.ghost.iter().position(|&h| h == hash) {
+            self.ghost.remove(at);
+            return true;
+        }
+        // The cache is full, so it holds at least one entry and the
+        // list keeps room for this hash after dropping the oldest.
+        if self.ghost.len() >= self.map.len() {
+            self.ghost.pop_front();
+        }
+        self.ghost.push_back(hash);
+        false
     }
 
     /// Current counters.
@@ -324,6 +401,7 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
             misses: self.misses,
             insertions: self.insertions,
             evictions: self.evictions,
+            declined: self.declined,
             skipped_inserts: self.skipped_inserts,
             entries: self.map.len() as u64,
             bytes: self.bytes as u64,
@@ -408,12 +486,149 @@ mod tests {
         c.insert(key(2), plan(2.0));
         // Touch 1 so 2 becomes the LRU victim.
         assert!(c.get(&key(1)).is_some());
+        // The full cache declines 3's first sighting and admits its
+        // second, which evicts the LRU entry.
+        c.insert(key(3), plan(3.0));
+        assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         c.insert(key(3), plan(3.0));
         assert!(c.get(&key(2)).is_none(), "2 was least recently used");
         assert!(c.get(&key(1)).is_some());
         assert!(c.get(&key(3)).is_some());
         assert_eq!(c.stats().evictions, 1);
         assert!(c.stats().bytes <= c.stats().capacity_bytes);
+    }
+
+    /// A full cache fed keys that never repeat keeps every resident
+    /// entry: each one-time key is declined, nothing is evicted.
+    #[test]
+    fn full_cache_declines_keys_that_never_repeat() {
+        let weight = plan(0.0).weight_bytes();
+        let mut c: MemoCache<Vec<Plan>> = MemoCache::new(3 * weight);
+        for tag in 0..3u64 {
+            c.insert(key(tag), plan(tag as f64));
+        }
+        const N: u64 = 40;
+        for tag in 100..100 + N {
+            c.insert(key(tag), plan(tag as f64));
+        }
+        let s = c.stats();
+        assert_eq!((s.declined, s.evictions), (N, 0));
+        assert_eq!((s.insertions, s.entries), (3, 3));
+        assert_eq!(s.bytes, 3 * weight as u64);
+        for tag in 0..3u64 {
+            assert!(c.get(&key(tag)).is_some(), "hot key {tag} survived");
+        }
+        for tag in 100..100 + N {
+            assert!(
+                c.get(&key(tag)).is_none(),
+                "one-time key {tag} was declined"
+            );
+        }
+    }
+
+    /// A declined key's second insert is admitted and evicts the LRU
+    /// entry; its hash leaves the ghost list, so once evicted again it
+    /// must be refused once more before it returns.
+    #[test]
+    fn declined_key_is_admitted_on_its_second_insert() {
+        let weight = plan(0.0).weight_bytes();
+        let mut c: MemoCache<Vec<Plan>> = MemoCache::new(2 * weight);
+        c.insert(key(1), plan(1.0));
+        c.insert(key(2), plan(2.0));
+        c.insert(key(3), plan(3.0));
+        assert!(c.get(&key(3)).is_none(), "first sighting declined");
+        assert_eq!(Vec::from(c.ghost.clone()), vec![key(3).hash()]);
+        c.insert(key(3), plan(3.0));
+        assert!(c.ghost.is_empty(), "the admitted hash left the list");
+        assert!(c.get(&key(1)).is_none(), "1 was least recently used");
+        assert_eq!(c.get(&key(3)).unwrap()[0].cost().time, 3.0);
+        // 2 is now the LRU entry: 4 evicts it on its second insert.
+        c.insert(key(4), plan(4.0));
+        c.insert(key(4), plan(4.0));
+        assert!(c.get(&key(2)).is_none());
+        // 1 was admitted before, but its hash is no longer remembered.
+        c.insert(key(1), plan(1.0));
+        assert!(
+            c.get(&key(1)).is_none(),
+            "a returning key is declined again"
+        );
+        let s = c.stats();
+        assert_eq!((s.declined, s.evictions, s.insertions), (3, 2, 4));
+    }
+
+    /// The ghost list is first in first out and never holds more hashes
+    /// than there are resident entries — also after one admission evicts
+    /// several entries.
+    #[test]
+    fn ghost_list_never_outgrows_the_resident_entries() {
+        let weight = plan(0.0).weight_bytes();
+        let mut c: MemoCache<Vec<Plan>> = MemoCache::new(4 * weight);
+        let check = |c: &MemoCache<Vec<Plan>>| {
+            assert!(
+                c.ghost.len() <= c.map.len(),
+                "{} > {}",
+                c.ghost.len(),
+                c.map.len()
+            );
+        };
+        for tag in 0..4u64 {
+            c.insert(key(tag), plan(tag as f64));
+            check(&c);
+        }
+        for tag in 10..20u64 {
+            c.insert(key(tag), plan(tag as f64));
+            check(&c);
+        }
+        let newest: Vec<u64> = (16..20u64).map(|t| key(t).hash()).collect();
+        assert_eq!(
+            Vec::from(c.ghost.clone()),
+            newest,
+            "the oldest hashes left first"
+        );
+        // A two-plan value needs two evictions once admitted.
+        let big = || vec![plan(1.0)[0].clone(), plan(2.0)[0].clone()];
+        assert!(big().weight_bytes() > weight && big().weight_bytes() <= 2 * weight);
+        c.insert(key(50), big());
+        check(&c);
+        c.insert(key(50), big());
+        check(&c);
+        let s = c.stats();
+        assert_eq!((s.entries, s.evictions), (3, 2));
+        assert_eq!(c.ghost.len(), 3, "trimmed to the three residents");
+    }
+
+    /// Re-inserting a resident key replaces it without an admission
+    /// decision, even when the heavier value forces an eviction.
+    #[test]
+    fn reinserting_a_resident_key_bypasses_admission() {
+        let weight = plan(0.0).weight_bytes();
+        let mut c: MemoCache<Vec<Plan>> = MemoCache::new(2 * weight);
+        c.insert(key(1), plan(1.0));
+        c.insert(key(2), plan(2.0));
+        c.insert(key(1), plan(10.0));
+        assert_eq!(c.get(&key(1)).unwrap()[0].cost().time, 10.0);
+        let heavier = vec![plan(20.0)[0].clone(), plan(21.0)[0].clone()];
+        c.insert(key(2), heavier);
+        let s = c.stats();
+        assert_eq!((s.declined, s.evictions, s.entries), (0, 1, 1));
+        assert!(c.get(&key(1)).is_none(), "1 made room for the heavier 2");
+        assert_eq!(c.get(&key(2)).unwrap().len(), 2);
+        assert!(c.ghost.is_empty());
+    }
+
+    /// While the budget has room every key is admitted the first time it
+    /// is seen — the cache behaves exactly like a plain LRU.
+    #[test]
+    fn cache_with_room_admits_a_key_on_first_sight() {
+        let weight = plan(0.0).weight_bytes();
+        let mut c: MemoCache<Vec<Plan>> = MemoCache::new(3 * weight);
+        for tag in 0..3u64 {
+            c.insert(key(tag), plan(tag as f64));
+            assert!(c.get(&key(tag)).is_some(), "key {tag} admitted at once");
+        }
+        let s = c.stats();
+        assert_eq!((s.insertions, s.declined, s.evictions), (3, 0, 0));
+        assert!(c.ghost.is_empty());
     }
 
     #[test]
@@ -463,6 +678,7 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.skipped_inserts, 1, "the oversize insert is a skip");
         assert_eq!(s.evictions, 0, "nothing resident was displaced");
+        assert_eq!(s.declined, 0, "a skip is not an admission decision");
         assert_eq!(s.entries, resident.entries);
         assert_eq!(s.bytes, resident.bytes);
         assert!(c.get(&key(1)).is_some(), "the resident entry survived");
@@ -470,14 +686,15 @@ mod tests {
 
     /// Regression (ISSUE 5 satellite): across evict-to-fit loops the
     /// stats stay exact — bytes equal the sum of resident weights, and
-    /// insertions balance against evictions plus residents.
+    /// insertions balance against evictions plus residents. Once the
+    /// cache is full a key's first insert is declined, so each declined
+    /// key is inserted again, and that second insert evicts the LRU entry.
     #[test]
     fn stats_stay_exact_across_evict_to_fit_loops() {
         let weight = plan(0.0).weight_bytes();
         // Room for three single-plan values.
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(3 * weight + weight / 2);
-        for tag in 0..50u64 {
-            c.insert(key(tag), plan(tag as f64));
+        let check = |c: &MemoCache<Vec<Plan>>, tag: u64| {
             let s = c.stats();
             assert!(s.bytes <= s.capacity_bytes, "budget holds at tag {tag}");
             assert_eq!(
@@ -490,10 +707,23 @@ mod tests {
                 s.evictions + s.entries,
                 "every insert is resident or evicted at tag {tag}"
             );
+        };
+        for tag in 0..50u64 {
+            let declined = c.stats().declined;
+            c.insert(key(tag), plan(tag as f64));
+            check(&c, tag);
+            if c.stats().declined > declined {
+                c.insert(key(tag), plan(tag as f64));
+                check(&c, tag);
+            }
         }
         let s = c.stats();
         assert_eq!(s.entries, 3);
         assert_eq!(s.evictions, 47);
+        assert_eq!(
+            s.declined, 47,
+            "one refusal per key that found the cache full"
+        );
         assert_eq!(s.skipped_inserts, 0);
         // The three newest keys survive, LRU order intact.
         for tag in 47..50u64 {
@@ -522,6 +752,24 @@ mod tests {
             TableStats::with_cardinality(30.0),
         ]);
         assert_ne!(sig(&base), sig(&mutated));
+    }
+
+    /// The signature's reserved length is exact: a key built with room
+    /// for its scope never reallocates and fills its capacity.
+    #[test]
+    fn signature_reserves_its_exact_length() {
+        let q = query(&[(0, 1, 0.5), (1, 2, 0.25)], 0);
+        let mut b = query_signature_with_room(&q, 9);
+        let reserved = b.bytes.capacity();
+        b.push_u8(1);
+        b.push_u64(2);
+        assert_eq!(b.bytes.capacity(), reserved, "no reallocation");
+        assert_eq!(b.bytes.len(), 3 * 8 + 3 * 24 + 8 + 2 * 10 + 9);
+        assert!(reserved < b.bytes.len() + 8, "no generous over-reservation");
+        assert_eq!(
+            query_signature(&q).finish().bytes().len(),
+            b.bytes.len() - 9
+        );
     }
 
     #[test]

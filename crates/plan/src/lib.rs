@@ -28,7 +28,10 @@ pub mod entry;
 pub mod pruning;
 pub mod tree;
 
-pub use cache::{query_signature, CacheKey, CacheKeyBuilder, CacheStats, CacheWeight, MemoCache};
+pub use cache::{
+    query_signature, query_signature_with_room, CacheKey, CacheKeyBuilder, CacheStats, CacheWeight,
+    MemoCache,
+};
 pub use entry::{PlanEntry, PlanNode};
 pub use pruning::PruningPolicy;
 pub use tree::Plan;

@@ -549,11 +549,13 @@ fn print_service(service: &OptimizerService, queries: usize, o: &Options) {
     if o.cache_bytes > 0 {
         let cache = service.cache_stats();
         println!(
-            "cache: {} hits / {} misses ({:.0}% hit rate), ~{} bytes of results served \
-             without a message",
+            "cache: {} hits / {} misses ({:.0}% hit rate), {} evictions / {} declined \
+             admissions, ~{} bytes of results served without a message",
             cache.hits,
             cache.misses,
             cache.hit_rate() * 100.0,
+            cache.evictions,
+            cache.declined,
             cache.bytes_saved
         );
     }

@@ -36,15 +36,21 @@
 //! reaped through the regular abandoned-handle machinery.
 //!
 //! **The result cache** ([`ServiceConfig::cache_bytes`]) is the one
-//! cross-query cache of every backend: an LRU of finished results under
-//! the same key. `submit` probes it before the engine, and a hit is a
-//! flight resolved at birth with one member — it sends no message, takes
-//! no admission budget, and redeems, polls and drops like any other
-//! handle. A result enters the cache when its flight is first redeemed,
-//! and only if it is `Ok`. A hit is the answer the backend would give
-//! now: a single-objective answer is the serial optimum under any cut,
-//! and a multi-objective frontier's cut is fixed within one service by
-//! the table count, the plan space and the resident worker count.
+//! cross-query cache of every backend: a byte-budgeted LRU of finished
+//! results under the same key, a [`PlanCache`]. `submit` probes it before
+//! the engine, and a hit is a flight resolved at birth with one member —
+//! it sends no message, takes no admission budget, and redeems, polls and
+//! drops like any other handle. A result is offered to the cache when its
+//! flight is first redeemed, and only if it is `Ok`. While the budget has
+//! room every offer is admitted; once it is full, a result is admitted on
+//! its key's second offer, evicting the LRU entry, and a first offer is
+//! declined and only remembered (see [`MemoCache`](mpq_plan::MemoCache)) —
+//! so a query seen once never displaces results that repeat, and
+//! [`CacheStats::declined`] counts the refusals. A hit is the answer the
+//! backend would give now: a single-objective answer is the serial
+//! optimum under any cut, and a multi-objective frontier's cut is fixed
+//! within one service by the table count, the plan space and the
+//! resident worker count.
 
 // A server facade must never abort on caller error: every unwrap/expect
 // on this path is either removed or individually justified.
@@ -111,9 +117,10 @@ pub struct ServiceConfig {
     pub mpq: MpqConfig,
     /// SMA backend configuration (faults, receive timeout).
     pub sma: SmaConfig,
-    /// Byte budget of the service's **cross-query result cache** (LRU) —
-    /// the one cache, whatever the backend; see the module docs. `0` (the
-    /// default) disables it — bit-for-bit the uncached behavior.
+    /// Byte budget of the service's **cross-query result cache** — the one
+    /// cache, whatever the backend: an LRU that, once full, admits a
+    /// result on its second offer; see the module docs. `0` (the default)
+    /// disables it — bit-for-bit the uncached behavior.
     pub cache_bytes: usize,
     /// **Admission limit**: most sessions the cluster backends keep in
     /// flight at once. Submissions beyond it fail with
@@ -1086,6 +1093,41 @@ mod tests {
         svc.shutdown();
         for worker in workers {
             worker.join().unwrap().expect("the worker ends cleanly");
+        }
+    }
+
+    /// A full cache keeps what repeats: with room for two results, two
+    /// hot queries interleaved with a scan of distinct ones keep hitting —
+    /// every scan result is declined instead of evicting a hot one — and
+    /// every answer is `to_bits`-equal to an uncached service's.
+    #[test]
+    fn full_cache_keeps_hot_results_through_a_scan() {
+        let hot = [query(5, 60), query(5, 61)];
+        let weight = optimize_serial(&hot[0], PlanSpace::Linear, Objective::Single)
+            .plans
+            .weight_bytes();
+        const ROUNDS: u64 = 8;
+        for backend in Backend::ALL {
+            let ctx = format!("backend {}", backend.name());
+            let config = ServiceConfig::with_cache(backend, 2, 2 * weight + weight / 2);
+            let mut svc = OptimizerService::spawn(config).expect("spawn");
+            let mut uncached = OptimizerService::spawn(ServiceConfig::new(backend, 2)).unwrap();
+            for round in 0..ROUNDS {
+                let scan = query(5, 100 + round);
+                for q in [&hot[0], &hot[1], &scan] {
+                    let got = svc.optimize(q, PlanSpace::Linear, Objective::Single);
+                    let want = uncached.optimize(q, PlanSpace::Linear, Objective::Single);
+                    assert_eq!(cost_bits(&got.unwrap()), cost_bits(&want.unwrap()), "{ctx}");
+                }
+            }
+            let stats = svc.cache_stats();
+            // The hot pair misses once each, then hits every round after.
+            assert_eq!(stats.hits, 2 * (ROUNDS - 1), "{ctx}");
+            assert_eq!(stats.misses, 2 + ROUNDS, "{ctx}");
+            assert_eq!((stats.declined, stats.evictions), (ROUNDS, 0), "{ctx}");
+            assert_eq!(stats.entries, 2, "{ctx}");
+            svc.shutdown();
+            uncached.shutdown();
         }
     }
 
