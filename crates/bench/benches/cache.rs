@@ -7,7 +7,8 @@
 //! cannot evict a result that repeats. The stream has the shape of
 //! `benchmark/`'s `stream_zipf`: 64 hot 8-table `paper_default` queries
 //! drawn Zipf(s = 1.1), plus 5 % fresh cold queries that never recur,
-//! against a 48 KiB budget (49 results). Each submission is keyed and
+//! against a 19 KiB budget (49 results of 390 B: a 94 B plan and its
+//! 296 B key). Each submission is keyed and
 //! probed, and on a miss the serial optimum is offered to the cache — the
 //! facade's probe-then-insert order with one query in flight. Every id is
 //! an exact count: `cache_misses` is the number of submissions that need
@@ -25,7 +26,7 @@ const TABLES: usize = 8;
 const HOT: usize = 64;
 const ZIPF_S: f64 = 1.1;
 const COLD_SHARE: f64 = 0.05;
-const BUDGET: usize = 48 * 1024;
+const BUDGET: usize = 19 * 1024;
 
 /// SplitMix64: a seeded, dependency-free source for the Zipf draws.
 struct Rng(u64);
@@ -103,7 +104,7 @@ fn main() {
         .exact("cache_declined", "count", stats.declined as f64)
         .exact("cache_evictions", "count", stats.evictions as f64);
     print_table(
-        "result cache on a Zipf(1.1) stream: 64 hot 8-table queries + 5 % cold, 48 KiB",
+        "result cache on a Zipf(1.1) stream: 64 hot 8-table queries + 5 % cold, 19 KiB",
         &[
             "submissions",
             "cold",

@@ -13,7 +13,7 @@ use mpq_cost::{CostVector, JoinOp, Objective, Order, ScanOp};
 use mpq_dp::WorkerStats;
 use mpq_model::{Catalog, JoinGraph, Predicate, Query, TableSet, TableStats};
 use mpq_partition::PlanSpace;
-use mpq_plan::{Plan, PlanEntry, PlanNode};
+use mpq_plan::{Plan, PlanEntry, PlanError, PlanNode, PlanOp};
 use std::fmt;
 
 /// Error produced when decoding a malformed or truncated message.
@@ -62,6 +62,11 @@ pub enum DecodeError {
         /// Its value, as bits.
         bits: u64,
     },
+    /// A plan's operators were not one tree ([`Plan::validate`]): none at
+    /// all, a join short of an operand, more than one root, or a table
+    /// scanned twice. (A table index past 64 is
+    /// [`DecodeError::IndexOutOfRange`].)
+    PlanShape(PlanError),
     /// [`Wire::from_bytes`] decoded a whole value and this many bytes were
     /// left over: the buffer is not one message.
     TrailingBytes(usize),
@@ -99,6 +104,7 @@ impl fmt::Display for DecodeError {
                 "query statistic {field} = {} is not one a catalog can have",
                 f64::from_bits(*bits)
             ),
+            DecodeError::PlanShape(e) => write!(f, "malformed plan: {e}"),
             DecodeError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after a complete message")
             }
@@ -411,7 +417,9 @@ pub const fn tags_unique(tags: &[u8]) -> bool {
 ///
 /// * `struct T { field: Ty, … }` — the fields in wire order, each through
 ///   its own `Wire` impl (`0: Ty` names a tuple field). `struct T fixed`
-///   also implements [`FixedSize`], every field's type having a size.
+///   also implements [`FixedSize`], every field's type having a size;
+///   `struct T check guard` runs `guard(&T) -> Result<(), DecodeError>`
+///   on each decoded value.
 /// * `enum T { tag => Variant { field: Ty, … }, tag => Variant(x: Ty),
 ///   tag => Variant, … }` — one tag byte, then the variant's fields. An
 ///   undeclared tag decodes to [`DecodeError::BadTag`] naming `T`; the
@@ -474,7 +482,7 @@ macro_rules! wire {
             const SIZE: usize = 0 $(+ <$ty as $crate::codec::FixedSize>::SIZE)*;
         }
     };
-    (@impl struct $T:ident [] { $($f:tt : $ty:ty),* $(,)? }) => {
+    (@impl struct $T:ident [$(check $guard:path)?] { $($f:tt : $ty:ty),* $(,)? }) => {
         const _: () = {
             use $crate::codec::{DecodeError, Decoder, Encoder, Wire};
             impl Wire for $T {
@@ -482,7 +490,8 @@ macro_rules! wire {
                     $(<$ty as Wire>::encode(&self.$f, enc);)*
                 }
                 fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-                    Ok($T { $($f: <$ty as Wire>::decode(dec)?),* })
+                    $crate::wire!(@checked [$($guard)?]
+                        Ok::<$T, DecodeError>($T { $($f: <$ty as Wire>::decode(dec)?),* }))
                 }
             }
         };
@@ -674,15 +683,6 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Wire> Wire for Box<T> {
-    fn encode(&self, enc: &mut Encoder) {
-        T::encode(self, enc);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        T::decode(dec).map(Box::new)
-    }
-}
-
 impl Wire for Predicate {
     fn encode(&self, enc: &mut Encoder) {
         // Table indices are one byte on the wire but `usize` in memory;
@@ -772,10 +772,24 @@ fn valid_alpha(objective: &Objective) -> Result<(), DecodeError> {
     }
 }
 
+/// A decoded plan must be one operator tree over distinct tables a
+/// [`TableSet`] can hold: every consumer — the master's final prune, the
+/// executor, `explain` — walks it as one.
+fn valid_plan(plan: &Plan) -> Result<(), DecodeError> {
+    match plan.validate() {
+        Ok(()) => Ok(()),
+        Err(PlanError::TableOutOfRange { table }) => Err(DecodeError::IndexOutOfRange {
+            index: table,
+            ty: "Plan",
+        }),
+        Err(e) => Err(DecodeError::PlanShape(e)),
+    }
+}
+
 wire! {
     /// Every non-generic wire type of this crate, as declared here:
     /// `mpq_algo` and `mpq_sma` list their messages the same way.
-    /// (`Vec<T>` is a `u32` count then the elements; `Box<T>` is `T`.)
+    /// (`Vec<T>` is a `u32` count then the elements.)
     pub const WIRE_TYPES;
 
     extern u8 { "one byte" }
@@ -807,17 +821,8 @@ wire! {
     enum JoinOp { 0 => NestedLoop, 1 => Hash, 2 => SortMerge }
     enum PlanSpace { 0 => Linear, 1 => Bushy }
     enum Objective check valid_alpha { 0 => Single, 1 => Multi { alpha: f64 } }
-    enum Plan {
-        0 => Scan { table: u8, op: ScanOp, cost: CostVector, cardinality: f64 },
-        1 => Join {
-            op: JoinOp,
-            cost: CostVector,
-            cardinality: f64,
-            order: Order,
-            left: Box<Plan>,
-            right: Box<Plan>
-        }
-    }
+    struct Plan check valid_plan { cost: CostVector, ops: Vec<PlanOp> }
+    enum PlanOp { 0 => Scan { table: u8, op: ScanOp }, 1 => Join { op: JoinOp } }
     enum PlanNode {
         0 => Scan { table: u8, op: ScanOp },
         1 => Join { op: JoinOp, left: TableSet, left_idx: u32, right: TableSet, right_idx: u32 }
@@ -888,6 +893,140 @@ mod tests {
         let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 8).next_query();
         let out = mpq_dp::optimize_serial(&q, PlanSpace::Bushy, Objective::Single);
         roundtrip(&out.plans[0]);
+    }
+
+    /// The bytes of a plan whose cost is zero and whose operators are
+    /// `ops`, written field by field: what a hostile peer could send.
+    fn plan_bytes(ops: &[&[u8]]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        CostVector::ZERO.encode(&mut enc);
+        enc.put_len(ops.len());
+        for op in ops {
+            for &b in *op {
+                enc.put_u8(b);
+            }
+        }
+        enc.finish().to_vec()
+    }
+
+    const JOIN: &[u8] = &[1, 1];
+
+    fn scan(table: u8) -> [u8; 3] {
+        [0, table, 0]
+    }
+
+    #[test]
+    fn plan_with_no_operators_is_rejected() {
+        assert_eq!(
+            Plan::from_bytes(&plan_bytes(&[])),
+            Err(DecodeError::PlanShape(PlanError::Empty))
+        );
+    }
+
+    #[test]
+    fn plan_join_short_of_an_operand_is_rejected() {
+        assert_eq!(
+            Plan::from_bytes(&plan_bytes(&[&scan(0), JOIN])),
+            Err(DecodeError::PlanShape(PlanError::MissingOperand { at: 1 }))
+        );
+        assert_eq!(
+            Plan::from_bytes(&plan_bytes(&[JOIN])),
+            Err(DecodeError::PlanShape(PlanError::MissingOperand { at: 0 }))
+        );
+    }
+
+    #[test]
+    fn plan_with_two_roots_is_rejected() {
+        assert_eq!(
+            Plan::from_bytes(&plan_bytes(&[&scan(0), &scan(1), &scan(2), JOIN])),
+            Err(DecodeError::PlanShape(PlanError::ExtraRoots { roots: 2 }))
+        );
+    }
+
+    #[test]
+    fn plan_scanning_a_table_twice_is_rejected() {
+        assert_eq!(
+            Plan::from_bytes(&plan_bytes(&[&scan(3), &scan(3), JOIN])),
+            Err(DecodeError::PlanShape(PlanError::RepeatedTable {
+                table: 3
+            }))
+        );
+    }
+
+    #[test]
+    fn plan_table_past_the_wire_limit_is_rejected() {
+        for index in [64, 0xFF] {
+            assert_eq!(
+                Plan::from_bytes(&plan_bytes(&[&scan(index)])),
+                Err(DecodeError::IndexOutOfRange { index, ty: "Plan" })
+            );
+        }
+        assert!(Plan::from_bytes(&plan_bytes(&[&scan(63)])).is_ok());
+    }
+
+    #[test]
+    fn plan_operator_with_an_unknown_tag_is_rejected() {
+        assert_eq!(
+            Plan::from_bytes(&plan_bytes(&[&scan(0), &[2, 1]])),
+            Err(DecodeError::BadTag {
+                tag: 2,
+                ty: "PlanOp"
+            })
+        );
+        assert_eq!(
+            Plan::from_bytes(&plan_bytes(&[&scan(0), &scan(1), &[1, 3]])),
+            Err(DecodeError::BadTag {
+                tag: 3,
+                ty: "JoinOp"
+            })
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A DP plan of either space and any of the three objectives comes
+        /// back off the wire equal to what was sent, cost bits included.
+        #[test]
+        fn dp_plans_roundtrip_exactly(
+            n in 1usize..=8,
+            seed in 0u64..1000,
+            bushy in proptest::prelude::any::<bool>(),
+            objective in 0usize..3,
+        ) {
+            let q = WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query();
+            let space = if bushy { PlanSpace::Bushy } else { PlanSpace::Linear };
+            let objective = [
+                Objective::Single,
+                Objective::Multi { alpha: 1.0 },
+                Objective::Multi { alpha: 2.0 },
+            ][objective];
+            let plans = mpq_dp::optimize_serial(&q, space, objective).plans;
+            let back = Vec::<Plan>::from_bytes(&plans.to_bytes()).expect("a DP plan decodes");
+            proptest::prop_assert_eq!(&back, &plans);
+            for (b, p) in back.iter().zip(&plans) {
+                proptest::prop_assert_eq!(b.cost.time.to_bits(), p.cost.time.to_bits());
+                proptest::prop_assert_eq!(b.cost.buffer.to_bits(), p.cost.buffer.to_bits());
+            }
+        }
+    }
+
+    /// Theorem 1's `b_p`, exactly: a plan over `n` tables is its root
+    /// cost (16 B), a `u32` operator count, `n` scans of 3 B and `n - 1`
+    /// joins of 2 B — `5n + 18` bytes, whatever the space or objective.
+    #[test]
+    fn every_dp_plan_of_n_tables_encodes_to_5n_plus_18_bytes() {
+        for n in 1..=9 {
+            let q = WorkloadGenerator::new(WorkloadConfig::paper_default(n), 40 + n as u64)
+                .next_query();
+            for space in [PlanSpace::Linear, PlanSpace::Bushy] {
+                for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
+                    for p in mpq_dp::optimize_serial(&q, space, objective).plans {
+                        assert_eq!(p.to_bytes().len(), 5 * n + 18, "{n} tables: {p}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use mpq_cost::{CostVector, JoinOp, Objective, Order, ScanOp};
 use mpq_dp::WorkerStats;
 use mpq_model::{Catalog, JoinGraph, Predicate, Query, TableSet, TableStats};
 use mpq_partition::PlanSpace;
-use mpq_plan::{Plan, PlanEntry, PlanNode};
+use mpq_plan::{Plan, PlanEntry, PlanNode, PlanOp};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -70,24 +70,25 @@ fn golden_query() -> Query {
 }
 
 fn golden_plan() -> Plan {
-    Plan::Join {
-        op: JoinOp::Hash,
-        left: Box::new(Plan::Scan {
-            table: 0,
-            op: ScanOp::Full,
-            cost: CostVector::new(1000.0, 64.0),
-            cardinality: 1000.0,
-        }),
-        right: Box::new(Plan::Scan {
-            table: 1,
-            op: ScanOp::Full,
-            cost: CostVector::new(50000.0, 128.0),
-            cardinality: 50000.0,
-        }),
+    Plan {
         cost: CostVector::new(51500.0, 192.0),
-        cardinality: 500.0,
-        order: Order::OnAttribute(1),
+        ops: vec![golden_scan_op(), golden_scan_op_of(1), golden_join_op()],
     }
+}
+
+fn golden_scan_op() -> PlanOp {
+    golden_scan_op_of(0)
+}
+
+fn golden_scan_op_of(table: u8) -> PlanOp {
+    PlanOp::Scan {
+        table,
+        op: ScanOp::Full,
+    }
+}
+
+fn golden_join_op() -> PlanOp {
+    PlanOp::Join { op: JoinOp::Hash }
 }
 
 fn golden_entry() -> PlanEntry {
@@ -152,8 +153,7 @@ const GOLDEN_QUERY: &str = "030000000000000000408f400000000000005040000000000000
     17b14ae47e17a843f0102000000000000e03f00";
 const GOLDEN_COST_VECTOR: &str = "000000000000f83f0000000000000440";
 const GOLDEN_OBJECTIVE_MULTI: &str = "010000000000002440";
-const GOLDEN_PLAN: &str = "0101000000008025e94000000000000068400000000000407f400200000000000000004\
-    08f4000000000000050400000000000408f4000010000000000006ae840000000000000604000000000006ae840";
+const GOLDEN_PLAN: &str = "000000008025e9400000000000006840030000000000000001000101";
 const GOLDEN_PLAN_ENTRY: &str =
     "000000000000144000000000000018400201020300000000000000070000000400000\
     00000000000000000";
@@ -179,6 +179,8 @@ const GOLDEN_PROGRESS: &str = "050000000000000002000000000000000800000000000000"
 // Plan-space selector (one tag byte) and the memo-reference plan nodes.
 const GOLDEN_PLAN_SPACE_LINEAR: &str = "00";
 const GOLDEN_PLAN_SPACE_BUSHY: &str = "01";
+const GOLDEN_PLAN_OP_SCAN: &str = "000000";
+const GOLDEN_PLAN_OP_JOIN: &str = "0101";
 const GOLDEN_PLAN_NODE_SCAN: &str = "000200";
 const GOLDEN_PLAN_NODE_JOIN: &str = "0101030000000000000007000000040000000000000000000000";
 
@@ -335,6 +337,8 @@ fn golden_plan_space_and_nodes() {
         GOLDEN_PLAN_SPACE_BUSHY,
         "PlanSpace::Bushy",
     );
+    assert_golden(&golden_scan_op(), GOLDEN_PLAN_OP_SCAN, "PlanOp::Scan");
+    assert_golden(&golden_join_op(), GOLDEN_PLAN_OP_JOIN, "PlanOp::Join");
     assert_golden(&golden_scan_node(), GOLDEN_PLAN_NODE_SCAN, "PlanNode::Scan");
     assert_golden(&golden_join_node(), GOLDEN_PLAN_NODE_JOIN, "PlanNode::Join");
     // Layout pins: PlanSpace is a single tag byte; PlanNode leads with its
@@ -446,6 +450,8 @@ fn regenerate_golden_constants() {
             hex(&PlanSpace::Linear.to_bytes()),
         ),
         ("GOLDEN_PLAN_SPACE_BUSHY", hex(&PlanSpace::Bushy.to_bytes())),
+        ("GOLDEN_PLAN_OP_SCAN", hex(&golden_scan_op().to_bytes())),
+        ("GOLDEN_PLAN_OP_JOIN", hex(&golden_join_op().to_bytes())),
         ("GOLDEN_PLAN_NODE_SCAN", hex(&golden_scan_node().to_bytes())),
         ("GOLDEN_PLAN_NODE_JOIN", hex(&golden_join_node().to_bytes())),
     ];
@@ -493,33 +499,22 @@ fn arb_query() -> impl Strategy<Value = Query> {
 
 fn arb_left_deep_plan() -> impl Strategy<Value = Plan> {
     (
-        prop::collection::vec((0.0..1e9f64, 0.0..1e9f64, 1.0..1e9f64), 1..8),
-        0..3usize,
-        0u8..5,
+        prop::collection::vec(0..3usize, 0..8),
+        0.0..1e9f64,
+        0.0..1e9f64,
     )
-        .prop_map(|(nodes, op_idx, order_code)| {
-            let op = mpq_cost::JOIN_OPS[op_idx];
-            let mut plan: Option<Plan> = None;
-            for (t, (time, buffer, cardinality)) in nodes.into_iter().enumerate() {
-                let scan = Plan::Scan {
-                    table: t as u8,
-                    op: ScanOp::Full,
-                    cost: CostVector::new(time, buffer),
-                    cardinality,
-                };
-                plan = Some(match plan {
-                    None => scan,
-                    Some(left) => Plan::Join {
-                        op,
-                        cost: CostVector::new(time * 2.0, buffer * 2.0),
-                        cardinality,
-                        order: Order::from_code(order_code),
-                        left: Box::new(left),
-                        right: Box::new(scan),
-                    },
+        .prop_map(|(joins, time, buffer)| {
+            let mut ops = vec![golden_scan_op()];
+            for (t, op_idx) in joins.into_iter().enumerate() {
+                ops.push(golden_scan_op_of(t as u8 + 1));
+                ops.push(PlanOp::Join {
+                    op: mpq_cost::JOIN_OPS[op_idx],
                 });
             }
-            plan.expect("at least one table")
+            Plan {
+                cost: CostVector::new(time, buffer),
+                ops,
+            }
         })
 }
 
@@ -643,6 +638,8 @@ fn vectors() -> Vec<(&'static str, &'static str)> {
         ("Objective", GOLDEN_OBJECTIVE_SINGLE),
         ("Objective", GOLDEN_OBJECTIVE_MULTI),
         ("Plan", GOLDEN_PLAN),
+        ("PlanOp", GOLDEN_PLAN_OP_SCAN),
+        ("PlanOp", GOLDEN_PLAN_OP_JOIN),
         ("PlanNode", GOLDEN_PLAN_NODE_SCAN),
         ("PlanNode", GOLDEN_PLAN_NODE_JOIN),
     ];

@@ -522,7 +522,7 @@ pub fn optimize_partition(
 
 /// The kernel proper: the memo of the partition, filled, and the work it
 /// took.
-fn fill(
+pub(crate) fn fill(
     query: &Query,
     space: PlanSpace,
     pruning: &PruningPolicy,

@@ -28,6 +28,10 @@
 //! differential suites hold it to, bit for bit. Top-down, parametric and
 //! SMA's per-set enumeration run on the same memo.
 //!
+//! [`explain`] recomputes a finished plan's per-node costs, cardinalities
+//! and orders from its query, bit for bit as the kernels computed them:
+//! plans carry only their operator tree and root cost.
+//!
 //! [`cached`] holds the keys of the cross-query result cache the service
 //! facade keeps (`mpq_plan::cache`): a repeated query — same canonical
 //! signature, statistics epoch, space and objective — is served its
@@ -37,6 +41,7 @@
 
 pub mod arena;
 pub mod cached;
+pub mod explain;
 pub mod naive;
 pub mod parametric;
 pub mod reconstruct;
@@ -48,6 +53,7 @@ pub mod worker;
 pub use arena::ClassMinima;
 pub use arena::{optimize_partition, ArenaMemo, ParallelPolicy};
 pub use cached::{push_scope, result_key, PlanCache};
+pub use explain::{explain, ExplainError, Explanation, NodeEstimate};
 pub use naive::{exhaustive_frontier, exhaustive_linear_best_time};
 pub use parametric::{
     interpolate, merge_parametric, optimize_parametric, optimize_parametric_partition, pick_for,

@@ -1,35 +1,37 @@
 //! Plan reconstruction: expanding a compact memo entry into a full
-//! [`Plan`] tree.
+//! [`Plan`].
 //!
 //! Memo entries store O(1) child references (Theorem 4); only when a worker
-//! returns its partition-optimal plan to the master is the full O(n) tree
-//! materialized and serialized (`b_p` bytes, Theorem 1).
+//! returns its partition-optimal plan to the master is the full O(n)
+//! operator tree materialized and serialized (`b_p` bytes, Theorem 1).
 
 use crate::arena::ArenaMemo;
 use mpq_model::TableSet;
-use mpq_plan::{Plan, PlanEntry, PlanNode};
+use mpq_plan::{Plan, PlanEntry, PlanNode, PlanOp};
 
-/// Expands `entry` (stored for `set`) into a full plan tree by following
-/// child references through the memo; every node's cardinality is the one
-/// recorded with its set.
+/// Expands `entry` (stored for `set`) into a full plan by following child
+/// references through the memo: its operators in post-order and its root
+/// cost. The per-node estimates are left behind; [`crate::explain`]
+/// recomputes them bit for bit.
 ///
 /// # Panics
-/// Panics if `entry` or a child reference points at a set or entry the
-/// memo does not hold — that would mean the memo was mutated after the
-/// entry was created, which the DP's finalize-before-reference order rules
-/// out.
+/// Panics if a child reference points at an entry the memo does not hold
+/// — that would mean the memo was mutated after the entry was created,
+/// which the DP's finalize-before-reference order rules out.
 pub fn reconstruct_plan(memo: &ArenaMemo, set: TableSet, entry: &PlanEntry) -> Plan {
-    let cardinality = memo
-        .stats(set)
-        .expect("an entry's set is stored")
-        .cardinality;
+    let mut ops = Vec::with_capacity((2 * set.len()).saturating_sub(1));
+    push_ops(memo, entry, &mut ops);
+    Plan {
+        cost: entry.cost,
+        ops,
+    }
+}
+
+/// Appends the operators of `entry`'s subtree to `ops`, outer operand
+/// first, the entry's own operator last.
+fn push_ops(memo: &ArenaMemo, entry: &PlanEntry, ops: &mut Vec<PlanOp>) {
     match entry.node {
-        PlanNode::Scan { table, op } => Plan::Scan {
-            table,
-            op,
-            cost: entry.cost,
-            cardinality,
-        },
+        PlanNode::Scan { table, op } => ops.push(PlanOp::Scan { table, op }),
         PlanNode::Join {
             op,
             left,
@@ -37,23 +39,9 @@ pub fn reconstruct_plan(memo: &ArenaMemo, set: TableSet, entry: &PlanEntry) -> P
             right,
             right_idx,
         } => {
-            debug_assert_eq!(
-                left.union(right),
-                set,
-                "child sets must partition the parent"
-            );
-            let le = memo.entries(left)[left_idx as usize];
-            let re = memo.entries(right)[right_idx as usize];
-            let left_plan = reconstruct_plan(memo, left, &le);
-            let right_plan = reconstruct_plan(memo, right, &re);
-            Plan::Join {
-                op,
-                cost: entry.cost,
-                cardinality,
-                order: entry.order,
-                left: Box::new(left_plan),
-                right: Box::new(right_plan),
-            }
+            push_ops(memo, &memo.entries(left)[left_idx as usize], ops);
+            push_ops(memo, &memo.entries(right)[right_idx as usize], ops);
+            ops.push(PlanOp::Join { op });
         }
     }
 }
@@ -83,10 +71,14 @@ mod tests {
         let q = WorkloadGenerator::new(WorkloadConfig::paper_default(4), 34).next_query();
         let out = optimize_serial(&q, PlanSpace::Linear, Objective::Single);
         let p = &out.plans[0];
-        // The root's cardinality must match the estimator's value for the
-        // full set, regardless of the join order chosen.
+        // The root's cardinality, as `explain` recomputes it, is the
+        // estimator's value for the full set, whatever the join order.
         let est = mpq_cost::CardinalityEstimator::new(&q);
         let expected = est.cardinality(q.all_tables());
-        assert!((p.cardinality() - expected).abs() <= 1e-9 * expected.max(1.0));
+        let root = *crate::explain(&q, p)
+            .expect("the plan fits its query")
+            .root();
+        assert_eq!(root.cardinality.to_bits(), expected.to_bits());
+        assert_eq!(root.cost, p.cost());
     }
 }

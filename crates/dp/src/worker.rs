@@ -718,6 +718,7 @@ mod tests {
         assert_eq!(p.tables(), q.all_tables());
         assert_eq!(p.num_joins(), 5);
         p.validate().expect("structurally valid plan");
+        assert!(crate::explain(&q, p).expect("fits its query").is_monotone());
     }
 
     #[test]
@@ -728,6 +729,7 @@ mod tests {
         let p = &out.plans[0];
         assert_eq!(p.tables(), q.all_tables());
         p.validate().expect("structurally valid plan");
+        assert!(crate::explain(&q, p).expect("fits its query").is_monotone());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Plan interpretation.
 //!
-//! [`execute`] walks an optimizer-produced [`Plan`] bottom-up, dispatching
-//! each join node to the physical operator the optimizer chose, and
+//! [`execute`] walks an optimizer-produced [`Plan`]'s operators in their
+//! post-order with a stack of intermediate results, dispatching each join
+//! to the physical operator the optimizer chose, and
 //! returns the result relation plus work counters. Because the optimizer
 //! guarantees only cost-optimality, not result difference, any two plans
 //! for the same query must produce the same result multiset — the
@@ -11,7 +12,7 @@ use crate::data::{Database, Relation};
 use crate::operators::{hash_join, nested_loop_join, sort_merge_join, WorkCounter};
 use mpq_cost::JoinOp;
 use mpq_model::Query;
-use mpq_plan::Plan;
+use mpq_plan::{Plan, PlanError, PlanOp};
 use std::fmt;
 
 /// Execution failure.
@@ -19,12 +20,15 @@ use std::fmt;
 pub enum ExecError {
     /// The plan references a table the database does not have.
     UnknownTable(u8),
+    /// The plan's operators are not one tree.
+    Malformed(PlanError),
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::UnknownTable(t) => write!(f, "plan references unknown table Q{t}"),
+            ExecError::Malformed(e) => write!(f, "malformed plan: {e}"),
         }
     }
 }
@@ -49,39 +53,37 @@ pub fn execute(
     plan: &Plan,
     db: &Database,
 ) -> Result<(Relation, ExecStats), ExecError> {
+    plan.validate().map_err(ExecError::Malformed)?;
     let mut stats = ExecStats::default();
-    let rel = run(query, plan, db, &mut stats)?;
-    Ok((rel, stats))
-}
-
-fn run(
-    query: &Query,
-    plan: &Plan,
-    db: &Database,
-    stats: &mut ExecStats,
-) -> Result<Relation, ExecError> {
-    match plan {
-        Plan::Scan { table, .. } => {
-            let t = *table as usize;
-            if t >= db.num_tables() {
-                return Err(ExecError::UnknownTable(*table));
+    let mut stack: Vec<Relation> = Vec::new();
+    for (at, op) in plan.ops.iter().enumerate() {
+        let out = match *op {
+            PlanOp::Scan { table, .. } => {
+                let t = table as usize;
+                if t >= db.num_tables() {
+                    return Err(ExecError::UnknownTable(table));
+                }
+                db.table(t).clone()
             }
-            Ok(db.table(t).clone())
-        }
-        Plan::Join {
-            op, left, right, ..
-        } => {
-            let l = run(query, left, db, stats)?;
-            let r = run(query, right, db, stats)?;
-            let out = match op {
-                JoinOp::NestedLoop => nested_loop_join(query, &l, &r, &mut stats.work),
-                JoinOp::Hash => hash_join(query, &l, &r, &mut stats.work),
-                JoinOp::SortMerge => sort_merge_join(query, &l, &r, &mut stats.work),
-            };
-            stats.joins += 1;
-            stats.intermediate_rows += out.len() as u64;
-            Ok(out)
-        }
+            PlanOp::Join { op } => {
+                let (Some(r), Some(l)) = (stack.pop(), stack.pop()) else {
+                    return Err(ExecError::Malformed(PlanError::MissingOperand { at }));
+                };
+                let out = match op {
+                    JoinOp::NestedLoop => nested_loop_join(query, &l, &r, &mut stats.work),
+                    JoinOp::Hash => hash_join(query, &l, &r, &mut stats.work),
+                    JoinOp::SortMerge => sort_merge_join(query, &l, &r, &mut stats.work),
+                };
+                stats.joins += 1;
+                stats.intermediate_rows += out.len() as u64;
+                out
+            }
+        };
+        stack.push(out);
+    }
+    match stack.pop() {
+        Some(rel) => Ok((rel, stats)),
+        None => Err(ExecError::Malformed(PlanError::Empty)),
     }
 }
 
@@ -156,14 +158,24 @@ mod tests {
     #[test]
     fn unknown_table_errors() {
         let (q, db) = setup(2, 4, 10);
-        let bogus = Plan::Scan {
-            table: 9,
+        let scan = |table| PlanOp::Scan {
+            table,
             op: mpq_cost::ScanOp::Full,
-            cost: mpq_cost::CostVector::ZERO,
-            cardinality: 0.0,
         };
-        assert_eq!(execute(&q, &bogus, &db), Err(ExecError::UnknownTable(9)));
+        let plan = |ops| Plan {
+            cost: mpq_cost::CostVector::ZERO,
+            ops,
+        };
+        assert_eq!(
+            execute(&q, &plan(vec![scan(9)]), &db),
+            Err(ExecError::UnknownTable(9))
+        );
         assert!(ExecError::UnknownTable(9).to_string().contains("Q9"));
+        // A malformed plan is refused before any operator runs.
+        assert_eq!(
+            execute(&q, &plan(vec![scan(0), scan(1)]), &db),
+            Err(ExecError::Malformed(PlanError::ExtraRoots { roots: 2 }))
+        );
     }
 
     #[test]
@@ -173,7 +185,7 @@ mod tests {
         // *wrong* direction (maximal cost via inverted comparison is not
         // exposed, so use a deliberately bad heuristic: join in reverse
         // numbering order with nested loops).
-        use mpq_cost::{CostVector, JoinOp, Order, ScanOp};
+        use mpq_cost::{CostVector, ScanOp};
         let mut wins = 0usize;
         let trials = 6;
         for seed in 0..trials {
@@ -182,22 +194,19 @@ mod tests {
                 .plans
                 .remove(0);
             // Bad plan: ((3 x 2) x 1) x 0 all nested-loop.
-            let scan = |t: u8| Plan::Scan {
-                table: t,
+            let scan = |table: u8| PlanOp::Scan {
+                table,
                 op: ScanOp::Full,
-                cost: CostVector::ZERO,
-                cardinality: 0.0,
             };
-            let mut bad = scan(3);
+            let mut bad = Plan {
+                cost: CostVector::ZERO,
+                ops: vec![scan(3)],
+            };
             for t in [2u8, 1, 0] {
-                bad = Plan::Join {
+                bad.ops.push(scan(t));
+                bad.ops.push(PlanOp::Join {
                     op: JoinOp::NestedLoop,
-                    cost: CostVector::ZERO,
-                    cardinality: 0.0,
-                    order: Order::None,
-                    left: Box::new(bad),
-                    right: Box::new(scan(t)),
-                };
+                });
             }
             let (_, good_stats) = execute(&q, &good, &db).unwrap();
             let (_, bad_stats) = execute(&q, &bad, &db).unwrap();

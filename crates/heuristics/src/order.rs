@@ -9,7 +9,7 @@
 
 use mpq_cost::{CardinalityEstimator, CostVector, JoinOp, Order, ScanOp, JOIN_OPS};
 use mpq_model::{Query, TableSet};
-use mpq_plan::Plan;
+use mpq_plan::{Plan, PlanOp};
 
 /// One reachable costing state for a prefix of the join order.
 #[derive(Clone, Copy, Debug)]
@@ -57,34 +57,33 @@ pub fn order_to_plan(query: &Query, permutation: &[usize]) -> Plan {
     }
     choice.reverse();
 
-    // Rebuild the plan bottom-up.
-    let scan = |est: &mut CardinalityEstimator, t: usize| Plan::Scan {
-        table: t as u8,
+    // Rebuild the plan bottom-up, the running cost and output order in
+    // locals.
+    let first = permutation[0];
+    let mut cost = ScanOp::Full.cost(&est, first);
+    let mut order = ScanOp::Full.output_order();
+    let mut ops = Vec::with_capacity(2 * permutation.len() - 1);
+    ops.push(PlanOp::Scan {
+        table: first as u8,
         op: ScanOp::Full,
-        cost: ScanOp::Full.cost(est, t),
-        cardinality: est.cardinality(TableSet::singleton(t)),
-    };
-    let mut plan = scan(&mut est, permutation[0]);
-    let mut used = TableSet::singleton(permutation[0]);
+    });
+    let mut used = TableSet::singleton(first);
     for (step, &t) in permutation.iter().enumerate().skip(1) {
         let op = choice[step].expect("join steps carry an operator");
         let right = TableSet::singleton(t);
-        let rscan = scan(&mut est, t);
         let app = op
-            .apply(&mut est, used, right, plan.order(), Order::None)
+            .apply(&mut est, used, right, order, Order::None)
             .expect("operator was applicable during costing");
-        let cost = plan.cost().add(&rscan.cost()).add(&app.cost);
+        cost = cost.add(&ScanOp::Full.cost(&est, t)).add(&app.cost);
+        order = app.output_order;
         used = used.insert(t);
-        plan = Plan::Join {
-            op,
-            cost,
-            cardinality: est.cardinality(used),
-            order: app.output_order,
-            left: Box::new(plan),
-            right: Box::new(rscan),
-        };
+        ops.push(PlanOp::Scan {
+            table: t as u8,
+            op: ScanOp::Full,
+        });
+        ops.push(PlanOp::Join { op });
     }
-    plan
+    Plan { cost, ops }
 }
 
 /// Computes, for every prefix of the permutation, the Pareto-minimal
@@ -176,6 +175,9 @@ mod tests {
             Some(perm.iter().map(|&t| t as u8).collect())
         );
         plan.validate().expect("valid tree");
+        let explained = mpq_dp::explain(&q, &plan).expect("fits its query");
+        assert!(explained.is_monotone());
+        assert_eq!(explained.root().cost, plan.cost());
     }
 
     #[test]

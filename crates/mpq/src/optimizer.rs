@@ -396,24 +396,34 @@ mod tests {
 
     #[test]
     fn network_linear_in_workers() {
-        // Theorem 1: bytes on the wire are O(m (b_q + b_p)).
+        // Theorem 1, exactly: m tasks of 8 + |task| bytes and m replies of
+        // 85 + b_p(n) bytes, b_p(n) = 5n + 18 — linear in m and in n.
+        use mpq_cluster::Wire;
         let opt = MpqOptimizer::new(MpqConfig::default());
         let q = query(10, 2);
-        let b4 = opt
-            .optimize(&q, PlanSpace::Linear, Objective::Single, 4)
-            .metrics
-            .network
-            .total_bytes();
-        let b16 = opt
-            .optimize(&q, PlanSpace::Linear, Objective::Single, 16)
-            .metrics
-            .network
-            .total_bytes();
-        let ratio = b16 as f64 / b4 as f64;
-        assert!(
-            ratio > 3.0 && ratio < 5.0,
-            "4x workers must mean ~4x bytes, got {ratio}"
-        );
+        for m in [4u64, 16] {
+            let task = crate::MasterMessage {
+                query: q.clone(),
+                space: PlanSpace::Linear,
+                objective: Objective::Single,
+                first_partition: 0,
+                partition_count: 1,
+                total_partitions: m,
+                progress_every: 0,
+            }
+            .to_bytes()
+            .len() as u64;
+            let bytes = opt
+                .optimize(&q, PlanSpace::Linear, Objective::Single, m)
+                .metrics
+                .network
+                .total_bytes();
+            assert_eq!(
+                bytes,
+                m * (8 + task) + m * (85 + 5 * 10 + 18),
+                "{m} workers"
+            );
+        }
     }
 
     #[test]

@@ -670,10 +670,16 @@ impl Protocol for MpqProtocol {
                 Ok(WorkerMsg::Reply(reply)) => {
                     session.last_progress = Instant::now();
                     session.replies_received += 1;
+                    // The decoder checked each plan's shape, not which
+                    // query it answers: one that does not join exactly the
+                    // session's tables is no answer to it.
+                    let full = session.query.all_tables();
+                    let foreign = reply.plans.iter().any(|p| p.tables() != full);
                     let found = session.assignment.iter().position(|&(f, c)| {
                         f == reply.first_partition && c == reply.partition_count
                     });
                     match found {
+                        _ if foreign => Advance::Failed(MpqError::Protocol { worker }),
                         None => {
                             // No live entry carries this exact range: either
                             // a steal superseded it (reconcile against the
@@ -2286,6 +2292,51 @@ mod tests {
             assert_eq!(reply.plans.is_empty(), malformed);
         }
         cluster.shutdown();
+    }
+
+    /// A worker that answers each task, range echoed, with the optimum of
+    /// a query of `tables` tables: a reply that decodes, but whose plans
+    /// do not join the session's tables.
+    struct ForeignPlanWorker {
+        tables: usize,
+    }
+
+    impl WorkerLogic for ForeignPlanWorker {
+        fn on_message(&mut self, _: QueryId, payload: Bytes, ctx: &mut WorkerCtx) -> Control {
+            let task = MasterMessage::from_bytes(&payload).unwrap();
+            let plans = optimize_serial(&query(self.tables, 72), task.space, task.objective).plans;
+            let reply = WorkerReply {
+                first_partition: task.first_partition,
+                partition_count: task.partition_count,
+                plans,
+                stats: WorkerStats::default(),
+                cache_hits: 0,
+                cache_misses: 0,
+            };
+            ctx.send_to_master(WorkerMsg::Reply(reply).to_bytes());
+            Control::Continue
+        }
+    }
+
+    /// A plan that misses one of the session's tables, or joins one it
+    /// does not have, is no optimum of the session's query: the master
+    /// fails the session with a protocol error instead of returning it.
+    #[test]
+    fn a_reply_whose_plans_join_other_tables_fails_the_session() {
+        for tables in [4, 6] {
+            let cluster =
+                Cluster::spawn(1, LatencyModel::ZERO, |_| ForeignPlanWorker { tables }).unwrap();
+            let mut svc =
+                MpqService::with_transport(Box::new(cluster), MpqConfig::default()).unwrap();
+            let out = svc
+                .submit(&query(5, 71), PlanSpace::Linear, Objective::Single)
+                .and_then(|h| svc.wait(h));
+            assert!(
+                matches!(out, Err(MpqError::Protocol { worker: 0 })),
+                "{tables}-table plans: {out:?}"
+            );
+            svc.shutdown();
+        }
     }
 
     /// Steal-off sessions put no progress traffic on the wire and never

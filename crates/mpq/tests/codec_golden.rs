@@ -20,7 +20,7 @@ use mpq_cost::{CostVector, Objective, ScanOp};
 use mpq_dp::WorkerStats;
 use mpq_model::{Catalog, JoinGraph, Predicate, Query, TableStats};
 use mpq_partition::PlanSpace;
-use mpq_plan::Plan;
+use mpq_plan::{Plan, PlanOp};
 
 // ---------------------------------------------------------------------------
 // Fixed values under golden protection (same shapes as the cluster suite).
@@ -77,11 +77,12 @@ fn golden_reply() -> WorkerReply {
     WorkerReply {
         first_partition: 3,
         partition_count: 2,
-        plans: vec![Plan::Scan {
-            table: 2,
-            op: ScanOp::Full,
+        plans: vec![Plan {
             cost: CostVector::new(8.0, 16.0),
-            cardinality: 8.0,
+            ops: vec![PlanOp::Scan {
+                table: 2,
+                op: ScanOp::Full,
+            }],
         }],
         stats: WorkerStats {
             stored_sets: 11,
@@ -113,15 +114,15 @@ const GOLDEN_MASTER_MESSAGE: &str =
     00000017b14ae47e17a843f0102000000000000e03f0001010000000000002440050000000000000002000000000000\
     0008000000000000000100000000000000";
 const GOLDEN_WORKER_REPLY: &str =
-    "0300000000000000020000000000000001000000000200000000000000204000\
-    0000000000304000000000000020400b00000000000000160000000000000021\
-    000000000000002c000000000000003700000000000000010000000000000001\
-    00000000000000";
+    "0300000000000000020000000000000001000000000000000000204000000000\
+    00003040010000000002000b0000000000000016000000000000002100000000\
+    0000002c00000000000000370000000000000001000000000000000100000000\
+    000000";
 const GOLDEN_WORKER_MSG_REPLY: &str =
-    "0003000000000000000200000000000000010000000002000000000000002040\
-    000000000000304000000000000020400b000000000000001600000000000000\
-    21000000000000002c0000000000000037000000000000000100000000000000\
-    0100000000000000";
+    "0003000000000000000200000000000000010000000000000000002040000000\
+    0000003040010000000002000b00000000000000160000000000000021000000\
+    000000002c000000000000003700000000000000010000000000000001000000\
+    00000000";
 const GOLDEN_WORKER_MSG_PROGRESS: &str = "01050000000000000002000000000000000800000000000000";
 
 fn hex(bytes: &[u8]) -> String {

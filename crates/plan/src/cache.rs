@@ -15,7 +15,8 @@
 //!   append a scope — plan space and objective — so entries are only ever
 //!   served to byte-identical requests.
 //! * [`MemoCache`] — a byte-budgeted LRU map from keys to cached values
-//!   (`Vec<Plan>`: the service facade's finished results) with a
+//!   (`Vec<Plan>`: the service facade's finished results), each entry
+//!   charged its value's weight plus its key's canonical bytes, with a
 //!   second-request admission rule once full: a key the cache has not
 //!   refused before is refused once, its hash remembered in a small
 //!   *ghost list*, and admitted — evicting the LRU entry — on its next
@@ -35,9 +36,10 @@
 //! selectivity products are rounding-order sensitive), while predicate
 //! *orientation* — provably symmetric in the estimator — is canonicalized.
 
-use crate::tree::Plan;
+use crate::tree::{Plan, PlanOp};
 use mpq_model::Query;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::mem::size_of;
 
 /// Version of the cost-model parameters baked into every cache key. Bump
 /// this whenever a cost formula or operator constant changes, so caches
@@ -159,21 +161,22 @@ pub fn query_signature_with_room(query: &Query, scope_bytes: usize) -> CacheKeyB
     b
 }
 
-/// Approximate resident size of a cached value, used against the LRU byte
-/// budget. Estimates are deliberately simple and slightly generous.
+/// Resident size of a cached value, charged against the LRU byte budget
+/// together with its key's canonical bytes.
 pub trait CacheWeight {
-    /// Approximate bytes this value occupies in the cache.
+    /// Bytes this value occupies in the cache.
     fn weight_bytes(&self) -> usize;
 }
 
 impl CacheWeight for Vec<Plan> {
+    /// The vector, each plan and each plan's operators, by `size_of`: an
+    /// 8-table result — one plan of 15 operators — weighs 94 B.
     fn weight_bytes(&self) -> usize {
-        // A plan over j joins has 2j + 1 nodes; charge ~64 bytes per node
-        // (enum payload + Box overhead) plus per-plan and per-vec headers.
-        24 + self
-            .iter()
-            .map(|p| 16 + 64 * (2 * p.num_joins() + 1))
-            .sum::<usize>()
+        size_of::<Vec<Plan>>()
+            + self
+                .iter()
+                .map(|p| size_of::<Plan>() + p.ops.len() * size_of::<PlanOp>())
+                .sum::<usize>()
     }
 }
 
@@ -197,12 +200,13 @@ pub struct CacheStats {
     pub skipped_inserts: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// Approximate bytes currently resident.
+    /// Bytes currently resident: each entry's value weight plus its key
+    /// bytes.
     pub bytes: u64,
     /// The configured byte budget (0 = disabled).
     pub capacity_bytes: u64,
-    /// Cumulative approximate bytes of values served from the cache — the
-    /// memo traffic and recomputation the cache saved.
+    /// Cumulative weight of values served from the cache (their keys not
+    /// counted) — the results the cache saved recomputing.
     pub bytes_saved: u64,
 }
 
@@ -221,6 +225,7 @@ impl CacheStats {
 struct Slot<V> {
     key_bytes: Vec<u8>,
     value: V,
+    /// The value's weight plus the key bytes: what the entry is charged.
     weight: usize,
     tick: u64,
 }
@@ -238,11 +243,16 @@ struct Slot<V> {
 /// nothing resident moves. A value asked for once while the cache is full
 /// therefore never displaces one that repeats.
 ///
+/// **Charge.** An entry costs its value's [`CacheWeight`] plus its key's
+/// canonical bytes (296 B for an 8-table single-objective key): a
+/// finished plan weighs about a hundred bytes, so the key is a large part
+/// of what an entry holds.
+///
 /// The ghost list holds hashes only, first in first out, with exact
 /// membership, and never more of them than there are resident entries.
-/// Like the resident key bytes and the LRU order map, it is not charged
-/// to the byte budget. A hash collision can change an admission decision,
-/// never a served value: lookups compare the full key bytes.
+/// Like the LRU order map, it is not charged to the byte budget. A hash
+/// collision can change an admission decision, never a served value:
+/// lookups compare the full key bytes.
 pub struct MemoCache<V> {
     budget: usize,
     map: HashMap<u64, Slot<V>>,
@@ -304,7 +314,7 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
                 slot.tick = self.tick;
                 self.order.insert(self.tick, key.hash);
                 self.hits += 1;
-                self.bytes_saved += slot.weight as u64;
+                self.bytes_saved += (slot.weight - slot.key_bytes.len()) as u64;
                 Some(slot.value.clone())
             }
             _ => {
@@ -316,8 +326,8 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
 
     /// Inserts `value` under `key`, evicting least-recently-used entries
     /// until the byte budget holds — unless the admission rule (see the
-    /// type docs) declines a key that would force an eviction. Values
-    /// heavier than the whole budget are not stored. A resident hash
+    /// type docs) declines a key that would force an eviction. Entries
+    /// heavier than the whole budget, key bytes included, are not stored. A resident hash
     /// bypasses admission: its entry is replaced, even by a colliding
     /// hash with different canonical bytes (keeps the map
     /// one-value-per-hash and is vanishingly rare with 64-bit hashes).
@@ -325,7 +335,7 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
         if !self.is_enabled() {
             return;
         }
-        let weight = value.weight_bytes();
+        let weight = value.weight_bytes() + key.bytes.len();
         if weight > self.budget {
             // An oversize value is a *skip*, not an eviction: nothing
             // resident is displaced and the byte counter must not move.
@@ -419,11 +429,12 @@ mod tests {
     use mpq_model::{Catalog, JoinGraph, Predicate, TableStats};
 
     fn plan(time: f64) -> Vec<Plan> {
-        vec![Plan::Scan {
-            table: 0,
-            op: ScanOp::Full,
+        vec![Plan {
             cost: CostVector::new(time, 0.0),
-            cardinality: 1.0,
+            ops: vec![PlanOp::Scan {
+                table: 0,
+                op: ScanOp::Full,
+            }],
         }]
     }
 
@@ -431,6 +442,51 @@ mod tests {
         let mut b = CacheKeyBuilder::new();
         b.push_u64(tag);
         b.finish()
+    }
+
+    /// What one single-plan entry under a [`key`] is charged: the value
+    /// and the key's eight bytes.
+    fn entry_weight() -> usize {
+        plan(0.0).weight_bytes() + key(0).bytes().len()
+    }
+
+    #[test]
+    fn weight_is_the_size_of_what_the_value_holds() {
+        // One scan: the vector, the plan, one operator.
+        assert_eq!(
+            plan(0.0).weight_bytes(),
+            size_of::<Vec<Plan>>() + size_of::<Plan>() + size_of::<PlanOp>()
+        );
+        // A complete plan over n tables has 2n - 1 operators.
+        let join = PlanOp::Join {
+            op: mpq_cost::JoinOp::Hash,
+        };
+        let mut eight = plan(0.0);
+        eight[0].ops.extend([plan(0.0)[0].ops[0], join].repeat(7));
+        assert_eq!(
+            eight.weight_bytes() - plan(0.0).weight_bytes(),
+            14 * size_of::<PlanOp>()
+        );
+    }
+
+    #[test]
+    fn an_entry_is_charged_its_key_bytes() {
+        let mut c: MemoCache<Vec<Plan>> = MemoCache::new(1 << 20);
+        let mut long = CacheKeyBuilder::new();
+        for tag in 0..37 {
+            long.push_u64(tag);
+        }
+        c.insert(key(1), plan(1.0));
+        c.insert(long.finish(), plan(2.0));
+        let value = plan(0.0).weight_bytes() as u64;
+        assert_eq!(c.stats().bytes, (value + 8) + (value + 296));
+        // A hit saves the value, not the key.
+        c.get(&key(1)).unwrap();
+        assert_eq!(c.stats().bytes_saved, value);
+        // A budget with room for the value alone declines the entry.
+        let mut tight: MemoCache<Vec<Plan>> = MemoCache::new(value as usize + 7);
+        tight.insert(key(1), plan(1.0));
+        assert_eq!(tight.stats().skipped_inserts, 1);
     }
 
     fn query(selectivities: &[(usize, usize, f64)], epoch_bumps: u64) -> Query {
@@ -480,7 +536,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_first() {
-        let weight = plan(0.0).weight_bytes();
+        let weight = entry_weight();
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(2 * weight);
         c.insert(key(1), plan(1.0));
         c.insert(key(2), plan(2.0));
@@ -502,7 +558,7 @@ mod tests {
     /// entry: each one-time key is declined, nothing is evicted.
     #[test]
     fn full_cache_declines_keys_that_never_repeat() {
-        let weight = plan(0.0).weight_bytes();
+        let weight = entry_weight();
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(3 * weight);
         for tag in 0..3u64 {
             c.insert(key(tag), plan(tag as f64));
@@ -531,7 +587,7 @@ mod tests {
     /// must be refused once more before it returns.
     #[test]
     fn declined_key_is_admitted_on_its_second_insert() {
-        let weight = plan(0.0).weight_bytes();
+        let weight = entry_weight();
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(2 * weight);
         c.insert(key(1), plan(1.0));
         c.insert(key(2), plan(2.0));
@@ -561,7 +617,7 @@ mod tests {
     /// several entries.
     #[test]
     fn ghost_list_never_outgrows_the_resident_entries() {
-        let weight = plan(0.0).weight_bytes();
+        let weight = entry_weight();
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(4 * weight);
         let check = |c: &MemoCache<Vec<Plan>>| {
             assert!(
@@ -587,7 +643,8 @@ mod tests {
         );
         // A two-plan value needs two evictions once admitted.
         let big = || vec![plan(1.0)[0].clone(), plan(2.0)[0].clone()];
-        assert!(big().weight_bytes() > weight && big().weight_bytes() <= 2 * weight);
+        let big_weight = big().weight_bytes() + 8;
+        assert!(big_weight > weight && big_weight <= 2 * weight);
         c.insert(key(50), big());
         check(&c);
         c.insert(key(50), big());
@@ -601,7 +658,7 @@ mod tests {
     /// decision, even when the heavier value forces an eviction.
     #[test]
     fn reinserting_a_resident_key_bypasses_admission() {
-        let weight = plan(0.0).weight_bytes();
+        let weight = entry_weight();
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(2 * weight);
         c.insert(key(1), plan(1.0));
         c.insert(key(2), plan(2.0));
@@ -620,7 +677,7 @@ mod tests {
     /// is seen — the cache behaves exactly like a plain LRU.
     #[test]
     fn cache_with_room_admits_a_key_on_first_sight() {
-        let weight = plan(0.0).weight_bytes();
+        let weight = entry_weight();
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(3 * weight);
         for tag in 0..3u64 {
             c.insert(key(tag), plan(tag as f64));
@@ -643,7 +700,7 @@ mod tests {
     /// weight comes out before the new one goes in.
     #[test]
     fn reinserting_a_key_does_not_drift_the_byte_counter() {
-        let weight = plan(0.0).weight_bytes() as u64;
+        let weight = entry_weight() as u64;
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(1 << 20);
         for round in 0..100 {
             c.insert(key(1), plan(round as f64));
@@ -657,7 +714,7 @@ mod tests {
         assert_eq!(c.get(&key(1)).unwrap()[0].cost().time, 99.0);
         // A different-weight value under the same key re-accounts fully.
         let two = vec![plan(1.0)[0].clone(), plan(2.0)[0].clone()];
-        let two_weight = two.weight_bytes() as u64;
+        let two_weight = (two.weight_bytes() + 8) as u64;
         c.insert(key(1), two);
         assert_eq!(c.stats().bytes, two_weight);
         assert_eq!(c.stats().entries, 1);
@@ -667,13 +724,13 @@ mod tests {
     /// as skips, not evictions, and leave every resident counter intact.
     #[test]
     fn oversize_inserts_count_as_skips_not_evictions() {
-        let weight = plan(0.0).weight_bytes();
+        let weight = entry_weight();
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(weight + weight / 2);
         c.insert(key(1), plan(1.0));
         let resident = c.stats();
         // A two-plan value exceeds the whole budget: skipped wholesale.
         let big = vec![plan(2.0)[0].clone(), plan(3.0)[0].clone()];
-        assert!(big.weight_bytes() > weight + weight / 2);
+        assert!(big.weight_bytes() + 8 > weight + weight / 2);
         c.insert(key(2), big);
         let s = c.stats();
         assert_eq!(s.skipped_inserts, 1, "the oversize insert is a skip");
@@ -691,7 +748,7 @@ mod tests {
     /// key is inserted again, and that second insert evicts the LRU entry.
     #[test]
     fn stats_stay_exact_across_evict_to_fit_loops() {
-        let weight = plan(0.0).weight_bytes();
+        let weight = entry_weight();
         // Room for three single-plan values.
         let mut c: MemoCache<Vec<Plan>> = MemoCache::new(3 * weight + weight / 2);
         let check = |c: &MemoCache<Vec<Plan>>, tag: u64| {

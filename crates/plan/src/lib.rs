@@ -2,9 +2,12 @@
 //!
 //! Two representations are used, mirroring Section 5.2 of the paper:
 //!
-//! * [`Plan`] — a full, self-contained operator tree. This is what workers
-//!   serialize and send back to the master ("Storing plans generally takes
-//!   `O(n)` space"); it is also the user-facing result type.
+//! * [`Plan`] — a full operator tree, its operators in post-order
+//!   ([`PlanOp`]), plus its root cost. This is what workers serialize and
+//!   send back to the master ("Storing plans generally takes `O(n)`
+//!   space"); it is also the user-facing result type. Per-node costs,
+//!   cardinalities and orders are recomputed from the query where they
+//!   are wanted (`mpq_dp::explain`), not carried.
 //! * [`PlanEntry`] — the compact memo representation: an operator tag plus
 //!   references to the two child memo slots ("each plan can be represented
 //!   by at most two pointers to optimal sub-plans ... which requires only
@@ -34,4 +37,4 @@ pub use cache::{
 };
 pub use entry::{PlanEntry, PlanNode};
 pub use pruning::PruningPolicy;
-pub use tree::Plan;
+pub use tree::{Plan, PlanError, PlanOp};

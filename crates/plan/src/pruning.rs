@@ -208,6 +208,7 @@ fn order_covers(a: Order, b: Order) -> bool {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::tree::PlanOp;
     use mpq_cost::ScanOp;
 
     fn entry(time: f64, buffer: f64, order: Order) -> PlanEntry {
@@ -231,11 +232,12 @@ mod tests {
     }
 
     fn plan(time: f64, buffer: f64) -> Plan {
-        Plan::Scan {
-            table: 0,
-            op: ScanOp::Full,
+        Plan {
             cost: CostVector::new(time, buffer),
-            cardinality: 1.0,
+            ops: vec![PlanOp::Scan {
+                table: 0,
+                op: ScanOp::Full,
+            }],
         }
     }
 

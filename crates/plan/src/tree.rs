@@ -1,101 +1,130 @@
 //! Full query plan trees.
 
-use mpq_cost::{CostVector, JoinOp, Order, ScanOp};
+use mpq_cost::{CostVector, JoinOp, ScanOp};
 use mpq_model::TableSet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A complete, self-contained query plan.
-///
-/// Plans form binary trees: leaves scan base tables, inner nodes join the
-/// results of their children, with the left child as the outer and the
-/// right child as the inner operand (Section 3 of the paper). Every node
-/// carries its estimated total cost, output cardinality and output order so
-/// that a received plan can be compared without re-costing.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum Plan {
-    /// Scan of a single base table.
+/// One operator of a [`Plan`]. A plan lists its operators in post-order:
+/// a join follows its outer (left) operand's operators, which follow its
+/// inner (right) operand's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum PlanOp {
+    /// Scan of a single base table: a leaf.
     Scan {
         /// The scanned table.
         table: u8,
         /// Scan implementation.
         op: ScanOp,
-        /// Total cost of the scan.
-        cost: CostVector,
-        /// Output cardinality.
-        cardinality: f64,
     },
-    /// Join of two sub-plans (`left` = outer, `right` = inner).
+    /// Join of the two subtrees before it (outer first, then inner).
     Join {
         /// Join implementation.
         op: JoinOp,
-        /// Outer operand.
-        left: Box<Plan>,
-        /// Inner operand.
-        right: Box<Plan>,
-        /// Total cost of the subtree (children included).
-        cost: CostVector,
-        /// Output cardinality.
-        cardinality: f64,
-        /// Interesting order of the output stream: the order a later join
-        /// can still use, `Order::None` once none can. Plans built by the
-        /// DP carry this label, not the physical order (the root of a
-        /// complete plan is always `None`); see
-        /// `mpq_cost::PredicateIndex::interesting_orders`.
-        order: Order,
     },
+}
+
+/// Why an operator sequence is not one plan tree ([`Plan::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlanError {
+    /// The plan has no operators.
+    Empty,
+    /// The join at this operator position found fewer than two subtrees
+    /// before it.
+    MissingOperand {
+        /// Position of the join in the operator list.
+        at: usize,
+    },
+    /// The operators form more than one tree.
+    ExtraRoots {
+        /// How many trees they form.
+        roots: usize,
+    },
+    /// A table is scanned twice, so two operands would overlap.
+    RepeatedTable {
+        /// The table scanned again.
+        table: u8,
+    },
+    /// A scan names a table index a [`TableSet`] cannot hold (≥ 64).
+    TableOutOfRange {
+        /// The offending index.
+        table: u8,
+    },
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::Empty => f.write_str("plan has no operators"),
+            PlanError::MissingOperand { at } => {
+                write!(f, "join at operator {at} lacks an operand")
+            }
+            PlanError::ExtraRoots { roots } => write!(f, "operators form {roots} trees, not one"),
+            PlanError::RepeatedTable { table } => write!(f, "table {table} is scanned twice"),
+            PlanError::TableOutOfRange { table } => write!(
+                f,
+                "table index {table} exceeds the {}-table limit",
+                TableSet::MAX_TABLES
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+/// A complete query plan: its operator tree and the tree's total cost.
+///
+/// Plans are binary trees: leaves scan base tables, inner nodes join the
+/// results of their children, with the left child as the outer and the
+/// right child as the inner operand (Section 3 of the paper). Only the
+/// root cost travels with the tree — it is what the master compares.
+/// Every node's cost, cardinality and output order are functions of the
+/// query and the tree, so whoever holds the query recomputes them
+/// (`mpq_dp::explain`) instead of shipping them.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Plan {
+    /// Total cost of the plan.
+    pub cost: CostVector,
+    /// The operators, in post-order (the root last).
+    pub ops: Vec<PlanOp>,
 }
 
 impl Plan {
     /// Total cost of the plan.
     pub fn cost(&self) -> CostVector {
-        match self {
-            Plan::Scan { cost, .. } | Plan::Join { cost, .. } => *cost,
-        }
+        self.cost
     }
 
-    /// Output cardinality of the plan.
-    pub fn cardinality(&self) -> f64 {
-        match self {
-            Plan::Scan { cardinality, .. } | Plan::Join { cardinality, .. } => *cardinality,
-        }
-    }
-
-    /// Interesting order of the plan's output (relabelled `None` once no
-    /// later join can use it).
-    pub fn order(&self) -> Order {
-        match self {
-            Plan::Scan { .. } => Order::None,
-            Plan::Join { order, .. } => *order,
-        }
-    }
-
-    /// Set of base tables the plan joins.
+    /// Set of base tables the plan scans (indices a [`TableSet`] cannot
+    /// hold are left out; [`Plan::validate`] reports them).
     pub fn tables(&self) -> TableSet {
-        match self {
-            Plan::Scan { table, .. } => TableSet::singleton(*table as usize),
-            Plan::Join { left, right, .. } => left.tables().union(right.tables()),
-        }
+        self.ops
+            .iter()
+            .filter_map(|op| match *op {
+                PlanOp::Scan { table, .. } if (table as usize) < TableSet::MAX_TABLES => {
+                    Some(table as usize)
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     /// Number of join operators in the plan (`n - 1` for a complete plan
     /// over `n` tables).
     pub fn num_joins(&self) -> usize {
-        match self {
-            Plan::Scan { .. } => 0,
-            Plan::Join { left, right, .. } => 1 + left.num_joins() + right.num_joins(),
-        }
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, PlanOp::Join { .. }))
+            .count()
     }
 
     /// Whether the plan is left-deep: the inner (right) operand of every
-    /// join is a scan (Section 3).
+    /// join is a scan (Section 3). In post-order the inner operand's root
+    /// is the operator just before the join.
     pub fn is_left_deep(&self) -> bool {
-        match self {
-            Plan::Scan { .. } => true,
-            Plan::Join { left, right, .. } => {
-                matches!(**right, Plan::Scan { .. }) && left.is_left_deep()
-            }
-        }
+        self.ops
+            .windows(2)
+            .all(|w| matches!(w[0], PlanOp::Scan { .. }) || matches!(w[1], PlanOp::Scan { .. }))
     }
 
     /// The join order of a left-deep plan as a table sequence (post-order
@@ -104,105 +133,84 @@ impl Plan {
         if !self.is_left_deep() {
             return None;
         }
-        let mut order = Vec::new();
-        fn walk(p: &Plan, out: &mut Vec<u8>) {
-            match p {
-                Plan::Scan { table, .. } => out.push(*table),
-                Plan::Join { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
+        Some(
+            self.ops
+                .iter()
+                .filter_map(|op| match *op {
+                    PlanOp::Scan { table, .. } => Some(table),
+                    PlanOp::Join { .. } => None,
+                })
+                .collect(),
+        )
+    }
+
+    /// The table set of every operator's subtree, in operator order, or
+    /// why the operators are not one tree: a scan names a table no
+    /// [`TableSet`] holds or one scanned before, a join lacks an operand,
+    /// or there is not exactly one root.
+    pub fn subtrees(&self) -> Result<Vec<TableSet>, PlanError> {
+        let mut sets = Vec::with_capacity(self.ops.len());
+        let mut stack: Vec<TableSet> = Vec::new();
+        let mut seen = TableSet::empty();
+        for (at, op) in self.ops.iter().enumerate() {
+            let set = match *op {
+                PlanOp::Scan { table, .. } => {
+                    let t = table as usize;
+                    if t >= TableSet::MAX_TABLES {
+                        return Err(PlanError::TableOutOfRange { table });
+                    }
+                    if seen.contains(t) {
+                        return Err(PlanError::RepeatedTable { table });
+                    }
+                    seen = seen.insert(t);
+                    TableSet::singleton(t)
                 }
-            }
+                PlanOp::Join { .. } => match (stack.pop(), stack.pop()) {
+                    (Some(right), Some(left)) => left.union(right),
+                    _ => return Err(PlanError::MissingOperand { at }),
+                },
+            };
+            stack.push(set);
+            sets.push(set);
         }
-        walk(self, &mut order);
-        Some(order)
-    }
-
-    /// Structural sanity check: children of every join are disjoint, and
-    /// node costs are at least the sum of the children's times (costs are
-    /// monotone). Used by tests and debug assertions.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
-            Plan::Scan { .. } => Ok(()),
-            Plan::Join {
-                left, right, cost, ..
-            } => {
-                left.validate()?;
-                right.validate()?;
-                if !left.tables().is_disjoint(right.tables()) {
-                    return Err(format!(
-                        "join operands overlap: {} vs {}",
-                        left.tables(),
-                        right.tables()
-                    ));
-                }
-                let child_time = left.cost().time + right.cost().time;
-                if cost.time + 1e-9 < child_time {
-                    return Err("join cost below sum of child costs".to_string());
-                }
-                Ok(())
-            }
+        match stack.len() {
+            0 => Err(PlanError::Empty),
+            1 => Ok(sets),
+            roots => Err(PlanError::ExtraRoots { roots }),
         }
     }
 
-    /// Approximate serialized size in bytes (`b_p` in the complexity
-    /// analysis): linear in the number of nodes.
-    pub fn approx_byte_size(&self) -> usize {
-        match self {
-            Plan::Scan { .. } => 24,
-            Plan::Join { left, right, .. } => {
-                40 + left.approx_byte_size() + right.approx_byte_size()
-            }
-        }
-    }
-
-    /// Renders the plan as an indented operator tree.
-    pub fn display_indented(&self) -> String {
-        let mut s = String::new();
-        self.render(&mut s, 0);
-        s
-    }
-
-    fn render(&self, out: &mut String, depth: usize) {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-        match self {
-            Plan::Scan {
-                table,
-                op,
-                cost,
-                cardinality,
-            } => {
-                out.push_str(&format!(
-                    "Scan[{op:?}] Q{table} (card={cardinality:.0}, time={:.3e})\n",
-                    cost.time
-                ));
-            }
-            Plan::Join {
-                op,
-                left,
-                right,
-                cost,
-                cardinality,
-                ..
-            } => {
-                out.push_str(&format!(
-                    "Join[{op:?}] {} (card={cardinality:.0}, time={:.3e}, buf={:.3e})\n",
-                    self.tables(),
-                    cost.time,
-                    cost.buffer
-                ));
-                left.render(out, depth + 1);
-                right.render(out, depth + 1);
-            }
-        }
+    /// Structural check: the operators form one tree whose join operands
+    /// are disjoint ([`Plan::subtrees`]). Costs are not checked here:
+    /// `mpq_dp::explain` recomputes them against the query.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        self.subtrees().map(|_| ())
     }
 }
 
+/// The shape as nested operator calls, `Hash(NestedLoop(Q0, Q1), Q2)`,
+/// then the root cost.
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.display_indented())
+        let mut stack: Vec<String> = Vec::new();
+        for op in &self.ops {
+            let node = match *op {
+                PlanOp::Scan { table, .. } => format!("Q{table}"),
+                PlanOp::Join { op } => match (stack.pop(), stack.pop()) {
+                    (Some(right), Some(left)) => format!("{op:?}({left}, {right})"),
+                    _ => return f.write_str("<malformed plan>"),
+                },
+            };
+            stack.push(node);
+        }
+        match stack.as_slice() {
+            [root] => write!(
+                f,
+                "{root} (time={:.3e}, buf={:.3e})",
+                self.cost.time, self.cost.buffer
+            ),
+            _ => f.write_str("<malformed plan>"),
+        }
     }
 }
 
@@ -211,30 +219,25 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
 
-    fn scan(t: u8, card: f64) -> Plan {
-        Plan::Scan {
+    fn scan(t: u8) -> PlanOp {
+        PlanOp::Scan {
             table: t,
             op: ScanOp::Full,
-            cost: CostVector::new(card, 1.0),
-            cardinality: card,
         }
     }
 
-    fn join(l: Plan, r: Plan, time: f64) -> Plan {
-        let card = l.cardinality() * r.cardinality();
-        Plan::Join {
-            op: JoinOp::Hash,
-            cost: CostVector::new(time, 0.0),
-            cardinality: card,
-            order: Order::None,
-            left: Box::new(l),
-            right: Box::new(r),
+    const HASH: PlanOp = PlanOp::Join { op: JoinOp::Hash };
+
+    fn plan(ops: Vec<PlanOp>) -> Plan {
+        Plan {
+            cost: CostVector::new(10.0, 1.0),
+            ops,
         }
     }
 
     #[test]
     fn scan_properties() {
-        let p = scan(3, 100.0);
+        let p = plan(vec![scan(3)]);
         assert_eq!(p.tables(), TableSet::singleton(3));
         assert_eq!(p.num_joins(), 0);
         assert!(p.is_left_deep());
@@ -245,54 +248,73 @@ mod tests {
     #[test]
     fn left_deep_detection_and_order() {
         // ((0 ⋈ 1) ⋈ 2) is left-deep with order [0, 1, 2].
-        let p = join(
-            join(scan(0, 10.0), scan(1, 10.0), 200.0),
-            scan(2, 10.0),
-            2000.0,
-        );
+        let p = plan(vec![scan(0), scan(1), HASH, scan(2), HASH]);
         assert!(p.is_left_deep());
         assert_eq!(p.join_order(), Some(vec![0, 1, 2]));
         assert_eq!(p.num_joins(), 2);
+        assert_eq!(
+            p.subtrees().unwrap(),
+            [
+                TableSet::singleton(0),
+                TableSet::singleton(1),
+                TableSet::from_tables([0, 1]),
+                TableSet::singleton(2),
+                TableSet::full(3),
+            ]
+        );
     }
 
     #[test]
     fn bushy_detection() {
-        // (0 ⋈ 1) ⋈ (2 ⋈ 3) is bushy.
-        let p = join(
-            join(scan(0, 10.0), scan(1, 10.0), 200.0),
-            join(scan(2, 10.0), scan(3, 10.0), 200.0),
-            3000.0,
-        );
+        // (0 ⋈ 1) ⋈ (2 ⋈ 3) is bushy, and so is 0 ⋈ (1 ⋈ 2).
+        let p = plan(vec![scan(0), scan(1), HASH, scan(2), scan(3), HASH, HASH]);
         assert!(!p.is_left_deep());
         assert_eq!(p.join_order(), None);
         assert_eq!(p.tables(), TableSet::full(4));
+        assert!(p.validate().is_ok());
+        let right_deep = plan(vec![scan(0), scan(1), scan(2), HASH, HASH]);
+        assert!(!right_deep.is_left_deep());
+        assert!(right_deep.validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_overlap() {
-        let p = join(scan(0, 10.0), scan(0, 10.0), 200.0);
-        assert!(p.validate().is_err());
+        let p = plan(vec![scan(0), scan(1), HASH, scan(1), HASH]);
+        assert_eq!(p.validate(), Err(PlanError::RepeatedTable { table: 1 }));
     }
 
     #[test]
-    fn validate_rejects_non_monotone_cost() {
-        let p = join(scan(0, 10.0), scan(1, 10.0), 5.0); // < 10 + 10
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn byte_size_linear_in_nodes() {
-        let p2 = join(scan(0, 1.0), scan(1, 1.0), 10.0);
-        let p3 = join(p2.clone(), scan(2, 1.0), 100.0);
-        assert!(p3.approx_byte_size() > p2.approx_byte_size());
-        assert_eq!(p3.approx_byte_size(), p2.approx_byte_size() + 40 + 24);
+    fn validate_rejects_malformed_shapes() {
+        let cases = [
+            (vec![], PlanError::Empty),
+            (vec![scan(0), HASH], PlanError::MissingOperand { at: 1 }),
+            (vec![HASH], PlanError::MissingOperand { at: 0 }),
+            (vec![scan(0), scan(1)], PlanError::ExtraRoots { roots: 2 }),
+            (
+                vec![scan(0), scan(0), HASH],
+                PlanError::RepeatedTable { table: 0 },
+            ),
+            (vec![scan(64)], PlanError::TableOutOfRange { table: 64 }),
+            (vec![scan(0xFF)], PlanError::TableOutOfRange { table: 0xFF }),
+        ];
+        for (ops, err) in cases {
+            let p = plan(ops);
+            assert_eq!(p.validate(), Err(err), "{:?}", p.ops);
+            assert!(!err.to_string().is_empty());
+        }
+        // An out-of-range scan never reaches the table set.
+        assert_eq!(plan(vec![scan(0xFF)]).tables(), TableSet::empty());
     }
 
     #[test]
     fn display_contains_operators() {
-        let p = join(scan(0, 1.0), scan(1, 1.0), 10.0);
-        let s = p.to_string();
-        assert!(s.contains("Join[Hash]"));
-        assert!(s.contains("Scan[Full] Q0"));
+        let p = plan(vec![scan(0), scan(1), HASH, scan(2), HASH]);
+        assert_eq!(
+            p.to_string(),
+            "Hash(Hash(Q0, Q1), Q2) (time=1.000e1, buf=1.000e0)"
+        );
+        assert_eq!(plan(vec![HASH]).to_string(), "<malformed plan>");
+        assert_eq!(plan(vec![scan(0), scan(1)]).to_string(), "<malformed plan>");
+        assert_eq!(plan(vec![]).to_string(), "<malformed plan>");
     }
 }

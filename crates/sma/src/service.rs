@@ -473,7 +473,13 @@ impl Protocol for SmaProtocol {
                     }
                 },
                 Ok(SmaReply::Final { plans, stats }) => {
-                    if matches!(session.phase, Phase::Finishing) {
+                    // The decoder checked each plan's shape, not which
+                    // query it answers: one that does not join exactly the
+                    // session's tables is no answer to it.
+                    let full = TableSet::full(session.n);
+                    if matches!(session.phase, Phase::Finishing)
+                        && plans.iter().all(|p| p.tables() == full)
+                    {
                         Advance::Finished(plans, stats)
                     } else {
                         Advance::Failed(SmaError::Protocol { worker })
@@ -726,6 +732,51 @@ mod tests {
         let bill_b = svc.wait(b).unwrap().metrics.replica_recovery_bytes;
         assert_eq!(bill_a, bill_b, "per-session bills are independent");
         svc.shutdown();
+    }
+
+    /// The real worker, except that its final answer is the optimum of a
+    /// query of `tables` tables: a reply that decodes, but whose plans do
+    /// not join the session's tables.
+    struct ForeignFinalWorker {
+        inner: SmaWorker,
+        tables: usize,
+    }
+
+    impl WorkerLogic for ForeignFinalWorker {
+        fn on_message(&mut self, id: QueryId, payload: Bytes, ctx: &mut WorkerCtx) -> Control {
+            if SmaMasterMsg::from_bytes(&payload) != Ok(SmaMasterMsg::Finish) {
+                return self.inner.on_message(id, payload, ctx);
+            }
+            let q = query(self.tables, 72);
+            let plans = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
+            let stats = WorkerStats::default();
+            ctx.send_to_master(SmaReply::Final { plans, stats }.to_bytes());
+            Control::Continue
+        }
+    }
+
+    /// A final plan that misses one of the session's tables, or joins one
+    /// it does not have, is no optimum of the session's query: the master
+    /// fails the session with a protocol error instead of returning it.
+    #[test]
+    fn a_final_plan_joining_other_tables_fails_the_session() {
+        for tables in [4, 6] {
+            let cluster = Cluster::spawn(1, LatencyModel::ZERO, |_| ForeignFinalWorker {
+                inner: SmaWorker::default(),
+                tables,
+            })
+            .unwrap();
+            let mut svc =
+                SmaService::with_transport(Box::new(cluster), SmaConfig::default()).unwrap();
+            let out = svc
+                .submit(&query(5, 71), PlanSpace::Linear, Objective::Single)
+                .and_then(|h| svc.wait(h));
+            assert!(
+                matches!(out, Err(SmaError::Protocol { worker: 0 })),
+                "{tables}-table plans: {out:?}"
+            );
+            svc.shutdown();
+        }
     }
 
     /// Regression (ISSUE 13 satellite): an `Init` whose query has no

@@ -19,7 +19,7 @@ use mpq_cost::{CostVector, Objective, ScanOp};
 use mpq_dp::WorkerStats;
 use mpq_model::{Catalog, JoinGraph, Predicate, Query, TableSet, TableStats};
 use mpq_partition::PlanSpace;
-use mpq_plan::{Plan, PlanEntry};
+use mpq_plan::{Plan, PlanEntry, PlanOp};
 use mpq_sma::{SlotUpdate, SmaMasterMsg, SmaReply};
 
 // ---------------------------------------------------------------------------
@@ -79,11 +79,12 @@ fn golden_stats() -> WorkerStats {
 }
 
 fn golden_final_plan() -> Plan {
-    Plan::Scan {
-        table: 2,
-        op: ScanOp::Full,
+    Plan {
         cost: CostVector::new(8.0, 16.0),
-        cardinality: 8.0,
+        ops: vec![PlanOp::Scan {
+            table: 2,
+            op: ScanOp::Full,
+        }],
     }
 }
 
@@ -103,9 +104,9 @@ const GOLDEN_MASTER_FINISH: &str = "03";
 const GOLDEN_MASTER_ABORT: &str = "04";
 const GOLDEN_REPLY_LEVEL_DONE: &str = "000100000003000000000000000100000000000000000\
     0f03f0000000000000040000000002a00000000000000";
-const GOLDEN_REPLY_FINAL: &str = "0101000000000200000000000000204000000000000030400000000000002040\
-    0b00000000000000160000000000000021000000000000002c00000000000000\
-    3700000000000000";
+const GOLDEN_REPLY_FINAL: &str = "010100000000000000000020400000000000003040010000000002000b000000\
+    00000000160000000000000021000000000000002c0000000000000037000000\
+    00000000";
 const GOLDEN_REPLY_MALFORMED: &str = "02";
 
 fn hex(bytes: &[u8]) -> String {

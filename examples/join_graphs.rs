@@ -51,12 +51,15 @@ fn main() {
 /// Counts joins in `plan` that have no connecting predicate (pure cross
 /// products).
 fn count_cross_products(query: &Query, plan: &Plan) -> usize {
-    match plan {
-        Plan::Scan { .. } => 0,
-        Plan::Join { left, right, .. } => {
-            let crossing = query.join_selectivity(left.tables(), right.tables());
-            let here = usize::from(crossing == 1.0);
-            here + count_cross_products(query, left) + count_cross_products(query, right)
-        }
-    }
+    let subtrees = plan.subtrees().expect("an optimizer plan is one tree");
+    (0..plan.ops.len())
+        .filter(|&at| matches!(plan.ops[at], PlanOp::Join { .. }))
+        .filter(|&at| {
+            // In post-order the inner operand's subtree ends just before
+            // its join; the outer operand holds the rest of the join's.
+            let right = subtrees[at - 1];
+            let left = subtrees[at].difference(right);
+            query.join_selectivity(left, right) == 1.0
+        })
+        .count()
 }

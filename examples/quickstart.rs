@@ -31,7 +31,10 @@ fn main() {
 
     let best = &outcome.plans[0];
     println!("\noptimal left-deep plan (cost {:.3e}):", best.cost().time);
-    println!("{best}");
+    println!(
+        "{}",
+        explain(&query, best).expect("an optimizer plan fits its query")
+    );
     println!("join order: {:?}", best.join_order().expect("left-deep"));
 
     let m = &outcome.metrics;

@@ -278,7 +278,8 @@ fn cmd_optimize(o: &Options) -> Result<(), String> {
         if out.plans.len() > 1 {
             println!("\n-- frontier plan {} of {} --", i + 1, out.plans.len());
         }
-        println!("{p}");
+        let tree = explain(&query, p).map_err(|e| format!("cannot explain a plan: {e}"))?;
+        println!("{tree}");
     }
     println!(
         "total time:        {:.2} ms",

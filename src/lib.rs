@@ -82,7 +82,9 @@ pub mod prelude {
     pub use mpq_algo::{MpqConfig, MpqError, MpqOptimizer, MpqOutcome, MpqService, RetryPolicy};
     pub use mpq_cluster::{ClusterError, FaultPlan, NetworkMetrics, QueryId};
     pub use mpq_cost::{CostVector, Objective};
-    pub use mpq_dp::{optimize_partition, optimize_serial, ParallelPolicy, PartitionOutcome};
+    pub use mpq_dp::{
+        explain, optimize_partition, optimize_serial, ParallelPolicy, PartitionOutcome,
+    };
     pub use mpq_exec::{execute, DataConfig, Database};
     pub use mpq_heuristics::{greedy_min_result, IterativeImprovement, SimulatedAnnealing};
     pub use mpq_model::{
@@ -90,6 +92,6 @@ pub mod prelude {
         WorkloadGenerator,
     };
     pub use mpq_partition::{effective_workers, partition_constraints, PlanSpace};
-    pub use mpq_plan::{CacheStats, MemoCache, Plan, PruningPolicy};
+    pub use mpq_plan::{CacheStats, MemoCache, Plan, PlanOp, PruningPolicy};
     pub use mpq_sma::{SmaConfig, SmaError, SmaOptimizer, SmaService};
 }

@@ -119,8 +119,10 @@ pub struct ServiceConfig {
     pub sma: SmaConfig,
     /// Byte budget of the service's **cross-query result cache** — the one
     /// cache, whatever the backend: an LRU that, once full, admits a
-    /// result on its second offer; see the module docs. `0` (the default)
-    /// disables it — bit-for-bit the uncached behavior.
+    /// result on its second offer; see the module docs. Each result is
+    /// charged its plans' size plus its key's bytes (≈ 94 + 296 B for an
+    /// 8-table single-objective query). `0` (the default) disables it —
+    /// bit-for-bit the uncached behavior.
     pub cache_bytes: usize,
     /// **Admission limit**: most sessions the cluster backends keep in
     /// flight at once. Submissions beyond it fail with
@@ -1014,7 +1016,11 @@ mod tests {
                 let stats = Optimizer::cache_stats(&svc);
                 let counted = (stats.hits, stats.misses, stats.entries);
                 assert_eq!(counted, (1, 1, 1), "{ctx}");
-                assert!(stats.bytes > 0 && stats.bytes_saved == stats.bytes, "{ctx}");
+                // The hit saved the result; the entry is charged its key too.
+                let key = result_key(&q, PlanSpace::Linear, objective);
+                assert_eq!(stats.bytes_saved, cold.weight_bytes() as u64, "{ctx}");
+                let charged = stats.bytes_saved + key.bytes().len() as u64;
+                assert_eq!(stats.bytes, charged, "{ctx}");
                 if let Some(net) = svc.network_snapshot() {
                     let counted = (net.cache_hits, net.cache_misses, net.cache_bytes_saved);
                     assert_eq!(counted, (1, 1, stats.bytes_saved), "{ctx}");
@@ -1103,9 +1109,12 @@ mod tests {
     #[test]
     fn full_cache_keeps_hot_results_through_a_scan() {
         let hot = [query(5, 60), query(5, 61)];
+        // An entry is charged its result and its key.
+        let key = result_key(&hot[0], PlanSpace::Linear, Objective::Single);
         let weight = optimize_serial(&hot[0], PlanSpace::Linear, Objective::Single)
             .plans
-            .weight_bytes();
+            .weight_bytes()
+            + key.bytes().len();
         const ROUNDS: u64 = 8;
         for backend in Backend::ALL {
             let ctx = format!("backend {}", backend.name());

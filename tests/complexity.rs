@@ -12,46 +12,58 @@ fn query(n: usize, seed: u64) -> Query {
     WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
 }
 
+/// Theorem 1's bill `m · (b_q + b_p)` as the codec writes it, for an
+/// idle `m`-worker single-objective run of `q`: `m` tasks — an 8-byte
+/// session id, then the query and its partition range — and `m` replies
+/// of 85 bytes (the id, tag, range echo, plan count, stats and cache
+/// counters) plus one plan of `b_p(n) = 5n + 18` bytes.
+fn theorem1_bytes(q: &Query, m: u64) -> u64 {
+    use pqopt::cluster::Wire;
+    let task = pqopt::mpq::MasterMessage {
+        query: q.clone(),
+        space: PlanSpace::Linear,
+        objective: Objective::Single,
+        first_partition: 0,
+        partition_count: 1,
+        total_partitions: m,
+        progress_every: 0,
+    }
+    .to_bytes()
+    .len() as u64;
+    let b_p = 5 * q.num_tables() as u64 + 18;
+    m * (8 + task) + m * (85 + b_p)
+}
+
 #[test]
 fn theorem1_network_linear_in_workers() {
     let opt = MpqOptimizer::new(MpqConfig::default());
     let q = query(12, 1);
-    let mut per_worker_bytes = Vec::new();
     for workers in [1u64, 2, 4, 8, 16, 32] {
-        let out = opt.optimize(&q, PlanSpace::Linear, Objective::Single, workers);
-        per_worker_bytes.push(out.metrics.network.total_bytes() as f64 / workers as f64);
+        let net = opt
+            .optimize(&q, PlanSpace::Linear, Objective::Single, workers)
+            .metrics
+            .network;
+        assert_eq!(net.messages, 2 * workers, "{workers} workers");
+        assert_eq!(
+            net.total_bytes(),
+            theorem1_bytes(&q, workers),
+            "{workers} workers"
+        );
     }
-    // Bytes per worker must be (nearly) constant: O(m (b_q + b_p)).
-    let min = per_worker_bytes
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min);
-    let max = per_worker_bytes.iter().cloned().fold(0.0, f64::max);
-    assert!(
-        max / min < 1.25,
-        "per-worker traffic must be ~constant, got {per_worker_bytes:?}"
-    );
 }
 
 #[test]
 fn theorem1_network_linear_in_query_size() {
     let opt = MpqOptimizer::new(MpqConfig::default());
-    let b8 = opt
-        .optimize(&query(8, 2), PlanSpace::Linear, Objective::Single, 8)
-        .metrics
-        .network
-        .total_bytes() as f64;
-    let b16 = opt
-        .optimize(&query(16, 2), PlanSpace::Linear, Objective::Single, 8)
-        .metrics
-        .network
-        .total_bytes() as f64;
-    // Doubling n must far less than double-square the traffic; allow 3x
-    // for per-plan overhead (plans have n-1 join nodes).
-    assert!(
-        b16 / b8 < 3.0,
-        "traffic must stay linear in n: {b8} -> {b16}"
-    );
+    for n in [8, 16] {
+        let q = query(n, 2);
+        let bytes = opt
+            .optimize(&q, PlanSpace::Linear, Objective::Single, 8)
+            .metrics
+            .network
+            .total_bytes();
+        assert_eq!(bytes, theorem1_bytes(&q, 8), "{n} tables");
+    }
 }
 
 #[test]

@@ -42,6 +42,9 @@ fn mpq_equals_serial_across_worker_counts_linear() {
             );
             assert!(out.plans[0].is_left_deep());
             out.plans[0].validate().expect("valid plan tree");
+            assert!(pqopt::dp::explain(&q, &out.plans[0])
+                .expect("fits its query")
+                .is_monotone());
         }
     }
 }
@@ -159,14 +162,11 @@ fn bushy_partition_plans_respect_bushy_constraints() {
 }
 
 fn assert_no_violating_subtree(plan: &Plan, x: usize, y: usize, z: usize) {
-    let t = plan.tables();
-    assert!(
-        !(t.contains(y) && t.contains(z) && !t.contains(x)),
-        "subtree {t} violates {x} ⪯ {y} | {z}"
-    );
-    if let Plan::Join { left, right, .. } = plan {
-        assert_no_violating_subtree(left, x, y, z);
-        assert_no_violating_subtree(right, x, y, z);
+    for t in plan.subtrees().expect("one plan tree") {
+        assert!(
+            !(t.contains(y) && t.contains(z) && !t.contains(x)),
+            "subtree {t} violates {x} ⪯ {y} | {z}"
+        );
     }
 }
 
@@ -241,6 +241,51 @@ fn cli_scaling_prints_only_exact_counters() {
     assert_eq!(first, pqopt(&args), "a counter moved between runs");
     assert_eq!(first.lines().count(), 1 + 3, "rows for 1, 2 and 4 workers");
     assert!(first.contains("max splits") && !first.contains("speedup"));
+}
+
+/// `pqopt optimize` prints each plan through `explain`: the plan trees —
+/// everything before the timing lines — are the text captured when every
+/// node still carried its estimates on the wire, byte for byte. One
+/// linear single-objective query and one bushy frontier with α = 2.
+#[test]
+fn cli_optimize_prints_the_same_plan_trees() {
+    let cases = [
+        (
+            &[
+                "optimize",
+                "--tables",
+                "6",
+                "--seed",
+                "7",
+                "--graph",
+                "chain",
+                "--workers",
+                "4",
+            ][..],
+            include_str!("golden/optimize_linear.txt"),
+        ),
+        (
+            &[
+                "optimize",
+                "--tables",
+                "5",
+                "--seed",
+                "3",
+                "--space",
+                "bushy",
+                "--multi",
+                "2",
+                "--workers",
+                "2",
+            ][..],
+            include_str!("golden/optimize_bushy.txt"),
+        ),
+    ];
+    for (args, golden) in cases {
+        let out = pqopt(args);
+        let trees = &out[..out.find("total time:").expect("a timing line")];
+        assert_eq!(trees, golden, "pqopt {args:?}");
+    }
 }
 
 /// `pqopt compare` exits 0 only when MPQ and SMA agree bit for bit.

@@ -125,6 +125,7 @@ fn heuristic_plans_execute_to_the_same_result_as_optimal_plans() {
         ),
     ] {
         plan.validate().expect("valid tree");
+        assert!(pqopt::dp::explain(&q, &plan).unwrap().is_monotone());
         let rows = execute(&q, &plan, &db).unwrap().0.canonical_rows();
         assert_eq!(rows, reference, "all plans answer the same query");
     }
