@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the optimizer's hot kernels: the per-partition DP
 //! in its two configurations (textbook reference loop, streaming arena
-//! kernel) with the memo's bytes per stored set, the partition
+//! kernel), single-objective and Pareto, with the memo's bytes per stored
+//! set, the partition
 //! `benchmark/`'s `large_linear` runs, a one-thread pair of partitions
 //! straddling the size where the estimator's table used to stop,
 //! dense-index lookup beside the carried-index step,
@@ -15,7 +16,7 @@
 use mpq_bench::{full_scale, median, print_table, BenchReport};
 use mpq_cluster::Wire;
 use mpq_cost::Objective;
-use mpq_dp::{optimize_partition, optimize_partition_reference, ArenaMemo};
+use mpq_dp::{optimize_partition, optimize_partition_reference, ArenaMemo, PartitionOutcome};
 use mpq_model::{JoinGraph, TableSet, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{partition_constraints, AdmissibleSets, PlanSpace};
 use std::hint::black_box;
@@ -34,18 +35,38 @@ fn sample_ms<F: FnMut()>(samples: usize, mut f: F) -> Vec<f64> {
 }
 
 fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
-    let configs: Vec<(&str, PlanSpace, usize, u64)> = vec![
-        ("linear16_l4", PlanSpace::Linear, 16, 16),
-        ("bushy12_l2", PlanSpace::Bushy, 12, 4),
+    let configs: Vec<(&str, PlanSpace, usize, u64, Objective)> = vec![
+        ("linear16_l4", PlanSpace::Linear, 16, 16, Objective::Single),
+        ("bushy12_l2", PlanSpace::Bushy, 12, 4, Objective::Single),
+        // `benchmark/`'s `large_bushy_multi` partition shape, where the
+        // Pareto kernel passes over the left plans' groups whose floors
+        // the slot already rejects.
+        (
+            "bushy9_a2_l1",
+            PlanSpace::Bushy,
+            9,
+            2,
+            Objective::Multi { alpha: 2.0 },
+        ),
+        // The paper's α on a left-deep space, whose right operand is one
+        // scan: no group is checked, and the Pareto loop must not pay for
+        // the check.
+        (
+            "linear12_a10_l1",
+            PlanSpace::Linear,
+            12,
+            2,
+            Objective::PAPER_MULTI,
+        ),
     ];
     let mut rows = Vec::new();
-    for (label, space, tables, partitions) in configs {
+    for (label, space, tables, partitions, objective) in configs {
         let q = WorkloadGenerator::new(WorkloadConfig::with_graph(tables, JoinGraph::Star), 7)
             .next_query();
         let constraints = partition_constraints(tables, space, partitions / 2, partitions);
 
         // The variants must agree before their timings mean anything.
-        let reference = optimize_partition_reference(&q, space, Objective::Single, &constraints);
+        let reference = optimize_partition_reference(&q, space, objective, &constraints);
         // The exact work behind the timings below, so ns-per-plan can be
         // derived from the committed file.
         report.exact(
@@ -71,12 +92,19 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
             "bytes",
             memo_bytes as f64 / reference.stats.stored_sets as f64,
         );
-        let out = optimize_partition(&q, space, Objective::Single, &constraints);
+        let out = optimize_partition(&q, space, objective, &constraints);
+        let bits = |out: &PartitionOutcome| -> Vec<[u64; 2]> {
+            out.plans
+                .iter()
+                .map(|p| [p.cost().time.to_bits(), p.cost().buffer.to_bits()])
+                .collect()
+        };
         assert_eq!(
-            out.plans[0].cost().time.to_bits(),
-            reference.plans[0].cost().time.to_bits(),
+            bits(&out),
+            bits(&reference),
             "{label}: kernel variants disagree"
         );
+        assert_eq!(out.stats.plans_generated, reference.stats.plans_generated);
         assert_eq!(out.stats.stored_sets, reference.stats.stored_sets);
         assert_eq!(out.stats.total_entries, reference.stats.total_entries);
 
@@ -88,12 +116,7 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
                 optimize_partition_reference
             };
             let ms = sample_ms(samples, || {
-                black_box(kernel(
-                    black_box(&q),
-                    space,
-                    Objective::Single,
-                    &constraints,
-                ));
+                black_box(kernel(black_box(&q), space, objective, &constraints));
             });
             row.push(format!("{:.2}", median(&mut ms.clone())));
             report.timing(&format!("dp_{variant}_{label}"), "ms", &ms);

@@ -29,6 +29,6 @@ pub mod predicates;
 pub mod vector;
 
 pub use cardinality::{CardinalityEstimator, SetStats};
-pub use operators::{JoinOp, Order, ScanOp, SplitCosts, JOIN_OPS};
+pub use operators::{JoinFloor, JoinOp, Order, ScanOp, SplitCosts, JOIN_OPS};
 pub use predicates::PredicateIndex;
 pub use vector::{CostVector, Objective};

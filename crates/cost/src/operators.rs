@@ -138,6 +138,16 @@ pub struct JoinApplication {
     pub output_order: Order,
 }
 
+/// The floors of what an operator adds to a join of one left plan on one
+/// split, by output order ([`SplitCosts::floor`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct JoinFloor {
+    /// Nested loop and hash join, which output the left plan's order.
+    pub outer_order: JoinApplication,
+    /// Sort-merge, over any right plan; `None` on a cross product.
+    pub sort_merge: Option<JoinApplication>,
+}
+
 impl JoinOp {
     /// Computes the incremental cost of joining `left` (outer) with `right`
     /// (inner), given the orders the operand plans deliver. Returns `None`
@@ -283,6 +293,66 @@ impl SplitCosts {
                 }
                 buffer
             }
+        })
+    }
+
+    /// How many join operators apply on this split: 3, or 2 on a cross
+    /// product, where sort-merge does not.
+    #[inline]
+    pub fn operators(&self) -> u64 {
+        2 + u64::from(self.sort_merge.is_some())
+    }
+
+    /// Lower bounds on what an operator adds to a join of a left plan of
+    /// order `left_order` on this split, one per output order the join can
+    /// have: no [`SplitCosts::apply`] of that left order yields a cost below
+    /// its class's floor in either metric. `None` unless every time and
+    /// buffer this split can add is finite.
+    ///
+    /// Nested loop and hash join output `left_order`, and what they add
+    /// depends on no order: their floor is the component-wise minimum of the
+    /// two. Sort-merge outputs its own order; its floor is the
+    /// component-wise minimum over a right plan sorted and one unsorted.
+    #[inline]
+    pub fn floor(&self, left_order: Order) -> Option<JoinFloor> {
+        let (nested_loop, hash) = (self.nested_loop, self.hash);
+        let finite = [nested_loop, hash]
+            .iter()
+            .all(|c| c.time.is_finite() && c.buffer.is_finite())
+            && self.sort_merge.as_ref().is_none_or(|sm| {
+                [
+                    sm.merge,
+                    sm.sort_left,
+                    sm.sort_right,
+                    sm.buffer_left,
+                    sm.buffer_right,
+                ]
+                .iter()
+                .all(|t| t.is_finite())
+            });
+        if !finite {
+            return None;
+        }
+        let cheaper = |a: CostVector, b: CostVector| {
+            CostVector::new(a.time.min(b.time), a.buffer.min(b.buffer))
+        };
+        let sort_merge = self.sort_merge.as_ref().map(|sm| {
+            let [sorted, unsorted] = [sm.want_right, Order::None].map(|right_order| {
+                self.apply(JoinOp::SortMerge, left_order, right_order)
+                    .expect("sort-merge applies where it has costs")
+                    .cost
+            });
+            JoinApplication {
+                cost: cheaper(sorted, unsorted),
+                output_order: sm.want_left,
+            }
+        });
+        Some(JoinFloor {
+            outer_order: JoinApplication {
+                cost: cheaper(nested_loop, hash),
+                output_order: left_order,
+            },
+            sort_merge,
         })
     }
 

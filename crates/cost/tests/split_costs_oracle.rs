@@ -1,4 +1,5 @@
-//! `SplitCosts` ≡ the per-candidate formula it replaced, checked bitwise.
+//! `SplitCosts` ≡ the per-candidate formula it replaced, checked bitwise;
+//! and its floors (`SplitCosts::floor`) are lower bounds of that formula.
 //!
 //! `reference_apply` is a verbatim copy of `JoinOp::apply` as it stood
 //! before the per-split hoist, when every (left plan × right plan ×
@@ -174,4 +175,109 @@ fn split_costs_match_the_per_candidate_formula_bitwise() {
     }
     assert!(applicable > 10_000, "formula paths exercised");
     assert!(cross_products > 1_000, "SortMerge -> None exercised");
+}
+
+/// `SplitCosts::floor` bounds every operator cost of its class from below:
+/// on random splits, for every operator and every pair of left and right
+/// orders, `apply` is component-wise at least the floor of the class its
+/// output order falls in — nested loop and hash join that of the left
+/// order, sort-merge its own — and every component of a floor is some
+/// operator's own, so no floor is looser than it need be.
+#[test]
+fn a_floor_bounds_every_operator_of_its_class() {
+    let mut rng = Lcg(0xF100);
+    let mut checked = 0u32;
+    for (g, graph) in JoinGraph::ALL.into_iter().enumerate() {
+        for seed in 0..6u64 {
+            let n = 4 + (seed as usize + g) % 6;
+            let q = WorkloadGenerator::new(WorkloadConfig::with_graph(n, graph), 331 * seed + 5)
+                .next_query();
+            let mut est = CardinalityEstimator::new(&q);
+            for _ in 0..40 {
+                let (left, right) = random_split(&mut rng, n);
+                let split = SplitCosts::new(&mut est, left, right);
+                let (want_l, want_r) = match reference_sort_merge_attributes(&q, left, right) {
+                    Some((la, ra)) => (Order::OnAttribute(la), Order::OnAttribute(ra)),
+                    None => (Order::OnAttribute(0), Order::OnAttribute(1)),
+                };
+                let other = Order::OnAttribute(n as u8);
+                for lo in [Order::None, want_l, other] {
+                    let floor = split.floor(lo).expect("finite statistics have a floor");
+                    let ctx = format!("{graph:?} seed {seed} {left:?}|{right:?} {lo:?}");
+                    assert_eq!(floor.outer_order.output_order, lo, "{ctx}");
+                    let mut attained = [[false; 2]; 2];
+                    for ro in [Order::None, want_r, other] {
+                        for op in JOIN_OPS {
+                            let Some(app) = split.apply(op, lo, ro) else {
+                                assert!(floor.sort_merge.is_none(), "{ctx}");
+                                continue;
+                            };
+                            let (class, c) = match op {
+                                JoinOp::NestedLoop | JoinOp::Hash => (floor.outer_order, 0),
+                                JoinOp::SortMerge => (floor.sort_merge.expect("applies"), 1),
+                            };
+                            assert_eq!(app.output_order, class.output_order, "{ctx} {op:?}");
+                            assert!(app.cost.time >= class.cost.time, "{ctx} {op:?} {ro:?}");
+                            assert!(app.cost.buffer >= class.cost.buffer, "{ctx} {op:?} {ro:?}");
+                            attained[c][0] |= app.cost.time == class.cost.time;
+                            attained[c][1] |= app.cost.buffer == class.cost.buffer;
+                            checked += 1;
+                        }
+                    }
+                    assert!(attained[0] == [true; 2], "{ctx}: {attained:?}");
+                    if floor.sort_merge.is_some() {
+                        assert!(attained[1] == [true; 2], "{ctx}: {attained:?}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 5_000, "{checked} operator costs checked");
+}
+
+/// A split whose costs read a non-finite statistic has no floor, whatever
+/// the left order: the candidates it would bound could be NaN. Every
+/// split reads both cardinalities and the right tuple width; a split with
+/// a sort-merge predicate reads the sort costs and the left tuple width
+/// too. The finite values are small, so finite statistics never overflow.
+#[test]
+fn non_finite_statistics_give_no_floor() {
+    let q = WorkloadGenerator::new(WorkloadConfig::with_graph(4, JoinGraph::Chain), 3).next_query();
+    let est = CardinalityEstimator::new(&q);
+    let grid = [0.0, 1.0, 3.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let mut rng = Lcg(0xF1);
+    let (mut none, mut some) = (0u32, 0u32);
+    // Tables 0 and 1 share a predicate; 0 and 2 do not.
+    for (left, right) in
+        [(0, 1), (0, 2)].map(|(l, r)| (TableSet::singleton(l), TableSet::singleton(r)))
+    {
+        let sort_merge = reference_sort_merge_attributes(&q, left, right).is_some();
+        for _ in 0..600 {
+            let mut pick = || grid[(rng.next() % grid.len() as u64) as usize];
+            let [l, r] = [(); 2].map(|_| mpq_cost::SetStats {
+                cardinality: pick(),
+                tuple_bytes: pick(),
+                sort_cost: pick(),
+            });
+            let split = SplitCosts::from_stats(est.predicates(), left, &l, right, &r);
+            let mut read = vec![l.cardinality, r.cardinality, r.tuple_bytes];
+            if sort_merge {
+                read.extend([l.tuple_bytes, l.sort_cost, r.sort_cost]);
+            }
+            let non_finite = read.iter().any(|s| !s.is_finite());
+            for lo in [Order::None, Order::OnAttribute(0), Order::OnAttribute(3)] {
+                let floor = split.floor(lo);
+                assert_eq!(floor.is_none(), non_finite, "{l:?} {r:?} {lo:?}: {floor:?}");
+                if non_finite {
+                    none += 1;
+                } else {
+                    some += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        none > 1_000 && some > 100,
+        "{none} without a floor, {some} with"
+    );
 }

@@ -43,10 +43,23 @@
 //!   built into a [`PlanEntry`] and handed to the scalar pruning function,
 //!   straight into the arena's tail — which provably yields the same slot,
 //!   in the same entry order, as costing and inserting every candidate
-//!   sequentially. Multi-objective runs (`join_candidates`) ask every
-//!   candidate for its vector and test it against a slot of their own,
-//!   since the candidates borrow their operands from the arena; an entry
-//!   is built for one that is kept.
+//!   sequentially.
+//! * Multi-objective runs (`join_candidates` into a [`ParetoSink`]) ask
+//!   each candidate they generate for its vector and test it against a
+//!   slot of their own, since the candidates borrow their operands from
+//!   the arena; an entry is built for one that is kept. A left plan's
+//!   candidates — every right plan, times every operator — form a group,
+//!   and a group whose every output-order class has a floor the slot
+//!   already rejects is not generated, only counted. A candidate costs
+//!   `(l + r) + app`, and IEEE addition, `max` and multiplication by α ≥ 1
+//!   are monotone, so an entry that α-dominates the class's floor
+//!   `(l + min r) + min app` α-dominates each of its candidates — none of
+//!   which is NaN when the left plan, the right plans and the operator
+//!   terms are all finite, the only case checked. The slot's power to
+//!   reject never shrinks (an entry leaves only for one that exactly
+//!   dominates it and covers its order), so each candidate passed over
+//!   would have been rejected in its turn: the slot, the entry order and
+//!   `plans_generated` are those of generating them all.
 //! * A set's statistics and live orders come from the estimator's
 //!   per-query prefix tables and predicate bitsets
 //!   ([`CardinalityEstimator::set_stats`],
@@ -57,8 +70,10 @@
 use crate::stats::WorkerStats;
 use crate::worker::{
     buffer_operands, finish, for_each_pair, for_each_split, join_candidates, join_time, seed_scans,
-    stored_time, Operand, PartitionOutcome, Split, SplitEnv, SplitScratch,
+    stored_time, Candidate, CandidateSink, Operand, PartitionOutcome, Split, SplitEnv,
+    SplitScratch,
 };
+use mpq_cost::operators::JoinApplication;
 use mpq_cost::{
     CardinalityEstimator, CostVector, JoinOp, Objective, Order, PredicateIndex, SetStats,
     SplitCosts, JOIN_OPS,
@@ -503,6 +518,98 @@ impl ClassMinima {
     }
 }
 
+/// The Pareto kernel's sink for one split: each candidate it takes meets
+/// the slot under construction through the pruning function, and a left
+/// plan `l`'s group of candidates — every right plan, times every
+/// operator — is declined when the slot already rejects the floor of each
+/// of the group's output-order classes: `(l + min r) + min app`, the
+/// minima taken component-wise over the right plans and over the class's
+/// operators ([`mpq_cost::SplitCosts::floor`]). The module docs say why
+/// the slot is then the one generating the group would leave. A group is
+/// checked only where the left plan, every right plan and every operator
+/// term are finite, so that no candidate is NaN, and where the right
+/// operand holds two or more plans: with one (always, in a left-deep
+/// space) the check costs as much as the two or three candidates it could
+/// spare.
+#[doc(hidden)]
+pub struct ParetoSink<'s> {
+    pruning: &'s PruningPolicy,
+    slot: &'s mut Vec<PlanEntry>,
+    /// The split's left and right operand, for the entries built.
+    operands: (TableSet, TableSet),
+    live: TableSet,
+    /// The component-wise minimum of the right plans' costs, where groups
+    /// are checked.
+    right_floor: Option<CostVector>,
+}
+
+impl<'s> ParetoSink<'s> {
+    /// The sink of the split `operands` whose right operand holds the plans
+    /// `rights`, for a result whose interesting orders are `live`, into
+    /// `slot` (the whole vector is the slot).
+    pub fn new(
+        pruning: &'s PruningPolicy,
+        slot: &'s mut Vec<PlanEntry>,
+        operands: (TableSet, TableSet),
+        rights: &[PlanEntry],
+        live: TableSet,
+    ) -> Self {
+        let right_floor = if rights.len() < 2 {
+            None
+        } else {
+            let unbounded = CostVector::new(f64::INFINITY, f64::INFINITY);
+            rights.iter().try_fold(unbounded, |floor, r| {
+                finite(&r.cost).then(|| {
+                    CostVector::new(floor.time.min(r.cost.time), floor.buffer.min(r.cost.buffer))
+                })
+            })
+        };
+        ParetoSink {
+            pruning,
+            slot,
+            operands,
+            live,
+            right_floor,
+        }
+    }
+}
+
+fn finite(cost: &CostVector) -> bool {
+    cost.time.is_finite() && cost.buffer.is_finite()
+}
+
+impl CandidateSink for ParetoSink<'_> {
+    #[inline]
+    fn wants_group(&self, costs: &SplitCosts, outer: &PlanEntry) -> bool {
+        let Some(right) = self.right_floor else {
+            return true;
+        };
+        if self.slot.is_empty() || !finite(&outer.cost) {
+            return true;
+        }
+        let Some(floor) = costs.floor(outer.order) else {
+            return true;
+        };
+        let operands = outer.cost.add(&right);
+        let rejected = |app: JoinApplication| {
+            let order = app.output_order.if_live(self.live);
+            self.pruning
+                .rejected(self.slot, &operands.add(&app.cost), order)
+        };
+        !(rejected(floor.outer_order) && floor.sort_merge.is_none_or(rejected))
+    }
+
+    #[inline(always)]
+    fn take(&mut self, c: Candidate<'_>) {
+        let cost = c.cost();
+        let (left, right) = self.operands;
+        self.pruning
+            .try_insert_with(self.slot, 0, cost, c.order, || {
+                c.entry_costing(cost, left, right)
+            });
+    }
+}
+
 /// Optimizes the partition described by `constraints` with the streaming
 /// kernel. Bit-identical to the reference loop (see the module docs for
 /// why).
@@ -560,19 +667,16 @@ pub(crate) fn fill(
                 });
             }
             // Pareto pruning has no single-number reduction: every
-            // candidate meets the slot built so far, which is a slot of its
-            // own because the candidates borrow their operands from the
-            // arena.
+            // candidate generated meets the slot built so far, which is a
+            // slot of its own because the candidates borrow their operands
+            // from the arena.
             Objective::Multi { .. } => {
                 for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
                     stats.splits_tried += 1;
-                    let left = split.left.set;
-                    stats.plans_generated += join_candidates(predicates, &split, live, |c| {
-                        let cost = c.cost();
-                        pruning.try_insert_with(&mut slot, 0, cost, c.order, || {
-                            c.entry_costing(cost, left, split.right.set)
-                        });
-                    });
+                    let operands = (split.left.set, split.right.set);
+                    let sink =
+                        ParetoSink::new(pruning, &mut slot, operands, split.right.entries, live);
+                    stats.plans_generated += join_candidates(predicates, &split, live, sink);
                 });
                 for entry in &mut slot {
                     entry.cost.time = stored_time(entry.cost.time);
@@ -1155,8 +1259,9 @@ mod tests {
     /// Both kernels' whole memos, slot by slot and bit by bit — statistics,
     /// entry order, both costs, child references — and their counters:
     /// Linear 11–12 at every partition of m ∈ {1, 2, 4, 8, 16} and Bushy 9
-    /// at m ∈ {1, 2, 4}, all four graph shapes, both objectives. Minutes in
-    /// a debug build, seconds in release, where CI runs it.
+    /// at m ∈ {1, 2, 4}, all four graph shapes, single-objective and Pareto
+    /// at α ∈ {1, 2, 10}. Minutes in a debug build, seconds in release,
+    /// where CI runs it.
     #[test]
     #[ignore = "deep grid: run with --release -- --include-ignored"]
     fn arena_equals_reference_deep() {
@@ -1173,7 +1278,12 @@ mod tests {
                         0xDEE9 + 31 * n as u64 + g as u64,
                     )
                     .next_query();
-                    for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
+                    for objective in [
+                        Objective::Single,
+                        Objective::Multi { alpha: 1.0 },
+                        Objective::Multi { alpha: 2.0 },
+                        Objective::PAPER_MULTI,
+                    ] {
                         let pruning = PruningPolicy::new(objective, n);
                         for m in (0..=max_l).map(|l| 1u64 << l) {
                             for id in 0..m {

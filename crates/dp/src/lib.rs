@@ -49,9 +49,9 @@ pub mod stats;
 pub mod topdown;
 pub mod worker;
 
-#[doc(hidden)]
-pub use arena::ClassMinima;
 pub use arena::{optimize_partition, ArenaMemo, ParallelPolicy};
+#[doc(hidden)]
+pub use arena::{ClassMinima, ParetoSink};
 pub use cached::{push_scope, result_key, PlanCache};
 pub use explain::{explain, ExplainError, Explanation, NodeEstimate};
 pub use naive::{exhaustive_frontier, exhaustive_linear_best_time};
@@ -62,9 +62,9 @@ pub use parametric::{
 pub use reconstruct::reconstruct_plan;
 pub use stats::WorkerStats;
 pub use topdown::optimize_partition_topdown;
-#[doc(hidden)]
-pub use worker::Candidate;
 pub use worker::{
     complete_plans, compute_entries_for_set, optimize_partition_id, optimize_partition_reference,
     optimize_serial, seed_scans, PartitionOutcome,
 };
+#[doc(hidden)]
+pub use worker::{join_plans, Candidate, CandidateSink};

@@ -20,7 +20,9 @@
 
 use crate::arena::ArenaMemo;
 use crate::stats::WorkerStats;
-use crate::worker::{complete_plans, for_each_split_filtered, join_candidates, Split, SplitEnv};
+use crate::worker::{
+    complete_plans, for_each_split_filtered, join_candidates, Candidate, Split, SplitEnv,
+};
 use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, SplitCosts};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
@@ -150,7 +152,7 @@ pub fn optimize_parametric_partition(
             // time of the same operator on the same operand plans rides in
             // the buffer component.
             let mut inapplicable = 0;
-            let generated = join_candidates(lo.predicates(), &split, live, |c| {
+            let generated = join_candidates(lo.predicates(), &split, live, |c: Candidate<'_>| {
                 let Some((high, _)) = costs_hi.time(c.op, c.left.order, c.right.order) else {
                     inapplicable += 1;
                     return;

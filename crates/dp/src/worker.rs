@@ -40,7 +40,9 @@
 //! evaluated: the loop hands its sink a [`Candidate`] with the time
 //! evaluated and the rest of the vector on request — the streaming kernel
 //! asks for the winners', every other traversal (reference loop, Pareto
-//! path, top-down, parametric, SMA) for each one's.
+//! path, top-down, parametric, SMA) for each one's. A sink may decline a
+//! left plan's whole group of candidates ([`CandidateSink`]): the Pareto
+//! path does when its slot already rejects the group's floors.
 
 use crate::arena::{optimize_partition, ArenaMemo};
 use crate::reconstruct::reconstruct_plan;
@@ -357,10 +359,8 @@ impl Candidate<'_> {
     }
 
     /// Its cost vector, `(left.cost + right.cost) + app.cost`: its time
-    /// is `time`, but for the bits of a NaN ([`stored_time`]). Adding the
-    /// time up again here, rather than reading `time`, keeps the Pareto
-    /// loop, which asks every candidate for its vector, a fifth faster
-    /// (Bushy 8).
+    /// is `time`, but for the bits of a NaN ([`stored_time`]), since the
+    /// sum is added up again here.
     #[inline]
     pub fn cost(&self) -> CostVector {
         self.left.cost.add(&self.right.cost).add(&self.app())
@@ -376,7 +376,7 @@ impl Candidate<'_> {
 
     /// [`Candidate::entry`] with the cost the caller already asked for,
     /// taken as it is: the Pareto loop stores its slot's times when the set
-    /// is done (a [`stored_time`] here slows it by a fifth).
+    /// is done, outside the candidate loop.
     #[inline]
     pub(crate) fn entry_costing(
         &self,
@@ -419,12 +419,37 @@ pub(crate) fn for_each_pair<'a>(
     }
 }
 
+/// Where the candidate loop ([`join_plans`]) sends a split's candidates.
+/// A closure takes every one; the Pareto kernel's sink
+/// ([`crate::arena::ParetoSink`]) also declines whole groups.
+#[doc(hidden)]
+pub trait CandidateSink {
+    /// Whether to generate the group of left plan `outer` on the split
+    /// costed by `costs`: every right plan joined with it by every
+    /// operator. A declined group still counts as generated.
+    #[inline(always)]
+    fn wants_group(&self, costs: &SplitCosts, outer: &PlanEntry) -> bool {
+        let _ = (costs, outer);
+        true
+    }
+
+    /// Takes the next candidate.
+    fn take(&mut self, candidate: Candidate<'_>);
+}
+
+impl<F: FnMut(Candidate<'_>)> CandidateSink for F {
+    #[inline(always)]
+    fn take(&mut self, candidate: Candidate<'_>) {
+        self(candidate)
+    }
+}
+
 /// The one candidate loop of the crate (the `Join` core shared by all
 /// split enumerations): combines each surviving plan pair of the split's
-/// operands ([`for_each_pair`]) with each applicable join operator and
-/// hands the candidates to `sink` in that nesting order. Returns how many
-/// it generated. The single-objective streaming kernel offers the same
-/// pairs to its reducer instead ([`crate::arena::ClassMinima::offer_pair`]).
+/// operands with each applicable join operator and hands the candidates to
+/// `sink` in that nesting order ([`join_plans`]). Returns how many it
+/// generated. The single-objective streaming kernel offers the same pairs
+/// to its reducer instead ([`crate::arena::ClassMinima::offer_pair`]).
 ///
 /// A candidate's total is `(le.cost + re.cost) + app.cost` — the same
 /// floating-point operations in the same order however the caller prunes,
@@ -442,25 +467,53 @@ pub(crate) fn join_candidates(
     predicates: &PredicateIndex,
     split: &Split<'_>,
     live: TableSet,
-    mut sink: impl FnMut(Candidate<'_>),
+    sink: impl CandidateSink,
+) -> u64 {
+    let Split { left, right } = split;
+    if left.entries.is_empty() || right.entries.is_empty() {
+        return 0;
+    }
+    let costs = SplitCosts::from_stats(predicates, left.set, left.stats, right.set, right.stats);
+    join_plans(&costs, left.entries, right.entries, live, sink)
+}
+
+/// The candidates of the split costed by `costs` whose operands hold the
+/// plans `lefts` and `rights`, into `sink`: one group per left plan, in
+/// slot order, unless the sink declines it; in a group, each right plan in
+/// slot order, joined by each applicable operator in `JOIN_OPS` order.
+/// Returns how many candidates that is, declined groups included.
+#[doc(hidden)]
+#[inline]
+pub fn join_plans(
+    costs: &SplitCosts,
+    lefts: &[PlanEntry],
+    rights: &[PlanEntry],
+    live: TableSet,
+    mut sink: impl CandidateSink,
 ) -> u64 {
     let mut generated = 0;
-    for_each_pair(predicates, split, |costs, outer, inner| {
-        let mut emit = |op| {
-            if let Some(candidate) = Candidate::new(costs, op, outer, inner, live) {
-                generated += 1;
-                sink(candidate);
-            }
-        };
-        // The operators in `JOIN_OPS` order, one call site each: with
-        // the operator a constant the costing is straight-line code,
-        // which a time-only sink makes worth having (as
-        // `for op in JOIN_OPS`, Linear 15 read 30 % slower).
-        let [first, second, third] = JOIN_OPS;
-        emit(first);
-        emit(second);
-        emit(third);
-    });
+    for outer in (0..).zip(lefts) {
+        if !sink.wants_group(costs, outer.1) {
+            generated += rights.len() as u64 * costs.operators();
+            continue;
+        }
+        for inner in (0..).zip(rights) {
+            let mut emit = |op| {
+                if let Some(candidate) = Candidate::new(costs, op, outer, inner, live) {
+                    generated += 1;
+                    sink.take(candidate);
+                }
+            };
+            // The operators in `JOIN_OPS` order, one call site each: with
+            // the operator a constant the costing is straight-line code,
+            // which a time-only sink makes worth having (as
+            // `for op in JOIN_OPS`, Linear 15 read 30 % slower).
+            let [first, second, third] = JOIN_OPS;
+            emit(first);
+            emit(second);
+            emit(third);
+        }
+    }
     generated
 }
 
@@ -476,7 +529,7 @@ pub(crate) fn combine_operands(
     slot: &mut Vec<PlanEntry>,
     stats: &mut WorkerStats,
 ) {
-    stats.plans_generated += join_candidates(predicates, split, live, |c| {
+    stats.plans_generated += join_candidates(predicates, split, live, |c: Candidate<'_>| {
         policy.try_insert(slot, c.entry(split.left.set, split.right.set));
     });
 }

@@ -19,7 +19,9 @@
 //! kernel's own reducer, one operand-plan pair at a time
 //! (`ClassMinima::offer_pair`, which offers one of a pair's nested loop and
 //! hash join), over made-up operands; the sequential side is made of real
-//! candidates (`Candidate::new`, as the candidate loop makes them).
+//! candidates (`Candidate::new`, as the candidate loop makes them). The
+//! same streams hold the Pareto path's group skipping (`ParetoSink`) to
+//! eager insertion of every candidate.
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
@@ -30,11 +32,13 @@ use mpq_cost::{
     JOIN_OPS,
 };
 use mpq_dp::{
-    optimize_partition, optimize_partition_reference, Candidate, ClassMinima, PartitionOutcome,
+    join_plans, optimize_partition, optimize_partition_reference, Candidate, CandidateSink,
+    ClassMinima, ParetoSink, PartitionOutcome,
 };
 use mpq_model::{JoinGraph, Query, TableSet, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{partition_constraints, ConstraintSet, PlanSpace};
 use mpq_plan::{PlanEntry, PlanNode, PruningPolicy};
+use std::cell::Cell;
 
 const SEEDS: u64 = 50;
 
@@ -146,11 +150,13 @@ fn arena_and_parallel_match_dense_on_bushy_partitions() {
 /// The multi-objective path bypasses the winner reduction, but it too
 /// builds an entry only for a candidate the Pareto pruning function keeps,
 /// deciding on cost and order alone — frontiers must stay bit-identical
-/// anyway. At α = 2 (the benchmark's `large_bushy_multi`) a candidate is
-/// dropped when a kept one is within the per-level factor of α on every
-/// cost, so which of two near-equal plans survives depends on the order
-/// the candidates arrive in: those points run on partitions 0/1, 0/2 and
-/// 1/2, up to 7 tables.
+/// anyway, and so must the left plans' groups of candidates it passes
+/// over whole (`ParetoSink`). At α = 2 (the benchmark's
+/// `large_bushy_multi`) and α = 10 (the paper's, `Objective::PAPER_MULTI`)
+/// a candidate is dropped when a kept one is within the per-level factor
+/// of α on every cost, so which of two near-equal plans survives depends
+/// on the order the candidates arrive in: those points run on partitions
+/// 0/1, 0/2 and 1/2, up to 7 tables.
 #[test]
 fn arena_and_parallel_match_dense_on_pareto_frontiers() {
     for seed in 0..SEEDS {
@@ -171,13 +177,15 @@ fn arena_and_parallel_match_dense_on_pareto_frontiers() {
             }
             for (id, m) in [(0, 1), (0, 2), (1, 2)] {
                 let c = partition_constraints(n, space, id, m);
-                check_point(
-                    &q,
-                    space,
-                    Objective::Multi { alpha: 2.0 },
-                    &c,
-                    &format!("seed {seed} (n={n}) {space:?} α = 2 partition {id}/{m}"),
-                );
+                for objective in [Objective::Multi { alpha: 2.0 }, Objective::PAPER_MULTI] {
+                    check_point(
+                        &q,
+                        space,
+                        objective,
+                        &c,
+                        &format!("seed {seed} (n={n}) {space:?} {objective:?} partition {id}/{m}"),
+                    );
+                }
             }
         }
     }
@@ -527,6 +535,163 @@ fn lazy_pareto_insertion_matches_eager_insertion() {
                 }
                 assert!(built >= lazy.len() && built <= offered);
             }
+        }
+    });
+}
+
+/// A made-up scan entry of the given cost and order.
+fn scan(time: f64, buffer: f64, order: Order) -> PlanEntry {
+    PlanEntry {
+        cost: CostVector::new(time, buffer),
+        order,
+        node: PlanNode::Scan {
+            table: 0,
+            op: mpq_cost::ScanOp::Full,
+        },
+    }
+}
+
+/// A slot's times as the memo stores them: one NaN for every NaN time.
+fn stored(mut slot: Vec<PlanEntry>) -> Vec<PlanEntry> {
+    for e in &mut slot {
+        if e.cost.time.is_nan() {
+            e.cost.time = f64::NAN;
+        }
+    }
+    slot
+}
+
+/// A sink that counts the groups the sink it wraps declines.
+struct CountDeclines<'c, S> {
+    sink: S,
+    declined: &'c Cell<u64>,
+}
+
+impl<S: CandidateSink> CandidateSink for CountDeclines<'_, S> {
+    fn wants_group(&self, costs: &SplitCosts, outer: &PlanEntry) -> bool {
+        let wants = self.sink.wants_group(costs, outer);
+        self.declined.set(self.declined.get() + u64::from(!wants));
+        wants
+    }
+
+    fn take(&mut self, candidate: Candidate<'_>) {
+        self.sink.take(candidate);
+    }
+}
+
+/// The Pareto kernel's candidate loop, which passes over a left plan's
+/// group when the slot already rejects each of its classes' floors
+/// (`ParetoSink`), leaves the slot that inserting every candidate leaves,
+/// bit for bit, and counts every candidate: the made-up streams above,
+/// from random slots, at per-insertion factors α ∈ {1, 2^(1/8), 2, 10}.
+/// Half the streams have NaN and ±∞ times in their operand plans and NaN
+/// operator times; the slots have NaN and ±∞ times too.
+#[test]
+fn declined_groups_leave_the_slot_of_eager_insertion() {
+    let (mut declined, mut nan_kept) = (0, 0);
+    with_clique_predicates(|predicates| {
+        for alpha in [1.0, 2f64.powf(1.0 / 8.0), 2.0, 10.0] {
+            // Two tables: one join level, so α is the per-insertion factor.
+            let policy = PruningPolicy::new(Objective::Multi { alpha }, 2);
+            assert_eq!(policy.insert_alpha(), alpha);
+            for trial in 0..600u64 {
+                let mut rng = Lcg(trial * 7919 + 3);
+                let stream = MadeUpStream::random(&mut rng, predicates, trial % 2 == 1);
+                let start: Vec<PlanEntry> = (0..rng.next() % 8)
+                    .map(|_| {
+                        let time = rng.pick(&[-f64::INFINITY, 0.0, 0.0, 1.0, 2.0, 4.0, f64::NAN]);
+                        let buffer = rng.pick(&[-0.0, 0.0, 1.0, 2.0, f64::NAN]);
+                        let order = match rng.next() % 5 {
+                            4 => Order::None,
+                            t => Order::OnAttribute(t as u8),
+                        };
+                        scan(time, buffer, order)
+                    })
+                    .collect();
+
+                let mut eager = start.clone();
+                for (left, right, c) in stream.candidates() {
+                    policy.try_insert(&mut eager, c.entry(left, right));
+                }
+
+                let mut gated = start.clone();
+                let declines = Cell::new(0);
+                let mut generated = 0;
+                for split in &stream.splits {
+                    let operands = (split.left, SET.difference(split.left));
+                    let sink = CountDeclines {
+                        sink: ParetoSink::new(
+                            &policy,
+                            &mut gated,
+                            operands,
+                            &split.rights,
+                            stream.live,
+                        ),
+                        declined: &declines,
+                    };
+                    generated +=
+                        join_plans(&split.costs, &split.lefts, &split.rights, stream.live, sink);
+                }
+                let ctx = format!("α = {alpha}, trial {trial}");
+                assert_eq!(generated, stream.candidates().count() as u64, "{ctx}");
+                assert_eq!(bits(&eager), bits(&stored(gated)), "{ctx}");
+                declined += declines.get();
+                let from_stream = |e: &&PlanEntry| matches!(e.node, PlanNode::Join { .. });
+                nan_kept += eager
+                    .iter()
+                    .filter(from_stream)
+                    .filter(|e| e.cost.time.is_nan())
+                    .count();
+            }
+        }
+    });
+    assert!(
+        declined >= 300 && nan_kept >= 300,
+        "{declined} groups declined, {nan_kept} NaN candidates kept"
+    );
+}
+
+/// The case the finiteness guard is there for: a left plan of time −∞
+/// beside right plans of time 0 and +∞. Every class's floor is −∞ in time,
+/// which a slot entry of time −∞ α-dominates; but −∞ + ∞ makes the second
+/// right plan's candidates NaN, which no entry rejects and eager insertion
+/// keeps. The group must be generated: a floor over non-finite operands
+/// bounds nothing.
+#[test]
+fn a_group_of_mixed_infinities_is_generated() {
+    with_clique_predicates(|predicates| {
+        let (left, right) = (TableSet(0b0011), TableSet(0b1100));
+        let stats = SetStats {
+            cardinality: 2.0,
+            tuple_bytes: 1.0,
+            sort_cost: 1.0,
+        };
+        let costs = SplitCosts::from_stats(predicates, left, &stats, right, &stats);
+        let lefts = [scan(f64::NEG_INFINITY, 0.0, Order::None)];
+        let rights = [0.0, f64::INFINITY].map(|time| scan(time, 0.0, Order::None));
+        // No order is live: every candidate is unordered, and the slot's
+        // one unordered entry covers every class.
+        let live = TableSet::EMPTY;
+        for alpha in [1.0, 10.0] {
+            let policy = PruningPolicy::new(Objective::Multi { alpha }, 2);
+            let start = vec![scan(f64::NEG_INFINITY, 0.0, Order::None)];
+            let mut eager = start.clone();
+            for l in plans(&lefts) {
+                for r in plans(&rights) {
+                    for c in JOIN_OPS
+                        .into_iter()
+                        .filter_map(|op| Candidate::new(&costs, op, l, r, live))
+                    {
+                        policy.try_insert(&mut eager, c.entry(left, right));
+                    }
+                }
+            }
+            let mut gated = start.clone();
+            let sink = ParetoSink::new(&policy, &mut gated, (left, right), &rights, live);
+            assert_eq!(join_plans(&costs, &lefts, &rights, live, sink), 6);
+            let nan = eager.iter().filter(|e| e.cost.time.is_nan()).count();
+            assert_eq!(nan, 3, "α = {alpha}: the +∞ plan's three candidates");
+            assert_eq!(bits(&eager), bits(&stored(gated)), "α = {alpha}");
         }
     });
 }

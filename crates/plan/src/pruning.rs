@@ -99,6 +99,14 @@ impl PruningPolicy {
         self.try_insert_with(entries, 0, new.cost, new.order, || new)
     }
 
+    /// Whether an entry of `slot` rejects a plan of `cost` and `order`:
+    /// the test [`PruningPolicy::try_insert_with`] makes before it keeps
+    /// one.
+    #[inline]
+    pub fn rejected(&self, slot: &[PlanEntry], cost: &CostVector, order: Order) -> bool {
+        slot.iter().any(|e| self.rejects(e, cost, order))
+    }
+
     /// [`PruningPolicy::try_insert`] restricted to the slot occupying
     /// `entries[start..]`, of an entry that does not exist yet. Entries
     /// below `start` are neither consulted nor touched: this is the
@@ -107,8 +115,8 @@ impl PruningPolicy {
     /// before `start` belongs to already-finalized sets. Rejection is
     /// decided on `cost` and `order` alone, and `build` (which must return
     /// an entry of that cost and order) runs only for an entry that is
-    /// kept. The DP's Pareto path offers every candidate of a set this way
-    /// and builds the few that survive.
+    /// kept. The DP's Pareto path offers every candidate it generates this
+    /// way and builds the few that survive.
     #[inline]
     pub fn try_insert_with(
         &self,
@@ -118,10 +126,7 @@ impl PruningPolicy {
         order: Order,
         build: impl FnOnce() -> PlanEntry,
     ) -> bool {
-        if entries[start..]
-            .iter()
-            .any(|e| self.rejects(e, &cost, order))
-        {
+        if self.rejected(&entries[start..], &cost, order) {
             return false;
         }
         self.insert_kept(entries, start, build());
