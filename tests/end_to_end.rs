@@ -288,9 +288,12 @@ fn cli_optimize_prints_the_same_plan_trees() {
     }
 }
 
-/// `pqopt compare` exits 0 only when MPQ and SMA agree bit for bit.
+/// `pqopt compare` exits 0 only when MPQ and SMA agree bit for bit, and
+/// its table holds no clock: both optimizers' bytes, messages and rounds
+/// are the text captured from the threaded SMA protocol, byte for byte.
 #[test]
 fn cli_compare_agrees_bit_for_bit() {
     let out = pqopt(&["compare", "--tables", "7", "--workers", "4"]);
     assert!(out.contains("both found the same optimal plan cost"));
+    assert_eq!(out, include_str!("golden/compare.txt"));
 }
