@@ -6,8 +6,8 @@
 //! costs one re-issued `O(b_q)` task, while SMA would have to re-broadcast
 //! the replicated memo. `benchmark/` injects no faults. One worker of four
 //! crashes on its first task; `recovery_bytes_mpq_*` is the measured
-//! `retry_task_bytes`, `recovery_bytes_sma_*` the measured
-//! `replica_recovery_bytes` for the same query. Every id is exact: the
+//! `retry_task_bytes`, `recovery_bytes_sma_*` the `replica_recovery_bytes`
+//! SMA's straight-line run bills for the same query. Every id is exact: the
 //! suspicion timeout is long enough that only the dead worker's range is
 //! ever re-issued. (How long detection takes is that timeout, a setting,
 //! not a measurement.)
@@ -54,7 +54,7 @@ fn main() {
         healthy.plans[0].cost().time.to_bits(),
         "recovery must return the fault-free optimum"
     );
-    let sma = SmaOptimizer::default()
+    let sma = SmaOptimizer
         .try_optimize(&q, space, objective, WORKERS)
         .expect("fault-free SMA run");
     let (mpq, sma) = (recovered.metrics, sma.metrics);

@@ -4,8 +4,8 @@
 //! Question: what does each algorithm ship as workers double?
 //! `benchmark/` runs no SMA at all. Every id is exact, so this target is
 //! one of those CI runs twice. (The figure's time axis is `fig2`'s
-//! uncontended W-time for MPQ; SMA's wall clock on one box is `pqopt
-//! compare`.)
+//! uncontended W-time for MPQ; SMA is a straight-line run billed message
+//! by message, with no wall clock.)
 //!
 //! Paper configuration: Linear 8 & 16 tables, Bushy 9 & 15 tables, star
 //! join graphs, workers 1..128, median of 20 queries. Scaled default:

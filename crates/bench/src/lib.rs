@@ -324,7 +324,7 @@ pub fn run_sma_point(
     let mut bytes: Vec<f64> = batch
         .iter()
         .map(|q| {
-            let out = SmaOptimizer::default().optimize(q, space, objective, workers);
+            let out = SmaOptimizer.optimize(q, space, objective, workers);
             out.metrics.network.total_bytes() as f64
         })
         .collect();

@@ -40,8 +40,8 @@ pub enum FaultAction {
     /// (Spark executor lost before task completion).
     CrashBeforeReply,
     /// The worker handles the message and replies, then dies
-    /// (crash mid-protocol: fatal for SMA's later rounds, harmless for
-    /// MPQ's single round).
+    /// (crash mid-protocol: harmless for MPQ's single round, where a
+    /// multi-round protocol such as SMA's would lose a replica).
     CrashAfterReply,
     /// The worker handles the message but its reply is lost in the
     /// network.

@@ -16,8 +16,9 @@
 //!   the latency the paper's Spark setup pays.
 //!
 //! The [`runtime::Cluster`] is protocol-agnostic: the MPQ algorithm
-//! (`mpq-algo`) and the SMA baseline (`mpq-sma`) implement their own
-//! message types on top of [`codec::Wire`].
+//! (`mpq-algo`) implements its own message types on top of
+//! [`codec::Wire`], and the SMA baseline (`mpq-sma`) declares its
+//! messages the same way to count their bytes.
 //!
 //! A cluster is **long-lived and multi-session**: every wire message is
 //! framed in a [`codec::SessionEnvelope`] tagging the owning
@@ -30,7 +31,7 @@
 //! On top of the message plane sits the master-side **session
 //! lifecycle** ([`session`]): one handle type, one admission/park/reap
 //! table and one `submit`/`poll`/`wait` loop, generic over the
-//! [`Protocol`] a master speaks — shared by the MPQ and SMA services.
+//! [`Protocol`] a master speaks — today only the MPQ master's.
 //!
 //! **Deterministic faults** — worker crashes (before or after replying),
 //! dropped replies and stragglers — come from a seed-driven [`FaultPlan`]

@@ -6,7 +6,7 @@
 //! handle type, the [`SessionTable`] (id minting, admission, live
 //! sessions, the bounded result park, ordered reaping, exactly-once
 //! redemption) and [`SessionService`], the one `submit` / `poll` / `wait`
-//! loop under both the MPQ and the SMA master. Engines that finish at
+//! loop under the MPQ master. Engines that finish at
 //! submission and have no transport (the facade's single-node backends)
 //! use the table directly.
 //!
@@ -229,7 +229,7 @@ pub enum BlockingStep {
 }
 
 /// The protocol-specific half of a master: what [`SessionService`] cannot
-/// know. Implemented by the MPQ master and the SMA master.
+/// know. Implemented by the MPQ master.
 pub trait Protocol: Sized {
     /// What a submission carries besides the query.
     type Request;

@@ -35,7 +35,7 @@ pub struct SetStats {
 
 /// Cardinality and width estimator for one query. It copies what it reads
 /// of the query, so it can be kept beside the query for as long as a copy
-/// of the query lives (an SMA replica builds one per session).
+/// of the query lives (an SMA run builds one for its memo).
 pub struct CardinalityEstimator {
     predicates: PredicateIndex,
     /// Per table, its cardinality and tuple width.

@@ -2,7 +2,7 @@
 //! state machines.
 //!
 //! The repo's correctness story otherwise rests on *randomized*
-//! chaos/proptest suites. The MPQ/SMA session schedulers, the coalescer
+//! chaos/proptest suites. The MPQ session scheduler, the coalescer
 //! flight lifecycle, and admission accounting are clock-free
 //! event-driven state machines — exactly the shape that systematic
 //! schedule exploration can check **exhaustively** at small scope
@@ -12,8 +12,8 @@
 //! The pieces:
 //!
 //! * [`ModelTransport`] — a [`Transport`](mpq_cluster::Transport)
-//!   implementation that hosts the real worker logic ([`mpq_algo`] /
-//!   [`mpq_sma`]) *inline*: every master send is enqueued, and at every
+//!   implementation that hosts the real worker logic ([`mpq_algo`])
+//!   *inline*: every master send is enqueued, and at every
 //!   receive a controller chooses which enabled action happens next —
 //!   run a worker's next message, deliver a pending reply, report a
 //!   timeout, or inject a budgeted fault (drop / duplicate / crash).

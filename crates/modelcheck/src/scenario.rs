@@ -37,7 +37,6 @@ use mpq_dp::optimize_serial;
 use mpq_model::{Query, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{effective_workers, PlanSpace};
 use mpq_plan::Plan;
-use mpq_sma::{SmaConfig, SmaError, SmaService};
 use pqopt::service::{Backend, OptimizerService, ServiceConfig, ServiceError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -57,12 +56,6 @@ pub enum Kind {
         /// instead of letting `submit` place each session by load — so
         /// every session fans out, whatever the others hold.
         assigned: bool,
-    },
-    /// [`SmaService`]: submit all sessions, wait in submission order.
-    Sma {
-        /// The master's stall-probe timeout (`Some(Duration::ZERO)`
-        /// makes the probe clock-free).
-        recv_timeout: Option<Duration>,
     },
     /// Coalescing [`OptimizerService`] over the MPQ backend: one query
     /// submitted twice (leader + follower), then a distinct drain query
@@ -265,42 +258,6 @@ pub fn default_suite() -> Vec<Scenario> {
             },
         },
         Scenario {
-            name: "sma-ff-2w1s",
-            about: "SMA fault-free: 2 replicas, 1 session, level-synchronized rounds",
-            workers: 2,
-            sessions: 1,
-            tables: 4,
-            seed: 21,
-            budget: NO_FAULTS,
-            kind: Kind::Sma { recv_timeout: None },
-        },
-        Scenario {
-            name: "sma-ff-2w2s",
-            about: "SMA fault-free: 2 replicas, 2 interleaved sessions",
-            workers: 2,
-            sessions: 2,
-            tables: 4,
-            seed: 22,
-            budget: NO_FAULTS,
-            kind: Kind::Sma { recv_timeout: None },
-        },
-        Scenario {
-            name: "sma-crash-2w1s",
-            about: "SMA under one replica crash: must fail typed (replicas are unrecoverable)",
-            workers: 2,
-            sessions: 1,
-            tables: 4,
-            seed: 23,
-            budget: FaultBudget {
-                crashes: 1,
-                timeouts: 4,
-                ..NO_FAULTS
-            },
-            kind: Kind::Sma {
-                recv_timeout: Some(Duration::ZERO),
-            },
-        },
-        Scenario {
             name: "facade-coalesce-2w",
             about: "coalescing facade: leader + follower share one flight, counters exact",
             workers: 2,
@@ -415,10 +372,7 @@ pub fn run_scenario(scenario: &Scenario, script: &[usize]) -> RunOutcome {
 /// reduction changed coverage cost, never verdicts.
 pub fn run_scenario_por(scenario: &Scenario, script: &[usize], por: bool) -> RunOutcome {
     let logics: Vec<Box<dyn WorkerLogic>> = (0..scenario.workers)
-        .map(|_| match scenario.kind {
-            Kind::Sma { .. } => mpq_sma::worker_logic(),
-            _ => mpq_algo::worker_logic(0),
-        })
+        .map(|_| mpq_algo::worker_logic(0))
         .collect();
     let (transport, handle) = ModelTransport::new(logics, scenario.budget, script.to_vec());
     if !por {
@@ -506,23 +460,10 @@ fn mpq_recovery_error(e: &MpqError) -> bool {
     )
 }
 
-/// Same for SMA (which has no retry — a lost replica fails the run).
-fn sma_recovery_error(e: &SmaError) -> bool {
-    !matches!(
-        e,
-        SmaError::Decode { .. }
-            | SmaError::Protocol { .. }
-            | SmaError::UnknownHandle { .. }
-            | SmaError::BadRequest { .. }
-            | SmaError::Overloaded { .. }
-    )
-}
-
 /// Same at the facade.
 fn facade_recovery_error(e: &ServiceError) -> bool {
     match e {
         ServiceError::Mpq(e) => mpq_recovery_error(e),
-        ServiceError::Sma(e) => sma_recovery_error(e),
         ServiceError::UnknownHandle
         | ServiceError::BadRequest { .. }
         | ServiceError::Overloaded { .. } => false,
@@ -536,7 +477,6 @@ fn drive(scenario: &Scenario, transport: Box<dyn Transport>) -> Result<(), Strin
             steal,
             assigned,
         } => drive_mpq(scenario, transport, retry, steal, assigned),
-        Kind::Sma { recv_timeout } => drive_sma(scenario, transport, recv_timeout),
         Kind::Coalesce { drop_leader, retry } => {
             drive_coalesce(scenario, transport, drop_leader, retry)
         }
@@ -634,51 +574,6 @@ fn drive_mpq(
         return Err(format!(
             "{} results parked with no live handle — exactly-once delivery broken",
             service.parked_results()
-        ));
-    }
-    Ok(())
-}
-
-fn drive_sma(
-    scenario: &Scenario,
-    transport: Box<dyn Transport>,
-    recv_timeout: Option<Duration>,
-) -> Result<(), String> {
-    let config = SmaConfig {
-        recv_timeout,
-        ..SmaConfig::default()
-    };
-    let mut service = SmaService::with_transport(transport, config)
-        .map_err(|e| format!("service construction failed: {e}"))?;
-    let queries = queries(scenario, scenario.sessions);
-    let fault_free = scenario.fault_free();
-    let mut handles = Vec::new();
-    for query in &queries {
-        handles.push(
-            service
-                .submit(query, PlanSpace::Linear, Objective::Single)
-                .map_err(|e| format!("submit refused: {e}"))?,
-        );
-    }
-    for (handle, query) in handles.into_iter().zip(&queries) {
-        match service.wait(handle) {
-            Ok(outcome) => check_exact(query, &outcome.plans)?,
-            Err(e) if fault_free => return Err(format!("fault-free schedule failed: {e}")),
-            Err(e) if sma_recovery_error(&e) => {}
-            Err(e) => return Err(format!("non-recovery failure under faults: {e}")),
-        }
-    }
-    let snapshot = service.metrics().snapshot();
-    if fault_free && snapshot.faults_injected() != 0 {
-        return Err(format!(
-            "fault-free schedule injected {} faults",
-            snapshot.faults_injected()
-        ));
-    }
-    if service.in_flight() != 0 {
-        return Err(format!(
-            "{} sessions leaked past their wait",
-            service.in_flight()
         ));
     }
     Ok(())

@@ -174,7 +174,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The controllable transport. Construct with [`ModelTransport::new`],
 /// hand the transport to a service (`MpqService::with_transport`,
-/// `SmaService::with_transport`, `OptimizerService::with_transport`) and
+/// `OptimizerService::with_transport`) and
 /// keep the [`ModelHandle`] to read the recorded schedule afterwards.
 pub struct ModelTransport {
     inner: Arc<Mutex<Inner>>,

@@ -171,7 +171,7 @@ fn admission_scenario_exhausts_clean() {
 /// point.
 #[test]
 fn explored_space_fingerprint_is_pinned() {
-    const FINGERPRINT: [(&str, usize, usize, usize); 14] = [
+    const FINGERPRINT: [(&str, usize, usize, usize); 12] = [
         ("mpq-ff-2w1s", 4, 4, 3),
         ("mpq-ff-2w2s", 12, 6, 11),
         ("mpq-even-2w2s", 38, 8, 37),
@@ -180,8 +180,6 @@ fn explored_space_fingerprint_is_pinned() {
         ("mpq-dup-2w2s", 5838, 12, 5837),
         ("mpq-crash-2w1s", 1198, 10, 1197),
         ("mpq-steal-2w1s", 48, 9, 47),
-        ("sma-ff-2w1s", 52, 20, 51),
-        ("sma-ff-2w2s", 9237, 41, 9236),
         ("facade-coalesce-2w", 10, 8, 9),
         ("facade-leader-drop-2w", 10, 8, 9),
         ("facade-cache-2w", 10, 8, 9),

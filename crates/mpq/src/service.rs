@@ -5,7 +5,7 @@
 //! [`MpqService`] keeps the shared-nothing cluster standing and streams
 //! queries through it. The session lifecycle — handles, admission,
 //! `submit` / `poll` / `wait`, parking, reaping — is
-//! [`mpq_cluster::session`]'s, shared with the SMA master; this module is
+//! [`mpq_cluster::session`]'s; this module is
 //! the MPQ [`Protocol`]: which task messages a submission sends, how a
 //! reply or progress report advances its session, and the scheduler
 //! passes that interleave straggler suspicion and task re-issue across

@@ -8,8 +8,8 @@
 //! workers (fine-grained task assignment), each worker computes optimal
 //! plans for its sets against its **replicated memo**, sends the new
 //! entries back, and the master re-broadcasts the merged level to every
-//! worker so all replicas stay consistent. This faithfully reproduces the
-//! two properties the paper attributes to SMA on shared-nothing hardware:
+//! worker so all replicas stay consistent. This reproduces the two
+//! properties the paper attributes to SMA on shared-nothing hardware:
 //!
 //! * **many communication rounds** — one per join-result cardinality,
 //!   `n - 1` per query, plus the final plan request; and
@@ -17,23 +17,15 @@
 //!   the network once per worker, `O(m · 2^n)` bytes in total, versus
 //!   MPQ's `O(m · (b_q + b_p))`.
 //!
-//! Entry indices stay consistent across replicas because a set's slot is
-//! computed by exactly one worker and then *replaced wholesale* on every
-//! replica by the broadcast; parents computed in later rounds reference
-//! the broadcast ordering.
+//! SMA is only ever the baseline, so it is not served: [`SmaOptimizer`]
+//! runs the protocol on one thread over one memo and bills every message
+//! it would send (see [`optimizer`]). Its answer is the serial optimum,
+//! bit for bit, and its bill is what `m` real workers would exchange.
 
 #![forbid(unsafe_code)]
 
-//! **Fault tolerance contrast.** SMA detects worker loss and fails fast
-//! with a typed [`SmaError`]: recovering a replica would mean re-sending
-//! `Init` plus every `Delta` broadcast so far (the memo), a bill measured
-//! in [`SmaMetrics::replica_recovery_bytes`] — versus MPQ's `O(b_q)` task
-//! re-issue.
-
 pub mod message;
 pub mod optimizer;
-pub mod service;
 
 pub use message::{SlotUpdate, SmaMasterMsg, SmaReply};
-pub use optimizer::{SmaConfig, SmaError, SmaMetrics, SmaOptimizer, SmaOutcome};
-pub use service::{serve_socket_worker, worker_logic, QueryHandle, SmaService};
+pub use optimizer::{SmaError, SmaMetrics, SmaOptimizer, SmaOutcome};

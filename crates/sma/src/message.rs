@@ -4,6 +4,9 @@
 //! kinds (initialization, per-level assignment, memo broadcast, final plan
 //! request) and two worker-side kinds (level results, final plans). The
 //! memo-delta messages are the exponential-traffic culprit.
+//!
+//! [`SmaOptimizer`](crate::SmaOptimizer) encodes every message the
+//! protocol would send, to count its bytes; nothing dispatches on them.
 
 use mpq_cluster::wire;
 use mpq_cost::Objective;
@@ -46,9 +49,6 @@ pub enum SmaMasterMsg {
     },
     /// Reconstruct and return the final plan(s) for the full table set.
     Finish,
-    /// The session is over without a `Finish` (it failed at the master):
-    /// drop its replica. No reply.
-    Abort,
 }
 
 /// Worker → master messages.
@@ -58,7 +58,8 @@ pub enum SmaReply {
     LevelDone {
         /// Slots computed by this worker.
         slots: Vec<SlotUpdate>,
-        /// Pure compute time for the batch, microseconds.
+        /// Pure compute time for the batch, microseconds. Fixed-width, so
+        /// its value never changes the bill; the straight-line run sends 0.
         micros: u64,
     },
     /// Response to `Finish`.
@@ -68,10 +69,6 @@ pub enum SmaReply {
         /// Memory/work counters of this worker's replica.
         stats: WorkerStats,
     },
-    /// The worker could not decode the master's message (protocol bug or
-    /// corruption): the master fails the session typed instead of
-    /// merging a hole into every replica.
-    Malformed,
 }
 
 wire! {
@@ -84,13 +81,11 @@ wire! {
         0 => Init { query: Query, space: PlanSpace, objective: Objective },
         1 => Assign { sets: Vec<TableSet> },
         2 => Delta { slots: Vec<SlotUpdate> },
-        3 => Finish,
-        4 => Abort
+        3 => Finish
     }
     enum SmaReply {
         0 => LevelDone { slots: Vec<SlotUpdate>, micros: u64 },
-        1 => Final { plans: Vec<Plan>, stats: WorkerStats },
-        2 => Malformed
+        1 => Final { plans: Vec<Plan>, stats: WorkerStats }
     }
 }
 
@@ -121,7 +116,6 @@ mod tests {
                 }],
             },
             SmaMasterMsg::Finish,
-            SmaMasterMsg::Abort,
         ];
         for msg in msgs {
             let bytes = msg.to_bytes();
@@ -145,8 +139,6 @@ mod tests {
             plans: out.plans,
             stats: out.stats,
         };
-        assert_eq!(SmaReply::from_bytes(&r.to_bytes()).unwrap(), r);
-        let r = SmaReply::Malformed;
         assert_eq!(SmaReply::from_bytes(&r.to_bytes()).unwrap(), r);
     }
 

@@ -101,13 +101,11 @@ const GOLDEN_MASTER_ASSIGN: &str = "010200000003000000000000000c00000000000000";
 const GOLDEN_MASTER_DELTA: &str =
     "0201000000030000000000000001000000000000000000f03f000000000000004000000000";
 const GOLDEN_MASTER_FINISH: &str = "03";
-const GOLDEN_MASTER_ABORT: &str = "04";
 const GOLDEN_REPLY_LEVEL_DONE: &str = "000100000003000000000000000100000000000000000\
     0f03f0000000000000040000000002a00000000000000";
 const GOLDEN_REPLY_FINAL: &str = "010100000000000000000020400000000000003040010000000002000b000000\
     00000000160000000000000021000000000000002c0000000000000037000000\
     00000000";
-const GOLDEN_REPLY_MALFORMED: &str = "02";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -160,11 +158,6 @@ fn golden_master_msg_bytes() {
         GOLDEN_MASTER_FINISH,
         "SmaMasterMsg::Finish",
     );
-    assert_golden(
-        &SmaMasterMsg::Abort,
-        GOLDEN_MASTER_ABORT,
-        "SmaMasterMsg::Abort",
-    );
 }
 
 #[test]
@@ -185,15 +178,10 @@ fn golden_reply_bytes() {
         GOLDEN_REPLY_FINAL,
         "SmaReply::Final",
     );
-    assert_golden(
-        &SmaReply::Malformed,
-        GOLDEN_REPLY_MALFORMED,
-        "SmaReply::Malformed",
-    );
 }
 
 /// Pin the tag layout: every variant's first byte is its wire tag, and the
-/// payload-free variants are exactly one byte.
+/// payload-free variant is exactly one byte.
 #[test]
 fn golden_tag_layout() {
     assert_eq!(
@@ -207,7 +195,6 @@ fn golden_tag_layout() {
         "Delta tag"
     );
     assert_eq!(&SmaMasterMsg::Finish.to_bytes()[..], [3]);
-    assert_eq!(&SmaMasterMsg::Abort.to_bytes()[..], [4]);
     assert_eq!(
         SmaReply::LevelDone {
             slots: vec![],
@@ -217,7 +204,6 @@ fn golden_tag_layout() {
         0,
         "LevelDone tag"
     );
-    assert_eq!(&SmaReply::Malformed.to_bytes()[..], [2]);
 }
 
 /// Prints the golden constants for pasting after an intentional change.
@@ -253,7 +239,6 @@ fn regenerate_golden_constants() {
             "GOLDEN_MASTER_FINISH",
             hex(&SmaMasterMsg::Finish.to_bytes()),
         ),
-        ("GOLDEN_MASTER_ABORT", hex(&SmaMasterMsg::Abort.to_bytes())),
         (
             "GOLDEN_REPLY_LEVEL_DONE",
             hex(&SmaReply::LevelDone {
@@ -270,10 +255,6 @@ fn regenerate_golden_constants() {
             }
             .to_bytes()),
         ),
-        (
-            "GOLDEN_REPLY_MALFORMED",
-            hex(&SmaReply::Malformed.to_bytes()),
-        ),
     ];
     for (name, value) in pairs {
         println!("const {name}: &str = \"{value}\";");
@@ -289,16 +270,14 @@ use mpq_cluster::{DecodeError, WireType};
 use mpq_sma::message::WIRE_TYPES;
 
 /// Every frozen vector of this file, by the listed wire type it encodes.
-const VECTORS: [(&str, &str); 9] = [
+const VECTORS: [(&str, &str); 7] = [
     ("SlotUpdate", GOLDEN_SLOT_UPDATE),
     ("SmaMasterMsg", GOLDEN_MASTER_INIT),
     ("SmaMasterMsg", GOLDEN_MASTER_ASSIGN),
     ("SmaMasterMsg", GOLDEN_MASTER_DELTA),
     ("SmaMasterMsg", GOLDEN_MASTER_FINISH),
-    ("SmaMasterMsg", GOLDEN_MASTER_ABORT),
     ("SmaReply", GOLDEN_REPLY_LEVEL_DONE),
     ("SmaReply", GOLDEN_REPLY_FINAL),
-    ("SmaReply", GOLDEN_REPLY_MALFORMED),
 ];
 
 fn unhex(hex: &str) -> Vec<u8> {

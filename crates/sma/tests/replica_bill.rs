@@ -31,7 +31,7 @@ fn query(n: usize) -> Query {
 }
 
 fn run(n: usize, space: PlanSpace, objective: Objective, workers: usize) -> SmaOutcome {
-    SmaOptimizer::default()
+    SmaOptimizer
         .try_optimize(&query(n), space, objective, workers)
         .expect("a fault-free run succeeds")
 }
@@ -44,8 +44,8 @@ fn bill(out: &SmaOutcome) -> Bill {
         m.network.messages,
         m.rounds,
         m.replica_recovery_bytes,
-        m.replica_stats.stored_sets as u64,
-        m.replica_stats.total_entries as u64,
+        m.replica_stats.stored_sets,
+        m.replica_stats.total_entries,
     ]
 }
 

@@ -27,7 +27,7 @@
 //!    discipline cannot silently regress.
 //! 3. **protocol-dispatch** (`rules::protocol`) — the semantic
 //!    send-site/handler graph: every variant of the tagged session
-//!    enums (`WorkerMsg`, `SmaMasterMsg`, `SmaReply`) has an explicit
+//!    enum (`WorkerMsg`) has an explicit
 //!    non-catch-all handler arm in the master/worker dispatch *and* a
 //!    send site that constructs it — decodable-but-ignored and
 //!    dead-surface variants both fail.

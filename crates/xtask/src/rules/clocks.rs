@@ -20,12 +20,7 @@ use crate::{rs_files_under, SourceFile, Violation};
 use std::path::Path;
 
 /// Directories whose non-test code must be clock-audited.
-pub const SCOPE: [&str; 4] = [
-    "crates/mpq/src",
-    "crates/sma/src",
-    "crates/cluster/src",
-    "crates/dp/src",
-];
+pub const SCOPE: [&str; 3] = ["crates/mpq/src", "crates/cluster/src", "crates/dp/src"];
 
 /// Workspace-relative path of this rule's allowlist.
 pub const ALLOWLIST: &str = "crates/xtask/allow/clocks.allow";

@@ -11,7 +11,8 @@
 //! sees the message.
 //!
 //! This rule builds the graph per tagged wire enum (the `message.rs`
-//! modules of `crates/{mpq,sma}`):
+//! module of `crates/mpq`; SMA's messages are only encoded to be counted,
+//! never dispatched, so they are out of scope):
 //!
 //! * **handlers** — `Enum::Variant` appearing in *pattern position*
 //!   (a `match` arm or a `let`/`if let`/`while let` destructure) in
@@ -36,16 +37,11 @@ use std::path::Path;
 
 /// The modules that define the tagged session-protocol enums. Each wire
 /// enum found here must be dispatched and constructed elsewhere.
-pub const MESSAGE_SCOPE: [&str; 2] = ["crates/mpq/src/message.rs", "crates/sma/src/message.rs"];
+pub const MESSAGE_SCOPE: [&str; 1] = ["crates/mpq/src/message.rs"];
 
 /// Directories scanned for handlers and send sites (the master/worker
 /// dispatch surfaces plus the facade).
-pub const DISPATCH_SCOPE: [&str; 4] = [
-    "crates/mpq/src",
-    "crates/sma/src",
-    "crates/cluster/src",
-    "src",
-];
+pub const DISPATCH_SCOPE: [&str; 3] = ["crates/mpq/src", "crates/cluster/src", "src"];
 
 /// One tagged wire enum extracted from a message module.
 pub struct WireEnum {
@@ -401,8 +397,8 @@ mod tests {
 
     /// The rule reads declarations, so it must find the real ones: when
     /// the `impl Wire for` text it used to key on went, it found nothing
-    /// and still reported clean. Exactly the three session enums, with
-    /// every variant.
+    /// and still reported clean. Exactly the one session enum in scope,
+    /// `WorkerMsg`, with every variant.
     #[test]
     fn real_tree_declares_the_three_session_enums() {
         let root = crate::workspace_root();
@@ -412,7 +408,7 @@ mod tests {
             .flat_map(|file| collect_wire_enums(&file))
             .map(|e| (e.name, e.variants.len()))
             .collect();
-        let expected = [("WorkerMsg", 2), ("SmaMasterMsg", 5), ("SmaReply", 3)];
+        let expected = [("WorkerMsg", 2)];
         assert_eq!(
             found,
             expected.map(|(name, variants)| (name.to_string(), variants))

@@ -1,13 +1,14 @@
 //! Fault tolerance demo: the paper's Spark re-execution argument, live.
 //!
-//! Spawns the same query on the same simulated cluster twice under a
-//! deterministic fault plan that crashes workers and delays stragglers:
+//! Runs one query on a simulated cluster under a deterministic fault plan
+//! that crashes workers and delays stragglers, and prices the alternative:
 //!
 //! * **MPQ** recovers — every lost partition range is re-issued to a
 //!   surviving worker as one `O(b_q)` task, and the final plan cost is
 //!   bit-identical to the fault-free run;
-//! * **SMA** fails fast with a typed error carrying the measured cost of
-//!   the alternative: re-broadcasting a replica's memo.
+//! * **SMA** would have to rebuild a lost replica by re-sending `Init`
+//!   plus every `Delta` broadcast: its fault-free run's
+//!   `replica_recovery_bytes`, printed beside MPQ's re-issued tasks.
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerance
@@ -20,7 +21,7 @@
 use pqopt::cluster::{FaultPlan, Wire};
 use pqopt::mpq::RetryPolicy;
 use pqopt::prelude::*;
-use pqopt::sma::{SmaConfig, SmaOptimizer};
+use pqopt::sma::SmaOptimizer;
 use std::time::Duration;
 
 fn main() {
@@ -90,27 +91,13 @@ fn main() {
         Err(e) => println!("\nMPQ failed (retry budget too small for this plan): {e}"),
     }
 
-    // SMA under the same fault plan: fails fast, with the recovery bill
-    // it refuses to pay.
-    let sma = SmaOptimizer::new(SmaConfig {
-        faults,
-        recv_timeout: Some(Duration::from_millis(15)),
-    });
-    match sma.try_optimize(&query, PlanSpace::Linear, Objective::Single, workers) {
-        Ok(out) => println!(
-            "\nSMA got lucky (no fatal fault fired before completion); a replica rebuild would \
-             have cost {} bytes",
-            out.metrics.replica_recovery_bytes
-        ),
-        Err(e) => {
-            println!("\nSMA failed fast: {e}");
-            if let Some(bill) = e.memo_rebroadcast_bytes() {
-                println!(
-                    "  replica recovery would re-broadcast {bill} bytes — versus one O(b_q) task \
-                     re-issue ({} bytes) for MPQ",
-                    query.to_bytes().len()
-                );
-            }
-        }
-    }
+    // SMA holds a replicated memo: a lost worker is one replica to
+    // rebuild, which costs every byte a replica has received.
+    let sma = SmaOptimizer.optimize(&query, PlanSpace::Linear, Objective::Single, workers);
+    println!(
+        "\nSMA replica rebuild would re-send {} bytes (Init + every Delta) — versus one \
+         O(b_q) task re-issue ({} bytes) for MPQ",
+        sma.metrics.replica_recovery_bytes,
+        query.to_bytes().len()
+    );
 }

@@ -5,13 +5,13 @@
 //!                 [--space linear|bushy] [--workers M] [--seed S]
 //!                 [--multi ALPHA] [--execute]
 //! pqopt serve     [--queries N] [--clients C] [--workers M]
-//!                 [--backend serial|topdown|mpq|sma]
+//!                 [--backend serial|topdown|mpq]
 //!                 resident service vs spawn-per-query throughput
 //! pqopt compare   [--tables N] [--workers M] [--seed S]       MPQ vs SMA
 //! pqopt scaling   [--tables N] [--max-workers M] [--seed S]   exact work per worker count
 //! pqopt partitions [--tables N] [--space linear|bushy] [--workers M]
 //!                 show the constraint sets of every partition
-//! pqopt worker    --listen ADDR [--backend mpq|sma]
+//! pqopt worker    --listen ADDR [--backend mpq]
 //!                 run one worker process serving a socket master
 //! ```
 //!
@@ -79,7 +79,7 @@ options:
 serve options:
   --queries N       queries to stream through the service   (default 64, must be > 0)
   --clients C       concurrent in-flight submissions        (default 8, must be > 0)
-  --backend B       serial|topdown|mpq|sma                  (default mpq)
+  --backend B       serial|topdown|mpq                      (default mpq)
   --cache-bytes N   the service's result-cache budget, bytes (default 0 = disabled)
   --max-in-flight N admission limit: most sessions the backend keeps in flight;
                     further submissions park until capacity frees
@@ -91,11 +91,11 @@ serve options:
   --steal           straggler-adaptive work redistribution on the MPQ backend
   --connect A,B,..  drive already-running `pqopt worker` processes at these
                     addresses (host:port or unix:/path) over real sockets;
-                    resident mode only, cluster backends (mpq|sma) only
+                    resident mode only, cluster backend (mpq) only
 worker options:
   --listen ADDR     address to serve one master on (host:port or unix:/path;
                     TCP port 0 picks a free port, printed on stdout)
-  --backend B       mpq|sma                                 (default mpq)";
+  --backend B       mpq                                     (default mpq)";
 
 #[derive(Debug)]
 struct Options {
@@ -217,7 +217,6 @@ impl Options {
                         "serial" => Backend::SerialDp,
                         "topdown" => Backend::TopDown,
                         "mpq" => Backend::Mpq,
-                        "sma" => Backend::Sma,
                         b => return Err(format!("unknown backend `{b}`")),
                     }
                 }
@@ -429,7 +428,6 @@ fn service_config(o: &Options, workers: usize) -> ServiceConfig {
             steal: o.steal,
             ..MpqConfig::default()
         },
-        sma: SmaConfig::default(),
         cache_bytes: o.cache_bytes,
         max_in_flight: o.max_in_flight,
         coalesce: o.coalesce,
@@ -650,9 +648,8 @@ fn cmd_worker(o: &Options) -> Result<(), String> {
     let _ = std::io::stdout().flush();
     let served = match o.backend {
         Backend::Mpq => pqopt::mpq::serve_socket_worker(&listener, 0, ParallelPolicy::serial()),
-        Backend::Sma => pqopt::sma::serve_socket_worker(&listener),
         Backend::SerialDp | Backend::TopDown => {
-            return Err("worker requires a cluster backend (--backend mpq|sma)".into())
+            return Err("worker requires the cluster backend (--backend mpq)".into())
         }
     };
     served.map_err(|e| format!("worker terminated abnormally: {e}"))
@@ -663,7 +660,7 @@ fn cmd_compare(o: &Options) -> Result<(), String> {
     let mpq = MpqOptimizer::default()
         .try_optimize(&query, o.space, o.objective, o.workers)
         .map_err(|e| e.to_string())?;
-    let sma = SmaOptimizer::default()
+    let sma = SmaOptimizer
         .try_optimize(&query, o.space, o.objective, o.workers as usize)
         .map_err(|e| e.to_string())?;
     println!(
@@ -810,6 +807,20 @@ mod tests {
             let err = parse(&[flag, "2"]).unwrap_err();
             assert_eq!(err, format!("unknown flag `{flag}`"));
         }
+    }
+
+    /// SMA is measured by `compare`, never served: `--backend` names only
+    /// the three service backends.
+    #[test]
+    fn backend_names_the_three_service_backends() {
+        for backend in Backend::ALL {
+            assert_eq!(
+                parse(&["--backend", backend.name()]).unwrap().backend,
+                backend
+            );
+        }
+        let err = parse(&["--backend", "sma"]).unwrap_err();
+        assert_eq!(err, "unknown backend `sma`");
     }
 
     #[test]

@@ -93,5 +93,5 @@ pub mod prelude {
     };
     pub use mpq_partition::{effective_workers, partition_constraints, PlanSpace};
     pub use mpq_plan::{CacheStats, MemoCache, Plan, PlanOp, PruningPolicy};
-    pub use mpq_sma::{SmaConfig, SmaError, SmaOptimizer, SmaService};
+    pub use mpq_sma::{SmaError, SmaOptimizer};
 }

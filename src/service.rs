@@ -2,19 +2,20 @@
 //! many concurrent optimization requests.
 //!
 //! [`OptimizerService`] is the facade the rest of the system talks to: it
-//! is spawned once, holds its backend resident (for MPQ and SMA that
-//! means a standing shared-nothing cluster), and streams queries through
+//! is spawned once, holds its backend resident (for MPQ that means a
+//! standing shared-nothing cluster), and streams queries through
 //! `submit` → [`ServiceHandle`] → `poll`/`wait`. The [`Optimizer`] trait
 //! is the unified blocking view of the same service — "submit one query,
 //! wait" — implemented uniformly for every backend: the serial bottom-up
-//! DP, the memoized top-down enumerator, parallel MPQ and the SMA
-//! baseline. There is exactly one code path per backend; single-query
-//! and streaming callers differ only in when they wait.
+//! DP, the memoized top-down enumerator and parallel MPQ. There is
+//! exactly one code path per backend; single-query and streaming callers
+//! differ only in when they wait. (The SMA baseline is not a backend: it
+//! is only ever measured, by [`SmaOptimizer`](crate::sma::SmaOptimizer).)
 //!
 //! The handle lifecycle itself — one handle type, admission, parking,
 //! reaping, exactly-once redemption — is [`mpq_cluster::session`]'s for
-//! every backend: the cluster backends are a
-//! [`SessionService`](mpq_cluster::SessionService) each, and the
+//! every backend: the cluster backend is a
+//! [`SessionService`](mpq_cluster::SessionService), and the
 //! single-node backends, which complete every query at submission and
 //! have no transport, park their results in a bare
 //! [`SessionTable`]. Their in-flight count never exceeds zero, so
@@ -58,7 +59,6 @@
 use crate::dp::{optimize_partition_topdown, optimize_serial, result_key, PlanCache};
 use crate::mpq::{MpqConfig, MpqError, MpqService};
 use crate::plan::Plan;
-use crate::sma::{SmaConfig, SmaError, SmaService};
 use mpq_cluster::{
     LifecycleError, NetworkMetrics, QueryHandle, SessionTable, SocketTransport, Transport,
 };
@@ -81,18 +81,11 @@ pub enum Backend {
     /// algorithm; the default).
     #[default]
     Mpq,
-    /// The SMA replicated-memo baseline over a resident cluster.
-    Sma,
 }
 
 impl Backend {
     /// Every backend, in reference-first order.
-    pub const ALL: [Backend; 4] = [
-        Backend::SerialDp,
-        Backend::TopDown,
-        Backend::Mpq,
-        Backend::Sma,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::SerialDp, Backend::TopDown, Backend::Mpq];
 
     /// Stable name, as accepted by the CLI's `--backend` flag.
     pub fn name(&self) -> &'static str {
@@ -100,7 +93,6 @@ impl Backend {
             Backend::SerialDp => "serial",
             Backend::TopDown => "topdown",
             Backend::Mpq => "mpq",
-            Backend::Sma => "sma",
         }
     }
 }
@@ -115,8 +107,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// MPQ backend configuration (faults, retry policy, the steal switch).
     pub mpq: MpqConfig,
-    /// SMA backend configuration (faults, receive timeout).
-    pub sma: SmaConfig,
     /// Byte budget of the service's **cross-query result cache** — the one
     /// cache, whatever the backend: an LRU that, once full, admits a
     /// result on its second offer; see the module docs. Each result is
@@ -124,7 +114,7 @@ pub struct ServiceConfig {
     /// 8-table single-objective query). `0` (the default) disables it —
     /// bit-for-bit the uncached behavior.
     pub cache_bytes: usize,
-    /// **Admission limit**: most sessions the cluster backends keep in
+    /// **Admission limit**: most sessions the cluster backend keeps in
     /// flight at once. Submissions beyond it fail with
     /// [`ServiceError::Overloaded`]. `0` (the default) means unlimited —
     /// bit-for-bit the pre-admission behavior. Coalesced followers join
@@ -182,8 +172,6 @@ impl ServiceConfig {
 pub enum ServiceError {
     /// The MPQ backend failed.
     Mpq(MpqError),
-    /// The SMA backend failed.
-    Sma(SmaError),
     /// The handle does not name a live or parked request of this service:
     /// its result was already taken (poll-then-wait, double-wait), or it
     /// came from another service instance — whichever backend that one
@@ -212,7 +200,6 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::Mpq(e) => write!(f, "MPQ backend: {e}"),
-            ServiceError::Sma(e) => write!(f, "SMA backend: {e}"),
             ServiceError::UnknownHandle => write!(
                 f,
                 "handle does not name a live or parked request of this service \
@@ -232,7 +219,6 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Mpq(e) => Some(e),
-            ServiceError::Sma(e) => Some(e),
             ServiceError::UnknownHandle
             | ServiceError::BadRequest { .. }
             | ServiceError::Overloaded { .. } => None,
@@ -264,19 +250,6 @@ impl From<MpqError> for ServiceError {
                 ServiceError::Overloaded { in_flight, limit }
             }
             e => ServiceError::Mpq(e),
-        }
-    }
-}
-
-impl From<SmaError> for ServiceError {
-    fn from(e: SmaError) -> Self {
-        match e {
-            SmaError::UnknownHandle { .. } => ServiceError::UnknownHandle,
-            SmaError::BadRequest { reason } => ServiceError::BadRequest { reason },
-            SmaError::Overloaded { in_flight, limit } => {
-                ServiceError::Overloaded { in_flight, limit }
-            }
-            e => ServiceError::Sma(e),
         }
     }
 }
@@ -449,8 +422,7 @@ impl Flights {
     /// Detaches members whose handles were dropped unredeemed. A flight
     /// every member left is reaped: its backend ticket, if it still holds
     /// one, is dropped (queueing the session for the backend's own
-    /// reaping, which frees parked results — and, for SMA, aborts the
-    /// session so its replicas are freed) and the backend is poked to
+    /// reaping, which frees parked results) and the backend is poked to
     /// reap immediately.
     fn detach_abandoned(&mut self, engine: &mut Engine) {
         let Flights {
@@ -576,7 +548,6 @@ enum Engine {
         results: SessionTable<Infallible, Vec<Plan>>,
     },
     Mpq(MpqService),
-    Sma(SmaService),
 }
 
 impl Engine {
@@ -593,11 +564,10 @@ impl Engine {
         match self {
             Engine::Immediate { .. } => None,
             Engine::Mpq(svc) => Some(svc.metrics()),
-            Engine::Sma(svc) => Some(svc.metrics()),
         }
     }
 
-    /// One backend submission. `park` selects the cluster backends'
+    /// One backend submission. `park` selects the cluster backend's
     /// `submit_wait` (block at the admission limit instead of refusing);
     /// the single-node backends solve the query on the spot either way
     /// and never refuse a well-formed one.
@@ -625,8 +595,6 @@ impl Engine {
             }
             Engine::Mpq(svc) if park => svc.submit_wait(query, space, objective)?,
             Engine::Mpq(svc) => svc.submit(query, space, objective)?,
-            Engine::Sma(svc) if park => svc.submit_wait(query, space, objective)?,
-            Engine::Sma(svc) => svc.submit(query, space, objective)?,
         })
     }
 
@@ -642,9 +610,6 @@ impl Engine {
                 results.redeem(handle.id()).map(Ok)
             }
             Engine::Mpq(svc) => svc
-                .poll(handle)
-                .map(|r| r.map(|o| o.plans).map_err(Into::into)),
-            Engine::Sma(svc) => svc
                 .poll(handle)
                 .map(|r| r.map(|o| o.plans).map_err(Into::into)),
         }
@@ -663,28 +628,26 @@ impl Engine {
                     .ok_or(ServiceError::UnknownHandle)
             }
             Engine::Mpq(svc) => svc.wait(handle).map(|o| o.plans).map_err(Into::into),
-            Engine::Sma(svc) => svc.wait(handle).map(|o| o.plans).map_err(Into::into),
         }
     }
 
     /// Frees what dropped handles left behind (session state and parked
-    /// results; for SMA it also aborts sessions to free replicas).
+    /// results).
     fn reap(&mut self) {
         match self {
             Engine::Immediate { results, .. } => results.reap(|_, never| match never {}),
             Engine::Mpq(svc) => svc.reap_abandoned(),
-            Engine::Sma(svc) => svc.reap_abandoned(),
         }
     }
 }
 
 /// The single-node backends never leave the master process.
 const NO_TRANSPORT: ServiceError = ServiceError::BadRequest {
-    reason: "a transport requires a cluster backend (mpq or sma)",
+    reason: "a transport requires the cluster backend (mpq)",
 };
 
 impl OptimizerService {
-    /// Brings the service up: for the cluster backends this spawns the
+    /// Brings the service up: for the cluster backend this spawns the
     /// resident worker threads that all subsequent queries share.
     pub fn spawn(config: ServiceConfig) -> Result<OptimizerService, ServiceError> {
         let workers = if config.workers == 0 {
@@ -696,7 +659,6 @@ impl OptimizerService {
             Backend::SerialDp => Engine::immediate(ImmediateBackend::SerialDp),
             Backend::TopDown => Engine::immediate(ImmediateBackend::TopDown),
             Backend::Mpq => Engine::Mpq(MpqService::spawn(workers, config.mpq)?),
-            Backend::Sma => Engine::Sma(SmaService::spawn(workers, config.sma)?),
         };
         Ok(OptimizerService::over(config, engine))
     }
@@ -708,22 +670,22 @@ impl OptimizerService {
         config: ServiceConfig,
         addrs: &[mpq_cluster::WorkerAddr],
     ) -> Result<OptimizerService, ServiceError> {
-        let wrap: fn(mpq_cluster::ClusterError) -> ServiceError = match config.backend {
+        match config.backend {
             // Refused before dialing anyone.
             Backend::SerialDp | Backend::TopDown => return Err(NO_TRANSPORT),
-            Backend::Mpq => |e| ServiceError::Mpq(MpqError::Cluster(e)),
-            Backend::Sma => |e| ServiceError::Sma(SmaError::Cluster(e)),
-        };
-        let transport = SocketTransport::connect(addrs).map_err(wrap)?;
+            Backend::Mpq => {}
+        }
+        let transport =
+            SocketTransport::connect(addrs).map_err(|e| ServiceError::Mpq(MpqError::Cluster(e)))?;
         OptimizerService::with_transport(config, Box::new(transport))
     }
 
     /// Builds the service over an already-connected message plane — any
     /// [`Transport`] implementation, with worker nodes hosted behind it.
     /// This is how the schedule-space model checker places the whole
-    /// facade (admission, coalescing, the MPQ or SMA scheduler) under a
+    /// facade (admission, coalescing, the MPQ scheduler) under a
     /// controllable transport whose delivery order it enumerates. Only
-    /// the cluster backends make sense here — `serial-dp` and `top-down`
+    /// the cluster backend makes sense here — `serial-dp` and `top-down`
     /// never leave the master process, so asking for them is a typed
     /// [`ServiceError::BadRequest`], not a silent fallback.
     pub fn with_transport(
@@ -733,7 +695,6 @@ impl OptimizerService {
         let engine = match config.backend {
             Backend::SerialDp | Backend::TopDown => return Err(NO_TRANSPORT),
             Backend::Mpq => Engine::Mpq(MpqService::with_transport(transport, config.mpq)?),
-            Backend::Sma => Engine::Sma(SmaService::with_transport(transport, config.sma)?),
         };
         Ok(OptimizerService::over(config, engine))
     }
@@ -744,7 +705,6 @@ impl OptimizerService {
         match &mut engine {
             Engine::Immediate { .. } => {}
             Engine::Mpq(svc) => svc.set_max_in_flight(config.max_in_flight),
-            Engine::Sma(svc) => svc.set_max_in_flight(config.max_in_flight),
         }
         let flights = config.coalesce || config.cache_bytes > 0;
         OptimizerService {
@@ -760,7 +720,7 @@ impl OptimizerService {
     }
 
     /// Submits one optimization request and returns immediately with a
-    /// handle; cluster backends dispatch their task messages before
+    /// handle; the cluster backend dispatches its task messages before
     /// returning, single-node backends solve the query on the spot. With
     /// coalescing enabled, a submission identical to an unresolved flight
     /// joins it instead of reaching the backend; with the result cache
@@ -844,7 +804,6 @@ impl OptimizerService {
         match &self.engine {
             Engine::Immediate { results, .. } => results.live.len(),
             Engine::Mpq(svc) => svc.in_flight(),
-            Engine::Sma(svc) => svc.in_flight(),
         }
     }
 
@@ -861,7 +820,7 @@ impl OptimizerService {
         self.flights.as_ref().map_or(0, |f| f.flights.len())
     }
 
-    /// The cluster backends' network metrics snapshot (message/fault/
+    /// The cluster backend's network metrics snapshot (message/fault/
     /// steal counters, and the result cache's hit/miss counters);
     /// `None` on the single-node backends, which have no network.
     pub fn network_snapshot(&self) -> Option<mpq_cluster::NetworkSnapshot> {
@@ -873,7 +832,6 @@ impl OptimizerService {
         match self.engine {
             Engine::Immediate { .. } => {}
             Engine::Mpq(svc) => svc.shutdown(),
-            Engine::Sma(svc) => svc.shutdown(),
         }
     }
 
@@ -988,7 +946,7 @@ mod tests {
             .collect()
     }
 
-    /// The cluster backends' message and byte totals; `None` on the
+    /// The cluster backend's message and byte totals; `None` on the
     /// single-node backends.
     fn wire_totals(svc: &OptimizerService) -> Option<(u64, u64)> {
         svc.network_snapshot()
@@ -997,7 +955,7 @@ mod tests {
 
     /// On every backend a repeated query redeems the first answer —
     /// single-objective plans and Pareto frontiers equal by `to_bits` —
-    /// with exact counters, and on the cluster backends the hit moves
+    /// with exact counters, and on the cluster backend the hit moves
     /// neither the message nor the byte total.
     #[test]
     fn cached_service_reports_hits_and_stays_transparent() {
@@ -1068,7 +1026,7 @@ mod tests {
         }
     }
 
-    /// Moved onto the facade's result cache, over real sockets: an SMA
+    /// Moved onto the facade's result cache, over real sockets: an MPQ
     /// service spanning socket workers answers a repeated query from the
     /// facade — the same bits, and not one frame on the wire.
     #[test]
@@ -1080,10 +1038,10 @@ mod tests {
             let listener = WireListener::bind(&WorkerAddr::Tcp("127.0.0.1:0".into())).unwrap();
             addrs.push(listener.local_addr().unwrap());
             workers.push(std::thread::spawn(move || {
-                crate::sma::serve_socket_worker(&listener)
+                crate::mpq::serve_socket_worker(&listener, 0, crate::dp::ParallelPolicy::serial())
             }));
         }
-        let config = ServiceConfig::with_cache(Backend::Sma, 2, 1 << 20);
+        let config = ServiceConfig::with_cache(Backend::Mpq, 2, 1 << 20);
         let mut svc = OptimizerService::connect(config, &addrs).expect("connect");
         let q = query(6, 41);
         let cold = svc
@@ -1167,52 +1125,47 @@ mod tests {
     #[test]
     fn cache_and_coalescing_compose() {
         let q = query(6, 23);
-        for backend in [Backend::Mpq, Backend::Sma] {
-            for (cache, coalesce) in [(false, false), (true, false), (false, true), (true, true)] {
-                let mut config = ServiceConfig::new(backend, 2);
-                config.cache_bytes = if cache { 1 << 20 } else { 0 };
-                config.coalesce = coalesce;
-                let ctx = format!(
-                    "backend {} cache {cache} coalesce {coalesce}",
-                    backend.name()
-                );
-                let mut svc = OptimizerService::spawn(config).expect("spawn");
-                let first = svc
-                    .submit(&q, PlanSpace::Linear, Objective::Single)
-                    .expect("first");
-                let twin = svc
-                    .submit(&q, PlanSpace::Linear, Objective::Single)
-                    .expect("in-flight twin");
-                let sessions = if coalesce { 1 } else { 2 };
-                assert_eq!(svc.in_flight(), sessions, "{ctx}");
-                let a = svc.wait(first).expect("first redeems");
-                let b = svc.wait(twin).expect("twin redeems");
-                assert_eq!(cost_bits(&a), cost_bits(&b), "{ctx}");
-                let sent = wire_totals(&svc);
-                let again = svc
-                    .submit(&q, PlanSpace::Linear, Objective::Single)
-                    .expect("finished twin");
-                assert_eq!(svc.in_flight(), usize::from(!cache), "{ctx}");
-                assert_eq!(svc.wait(again).expect("redeems"), a, "{ctx}");
+        for (cache, coalesce) in [(false, false), (true, false), (false, true), (true, true)] {
+            let mut config = ServiceConfig::new(Backend::Mpq, 2);
+            config.cache_bytes = if cache { 1 << 20 } else { 0 };
+            config.coalesce = coalesce;
+            let ctx = format!("cache {cache} coalesce {coalesce}");
+            let mut svc = OptimizerService::spawn(config).expect("spawn");
+            let first = svc
+                .submit(&q, PlanSpace::Linear, Objective::Single)
+                .expect("first");
+            let twin = svc
+                .submit(&q, PlanSpace::Linear, Objective::Single)
+                .expect("in-flight twin");
+            let sessions = if coalesce { 1 } else { 2 };
+            assert_eq!(svc.in_flight(), sessions, "{ctx}");
+            let a = svc.wait(first).expect("first redeems");
+            let b = svc.wait(twin).expect("twin redeems");
+            assert_eq!(cost_bits(&a), cost_bits(&b), "{ctx}");
+            let sent = wire_totals(&svc);
+            let again = svc
+                .submit(&q, PlanSpace::Linear, Objective::Single)
+                .expect("finished twin");
+            assert_eq!(svc.in_flight(), usize::from(!cache), "{ctx}");
+            assert_eq!(svc.wait(again).expect("redeems"), a, "{ctx}");
+            assert_eq!(
+                wire_totals(&svc) == sent,
+                cache,
+                "{ctx}: only a hit sends nothing"
+            );
+            let stats = svc.cache_stats();
+            let joined = svc.coalesce_stats().saved_optimizations;
+            assert_eq!(joined, u64::from(coalesce), "{ctx}");
+            if cache {
                 assert_eq!(
-                    wire_totals(&svc) == sent,
-                    cache,
-                    "{ctx}: only a hit sends nothing"
+                    (stats.hits, stats.misses + stats.hits + joined),
+                    (1, 3),
+                    "{ctx}"
                 );
-                let stats = svc.cache_stats();
-                let joined = svc.coalesce_stats().saved_optimizations;
-                assert_eq!(joined, u64::from(coalesce), "{ctx}");
-                if cache {
-                    assert_eq!(
-                        (stats.hits, stats.misses + stats.hits + joined),
-                        (1, 3),
-                        "{ctx}"
-                    );
-                } else {
-                    assert_eq!(stats, CacheStats::default(), "{ctx}");
-                }
-                svc.shutdown();
+            } else {
+                assert_eq!(stats, CacheStats::default(), "{ctx}");
             }
+            svc.shutdown();
         }
     }
 
@@ -1354,7 +1307,7 @@ mod tests {
     /// a typed `BadRequest` at the one admission point of every backend,
     /// coalesced or not — before this, `SerialDp` panicked the caller and
     /// `Mpq` panicked (and permanently lost) resident worker 0. Nothing
-    /// stays in flight, and the cluster backends keep all their workers:
+    /// stays in flight, and the cluster backend keeps all its workers:
     /// with retries disabled, a follow-up query completes only if every
     /// worker still answers.
     #[test]
@@ -1500,41 +1453,36 @@ mod tests {
     /// retried submission is not lost.
     #[test]
     fn admission_refuses_at_the_limit_then_recovers() {
-        for backend in [Backend::Mpq, Backend::Sma] {
-            let mut svc = OptimizerService::spawn(ServiceConfig::with_admission(backend, 3, 2))
-                .expect("spawn");
-            let q1 = query(5, 20);
-            let q2 = query(6, 21);
-            let q3 = query(5, 22);
-            let a = svc
-                .submit(&q1, PlanSpace::Linear, Objective::Single)
-                .expect("first");
-            let b = svc
-                .submit(&q2, PlanSpace::Linear, Objective::Single)
-                .expect("second");
-            assert_eq!(svc.in_flight(), 2, "backend {}", backend.name());
-            match svc.submit(&q3, PlanSpace::Linear, Objective::Single) {
-                Err(ServiceError::Overloaded { in_flight, limit }) => {
-                    assert_eq!((in_flight, limit), (2, 2), "backend {}", backend.name());
-                }
-                other => panic!(
-                    "backend {}: expected Overloaded, got {other:?}",
-                    backend.name()
-                ),
+        let mut svc = OptimizerService::spawn(ServiceConfig::with_admission(Backend::Mpq, 3, 2))
+            .expect("spawn");
+        let q1 = query(5, 20);
+        let q2 = query(6, 21);
+        let q3 = query(5, 22);
+        let a = svc
+            .submit(&q1, PlanSpace::Linear, Objective::Single)
+            .expect("first");
+        let b = svc
+            .submit(&q2, PlanSpace::Linear, Objective::Single)
+            .expect("second");
+        assert_eq!(svc.in_flight(), 2);
+        match svc.submit(&q3, PlanSpace::Linear, Objective::Single) {
+            Err(ServiceError::Overloaded { in_flight, limit }) => {
+                assert_eq!((in_flight, limit), (2, 2));
             }
-            // The refusal left no state behind: redeeming one frees one slot.
-            svc.wait(a).expect("first completes");
-            let c = svc
-                .submit(&q3, PlanSpace::Linear, Objective::Single)
-                .expect("retry after Overloaded succeeds");
-            let reference = optimize_serial(&q3, PlanSpace::Linear, Objective::Single).plans[0]
-                .cost()
-                .time;
-            let plans = svc.wait(c).expect("retried session completes");
-            assert!(bit_eq(plans[0].cost().time, reference));
-            svc.wait(b).expect("second completes");
-            svc.shutdown();
+            other => panic!("expected Overloaded, got {other:?}"),
         }
+        // The refusal left no state behind: redeeming one frees one slot.
+        svc.wait(a).expect("first completes");
+        let c = svc
+            .submit(&q3, PlanSpace::Linear, Objective::Single)
+            .expect("retry after Overloaded succeeds");
+        let reference = optimize_serial(&q3, PlanSpace::Linear, Objective::Single).plans[0]
+            .cost()
+            .time;
+        let plans = svc.wait(c).expect("retried session completes");
+        assert!(bit_eq(plans[0].cost().time, reference));
+        svc.wait(b).expect("second completes");
+        svc.shutdown();
     }
 
     /// `submit_wait` parks at the limit instead of refusing, and never
@@ -1683,40 +1631,28 @@ mod tests {
     /// is released and the backend session is freed, not orphaned.
     #[test]
     fn dropped_coalition_reaps_the_flight() {
-        for backend in [Backend::Mpq, Backend::Sma] {
-            let mut svc =
-                OptimizerService::spawn(ServiceConfig::with_coalescing(backend, 3)).expect("spawn");
-            let q = query(6, 30);
-            let handles: Vec<ServiceHandle> = (0..3)
-                .map(|_| {
-                    svc.submit(&q, PlanSpace::Linear, Objective::Single)
-                        .expect("submit")
-                })
-                .collect();
-            assert_eq!(svc.open_flights(), 1);
-            drop(handles);
-            // The next service call detaches the members, drops the shared
-            // ticket, and pokes the backend's own reaping.
-            let other = query(5, 31);
-            let live = svc
-                .submit(&other, PlanSpace::Linear, Objective::Single)
-                .expect("service still serves after the coalition vanished");
-            assert_eq!(
-                svc.open_flights(),
-                1,
-                "backend {}: only the live flight remains",
-                backend.name()
-            );
-            svc.wait(live).expect("live session completes");
-            assert_eq!(svc.open_flights(), 0, "backend {}", backend.name());
-            assert_eq!(
-                svc.in_flight(),
-                0,
-                "backend {}: no orphaned session",
-                backend.name()
-            );
-            svc.shutdown();
-        }
+        let mut svc = OptimizerService::spawn(ServiceConfig::with_coalescing(Backend::Mpq, 3))
+            .expect("spawn");
+        let q = query(6, 30);
+        let handles: Vec<ServiceHandle> = (0..3)
+            .map(|_| {
+                svc.submit(&q, PlanSpace::Linear, Objective::Single)
+                    .expect("submit")
+            })
+            .collect();
+        assert_eq!(svc.open_flights(), 1);
+        drop(handles);
+        // The next service call detaches the members, drops the shared
+        // ticket, and pokes the backend's own reaping.
+        let other = query(5, 31);
+        let live = svc
+            .submit(&other, PlanSpace::Linear, Objective::Single)
+            .expect("service still serves after the coalition vanished");
+        assert_eq!(svc.open_flights(), 1, "only the live flight remains");
+        svc.wait(live).expect("live session completes");
+        assert_eq!(svc.open_flights(), 0);
+        assert_eq!(svc.in_flight(), 0, "no orphaned session");
+        svc.shutdown();
     }
 
     /// Coalesced handle misuse is typed like every other handle: double

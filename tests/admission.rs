@@ -164,17 +164,15 @@ fn drive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
-    /// The four admission invariants hold for every interleaving on both
-    /// cluster backends.
+    /// The four admission invariants hold for every interleaving on the
+    /// cluster backend.
     #[test]
     fn interleavings_never_exceed_the_budget(
         seed in any::<u64>(),
         limit in 1usize..4,
-        mpq_backend in any::<bool>(),
         ops in proptest::collection::vec(arb_op(), 1..24),
     ) {
-        let backend = if mpq_backend { Backend::Mpq } else { Backend::Sma };
-        let mut svc = OptimizerService::spawn(ServiceConfig::with_admission(backend, 3, limit))
+        let mut svc = OptimizerService::spawn(ServiceConfig::with_admission(Backend::Mpq, 3, limit))
             .expect("bounded service spawns");
         let queries = query_pool(seed);
         let (admitted, completed, _refused) = drive(&mut svc, &queries, &ops, limit)?;

@@ -1,7 +1,7 @@
 //! Differential cache-oracle suite: the cross-query memo cache must be
 //! **provably transparent**.
 //!
-//! For 50 seeded query streams and all four backends, three runs of the
+//! For 50 seeded query streams and all three backends, three runs of the
 //! identical stream — cache-disabled, cache-enabled cold, cache-enabled
 //! warm (the whole stream replayed on the now-hot service) — must produce
 //! **byte-identical** plans: equal cost bit patterns, equal Pareto

@@ -1,7 +1,7 @@
 //! Differential coalescing-oracle suite: in-flight coalescing must be
 //! **provably transparent** and **provably shared**.
 //!
-//! For 50 seeded Zipf query streams and all four backends, three resident
+//! For 50 seeded Zipf query streams and all three backends, three resident
 //! services — coalescing, plain, and cache-only — answer the identical
 //! burst-submitted stream with **byte-identical** results: equal cost bit
 //! patterns, equal Pareto frontiers, equal plan trees (tree equality on
@@ -232,7 +232,7 @@ fn oracle_over_backends(space: PlanSpace, objective: Objective, max_tables: usiz
     }
 }
 
-/// Single-objective oracle over all four backends.
+/// Single-objective oracle over all three backends.
 #[test]
 fn coalesce_on_off_cacheonly_agree_single_objective() {
     oracle_over_backends(PlanSpace::Linear, Objective::Single, usize::MAX);

@@ -155,12 +155,7 @@ fn mpq_sends_one_round_sma_sends_n_rounds() {
         4,
     );
     assert_eq!(mpq.metrics.network.rounds, 1);
-    let sma = SmaOptimizer::new(SmaConfig::default()).optimize(
-        &q,
-        PlanSpace::Linear,
-        Objective::Single,
-        4,
-    );
+    let sma = SmaOptimizer.optimize(&q, PlanSpace::Linear, Objective::Single, 4);
     // init + (n-1) DP levels + finish.
     assert_eq!(sma.metrics.rounds, 1 + 7 + 1);
 }
@@ -174,12 +169,7 @@ fn sma_traffic_is_orders_of_magnitude_larger() {
         Objective::Single,
         8,
     );
-    let sma = SmaOptimizer::new(SmaConfig::default()).optimize(
-        &q,
-        PlanSpace::Linear,
-        Objective::Single,
-        8,
-    );
+    let sma = SmaOptimizer.optimize(&q, PlanSpace::Linear, Objective::Single, 8);
     let ratio = sma.metrics.network.total_bytes() as f64 / mpq.metrics.network.total_bytes() as f64;
     assert!(
         ratio > 30.0,
@@ -189,7 +179,7 @@ fn sma_traffic_is_orders_of_magnitude_larger() {
 
 #[test]
 fn sma_traffic_grows_exponentially_in_query_size() {
-    let sma = SmaOptimizer::new(SmaConfig::default());
+    let sma = SmaOptimizer;
     let b8 = sma
         .optimize(&query(8, 7), PlanSpace::Linear, Objective::Single, 4)
         .metrics

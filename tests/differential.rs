@@ -34,7 +34,7 @@ use pqopt::plan::{Plan, PruningPolicy};
 use pqopt::prelude::{
     Backend, MpqConfig, MpqOptimizer, Optimizer, OptimizerService, ServiceConfig, ServiceHandle,
 };
-use pqopt::sma::{SmaConfig, SmaOptimizer};
+use pqopt::sma::SmaOptimizer;
 
 const SEEDS: u64 = 50;
 
@@ -84,7 +84,7 @@ fn reference_time(q: &Query, space: PlanSpace) -> f64 {
 #[test]
 fn all_engines_agree_on_linear_optimal_cost() {
     let mpq = MpqOptimizer::new(MpqConfig::default());
-    let sma = SmaOptimizer::new(SmaConfig::default());
+    let sma = SmaOptimizer;
     for seed in 0..SEEDS {
         let (q, n) = seeded_query(seed);
         let space = PlanSpace::Linear;
@@ -137,7 +137,7 @@ fn all_engines_agree_on_linear_optimal_cost() {
 #[test]
 fn all_engines_agree_on_bushy_optimal_cost() {
     let mpq = MpqOptimizer::new(MpqConfig::default());
-    let sma = SmaOptimizer::new(SmaConfig::default());
+    let sma = SmaOptimizer;
     for seed in 0..SEEDS {
         let (q, n) = seeded_query(seed);
         if n > 6 {
@@ -199,7 +199,7 @@ fn same_frontier(a: &[CostVector], b: &[CostVector]) -> bool {
 #[test]
 fn all_engines_agree_on_pareto_frontier() {
     let mpq = MpqOptimizer::new(MpqConfig::default());
-    let sma = SmaOptimizer::new(SmaConfig::default());
+    let sma = SmaOptimizer;
     let objective = Objective::Multi { alpha: 1.0 }; // exact frontier
     for seed in 0..SEEDS {
         let (q, n) = seeded_query(seed);
@@ -390,7 +390,7 @@ fn windowed_stream_is_exact_under_load_aware_placement() {
     service.shutdown();
 }
 
-/// The unified [`Optimizer`] trait: all four backends, resident, answer
+/// The unified [`Optimizer`] trait: all three backends, resident, answer
 /// every seeded query with the serial-DP cost.
 #[test]
 fn all_backends_agree_through_the_unified_service_trait() {

@@ -68,7 +68,7 @@ fn mpq_equals_serial_across_worker_counts_bushy() {
 #[test]
 fn sma_and_mpq_agree() {
     let mpq = MpqOptimizer::new(MpqConfig::default());
-    let sma = SmaOptimizer::new(SmaConfig::default());
+    let sma = SmaOptimizer;
     for q in queries(8, 2, 3) {
         for space in [PlanSpace::Linear, PlanSpace::Bushy] {
             let a = mpq.optimize(&q, space, Objective::Single, 4);

@@ -21,17 +21,14 @@
 // unwrap/expect denies target shipping code (see [workspace.lints]).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pqopt::cluster::{
-    serve_worker, FaultAction, Faulty, SocketTransport, Wire, WireListener, WorkerAddr, WorkerCtx,
-    WorkerLogic,
-};
+use pqopt::cluster::{serve_worker, Faulty, SocketTransport, WireListener, WorkerAddr, WorkerCtx};
 use pqopt::dp::optimize_serial;
 use pqopt::model::{Query, WorkloadConfig, WorkloadGenerator};
 use pqopt::mpq::MpqService;
 use pqopt::partition::PlanSpace;
 use pqopt::prelude::{
     Backend, FaultPlan, MpqConfig, Objective, OptimizerService, Plan, RetryPolicy, ServiceConfig,
-    ServiceError, SmaConfig, SmaError, SmaService,
+    ServiceError,
 };
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -193,27 +190,8 @@ fn killing_a_worker_process_mid_session_recovers_exactly() {
     );
 }
 
-#[cfg(unix)]
-#[test]
-fn sma_over_real_sockets_is_bit_identical_to_in_process() {
-    let queries = batch(4);
-    let workers = spawn_workers("sma", "sma", 2);
-    let mut service =
-        OptimizerService::connect(ServiceConfig::new(Backend::Sma, 2), &addrs(&workers))
-            .expect("connect");
-    let over_wire = run_batch(&mut service, &queries);
-    service.shutdown();
-
-    let mut reference = OptimizerService::spawn(ServiceConfig::new(Backend::Sma, 2))
-        .expect("spawn in-process reference");
-    let expected = run_batch(&mut reference, &queries);
-    reference.shutdown();
-
-    assert_eq!(over_wire, expected, "the transport changed the answer");
-}
-
-/// Socket workers served from threads of this process, each running its
-/// [`Faulty`] slice of `plan` around `logic()`: a crash ends
+/// MPQ socket workers served from threads of this process, each running
+/// its [`Faulty`] slice of `plan`: a crash ends
 /// `serve_worker` and closes the connection, and a
 /// drop loses the reply on the wire. Returns the addresses and the server
 /// threads.
@@ -222,7 +200,6 @@ fn faulty_socket_workers(
     tag: &str,
     plan: &FaultPlan,
     workers: usize,
-    logic: fn() -> Box<dyn WorkerLogic>,
 ) -> (
     Vec<WorkerAddr>,
     Vec<std::thread::JoinHandle<std::io::Result<()>>>,
@@ -233,7 +210,7 @@ fn faulty_socket_workers(
     for w in 0..workers {
         let addr: WorkerAddr = socket_path(&format!("{tag}-{w}")).parse().unwrap();
         let listener = WireListener::bind(&addr).expect("bind a worker socket");
-        let mut inner = logic();
+        let mut inner = pqopt::mpq::worker_logic(0);
         let unboxed = move |q, p, ctx: &mut WorkerCtx| inner.on_message(q, p, ctx);
         let faulty = Faulty::new(unboxed, schedule.worker(w));
         threads.push(std::thread::spawn(move || serve_worker(&listener, faulty)));
@@ -253,8 +230,7 @@ fn seeded_crash_and_drop_plan_over_real_sockets_is_exact() {
         drop_prob: 0.2,
         ..FaultPlan::crash_on_first_task(WORKERS, 1)
     };
-    let (addrs, threads) =
-        faulty_socket_workers("faulty", &plan, WORKERS, || pqopt::mpq::worker_logic(0));
+    let (addrs, threads) = faulty_socket_workers("faulty", &plan, WORKERS);
     let config = MpqConfig {
         retry: RetryPolicy::with_timeout(64, Duration::from_millis(100)),
         ..MpqConfig::default()
@@ -285,51 +261,6 @@ fn seeded_crash_and_drop_plan_over_real_sockets_is_exact() {
             .expect("clean worker exit");
     }
     assert!(retries >= 1, "the seeded crash must cost a retry");
-}
-
-/// SMA's contrast on the same plane: a replica lost to a seeded crash
-/// behind a socket fails the session fast, typed, with the bill a recovery
-/// would have cost — as on the in-process plane.
-#[cfg(unix)]
-#[test]
-fn sma_fails_fast_on_a_seeded_crash_over_real_sockets() {
-    const WORKERS: usize = 3;
-    let plan = FaultPlan {
-        crash_prob: 1.0,
-        min_survivors: 2,
-        ..FaultPlan::NONE
-    }
-    .with_seed_where(WORKERS, 64, |s| {
-        (0..WORKERS).any(|w| (0..3).any(|m| s.action(w, m) == FaultAction::CrashBeforeReply))
-    })
-    .expect("some seed crashes a worker early");
-    let (addrs, threads) =
-        faulty_socket_workers("sma-faulty", &plan, WORKERS, pqopt::sma::worker_logic);
-    let config = SmaConfig {
-        recv_timeout: Some(Duration::from_millis(100)),
-        ..SmaConfig::default()
-    };
-    let transport = SocketTransport::connect(&addrs).expect("connect");
-    let mut service = SmaService::with_transport(Box::new(transport), config).expect("service");
-    let q = WorkloadGenerator::new(WorkloadConfig::paper_default(7), 18).next_query();
-    let handle = service
-        .submit(&q, PlanSpace::Linear, Objective::Single)
-        .expect("submit");
-    match service.wait(handle) {
-        Err(SmaError::WorkerLost {
-            memo_rebroadcast_bytes,
-            ..
-        }) => assert!(memo_rebroadcast_bytes >= q.to_bytes().len() as u64),
-        Err(other) => panic!("expected WorkerLost, got {other}"),
-        Ok(_) => panic!("a lost replica must fail the session"),
-    }
-    service.shutdown();
-    for thread in threads {
-        thread
-            .join()
-            .expect("worker thread")
-            .expect("clean worker exit");
-    }
 }
 
 #[test]
