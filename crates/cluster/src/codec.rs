@@ -772,17 +772,25 @@ fn valid_alpha(objective: &Objective) -> Result<(), DecodeError> {
     }
 }
 
-/// A decoded plan must be one operator tree over distinct tables a
-/// [`TableSet`] can hold: every consumer — the master's final prune, the
-/// executor, `explain` — walks it as one.
-fn valid_plan(plan: &Plan) -> Result<(), DecodeError> {
-    match plan.validate() {
-        Ok(()) => Ok(()),
-        Err(PlanError::TableOutOfRange { table }) => Err(DecodeError::IndexOutOfRange {
-            index: table,
-            ty: "Plan",
-        }),
-        Err(e) => Err(DecodeError::PlanShape(e)),
+/// A plan travels as its operators alone: its cost is the receiver's to
+/// compute from the query (`mpq_dp::Pricer`), so the decoded plan is
+/// [unpriced](Plan::unpriced). It must be one operator tree over distinct
+/// tables a [`TableSet`] can hold: every consumer — the master's pricing,
+/// the executor, `explain` — walks it as one.
+impl Wire for Plan {
+    fn encode(&self, enc: &mut Encoder) {
+        self.ops.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let plan = Plan::unpriced(Vec::<PlanOp>::decode(dec)?);
+        match plan.validate() {
+            Ok(()) => Ok(plan),
+            Err(PlanError::TableOutOfRange { table }) => Err(DecodeError::IndexOutOfRange {
+                index: table,
+                ty: "Plan",
+            }),
+            Err(e) => Err(DecodeError::PlanShape(e)),
+        }
     }
 }
 
@@ -801,7 +809,7 @@ wire! {
         "u32 table count (1..=64), a TableStats each (finite, >= 0), Vec<Predicate> (indices below the count, selectivity in (0, 1]), JoinGraph"
     }
     extern Order { "one byte: 0 is no order, k + 1 is on attribute k" }
-    extern Hello { "magic: u32 (the bytes MPQ1), worker_id: u64" }
+    extern Hello { "magic: u32 (the bytes MPQ2), worker_id: u64" }
 
     struct QueryId fixed { 0: u64 }
     struct Progress fixed { first_partition: u64, completed: u64, partition_count: u64 }
@@ -821,7 +829,7 @@ wire! {
     enum JoinOp { 0 => NestedLoop, 1 => Hash, 2 => SortMerge }
     enum PlanSpace { 0 => Linear, 1 => Bushy }
     enum Objective check valid_alpha { 0 => Single, 1 => Multi { alpha: f64 } }
-    struct Plan check valid_plan { cost: CostVector, ops: Vec<PlanOp> }
+    extern Plan { "Vec<PlanOp>, the operators in post-order: one tree over distinct tables below 64, and no cost (its receiver prices it)" }
     enum PlanOp { 0 => Scan { table: u8, op: ScanOp }, 1 => Join { op: JoinOp } }
     enum PlanNode {
         0 => Scan { table: u8, op: ScanOp },
@@ -888,18 +896,22 @@ mod tests {
         roundtrip(&Objective::Multi { alpha: 10.0 });
     }
 
+    /// A plan comes back as its tree, unpriced: the cost stays with the
+    /// sender.
     #[test]
     fn plan_roundtrip() {
         let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 8).next_query();
         let out = mpq_dp::optimize_serial(&q, PlanSpace::Bushy, Objective::Single);
-        roundtrip(&out.plans[0]);
+        let back = Plan::from_bytes(&out.plans[0].to_bytes()).expect("decode");
+        assert_eq!(back.ops, out.plans[0].ops);
+        assert!(back.cost.time.is_nan() && back.cost.buffer.is_nan());
+        assert_eq!(back.to_bytes(), out.plans[0].to_bytes());
     }
 
-    /// The bytes of a plan whose cost is zero and whose operators are
-    /// `ops`, written field by field: what a hostile peer could send.
+    /// The bytes of a plan whose operators are `ops`, written field by
+    /// field: what a hostile peer could send.
     fn plan_bytes(ops: &[&[u8]]) -> Vec<u8> {
         let mut enc = Encoder::new();
-        CostVector::ZERO.encode(&mut enc);
         enc.put_len(ops.len());
         for op in ops {
             for &b in *op {
@@ -986,7 +998,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// A DP plan of either space and any of the three objectives comes
-        /// back off the wire equal to what was sent, cost bits included.
+        /// back off the wire as the tree that was sent, and unpriced: no
+        /// cost crosses the wire.
         #[test]
         fn dp_plans_roundtrip_exactly(
             n in 1usize..=8,
@@ -1003,26 +1016,26 @@ mod tests {
             ][objective];
             let plans = mpq_dp::optimize_serial(&q, space, objective).plans;
             let back = Vec::<Plan>::from_bytes(&plans.to_bytes()).expect("a DP plan decodes");
-            proptest::prop_assert_eq!(&back, &plans);
+            proptest::prop_assert_eq!(back.len(), plans.len());
             for (b, p) in back.iter().zip(&plans) {
-                proptest::prop_assert_eq!(b.cost.time.to_bits(), p.cost.time.to_bits());
-                proptest::prop_assert_eq!(b.cost.buffer.to_bits(), p.cost.buffer.to_bits());
+                proptest::prop_assert_eq!(&b.ops, &p.ops);
+                proptest::prop_assert!(b.cost.time.is_nan() && b.cost.buffer.is_nan());
             }
         }
     }
 
-    /// Theorem 1's `b_p`, exactly: a plan over `n` tables is its root
-    /// cost (16 B), a `u32` operator count, `n` scans of 3 B and `n - 1`
-    /// joins of 2 B — `5n + 18` bytes, whatever the space or objective.
+    /// Theorem 1's `b_p`, exactly: a plan over `n` tables is a `u32`
+    /// operator count, `n` scans of 3 B and `n - 1` joins of 2 B —
+    /// `5n + 2` bytes, whatever the space or objective.
     #[test]
-    fn every_dp_plan_of_n_tables_encodes_to_5n_plus_18_bytes() {
+    fn every_dp_plan_of_n_tables_encodes_to_5n_plus_2_bytes() {
         for n in 1..=9 {
             let q = WorkloadGenerator::new(WorkloadConfig::paper_default(n), 40 + n as u64)
                 .next_query();
             for space in [PlanSpace::Linear, PlanSpace::Bushy] {
                 for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
                     for p in mpq_dp::optimize_serial(&q, space, objective).plans {
-                        assert_eq!(p.to_bytes().len(), 5 * n + 18, "{n} tables: {p}");
+                        assert_eq!(p.to_bytes().len(), 5 * n + 2, "{n} tables: {p}");
                     }
                 }
             }

@@ -427,9 +427,10 @@ impl Write for WireStream {
 }
 
 /// The connection handshake: the master sends it right after connecting,
-/// the worker validates and echoes it back verbatim. The magic folds a
-/// protocol version into its low byte — bump it on any incompatible frame
-/// change — so a mismatched or non-pqopt peer fails the handshake with a
+/// the worker validates and echoes it back verbatim. The magic's last
+/// byte is the protocol version — bumped on every change to a wire
+/// layout (`tests/wire_spec.rs` pins it to a hash of the declared
+/// layouts) — so a mismatched or non-pqopt peer fails the handshake with a
 /// typed error instead of desynchronizing the frame stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hello {
@@ -439,8 +440,9 @@ pub struct Hello {
 }
 
 impl Hello {
-    /// `b"MPQ1"` read as a little-endian `u32`.
-    pub const MAGIC: u32 = u32::from_le_bytes(*b"MPQ1");
+    /// `b"MPQ2"` read as a little-endian `u32`: version 2, plans without
+    /// costs.
+    pub const MAGIC: u32 = u32::from_le_bytes(*b"MPQ2");
     /// Encoded size: the magic plus the worker id.
     pub const WIRE_SIZE: usize = <Self as FixedSize>::SIZE;
 }
@@ -458,7 +460,7 @@ impl Wire for Hello {
         let magic = dec.get_u32()?;
         if magic != Hello::MAGIC {
             return Err(DecodeError::BadTag {
-                tag: (magic & 0xFF) as u8,
+                tag: (magic >> 24) as u8,
                 ty: "Hello",
             });
         }

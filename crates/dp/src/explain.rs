@@ -1,16 +1,21 @@
 //! Per-node estimates of a plan, recomputed from its query.
 //!
-//! A [`Plan`] carries its operator tree and root cost only — what the
-//! master compares and what Theorem 1's `b_p` bills. Every node's cost,
-//! cardinality and interesting order is a function of the query and the
-//! tree, so [`explain`] recomputes them where they are wanted (plan
-//! display, tests), with the formulas the DP kernels use: the same f64
-//! additions and `max`es, in the same order. Each node's estimate is
-//! therefore bit-identical to the memo entry it was reconstructed from.
+//! On the wire a [`Plan`] is its operator tree alone — what Theorem 1's
+//! `b_p` bills. Every node's cost, cardinality and interesting order, the
+//! root cost included, is a function of the query and the tree, so
+//! [`explain`] recomputes them where they are wanted, with the formulas
+//! the DP kernels use: the same f64 additions and `max`es, in the same
+//! order. Each node's estimate is therefore bit-identical to the memo
+//! entry it was reconstructed from.
+//!
+//! A [`Pricer`] does the same for every plan a session receives, over one
+//! estimator: the MPQ master ranks and returns only the [`PricedPlan`]s it
+//! makes, so no cost it compares was computed by a worker.
 
 use crate::worker::stored_time;
-use mpq_cost::{CardinalityEstimator, CostVector, JoinOp, Order, SplitCosts};
+use mpq_cost::{CardinalityEstimator, CostVector, JoinOp, Order, SetStats, SplitCosts};
 use mpq_model::{Query, TableSet};
+use mpq_partition::PlanSpace;
 use mpq_plan::{Plan, PlanError, PlanOp};
 use std::fmt;
 
@@ -71,6 +76,158 @@ impl fmt::Display for ExplainError {
 
 impl std::error::Error for ExplainError {}
 
+/// Why a [`Pricer`] refuses a plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PriceError {
+    /// The plan does not fit the query ([`explain`]'s refusal).
+    Explain(ExplainError),
+    /// A plan with a composite inner operand, priced for a left-deep
+    /// ([`PlanSpace::Linear`]) search: no partition of that space holds it.
+    NotLeftDeep,
+}
+
+impl fmt::Display for PriceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PriceError::Explain(e) => e.fmt(f),
+            PriceError::NotLeftDeep => f.write_str("bushy plan in a left-deep plan space"),
+        }
+    }
+}
+
+impl std::error::Error for PriceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PriceError::Explain(e) => Some(e),
+            PriceError::NotLeftDeep => None,
+        }
+    }
+}
+
+/// A plan whose cost was computed from its query by whoever priced it
+/// ([`Pricer::price`], the only constructor): what the MPQ master ranks
+/// and returns. A decoded plan is [unpriced](Plan::unpriced) and cannot
+/// pass for one:
+///
+/// ```compile_fail,E0451
+/// use mpq_dp::PricedPlan;
+/// use mpq_plan::Plan;
+/// let plan = Plan::unpriced(Vec::new());
+/// let priced = PricedPlan { plan };
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+pub struct PricedPlan {
+    plan: Plan,
+}
+
+impl PricedPlan {
+    /// The priced plan.
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    /// The priced plan, by value.
+    pub fn into_plan(self) -> Plan {
+        self.plan
+    }
+}
+
+/// Prices plans for one query: [`explain`]'s arithmetic over one
+/// [`CardinalityEstimator`], built once and shared by every plan, so a
+/// session's replies pay for the estimator once. The estimator's answers
+/// do not depend on what it was asked before, so a plan prices to the
+/// same bits whichever plans came first.
+pub struct Pricer {
+    est: CardinalityEstimator,
+    tables: usize,
+}
+
+impl Pricer {
+    /// A pricer for `query`.
+    pub fn new(query: &Query) -> Pricer {
+        Pricer {
+            est: CardinalityEstimator::new(query),
+            tables: query.num_tables(),
+        }
+    }
+
+    /// Estimates every node of `plan` in operator order, hands each to
+    /// `visit` and returns the root's. Each set's statistics are asked for
+    /// once and kept on the operand stack for the join that consumes them
+    /// ([`SplitCosts::from_stats`], the costs [`SplitCosts::new`] would
+    /// compute from the same statistics).
+    fn walk(
+        &self,
+        plan: &Plan,
+        mut visit: impl FnMut(NodeEstimate),
+    ) -> Result<NodeEstimate, ExplainError> {
+        let sets = plan.subtrees().map_err(ExplainError::Shape)?;
+        let (est, tables) = (&self.est, self.tables);
+        let mut operands: Vec<(NodeEstimate, SetStats)> = Vec::new();
+        for (at, (&op, &set)) in plan.ops.iter().zip(&sets).enumerate() {
+            let (cost, order) = match op {
+                PlanOp::Scan { table, op: scan } => {
+                    if table as usize >= tables {
+                        return Err(ExplainError::UnknownTable { table, tables });
+                    }
+                    (scan.cost(est, table as usize), scan.output_order())
+                }
+                PlanOp::Join { op: join } => {
+                    let (Some((r, r_stats)), Some((l, l_stats))) = (operands.pop(), operands.pop())
+                    else {
+                        return Err(ExplainError::Shape(PlanError::MissingOperand { at }));
+                    };
+                    let app = SplitCosts::from_stats(
+                        est.predicates(),
+                        l.tables,
+                        &l_stats,
+                        r.tables,
+                        &r_stats,
+                    )
+                    .apply(join, l.order, r.order)
+                    .ok_or(ExplainError::Inapplicable { at, op: join })?;
+                    let cost = CostVector::new(
+                        stored_time((l.cost.time + r.cost.time) + app.cost.time),
+                        l.cost.buffer.max(r.cost.buffer).max(app.cost.buffer),
+                    );
+                    let live = est.predicates().interesting_orders(set);
+                    (cost, app.output_order.if_live(live))
+                }
+            };
+            let stats = est.set_stats(set);
+            let node = NodeEstimate {
+                op,
+                tables: set,
+                cost,
+                cardinality: stats.cardinality,
+                order,
+            };
+            visit(node);
+            operands.push((node, stats));
+        }
+        match operands.pop() {
+            Some((root, _)) => Ok(root),
+            None => Err(ExplainError::Shape(PlanError::Empty)),
+        }
+    }
+
+    /// `plan` with its cost computed here: its explained root's. Refuses
+    /// a plan [`explain`] refuses and, in a [`PlanSpace::Linear`] search,
+    /// a plan that is not left-deep.
+    pub fn price(&self, space: PlanSpace, plan: Plan) -> Result<PricedPlan, PriceError> {
+        let cost = self.walk(&plan, |_| {}).map_err(PriceError::Explain)?.cost;
+        if space == PlanSpace::Linear && !plan.is_left_deep() {
+            return Err(PriceError::NotLeftDeep);
+        }
+        Ok(PricedPlan {
+            plan: Plan {
+                cost,
+                ops: plan.ops,
+            },
+        })
+    }
+}
+
 /// A plan's per-node estimates, one per operator, in the plan's operator
 /// order (post-order: the root last). Its `Display` is the indented
 /// operator tree, outer operand first, each node with its cardinality and
@@ -78,6 +235,7 @@ impl std::error::Error for ExplainError {}
 #[derive(Clone, Debug, PartialEq)]
 pub struct Explanation {
     nodes: Vec<NodeEstimate>,
+    root: NodeEstimate,
 }
 
 impl Explanation {
@@ -88,7 +246,7 @@ impl Explanation {
 
     /// The root's estimate: its cost is the plan's.
     pub fn root(&self) -> &NodeEstimate {
-        self.nodes.last().expect("an explained plan has a root")
+        &self.root
     }
 
     /// Positions of the operands of the join at `at`: the inner one ends
@@ -159,45 +317,9 @@ impl fmt::Display for Explanation {
 /// Fails with a typed error when the plan is not one tree, scans a table
 /// the query does not have, or joins by an operator that does not apply.
 pub fn explain(query: &Query, plan: &Plan) -> Result<Explanation, ExplainError> {
-    let sets = plan.subtrees().map_err(ExplainError::Shape)?;
-    let tables = query.num_tables();
-    let mut est = CardinalityEstimator::new(query);
-    let mut nodes: Vec<NodeEstimate> = Vec::with_capacity(plan.ops.len());
-    let mut operands: Vec<usize> = Vec::new();
-    for (at, (&op, &set)) in plan.ops.iter().zip(&sets).enumerate() {
-        let (cost, order) = match op {
-            PlanOp::Scan { table, op: scan } => {
-                if table as usize >= tables {
-                    return Err(ExplainError::UnknownTable { table, tables });
-                }
-                (scan.cost(&est, table as usize), scan.output_order())
-            }
-            PlanOp::Join { op: join } => {
-                let (Some(r), Some(l)) = (operands.pop(), operands.pop()) else {
-                    return Err(ExplainError::Shape(PlanError::MissingOperand { at }));
-                };
-                let (l, r) = (nodes[l], nodes[r]);
-                let app = SplitCosts::new(&mut est, l.tables, r.tables)
-                    .apply(join, l.order, r.order)
-                    .ok_or(ExplainError::Inapplicable { at, op: join })?;
-                let cost = CostVector::new(
-                    stored_time((l.cost.time + r.cost.time) + app.cost.time),
-                    l.cost.buffer.max(r.cost.buffer).max(app.cost.buffer),
-                );
-                let live = est.predicates().interesting_orders(set);
-                (cost, app.output_order.if_live(live))
-            }
-        };
-        operands.push(at);
-        nodes.push(NodeEstimate {
-            op,
-            tables: set,
-            cost,
-            cardinality: est.cardinality(set),
-            order,
-        });
-    }
-    Ok(Explanation { nodes })
+    let mut nodes = Vec::with_capacity(plan.ops.len());
+    let root = Pricer::new(query).walk(plan, |node| nodes.push(node))?;
+    Ok(Explanation { nodes, root })
 }
 
 #[cfg(test)]
@@ -388,6 +510,46 @@ mod tests {
             op: JoinOp::SortMerge,
         };
         assert!(e.to_string().contains("SortMerge"));
+    }
+
+    /// One pricer, shared by every plan of a query in any order, gives
+    /// each the cost its memo computed — whatever cost the plan claimed
+    /// on arrival — and refuses a bushy plan only in a left-deep space.
+    #[test]
+    fn a_pricer_prices_every_plan_as_its_memo_did_whatever_it_claims() {
+        for (n, seed) in [(1, 11), (4, 12), (6, 13), (7, 14)] {
+            let q = query(n, seed);
+            let mut plans = Vec::new();
+            for space in [PlanSpace::Linear, PlanSpace::Bushy] {
+                for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
+                    plans.extend(optimize_serial(&q, space, objective).plans);
+                }
+            }
+            for order in [false, true] {
+                let pricer = Pricer::new(&q);
+                let mut visit: Vec<&Plan> = plans.iter().collect();
+                if order {
+                    visit.reverse();
+                }
+                for p in visit {
+                    let claimed = Plan {
+                        cost: CostVector::ZERO,
+                        ops: p.ops.clone(),
+                    };
+                    let linear = pricer.price(PlanSpace::Linear, claimed.clone());
+                    if p.is_left_deep() {
+                        let linear = linear.unwrap().into_plan();
+                        assert_eq!(linear.cost.time.to_bits(), p.cost.time.to_bits(), "{p}");
+                    } else {
+                        assert_eq!(linear, Err(PriceError::NotLeftDeep), "{p}");
+                    }
+                    let priced = pricer.price(PlanSpace::Bushy, claimed).unwrap();
+                    assert_eq!(priced.plan().ops, p.ops);
+                    assert_eq!(priced.plan().cost.time.to_bits(), p.cost.time.to_bits());
+                    assert_eq!(priced.plan().cost.buffer.to_bits(), p.cost.buffer.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! differential suites hold it to, bit for bit. Top-down, parametric and
 //! SMA's per-set enumeration run on the same memo.
 //!
-//! [`explain`] recomputes a finished plan's per-node costs, cardinalities
-//! and orders from its query, bit for bit as the kernels computed them:
-//! plans carry only their operator tree and root cost.
+//! [`explain()`] recomputes a finished plan's per-node costs, cardinalities
+//! and orders from its query, bit for bit as the kernels computed them,
+//! and a [`Pricer`] gives a received plan its cost that way: on the wire
+//! a plan is its operator tree alone.
 //!
 //! [`cached`] holds the keys of the cross-query result cache the service
 //! facade keeps (`mpq_plan::cache`): a repeated query — same canonical
@@ -53,7 +54,9 @@ pub use arena::{optimize_partition, ArenaMemo, ParallelPolicy};
 #[doc(hidden)]
 pub use arena::{ClassMinima, ParetoSink};
 pub use cached::{push_scope, result_key, PlanCache};
-pub use explain::{explain, ExplainError, Explanation, NodeEstimate};
+pub use explain::{
+    explain, ExplainError, Explanation, NodeEstimate, PriceError, PricedPlan, Pricer,
+};
 pub use naive::{exhaustive_frontier, exhaustive_linear_best_time};
 pub use parametric::{
     interpolate, merge_parametric, optimize_parametric, optimize_parametric_partition, pick_for,

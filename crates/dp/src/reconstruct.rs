@@ -11,7 +11,7 @@ use mpq_plan::{Plan, PlanEntry, PlanNode, PlanOp};
 
 /// Expands `entry` (stored for `set`) into a full plan by following child
 /// references through the memo: its operators in post-order and its root
-/// cost. The per-node estimates are left behind; [`crate::explain`]
+/// cost. The per-node estimates are left behind; [`crate::explain()`]
 /// recomputes them bit for bit.
 ///
 /// # Panics

@@ -55,7 +55,10 @@ pub struct WorkerReply {
     /// Number of partitions in the completed range (task echo).
     pub partition_count: u64,
     /// Best plan(s) within the worker's partition(s): one plan for
-    /// single-objective optimization, a Pareto frontier otherwise.
+    /// single-objective optimization, a Pareto frontier otherwise. Each
+    /// travels as its operator tree alone: a decoded reply's plans are
+    /// [unpriced](Plan::unpriced), and the master prices them against its
+    /// own copy of the query before ranking any.
     pub plans: Vec<Plan>,
     /// Work counters, aggregated over the worker's partitions.
     pub stats: WorkerStats,
@@ -124,6 +127,24 @@ mod tests {
     use mpq_cluster::Wire;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
 
+    /// A reply as it crosses the wire: everything but the plans' costs,
+    /// which stay with the sender.
+    fn assert_same_reply(back: &WorkerReply, sent: &WorkerReply) {
+        assert_eq!(
+            (back.first_partition, back.partition_count, back.stats),
+            (sent.first_partition, sent.partition_count, sent.stats)
+        );
+        assert_eq!(
+            (back.cache_hits, back.cache_misses),
+            (sent.cache_hits, sent.cache_misses)
+        );
+        assert_eq!(back.plans.len(), sent.plans.len());
+        for (b, p) in back.plans.iter().zip(&sent.plans) {
+            assert_eq!(b.ops, p.ops);
+            assert!(b.cost.time.is_nan() && b.cost.buffer.is_nan());
+        }
+    }
+
     #[test]
     fn master_message_roundtrip() {
         let query = WorkloadGenerator::new(WorkloadConfig::paper_default(8), 3).next_query();
@@ -153,22 +174,26 @@ mod tests {
             cache_misses: 1,
         };
         let bytes = reply.to_bytes();
-        assert_eq!(WorkerReply::from_bytes(&bytes).unwrap(), reply);
+        assert_same_reply(&WorkerReply::from_bytes(&bytes).unwrap(), &reply);
     }
 
     #[test]
     fn worker_msg_tags_roundtrip() {
         let query = WorkloadGenerator::new(WorkloadConfig::paper_default(4), 6).next_query();
         let out = mpq_dp::optimize_serial(&query, PlanSpace::Linear, Objective::Single);
-        let reply = WorkerMsg::Reply(WorkerReply {
+        let reply = WorkerReply {
             first_partition: 0,
             partition_count: 4,
             plans: out.plans,
             stats: out.stats,
             cache_hits: 0,
             cache_misses: 0,
-        });
-        assert_eq!(WorkerMsg::from_bytes(&reply.to_bytes()).unwrap(), reply);
+        };
+        let bytes = WorkerMsg::Reply(reply.clone()).to_bytes();
+        let Ok(WorkerMsg::Reply(back)) = WorkerMsg::from_bytes(&bytes) else {
+            panic!("a reply decodes as a reply");
+        };
+        assert_same_reply(&back, &reply);
         let progress = WorkerMsg::Progress(Progress {
             first_partition: 0,
             completed: 2,

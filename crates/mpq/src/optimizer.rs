@@ -15,7 +15,7 @@
 use crate::service::MpqService;
 use mpq_cluster::{ClusterError, DecodeError, FaultPlan, LifecycleError, NetworkSnapshot, QueryId};
 use mpq_cost::Objective;
-use mpq_dp::WorkerStats;
+use mpq_dp::{PriceError, WorkerStats};
 use mpq_model::Query;
 use mpq_partition::{effective_workers, PlanSpace};
 use mpq_plan::Plan;
@@ -80,10 +80,21 @@ pub enum MpqError {
         /// The codec failure.
         source: DecodeError,
     },
-    /// A worker replied for a partition range the master never issued.
+    /// A worker replied for a partition range the master never issued, or
+    /// with a plan that does not join exactly the query's tables.
     Protocol {
         /// The offending worker.
         worker: usize,
+    },
+    /// A worker replied with a plan the master cannot price against the
+    /// session's query: a malformed tree, a scan of a table the query does
+    /// not have, a join operator that does not apply to its operands, or
+    /// a bushy plan in a left-deep session. Never retried.
+    Unpriceable {
+        /// The replying worker.
+        worker: usize,
+        /// Why the plan does not price.
+        reason: PriceError,
     },
     /// A worker died while holding an outstanding range and retries are
     /// disabled.
@@ -131,8 +142,16 @@ impl fmt::Display for MpqError {
             MpqError::Decode { worker, source } => {
                 write!(f, "reply from worker {worker} failed to decode: {source}")
             }
-            MpqError::Protocol { worker } => {
-                write!(f, "worker {worker} replied for an unissued partition range")
+            MpqError::Protocol { worker } => write!(
+                f,
+                "worker {worker} replied for an unissued partition range \
+                 or with a plan over other tables"
+            ),
+            MpqError::Unpriceable { worker, reason } => {
+                write!(
+                    f,
+                    "worker {worker} replied with a plan that does not price: {reason}"
+                )
             }
             MpqError::WorkerLost { worker } => write!(
                 f,
@@ -162,6 +181,7 @@ impl std::error::Error for MpqError {
         match self {
             MpqError::Cluster(e) => Some(e),
             MpqError::Decode { source, .. } => Some(source),
+            MpqError::Unpriceable { reason, .. } => Some(reason),
             _ => None,
         }
     }
@@ -397,7 +417,7 @@ mod tests {
     #[test]
     fn network_linear_in_workers() {
         // Theorem 1, exactly: m tasks of 8 + |task| bytes and m replies of
-        // 85 + b_p(n) bytes, b_p(n) = 5n + 18 — linear in m and in n.
+        // 85 + b_p(n) bytes, b_p(n) = 5n + 2 — linear in m and in n.
         use mpq_cluster::Wire;
         let opt = MpqOptimizer::new(MpqConfig::default());
         let q = query(10, 2);
@@ -418,11 +438,7 @@ mod tests {
                 .metrics
                 .network
                 .total_bytes();
-            assert_eq!(
-                bytes,
-                m * (8 + task) + m * (85 + 5 * 10 + 18),
-                "{m} workers"
-            );
+            assert_eq!(bytes, m * (8 + task) + m * (85 + 5 * 10 + 2), "{m} workers");
         }
     }
 

@@ -51,7 +51,7 @@ use mpq_cluster::{
     SessionService, Table, Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::Objective;
-use mpq_dp::{optimize_partition_id, ParallelPolicy, WorkerStats};
+use mpq_dp::{optimize_partition_id, ParallelPolicy, PriceError, PricedPlan, Pricer, WorkerStats};
 use mpq_model::Query;
 use mpq_partition::{effective_workers, is_partition_range, PlanSpace};
 use mpq_plan::{Plan, PruningPolicy};
@@ -248,7 +248,13 @@ pub struct Session {
     /// Ranges split by steals, kept for reply reconciliation.
     splits: Vec<SplitRecord>,
     worker_stats: Vec<WorkerStats>,
-    plans: Vec<Plan>,
+    /// The pool FinalPrune ranks: every plan a reply carried, priced
+    /// against this session's query.
+    plans: Vec<PricedPlan>,
+    /// Prices this session's reply plans; built at its first reply, and
+    /// boxed: sessions are moved about by value, and the estimator is
+    /// several times the size of the rest of the record.
+    pricer: Option<Box<Pricer>>,
     completed: usize,
     retries_left: u32,
     steals_left: u32,
@@ -295,11 +301,29 @@ impl Session {
             .collect()
     }
 
-    /// Applies one completing reply to the given assignment entries — the
-    /// single bookkeeping site shared by the normal reply path (one
-    /// entry) and the split-record reconciliation (all members of the
-    /// superseded range). Returns whether the session is now complete.
-    fn complete_ranges(&mut self, worker: usize, reply: WorkerReply, ranges: &[usize]) -> bool {
+    /// Prices a reply's plans against this session's query and plan
+    /// space, with the session's one estimator: the costs FinalPrune
+    /// ranks are the master's own, never a worker's.
+    fn price(&mut self, plans: Vec<Plan>) -> Result<Vec<PricedPlan>, PriceError> {
+        let (query, space) = (&self.query, self.space);
+        let pricer = self
+            .pricer
+            .get_or_insert_with(|| Box::new(Pricer::new(query)));
+        plans.into_iter().map(|p| pricer.price(space, p)).collect()
+    }
+
+    /// Applies one completing reply — its counters and its priced plans —
+    /// to the given assignment entries: the single bookkeeping site
+    /// shared by the normal reply path (one entry) and the split-record
+    /// reconciliation (all members of the superseded range). Returns
+    /// whether the session is now complete.
+    fn complete_ranges(
+        &mut self,
+        worker: usize,
+        stats: &WorkerStats,
+        plans: Vec<PricedPlan>,
+        ranges: &[usize],
+    ) -> bool {
         for &m in ranges {
             if !self.range_done[m] {
                 self.range_done[m] = true;
@@ -307,8 +331,8 @@ impl Session {
             }
         }
         self.strikes = 0;
-        accumulate(&mut self.worker_stats[worker], &reply.stats);
-        self.plans.extend(reply.plans);
+        accumulate(&mut self.worker_stats[worker], stats);
+        self.plans.extend(plans);
         self.completed == self.assignment.len()
     }
 
@@ -537,6 +561,7 @@ impl Protocol for MpqProtocol {
             splits: Vec::new(),
             worker_stats: vec![WorkerStats::default(); net.num_workers()],
             plans: Vec::new(),
+            pricer: None,
             completed: 0,
             retries_left: self.retry.max_retries,
             steals_left: MAX_STEALS,
@@ -670,22 +695,38 @@ impl Protocol for MpqProtocol {
                 Ok(WorkerMsg::Reply(reply)) => {
                     session.last_progress = Instant::now();
                     session.replies_received += 1;
-                    // The decoder checked each plan's shape, not which
-                    // query it answers: one that does not join exactly the
-                    // session's tables is no answer to it.
+                    let WorkerReply {
+                        first_partition,
+                        partition_count,
+                        plans,
+                        stats,
+                        ..
+                    } = reply;
+                    // The decoder checked each plan's shape; pricing checks
+                    // that it fits the session's query and plan space, and
+                    // gives it the only cost FinalPrune will see. A plan
+                    // that does not join exactly the session's tables is no
+                    // answer to it.
                     let full = session.query.all_tables();
-                    let foreign = reply.plans.iter().any(|p| p.tables() != full);
-                    let found = session.assignment.iter().position(|&(f, c)| {
-                        f == reply.first_partition && c == reply.partition_count
-                    });
-                    match found {
-                        _ if foreign => Advance::Failed(MpqError::Protocol { worker }),
-                        None => {
+                    let priced = match session.price(plans) {
+                        Err(reason) => Err(MpqError::Unpriceable { worker, reason }),
+                        Ok(plans) if plans.iter().any(|p| p.plan().tables() != full) => {
+                            Err(MpqError::Protocol { worker })
+                        }
+                        Ok(plans) => Ok(plans),
+                    };
+                    let found = session
+                        .assignment
+                        .iter()
+                        .position(|&(f, c)| f == first_partition && c == partition_count);
+                    match (priced, found) {
+                        (Err(err), _) => Advance::Failed(err),
+                        (Ok(plans), None) => {
                             // No live entry carries this exact range: either
                             // a steal superseded it (reconcile against the
                             // split record) or it is a protocol bug.
                             let split = session.splits.iter().position(|s| {
-                                s.first == reply.first_partition && s.count == reply.partition_count
+                                s.first == first_partition && s.count == partition_count
                             });
                             match split {
                                 None => Advance::Failed(MpqError::Protocol { worker }),
@@ -700,7 +741,8 @@ impl Protocol for MpqProtocol {
                                         // change cost bits or frontiers —
                                         // FinalPrune is a pure min/frontier
                                         // over the pool.
-                                        if session.complete_ranges(worker, reply, &members) {
+                                        if session.complete_ranges(worker, &stats, plans, &members)
+                                        {
                                             Advance::Finished
                                         } else {
                                             Advance::Pending
@@ -716,7 +758,7 @@ impl Protocol for MpqProtocol {
                                 }
                             }
                         }
-                        Some(idx) if session.range_done[idx] => {
+                        (Ok(_), Some(idx)) if session.range_done[idx] => {
                             // A speculative duplicate: the range was
                             // already completed by another worker. Count
                             // the wasted work, discard the (identical)
@@ -725,8 +767,8 @@ impl Protocol for MpqProtocol {
                             net.metrics().record_duplicate();
                             Advance::Pending
                         }
-                        Some(idx) => {
-                            if session.complete_ranges(worker, reply, &[idx]) {
+                        (Ok(plans), Some(idx)) => {
+                            if session.complete_ranges(worker, &stats, plans, &[idx]) {
                                 Advance::Finished
                             } else {
                                 Advance::Pending
@@ -1204,14 +1246,19 @@ impl MpqProtocol {
     }
 
     /// Completes a session: FinalPrune over the O(m) collected plans,
-    /// metrics assembly, result parked for the handle.
+    /// every one priced by this master, metrics assembly, result parked
+    /// for the handle.
     fn finish(&mut self, net: &dyn Transport, table: &mut Table<Self>, qid: QueryId) {
         let Some(session) = table.live.remove(&qid.0) else {
             // Internal invariant (route only finishes live sessions), but
             // a resident master must not abort if it is ever violated.
             return;
         };
-        let mut plans = session.plans;
+        let mut plans: Vec<Plan> = session
+            .plans
+            .into_iter()
+            .map(PricedPlan::into_plan)
+            .collect();
         let policy = PruningPolicy::new(session.objective, session.query.num_tables());
         policy.final_prune(&mut plans);
         let network = net.metrics().snapshot();
@@ -1284,8 +1331,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use mpq_dp::{optimize_partition_id, optimize_serial};
+    use mpq_dp::{optimize_partition_id, optimize_serial, ExplainError};
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
+    use mpq_plan::PlanOp;
 
     fn query(n: usize, seed: u64) -> Query {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
@@ -2320,7 +2368,7 @@ mod tests {
 
     /// A plan that misses one of the session's tables, or joins one it
     /// does not have, is no optimum of the session's query: the master
-    /// fails the session with a protocol error instead of returning it.
+    /// fails the session with a typed error instead of returning it.
     #[test]
     fn a_reply_whose_plans_join_other_tables_fails_the_session() {
         for tables in [4, 6] {
@@ -2331,9 +2379,208 @@ mod tests {
             let out = svc
                 .submit(&query(5, 71), PlanSpace::Linear, Objective::Single)
                 .and_then(|h| svc.wait(h));
-            assert!(
-                matches!(out, Err(MpqError::Protocol { worker: 0 })),
-                "{tables}-table plans: {out:?}"
+            // Plans of 4 tables price against the 5-table query but miss
+            // one of its tables; a 6-table plan scans table 5, which the
+            // query does not have, so it does not price.
+            let expected = match tables {
+                4 => MpqError::Protocol { worker: 0 },
+                _ => MpqError::Unpriceable {
+                    worker: 0,
+                    reason: PriceError::Explain(ExplainError::UnknownTable {
+                        table: 5,
+                        tables: 5,
+                    }),
+                },
+            };
+            assert_eq!(out.err(), Some(expected), "{tables}-table plans");
+            svc.shutdown();
+        }
+    }
+
+    /// A worker that answers its first task with the plan `lie` (any cost:
+    /// none crosses the wire) and every later task as [`MpqWorker`] does.
+    struct LyingWorker {
+        lie: Option<Plan>,
+        honest: MpqWorker,
+    }
+
+    impl LyingWorker {
+        fn new(lie: Vec<PlanOp>) -> LyingWorker {
+            LyingWorker {
+                lie: Some(Plan {
+                    cost: mpq_cost::CostVector::ZERO,
+                    ops: lie,
+                }),
+                honest: MpqWorker::new(1),
+            }
+        }
+    }
+
+    impl WorkerLogic for LyingWorker {
+        fn on_message(&mut self, qid: QueryId, payload: Bytes, ctx: &mut WorkerCtx) -> Control {
+            let Some(lie) = self.lie.take() else {
+                return self.honest.on_message(qid, payload, ctx);
+            };
+            let task = MasterMessage::from_bytes(&payload).unwrap();
+            let reply = WorkerReply {
+                first_partition: task.first_partition,
+                partition_count: task.partition_count,
+                plans: vec![lie],
+                stats: WorkerStats::default(),
+                cache_hits: 0,
+                cache_misses: 0,
+            };
+            ctx.send_to_master(WorkerMsg::Reply(reply).to_bytes());
+            Control::Continue
+        }
+    }
+
+    fn scan(table: u8) -> PlanOp {
+        PlanOp::Scan {
+            table,
+            op: mpq_cost::ScanOp::Full,
+        }
+    }
+
+    fn join(op: mpq_cost::JoinOp) -> PlanOp {
+        PlanOp::Join { op }
+    }
+
+    /// Reply plans the master cannot price fail their session with
+    /// [`MpqError::Unpriceable`], naming the worker and the reason — a
+    /// sort-merge join of a cross product, a bushy plan in a left-deep
+    /// session, a scan of a table past the query's (which the decoder
+    /// admits, as it is below 64) — and the service answers its next
+    /// session exactly.
+    #[test]
+    fn reply_plans_that_do_not_price_fail_the_session_typed() {
+        use mpq_cost::JoinOp::{Hash, SortMerge};
+        // A 3-table chain joins 0-1 and 1-2 only: 0 and 2 meet in a cross
+        // product.
+        let chain = WorkloadGenerator::new(
+            WorkloadConfig::with_graph(3, mpq_model::JoinGraph::Chain),
+            7,
+        )
+        .next_query();
+        let cases = [
+            (
+                chain,
+                vec![scan(0), scan(2), join(SortMerge), scan(1), join(Hash)],
+                PriceError::Explain(ExplainError::Inapplicable {
+                    at: 2,
+                    op: SortMerge,
+                }),
+            ),
+            (
+                query(4, 81),
+                vec![
+                    scan(0),
+                    scan(1),
+                    join(Hash),
+                    scan(2),
+                    scan(3),
+                    join(Hash),
+                    join(Hash),
+                ],
+                PriceError::NotLeftDeep,
+            ),
+            (
+                query(3, 82),
+                vec![scan(0), scan(1), join(Hash), scan(40), join(Hash)],
+                PriceError::Explain(ExplainError::UnknownTable {
+                    table: 40,
+                    tables: 3,
+                }),
+            ),
+        ];
+        for (q, lie, reason) in cases {
+            let cluster =
+                Cluster::spawn(1, LatencyModel::ZERO, |_| LyingWorker::new(lie.clone())).unwrap();
+            let mut svc =
+                MpqService::with_transport(Box::new(cluster), MpqConfig::default()).unwrap();
+            let out = svc
+                .submit(&q, PlanSpace::Linear, Objective::Single)
+                .and_then(|h| svc.wait(h));
+            assert_eq!(
+                out.err(),
+                Some(MpqError::Unpriceable { worker: 0, reason }),
+                "{lie:?}"
+            );
+            let next = svc
+                .submit(&q, PlanSpace::Linear, Objective::Single)
+                .and_then(|h| svc.wait(h))
+                .unwrap();
+            assert!(bit_eq(next.plans[0].cost().time, serial_time(&q)));
+            svc.shutdown();
+        }
+    }
+
+    /// A worker whose partition does not hold the optimum answers with a
+    /// valid, suboptimal tree and claims it costs nothing: the claim does
+    /// not cross the wire, the master prices the tree at its true cost,
+    /// and the answer is the serial optimum's, to the bit.
+    #[test]
+    fn a_suboptimal_tree_is_priced_at_its_true_cost() {
+        for seed in [91, 92, 93] {
+            let q = query(6, seed);
+            let optimum =
+                optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans[0].clone();
+            // The partition of two without the optimum.
+            let liar = (0..2u64)
+                .find(|&p| {
+                    let best =
+                        &optimize_partition_id(&q, PlanSpace::Linear, Objective::Single, p, 2)
+                            .plans[0];
+                    !bit_eq(best.cost().time, optimum.cost().time)
+                })
+                .expect("one partition of two lacks the optimum") as usize;
+            let lie = vec![
+                scan(0),
+                scan(1),
+                join(mpq_cost::JoinOp::NestedLoop),
+                scan(2),
+                join(mpq_cost::JoinOp::NestedLoop),
+                scan(3),
+                join(mpq_cost::JoinOp::NestedLoop),
+                scan(4),
+                join(mpq_cost::JoinOp::NestedLoop),
+                scan(5),
+                join(mpq_cost::JoinOp::NestedLoop),
+            ];
+            let true_cost = mpq_dp::explain(&q, &Plan::unpriced(lie.clone()))
+                .unwrap()
+                .root()
+                .cost;
+            assert!(true_cost.time > optimum.cost().time, "seed {seed}");
+            let cluster = Cluster::spawn(2, LatencyModel::ZERO, |w| {
+                if w == liar {
+                    LyingWorker::new(lie.clone())
+                } else {
+                    LyingWorker {
+                        lie: None,
+                        honest: MpqWorker::new(1),
+                    }
+                }
+            })
+            .unwrap();
+            let mut svc =
+                MpqService::with_transport(Box::new(cluster), MpqConfig::default()).unwrap();
+            let out = svc
+                .submit_assigned(
+                    &q,
+                    PlanSpace::Linear,
+                    Objective::Single,
+                    2,
+                    vec![(0, 1), (1, 1)],
+                )
+                .and_then(|h| svc.wait(h))
+                .unwrap();
+            assert_eq!(out.metrics.replies_received, 2, "seed {seed}");
+            assert_eq!(out.plans.len(), 1);
+            assert_eq!(
+                out.plans[0].cost().time.to_bits(),
+                optimum.cost().time.to_bits(),
+                "seed {seed}"
             );
             svc.shutdown();
         }

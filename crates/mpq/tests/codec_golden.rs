@@ -114,15 +114,13 @@ const GOLDEN_MASTER_MESSAGE: &str =
     00000017b14ae47e17a843f0102000000000000e03f0001010000000000002440050000000000000002000000000000\
     0008000000000000000100000000000000";
 const GOLDEN_WORKER_REPLY: &str =
-    "0300000000000000020000000000000001000000000000000000204000000000\
-    00003040010000000002000b0000000000000016000000000000002100000000\
-    0000002c00000000000000370000000000000001000000000000000100000000\
-    000000";
+    "0300000000000000020000000000000001000000010000000002000b00000000\
+    000000160000000000000021000000000000002c000000000000003700000000\
+    00000001000000000000000100000000000000";
 const GOLDEN_WORKER_MSG_REPLY: &str =
-    "0003000000000000000200000000000000010000000000000000002040000000\
-    0000003040010000000002000b00000000000000160000000000000021000000\
-    000000002c000000000000003700000000000000010000000000000001000000\
-    00000000";
+    "000300000000000000020000000000000001000000010000000002000b000000\
+    00000000160000000000000021000000000000002c0000000000000037000000\
+    0000000001000000000000000100000000000000";
 const GOLDEN_WORKER_MSG_PROGRESS: &str = "01050000000000000002000000000000000800000000000000";
 
 fn hex(bytes: &[u8]) -> String {
@@ -141,6 +139,25 @@ fn assert_golden<T: Wire + PartialEq + std::fmt::Debug>(value: &T, expected_hex:
     assert_eq!(&decoded, value, "golden {what} did not round-trip");
 }
 
+/// [`assert_golden`] for a value that carries plans: they travel without
+/// their sender's costs, so what decodes is the same value with its plans
+/// unpriced, which encodes to the same golden bytes again.
+fn assert_golden_sent<T: Wire + std::fmt::Debug>(value: &T, expected_hex: &str, what: &str) {
+    let encoded = value.to_bytes();
+    assert_eq!(
+        hex(&encoded),
+        expected_hex,
+        "wire format of {what} changed — if intentional, regenerate the golden constants \
+         (see module docs); if not, you just broke cross-version compatibility"
+    );
+    let decoded = T::from_bytes(&encoded).expect("golden bytes decode");
+    assert_eq!(
+        hex(&decoded.to_bytes()),
+        expected_hex,
+        "golden {what} did not round-trip"
+    );
+}
+
 #[test]
 fn golden_master_message_bytes() {
     assert_golden(
@@ -152,12 +169,18 @@ fn golden_master_message_bytes() {
 
 #[test]
 fn golden_worker_reply_bytes() {
-    assert_golden(&golden_reply(), GOLDEN_WORKER_REPLY, "WorkerReply");
+    assert_golden_sent(&golden_reply(), GOLDEN_WORKER_REPLY, "WorkerReply");
+    let back = WorkerReply::from_bytes(&golden_reply().to_bytes()).unwrap();
+    assert_eq!(back.plans[0].ops, golden_reply().plans[0].ops);
+    assert!(
+        back.plans[0].cost.time.is_nan(),
+        "the reply's plan is unpriced"
+    );
 }
 
 #[test]
 fn golden_worker_msg_bytes() {
-    assert_golden(
+    assert_golden_sent(
         &WorkerMsg::Reply(golden_reply()),
         GOLDEN_WORKER_MSG_REPLY,
         "WorkerMsg::Reply",

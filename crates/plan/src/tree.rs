@@ -77,19 +77,33 @@ impl std::error::Error for PlanError {}
 /// Plans are binary trees: leaves scan base tables, inner nodes join the
 /// results of their children, with the left child as the outer and the
 /// right child as the inner operand (Section 3 of the paper). Only the
-/// root cost travels with the tree — it is what the master compares.
-/// Every node's cost, cardinality and output order are functions of the
-/// query and the tree, so whoever holds the query recomputes them
-/// (`mpq_dp::explain`) instead of shipping them.
+/// tree travels: every node's cost, cardinality and output order, the
+/// root cost included, are functions of the query and the tree, so
+/// whoever holds the query recomputes them (`mpq_dp::explain`) instead of
+/// trusting a sender's figures. A decoded plan is therefore
+/// [unpriced](Plan::unpriced) until its receiver prices it
+/// (`mpq_dp::Pricer`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Plan {
-    /// Total cost of the plan.
+    /// Total cost of the plan: NaN in both components while the plan is
+    /// [unpriced](Plan::unpriced).
     pub cost: CostVector,
     /// The operators, in post-order (the root last).
     pub ops: Vec<PlanOp>,
 }
 
 impl Plan {
+    /// A plan with no cost yet: `ops` as a decoder reads them, before
+    /// anyone who holds the query has priced them. Its cost is NaN in
+    /// both components, so that no figure — least of all a low one — is
+    /// ever attached to a tree nobody computed it for.
+    pub fn unpriced(ops: Vec<PlanOp>) -> Plan {
+        Plan {
+            cost: CostVector::new(f64::NAN, f64::NAN),
+            ops,
+        }
+    }
+
     /// Total cost of the plan.
     pub fn cost(&self) -> CostVector {
         self.cost

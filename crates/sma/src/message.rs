@@ -64,7 +64,9 @@ pub enum SmaReply {
     },
     /// Response to `Finish`.
     Final {
-        /// Complete plan(s) for the query.
+        /// Complete plan(s) for the query, each on the wire as its
+        /// operator tree alone (SMA's answer is read from the run's own
+        /// memo, so nothing decodes these).
         plans: Vec<Plan>,
         /// Memory/work counters of this worker's replica.
         stats: WorkerStats,
@@ -136,10 +138,19 @@ mod tests {
         let query = WorkloadGenerator::new(WorkloadConfig::paper_default(4), 2).next_query();
         let out = mpq_dp::optimize_serial(&query, PlanSpace::Linear, Objective::Single);
         let r = SmaReply::Final {
-            plans: out.plans,
+            plans: out.plans.clone(),
             stats: out.stats,
         };
-        assert_eq!(SmaReply::from_bytes(&r.to_bytes()).unwrap(), r);
+        // The plans come back as their trees: no cost crosses the wire.
+        let Ok(SmaReply::Final { plans, stats }) = SmaReply::from_bytes(&r.to_bytes()) else {
+            panic!("a final reply decodes as one");
+        };
+        assert_eq!(stats, out.stats);
+        assert_eq!(plans.len(), out.plans.len());
+        for (back, sent) in plans.iter().zip(&out.plans) {
+            assert_eq!(back.ops, sent.ops);
+            assert!(back.cost.time.is_nan());
+        }
     }
 
     #[test]

@@ -103,9 +103,8 @@ const GOLDEN_MASTER_DELTA: &str =
 const GOLDEN_MASTER_FINISH: &str = "03";
 const GOLDEN_REPLY_LEVEL_DONE: &str = "000100000003000000000000000100000000000000000\
     0f03f0000000000000040000000002a00000000000000";
-const GOLDEN_REPLY_FINAL: &str = "010100000000000000000020400000000000003040010000000002000b000000\
-    00000000160000000000000021000000000000002c0000000000000037000000\
-    00000000";
+const GOLDEN_REPLY_FINAL: &str = "0101000000010000000002000b00000000000000160000000000000021000000\
+    000000002c000000000000003700000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -121,6 +120,25 @@ fn assert_golden<T: Wire + PartialEq + std::fmt::Debug>(value: &T, expected_hex:
     );
     let decoded = T::from_bytes(&encoded).expect("golden bytes decode");
     assert_eq!(&decoded, value, "golden {what} did not round-trip");
+}
+
+/// [`assert_golden`] for a value that carries plans: they travel without
+/// their sender's costs, so what decodes is the same value with its plans
+/// unpriced, which encodes to the same golden bytes again.
+fn assert_golden_sent<T: Wire + std::fmt::Debug>(value: &T, expected_hex: &str, what: &str) {
+    let encoded = value.to_bytes();
+    assert_eq!(
+        hex(&encoded),
+        expected_hex,
+        "wire format of {what} changed — if intentional, regenerate the golden constants \
+         (see module docs); if not, you just broke cross-version compatibility"
+    );
+    let decoded = T::from_bytes(&encoded).expect("golden bytes decode");
+    assert_eq!(
+        hex(&decoded.to_bytes()),
+        expected_hex,
+        "golden {what} did not round-trip"
+    );
 }
 
 #[test]
@@ -170,7 +188,7 @@ fn golden_reply_bytes() {
         GOLDEN_REPLY_LEVEL_DONE,
         "SmaReply::LevelDone",
     );
-    assert_golden(
+    assert_golden_sent(
         &SmaReply::Final {
             plans: vec![golden_final_plan()],
             stats: golden_stats(),

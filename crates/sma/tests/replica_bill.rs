@@ -70,42 +70,42 @@ fn cases() -> impl Iterator<Item = (usize, PlanSpace, Objective, usize)> {
 
 #[rustfmt::skip]
 const BILLS: &[Bill] = &[
-    [53, 76, 3, 2, 36, 1, 1], // n 1 Linear Single m 1
-    [141, 76, 5, 2, 36, 1, 1], // n 1 Linear Single m 3
-    [361, 76, 10, 2, 36, 1, 1], // n 1 Linear Single m 8
-    [61, 76, 3, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 1
-    [165, 76, 5, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 3
-    [425, 76, 10, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 8
-    [53, 76, 3, 2, 36, 1, 1], // n 1 Bushy Single m 1
-    [141, 76, 5, 2, 36, 1, 1], // n 1 Bushy Single m 3
-    [361, 76, 10, 2, 36, 1, 1], // n 1 Bushy Single m 8
-    [61, 76, 3, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 1
-    [165, 76, 5, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 3
-    [425, 76, 10, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 8
-    [1184, 1017, 12, 5, 1016, 15, 21], // n 4 Linear Single m 1
-    [3319, 1080, 26, 5, 1016, 15, 21], // n 4 Linear Single m 3
-    [8624, 1185, 56, 5, 1016, 15, 21], // n 4 Linear Single m 8
-    [1923, 1824, 12, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 1
-    [5536, 1887, 26, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 3
-    [14536, 1992, 56, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 8
-    [1184, 1017, 12, 5, 1016, 15, 21], // n 4 Bushy Single m 1
-    [3319, 1080, 26, 5, 1016, 15, 21], // n 4 Bushy Single m 3
-    [8624, 1185, 56, 5, 1016, 15, 21], // n 4 Bushy Single m 8
-    [1880, 1781, 12, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 1
-    [5407, 1844, 26, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 3
-    [14192, 1949, 56, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 8
-    [10639, 9498, 21, 8, 9536, 127, 189], // n 7 Linear Single m 1
-    [29953, 9708, 55, 8, 9536, 127, 189], // n 7 Linear Single m 3
-    [78173, 10128, 130, 8, 9536, 127, 189], // n 7 Linear Single m 8
-    [26170, 25233, 21, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 1
-    [76546, 25443, 55, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 3
-    [202421, 25863, 130, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 8
-    [10639, 9498, 21, 8, 9536, 127, 189], // n 7 Bushy Single m 1
-    [29953, 9708, 55, 8, 9536, 127, 189], // n 7 Bushy Single m 3
-    [78173, 10128, 130, 8, 9536, 127, 189], // n 7 Bushy Single m 8
-    [31717, 30833, 21, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 1
-    [93187, 31043, 55, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 3
-    [246797, 31463, 130, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 8
+    [53, 60, 3, 2, 36, 1, 1], // n 1 Linear Single m 1
+    [141, 60, 5, 2, 36, 1, 1], // n 1 Linear Single m 3
+    [361, 60, 10, 2, 36, 1, 1], // n 1 Linear Single m 8
+    [61, 60, 3, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 1
+    [165, 60, 5, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 3
+    [425, 60, 10, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 8
+    [53, 60, 3, 2, 36, 1, 1], // n 1 Bushy Single m 1
+    [141, 60, 5, 2, 36, 1, 1], // n 1 Bushy Single m 3
+    [361, 60, 10, 2, 36, 1, 1], // n 1 Bushy Single m 8
+    [61, 60, 3, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 1
+    [165, 60, 5, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 3
+    [425, 60, 10, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 8
+    [1184, 1001, 12, 5, 1016, 15, 21], // n 4 Linear Single m 1
+    [3319, 1064, 26, 5, 1016, 15, 21], // n 4 Linear Single m 3
+    [8624, 1169, 56, 5, 1016, 15, 21], // n 4 Linear Single m 8
+    [1923, 1776, 12, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 1
+    [5536, 1839, 26, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 3
+    [14536, 1944, 56, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 8
+    [1184, 1001, 12, 5, 1016, 15, 21], // n 4 Bushy Single m 1
+    [3319, 1064, 26, 5, 1016, 15, 21], // n 4 Bushy Single m 3
+    [8624, 1169, 56, 5, 1016, 15, 21], // n 4 Bushy Single m 8
+    [1880, 1733, 12, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 1
+    [5407, 1796, 26, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 3
+    [14192, 1901, 56, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 8
+    [10639, 9482, 21, 8, 9536, 127, 189], // n 7 Linear Single m 1
+    [29953, 9692, 55, 8, 9536, 127, 189], // n 7 Linear Single m 3
+    [78173, 10112, 130, 8, 9536, 127, 189], // n 7 Linear Single m 8
+    [26170, 25153, 21, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 1
+    [76546, 25363, 55, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 3
+    [202421, 25783, 130, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 8
+    [10639, 9482, 21, 8, 9536, 127, 189], // n 7 Bushy Single m 1
+    [29953, 9692, 55, 8, 9536, 127, 189], // n 7 Bushy Single m 3
+    [78173, 10112, 130, 8, 9536, 127, 189], // n 7 Bushy Single m 8
+    [31717, 30737, 21, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 1
+    [93187, 30947, 55, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 3
+    [246797, 31367, 130, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 8
 ];
 
 #[rustfmt::skip]

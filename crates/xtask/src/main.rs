@@ -19,7 +19,8 @@
 //! 1. **panic-freedom** (`rules::panics`) — no `unwrap`/`expect`/
 //!    `panic!`/`unreachable!`/`todo!`/`assert!` in non-test code of the
 //!    protocol and service layers (`crates/{mpq,sma,cluster,plan}`,
-//!    `src/`). Escape hatch: `crates/xtask/allow/panics.allow`.
+//!    `src/`) and of `crates/dp/src/explain.rs`, which prices decoded
+//!    plans. Escape hatch: `crates/xtask/allow/panics.allow`.
 //! 2. **clock-freedom** (`rules::clocks`) — no `Instant::now`/
 //!    `SystemTime`/`sleep` in the scheduler/evidence paths outside the
 //!    audited timer allowlist (`crates/xtask/allow/clocks.allow`), so
@@ -124,9 +125,13 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// All `.rs` files under `root.join(rel)`, as workspace-relative paths
-/// with forward slashes, sorted for deterministic output.
+/// All `.rs` files under `root.join(rel)` — or `rel` itself, when it names
+/// one — as workspace-relative paths with forward slashes, sorted for
+/// deterministic output.
 pub fn rs_files_under(root: &Path, rel: &str) -> Vec<String> {
+    if root.join(rel).is_file() {
+        return vec![rel.to_string()];
+    }
     let mut out = Vec::new();
     let mut stack = vec![root.join(rel)];
     while let Some(dir) = stack.pop() {

@@ -5,7 +5,8 @@
 //! never aborting: a panicking master poisons every in-flight session.
 //! PR 5 gated three service files with per-file clippy attributes; this
 //! rule generalizes the gate to all non-test code of
-//! `crates/{mpq,sma,cluster,plan}` and `src/`, with an explicit audited
+//! `crates/{mpq,sma,cluster,plan}` and `src/`, plus the one file of
+//! `crates/dp` that runs on decoded input (`explain.rs`), with an explicit audited
 //! allowlist (`allow/panics.allow`) for the few justified sites
 //! (documented panicking convenience wrappers, encoder capacity caps).
 //!
@@ -21,12 +22,15 @@ use crate::lexer::Token;
 use crate::{rs_files_under, SourceFile, Violation};
 use std::path::Path;
 
-/// Directories whose non-test code must be panic-free.
-pub const SCOPE: [&str; 5] = [
+/// Directories, and single files, whose non-test code must be panic-free.
+/// `explain.rs` is the one file of `crates/dp` in scope: the MPQ master
+/// prices every decoded reply plan with it.
+pub const SCOPE: [&str; 6] = [
     "crates/mpq/src",
     "crates/sma/src",
     "crates/cluster/src",
     "crates/plan/src",
+    "crates/dp/src/explain.rs",
     "src",
 ];
 

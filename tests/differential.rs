@@ -13,7 +13,9 @@
 //! on optimal cost for single-objective runs and on the full Pareto
 //! frontier for multi-objective runs — `f64::to_bits` equal, not merely
 //! close — and holds the resident service to the same standard under a
-//! closed-loop window, where load-aware placement varies the cut.
+//! closed-loop window, where load-aware placement varies the cut. Every
+//! plan any backend returns must also cost what `explain` recomputes for
+//! its tree from the query.
 //! Differential agreement across five
 //! independently-written engines is the correctness bedrock the chaos
 //! suite (`tests/chaos.rs`) builds on: it pins the fault-free answer that
@@ -25,7 +27,7 @@
 
 use pqopt::cost::{CostVector, Objective};
 use pqopt::dp::{
-    exhaustive_frontier, exhaustive_linear_best_time, optimize_partition_id,
+    exhaustive_frontier, exhaustive_linear_best_time, explain, optimize_partition_id,
     optimize_partition_topdown, optimize_serial,
 };
 use pqopt::model::{JoinGraph, Query, WorkloadConfig, WorkloadGenerator};
@@ -388,6 +390,62 @@ fn windowed_stream_is_exact_under_load_aware_placement() {
         redeem(&mut service, oldest);
     }
     service.shutdown();
+}
+
+/// One invariant across every backend: each plan the serial and top-down
+/// DPs, MPQ and SMA return costs, to the bit, what [`explain`] computes
+/// for its tree from the query — both spaces, single-objective and
+/// α ∈ {2, 10}. MPQ's master prices every reply plan that way (none
+/// carries a cost on the wire); the others keep the cost their memo
+/// computed, which the recomputation must reproduce.
+#[test]
+fn every_backend_returns_plans_that_explain_to_their_cost() {
+    let mpq = MpqOptimizer::new(MpqConfig::default());
+    let objectives = [
+        Objective::Single,
+        Objective::Multi { alpha: 2.0 },
+        Objective::Multi { alpha: 10.0 },
+    ];
+    for seed in 0..SEEDS {
+        let (q, n) = seeded_query(seed);
+        for space in [PlanSpace::Linear, PlanSpace::Bushy] {
+            if space == PlanSpace::Bushy && n > 6 {
+                continue; // keep the bushy sweep cheap
+            }
+            for objective in objectives {
+                let workers = 1 + seed % 4;
+                let answers = [
+                    ("serial", optimize_serial(&q, space, objective).plans),
+                    (
+                        "topdown",
+                        optimize_partition_topdown(
+                            &q,
+                            space,
+                            objective,
+                            &partition_constraints(n, space, 0, 1),
+                        )
+                        .plans,
+                    ),
+                    ("MPQ", mpq.optimize(&q, space, objective, workers).plans),
+                    (
+                        "SMA",
+                        SmaOptimizer
+                            .optimize(&q, space, objective, workers as usize)
+                            .plans,
+                    ),
+                ];
+                for (backend, plans) in answers {
+                    assert!(!plans.is_empty(), "seed {seed} {backend}");
+                    for p in plans {
+                        let ctx = format!("seed {seed} (n={n}) {space:?} {objective:?} {backend}");
+                        let root = explain(&q, &p).expect(&ctx).root().cost;
+                        assert!(bit_eq(p.cost().time, root.time), "{ctx}: {p}");
+                        assert!(bit_eq(p.cost().buffer, root.buffer), "{ctx}: {p}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The unified [`Optimizer`] trait: all three backends, resident, answer

@@ -8,7 +8,7 @@
 
 use pqopt::dp::{
     merge_parametric, optimize_parametric, optimize_parametric_partition,
-    optimize_partition_topdown, optimize_serial, pick_for, ParametricQuery,
+    optimize_partition_topdown, optimize_serial, pick_for, ParametricQuery, Pricer,
 };
 use pqopt::exec::{execute, DataConfig, Database};
 use pqopt::heuristics::{
@@ -172,8 +172,18 @@ fn mpq_plan_survives_wire_and_executes() {
         4,
     );
     let bytes = out.plans[0].to_bytes();
+    // The tree crosses the wire, not its cost: the receiver prices it.
     let plan = Plan::from_bytes(&bytes).expect("decode");
-    assert_eq!(plan, out.plans[0]);
+    assert_eq!(plan.ops, out.plans[0].ops);
+    let priced = Pricer::new(&q)
+        .price(PlanSpace::Bushy, plan)
+        .expect("an MPQ plan prices")
+        .into_plan();
+    assert_eq!(
+        priced.cost().time.to_bits(),
+        out.plans[0].cost().time.to_bits()
+    );
+    let plan = priced;
     let db = Database::generate(
         &q,
         &DataConfig {

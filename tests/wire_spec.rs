@@ -1,13 +1,15 @@
 //! The README's wire-format listing is the declarations themselves: the
 //! three `wire!` schemas rendered by `mpq_cluster::codec::describe`. A
 //! layout changed, added or removed without the README following fails
-//! here (and, the bytes being frozen, in the `codec_golden.rs` suites).
+//! here (and, the bytes being frozen, in the `codec_golden.rs` suites),
+//! and so does one that leaves the handshake's version as it was.
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pqopt::cluster::codec::{describe, WireType};
+use pqopt::cluster::Hello;
 
 const BEGIN: &str = "<!-- wire-types: tests/wire_spec.rs compares this block -->\n```text\n";
 const END: &str = "```\n";
@@ -46,5 +48,28 @@ fn readme_quotes_the_declarations() {
         quoted, rendered,
         "README.md \"Wire-format stability\" no longer quotes the `wire!` declarations; \
          the block should read:\n{rendered}"
+    );
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The handshake's magic names the layouts it speaks: this pair is the
+/// magic and the FNV-1a of the rendered declarations it was bumped for. A
+/// layout change that keeps the magic fails here — bump the version byte
+/// of `Hello::MAGIC`, then enter the new pair.
+#[test]
+fn the_handshake_version_names_the_wire_layouts() {
+    const VERSION: ([u8; 4], u64) = (*b"MPQ2", 0xf41b_5161_aa34_3ea3);
+    let spec = fnv1a(rendered().as_bytes());
+    assert_eq!(
+        (Hello::MAGIC.to_le_bytes(), spec),
+        VERSION,
+        "the wire layouts hash to {spec:#018x}: a layout changed, so bump the version byte \
+         of `Hello::MAGIC` and pin the new (magic, hash) pair"
     );
 }
