@@ -53,9 +53,8 @@ pub enum DecodeError {
     /// not survive decoding on a resident worker either.
     ApproximationFactor(u64),
     /// A query carried a statistic no catalog can have
-    /// ([`Query::invalid_statistic`]): a cardinality, tuple width or
-    /// join-domain size that is NaN, infinite or negative, or a
-    /// selectivity outside `0 < s <= 1`.
+    /// ([`Query::invalid_statistic`]): a cardinality or tuple width that
+    /// is NaN, infinite or negative, or a selectivity outside `0 < s <= 1`.
     Statistic {
         /// The offending field.
         field: &'static str,
@@ -63,9 +62,10 @@ pub enum DecodeError {
         bits: u64,
     },
     /// A plan's operators were not one tree ([`Plan::validate`]): none at
-    /// all, a join short of an operand, more than one root, or a table
-    /// scanned twice. (A table index past 64 is
-    /// [`DecodeError::IndexOutOfRange`].)
+    /// all (a count of 0), a join short of an operand, more than one root,
+    /// or a table scanned twice. (An operator byte past the joins is
+    /// [`DecodeError::BadTag`], a count past 127
+    /// [`DecodeError::LengthOverflow`].)
     PlanShape(PlanError),
     /// [`Wire::from_bytes`] decoded a whole value and this many bytes were
     /// left over: the buffer is not one message.
@@ -131,6 +131,12 @@ pub enum EncodeError {
         /// The offending index.
         index: usize,
     },
+    /// A plan of this many operators: one over at most 64 tables has
+    /// `1..=127`, and the wire's count is one byte.
+    PlanLength {
+        /// The plan's operator count.
+        ops: usize,
+    },
 }
 
 impl fmt::Display for EncodeError {
@@ -141,6 +147,12 @@ impl fmt::Display for EncodeError {
                 "table index {index} exceeds the {}-table wire limit",
                 TableSet::MAX_TABLES
             ),
+            EncodeError::PlanLength { ops } => {
+                write!(
+                    f,
+                    "a plan of {ops} operators is not one tree over at most 64 tables"
+                )
+            }
         }
     }
 }
@@ -772,25 +784,91 @@ fn valid_alpha(objective: &Objective) -> Result<(), DecodeError> {
     }
 }
 
-/// A plan travels as its operators alone: its cost is the receiver's to
-/// compute from the query (`mpq_dp::Pricer`), so the decoded plan is
-/// [unpriced](Plan::unpriced). It must be one operator tree over distinct
-/// tables a [`TableSet`] can hold: every consumer — the master's pricing,
-/// the executor, `explain` — walks it as one.
+/// The most operators a plan has: `2n - 1` over at most 64 tables.
+const PLAN_MAX_OPS: u8 = 2 * TableSet::MAX_TABLES as u8 - 1;
+
+/// The first join byte of a plan operator: every byte below it is a scan
+/// of that table, and `PLAN_JOIN + k` is the join whose [`JoinOp`] tag is
+/// `k`.
+const PLAN_JOIN: u8 = TableSet::MAX_TABLES as u8;
+
+/// A plan operator's one byte: a scan is its table, a join
+/// [`PLAN_JOIN`] plus its operator's tag. A table a [`TableSet`] cannot
+/// hold poisons the encoder and writes the `0xFF` sentinel.
+fn put_plan_op(enc: &mut Encoder, op: PlanOp) {
+    match op {
+        PlanOp::Scan {
+            table,
+            op: ScanOp::Full,
+        } => enc.put_table_index(table as usize),
+        PlanOp::Join { op } => enc.put_u8(
+            PLAN_JOIN
+                + match op {
+                    JoinOp::NestedLoop => 0,
+                    JoinOp::Hash => 1,
+                    JoinOp::SortMerge => 2,
+                },
+        ),
+    }
+}
+
+/// The operator one byte names; any byte [`put_plan_op`] never writes is
+/// a typed [`DecodeError::BadTag`].
+fn get_plan_op(dec: &mut Decoder<'_>) -> Result<PlanOp, DecodeError> {
+    let op = match dec.get_u8()? {
+        table if table < PLAN_JOIN => {
+            return Ok(PlanOp::Scan {
+                table,
+                op: ScanOp::Full,
+            })
+        }
+        PLAN_JOIN => JoinOp::NestedLoop,
+        b if b == PLAN_JOIN + 1 => JoinOp::Hash,
+        b if b == PLAN_JOIN + 2 => JoinOp::SortMerge,
+        tag => return Err(DecodeError::BadTag { tag, ty: "PlanOp" }),
+    };
+    Ok(PlanOp::Join { op })
+}
+
+/// A plan travels as its operators alone, one byte each after a one-byte
+/// count: its cost is the receiver's to compute from the query
+/// (`mpq_dp::Pricer`), so the decoded plan is [unpriced](Plan::unpriced).
+/// It must be one operator tree over distinct tables a [`TableSet`] can
+/// hold: every consumer — the master's pricing, the executor, `explain` —
+/// walks it as one. A count outside `1..=127` poisons the encoder and
+/// writes the sentinel count 0.
 impl Wire for Plan {
     fn encode(&self, enc: &mut Encoder) {
-        self.ops.encode(enc);
+        match u8::try_from(self.ops.len()) {
+            Ok(count @ 1..=PLAN_MAX_OPS) => enc.put_u8(count),
+            _ => {
+                enc.poison(EncodeError::PlanLength {
+                    ops: self.ops.len(),
+                });
+                enc.put_u8(0);
+            }
+        }
+        for &op in &self.ops {
+            put_plan_op(enc, op);
+        }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let plan = Plan::unpriced(Vec::<PlanOp>::decode(dec)?);
-        match plan.validate() {
-            Ok(()) => Ok(plan),
-            Err(PlanError::TableOutOfRange { table }) => Err(DecodeError::IndexOutOfRange {
-                index: table,
-                ty: "Plan",
-            }),
-            Err(e) => Err(DecodeError::PlanShape(e)),
+        let count = dec.get_u8()?;
+        if count == 0 {
+            return Err(DecodeError::PlanShape(PlanError::Empty));
         }
+        if count > PLAN_MAX_OPS {
+            return Err(DecodeError::LengthOverflow(u64::from(count)));
+        }
+        dec.need(usize::from(count))?;
+        // One allocation: a `Result` collect would grow the vector.
+        let mut ops = Vec::with_capacity(usize::from(count));
+        for _ in 0..count {
+            ops.push(get_plan_op(dec)?);
+        }
+        let plan = Plan::unpriced(ops);
+        plan.validate().map_err(DecodeError::PlanShape)?;
+        Ok(plan)
     }
 }
 
@@ -809,12 +887,12 @@ wire! {
         "u32 table count (1..=64), a TableStats each (finite, >= 0), Vec<Predicate> (indices below the count, selectivity in (0, 1]), JoinGraph"
     }
     extern Order { "one byte: 0 is no order, k + 1 is on attribute k" }
-    extern Hello { "magic: u32 (the bytes MPQ2), worker_id: u64" }
+    extern Hello { "magic: u32 (the bytes MPQ3), worker_id: u64" }
 
     struct QueryId fixed { 0: u64 }
     struct Progress fixed { first_partition: u64, completed: u64, partition_count: u64 }
     struct TableSet { 0: u64 }
-    struct TableStats { cardinality: f64, tuple_bytes: f64, join_domain: f64 }
+    struct TableStats { cardinality: f64, tuple_bytes: f64 }
     struct CostVector { time: f64, buffer: f64 }
     struct PlanEntry { cost: CostVector, order: Order, node: PlanNode }
     struct WorkerStats {
@@ -829,8 +907,9 @@ wire! {
     enum JoinOp { 0 => NestedLoop, 1 => Hash, 2 => SortMerge }
     enum PlanSpace { 0 => Linear, 1 => Bushy }
     enum Objective check valid_alpha { 0 => Single, 1 => Multi { alpha: f64 } }
-    extern Plan { "Vec<PlanOp>, the operators in post-order: one tree over distinct tables below 64, and no cost (its receiver prices it)" }
-    enum PlanOp { 0 => Scan { table: u8, op: ScanOp }, 1 => Join { op: JoinOp } }
+    extern Plan {
+        "u8 count (1..=127), one byte per operator in post-order (a scan is its table, 0..=63; a join is 64 + its JoinOp tag): one tree over distinct tables, and no cost (its receiver prices it)"
+    }
     enum PlanNode {
         0 => Scan { table: u8, op: ScanOp },
         1 => Join { op: JoinOp, left: TableSet, left_idx: u32, right: TableSet, right_idx: u32 }
@@ -863,7 +942,6 @@ mod tests {
         roundtrip(&TableStats {
             cardinality: 123.0,
             tuple_bytes: 99.0,
-            join_domain: 7.0,
         });
         roundtrip(&Predicate {
             left: 3,
@@ -908,23 +986,98 @@ mod tests {
         assert_eq!(back.to_bytes(), out.plans[0].to_bytes());
     }
 
-    /// The bytes of a plan whose operators are `ops`, written field by
-    /// field: what a hostile peer could send.
-    fn plan_bytes(ops: &[&[u8]]) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_len(ops.len());
-        for op in ops {
-            for &b in *op {
-                enc.put_u8(b);
-            }
-        }
-        enc.finish().to_vec()
+    /// The bytes of a plan whose operator bytes are `ops`, after their
+    /// count: what a hostile peer could send.
+    fn plan_bytes(ops: &[u8]) -> Vec<u8> {
+        let mut bytes = vec![ops.len() as u8];
+        bytes.extend_from_slice(ops);
+        bytes
     }
 
-    const JOIN: &[u8] = &[1, 1];
+    /// A hash join's byte.
+    const JOIN: u8 = PLAN_JOIN + 1;
 
-    fn scan(table: u8) -> [u8; 3] {
-        [0, table, 0]
+    /// Every byte value is the one operator that encodes to it, or a typed
+    /// `BadTag`: 64 scans, three joins and 189 bytes no operator writes.
+    #[test]
+    fn every_operator_byte_decodes_to_the_operator_that_encodes_to_it() {
+        let mut decoded = 0;
+        for byte in 0..=u8::MAX {
+            match get_plan_op(&mut Decoder::new(&[byte])) {
+                Ok(op) => {
+                    let mut enc = Encoder::new();
+                    put_plan_op(&mut enc, op);
+                    assert_eq!(enc.error(), None, "{op:?}");
+                    assert_eq!(&enc.finish()[..], [byte], "{op:?}");
+                    decoded += 1;
+                }
+                Err(e) => assert_eq!(
+                    e,
+                    DecodeError::BadTag {
+                        tag: byte,
+                        ty: "PlanOp"
+                    }
+                ),
+            }
+        }
+        assert_eq!(decoded, TableSet::MAX_TABLES + mpq_cost::JOIN_OPS.len());
+        // And every operator a plan can hold encodes to its own byte.
+        let scans = (0..TableSet::MAX_TABLES as u8).map(|table| PlanOp::Scan {
+            table,
+            op: ScanOp::Full,
+        });
+        let joins = mpq_cost::JOIN_OPS.map(|op| PlanOp::Join { op });
+        for op in scans.chain(joins) {
+            let mut enc = Encoder::new();
+            put_plan_op(&mut enc, op);
+            let bytes = enc.finish();
+            assert_eq!(bytes.len(), 1);
+            assert_eq!(get_plan_op(&mut Decoder::new(&bytes)), Ok(op));
+            if let PlanOp::Join { op } = op {
+                assert_eq!(bytes[0], PLAN_JOIN + op.to_bytes()[0], "{op:?}");
+            }
+        }
+    }
+
+    /// The count byte: 0 is no plan, past 127 no tree over 64 tables, and
+    /// one larger than the bytes left is truncated — each typed.
+    #[test]
+    fn plan_count_outside_its_range_is_rejected() {
+        assert_eq!(
+            Plan::from_bytes(&[0]),
+            Err(DecodeError::PlanShape(PlanError::Empty))
+        );
+        for count in [128u8, 200, u8::MAX] {
+            let mut bytes = vec![count];
+            bytes.extend(std::iter::repeat_n(JOIN, usize::from(count)));
+            assert_eq!(
+                Plan::from_bytes(&bytes),
+                Err(DecodeError::LengthOverflow(u64::from(count)))
+            );
+        }
+        for (count, left) in [(1u8, 0usize), (3, 2), (127, 126)] {
+            let mut bytes = vec![count];
+            bytes.extend(std::iter::repeat_n(0, left));
+            assert_eq!(
+                Plan::from_bytes(&bytes),
+                Err(DecodeError::Truncated {
+                    needed: usize::from(count),
+                    available: left
+                })
+            );
+        }
+        // A plan past 127 operators is no tree over 64 tables: its encoder
+        // is poisoned, and the sentinel count decodes to no plan.
+        let long = Plan::unpriced(vec![PlanOp::Join { op: JoinOp::Hash }; 128]);
+        assert_eq!(
+            long.try_to_bytes(),
+            Err(EncodeError::PlanLength { ops: 128 })
+        );
+        assert_eq!(long.to_bytes()[0], 0);
+        assert_eq!(
+            Plan::unpriced(Vec::new()).try_to_bytes(),
+            Err(EncodeError::PlanLength { ops: 0 })
+        );
     }
 
     #[test]
@@ -938,7 +1091,7 @@ mod tests {
     #[test]
     fn plan_join_short_of_an_operand_is_rejected() {
         assert_eq!(
-            Plan::from_bytes(&plan_bytes(&[&scan(0), JOIN])),
+            Plan::from_bytes(&plan_bytes(&[0, JOIN])),
             Err(DecodeError::PlanShape(PlanError::MissingOperand { at: 1 }))
         );
         assert_eq!(
@@ -950,7 +1103,7 @@ mod tests {
     #[test]
     fn plan_with_two_roots_is_rejected() {
         assert_eq!(
-            Plan::from_bytes(&plan_bytes(&[&scan(0), &scan(1), &scan(2), JOIN])),
+            Plan::from_bytes(&plan_bytes(&[0, 1, 2, JOIN])),
             Err(DecodeError::PlanShape(PlanError::ExtraRoots { roots: 2 }))
         );
     }
@@ -958,40 +1111,47 @@ mod tests {
     #[test]
     fn plan_scanning_a_table_twice_is_rejected() {
         assert_eq!(
-            Plan::from_bytes(&plan_bytes(&[&scan(3), &scan(3), JOIN])),
+            Plan::from_bytes(&plan_bytes(&[3, 3, JOIN])),
             Err(DecodeError::PlanShape(PlanError::RepeatedTable {
                 table: 3
             }))
         );
     }
 
+    /// No byte names a table past 63: a plan scanning one is poisoned at
+    /// the sender, and its sentinel byte is a typed error at the receiver.
     #[test]
     fn plan_table_past_the_wire_limit_is_rejected() {
-        for index in [64, 0xFF] {
+        for table in [64u8, 0xFF] {
+            let plan = Plan::unpriced(vec![PlanOp::Scan {
+                table,
+                op: ScanOp::Full,
+            }]);
             assert_eq!(
-                Plan::from_bytes(&plan_bytes(&[&scan(index)])),
-                Err(DecodeError::IndexOutOfRange { index, ty: "Plan" })
+                plan.try_to_bytes(),
+                Err(EncodeError::TableIndexOutOfRange {
+                    index: usize::from(table)
+                })
+            );
+            assert_eq!(
+                Plan::from_bytes(&plan.to_bytes()),
+                Err(DecodeError::BadTag {
+                    tag: 0xFF,
+                    ty: "PlanOp"
+                })
             );
         }
-        assert!(Plan::from_bytes(&plan_bytes(&[&scan(63)])).is_ok());
+        assert!(Plan::from_bytes(&plan_bytes(&[63])).is_ok());
     }
 
     #[test]
     fn plan_operator_with_an_unknown_tag_is_rejected() {
-        assert_eq!(
-            Plan::from_bytes(&plan_bytes(&[&scan(0), &[2, 1]])),
-            Err(DecodeError::BadTag {
-                tag: 2,
-                ty: "PlanOp"
-            })
-        );
-        assert_eq!(
-            Plan::from_bytes(&plan_bytes(&[&scan(0), &scan(1), &[1, 3]])),
-            Err(DecodeError::BadTag {
-                tag: 3,
-                ty: "JoinOp"
-            })
-        );
+        for tag in [PLAN_JOIN + 3, 0x80, 0xFF] {
+            assert_eq!(
+                Plan::from_bytes(&plan_bytes(&[0, 1, tag])),
+                Err(DecodeError::BadTag { tag, ty: "PlanOp" })
+            );
+        }
     }
 
     proptest::proptest! {
@@ -1024,18 +1184,18 @@ mod tests {
         }
     }
 
-    /// Theorem 1's `b_p`, exactly: a plan over `n` tables is a `u32`
-    /// operator count, `n` scans of 3 B and `n - 1` joins of 2 B —
-    /// `5n + 2` bytes, whatever the space or objective.
+    /// Theorem 1's `b_p`, exactly: a plan over `n` tables is a one-byte
+    /// operator count, then `n` scans and `n - 1` joins of one byte each —
+    /// `2n` bytes, whatever the space or objective.
     #[test]
-    fn every_dp_plan_of_n_tables_encodes_to_5n_plus_2_bytes() {
+    fn every_dp_plan_of_n_tables_encodes_to_2n_bytes() {
         for n in 1..=9 {
             let q = WorkloadGenerator::new(WorkloadConfig::paper_default(n), 40 + n as u64)
                 .next_query();
             for space in [PlanSpace::Linear, PlanSpace::Bushy] {
                 for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
                     for p in mpq_dp::optimize_serial(&q, space, objective).plans {
-                        assert_eq!(p.to_bytes().len(), 5 * n + 2, "{n} tables: {p}");
+                        assert_eq!(p.to_bytes().len(), 2 * n, "{n} tables: {p}");
                     }
                 }
             }
@@ -1119,7 +1279,7 @@ mod tests {
             })
         ));
         assert!(JoinOp::from_bytes(&[7]).is_err());
-        assert!(Plan::from_bytes(&[2]).is_err());
+        assert!(Plan::from_bytes(&[1, 0xFF]).is_err());
     }
 
     #[test]
@@ -1250,5 +1410,7 @@ mod tests {
         assert!(e.to_string().contains("3 trailing bytes"));
         let e = EncodeError::TableIndexOutOfRange { index: 300 };
         assert!(e.to_string().contains("index 300"));
+        let e = EncodeError::PlanLength { ops: 128 };
+        assert!(e.to_string().contains("128 operators"));
     }
 }

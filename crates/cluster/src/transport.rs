@@ -440,9 +440,9 @@ pub struct Hello {
 }
 
 impl Hello {
-    /// `b"MPQ2"` read as a little-endian `u32`: version 2, plans without
-    /// costs.
-    pub const MAGIC: u32 = u32::from_le_bytes(*b"MPQ2");
+    /// `b"MPQ3"` read as a little-endian `u32`: version 3, a plan one
+    /// byte per operator and table statistics without a join domain.
+    pub const MAGIC: u32 = u32::from_le_bytes(*b"MPQ3");
     /// Encoded size: the magic plus the worker id.
     pub const WIRE_SIZE: usize = <Self as FixedSize>::SIZE;
 }

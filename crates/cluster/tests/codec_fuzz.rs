@@ -177,8 +177,8 @@ fn hostile_approximation_factors_fail_typed() {
 /// statistic, so `0 · ∞` cardinalities reached the DP as NaN plan times —
 /// where the optimum can depend on the partition cut, which the service
 /// now varies with load. The decoder refuses what no catalog can have
-/// (NaN, ±∞ or negative cardinality, tuple width or join domain; a
-/// selectivity that is NaN, ≤ 0 or > 1); the encoder is untouched, and
+/// (NaN, ±∞ or negative cardinality or tuple width; a selectivity that
+/// is NaN, ≤ 0 or > 1); the encoder is untouched, and
 /// the boundary values round-trip.
 #[test]
 fn impossible_statistics_fail_typed() {
@@ -217,13 +217,6 @@ fn impossible_statistics_fail_typed() {
                     ..sound.clone()
                 },
             ),
-            (
-                "join_domain",
-                TableStats {
-                    join_domain: value,
-                    ..sound.clone()
-                },
-            ),
         ] {
             let q = with_stats(stats);
             assert_eq!(
@@ -258,8 +251,7 @@ fn impossible_statistics_fail_typed() {
     // The edges of what a catalog can have still decode.
     let mut q = with_stats(TableStats {
         cardinality: 0.0,
-        tuple_bytes: 0.0,
-        join_domain: f64::MAX,
+        tuple_bytes: f64::MAX,
     });
     for selectivity in [1.0, f64::MIN_POSITIVE] {
         q.predicates.push(Predicate {

@@ -40,17 +40,14 @@ fn golden_query() -> Query {
             TableStats {
                 cardinality: 1000.0,
                 tuple_bytes: 64.0,
-                join_domain: 100.0,
             },
             TableStats {
                 cardinality: 50000.0,
                 tuple_bytes: 128.0,
-                join_domain: 2500.0,
             },
             TableStats {
                 cardinality: 8.0,
                 tuple_bytes: 16.0,
-                join_domain: 2.0,
             },
         ]),
         predicates: vec![
@@ -146,14 +143,13 @@ const GOLDEN_U64: &str = "efbeadde00000000";
 const GOLDEN_F64: &str = "000000000000f83f";
 const GOLDEN_VEC_U64: &str = "03000000010000000000000002000000000000000300000000000000";
 const GOLDEN_TABLESET: &str = "2100000000000080";
-const GOLDEN_TABLESTATS: &str = "0000000000408f4000000000000050400000000000005940";
+const GOLDEN_TABLESTATS: &str = "0000000000408f400000000000005040";
 const GOLDEN_PREDICATE: &str = "0309000000000000903f";
-const GOLDEN_QUERY: &str = "030000000000000000408f400000000000005040000000000000594000000000006ae8\
-    400000000000006040000000000088a34000000000000020400000000000003040000000000000004002000000000\
-    17b14ae47e17a843f0102000000000000e03f00";
+const GOLDEN_QUERY: &str = "030000000000000000408f40000000000000504000000000006ae84000000000000060\
+    40000000000000204000000000000030400200000000017b14ae47e17a843f0102000000000000e03f00";
 const GOLDEN_COST_VECTOR: &str = "000000000000f83f0000000000000440";
 const GOLDEN_OBJECTIVE_MULTI: &str = "010000000000002440";
-const GOLDEN_PLAN: &str = "030000000000000001000101";
+const GOLDEN_PLAN: &str = "03000141";
 const GOLDEN_PLAN_ENTRY: &str =
     "000000000000144000000000000018400201020300000000000000070000000400000\
     00000000000000000";
@@ -164,10 +160,10 @@ const GOLDEN_WORKER_STATS: &str =
 // that wraps every wire message — 8-byte LE id, then the payload verbatim.
 const GOLDEN_QUERY_ID: &str = "efbeadde00000000";
 const GOLDEN_ENVELOPE: &str = "2a00000000000000010203";
-// Socket transport layer: the connection handshake (u32 LE magic "MPQ2",
+// Socket transport layer: the connection handshake (u32 LE magic "MPQ3",
 // then the assigned worker id as LE u64) and the length-prefixed frame the
 // stream transport writes (u32 LE envelope length, then the envelope).
-const GOLDEN_HELLO: &str = "4d5051320700000000000000";
+const GOLDEN_HELLO: &str = "4d5051330700000000000000";
 const GOLDEN_PREFIXED_FRAME: &str = "0b0000002a00000000000000010203";
 // A Predicate whose table index exceeds the 64-table `TableSet` capacity:
 // `to_bytes` emits the 0xFF poison sentinel (never a truncated index), and
@@ -179,8 +175,6 @@ const GOLDEN_PROGRESS: &str = "050000000000000002000000000000000800000000000000"
 // Plan-space selector (one tag byte) and the memo-reference plan nodes.
 const GOLDEN_PLAN_SPACE_LINEAR: &str = "00";
 const GOLDEN_PLAN_SPACE_BUSHY: &str = "01";
-const GOLDEN_PLAN_OP_SCAN: &str = "000000";
-const GOLDEN_PLAN_OP_JOIN: &str = "0101";
 const GOLDEN_PLAN_NODE_SCAN: &str = "000200";
 const GOLDEN_PLAN_NODE_JOIN: &str = "0101030000000000000007000000040000000000000000000000";
 
@@ -237,7 +231,6 @@ fn golden_model_types() {
         &TableStats {
             cardinality: 1000.0,
             tuple_bytes: 64.0,
-            join_domain: 100.0,
         },
         GOLDEN_TABLESTATS,
         "TableStats",
@@ -268,6 +261,9 @@ fn golden_cost_and_plan_types() {
     let plan = Plan::from_bytes(&golden_plan().to_bytes()).unwrap();
     assert_eq!(plan.ops, golden_plan().ops);
     assert!(plan.cost.time.is_nan() && plan.cost.buffer.is_nan());
+    // Layout pins: a one-byte operator count, then a byte per operator —
+    // a scan is its table, a join 64 plus its `JoinOp` tag (Hash = 1).
+    assert_eq!(&golden_plan().to_bytes()[..], [3, 0, 1, 64 + 1]);
     assert_golden(&golden_entry(), GOLDEN_PLAN_ENTRY, "PlanEntry");
     assert_golden(&golden_stats(), GOLDEN_WORKER_STATS, "WorkerStats");
 }
@@ -290,11 +286,11 @@ fn golden_session_layer() {
 #[test]
 fn golden_transport_layer() {
     assert_golden(&Hello { worker_id: 7 }, GOLDEN_HELLO, "Hello");
-    // Layout pins: the magic is the literal bytes "MPQ2" (version folded
+    // Layout pins: the magic is the literal bytes "MPQ3" (version folded
     // into the magic), the id an LE u64, 12 bytes total.
     let hello = Hello { worker_id: 7 }.to_bytes();
     assert_eq!(hello.len(), Hello::WIRE_SIZE);
-    assert_eq!(&hello[..4], b"MPQ2");
+    assert_eq!(&hello[..4], b"MPQ3");
     assert_eq!(u64::from_le_bytes(hello[4..12].try_into().unwrap()), 7);
     // A corrupted magic fails typed — a master that dials a non-pqopt port
     // gets a decode error, not a garbage worker id.
@@ -361,8 +357,6 @@ fn golden_plan_space_and_nodes() {
         GOLDEN_PLAN_SPACE_BUSHY,
         "PlanSpace::Bushy",
     );
-    assert_golden(&golden_scan_op(), GOLDEN_PLAN_OP_SCAN, "PlanOp::Scan");
-    assert_golden(&golden_join_op(), GOLDEN_PLAN_OP_JOIN, "PlanOp::Join");
     assert_golden(&golden_scan_node(), GOLDEN_PLAN_NODE_SCAN, "PlanNode::Scan");
     assert_golden(&golden_join_node(), GOLDEN_PLAN_NODE_JOIN, "PlanNode::Join");
     // Layout pins: PlanSpace is a single tag byte; PlanNode leads with its
@@ -392,8 +386,8 @@ fn golden_query_layout() {
     let bytes = golden_query().to_bytes();
     // u32 LE table count.
     assert_eq!(&bytes[..4], &[3, 0, 0, 0], "leading u32 LE table count");
-    // 3 tables x 3 f64 stats.
-    let stats_end = 4 + 3 * 24;
+    // 3 tables x 2 f64 stats.
+    let stats_end = 4 + 3 * 16;
     assert_eq!(
         f64::from_le_bytes(bytes[4..12].try_into().unwrap()),
         1000.0,
@@ -403,8 +397,8 @@ fn golden_query_layout() {
     assert_eq!(&bytes[stats_end..stats_end + 4], &[2, 0, 0, 0]);
     // Trailing join-graph tag (Chain = 0).
     assert_eq!(*bytes.last().unwrap(), 0);
-    // Total size: 4 + 72 stats + 4 + 2 predicates x 10 + 1 tag.
-    assert_eq!(bytes.len(), 4 + 72 + 4 + 20 + 1);
+    // Total size: 4 + 48 stats + 4 + 2 predicates x 10 + 1 tag.
+    assert_eq!(bytes.len(), 4 + 48 + 4 + 20 + 1);
 }
 
 /// Prints the golden constants for pasting after an intentional change.
@@ -424,7 +418,6 @@ fn regenerate_golden_constants() {
             hex(&TableStats {
                 cardinality: 1000.0,
                 tuple_bytes: 64.0,
-                join_domain: 100.0,
             }
             .to_bytes()),
         ),
@@ -474,8 +467,6 @@ fn regenerate_golden_constants() {
             hex(&PlanSpace::Linear.to_bytes()),
         ),
         ("GOLDEN_PLAN_SPACE_BUSHY", hex(&PlanSpace::Bushy.to_bytes())),
-        ("GOLDEN_PLAN_OP_SCAN", hex(&golden_scan_op().to_bytes())),
-        ("GOLDEN_PLAN_OP_JOIN", hex(&golden_join_op().to_bytes())),
         ("GOLDEN_PLAN_NODE_SCAN", hex(&golden_scan_node().to_bytes())),
         ("GOLDEN_PLAN_NODE_JOIN", hex(&golden_join_node().to_bytes())),
     ];
@@ -489,13 +480,10 @@ fn regenerate_golden_constants() {
 // ---------------------------------------------------------------------------
 
 fn arb_stats() -> impl Strategy<Value = TableStats> {
-    (1.0..1e9f64, 1.0..4096.0f64, 2.0..1e6f64).prop_map(
-        |(cardinality, tuple_bytes, join_domain)| TableStats {
-            cardinality: cardinality.round(),
-            tuple_bytes: tuple_bytes.round(),
-            join_domain: join_domain.round(),
-        },
-    )
+    (1.0..1e9f64, 1.0..4096.0f64).prop_map(|(cardinality, tuple_bytes)| TableStats {
+        cardinality: cardinality.round(),
+        tuple_bytes: tuple_bytes.round(),
+    })
 }
 
 fn arb_query() -> impl Strategy<Value = Query> {
@@ -663,8 +651,6 @@ fn vectors() -> Vec<(&'static str, &'static str)> {
         ("Objective", GOLDEN_OBJECTIVE_SINGLE),
         ("Objective", GOLDEN_OBJECTIVE_MULTI),
         ("Plan", GOLDEN_PLAN),
-        ("PlanOp", GOLDEN_PLAN_OP_SCAN),
-        ("PlanOp", GOLDEN_PLAN_OP_JOIN),
         ("PlanNode", GOLDEN_PLAN_NODE_SCAN),
         ("PlanNode", GOLDEN_PLAN_NODE_JOIN),
     ];
@@ -760,5 +746,5 @@ fn every_declared_enum_rejects_an_undeclared_tag() {
             })
         );
     }
-    assert_eq!(seen, 7, "the seven tagged types of this crate");
+    assert_eq!(seen, 6, "the six tagged types of this crate");
 }

@@ -232,12 +232,10 @@ mod tests {
             TableStats {
                 cardinality: 1.0,
                 tuple_bytes: 10.0,
-                join_domain: 1.0,
             },
             TableStats {
                 cardinality: 1.0,
                 tuple_bytes: 30.0,
-                join_domain: 1.0,
             },
         ]);
         let q = Query {

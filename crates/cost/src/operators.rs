@@ -336,17 +336,18 @@ impl SplitCosts {
         let cheaper = |a: CostVector, b: CostVector| {
             CostVector::new(a.time.min(b.time), a.buffer.min(b.buffer))
         };
-        let sort_merge = self.sort_merge.as_ref().map(|sm| {
-            let [sorted, unsorted] = [sm.want_right, Order::None].map(|right_order| {
-                self.apply(JoinOp::SortMerge, left_order, right_order)
-                    .expect("sort-merge applies where it has costs")
-                    .cost
-            });
-            JoinApplication {
-                cost: cheaper(sorted, unsorted),
-                output_order: sm.want_left,
+        let sort_merge = match &self.sort_merge {
+            Some(sm) => {
+                // Sort-merge applies wherever it has costs: neither is `None`.
+                let sorted = self.apply(JoinOp::SortMerge, left_order, sm.want_right)?;
+                let unsorted = self.apply(JoinOp::SortMerge, left_order, Order::None)?;
+                Some(JoinApplication {
+                    cost: cheaper(sorted.cost, unsorted.cost),
+                    output_order: sm.want_left,
+                })
             }
-        });
+            None => None,
+        };
         Some(JoinFloor {
             outer_order: JoinApplication {
                 cost: cheaper(nested_loop, hash),
@@ -377,6 +378,7 @@ impl SplitCosts {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use mpq_model::{Catalog, JoinGraph, Predicate, Query, TableStats};
 
@@ -385,12 +387,10 @@ mod tests {
             TableStats {
                 cardinality: lc,
                 tuple_bytes: 10.0,
-                join_domain: lc,
             },
             TableStats {
                 cardinality: rc,
                 tuple_bytes: 10.0,
-                join_domain: rc,
             },
         ]);
         Query {

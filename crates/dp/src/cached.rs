@@ -182,11 +182,11 @@ mod tests {
     fn result_key_is_pinned_for_a_fixed_query() {
         let q = query(8, 1);
         let key = result_key(&q, PlanSpace::Linear, Objective::Single);
-        assert_eq!(key.bytes().len(), 296);
-        assert_eq!(key.hash(), 0x8e0b_80f2_1070_121f);
+        assert_eq!(key.bytes().len(), 232);
+        assert_eq!(key.hash(), 0xd320_467f_7433_6ff2);
         let multi = result_key(&q, PlanSpace::Bushy, Objective::Multi { alpha: 2.0 });
-        assert_eq!(multi.bytes().len(), 304);
-        assert_eq!(multi.hash(), 0xfa75_81bb_b5eb_8c89);
+        assert_eq!(multi.bytes().len(), 240);
+        assert_eq!(multi.hash(), 0x9c74_0591_bea0_21a8);
     }
 
     #[test]

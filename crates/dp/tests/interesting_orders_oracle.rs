@@ -85,7 +85,6 @@ fn sort_friendly_query(n: usize, seed: u64) -> Query {
         .map(|_| TableStats {
             cardinality: (2 + rng.below(39)) as f64,
             tuple_bytes: (10 + rng.below(91)) as f64,
-            join_domain: 2.0,
         })
         .collect();
     let mut edges: Vec<(usize, usize)> = (1..n).map(|t| (rng.below(t), t)).collect();

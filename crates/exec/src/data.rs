@@ -1,10 +1,12 @@
 //! Synthetic data generation and the row format.
 //!
-//! Each base table has one join-attribute column (the column the model's
-//! [`mpq_model::TableStats::join_domain`] describes) with values drawn
-//! uniformly from `[0, join_domain)`. An intermediate result over a table
-//! set `S` stores, per output row, the join-attribute value of every
-//! member table — exactly what later join predicates need.
+//! Each base table has one join-attribute column with values drawn
+//! uniformly from `[0, domain)`. The statistics carry no domain: it is
+//! derived from the query's predicates ([`join_domains`]), so an equality
+//! predicate's realized selectivity is its estimate in expectation. An
+//! intermediate result over a table set `S` stores, per output row, the
+//! join-attribute value of every member table — exactly what later join
+//! predicates need.
 
 use mpq_model::{Query, TableSet};
 use rand::rngs::StdRng;
@@ -132,6 +134,31 @@ impl Relation {
     }
 }
 
+/// Each table's join-attribute domain size, derived from the query: the
+/// smallest `(1.0 / selectivity).round()` over the predicates at the
+/// table, or its cardinality (a key column) if it has none.
+///
+/// A generated query's selectivity is `1 / max(d_a, d_b)` over integer
+/// domains `d ≥ 2`, so the larger endpoint of each predicate derives its
+/// own domain back, the smaller one derives no more than it, and
+/// `1.0 / d(a).max(d(b))` is the predicate's selectivity bit for bit.
+pub fn join_domains(query: &Query) -> Vec<f64> {
+    let mut domains: Vec<Option<f64>> = vec![None; query.num_tables()];
+    for p in &query.predicates {
+        let domain = (1.0 / p.selectivity).round();
+        for t in [p.left, p.right] {
+            if let Some(d) = domains.get_mut(t) {
+                *d = Some(d.map_or(domain, |d| d.min(domain)));
+            }
+        }
+    }
+    query
+        .catalog
+        .iter()
+        .map(|(t, stats)| domains[t].unwrap_or(stats.cardinality))
+        .collect()
+}
+
 /// A generated database: one single-column base relation per query table.
 #[derive(Clone, Debug)]
 pub struct Database {
@@ -141,13 +168,15 @@ pub struct Database {
 impl Database {
     /// Materializes synthetic tables for `query` according to its catalog
     /// statistics: `min(cardinality, cap)` rows per table, join attribute
-    /// uniform over `[0, join_domain)`. Deterministic in the seed.
+    /// uniform over `[0, domain)` with the domain [`join_domains`] derives.
+    /// Deterministic in the seed.
     pub fn generate(query: &Query, config: &DataConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut base = Vec::with_capacity(query.num_tables());
+        let domains = join_domains(query);
         for (t, stats) in query.catalog.iter() {
             let rows = (stats.cardinality as usize).min(config.max_rows_per_table);
-            let domain = (stats.join_domain as u64).max(1);
+            let domain = (domains[t] as u64).max(1);
             let mut rel = Relation::new(TableSet::singleton(t));
             for _ in 0..rows {
                 rel.push_row(&[rng.random_range(0..domain)]);
@@ -187,15 +216,48 @@ mod tests {
                 seed: 1,
             },
         );
+        let domains = join_domains(&q);
         for (t, stats) in q.catalog.iter() {
             let rel = db.table(t);
             assert!(rel.len() <= 100);
             assert_eq!(rel.len(), (stats.cardinality as usize).min(100));
-            let domain = stats.join_domain as u64;
+            let domain = domains[t] as u64;
             for i in 0..rel.len() {
                 assert!(rel.row(i)[0] < domain.max(1));
             }
         }
+    }
+
+    /// The derived domains give back every generated predicate's
+    /// selectivity bit for bit: all four shapes, 2 to 15 tables, 50 seeds.
+    #[test]
+    fn derived_domains_reproduce_every_generated_selectivity() {
+        use mpq_model::JoinGraph;
+        for graph in JoinGraph::ALL {
+            for n in 2..=15 {
+                for seed in 0..50 {
+                    let q = WorkloadGenerator::new(WorkloadConfig::with_graph(n, graph), seed)
+                        .next_query();
+                    let d = join_domains(&q);
+                    for p in &q.predicates {
+                        assert_eq!(
+                            (1.0 / d[p.left].max(d[p.right])).to_bits(),
+                            p.selectivity.to_bits(),
+                            "{graph:?}, {n} tables, seed {seed}: {p:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A table no predicate touches is a key column: its domain is its
+    /// cardinality.
+    #[test]
+    fn a_table_without_predicates_has_its_cardinality_as_domain() {
+        let mut q = query(3);
+        q.predicates.retain(|p| p.left != 2 && p.right != 2);
+        assert_eq!(join_domains(&q)[2], q.catalog.stats(2).cardinality);
     }
 
     #[test]

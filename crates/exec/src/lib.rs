@@ -6,9 +6,13 @@
 //!
 //! * [`data`] — synthetic table generation consistent with the
 //!   catalog statistics the optimizer costs against: each table carries a
-//!   join-attribute column drawn uniformly from `[0, join_domain)`, so the
-//!   realized selectivity of an equality predicate matches the System-R
-//!   estimate `1 / max(domain_a, domain_b)` in expectation.
+//!   join-attribute column drawn uniformly from `[0, domain)`. The domains
+//!   are derived from the query's predicates (the catalog carries none):
+//!   a table's is the smallest `1 / selectivity` among its predicates, so
+//!   the realized selectivity of an equality predicate matches the
+//!   System-R estimate `1 / max(domain_a, domain_b)` in expectation — and
+//!   for every generated query, `1 / max` of the derived domains is each
+//!   predicate's selectivity bit for bit.
 //! * [`operators`] — physical implementations of the three join operators
 //!   the cost model knows (nested-loop, hash, sort-merge) over a compact
 //!   columnar-ish row format. All three produce identical result

@@ -227,23 +227,17 @@ mod tests {
 
     #[test]
     fn realized_selectivity_tracks_estimate() {
-        // With small join domains the expected match count is large enough
-        // to compare against |A| * |B| / max(domain) statistically.
+        // With a small join domain (40, derived from the selectivity) the
+        // expected match count is large enough to compare against
+        // |A| * |B| * selectivity statistically.
         use mpq_model::{Catalog, JoinGraph, Predicate, TableStats};
         let mut ratios = Vec::new();
         for seed in 0..8u64 {
-            let catalog = Catalog::from_stats(vec![
-                TableStats {
-                    cardinality: 300.0,
-                    tuple_bytes: 8.0,
-                    join_domain: 20.0,
-                },
-                TableStats {
-                    cardinality: 300.0,
-                    tuple_bytes: 8.0,
-                    join_domain: 40.0,
-                },
-            ]);
+            let stats = TableStats {
+                cardinality: 300.0,
+                tuple_bytes: 8.0,
+            };
+            let catalog = Catalog::from_stats(vec![stats.clone(), stats]);
             let q = Query {
                 catalog,
                 predicates: vec![Predicate {

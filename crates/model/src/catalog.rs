@@ -14,28 +14,24 @@ use serde::{Deserialize, Serialize};
 pub type TableId = usize;
 
 /// Per-table statistics, following the benchmark-generation method of
-/// Steinbrunn et al. (VLDBJ 1997) used by the paper.
+/// Steinbrunn et al. (VLDBJ 1997) used by the paper: what the cost model
+/// reads. Join-attribute domains are not among them: they enter the model
+/// only through the predicates' selectivities.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TableStats {
     /// Number of tuples in the table.
     pub cardinality: f64,
     /// Width of one tuple in bytes (used for buffer-space costing).
     pub tuple_bytes: f64,
-    /// Domain size of the table's join attribute. Equality-predicate
-    /// selectivity between two tables is `1 / max(domain_a, domain_b)`,
-    /// the standard System-R estimate.
-    pub join_domain: f64,
 }
 
 impl TableStats {
-    /// Creates statistics with the given cardinality, a default tuple width
-    /// of 100 bytes, and a join-attribute domain equal to the cardinality
-    /// (i.e. a key column).
+    /// Creates statistics with the given cardinality and a default tuple
+    /// width of 100 bytes.
     pub fn with_cardinality(cardinality: f64) -> Self {
         TableStats {
             cardinality,
             tuple_bytes: 100.0,
-            join_domain: cardinality,
         }
     }
 }
@@ -143,13 +139,12 @@ mod tests {
         let b = c.add_table(TableStats {
             cardinality: 42.0,
             tuple_bytes: 8.0,
-            join_domain: 10.0,
         });
         assert_eq!(a, 0);
         assert_eq!(b, 1);
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats(a).cardinality, 1000.0);
-        assert_eq!(c.stats(a).join_domain, 1000.0);
+        assert_eq!(c.stats(a).tuple_bytes, 100.0);
         assert_eq!(c.stats(b).tuple_bytes, 8.0);
     }
 

@@ -134,9 +134,9 @@ impl Query {
     }
 
     /// The first statistic no catalog can have, as `(field, value)`: a
-    /// cardinality, tuple width or join-domain size that is NaN, infinite
-    /// or negative, or a selectivity outside `0 < selectivity <= 1` (NaN
-    /// included). `None` when every statistic is admissible.
+    /// cardinality or tuple width that is NaN, infinite or negative, or a
+    /// selectivity outside `0 < selectivity <= 1` (NaN included). `None`
+    /// when every statistic is admissible.
     ///
     /// The optimizers stay deterministic on such input, but `0 · ∞`
     /// cardinalities cost plans at NaN, and among NaN times the winner can
@@ -147,7 +147,6 @@ impl Query {
             [
                 ("cardinality", s.cardinality),
                 ("tuple_bytes", s.tuple_bytes),
-                ("join_domain", s.join_domain),
             ]
         });
         let bad_table = table.filter(|&(_, v)| !(v.is_finite() && v >= 0.0));
@@ -163,8 +162,8 @@ impl Query {
     /// (`b_q` in the paper's complexity analysis), used by tests asserting
     /// the `O(m * (b_q + b_p))` network bound.
     pub fn approx_byte_size(&self) -> usize {
-        // 3 f64 per table + 2 usize + 1 f64 per predicate + headers.
-        24 * self.num_tables() + 24 * self.predicates.len() + 16
+        // 2 f64 per table + 2 usize + 1 f64 per predicate + headers.
+        16 * self.num_tables() + 24 * self.predicates.len() + 16
     }
 }
 

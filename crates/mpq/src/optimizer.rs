@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn network_linear_in_workers() {
         // Theorem 1, exactly: m tasks of 8 + |task| bytes and m replies of
-        // 85 + b_p(n) bytes, b_p(n) = 5n + 2 — linear in m and in n.
+        // 85 + b_p(n) bytes, b_p(n) = 2n — linear in m and in n.
         use mpq_cluster::Wire;
         let opt = MpqOptimizer::new(MpqConfig::default());
         let q = query(10, 2);
@@ -438,7 +438,7 @@ mod tests {
                 .metrics
                 .network
                 .total_bytes();
-            assert_eq!(bytes, m * (8 + task) + m * (85 + 5 * 10 + 2), "{m} workers");
+            assert_eq!(bytes, m * (8 + task) + m * (85 + 2 * 10), "{m} workers");
         }
     }
 

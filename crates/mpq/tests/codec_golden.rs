@@ -32,17 +32,14 @@ fn golden_query() -> Query {
             TableStats {
                 cardinality: 1000.0,
                 tuple_bytes: 64.0,
-                join_domain: 100.0,
             },
             TableStats {
                 cardinality: 50000.0,
                 tuple_bytes: 128.0,
-                join_domain: 2500.0,
             },
             TableStats {
                 cardinality: 8.0,
                 tuple_bytes: 16.0,
-                join_domain: 2.0,
             },
         ]),
         predicates: vec![
@@ -109,18 +106,18 @@ fn golden_progress() -> Progress {
 // ---------------------------------------------------------------------------
 
 const GOLDEN_MASTER_MESSAGE: &str =
-    "030000000000000000408f4000000000000050400000000000005940000000\
-    00006ae8400000000000006040000000000088a34000000000000020400000000000003040000000000000004002000\
-    00000017b14ae47e17a843f0102000000000000e03f0001010000000000002440050000000000000002000000000000\
-    0008000000000000000100000000000000";
+    "030000000000000000408f40000000000000504000000000006ae84000000000\
+    00006040000000000000204000000000000030400200000000017b14ae47e17a\
+    843f0102000000000000e03f0001010000000000002440050000000000000002\
+    0000000000000008000000000000000100000000000000";
 const GOLDEN_WORKER_REPLY: &str =
-    "0300000000000000020000000000000001000000010000000002000b00000000\
-    000000160000000000000021000000000000002c000000000000003700000000\
-    00000001000000000000000100000000000000";
+    "030000000000000002000000000000000100000001020b000000000000001600\
+    00000000000021000000000000002c0000000000000037000000000000000100\
+    0000000000000100000000000000";
 const GOLDEN_WORKER_MSG_REPLY: &str =
-    "000300000000000000020000000000000001000000010000000002000b000000\
-    00000000160000000000000021000000000000002c0000000000000037000000\
-    0000000001000000000000000100000000000000";
+    "00030000000000000002000000000000000100000001020b0000000000000016\
+    0000000000000021000000000000002c00000000000000370000000000000001\
+    000000000000000100000000000000";
 const GOLDEN_WORKER_MSG_PROGRESS: &str = "01050000000000000002000000000000000800000000000000";
 
 fn hex(bytes: &[u8]) -> String {

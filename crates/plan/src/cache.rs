@@ -140,9 +140,9 @@ pub fn query_signature(query: &Query) -> CacheKeyBuilder {
 /// [`query_signature`] with room reserved for `scope_bytes` more bytes:
 /// the whole key, signature and scope, then takes one allocation.
 pub fn query_signature_with_room(query: &Query, scope_bytes: usize) -> CacheKeyBuilder {
-    // Three u64 headers, three f64 statistics per table, the predicate
+    // Three u64 headers, two f64 statistics per table, the predicate
     // count, and two endpoint bytes plus an f64 per predicate.
-    let len = 3 * 8 + 24 * query.num_tables() + 8 + 10 * query.predicates.len();
+    let len = 3 * 8 + 16 * query.num_tables() + 8 + 10 * query.predicates.len();
     let mut b = CacheKeyBuilder::with_capacity(len + scope_bytes);
     b.push_u64(COST_MODEL_VERSION);
     b.push_u64(query.catalog.epoch());
@@ -150,7 +150,6 @@ pub fn query_signature_with_room(query: &Query, scope_bytes: usize) -> CacheKeyB
     for (_, stats) in query.catalog.iter() {
         b.push_f64(stats.cardinality);
         b.push_f64(stats.tuple_bytes);
-        b.push_f64(stats.join_domain);
     }
     b.push_u64(query.predicates.len() as u64);
     for p in &query.predicates {
@@ -821,7 +820,7 @@ mod tests {
         b.push_u8(1);
         b.push_u64(2);
         assert_eq!(b.bytes.capacity(), reserved, "no reallocation");
-        assert_eq!(b.bytes.len(), 3 * 8 + 3 * 24 + 8 + 2 * 10 + 9);
+        assert_eq!(b.bytes.len(), 3 * 8 + 3 * 16 + 8 + 2 * 10 + 9);
         assert!(reserved < b.bytes.len() + 8, "no generous over-reservation");
         assert_eq!(
             query_signature(&q).finish().bytes().len(),

@@ -3,9 +3,10 @@
 //! Two representations are used, mirroring Section 5.2 of the paper:
 //!
 //! * [`Plan`] — a full operator tree, its operators in post-order
-//!   ([`PlanOp`]), plus its root cost. This is what workers serialize and
-//!   send back to the master ("Storing plans generally takes `O(n)`
-//!   space"); it is also the user-facing result type. Per-node costs,
+//!   ([`PlanOp`]), plus its root cost. Its operators are what workers
+//!   serialize and send back to the master, one byte each ("Storing plans
+//!   generally takes `O(n)` space"); the master prices them itself. It is
+//!   also the user-facing result type. Per-node costs,
 //!   cardinalities and orders are recomputed from the query where they
 //!   are wanted (`mpq_dp::explain`), not carried.
 //! * [`PlanEntry`] — the compact memo representation: an operator tag plus

@@ -32,17 +32,14 @@ fn golden_query() -> Query {
             TableStats {
                 cardinality: 1000.0,
                 tuple_bytes: 64.0,
-                join_domain: 100.0,
             },
             TableStats {
                 cardinality: 50000.0,
                 tuple_bytes: 128.0,
-                join_domain: 2500.0,
             },
             TableStats {
                 cardinality: 8.0,
                 tuple_bytes: 16.0,
-                join_domain: 2.0,
             },
         ]),
         predicates: vec![
@@ -93,18 +90,17 @@ fn golden_final_plan() -> Plan {
 // ---------------------------------------------------------------------------
 
 const GOLDEN_SLOT_UPDATE: &str = "030000000000000001000000000000000000f03f000000000000004000000000";
-const GOLDEN_MASTER_INIT: &str =
-    "00030000000000000000408f40000000000000504000000000000059400000000\
-    0006ae8400000000000006040000000000088a340000000000000204000000000000030400000000000000040020000\
-    0000017b14ae47e17a843f0102000000000000e03f000000";
+const GOLDEN_MASTER_INIT: &str = "00030000000000000000408f40000000000000504000000000006ae840000000\
+    0000006040000000000000204000000000000030400200000000017b14ae47e1\
+    7a843f0102000000000000e03f000000";
 const GOLDEN_MASTER_ASSIGN: &str = "010200000003000000000000000c00000000000000";
 const GOLDEN_MASTER_DELTA: &str =
     "0201000000030000000000000001000000000000000000f03f000000000000004000000000";
 const GOLDEN_MASTER_FINISH: &str = "03";
 const GOLDEN_REPLY_LEVEL_DONE: &str = "000100000003000000000000000100000000000000000\
     0f03f0000000000000040000000002a00000000000000";
-const GOLDEN_REPLY_FINAL: &str = "0101000000010000000002000b00000000000000160000000000000021000000\
-    000000002c000000000000003700000000000000";
+const GOLDEN_REPLY_FINAL: &str = "010100000001020b00000000000000160000000000000021000000000000002c\
+    000000000000003700000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -70,42 +70,42 @@ fn cases() -> impl Iterator<Item = (usize, PlanSpace, Objective, usize)> {
 
 #[rustfmt::skip]
 const BILLS: &[Bill] = &[
-    [53, 60, 3, 2, 36, 1, 1], // n 1 Linear Single m 1
-    [141, 60, 5, 2, 36, 1, 1], // n 1 Linear Single m 3
-    [361, 60, 10, 2, 36, 1, 1], // n 1 Linear Single m 8
-    [61, 60, 3, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 1
-    [165, 60, 5, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 3
-    [425, 60, 10, 2, 44, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 8
-    [53, 60, 3, 2, 36, 1, 1], // n 1 Bushy Single m 1
-    [141, 60, 5, 2, 36, 1, 1], // n 1 Bushy Single m 3
-    [361, 60, 10, 2, 36, 1, 1], // n 1 Bushy Single m 8
-    [61, 60, 3, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 1
-    [165, 60, 5, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 3
-    [425, 60, 10, 2, 44, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 8
-    [1184, 1001, 12, 5, 1016, 15, 21], // n 4 Linear Single m 1
-    [3319, 1064, 26, 5, 1016, 15, 21], // n 4 Linear Single m 3
-    [8624, 1169, 56, 5, 1016, 15, 21], // n 4 Linear Single m 8
-    [1923, 1776, 12, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 1
-    [5536, 1839, 26, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 3
-    [14536, 1944, 56, 5, 1755, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 8
-    [1184, 1001, 12, 5, 1016, 15, 21], // n 4 Bushy Single m 1
-    [3319, 1064, 26, 5, 1016, 15, 21], // n 4 Bushy Single m 3
-    [8624, 1169, 56, 5, 1016, 15, 21], // n 4 Bushy Single m 8
-    [1880, 1733, 12, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 1
-    [5407, 1796, 26, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 3
-    [14192, 1901, 56, 5, 1712, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 8
-    [10639, 9482, 21, 8, 9536, 127, 189], // n 7 Linear Single m 1
-    [29953, 9692, 55, 8, 9536, 127, 189], // n 7 Linear Single m 3
-    [78173, 10112, 130, 8, 9536, 127, 189], // n 7 Linear Single m 8
-    [26170, 25153, 21, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 1
-    [76546, 25363, 55, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 3
-    [202421, 25783, 130, 8, 25067, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 8
-    [10639, 9482, 21, 8, 9536, 127, 189], // n 7 Bushy Single m 1
-    [29953, 9692, 55, 8, 9536, 127, 189], // n 7 Bushy Single m 3
-    [78173, 10112, 130, 8, 9536, 127, 189], // n 7 Bushy Single m 8
-    [31717, 30737, 21, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 1
-    [93187, 30947, 55, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 3
-    [246797, 31367, 130, 8, 30614, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 8
+    [45, 55, 3, 2, 28, 1, 1], // n 1 Linear Single m 1
+    [117, 55, 5, 2, 28, 1, 1], // n 1 Linear Single m 3
+    [297, 55, 10, 2, 28, 1, 1], // n 1 Linear Single m 8
+    [53, 55, 3, 2, 36, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 1
+    [141, 55, 5, 2, 36, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 3
+    [361, 55, 10, 2, 36, 1, 1], // n 1 Linear Multi { alpha: 10.0 } m 8
+    [45, 55, 3, 2, 28, 1, 1], // n 1 Bushy Single m 1
+    [117, 55, 5, 2, 28, 1, 1], // n 1 Bushy Single m 3
+    [297, 55, 10, 2, 28, 1, 1], // n 1 Bushy Single m 8
+    [53, 55, 3, 2, 36, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 1
+    [141, 55, 5, 2, 36, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 3
+    [361, 55, 10, 2, 36, 1, 1], // n 1 Bushy Multi { alpha: 10.0 } m 8
+    [1152, 987, 12, 5, 984, 15, 21], // n 4 Linear Single m 1
+    [3223, 1050, 26, 5, 984, 15, 21], // n 4 Linear Single m 3
+    [8368, 1155, 56, 5, 984, 15, 21], // n 4 Linear Single m 8
+    [1891, 1734, 12, 5, 1723, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 1
+    [5440, 1797, 26, 5, 1723, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 3
+    [14280, 1902, 56, 5, 1723, 15, 38], // n 4 Linear Multi { alpha: 10.0 } m 8
+    [1152, 987, 12, 5, 984, 15, 21], // n 4 Bushy Single m 1
+    [3223, 1050, 26, 5, 984, 15, 21], // n 4 Bushy Single m 3
+    [8368, 1155, 56, 5, 984, 15, 21], // n 4 Bushy Single m 8
+    [1848, 1691, 12, 5, 1680, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 1
+    [5311, 1754, 26, 5, 1680, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 3
+    [13936, 1859, 56, 5, 1680, 15, 37], // n 4 Bushy Multi { alpha: 10.0 } m 8
+    [10583, 9459, 21, 8, 9480, 127, 189], // n 7 Linear Single m 1
+    [29785, 9669, 55, 8, 9480, 127, 189], // n 7 Linear Single m 3
+    [77725, 10089, 130, 8, 9480, 127, 189], // n 7 Linear Single m 8
+    [26114, 25038, 21, 8, 25011, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 1
+    [76378, 25248, 55, 8, 25011, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 3
+    [201973, 25668, 130, 8, 25011, 127, 550], // n 7 Linear Multi { alpha: 10.0 } m 8
+    [10583, 9459, 21, 8, 9480, 127, 189], // n 7 Bushy Single m 1
+    [29785, 9669, 55, 8, 9480, 127, 189], // n 7 Bushy Single m 3
+    [77725, 10089, 130, 8, 9480, 127, 189], // n 7 Bushy Single m 8
+    [31661, 30599, 21, 8, 30558, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 1
+    [93019, 30809, 55, 8, 30558, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 3
+    [246349, 31229, 130, 8, 30558, 127, 679], // n 7 Bushy Multi { alpha: 10.0 } m 8
 ];
 
 #[rustfmt::skip]

@@ -5,7 +5,7 @@
 //! never aborting: a panicking master poisons every in-flight session.
 //! PR 5 gated three service files with per-file clippy attributes; this
 //! rule generalizes the gate to all non-test code of
-//! `crates/{mpq,sma,cluster,plan}` and `src/`, plus the one file of
+//! `crates/{mpq,sma,cluster,plan,cost}` and `src/`, plus the one file of
 //! `crates/dp` that runs on decoded input (`explain.rs`), with an explicit audited
 //! allowlist (`allow/panics.allow`) for the few justified sites
 //! (documented panicking convenience wrappers, encoder capacity caps).
@@ -24,12 +24,13 @@ use std::path::Path;
 
 /// Directories, and single files, whose non-test code must be panic-free.
 /// `explain.rs` is the one file of `crates/dp` in scope: the MPQ master
-/// prices every decoded reply plan with it.
-pub const SCOPE: [&str; 6] = [
+/// prices every decoded reply plan with it, and its walk runs `cost` code.
+pub const SCOPE: [&str; 7] = [
     "crates/mpq/src",
     "crates/sma/src",
     "crates/cluster/src",
     "crates/plan/src",
+    "crates/cost/src",
     "crates/dp/src/explain.rs",
     "src",
 ];

@@ -16,8 +16,8 @@ fn query(n: usize, seed: u64) -> Query {
 /// idle `m`-worker single-objective run of `q`: `m` tasks — an 8-byte
 /// session id, then the query and its partition range — and `m` replies
 /// of 85 bytes (the id, tag, range echo, plan count, stats and cache
-/// counters) plus one plan of `b_p(n) = 5n + 2` bytes: its operators, no
-/// cost.
+/// counters) plus one plan of `b_p(n) = 2n` bytes: a one-byte operator
+/// count and a byte per operator, no cost.
 fn theorem1_bytes(q: &Query, m: u64) -> u64 {
     use pqopt::cluster::Wire;
     let task = pqopt::mpq::MasterMessage {
@@ -31,7 +31,7 @@ fn theorem1_bytes(q: &Query, m: u64) -> u64 {
     }
     .to_bytes()
     .len() as u64;
-    let b_p = 5 * q.num_tables() as u64 + 2;
+    let b_p = 2 * q.num_tables() as u64;
     m * (8 + task) + m * (85 + b_p)
 }
 

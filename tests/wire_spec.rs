@@ -64,7 +64,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// of `Hello::MAGIC`, then enter the new pair.
 #[test]
 fn the_handshake_version_names_the_wire_layouts() {
-    const VERSION: ([u8; 4], u64) = (*b"MPQ2", 0xf41b_5161_aa34_3ea3);
+    const VERSION: ([u8; 4], u64) = (*b"MPQ3", 0xec94_7508_8ccd_d3a0);
     let spec = fnv1a(rendered().as_bytes());
     assert_eq!(
         (Hello::MAGIC.to_le_bytes(), spec),
