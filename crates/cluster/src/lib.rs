@@ -28,10 +28,9 @@
 //! replies to the owning session ([`Transport::recv_for`]), with replies
 //! for other sessions parked rather than dropped.
 //!
-//! On top of the message plane sits the master-side **session
-//! lifecycle** ([`session`]): one handle type, one admission/park/reap
-//! table and one `submit`/`poll`/`wait` loop, generic over the
-//! [`Protocol`] a master speaks — today only the MPQ master's.
+//! Beside the message plane sits the master-side **session table**
+//! ([`session`]): one handle type and one admission/park/reap table,
+//! shared by the MPQ master and the facade's single-node backends.
 //!
 //! **Deterministic faults** — worker crashes (before or after replying),
 //! dropped replies and stragglers — come from a seed-driven [`FaultPlan`]
@@ -61,10 +60,7 @@ pub use runtime::{
     mint_service_instance, AbandonedList, Cluster, ClusterError, Control, ReplyPark, WorkerCtx,
     WorkerLogic,
 };
-pub use session::{
-    BlockingStep, LifecycleError, Protocol, QueryHandle, SessionService, SessionTable, Settled,
-    Table, MAX_PARKED_RESULTS,
-};
+pub use session::{LifecycleError, QueryHandle, SessionTable, MAX_PARKED_RESULTS};
 pub use transport::{
     frame_with_prefix, serve_worker, FrameBuffer, Hello, SocketTransport, Transport, WireListener,
     WireStream, WorkerAddr, LENGTH_PREFIX_BYTES,

@@ -706,18 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_counts_per_worker() {
-        let cluster = Cluster::spawn(4, LatencyModel::ZERO, |_| echo()).unwrap();
-        cluster
-            .broadcast(Q0, &Bytes::from_static(b"123"), false)
-            .unwrap();
-        let _ = recv_all(&cluster, 4);
-        // (3 payload + 8 envelope) bytes x 4 workers.
-        assert_eq!(cluster.metrics().snapshot().master_to_worker_bytes, 44);
-        cluster.shutdown();
-    }
-
-    #[test]
     fn workers_have_private_state() {
         // Each worker counts its own messages; counts must not mix.
         let cluster = Cluster::spawn(2, LatencyModel::ZERO, |_| {

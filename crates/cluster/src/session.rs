@@ -1,40 +1,33 @@
-//! The master-side **session lifecycle**, held exactly once.
+//! The master-side **session table**, held exactly once.
 //!
-//! A resident optimizer service is a submit → [`QueryHandle`] → poll/wait
-//! multiplexer over one [`Transport`]. Everything about it that does not
-//! depend on *what the workers are asked to do* lives here: the one
-//! handle type, the [`SessionTable`] (id minting, admission, live
-//! sessions, the bounded result park, ordered reaping, exactly-once
-//! redemption) and [`SessionService`], the one `submit` / `poll` / `wait`
-//! loop under the MPQ master. Engines that finish at
-//! submission and have no transport (the facade's single-node backends)
-//! use the table directly.
+//! Every resident optimizer service is a submit → [`QueryHandle`] →
+//! poll/wait multiplexer. What that needs independently of how a query is
+//! answered lives here: the one handle type and the [`SessionTable`] (id
+//! minting, admission, live sessions, the bounded result park, ordered
+//! reaping, exactly-once redemption). The MPQ master
+//! (`mpq_algo::MpqService`) keeps its in-flight sessions in one; the
+//! facade's single-node backends, which finish at submission and have no
+//! transport, park their results in one.
 //!
-//! A [`Protocol`] supplies only what genuinely differs between masters;
-//! the generic code never asks which protocol it is serving.
-//!
-//! Results are delivered **exactly once** per handle: `poll` on a spent
-//! handle is `None`, `wait` on one is [`LifecycleError::UnknownHandle`].
-//! In-flight means live sessions only — parked results never count
-//! against the admission budget, so parking cannot deadlock admission.
+//! Results are delivered **exactly once** per handle: a redeemed id is
+//! gone from the park, so `poll` on a spent handle is `None` and `wait` on
+//! one is [`LifecycleError::UnknownHandle`]. In-flight means live sessions
+//! only — parked results never count against the admission budget, so
+//! parking cannot deadlock admission.
 
 use crate::codec::QueryId;
-use crate::metrics::NetworkMetrics;
-use crate::runtime::{mint_service_instance, AbandonedList, ClusterError};
-use crate::transport::Transport;
-use bytes::Bytes;
+use crate::runtime::{mint_service_instance, AbandonedList};
 use mpq_cost::Objective;
 use mpq_model::{Query, TableSet};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Most results a table parks for unredeemed handles before evicting the
 /// oldest: a client that drops handles without redeeming them must not
 /// grow resident-service memory without bound over an unbounded stream.
 pub const MAX_PARKED_RESULTS: usize = 4096;
 
-/// The failures the lifecycle itself produces. Every protocol's error
-/// type absorbs them through `From`, so public failures stay per protocol.
+/// The failures the session table itself produces. Each service's error
+/// type absorbs them through `From`, so public failures stay per service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LifecycleError {
     /// The handle names no live or parked session of this table: its
@@ -51,9 +44,9 @@ pub enum LifecycleError {
 ///
 /// Dropping a handle **abandons** its session: the id lands on the
 /// minting table's abandoned list, and the next entry into that service
-/// frees the session's state and any parked result (paying
-/// [`Protocol::release`] if the session was still live). Dropping an
-/// already-redeemed handle is a no-op.
+/// frees the session's state and any parked result
+/// ([`SessionTable::reap`]). Dropping an already-redeemed handle is a
+/// no-op.
 #[must_use = "redeem the handle with `wait`/`poll`, or drop it explicitly to abandon the query"]
 #[derive(Debug)]
 pub struct QueryHandle {
@@ -87,7 +80,7 @@ pub struct SessionTable<S, R> {
     next_id: u64,
     /// Admission limit (0 = unlimited).
     max_in_flight: usize,
-    /// The in-flight sessions, for their protocol to read and advance.
+    /// The in-flight sessions, for their service to read and advance.
     /// Ordered, like the park, so scheduler passes visit sessions in
     /// submission order — deterministic across runs.
     pub live: BTreeMap<u64, S>,
@@ -107,6 +100,14 @@ impl<S, R> SessionTable<S, R> {
             parked: BTreeMap::new(),
             abandoned: AbandonedList::new(),
         }
+    }
+
+    /// Sets the admission limit: past `limit` live sessions, [`admit`]
+    /// refuses with [`LifecycleError::Overloaded`]. `0` means unlimited.
+    ///
+    /// [`admit`]: SessionTable::admit
+    pub fn set_max_in_flight(&mut self, limit: usize) {
+        self.max_in_flight = limit;
     }
 
     /// Finished results parked for handles that have not redeemed them.
@@ -204,558 +205,91 @@ impl<S, R> SessionTable<S, R> {
     }
 }
 
-/// What protocol `P` parks per finished session.
-pub type Settled<P> = Result<<P as Protocol>::Outcome, <P as Protocol>::Error>;
-
-/// The table a [`SessionService`] keeps for protocol `P`.
-pub type Table<P> = SessionTable<<P as Protocol>::Session, Settled<P>>;
-
-/// Which receive the blocking scheduler step issues. Protocol data, not
-/// taste: the model transport makes each receive kind a different choice
-/// point, so each master's shape is preserved exactly.
-#[derive(Clone, Copy, Debug)]
-pub enum BlockingStep {
-    /// One receive — bounded by the timeout, or unbounded — then the
-    /// suspicion pass.
-    Receive(Option<Duration>),
-    /// Drain everything already queued before consulting evidence — a
-    /// reply sitting in the channel beats any suspicion about its sender
-    /// (a worker may legitimately crash *after* its completing reply).
-    /// Only on an empty queue does the suspicion pass run; if it fires
-    /// nothing, park for one heartbeat — a coarse bound, not an unbounded
-    /// block, so a worker dying *while* the master is parked is noticed
-    /// by the next pass.
-    EvidenceFirst(Duration),
-}
-
-/// The protocol-specific half of a master: what [`SessionService`] cannot
-/// know. Implemented by the MPQ master.
-pub trait Protocol: Sized {
-    /// What a submission carries besides the query.
-    type Request;
-    /// Master-side state of one in-flight session.
-    type Session;
-    /// What a finished session yields.
-    type Outcome;
-    /// The protocol's public failure type.
-    type Error: From<LifecycleError>;
-
-    /// The objective a submission asks for (admission checks it).
-    fn objective(request: &Self::Request) -> Objective;
-
-    /// Dispatches a freshly admitted session's first messages and returns
-    /// its state. On `Err` nothing stays behind (the protocol frees
-    /// whatever its partial dispatch pinned on workers).
-    fn open(
-        &mut self,
-        net: &dyn Transport,
-        id: QueryId,
-        query: &Query,
-        request: Self::Request,
-    ) -> Result<Self::Session, Self::Error>;
-
-    /// Routes one session-tagged worker message to its owning session and
-    /// advances it: still pending, finished (remove it, park its outcome)
-    /// or failed ([`Protocol::fail`]). Messages for sessions no longer
-    /// live land here too — only the protocol knows whether a late
-    /// message needs accounting.
-    fn route(
-        &mut self,
-        net: &dyn Transport,
-        table: &mut Table<Self>,
-        worker: usize,
-        id: QueryId,
-        payload: Bytes,
-    );
-
-    /// Examines every live session for evidence that it will never
-    /// complete on its own, recovering or failing it. Returns whether any
-    /// session fired.
-    fn check_suspicions(&mut self, net: &dyn Transport, table: &mut Table<Self>) -> bool;
-
-    /// Which receive the blocking scheduler step issues.
-    fn blocking_step(&self) -> BlockingStep;
-
-    /// What freeing a session that will never finish (failed or
-    /// abandoned) costs on the wire.
-    fn release(&mut self, net: &dyn Transport, id: QueryId);
-
-    /// The typed failure of `session` when the transport itself is gone.
-    fn transport_lost(&self, session: &Self::Session, err: ClusterError) -> Self::Error;
-
-    /// Fails a live session: frees its state, pays its release, parks the
-    /// typed error for its handle.
-    fn fail(
-        &mut self,
-        net: &dyn Transport,
-        table: &mut Table<Self>,
-        id: QueryId,
-        err: Self::Error,
-    ) {
-        table.live.remove(&id.0);
-        self.release(net, id);
-        table.park(id, Err(err));
-    }
-}
-
-/// A long-lived optimizer master: one resident transport multiplexing
-/// many concurrent sessions of protocol `P`. See the module docs.
-pub struct SessionService<P: Protocol> {
-    protocol: P,
-    net: Box<dyn Transport>,
-    table: Table<P>,
-}
-
-impl<P: Protocol> SessionService<P> {
-    /// A service speaking `protocol` over `net`, with no admission limit.
-    pub fn new(protocol: P, net: Box<dyn Transport>) -> Result<Self, LifecycleError> {
-        if net.num_workers() == 0 {
-            return Err(LifecycleError::BadRequest {
-                reason: "at least one worker required",
-            });
-        }
-        Ok(SessionService {
-            protocol,
-            net,
-            table: SessionTable::new(0),
-        })
-    }
-
-    /// The admission limit: submissions past `limit` live sessions are
-    /// refused with [`LifecycleError::Overloaded`] (or park, on request),
-    /// instead of being queued silently. `0` means unlimited — the
-    /// default, bit-for-bit the pre-admission behavior.
-    pub fn set_max_in_flight(&mut self, limit: usize) {
-        self.table.max_in_flight = limit;
-    }
-
-    /// The resident message plane.
-    pub fn transport(&self) -> &dyn Transport {
-        self.net.as_ref()
-    }
-
-    /// Number of resident worker nodes.
-    pub fn num_workers(&self) -> usize {
-        self.net.num_workers()
-    }
-
-    /// The resident cluster's network counters (cumulative across every
-    /// session the service has served).
-    pub fn metrics(&self) -> &NetworkMetrics {
-        self.net.metrics()
-    }
-
-    /// Sessions submitted but not yet finished.
-    pub fn in_flight(&self) -> usize {
-        self.table.live.len()
-    }
-
-    /// Finished results parked for handles that have not redeemed them
-    /// (bounded; shrinks when abandoned handles are reaped).
-    pub fn parked_results(&self) -> usize {
-        self.table.parked_results()
-    }
-
-    /// Submits `query` and returns with a handle once the session's first
-    /// messages are out. A refused submission (bad request, or past the
-    /// admission limit) has sent nothing and leaves zero state behind.
-    /// With `park`, the admission limit blocks instead of refusing: the
-    /// blocking scheduler step runs until capacity frees.
-    pub fn submit(
-        &mut self,
-        query: &Query,
-        request: P::Request,
-        park: bool,
-    ) -> Result<QueryHandle, P::Error> {
-        loop {
-            self.reap_abandoned();
-            match self.table.admit(query, P::objective(&request)) {
-                Ok(()) => break,
-                // Overloaded implies at least one session in flight (the
-                // limit is >= 1), and every in-flight session finishes or
-                // fails under the same steps that drive `wait` — so
-                // capacity frees eventually.
-                Err(LifecycleError::Overloaded { .. }) if park => self.drive_once(),
-                Err(refusal) => return Err(refusal.into()),
-            }
-        }
-        let id = self.table.mint();
-        let session = self.protocol.open(self.net.as_ref(), id, query, request)?;
-        self.table.live.insert(id.0, session);
-        Ok(self.table.handle(id))
-    }
-
-    /// Non-blocking check: drains replies that have already arrived, runs
-    /// the suspicion pass, and returns the result once the handle's
-    /// session has finished. After `Some`, the handle is spent.
-    pub fn poll(&mut self, handle: &QueryHandle) -> Option<Settled<P>> {
-        if let Err(foreign) = self.table.owns(handle) {
-            return Some(Err(foreign.into()));
-        }
-        self.reap_abandoned();
-        loop {
-            if let Some(result) = self.table.redeem(handle.id) {
-                return Some(result);
-            }
-            match self.net.try_recv() {
-                Ok((worker, id, payload)) => self.route(worker, id, payload),
-                // Nothing waiting right now: run the suspicion pass; if no
-                // session was due, hand control back.
-                Err(ClusterError::Timeout { .. }) if self.check_suspicions() => {}
-                Err(ClusterError::Timeout { .. }) => return None,
-                Err(err) => {
-                    self.fail_all(err);
-                    return self.table.redeem(handle.id);
-                }
-            }
-        }
-    }
-
-    /// Blocks until the handle's session finishes, driving every
-    /// in-flight session's collection and recovery in the meantime. A
-    /// spent or foreign handle is a typed
-    /// [`LifecycleError::UnknownHandle`], never a panic.
-    pub fn wait(&mut self, handle: QueryHandle) -> Settled<P> {
-        self.table.owns(&handle)?;
-        self.reap_abandoned();
-        loop {
-            if let Some(result) = self.table.redeem(handle.id) {
-                return result;
-            }
-            if !self.table.live.contains_key(&handle.id.0) {
-                return Err(LifecycleError::UnknownHandle { id: handle.id }.into());
-            }
-            self.drive_once();
-        }
-    }
-
-    /// Frees the state of sessions whose handle was dropped unredeemed,
-    /// paying each live one's [`Protocol::release`]. Called on every
-    /// scheduler entry; public so long-idle callers can reap eagerly.
-    pub fn reap_abandoned(&mut self) {
-        let (protocol, net) = (&mut self.protocol, self.net.as_ref());
-        self.table.reap(|id, _| protocol.release(net, id));
-    }
-
-    /// Shuts the resident transport down, joining every worker thread.
-    /// In-flight sessions are abandoned (their handles become useless),
-    /// so drain the service before calling this.
-    pub fn shutdown(mut self) {
-        self.net.shutdown();
-    }
-
-    /// One pass of the blocking scheduler.
-    fn drive_once(&mut self) {
-        match self.protocol.blocking_step() {
-            BlockingStep::Receive(timeout) => {
-                let received = match timeout {
-                    Some(t) => self.net.recv_timeout(t),
-                    None => self.net.recv(),
-                };
-                self.settle(received);
-                self.check_suspicions();
-            }
-            BlockingStep::EvidenceFirst(heartbeat) => match self.net.try_recv() {
-                Err(ClusterError::Timeout { .. }) => {
-                    if !self.check_suspicions() {
-                        let received = self.net.recv_timeout(heartbeat);
-                        self.settle(received);
-                    }
-                }
-                received => self.settle(received),
-            },
-        }
-    }
-
-    /// Acts on one receive: a reply is routed, an expired wait is
-    /// nothing, anything else means the substrate is gone.
-    fn settle(&mut self, received: Result<(usize, QueryId, Bytes), ClusterError>) {
-        match received {
-            Ok((worker, id, payload)) => self.route(worker, id, payload),
-            Err(ClusterError::Timeout { .. }) => {}
-            Err(err) => self.fail_all(err),
-        }
-    }
-
-    fn route(&mut self, worker: usize, id: QueryId, payload: Bytes) {
-        self.protocol
-            .route(self.net.as_ref(), &mut self.table, worker, id, payload);
-    }
-
-    fn check_suspicions(&mut self) -> bool {
-        self.protocol
-            .check_suspicions(self.net.as_ref(), &mut self.table)
-    }
-
-    /// The substrate itself is gone: every in-flight session fails typed.
-    fn fail_all(&mut self, err: ClusterError) {
-        let ids: Vec<u64> = self.table.live.keys().copied().collect();
-        for raw in ids {
-            if let Some(session) = self.table.live.get(&raw) {
-                let typed = self.protocol.transport_lost(session, err.clone());
-                self.protocol
-                    .fail(self.net.as_ref(), &mut self.table, QueryId(raw), typed);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::runtime::{Cluster, Control, WorkerCtx};
-    use crate::LatencyModel;
-    use mpq_model::{WorkloadConfig, WorkloadGenerator};
 
-    /// A worker told to stop: it exits without replying.
-    const STOP: u8 = 0xFF;
-
-    /// The toy protocol: a session is one byte sent to one worker, which
-    /// echoes it back; the echo is the outcome.
-    struct Echo {
-        released: Vec<QueryId>,
+    /// Records one live session and its handle, as a service's submit does
+    /// once admission has passed.
+    fn open<S>(table: &mut SessionTable<S, u8>, session: S) -> QueryHandle {
+        let id = table.mint();
+        table.live.insert(id.0, session);
+        table.handle(id)
     }
 
-    #[derive(Debug, PartialEq)]
-    enum EchoError {
-        Lifecycle(LifecycleError),
-        Lost(ClusterError),
-    }
-
-    impl From<LifecycleError> for EchoError {
-        fn from(e: LifecycleError) -> Self {
-            EchoError::Lifecycle(e)
-        }
-    }
-
-    impl Protocol for Echo {
-        type Request = (usize, u8);
-        type Session = ();
-        type Outcome = u8;
-        type Error = EchoError;
-
-        fn objective(_: &(usize, u8)) -> Objective {
-            Objective::Single
-        }
-
-        fn open(
-            &mut self,
-            net: &dyn Transport,
-            id: QueryId,
-            _query: &Query,
-            (worker, byte): (usize, u8),
-        ) -> Result<(), EchoError> {
-            net.send(worker, id, Bytes::from(vec![byte]), true)
-                .map_err(EchoError::Lost)
-        }
-
-        fn route(
-            &mut self,
-            _: &dyn Transport,
-            table: &mut Table<Self>,
-            _: usize,
-            id: QueryId,
-            payload: Bytes,
-        ) {
-            if table.live.remove(&id.0).is_some() {
-                table.park(id, Ok(payload[0]));
-            }
-        }
-
-        fn check_suspicions(&mut self, _: &dyn Transport, _: &mut Table<Self>) -> bool {
-            false
-        }
-
-        fn blocking_step(&self) -> BlockingStep {
-            BlockingStep::Receive(None)
-        }
-
-        fn release(&mut self, _: &dyn Transport, id: QueryId) {
-            self.released.push(id);
-        }
-
-        fn transport_lost(&self, _: &(), err: ClusterError) -> EchoError {
-            EchoError::Lost(err)
-        }
-    }
-
-    fn service(workers: usize, max_in_flight: usize) -> SessionService<Echo> {
-        let echo = |_: usize| {
-            |_: QueryId, payload: Bytes, ctx: &mut WorkerCtx| {
-                if payload[0] == STOP {
-                    return Control::Shutdown;
-                }
-                ctx.send_to_master(payload);
-                Control::Continue
-            }
-        };
-        let cluster = Cluster::spawn(workers, LatencyModel::ZERO, echo).unwrap();
-        let protocol = Echo {
-            released: Vec::new(),
-        };
-        let mut svc = SessionService::new(protocol, Box::new(cluster)).unwrap();
-        svc.set_max_in_flight(max_in_flight);
-        svc
-    }
-
-    fn query(tables: usize) -> Query {
-        WorkloadGenerator::new(WorkloadConfig::paper_default(tables), 7).next_query()
-    }
-
-    fn unknown(id: u64) -> EchoError {
-        EchoError::Lifecycle(LifecycleError::UnknownHandle { id: QueryId(id) })
+    /// Finishes a live session as a service does: out of `live`, its
+    /// result into the park.
+    fn finish<S>(table: &mut SessionTable<S, u8>, handle: &QueryHandle, result: u8) {
+        table.live.remove(&handle.id().0);
+        table.park(handle.id(), result);
     }
 
     #[test]
     fn results_are_delivered_exactly_once() {
-        let mut svc = service(1, 0);
-        let q = query(3);
-        let a = svc.submit(&q, (0, 11), false).unwrap();
-        let b = svc.submit(&q, (0, 22), false).unwrap();
-        assert_eq!(svc.in_flight(), 2);
-        // Redeemed out of order: routing, not arrival order, matches each
-        // result to its handle.
-        assert_eq!(svc.wait(b), Ok(22));
-        let polled = loop {
-            if let Some(result) = svc.poll(&a) {
-                break result;
-            }
-        };
-        assert_eq!(polled, Ok(11));
-        // Spent: polls as `None`, waits as a typed error.
-        assert_eq!(svc.poll(&a), None);
-        assert_eq!(svc.wait(a), Err(unknown(0)));
-        assert_eq!((svc.in_flight(), svc.parked_results()), (0, 0));
-        svc.shutdown();
+        let mut table = SessionTable::<(), u8>::new(0);
+        let a = open(&mut table, ());
+        let b = open(&mut table, ());
+        // Finished out of order: the id, not the finishing order, matches
+        // each result to its handle.
+        finish(&mut table, &b, 22);
+        finish(&mut table, &a, 11);
+        assert_eq!(table.redeem(a.id()), Some(11));
+        assert_eq!(table.redeem(b.id()), Some(22));
+        assert_eq!(table.redeem(a.id()), None, "a spent id redeems nothing");
+        assert_eq!((table.live.len(), table.parked_results()), (0, 0));
     }
 
     #[test]
     fn foreign_handles_are_rejected_before_any_lookup() {
-        let (mut ours, mut theirs) = (service(1, 0), service(1, 0));
-        let q = query(3);
-        let mine = ours.submit(&q, (0, 1), false).unwrap();
-        let foreign = theirs.submit(&q, (0, 2), false).unwrap();
+        let mut ours = SessionTable::<(), u8>::new(0);
+        let mut theirs = SessionTable::<(), u8>::new(0);
+        let mine = open(&mut ours, ());
+        let foreign = open(&mut theirs, ());
         assert_eq!(mine.id(), foreign.id(), "raw ids do collide");
-        assert_eq!(ours.poll(&foreign), Some(Err(unknown(0))));
-        assert_eq!(ours.wait(foreign), Err(unknown(0)));
-        assert_eq!(ours.wait(mine), Ok(1), "never the other session's result");
-        ours.shutdown();
-        theirs.shutdown();
+        let unknown = LifecycleError::UnknownHandle { id: foreign.id() };
+        assert_eq!(ours.owns(&foreign), Err(unknown));
+        assert_eq!(ours.owns(&mine), Ok(()));
     }
 
     #[test]
     fn dropped_handles_are_reaped_and_released_once() {
-        let mut svc = service(1, 0);
-        let q = query(3);
-        let abandoned = svc.submit(&q, (0, 1), false).unwrap();
-        let kept = svc.submit(&q, (0, 2), false).unwrap();
-        drop(abandoned);
-        assert_eq!(svc.in_flight(), 2, "reaping waits for the next entry");
-        assert_eq!(svc.wait(kept), Ok(2));
-        assert_eq!(svc.in_flight(), 0);
-        assert_eq!(svc.protocol.released, vec![QueryId(0)]);
-        // A finished-but-unredeemed result is freed the same way, without
-        // a release: its session is no longer live.
-        let parked = svc.submit(&q, (0, 3), false).unwrap();
-        let driver = svc.submit(&q, (0, 4), false).unwrap();
-        assert_eq!(svc.wait(driver), Ok(4));
-        assert_eq!(svc.parked_results(), 1);
-        drop(parked);
-        svc.reap_abandoned();
-        assert_eq!(svc.parked_results(), 0);
-        assert_eq!(svc.protocol.released, vec![QueryId(0)]);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn admission_refuses_at_the_limit_and_parks_on_request() {
-        let mut svc = service(1, 2);
-        let q = query(3);
-        let a = svc.submit(&q, (0, 1), false).unwrap();
-        let b = svc.submit(&q, (0, 2), false).unwrap();
-        // (Bytes towards the workers, not the message count: the echoes of
-        // `a` and `b` may still be on their way back.)
-        let sent = svc.metrics().snapshot().master_to_worker_bytes;
-        let refusal = LifecycleError::Overloaded {
-            in_flight: 2,
-            limit: 2,
-        };
-        assert_eq!(
-            svc.submit(&q, (0, 3), false).err(),
-            Some(EchoError::Lifecycle(refusal))
-        );
-        // The refusal left zero state: nothing sent, nothing live.
-        assert_eq!(svc.metrics().snapshot().master_to_worker_bytes, sent);
-        assert_eq!(svc.in_flight(), 2);
-        // Parking drives the in-flight sessions until one finishes.
-        let c = svc.submit(&q, (0, 3), true).unwrap();
-        assert!(svc.in_flight() <= 2);
-        assert_eq!(svc.parked_results(), 1);
-        for (handle, byte) in [(a, 1), (b, 2), (c, 3)] {
-            assert_eq!(svc.wait(handle), Ok(byte));
-        }
-        svc.shutdown();
-    }
-
-    #[test]
-    fn unoptimizable_queries_are_refused_before_anything_is_sent() {
-        let mut svc = service(1, 0);
-        let mut empty = query(3);
-        empty.catalog = Default::default();
-        empty.predicates.clear();
-        let mut huge = query(3);
-        for _ in 3..=TableSet::MAX_TABLES {
-            huge.catalog
-                .add_table(mpq_model::TableStats::with_cardinality(10.0));
-        }
-        assert_eq!(huge.num_tables(), TableSet::MAX_TABLES + 1);
-        for q in [&empty, &huge] {
-            for park in [false, true] {
-                assert!(matches!(
-                    svc.submit(q, (0, 1), park),
-                    Err(EchoError::Lifecycle(LifecycleError::BadRequest { .. }))
-                ));
-            }
-        }
-        assert_eq!(svc.metrics().snapshot().messages, 0);
-        assert_eq!(svc.in_flight(), 0);
-        svc.shutdown();
+        let mut table = SessionTable::<&str, u8>::new(0);
+        let live = open(&mut table, "live");
+        let parked = open(&mut table, "parked");
+        let redeemed = open(&mut table, "redeemed");
+        finish(&mut table, &parked, 1);
+        finish(&mut table, &redeemed, 2);
+        assert_eq!(table.redeem(redeemed.id()), Some(2));
+        drop((live, parked, redeemed));
+        let held = (table.live.len(), table.parked_results());
+        assert_eq!(held, (1, 1), "reaping waits for the next entry");
+        let mut released = Vec::new();
+        table.reap(|id, session| released.push((id, session)));
+        // Only the live session is handed back; the parked result is
+        // freed, and the redeemed id is a no-op.
+        assert_eq!(released, vec![(QueryId(0), "live")]);
+        assert_eq!((table.live.len(), table.parked_results()), (0, 0));
+        table.reap(|id, _| panic!("{id} released twice"));
     }
 
     #[test]
     fn the_park_evicts_its_oldest_result_at_the_cap() {
-        let mut svc = service(1, 0);
-        let q = query(3);
-        let mut handles: Vec<QueryHandle> = (0..=MAX_PARKED_RESULTS)
-            .map(|_| svc.submit(&q, (0, 9), false).unwrap())
+        let mut table = SessionTable::<(), u8>::new(0);
+        let handles: Vec<QueryHandle> = (0..=MAX_PARKED_RESULTS)
+            .map(|_| {
+                let handle = open(&mut table, ());
+                finish(&mut table, &handle, 9);
+                handle
+            })
             .collect();
-        // One FIFO worker: when the last session finishes, all have.
-        let last = handles.pop().unwrap();
-        assert_eq!(svc.wait(last), Ok(9));
-        assert_eq!(svc.parked_results(), MAX_PARKED_RESULTS - 1);
-        let mut handles = handles.into_iter();
-        assert_eq!(svc.wait(handles.next().unwrap()), Err(unknown(0)));
-        assert_eq!(svc.wait(handles.next().unwrap()), Ok(9));
+        assert_eq!(table.parked_results(), MAX_PARKED_RESULTS);
+        assert_eq!(table.redeem(handles[0].id()), None, "the oldest is gone");
+        assert_eq!(table.redeem(handles[1].id()), Some(9));
+        assert_eq!(table.redeem(handles[1].id()), None, "exactly once");
         drop(handles);
-        svc.reap_abandoned();
-        assert_eq!(svc.parked_results(), 0);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn transport_loss_fails_every_live_session_typed() {
-        let mut svc = service(2, 0);
-        let q = query(3);
-        let a = svc.submit(&q, (0, STOP), false).unwrap();
-        let b = svc.submit(&q, (1, STOP), false).unwrap();
-        let lost = Err(EchoError::Lost(ClusterError::AllWorkersLost));
-        assert_eq!(svc.wait(a), lost);
-        assert_eq!(svc.in_flight(), 0, "the other session failed with it");
-        assert_eq!(svc.poll(&b), Some(lost));
-        // Failing pays the release, like abandoning does.
-        assert_eq!(svc.protocol.released, vec![QueryId(0), QueryId(1)]);
-        svc.shutdown();
+        table.reap(|_, ()| {});
+        assert_eq!(table.parked_results(), 0);
     }
 }

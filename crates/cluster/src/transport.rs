@@ -110,20 +110,6 @@ pub trait Transport: Send {
         is_assignment: bool,
     ) -> Result<(), ClusterError>;
 
-    /// Sends the same payload to every worker (counted once per worker).
-    /// Fails on the first dead worker.
-    fn broadcast(
-        &self,
-        query: QueryId,
-        payload: &Bytes,
-        is_assignment: bool,
-    ) -> Result<(), ClusterError> {
-        for id in 0..self.num_workers() {
-            self.send(id, query, payload.clone(), is_assignment)?;
-        }
-        Ok(())
-    }
-
     /// Receives the next worker reply for **any** session, blocking.
     /// Parked replies are drained first. Returns
     /// [`ClusterError::AllWorkersLost`] if every worker is gone and no
@@ -145,7 +131,10 @@ pub trait Transport: Send {
     /// Blocks indefinitely: if the session's worker can crash while other
     /// workers stay alive, the awaited reply may never come. Use
     /// [`Transport::recv_for_timeout`] plus [`Transport::dead_workers`]
-    /// whenever faults are possible (as the session schedulers do).
+    /// whenever faults are possible. No master calls either (the MPQ
+    /// master routes replies itself); both stay because the frozen
+    /// `benchmark/` harness's transport wrapper implements them
+    /// (ROADMAP 15).
     fn recv_for(&self, query: QueryId) -> Result<(usize, Bytes), ClusterError>;
 
     /// Session-routed receive with a deadline: gives up with

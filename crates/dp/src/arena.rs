@@ -140,13 +140,15 @@ impl ArenaMemo {
     }
 
     /// Creates an empty arena memo laid out for the partition's admissible
-    /// sets.
+    /// sets. The arena starts with room for one entry per admissible set
+    /// and per table, what a fill that stores every set needs at least, so
+    /// it is not grown by doubling from empty.
     pub fn new(adm: AdmissibleSets) -> Self {
         let n = adm.num_tables();
         let total = adm.len();
         ArenaMemo {
             adm,
-            arena: Vec::new(),
+            arena: Vec::with_capacity(total + n),
             records: vec![UNWRITTEN; total],
             singles: vec![UNWRITTEN; n],
             stored_sets: 0,

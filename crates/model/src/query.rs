@@ -157,14 +157,6 @@ impl Query {
             .filter(|&(_, s)| !(s > 0.0 && s <= 1.0));
         bad_table.chain(bad_predicate).next()
     }
-
-    /// A rough upper bound on the serialized byte size of the query
-    /// (`b_q` in the paper's complexity analysis), used by tests asserting
-    /// the `O(m * (b_q + b_p))` network bound.
-    pub fn approx_byte_size(&self) -> usize {
-        // 2 f64 per table + 2 usize + 1 f64 per predicate + headers.
-        16 * self.num_tables() + 24 * self.predicates.len() + 16
-    }
 }
 
 #[cfg(test)]
@@ -260,12 +252,5 @@ mod tests {
         let lhs = q.internal_selectivity(l.union(r));
         let rhs = q.internal_selectivity(l) * q.internal_selectivity(r) * q.join_selectivity(l, r);
         assert!((lhs - rhs).abs() < 1e-12);
-    }
-
-    #[test]
-    fn byte_size_grows_with_tables() {
-        let small = query_with_edges(4, JoinGraph::Star, 0.1);
-        let big = query_with_edges(16, JoinGraph::Star, 0.1);
-        assert!(big.approx_byte_size() > small.approx_byte_size());
     }
 }

@@ -153,10 +153,10 @@ fn admission_scenario_exhausts_clean() {
 /// issue is a choice point whose kind (blocking / timed / try) selects
 /// the enabled actions, and every send is folded into the state
 /// signature — so a change to a receive kind, to the reap or send order,
-/// or to admission timing moves these numbers. The shared session
-/// lifecycle (`mpq_cluster::session`) was extracted under exactly this
-/// table; a differing count is a finding about the state machine, not a
-/// number to re-baseline.
+/// or to admission timing moves these numbers. The session lifecycle was
+/// extracted into `mpq_cluster::session` under exactly this table, and
+/// folded back into `MpqService` under the same table; a differing count
+/// is a finding about the state machine, not a number to re-baseline.
 ///
 /// Load-aware placement moved four rows on purpose: a second session
 /// submitted while both workers are busy runs whole on one of them, so

@@ -123,7 +123,7 @@ pub enum MpqError {
         reason: &'static str,
     },
     /// The service's in-flight budget
-    /// ([`SessionService::set_max_in_flight`](mpq_cluster::SessionService::set_max_in_flight))
+    /// ([`MpqService::set_max_in_flight`])
     /// is spent: `in_flight` sessions are already admitted against a
     /// limit of `limit`. Backpressure, not failure — retry after redeeming a
     /// handle, or park with `submit_wait`.
@@ -193,8 +193,8 @@ impl From<ClusterError> for MpqError {
     }
 }
 
-/// The shared session lifecycle's failures, surfaced as this protocol's
-/// own variants.
+/// The session table's failures, surfaced as the service's own
+/// variants.
 impl From<LifecycleError> for MpqError {
     fn from(e: LifecycleError) -> Self {
         match e {

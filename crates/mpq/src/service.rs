@@ -3,13 +3,13 @@
 //!
 //! Where [`MpqOptimizer`](crate::MpqOptimizer) answers a single query,
 //! [`MpqService`] keeps the shared-nothing cluster standing and streams
-//! queries through it. The session lifecycle — handles, admission,
-//! `submit` / `poll` / `wait`, parking, reaping — is
-//! [`mpq_cluster::session`]'s; this module is
-//! the MPQ [`Protocol`]: which task messages a submission sends, how a
-//! reply or progress report advances its session, and the scheduler
-//! passes that interleave straggler suspicion and task re-issue across
-//! **all** in-flight sessions. Every wire message carries its session's
+//! queries through it. It is the whole master: `submit` / `poll` /
+//! `wait` over one [`SessionTable`] (handles, admission, parking, reaping
+//! — the table the facade's single-node backends share), which task
+//! messages a submission sends, how a reply or progress report advances
+//! its session, and the scheduler passes that interleave straggler
+//! suspicion and task re-issue across **all** in-flight sessions. Every
+//! wire message carries its session's
 //! [`QueryId`], so replies are routed to the owning session no matter how
 //! submissions and completions interleave.
 //!
@@ -47,8 +47,8 @@ use crate::optimizer::{MpqConfig, MpqError, MpqMetrics, MpqOutcome, RetryPolicy}
 use bytes::Bytes;
 pub use mpq_cluster::QueryHandle;
 use mpq_cluster::{
-    BlockingStep, Cluster, ClusterError, Control, Faulty, LatencyModel, Protocol, QueryId,
-    SessionService, Table, Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
+    Cluster, ClusterError, Control, Faulty, LatencyModel, LifecycleError, NetworkMetrics, QueryId,
+    SessionTable, Transport, Wire, WireListener, WorkerCtx, WorkerLogic,
 };
 use mpq_cost::Objective;
 use mpq_dp::{optimize_partition_id, ParallelPolicy, PriceError, PricedPlan, Pricer, WorkerStats};
@@ -171,13 +171,7 @@ impl WorkerLogic for MpqWorker {
                 std::thread::sleep(t0.elapsed() * (self.slow_factor - 1));
             }
             plans.extend(out.plans);
-            // Times and work add up over sequential partitions; memory is
-            // the peak, i.e. the max over partitions.
-            stats.splits_tried += out.stats.splits_tried;
-            stats.plans_generated += out.stats.plans_generated;
-            stats.optimize_micros += out.stats.optimize_micros;
-            stats.stored_sets = stats.stored_sets.max(out.stats.stored_sets);
-            stats.total_entries = stats.total_entries.max(out.stats.total_entries);
+            accumulate(&mut stats, &out.stats);
             // Progress piggyback: after every `progress_every` completed
             // partitions, but never for the final one (the reply itself
             // signals completion).
@@ -349,34 +343,14 @@ impl Session {
     }
 }
 
-/// A long-lived MPQ optimizer service over one resident cluster: a
-/// [`SessionService`] speaking the [`MpqProtocol`] (`poll`, `wait`,
-/// `in_flight`, `metrics`, … are the shared lifecycle's, reached through
-/// `Deref`). See the module docs.
-pub struct MpqService(SessionService<MpqProtocol>);
-
-impl std::ops::Deref for MpqService {
-    type Target = SessionService<MpqProtocol>;
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for MpqService {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
-
-/// What an MPQ submission carries besides the query: plan space,
-/// objective, and an explicit `(total partitions, (first, count) per
-/// range)` layout, range *i* on worker *i* — `None` lets the master place
-/// it by load ([`MpqService::submit`]).
-type MpqRequest = (PlanSpace, Objective, Option<(u64, Vec<(u64, u64)>)>);
-
-/// The MPQ master's [`Protocol`]: the recovery policies plus the
-/// per-worker evidence every session's suspicion pass reads.
-pub struct MpqProtocol {
+/// A long-lived MPQ optimizer service over one resident cluster: the one
+/// master of every session it serves. It owns the message plane, the
+/// [`SessionTable`] of in-flight sessions and parked results, and the
+/// per-worker evidence every session's suspicion and steal passes read.
+/// See the module docs.
+pub struct MpqService {
+    net: Box<dyn Transport>,
+    table: SessionTable<Session, Result<MpqOutcome, MpqError>>,
     retry: RetryPolicy,
     steal: bool,
     /// Per-worker loss-detection state: tasks sent to each worker,
@@ -424,22 +398,27 @@ impl MpqService {
         config: MpqConfig,
     ) -> Result<MpqService, MpqError> {
         let workers = transport.num_workers();
-        let protocol = MpqProtocol {
+        if workers == 0 {
+            return Err(MpqError::BadRequest {
+                reason: "at least one worker required",
+            });
+        }
+        Ok(MpqService {
+            net: transport,
+            table: SessionTable::new(0),
             retry: config.retry,
             steal: config.steal,
             tasks_sent: vec![0; workers],
             replies_seen: vec![0; workers],
             lost_replies: vec![0; workers],
             last_reply_from: vec![Instant::now(); workers],
-        };
-        let service = SessionService::new(protocol, transport)?;
-        Ok(MpqService(service))
+        })
     }
 
     /// Submits `query` for optimization and returns immediately with a
     /// handle. Task messages go out before this returns; collection
     /// happens in `poll` / `wait`. Past the admission limit
-    /// ([`SessionService::set_max_in_flight`]) the submission is refused
+    /// ([`MpqService::set_max_in_flight`]) the submission is refused
     /// with [`MpqError::Overloaded`].
     ///
     /// The layout follows the load: a single-objective query gets one
@@ -462,7 +441,7 @@ impl MpqService {
         space: PlanSpace,
         objective: Objective,
     ) -> Result<QueryHandle, MpqError> {
-        self.0.submit(query, (space, objective, None), false)
+        self.submit_with(query, space, objective, None, false)
     }
 
     /// Submits `query` with an explicit `(first_partition, count)` range
@@ -478,7 +457,7 @@ impl MpqService {
         assignment: Vec<(u64, u64)>,
     ) -> Result<QueryHandle, MpqError> {
         let layout = Some((partitions, assignment));
-        self.0.submit(query, (space, objective, layout), false)
+        self.submit_with(query, space, objective, layout, false)
     }
 
     /// Blocking submit: exactly [`MpqService::submit`], except that at
@@ -490,40 +469,150 @@ impl MpqService {
         space: PlanSpace,
         objective: Objective,
     ) -> Result<QueryHandle, MpqError> {
-        self.0.submit(query, (space, objective, None), true)
+        self.submit_with(query, space, objective, None, true)
+    }
+
+    /// The admission limit: submissions past `limit` live sessions are
+    /// refused with [`MpqError::Overloaded`] (or park, with
+    /// [`MpqService::submit_wait`]), instead of being queued silently.
+    /// `0` means unlimited — the default.
+    pub fn set_max_in_flight(&mut self, limit: usize) {
+        self.table.set_max_in_flight(limit);
+    }
+
+    /// The resident message plane.
+    pub fn transport(&self) -> &dyn Transport {
+        self.net.as_ref()
+    }
+
+    /// The resident cluster's network counters (cumulative across every
+    /// session the service has served).
+    pub fn metrics(&self) -> &NetworkMetrics {
+        self.net.metrics()
+    }
+
+    /// Sessions submitted but not yet finished.
+    pub fn in_flight(&self) -> usize {
+        self.table.live.len()
+    }
+
+    /// Finished results parked for handles that have not redeemed them
+    /// (bounded; shrinks when abandoned handles are reaped).
+    pub fn parked_results(&self) -> usize {
+        self.table.parked_results()
+    }
+
+    /// Non-blocking check: drains replies that have already arrived, runs
+    /// the suspicion pass, and returns the result once the handle's
+    /// session has finished. After `Some`, the handle is spent.
+    pub fn poll(&mut self, handle: &QueryHandle) -> Option<Result<MpqOutcome, MpqError>> {
+        if let Err(foreign) = self.table.owns(handle) {
+            return Some(Err(foreign.into()));
+        }
+        self.reap_abandoned();
+        loop {
+            if let Some(result) = self.table.redeem(handle.id()) {
+                return Some(result);
+            }
+            match self.net.try_recv() {
+                Ok((worker, id, payload)) => self.route(worker, id, payload),
+                // Nothing waiting right now: run the suspicion pass; if no
+                // session was due, hand control back.
+                Err(ClusterError::Timeout { .. }) if self.check_suspicions() => {}
+                Err(ClusterError::Timeout { .. }) => return None,
+                Err(err) => {
+                    self.fail_all(err);
+                    return self.table.redeem(handle.id());
+                }
+            }
+        }
+    }
+
+    /// Blocks until the handle's session finishes, driving every
+    /// in-flight session's collection and recovery in the meantime. A
+    /// spent or foreign handle is a typed [`MpqError::UnknownHandle`],
+    /// never a panic.
+    pub fn wait(&mut self, handle: QueryHandle) -> Result<MpqOutcome, MpqError> {
+        self.table.owns(&handle)?;
+        self.reap_abandoned();
+        loop {
+            if let Some(result) = self.table.redeem(handle.id()) {
+                return result;
+            }
+            if !self.table.live.contains_key(&handle.id().0) {
+                return Err(MpqError::UnknownHandle { id: handle.id() });
+            }
+            self.drive_once();
+        }
+    }
+
+    /// Frees the state of sessions whose handle was dropped unredeemed.
+    /// Nothing is sent: an MPQ task is stateless, and a reaped session's
+    /// late replies are discarded by the router's unknown-session path.
+    /// Called on every scheduler entry; public so long-idle callers can
+    /// reap eagerly.
+    pub fn reap_abandoned(&mut self) {
+        self.table.reap(|_, _| {});
     }
 
     /// Shuts the resident cluster down, joining every worker thread.
     /// In-flight sessions are abandoned (their handles become useless), so
     /// drain the service before calling this.
-    pub fn shutdown(self) {
-        self.0.shutdown();
-    }
-}
-
-impl Protocol for MpqProtocol {
-    type Request = MpqRequest;
-    type Session = Session;
-    type Outcome = MpqOutcome;
-    type Error = MpqError;
-
-    fn objective(&(_, objective, _): &MpqRequest) -> Objective {
-        objective
+    pub fn shutdown(mut self) {
+        self.net.shutdown();
     }
 
+    /// The one submission path. A refused submission (bad request, or past
+    /// the admission limit) has sent nothing and leaves zero state behind.
+    /// With `park`, the admission limit blocks instead of refusing: the
+    /// blocking scheduler step runs until capacity frees.
+    fn submit_with(
+        &mut self,
+        query: &Query,
+        space: PlanSpace,
+        objective: Objective,
+        layout: Option<(u64, Vec<(u64, u64)>)>,
+        park: bool,
+    ) -> Result<QueryHandle, MpqError> {
+        loop {
+            self.reap_abandoned();
+            match self.table.admit(query, objective) {
+                Ok(()) => break,
+                // Overloaded implies at least one session in flight (the
+                // limit is >= 1), and every in-flight session finishes or
+                // fails under the same steps that drive `wait` — so
+                // capacity frees eventually.
+                Err(LifecycleError::Overloaded { .. }) if park => self.drive_once(),
+                Err(refusal) => return Err(refusal.into()),
+            }
+        }
+        let id = self.table.mint();
+        let session = self.open(id, query, space, objective, layout)?;
+        self.table.live.insert(id.0, session);
+        Ok(self.table.handle(id))
+    }
+
+    /// Dispatches a freshly admitted session's task messages and returns
+    /// its state. `layout` is an explicit `(total partitions, (first,
+    /// count) per range)`, range *i* on worker *i*; `None` places the
+    /// session by load ([`MpqService::submit`]). On `Err` nothing stays
+    /// behind: tasks are stateless, so a partial dispatch pins nothing on
+    /// any worker.
     fn open(
         &mut self,
-        net: &dyn Transport,
         id: QueryId,
         query: &Query,
-        (space, objective, layout): MpqRequest,
+        space: PlanSpace,
+        objective: Objective,
+        layout: Option<(u64, Vec<(u64, u64)>)>,
     ) -> Result<Session, MpqError> {
+        let net = self.net.as_ref();
         let (partitions, assignment, placement) = match layout {
             Some((partitions, assignment)) => {
                 let identity = (0..assignment.len()).collect();
                 (partitions, assignment, identity)
             }
-            None => self.placed_layout(net, query, space, objective),
+            None => self.placed_layout(query, space, objective),
         };
         if assignment.is_empty() {
             return Err(MpqError::BadRequest {
@@ -618,16 +707,51 @@ impl Protocol for MpqProtocol {
         Ok(session)
     }
 
+    /// One pass of the blocking scheduler. With a retry timeout it is one
+    /// receive bounded by the timeout, then the suspicion pass. Without
+    /// one, a worker that crashed before replying would deadlock a
+    /// blocking receive though its death is already provable, so evidence
+    /// comes first: drain what is already queued — a reply sitting in the
+    /// channel beats any suspicion about its sender (a worker may
+    /// legitimately crash *after* its completing reply) — and only on an
+    /// empty queue run the suspicion pass; if it fires nothing, park for
+    /// one [`EVIDENCE_HEARTBEAT`], a coarse bound rather than an unbounded
+    /// block, so a worker dying while the master is parked is noticed by
+    /// the next pass.
+    fn drive_once(&mut self) {
+        match self.retry.timeout {
+            Some(t) => {
+                let received = self.net.recv_timeout(t);
+                self.settle(received);
+                self.check_suspicions();
+            }
+            None => match self.net.try_recv() {
+                Err(ClusterError::Timeout { .. }) => {
+                    if !self.check_suspicions() {
+                        let received = self.net.recv_timeout(EVIDENCE_HEARTBEAT);
+                        self.settle(received);
+                    }
+                }
+                received => self.settle(received),
+            },
+        }
+    }
+
+    /// Acts on one receive: a reply is routed, an expired wait is
+    /// nothing, anything else means the substrate is gone.
+    fn settle(&mut self, received: Result<(usize, QueryId, Bytes), ClusterError>) {
+        match received {
+            Ok((worker, id, payload)) => self.route(worker, id, payload),
+            Err(ClusterError::Timeout { .. }) => {}
+            Err(err) => self.fail_all(err),
+        }
+    }
+
     /// Routes one session-tagged worker message to its owning session and
-    /// advances that session's state machine.
-    fn route(
-        &mut self,
-        net: &dyn Transport,
-        table: &mut Table<Self>,
-        worker: usize,
-        qid: QueryId,
-        payload: Bytes,
-    ) {
+    /// advances that session's state machine. Messages for sessions no
+    /// longer live land here too, and are counted as late.
+    fn route(&mut self, worker: usize, qid: QueryId, payload: Bytes) {
+        let net = self.net.as_ref();
         // The worker is alive and talking, whatever it sent.
         self.last_reply_from[worker] = Instant::now();
         enum Advance {
@@ -648,7 +772,7 @@ impl Protocol for MpqProtocol {
             self.replies_seen[worker] += 1;
         }
         let advance = {
-            let Some(session) = table.live.get_mut(&qid.0) else {
+            let Some(session) = self.table.live.get_mut(&qid.0) else {
                 // A message for a session that already finished, landing
                 // late. A reply is a speculative duplicate; a progress
                 // report is just a progress report — neither may distort
@@ -780,14 +904,14 @@ impl Protocol for MpqProtocol {
         };
         match advance {
             Advance::Pending => {}
-            Advance::Finished => self.finish(net, table, qid),
-            Advance::Failed(err) => self.fail(net, table, qid, err),
+            Advance::Finished => self.finish(qid),
+            Advance::Failed(err) => self.fail(qid, err),
         }
         // New progress or a freed worker may unlock a steal; the pass is
         // gated to a cheap no-op when stealing is off. A progress report
         // only changes its own session's picture, so only that session is
         // re-evaluated; a reply may have freed a worker for anyone.
-        self.check_steals(net, table, is_progress.then_some(qid));
+        self.check_steals(is_progress.then_some(qid));
     }
 
     /// Per-session straggler suspicion: run the recovery pass for every
@@ -800,9 +924,11 @@ impl Protocol for MpqProtocol {
     /// a FIFO overtake proves a range will never complete on its own, no
     /// clock needed — timer-based (reply-silent) suspicion is simply
     /// skipped. Returns whether any session fired.
-    fn check_suspicions(&mut self, net: &dyn Transport, table: &mut Table<Self>) -> bool {
+    fn check_suspicions(&mut self) -> bool {
+        let net = self.net.as_ref();
         let due: Vec<u64> = match self.retry.timeout {
-            Some(t) => table
+            Some(t) => self
+                .table
                 .live
                 .iter()
                 .filter(|(_, s)| s.last_progress.elapsed() >= t)
@@ -811,7 +937,8 @@ impl Protocol for MpqProtocol {
             // Allocation-free scan: this filter runs on every empty
             // `try_recv` of the default no-timer configuration, so it
             // must not materialize per-session Vecs.
-            None => table
+            None => self
+                .table
                 .live
                 .iter()
                 .filter(|(_, s)| {
@@ -825,38 +952,17 @@ impl Protocol for MpqProtocol {
                 .collect(),
         };
         for &raw in &due {
-            if let Some(session) = table.live.get_mut(&raw) {
+            if let Some(session) = self.table.live.get_mut(&raw) {
                 session.last_progress = Instant::now();
             }
             // One suspicion event per session, mirrored in the metrics so
             // the retries <= timeouts ledger stays balanced.
-            net.metrics().record_timeout();
-            self.session_timeout(net, table, QueryId(raw));
+            self.net.metrics().record_timeout();
+            self.session_timeout(QueryId(raw));
         }
         !due.is_empty()
     }
 
-    fn blocking_step(&self) -> BlockingStep {
-        match self.retry.timeout {
-            Some(t) => BlockingStep::Receive(Some(t)),
-            // Without a timer, a worker that crashed before replying
-            // would deadlock a blocking receive even though its death is
-            // already provable: consult the clock-free evidence instead.
-            None => BlockingStep::EvidenceFirst(EVIDENCE_HEARTBEAT),
-        }
-    }
-
-    /// An MPQ task is stateless: a session that will never finish holds
-    /// nothing on any worker, and its late replies are discarded as
-    /// duplicates by the router's unknown-session path.
-    fn release(&mut self, _net: &dyn Transport, _id: QueryId) {}
-
-    fn transport_lost(&self, _session: &Session, err: ClusterError) -> MpqError {
-        MpqError::Cluster(err)
-    }
-}
-
-impl MpqProtocol {
     /// The layout of a submission that brings none: an even split over
     /// the workers it is placed on, range *i* on the *i*-th of them.
     ///
@@ -874,15 +980,15 @@ impl MpqProtocol {
     /// the task bytes it always did.
     fn placed_layout(
         &self,
-        net: &dyn Transport,
         query: &Query,
         space: PlanSpace,
         objective: Objective,
     ) -> (u64, Vec<(u64, u64)>, Vec<usize>) {
+        let net = self.net.as_ref();
         let mut workers = match objective {
             Objective::Multi { .. } => (0..net.num_workers()).collect(),
             Objective::Single => {
-                let idle = self.idle_workers(net);
+                let idle = self.idle_workers();
                 if idle.is_empty() {
                     // With no live worker at all, worker 0 is as good as
                     // any: its dispatch fails typed, as every one would.
@@ -927,8 +1033,9 @@ impl MpqProtocol {
         (partitions, assignment)
     }
 
-    fn session_timeout(&mut self, net: &dyn Transport, table: &mut Table<Self>, qid: QueryId) {
-        let Some(session) = table.live.get_mut(&qid.0) else {
+    fn session_timeout(&mut self, qid: QueryId) {
+        let net = self.net.as_ref();
+        let Some(session) = self.table.live.get_mut(&qid.0) else {
             return;
         };
         let outstanding = session.outstanding();
@@ -970,7 +1077,7 @@ impl MpqProtocol {
             if let Some(i) = dead {
                 if !session.range_reissued[i] {
                     let worker = session.range_worker[i];
-                    self.fail(net, table, qid, MpqError::WorkerLost { worker });
+                    self.fail(qid, MpqError::WorkerLost { worker });
                     return;
                 }
             }
@@ -988,7 +1095,7 @@ impl MpqProtocol {
                         outstanding: outstanding.len(),
                     },
                 };
-                self.fail(net, table, qid, err);
+                self.fail(qid, err);
             }
             return;
         }
@@ -1024,12 +1131,7 @@ impl MpqProtocol {
             }
         }
         if !reissued {
-            self.fail(
-                net,
-                table,
-                qid,
-                MpqError::Cluster(ClusterError::AllWorkersLost),
-            );
+            self.fail(qid, MpqError::Cluster(ClusterError::AllWorkersLost));
             return;
         }
         if net.is_worker_alive(old_assignee) {
@@ -1057,29 +1159,24 @@ impl MpqProtocol {
     /// session's [`SplitRecord`]s.
     /// `only` restricts the pass to one session (used for progress
     /// reports, which cannot change any other session's steal picture).
-    fn check_steals(
-        &mut self,
-        net: &dyn Transport,
-        table: &mut Table<Self>,
-        only: Option<QueryId>,
-    ) {
+    fn check_steals(&mut self, only: Option<QueryId>) {
         if !self.steal {
             return;
         }
         let ids: Vec<u64> = match only {
             Some(qid) => vec![qid.0],
-            None => table.live.keys().copied().collect(),
+            None => self.table.live.keys().copied().collect(),
         };
         // Computed once per pass and refreshed only when a steal actually
         // dispatched tasks — the only thing that changes the answer
         // mid-pass.
-        let mut idle = self.idle_workers(net);
+        let mut idle = self.idle_workers();
         for raw in ids {
             if idle.is_empty() {
                 return;
             }
-            if self.steal_for_session(net, table, QueryId(raw), &idle) {
-                idle = self.idle_workers(net);
+            if self.steal_for_session(QueryId(raw), &idle) {
+                idle = self.idle_workers();
             }
         }
     }
@@ -1092,8 +1189,8 @@ impl MpqProtocol {
     /// list across all sessions. `lost_replies` credits replies the
     /// recovery pass proved lost, so one dropped reply cannot poison a
     /// worker's ledger for the service's lifetime.
-    fn idle_workers(&self, net: &dyn Transport) -> Vec<usize> {
-        live_workers(net)
+    fn idle_workers(&self) -> Vec<usize> {
+        live_workers(self.net.as_ref())
             .into_iter()
             .filter(|&w| self.outstanding_tasks(w) == 0)
             .collect()
@@ -1108,14 +1205,9 @@ impl MpqProtocol {
 
     /// One session's steal decision; returns whether a steal dispatched
     /// tasks. See [`MpqService::check_steals`].
-    fn steal_for_session(
-        &mut self,
-        net: &dyn Transport,
-        table: &mut Table<Self>,
-        qid: QueryId,
-        idle: &[usize],
-    ) -> bool {
-        let Some(session) = table.live.get_mut(&qid.0) else {
+    fn steal_for_session(&mut self, qid: QueryId, idle: &[usize]) -> bool {
+        let net = self.net.as_ref();
+        let Some(session) = self.table.live.get_mut(&qid.0) else {
             return false;
         };
         if session.steals_left == 0 {
@@ -1248,8 +1340,8 @@ impl MpqProtocol {
     /// Completes a session: FinalPrune over the O(m) collected plans,
     /// every one priced by this master, metrics assembly, result parked
     /// for the handle.
-    fn finish(&mut self, net: &dyn Transport, table: &mut Table<Self>, qid: QueryId) {
-        let Some(session) = table.live.remove(&qid.0) else {
+    fn finish(&mut self, qid: QueryId) {
+        let Some(session) = self.table.live.remove(&qid.0) else {
             // Internal invariant (route only finishes live sessions), but
             // a resident master must not abort if it is ever violated.
             return;
@@ -1261,7 +1353,7 @@ impl MpqProtocol {
             .collect();
         let policy = PruningPolicy::new(session.objective, session.query.num_tables());
         policy.final_prune(&mut plans);
-        let network = net.metrics().snapshot();
+        let network = self.net.metrics().snapshot();
         let metrics = MpqMetrics {
             total_micros: session.start.elapsed().as_micros() as u64,
             max_worker_micros: session
@@ -1288,7 +1380,22 @@ impl MpqProtocol {
             stolen_partitions: session.stolen_partitions,
             progress_reports: session.progress_reports,
         };
-        table.park(qid, Ok(MpqOutcome { plans, metrics }));
+        self.table.park(qid, Ok(MpqOutcome { plans, metrics }));
+    }
+
+    /// Fails a live session: frees its state and parks the typed error
+    /// for its handle. Nothing is sent, since an MPQ task is stateless.
+    fn fail(&mut self, qid: QueryId, err: MpqError) {
+        self.table.live.remove(&qid.0);
+        self.table.park(qid, Err(err));
+    }
+
+    /// The substrate itself is gone: every in-flight session fails typed.
+    fn fail_all(&mut self, err: ClusterError) {
+        for (raw, _) in std::mem::take(&mut self.table.live) {
+            let lost = MpqError::Cluster(err.clone());
+            self.table.park(QueryId(raw), Err(lost));
+        }
     }
 }
 
@@ -1316,8 +1423,9 @@ pub fn serve_socket_worker(
     mpq_cluster::serve_worker(listener, MpqWorker::new(1))
 }
 
-/// Accumulates a reply's counters into a worker's running stats (a worker
-/// may execute several ranges under retries).
+/// Accumulates one run's counters into running stats: a worker's over the
+/// partitions of its range, a session's over the ranges a worker ran
+/// (several under retries). Times and work add up; memory is the peak.
 fn accumulate(into: &mut WorkerStats, s: &WorkerStats) {
     into.splits_tried += s.splits_tried;
     into.plans_generated += s.plans_generated;
@@ -1334,6 +1442,7 @@ mod tests {
     use mpq_dp::{optimize_partition_id, optimize_serial, ExplainError};
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_plan::PlanOp;
+    use std::time::Duration;
 
     fn query(n: usize, seed: u64) -> Query {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
@@ -1438,6 +1547,7 @@ mod tests {
         assert!(bit_eq(out.plans[0].cost().time, reference));
         // The result was delivered; the handle is spent.
         assert!(svc.poll(&handle).is_none());
+        assert_eq!((svc.in_flight(), svc.parked_results()), (0, 0));
         svc.shutdown();
     }
 
@@ -1802,6 +1912,109 @@ mod tests {
         let err = svc.wait(handle).expect_err("the result was already taken");
         assert_eq!(err, MpqError::UnknownHandle { id });
         svc.shutdown();
+    }
+
+    #[test]
+    fn admission_refuses_at_the_limit_and_parks_on_request() {
+        let mut svc = MpqService::spawn(1, MpqConfig::default()).unwrap();
+        svc.set_max_in_flight(2);
+        let q = query(5, 32);
+        let submit = |svc: &mut MpqService| svc.submit(&q, PlanSpace::Linear, Objective::Single);
+        let a = submit(&mut svc).unwrap();
+        let b = submit(&mut svc).unwrap();
+        // Bytes towards the workers, not the message count: the replies of
+        // `a` and `b` may still be on their way back.
+        let sent = svc.metrics().snapshot().master_to_worker_bytes;
+        let refusal = MpqError::Overloaded {
+            in_flight: 2,
+            limit: 2,
+        };
+        assert_eq!(submit(&mut svc).err(), Some(refusal));
+        // The refusal left zero state: nothing sent, nothing live.
+        assert_eq!(svc.metrics().snapshot().master_to_worker_bytes, sent);
+        assert_eq!(svc.in_flight(), 2);
+        // Parking drives the in-flight sessions until one finishes.
+        let c = svc
+            .submit_wait(&q, PlanSpace::Linear, Objective::Single)
+            .unwrap();
+        assert!(svc.in_flight() <= 2);
+        assert_eq!(svc.parked_results(), 1);
+        let reference = serial_time(&q);
+        for handle in [a, b, c] {
+            let out = svc.wait(handle).expect("every session completes");
+            assert!(bit_eq(out.plans[0].cost().time, reference));
+        }
+        svc.shutdown();
+    }
+
+    /// A message plane that takes every task and answers every receive
+    /// with the loss of all its workers.
+    struct LostTransport(NetworkMetrics);
+
+    impl Transport for LostTransport {
+        fn num_workers(&self) -> usize {
+            2
+        }
+        fn metrics(&self) -> &NetworkMetrics {
+            &self.0
+        }
+        fn is_worker_alive(&self, _: usize) -> bool {
+            true
+        }
+        fn send(&self, _: usize, _: QueryId, _: Bytes, _: bool) -> Result<(), ClusterError> {
+            Ok(())
+        }
+        fn recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
+            Err(ClusterError::AllWorkersLost)
+        }
+        fn recv_timeout(&self, _: Duration) -> Result<(usize, QueryId, Bytes), ClusterError> {
+            self.recv()
+        }
+        fn try_recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
+            self.recv()
+        }
+        fn recv_for(&self, _: QueryId) -> Result<(usize, Bytes), ClusterError> {
+            Err(ClusterError::AllWorkersLost)
+        }
+        fn recv_for_timeout(
+            &self,
+            q: QueryId,
+            _: Duration,
+        ) -> Result<(usize, Bytes), ClusterError> {
+            self.recv_for(q)
+        }
+        fn shutdown(&mut self) {}
+    }
+
+    /// A receive that reports the plane gone fails every live session
+    /// typed, whichever scheduler step issued it: `wait` without a timer
+    /// (`try_recv`), `wait` with one (`recv_timeout`) and `poll`.
+    #[test]
+    fn transport_loss_fails_every_live_session_typed() {
+        let lost = Some(MpqError::Cluster(ClusterError::AllWorkersLost));
+        let retries = [
+            RetryPolicy::DISABLED,
+            RetryPolicy::with_timeout(4, Duration::from_millis(5)),
+        ];
+        for retry in retries {
+            let config = MpqConfig {
+                retry,
+                ..MpqConfig::default()
+            };
+            let transport = Box::new(LostTransport(NetworkMetrics::with_workers(2)));
+            let mut svc = MpqService::with_transport(transport, config).unwrap();
+            let q = query(5, 33);
+            let submit =
+                |svc: &mut MpqService| svc.submit(&q, PlanSpace::Linear, Objective::Single);
+            let (a, b) = (submit(&mut svc).unwrap(), submit(&mut svc).unwrap());
+            assert_eq!(svc.wait(a).err(), lost);
+            assert_eq!(svc.in_flight(), 0, "the other session failed with it");
+            assert_eq!(svc.poll(&b).map(Result::err), Some(lost.clone()));
+            let c = submit(&mut svc).unwrap();
+            assert_eq!(svc.poll(&c).map(Result::err), Some(lost.clone()));
+            assert_eq!((svc.in_flight(), svc.parked_results()), (0, 0));
+            svc.shutdown();
+        }
     }
 
     /// Regression (ISSUE 5 satellite): malformed submissions are typed

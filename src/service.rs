@@ -14,11 +14,10 @@
 //!
 //! The handle lifecycle itself — one handle type, admission, parking,
 //! reaping, exactly-once redemption — is [`mpq_cluster::session`]'s for
-//! every backend: the cluster backend is a
-//! [`SessionService`](mpq_cluster::SessionService), and the
-//! single-node backends, which complete every query at submission and
-//! have no transport, park their results in a bare
-//! [`SessionTable`]. Their in-flight count never exceeds zero, so
+//! every backend: the cluster backend, [`MpqService`], keeps its live
+//! sessions in a [`SessionTable`], and the single-node backends, which
+//! complete every query at submission and have no transport, park their
+//! results in a bare one. Their in-flight count never exceeds zero, so
 //! admission ([`ServiceConfig::max_in_flight`]) never refuses them.
 //!
 //! A **flight table** sits on top whenever in-flight coalescing or the
