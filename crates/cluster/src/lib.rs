@@ -30,7 +30,7 @@
 //!
 //! Beside the message plane sits the master-side **session table**
 //! ([`session`]): one handle type and one admission/park/reap table,
-//! shared by the MPQ master and the facade's single-node backends.
+//! shared by the MPQ master and the facade's flight table.
 //!
 //! **Deterministic faults** — worker crashes (before or after replying),
 //! dropped replies and stragglers — come from a seed-driven [`FaultPlan`]

@@ -157,7 +157,7 @@ impl NetworkMetrics {
             .fetch_add(bytes_saved, Ordering::Relaxed);
     }
 
-    /// Records a cross-query cache miss (the query went to the backend).
+    /// Records a cross-query cache miss (the query went to the workers).
     pub fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -254,7 +254,7 @@ pub struct NetworkSnapshot {
     /// Cross-query result-cache hits of the service facade in front of
     /// this plane: queries answered without a message.
     pub cache_hits: u64,
-    /// Cross-query result-cache misses: queries sent to the backend.
+    /// Cross-query result-cache misses: queries sent to the workers.
     pub cache_misses: u64,
     /// Approximate bytes of finished results served from the cache
     /// instead of being recomputed.

@@ -67,51 +67,18 @@ impl AbandonedList {
         }
     }
 
-    /// Takes every queued id, leaving the list empty. The returned order
-    /// is push order, which depends on handle-drop timing — use
-    /// [`AbandonedList::drain_ordered`] when the reaping order must be
-    /// reproducible.
-    pub fn drain(&self) -> Vec<u64> {
-        match self.0.lock() {
+    /// Takes every queued id in **canonical order** (ascending session
+    /// id, duplicates preserved), leaving the list empty. Push order
+    /// depends on when each handle happened to be dropped — an accident
+    /// of caller timing — so services reap in this order instead, making
+    /// the drop lifecycle replayable under the schedule-space model
+    /// checker.
+    pub fn drain_ordered(&self) -> Vec<u64> {
+        let mut ids = match self.0.lock() {
             Ok(mut list) => std::mem::take(&mut *list),
             Err(_) => Vec::new(),
-        }
-    }
-
-    /// Takes every queued id in **canonical order** (ascending session
-    /// id, duplicates preserved). Push order depends on when each handle
-    /// happened to be dropped — an accident of caller timing — so
-    /// services reap in this order instead, making the drop lifecycle
-    /// replayable under the schedule-space model checker.
-    pub fn drain_ordered(&self) -> Vec<u64> {
-        let mut ids = self.drain();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Takes every queued id in a **seeded deterministic order**: the
-    /// canonical ascending order permuted by a splitmix-driven
-    /// Fisher–Yates shuffle of `seed`. The model checker uses this to
-    /// *explore* reaping orders reproducibly; `seed == 0` is the identity
-    /// permutation (canonical order).
-    pub fn drain_seeded(&self, seed: u64) -> Vec<u64> {
-        let mut ids = self.drain_ordered();
-        if seed == 0 || ids.len() < 2 {
-            return ids;
-        }
-        let mut state = seed;
-        let mut next = move || {
-            // splitmix64: full-period, dependency-free.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
         };
-        for i in (1..ids.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            ids.swap(i, j);
-        }
+        ids.sort_unstable();
         ids
     }
 }

@@ -6,8 +6,8 @@
 //! minting, admission, live sessions, the bounded result park, ordered
 //! reaping, exactly-once redemption). The MPQ master
 //! (`mpq_algo::MpqService`) keeps its in-flight sessions in one; the
-//! facade's single-node backends, which finish at submission and have no
-//! transport, park their results in one.
+//! facade's flight table (`pqopt::service`) keeps the members of its
+//! coalitions in another.
 //!
 //! Results are delivered **exactly once** per handle: a redeemed id is
 //! gone from the park, so `poll` on a spent handle is `None` and `wait` on

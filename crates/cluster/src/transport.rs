@@ -85,13 +85,6 @@ pub trait Transport: Send {
     /// or a dead node.
     fn is_worker_alive(&self, id: usize) -> bool;
 
-    /// Ids of workers that are no longer reachable.
-    fn dead_workers(&self) -> Vec<usize> {
-        (0..self.num_workers())
-            .filter(|&id| !self.is_worker_alive(id))
-            .collect()
-    }
-
     /// Sends a serialized message to worker `id` on behalf of session
     /// `query`. `is_assignment` marks task-assignment messages; every
     /// plane ignores it (none simulates a launch overhead). It stays, with
@@ -130,7 +123,7 @@ pub trait Transport: Send {
     ///
     /// Blocks indefinitely: if the session's worker can crash while other
     /// workers stay alive, the awaited reply may never come. Use
-    /// [`Transport::recv_for_timeout`] plus [`Transport::dead_workers`]
+    /// [`Transport::recv_for_timeout`] plus [`Transport::is_worker_alive`]
     /// whenever faults are possible. No master calls either (the MPQ
     /// master routes replies itself); both stay because the frozen
     /// `benchmark/` harness's transport wrapper implements them

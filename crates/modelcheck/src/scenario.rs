@@ -37,7 +37,7 @@ use mpq_dp::optimize_serial;
 use mpq_model::{Query, WorkloadConfig, WorkloadGenerator};
 use mpq_partition::{effective_workers, PlanSpace};
 use mpq_plan::Plan;
-use pqopt::service::{Backend, OptimizerService, ServiceConfig, ServiceError};
+use pqopt::service::{OptimizerService, ServiceConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -57,22 +57,22 @@ pub enum Kind {
         /// every session fans out, whatever the others hold.
         assigned: bool,
     },
-    /// Coalescing [`OptimizerService`] over the MPQ backend: one query
-    /// submitted twice (leader + follower), then a distinct drain query
-    /// that also forces abandoned-handle reaping.
+    /// Coalescing [`OptimizerService`] over MPQ: one query submitted
+    /// twice (leader + follower), then a distinct drain query that also
+    /// forces abandoned-handle reaping.
     Coalesce {
         /// Drop the leader's handle unredeemed — the follower must
         /// still redeem the shared result (leader-drop promotion).
         drop_leader: bool,
-        /// The MPQ backend's recovery policy.
+        /// The MPQ service's recovery policy.
         retry: RetryPolicy,
     },
     /// [`OptimizerService`] with `max_in_flight = 1`: the second
     /// submission must be refused with the typed `Overloaded`, and a
     /// resubmission after capacity frees must be admitted.
     Admission,
-    /// Caching [`OptimizerService`] over the MPQ backend: one query run
-    /// to completion, then submitted twice more — once redeemed, once
+    /// Caching [`OptimizerService`] over MPQ: one query run to
+    /// completion, then submitted twice more — once redeemed, once
     /// dropped — then a distinct drain query that forces the reap.
     Cache,
 }
@@ -460,16 +460,6 @@ fn mpq_recovery_error(e: &MpqError) -> bool {
     )
 }
 
-/// Same at the facade.
-fn facade_recovery_error(e: &ServiceError) -> bool {
-    match e {
-        ServiceError::Mpq(e) => mpq_recovery_error(e),
-        ServiceError::UnknownHandle
-        | ServiceError::BadRequest { .. }
-        | ServiceError::Overloaded { .. } => false,
-    }
-}
-
 fn drive(scenario: &Scenario, transport: Box<dyn Transport>) -> Result<(), String> {
     match scenario.kind {
         Kind::Mpq {
@@ -590,7 +580,7 @@ fn redeem(
     match service.wait(handle) {
         Ok(plans) => check_exact(query, &plans),
         Err(e) if fault_free => Err(format!("fault-free schedule failed: {e}")),
-        Err(e) if facade_recovery_error(&e) => Ok(()),
+        Err(e) if mpq_recovery_error(&e) => Ok(()),
         Err(e) => Err(format!("non-recovery failure under faults: {e}")),
     }
 }
@@ -601,7 +591,7 @@ fn drive_coalesce(
     drop_leader: bool,
     retry: RetryPolicy,
 ) -> Result<(), String> {
-    let mut config = ServiceConfig::new(Backend::Mpq, scenario.workers);
+    let mut config = ServiceConfig::new(scenario.workers);
     config.coalesce = true;
     config.mpq.retry = retry;
     let mut service = OptimizerService::with_transport(config, transport)
@@ -659,7 +649,7 @@ fn drive_coalesce(
 }
 
 fn drive_admission(scenario: &Scenario, transport: Box<dyn Transport>) -> Result<(), String> {
-    let mut config = ServiceConfig::new(Backend::Mpq, scenario.workers);
+    let mut config = ServiceConfig::new(scenario.workers);
     config.max_in_flight = 1;
     let mut service = OptimizerService::with_transport(config, transport)
         .map_err(|e| format!("service construction failed: {e}"))?;
@@ -676,7 +666,7 @@ fn drive_admission(scenario: &Scenario, transport: Box<dyn Transport>) -> Result
     // At the limit the second submission must be the *typed* refusal —
     // not queued, not a panic, not any other error.
     match service.submit(&qs[1], PlanSpace::Linear, Objective::Single) {
-        Err(ServiceError::Overloaded {
+        Err(MpqError::Overloaded {
             in_flight: 1,
             limit: 1,
         }) => {}
@@ -705,7 +695,7 @@ fn drive_admission(scenario: &Scenario, transport: Box<dyn Transport>) -> Result
 }
 
 fn drive_cache(scenario: &Scenario, transport: Box<dyn Transport>) -> Result<(), String> {
-    let config = ServiceConfig::with_cache(Backend::Mpq, scenario.workers, 1 << 20);
+    let config = ServiceConfig::with_cache(scenario.workers, 1 << 20);
     let mut service = OptimizerService::with_transport(config, transport)
         .map_err(|e| format!("service construction failed: {e}"))?;
     let qs = queries(scenario, 2);

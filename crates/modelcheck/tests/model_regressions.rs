@@ -202,8 +202,7 @@ fn explored_space_fingerprint_is_pinned() {
 }
 
 /// Deterministic reaping: `drain_ordered` is ascending regardless of
-/// push order, and `drain_seeded` is a pure function of the seed with
-/// seed 0 as the identity permutation.
+/// push order, duplicates kept, and leaves the list empty.
 #[test]
 fn abandoned_list_reaping_is_deterministic() {
     let ordered = AbandonedList::new();
@@ -212,27 +211,4 @@ fn abandoned_list_reaping_is_deterministic() {
     }
     assert_eq!(ordered.drain_ordered(), vec![3, 3, 5, 7, 11]);
     assert_eq!(ordered.drain_ordered(), Vec::<u64>::new());
-
-    let identity = AbandonedList::new();
-    for id in [9u64, 1, 4] {
-        identity.push(id);
-    }
-    assert_eq!(identity.drain_seeded(0), vec![1, 4, 9]);
-
-    let seeded_a = AbandonedList::new();
-    let seeded_b = AbandonedList::new();
-    for id in [9u64, 1, 4, 6, 2] {
-        seeded_a.push(id);
-    }
-    // Different push order, same contents: the seeded permutation only
-    // depends on contents + seed, never on drop timing.
-    for id in [2u64, 6, 9, 4, 1] {
-        seeded_b.push(id);
-    }
-    let a = seeded_a.drain_seeded(0xfeed);
-    let b = seeded_b.drain_seeded(0xfeed);
-    assert_eq!(a, b, "seeded drain must ignore push order");
-    let mut sorted = a.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, vec![1, 2, 4, 6, 9], "a permutation, not a filter");
 }

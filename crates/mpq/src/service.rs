@@ -5,7 +5,7 @@
 //! [`MpqService`] keeps the shared-nothing cluster standing and streams
 //! queries through it. It is the whole master: `submit` / `poll` /
 //! `wait` over one [`SessionTable`] (handles, admission, parking, reaping
-//! — the table the facade's single-node backends share), which task
+//! — the table the facade's flight table shares), which task
 //! messages a submission sends, how a reply or progress report advances
 //! its session, and the scheduler passes that interleave straggler
 //! suspicion and task re-issue across **all** in-flight sessions. Every

@@ -35,8 +35,7 @@ fn main() {
 
     // Resident mode: spawn once, submit everything, poll to completion.
     let t0 = Instant::now();
-    let mut service =
-        OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, WORKERS)).expect("spawn");
+    let mut service = OptimizerService::spawn(ServiceConfig::new(WORKERS)).expect("spawn");
     let mut handles: Vec<(usize, ServiceHandle)> = queries
         .iter()
         .enumerate()
@@ -78,8 +77,7 @@ fn main() {
     // Spawn-per-query mode: the same workload, a fresh cluster each time.
     let t0 = Instant::now();
     for q in &queries {
-        let mut one_shot =
-            OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, WORKERS)).expect("spawn");
+        let mut one_shot = OptimizerService::spawn(ServiceConfig::new(WORKERS)).expect("spawn");
         one_shot
             .optimize(q, PlanSpace::Linear, Objective::Single)
             .expect("optimize");

@@ -5,13 +5,12 @@
 //!                 [--space linear|bushy] [--workers M] [--seed S]
 //!                 [--multi ALPHA] [--execute]
 //! pqopt serve     [--queries N] [--clients C] [--workers M]
-//!                 [--backend serial|topdown|mpq]
 //!                 resident service vs spawn-per-query throughput
 //! pqopt compare   [--tables N] [--workers M] [--seed S]       MPQ vs SMA
 //! pqopt scaling   [--tables N] [--max-workers M] [--seed S]   exact work per worker count
 //! pqopt partitions [--tables N] [--space linear|bushy] [--workers M]
 //!                 show the constraint sets of every partition
-//! pqopt worker    --listen ADDR [--backend mpq]
+//! pqopt worker    --listen ADDR
 //!                 run one worker process serving a socket master
 //! ```
 //!
@@ -79,23 +78,21 @@ options:
 serve options:
   --queries N       queries to stream through the service   (default 64, must be > 0)
   --clients C       concurrent in-flight submissions        (default 8, must be > 0)
-  --backend B       serial|topdown|mpq                      (default mpq)
   --cache-bytes N   the service's result-cache budget, bytes (default 0 = disabled)
-  --max-in-flight N admission limit: most sessions the backend keeps in flight;
+  --max-in-flight N admission limit: most sessions the cluster keeps in flight;
                     further submissions park until capacity frees
                     (must be > 0 when given; default unlimited)
   --repeat P        percent of the serve stream drawn from a small hot set of
                     repeated queries (0-100, default 0)
-  --coalesce        coalesce identical in-flight submissions onto one backend
+  --coalesce        coalesce identical in-flight submissions onto one
                     optimization (needs --clients >= 2 and --repeat >= 1)
-  --steal           straggler-adaptive work redistribution on the MPQ backend
+  --steal           straggler-adaptive work redistribution
   --connect A,B,..  drive already-running `pqopt worker` processes at these
                     addresses (host:port or unix:/path) over real sockets;
-                    resident mode only, cluster backend (mpq) only
+                    resident mode only
 worker options:
   --listen ADDR     address to serve one master on (host:port or unix:/path;
-                    TCP port 0 picks a free port, printed on stdout)
-  --backend B       mpq                                     (default mpq)";
+                    TCP port 0 picks a free port, printed on stdout)";
 
 #[derive(Debug)]
 struct Options {
@@ -109,7 +106,6 @@ struct Options {
     execute: bool,
     queries: usize,
     clients: usize,
-    backend: Backend,
     cache_bytes: usize,
     steal: bool,
     max_in_flight: usize,
@@ -132,7 +128,6 @@ impl Options {
             execute: false,
             queries: 64,
             clients: 8,
-            backend: Backend::Mpq,
             cache_bytes: 0,
             steal: false,
             max_in_flight: 0,
@@ -210,14 +205,6 @@ impl Options {
                         .collect();
                     if o.connect.is_empty() {
                         return Err("--connect needs at least one address".into());
-                    }
-                }
-                "--backend" => {
-                    o.backend = match value("--backend")?.as_str() {
-                        "serial" => Backend::SerialDp,
-                        "topdown" => Backend::TopDown,
-                        "mpq" => Backend::Mpq,
-                        b => return Err(format!("unknown backend `{b}`")),
                     }
                 }
                 f => return Err(format!("unknown flag `{f}`")),
@@ -331,13 +318,12 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let queries = serve_workload(o);
     let config = service_config(o, o.workers as usize);
     println!(
-        "serving {} queries ({} tables, {:?} graph, {}% repeated) on backend `{}`, {} workers, \
-         {} clients, cache {} bytes, steal {}, in-flight limit {}, coalescing {}",
+        "serving {} queries ({} tables, {:?} graph, {}% repeated) on {} workers, {} clients, \
+         cache {} bytes, steal {}, in-flight limit {}, coalescing {}",
         queries.len(),
         o.tables,
         o.graph,
         o.repeat,
-        o.backend.name(),
         o.workers,
         clients,
         o.cache_bytes,
@@ -422,7 +408,6 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
 /// engine's switch, and `--max-in-flight` the facade's one admission limit.
 fn service_config(o: &Options, workers: usize) -> ServiceConfig {
     ServiceConfig {
-        backend: o.backend,
         workers,
         mpq: MpqConfig {
             steal: o.steal,
@@ -431,6 +416,7 @@ fn service_config(o: &Options, workers: usize) -> ServiceConfig {
         cache_bytes: o.cache_bytes,
         max_in_flight: o.max_in_flight,
         coalesce: o.coalesce,
+        ..ServiceConfig::default()
     }
 }
 
@@ -526,9 +512,9 @@ fn run_resident(
 /// What the resident run did: what it put on the wire per query — the
 /// numbers the benchmark reports as `mpq.msgs_per_query` and
 /// `net_bytes_per_query`, which show how the master placed the stream
-/// (the single-node backends have no network and print no such line) and,
-/// with `--steal`, the steals and worker progress reports behind them —
-/// then what the result cache and the coalescer saved, when enabled.
+/// and, with `--steal`, the steals and worker progress reports behind
+/// them — then what the result cache and the coalescer saved, when
+/// enabled.
 fn print_service(service: &OptimizerService, queries: usize, o: &Options) {
     if let Some(net) = service.network_snapshot() {
         let per_query = |v: u64| v as f64 / queries.max(1) as f64;
@@ -561,7 +547,7 @@ fn print_service(service: &OptimizerService, queries: usize, o: &Options) {
     if o.coalesce {
         let coalesce = service.coalesce_stats();
         println!(
-            "coalescing: {} session(s) shared a flight, {} backend optimization(s) saved",
+            "coalescing: {} session(s) shared a flight, {} optimization(s) saved",
             coalesce.coalesced_sessions, coalesce.saved_optimizations
         );
     }
@@ -584,12 +570,10 @@ fn cmd_serve_sockets(o: &Options) -> Result<(), String> {
     let queries = serve_workload(o);
     let config = service_config(o, addrs.len());
     println!(
-        "serving {} queries ({} tables, {:?} graph) on backend `{}` over {} socket workers, \
-         {} clients",
+        "serving {} queries ({} tables, {:?} graph) over {} socket workers, {} clients",
         queries.len(),
         o.tables,
         o.graph,
-        o.backend.name(),
         addrs.len(),
         o.clients,
     );
@@ -646,13 +630,8 @@ fn cmd_worker(o: &Options) -> Result<(), String> {
     // pipes are block-buffered, so flush past the buffering.
     use std::io::Write;
     let _ = std::io::stdout().flush();
-    let served = match o.backend {
-        Backend::Mpq => pqopt::mpq::serve_socket_worker(&listener, 0, ParallelPolicy::serial()),
-        Backend::SerialDp | Backend::TopDown => {
-            return Err("worker requires the cluster backend (--backend mpq)".into())
-        }
-    };
-    served.map_err(|e| format!("worker terminated abnormally: {e}"))
+    pqopt::mpq::serve_socket_worker(&listener, 0, ParallelPolicy::serial())
+        .map_err(|e| format!("worker terminated abnormally: {e}"))
 }
 
 fn cmd_compare(o: &Options) -> Result<(), String> {
@@ -807,20 +786,6 @@ mod tests {
             let err = parse(&[flag, "2"]).unwrap_err();
             assert_eq!(err, format!("unknown flag `{flag}`"));
         }
-    }
-
-    /// SMA is measured by `compare`, never served: `--backend` names only
-    /// the three service backends.
-    #[test]
-    fn backend_names_the_three_service_backends() {
-        for backend in Backend::ALL {
-            assert_eq!(
-                parse(&["--backend", backend.name()]).unwrap().backend,
-                backend
-            );
-        }
-        let err = parse(&["--backend", "sma"]).unwrap_err();
-        assert_eq!(err, "unknown backend `sma`");
     }
 
     #[test]

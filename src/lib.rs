@@ -14,8 +14,8 @@
 //! * [`mpq`] — the MPQ master/worker algorithm (the paper's contribution);
 //! * [`sma`] — the fine-grained shared-memory-style baseline;
 //! * [`service`] — the persistent [`service::OptimizerService`]: one
-//!   long-lived cluster multiplexing many concurrent queries behind the
-//!   unified [`service::Optimizer`] trait.
+//!   long-lived MPQ cluster multiplexing many concurrent queries, with
+//!   in-flight coalescing and a result cache on top.
 //!
 //! ## Quickstart
 //!
@@ -42,7 +42,7 @@
 //! ```
 //! use pqopt::prelude::*;
 //!
-//! let mut service = OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, 4)).unwrap();
+//! let mut service = OptimizerService::spawn(ServiceConfig::new(4)).unwrap();
 //! let mut gen = WorkloadGenerator::new(WorkloadConfig::paper_default(8), 7);
 //! // Many queries in flight at once on the same four workers.
 //! let handles: Vec<_> = (0..4)
@@ -76,8 +76,7 @@ pub use mpq_sma as sma;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::service::{
-        Backend, CoalesceStats, Optimizer, OptimizerService, ServiceConfig, ServiceError,
-        ServiceHandle,
+        Backend, CoalesceStats, OptimizerService, ServiceConfig, ServiceHandle,
     };
     pub use mpq_algo::{MpqConfig, MpqError, MpqOptimizer, MpqOutcome, MpqService, RetryPolicy};
     pub use mpq_cluster::{ClusterError, FaultPlan, NetworkMetrics, QueryId};

@@ -3,7 +3,7 @@
 //! Arbitrary interleavings of `submit` / `submit_wait` / `poll` / `wait`
 //! / handle drops against a bounded service must uphold four invariants:
 //!
-//! 1. the backend never exceeds `max_in_flight` sessions, at any point
+//! 1. the cluster never exceeds `max_in_flight` sessions, at any point
 //!    of any interleaving;
 //! 2. every admitted session either completes with a result or fails
 //!    with a **typed** error — none is silently lost;
@@ -22,7 +22,7 @@
 use pqopt::cost::Objective;
 use pqopt::model::{Query, WorkloadConfig, WorkloadGenerator};
 use pqopt::partition::PlanSpace;
-use pqopt::prelude::{Backend, OptimizerService, ServiceConfig, ServiceError, ServiceHandle};
+use pqopt::prelude::{MpqError, OptimizerService, ServiceConfig, ServiceHandle};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -91,7 +91,7 @@ fn drive(
                     admitted += 1;
                     pending.push_back(handle);
                 }
-                Err(ServiceError::Overloaded {
+                Err(MpqError::Overloaded {
                     in_flight,
                     limit: l,
                 }) => {
@@ -164,15 +164,14 @@ fn drive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
-    /// The four admission invariants hold for every interleaving on the
-    /// cluster backend.
+    /// The four admission invariants hold for every interleaving.
     #[test]
     fn interleavings_never_exceed_the_budget(
         seed in any::<u64>(),
         limit in 1usize..4,
         ops in proptest::collection::vec(arb_op(), 1..24),
     ) {
-        let mut svc = OptimizerService::spawn(ServiceConfig::with_admission(Backend::Mpq, 3, limit))
+        let mut svc = OptimizerService::spawn(ServiceConfig::with_admission(3, limit))
             .expect("bounded service spawns");
         let queries = query_pool(seed);
         let (admitted, completed, _refused) = drive(&mut svc, &queries, &ops, limit)?;
@@ -190,35 +189,13 @@ proptest! {
         limit in 1usize..3,
         ops in proptest::collection::vec(arb_op(), 1..16),
     ) {
-        let mut config = ServiceConfig::with_admission(Backend::Mpq, 3, limit);
+        let mut config = ServiceConfig::with_admission(3, limit);
         config.coalesce = true;
         let mut svc = OptimizerService::spawn(config).expect("spawn");
         // One hot query: most submissions coalesce onto in-flight leaders.
         let queries = vec![query_pool(seed).swap_remove(0)];
         let (admitted, completed, _refused) = drive(&mut svc, &queries, &ops, limit)?;
         prop_assert!(completed <= admitted);
-        svc.shutdown();
-    }
-}
-
-/// The single-node backends complete at submission, so no budget ever
-/// refuses them — `Overloaded` is structurally unreachable there.
-#[test]
-fn immediate_backends_are_never_refused() {
-    for backend in [Backend::SerialDp, Backend::TopDown] {
-        let mut svc =
-            OptimizerService::spawn(ServiceConfig::with_admission(backend, 1, 1)).expect("spawn");
-        let q = WorkloadGenerator::new(WorkloadConfig::paper_default(5), 51).next_query();
-        let handles: Vec<ServiceHandle> = (0..8)
-            .map(|_| {
-                svc.submit(&q, PlanSpace::Linear, Objective::Single)
-                    .expect("immediate backends always admit")
-            })
-            .collect();
-        assert_eq!(svc.in_flight(), 0, "backend {}", backend.name());
-        for handle in handles {
-            svc.wait(handle).expect("parked result redeems");
-        }
         svc.shutdown();
     }
 }

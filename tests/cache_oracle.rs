@@ -1,12 +1,13 @@
 //! Differential cache-oracle suite: the cross-query memo cache must be
 //! **provably transparent**.
 //!
-//! For 50 seeded query streams and all three backends, three runs of the
-//! identical stream — cache-disabled, cache-enabled cold, cache-enabled
-//! warm (the whole stream replayed on the now-hot service) — must produce
-//! **byte-identical** plans: equal cost bit patterns, equal Pareto
-//! frontiers, equal plan trees. A cache that changes any bit of any
-//! answer is a wrong cache, however fast.
+//! For 50 seeded query streams, three runs of the identical stream —
+//! cache-disabled, cache-enabled cold, cache-enabled warm (the whole
+//! stream replayed on the now-hot service) — must agree: equal cost bit
+//! patterns and equal Pareto frontiers across all three, and every hit
+//! **byte-identical** to the answer it stores, plan trees included. A
+//! cache that changes any bit of any answer is a wrong cache, however
+//! fast.
 //!
 //! On top of the stream oracle, a property test interleaves catalog-
 //! statistics mutations with optimizations and checks that a cached
@@ -25,7 +26,7 @@ use pqopt::cost::Objective;
 use pqopt::dp::optimize_serial;
 use pqopt::model::{JoinGraph, Query, TableStats, WorkloadConfig, WorkloadGenerator};
 use pqopt::partition::PlanSpace;
-use pqopt::prelude::{Backend, Optimizer, OptimizerService, Plan, ServiceConfig};
+use pqopt::prelude::{OptimizerService, Plan, ServiceConfig};
 use proptest::prelude::*;
 
 const STREAMS: u64 = 50;
@@ -66,7 +67,7 @@ fn canonical_bytes(plans: &[Plan]) -> Vec<Vec<u8>> {
 }
 
 /// The sorted cost bit patterns of a plan list — the "byte-identical
-/// costs and Pareto frontiers" contract that holds for *every* backend.
+/// costs and Pareto frontiers" contract of every answer.
 fn canonical_cost_bits(plans: &[Plan]) -> Vec<(u64, u64)> {
     let mut bits: Vec<(u64, u64)> = plans
         .iter()
@@ -76,103 +77,96 @@ fn canonical_cost_bits(plans: &[Plan]) -> Vec<(u64, u64)> {
     bits
 }
 
-/// Byte-identical plan-list equality. Costs and frontiers are compared
-/// bitwise for every backend. Full plan *trees* are compared only when
-/// `deterministic_trees` holds: MPQ's tree tie-breaks between equal-cost
-/// plans from different partitions depend on reply arrival order even
-/// with the cache disabled, so cross-run tree equality is not MPQ's
-/// contract — equal cost bits are.
-fn assert_identical(a: &[Plan], b: &[Plan], deterministic_trees: bool, ctx: &str) {
+/// Equal cost bits and Pareto frontiers: the contract between any two
+/// runs. Plan *trees* are not compared: MPQ's tie-breaks between
+/// equal-cost plans from different partitions depend on reply arrival
+/// order even with the cache disabled.
+fn assert_same_costs(a: &[Plan], b: &[Plan], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: plan counts differ");
     assert_eq!(
         canonical_cost_bits(a),
         canonical_cost_bits(b),
         "{ctx}: cost bit patterns differ"
     );
-    if deterministic_trees {
-        assert_eq!(
-            canonical_bytes(a),
-            canonical_bytes(b),
-            "{ctx}: serialized plans differ"
-        );
-    }
+}
+
+/// Byte-identical plan lists, trees included: the contract between a
+/// cache hit and the answer it stores.
+fn assert_same_bytes(a: &[Plan], b: &[Plan], ctx: &str) {
+    assert_same_costs(a, b, ctx);
+    assert_eq!(
+        canonical_bytes(a),
+        canonical_bytes(b),
+        "{ctx}: serialized plans differ"
+    );
 }
 
 /// Runs every stream through one cache-disabled and one cache-enabled
-/// resident service per backend, in cold and warm passes, asserting
-/// byte-identical results throughout.
-fn oracle_over_backends(space: PlanSpace, objective: Objective, max_tables: usize) {
-    for backend in Backend::ALL {
-        let mut disabled =
-            OptimizerService::spawn(ServiceConfig::new(backend, 3)).expect("disabled spawns");
-        let mut cached =
-            OptimizerService::spawn(ServiceConfig::with_cache(backend, 3, CACHE_BUDGET))
-                .expect("cached spawns");
-        for stream in 0..STREAMS {
-            let queries = stream_queries(stream);
-            if queries[0].num_tables() > max_tables {
-                continue;
-            }
-            let reference: Vec<Vec<Plan>> = queries
-                .iter()
-                .map(|q| {
-                    disabled
-                        .optimize(q, space, objective)
-                        .expect("disabled run")
-                })
-                .collect();
-            for (pass, label) in [(0, "cold"), (1, "warm")] {
-                let _ = pass;
-                for (i, q) in queries.iter().enumerate() {
-                    let got = cached.optimize(q, space, objective).expect("cached run");
-                    assert_identical(
-                        &got,
-                        &reference[i],
-                        backend != Backend::Mpq,
-                        &format!(
-                            "backend {} stream {stream} query {i} ({label} pass)",
-                            backend.name()
-                        ),
-                    );
-                }
-            }
+/// resident service, in cold and warm passes: every answer costs what
+/// the disabled run's does, and every warm answer — a hit — is
+/// byte-identical to the same service's cold answer.
+fn oracle(space: PlanSpace, objective: Objective, max_tables: usize) {
+    let mut disabled = OptimizerService::spawn(ServiceConfig::new(3)).expect("disabled spawns");
+    let mut cached =
+        OptimizerService::spawn(ServiceConfig::with_cache(3, CACHE_BUDGET)).expect("cached spawns");
+    for stream in 0..STREAMS {
+        let queries = stream_queries(stream);
+        if queries[0].num_tables() > max_tables {
+            continue;
         }
-        let stats = cached.cache_stats();
-        assert!(
-            stats.hits > 0,
-            "backend {}: the warm passes must actually hit the cache",
-            backend.name()
-        );
-        assert_eq!(
-            disabled.cache_stats().hits + disabled.cache_stats().misses,
-            0,
-            "backend {}: the disabled service must never touch a cache",
-            backend.name()
-        );
-        disabled.shutdown();
-        cached.shutdown();
+        let mut cold: Vec<Vec<Plan>> = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let ctx = format!("stream {stream} query {i} (cold pass)");
+            let reference = disabled
+                .optimize(q, space, objective)
+                .expect("disabled run");
+            let got = cached.optimize(q, space, objective).expect("cached run");
+            assert_same_costs(&got, &reference, &ctx);
+            cold.push(got);
+        }
+        // The stream's last query repeats its first: a same-pass hit.
+        let last = queries.len() - 1;
+        let ctx = format!("stream {stream}: cold-pass repeat");
+        assert_same_bytes(&cold[last], &cold[0], &ctx);
+        for (i, q) in queries.iter().enumerate() {
+            let ctx = format!("stream {stream} query {i} (warm pass)");
+            let got = cached.optimize(q, space, objective).expect("cached run");
+            assert_same_bytes(&got, &cold[i], &ctx);
+        }
     }
+    let stats = cached.cache_stats();
+    assert!(
+        stats.hits > 0,
+        "the warm passes must actually hit the cache"
+    );
+    assert_eq!(
+        disabled.cache_stats().hits + disabled.cache_stats().misses,
+        0,
+        "the disabled service must never touch a cache"
+    );
+    disabled.shutdown();
+    cached.shutdown();
 }
 
 /// Single-objective oracle: cold, warm and disabled agree bitwise on the
-/// optimal plan for every stream and backend.
+/// optimal plan for every stream.
 #[test]
 fn cold_warm_disabled_agree_single_objective() {
-    oracle_over_backends(PlanSpace::Linear, Objective::Single, usize::MAX);
+    oracle(PlanSpace::Linear, Objective::Single, usize::MAX);
 }
 
 /// Bushy spaces go through different split enumeration; the oracle must
 /// hold there too (small queries keep it cheap).
 #[test]
 fn cold_warm_disabled_agree_bushy() {
-    oracle_over_backends(PlanSpace::Bushy, Objective::Single, 5);
+    oracle(PlanSpace::Bushy, Objective::Single, 5);
 }
 
 /// Multi-objective oracle: the full Pareto frontier — not just the best
-/// cost — is byte-identical across cold, warm and disabled runs.
+/// cost — agrees bitwise across cold, warm and disabled runs.
 #[test]
 fn cold_warm_disabled_agree_on_pareto_frontiers() {
-    oracle_over_backends(PlanSpace::Linear, Objective::Multi { alpha: 1.0 }, 5);
+    oracle(PlanSpace::Linear, Objective::Multi { alpha: 1.0 }, 5);
 }
 
 /// One mutation step of the epoch-invalidation property.
@@ -203,31 +197,21 @@ proptest! {
 
     /// Epoch invalidation: no interleaving of catalog-statistics
     /// mutations and queries ever serves a pre-mutation entry — every
-    /// answer out of the cached services equals a fresh serial-DP run on
-    /// the catalog as it stands at that moment, bit for bit.
+    /// answer out of the cached service costs what a fresh serial-DP run
+    /// on the catalog as it stands at that moment does, bit for bit, and
+    /// the warm answer is byte-identical to the cold one.
     #[test]
     fn mutation_interleavings_never_serve_stale_entries(
         qseed in any::<u64>(),
         ops in proptest::collection::vec(arb_op(), 1..14),
     ) {
         let space = PlanSpace::Linear;
-        let mut serial_svc = OptimizerService::spawn(ServiceConfig::with_cache(
-            Backend::SerialDp,
-            1,
-            CACHE_BUDGET,
-        ))
-        .expect("serial service spawns");
-        let mut mpq_svc = OptimizerService::spawn(ServiceConfig::with_cache(
-            Backend::Mpq,
-            3,
-            CACHE_BUDGET,
-        ))
-        .expect("mpq service spawns");
+        let mut svc = OptimizerService::spawn(ServiceConfig::with_cache(3, CACHE_BUDGET))
+            .expect("service spawns");
         let mut query =
             WorkloadGenerator::new(WorkloadConfig::paper_default(5), qseed).next_query();
-        // Warm both services so later stale entries would exist to serve.
-        let _ = serial_svc.optimize(&query, space, Objective::Single);
-        let _ = mpq_svc.optimize(&query, space, Objective::Single);
+        // Warm the service so later stale entries would exist to serve.
+        let _ = svc.optimize(&query, space, Objective::Single);
         for op in ops.iter().chain([Op::Check].iter()) {
             match *op {
                 Op::Mutate { table, cardinality } => {
@@ -240,37 +224,24 @@ proptest! {
                 Op::Check => {
                     let reference =
                         optimize_serial(&query, space, Objective::Single).plans;
-                    for (svc, name, deterministic_trees) in [
-                        (&mut serial_svc, "serial", true),
-                        (&mut mpq_svc, "mpq", false),
-                    ] {
-                        for pass in ["cold", "warm"] {
-                            let got = svc
-                                .optimize(&query, space, Objective::Single)
-                                .expect("cached service answers");
-                            prop_assert_eq!(
-                                got.len(),
-                                reference.len(),
-                                "{} {} pass: plan count", name, pass
-                            );
-                            prop_assert_eq!(
-                                got[0].cost().time.to_bits(),
-                                reference[0].cost().time.to_bits(),
-                                "{} {} pass: stale cost served", name, pass
-                            );
-                            if deterministic_trees {
-                                prop_assert_eq!(
-                                    &got[0], &reference[0],
-                                    "{} {} pass: stale plan served", name, pass
-                                );
-                            }
-                        }
+                    let mut answers = Vec::new();
+                    for pass in ["cold", "warm"] {
+                        let got = svc
+                            .optimize(&query, space, Objective::Single)
+                            .expect("cached service answers");
+                        prop_assert_eq!(got.len(), reference.len(), "{} pass: plan count", pass);
+                        prop_assert_eq!(
+                            got[0].cost().time.to_bits(),
+                            reference[0].cost().time.to_bits(),
+                            "{} pass: stale cost served", pass
+                        );
+                        answers.push(canonical_bytes(&got));
                     }
+                    prop_assert_eq!(&answers[1], &answers[0], "the hit is the cold answer");
                 }
             }
         }
-        serial_svc.shutdown();
-        mpq_svc.shutdown();
+        svc.shutdown();
     }
 }
 
@@ -279,12 +250,8 @@ proptest! {
 /// epoch is visible.
 #[test]
 fn pure_epoch_bump_is_a_structural_miss() {
-    let mut svc = OptimizerService::spawn(ServiceConfig::with_cache(
-        Backend::SerialDp,
-        1,
-        CACHE_BUDGET,
-    ))
-    .expect("spawn");
+    let mut svc =
+        OptimizerService::spawn(ServiceConfig::with_cache(3, CACHE_BUDGET)).expect("spawn");
     let mut q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 77).next_query();
     let cold = svc
         .optimize(&q, PlanSpace::Linear, Objective::Single)
@@ -299,7 +266,7 @@ fn pure_epoch_bump_is_a_structural_miss() {
         hits_before,
         "the bumped query must not hit the pre-bump entry"
     );
-    // Identical statistics still mean an identical (recomputed) answer.
-    assert_identical(&bumped, &cold, true, "epoch bump recomputation");
+    // Identical statistics still mean an equal-cost (recomputed) answer.
+    assert_same_costs(&bumped, &cold, "epoch bump recomputation");
     svc.shutdown();
 }

@@ -26,9 +26,7 @@ use pqopt::dp::optimize_serial;
 use pqopt::model::{Query, WorkloadConfig, WorkloadGenerator};
 use pqopt::mpq::{MpqError, MpqService, RetryPolicy};
 use pqopt::partition::PlanSpace;
-use pqopt::prelude::{
-    Backend, MpqConfig, MpqOptimizer, Optimizer, OptimizerService, ServiceConfig,
-};
+use pqopt::prelude::{MpqConfig, MpqOptimizer, OptimizerService, ServiceConfig};
 use pqopt::sma::SmaOptimizer;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -392,7 +390,7 @@ fn cached_faulty_service(
     retry: RetryPolicy,
     workers: usize,
 ) -> OptimizerService {
-    let mut config = ServiceConfig::with_cache(Backend::Mpq, workers, 1 << 20);
+    let mut config = ServiceConfig::with_cache(workers, 1 << 20);
     config.mpq = MpqConfig {
         faults,
         retry,
@@ -534,7 +532,6 @@ fn dropped_reply_is_counted_and_recovered() {
 /// survivor floor.
 #[test]
 fn coalesced_sessions_under_faults_match_serial() {
-    use pqopt::prelude::{Backend, OptimizerService, ServiceConfig};
     const DISTINCT: u64 = 3;
     const MEMBERS: u64 = 4;
     let faults = FaultPlan {
@@ -546,7 +543,7 @@ fn coalesced_sessions_under_faults_match_serial() {
         straggle_us: 30_000,
         min_survivors: 1,
     };
-    let mut config = ServiceConfig::with_coalescing(Backend::Mpq, 4);
+    let mut config = ServiceConfig::with_coalescing(4);
     config.mpq.faults = faults;
     config.mpq.retry = chaos_retry();
     let mut svc = OptimizerService::spawn(config).expect("service spawns");
@@ -600,17 +597,16 @@ fn coalesced_sessions_under_faults_match_serial() {
     svc.shutdown();
 }
 
-/// Failure side of the coalesced lifecycle: when the backend session
+/// Failure side of the coalesced lifecycle: when the MPQ session
 /// behind a flight fails (MPQ without retries loses a crashed worker's
 /// range), every member of the coalition receives the same **typed**
 /// error — the failure is cloned to the whole coalition, never delivered
 /// to one member and lost for the rest.
 #[test]
 fn coalesced_backend_failure_reaches_every_member() {
-    use pqopt::prelude::{Backend, OptimizerService, ServiceConfig, ServiceError};
     // Four idle workers: the 6-table session fans out over all of them,
     // so the crash always hits one of its ranges.
-    let mut config = ServiceConfig::with_coalescing(Backend::Mpq, 4);
+    let mut config = ServiceConfig::with_coalescing(4);
     config.mpq.faults = FaultPlan::crash_on_first_task(4, 1);
     config.mpq.retry = RetryPolicy {
         max_retries: 0,
@@ -625,7 +621,7 @@ fn coalesced_backend_failure_reaches_every_member() {
                 .expect("submit succeeds before the crash is observed")
         })
         .collect();
-    let errors: Vec<ServiceError> = handles
+    let errors: Vec<MpqError> = handles
         .into_iter()
         .map(|h| {
             svc.wait(h)
@@ -634,7 +630,7 @@ fn coalesced_backend_failure_reaches_every_member() {
         .collect();
     for e in &errors {
         assert!(
-            matches!(e, ServiceError::Mpq(MpqError::WorkerLost { .. })),
+            matches!(e, MpqError::WorkerLost { .. }),
             "expected a typed WorkerLost for each member, got {e}"
         );
     }

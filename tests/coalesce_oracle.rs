@@ -1,21 +1,22 @@
 //! Differential coalescing-oracle suite: in-flight coalescing must be
 //! **provably transparent** and **provably shared**.
 //!
-//! For 50 seeded Zipf query streams and all three backends, three resident
-//! services — coalescing, plain, and cache-only — answer the identical
-//! burst-submitted stream with **byte-identical** results: equal cost bit
-//! patterns, equal Pareto frontiers, equal plan trees (tree equality on
-//! the backends with deterministic tie-breaks, exactly like the cache
-//! oracle). Redemption order is shuffled per stream, so followers redeem
-//! before leaders as often as after.
+//! For 50 seeded Zipf query streams, three resident services —
+//! coalescing, plain, and cache-only — answer the identical
+//! burst-submitted stream with equal cost bit patterns and equal Pareto
+//! frontiers, and the members of one coalition redeem **byte-identical**
+//! plan lists, trees included (across services only costs are compared,
+//! exactly like the cache oracle: MPQ's tie-breaks between equal-cost
+//! trees follow reply arrival order). Redemption order is shuffled per
+//! stream, so followers redeem before leaders as often as after.
 //!
 //! On top of the stream oracle: the service counters must prove that `K`
-//! identical in-flight sessions perform exactly **one** backend
-//! optimization (`K` coalesced sessions, `K - 1` saved), interleaved
-//! submit/poll/wait orders stay exact, and the drop lifecycle never
-//! orphans a flight — a dropped leader promotes the oldest follower,
-//! dropped followers leave the leader untouched, and a fully dropped
-//! coalition is reaped through the regular abandoned-handle machinery.
+//! identical in-flight sessions perform exactly **one** optimization (`K`
+//! coalesced sessions, `K - 1` saved), interleaved submit/poll/wait
+//! orders stay exact, and the drop lifecycle never orphans a flight — a
+//! dropped leader promotes the oldest follower, dropped followers leave
+//! the leader untouched, and a fully dropped coalition is reaped through
+//! the regular abandoned-handle machinery.
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
@@ -25,7 +26,7 @@ use pqopt::cost::Objective;
 use pqopt::dp::optimize_serial;
 use pqopt::model::{JoinGraph, Query, WorkloadConfig, WorkloadGenerator};
 use pqopt::partition::PlanSpace;
-use pqopt::prelude::{Backend, OptimizerService, Plan, ServiceConfig, ServiceHandle};
+use pqopt::prelude::{OptimizerService, Plan, ServiceConfig, ServiceHandle};
 
 const STREAMS: u64 = 50;
 const CACHE_BUDGET: usize = 8 << 20;
@@ -111,7 +112,7 @@ fn canonical_bytes(plans: &[Plan]) -> Vec<Vec<u8>> {
 }
 
 /// The sorted cost bit patterns of a plan list — the "byte-identical
-/// costs and Pareto frontiers" contract that holds for *every* backend.
+/// costs and Pareto frontiers" contract of every answer.
 fn canonical_cost_bits(plans: &[Plan]) -> Vec<(u64, u64)> {
     let mut bits: Vec<(u64, u64)> = plans
         .iter()
@@ -121,23 +122,16 @@ fn canonical_cost_bits(plans: &[Plan]) -> Vec<(u64, u64)> {
     bits
 }
 
-/// Byte-identical plan-list equality; full trees only where tie-breaks
-/// are deterministic (MPQ's tree choice between equal-cost plans depends
-/// on reply arrival order — equal cost bits are its contract).
-fn assert_identical(a: &[Plan], b: &[Plan], deterministic_trees: bool, ctx: &str) {
+/// Equal cost bits and Pareto frontiers: the contract between any two
+/// optimizations. Plan trees are not compared (MPQ's tree choice between
+/// equal-cost plans depends on reply arrival order).
+fn assert_same_costs(a: &[Plan], b: &[Plan], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: plan counts differ");
     assert_eq!(
         canonical_cost_bits(a),
         canonical_cost_bits(b),
         "{ctx}: cost bit patterns differ"
     );
-    if deterministic_trees {
-        assert_eq!(
-            canonical_bytes(a),
-            canonical_bytes(b),
-            "{ctx}: serialized plans differ"
-        );
-    }
 }
 
 /// Burst-submits the whole stream (all handles in flight at once), then
@@ -165,308 +159,241 @@ fn run_burst(
 }
 
 /// Runs every Zipf stream through coalescing, plain, and cache-only
-/// resident services per backend, with shuffled redemption, asserting
-/// byte-identical results throughout.
-fn oracle_over_backends(space: PlanSpace, objective: Objective, max_tables: usize) {
-    for backend in Backend::ALL {
-        let mut plain =
-            OptimizerService::spawn(ServiceConfig::new(backend, 3)).expect("plain spawns");
-        let mut coalescing = OptimizerService::spawn(ServiceConfig::with_coalescing(backend, 3))
-            .expect("coalescing spawns");
-        let mut cache_only =
-            OptimizerService::spawn(ServiceConfig::with_cache(backend, 3, CACHE_BUDGET))
-                .expect("cache-only spawns");
-        for stream in 0..STREAMS {
-            let queries = zipf_stream(stream, 0.8);
-            if queries[0].num_tables() > max_tables {
-                continue;
-            }
-            let order = shuffled_order(queries.len(), stream);
-            let identity: Vec<usize> = (0..queries.len()).collect();
-            let reference = run_burst(&mut plain, &queries, space, objective, &identity);
-            let coalesced = run_burst(&mut coalescing, &queries, space, objective, &order);
-            let cached = run_burst(&mut cache_only, &queries, space, objective, &identity);
-            for (i, re) in reference.iter().enumerate() {
-                let deterministic = backend != Backend::Mpq;
-                assert_identical(
-                    &coalesced[i],
-                    re,
-                    deterministic,
-                    &format!(
-                        "backend {} stream {stream} query {i} (coalesce-on)",
-                        backend.name()
-                    ),
-                );
-                assert_identical(
-                    &cached[i],
-                    re,
-                    deterministic,
-                    &format!(
-                        "backend {} stream {stream} query {i} (cache-only)",
-                        backend.name()
-                    ),
-                );
-            }
+/// resident services, with shuffled redemption: every answer costs what
+/// the plain run's does, and the members of each coalition — the
+/// burst's identical queries, all in flight at once — redeem
+/// byte-identical lists.
+fn oracle(space: PlanSpace, objective: Objective, max_tables: usize) {
+    let mut plain = OptimizerService::spawn(ServiceConfig::new(3)).expect("plain spawns");
+    let mut coalescing =
+        OptimizerService::spawn(ServiceConfig::with_coalescing(3)).expect("coalescing spawns");
+    let mut cache_only = OptimizerService::spawn(ServiceConfig::with_cache(3, CACHE_BUDGET))
+        .expect("cache-only spawns");
+    for stream in 0..STREAMS {
+        let queries = zipf_stream(stream, 0.8);
+        if queries[0].num_tables() > max_tables {
+            continue;
+        }
+        let order = shuffled_order(queries.len(), stream);
+        let identity: Vec<usize> = (0..queries.len()).collect();
+        let reference = run_burst(&mut plain, &queries, space, objective, &identity);
+        let coalesced = run_burst(&mut coalescing, &queries, space, objective, &order);
+        let cached = run_burst(&mut cache_only, &queries, space, objective, &identity);
+        for (i, re) in reference.iter().enumerate() {
+            let ctx = format!("stream {stream} query {i}");
+            assert_same_costs(&coalesced[i], re, &format!("{ctx} (coalesce-on)"));
+            assert_same_costs(&cached[i], re, &format!("{ctx} (cache-only)"));
+            // The first member of this query's coalition.
+            let leader = queries.iter().position(|q| q == &queries[i]).unwrap_or(i);
             assert_eq!(
-                coalescing.open_flights(),
-                0,
-                "backend {} stream {stream}: no flight survives full redemption",
-                backend.name()
+                canonical_bytes(&coalesced[i]),
+                canonical_bytes(&coalesced[leader]),
+                "{ctx}: coalition members redeem different plans"
             );
         }
-        let stats = coalescing.coalesce_stats();
-        assert!(
-            stats.saved_optimizations > 0,
-            "backend {}: 80% Zipf bursts must actually coalesce ({stats:?})",
-            backend.name()
-        );
         assert_eq!(
-            plain.coalesce_stats(),
-            Default::default(),
-            "backend {}: the plain service must never coalesce",
-            backend.name()
+            coalescing.open_flights(),
+            0,
+            "stream {stream}: no flight survives full redemption"
         );
-        plain.shutdown();
-        coalescing.shutdown();
-        cache_only.shutdown();
     }
+    let stats = coalescing.coalesce_stats();
+    assert!(
+        stats.saved_optimizations > 0,
+        "80% Zipf bursts must actually coalesce ({stats:?})"
+    );
+    assert_eq!(
+        plain.coalesce_stats(),
+        Default::default(),
+        "the plain service must never coalesce"
+    );
+    plain.shutdown();
+    coalescing.shutdown();
+    cache_only.shutdown();
 }
 
-/// Single-objective oracle over all three backends.
+/// Single-objective oracle.
 #[test]
 fn coalesce_on_off_cacheonly_agree_single_objective() {
-    oracle_over_backends(PlanSpace::Linear, Objective::Single, usize::MAX);
+    oracle(PlanSpace::Linear, Objective::Single, usize::MAX);
 }
 
 /// Bushy spaces go through different split enumeration; the oracle must
 /// hold there too (small queries keep it cheap).
 #[test]
 fn coalesce_on_off_cacheonly_agree_bushy() {
-    oracle_over_backends(PlanSpace::Bushy, Objective::Single, 4);
+    oracle(PlanSpace::Bushy, Objective::Single, 4);
 }
 
 /// Multi-objective: the full Pareto frontier — not just the best cost —
-/// is byte-identical across the three modes.
+/// agrees bitwise across the three modes.
 #[test]
 fn coalesce_on_off_cacheonly_agree_on_pareto_frontiers() {
-    oracle_over_backends(PlanSpace::Linear, Objective::Multi { alpha: 1.0 }, 4);
+    oracle(PlanSpace::Linear, Objective::Multi { alpha: 1.0 }, 4);
 }
 
 /// The counter proof: `K` identical in-flight sessions perform exactly
-/// one backend optimization. The backend session count never exceeds
+/// one optimization. The session count never exceeds
 /// one, and the counters record the full coalition — `K` coalesced
-/// sessions, `K - 1` optimizations saved — on every backend, under
-/// shuffled redemption.
+/// sessions, `K - 1` optimizations saved — under shuffled redemption.
 #[test]
 fn k_identical_sessions_cost_exactly_one_optimization() {
     const K: usize = 6;
-    for backend in Backend::ALL {
-        let mut svc =
-            OptimizerService::spawn(ServiceConfig::with_coalescing(backend, 3)).expect("spawn");
-        let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 41).next_query();
-        let mut handles: Vec<Option<ServiceHandle>> = (0..K)
-            .map(|_| {
-                Some(
-                    svc.submit(&q, PlanSpace::Linear, Objective::Single)
-                        .expect("submit"),
-                )
-            })
-            .collect();
-        assert!(
-            svc.in_flight() <= 1,
-            "backend {}: the coalition holds one backend session",
-            backend.name()
-        );
-        assert_eq!(svc.open_flights(), 1, "backend {}", backend.name());
-        let mut results = Vec::new();
-        for &i in &shuffled_order(K, 17) {
-            let handle = handles[i].take().expect("handle");
-            results.push(svc.wait(handle).expect("member redeems"));
-        }
-        for r in &results[1..] {
-            assert_eq!(
-                canonical_bytes(r),
-                canonical_bytes(&results[0]),
-                "backend {}: every member redeems the same bits",
-                backend.name()
-            );
-        }
-        let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
-        assert_identical(
-            &results[0],
-            &reference,
-            backend != Backend::Mpq,
-            &format!("backend {} vs serial reference", backend.name()),
-        );
-        let stats = svc.coalesce_stats();
-        assert_eq!(
-            (stats.coalesced_sessions, stats.saved_optimizations),
-            (K as u64, K as u64 - 1),
-            "backend {}: counters must prove the {K}-coalition",
-            backend.name()
-        );
-        assert_eq!(svc.open_flights(), 0);
-        svc.shutdown();
+    let mut svc = OptimizerService::spawn(ServiceConfig::with_coalescing(3)).expect("spawn");
+    let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 41).next_query();
+    let mut handles: Vec<Option<ServiceHandle>> = (0..K)
+        .map(|_| {
+            Some(
+                svc.submit(&q, PlanSpace::Linear, Objective::Single)
+                    .expect("submit"),
+            )
+        })
+        .collect();
+    assert!(svc.in_flight() <= 1, "the coalition holds one session");
+    assert_eq!(svc.open_flights(), 1);
+    let mut results = Vec::new();
+    for &i in &shuffled_order(K, 17) {
+        let handle = handles[i].take().expect("handle");
+        results.push(svc.wait(handle).expect("member redeems"));
     }
+    for r in &results[1..] {
+        assert_eq!(
+            canonical_bytes(r),
+            canonical_bytes(&results[0]),
+            "every member redeems the same bits"
+        );
+    }
+    let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
+    assert_same_costs(&results[0], &reference, "vs serial reference");
+    let stats = svc.coalesce_stats();
+    assert_eq!(
+        (stats.coalesced_sessions, stats.saved_optimizations),
+        (K as u64, K as u64 - 1),
+        "counters must prove the {K}-coalition"
+    );
+    assert_eq!(svc.open_flights(), 0);
+    svc.shutdown();
 }
 
 /// Interleaved submit/poll/wait orders — polls interspersed between the
 /// coalition's submissions, some members delivered by poll and the rest
-/// by wait — stay exact on every backend.
+/// by wait — stay exact.
 #[test]
 fn interleaved_submit_poll_wait_orders_stay_exact() {
-    for backend in Backend::ALL {
-        let mut svc =
-            OptimizerService::spawn(ServiceConfig::with_coalescing(backend, 3)).expect("spawn");
-        let q = WorkloadGenerator::new(WorkloadConfig::paper_default(5), 42).next_query();
-        let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
-        let mut handles: Vec<Option<ServiceHandle>> = Vec::new();
-        let mut results: Vec<Option<Vec<Plan>>> = Vec::new();
-        // Script: S S P0 P1 S P2 W1 P0 W0 W2 — a member polled to
-        // delivery is spent; `wait` then covers the rest.
-        let submit = |svc: &mut OptimizerService| {
-            svc.submit(&q, PlanSpace::Linear, Objective::Single)
-                .expect("submit")
-        };
-        for _ in 0..2 {
-            handles.push(Some(submit(&mut svc)));
-            results.push(None);
-        }
-        for step in [0usize, 1] {
-            if let Some(h) = &handles[step] {
-                if let Some(r) = svc.poll(h) {
-                    results[step] = Some(r.expect("poll delivers cleanly"));
-                    handles[step] = None;
-                }
-            }
-        }
+    let mut svc = OptimizerService::spawn(ServiceConfig::with_coalescing(3)).expect("spawn");
+    let q = WorkloadGenerator::new(WorkloadConfig::paper_default(5), 42).next_query();
+    let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
+    let mut handles: Vec<Option<ServiceHandle>> = Vec::new();
+    let mut results: Vec<Option<Vec<Plan>>> = Vec::new();
+    // Script: S S P0 P1 S P2 W1 P0 W0 W2 — a member polled to
+    // delivery is spent; `wait` then covers the rest.
+    let submit = |svc: &mut OptimizerService| {
+        svc.submit(&q, PlanSpace::Linear, Objective::Single)
+            .expect("submit")
+    };
+    for _ in 0..2 {
         handles.push(Some(submit(&mut svc)));
         results.push(None);
-        for step in [2usize, 1, 0, 0, 2] {
-            // A member already delivered through poll has no handle left;
-            // repeated steps are no-ops, exactly like a caller that lost
-            // the race to its own earlier redemption.
-            if let Some(h) = handles[step].take() {
-                results[step] = Some(svc.wait(h).expect("wait delivers"));
+    }
+    for step in [0usize, 1] {
+        if let Some(h) = &handles[step] {
+            if let Some(r) = svc.poll(h) {
+                results[step] = Some(r.expect("poll delivers cleanly"));
+                handles[step] = None;
             }
         }
-        for (i, r) in results.iter().enumerate() {
-            let r = r.as_ref().expect("every member delivered");
-            assert_identical(
-                r,
-                &reference,
-                backend != Backend::Mpq,
-                &format!("backend {} member {i}", backend.name()),
-            );
-        }
-        assert_eq!(svc.open_flights(), 0, "backend {}", backend.name());
-        svc.shutdown();
     }
+    handles.push(Some(submit(&mut svc)));
+    results.push(None);
+    for step in [2usize, 1, 0, 0, 2] {
+        // A member already delivered through poll has no handle left;
+        // repeated steps are no-ops, exactly like a caller that lost
+        // the race to its own earlier redemption.
+        if let Some(h) = handles[step].take() {
+            results[step] = Some(svc.wait(h).expect("wait delivers"));
+        }
+    }
+    for (i, r) in results.iter().enumerate() {
+        let r = r.as_ref().expect("every member delivered");
+        assert_same_costs(r, &reference, &format!("member {i}"));
+    }
+    assert_eq!(svc.open_flights(), 0);
+    svc.shutdown();
 }
 
 /// Drop lifecycle, leader side: a leader dropped mid-flight promotes the
 /// oldest follower, which redeems the exact result.
 #[test]
 fn dropped_leader_promotes_the_oldest_follower() {
-    for backend in Backend::ALL {
-        let mut svc =
-            OptimizerService::spawn(ServiceConfig::with_coalescing(backend, 3)).expect("spawn");
-        let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 43).next_query();
-        let leader = svc
-            .submit(&q, PlanSpace::Linear, Objective::Single)
-            .expect("leader");
-        let follower = svc
-            .submit(&q, PlanSpace::Linear, Objective::Single)
-            .expect("follower");
-        drop(leader);
-        let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
-        let plans = svc.wait(follower).expect("promoted follower redeems");
-        assert_identical(
-            &plans,
-            &reference,
-            backend != Backend::Mpq,
-            &format!("backend {} promoted follower", backend.name()),
-        );
-        assert_eq!(svc.open_flights(), 0, "backend {}", backend.name());
-        svc.shutdown();
-    }
+    let mut svc = OptimizerService::spawn(ServiceConfig::with_coalescing(3)).expect("spawn");
+    let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 43).next_query();
+    let leader = svc
+        .submit(&q, PlanSpace::Linear, Objective::Single)
+        .expect("leader");
+    let follower = svc
+        .submit(&q, PlanSpace::Linear, Objective::Single)
+        .expect("follower");
+    drop(leader);
+    let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
+    let plans = svc.wait(follower).expect("promoted follower redeems");
+    assert_same_costs(&plans, &reference, "promoted follower");
+    assert_eq!(svc.open_flights(), 0);
+    svc.shutdown();
 }
 
 /// Drop lifecycle, follower side: dropped followers leave the leader
 /// untouched — it redeems the exact result and the flight closes.
 #[test]
 fn dropped_followers_leave_the_leader_unaffected() {
-    for backend in Backend::ALL {
-        let mut svc =
-            OptimizerService::spawn(ServiceConfig::with_coalescing(backend, 3)).expect("spawn");
-        let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 44).next_query();
-        let leader = svc
-            .submit(&q, PlanSpace::Linear, Objective::Single)
-            .expect("leader");
-        let followers: Vec<ServiceHandle> = (0..2)
-            .map(|_| {
-                svc.submit(&q, PlanSpace::Linear, Objective::Single)
-                    .expect("follower")
-            })
-            .collect();
-        drop(followers);
-        let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
-        let plans = svc.wait(leader).expect("leader unaffected");
-        assert_identical(
-            &plans,
-            &reference,
-            backend != Backend::Mpq,
-            &format!("backend {} leader after follower drops", backend.name()),
-        );
-        assert_eq!(svc.open_flights(), 0, "backend {}", backend.name());
-        svc.shutdown();
-    }
+    let mut svc = OptimizerService::spawn(ServiceConfig::with_coalescing(3)).expect("spawn");
+    let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 44).next_query();
+    let leader = svc
+        .submit(&q, PlanSpace::Linear, Objective::Single)
+        .expect("leader");
+    let followers: Vec<ServiceHandle> = (0..2)
+        .map(|_| {
+            svc.submit(&q, PlanSpace::Linear, Objective::Single)
+                .expect("follower")
+        })
+        .collect();
+    drop(followers);
+    let reference = optimize_serial(&q, PlanSpace::Linear, Objective::Single).plans;
+    let plans = svc.wait(leader).expect("leader unaffected");
+    assert_same_costs(&plans, &reference, "leader after follower drops");
+    assert_eq!(svc.open_flights(), 0);
+    svc.shutdown();
 }
 
 /// Drop lifecycle, whole coalition: dropping every member reaps the
-/// flight and the backend session behind it — the service keeps serving
+/// flight and the session behind it — the service keeps serving
 /// with nothing orphaned.
 #[test]
 fn dropped_coalition_is_reaped_not_orphaned() {
-    for backend in Backend::ALL {
-        let mut svc =
-            OptimizerService::spawn(ServiceConfig::with_coalescing(backend, 3)).expect("spawn");
-        let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 45).next_query();
-        let coalition: Vec<ServiceHandle> = (0..3)
-            .map(|_| {
-                svc.submit(&q, PlanSpace::Linear, Objective::Single)
-                    .expect("submit")
-            })
-            .collect();
-        assert_eq!(svc.open_flights(), 1, "backend {}", backend.name());
-        drop(coalition);
-        // The next call detaches the members and releases the shared
-        // backend ticket; a fresh query is unimpeded.
-        let other = WorkloadGenerator::new(WorkloadConfig::paper_default(5), 46).next_query();
-        let live = svc
-            .submit(&other, PlanSpace::Linear, Objective::Single)
-            .expect("service serves on");
-        assert_eq!(
-            svc.open_flights(),
-            1,
-            "backend {}: only the live flight remains",
-            backend.name()
-        );
-        let reference = optimize_serial(&other, PlanSpace::Linear, Objective::Single).plans;
-        let plans = svc.wait(live).expect("live session completes");
-        assert_identical(
-            &plans,
-            &reference,
-            backend != Backend::Mpq,
-            &format!("backend {} after coalition drop", backend.name()),
-        );
-        assert_eq!(svc.open_flights(), 0, "backend {}", backend.name());
-        assert_eq!(
-            svc.in_flight(),
-            0,
-            "backend {}: the reaped session is freed, not orphaned",
-            backend.name()
-        );
-        svc.shutdown();
-    }
+    let mut svc = OptimizerService::spawn(ServiceConfig::with_coalescing(3)).expect("spawn");
+    let q = WorkloadGenerator::new(WorkloadConfig::paper_default(6), 45).next_query();
+    let coalition: Vec<ServiceHandle> = (0..3)
+        .map(|_| {
+            svc.submit(&q, PlanSpace::Linear, Objective::Single)
+                .expect("submit")
+        })
+        .collect();
+    assert_eq!(svc.open_flights(), 1);
+    drop(coalition);
+    // The next call detaches the members and releases the shared
+    // session ticket; a fresh query is unimpeded.
+    let other = WorkloadGenerator::new(WorkloadConfig::paper_default(5), 46).next_query();
+    let live = svc
+        .submit(&other, PlanSpace::Linear, Objective::Single)
+        .expect("service serves on");
+    assert_eq!(svc.open_flights(), 1, "only the live flight remains");
+    let reference = optimize_serial(&other, PlanSpace::Linear, Objective::Single).plans;
+    let plans = svc.wait(live).expect("live session completes");
+    assert_same_costs(&plans, &reference, "after coalition drop");
+    assert_eq!(svc.open_flights(), 0);
+    assert_eq!(
+        svc.in_flight(),
+        0,
+        "the reaped session is freed, not orphaned"
+    );
+    svc.shutdown();
 }

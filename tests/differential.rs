@@ -33,9 +33,7 @@ use pqopt::dp::{
 use pqopt::model::{JoinGraph, Query, WorkloadConfig, WorkloadGenerator};
 use pqopt::partition::{effective_workers, partition_constraints, PlanSpace};
 use pqopt::plan::{Plan, PruningPolicy};
-use pqopt::prelude::{
-    Backend, MpqConfig, MpqOptimizer, Optimizer, OptimizerService, ServiceConfig, ServiceHandle,
-};
+use pqopt::prelude::{MpqConfig, MpqOptimizer, OptimizerService, ServiceConfig, ServiceHandle};
 use pqopt::sma::SmaOptimizer;
 
 const SEEDS: u64 = 50;
@@ -245,8 +243,7 @@ fn all_engines_agree_on_pareto_frontier() {
 /// correctness contract.
 #[test]
 fn resident_service_matches_serial_under_concurrency() {
-    let mut service =
-        OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, 4)).expect("service spawns");
+    let mut service = OptimizerService::spawn(ServiceConfig::new(4)).expect("service spawns");
     let space = PlanSpace::Linear;
     let mut submitted: Vec<(u64, Query, ServiceHandle)> = Vec::new();
     for seed in 0..SEEDS {
@@ -280,8 +277,7 @@ fn resident_service_matches_serial_under_concurrency() {
 /// serial frontier set-wise.
 #[test]
 fn resident_service_preserves_pareto_frontiers_under_concurrency() {
-    let mut service =
-        OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, 4)).expect("service spawns");
+    let mut service = OptimizerService::spawn(ServiceConfig::new(4)).expect("service spawns");
     let objective = Objective::Multi { alpha: 1.0 }; // exact frontier
     let space = PlanSpace::Linear;
     let mut submitted: Vec<(u64, Vec<CostVector>, ServiceHandle)> = Vec::new();
@@ -353,8 +349,7 @@ fn windowed_stream_is_exact_under_load_aware_placement() {
         };
         answer_bits(objective, &plans)
     };
-    let mut service =
-        OptimizerService::spawn(ServiceConfig::new(Backend::Mpq, WORKERS)).expect("service spawns");
+    let mut service = OptimizerService::spawn(ServiceConfig::new(WORKERS)).expect("service spawns");
     let mut in_flight = std::collections::VecDeque::new();
     let redeem =
         |service: &mut OptimizerService,
@@ -448,27 +443,23 @@ fn every_backend_returns_plans_that_explain_to_their_cost() {
     }
 }
 
-/// The unified [`Optimizer`] trait: all three backends, resident, answer
-/// every seeded query with the serial-DP cost.
+/// The resident facade answers every seeded query with the serial-DP
+/// cost, through its blocking `optimize`.
 #[test]
 fn all_backends_agree_through_the_unified_service_trait() {
     let space = PlanSpace::Linear;
-    for backend in Backend::ALL {
-        let mut service =
-            OptimizerService::spawn(ServiceConfig::new(backend, 3)).expect("service spawns");
-        for seed in (0..SEEDS).step_by(5) {
-            let (q, n) = seeded_query(seed);
-            let reference = reference_time(&q, space);
-            let plans = service
-                .optimize(&q, space, Objective::Single)
-                .expect("optimize");
-            assert!(
-                bit_eq(plans[0].cost().time, reference),
-                "seed {seed} (n={n}) backend {}: {} vs {reference}",
-                service.name(),
-                plans[0].cost().time
-            );
-        }
-        service.shutdown();
+    let mut service = OptimizerService::spawn(ServiceConfig::new(3)).expect("service spawns");
+    for seed in (0..SEEDS).step_by(5) {
+        let (q, n) = seeded_query(seed);
+        let reference = reference_time(&q, space);
+        let plans = service
+            .optimize(&q, space, Objective::Single)
+            .expect("optimize");
+        assert!(
+            bit_eq(plans[0].cost().time, reference),
+            "seed {seed} (n={n}): {} vs {reference}",
+            plans[0].cost().time
+        );
     }
+    service.shutdown();
 }

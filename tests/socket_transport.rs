@@ -13,9 +13,7 @@
 //!   tie-breaks — the transport must be invisible);
 //! * killing a worker process mid-session surfaces as the typed loss the
 //!   retry machinery recovers from: surviving workers complete every
-//!   query and the answers stay bit-identical to the fault-free run;
-//! * the single-node backends refuse the socket plane with a typed
-//!   error, never a silent fallback.
+//!   query and the answers stay bit-identical to the fault-free run.
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
@@ -27,8 +25,7 @@ use pqopt::model::{Query, WorkloadConfig, WorkloadGenerator};
 use pqopt::mpq::MpqService;
 use pqopt::partition::PlanSpace;
 use pqopt::prelude::{
-    Backend, FaultPlan, MpqConfig, Objective, OptimizerService, Plan, RetryPolicy, ServiceConfig,
-    ServiceError,
+    FaultPlan, MpqConfig, MpqError, Objective, OptimizerService, Plan, RetryPolicy, ServiceConfig,
 };
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -50,12 +47,12 @@ impl Drop for Worker {
     }
 }
 
-/// Spawns `pqopt worker --listen <addr> --backend <backend>` and waits for
+/// Spawns `pqopt worker --listen <addr>` and waits for
 /// its `listening on <addr>` banner, so the socket is accepting before the
 /// master dials.
-fn spawn_worker(backend: &str, listen: &str) -> Worker {
+fn spawn_worker(listen: &str) -> Worker {
     let mut child = Command::new(BIN)
-        .args(["worker", "--listen", listen, "--backend", backend])
+        .args(["worker", "--listen", listen])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -82,9 +79,9 @@ fn socket_path(tag: &str) -> String {
     format!("unix:{}", path.display())
 }
 
-fn spawn_workers(backend: &str, tag: &str, count: usize) -> Vec<Worker> {
+fn spawn_workers(tag: &str, count: usize) -> Vec<Worker> {
     (0..count)
-        .map(|i| spawn_worker(backend, &socket_path(&format!("{tag}-{i}"))))
+        .map(|i| spawn_worker(&socket_path(&format!("{tag}-{i}"))))
         .collect()
 }
 
@@ -123,7 +120,7 @@ fn run_batch(service: &mut OptimizerService, queries: &[Query]) -> Vec<Vec<Plan>
 /// The fault-free in-process reference at the same worker count: the
 /// answer the socket runs must reproduce bit-for-bit.
 fn in_process_reference(queries: &[Query], workers: usize) -> Vec<Vec<Plan>> {
-    let config = ServiceConfig::new(Backend::Mpq, workers);
+    let config = ServiceConfig::new(workers);
     let mut service = OptimizerService::spawn(config).expect("spawn in-process reference");
     let out = run_batch(&mut service, queries);
     service.shutdown();
@@ -138,7 +135,7 @@ fn mpq_socket_config(workers: usize) -> ServiceConfig {
             retry: RetryPolicy::with_timeout(64, Duration::from_millis(100)),
             ..MpqConfig::default()
         },
-        ..ServiceConfig::new(Backend::Mpq, workers)
+        ..ServiceConfig::new(workers)
     }
 }
 
@@ -146,7 +143,7 @@ fn mpq_socket_config(workers: usize) -> ServiceConfig {
 #[test]
 fn mpq_over_real_sockets_is_bit_identical_to_in_process() {
     let queries = batch(8);
-    let workers = spawn_workers("mpq", "diff", 2);
+    let workers = spawn_workers("diff", 2);
     let mut service =
         OptimizerService::connect(mpq_socket_config(2), &addrs(&workers)).expect("connect");
     let over_wire = run_batch(&mut service, &queries);
@@ -162,7 +159,7 @@ fn mpq_over_real_sockets_is_bit_identical_to_in_process() {
 #[test]
 fn killing_a_worker_process_mid_session_recovers_exactly() {
     let queries = batch(10);
-    let mut workers = spawn_workers("mpq", "kill", 3);
+    let mut workers = spawn_workers("kill", 3);
     let mut service =
         OptimizerService::connect(mpq_socket_config(3), &addrs(&workers)).expect("connect");
 
@@ -263,19 +260,6 @@ fn seeded_crash_and_drop_plan_over_real_sockets_is_exact() {
     assert!(retries >= 1, "the seeded crash must cost a retry");
 }
 
-#[test]
-fn single_node_backends_refuse_the_socket_plane() {
-    for backend in [Backend::SerialDp, Backend::TopDown] {
-        match OptimizerService::connect(ServiceConfig::new(backend, 1), &[]) {
-            Err(err) => assert!(
-                matches!(err, ServiceError::BadRequest { .. }),
-                "expected a typed BadRequest, got {err:?}"
-            ),
-            Ok(_) => panic!("single-node backends have no socket plane"),
-        }
-    }
-}
-
 /// Coalesced sessions over the real wire under a real fault (ISSUE 9
 /// satellite): three coalitions of three members each are in flight when
 /// a worker process is SIGKILLed. The survivors must complete every
@@ -288,7 +272,7 @@ fn single_node_backends_refuse_the_socket_plane() {
 fn coalesced_sessions_over_real_sockets_survive_a_worker_kill() {
     const MEMBERS: usize = 3;
     let distinct = batch(3);
-    let mut workers = spawn_workers("mpq", "coalesce", 3);
+    let mut workers = spawn_workers("coalesce", 3);
     let mut config = mpq_socket_config(3);
     config.coalesce = true;
     let mut service = OptimizerService::connect(config, &addrs(&workers)).expect("connect");
@@ -343,7 +327,7 @@ fn coalesced_sessions_over_real_sockets_survive_a_worker_kill() {
 #[cfg(unix)]
 #[test]
 fn admission_limit_holds_over_real_sockets() {
-    let workers = spawn_workers("mpq", "admit", 2);
+    let workers = spawn_workers("admit", 2);
     let mut config = mpq_socket_config(2);
     config.max_in_flight = 2;
     let mut service = OptimizerService::connect(config, &addrs(&workers)).expect("connect");
@@ -355,7 +339,7 @@ fn admission_limit_holds_over_real_sockets() {
         .submit(&queries[1], PlanSpace::Linear, Objective::Single)
         .expect("second admits");
     match service.submit(&queries[2], PlanSpace::Linear, Objective::Single) {
-        Err(ServiceError::Overloaded { in_flight, limit }) => {
+        Err(MpqError::Overloaded { in_flight, limit }) => {
             assert_eq!((in_flight, limit), (2, 2));
         }
         other => panic!("expected Overloaded over the wire, got {other:?}"),
@@ -369,17 +353,4 @@ fn admission_limit_holds_over_real_sockets() {
             .expect("every admitted session completes");
     }
     service.shutdown();
-}
-
-/// `pqopt worker` itself refuses single-node backends: the process exits
-/// nonzero instead of listening for traffic it could never serve.
-#[test]
-fn worker_command_refuses_single_node_backends() {
-    let status = Command::new(BIN)
-        .args(["worker", "--listen", "127.0.0.1:0", "--backend", "serial"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .expect("run pqopt worker");
-    assert!(!status.success());
 }
