@@ -218,11 +218,14 @@ impl Encoder {
 
     /// Writes a collection length prefix.
     ///
-    /// Audited panic site (see `crates/xtask/allow/panics.allow`): a
-    /// collection beyond `u32::MAX` elements cannot be represented by the
-    /// length prefix at all, and `MAX_LEN` rejects far smaller ones on
-    /// decode.
-    #[allow(clippy::expect_used)]
+    /// Panics on a collection beyond `u32::MAX` elements, which the length
+    /// prefix cannot represent.
+    #[expect(
+        clippy::expect_used,
+        reason = "encoder capacity cap: a >u32::MAX-element collection cannot be \
+                  represented by the u32 length prefix, and MAX_LEN rejects far smaller \
+                  ones on decode"
+    )]
     pub fn put_len(&mut self, len: usize) {
         self.put_u32(u32::try_from(len).expect("collection too large to encode"));
     }
@@ -513,6 +516,11 @@ macro_rules! wire {
             $({ $($f:ident : $ty:ty),* $(,)? })?
             $(( $($b:ident : $bty:ty),* $(,)? ))?
     ),* $(,)? }) => {
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "evaluated at compile time: a duplicate tag is a build error, never \
+                      a runtime panic"
+        )]
         const _: () = assert!(
             $crate::codec::tags_unique(&[$($tag),*]),
             concat!("two variants of ", stringify!($T), " share a wire tag")
@@ -918,7 +926,7 @@ wire! {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
 

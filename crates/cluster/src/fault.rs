@@ -130,11 +130,11 @@ impl FaultPlan {
     /// `num_workers` cluster on its very first task — crash points are
     /// spread over the first few messages, so not every seed crashes
     /// round one.
-    ///
-    /// Audited panic site (see `crates/xtask/allow/panics.allow`): the
-    /// bounded seed search is documented to succeed, so failure means the
-    /// contract itself broke — aborting the chaos helper is the right call.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "fault-injection helper for the chaos suites: the bounded seed search \
+                  is documented to succeed, so failure means the contract itself broke"
+    )]
     pub fn crash_on_first_task(num_workers: usize, min_survivors: usize) -> FaultPlan {
         FaultPlan::crash_all_but(min_survivors, 0)
             .with_seed_where(num_workers, 4096, |s| {
@@ -348,7 +348,13 @@ fn unit(h: u64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros,
+        clippy::disallowed_methods
+    )]
     use super::*;
     use crate::{Cluster, ClusterError, LatencyModel, Transport};
 

@@ -227,6 +227,11 @@ impl WorkerCtx {
             }
             FaultAction::Straggle(d) => {
                 self.metrics.record_straggle(self.worker_id);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "fault injection: a reply armed with FaultAction::Straggle by the \
+                              Faulty decorator is held back this long"
+                )]
                 std::thread::sleep(d);
             }
             _ => {}
@@ -415,6 +420,11 @@ impl Inbox {
             return Ok(reply);
         }
         let (timeout, deadline) = match wait {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "receive deadline: expiry returns a typed timeout error so the caller \
+                          re-examines evidence; it never changes a result"
+            )]
             Wait::AtMost(timeout) => (timeout, Some(Instant::now() + timeout)),
             Wait::Forever | Wait::Poll => (Duration::ZERO, None),
         };
@@ -439,6 +449,10 @@ impl Inbox {
                 return Ok((worker, env.query, env.payload));
             }
             self.parked.park(env.query, worker, env.payload);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "receive deadline arithmetic (the audited timeout above)"
+            )]
             if let Some(deadline) = deadline {
                 remaining = deadline.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
@@ -613,7 +627,12 @@ impl Drop for Cluster {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_macros,
+        clippy::disallowed_methods
+    )]
     use super::*;
     use std::collections::HashMap;
 

@@ -207,7 +207,12 @@ impl<S, R> SessionTable<S, R> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros
+    )]
 
     use super::*;
 

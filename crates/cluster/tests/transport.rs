@@ -19,7 +19,13 @@
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros,
+    clippy::disallowed_methods
+)]
 
 use bytes::Bytes;
 use mpq_cluster::transport::MAX_FRAME_BYTES;

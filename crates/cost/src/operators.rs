@@ -378,7 +378,7 @@ impl SplitCosts {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use mpq_model::{Catalog, JoinGraph, Predicate, Query, TableStats};
 

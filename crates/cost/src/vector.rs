@@ -118,6 +118,7 @@ impl CostVector {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_macros)]
     use super::*;
 
     #[test]

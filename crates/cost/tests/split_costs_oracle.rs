@@ -10,7 +10,12 @@
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros
+)]
 
 use mpq_cost::operators::JoinApplication;
 use mpq_cost::{CardinalityEstimator, CostVector, JoinOp, Order, SplitCosts, JOIN_OPS};

@@ -12,6 +12,18 @@
 //! estimator: the MPQ master ranks and returns only the [`PricedPlan`]s it
 //! makes, so no cost it compares was computed by a worker.
 
+// The master runs this file on decoded input, so it is held panic-free
+// although the rest of `mpq_dp` is not.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_macros
+)]
+
 use crate::worker::stored_time;
 use mpq_cost::{CardinalityEstimator, CostVector, JoinOp, Order, SetStats, SplitCosts};
 use mpq_model::{Query, TableSet};
@@ -324,6 +336,7 @@ pub fn explain(query: &Query, plan: &Plan) -> Result<Explanation, ExplainError> 
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use crate::arena::{fill, ArenaMemo};
     use crate::reconstruct::reconstruct_plan;

@@ -101,6 +101,10 @@ pub fn optimize_parametric_partition(
     space: PlanSpace,
     constraints: &ConstraintSet,
 ) -> ParametricOutcome {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement, not scheduling evidence: optimize_micros is a reported metric, no decision reads it"
+    )]
     let start = Instant::now();
     let n = pq.num_tables();
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));

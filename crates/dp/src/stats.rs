@@ -37,15 +37,15 @@ impl WorkerStats {
         }
     }
 
-    /// Element-wise sum (used for totals across workers).
-    pub fn sum(&self, other: &WorkerStats) -> WorkerStats {
-        WorkerStats {
-            stored_sets: self.stored_sets + other.stored_sets,
-            total_entries: self.total_entries + other.total_entries,
-            splits_tried: self.splits_tried + other.splits_tried,
-            plans_generated: self.plans_generated + other.plans_generated,
-            optimize_micros: self.optimize_micros + other.optimize_micros,
-        }
+    /// Accumulates one run's counters: a worker's over the partitions of
+    /// its range, a session's over the ranges a worker ran (several under
+    /// retries). Times and work add up; memory is the peak.
+    pub fn accumulate(&mut self, other: &WorkerStats) {
+        self.splits_tried += other.splits_tried;
+        self.plans_generated += other.plans_generated;
+        self.optimize_micros += other.optimize_micros;
+        self.stored_sets = self.stored_sets.max(other.stored_sets);
+        self.total_entries = self.total_entries.max(other.total_entries);
     }
 }
 
@@ -71,19 +71,18 @@ mod tests {
     }
 
     #[test]
-    fn sum_is_elementwise() {
-        let a = WorkerStats {
+    fn accumulate_adds_work_and_keeps_peak_memory() {
+        let mut a = WorkerStats {
+            stored_sets: 5,
             splits_tried: 3,
-            plans_generated: 4,
             ..Default::default()
         };
-        let b = WorkerStats {
+        a.accumulate(&WorkerStats {
+            stored_sets: 2,
             splits_tried: 7,
-            plans_generated: 6,
             ..Default::default()
-        };
-        let s = a.sum(&b);
-        assert_eq!(s.splits_tried, 10);
-        assert_eq!(s.plans_generated, 10);
+        });
+        assert_eq!(a.stored_sets, 5);
+        assert_eq!(a.splits_tried, 10);
     }
 }

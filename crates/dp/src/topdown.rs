@@ -35,6 +35,10 @@ pub fn optimize_partition_topdown(
     objective: Objective,
     constraints: &ConstraintSet,
 ) -> PartitionOutcome {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement, not scheduling evidence: optimize_micros is a reported metric, no decision reads it"
+    )]
     let start = Instant::now();
     let n = query.num_tables();
     let adm = AdmissibleSets::new(constraints);

@@ -127,6 +127,10 @@ fn reference_loop(
     constraints: &ConstraintSet,
     filtered: bool,
 ) -> PartitionOutcome {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement, not scheduling evidence: optimize_micros is a reported metric, no decision reads it"
+    )]
     let start = Instant::now();
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");

@@ -3,7 +3,7 @@
 //! and the deterministic abandoned-handle reaping the checker depends
 //! on.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
 
 use mpq_cluster::AbandonedList;
 use pqopt_model::{

@@ -122,7 +122,12 @@ wire! {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros
+    )]
     use super::*;
     use mpq_cluster::Wire;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};

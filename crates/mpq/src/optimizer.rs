@@ -319,9 +319,10 @@ impl MpqOptimizer {
     /// Panics if the run fails (possible only with fault injection or a
     /// protocol bug); use [`MpqOptimizer::try_optimize`] for a typed
     /// error.
-    // Audited panic site (crates/xtask/allow/panics.allow): documented
-    // panicking convenience wrapper over the typed-error form.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience wrapper; try_optimize is the typed-error form"
+    )]
     pub fn optimize(
         &self,
         query: &Query,
@@ -359,7 +360,7 @@ impl MpqOptimizer {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use mpq_dp::optimize_serial;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};

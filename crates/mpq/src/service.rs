@@ -157,6 +157,10 @@ impl WorkerLogic for MpqWorker {
             .enumerate()
             .map(|(i, p)| (i as u64, p))
         {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fault injection: times the partition for the slowdown injector below"
+            )]
             let t0 = Instant::now();
             let out = optimize_partition_id(
                 &msg.query,
@@ -165,13 +169,18 @@ impl WorkerLogic for MpqWorker {
                 part_id,
                 msg.total_partitions,
             );
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fault injection: simulates a straggling worker by stretching its \
+                          real compute time"
+            )]
             if self.slow_factor > 1 {
                 // Degraded-node model: pay (factor - 1) extra copies of
                 // the measured compute time per partition.
                 std::thread::sleep(t0.elapsed() * (self.slow_factor - 1));
             }
             plans.extend(out.plans);
-            accumulate(&mut stats, &out.stats);
+            stats.accumulate(&out.stats);
             // Progress piggyback: after every `progress_every` completed
             // partitions, but never for the final one (the reply itself
             // signals completion).
@@ -263,8 +272,12 @@ pub struct Session {
     /// Progress-report cadence written into this session's task messages.
     progress_every: u64,
     start: Instant,
-    /// When this session last saw one of its own replies; the scheduler's
-    /// per-session straggler-suspicion clock.
+    /// When this session last saw one of its own replies: the per-session
+    /// suspicion timer. Under `RetryPolicy::timeout = Some(t)`,
+    /// [`MpqService::check_suspicions`] re-examines a session once this is
+    /// `t` old. The clock then decides when a range is re-issued, which
+    /// cannot change an answer: a task is stateless, and FinalPrune is a
+    /// pure min/frontier. With no timeout nothing reads it.
     last_progress: Instant,
 }
 
@@ -325,7 +338,7 @@ impl Session {
             }
         }
         self.strikes = 0;
-        accumulate(&mut self.worker_stats[worker], stats);
+        self.worker_stats[worker].accumulate(stats);
         self.plans.extend(plans);
         self.completed == self.assignment.len()
     }
@@ -360,6 +373,10 @@ pub struct MpqService {
     tasks_sent: Vec<u64>,
     replies_seen: Vec<u64>,
     lost_replies: Vec<u64>,
+    /// The reply-silent evidence of [`MpqService::session_timeout`]: under
+    /// `RetryPolicy::timeout = Some(t)`, a worker silent for `t` lets its
+    /// outstanding ranges be re-issued. Like [`Session::last_progress`],
+    /// it decides when, never what; with no timeout nothing reads it.
     last_reply_from: Vec<Instant>,
 }
 
@@ -411,6 +428,10 @@ impl MpqService {
             tasks_sent: vec![0; workers],
             replies_seen: vec![0; workers],
             lost_replies: vec![0; workers],
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the reply-silent timer; see MpqService::last_reply_from"
+            )]
             last_reply_from: vec![Instant::now(); workers],
         })
     }
@@ -664,7 +685,16 @@ impl MpqService {
             retry_task_bytes: 0,
             // The wire keeps the cadence field; 0 is the steal-off wire.
             progress_every: if self.steal { STEAL_PROGRESS_EVERY } else { 0 },
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-session wall-clock metric: MpqMetrics::total_micros, which no \
+                          decision reads"
+            )]
             start: Instant::now(),
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the suspicion timer; see Session::last_progress"
+            )]
             last_progress: Instant::now(),
         };
         // Dispatch: one task message per range, to the worker the layout
@@ -753,7 +783,12 @@ impl MpqService {
     fn route(&mut self, worker: usize, qid: QueryId, payload: Bytes) {
         let net = self.net.as_ref();
         // The worker is alive and talking, whatever it sent.
-        self.last_reply_from[worker] = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the reply-silent timer; see MpqService::last_reply_from"
+        )]
+        let now = Instant::now();
+        self.last_reply_from[worker] = now;
         enum Advance {
             Pending,
             Finished,
@@ -785,6 +820,10 @@ impl MpqService {
                 return;
             };
             match WorkerMsg::from_bytes(&payload) {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the suspicion timer; see Session::last_progress"
+                )]
                 Err(source) => {
                     session.last_progress = Instant::now();
                     session.replies_received += 1;
@@ -816,6 +855,10 @@ impl MpqService {
                     }
                     Advance::Pending
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the suspicion timer; see Session::last_progress"
+                )]
                 Ok(WorkerMsg::Reply(reply)) => {
                     session.last_progress = Instant::now();
                     session.replies_received += 1;
@@ -952,6 +995,10 @@ impl MpqService {
                 .collect(),
         };
         for &raw in &due {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the suspicion timer; see Session::last_progress"
+            )]
             if let Some(session) = self.table.live.get_mut(&raw) {
                 session.last_progress = Instant::now();
             }
@@ -1033,6 +1080,11 @@ impl MpqService {
         (partitions, assignment)
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug builds only: a session leaves the live table when its last \
+                  range completes, so a due session always has one outstanding"
+    )]
     fn session_timeout(&mut self, qid: QueryId) {
         let net = self.net.as_ref();
         let Some(session) = self.table.live.get_mut(&qid.0) else {
@@ -1423,20 +1475,15 @@ pub fn serve_socket_worker(
     mpq_cluster::serve_worker(listener, MpqWorker::new(1))
 }
 
-/// Accumulates one run's counters into running stats: a worker's over the
-/// partitions of its range, a session's over the ranges a worker ran
-/// (several under retries). Times and work add up; memory is the peak.
-fn accumulate(into: &mut WorkerStats, s: &WorkerStats) {
-    into.splits_tried += s.splits_tried;
-    into.plans_generated += s.plans_generated;
-    into.optimize_micros += s.optimize_micros;
-    into.stored_sets = into.stored_sets.max(s.stored_sets);
-    into.total_entries = into.total_entries.max(s.total_entries);
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros,
+        clippy::disallowed_methods
+    )]
 
     use super::*;
     use mpq_dp::{optimize_partition_id, optimize_serial, ExplainError};
@@ -2812,5 +2859,55 @@ mod tests {
         assert_eq!(out.metrics.progress_reports, 0);
         assert_eq!(out.metrics.network.progress_reports, 0);
         assert_eq!(out.metrics.network.steals, 0);
+    }
+
+    /// The send-site half of the protocol: a worker sends every declared
+    /// `WorkerMsg` variant. A two-partition task with `progress_every: 1`
+    /// draws one progress report, then the reply; a variant declared in
+    /// `WIRE_TYPES` but never sent fails the count.
+    #[test]
+    fn worker_sends_every_declared_worker_msg_tag() {
+        struct Capture(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+        impl std::io::Write for Capture {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let q = query(6, 5);
+        assert!(is_partition_range(6, PlanSpace::Linear, 0, 2, 2));
+        let task = MasterMessage {
+            query: q,
+            space: PlanSpace::Linear,
+            objective: Objective::Single,
+            first_partition: 0,
+            partition_count: 2,
+            total_partitions: 2,
+            progress_every: 1,
+        };
+        let bytes = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let metrics = std::sync::Arc::new(mpq_cluster::NetworkMetrics::with_workers(1));
+        let mut ctx = WorkerCtx::for_stream(0, metrics, Box::new(Capture(bytes.clone())));
+        let mut worker = worker_logic(0);
+        worker.on_message(QueryId(7), task.to_bytes(), &mut ctx);
+
+        let mut frames = mpq_cluster::FrameBuffer::new();
+        frames.push(&bytes.lock().unwrap());
+        let mut tags = Vec::new();
+        while let Some(env) = frames.next_frame().unwrap() {
+            tags.push(env.payload[0]);
+        }
+        assert_eq!(tags, [WorkerMsg::TAG_PROGRESS, WorkerMsg::TAG_REPLY]);
+        let declared = crate::message::WIRE_TYPES
+            .iter()
+            .find(|ty| ty.name == "WorkerMsg")
+            .unwrap()
+            .decl
+            .matches("=>")
+            .count();
+        assert_eq!(tags.len(), declared);
     }
 }

@@ -16,7 +16,7 @@
 //! Cases: `PROPTEST_CASES` (as in the CI sanitizer job) or 512. The
 //! generator is a fixed-seed SplitMix64, so a failing case repeats.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
 
 use mpq_algo::{WorkerMsg, WorkerReply};
 use mpq_cluster::Wire;

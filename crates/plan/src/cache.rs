@@ -422,7 +422,7 @@ impl<V: CacheWeight + Clone> MemoCache<V> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use mpq_cost::{CostVector, ScanOp};
     use mpq_model::{Catalog, JoinGraph, Predicate, TableStats};

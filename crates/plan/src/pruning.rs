@@ -40,6 +40,13 @@ impl PruningPolicy {
     /// tables. For [`Objective::Multi`] the per-insertion factor is
     /// `alpha^(1/(num_tables-1))` so that the accumulated factor over all
     /// join levels stays within `alpha`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "internal invariant, not input: Objective::decode (the wire) and \
+                  SessionTable::admit (the API) both refuse such a factor typed before a \
+                  policy is built, and letting it through would prune with a NaN factor \
+                  silently"
+    )]
     pub fn new(objective: Objective, num_tables: usize) -> Self {
         let insert_alpha = match objective {
             Objective::Single => 1.0,
@@ -211,7 +218,7 @@ fn order_covers(a: Order, b: Order) -> bool {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use crate::tree::PlanOp;
     use mpq_cost::ScanOp;

@@ -230,7 +230,7 @@ impl fmt::Display for Plan {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
 
     fn scan(t: u8) -> PlanOp {

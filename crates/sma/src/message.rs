@@ -93,7 +93,12 @@ wire! {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros
+    )]
     use super::*;
     use mpq_cluster::Wire;
     use mpq_cost::{CostVector, ScanOp};

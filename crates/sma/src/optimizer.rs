@@ -99,9 +99,10 @@ impl SmaOptimizer {
     /// # Panics
     /// Panics if the request is refused; use
     /// [`SmaOptimizer::try_optimize`] for a typed error.
-    // Audited panic site (crates/xtask/allow/panics.allow): documented
-    // panicking convenience wrapper over the typed-error form.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience wrapper; try_optimize is the typed-error form"
+    )]
     pub fn optimize(
         &self,
         query: &Query,
@@ -252,7 +253,7 @@ fn refuse(query: &Query, objective: Objective, workers: usize) -> Result<(), Sma
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use mpq_dp::optimize_serial;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};

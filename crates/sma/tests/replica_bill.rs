@@ -10,7 +10,7 @@
 //! To print the table after an *intentional* change to the bill:
 //! `cargo test -p mpq_sma --test replica_bill -- --ignored --nocapture`.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
 
 use mpq_cost::Objective;
 use mpq_model::{Query, WorkloadConfig, WorkloadGenerator};

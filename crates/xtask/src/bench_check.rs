@@ -444,7 +444,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
 
     /// `(id, unit, median, q1, q3)` rows.

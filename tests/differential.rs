@@ -23,7 +23,7 @@
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
 
 use pqopt::cost::{CostVector, Objective};
 use pqopt::dp::{
@@ -446,7 +446,7 @@ fn every_backend_returns_plans_that_explain_to_their_cost() {
 /// The resident facade answers every seeded query with the serial-DP
 /// cost, through its blocking `optimize`.
 #[test]
-fn all_backends_agree_through_the_unified_service_trait() {
+fn optimize_answers_the_serial_optimum() {
     let space = PlanSpace::Linear;
     let mut service = OptimizerService::spawn(ServiceConfig::new(3)).expect("service spawns");
     for seed in (0..SEEDS).step_by(5) {

@@ -17,7 +17,12 @@
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros
+)]
 
 use pqopt::cluster::{serve_worker, Faulty, SocketTransport, WireListener, WorkerAddr, WorkerCtx};
 use pqopt::dp::optimize_serial;

@@ -6,7 +6,7 @@
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
 
 use pqopt::cluster::codec::{describe, WireType};
 use pqopt::cluster::Hello;
