@@ -194,11 +194,6 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// A schedule injecting nothing for `num_workers` workers.
-    pub fn none(num_workers: usize) -> Self {
-        FaultPlan::NONE.schedule(num_workers)
-    }
-
     /// The per-worker slice of the schedule.
     pub fn worker(&self, id: usize) -> WorkerFaults {
         self.workers[id]

@@ -162,31 +162,6 @@ impl NetworkMetrics {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.master_to_worker_bytes.store(0, Ordering::Relaxed);
-        self.worker_to_master_bytes.store(0, Ordering::Relaxed);
-        self.messages.store(0, Ordering::Relaxed);
-        self.rounds.store(0, Ordering::Relaxed);
-        self.crashes.store(0, Ordering::Relaxed);
-        self.drops.store(0, Ordering::Relaxed);
-        self.straggles.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.duplicate_replies.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.progress_reports.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_bytes_saved.store(0, Ordering::Relaxed);
-        for pw in &self.per_worker {
-            pw.replies.store(0, Ordering::Relaxed);
-            pw.reply_bytes.store(0, Ordering::Relaxed);
-            pw.failures.store(0, Ordering::Relaxed);
-            pw.retries.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Takes a consistent-enough snapshot of the counters.
     pub fn snapshot(&self) -> NetworkSnapshot {
         NetworkSnapshot {
@@ -308,23 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
-        let m = NetworkMetrics::with_workers(2);
-        m.record_to_worker(1);
-        m.record_reply(1, 9);
-        m.record_crash(0);
-        m.record_retry(1);
-        m.record_timeout();
-        m.record_duplicate();
-        m.reset();
-        assert_eq!(m.snapshot(), NetworkSnapshot::default());
-        assert!(m
-            .worker_counters()
-            .iter()
-            .all(|w| *w == WorkerCounters::default()));
-    }
-
-    #[test]
     fn per_worker_attribution() {
         let m = NetworkMetrics::with_workers(3);
         m.record_reply(0, 10);
@@ -350,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_counters_accumulate_and_reset() {
+    fn cache_counters_accumulate() {
         let m = NetworkMetrics::new();
         m.record_cache_hit(100);
         m.record_cache_hit(50);
@@ -359,12 +317,10 @@ mod tests {
         assert_eq!(s.cache_hits, 2);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_bytes_saved, 150);
-        m.reset();
-        assert_eq!(m.snapshot(), NetworkSnapshot::default());
     }
 
     #[test]
-    fn steal_and_progress_counters_accumulate_and_reset() {
+    fn steal_and_progress_counters_accumulate() {
         let m = NetworkMetrics::new();
         m.record_steal();
         m.record_progress_report();
@@ -372,8 +328,6 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.steals, 1);
         assert_eq!(s.progress_reports, 2);
-        m.reset();
-        assert_eq!(m.snapshot(), NetworkSnapshot::default());
     }
 
     #[test]

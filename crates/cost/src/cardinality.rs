@@ -106,18 +106,6 @@ impl CardinalityEstimator {
         card * self.predicates.internal_selectivity(tables)
     }
 
-    /// Estimated output cardinality of joining `left` with `right`
-    /// (`left` and `right` must be disjoint).
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "debug builds only: release builds compile the check out, and the \
-                  union's cardinality is defined for overlapping operands too"
-    )]
-    pub fn join_cardinality(&self, left: TableSet, right: TableSet) -> f64 {
-        debug_assert!(left.is_disjoint(right));
-        self.cardinality(left.union(right))
-    }
-
     /// Estimated tuple width in bytes of the join result of `tables`
     /// (sum of the member tables' tuple widths, in table order: a join
     /// concatenates tuples).
@@ -203,18 +191,6 @@ mod tests {
         // {0, 2} has no internal predicate in a chain.
         let s = TableSet::from_tables([0, 2]);
         assert!((est.cardinality(s) - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn plan_independence() {
-        // The estimate depends on the set, not on how it is asked for.
-        let q = chain_query(&[50.0, 60.0, 70.0, 80.0], 0.05);
-        let est = CardinalityEstimator::new(&q);
-        let l = TableSet::from_tables([0, 1]);
-        let r = TableSet::from_tables([2, 3]);
-        let via_join = est.join_cardinality(l, r);
-        let direct = est.cardinality(l.union(r));
-        assert_eq!(via_join, direct);
     }
 
     #[test]

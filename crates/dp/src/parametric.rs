@@ -182,7 +182,12 @@ pub fn optimize_parametric_partition(
     prune_frontier(&mut plans);
     stats.stored_sets = memo.stored_sets();
     stats.total_entries = memo.total_entries();
-    stats.optimize_micros = start.elapsed().as_micros() as u64;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement: optimize_micros is a reported metric, no decision reads it"
+    )]
+    let elapsed = start.elapsed();
+    stats.optimize_micros = elapsed.as_micros() as u64;
     ParametricOutcome { plans, stats }
 }
 

@@ -223,7 +223,12 @@ pub(crate) fn finish(
     policy.final_prune(&mut plans);
     stats.stored_sets = memo.stored_sets();
     stats.total_entries = memo.total_entries();
-    stats.optimize_micros = start.elapsed().as_micros() as u64;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement: optimize_micros is a reported metric, no decision reads it"
+    )]
+    let elapsed = start.elapsed();
+    stats.optimize_micros = elapsed.as_micros() as u64;
     PartitionOutcome { plans, stats }
 }
 

@@ -19,6 +19,16 @@
 //! ranges it held — every other session keeps streaming. A worker found
 //! dead at submission time is routed around the same way a lost range is.
 //!
+//! The bookkeeping is one record per thing: a session keeps one record
+//! per partition range (what it covers, whether it is done, its latest
+//! assignee, and that worker's send count when the task went out), and
+//! the service one record per worker (tasks sent, replies seen, replies
+//! proved lost, last reply). A range's reply is provably lost once its
+//! assignee's reply count reaches the range's mark: per-worker FIFO. Every
+//! task — first dispatch, re-issue, stolen chunk, head backup — goes out
+//! through `Session::issue`, which books it on both records. With no
+//! retry timeout, routing a message and the suspicion pass read no clock.
+//!
 //! Beyond loss recovery, the scheduler performs **straggler-adaptive work
 //! redistribution** (opt-in via [`MpqConfig::steal`]): workers piggyback
 //! fixed-size [`Progress`](mpq_cluster::Progress) reports on the reply
@@ -219,38 +229,95 @@ impl WorkerLogic for MpqWorker {
 
 /// One steal's paper trail: the range exactly as the superseded task was
 /// issued (`first`/`count` are what its assignee will echo), and the
-/// assignment entries now covering it — the shrunk kept piece plus the
-/// stolen sub-ranges. The straggler's eventual full-range reply is
-/// reconciled against this record instead of failing as a protocol error.
+/// ranges now covering it — the shrunk kept piece plus the stolen
+/// sub-ranges. The straggler's eventual full-range reply is reconciled
+/// against this record instead of failing as a protocol error.
 struct SplitRecord {
     first: u64,
     count: u64,
     members: Vec<usize>,
 }
 
+/// One partition range of a session: what its task covers, who holds it,
+/// and how far that holder's reply stream must get before its reply is
+/// provably lost. Only [`Session::issue`] books `worker`, `reissued` and
+/// `mark`.
+#[derive(Default)]
+struct RangeRecord {
+    first: u64,
+    count: u64,
+    done: bool,
+    /// Latest worker the range was issued to, and whether it was ever
+    /// re-issued (i.e. an earlier assignee might still deliver it).
+    worker: usize,
+    reissued: bool,
+    /// The latest assignee's send count when the task went out: by
+    /// per-worker FIFO, once that worker's reply count reaches this mark,
+    /// an outstanding range's reply is provably lost, not queued. 0 until
+    /// the range is first issued.
+    mark: u64,
+    /// Partitions reported completed by its assignee (progress
+    /// piggyback; stays 0 with stealing disabled).
+    progress: u64,
+}
+
+impl RangeRecord {
+    /// Completed fraction: 1 once done (or empty), else the reported
+    /// progress over the count.
+    fn fraction(&self) -> f64 {
+        if self.done || self.count == 0 {
+            1.0
+        } else {
+            self.progress as f64 / self.count as f64
+        }
+    }
+
+    /// The strictly unstarted tail: the partition after the last reported
+    /// one is presumed in flight at the assignee.
+    fn unstarted(&self) -> u64 {
+        self.count.saturating_sub(self.progress + 1)
+    }
+}
+
+/// The master's evidence about one worker, shared by every session: its
+/// FIFO stream position and, under a retry timeout, when it last spoke.
+#[derive(Clone)]
+struct WorkerRecord {
+    /// Tasks sent to the worker.
+    sent: u64,
+    /// Replies seen from it (progress reports excluded).
+    seen: u64,
+    /// Replies the recovery pass proved lost: the queue-ledger repair
+    /// that keeps one dropped reply from shrinking the thief pool forever.
+    lost: u64,
+    /// When the worker last sent anything: the reply-silent evidence of
+    /// [`MpqService::session_timeout`]. Stamped only under
+    /// `RetryPolicy::timeout = Some(t)`, where a worker silent for `t`
+    /// lets its outstanding ranges be re-issued. Like
+    /// [`Session::last_progress`], it decides when, never what.
+    last_reply: Instant,
+}
+
+impl WorkerRecord {
+    /// Tasks sent whose reply the master has neither seen nor proved
+    /// lost: the depth of the worker's queue as far as the ledger knows.
+    fn outstanding(&self) -> u64 {
+        self.sent.saturating_sub(self.seen + self.lost)
+    }
+}
+
 /// Master-side state of one in-flight optimization session.
 pub struct Session {
+    id: QueryId,
     query: Query,
     space: PlanSpace,
     objective: Objective,
-    partitions: u64,
-    assignment: Vec<(u64, u64)>,
-    range_done: Vec<bool>,
-    /// Latest worker each range was issued to, and whether it was ever
-    /// re-issued (i.e. an earlier assignee might still deliver it).
-    range_worker: Vec<usize>,
-    range_reissued: Vec<bool>,
-    /// Cumulative send-sequence number at the range's latest assignee
-    /// when its task went out: by per-worker FIFO, once that worker's
-    /// reply count reaches this mark, an outstanding range's reply is
-    /// provably lost, not queued.
-    range_mark: Vec<u64>,
-    /// Partitions of each range reported completed by its assignee
-    /// (progress piggyback; stays 0 with stealing disabled).
-    range_progress: Vec<u64>,
+    ranges: Vec<RangeRecord>,
     /// Ranges split by steals, kept for reply reconciliation.
     splits: Vec<SplitRecord>,
-    worker_stats: Vec<WorkerStats>,
+    /// The counters this session reports, kept where they are reported:
+    /// `finish` fills in the rest.
+    metrics: MpqMetrics,
     /// The pool FinalPrune ranks: every plan a reply carried, priced
     /// against this session's query.
     plans: Vec<PricedPlan>,
@@ -258,17 +325,7 @@ pub struct Session {
     /// boxed: sessions are moved about by value, and the estimator is
     /// several times the size of the rest of the record.
     pricer: Option<Box<Pricer>>,
-    completed: usize,
-    retries_left: u32,
-    steals_left: u32,
     strikes: u32,
-    retries: u64,
-    steals: u64,
-    stolen_partitions: u64,
-    progress_reports: u64,
-    replies_received: u64,
-    duplicate_replies: u64,
-    retry_task_bytes: u64,
     /// Progress-report cadence written into this session's task messages.
     progress_every: u64,
     start: Instant,
@@ -277,35 +334,62 @@ pub struct Session {
     /// [`MpqService::check_suspicions`] re-examines a session once this is
     /// `t` old. The clock then decides when a range is re-issued, which
     /// cannot change an answer: a task is stateless, and FinalPrune is a
-    /// pure min/frontier. With no timeout nothing reads it.
+    /// pure min/frontier. With no timeout it is never stamped again.
     last_progress: Instant,
 }
 
 impl Session {
-    fn task(&self, range: usize) -> MasterMessage {
-        let (first_partition, partition_count) = self.assignment[range];
-        self.task_for(first_partition, partition_count)
-    }
-
-    /// Task message for an arbitrary partition range of this session —
-    /// the single construction site, so every field travels with every
-    /// task (the steal pass issues sub-ranges not yet in the assignment).
-    fn task_for(&self, first_partition: u64, partition_count: u64) -> MasterMessage {
+    /// The task message for range `r` — the single construction site, so
+    /// every field travels with every task.
+    fn task(&self, r: usize) -> MasterMessage {
+        let range = &self.ranges[r];
         MasterMessage {
             query: self.query.clone(),
             space: self.space,
             objective: self.objective,
-            first_partition,
-            partition_count,
-            total_partitions: self.partitions,
+            first_partition: range.first,
+            partition_count: range.count,
+            total_partitions: self.metrics.partitions,
             progress_every: self.progress_every,
         }
     }
 
-    fn outstanding(&self) -> Vec<usize> {
-        (0..self.assignment.len())
-            .filter(|&i| !self.range_done[i])
-            .collect()
+    fn outstanding(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.ranges.len()).filter(|&i| !self.ranges[i].done)
+    }
+
+    /// The one send site: sends range `r`'s task to the first of
+    /// `targets` that accepts it and books it there. The task is encoded
+    /// per attempt and its only handle moves into `send`, so the receiver
+    /// frees the buffer. Returns the task's byte length, or the last
+    /// refusal ([`ClusterError::AllWorkersLost`] with no target at all).
+    fn issue(
+        &mut self,
+        r: usize,
+        targets: impl IntoIterator<Item = usize>,
+        net: &dyn Transport,
+        workers: &mut [WorkerRecord],
+    ) -> Result<u64, ClusterError> {
+        let mut refusal = ClusterError::AllWorkersLost;
+        for target in targets {
+            let task = self.task(r).to_bytes();
+            let len = task.len() as u64;
+            match net.send(target, self.id, task, true) {
+                Ok(()) => {
+                    let worker = &mut workers[target];
+                    worker.sent += 1;
+                    let range = &mut self.ranges[r];
+                    // A range booked before has an earlier assignee that
+                    // may still deliver it.
+                    range.reissued |= range.mark > 0;
+                    range.worker = target;
+                    range.mark = worker.sent;
+                    return Ok(len);
+                }
+                Err(err) => refusal = err,
+            }
+        }
+        Err(refusal)
     }
 
     /// Prices a reply's plans against this session's query and plan
@@ -317,42 +401,6 @@ impl Session {
             .pricer
             .get_or_insert_with(|| Box::new(Pricer::new(query)));
         plans.into_iter().map(|p| pricer.price(space, p)).collect()
-    }
-
-    /// Applies one completing reply — its counters and its priced plans —
-    /// to the given assignment entries: the single bookkeeping site
-    /// shared by the normal reply path (one entry) and the split-record
-    /// reconciliation (all members of the superseded range). Returns
-    /// whether the session is now complete.
-    fn complete_ranges(
-        &mut self,
-        worker: usize,
-        stats: &WorkerStats,
-        plans: Vec<PricedPlan>,
-        ranges: &[usize],
-    ) -> bool {
-        for &m in ranges {
-            if !self.range_done[m] {
-                self.range_done[m] = true;
-                self.completed += 1;
-            }
-        }
-        self.strikes = 0;
-        self.worker_stats[worker].accumulate(stats);
-        self.plans.extend(plans);
-        self.completed == self.assignment.len()
-    }
-
-    /// Appends a fresh assignment entry (a stolen sub-range), keeping the
-    /// per-range vectors in lockstep, and returns its index.
-    fn push_range(&mut self, first: u64, count: u64, worker: usize) -> usize {
-        self.assignment.push((first, count));
-        self.range_done.push(false);
-        self.range_worker.push(worker);
-        self.range_reissued.push(false);
-        self.range_mark.push(0);
-        self.range_progress.push(0);
-        self.assignment.len() - 1
     }
 }
 
@@ -366,18 +414,8 @@ pub struct MpqService {
     table: SessionTable<Session, Result<MpqOutcome, MpqError>>,
     retry: RetryPolicy,
     steal: bool,
-    /// Per-worker loss-detection state: tasks sent to each worker,
-    /// replies seen from it (FIFO stream position), replies the recovery
-    /// pass proved lost (queue-ledger repair for the steal pass's
-    /// idleness signal), and when it last replied at all.
-    tasks_sent: Vec<u64>,
-    replies_seen: Vec<u64>,
-    lost_replies: Vec<u64>,
-    /// The reply-silent evidence of [`MpqService::session_timeout`]: under
-    /// `RetryPolicy::timeout = Some(t)`, a worker silent for `t` lets its
-    /// outstanding ranges be re-issued. Like [`Session::last_progress`],
-    /// it decides when, never what; with no timeout nothing reads it.
-    last_reply_from: Vec<Instant>,
+    /// One record per worker, indexed by worker id.
+    workers: Vec<WorkerRecord>,
 }
 
 impl MpqService {
@@ -425,14 +463,19 @@ impl MpqService {
             table: SessionTable::new(0),
             retry: config.retry,
             steal: config.steal,
-            tasks_sent: vec![0; workers],
-            replies_seen: vec![0; workers],
-            lost_replies: vec![0; workers],
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the reply-silent timer; see MpqService::last_reply_from"
-            )]
-            last_reply_from: vec![Instant::now(); workers],
+            workers: vec![
+                WorkerRecord {
+                    sent: 0,
+                    seen: 0,
+                    lost: 0,
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the reply-silent timer's start; see WorkerRecord::last_reply"
+                    )]
+                    last_reply: Instant::now(),
+                };
+                workers
+            ],
         })
     }
 
@@ -656,46 +699,39 @@ impl MpqService {
                 reason: "a partition range outside the query's partition space",
             });
         }
-        let ranges = assignment.len();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-session wall-clock metric (MpqMetrics::total_micros, which no \
+                      decision reads) and the suspicion timer's start (see \
+                      Session::last_progress)"
+        )]
+        let start = Instant::now();
         let mut session = Session {
+            id,
             query: query.clone(),
             space,
             objective,
-            partitions,
-            assignment,
-            range_done: vec![false; ranges],
-            range_worker: placement,
-            range_reissued: vec![false; ranges],
-            range_mark: vec![0; ranges],
-            range_progress: vec![0; ranges],
+            ranges: assignment
+                .iter()
+                .map(|&(first, count)| RangeRecord {
+                    first,
+                    count,
+                    ..RangeRecord::default()
+                })
+                .collect(),
             splits: Vec::new(),
-            worker_stats: vec![WorkerStats::default(); net.num_workers()],
+            metrics: MpqMetrics {
+                worker_stats: vec![WorkerStats::default(); net.num_workers()],
+                partitions,
+                ..MpqMetrics::default()
+            },
             plans: Vec::new(),
             pricer: None,
-            completed: 0,
-            retries_left: self.retry.max_retries,
-            steals_left: MAX_STEALS,
             strikes: 0,
-            retries: 0,
-            steals: 0,
-            stolen_partitions: 0,
-            progress_reports: 0,
-            replies_received: 0,
-            duplicate_replies: 0,
-            retry_task_bytes: 0,
             // The wire keeps the cadence field; 0 is the steal-off wire.
             progress_every: if self.steal { STEAL_PROGRESS_EVERY } else { 0 },
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "per-session wall-clock metric: MpqMetrics::total_micros, which no \
-                          decision reads"
-            )]
-            start: Instant::now(),
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the suspicion timer; see Session::last_progress"
-            )]
-            last_progress: Instant::now(),
+            start,
+            last_progress: start,
         };
         // Dispatch: one task message per range, to the worker the layout
         // placed it on. On a resident cluster a worker may already be dead
@@ -703,33 +739,14 @@ impl MpqService {
         // ranges are routed to a live worker at once (not a retry — the
         // range was never issued, so the budget is untouched).
         net.metrics().record_round();
-        for range in 0..ranges {
-            let preferred = session.range_worker[range];
-            match net.send(preferred, id, session.task(range).to_bytes(), true) {
-                Ok(()) => {
-                    self.tasks_sent[preferred] += 1;
-                    session.range_mark[range] = self.tasks_sent[preferred];
-                }
+        for (r, preferred) in placement.into_iter().enumerate() {
+            match session.issue(r, [preferred], net, &mut self.workers) {
+                Ok(_) => {}
                 Err(err @ ClusterError::WorkerLost { .. }) if self.retry.max_retries > 0 => {
-                    let mut routed = false;
-                    for target in live_workers(net) {
-                        if target == preferred {
-                            continue;
-                        }
-                        if net
-                            .send(target, id, session.task(range).to_bytes(), true)
-                            .is_ok()
-                        {
-                            self.tasks_sent[target] += 1;
-                            session.range_worker[range] = target;
-                            session.range_mark[range] = self.tasks_sent[target];
-                            routed = true;
-                            break;
-                        }
-                    }
-                    if !routed {
-                        return Err(MpqError::Cluster(err));
-                    }
+                    let others = live_workers(net).into_iter().filter(|&w| w != preferred);
+                    session
+                        .issue(r, others, net, &mut self.workers)
+                        .map_err(|_| MpqError::Cluster(err))?;
                 }
                 Err(err) => return Err(MpqError::Cluster(err)),
             }
@@ -783,12 +800,10 @@ impl MpqService {
     fn route(&mut self, worker: usize, qid: QueryId, payload: Bytes) {
         let net = self.net.as_ref();
         // The worker is alive and talking, whatever it sent.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the reply-silent timer; see MpqService::last_reply_from"
-        )]
-        let now = Instant::now();
-        self.last_reply_from[worker] = now;
+        let now = self.timer_stamp();
+        if let Some(now) = now {
+            self.workers[worker].last_reply = now;
+        }
         enum Advance {
             Pending,
             Finished,
@@ -804,7 +819,7 @@ impl MpqService {
             // matter which session owns it: the worker's FIFO stream
             // position. Progress reports are excluded — a range's own
             // progress must never read as a FIFO overtake of its reply.
-            self.replies_seen[worker] += 1;
+            self.workers[worker].seen += 1;
         }
         let advance = {
             let Some(session) = self.table.live.get_mut(&qid.0) else {
@@ -820,13 +835,8 @@ impl MpqService {
                 return;
             };
             match WorkerMsg::from_bytes(&payload) {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "the suspicion timer; see Session::last_progress"
-                )]
                 Err(source) => {
-                    session.last_progress = Instant::now();
-                    session.replies_received += 1;
+                    session.metrics.replies_received += 1;
                     Advance::Failed(MpqError::Decode { worker, source })
                 }
                 Ok(WorkerMsg::Progress(p)) => {
@@ -835,36 +845,32 @@ impl MpqService {
                     // a chatty straggler must not starve re-execution of a
                     // *different* crashed or reply-lost range of the same
                     // session. The straggler itself stays protected from
-                    // spurious speculation through last_reply_from (its
-                    // reports prove the worker is alive, so the
-                    // reply-silent evidence cannot fire on it).
-                    session.progress_reports += 1;
+                    // spurious speculation through its worker record's
+                    // `last_reply` (its reports prove the worker is alive,
+                    // so the reply-silent evidence cannot fire on it).
+                    session.metrics.progress_reports += 1;
                     net.metrics().record_progress_report();
-                    // Attribute to whichever entry currently starts at the
-                    // echoed first partition: a steal shrinks the entry in
+                    // Attribute to whichever range currently starts at the
+                    // echoed first partition: a steal shrinks the range in
                     // place, so the straggler's reports for the original
                     // range keep landing on its kept piece (clamped).
-                    if let Some(idx) = session
-                        .assignment
-                        .iter()
-                        .position(|&(f, _)| f == p.first_partition)
+                    if let Some(range) = session
+                        .ranges
+                        .iter_mut()
+                        .find(|r| r.first == p.first_partition)
                     {
-                        let cap = session.assignment[idx].1;
-                        session.range_progress[idx] =
-                            session.range_progress[idx].max(p.completed.min(cap));
+                        range.progress = range.progress.max(p.completed.min(range.count));
                     }
                     Advance::Pending
                 }
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "the suspicion timer; see Session::last_progress"
-                )]
                 Ok(WorkerMsg::Reply(reply)) => {
-                    session.last_progress = Instant::now();
-                    session.replies_received += 1;
+                    if let Some(now) = now {
+                        session.last_progress = now;
+                    }
+                    session.metrics.replies_received += 1;
                     let WorkerReply {
-                        first_partition,
-                        partition_count,
+                        first_partition: first,
+                        partition_count: count,
                         plans,
                         stats,
                         ..
@@ -882,60 +888,49 @@ impl MpqService {
                         }
                         Ok(plans) => Ok(plans),
                     };
-                    let found = session
-                        .assignment
+                    // The ranges this reply completes: the live range
+                    // issued as exactly this echo, or, if a steal
+                    // superseded it, every member of the split record filed
+                    // under it. Neither is a protocol bug.
+                    let own = session
+                        .ranges
                         .iter()
-                        .position(|&(f, c)| f == first_partition && c == partition_count);
-                    match (priced, found) {
+                        .position(|r| r.first == first && r.count == count);
+                    let members = match &own {
+                        Some(own) => Some(std::slice::from_ref(own)),
+                        None => session
+                            .splits
+                            .iter()
+                            .find(|s| s.first == first && s.count == count)
+                            .map(|s| s.members.as_slice()),
+                    };
+                    match (priced, members) {
                         (Err(err), _) => Advance::Failed(err),
-                        (Ok(plans), None) => {
-                            // No live entry carries this exact range: either
-                            // a steal superseded it (reconcile against the
-                            // split record) or it is a protocol bug.
-                            let split = session.splits.iter().position(|s| {
-                                s.first == first_partition && s.count == partition_count
-                            });
-                            match split {
-                                None => Advance::Failed(MpqError::Protocol { worker }),
-                                Some(s) => {
-                                    let members = session.splits[s].members.clone();
-                                    if members.iter().any(|&m| !session.range_done[m]) {
-                                        // The straggler outran some thief:
-                                        // its full-range plans cover every
-                                        // member, so complete them all at
-                                        // once. Overlap with members a
-                                        // thief already delivered cannot
-                                        // change cost bits or frontiers —
-                                        // FinalPrune is a pure min/frontier
-                                        // over the pool.
-                                        if session.complete_ranges(worker, &stats, plans, &members)
-                                        {
-                                            Advance::Finished
-                                        } else {
-                                            Advance::Pending
-                                        }
-                                    } else {
-                                        // Every member already delivered:
-                                        // the straggler's work was fully
-                                        // duplicated by the thieves.
-                                        session.duplicate_replies += 1;
-                                        net.metrics().record_duplicate();
-                                        Advance::Pending
-                                    }
-                                }
-                            }
-                        }
-                        (Ok(_), Some(idx)) if session.range_done[idx] => {
-                            // A speculative duplicate: the range was
-                            // already completed by another worker. Count
-                            // the wasted work, discard the (identical)
-                            // plans.
-                            session.duplicate_replies += 1;
+                        (Ok(_), None) => Advance::Failed(MpqError::Protocol { worker }),
+                        (Ok(_), Some(members))
+                            if members.iter().all(|&m| session.ranges[m].done) =>
+                        {
+                            // A speculative duplicate: another worker (a
+                            // re-issue or the thieves) already delivered
+                            // every range it covers. Count the wasted work,
+                            // discard the (identical) plans.
+                            session.metrics.duplicate_replies += 1;
                             net.metrics().record_duplicate();
                             Advance::Pending
                         }
-                        (Ok(plans), Some(idx)) => {
-                            if session.complete_ranges(worker, &stats, plans, &[idx]) {
+                        (Ok(plans), Some(members)) => {
+                            // A straggler that outran some thief covers
+                            // every member at once. Overlap with members
+                            // already delivered cannot change cost bits or
+                            // frontiers: FinalPrune is a pure min/frontier
+                            // over the pool.
+                            for &m in members {
+                                session.ranges[m].done = true;
+                            }
+                            session.strikes = 0;
+                            session.metrics.worker_stats[worker].accumulate(&stats);
+                            session.plans.extend(plans);
+                            if session.outstanding().next().is_none() {
                                 Advance::Finished
                             } else {
                                 Advance::Pending
@@ -969,7 +964,13 @@ impl MpqService {
     /// skipped. Returns whether any session fired.
     fn check_suspicions(&mut self) -> bool {
         let net = self.net.as_ref();
+        let workers = &self.workers;
         let due: Vec<u64> = match self.retry.timeout {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the suspicion timer decides when a session is re-examined, never \
+                          an answer; see Session::last_progress"
+            )]
             Some(t) => self
                 .table
                 .live
@@ -985,22 +986,18 @@ impl MpqService {
                 .live
                 .iter()
                 .filter(|(_, s)| {
-                    (0..s.assignment.len()).any(|i| {
-                        !s.range_done[i]
-                            && (!net.is_worker_alive(s.range_worker[i])
-                                || self.replies_seen[s.range_worker[i]] >= s.range_mark[i])
+                    s.outstanding().any(|i| {
+                        let r = &s.ranges[i];
+                        !net.is_worker_alive(r.worker) || workers[r.worker].seen >= r.mark
                     })
                 })
                 .map(|(&id, _)| id)
                 .collect(),
         };
         for &raw in &due {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the suspicion timer; see Session::last_progress"
-            )]
-            if let Some(session) = self.table.live.get_mut(&raw) {
-                session.last_progress = Instant::now();
+            let stamp = self.timer_stamp();
+            if let (Some(now), Some(session)) = (stamp, self.table.live.get_mut(&raw)) {
+                session.last_progress = now;
             }
             // One suspicion event per session, mirrored in the metrics so
             // the retries <= timeouts ledger stays balanced.
@@ -1008,6 +1005,18 @@ impl MpqService {
             self.session_timeout(QueryId(raw));
         }
         !due.is_empty()
+    }
+
+    /// The suspicion timers' clock: a stamp under `RetryPolicy::timeout =
+    /// Some(_)`, and no clock read at all without a timer, where nothing
+    /// reads the stamps.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the suspicion timers' stamps; see Session::last_progress and \
+                  WorkerRecord::last_reply"
+    )]
+    fn timer_stamp(&self) -> Option<Instant> {
+        self.retry.timeout.map(|_| Instant::now())
     }
 
     /// The layout of a submission that brings none: an even split over
@@ -1041,7 +1050,7 @@ impl MpqService {
                     // any: its dispatch fails typed, as every one would.
                     let least_loaded = live_workers(net)
                         .into_iter()
-                        .min_by_key(|&w| (self.outstanding_tasks(w), w))
+                        .min_by_key(|&w| (self.workers[w].outstanding(), w))
                         .unwrap_or(0);
                     vec![least_loaded]
                 } else {
@@ -1090,8 +1099,10 @@ impl MpqService {
         let Some(session) = self.table.live.get_mut(&qid.0) else {
             return;
         };
-        let outstanding = session.outstanding();
-        debug_assert!(!outstanding.is_empty(), "finished sessions are removed");
+        debug_assert!(
+            session.outstanding().next().is_some(),
+            "finished sessions are removed"
+        );
         // Evidence that an outstanding range will never complete on its
         // own. On a resident cluster, "no reply for a while" is NOT such
         // evidence — the range may simply be queued behind other
@@ -1105,30 +1116,33 @@ impl MpqService {
         //    traffic to prove it by overtake). Skipped entirely when no
         //    timeout is configured — suspicion then rests on the two
         //    clock-free kinds of evidence above.
-        let dead = outstanding
-            .iter()
-            .copied()
-            .find(|&i| !net.is_worker_alive(session.range_worker[i]));
-        let overtaken = outstanding
-            .iter()
-            .copied()
-            .find(|&i| self.replies_seen[session.range_worker[i]] >= session.range_mark[i]);
+        let ranges = &session.ranges;
+        let dead = session
+            .outstanding()
+            .find(|&i| !net.is_worker_alive(ranges[i].worker));
+        let overtaken = session
+            .outstanding()
+            .find(|&i| self.workers[ranges[i].worker].seen >= ranges[i].mark);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the reply-silent timer decides when a range is re-issued, never an \
+                      answer; see WorkerRecord::last_reply"
+        )]
         let silent = self.retry.timeout.and_then(|t| {
-            outstanding
-                .iter()
-                .copied()
-                .find(|&i| self.last_reply_from[session.range_worker[i]].elapsed() >= t)
+            session
+                .outstanding()
+                .find(|&i| self.workers[ranges[i].worker].last_reply.elapsed() >= t)
         });
         let suspect = dead.or(overtaken).or(silent);
-        if session.retries_left == 0 {
+        if session.metrics.retries == u64::from(self.retry.max_retries) {
             // A dead assignee whose range was never re-issued is hopeless
             // — no earlier speculative assignee exists to deliver it — so
             // fail at once. A re-issued range's *earlier* assignee may
             // still be straggling toward a reply, so spend the strike
             // budget waiting before giving up.
             if let Some(i) = dead {
-                if !session.range_reissued[i] {
-                    let worker = session.range_worker[i];
+                if !ranges[i].reissued {
+                    let worker = ranges[i].worker;
                     self.fail(qid, MpqError::WorkerLost { worker });
                     return;
                 }
@@ -1141,10 +1155,10 @@ impl MpqService {
             if session.strikes >= self.retry.max_strikes {
                 let err = match dead {
                     Some(i) => MpqError::WorkerLost {
-                        worker: session.range_worker[i],
+                        worker: session.ranges[i].worker,
                     },
                     None => MpqError::RetriesExhausted {
-                        outstanding: outstanding.len(),
+                        outstanding: session.outstanding().count(),
                     },
                 };
                 self.fail(qid, err);
@@ -1158,34 +1172,16 @@ impl MpqService {
         let Some(victim) = suspect else {
             return;
         };
-        let old_assignee = session.range_worker[victim];
-        let busy: Vec<usize> = outstanding
-            .iter()
-            .map(|&i| session.range_worker[i])
-            .collect();
+        let old_assignee = ranges[victim].worker;
         let mut candidates = live_workers(net);
-        candidates.sort_by_key(|&w| (busy.contains(&w), w));
-        let mut reissued = false;
-        for target in candidates {
-            let bytes = session.task(victim).to_bytes();
-            let len = bytes.len() as u64;
-            if net.send(target, qid, bytes, true).is_ok() {
-                net.metrics().record_retry(target);
-                self.tasks_sent[target] += 1;
-                session.range_mark[victim] = self.tasks_sent[target];
-                session.retry_task_bytes += len;
-                session.retries += 1;
-                session.range_worker[victim] = target;
-                session.range_reissued[victim] = true;
-                session.retries_left -= 1;
-                reissued = true;
-                break;
-            }
-        }
-        if !reissued {
+        candidates.sort_by_key(|&w| (session.outstanding().any(|i| ranges[i].worker == w), w));
+        let Ok(len) = session.issue(victim, candidates, net, &mut self.workers) else {
             self.fail(qid, MpqError::Cluster(ClusterError::AllWorkersLost));
             return;
-        }
+        };
+        net.metrics().record_retry(session.ranges[victim].worker);
+        session.metrics.retry_task_bytes += len;
+        session.metrics.retries += 1;
         if net.is_worker_alive(old_assignee) {
             // The evidence says the old assignee's reply for this range
             // was lost (or is hopelessly late): repair its queue ledger,
@@ -1195,7 +1191,7 @@ impl MpqService {
             // over-credits the worker by one — it may then be picked as
             // a thief one in-flight task early, a wasted-but-exact steal
             // at worst.
-            self.lost_replies[old_assignee] += 1;
+            self.workers[old_assignee].lost += 1;
         }
     }
 
@@ -1235,24 +1231,17 @@ impl MpqService {
 
     /// Live workers with a fully drained task queue — the thief pool, and
     /// the workers a single-objective submission is spread over.
-    /// Idleness is queue depth, not assignment bookkeeping: a straggler
-    /// that was just stolen from holds no outstanding *entry* but still
-    /// has an undrained task in its inbox, and must stay off the thief
-    /// list across all sessions. `lost_replies` credits replies the
-    /// recovery pass proved lost, so one dropped reply cannot poison a
-    /// worker's ledger for the service's lifetime.
+    /// Idleness is queue depth, not range bookkeeping: a straggler that
+    /// was just stolen from holds no outstanding *range* but still has an
+    /// undrained task in its inbox, and must stay off the thief list
+    /// across all sessions. A worker record credits replies the recovery
+    /// pass proved lost, so one dropped reply cannot poison a worker's
+    /// ledger for the service's lifetime.
     fn idle_workers(&self) -> Vec<usize> {
         live_workers(self.net.as_ref())
             .into_iter()
-            .filter(|&w| self.outstanding_tasks(w) == 0)
+            .filter(|&w| self.workers[w].outstanding() == 0)
             .collect()
-    }
-
-    /// Tasks sent to `w` whose reply the master has neither seen nor
-    /// proved lost: the depth of the worker's queue as far as the ledger
-    /// knows.
-    fn outstanding_tasks(&self, w: usize) -> u64 {
-        self.tasks_sent[w].saturating_sub(self.replies_seen[w] + self.lost_replies[w])
     }
 
     /// One session's steal decision; returns whether a steal dispatched
@@ -1262,23 +1251,13 @@ impl MpqService {
         let Some(session) = self.table.live.get_mut(&qid.0) else {
             return false;
         };
-        if session.steals_left == 0 {
+        if session.metrics.steals == u64::from(MAX_STEALS) {
             return false;
         }
-        let outstanding = session.outstanding();
-        fn fraction(s: &Session, i: usize) -> f64 {
-            if s.range_done[i] {
-                return 1.0;
-            }
-            let (_, count) = s.assignment[i];
-            if count == 0 {
-                1.0
-            } else {
-                s.range_progress[i] as f64 / count as f64
-            }
-        }
-        let best = (0..session.assignment.len())
-            .map(|i| fraction(session, i))
+        let best = session
+            .ranges
+            .iter()
+            .map(RangeRecord::fraction)
             .fold(0.0f64, f64::max);
         if best <= 0.0 {
             // No range has made observable progress yet: no relative
@@ -1286,28 +1265,19 @@ impl MpqService {
             return false;
         }
         // Victim: among provably lagging ranges with a splittable
-        // unstarted tail, the one with the most work left.
-        let unstarted_of = |s: &Session, i: usize| -> u64 {
-            let (_, count) = s.assignment[i];
-            // The partition after the last reported one is presumed in
-            // flight at the straggler; only the strictly unstarted tail
-            // is up for grabs.
-            count.saturating_sub(s.range_progress[i] + 1)
-        };
-        let victim = outstanding
-            .iter()
-            .copied()
-            .filter(|&i| {
-                // An empty tail is never a victim: there would be nothing
-                // to split, and the chunk math below divides by it.
-                unstarted_of(session, i) > 0 && fraction(session, i) * STEAL_LAG_RATIO < best
-            })
-            .max_by_key(|&i| unstarted_of(session, i));
+        // unstarted tail, the one with the most work left. An empty tail
+        // is never a victim: there would be nothing to split, and the
+        // chunk math below divides by it.
+        let ranges = &session.ranges;
+        let victim = session
+            .outstanding()
+            .filter(|&i| ranges[i].unstarted() > 0 && ranges[i].fraction() * STEAL_LAG_RATIO < best)
+            .max_by_key(|&i| ranges[i].unstarted());
         let Some(victim) = victim else {
             return false;
         };
-        let (first, count) = session.assignment[victim];
-        let unstarted = unstarted_of(session, victim);
+        let RangeRecord { first, count, .. } = ranges[victim];
+        let unstarted = ranges[victim].unstarted();
         // Chunk the unstarted tail [first + count - unstarted, first + count)
         // across the idle workers, taking chunks from the END so that
         // anything that fails to send stays contiguous with the kept
@@ -1322,43 +1292,46 @@ impl MpqService {
             // Later chunks (from the tail) get the remainder partitions.
             let chunk = base + u64::from(p < extra);
             let chunk_first = stolen_from - chunk;
-            let msg = session.task_for(chunk_first, chunk);
-            let mut sent_to = None;
-            for target in targets.by_ref() {
-                if net.send(target, qid, msg.to_bytes(), true).is_ok() {
-                    sent_to = Some(target);
-                    break;
-                }
-            }
-            let Some(target) = sent_to else {
+            session.ranges.push(RangeRecord {
+                first: chunk_first,
+                count: chunk,
+                ..RangeRecord::default()
+            });
+            let idx = session.ranges.len() - 1;
+            if session
+                .issue(idx, targets.by_ref(), net, &mut self.workers)
+                .is_err()
+            {
                 // No idle worker accepted the chunk (all died since the
                 // liveness check): stop here — the un-stolen head stays
                 // with the straggler.
+                session.ranges.pop();
                 break;
-            };
-            self.tasks_sent[target] += 1;
-            let idx = session.push_range(chunk_first, chunk, target);
-            session.range_mark[idx] = self.tasks_sent[target];
+            }
             members.push(idx);
             stolen_from = chunk_first;
         }
         if stolen_from == first + count {
             return false; // nothing was actually stolen
         }
-        // Shrink the straggler's entry to the un-stolen head and file the
+        // Shrink the straggler's range to the un-stolen head and file the
         // split record under the range exactly as its task was issued, so
         // the eventual full-range reply reconciles instead of erroring.
         let keep = stolen_from - first;
-        session.assignment[victim] = (first, keep);
-        session.range_progress[victim] = session.range_progress[victim].min(keep);
+        let kept = &mut session.ranges[victim];
+        kept.count = keep;
+        kept.progress = kept.progress.min(keep);
+        let thieves: Vec<usize> = members[1..]
+            .iter()
+            .map(|&m| session.ranges[m].worker)
+            .collect();
         session.splits.push(SplitRecord {
             first,
             count,
-            members: members.clone(),
+            members,
         });
-        session.steals_left -= 1;
-        session.steals += 1;
-        session.stolen_partitions += count - keep;
+        session.metrics.steals += 1;
+        session.metrics.stolen_partitions += count - keep;
         net.metrics().record_steal();
         // The straggler cannot be preempted mid-task, so its kept head
         // would otherwise be delivered only by its eventual full-range
@@ -1367,25 +1340,10 @@ impl MpqService {
         // remaining idle worker if one is left, else queued behind a
         // thief (a thief's chunk plus the head still beats a straggler
         // computing the head alone). Whichever reply lands first wins;
-        // the other is duplicate-suppressed.
-        // The victim's entry was just shrunk to the kept head, so its
-        // regular task IS the backup message.
-        let head = session.task(victim);
-        let thieves: Vec<usize> = members[1..]
-            .iter()
-            .map(|&m| session.range_worker[m])
-            .collect();
-        let backup = targets
-            .chain(thieves)
-            .find(|&target| net.send(target, qid, head.to_bytes(), true).is_ok());
-        if let Some(target) = backup {
-            self.tasks_sent[target] += 1;
-            session.range_worker[victim] = target;
-            session.range_mark[victim] = self.tasks_sent[target];
-            session.range_reissued[victim] = true;
-        }
-        // With no live worker to back the head up, the straggler's own
-        // reply remains its carrier — slow, but still exact.
+        // the other is duplicate-suppressed. With no live worker to back
+        // the head up, the straggler's own reply remains its carrier —
+        // slow, but still exact.
+        let _ = session.issue(victim, targets.chain(thieves), net, &mut self.workers);
         true
     }
 
@@ -1405,33 +1363,19 @@ impl MpqService {
             .collect();
         let policy = PruningPolicy::new(session.objective, session.query.num_tables());
         policy.final_prune(&mut plans);
-        let network = self.net.metrics().snapshot();
-        let metrics = MpqMetrics {
-            total_micros: session.start.elapsed().as_micros() as u64,
-            max_worker_micros: session
-                .worker_stats
-                .iter()
-                .map(|s| s.optimize_micros)
-                .max()
-                .unwrap_or(0),
-            max_worker_stored_sets: session
-                .worker_stats
-                .iter()
-                .map(|s| s.stored_sets)
-                .max()
-                .unwrap_or(0),
-            network,
-            worker_stats: session.worker_stats,
-            partitions: session.partitions,
-            workers_used: session.assignment.len(),
-            retries: session.retries,
-            duplicate_replies: session.duplicate_replies,
-            replies_received: session.replies_received,
-            retry_task_bytes: session.retry_task_bytes,
-            steals: session.steals,
-            stolen_partitions: session.stolen_partitions,
-            progress_reports: session.progress_reports,
-        };
+        let mut metrics = session.metrics;
+        let stats = &metrics.worker_stats;
+        metrics.max_worker_micros = stats.iter().map(|s| s.optimize_micros).max().unwrap_or(0);
+        metrics.max_worker_stored_sets = stats.iter().map(|s| s.stored_sets).max().unwrap_or(0);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-session wall-clock metric: MpqMetrics::total_micros, which no \
+                      decision reads"
+        )]
+        let total = session.start.elapsed();
+        metrics.total_micros = total.as_micros() as u64;
+        metrics.network = self.net.metrics().snapshot();
+        metrics.workers_used = session.ranges.len();
         self.table.park(qid, Ok(MpqOutcome { plans, metrics }));
     }
 
@@ -2183,6 +2127,111 @@ mod tests {
         assert!(out.metrics.stolen_partitions >= 1);
         assert!(out.metrics.progress_reports >= 1);
         assert_eq!(out.metrics.network.steals, out.metrics.steals);
+    }
+
+    /// An in-process cluster that counts, per worker, the sends it
+    /// accepted: the plane's own view of what the master booked.
+    struct CountingTransport {
+        inner: Cluster,
+        accepted: std::sync::Arc<Vec<std::sync::atomic::AtomicU64>>,
+    }
+
+    impl Transport for CountingTransport {
+        fn num_workers(&self) -> usize {
+            self.inner.num_workers()
+        }
+        fn metrics(&self) -> &NetworkMetrics {
+            self.inner.metrics()
+        }
+        fn is_worker_alive(&self, id: usize) -> bool {
+            self.inner.is_worker_alive(id)
+        }
+        fn send(&self, id: usize, q: QueryId, payload: Bytes, a: bool) -> Result<(), ClusterError> {
+            let sent = self.inner.send(id, q, payload, a);
+            if sent.is_ok() {
+                self.accepted[id].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            sent
+        }
+        fn recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
+            self.inner.recv()
+        }
+        fn recv_timeout(&self, t: Duration) -> Result<(usize, QueryId, Bytes), ClusterError> {
+            self.inner.recv_timeout(t)
+        }
+        fn try_recv(&self) -> Result<(usize, QueryId, Bytes), ClusterError> {
+            self.inner.try_recv()
+        }
+        fn recv_for(&self, q: QueryId) -> Result<(usize, Bytes), ClusterError> {
+            self.inner.recv_for(q)
+        }
+        fn recv_for_timeout(
+            &self,
+            q: QueryId,
+            t: Duration,
+        ) -> Result<(usize, Bytes), ClusterError> {
+            self.inner.recv_for_timeout(q, t)
+        }
+        fn shutdown(&mut self) {
+            Transport::shutdown(&mut self.inner);
+        }
+    }
+
+    /// Every worker record's send count is exactly the number of sends
+    /// the plane accepted for that worker, through steals (chunks and
+    /// head backup) and through re-issues after a crash; and without a
+    /// retry timer no worker record's reply stamp moves.
+    #[test]
+    fn worker_records_book_exactly_the_accepted_sends() {
+        use mpq_cluster::FaultPlan;
+        let stealing = MpqConfig {
+            steal: true,
+            slow_worker: Some((0, 10)),
+            ..MpqConfig::default()
+        };
+        let retrying = MpqConfig {
+            faults: FaultPlan::crash_on_first_task(2, 1),
+            retry: RetryPolicy::with_timeout(8, Duration::from_millis(5)),
+            ..MpqConfig::default()
+        };
+        for (config, workers, q) in [(stealing, 4, query(9, 33)), (retrying, 2, query(6, 32))] {
+            let faults = config.faults.schedule(workers);
+            let inner = Cluster::spawn(workers, LatencyModel::ZERO, |w| {
+                let slow = match config.slow_worker {
+                    Some((slow, factor)) if slow == w => factor,
+                    _ => 1,
+                };
+                Faulty::new(MpqWorker::new(slow), faults.worker(w))
+            })
+            .unwrap();
+            let accepted = std::sync::Arc::new((0..workers).map(|_| 0.into()).collect());
+            let plane = CountingTransport {
+                inner,
+                accepted: std::sync::Arc::clone(&accepted),
+            };
+            let mut svc = MpqService::with_transport(Box::new(plane), config).unwrap();
+            let stamps: Vec<Instant> = svc.workers.iter().map(|w| w.last_reply).collect();
+            let out = svc
+                .submit(&q, PlanSpace::Linear, Objective::Single)
+                .and_then(|h| svc.wait(h))
+                .unwrap();
+            assert!(bit_eq(out.plans[0].cost().time, serial_time(&q)));
+            let booked: Vec<u64> = svc.workers.iter().map(|w| w.sent).collect();
+            let counted: Vec<u64> = accepted
+                .iter()
+                .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
+                .collect();
+            assert_eq!(booked, counted, "{:?}", out.metrics);
+            match config.retry.timeout {
+                None => {
+                    assert!(out.metrics.steals >= 1, "{:?}", out.metrics);
+                    let now: Vec<Instant> = svc.workers.iter().map(|w| w.last_reply).collect();
+                    assert_eq!(now, stamps, "no timer, no stamp");
+                }
+                Some(_) => assert!(out.metrics.retries >= 1, "{:?}", out.metrics),
+            }
+            svc.shutdown();
+        }
     }
 
     /// Regression (review): `wait` with `timeout: None` must not deadlock

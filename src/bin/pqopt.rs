@@ -346,6 +346,10 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let mut service =
         OptimizerService::spawn(config).map_err(|e| format!("service spawn failed: {e}"))?;
     let resident_results = run_resident(&mut service, &queries, clients, o)?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
+    )]
     let resident = t0.elapsed();
     print_service(&service, queries.len(), o);
     service.shutdown();
@@ -367,6 +371,10 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         );
         service.shutdown();
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
+    )]
     let per_query = t0.elapsed();
 
     // Verification: both modes must agree with the serial DP reference.
@@ -593,6 +601,10 @@ fn cmd_serve_sockets(o: &Options) -> Result<(), String> {
     let mut service = OptimizerService::connect(config, &addrs)
         .map_err(|e| format!("service connect failed: {e}"))?;
     let results = run_resident(&mut service, &queries, o.clients, o)?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
+    )]
     let elapsed = t0.elapsed();
     print_service(&service, queries.len(), o);
     service.shutdown();
