@@ -17,7 +17,7 @@
 //! one union table per ten tables (the predicates and the tables a set
 //! touches), which grows with the table and predicate counts.
 
-use crate::predicates::{prefix_fold, PredicateIndex};
+use crate::predicates::{prefix_fold, InsidePredicates, PredicateIndex};
 use mpq_model::{Query, TableSet};
 
 /// What costing a join needs to know about one operand — a function of the
@@ -97,13 +97,20 @@ impl CardinalityEstimator {
     ///
     /// Returns `1.0` for the empty set (neutral element of the product).
     pub fn cardinality(&self, tables: TableSet) -> f64 {
+        self.cardinality_at(tables, self.predicates.internal_selectivity(tables))
+    }
+
+    /// The cardinality of `tables` whose predicates inside multiply up to
+    /// `selectivity`.
+    #[inline]
+    fn cardinality_at(&self, tables: TableSet, selectivity: f64) -> f64 {
         let card = self.fold(
             &self.cardinality_low,
             tables,
             |t| self.cardinality[t],
             |c, x| c * x,
         );
-        card * self.predicates.internal_selectivity(tables)
+        card * selectivity
     }
 
     /// Estimated tuple width in bytes of the join result of `tables`
@@ -120,7 +127,19 @@ impl CardinalityEstimator {
 
     /// Everything costing needs to know about `tables` as a join operand.
     pub fn set_stats(&self, tables: TableSet) -> SetStats {
-        let cardinality = self.cardinality(tables);
+        self.stats_at(tables, self.predicates.internal_selectivity(tables))
+    }
+
+    /// [`CardinalityEstimator::set_stats`] of `tables`, whose inside
+    /// predicates the caller has at hand ([`PredicateIndex::inside`]), bit
+    /// for bit.
+    pub fn set_stats_inside(&self, tables: TableSet, inside: &InsidePredicates) -> SetStats {
+        self.stats_at(tables, self.predicates.selectivity(inside))
+    }
+
+    #[inline]
+    fn stats_at(&self, tables: TableSet, selectivity: f64) -> SetStats {
+        let cardinality = self.cardinality_at(tables, selectivity);
         SetStats {
             cardinality,
             tuple_bytes: self.tuple_bytes(tables),

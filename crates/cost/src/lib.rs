@@ -30,5 +30,5 @@ pub mod vector;
 
 pub use cardinality::{CardinalityEstimator, SetStats};
 pub use operators::{JoinFloor, JoinOp, Order, ScanOp, SplitCosts, JOIN_OPS};
-pub use predicates::PredicateIndex;
+pub use predicates::{InsidePredicates, PredicateIndex};
 pub use vector::{CostVector, Objective};

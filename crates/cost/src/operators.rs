@@ -223,6 +223,21 @@ impl SplitCosts {
         right: TableSet,
         right_stats: &SetStats,
     ) -> Self {
+        let attributes = predicates.sort_merge_attributes(left, right);
+        SplitCosts::with_attributes(attributes, left_stats, right_stats)
+    }
+
+    /// Costs the split of operands of statistics `left_stats` (outer) and
+    /// `right_stats` (inner) whose sort-merge join sorts on `attributes`,
+    /// the outer end first, as
+    /// [`PredicateIndex::sort_merge_attributes`] gives them (`None` for a
+    /// cross product).
+    #[inline(always)]
+    pub fn with_attributes(
+        attributes: Option<(u8, u8)>,
+        left_stats: &SetStats,
+        right_stats: &SetStats,
+    ) -> Self {
         let lc = left_stats.cardinality;
         let rc = right_stats.cardinality;
         let bytes_right = right_stats.tuple_bytes;
@@ -234,18 +249,27 @@ impl SplitCosts {
             // Time: build inner (2 touches/tuple) + probe outer.
             // Buffer: the hash table holds the inner operand.
             hash: CostVector::new(2.0 * rc + lc, rc * bytes_right),
-            sort_merge: predicates
-                .sort_merge_attributes(left, right)
-                .map(|(la, ra)| SortMergeCosts {
-                    want_left: Order::OnAttribute(la),
-                    want_right: Order::OnAttribute(ra),
-                    merge: lc + rc,
-                    sort_left: left_stats.sort_cost,
-                    sort_right: right_stats.sort_cost,
-                    buffer_left: lc * left_stats.tuple_bytes,
-                    buffer_right: rc * bytes_right,
-                }),
+            sort_merge: attributes.map(|(la, ra)| SortMergeCosts {
+                want_left: Order::OnAttribute(la),
+                want_right: Order::OnAttribute(ra),
+                merge: lc + rc,
+                sort_left: left_stats.sort_cost,
+                sort_right: right_stats.sort_cost,
+                buffer_left: lc * left_stats.tuple_bytes,
+                buffer_right: rc * bytes_right,
+            }),
         }
+    }
+
+    /// The orders of an outer and an inner plan that spare a sort-merge
+    /// join the respective sort — the outer one is also the join's output
+    /// order; `None` on a cross product. Both are orders, never
+    /// [`Order::None`].
+    #[inline]
+    pub fn sort_merge_orders(&self) -> Option<(Order, Order)> {
+        self.sort_merge
+            .as_ref()
+            .map(|sm| (sm.want_left, sm.want_right))
     }
 
     /// Time of `op` on this split and the operator's physical output order,

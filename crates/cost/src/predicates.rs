@@ -13,7 +13,11 @@
 //!
 //! * **Sort-merge rule.** A sort-merge join of `left` and `right` sorts on
 //!   the endpoints of the *lowest-numbered* predicate crossing the split
-//!   ([`PredicateIndex::sort_merge_attributes`]).
+//!   ([`PredicateIndex::sort_merge_attributes`]). For a left-deep split
+//!   `(S ∖ u, {u})` that is the same lookup from `u`'s side of `S`:
+//!   the lowest-numbered predicate in `incident[u] & inside(S)`, read off
+//!   the set's one bitset of inside predicates
+//!   ([`PredicateIndex::last_join_attributes`]).
 //! * **Liveness rule.** An order on table `t` is *live* for a join result
 //!   `S` iff for some table `u ∉ S` the lowest-numbered predicate between
 //!   `S` and `u` ends at `t` ([`PredicateIndex::interesting_orders`]). Only
@@ -146,14 +150,24 @@ pub struct PredicateIndex {
     ends: Vec<[u8; 2]>,
     /// The predicates with both endpoints among the query's tables.
     within_query: Vec<u64>,
-    /// `incident[u * words..][..words]`: the predicates with an endpoint at
-    /// table `u`.
+    /// `incident[u * words..][..words]`: the predicates joining table `u`
+    /// to another table. A self-loop on `u` crosses no split and is left
+    /// out; nothing read here can tell (see [`PredicateIndex::new`]).
     incident: Vec<u64>,
-    /// The predicates touching a set: the union of `incident`.
+    /// The predicates touching a set: the union of every predicate with an
+    /// endpoint at one of its tables, self-loops included.
     touching: SetUnions,
     /// The tables sharing a predicate with some table of a set: the union
     /// of each table's neighbours.
     adjacent: SetUnions,
+}
+
+/// The predicates with both endpoints in one table set, as a bitset over
+/// predicate numbers ([`PredicateIndex::inside`]): one word per 64
+/// predicates, so a caller that asks set after set reuses one.
+#[derive(Clone, Debug, Default)]
+pub struct InsidePredicates {
+    words: Vec<u64>,
 }
 
 impl PredicateIndex {
@@ -162,6 +176,10 @@ impl PredicateIndex {
         let n = query.num_tables();
         let words = query.predicates.len().div_ceil(64);
         let mut within_query = vec![0u64; words];
+        // A self-loop touches its table, and so lies inside a set only with
+        // it; but it joins the table to no other, so `incident`, read only
+        // between a table and a set without it, leaves it out.
+        let mut touches = vec![0u64; n * words];
         let mut incident = vec![0u64; n * words];
         let mut neighbours = vec![0u64; n];
         let mut ends = vec![[0u8; 2]; query.predicates.len()];
@@ -169,8 +187,12 @@ impl PredicateIndex {
             if p.left < n && p.right < n {
                 let (word, bit) = (number / 64, 1u64 << (number % 64));
                 within_query[word] |= bit;
-                incident[p.left * words + word] |= bit;
-                incident[p.right * words + word] |= bit;
+                touches[p.left * words + word] |= bit;
+                touches[p.right * words + word] |= bit;
+                if p.left != p.right {
+                    incident[p.left * words + word] |= bit;
+                    incident[p.right * words + word] |= bit;
+                }
                 neighbours[p.left] |= 1 << p.right;
                 neighbours[p.right] |= 1 << p.left;
                 // A table index below a table count no `TableSet` exceeds.
@@ -185,7 +207,7 @@ impl PredicateIndex {
             selectivity,
             ends,
             within_query,
-            touching: SetUnions::new(&incident, words),
+            touching: SetUnions::new(&touches, words),
             adjacent: SetUnions::new(&neighbours, 1),
             incident,
         }
@@ -208,19 +230,48 @@ impl PredicateIndex {
         }
     }
 
+    /// The predicates with both endpoints inside `set`, into `inside`:
+    /// word by word, the query's predicates that no outside table touches.
+    /// A set's selectivity ([`PredicateIndex::selectivity`]) and the
+    /// sort-merge predicate of each of its left-deep splits
+    /// ([`PredicateIndex::last_join_attributes`]) are read off it.
+    pub fn inside(&self, set: TableSet, inside: &mut InsidePredicates) {
+        let outside = self.all & !set.bits();
+        inside.words.clear();
+        inside
+            .words
+            .extend((0..self.words).map(|word| self.inside_word(outside, word)));
+    }
+
+    /// Word `word` of the predicates no table of `outside` touches.
+    #[inline]
+    fn inside_word(&self, outside: u64, word: usize) -> u64 {
+        self.within_query[word] & !self.touching(outside, word)
+    }
+
     /// Combined selectivity of the predicates with both endpoints inside
     /// `set`: bit for bit what [`Query::internal_selectivity`] returns.
-    /// Those inside are the query's predicates that no outside table
-    /// touches, and they are multiplied up in predicate-number order, as
-    /// the full walk does — the order is part of the result bits: the low
-    /// predicate numbers' product from the prefix table, then the others
-    /// one at a time.
     pub fn internal_selectivity(&self, set: TableSet) -> f64 {
         let outside = self.all & !set.bits();
+        self.product((0..self.words).map(|word| self.inside_word(outside, word)))
+    }
+
+    /// [`PredicateIndex::internal_selectivity`] of the set whose inside
+    /// predicates are `inside`, bit for bit.
+    pub fn selectivity(&self, inside: &InsidePredicates) -> f64 {
+        self.product(inside.words.iter().copied())
+    }
+
+    /// The product of the selectivities of the predicates `inside`, given
+    /// word by word, multiplied up in predicate-number order, as the full
+    /// walk of [`Query::internal_selectivity`] does — the order is part of
+    /// the result bits: the low predicate numbers' product from the prefix
+    /// table, then the others one at a time.
+    #[inline]
+    fn product(&self, inside: impl Iterator<Item = u64>) -> f64 {
         let low_predicates = (self.selectivity_low.len() - 1) as u64;
         let mut sel = 1.0;
-        for word in 0..self.words {
-            let mut inside = self.within_query[word] & !self.touching(outside, word);
+        for (word, mut inside) in inside.enumerate() {
             if word == 0 {
                 sel = self.selectivity_low[(inside & low_predicates) as usize];
                 inside &= !low_predicates;
@@ -245,6 +296,27 @@ impl PredicateIndex {
             if crossing != 0 {
                 let [a, b] = self.ends[word * 64 + crossing.trailing_zeros() as usize];
                 return Some(if left >> a & 1 == 1 { (a, b) } else { (b, a) });
+            }
+        }
+        None
+    }
+
+    /// The join attributes a sort-merge join of `set ∖ {u}` (outer) with
+    /// table `u` (inner) sorts on, for the set whose inside predicates are
+    /// `inside` and one of its tables `u`: the lowest-numbered predicate in
+    /// `incident[u] & inside`, oriented outer end first — exactly
+    /// [`PredicateIndex::sort_merge_attributes`] of that split. A predicate
+    /// joining `u` to another table with both ends in `set` has its other
+    /// end in `set ∖ {u}`, and a predicate crossing the split is one such.
+    #[inline]
+    pub fn last_join_attributes(&self, inside: &InsidePredicates, u: usize) -> Option<(u8, u8)> {
+        let incident = &self.incident[u * self.words..][..self.words];
+        for (word, (&incident, &inside)) in incident.iter().zip(&inside.words).enumerate() {
+            let crossing = incident & inside;
+            if crossing != 0 {
+                let number = word * 64 + crossing.trailing_zeros() as usize;
+                // A table index below a table count no `TableSet` exceeds.
+                return Some((self.other_end(number, u), u as u8));
             }
         }
         None
@@ -286,7 +358,7 @@ impl PredicateIndex {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
-    use mpq_model::{Catalog, JoinGraph, Predicate, TableStats};
+    use mpq_model::{Catalog, JoinGraph, Predicate, TableStats, WorkloadConfig, WorkloadGenerator};
 
     /// `n` tables joined by the edges of `graph`, predicates numbered in
     /// edge order.
@@ -507,5 +579,65 @@ mod tests {
         );
         assert_eq!(index.interesting_orders(set(&[1])), set(&[1]));
         assert_eq!(index.interesting_orders(set(&[0])), set(&[]));
+    }
+
+    /// The per-set bitset against the per-split and per-set lookups it
+    /// replaces in the left-deep kernel, on every set `S` of `query` and
+    /// every table `u` of it (a superset of every admissible split of every
+    /// partition): the crossing rule — the lowest predicate of
+    /// `incident[u] & inside(S)` — is `sort_merge_attributes(S ∖ u, {u})`,
+    /// and the selectivity read off the bitset is `internal_selectivity(S)`,
+    /// bit for bit. Returns how many splits had a crossing predicate.
+    fn assert_the_inside_bitset_matches_the_lookups(query: &Query) -> usize {
+        let index = PredicateIndex::new(query);
+        let n = query.num_tables();
+        let mut inside = InsidePredicates::default();
+        let mut crossing = 0;
+        for bits in 1..1u64 << n {
+            let set = TableSet(bits);
+            index.inside(set, &mut inside);
+            assert_eq!(
+                index.selectivity(&inside).to_bits(),
+                index.internal_selectivity(set).to_bits(),
+                "{set} of {n} tables"
+            );
+            for u in set.iter() {
+                let rule = index.last_join_attributes(&inside, u);
+                let lookup = index.sort_merge_attributes(set.remove(u), TableSet::singleton(u));
+                assert_eq!(rule, lookup, "{set} without {u}, of {n} tables");
+                crossing += usize::from(rule.is_some());
+            }
+        }
+        crossing
+    }
+
+    #[test]
+    fn the_inside_bitset_gives_every_left_deep_split_its_sort_merge_predicate() {
+        for graph in JoinGraph::ALL {
+            for n in 6..=10 {
+                let query =
+                    WorkloadGenerator::new(WorkloadConfig::with_graph(n, graph), 12).next_query();
+                assert!(assert_the_inside_bitset_matches_the_lookups(&query) > 0);
+            }
+        }
+        // 66 predicates: the crossing predicate of a split is in the second
+        // word whenever `u` joins the rest of `S` only above predicate 63.
+        let clique = with_distinct_selectivities(graph_query(12, JoinGraph::Clique));
+        assert_eq!(clique.predicates.len(), 66);
+        assert_the_inside_bitset_matches_the_lookups(&clique);
+        let index = PredicateIndex::new(&clique);
+        let mut inside = InsidePredicates::default();
+        // Predicate 65 is (10, 11), the only one between table 11 and {10}.
+        index.inside(TableSet::from_tables([10, 11]), &mut inside);
+        assert_eq!(index.last_join_attributes(&inside, 11), Some((10, 11)));
+        // Through the public fields: self-loops (inside a set, crossing no
+        // split), an endpoint beyond the tables and a duplicate predicate.
+        let mut edges = vec![(1, 1), (0, 40), (2, 1), (1, 2), (3, 3), (0, 3)];
+        while edges.len() <= 70 {
+            let k = edges.len();
+            edges.push((k % 6, (k * 5 + 1) % 6));
+        }
+        let hand_built = with_distinct_selectivities(edge_query(6, &edges));
+        assert_the_inside_bitset_matches_the_lookups(&hand_built);
     }
 }

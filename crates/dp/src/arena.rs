@@ -40,10 +40,42 @@
 //!   split's constants ([`mpq_cost::SplitCosts::buffer`]); only the
 //!   cheapest candidate of each interesting-order class (an order is
 //!   relabelled `None` once no later join can use it, so a set has few) is
-//!   built into a [`PlanEntry`] and handed to the scalar pruning function,
-//!   straight into the arena's tail — which provably yields the same slot,
-//!   in the same entry order, as costing and inserting every candidate
-//!   sequentially.
+//!   built into a [`PlanEntry`], and the winners are written straight into
+//!   the arena's tail ([`ClassMinima::insert_winners`]) — which provably
+//!   yields the same slot, in the same entry order, as costing and
+//!   inserting every candidate sequentially.
+//! * The left-deep single-objective arm hoists what does not change to
+//!   where it does not change, and each hoist keeps the bits:
+//!   - *One predicate bitset per set.* The predicates with both ends in the
+//!     set ([`PredicateIndex::inside`]) give the set's selectivity — the
+//!     same multiplications in the same order as
+//!     [`PredicateIndex::internal_selectivity`], which builds the same
+//!     bitset — and every split `(S ∖ u, {u})` its sort-merge predicate:
+//!     the lowest of `incident[u] & inside(S)`
+//!     ([`PredicateIndex::last_join_attributes`]), since a predicate
+//!     joining `u` to another table with both ends in `S` has its other end
+//!     in `S ∖ u`. That is the predicate
+//!     [`PredicateIndex::sort_merge_attributes`] picks, for two
+//!     `SetUnions` lookups per split.
+//!   - *Operator terms once per split.* What an operator adds to a
+//!     candidate's time depends on the split and on whether the operand
+//!     plans are sorted on its attributes alone; the inner operand is one
+//!     scan. So nested loop and hash join are read from
+//!     [`SplitCosts::time`] once per split, sort-merge once for an outer
+//!     plan sorted on its outer attribute and once for one that is not,
+//!     and its output is labelled once. An outer plan then costs `l + r`
+//!     once and one add per operator: `(l + r) + app`, the operations of
+//!     [`Candidate::new`](crate::Candidate::new).
+//!   - *Winners written directly.* The winners hold one class each, so
+//!     the pruning function's scan decides nothing it needs to: an ordered
+//!     winner is kept (only its own order rejects it, and no other winner
+//!     has it), and the unordered winner is kept unless another winner's
+//!     time is `<=` its own, in which case the pruning function would
+//!     reject it or, were it inserted first, remove it.
+//!
+//!   The reference loop, the bushy single-objective path and the Pareto
+//!   path keep [`PredicateIndex::sort_merge_attributes`], and the latter
+//!   two the pruning function: they are the oracle and the other arms.
 //! * Multi-objective runs (`join_candidates` into a [`ParetoSink`]) ask
 //!   each candidate they generate for its vector and test it against a
 //!   slot of their own, since the candidates borrow their operands from
@@ -62,7 +94,7 @@
 //!   `plans_generated` are those of generating them all.
 //! * A set's statistics and live orders come from the estimator's
 //!   per-query prefix tables and predicate bitsets
-//!   ([`CardinalityEstimator::set_stats`],
+//!   ([`CardinalityEstimator::set_stats_inside`],
 //!   [`PredicateIndex::interesting_orders`]).
 //! * Sets are visited in ascending dense index, which puts every
 //!   admissible subset of a set before the set.
@@ -75,8 +107,8 @@ use crate::worker::{
 };
 use mpq_cost::operators::JoinApplication;
 use mpq_cost::{
-    CardinalityEstimator, CostVector, JoinOp, Objective, Order, PredicateIndex, SetStats,
-    SplitCosts, JOIN_OPS,
+    CardinalityEstimator, CostVector, InsidePredicates, JoinOp, Objective, Order, PredicateIndex,
+    SetStats, SplitCosts, JOIN_OPS,
 };
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
@@ -299,8 +331,9 @@ impl ArenaMemo {
 /// Streaming single-objective reduction of one set's candidates: the
 /// running cheapest candidate per interesting-order class, direct-mapped
 /// by the order's code — offered one operand-plan pair at a time
-/// ([`ClassMinima::offer_pair`]), compared on time; the rest of a cost
-/// vector is evaluated for the winners only.
+/// ([`ClassMinima::offer_pair`]; a left-deep split's pairs with the
+/// split's operator terms read once, `offer_left_deep`), compared on
+/// time; the rest of a cost vector is evaluated for the winners only.
 ///
 /// Under single-objective pruning the fate of a set's whole candidate
 /// stream is decided by one number per order class — the minimum time.
@@ -393,11 +426,8 @@ impl ClassMinima {
     /// how many candidates that is (2, or 3 where sort-merge applies).
     ///
     /// Nested loop and hash join both output the outer order, so they
-    /// compete in one class and only the cheaper of the two is offered: a
-    /// strictly cheaper hash join with its own generation number, nested
-    /// loop otherwise (the earlier candidate wins a tie). A NaN nested-loop
-    /// time is the exception, and both are offered in turn: the NaN can
-    /// open a class that the hash join then cannot displace.
+    /// compete in one class and only the cheaper of the two is offered
+    /// ([`ClassMinima::offer_outer_order`]).
     #[inline]
     pub fn offer_pair(
         &mut self,
@@ -418,14 +448,7 @@ impl ClassMinima {
         let (nested_loop_time, outer_order) = candidate(nested_loop).expect(always);
         let (hash_time, _) = candidate(hash).expect(always);
         let pair = (costs, left, outer, inner);
-        if nested_loop_time.is_nan() {
-            self.offer(pair, g, nested_loop, nested_loop_time, outer_order);
-            self.offer(pair, g + 1, hash, hash_time, outer_order);
-        } else if hash_time < nested_loop_time {
-            self.offer(pair, g + 1, hash, hash_time, outer_order);
-        } else {
-            self.offer(pair, g, nested_loop, nested_loop_time, outer_order);
-        }
+        self.offer_outer_order(pair, g, outer_order, nested_loop_time, hash_time);
         let generated = match candidate(sort_merge) {
             Some((time, order)) => {
                 self.offer(pair, g + 2, sort_merge, time, order);
@@ -435,6 +458,127 @@ impl ClassMinima {
         };
         self.offered += generated;
         generated
+    }
+
+    /// Offers every operand-plan pair of `split` ([`ClassMinima::offer_pair`])
+    /// and returns how many candidates they make.
+    #[inline]
+    pub(crate) fn offer_split(
+        &mut self,
+        predicates: &PredicateIndex,
+        split: &Split<'_>,
+        live: TableSet,
+    ) -> u64 {
+        let mut generated = 0;
+        for_each_pair(predicates, split, |costs, outer, inner| {
+            generated += self.offer_pair(costs, split.left.set, outer, inner, live);
+        });
+        generated
+    }
+
+    /// Offers every operand-plan pair of the left-deep `split`, whose
+    /// sort-merge join sorts on `attributes`
+    /// ([`PredicateIndex::last_join_attributes`]), exactly as
+    /// [`ClassMinima::offer_split`] would, and returns how many candidates
+    /// they make. The inner operand is a table's one scan, so what an
+    /// operator adds to a candidate's time depends on the split and on
+    /// whether the outer plan is sorted on the operator's outer attribute
+    /// alone, and is read from [`SplitCosts::time`] once per split: nested
+    /// loop and hash join once, sort-merge once for an outer plan so sorted
+    /// and once for one that is not, its output labelled once. An outer
+    /// plan then costs `l + r` once, plus each operator's term — the
+    /// `(l + r) + app` of [`Candidate::new`]. A winner's buffer operands
+    /// are read from the split's costs when it takes its class's lead, as
+    /// [`ClassMinima::offer_pair`] reads them.
+    #[inline]
+    pub(crate) fn offer_left_deep(
+        &mut self,
+        predicates: &PredicateIndex,
+        attributes: Option<(u8, u8)>,
+        split: &Split<'_>,
+        live: TableSet,
+    ) -> u64 {
+        let Split { left, right } = split;
+        let costs = SplitCosts::with_attributes(attributes, left.stats, right.stats);
+        let [nested_loop, hash, sort_merge] = JOIN_OPS;
+        let always = "a split's terms are read only for operators that apply";
+        let unsorted = Order::None;
+        let app = |op, outer, inner| costs.time(op, outer, inner).expect(always).0;
+        let nested_loop_app = app(nested_loop, unsorted, unsorted);
+        let hash_app = app(hash, unsorted, unsorted);
+        let [inner] = right.entries else {
+            return self.offer_split_cold(predicates, split, live);
+        };
+        let inner = (0, inner);
+        let sort_merge_apps = costs.sort_merge_orders().map(|(want_left, _)| {
+            let apps = [
+                app(sort_merge, unsorted, inner.1.order),
+                app(sort_merge, want_left, inner.1.order),
+            ];
+            (want_left, want_left.if_live(live), apps)
+        });
+        let operators = costs.operators();
+        for outer in (0..).zip(left.entries) {
+            let outer_order = outer.1.order.if_live(live);
+            let g = self.offered;
+            let pair = (&costs, left.set, outer, inner);
+            let operands = outer.1.cost.time + inner.1.cost.time;
+            self.offer_outer_order(
+                pair,
+                g,
+                outer_order,
+                operands + nested_loop_app,
+                operands + hash_app,
+            );
+            if let Some((want_left, order, apps)) = sort_merge_apps {
+                let app = apps[usize::from(outer.1.order == want_left)];
+                self.offer(pair, g + 2, sort_merge, operands + app, order);
+            }
+            self.offered += operators;
+        }
+        left.entries.len() as u64 * operators
+    }
+
+    /// [`ClassMinima::offer_split`], for a left-deep split whose inner
+    /// operand is not one plan — which `fill`, seeding one scan per table,
+    /// never makes. Out of line: inlined into the left-deep arm, the pair
+    /// loop slowed the bushy one.
+    #[cold]
+    #[inline(never)]
+    fn offer_split_cold(
+        &mut self,
+        predicates: &PredicateIndex,
+        split: &Split<'_>,
+        live: TableSet,
+    ) -> u64 {
+        self.offer_split(predicates, split, live)
+    }
+
+    /// Offers the nested loop and the hash join of `pair`, numbers `g` and
+    /// `g + 1` of the stream, which share the outer plan's (labelled) order
+    /// `outer_order`: only the cheaper of the two, a strictly cheaper hash
+    /// join with its own generation number, nested loop otherwise (the
+    /// earlier candidate wins a tie). A NaN nested-loop time is the
+    /// exception, and both are offered in turn: the NaN can open a class
+    /// that the hash join then cannot displace.
+    #[inline(always)]
+    fn offer_outer_order(
+        &mut self,
+        pair: Pair<'_>,
+        g: u64,
+        outer_order: Order,
+        nested_loop_time: f64,
+        hash_time: f64,
+    ) {
+        let [nested_loop, hash, _] = JOIN_OPS;
+        if nested_loop_time.is_nan() {
+            self.offer(pair, g, nested_loop, nested_loop_time, outer_order);
+            self.offer(pair, g + 1, hash, hash_time, outer_order);
+        } else if hash_time < nested_loop_time {
+            self.offer(pair, g + 1, hash, hash_time, outer_order);
+        } else {
+            self.offer(pair, g, nested_loop, nested_loop_time, outer_order);
+        }
     }
 
     /// Offers the `op` candidate of `pair` ([`ClassMinima::offer_pair`]'s
@@ -469,52 +613,46 @@ impl ClassMinima {
         }
     }
 
-    /// Offers every operand-plan pair of `split` ([`ClassMinima::offer_pair`])
-    /// and returns how many candidates they make.
-    #[inline]
-    pub(crate) fn offer_split(
-        &mut self,
-        predicates: &PredicateIndex,
-        split: &Split<'_>,
-        live: TableSet,
-    ) -> u64 {
-        let mut generated = 0;
-        for_each_pair(predicates, split, |costs, outer, inner| {
-            generated += self.offer_pair(costs, split.left.set, outer, inner, live);
-        });
-        generated
-    }
-
     /// Costs the winners in full (times as stored), builds their entries
-    /// for result set `set` and inserts them into the slot
-    /// `entries[start..]`, in generation order; resets for the next set.
-    pub fn insert_winners(
-        &mut self,
-        set: TableSet,
-        pruning: &PruningPolicy,
-        entries: &mut Vec<PlanEntry>,
-        start: usize,
-    ) {
+    /// for result set `set` and writes the slot `entries[start..]` — empty
+    /// until now — in generation order, exactly as inserting them through
+    /// the single-objective pruning function in that order would; resets
+    /// for the next set.
+    ///
+    /// The winners hold one order class each. An ordered winner is kept:
+    /// only an entry of its own order could reject it, and no other winner
+    /// has that order. The unordered winner is rejected by — or, inserted
+    /// first, removed by — any winner whose time is at most its own
+    /// (every order covers `None`), and removes no other winner (`None`
+    /// covers no order but itself): it is kept unless some other winner's
+    /// time is `<=` its own, which a NaN on either side never is.
+    pub fn insert_winners(&mut self, set: TableSet, entries: &mut Vec<PlanEntry>, start: usize) {
+        debug_assert_eq!(entries.len(), start, "the slot is empty");
         let best = &mut self.best;
+        let unordered = Order::None.to_code();
+        let unordered_time = best[unordered as usize].time;
+        let unordered_kept = !self
+            .occupied
+            .iter()
+            .any(|&code| code != unordered && best[code as usize].time <= unordered_time);
         self.occupied
             .sort_unstable_by_key(|&code| best[code as usize].generation);
         for code in self.occupied.drain(..) {
             let winner = best[code as usize];
             best[code as usize].generation = VACANT;
+            if code == unordered && !unordered_kept {
+                continue;
+            }
             let [l, r, app] = winner.buffers;
-            let cost = CostVector::new(stored_time(winner.time), l.max(r).max(app));
-            let order = Order::from_code(code);
-            pruning.try_insert_with(entries, start, cost, order, || {
-                PlanEntry::join(
-                    winner.op,
-                    winner.left,
-                    winner.left_idx,
-                    set.difference(winner.left),
-                    winner.right_idx,
-                    cost,
-                    order,
-                )
-            });
+            entries.push(PlanEntry::join(
+                winner.op,
+                winner.left,
+                winner.left_idx,
+                set.difference(winner.left),
+                winner.right_idx,
+                CostVector::new(stored_time(winner.time), l.max(r).max(app)),
+                Order::from_code(code),
+            ));
         }
         self.offered = 0;
     }
@@ -642,41 +780,55 @@ pub(crate) fn fill(
     constraints: &ConstraintSet,
 ) -> (ArenaMemo, WorkerStats) {
     let est = CardinalityEstimator::new(query);
-    let adm = AdmissibleSets::new(constraints);
-    let mut memo = ArenaMemo::new(adm.clone());
+    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
     let mut stats = WorkerStats::default();
     seed_scans(&mut memo, &est, pruning);
 
-    let env = SplitEnv {
-        space,
-        constraints,
-        adm: &adm,
-    };
     let predicates = est.predicates();
     let mut scratch = SplitScratch::default();
+    let mut inside = InsidePredicates::default();
     let mut minima = ClassMinima::default();
     let mut slot = Vec::new();
-    for (idx, set) in adm.iter().enumerate() {
+    for (idx, set) in memo.admissible().iter().enumerate() {
         if set.len() < 2 {
             continue;
         }
+        let env = SplitEnv {
+            space,
+            constraints,
+            adm: memo.admissible(),
+        };
+        predicates.inside(set, &mut inside);
+        let set_stats = est.set_stats_inside(set, &inside);
         let live = predicates.interesting_orders(set);
-        match pruning.objective() {
-            Objective::Single => {
+        match (pruning.objective(), space) {
+            (Objective::Single, PlanSpace::Linear) => {
+                for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
+                    stats.splits_tried += 1;
+                    let u = split.right.set.bits().trailing_zeros() as usize;
+                    let attributes = predicates.last_join_attributes(&inside, u);
+                    stats.plans_generated +=
+                        minima.offer_left_deep(predicates, attributes, &split, live);
+                });
+                // The winners go straight into the arena's tail.
+                memo.build_slot(idx, set_stats, |arena, start| {
+                    minima.insert_winners(set, arena, start)
+                });
+            }
+            (Objective::Single, PlanSpace::Bushy) => {
                 for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
                     stats.splits_tried += 1;
                     stats.plans_generated += minima.offer_split(predicates, &split, live);
                 });
-                // The winners go straight into the arena's tail.
-                memo.build_slot(idx, est.set_stats(set), |arena, start| {
-                    minima.insert_winners(set, pruning, arena, start)
+                memo.build_slot(idx, set_stats, |arena, start| {
+                    minima.insert_winners(set, arena, start)
                 });
             }
             // Pareto pruning has no single-number reduction: every
             // candidate generated meets the slot built so far, which is a
             // slot of its own because the candidates borrow their operands
             // from the arena.
-            Objective::Multi { .. } => {
+            (Objective::Multi { .. }, _) => {
                 for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
                     stats.splits_tried += 1;
                     let operands = (split.left.set, split.right.set);
@@ -687,7 +839,7 @@ pub(crate) fn fill(
                 for entry in &mut slot {
                     entry.cost.time = stored_time(entry.cost.time);
                 }
-                memo.push_slot(idx, est.set_stats(set), &slot);
+                memo.push_slot(idx, set_stats, &slot);
                 slot.clear();
             }
         }
@@ -698,7 +850,7 @@ pub(crate) fn fill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{optimize_partition_reference, optimize_serial, Candidate};
+    use crate::worker::{optimize_partition_reference, optimize_serial, Candidate, Operand};
     use mpq_cost::ScanOp;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_partition::{partition_constraints, Grouping};
@@ -770,8 +922,7 @@ mod tests {
     /// slot of its own.
     fn winners(minima: &mut ClassMinima) -> Vec<PlanEntry> {
         let mut slot = Vec::new();
-        let pruning = PruningPolicy::new(Objective::Single, 4);
-        minima.insert_winners(TableSet::full(2), &pruning, &mut slot, 0);
+        minima.insert_winners(TableSet::full(2), &mut slot, 0);
         slot
     }
 
@@ -947,6 +1098,162 @@ mod tests {
             [first.entry(TableSet::singleton(0), TableSet::singleton(1))]
         );
         assert_eq!(slot[0].cost, CostVector::new(1.0, 8.0));
+    }
+
+    /// The winners written directly, as `(time, order)`, against inserting
+    /// the same winners in generation order through the single-objective
+    /// pruning function, bit for bit.
+    fn reduce_as_pruning_would(cands: &[(f64, Order)]) -> Vec<(f64, Order)> {
+        let slot = reduce(&mut ClassMinima::default(), cands);
+        let pruning = PruningPolicy::new(Objective::Single, 4);
+        let mut inserted = Vec::new();
+        for &(time, order) in &slot {
+            pruning.try_insert(&mut inserted, plan(time, order));
+        }
+        let bits = |slot: &[(f64, Order)]| -> Vec<(u64, Order)> {
+            slot.iter()
+                .map(|&(time, order)| (time.to_bits(), order))
+                .collect()
+        };
+        let pruned: Vec<(f64, Order)> = inserted.iter().map(|e| (e.cost.time, e.order)).collect();
+        assert_eq!(bits(&slot), bits(&pruned), "{cands:?}");
+        slot
+    }
+
+    /// An ordered winner is always kept; the unordered one only while no
+    /// other winner is at most as dear — whichever was generated first.
+    #[test]
+    fn the_unordered_winner_yields_to_an_ordered_one_at_most_as_dear() {
+        let (none, sorted) = (Order::None, Order::OnAttribute(1));
+        for unordered in [2.0, 3.0] {
+            for cands in [
+                [(unordered, none), (2.0, sorted)],
+                [(2.0, sorted), (unordered, none)],
+            ] {
+                assert_eq!(
+                    reduce_as_pruning_would(&cands),
+                    [(2.0, sorted)],
+                    "{cands:?}"
+                );
+            }
+        }
+        // Cheaper than every ordered winner: kept, in generation order.
+        let cands = [(3.0, Order::OnAttribute(2)), (1.0, none), (2.0, sorted)];
+        assert_eq!(reduce_as_pruning_would(&cands), cands);
+        // Two ordered winners never touch each other.
+        let cands = [(5.0, Order::OnAttribute(2)), (1.0, sorted)];
+        assert_eq!(reduce_as_pruning_would(&cands), cands);
+    }
+
+    /// A NaN time compares false both ways: a NaN unordered winner is kept
+    /// beside an ordered one, and a NaN ordered winner keeps the unordered
+    /// one, in both generation orders; each stored as the one NaN.
+    #[test]
+    fn a_nan_winner_neither_yields_nor_displaces() {
+        let (none, sorted, nan) = (Order::None, Order::OnAttribute(1), f64::NAN);
+        for cands in [
+            [(nan, none), (2.0, sorted)],
+            [(2.0, sorted), (nan, none)],
+            [(2.0, none), (nan, sorted)],
+            [(nan, sorted), (2.0, none)],
+            [(nan, sorted), (nan, none)],
+        ] {
+            let slot = reduce_as_pruning_would(&cands);
+            assert_eq!(slot.len(), 2, "{cands:?}");
+            for ((time, order), (expected_time, expected_order)) in slot.into_iter().zip(cands) {
+                assert_eq!(order, expected_order);
+                let stored = if expected_time.is_nan() {
+                    f64::NAN
+                } else {
+                    expected_time
+                };
+                assert_eq!(time.to_bits(), stored.to_bits(), "{cands:?}");
+            }
+        }
+    }
+
+    /// The left-deep loop, with each split's operator terms read once,
+    /// leaves the slot and the count of the general pair loop, bit for bit:
+    /// made-up operands (times, buffers and orders from small grids, so that
+    /// candidates tie and sort-merge finds its outer plans sorted and not)
+    /// on every left-deep split of a six-table clique's sets, and inner
+    /// operands of one scan and of two plans.
+    #[test]
+    fn the_left_deep_loop_offers_what_the_pair_loop_offers() {
+        let q = WorkloadGenerator::new(
+            WorkloadConfig::with_graph(6, mpq_model::JoinGraph::Clique),
+            5,
+        )
+        .next_query();
+        let est = CardinalityEstimator::new(&q);
+        let predicates = est.predicates();
+        let mut inside = InsidePredicates::default();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut pick = |grid: &[f64]| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            grid[(state % grid.len() as u64) as usize]
+        };
+        let (mut left_deep, mut pairs) = (ClassMinima::default(), ClassMinima::default());
+        let mut compared = 0;
+        for bits in 1..1u64 << 6 {
+            let set = TableSet(bits);
+            predicates.inside(set, &mut inside);
+            for u in set.iter().filter(|_| set.len() >= 2) {
+                let plans = |count: usize, pick: &mut dyn FnMut(&[f64]) -> f64| -> Vec<PlanEntry> {
+                    (0..count)
+                        .map(|_| PlanEntry {
+                            cost: CostVector::new(pick(&[0.0, 1.0, 2.0]), pick(&[0.0, 1.0])),
+                            order: match pick(&[0.0, 1.0, 2.0, 3.0]) as u8 {
+                                0 => Order::None,
+                                t => Order::OnAttribute(set.min_table().unwrap() as u8 + t - 1),
+                            },
+                            ..entry(0.0)
+                        })
+                        .collect()
+                };
+                let lefts = plans(1 + pick(&[0.0, 1.0, 2.0]) as usize, &mut pick);
+                let rights = plans(1 + pick(&[0.0, 0.0, 1.0]) as usize, &mut pick);
+                let [left_stats, right_stats] = [0, 1].map(|_| SetStats {
+                    cardinality: pick(&[2.0, 3.0, 4.0]),
+                    tuple_bytes: pick(&[1.0, 2.0]),
+                    sort_cost: pick(&[0.0, 1.0, 2.0]),
+                });
+                let split = Split {
+                    left: Operand {
+                        set: set.remove(u),
+                        stats: &left_stats,
+                        entries: &lefts,
+                    },
+                    right: Operand {
+                        set: TableSet::singleton(u),
+                        stats: &right_stats,
+                        entries: &rights,
+                    },
+                };
+                let live = predicates.interesting_orders(set);
+                let attributes = predicates.last_join_attributes(&inside, u);
+                let generated = left_deep.offer_left_deep(predicates, attributes, &split, live);
+                assert_eq!(generated, pairs.offer_split(predicates, &split, live));
+                let [a, b] = [&mut left_deep, &mut pairs].map(|minima| {
+                    let mut slot = Vec::new();
+                    minima.insert_winners(set, &mut slot, 0);
+                    slot.iter()
+                        .map(|e| {
+                            (
+                                [e.cost.time, e.cost.buffer].map(f64::to_bits),
+                                e.order,
+                                e.node,
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                });
+                assert_eq!(a, b, "{set} without {u}");
+                compared += 1;
+            }
+        }
+        assert_eq!(compared, 6 * (1 << 5) - 6);
     }
 
     #[test]

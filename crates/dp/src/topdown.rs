@@ -41,76 +41,71 @@ pub fn optimize_partition_topdown(
     )]
     let start = Instant::now();
     let n = query.num_tables();
-    let adm = AdmissibleSets::new(constraints);
-    let mut run = TopDown {
-        env: SplitEnv {
+    let policy = PruningPolicy::new(objective, n);
+    let est = CardinalityEstimator::new(query);
+    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
+    let mut stats = WorkerStats::default();
+    seed_scans(&mut memo, &est, &policy);
+    // Recursion pass: the sets reachable from the root, each once, in the
+    // order their expansions finish — every child before its parent.
+    let mut finished = Vec::new();
+    {
+        let env = SplitEnv {
             space,
             constraints,
-            adm: &adm,
-        },
-        policy: PruningPolicy::new(objective, n),
-        memo: ArenaMemo::new(adm.clone()),
-        est: CardinalityEstimator::new(query),
-        expanded: vec![false; adm.len()],
-        stats: WorkerStats::default(),
-    };
-    seed_scans(&mut run.memo, &run.est, &run.policy);
-    run.expand(TableSet::full(n));
-    finish(&run.memo, &run.policy, run.stats, start)
-}
-
-/// State of one top-down run.
-struct TopDown<'a> {
-    env: SplitEnv<'a>,
-    policy: PruningPolicy,
-    memo: ArenaMemo,
-    est: CardinalityEstimator,
-    /// Which admissible sets have been expanded, by dense index.
-    expanded: Vec<bool>,
-    stats: WorkerStats,
-}
-
-impl TopDown<'_> {
-    /// Recursively materializes the optimal entries for `set`, expanding
-    /// each admissible set at most once.
-    fn expand(&mut self, set: TableSet) {
-        if set.len() < 2 {
-            return;
-        }
-        let Some(idx) = self.env.adm.index_of(set) else {
-            return;
+            adm: memo.admissible(),
         };
-        if std::mem::replace(&mut self.expanded[idx], true) {
-            return;
-        }
-        let env = self.env;
-        // Recursion pass: children must be final before we combine. The
-        // split walk is repeated below instead of materialized — split
-        // enumeration is cheap next to plan generation, and this keeps the
-        // expansion allocation-free.
-        for_each_split_filtered(&env, set, |l, r| {
-            self.expand(l);
-            self.expand(r);
-        });
-        // Combine pass: the slot is built outside the memo, so the child
-        // entry slices can be read straight from the memo without cloning.
-        let predicates = self.est.predicates();
-        let live = predicates.interesting_orders(set);
-        let mut slot = Vec::new();
-        for_each_split_filtered(&env, set, |l, r| {
-            self.stats.splits_tried += 1;
-            let split = Split::of(&self.memo, l, r);
-            combine_operands(
-                &split,
-                live,
-                predicates,
-                &self.policy,
-                &mut slot,
-                &mut self.stats,
-            );
-        });
-        self.memo.push_slot(idx, self.est.set_stats(set), &slot);
+        let mut expanded = vec![false; env.adm.len()];
+        expand(&env, TableSet::full(n), &mut expanded, &mut finished);
     }
+    // Combine pass, in that order: the slot is built outside the memo, so
+    // the child entry slices can be read straight from the memo without
+    // cloning.
+    let predicates = est.predicates();
+    let mut slot = Vec::new();
+    for (idx, set) in finished {
+        let env = SplitEnv {
+            space,
+            constraints,
+            adm: memo.admissible(),
+        };
+        let live = predicates.interesting_orders(set);
+        for_each_split_filtered(&env, set, |l, r| {
+            stats.splits_tried += 1;
+            let split = Split::of(&memo, l, r);
+            combine_operands(&split, live, predicates, &policy, &mut slot, &mut stats);
+        });
+        memo.push_slot(idx, est.set_stats(set), &slot);
+        slot.clear();
+    }
+    finish(&memo, &policy, stats, start)
+}
+
+/// Expands the admissible `set` of two or more tables unless it was
+/// (`expanded`, by dense index): its operands first, then `set` itself
+/// onto `finished`, with its dense index. The split walk is repeated per
+/// pass instead of materialized — split enumeration is cheap next to plan
+/// generation.
+fn expand(
+    env: &SplitEnv<'_>,
+    set: TableSet,
+    expanded: &mut [bool],
+    finished: &mut Vec<(usize, TableSet)>,
+) {
+    if set.len() < 2 {
+        return;
+    }
+    let Some(idx) = env.adm.index_of(set) else {
+        return;
+    };
+    if std::mem::replace(&mut expanded[idx], true) {
+        return;
+    }
+    for_each_split_filtered(env, set, |l, r| {
+        expand(env, l, expanded, finished);
+        expand(env, r, expanded, finished);
+    });
+    finished.push((idx, set));
 }
 
 #[cfg(test)]

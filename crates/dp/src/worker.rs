@@ -309,7 +309,8 @@ impl<'a> Candidate<'a> {
 /// operator's output order; `None` where `op` does not apply. The one
 /// definition of a candidate's time: [`Candidate::new`] and the kernel's
 /// pair reducer ([`crate::arena::ClassMinima::offer_pair`]) both read it
-/// here.
+/// here; the left-deep arm adds the same terms, each read once per split
+/// from [`SplitCosts::time`].
 #[inline(always)]
 pub(crate) fn join_time(
     costs: &SplitCosts,

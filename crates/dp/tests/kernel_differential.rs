@@ -342,12 +342,7 @@ impl MadeUpStream {
 
     /// The slot the streaming reducer leaves behind `prefix`, offered
     /// every operand-plan pair as the kernel offers them.
-    fn streamed(
-        &self,
-        minima: &mut ClassMinima,
-        policy: &PruningPolicy,
-        prefix: &[PlanEntry],
-    ) -> Vec<PlanEntry> {
+    fn streamed(&self, minima: &mut ClassMinima, prefix: &[PlanEntry]) -> Vec<PlanEntry> {
         let mut offered = 0;
         for split in &self.splits {
             for (l, r) in split.pairs() {
@@ -360,7 +355,7 @@ impl MadeUpStream {
             "every candidate counted"
         );
         let mut slot = prefix.to_vec();
-        minima.insert_winners(SET, policy, &mut slot, prefix.len());
+        minima.insert_winners(SET, &mut slot, prefix.len());
         slot
     }
 }
@@ -439,7 +434,7 @@ fn batch_matches_sequential_insertion() {
             let nan = trial % 2 == 1;
             let mut rng = Lcg(trial * 2654435761 + 99);
             let stream = MadeUpStream::random(&mut rng, predicates, nan);
-            let streamed = stream.streamed(&mut minima, &policy, &[]);
+            let streamed = stream.streamed(&mut minima, &[]);
             assert_eq!(
                 bits(&eager_class_minima(&stream, &policy)),
                 bits(&streamed),
@@ -723,7 +718,7 @@ fn batch_equivalence_holds_behind_a_frozen_prefix() {
                 policy.try_insert_with(&mut sequential, prefix.len(), e.cost, e.order, || e);
             }
 
-            let streamed = stream.streamed(&mut ClassMinima::default(), &policy, &prefix);
+            let streamed = stream.streamed(&mut ClassMinima::default(), &prefix);
 
             assert_eq!(bits(&sequential), bits(&streamed));
             assert_eq!(&sequential[..prefix.len()], &prefix[..], "prefix untouched");

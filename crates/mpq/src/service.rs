@@ -309,9 +309,12 @@ impl WorkerRecord {
 /// Master-side state of one in-flight optimization session.
 pub struct Session {
     id: QueryId,
-    query: Query,
-    space: PlanSpace,
-    objective: Objective,
+    /// The task message of every range but for the range's bounds: the
+    /// query with its statistics, the plan space, the objective, the
+    /// partition count and the progress cadence. [`Session::task`] writes
+    /// a range's bounds into it and encodes it, so a send encodes the
+    /// session's one copy of the query and never clones it.
+    task: MasterMessage,
     ranges: Vec<RangeRecord>,
     /// Ranges split by steals, kept for reply reconciliation.
     splits: Vec<SplitRecord>,
@@ -326,8 +329,6 @@ pub struct Session {
     /// several times the size of the rest of the record.
     pricer: Option<Box<Pricer>>,
     strikes: u32,
-    /// Progress-report cadence written into this session's task messages.
-    progress_every: u64,
     start: Instant,
     /// When this session last saw one of its own replies: the per-session
     /// suspicion timer. Under `RetryPolicy::timeout = Some(t)`,
@@ -339,19 +340,13 @@ pub struct Session {
 }
 
 impl Session {
-    /// The task message for range `r` — the single construction site, so
-    /// every field travels with every task.
-    fn task(&self, r: usize) -> MasterMessage {
+    /// The encoded task message for range `r` — the single encoding site,
+    /// so every field travels with every task.
+    fn task(&mut self, r: usize) -> Bytes {
         let range = &self.ranges[r];
-        MasterMessage {
-            query: self.query.clone(),
-            space: self.space,
-            objective: self.objective,
-            first_partition: range.first,
-            partition_count: range.count,
-            total_partitions: self.metrics.partitions,
-            progress_every: self.progress_every,
-        }
+        self.task.first_partition = range.first;
+        self.task.partition_count = range.count;
+        self.task.to_bytes()
     }
 
     fn outstanding(&self) -> impl Iterator<Item = usize> + '_ {
@@ -372,7 +367,7 @@ impl Session {
     ) -> Result<u64, ClusterError> {
         let mut refusal = ClusterError::AllWorkersLost;
         for target in targets {
-            let task = self.task(r).to_bytes();
+            let task = self.task(r);
             let len = task.len() as u64;
             match net.send(target, self.id, task, true) {
                 Ok(()) => {
@@ -396,7 +391,7 @@ impl Session {
     /// space, with the session's one estimator: the costs FinalPrune
     /// ranks are the master's own, never a worker's.
     fn price(&mut self, plans: Vec<Plan>) -> Result<Vec<PricedPlan>, PriceError> {
-        let (query, space) = (&self.query, self.space);
+        let (query, space) = (&self.task.query, self.task.space);
         let pricer = self
             .pricer
             .get_or_insert_with(|| Box::new(Pricer::new(query)));
@@ -708,9 +703,16 @@ impl MpqService {
         let start = Instant::now();
         let mut session = Session {
             id,
-            query: query.clone(),
-            space,
-            objective,
+            task: MasterMessage {
+                query: query.clone(),
+                space,
+                objective,
+                first_partition: 0,
+                partition_count: 0,
+                total_partitions: partitions,
+                // The wire keeps the cadence field; 0 is the steal-off wire.
+                progress_every: if self.steal { STEAL_PROGRESS_EVERY } else { 0 },
+            },
             ranges: assignment
                 .iter()
                 .map(|&(first, count)| RangeRecord {
@@ -728,8 +730,6 @@ impl MpqService {
             plans: Vec::new(),
             pricer: None,
             strikes: 0,
-            // The wire keeps the cadence field; 0 is the steal-off wire.
-            progress_every: if self.steal { STEAL_PROGRESS_EVERY } else { 0 },
             start,
             last_progress: start,
         };
@@ -880,7 +880,7 @@ impl MpqService {
                     // gives it the only cost FinalPrune will see. A plan
                     // that does not join exactly the session's tables is no
                     // answer to it.
-                    let full = session.query.all_tables();
+                    let full = session.task.query.all_tables();
                     let priced = match session.price(plans) {
                         Err(reason) => Err(MpqError::Unpriceable { worker, reason }),
                         Ok(plans) if plans.iter().any(|p| p.plan().tables() != full) => {
@@ -1361,7 +1361,8 @@ impl MpqService {
             .into_iter()
             .map(PricedPlan::into_plan)
             .collect();
-        let policy = PruningPolicy::new(session.objective, session.query.num_tables());
+        let task = &session.task;
+        let policy = PruningPolicy::new(task.objective, task.query.num_tables());
         policy.final_prune(&mut plans);
         let mut metrics = session.metrics;
         let stats = &metrics.worker_stats;

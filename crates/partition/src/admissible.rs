@@ -103,6 +103,10 @@ pub struct AdmissibleSets {
 impl AdmissibleSets {
     /// Enumerates the admissible join results for `constraints`
     /// (function `AdmJoinResults` of Algorithm 4, in indexed form).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "never fires: `Grouping::new` admits at most 64 tables, so at most 32 groups"
+    )]
     pub fn new(constraints: &ConstraintSet) -> Self {
         let grouping = constraints.grouping();
         assert!(
@@ -158,7 +162,14 @@ impl AdmissibleSets {
                 pos,
                 stride,
             });
-            stride = stride.checked_mul(radix as usize).expect("index overflow");
+            #[expect(
+                clippy::expect_used,
+                reason = "only a 64-table partition with no constraint has more sets than a \
+                          usize counts, and its memo, one record per set, could never be \
+                          allocated; admission (`SessionTable::admit`) takes 64 tables"
+            )]
+            let next = stride.checked_mul(radix as usize).expect("index overflow");
+            stride = next;
         }
         AdmissibleSets {
             groups,
@@ -204,6 +215,11 @@ impl AdmissibleSets {
     /// — what [`ConstraintSet::may_join_last`] guarantees of an admissible
     /// set in the linear split loop.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug check: the DP's linear split loop (`for_each_split`) asks only for \
+                  an admissible set and a table `ConstraintSet::may_join_last` lets go last"
+    )]
     pub fn index_without(&self, set: TableSet, idx: usize, table: usize) -> usize {
         let step = &self.steps[table];
         let delta = step.delta[((set.bits() >> step.base) as u8 & step.mask) as usize];
@@ -217,6 +233,11 @@ impl AdmissibleSets {
     /// # Panics
     /// Panics if `idx >= self.len()`.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "every caller walks `0..self.len()` (the reference loop, parametric \
+                  enumeration); past the end the top digit would decode a wrong set"
+    )]
     pub fn set_at(&self, mut idx: usize) -> TableSet {
         assert!(idx < self.total, "index {idx} out of range {}", self.total);
         let mut bits = 0u64;
@@ -239,14 +260,23 @@ impl AdmissibleSets {
     /// (every admissible subset of a set appears before the set): the
     /// `i`-th item is `set_at(i)`, produced by counting in the mixed radix
     /// — an odometer over the group digits, first group fastest — instead
-    /// of dividing `i` down.
-    pub fn iter(&self) -> Sets<'_> {
-        Sets {
-            groups: &self.groups,
+    /// of dividing `i` down. The iterator copies the digits' local subsets
+    /// and borrows nothing, so a memo laid out by this index can be written
+    /// while its own copy is iterated.
+    pub fn iter(&self) -> Sets {
+        let mut sets = Sets {
+            groups: self.groups.len(),
+            radix: [0; MAX_GROUPS],
+            locals: [[0; 8]; MAX_GROUPS],
             digits: [0; MAX_GROUPS],
             above: [0; MAX_GROUPS + 1],
             remaining: self.total,
+        };
+        for (d, g) in self.groups.iter().enumerate() {
+            sets.radix[d] = g.radix;
+            sets.locals[d] = g.locals;
         }
+        sets
     }
 
     /// Admissible local "left operand" patterns of `set` restricted to
@@ -295,8 +325,11 @@ impl AdmissibleSets {
 /// Iterator over the admissible sets in ascending dense-index order
 /// ([`AdmissibleSets::iter`]).
 #[derive(Clone, Debug)]
-pub struct Sets<'a> {
-    groups: &'a [GroupIndex],
+pub struct Sets {
+    /// The number of groups, and per group its radix and local subsets.
+    groups: usize,
+    radix: [u8; MAX_GROUPS],
+    locals: [[u64; 8]; MAX_GROUPS],
     /// The current set's digit per group.
     digits: [u8; MAX_GROUPS],
     /// `above[g]` = union of the current local subsets of groups `g..`; a
@@ -306,7 +339,7 @@ pub struct Sets<'a> {
     remaining: usize,
 }
 
-impl Iterator for Sets<'_> {
+impl Iterator for Sets {
     type Item = TableSet;
 
     #[inline]
@@ -318,10 +351,10 @@ impl Iterator for Sets<'_> {
         let set = TableSet(self.above[0]);
         // Step to the successor: the lowest digit with room moves up, the
         // digits below it wrap to zero (the empty local subset).
-        for (d, g) in self.groups.iter().enumerate() {
+        for d in 0..self.groups {
             self.digits[d] += 1;
-            if self.digits[d] < g.radix {
-                let bits = self.above[d + 1] | g.locals[self.digits[d] as usize];
+            if self.digits[d] < self.radix[d] {
+                let bits = self.above[d + 1] | self.locals[d][self.digits[d] as usize];
                 self.above[..=d].fill(bits);
                 break;
             }
@@ -364,6 +397,7 @@ fn local_part_ok(constraints: &ConstraintSet, grp: usize, base: u8, pattern: u8)
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use crate::grouping::Grouping;
     use crate::space::{partition_constraints, PlanSpace};

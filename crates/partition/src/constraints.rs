@@ -76,6 +76,12 @@ impl ConstraintSet {
     /// # Panics
     /// Panics if the vector length does not match the grouping or a
     /// constraint refers to tables outside its group.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "its callers in the program, `partition_constraints` and \
+                  `ConstraintSet::unconstrained`, build one entry per group from the \
+                  group's own tables"
+    )]
     pub fn new(grouping: Grouping, per_group: Vec<Option<Constraint>>) -> Self {
         assert_eq!(
             per_group.len(),
@@ -154,6 +160,7 @@ impl ConstraintSet {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
     use crate::space::PlanSpace;
 

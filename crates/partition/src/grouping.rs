@@ -56,6 +56,12 @@ impl Grouping {
     ///
     /// # Panics
     /// Panics if `num_tables` is 0 or exceeds 64.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "no query reaches it with another size: the wire decoder refuses one \
+                  (`DecodeError::TableCount`), admission (`SessionTable::admit`) and the CLI \
+                  refuse one, and `TableSet` holds 64 tables"
+    )]
     pub fn new(num_tables: usize, space: PlanSpace) -> Self {
         assert!(
             (1..=64).contains(&num_tables),
@@ -119,6 +125,7 @@ impl Grouping {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
 
     #[test]

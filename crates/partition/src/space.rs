@@ -104,6 +104,12 @@ pub fn is_partition_range(
 /// # Panics
 /// Panics if `partitions` is not a power of two, `part_id` is out of range,
 /// or the query is too small for `log2(partitions)` constraints.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a range from outside the program meets `is_partition_range`, the same three \
+              conditions, first: the worker (`MpqWorker::on_message`) answers a task that \
+              fails it with an error echo, the master refuses such a layout (`BadRequest`)"
+)]
 pub fn partition_constraints(
     num_tables: usize,
     space: PlanSpace,
@@ -161,6 +167,12 @@ pub fn partition_constraints(
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros
+    )]
     use super::*;
 
     #[test]
