@@ -74,12 +74,19 @@
 //!     reject it or, were it inserted first, remove it.
 //!
 //!   The reference loop, the bushy single-objective path and the Pareto
-//!   path keep [`PredicateIndex::sort_merge_attributes`], and the latter
-//!   two the pruning function: they are the oracle and the other arms.
+//!   path keep [`PredicateIndex::sort_merge_attributes`]: they are the
+//!   oracle and the other arms.
 //! * Multi-objective runs (`join_candidates` into a [`ParetoSink`]) ask
-//!   each candidate they generate for its vector and test it against a
-//!   slot of their own, since the candidates borrow their operands from
-//!   the arena; an entry is built for one that is kept. A left plan's
+//!   each candidate they generate for its vector and offer it to a slot of
+//!   their own, since the candidates borrow their operands from the arena:
+//!   a [`KeyedSlot`], which keeps three dense columns beside its entries
+//!   (time, buffer, order code). Its rejection scan reads only the
+//!   columns, four entries a step with one branch, and its compaction
+//!   moves the entries and the columns in step, so the scan reads 17 bytes
+//!   an entry instead of a 56-byte [`PlanEntry`]. It applies the pruning
+//!   function's Pareto rule to the same f64 values, so it keeps the
+//!   entries, in the order, that [`PruningPolicy::try_insert`] keeps; an
+//!   entry is built only for a candidate that is kept. A left plan's
 //!   candidates — every right plan, times every operator — form a group,
 //!   and a group whose every output-order class has a floor the slot
 //!   already rejects is not generated, only counted. A candidate costs
@@ -112,7 +119,7 @@ use mpq_cost::{
 };
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
-use mpq_plan::{PlanEntry, PruningPolicy};
+use mpq_plan::{KeyedSlot, PlanEntry, PruningPolicy};
 use std::time::Instant;
 
 /// What is left of the intra-worker thread knob: the paper's model is one
@@ -658,13 +665,14 @@ impl ClassMinima {
     }
 }
 
-/// The Pareto kernel's sink for one split: each candidate it takes meets
-/// the slot under construction through the pruning function, and a left
-/// plan `l`'s group of candidates — every right plan, times every
-/// operator — is declined when the slot already rejects the floor of each
-/// of the group's output-order classes: `(l + min r) + min app`, the
-/// minima taken component-wise over the right plans and over the class's
-/// operators ([`mpq_cost::SplitCosts::floor`]). The module docs say why
+/// The Pareto kernel's sink for one split: each candidate it takes is
+/// offered to the slot under construction ([`KeyedSlot::offer`]), and a
+/// left plan `l`'s group of candidates — every right plan, times every
+/// operator — is declined when the slot already rejects
+/// ([`KeyedSlot::rejects`]) the floor of each of the group's output-order
+/// classes: `(l + min r) + min app`, the minima taken component-wise over
+/// the right plans and over the class's operators
+/// ([`mpq_cost::SplitCosts::floor`]). The module docs say why
 /// the slot is then the one generating the group would leave. A group is
 /// checked only where the left plan, every right plan and every operator
 /// term are finite, so that no candidate is NaN, and where the right
@@ -673,8 +681,7 @@ impl ClassMinima {
 /// spare.
 #[doc(hidden)]
 pub struct ParetoSink<'s> {
-    pruning: &'s PruningPolicy,
-    slot: &'s mut Vec<PlanEntry>,
+    slot: &'s mut KeyedSlot,
     /// The split's left and right operand, for the entries built.
     operands: (TableSet, TableSet),
     live: TableSet,
@@ -686,10 +693,9 @@ pub struct ParetoSink<'s> {
 impl<'s> ParetoSink<'s> {
     /// The sink of the split `operands` whose right operand holds the plans
     /// `rights`, for a result whose interesting orders are `live`, into
-    /// `slot` (the whole vector is the slot).
+    /// `slot`.
     pub fn new(
-        pruning: &'s PruningPolicy,
-        slot: &'s mut Vec<PlanEntry>,
+        slot: &'s mut KeyedSlot,
         operands: (TableSet, TableSet),
         rights: &[PlanEntry],
         live: TableSet,
@@ -705,7 +711,6 @@ impl<'s> ParetoSink<'s> {
             })
         };
         ParetoSink {
-            pruning,
             slot,
             operands,
             live,
@@ -733,8 +738,7 @@ impl CandidateSink for ParetoSink<'_> {
         let operands = outer.cost.add(&right);
         let rejected = |app: JoinApplication| {
             let order = app.output_order.if_live(self.live);
-            self.pruning
-                .rejected(self.slot, &operands.add(&app.cost), order)
+            self.slot.rejects(&operands.add(&app.cost), order)
         };
         !(rejected(floor.outer_order) && floor.sort_merge.is_none_or(rejected))
     }
@@ -743,10 +747,8 @@ impl CandidateSink for ParetoSink<'_> {
     fn take(&mut self, c: Candidate<'_>) {
         let cost = c.cost();
         let (left, right) = self.operands;
-        self.pruning
-            .try_insert_with(self.slot, 0, cost, c.order, || {
-                c.entry_costing(cost, left, right)
-            });
+        self.slot
+            .offer(cost, c.order, || c.entry_costing(cost, left, right));
     }
 }
 
@@ -788,7 +790,7 @@ pub(crate) fn fill(
     let mut scratch = SplitScratch::default();
     let mut inside = InsidePredicates::default();
     let mut minima = ClassMinima::default();
-    let mut slot = Vec::new();
+    let mut slot = KeyedSlot::new(pruning);
     for (idx, set) in memo.admissible().iter().enumerate() {
         if set.len() < 2 {
             continue;
@@ -825,21 +827,23 @@ pub(crate) fn fill(
                 });
             }
             // Pareto pruning has no single-number reduction: every
-            // candidate generated meets the slot built so far, which is a
-            // slot of its own because the candidates borrow their operands
-            // from the arena.
+            // candidate generated meets the keyed slot built so far, which
+            // is a slot of its own because the candidates borrow their
+            // operands from the arena; it is copied in, its times as
+            // stored, when the set is done.
             (Objective::Multi { .. }, _) => {
                 for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
                     stats.splits_tried += 1;
                     let operands = (split.left.set, split.right.set);
-                    let sink =
-                        ParetoSink::new(pruning, &mut slot, operands, split.right.entries, live);
+                    let sink = ParetoSink::new(&mut slot, operands, split.right.entries, live);
                     stats.plans_generated += join_candidates(predicates, &split, live, sink);
                 });
-                for entry in &mut slot {
-                    entry.cost.time = stored_time(entry.cost.time);
-                }
-                memo.push_slot(idx, set_stats, &slot);
+                memo.build_slot(idx, set_stats, |arena, _| {
+                    arena.extend(slot.entries().iter().map(|&entry| PlanEntry {
+                        cost: CostVector::new(stored_time(entry.cost.time), entry.cost.buffer),
+                        ..entry
+                    }))
+                });
                 slot.clear();
             }
         }

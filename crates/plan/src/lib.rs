@@ -37,5 +37,5 @@ pub use cache::{
     MemoCache,
 };
 pub use entry::{PlanEntry, PlanNode};
-pub use pruning::PruningPolicy;
+pub use pruning::{KeyedSlot, PruningPolicy};
 pub use tree::{Plan, PlanError, PlanOp};
