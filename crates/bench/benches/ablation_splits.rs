@@ -8,8 +8,9 @@
 //! variant still touches all `2^|U|` splits per set while the product
 //! variant touches `~(6/8)^l` of them: `splits_{product,filtered}_*` are
 //! the exact counts, `dp_{product,filtered}_*` the one-thread time. Both
-//! columns run the same slot-at-a-time reference loop, so they differ
-//! only in the enumeration. `benchmark/` never runs the filtered walk.
+//! columns fill the memo one slot at a time, in the same set order and
+//! through the same scalar pruning, so they differ only in the
+//! enumeration. `benchmark/` never runs the filtered walk.
 
 use mpq_bench::*;
 use mpq_cost::Objective;

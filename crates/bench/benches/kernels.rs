@@ -108,16 +108,22 @@ fn bench_dp_kernels(report: &mut BenchReport, samples: usize) {
         assert_eq!(out.stats.stored_sets, reference.stats.stored_sets);
         assert_eq!(out.stats.total_entries, reference.stats.total_entries);
 
+        // The variants' samples alternate, and so does which of them goes
+        // first, so host drift lands in both alike, not in their ratio.
+        let kernels = [optimize_partition_reference, optimize_partition];
+        for kernel in kernels {
+            black_box(kernel(black_box(&q), space, objective, &constraints));
+        }
+        let mut ms = [Vec::with_capacity(samples), Vec::with_capacity(samples)];
+        for s in 0..samples {
+            for k in [s % 2, 1 - s % 2] {
+                let t0 = Instant::now();
+                black_box(kernels[k](black_box(&q), space, objective, &constraints));
+                ms[k].push(t0.elapsed().as_secs_f64() * 1e3);
+            }
+        }
         let mut row = vec![label.to_string()];
-        for (variant, arena) in [("reference", false), ("arena", true)] {
-            let kernel = if arena {
-                optimize_partition
-            } else {
-                optimize_partition_reference
-            };
-            let ms = sample_ms(samples, || {
-                black_box(kernel(black_box(&q), space, objective, &constraints));
-            });
+        for (variant, ms) in ["reference", "arena"].into_iter().zip(ms) {
             row.push(format!("{:.2}", median(&mut ms.clone())));
             report.timing(&format!("dp_{variant}_{label}"), "ms", &ms);
         }

@@ -1426,14 +1426,15 @@ mod tests {
             let policy = PruningPolicy::new(Objective::Single, n);
             seed_scans(&mut memo, &est, &policy);
             let mut stats = WorkerStats::default();
+            let mut slot = Vec::new();
             for (idx, set) in adm.iter().enumerate().filter(|(_, set)| set.len() >= 2) {
-                let slot = crate::worker::compute_entries_for_set(
-                    space,
+                crate::worker::compute_entries_for_set(
                     &cs,
                     set,
                     &memo,
                     est.predicates(),
                     &policy,
+                    &mut slot,
                     &mut stats,
                 );
                 memo.push_slot(idx, est.set_stats(set), &slot);
@@ -1552,7 +1553,7 @@ mod tests {
                 let pruning = PruningPolicy::new(objective, n);
                 let cs = ConstraintSet::unconstrained(Grouping::new(n, space));
                 let (memo, _) = fill(&q, space, &pruning, &cs);
-                let (reference, _) = crate::worker::reference_fill(&q, space, &pruning, &cs, false);
+                let (reference, _) = crate::worker::reference_fill(&q, space, &pruning, &cs);
                 for set in memo.admissible().iter() {
                     let ctx = format!("{space:?} {objective:?} {set}");
                     if objective != Objective::Single {
@@ -1608,7 +1609,7 @@ mod tests {
                                 let cs = partition_constraints(n, space, id, m);
                                 let (memo, stats) = fill(&q, space, &pruning, &cs);
                                 let (reference, reference_stats) =
-                                    crate::worker::reference_fill(&q, space, &pruning, &cs, false);
+                                    crate::worker::reference_fill(&q, space, &pruning, &cs);
                                 assert_eq!(stats, reference_stats, "{ctx}");
                                 let singles = (0..n).map(TableSet::singleton);
                                 for set in memo.admissible().iter().chain(singles) {

@@ -25,8 +25,8 @@
 //! per-order-class minima compared on time, cost vectors and entries built
 //! only for the candidates that are kept; the default) and the textbook
 //! slot-at-a-time loop ([`optimize_partition_reference`]) that the
-//! differential suites hold it to, bit for bit. Top-down, parametric and
-//! SMA's per-set enumeration run on the same memo.
+//! differential suites hold it to, bit for bit. Parametric and SMA's
+//! per-set enumeration run on the same memo.
 //!
 //! [`explain()`] recomputes a finished plan's per-node costs, cardinalities
 //! and orders from its query, bit for bit as the kernels computed them,
@@ -47,7 +47,6 @@ pub mod naive;
 pub mod parametric;
 pub mod reconstruct;
 pub mod stats;
-pub mod topdown;
 pub mod worker;
 
 pub use arena::{optimize_partition, ArenaMemo, ParallelPolicy};
@@ -64,7 +63,6 @@ pub use parametric::{
 };
 pub use reconstruct::reconstruct_plan;
 pub use stats::WorkerStats;
-pub use topdown::optimize_partition_topdown;
 pub use worker::{
     complete_plans, compute_entries_for_set, optimize_partition_id, optimize_partition_reference,
     optimize_serial, seed_scans, PartitionOutcome,

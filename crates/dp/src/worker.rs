@@ -24,9 +24,11 @@
 //!
 //! `for_each_split_filtered` is the other walk: every *possible* split,
 //! checked for admissibility afterwards. It serves the traversals that
-//! stay clear of the product construction — top-down and parametric
-//! enumeration, SMA's per-set work unit — and the `ablation_splits`
-//! benchmark that measures what the product saves.
+//! stay clear of the product construction: parametric enumeration and the
+//! one filter-after-enumerate slot loop, [`compute_entries_for_set`] —
+//! SMA's per-set work unit, which [`optimize_partition_bushy_filtered`]
+//! runs set by set for the `ablation_splits` benchmark that measures what
+//! the product saves.
 //!
 //! Both walks hand over a split's operands as the memo holds them —
 //! statistics and plans (`Operand`) — and `for_each_split` reaches them
@@ -40,7 +42,7 @@
 //! evaluated: the loop hands its sink a [`Candidate`] with the time
 //! evaluated and the rest of the vector on request — the streaming kernel
 //! asks for the winners', every other traversal (reference loop, Pareto
-//! path, top-down, parametric, SMA) for each one's. A sink may decline a
+//! path, parametric, SMA) for each one's. A sink may decline a
 //! left plan's whole group of candidates ([`CandidateSink`]): the Pareto
 //! path does when its slot already rejects the group's floors.
 
@@ -101,32 +103,6 @@ pub fn optimize_partition_reference(
     objective: Objective,
     constraints: &ConstraintSet,
 ) -> PartitionOutcome {
-    reference_loop(query, space, objective, constraints, false)
-}
-
-/// Ablation variant of the bushy split enumeration: the reference loop
-/// examining *all* `2^|set| - 2` splits of a set and filtering the
-/// inadmissible ones afterwards. Complexity is linear in the number of
-/// possible rather than admissible splits — the approach the paper
-/// deliberately avoids for bushy spaces (Section 4.2) — and
-/// `splits_tried` counts every examined split.
-pub fn optimize_partition_bushy_filtered(
-    query: &Query,
-    objective: Objective,
-    constraints: &ConstraintSet,
-) -> PartitionOutcome {
-    reference_loop(query, PlanSpace::Bushy, objective, constraints, true)
-}
-
-/// The slot-at-a-time loop behind both entry points above; `filtered`
-/// selects the filter-after-enumerate split walk over the product walk.
-fn reference_loop(
-    query: &Query,
-    space: PlanSpace,
-    objective: Objective,
-    constraints: &ConstraintSet,
-    filtered: bool,
-) -> PartitionOutcome {
     #[expect(
         clippy::disallowed_methods,
         reason = "measurement, not scheduling evidence: optimize_micros is a reported metric, no decision reads it"
@@ -135,7 +111,7 @@ fn reference_loop(
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
     let policy = PruningPolicy::new(objective, n);
-    let (memo, stats) = reference_fill(query, space, &policy, constraints, filtered);
+    let (memo, stats) = reference_fill(query, space, &policy, constraints);
     finish(&memo, &policy, stats, start)
 }
 
@@ -146,7 +122,6 @@ pub(crate) fn reference_fill(
     space: PlanSpace,
     policy: &PruningPolicy,
     constraints: &ConstraintSet,
-    filtered: bool,
 ) -> (ArenaMemo, WorkerStats) {
     let est = CardinalityEstimator::new(query);
     let predicates = est.predicates();
@@ -170,22 +145,58 @@ pub(crate) fn reference_fill(
             adm: memo.admissible(),
         };
         let live = predicates.interesting_orders(set);
-        if filtered {
-            let examined = for_each_split_filtered(&env, set, |left, right| {
-                let split = Split::of(&memo, left, right);
-                combine_operands(&split, live, predicates, policy, &mut slot, &mut stats);
-            });
-            stats.splits_tried += examined;
-        } else {
-            for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
-                stats.splits_tried += 1;
-                combine_operands(&split, live, predicates, policy, &mut slot, &mut stats);
-            });
-        }
+        for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
+            stats.splits_tried += 1;
+            combine_operands(&split, live, predicates, policy, &mut slot, &mut stats);
+        });
         memo.push_slot(idx, est.set_stats(set), &slot);
         slot.clear();
     }
     (memo, stats)
+}
+
+/// Ablation variant of the bushy split enumeration: the reference loop's
+/// visiting order, each set's slot filled by [`compute_entries_for_set`],
+/// which examines *all* `2^|set| - 2` splits of a set and filters the
+/// inadmissible ones afterwards. Complexity is linear in the number of
+/// possible rather than admissible splits — the approach the paper
+/// deliberately avoids for bushy spaces (Section 4.2) — and
+/// `splits_tried` counts every examined split. `constraints` is a bushy
+/// partition's.
+pub fn optimize_partition_bushy_filtered(
+    query: &Query,
+    objective: Objective,
+    constraints: &ConstraintSet,
+) -> PartitionOutcome {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement, not scheduling evidence: optimize_micros is a reported metric, no decision reads it"
+    )]
+    let start = Instant::now();
+    let policy = PruningPolicy::new(objective, query.num_tables());
+    let est = CardinalityEstimator::new(query);
+    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
+    let mut stats = WorkerStats::default();
+    seed_scans(&mut memo, &est, &policy);
+    let predicates = est.predicates();
+    let mut slot = Vec::new();
+    for idx in 0..memo.admissible().len() {
+        let set = memo.admissible().set_at(idx);
+        if set.len() < 2 {
+            continue;
+        }
+        compute_entries_for_set(
+            constraints,
+            set,
+            &memo,
+            predicates,
+            &policy,
+            &mut slot,
+            &mut stats,
+        );
+        memo.push_slot(idx, est.set_stats(set), &slot);
+    }
+    finish(&memo, &policy, stats, start)
 }
 
 /// Seeds the best plans for single tables (Algorithm 2, lines 9-11), each
@@ -649,32 +660,37 @@ pub(crate) fn for_each_split_filtered(
     examined
 }
 
-/// Computes the memo slot for one table set, reading operand plans from an
-/// existing memo. This is the work unit of the fine-grained SMA baseline,
-/// whose master assigns individual join results to workers (Section 6.1).
-/// SMA has no constraint structure, so it passes the unconstrained set and
-/// every examined split counts as tried.
+/// Fills `slot` with the memo slot of one table set, reading operand plans
+/// from an existing memo: the crate's one filter-after-enumerate slot
+/// loop. Every split `for_each_split_filtered` examines counts as tried;
+/// each admissible one's candidates go through the scalar pruning function
+/// in generation order. The plan space is the constraint set's.
+///
+/// This is the work unit of the fine-grained SMA baseline, whose master
+/// assigns individual join results to workers (Section 6.1) — SMA has no
+/// constraint structure, so it passes the unconstrained set — and the
+/// per-set step of [`optimize_partition_bushy_filtered`], which reuses one
+/// `slot` across sets.
 pub fn compute_entries_for_set(
-    space: PlanSpace,
     constraints: &ConstraintSet,
     set: TableSet,
     memo: &ArenaMemo,
     predicates: &PredicateIndex,
     policy: &PruningPolicy,
+    slot: &mut Vec<PlanEntry>,
     stats: &mut WorkerStats,
-) -> Vec<PlanEntry> {
+) {
     let env = SplitEnv {
-        space,
+        space: constraints.grouping().space(),
         constraints,
         adm: memo.admissible(),
     };
     let live = predicates.interesting_orders(set);
-    let mut slot = Vec::new();
+    slot.clear();
     stats.splits_tried += for_each_split_filtered(&env, set, |left, right| {
         let split = Split::of(memo, left, right);
-        combine_operands(&split, live, predicates, policy, &mut slot, stats);
+        combine_operands(&split, live, predicates, policy, slot, stats);
     });
-    slot
 }
 
 /// Gathers the per-group admissible split parts of `set` (Algorithm 5,
@@ -948,6 +964,35 @@ mod tests {
             product.plans[0].cost().time.to_bits(),
             filtered.plans[0].cost().time.to_bits()
         );
+    }
+
+    /// On a left-deep partition both walks try each member as the inner
+    /// table in the same order, so the filter-after-enumerate slot loop
+    /// fills every set's slot from the reference memo's operands exactly
+    /// as the reference loop did, for both objectives. Constrained pairs
+    /// are where an inadmissible split would slip through: its operands
+    /// are single tables, both of which have plans.
+    #[test]
+    fn filtered_slots_equal_the_reference_slots_on_linear_partitions() {
+        let n = 7;
+        let q = query(n, 75);
+        let est = CardinalityEstimator::new(&q);
+        let mut slot = Vec::new();
+        let mut stats = WorkerStats::default();
+        for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
+            let policy = PruningPolicy::new(objective, n);
+            for id in 0..8 {
+                let cs = partition_constraints(n, PlanSpace::Linear, id, 8);
+                let (reference, _) = reference_fill(&q, PlanSpace::Linear, &policy, &cs);
+                for set in reference.admissible().iter().filter(|s| s.len() >= 2) {
+                    let predicates = est.predicates();
+                    compute_entries_for_set(
+                        &cs, set, &reference, predicates, &policy, &mut slot, &mut stats,
+                    );
+                    assert_eq!(slot, reference.entries(set), "{objective:?} {id}: {set}");
+                }
+            }
+        }
     }
 
     /// The operand indices the split enumeration carries are the operands'

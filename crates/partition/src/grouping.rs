@@ -9,7 +9,6 @@
 //! query.
 
 use crate::space::PlanSpace;
-use mpq_model::TableSet;
 
 /// One group of consecutive tables.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,11 +33,6 @@ impl Group {
     /// Whether the group is empty (never true for constructed groupings).
     pub fn is_empty(&self) -> bool {
         self.tables.is_empty()
-    }
-
-    /// The member tables as a [`TableSet`].
-    pub fn table_set(&self) -> TableSet {
-        TableSet(self.mask())
     }
 }
 
@@ -97,11 +91,6 @@ impl Grouping {
         self.groups.len()
     }
 
-    /// Number of groups that may carry a constraint (full-size groups).
-    pub fn num_constrainable(&self) -> usize {
-        self.space.max_constraints(self.num_tables)
-    }
-
     /// The `i`-th group.
     pub fn group(&self, i: usize) -> &Group {
         &self.groups[i]
@@ -127,12 +116,12 @@ impl Grouping {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
+    use mpq_model::TableSet;
 
     #[test]
     fn linear_pairs_even() {
         let g = Grouping::new(6, PlanSpace::Linear);
         assert_eq!(g.num_groups(), 3);
-        assert_eq!(g.num_constrainable(), 3);
         assert_eq!(g.group(0).tables, vec![0, 1]);
         assert_eq!(g.group(2).tables, vec![4, 5]);
     }
@@ -141,7 +130,6 @@ mod tests {
     fn linear_pairs_odd_leftover() {
         let g = Grouping::new(7, PlanSpace::Linear);
         assert_eq!(g.num_groups(), 4);
-        assert_eq!(g.num_constrainable(), 3);
         assert_eq!(g.group(3).tables, vec![6]);
     }
 
@@ -149,7 +137,6 @@ mod tests {
     fn bushy_triples_with_leftover_pair() {
         let g = Grouping::new(8, PlanSpace::Bushy);
         assert_eq!(g.num_groups(), 3);
-        assert_eq!(g.num_constrainable(), 2);
         assert_eq!(g.group(0).tables, vec![0, 1, 2]);
         assert_eq!(g.group(2).tables, vec![6, 7]);
     }
@@ -173,7 +160,6 @@ mod tests {
     fn group_mask_matches_members() {
         let g = Grouping::new(9, PlanSpace::Bushy);
         assert_eq!(g.group(1).mask(), 0b111000);
-        assert_eq!(g.group(1).table_set(), TableSet::from_tables([3, 4, 5]));
         assert_eq!(g.group(1).len(), 3);
     }
 

@@ -89,17 +89,6 @@ impl PlanEntry {
             },
         }
     }
-
-    /// Deterministic ordering key used to canonicalize entry lists before
-    /// they are exchanged between nodes (the SMA baseline relies on all
-    /// replicas agreeing on entry indices).
-    pub fn canonical_key(&self) -> (u64, u64, u8) {
-        (
-            self.cost.time.to_bits(),
-            self.cost.buffer.to_bits(),
-            self.order.to_code(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -149,13 +138,6 @@ mod tests {
             _ => panic!("expected join node"),
         }
         assert_eq!(e.order, Order::OnAttribute(1));
-    }
-
-    #[test]
-    fn canonical_key_orders_by_cost_first() {
-        let cheap = PlanEntry::scan(0, ScanOp::Full, CostVector::new(1.0, 0.0));
-        let pricey = PlanEntry::scan(0, ScanOp::Full, CostVector::new(2.0, 0.0));
-        assert!(cheap.canonical_key() < pricey.canonical_key());
     }
 
     #[test]

@@ -166,17 +166,18 @@ impl SmaOptimizer {
                 net.record_to_worker(charge(&assign.to_bytes()));
                 let slots: Vec<SlotUpdate> = batch
                     .iter()
-                    .map(|&set| SlotUpdate {
-                        set,
-                        entries: compute_entries_for_set(
-                            space,
+                    .map(|&set| {
+                        let mut entries = Vec::new();
+                        compute_entries_for_set(
                             &constraints,
                             set,
                             &memo,
                             est.predicates(),
                             &policy,
+                            &mut entries,
                             &mut stats,
-                        ),
+                        );
+                        SlotUpdate { set, entries }
                     })
                     .collect();
                 let done = SmaReply::LevelDone {

@@ -6,10 +6,9 @@
 //! [`MpqService`], and streams queries through `submit` →
 //! [`ServiceHandle`] → `poll`/`wait`; [`OptimizerService::optimize`] is
 //! the blocking "submit one query, wait" view of the same path. Every
-//! call goes to the one engine: the serial DP and the top-down enumerator
-//! are library references ([`optimize_serial`](crate::dp::optimize_serial),
-//! [`optimize_partition_topdown`](crate::dp::optimize_partition_topdown)),
-//! and the SMA baseline is only ever measured, by
+//! call goes to the one engine: the serial DP is a library reference
+//! ([`optimize_serial`](crate::dp::optimize_serial)), and the SMA baseline
+//! is only ever measured, by
 //! [`SmaOptimizer`](crate::sma::SmaOptimizer).
 //!
 //! The handle lifecycle itself — one handle type, admission, parking,

@@ -6,7 +6,6 @@
 //!
 //! * MPQ at several worker counts (the paper's Theorem: partitioning
 //!   never loses the optimum),
-//! * the memoized top-down (Volcano-style) enumerator,
 //! * the exhaustive brute-force reference (small queries),
 //! * the SMA replicated-memo baseline,
 //!
@@ -16,7 +15,7 @@
 //! closed-loop window, where load-aware placement varies the cut. Every
 //! plan any backend returns must also cost what `explain` recomputes for
 //! its tree from the query.
-//! Differential agreement across five
+//! Differential agreement across four
 //! independently-written engines is the correctness bedrock the chaos
 //! suite (`tests/chaos.rs`) builds on: it pins the fault-free answer that
 //! fault-tolerant runs must reproduce.
@@ -28,10 +27,10 @@
 use pqopt::cost::{CostVector, Objective};
 use pqopt::dp::{
     exhaustive_frontier, exhaustive_linear_best_time, explain, optimize_partition_id,
-    optimize_partition_topdown, optimize_serial,
+    optimize_serial,
 };
 use pqopt::model::{JoinGraph, Query, WorkloadConfig, WorkloadGenerator};
-use pqopt::partition::{effective_workers, partition_constraints, PlanSpace};
+use pqopt::partition::{effective_workers, PlanSpace};
 use pqopt::plan::{Plan, PruningPolicy};
 use pqopt::prelude::{MpqConfig, MpqOptimizer, OptimizerService, ServiceConfig, ServiceHandle};
 use pqopt::sma::SmaOptimizer;
@@ -90,19 +89,6 @@ fn all_engines_agree_on_linear_optimal_cost() {
         let space = PlanSpace::Linear;
         let reference = reference_time(&q, space);
 
-        // Top-down enumeration over the unconstrained space.
-        let topdown = optimize_partition_topdown(
-            &q,
-            space,
-            Objective::Single,
-            &partition_constraints(n, space, 0, 1),
-        );
-        assert!(
-            bit_eq(topdown.plans[0].cost().time, reference),
-            "seed {seed} (n={n}): topdown {} vs serial {reference}",
-            topdown.plans[0].cost().time
-        );
-
         // MPQ at several worker counts (caps at the query's partition
         // limit internally).
         for workers in [1u64, 2, 4, 8] {
@@ -145,17 +131,6 @@ fn all_engines_agree_on_bushy_optimal_cost() {
         }
         let space = PlanSpace::Bushy;
         let reference = reference_time(&q, space);
-
-        let topdown = optimize_partition_topdown(
-            &q,
-            space,
-            Objective::Single,
-            &partition_constraints(n, space, 0, 1),
-        );
-        assert!(
-            bit_eq(topdown.plans[0].cost().time, reference),
-            "seed {seed} (n={n}): bushy topdown"
-        );
 
         for workers in [1u64, 2, 4] {
             let out = mpq.optimize(&q, space, Objective::Single, workers);
@@ -387,8 +362,8 @@ fn windowed_stream_is_exact_under_load_aware_placement() {
     service.shutdown();
 }
 
-/// One invariant across every backend: each plan the serial and top-down
-/// DPs, MPQ and SMA return costs, to the bit, what [`explain`] computes
+/// One invariant across every backend: each plan the serial DP, MPQ and
+/// SMA return costs, to the bit, what [`explain`] computes
 /// for its tree from the query — both spaces, single-objective and
 /// α ∈ {2, 10}. MPQ's master prices every reply plan that way (none
 /// carries a cost on the wire); the others keep the cost their memo
@@ -411,16 +386,6 @@ fn every_backend_returns_plans_that_explain_to_their_cost() {
                 let workers = 1 + seed % 4;
                 let answers = [
                     ("serial", optimize_serial(&q, space, objective).plans),
-                    (
-                        "topdown",
-                        optimize_partition_topdown(
-                            &q,
-                            space,
-                            objective,
-                            &partition_constraints(n, space, 0, 1),
-                        )
-                        .plans,
-                    ),
                     ("MPQ", mpq.optimize(&q, space, objective, workers).plans),
                     (
                         "SMA",

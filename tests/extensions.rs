@@ -1,14 +1,14 @@
 //! Integration tests for the extension modules: parametric optimization,
-//! top-down enumeration, the randomized baselines and the execution
-//! engine — exercised together across crate boundaries.
+//! the randomized baselines and the execution engine — exercised together
+//! across crate boundaries.
 
 // Tests/examples assert on infallible paths; the workspace-level
 // unwrap/expect denies target shipping code (see [workspace.lints]).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
 
 use pqopt::dp::{
-    merge_parametric, optimize_parametric, optimize_parametric_partition,
-    optimize_partition_topdown, optimize_serial, pick_for, ParametricQuery, Pricer,
+    merge_parametric, optimize_parametric, optimize_parametric_partition, optimize_serial,
+    pick_for, ParametricQuery, Pricer,
 };
 use pqopt::exec::{execute, DataConfig, Database};
 use pqopt::heuristics::{
@@ -64,28 +64,6 @@ fn parametric_parallel_equals_serial_at_every_theta() {
             interp(s)
         );
     }
-}
-
-#[test]
-fn topdown_agrees_with_mpq_across_partitions() {
-    let q = query(8, 2);
-    let mpq = MpqOptimizer::new(MpqConfig::default()).optimize(
-        &q,
-        PlanSpace::Linear,
-        Objective::Single,
-        8,
-    );
-    // Best-of-partitions via top-down enumeration must find the same cost.
-    let best = (0..8u64)
-        .map(|id| {
-            let cs = partition_constraints(8, PlanSpace::Linear, id, 8);
-            optimize_partition_topdown(&q, PlanSpace::Linear, Objective::Single, &cs).plans[0]
-                .cost()
-                .time
-        })
-        .fold(f64::INFINITY, f64::min);
-    let reference = mpq.plans[0].cost().time;
-    assert_eq!(best.to_bits(), reference.to_bits());
 }
 
 #[test]
@@ -216,20 +194,6 @@ fn parametric_set_is_small_but_covering() {
         .map(|(_, c)| c.time)
         .fold(f64::INFINITY, f64::min);
     assert_eq!(best_low.to_bits(), opt_low.to_bits());
-}
-
-#[test]
-fn topdown_visits_at_most_bottom_up_sets() {
-    // Top-down only expands root-reachable sets; with constraints this is
-    // never more than the bottom-up sweep over all admissible sets.
-    let q = query(10, 6);
-    for id in [0u64, 5] {
-        let cs = partition_constraints(10, PlanSpace::Linear, id, 16);
-        let bu = pqopt::dp::optimize_partition(&q, PlanSpace::Linear, Objective::Single, &cs);
-        let td = optimize_partition_topdown(&q, PlanSpace::Linear, Objective::Single, &cs);
-        assert!(td.stats.stored_sets <= bu.stats.stored_sets);
-        assert_eq!(bu.plans[0].cost().time, td.plans[0].cost().time);
-    }
 }
 
 #[test]
