@@ -740,25 +740,23 @@ impl Wire for Query {
             stats.push(TableStats::decode(dec)?);
         }
         let predicates = Vec::<Predicate>::decode(dec)?;
+        let mut query = Query {
+            catalog: Catalog::from_stats(stats),
+            predicates,
+            graph: JoinGraph::Star,
+        };
         // `Predicate::decode` bounds an endpoint by the `TableSet` capacity;
         // only here is the query's own table count known. A predicate on a
         // table the query does not have would index past every per-table
-        // structure built from it on a resident worker.
-        if let Some(index) = predicates
-            .iter()
-            .flat_map(|p| [p.left, p.right])
-            .find(|&t| t >= n)
-        {
+        // structure built from it on a resident worker. The check comes
+        // before the graph field is read, as the fields lie on the wire.
+        if let Some(index) = query.stray_endpoint() {
             return Err(DecodeError::IndexOutOfRange {
                 index: index as u8,
                 ty: "Query",
             });
         }
-        let query = Query {
-            catalog: Catalog::from_stats(stats),
-            predicates,
-            graph: JoinGraph::decode(dec)?,
-        };
+        query.graph = JoinGraph::decode(dec)?;
         // Statistics no catalog can have make NaN plan times, and among
         // those the optimum depends on the partition cut.
         if let Some((field, value)) = query.invalid_statistic() {

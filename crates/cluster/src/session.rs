@@ -121,7 +121,9 @@ impl<S, R> SessionTable<S, R> {
     /// factor, and a panicking resident worker is lost to every other
     /// session. So are statistics no catalog can have
     /// ([`Query::invalid_statistic`]): their NaN plan times would make the
-    /// answer depend on the partition cut, which varies with load. Call
+    /// answer depend on the partition cut, which varies with load. And so
+    /// is a predicate on a table the query does not have
+    /// ([`Query::stray_endpoint`]), which a worker's decoder refuses. Call
     /// after [`SessionTable::reap`], so
     /// dropped-but-unreaped handles never count against the caller.
     pub fn admit(&self, query: &Query, objective: Objective) -> Result<(), LifecycleError> {
@@ -138,6 +140,11 @@ impl<S, R> SessionTable<S, R> {
         if query.invalid_statistic().is_some() {
             return Err(LifecycleError::BadRequest {
                 reason: "table statistics must be finite and non-negative, selectivities in (0, 1]",
+            });
+        }
+        if query.stray_endpoint().is_some() {
+            return Err(LifecycleError::BadRequest {
+                reason: "a predicate names a table the query does not have",
             });
         }
         if self.max_in_flight > 0 && self.live.len() >= self.max_in_flight {

@@ -312,15 +312,6 @@ impl ArenaMemo {
         self.build_slot(idx, stats, |arena, _| arena.extend_from_slice(entries))
     }
 
-    /// [`ArenaMemo::push_slot`] addressed by table set; `false` also for a
-    /// set that is inadmissible in this partition (it has no slot).
-    pub fn push_slot_of(&mut self, set: TableSet, stats: SetStats, entries: &[PlanEntry]) -> bool {
-        match self.adm.index_of(set) {
-            Some(idx) => self.push_slot(idx, stats, entries),
-            None => false,
-        }
-    }
-
     /// Number of table sets (including single tables) with at least one
     /// stored entry — the paper's "Memory (relations)" metric.
     pub fn stored_sets(&self) -> u64 {
@@ -770,7 +761,7 @@ pub fn optimize_partition(
     assert!(n >= 1, "query must join at least one table");
     let pruning = PruningPolicy::new(objective, n);
     let (memo, stats) = fill(query, space, &pruning, constraints);
-    finish(&memo, &pruning, stats, start)
+    finish(&memo, stats, start)
 }
 
 /// The kernel proper: the memo of the partition, filled, and the work it
@@ -1324,10 +1315,9 @@ mod tests {
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
         assert_eq!(memo.stats(set), Some(stats(7.0)));
         assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
-        // Parents refer to entries by position: a rewrite is refused, by
-        // index and by set, and changes nothing.
+        // Parents refer to entries by position: a rewrite is refused and
+        // changes nothing.
         assert!(!memo.push_slot(idx, stats(1.0), &[entry(1.0)]));
-        assert!(!memo.push_slot_of(set, stats(1.0), &[entry(1.0)]));
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
         assert_eq!(memo.stats(set), Some(stats(7.0)));
         assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
@@ -1365,9 +1355,9 @@ mod tests {
 
     #[test]
     fn inadmissible_set_has_no_slot() {
-        let mut memo = memo(4, 0, 2); // Q0 ≺ Q1
+        let memo = memo(4, 0, 2); // Q0 ≺ Q1
         let set = TableSet::from_tables([1, 2]);
-        assert!(!memo.push_slot_of(set, stats(1.0), &[entry(3.0)]));
+        assert_eq!(memo.admissible().index_of(set), None);
         assert!(memo.entries(set).is_empty());
         assert_eq!(memo.stats(set), None);
         assert_eq!((memo.stored_sets(), memo.total_entries()), (0, 0));
@@ -1377,7 +1367,8 @@ mod tests {
     fn unwritten_admissible_set_is_empty() {
         let mut memo = memo(4, 0, 2);
         let (written, unwritten) = (TableSet::from_tables([0, 1]), TableSet::from_tables([0, 3]));
-        assert!(memo.push_slot_of(written, stats(1.0), &[entry(7.0)]));
+        let idx = memo.admissible().index_of(written).unwrap();
+        assert!(memo.push_slot(idx, stats(1.0), &[entry(7.0)]));
         assert!(memo.admissible().is_admissible(unwritten));
         assert!(memo.entries(unwritten).is_empty());
         assert_eq!(memo.stats(unwritten), None);
@@ -1422,23 +1413,8 @@ mod tests {
             let est = CardinalityEstimator::new(&q);
             let cs = partition_constraints(n, space, id, m);
             let adm = AdmissibleSets::new(&cs);
-            let mut memo = ArenaMemo::new(adm.clone());
             let policy = PruningPolicy::new(Objective::Single, n);
-            seed_scans(&mut memo, &est, &policy);
-            let mut stats = WorkerStats::default();
-            let mut slot = Vec::new();
-            for (idx, set) in adm.iter().enumerate().filter(|(_, set)| set.len() >= 2) {
-                crate::worker::compute_entries_for_set(
-                    &cs,
-                    set,
-                    &memo,
-                    est.predicates(),
-                    &policy,
-                    &mut slot,
-                    &mut stats,
-                );
-                memo.push_slot(idx, est.set_stats(set), &slot);
-            }
+            let (memo, _) = crate::worker::filtered_fill(&q, &policy, &cs);
             let singles = (0..n).map(TableSet::singleton);
             let mut stored = 0;
             for set in adm.iter().filter(|set| set.len() >= 2).chain(singles) {

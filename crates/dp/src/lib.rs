@@ -64,8 +64,8 @@ pub use parametric::{
 pub use reconstruct::reconstruct_plan;
 pub use stats::WorkerStats;
 pub use worker::{
-    complete_plans, compute_entries_for_set, optimize_partition_id, optimize_partition_reference,
-    optimize_serial, seed_scans, PartitionOutcome,
+    complete_plans, filtered_fill, optimize_partition_id, optimize_partition_reference,
+    optimize_serial, PartitionOutcome,
 };
 #[doc(hidden)]
 pub use worker::{join_plans, Candidate, CandidateSink};

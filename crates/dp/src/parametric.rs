@@ -61,12 +61,13 @@ impl ParametricQuery {
 }
 
 /// Result of a parametric optimization: plans covering the parameter
-/// range, each annotated with its two endpoint costs.
+/// range. A plan's cost is its pair of endpoint costs: `time` is its cost
+/// at θ = 0, `buffer` its cost at θ = 1.
 #[derive(Clone, Debug)]
 pub struct ParametricOutcome {
     /// The plan set: Pareto-optimal over `(cost_low, cost_high)`. Plans
     /// are reconstructed against the `low` scenario's statistics.
-    pub plans: Vec<(Plan, CostVector)>,
+    pub plans: Vec<Plan>,
     /// Work counters.
     pub stats: WorkerStats,
 }
@@ -83,11 +84,10 @@ pub fn pick_for(outcome: &ParametricOutcome, theta: f64) -> &Plan {
         .plans
         .iter()
         .min_by(|a, b| {
-            interpolate(&a.1, theta)
-                .partial_cmp(&interpolate(&b.1, theta))
+            interpolate(&a.cost(), theta)
+                .partial_cmp(&interpolate(&b.cost(), theta))
                 .expect("finite costs")
         })
-        .map(|(p, _)| p)
         .expect("non-empty plan set")
 }
 
@@ -170,16 +170,9 @@ pub fn optimize_parametric_partition(
         slot.clear();
     }
 
-    // Each complete plan carries its (low, high) cost pair at the root.
-    let mut plans: Vec<(Plan, CostVector)> = complete_plans(&memo)
-        .into_iter()
-        .map(|p| {
-            let cost = p.cost();
-            (p, cost)
-        })
-        .collect();
-    // Final prune on completed plans: exact bi-scenario frontier.
-    prune_frontier(&mut plans);
+    // The full set's slot is already the exact bi-scenario frontier: the
+    // final prune runs where partitions meet ([`merge_parametric`]).
+    let plans = complete_plans(&memo);
     stats.stored_sets = memo.stored_sets();
     stats.total_entries = memo.total_entries();
     #[expect(
@@ -197,7 +190,8 @@ pub fn optimize_parametric(pq: &ParametricQuery, space: PlanSpace) -> Parametric
     optimize_parametric_partition(pq, space, &constraints)
 }
 
-/// Merges partition outcomes at the master (the parametric `FinalPrune`).
+/// Merges partition outcomes at the master (the parametric `FinalPrune`):
+/// the exact Pareto frontier over the endpoint-cost pairs.
 pub fn merge_parametric(outcomes: Vec<ParametricOutcome>) -> ParametricOutcome {
     let mut plans = Vec::new();
     let mut stats = WorkerStats::default();
@@ -205,32 +199,9 @@ pub fn merge_parametric(outcomes: Vec<ParametricOutcome>) -> ParametricOutcome {
         plans.extend(o.plans);
         stats = stats.max(&o.stats);
     }
-    prune_frontier(&mut plans);
+    // With α = 1 the policy's table count changes nothing.
+    PruningPolicy::new(Objective::Multi { alpha: 1.0 }, 1).final_prune(&mut plans);
     ParametricOutcome { plans, stats }
-}
-
-fn prune_frontier(plans: &mut Vec<(Plan, CostVector)>) {
-    let costs: Vec<CostVector> = plans.iter().map(|(_, c)| *c).collect();
-    let mut keep = vec![true; plans.len()];
-    for i in 0..costs.len() {
-        if !keep[i] {
-            continue;
-        }
-        for j in 0..costs.len() {
-            if i == j || !keep[j] {
-                continue;
-            }
-            if costs[i].dominates(&costs[j]) && (costs[i].strictly_dominates(&costs[j]) || i < j) {
-                keep[j] = false;
-            }
-        }
-    }
-    let mut idx = 0;
-    plans.retain(|_| {
-        let k = keep[idx];
-        idx += 1;
-        k
-    });
 }
 
 #[cfg(test)]
@@ -258,12 +229,12 @@ mod tests {
             let best_low = out
                 .plans
                 .iter()
-                .map(|(_, c)| c.time)
+                .map(|p| p.cost().time)
                 .fold(f64::INFINITY, f64::min);
             let best_high = out
                 .plans
                 .iter()
-                .map(|(_, c)| c.buffer)
+                .map(|p| p.cost().buffer)
                 .fold(f64::INFINITY, f64::min);
             let opt_low = optimize_serial(&pq.low, PlanSpace::Linear, Objective::Single).plans[0]
                 .cost()
@@ -280,10 +251,10 @@ mod tests {
     fn frontier_has_no_dominated_plan() {
         let pq = parametric_query(6, 10);
         let out = optimize_parametric(&pq, PlanSpace::Linear);
-        for (i, (_, a)) in out.plans.iter().enumerate() {
-            for (j, (_, b)) in out.plans.iter().enumerate() {
+        for (i, a) in out.plans.iter().enumerate() {
+            for (j, b) in out.plans.iter().enumerate() {
                 if i != j {
-                    assert!(!a.strictly_dominates(b));
+                    assert!(!a.cost().strictly_dominates(&b.cost()));
                 }
             }
         }
@@ -303,9 +274,9 @@ mod tests {
                 .collect(),
         );
         // The merged frontier must cover the serial frontier.
-        for (_, sc) in &serial.plans {
+        for sc in serial.plans.iter().map(Plan::cost) {
             assert!(
-                merged.plans.iter().any(|(_, mc)| mc.dominates(sc)),
+                merged.plans.iter().any(|mp| mp.cost().dominates(&sc)),
                 "serial frontier point ({}, {}) uncovered",
                 sc.time,
                 sc.buffer
@@ -325,16 +296,8 @@ mod tests {
         let opt_high = optimize_serial(&pq.high, PlanSpace::Linear, Objective::Single).plans[0]
             .cost()
             .time;
-        // Find the chosen plans' endpoint costs in the outcome.
-        let cost_of = |p: &Plan| {
-            out.plans
-                .iter()
-                .find(|(q, _)| q == p)
-                .map(|(_, c)| *c)
-                .expect("picked plan is in the set")
-        };
-        assert_eq!(cost_of(at0).time.to_bits(), opt_low.to_bits());
-        assert_eq!(cost_of(at1).buffer.to_bits(), opt_high.to_bits());
+        assert_eq!(at0.cost().time.to_bits(), opt_low.to_bits());
+        assert_eq!(at1.cost().buffer.to_bits(), opt_high.to_bits());
     }
 
     #[test]
@@ -356,7 +319,7 @@ mod tests {
         let best_low = out
             .plans
             .iter()
-            .map(|(_, c)| c.time)
+            .map(|p| p.cost().time)
             .fold(f64::INFINITY, f64::min);
         assert_eq!(best_low.to_bits(), opt_low.to_bits());
     }

@@ -25,10 +25,9 @@
 //! `for_each_split_filtered` is the other walk: every *possible* split,
 //! checked for admissibility afterwards. It serves the traversals that
 //! stay clear of the product construction: parametric enumeration and the
-//! one filter-after-enumerate slot loop, [`compute_entries_for_set`] —
-//! SMA's per-set work unit, which [`optimize_partition_bushy_filtered`]
-//! runs set by set for the `ablation_splits` benchmark that measures what
-//! the product saves.
+//! one filter-after-enumerate slot loop, [`filtered_fill`] — SMA's
+//! replicated memo, and [`optimize_partition_bushy_filtered`]'s for the
+//! `ablation_splits` benchmark that measures what the product saves.
 //!
 //! Both walks hand over a split's operands as the memo holds them —
 //! statistics and plans (`Operand`) — and `for_each_split` reaches them
@@ -112,7 +111,7 @@ pub fn optimize_partition_reference(
     assert!(n >= 1, "query must join at least one table");
     let policy = PruningPolicy::new(objective, n);
     let (memo, stats) = reference_fill(query, space, &policy, constraints);
-    finish(&memo, &policy, stats, start)
+    finish(&memo, stats, start)
 }
 
 /// The loop proper: the memo of the partition, filled, and the work it
@@ -155,12 +154,11 @@ pub(crate) fn reference_fill(
     (memo, stats)
 }
 
-/// Ablation variant of the bushy split enumeration: the reference loop's
-/// visiting order, each set's slot filled by [`compute_entries_for_set`],
-/// which examines *all* `2^|set| - 2` splits of a set and filters the
-/// inadmissible ones afterwards. Complexity is linear in the number of
-/// possible rather than admissible splits — the approach the paper
-/// deliberately avoids for bushy spaces (Section 4.2) — and
+/// Ablation variant of the bushy split enumeration: the memo of
+/// [`filtered_fill`], which examines *all* `2^|set| - 2` splits of a set
+/// and filters the inadmissible ones afterwards. Complexity is linear in
+/// the number of possible rather than admissible splits — the approach
+/// the paper deliberately avoids for bushy spaces (Section 4.2) — and
 /// `splits_tried` counts every examined split. `constraints` is a bushy
 /// partition's.
 pub fn optimize_partition_bushy_filtered(
@@ -174,34 +172,55 @@ pub fn optimize_partition_bushy_filtered(
     )]
     let start = Instant::now();
     let policy = PruningPolicy::new(objective, query.num_tables());
+    let (memo, stats) = filtered_fill(query, &policy, constraints);
+    finish(&memo, stats, start)
+}
+
+/// The crate's one filter-after-enumerate slot loop: the reference loop's
+/// visiting order, every split `for_each_split_filtered` examines
+/// counted as tried, each admissible one's candidates through the scalar
+/// pruning function in generation order. Returns the filled memo and the
+/// work it took. The plan space is the constraint set's.
+///
+/// Each slot depends only on the slots of its subsets, so this is also
+/// the replicated memo of the fine-grained SMA baseline, whose master
+/// assigns individual join results to workers (Section 6.1): SMA has no
+/// constraint structure and passes the unconstrained set.
+pub fn filtered_fill(
+    query: &Query,
+    policy: &PruningPolicy,
+    constraints: &ConstraintSet,
+) -> (ArenaMemo, WorkerStats) {
     let est = CardinalityEstimator::new(query);
+    let predicates = est.predicates();
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
     let mut stats = WorkerStats::default();
-    seed_scans(&mut memo, &est, &policy);
-    let predicates = est.predicates();
+    seed_scans(&mut memo, &est, policy);
     let mut slot = Vec::new();
     for idx in 0..memo.admissible().len() {
         let set = memo.admissible().set_at(idx);
         if set.len() < 2 {
             continue;
         }
-        compute_entries_for_set(
+        let env = SplitEnv {
+            space: constraints.grouping().space(),
             constraints,
-            set,
-            &memo,
-            predicates,
-            &policy,
-            &mut slot,
-            &mut stats,
-        );
+            adm: memo.admissible(),
+        };
+        let live = predicates.interesting_orders(set);
+        stats.splits_tried += for_each_split_filtered(&env, set, |left, right| {
+            let split = Split::of(&memo, left, right);
+            combine_operands(&split, live, predicates, policy, &mut slot, &mut stats);
+        });
         memo.push_slot(idx, est.set_stats(set), &slot);
+        slot.clear();
     }
-    finish(&memo, &policy, stats, start)
+    (memo, stats)
 }
 
 /// Seeds the best plans for single tables (Algorithm 2, lines 9-11), each
 /// with its table's statistics.
-pub fn seed_scans(memo: &mut ArenaMemo, est: &CardinalityEstimator, policy: &PruningPolicy) {
+pub(crate) fn seed_scans(memo: &mut ArenaMemo, est: &CardinalityEstimator, policy: &PruningPolicy) {
     let mut slot = Vec::with_capacity(1);
     for t in 0..memo.admissible().num_tables() {
         let cost = ScanOp::Full.cost(est, t);
@@ -222,16 +241,12 @@ pub fn complete_plans(memo: &ArenaMemo) -> Vec<Plan> {
         .collect()
 }
 
-/// Reconstructs the complete plans, applies the worker-side final prune
-/// and fills in the memory counters.
-pub(crate) fn finish(
-    memo: &ArenaMemo,
-    policy: &PruningPolicy,
-    mut stats: WorkerStats,
-    start: Instant,
-) -> PartitionOutcome {
-    let mut plans = complete_plans(memo);
-    policy.final_prune(&mut plans);
+/// Reconstructs the complete plans and fills in the memory counters.
+/// The full set's slot is one order class (no order is interesting once
+/// every table is joined), already pruned, so `FinalPrune` would change
+/// nothing here: it runs where partitions meet.
+pub(crate) fn finish(memo: &ArenaMemo, mut stats: WorkerStats, start: Instant) -> PartitionOutcome {
+    let plans = complete_plans(memo);
     stats.stored_sets = memo.stored_sets();
     stats.total_entries = memo.total_entries();
     #[expect(
@@ -660,39 +675,6 @@ pub(crate) fn for_each_split_filtered(
     examined
 }
 
-/// Fills `slot` with the memo slot of one table set, reading operand plans
-/// from an existing memo: the crate's one filter-after-enumerate slot
-/// loop. Every split `for_each_split_filtered` examines counts as tried;
-/// each admissible one's candidates go through the scalar pruning function
-/// in generation order. The plan space is the constraint set's.
-///
-/// This is the work unit of the fine-grained SMA baseline, whose master
-/// assigns individual join results to workers (Section 6.1) — SMA has no
-/// constraint structure, so it passes the unconstrained set — and the
-/// per-set step of [`optimize_partition_bushy_filtered`], which reuses one
-/// `slot` across sets.
-pub fn compute_entries_for_set(
-    constraints: &ConstraintSet,
-    set: TableSet,
-    memo: &ArenaMemo,
-    predicates: &PredicateIndex,
-    policy: &PruningPolicy,
-    slot: &mut Vec<PlanEntry>,
-    stats: &mut WorkerStats,
-) {
-    let env = SplitEnv {
-        space: constraints.grouping().space(),
-        constraints,
-        adm: memo.admissible(),
-    };
-    let live = predicates.interesting_orders(set);
-    slot.clear();
-    stats.splits_tried += for_each_split_filtered(&env, set, |left, right| {
-        let split = Split::of(memo, left, right);
-        combine_operands(&split, live, predicates, policy, slot, stats);
-    });
-}
-
 /// Gathers the per-group admissible split parts of `set` (Algorithm 5,
 /// lines 15-24) into `scratch.parts`, with `group_bounds` delimiting each
 /// group's patterns. Groups disjoint from `set` contribute only the empty pattern
@@ -967,32 +949,58 @@ mod tests {
     }
 
     /// On a left-deep partition both walks try each member as the inner
-    /// table in the same order, so the filter-after-enumerate slot loop
-    /// fills every set's slot from the reference memo's operands exactly
-    /// as the reference loop did, for both objectives. Constrained pairs
-    /// are where an inadmissible split would slip through: its operands
-    /// are single tables, both of which have plans.
+    /// table in the same order, so the filter-after-enumerate fill leaves
+    /// every set's slot as the reference loop does, for both objectives.
+    /// Constrained pairs are where an inadmissible split would slip
+    /// through: its operands are single tables, both of which have plans.
     #[test]
     fn filtered_slots_equal_the_reference_slots_on_linear_partitions() {
         let n = 7;
         let q = query(n, 75);
-        let est = CardinalityEstimator::new(&q);
-        let mut slot = Vec::new();
-        let mut stats = WorkerStats::default();
         for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
             let policy = PruningPolicy::new(objective, n);
             for id in 0..8 {
                 let cs = partition_constraints(n, PlanSpace::Linear, id, 8);
                 let (reference, _) = reference_fill(&q, PlanSpace::Linear, &policy, &cs);
-                for set in reference.admissible().iter().filter(|s| s.len() >= 2) {
-                    let predicates = est.predicates();
-                    compute_entries_for_set(
-                        &cs, set, &reference, predicates, &policy, &mut slot, &mut stats,
+                let (filtered, _) = filtered_fill(&q, &policy, &cs);
+                for set in reference.admissible().iter() {
+                    assert_eq!(
+                        filtered.entries(set),
+                        reference.entries(set),
+                        "{objective:?} {id}: {set}"
                     );
-                    assert_eq!(slot, reference.entries(set), "{objective:?} {id}: {set}");
                 }
             }
         }
+    }
+
+    /// `FinalPrune` runs where partitions meet, not in a partition: the
+    /// full set's slot is one order class, already pruned, so pruning a
+    /// partition's complete plans again changes none of them. Every
+    /// partition of Linear 7 (m <= 8) and Bushy 7 (m <= 4), Single and
+    /// alpha 1, 2 and 10.
+    #[test]
+    fn final_prune_leaves_a_partitions_complete_plans_unchanged() {
+        let q = query(7, 76);
+        let objectives = [1.0, 2.0, 10.0].map(|alpha| Objective::Multi { alpha });
+        let mut checked = 0;
+        for (space, max_m) in [(PlanSpace::Linear, 8), (PlanSpace::Bushy, 4)] {
+            for objective in [Objective::Single].into_iter().chain(objectives) {
+                let policy = PruningPolicy::new(objective, 7);
+                let mut m = 1;
+                while m <= max_m {
+                    for id in 0..m {
+                        let out = optimize_partition_id(&q, space, objective, id, m);
+                        let mut pruned = out.plans.clone();
+                        policy.final_prune(&mut pruned);
+                        assert_eq!(pruned, out.plans, "{space:?} {objective:?} {id}/{m}");
+                        checked += 1;
+                    }
+                    m *= 2;
+                }
+            }
+        }
+        assert_eq!(checked, 4 * (1 + 2 + 4 + 8) + 4 * (1 + 2 + 4));
     }
 
     /// The operand indices the split enumeration carries are the operands'

@@ -133,6 +133,18 @@ impl Query {
         sel
     }
 
+    /// The first predicate endpoint that names a table the query does not
+    /// have (`>= num_tables()`), if any. Every per-table structure built
+    /// from the query is sized by its table count, so the boundaries (the
+    /// wire decoder, service admission, the SMA run) refuse such a query.
+    pub fn stray_endpoint(&self) -> Option<TableId> {
+        let n = self.num_tables();
+        self.predicates
+            .iter()
+            .flat_map(|p| [p.left, p.right])
+            .find(|&t| t >= n)
+    }
+
     /// The first statistic no catalog can have, as `(field, value)`: a
     /// cardinality or tuple width that is NaN, infinite or negative, or a
     /// selectivity outside `0 < selectivity <= 1` (NaN included). `None`

@@ -1,8 +1,9 @@
 //! The SMA run: the replicated-memo protocol as one straight line.
 //!
-//! Every replica is identical after each `Delta` broadcast, so the run
-//! holds **one** memo and computes each worker's `Assign` against it in
-//! turn. It encodes every message the protocol would send with the
+//! Every replica is identical after each `Delta` broadcast, and each slot
+//! depends only on its subsets' slots, so the run fills **one** memo, the
+//! DP's filter-after-enumerate fill ([`mpq_dp::filtered_fill`]), and
+//! reads each worker's `Assign` answers from it. It encodes every message the protocol would send with the
 //! [`message`](crate::message) types and charges each to a
 //! [`NetworkMetrics`] as the in-process cluster does — the payload plus
 //! its [`SessionEnvelope`] header — so the bill is byte for byte the one a
@@ -20,10 +21,10 @@
 
 use crate::message::{SlotUpdate, SmaMasterMsg, SmaReply};
 use mpq_cluster::{NetworkMetrics, NetworkSnapshot, SessionEnvelope, Wire};
-use mpq_cost::{CardinalityEstimator, Objective};
-use mpq_dp::{complete_plans, compute_entries_for_set, seed_scans, ArenaMemo, WorkerStats};
+use mpq_cost::Objective;
+use mpq_dp::{complete_plans, filtered_fill, WorkerStats};
 use mpq_model::{Query, TableSet};
-use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
+use mpq_partition::{ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::{Plan, PruningPolicy};
 use std::fmt;
 
@@ -146,19 +147,18 @@ impl SmaOptimizer {
             net.record_to_worker(charge(&init));
         }
         // SMA has no constraint structure: the replica is laid out over,
-        // and its splits are enumerated under, the unconstrained set.
+        // and its splits are enumerated under, the unconstrained set. Each
+        // slot depends only on its subsets' slots, so the replica after
+        // the last `Delta` is the DP's filtered fill: the levels below only
+        // encode its slots, as the workers that computed them would.
         let constraints = ConstraintSet::unconstrained(Grouping::new(n, space));
-        let mut memo = ArenaMemo::new(AdmissibleSets::new(&constraints));
-        let policy = PruningPolicy::new(objective, n);
-        let est = CardinalityEstimator::new(query);
-        seed_scans(&mut memo, &est, &policy);
+        let (memo, _) = filtered_fill(query, &PruningPolicy::new(objective, n), &constraints);
 
         for k in 2..=n {
             net.record_round();
             let sets: Vec<TableSet> = TableSet::subsets_of_size(n, k).collect();
             let chunk = sets.len().div_ceil(workers.min(sets.len()));
             let mut level = Vec::with_capacity(sets.len());
-            let mut stats = WorkerStats::default();
             for (w, batch) in sets.chunks(chunk).enumerate() {
                 let assign = SmaMasterMsg::Assign {
                     sets: batch.to_vec(),
@@ -166,18 +166,9 @@ impl SmaOptimizer {
                 net.record_to_worker(charge(&assign.to_bytes()));
                 let slots: Vec<SlotUpdate> = batch
                     .iter()
-                    .map(|&set| {
-                        let mut entries = Vec::new();
-                        compute_entries_for_set(
-                            &constraints,
-                            set,
-                            &memo,
-                            est.predicates(),
-                            &policy,
-                            &mut entries,
-                            &mut stats,
-                        );
-                        SlotUpdate { set, entries }
+                    .map(|&set| SlotUpdate {
+                        set,
+                        entries: memo.entries(set).to_vec(),
                     })
                     .collect();
                 let done = SmaReply::LevelDone {
@@ -187,11 +178,8 @@ impl SmaOptimizer {
                 net.record_reply(w, charge(&done.to_bytes()));
                 level.extend(slots);
             }
-            // Each set is computed by exactly one worker and pushed once,
-            // in worker order, as every replica merges the `Delta`.
-            for slot in &level {
-                memo.push_slot_of(slot.set, est.set_stats(slot.set), &slot.entries);
-            }
+            // Each set is computed by exactly one worker, and every replica
+            // merges the `Delta` of the whole level.
             let delta = SmaMasterMsg::Delta { slots: level }.to_bytes();
             recovery += delta.len() as u64;
             for _ in 0..workers {
@@ -201,8 +189,8 @@ impl SmaOptimizer {
 
         net.record_round();
         net.record_to_worker(charge(&SmaMasterMsg::Finish.to_bytes()));
-        let mut plans = complete_plans(&memo);
-        policy.final_prune(&mut plans);
+        // The full set's slot is one order class, already pruned.
+        let plans = complete_plans(&memo);
         let replica_stats = WorkerStats {
             stored_sets: memo.stored_sets(),
             total_entries: memo.total_entries(),
@@ -242,8 +230,7 @@ fn refuse(query: &Query, objective: Objective, workers: usize) -> Result<(), Sma
     if !objective.is_valid() {
         return bad("the approximation factor must be a finite number >= 1");
     }
-    let stray = query.predicates.iter().any(|p| p.left >= n || p.right >= n);
-    if stray || query.invalid_statistic().is_some() {
+    if query.stray_endpoint().is_some() || query.invalid_statistic().is_some() {
         return bad(
             "table statistics must be finite and non-negative, selectivities in (0, 1], \
              and predicates on the query's own tables",

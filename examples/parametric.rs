@@ -46,7 +46,7 @@ fn main() {
         outcome.plans.len()
     );
     println!("{:>8} {:>14} {:>14}", "plan", "cost @ θ=0", "cost @ θ=1");
-    for (i, (_, c)) in outcome.plans.iter().enumerate() {
+    for (i, c) in outcome.plans.iter().map(|p| p.cost()).enumerate() {
         println!("{:>8} {:>14.4e} {:>14.4e}", i, c.time, c.buffer);
     }
 
@@ -55,12 +55,7 @@ fn main() {
     println!("\nrun-time selection:");
     for theta in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let plan = pick_for(&outcome, theta);
-        let cost = outcome
-            .plans
-            .iter()
-            .find(|(p, _)| p == plan)
-            .map(|(_, c)| interpolate(c, theta))
-            .unwrap();
+        let cost = interpolate(&plan.cost(), theta);
         let order = plan.join_order().expect("left-deep");
         println!("  θ = {theta:<5} -> join order {order:?} (interpolated cost {cost:.4e})");
     }

@@ -3,9 +3,9 @@
 //! ```text
 //! pqopt optimize  [--tables N] [--graph star|chain|cycle|clique]
 //!                 [--space linear|bushy] [--workers M] [--seed S]
-//!                 [--multi ALPHA] [--execute]
+//!                 [--multi ALPHA]
 //! pqopt serve     [--queries N] [--clients C] [--workers M]
-//!                 resident service vs spawn-per-query throughput
+//!                 stream queries through one resident service
 //! pqopt compare   [--tables N] [--workers M] [--seed S]       MPQ vs SMA
 //! pqopt scaling   [--tables N] [--max-workers M] [--seed S]   exact work per worker count
 //! pqopt partitions [--tables N] [--space linear|bushy] [--workers M]
@@ -14,22 +14,24 @@
 //!                 run one worker process serving a socket master
 //! ```
 //!
-//! `serve --connect addr1,addr2,...` drives already-running `pqopt
-//! worker` processes over real sockets instead of spawning the in-process
-//! cluster (see the README's "Cluster transports" section).
+//! `serve --connect addr1,addr2,...` runs the same stream over
+//! already-running `pqopt worker` processes on real sockets instead of
+//! the in-process cluster (see the README's "Cluster transports"
+//! section). Running a chosen plan on data is the `execute_plan`
+//! example's job, and the resident-versus-spawn-per-query comparison the
+//! `service` example's.
 //!
 //! Argument parsing is deliberately dependency-free.
 
 #![forbid(unsafe_code)]
 
 use pqopt::dp::{optimize_serial, WorkerStats};
-use pqopt::exec::{execute, DataConfig, Database};
 use pqopt::model::JoinGraph;
 use pqopt::partition::partition_constraints;
 use pqopt::prelude::*;
 use std::collections::VecDeque;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,7 +76,6 @@ options:
   --max-workers M   upper end of the scaling sweep  (default 64)
   --seed S          workload seed                   (default 0)
   --multi ALPHA     multi-objective mode with approximation factor ALPHA
-  --execute         also run the chosen plan on synthetic data
 serve options:
   --queries N       queries to stream through the service   (default 64, must be > 0)
   --clients C       concurrent in-flight submissions        (default 8, must be > 0)
@@ -88,8 +89,8 @@ serve options:
                     optimization (needs --clients >= 2 and --repeat >= 1)
   --steal           straggler-adaptive work redistribution
   --connect A,B,..  drive already-running `pqopt worker` processes at these
-                    addresses (host:port or unix:/path) over real sockets;
-                    resident mode only
+                    addresses (host:port or unix:/path) over real sockets
+                    instead of the in-process cluster
 worker options:
   --listen ADDR     address to serve one master on (host:port or unix:/path;
                     TCP port 0 picks a free port, printed on stdout)";
@@ -103,7 +104,6 @@ struct Options {
     max_workers: u64,
     seed: u64,
     objective: Objective,
-    execute: bool,
     queries: usize,
     clients: usize,
     cache_bytes: usize,
@@ -125,7 +125,6 @@ impl Options {
             max_workers: 64,
             seed: 0,
             objective: Objective::Single,
-            execute: false,
             queries: 64,
             clients: 8,
             cache_bytes: 0,
@@ -173,7 +172,6 @@ impl Options {
                         s => return Err(format!("unknown plan space `{s}`")),
                     }
                 }
-                "--execute" => o.execute = true,
                 "--queries" => o.queries = parse_num(&value("--queries")?)?,
                 "--clients" => o.clients = parse_num(&value("--clients")?)?,
                 "--cache-bytes" => o.cache_bytes = parse_num(&value("--cache-bytes")?)?,
@@ -284,48 +282,34 @@ fn cmd_optimize(o: &Options) -> Result<(), String> {
         "max worker memory: {} relations",
         out.metrics.max_worker_stored_sets
     );
-    if o.execute {
-        let db = Database::generate(
-            &query,
-            &DataConfig {
-                max_rows_per_table: 1000,
-                seed: o.seed,
-            },
-        );
-        let (rel, stats) = execute(&query, &out.plans[0], &db)
-            .map_err(|e| format!("plan execution failed: {e}"))?;
-        println!(
-            "executed: {} result rows, {} comparisons, {} intermediate rows",
-            rel.len(),
-            stats.work.comparisons,
-            stats.intermediate_rows
-        );
-    }
     Ok(())
 }
 
 /// Streams `--queries` random queries through one resident
-/// [`OptimizerService`] with up to `--clients` submissions in flight,
-/// then optimizes the identical workload in spawn-per-query mode (a fresh
-/// service per query — the pre-service architecture), and reports both
-/// throughputs. Single-objective results are verified against the serial
-/// DP reference.
+/// [`OptimizerService`] with up to `--clients` submissions in flight, on
+/// either plane: the in-process cluster, or with `--connect` the
+/// already-running `pqopt worker` processes at those addresses. Prints
+/// what the service did, checks every single-objective result against
+/// the serial DP reference — so a corrupted wire cannot pass silently —
+/// and reports the throughput.
 fn cmd_serve(o: &Options) -> Result<(), String> {
-    if !o.connect.is_empty() {
-        return cmd_serve_sockets(o);
-    }
-    let clients = o.clients;
     let queries = serve_workload(o);
-    let config = service_config(o, o.workers as usize);
+    let addrs = parse_addrs(&o.connect)?;
+    let (workers, plane) = if addrs.is_empty() {
+        (o.workers as usize, "in-process workers")
+    } else {
+        (addrs.len(), "socket workers")
+    };
+    let config = service_config(o, workers);
     println!(
-        "serving {} queries ({} tables, {:?} graph, {}% repeated) on {} workers, {} clients, \
+        "serving {} queries ({} tables, {:?} graph, {}% repeated) on {} {plane}, {} clients, \
          cache {} bytes, steal {}, in-flight limit {}, coalescing {}",
         queries.len(),
         o.tables,
         o.graph,
         o.repeat,
-        o.workers,
-        clients,
+        workers,
+        o.clients,
         o.cache_bytes,
         if o.steal { "on" } else { "off" },
         if o.max_in_flight > 0 {
@@ -335,62 +319,33 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         },
         if o.coalesce { "on" } else { "off" },
     );
-
-    // Resident mode: one service for the whole stream, `clients` queries
-    // in flight at a time.
     #[expect(
         clippy::disallowed_methods,
         reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
     )]
     let t0 = Instant::now();
-    let mut service =
-        OptimizerService::spawn(config).map_err(|e| format!("service spawn failed: {e}"))?;
-    let resident_results = run_resident(&mut service, &queries, clients, o)?;
+    let mut service = if addrs.is_empty() {
+        OptimizerService::spawn(config).map_err(|e| format!("service spawn failed: {e}"))?
+    } else {
+        OptimizerService::connect(config, &addrs)
+            .map_err(|e| format!("service connect failed: {e}"))?
+    };
+    let results = run_resident(&mut service, &queries, o)?;
     #[expect(
         clippy::disallowed_methods,
         reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
     )]
-    let resident = t0.elapsed();
+    let elapsed = t0.elapsed();
     print_service(&service, queries.len(), o);
     service.shutdown();
-
-    // Spawn-per-query mode: identical workload, fresh service per query.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
-    )]
-    let t0 = Instant::now();
-    let mut per_query_results: Vec<Vec<Plan>> = Vec::with_capacity(queries.len());
-    for query in &queries {
-        let mut service =
-            OptimizerService::spawn(config).map_err(|e| format!("service spawn failed: {e}"))?;
-        per_query_results.push(
-            service
-                .optimize(query, o.space, o.objective)
-                .map_err(|e| format!("query failed: {e}"))?,
-        );
-        service.shutdown();
-    }
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
-    )]
-    let per_query = t0.elapsed();
-
-    // Verification: both modes must agree with the serial DP reference.
     if o.objective == Objective::Single {
-        for (i, query) in queries.iter().enumerate() {
+        for (i, (query, plans)) in queries.iter().zip(&results).enumerate() {
             let reference = optimize_serial(query, o.space, o.objective).plans[0]
                 .cost()
                 .time;
-            let resident_cost = resident_results[i][0].cost().time;
-            for (mode, cost) in [
-                ("resident", resident_cost),
-                ("spawn-per-query", per_query_results[i][0].cost().time),
-            ] {
-                if cost.to_bits() != reference.to_bits() {
-                    return Err(format!("query {i} ({mode}): {cost} vs serial {reference}"));
-                }
+            let cost = plans[0].cost().time;
+            if cost.to_bits() != reference.to_bits() {
+                return Err(format!("query {i}: {cost} vs serial {reference}"));
             }
         }
         println!(
@@ -398,24 +353,11 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
             queries.len()
         );
     }
-
-    let qps = |d: Duration| queries.len() as f64 / d.as_secs_f64().max(1e-9);
-    println!("{:<18} {:>12} {:>14}", "mode", "total (ms)", "queries/sec");
     println!(
-        "{:<18} {:>12.1} {:>14.1}",
-        "resident",
-        resident.as_secs_f64() * 1e3,
-        qps(resident)
-    );
-    println!(
-        "{:<18} {:>12.1} {:>14.1}",
-        "spawn-per-query",
-        per_query.as_secs_f64() * 1e3,
-        qps(per_query)
-    );
-    println!(
-        "resident speedup:  {:.2}x",
-        per_query.as_secs_f64() / resident.as_secs_f64().max(1e-9)
+        "throughput: {} queries in {:.1} ms ({:.1} queries/sec)",
+        queries.len(),
+        elapsed.as_secs_f64() * 1e3,
+        queries.len() as f64 / elapsed.as_secs_f64().max(1e-9)
     );
     Ok(())
 }
@@ -483,46 +425,39 @@ fn serve_workload(o: &Options) -> Vec<Query> {
         .collect()
 }
 
-/// Streams the workload through `service` with up to `clients`
+/// Streams the workload through `service` with up to `--clients`
 /// submissions in flight, returning the plans in query order. With an
 /// admission limit set, submissions park at the limit (`submit_wait`) so
 /// a limit below `--clients` exercises backpressure instead of failing.
 fn run_resident(
     service: &mut OptimizerService,
     queries: &[Query],
-    clients: usize,
     o: &Options,
 ) -> Result<Vec<Vec<Plan>>, String> {
-    let mut results: Vec<Option<Vec<Plan>>> = (0..queries.len()).map(|_| None).collect();
-    let mut in_flight: VecDeque<(usize, ServiceHandle)> = VecDeque::new();
-    let mut next = 0usize;
-    while next < queries.len() || !in_flight.is_empty() {
-        while next < queries.len() && in_flight.len() < clients {
-            let q = &queries[next];
+    let mut results = Vec::with_capacity(queries.len());
+    let mut in_flight = VecDeque::new();
+    let mut pending = queries.iter();
+    loop {
+        while in_flight.len() < o.clients {
+            let Some(q) = pending.next() else { break };
             let handle = if o.max_in_flight > 0 {
                 service.submit_wait(q, o.space, o.objective)
             } else {
                 service.submit(q, o.space, o.objective)
             }
             .map_err(|e| format!("submit failed: {e}"))?;
-            in_flight.push_back((next, handle));
-            next += 1;
+            in_flight.push_back(handle);
         }
-        // `--clients` is validated > 0, so the inner loop always leaves
-        // at least one submission in flight here.
-        let Some((idx, handle)) = in_flight.pop_front() else {
-            return Err("no submission in flight".to_string());
+        // Handles are redeemed in submission order, so the results land
+        // in query order.
+        let Some(handle) = in_flight.pop_front() else {
+            return Ok(results);
         };
         let plans = service
             .wait(handle)
-            .map_err(|e| format!("query {idx} failed: {e}"))?;
-        results[idx] = Some(plans);
+            .map_err(|e| format!("query {} failed: {e}", results.len()))?;
+        results.push(plans);
     }
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.ok_or_else(|| format!("query {i} has no resident result")))
-        .collect()
 }
 
 /// What the resident run did: what it put on the wire per query — the
@@ -574,62 +509,6 @@ fn parse_addrs(specs: &[String]) -> Result<Vec<pqopt::cluster::WorkerAddr>, Stri
         .iter()
         .map(|s| s.parse().map_err(|e| format!("--connect `{s}`: {e}")))
         .collect()
-}
-
-/// `serve --connect`: the resident stream over already-running `pqopt
-/// worker` processes. There is no spawn-per-query comparison here — this
-/// process cannot respawn its peers — but single-objective results are
-/// still verified against the serial DP reference, so a corrupted wire
-/// cannot pass silently.
-fn cmd_serve_sockets(o: &Options) -> Result<(), String> {
-    let addrs = parse_addrs(&o.connect)?;
-    let queries = serve_workload(o);
-    let config = service_config(o, addrs.len());
-    println!(
-        "serving {} queries ({} tables, {:?} graph) over {} socket workers, {} clients",
-        queries.len(),
-        o.tables,
-        o.graph,
-        addrs.len(),
-        o.clients,
-    );
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
-    )]
-    let t0 = Instant::now();
-    let mut service = OptimizerService::connect(config, &addrs)
-        .map_err(|e| format!("service connect failed: {e}"))?;
-    let results = run_resident(&mut service, &queries, o.clients, o)?;
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "CLI report: the printed wall-clock time of the run; no decision reads it"
-    )]
-    let elapsed = t0.elapsed();
-    print_service(&service, queries.len(), o);
-    service.shutdown();
-    if o.objective == Objective::Single {
-        for (i, query) in queries.iter().enumerate() {
-            let reference = optimize_serial(query, o.space, o.objective).plans[0]
-                .cost()
-                .time;
-            let cost = results[i][0].cost().time;
-            if cost.to_bits() != reference.to_bits() {
-                return Err(format!("query {i} (sockets): {cost} vs serial {reference}"));
-            }
-        }
-        println!(
-            "all {} results match the serial DP reference",
-            queries.len()
-        );
-    }
-    println!(
-        "sockets: {} queries in {:.1} ms ({:.1} queries/sec)",
-        queries.len(),
-        elapsed.as_secs_f64() * 1e3,
-        queries.len() as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
-    Ok(())
 }
 
 /// `pqopt worker --listen ADDR`: one worker process of a socket cluster.
@@ -802,11 +681,12 @@ mod tests {
         assert!(err.contains("--repeat"), "{err}");
     }
 
-    /// Stealing is one switch: the tuning flags it once had are unknown.
+    /// Stealing is one switch: the tuning flags it once had are unknown,
+    /// and so is `--execute` (the `execute_plan` example runs a plan).
     #[test]
     fn steal_tuning_flags_are_unknown() {
         assert!(parse(&["--steal"]).unwrap().steal);
-        for flag in ["--steal-lag", "--steal-min"] {
+        for flag in ["--steal-lag", "--steal-min", "--execute"] {
             let err = parse(&[flag, "2"]).unwrap_err();
             assert_eq!(err, format!("unknown flag `{flag}`"));
         }

@@ -965,12 +965,16 @@ mod tests {
         while huge.num_tables() <= TableSet::MAX_TABLES {
             huge.catalog.add_table(TableStats::with_cardinality(10.0));
         }
+        // A predicate on a table the query does not have: a worker's
+        // decoder refuses it, so admission must, before any byte is sent.
+        let mut stray = query(5, 3);
+        stray.predicates[0].right = 40;
         let good = query(5, 13);
         for coalesce in [false, true] {
             let mut config = ServiceConfig::new(3);
             config.coalesce = coalesce;
             let mut svc = OptimizerService::spawn(config).expect("spawn");
-            for (bad, tables) in [(&empty, 0), (&huge, 65)] {
+            for (bad, tables) in [(&empty, 0), (&huge, 65), (&stray, 5)] {
                 assert_eq!(bad.num_tables(), tables);
                 for submitted in [
                     svc.submit(bad, PlanSpace::Linear, Objective::Single),

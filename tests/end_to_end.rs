@@ -288,6 +288,21 @@ fn cli_optimize_prints_the_same_plan_trees() {
     }
 }
 
+/// `pqopt serve` on the in-process plane prints what went on the wire and
+/// checks every answer against the serial DP before it exits 0.
+#[test]
+fn cli_serve_in_process_matches_the_serial_dp() {
+    let args = "serve --queries 8 --clients 4 --workers 2 --tables 6";
+    let out = pqopt(&args.split(' ').collect::<Vec<_>>());
+    for shown in [
+        "on 2 in-process workers",
+        "\nnetwork: ",
+        "all 8 results match the serial DP reference",
+    ] {
+        assert!(out.contains(shown), "{out}");
+    }
+}
+
 /// `pqopt compare` exits 0 only when MPQ and SMA agree bit for bit, and
 /// its table holds no clock: both optimizers' bytes, messages and rounds
 /// are the text captured from the threaded SMA protocol, byte for byte.

@@ -45,14 +45,7 @@ fn parametric_parallel_equals_serial_at_every_theta() {
             .collect(),
     );
     for theta in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let pick = |o: &pqopt::dp::ParametricOutcome| {
-            let p = pick_for(o, theta);
-            o.plans
-                .iter()
-                .find(|(q, _)| q == p)
-                .map(|(_, c)| *c)
-                .unwrap()
-        };
+        let pick = |o: &pqopt::dp::ParametricOutcome| pick_for(o, theta).cost();
         let s = pick(&serial);
         let p = pick(&merged);
         let interp = |c: CostVector| c.time * (1.0 - theta) + c.buffer * theta;
@@ -191,7 +184,7 @@ fn parametric_set_is_small_but_covering() {
     let best_low = out
         .plans
         .iter()
-        .map(|(_, c)| c.time)
+        .map(|p| p.cost().time)
         .fold(f64::INFINITY, f64::min);
     assert_eq!(best_low.to_bits(), opt_low.to_bits());
 }

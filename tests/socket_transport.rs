@@ -359,3 +359,27 @@ fn admission_limit_holds_over_real_sockets() {
     }
     service.shutdown();
 }
+
+/// `pqopt serve --connect` runs the in-process serve loop over `pqopt
+/// worker` processes: it prints what went on the wire and checks every
+/// answer against the serial DP before it exits 0.
+#[cfg(unix)]
+#[test]
+fn cli_serve_over_connect_matches_the_serial_dp() {
+    let workers = spawn_workers("cli", 2);
+    let connect: Vec<String> = addrs(&workers).iter().map(|a| a.to_string()).collect();
+    let out = Command::new(BIN)
+        .args(["serve", "--queries", "8", "--clients", "4", "--tables", "6"])
+        .args(["--connect", &connect.join(",")])
+        .output()
+        .expect("run pqopt serve");
+    let text = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert!(out.status.success(), "pqopt serve --connect failed: {text}");
+    for shown in [
+        "on 2 socket workers",
+        "\nnetwork: ",
+        "all 8 results match the serial DP reference",
+    ] {
+        assert!(text.contains(shown), "{text}");
+    }
+}
