@@ -120,7 +120,6 @@ use mpq_cost::{
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, PlanSpace};
 use mpq_plan::{KeyedSlot, PlanEntry, PruningPolicy};
-use std::time::Instant;
 
 /// What is left of the intra-worker thread knob: the paper's model is one
 /// sequential dynamic program per node, no recorded run showed threads
@@ -752,16 +751,11 @@ pub fn optimize_partition(
     objective: Objective,
     constraints: &ConstraintSet,
 ) -> PartitionOutcome {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "measurement, not scheduling evidence: optimize_micros is a reported metric; level scheduling is structural (cardinality), never timed"
-    )]
-    let start = Instant::now();
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
     let pruning = PruningPolicy::new(objective, n);
     let (memo, stats) = fill(query, space, &pruning, constraints);
-    finish(&memo, stats, start)
+    finish(&memo, stats)
 }
 
 /// The kernel proper: the memo of the partition, filled, and the work it
@@ -775,7 +769,7 @@ pub(crate) fn fill(
     let est = CardinalityEstimator::new(query);
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
     let mut stats = WorkerStats::default();
-    seed_scans(&mut memo, &est, pruning);
+    seed_scans(&mut memo, &est);
 
     let predicates = est.predicates();
     let mut scratch = SplitScratch::default();
@@ -1453,10 +1447,7 @@ mod tests {
                     arena.plans[0].cost().time.to_bits(),
                     "seed {seed} {space:?}"
                 );
-                assert_eq!(reference.stats.splits_tried, arena.stats.splits_tried);
-                assert_eq!(reference.stats.plans_generated, arena.stats.plans_generated);
-                assert_eq!(reference.stats.stored_sets, arena.stats.stored_sets);
-                assert_eq!(reference.stats.total_entries, arena.stats.total_entries);
+                assert_eq!(reference.stats, arena.stats);
             }
         }
     }
@@ -1639,8 +1630,6 @@ mod tests {
         let cs = ConstraintSet::unconstrained(Grouping::new(5, PlanSpace::Linear));
         let arena = optimize_partition(&q, PlanSpace::Linear, Objective::Single, &cs);
         assert_eq!(out.plans, arena.plans);
-        assert_eq!(out.stats.splits_tried, arena.stats.splits_tried);
-        assert_eq!(out.stats.plans_generated, arena.stats.plans_generated);
-        assert_eq!(out.stats.stored_sets, arena.stats.stored_sets);
+        assert_eq!(out.stats, arena.stats);
     }
 }

@@ -20,13 +20,14 @@
 //!
 //! There is one memo, [`ArenaMemo`] ([`arena`] — one write-once record per
 //! admissible set, statistics and entry span, addressed by the dense
-//! admissible-set index over one contiguous entry array), and two ways to
+//! admissible-set index over one contiguous entry array), and two loops
 //! fill it bottom-up: the streaming kernel ([`optimize_partition`] —
 //! per-order-class minima compared on time, cost vectors and entries built
-//! only for the candidates that are kept; the default) and the textbook
-//! slot-at-a-time loop ([`optimize_partition_reference`]) that the
-//! differential suites hold it to, bit for bit. Parametric and SMA's
-//! per-set enumeration run on the same memo.
+//! only for the candidates that are kept; the default) and one
+//! slot-at-a-time loop under the textbook reference
+//! ([`optimize_partition_reference`]), the filtered fill and parametric
+//! optimization. The crate reads no clock: the caller that reports W-Time
+//! stamps [`WorkerStats::optimize_micros`].
 //!
 //! [`explain()`] recomputes a finished plan's per-node costs, cardinalities
 //! and orders from its query, bit for bit as the kernels computed them,

@@ -20,14 +20,11 @@
 
 use crate::arena::ArenaMemo;
 use crate::stats::WorkerStats;
-use crate::worker::{
-    complete_plans, for_each_split_filtered, join_candidates, Candidate, Split, SplitEnv,
-};
+use crate::worker::{fill_slots, finish, join_candidates, Candidate, PartitionOutcome, Walk};
 use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, SplitCosts};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
-use mpq_plan::{Plan, PlanEntry, PlanNode, PruningPolicy};
-use std::time::Instant;
+use mpq_plan::{Plan, PlanEntry, PruningPolicy};
 
 /// A query with an unbound parameter, given as its two endpoint
 /// scenarios. Both scenarios must join the same tables; typically they
@@ -61,16 +58,10 @@ impl ParametricQuery {
 }
 
 /// Result of a parametric optimization: plans covering the parameter
-/// range. A plan's cost is its pair of endpoint costs: `time` is its cost
-/// at θ = 0, `buffer` its cost at θ = 1.
-#[derive(Clone, Debug)]
-pub struct ParametricOutcome {
-    /// The plan set: Pareto-optimal over `(cost_low, cost_high)`. Plans
-    /// are reconstructed against the `low` scenario's statistics.
-    pub plans: Vec<Plan>,
-    /// Work counters.
-    pub stats: WorkerStats,
-}
+/// range, Pareto-optimal over their pair of endpoint costs — `time` is a
+/// plan's cost at θ = 0, `buffer` its cost at θ = 1 — and reconstructed
+/// against the `low` scenario's statistics.
+pub type ParametricOutcome = PartitionOutcome;
 
 /// Interpolated cost of an endpoint-cost pair at parameter `theta`.
 pub fn interpolate(costs: &CostVector, theta: f64) -> f64 {
@@ -101,11 +92,6 @@ pub fn optimize_parametric_partition(
     space: PlanSpace,
     constraints: &ConstraintSet,
 ) -> ParametricOutcome {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "measurement, not scheduling evidence: optimize_micros is a reported metric, no decision reads it"
-    )]
-    let start = Instant::now();
     let n = pq.num_tables();
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
     // Exact bi-scenario Pareto pruning: reuse the multi-objective policy
@@ -115,73 +101,47 @@ pub fn optimize_parametric_partition(
     // reconstructed against); the `high` scenario's are estimated per split.
     let lo = CardinalityEstimator::new(&pq.low);
     let mut hi = CardinalityEstimator::new(&pq.high);
-    let mut stats = WorkerStats::default();
 
     for t in 0..n {
-        let cl = ScanOp::Full.cost(&lo, t);
-        let ch = ScanOp::Full.cost(&hi, t);
-        let entry = PlanEntry {
-            cost: CostVector::new(cl.time, ch.time),
-            order: ScanOp::Full.output_order(),
-            node: PlanNode::Scan {
-                table: t as u8,
-                op: ScanOp::Full,
-            },
-        };
+        let cost = CostVector::new(
+            ScanOp::Full.cost(&lo, t).time,
+            ScanOp::Full.cost(&hi, t).time,
+        );
+        let entry = PlanEntry::scan(t as u8, ScanOp::Full, cost);
         memo.push_single(t, lo.set_stats(TableSet::singleton(t)), &[entry]);
     }
 
-    let mut slot = Vec::new();
-    for idx in 0..memo.admissible().len() {
-        let set = memo.admissible().set_at(idx);
-        if set.len() < 2 {
-            continue;
-        }
-        // Left-deep splits with the constraint check; bushy splits via
-        // filtered enumeration (simplicity over the product construction
-        // here — correctness is identical).
-        let env = SplitEnv {
-            space,
-            constraints,
-            adm: memo.admissible(),
-        };
-        // Orders agree across scenarios (same predicates), so one live
-        // set serves both.
-        let live = lo.predicates().interesting_orders(set);
-        for_each_split_filtered(&env, set, |l, r| {
-            stats.splits_tried += 1;
-            let split = Split::of(&memo, l, r);
+    // Splits by filtered enumeration (simplicity over the product
+    // construction here — correctness is identical). Orders agree across
+    // scenarios (same predicates), so the `low` live set serves both.
+    let stats = fill_slots(
+        &mut memo,
+        &lo,
+        constraints,
+        space,
+        Walk::Filtered,
+        |split, live, slot| {
+            let (l, r) = (split.left.set, split.right.set);
             let costs_hi = SplitCosts::new(&mut hi, l, r);
             // The one candidate loop costs the `low` scenario; the `high`
             // time of the same operator on the same operand plans rides in
             // the buffer component.
             let mut inapplicable = 0;
-            let generated = join_candidates(lo.predicates(), &split, live, |c: Candidate<'_>| {
+            let generated = join_candidates(lo.predicates(), split, live, |c: Candidate<'_>| {
                 let Some((high, _)) = costs_hi.time(c.op, c.left.order, c.right.order) else {
                     inapplicable += 1;
                     return;
                 };
                 let cost = CostVector::new(c.time, c.left.cost.buffer + c.right.cost.buffer + high);
-                policy.try_insert(&mut slot, c.entry_costing(cost, l, r));
+                policy.try_insert(slot, c.entry_costing(cost, l, r));
             });
-            stats.plans_generated += generated - inapplicable;
-        });
-        memo.push_slot(idx, lo.set_stats(set), &slot);
-        slot.clear();
-    }
+            generated - inapplicable
+        },
+    );
 
     // The full set's slot is already the exact bi-scenario frontier: the
     // final prune runs where partitions meet ([`merge_parametric`]).
-    let plans = complete_plans(&memo);
-    stats.stored_sets = memo.stored_sets();
-    stats.total_entries = memo.total_entries();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "measurement: optimize_micros is a reported metric, no decision reads it"
-    )]
-    let elapsed = start.elapsed();
-    stats.optimize_micros = elapsed.as_micros() as u64;
-    ParametricOutcome { plans, stats }
+    finish(&memo, stats)
 }
 
 /// Serial parametric optimization over the full plan space.

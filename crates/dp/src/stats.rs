@@ -20,8 +20,9 @@ pub struct WorkerStats {
     /// Number of candidate plans generated (splits × applicable operators
     /// × operand-plan combinations).
     pub plans_generated: u64,
-    /// Wall-clock optimization time in microseconds (the DP only, without
-    /// any communication).
+    /// Wall-clock optimization time in microseconds, without any
+    /// communication: the MPQ worker stamps it per partition it runs. The
+    /// DP reads no clock and leaves it 0.
     pub optimize_micros: u64,
 }
 

@@ -4,10 +4,11 @@
 //! `optimize_partition*` run the complete per-partition dynamic program:
 //! decode constraints → enumerate admissible join results → seed scans →
 //! bottom-up DP over admissible sets → reconstruct the partition-optimal
-//! plan(s). Two kernels fill the one memo ([`ArenaMemo`]): the streaming
+//! plan(s). Two loops fill the one memo ([`ArenaMemo`]): the streaming
 //! kernel of [`crate::arena`] (the default, [`optimize_partition`]) and
-//! the textbook slot-at-a-time loop ([`optimize_partition_reference`])
-//! that the differential suites hold it to, bit for bit.
+//! the slot-at-a-time loop `fill_slots`, under the reference
+//! ([`optimize_partition_reference`], which the differential suites hold
+//! the kernel to, bit for bit), the filtered fill and parametric DP.
 //!
 //! Split enumeration (`for_each_split`) differs by plan space, as in
 //! the paper:
@@ -23,16 +24,12 @@
 //!   Theorem 7 comes from.
 //!
 //! `for_each_split_filtered` is the other walk: every *possible* split,
-//! checked for admissibility afterwards. It serves the traversals that
-//! stay clear of the product construction: parametric enumeration and the
-//! one filter-after-enumerate slot loop, [`filtered_fill`] — SMA's
-//! replicated memo, and [`optimize_partition_bushy_filtered`]'s for the
+//! checked for admissibility afterwards — parametric enumeration's, SMA's
+//! replicated memo's and [`optimize_partition_bushy_filtered`]'s for the
 //! `ablation_splits` benchmark that measures what the product saves.
-//!
 //! Both walks hand over a split's operands as the memo holds them —
-//! statistics and plans (`Operand`) — and `for_each_split` reaches them
-//! by carrying dense indices along with the enumeration, not by looking
-//! table sets up.
+//! statistics and plans (`Operand`); `for_each_split` reaches them by
+//! carrying dense indices along with the enumeration.
 //!
 //! Every traversal in the crate turns a split into plans through the one
 //! candidate loop, `join_candidates`. Single-objective pruning decides a
@@ -58,7 +55,6 @@ use mpq_partition::{
     MAX_GROUPS,
 };
 use mpq_plan::{Plan, PlanEntry, PruningPolicy};
-use std::time::Instant;
 
 /// Result of optimizing one plan-space partition.
 #[derive(Clone, Debug)]
@@ -102,20 +98,15 @@ pub fn optimize_partition_reference(
     objective: Objective,
     constraints: &ConstraintSet,
 ) -> PartitionOutcome {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "measurement, not scheduling evidence: optimize_micros is a reported metric, no decision reads it"
-    )]
-    let start = Instant::now();
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
     let policy = PruningPolicy::new(objective, n);
     let (memo, stats) = reference_fill(query, space, &policy, constraints);
-    finish(&memo, stats, start)
+    finish(&memo, stats)
 }
 
-/// The loop proper: the memo of the partition, filled, and the work it
-/// took.
+/// The reference loop proper: the memo of the partition, filled by the
+/// slot loop over the product walk, and the work it took.
 pub(crate) fn reference_fill(
     query: &Query,
     space: PlanSpace,
@@ -123,34 +114,16 @@ pub(crate) fn reference_fill(
     constraints: &ConstraintSet,
 ) -> (ArenaMemo, WorkerStats) {
     let est = CardinalityEstimator::new(query);
-    let predicates = est.predicates();
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
-    let mut stats = WorkerStats::default();
-    seed_scans(&mut memo, &est, policy);
-
-    // Ascending dense-index order visits every admissible subset of a set
-    // before the set itself, so iterating indices replaces the explicit
-    // iteration over result cardinalities of Algorithm 2.
-    let mut scratch = SplitScratch::default();
-    let mut slot = Vec::new();
-    for idx in 0..memo.admissible().len() {
-        let set = memo.admissible().set_at(idx);
-        if set.len() < 2 {
-            continue;
-        }
-        let env = SplitEnv {
-            space,
-            constraints,
-            adm: memo.admissible(),
-        };
-        let live = predicates.interesting_orders(set);
-        for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
-            stats.splits_tried += 1;
-            combine_operands(&split, live, predicates, policy, &mut slot, &mut stats);
-        });
-        memo.push_slot(idx, est.set_stats(set), &slot);
-        slot.clear();
-    }
+    seed_scans(&mut memo, &est);
+    let stats = fill_slots(
+        &mut memo,
+        &est,
+        constraints,
+        space,
+        Walk::Product,
+        |split, live, slot| combine_operands(split, live, est.predicates(), policy, slot),
+    );
     (memo, stats)
 }
 
@@ -166,18 +139,13 @@ pub fn optimize_partition_bushy_filtered(
     objective: Objective,
     constraints: &ConstraintSet,
 ) -> PartitionOutcome {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "measurement, not scheduling evidence: optimize_micros is a reported metric, no decision reads it"
-    )]
-    let start = Instant::now();
     let policy = PruningPolicy::new(objective, query.num_tables());
     let (memo, stats) = filtered_fill(query, &policy, constraints);
-    finish(&memo, stats, start)
+    finish(&memo, stats)
 }
 
-/// The crate's one filter-after-enumerate slot loop: the reference loop's
-/// visiting order, every split `for_each_split_filtered` examines
+/// The slot loop over the filter-after-enumerate walk: the reference
+/// loop's visiting order, every split `for_each_split_filtered` examines
 /// counted as tried, each admissible one's candidates through the scalar
 /// pruning function in generation order. Returns the filled memo and the
 /// work it took. The plan space is the constraint set's.
@@ -192,10 +160,45 @@ pub fn filtered_fill(
     constraints: &ConstraintSet,
 ) -> (ArenaMemo, WorkerStats) {
     let est = CardinalityEstimator::new(query);
-    let predicates = est.predicates();
     let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
+    seed_scans(&mut memo, &est);
+    let space = constraints.grouping().space();
+    let stats = fill_slots(
+        &mut memo,
+        &est,
+        constraints,
+        space,
+        Walk::Filtered,
+        |split, live, slot| combine_operands(split, live, est.predicates(), policy, slot),
+    );
+    (memo, stats)
+}
+
+/// The split walk of a slot loop: `for_each_split`, each split handed
+/// over counted as tried, or `for_each_split_filtered`, each one examined.
+pub(crate) enum Walk {
+    Product,
+    Filtered,
+}
+
+/// The crate's one slot-at-a-time loop, Algorithm 2's body: visits the
+/// admissible sets of `memo`, whose scans are seeded, in ascending dense
+/// index (every admissible subset of a set comes before the set) and
+/// skips the singletons. `per_split` takes each split `walk` hands over,
+/// with the set's interesting orders, adds its candidates to the set's
+/// slot and returns how many it generated; the slot goes into the memo
+/// with the set's statistics. Returns the work counters but memory, which
+/// [`finish`] reads off the memo.
+pub(crate) fn fill_slots(
+    memo: &mut ArenaMemo,
+    est: &CardinalityEstimator,
+    constraints: &ConstraintSet,
+    space: PlanSpace,
+    walk: Walk,
+    mut per_split: impl FnMut(&Split<'_>, TableSet, &mut Vec<PlanEntry>) -> u64,
+) -> WorkerStats {
     let mut stats = WorkerStats::default();
-    seed_scans(&mut memo, &est, policy);
+    let mut scratch = SplitScratch::default();
     let mut slot = Vec::new();
     for idx in 0..memo.admissible().len() {
         let set = memo.admissible().set_at(idx);
@@ -203,30 +206,34 @@ pub fn filtered_fill(
             continue;
         }
         let env = SplitEnv {
-            space: constraints.grouping().space(),
+            space,
             constraints,
             adm: memo.admissible(),
         };
-        let live = predicates.interesting_orders(set);
-        stats.splits_tried += for_each_split_filtered(&env, set, |left, right| {
-            let split = Split::of(&memo, left, right);
-            combine_operands(&split, live, predicates, policy, &mut slot, &mut stats);
-        });
+        let live = est.predicates().interesting_orders(set);
+        match walk {
+            Walk::Product => for_each_split(&env, set, idx, memo, &mut scratch, |split| {
+                stats.splits_tried += 1;
+                stats.plans_generated += per_split(&split, live, &mut slot);
+            }),
+            Walk::Filtered => {
+                stats.splits_tried += for_each_split_filtered(&env, set, memo, |split| {
+                    stats.plans_generated += per_split(&split, live, &mut slot);
+                });
+            }
+        }
         memo.push_slot(idx, est.set_stats(set), &slot);
         slot.clear();
     }
-    (memo, stats)
+    stats
 }
 
 /// Seeds the best plans for single tables (Algorithm 2, lines 9-11), each
-/// with its table's statistics.
-pub(crate) fn seed_scans(memo: &mut ArenaMemo, est: &CardinalityEstimator, policy: &PruningPolicy) {
-    let mut slot = Vec::with_capacity(1);
+/// with its table's statistics: one full scan, which nothing prunes.
+pub(crate) fn seed_scans(memo: &mut ArenaMemo, est: &CardinalityEstimator) {
     for t in 0..memo.admissible().num_tables() {
-        let cost = ScanOp::Full.cost(est, t);
-        policy.try_insert(&mut slot, PlanEntry::scan(t as u8, ScanOp::Full, cost));
-        memo.push_single(t, est.set_stats(TableSet::singleton(t)), &slot);
-        slot.clear();
+        let scan = PlanEntry::scan(t as u8, ScanOp::Full, ScanOp::Full.cost(est, t));
+        memo.push_single(t, est.set_stats(TableSet::singleton(t)), &[scan]);
     }
 }
 
@@ -244,17 +251,12 @@ pub fn complete_plans(memo: &ArenaMemo) -> Vec<Plan> {
 /// Reconstructs the complete plans and fills in the memory counters.
 /// The full set's slot is one order class (no order is interesting once
 /// every table is joined), already pruned, so `FinalPrune` would change
-/// nothing here: it runs where partitions meet.
-pub(crate) fn finish(memo: &ArenaMemo, mut stats: WorkerStats, start: Instant) -> PartitionOutcome {
+/// nothing here: it runs where partitions meet. The DP reads no clock:
+/// `optimize_micros` stays 0 for the caller that times the run to stamp.
+pub(crate) fn finish(memo: &ArenaMemo, mut stats: WorkerStats) -> PartitionOutcome {
     let plans = complete_plans(memo);
     stats.stored_sets = memo.stored_sets();
     stats.total_entries = memo.total_entries();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "measurement: optimize_micros is a reported metric, no decision reads it"
-    )]
-    let elapsed = start.elapsed();
-    stats.optimize_micros = elapsed.as_micros() as u64;
     PartitionOutcome { plans, stats }
 }
 
@@ -272,17 +274,6 @@ pub(crate) struct Operand<'a> {
 pub(crate) struct Split<'a> {
     pub left: Operand<'a>,
     pub right: Operand<'a>,
-}
-
-impl<'a> Split<'a> {
-    /// The split `(left, right)`, both operands looked up in `memo` by
-    /// their bits.
-    pub fn of(memo: &'a ArenaMemo, left: TableSet, right: TableSet) -> Self {
-        Split {
-            left: memo.operand_of(left),
-            right: memo.operand_of(right),
-        }
-    }
 }
 
 /// One plan the candidate loop generated for a split. What every pruning
@@ -553,9 +544,9 @@ pub fn join_plans(
     generated
 }
 
-/// `Join` + `Prune` for one split of the slot-at-a-time traversals: every
-/// candidate becomes an entry and goes through the scalar pruning
-/// function, in generation order.
+/// `Join` + `Prune` for one split of the reference and filtered fills:
+/// every candidate becomes an entry and goes through the scalar pruning
+/// function, in generation order. Returns how many it generated.
 #[inline]
 pub(crate) fn combine_operands(
     split: &Split<'_>,
@@ -563,11 +554,10 @@ pub(crate) fn combine_operands(
     predicates: &PredicateIndex,
     policy: &PruningPolicy,
     slot: &mut Vec<PlanEntry>,
-    stats: &mut WorkerStats,
-) {
-    stats.plans_generated += join_candidates(predicates, split, live, |c: Candidate<'_>| {
+) -> u64 {
+    join_candidates(predicates, split, live, |c: Candidate<'_>| {
         policy.try_insert(slot, c.entry(split.left.set, split.right.set));
-    });
+    })
 }
 
 /// What the split enumeration needs to know about the partition.
@@ -641,23 +631,31 @@ pub(crate) fn for_each_split<'m>(
 /// The filter-after-enumerate split walk: examines every *possible* split
 /// of `set` — each member as the inner table (linear), each proper subset
 /// with its complement (bushy) — and hands `f` the constraint-respecting
-/// ones. Returns the number of splits examined, admissible or not.
+/// ones, operands looked up in `memo` by their bits. Returns the number of
+/// splits examined, admissible or not.
 ///
 /// The order differs from [`for_each_split`]'s bushy product order, and
 /// α-approximate pruning depends on insertion order: a traversal stays
 /// with one walk.
-pub(crate) fn for_each_split_filtered(
+pub(crate) fn for_each_split_filtered<'m>(
     env: &SplitEnv<'_>,
     set: TableSet,
-    mut f: impl FnMut(TableSet, TableSet),
+    memo: &'m ArenaMemo,
+    mut f: impl FnMut(Split<'m>),
 ) -> u64 {
     let mut examined = 0;
+    let mut split = |left, right| {
+        f(Split {
+            left: memo.operand_of(left),
+            right: memo.operand_of(right),
+        })
+    };
     match env.space {
         PlanSpace::Linear => {
             for u in set.iter() {
                 examined += 1;
                 if env.constraints.may_join_last(u, set) {
-                    f(set.remove(u), TableSet::singleton(u));
+                    split(set.remove(u), TableSet::singleton(u));
                 }
             }
         }
@@ -667,7 +665,7 @@ pub(crate) fn for_each_split_filtered(
                 examined += 1;
                 let right = set.difference(left);
                 if has_slot(left) && has_slot(right) {
-                    f(left, right);
+                    split(left, right);
                 }
             }
         }

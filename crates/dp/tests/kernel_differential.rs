@@ -94,22 +94,7 @@ fn assert_bit_identical(a: &PartitionOutcome, b: &PartitionOutcome, ctx: &str) {
         );
         assert_eq!(pa, pb, "{ctx}: plan {i} trees differ");
     }
-    assert_eq!(
-        a.stats.stored_sets, b.stats.stored_sets,
-        "{ctx}: stored_sets differ"
-    );
-    assert_eq!(
-        a.stats.total_entries, b.stats.total_entries,
-        "{ctx}: total_entries differ"
-    );
-    assert_eq!(
-        a.stats.splits_tried, b.stats.splits_tried,
-        "{ctx}: splits_tried differ"
-    );
-    assert_eq!(
-        a.stats.plans_generated, b.stats.plans_generated,
-        "{ctx}: plans_generated differ"
-    );
+    assert_eq!(a.stats, b.stats, "{ctx}: work counters differ");
 }
 
 /// Runs both kernels on one (query, partition) point and checks them

@@ -117,7 +117,8 @@ pub enum MpqError {
         id: QueryId,
     },
     /// A submission was malformed (empty assignment, more ranges than
-    /// workers) — caller misuse, surfaced typed.
+    /// workers, a range outside the partition space, ranges that do not
+    /// tile it in order) — caller misuse, surfaced typed.
     BadRequest {
         /// What was wrong with the request.
         reason: &'static str,

@@ -167,18 +167,25 @@ impl WorkerLogic for MpqWorker {
             .enumerate()
             .map(|(i, p)| (i as u64, p))
         {
+            // W-Time: the partition's optimization time, read once. The DP
+            // reads no clock, so the worker stamps it.
             #[expect(
                 clippy::disallowed_methods,
-                reason = "fault injection: times the partition for the slowdown injector below"
+                reason = "measurement: W-Time (optimize_micros, which no decision reads), \
+                          also the slowdown injector's base"
             )]
-            let t0 = Instant::now();
-            let out = optimize_partition_id(
-                &msg.query,
-                msg.space,
-                msg.objective,
-                part_id,
-                msg.total_partitions,
-            );
+            let (mut out, elapsed) = {
+                let t0 = Instant::now();
+                let out = optimize_partition_id(
+                    &msg.query,
+                    msg.space,
+                    msg.objective,
+                    part_id,
+                    msg.total_partitions,
+                );
+                (out, t0.elapsed())
+            };
+            out.stats.optimize_micros = elapsed.as_micros() as u64;
             #[expect(
                 clippy::disallowed_methods,
                 reason = "fault injection: simulates a straggling worker by stretching its \
@@ -187,7 +194,7 @@ impl WorkerLogic for MpqWorker {
             if self.slow_factor > 1 {
                 // Degraded-node model: pay (factor - 1) extra copies of
                 // the measured compute time per partition.
-                std::thread::sleep(t0.elapsed() * (self.slow_factor - 1));
+                std::thread::sleep(elapsed * (self.slow_factor - 1));
             }
             plans.extend(out.plans);
             stats.accumulate(&out.stats);
@@ -506,7 +513,9 @@ impl MpqService {
     /// Submits `query` with an explicit `(first_partition, count)` range
     /// per worker, range *i* on worker *i*: any contiguous layout,
     /// uneven ones included (heterogeneous workers, oversubscription).
-    /// It is used as given, stealing on or off.
+    /// It is used as given, stealing on or off. The ranges must tile
+    /// `0..partitions` in order — no gap, no overlap — or the submission
+    /// is refused [`MpqError::BadRequest`] before any message is sent.
     pub fn submit_assigned(
         &mut self,
         query: &Query,
@@ -692,6 +701,16 @@ impl MpqService {
         {
             return Err(MpqError::BadRequest {
                 reason: "a partition range outside the query's partition space",
+            });
+        }
+        // The merged optimum is the best of the ranges run: a gap would
+        // answer with a partial optimum, an overlap would run twice.
+        let end = assignment.iter().try_fold(0, |next, &(first, count)| {
+            (first == next).then_some(first + count)
+        });
+        if end != Some(partitions) {
+            return Err(MpqError::BadRequest {
+                reason: "partition ranges that do not tile the partition space in order",
             });
         }
         #[expect(
@@ -2055,6 +2074,17 @@ mod tests {
                 .expect_err("a range outside the partition space");
             assert!(matches!(err, MpqError::BadRequest { .. }), "{range:?}");
         }
+        // So is a layout of valid ranges that does not tile the partitions
+        // in order — a gap, an overlap, ranges out of order — and nothing
+        // is sent for it.
+        let sent = svc.metrics().snapshot().messages;
+        for layout in [vec![(0, 1)], vec![(0, 2), (1, 3)], vec![(2, 2), (0, 2)]] {
+            let err = svc
+                .submit_assigned(&q, PlanSpace::Linear, Objective::Single, 4, layout.clone())
+                .expect_err("ranges that do not tile the partitions");
+            assert!(matches!(err, MpqError::BadRequest { .. }), "{layout:?}");
+        }
+        assert_eq!(svc.metrics().snapshot().messages, sent);
         // The service is none the worse for it.
         let handle = svc
             .submit_assigned(&q, PlanSpace::Linear, Objective::Single, 4, vec![(0, 4)])

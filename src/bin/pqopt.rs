@@ -580,8 +580,13 @@ fn cmd_scaling(o: &Options) -> Result<(), String> {
         "workers", "partitions", "max splits", "x splits", "max sets", "max plans", "net (B)"
     );
     let mut previous_splits = None;
+    // Past the query's partition limit a row only repeats the last one
+    // (and doubling towards `u64::MAX` would wrap).
+    let last = o
+        .max_workers
+        .min(o.space.max_partitions(query.num_tables()));
     let mut w = 1u64;
-    while w <= o.max_workers {
+    while w <= last {
         let out = MpqOptimizer::default().optimize(&query, o.space, o.objective, w);
         let max = out
             .metrics

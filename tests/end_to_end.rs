@@ -41,6 +41,8 @@ fn mpq_equals_serial_across_worker_counts_linear() {
                 &format!("{workers} workers"),
             );
             assert!(out.plans[0].is_left_deep());
+            // W-Time, which each worker stamps per partition it runs.
+            assert!(out.metrics.max_worker_micros > 0, "{workers} workers");
             out.plans[0].validate().expect("valid plan tree");
             assert!(pqopt::dp::explain(&q, &out.plans[0])
                 .expect("fits its query")
@@ -234,13 +236,20 @@ fn pqopt(args: &[&str]) -> String {
 
 /// `pqopt scaling` prints exact counters, so two runs agree byte for
 /// byte: a header and one row per worker count, and no wall-clock column.
+/// The sweep ends at the query's partition limit (4 for 4 linear tables),
+/// however large `--max-workers` is.
 #[test]
 fn cli_scaling_prints_only_exact_counters() {
-    let args = ["scaling", "--tables", "8", "--max-workers", "4"];
-    let first = pqopt(&args);
-    assert_eq!(first, pqopt(&args), "a counter moved between runs");
-    assert_eq!(first.lines().count(), 1 + 3, "rows for 1, 2 and 4 workers");
-    assert!(first.contains("max splits") && !first.contains("speedup"));
+    let max = u64::MAX.to_string();
+    for args in [
+        ["scaling", "--tables", "8", "--max-workers", "4"],
+        ["scaling", "--tables", "4", "--max-workers", &max],
+    ] {
+        let first = pqopt(&args);
+        assert_eq!(first, pqopt(&args), "a counter moved between runs");
+        assert_eq!(first.lines().count(), 1 + 3, "rows for 1, 2 and 4 workers");
+        assert!(first.contains("max splits") && !first.contains("speedup"));
+    }
 }
 
 /// `pqopt optimize` prints each plan through `explain`: the plan trees —
