@@ -9,8 +9,8 @@
 //! partition, so memory shrinks with the constraint count exactly as
 //! Theorem 4 predicts, statistics included. A record is written exactly
 //! once, together with the set's entries, when the set's candidates have
-//! been generated and pruned — built in place at the arena's tail by the
-//! kernel, or copied in by [`ArenaMemo::push_slot`]; the enumeration
+//! been generated and pruned, built in place at the arena's tail by the
+//! step the crate's one loop runs (`worker::fill_slots`); the enumeration
 //! reaches an operand's record by one index step from the parent's
 //! ([`AdmissibleSets::index_without`], [`mpq_partition::SplitPart`]) and
 //! reads statistics and plans from cache-line-friendly contiguous memory.
@@ -20,9 +20,11 @@
 //! constructed (Section 4.2), and a table a constraint bars as a set has
 //! no dense index.
 //!
-//! [`optimize_partition`] is the kernel built on it. It produces results
-//! **bit-identical** to the textbook reference loop
-//! ([`crate::worker::optimize_partition_reference`]):
+//! [`optimize_partition`] is the kernel built on it: one step of that loop,
+//! whose arm — left-deep minima, bushy minima or the Pareto sink — the
+//! partition's objective and space fix. It produces results
+//! **bit-identical** to the textbook reference, the same loop with the
+//! reference step ([`crate::worker::optimize_partition_reference`]):
 //!
 //! * Candidates for a set come from the same split enumeration and the
 //!   same operand-plan pairs as the reference kernel's (`for_each_split`,
@@ -104,13 +106,13 @@
 //!   ([`CardinalityEstimator::set_stats_inside`],
 //!   [`PredicateIndex::interesting_orders`]).
 //! * Sets are visited in ascending dense index, which puts every
-//!   admissible subset of a set before the set.
+//!   admissible subset of a set before the set: the loop is the
+//!   reference's, and only the set visit is shared with it.
 
 use crate::stats::WorkerStats;
 use crate::worker::{
-    buffer_operands, finish, for_each_pair, for_each_split, join_candidates, join_time, seed_scans,
-    stored_time, Candidate, CandidateSink, Operand, PartitionOutcome, Split, SplitEnv,
-    SplitScratch,
+    buffer_operands, fill, finish, for_each_pair, join_candidates, join_time, stored_time,
+    Candidate, CandidateSink, Operand, PartitionOutcome, Split, Step, Walk,
 };
 use mpq_cost::operators::JoinApplication;
 use mpq_cost::{
@@ -301,14 +303,6 @@ impl ArenaMemo {
         }
         self.records[idx] = self.append_with(stats, build);
         true
-    }
-
-    /// Writes the finished slot of the set at dense index `idx`, with the
-    /// set's statistics (the in-place build of a copy of `entries`):
-    /// a second write of a non-empty slot is refused (`false`) and changes
-    /// nothing.
-    pub fn push_slot(&mut self, idx: usize, stats: SetStats, entries: &[PlanEntry]) -> bool {
-        self.build_slot(idx, stats, |arena, _| arena.extend_from_slice(entries))
     }
 
     /// Number of table sets (including single tables) with at least one
@@ -537,9 +531,9 @@ impl ClassMinima {
     }
 
     /// [`ClassMinima::offer_split`], for a left-deep split whose inner
-    /// operand is not one plan — which `fill`, seeding one scan per table,
-    /// never makes. Out of line: inlined into the left-deep arm, the pair
-    /// loop slowed the bushy one.
+    /// operand is not one plan — which the kernel, seeding one scan per
+    /// table, never makes. Out of line: inlined into the left-deep arm,
+    /// the pair loop slowed the bushy one.
     #[cold]
     #[inline(never)]
     fn offer_split_cold(
@@ -753,93 +747,89 @@ pub fn optimize_partition(
 ) -> PartitionOutcome {
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
-    let pruning = PruningPolicy::new(objective, n);
-    let (memo, stats) = fill(query, space, &pruning, constraints);
+    let (memo, stats) = kernel_fill(query, space, &PruningPolicy::new(objective, n), constraints);
     finish(&memo, stats)
 }
 
-/// The kernel proper: the memo of the partition, filled, and the work it
-/// took.
-pub(crate) fn fill(
+/// The memo of the one loop with the kernel step, and the work it took.
+pub(crate) fn kernel_fill(
     query: &Query,
     space: PlanSpace,
     pruning: &PruningPolicy,
     constraints: &ConstraintSet,
 ) -> (ArenaMemo, WorkerStats) {
-    let est = CardinalityEstimator::new(query);
-    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
-    let mut stats = WorkerStats::default();
-    seed_scans(&mut memo, &est);
+    let mut kernel = Kernel {
+        arm: (pruning.objective(), space),
+        inside: InsidePredicates::default(),
+        minima: ClassMinima::default(),
+        slot: KeyedSlot::new(pruning),
+    };
+    fill(query, space, constraints, Walk::Product, &mut kernel)
+}
 
-    let predicates = est.predicates();
-    let mut scratch = SplitScratch::default();
-    let mut inside = InsidePredicates::default();
-    let mut minima = ClassMinima::default();
-    let mut slot = KeyedSlot::new(pruning);
-    for (idx, set) in memo.admissible().iter().enumerate() {
-        if set.len() < 2 {
-            continue;
-        }
-        let env = SplitEnv {
-            space,
-            constraints,
-            adm: memo.admissible(),
-        };
-        predicates.inside(set, &mut inside);
-        let set_stats = est.set_stats_inside(set, &inside);
-        let live = predicates.interesting_orders(set);
-        match (pruning.objective(), space) {
+/// The streaming kernel as a step of the one loop: a set's statistics
+/// through its inside-predicate bitset, and per split the arm the
+/// partition's objective and space fix ([`ClassMinima`] or [`ParetoSink`]).
+struct Kernel {
+    arm: (Objective, PlanSpace),
+    inside: InsidePredicates,
+    minima: ClassMinima,
+    slot: KeyedSlot,
+}
+
+impl Step for Kernel {
+    #[inline]
+    fn open(&mut self, est: &CardinalityEstimator, set: TableSet) -> SetStats {
+        est.predicates().inside(set, &mut self.inside);
+        est.set_stats_inside(set, &self.inside)
+    }
+
+    /// Not `#[inline(always)]`: inlined into the loop, it left the arms'
+    /// pair loops out of line, and Linear 15 and Bushy 12 read 5–10 % slower.
+    #[inline]
+    fn split(&mut self, est: &CardinalityEstimator, split: &Split<'_>, live: TableSet) -> u64 {
+        let predicates = est.predicates();
+        match self.arm {
             (Objective::Single, PlanSpace::Linear) => {
-                for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
-                    stats.splits_tried += 1;
-                    let u = split.right.set.bits().trailing_zeros() as usize;
-                    let attributes = predicates.last_join_attributes(&inside, u);
-                    stats.plans_generated +=
-                        minima.offer_left_deep(predicates, attributes, &split, live);
-                });
-                // The winners go straight into the arena's tail.
-                memo.build_slot(idx, set_stats, |arena, start| {
-                    minima.insert_winners(set, arena, start)
-                });
+                let u = split.right.set.bits().trailing_zeros() as usize;
+                let attributes = predicates.last_join_attributes(&self.inside, u);
+                self.minima
+                    .offer_left_deep(predicates, attributes, split, live)
             }
             (Objective::Single, PlanSpace::Bushy) => {
-                for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
-                    stats.splits_tried += 1;
-                    stats.plans_generated += minima.offer_split(predicates, &split, live);
-                });
-                memo.build_slot(idx, set_stats, |arena, start| {
-                    minima.insert_winners(set, arena, start)
-                });
+                self.minima.offer_split(predicates, split, live)
             }
-            // Pareto pruning has no single-number reduction: every
-            // candidate generated meets the keyed slot built so far, which
-            // is a slot of its own because the candidates borrow their
-            // operands from the arena; it is copied in, its times as
-            // stored, when the set is done.
             (Objective::Multi { .. }, _) => {
-                for_each_split(&env, set, idx, &memo, &mut scratch, |split| {
-                    stats.splits_tried += 1;
-                    let operands = (split.left.set, split.right.set);
-                    let sink = ParetoSink::new(&mut slot, operands, split.right.entries, live);
-                    stats.plans_generated += join_candidates(predicates, &split, live, sink);
-                });
-                memo.build_slot(idx, set_stats, |arena, _| {
-                    arena.extend(slot.entries().iter().map(|&entry| PlanEntry {
-                        cost: CostVector::new(stored_time(entry.cost.time), entry.cost.buffer),
-                        ..entry
-                    }))
-                });
-                slot.clear();
+                let operands = (split.left.set, split.right.set);
+                let sink = ParetoSink::new(&mut self.slot, operands, split.right.entries, live);
+                join_candidates(predicates, split, live, sink)
             }
         }
     }
-    (memo, stats)
+
+    fn close(&mut self, set: TableSet, arena: &mut Vec<PlanEntry>, start: usize) {
+        if self.arm.0 == Objective::Single {
+            // The winners go straight into the arena's tail.
+            self.minima.insert_winners(set, arena, start);
+        } else {
+            // The keyed slot is a slot of its own, since the candidates
+            // borrow their operands from the arena: it is copied in, its
+            // times as stored.
+            arena.extend(self.slot.entries().iter().map(|&entry| PlanEntry {
+                cost: CostVector::new(stored_time(entry.cost.time), entry.cost.buffer),
+                ..entry
+            }));
+            self.slot.clear();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{optimize_partition_reference, optimize_serial, Candidate, Operand};
+    use crate::worker::{
+        optimize_partition_reference, optimize_serial, Candidate, Operand, Scalar,
+    };
     use mpq_cost::ScanOp;
     use mpq_model::{WorkloadConfig, WorkloadGenerator};
     use mpq_partition::{partition_constraints, Grouping};
@@ -1293,10 +1283,31 @@ mod tests {
         }
     }
 
+    /// The reference's memo of the partition `cs` of `q`, and its counters.
+    fn reference_memo(
+        q: &Query,
+        space: PlanSpace,
+        pruning: &PruningPolicy,
+        cs: &ConstraintSet,
+    ) -> (ArenaMemo, WorkerStats) {
+        fill(
+            q,
+            space,
+            cs,
+            Walk::Product,
+            &mut Scalar(pruning, Vec::new()),
+        )
+    }
+
     /// A memo for partition `id` of `m` of a linear `n`-table query.
     fn memo(n: usize, id: u64, m: u64) -> ArenaMemo {
         let cs = partition_constraints(n, PlanSpace::Linear, id, m);
         ArenaMemo::new(AdmissibleSets::new(&cs))
+    }
+
+    /// Copies `entries` into the slot at `idx` by the in-place build.
+    fn push_slot(memo: &mut ArenaMemo, idx: usize, stats: SetStats, entries: &[PlanEntry]) -> bool {
+        memo.build_slot(idx, stats, |arena, _| arena.extend_from_slice(entries))
     }
 
     #[test]
@@ -1304,22 +1315,27 @@ mod tests {
         let mut memo = memo(6, 1, 4);
         let set = TableSet::from_tables([0, 1, 4]);
         let idx = memo.admissible().index_of(set).unwrap();
-        assert!(memo.push_slot(idx, stats(7.0), &[entry(5.0), entry(6.0)]));
+        assert!(push_slot(
+            &mut memo,
+            idx,
+            stats(7.0),
+            &[entry(5.0), entry(6.0)]
+        ));
         // Written by index, read back by set.
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
         assert_eq!(memo.stats(set), Some(stats(7.0)));
         assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
         // Parents refer to entries by position: a rewrite is refused and
         // changes nothing.
-        assert!(!memo.push_slot(idx, stats(1.0), &[entry(1.0)]));
+        assert!(!push_slot(&mut memo, idx, stats(1.0), &[entry(1.0)]));
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
         assert_eq!(memo.stats(set), Some(stats(7.0)));
         assert_eq!((memo.stored_sets(), memo.total_entries()), (1, 2));
     }
 
-    /// The kernel's in-place path holds the same contract: a second build
-    /// of a written slot index is refused before it runs, and leaves the
-    /// arena, the slot and the counters as they were.
+    /// Parents refer to entries by position, so a slot is written once: a
+    /// second build of a written slot index is refused before it runs, and
+    /// leaves the arena, the slot and the counters as they were.
     #[test]
     fn build_slot_is_write_once() {
         let mut memo = memo(6, 1, 4);
@@ -1331,6 +1347,7 @@ mod tests {
             arena.extend([entry(5.0), entry(6.0)]);
         });
         assert!(built);
+        // Written by index, read back by set.
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
         assert_eq!(memo.stats(set), Some(stats(7.0)));
         let counts =
@@ -1341,7 +1358,6 @@ mod tests {
             panic!("a refused build must not run");
         });
         assert!(!rebuilt);
-        assert!(!memo.push_slot(idx, stats(1.0), &[entry(1.0)]));
         assert_eq!(memo.entries(set), [entry(5.0), entry(6.0)]);
         assert_eq!(memo.stats(set), Some(stats(7.0)));
         assert_eq!(counts(&memo), (3, 2, 3));
@@ -1362,7 +1378,7 @@ mod tests {
         let mut memo = memo(4, 0, 2);
         let (written, unwritten) = (TableSet::from_tables([0, 1]), TableSet::from_tables([0, 3]));
         let idx = memo.admissible().index_of(written).unwrap();
-        assert!(memo.push_slot(idx, stats(1.0), &[entry(7.0)]));
+        assert!(memo.build_slot(idx, stats(1.0), |arena, _| arena.push(entry(7.0))));
         assert!(memo.admissible().is_admissible(unwritten));
         assert!(memo.entries(unwritten).is_empty());
         assert_eq!(memo.stats(unwritten), None);
@@ -1519,8 +1535,8 @@ mod tests {
             for objective in [Objective::Single, Objective::Multi { alpha: 2.0 }] {
                 let pruning = PruningPolicy::new(objective, n);
                 let cs = ConstraintSet::unconstrained(Grouping::new(n, space));
-                let (memo, _) = fill(&q, space, &pruning, &cs);
-                let (reference, _) = crate::worker::reference_fill(&q, space, &pruning, &cs);
+                let (memo, _) = kernel_fill(&q, space, &pruning, &cs);
+                let (reference, _) = reference_memo(&q, space, &pruning, &cs);
                 for set in memo.admissible().iter() {
                     let ctx = format!("{space:?} {objective:?} {set}");
                     if objective != Objective::Single {
@@ -1574,9 +1590,9 @@ mod tests {
                             for id in 0..m {
                                 let ctx = format!("{space:?} {n} {graph:?} {objective:?} {id}/{m}");
                                 let cs = partition_constraints(n, space, id, m);
-                                let (memo, stats) = fill(&q, space, &pruning, &cs);
+                                let (memo, stats) = kernel_fill(&q, space, &pruning, &cs);
                                 let (reference, reference_stats) =
-                                    crate::worker::reference_fill(&q, space, &pruning, &cs);
+                                    reference_memo(&q, space, &pruning, &cs);
                                 assert_eq!(stats, reference_stats, "{ctx}");
                                 let singles = (0..n).map(TableSet::singleton);
                                 for set in memo.admissible().iter().chain(singles) {

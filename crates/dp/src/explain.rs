@@ -338,7 +338,7 @@ pub fn explain(query: &Query, plan: &Plan) -> Result<Explanation, ExplainError> 
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_macros)]
     use super::*;
-    use crate::arena::{fill, ArenaMemo};
+    use crate::arena::{kernel_fill, ArenaMemo};
     use crate::reconstruct::reconstruct_plan;
     use crate::worker::optimize_serial;
     use mpq_cost::{Objective, ScanOp};
@@ -425,7 +425,7 @@ mod tests {
                     {
                         for id in 0..m {
                             let c = partition_constraints(n, space, id, m);
-                            let (memo, _) = fill(&q, space, &pruning, &c);
+                            let (memo, _) = kernel_fill(&q, space, &pruning, &c);
                             let full = q.all_tables();
                             for (i, entry) in memo.entries(full).iter().enumerate() {
                                 let ctx = format!(

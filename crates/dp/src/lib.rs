@@ -20,14 +20,14 @@
 //!
 //! There is one memo, [`ArenaMemo`] ([`arena`] — one write-once record per
 //! admissible set, statistics and entry span, addressed by the dense
-//! admissible-set index over one contiguous entry array), and two loops
-//! fill it bottom-up: the streaming kernel ([`optimize_partition`] —
-//! per-order-class minima compared on time, cost vectors and entries built
-//! only for the candidates that are kept; the default) and one
-//! slot-at-a-time loop under the textbook reference
-//! ([`optimize_partition_reference`]), the filtered fill and parametric
-//! optimization. The crate reads no clock: the caller that reports W-Time
-//! stamps [`WorkerStats::optimize_micros`].
+//! admissible-set index over one contiguous entry array), and one loop
+//! fills it bottom-up, a step per use: the streaming kernel
+//! ([`optimize_partition`] — per-order-class minima compared on time, cost
+//! vectors and entries built only for the candidates that are kept; the
+//! default), the textbook reference ([`optimize_partition_reference`]),
+//! which also makes the filtered fill, and parametric optimization. The
+//! crate reads no clock: the caller that reports W-Time stamps
+//! [`WorkerStats::optimize_micros`].
 //!
 //! [`explain()`] recomputes a finished plan's per-node costs, cardinalities
 //! and orders from its query, bit for bit as the kernels computed them,

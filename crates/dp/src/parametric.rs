@@ -20,8 +20,10 @@
 
 use crate::arena::ArenaMemo;
 use crate::stats::WorkerStats;
-use crate::worker::{fill_slots, finish, join_candidates, Candidate, PartitionOutcome, Walk};
-use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, SplitCosts};
+use crate::worker::{
+    fill_slots, finish, join_candidates, Candidate, PartitionOutcome, Scalar, Split, Step, Walk,
+};
+use mpq_cost::{CardinalityEstimator, CostVector, Objective, ScanOp, SetStats, SplitCosts};
 use mpq_model::{Query, TableSet};
 use mpq_partition::{AdmissibleSets, ConstraintSet, Grouping, PlanSpace};
 use mpq_plan::{Plan, PlanEntry, PruningPolicy};
@@ -100,12 +102,15 @@ pub fn optimize_parametric_partition(
     // The memo records the `low` scenario's statistics (the one plans are
     // reconstructed against); the `high` scenario's are estimated per split.
     let lo = CardinalityEstimator::new(&pq.low);
-    let mut hi = CardinalityEstimator::new(&pq.high);
+    let step = &mut BothScenarios {
+        high: CardinalityEstimator::new(&pq.high),
+        scalar: Scalar(&policy, Vec::new()),
+    };
 
     for t in 0..n {
         let cost = CostVector::new(
             ScanOp::Full.cost(&lo, t).time,
-            ScanOp::Full.cost(&hi, t).time,
+            ScanOp::Full.cost(&step.high, t).time,
         );
         let entry = PlanEntry::scan(t as u8, ScanOp::Full, cost);
         memo.push_single(t, lo.set_stats(TableSet::singleton(t)), &[entry]);
@@ -114,34 +119,46 @@ pub fn optimize_parametric_partition(
     // Splits by filtered enumeration (simplicity over the product
     // construction here — correctness is identical). Orders agree across
     // scenarios (same predicates), so the `low` live set serves both.
-    let stats = fill_slots(
-        &mut memo,
-        &lo,
-        constraints,
-        space,
-        Walk::Filtered,
-        |split, live, slot| {
-            let (l, r) = (split.left.set, split.right.set);
-            let costs_hi = SplitCosts::new(&mut hi, l, r);
-            // The one candidate loop costs the `low` scenario; the `high`
-            // time of the same operator on the same operand plans rides in
-            // the buffer component.
-            let mut inapplicable = 0;
-            let generated = join_candidates(lo.predicates(), split, live, |c: Candidate<'_>| {
-                let Some((high, _)) = costs_hi.time(c.op, c.left.order, c.right.order) else {
-                    inapplicable += 1;
-                    return;
-                };
-                let cost = CostVector::new(c.time, c.left.cost.buffer + c.right.cost.buffer + high);
-                policy.try_insert(slot, c.entry_costing(cost, l, r));
-            });
-            generated - inapplicable
-        },
-    );
+    let stats = fill_slots(&mut memo, &lo, constraints, space, Walk::Filtered, step);
 
     // The full set's slot is already the exact bi-scenario frontier: the
     // final prune runs where partitions meet ([`merge_parametric`]).
     finish(&memo, stats)
+}
+
+/// The reference step ([`Scalar`]) costing each candidate in both
+/// scenarios: the one candidate loop costs the `low` scenario, and the
+/// `high` time of the same operator on the same operand plans rides in the
+/// buffer component.
+struct BothScenarios<'p> {
+    high: CardinalityEstimator,
+    scalar: Scalar<'p>,
+}
+
+impl Step for BothScenarios<'_> {
+    fn open(&mut self, lo: &CardinalityEstimator, set: TableSet) -> SetStats {
+        self.scalar.open(lo, set)
+    }
+
+    fn split(&mut self, lo: &CardinalityEstimator, split: &Split<'_>, live: TableSet) -> u64 {
+        let (l, r) = (split.left.set, split.right.set);
+        let costs_hi = SplitCosts::new(&mut self.high, l, r);
+        let Scalar(policy, slot) = &mut self.scalar;
+        let mut inapplicable = 0;
+        let generated = join_candidates(lo.predicates(), split, live, |c: Candidate<'_>| {
+            let Some((high, _)) = costs_hi.time(c.op, c.left.order, c.right.order) else {
+                inapplicable += 1;
+                return;
+            };
+            let cost = CostVector::new(c.time, c.left.cost.buffer + c.right.cost.buffer + high);
+            policy.try_insert(slot, c.entry_costing(cost, l, r));
+        });
+        generated - inapplicable
+    }
+
+    fn close(&mut self, set: TableSet, arena: &mut Vec<PlanEntry>, start: usize) {
+        self.scalar.close(set, arena, start)
+    }
 }
 
 /// Serial parametric optimization over the full plan space.

@@ -4,11 +4,15 @@
 //! `optimize_partition*` run the complete per-partition dynamic program:
 //! decode constraints → enumerate admissible join results → seed scans →
 //! bottom-up DP over admissible sets → reconstruct the partition-optimal
-//! plan(s). Two loops fill the one memo ([`ArenaMemo`]): the streaming
-//! kernel of [`crate::arena`] (the default, [`optimize_partition`]) and
-//! the slot-at-a-time loop `fill_slots`, under the reference
-//! ([`optimize_partition_reference`], which the differential suites hold
-//! the kernel to, bit for bit), the filtered fill and parametric DP.
+//! plan(s). One loop fills the one memo ([`ArenaMemo`]): `fill_slots`
+//! visits the admissible sets subsets-first, and a step opens each set
+//! (its statistics), takes each split and writes the set's slot. The
+//! steps are the streaming kernel of [`crate::arena`] (the default,
+//! [`optimize_partition`]), the reference (`Scalar`, under
+//! [`optimize_partition_reference`], which the differential suites hold
+//! the kernel to, bit for bit, and under the filtered fill) and
+//! parametric DP's. Each step reads a set's statistics its own way, so
+//! the kernel and its oracle share the set visit alone.
 //!
 //! Split enumeration (`for_each_split`) differs by plan space, as in
 //! the paper:
@@ -89,9 +93,9 @@ pub fn optimize_serial(query: &Query, space: PlanSpace, objective: Objective) ->
 }
 
 /// Algorithm 2 as written — the textbook kernel the differential suites
-/// hold the streaming one to, bit for bit: one set at a time in ascending
-/// dense index, every candidate of every split through the scalar pruning
-/// function in generation order, then the finished slot into the memo.
+/// hold the streaming one to, bit for bit: the one loop with the
+/// reference step on the product walk, every candidate of every split
+/// through the scalar pruning function in generation order.
 pub fn optimize_partition_reference(
     query: &Query,
     space: PlanSpace,
@@ -101,30 +105,9 @@ pub fn optimize_partition_reference(
     let n = query.num_tables();
     assert!(n >= 1, "query must join at least one table");
     let policy = PruningPolicy::new(objective, n);
-    let (memo, stats) = reference_fill(query, space, &policy, constraints);
+    let reference = &mut Scalar(&policy, Vec::new());
+    let (memo, stats) = fill(query, space, constraints, Walk::Product, reference);
     finish(&memo, stats)
-}
-
-/// The reference loop proper: the memo of the partition, filled by the
-/// slot loop over the product walk, and the work it took.
-pub(crate) fn reference_fill(
-    query: &Query,
-    space: PlanSpace,
-    policy: &PruningPolicy,
-    constraints: &ConstraintSet,
-) -> (ArenaMemo, WorkerStats) {
-    let est = CardinalityEstimator::new(query);
-    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
-    seed_scans(&mut memo, &est);
-    let stats = fill_slots(
-        &mut memo,
-        &est,
-        constraints,
-        space,
-        Walk::Product,
-        |split, live, slot| combine_operands(split, live, est.predicates(), policy, slot),
-    );
-    (memo, stats)
 }
 
 /// Ablation variant of the bushy split enumeration: the memo of
@@ -144,11 +127,9 @@ pub fn optimize_partition_bushy_filtered(
     finish(&memo, stats)
 }
 
-/// The slot loop over the filter-after-enumerate walk: the reference
-/// loop's visiting order, every split `for_each_split_filtered` examines
-/// counted as tried, each admissible one's candidates through the scalar
-/// pruning function in generation order. Returns the filled memo and the
-/// work it took. The plan space is the constraint set's.
+/// The memo of the one loop with the reference step over the
+/// filter-after-enumerate walk, every split it examines counted as tried,
+/// and the work it took. The plan space is the constraint set's.
 ///
 /// Each slot depends only on the slots of its subsets, so this is also
 /// the replicated memo of the fine-grained SMA baseline, whose master
@@ -159,73 +140,109 @@ pub fn filtered_fill(
     policy: &PruningPolicy,
     constraints: &ConstraintSet,
 ) -> (ArenaMemo, WorkerStats) {
-    let est = CardinalityEstimator::new(query);
-    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
-    seed_scans(&mut memo, &est);
-    let space = constraints.grouping().space();
-    let stats = fill_slots(
-        &mut memo,
-        &est,
-        constraints,
-        space,
-        Walk::Filtered,
-        |split, live, slot| combine_operands(split, live, est.predicates(), policy, slot),
+    let (space, reference) = (
+        constraints.grouping().space(),
+        &mut Scalar(policy, Vec::new()),
     );
-    (memo, stats)
+    fill(query, space, constraints, Walk::Filtered, reference)
 }
 
-/// The split walk of a slot loop: `for_each_split`, each split handed
-/// over counted as tried, or `for_each_split_filtered`, each one examined.
+/// The split walk of the loop: `for_each_split`, each split handed over
+/// counted as tried, or `for_each_split_filtered`, each one examined.
 pub(crate) enum Walk {
     Product,
     Filtered,
 }
 
-/// The crate's one slot-at-a-time loop, Algorithm 2's body: visits the
-/// admissible sets of `memo`, whose scans are seeded, in ascending dense
-/// index (every admissible subset of a set comes before the set) and
-/// skips the singletons. `per_split` takes each split `walk` hands over,
-/// with the set's interesting orders, adds its candidates to the set's
-/// slot and returns how many it generated; the slot goes into the memo
-/// with the set's statistics. Returns the work counters but memory, which
-/// [`finish`] reads off the memo.
+/// What the one loop ([`fill_slots`]) does at a set: `open` returns the
+/// set's statistics; `split` adds a split's candidates, for the set's
+/// interesting orders `live`, and returns how many it generated; `close`
+/// writes the slot at the tail of `arena` from index `start` on
+/// ([`ArenaMemo::build_slot`]) and readies the step for the next set.
+pub(crate) trait Step {
+    fn open(&mut self, est: &CardinalityEstimator, set: TableSet) -> SetStats;
+    fn split(&mut self, est: &CardinalityEstimator, split: &Split<'_>, live: TableSet) -> u64;
+    fn close(&mut self, set: TableSet, arena: &mut Vec<PlanEntry>, start: usize);
+}
+
+/// The memo of the partition `constraints` of `query`, its scans seeded
+/// and its sets filled by `step` over `walk`, and the work it took.
+pub(crate) fn fill(
+    query: &Query,
+    space: PlanSpace,
+    constraints: &ConstraintSet,
+    walk: Walk,
+    step: &mut impl Step,
+) -> (ArenaMemo, WorkerStats) {
+    let est = CardinalityEstimator::new(query);
+    let mut memo = ArenaMemo::new(AdmissibleSets::new(constraints));
+    seed_scans(&mut memo, &est);
+    let stats = fill_slots(&mut memo, &est, constraints, space, walk, step);
+    (memo, stats)
+}
+
+/// The crate's one loop over a memo's admissible sets, Algorithm 2's
+/// body: visits the sets of `memo`, whose scans are seeded, in ascending
+/// dense index (subsets first), skips the singletons, and hands `step`
+/// each set and each split `walk` yields. Returns the work counters but
+/// memory, which [`finish`] reads off the memo.
 pub(crate) fn fill_slots(
     memo: &mut ArenaMemo,
     est: &CardinalityEstimator,
     constraints: &ConstraintSet,
     space: PlanSpace,
     walk: Walk,
-    mut per_split: impl FnMut(&Split<'_>, TableSet, &mut Vec<PlanEntry>) -> u64,
+    step: &mut impl Step,
 ) -> WorkerStats {
     let mut stats = WorkerStats::default();
     let mut scratch = SplitScratch::default();
-    let mut slot = Vec::new();
-    for idx in 0..memo.admissible().len() {
-        let set = memo.admissible().set_at(idx);
+    for (idx, set) in memo.admissible().iter().enumerate() {
         if set.len() < 2 {
             continue;
         }
-        let env = SplitEnv {
-            space,
-            constraints,
-            adm: memo.admissible(),
-        };
+        let set_stats = step.open(est, set);
         let live = est.predicates().interesting_orders(set);
         match walk {
-            Walk::Product => for_each_split(&env, set, idx, memo, &mut scratch, |split| {
-                stats.splits_tried += 1;
-                stats.plans_generated += per_split(&split, live, &mut slot);
-            }),
+            Walk::Product => {
+                for_each_split(space, constraints, set, idx, memo, &mut scratch, |split| {
+                    stats.splits_tried += 1;
+                    stats.plans_generated += step.split(est, &split, live);
+                })
+            }
             Walk::Filtered => {
-                stats.splits_tried += for_each_split_filtered(&env, set, memo, |split| {
-                    stats.plans_generated += per_split(&split, live, &mut slot);
-                });
+                stats.splits_tried +=
+                    for_each_split_filtered(space, constraints, set, memo, |split| {
+                        stats.plans_generated += step.split(est, &split, live);
+                    });
             }
         }
-        memo.push_slot(idx, est.set_stats(set), &slot);
-        slot.clear();
+        memo.build_slot(idx, set_stats, |arena, start| step.close(set, arena, start));
     }
     stats
+}
+
+/// The reference step, of the reference and filtered fills: a set's
+/// statistics by the estimator's one-shot answer
+/// ([`CardinalityEstimator::set_stats`]), every candidate an entry through
+/// the pruning policy's scalar function, in generation order, into the
+/// slot under construction, which is moved in when the set is done.
+pub(crate) struct Scalar<'p>(pub &'p PruningPolicy, pub Vec<PlanEntry>);
+
+impl Step for Scalar<'_> {
+    fn open(&mut self, est: &CardinalityEstimator, set: TableSet) -> SetStats {
+        est.set_stats(set)
+    }
+
+    fn split(&mut self, est: &CardinalityEstimator, split: &Split<'_>, live: TableSet) -> u64 {
+        let (Scalar(policy, slot), left, right) = (self, split.left.set, split.right.set);
+        join_candidates(est.predicates(), split, live, |c: Candidate<'_>| {
+            policy.try_insert(slot, c.entry(left, right));
+        })
+    }
+
+    fn close(&mut self, _: TableSet, arena: &mut Vec<PlanEntry>, _: usize) {
+        arena.append(&mut self.1);
+    }
 }
 
 /// Seeds the best plans for single tables (Algorithm 2, lines 9-11), each
@@ -544,30 +561,6 @@ pub fn join_plans(
     generated
 }
 
-/// `Join` + `Prune` for one split of the reference and filtered fills:
-/// every candidate becomes an entry and goes through the scalar pruning
-/// function, in generation order. Returns how many it generated.
-#[inline]
-pub(crate) fn combine_operands(
-    split: &Split<'_>,
-    live: TableSet,
-    predicates: &PredicateIndex,
-    policy: &PruningPolicy,
-    slot: &mut Vec<PlanEntry>,
-) -> u64 {
-    join_candidates(predicates, split, live, |c: Candidate<'_>| {
-        policy.try_insert(slot, c.entry(split.left.set, split.right.set));
-    })
-}
-
-/// What the split enumeration needs to know about the partition.
-#[derive(Clone, Copy)]
-pub(crate) struct SplitEnv<'a> {
-    pub space: PlanSpace,
-    pub constraints: &'a ConstraintSet,
-    pub adm: &'a AdmissibleSets,
-}
-
 /// Buffers of the bushy split enumeration, reused across sets (no
 /// allocation in the hot loop).
 #[derive(Default)]
@@ -587,21 +580,22 @@ pub(crate) struct SplitScratch {
 ///   complement, skipping splits an operand of which has no plan. Both
 ///   operands' indices are summed up beside the left operand's bits.
 pub(crate) fn for_each_split<'m>(
-    env: &SplitEnv<'_>,
+    space: PlanSpace,
+    constraints: &ConstraintSet,
     set: TableSet,
     idx: usize,
     memo: &'m ArenaMemo,
     scratch: &mut SplitScratch,
     mut f: impl FnMut(Split<'m>),
 ) {
-    match env.space {
+    match space {
         PlanSpace::Linear => {
             for u in set.iter() {
                 // Algorithm 5 line 7: ∄ v ∈ U with (u ≺ v) ∈ C — O(1) via index.
-                if !env.constraints.may_join_last(u, set) {
+                if !constraints.may_join_last(u, set) {
                     continue;
                 }
-                let rest_idx = env.adm.index_without(set, idx, u);
+                let rest_idx = memo.admissible().index_without(set, idx, u);
                 f(Split {
                     left: memo.operand_at(set.remove(u), rest_idx),
                     right: memo.single_operand(u),
@@ -609,7 +603,7 @@ pub(crate) fn for_each_split<'m>(
             }
         }
         PlanSpace::Bushy => {
-            bushy_split_setup(set, env.constraints, env.adm, scratch);
+            bushy_split_setup(set, constraints, memo.admissible(), scratch);
             for_each_bushy_left(&scratch.parts, &scratch.group_bounds, |part| {
                 if part.left == 0 || part.left == set.bits() {
                     return;
@@ -638,7 +632,8 @@ pub(crate) fn for_each_split<'m>(
 /// α-approximate pruning depends on insertion order: a traversal stays
 /// with one walk.
 pub(crate) fn for_each_split_filtered<'m>(
-    env: &SplitEnv<'_>,
+    space: PlanSpace,
+    constraints: &ConstraintSet,
     set: TableSet,
     memo: &'m ArenaMemo,
     mut f: impl FnMut(Split<'m>),
@@ -650,17 +645,17 @@ pub(crate) fn for_each_split_filtered<'m>(
             right: memo.operand_of(right),
         })
     };
-    match env.space {
+    match space {
         PlanSpace::Linear => {
             for u in set.iter() {
                 examined += 1;
-                if env.constraints.may_join_last(u, set) {
+                if constraints.may_join_last(u, set) {
                     split(set.remove(u), TableSet::singleton(u));
                 }
             }
         }
         PlanSpace::Bushy => {
-            let has_slot = |s: TableSet| s.len() == 1 || env.adm.is_admissible(s);
+            let has_slot = |s: TableSet| s.len() == 1 || memo.admissible().is_admissible(s);
             for left in set.proper_subsets() {
                 examined += 1;
                 let right = set.difference(left);
@@ -762,6 +757,8 @@ fn for_each_bushy_left<F: FnMut(SplitPart)>(
 mod tests {
     use super::*;
     use mpq_model::{JoinGraph, WorkloadConfig, WorkloadGenerator};
+    use std::collections::HashMap;
+    use std::ops::RangeInclusive;
 
     fn query(n: usize, seed: u64) -> Query {
         WorkloadGenerator::new(WorkloadConfig::paper_default(n), seed).next_query()
@@ -951,6 +948,8 @@ mod tests {
     /// every set's slot as the reference loop does, for both objectives.
     /// Constrained pairs are where an inadmissible split would slip
     /// through: its operands are single tables, both of which have plans.
+    /// The candidates generated are the same; the splits tried, every
+    /// member of every set.
     #[test]
     fn filtered_slots_equal_the_reference_slots_on_linear_partitions() {
         let n = 7;
@@ -959,8 +958,13 @@ mod tests {
             let policy = PruningPolicy::new(objective, n);
             for id in 0..8 {
                 let cs = partition_constraints(n, PlanSpace::Linear, id, 8);
-                let (reference, _) = reference_fill(&q, PlanSpace::Linear, &policy, &cs);
-                let (filtered, _) = filtered_fill(&q, &policy, &cs);
+                let step = &mut Scalar(&policy, Vec::new());
+                let (reference, work) = fill(&q, PlanSpace::Linear, &cs, Walk::Product, step);
+                let (filtered, filtered_work) = filtered_fill(&q, &policy, &cs);
+                assert_eq!(filtered_work.plans_generated, work.plans_generated);
+                let members = reference.admissible().iter().filter(|s| s.len() >= 2);
+                let members: usize = members.map(|s| s.len()).sum();
+                assert_eq!(filtered_work.splits_tried, members as u64);
                 for set in reference.admissible().iter() {
                     assert_eq!(
                         filtered.entries(set),
@@ -1053,6 +1057,116 @@ mod tests {
             }
         }
         assert!(linear > 10_000 && bushy > 100_000, "{linear} / {bushy}");
+    }
+
+    /// Counts each admissible set's join trees beside the reference step,
+    /// which fills the memo so that the product walk, passing over a split
+    /// an operand of which has no plan, hands over every split: a table is
+    /// one tree, and a set holds left × right trees per split.
+    struct Trees<'p> {
+        reference: Scalar<'p>,
+        counts: HashMap<TableSet, u128>,
+        open: u128,
+    }
+
+    impl Step for Trees<'_> {
+        fn open(&mut self, est: &CardinalityEstimator, set: TableSet) -> SetStats {
+            self.open = 0;
+            self.reference.open(est, set)
+        }
+
+        fn split(&mut self, est: &CardinalityEstimator, split: &Split<'_>, live: TableSet) -> u64 {
+            let trees = |s: TableSet| if s.len() == 1 { 1 } else { self.counts[&s] };
+            self.open += trees(split.left.set) * trees(split.right.set);
+            self.reference.split(est, split, live)
+        }
+
+        fn close(&mut self, set: TableSet, arena: &mut Vec<PlanEntry>, start: usize) {
+            self.counts.insert(set, self.open);
+            self.reference.close(set, arena, start)
+        }
+    }
+
+    /// The join trees of each of the `2^l` partitions of `n` tables, as
+    /// the one loop counts them on the product walk; the filter-after-
+    /// enumerate walk must count the same.
+    fn partition_trees(space: PlanSpace, n: usize, l: usize) -> Vec<u128> {
+        let q = query(n, 77);
+        let policy = PruningPolicy::new(Objective::Single, n);
+        let m = 1u64 << l;
+        (0..m)
+            .map(|id| {
+                let cs = partition_constraints(n, space, id, m);
+                let [product, filtered] = [Walk::Product, Walk::Filtered].map(|walk| {
+                    let mut trees = Trees {
+                        reference: Scalar(&policy, Vec::new()),
+                        counts: HashMap::new(),
+                        open: 0,
+                    };
+                    fill(&q, space, &cs, walk, &mut trees);
+                    trees.counts[&TableSet::full(n)]
+                });
+                assert_eq!(product, filtered, "{space:?} {n}: partition {id}/{m}");
+                product
+            })
+            .collect()
+    }
+
+    fn factorial(n: usize) -> u128 {
+        (1..=n as u128).product()
+    }
+
+    /// The plan space each partition holds, at every constraint count `l`:
+    /// - left-deep, one join order per tree: `n!/2^l` in each partition,
+    ///   `n!` over all of them — `may_join_last` keeps a constrained pair's
+    ///   first join to one orientation, so the partitions are disjoint;
+    /// - bushy, of the `(2n−2)!/(n−1)!` ordered trees: `(2/3)^l` of them in
+    ///   each partition — a constraint on a triple admits two of its three
+    ///   topologies, so bushy partitions overlap.
+    ///
+    /// No cost is read, so a partition that loses plans but keeps the
+    /// optimum fails here.
+    fn assert_tree_counts(linear: RangeInclusive<usize>, bushy: RangeInclusive<usize>) {
+        for n in linear {
+            let all = factorial(n);
+            for l in 0..=PlanSpace::Linear.max_constraints(n) {
+                let counts = partition_trees(PlanSpace::Linear, n, l);
+                assert_eq!(all % (1 << l), 0);
+                let each = all >> l;
+                assert!(
+                    counts.iter().all(|&c| c == each),
+                    "Linear {n}, l = {l}: {counts:?}"
+                );
+                assert_eq!(counts.iter().sum::<u128>(), all, "Linear {n}, l = {l}");
+            }
+        }
+        for n in bushy {
+            let all = factorial(2 * n - 2) / factorial(n - 1);
+            for l in 0..=PlanSpace::Bushy.max_constraints(n) {
+                let counts = partition_trees(PlanSpace::Bushy, n, l);
+                let share = all << l;
+                assert_eq!(share % 3u128.pow(l as u32), 0);
+                let each = share / 3u128.pow(l as u32);
+                assert!(
+                    counts.iter().all(|&c| c == each),
+                    "Bushy {n}, l = {l}: {counts:?}"
+                );
+            }
+        }
+    }
+
+    /// Linear 2–10 and Bushy 2–7, every `l`.
+    #[test]
+    fn every_partition_holds_its_share_of_the_join_trees() {
+        assert_tree_counts(2..=10, 2..=7);
+    }
+
+    /// Linear 12 and Bushy 9, every `l`: seconds in release, where CI runs
+    /// it.
+    #[test]
+    #[ignore = "deep grid: run with --release -- --include-ignored"]
+    fn every_partition_holds_its_share_of_the_join_trees_deep() {
+        assert_tree_counts(12..=12, 9..=9);
     }
 
     #[test]

@@ -235,8 +235,9 @@ impl AdmissibleSets {
     #[inline]
     #[expect(
         clippy::disallowed_macros,
-        reason = "every caller walks `0..self.len()` (the reference loop, parametric \
-                  enumeration); past the end the top digit would decode a wrong set"
+        reason = "every caller passes an index below `self.len()` (unit tests, \
+                  `tests/props.rs`, the `kernels` bench); past the end the top digit \
+                  would decode a wrong set"
     )]
     pub fn set_at(&self, mut idx: usize) -> TableSet {
         assert!(idx < self.total, "index {idx} out of range {}", self.total);

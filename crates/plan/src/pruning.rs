@@ -22,7 +22,7 @@
 //!   `α^(1/L)`, as in the SIGMOD'14 approximation scheme.
 //!
 //! [`PruningPolicy::try_insert`] is the scalar form of both rules, entry by
-//! entry over a slot of [`PlanEntry`]s: the slot-at-a-time loops use it,
+//! entry over a slot of [`PlanEntry`]s: the slot-at-a-time steps use it,
 //! and it is the oracle the DP kernel is tested against. The kernel's
 //! Pareto arm offers every candidate it generates to a [`KeyedSlot`]: the
 //! same α-reject, exact-remove and order-cover rules over three dense
